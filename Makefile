@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-smoke bench-compare fuzz-smoke chaos obs load orch fission
+.PHONY: check fmt vet build test race bench bench-smoke bench-compare benchmark-build fuzz-smoke chaos obs load orch soak fission
 
-check: fmt vet build race bench-smoke fuzz-smoke load orch fission
+check: fmt vet build race benchmark-build bench-smoke fuzz-smoke load orch soak fission
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -26,6 +26,12 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem -run=NONE .
+
+# bench/ is a module of its own (the repo benchmark, see BENCHMARK.json)
+# that builds against this one: its smoke test runs here so an API change
+# that breaks the benchmark's build fails in CI, not in the benchmark run.
+benchmark-build:
+	cd bench && $(GO) test ./...
 
 # Quick compile-and-run pass over the throughput benchmarks: 10 iterations
 # each, no timing value, just proof the hot paths still execute. Wired into
@@ -98,13 +104,32 @@ chaos:
 
 # Orchestration smoke: a 3-worker in-process pool under spictl, first
 # with a forced live migration (planned rotation at epoch 2, zero
-# aborts), then with a worker killed mid-run (abort + re-place + replay).
-# Both runs verify the orchestrated sink digests bit for bit against the
-# static single-process execution; spictl exits non-zero on any mismatch.
+# aborts), then with a worker killed mid-run (abort + re-place + replay),
+# then 300 fault-free epochs that must run on one standing deployment
+# with no processor moved. Every run verifies the orchestrated sink
+# digests bit for bit against the static single-process execution; spictl
+# exits non-zero on any mismatch.
 orch:
 	$(GO) run ./cmd/spictl -inproc 3 -iters 24 -epoch 6 -seed 11 -migrate-at 2 -verify
 	$(GO) run ./cmd/spictl -inproc 3 -iters 24 -epoch 6 -seed 11 -migrate-at 1 -kill w2@2 -verify
 	$(GO) run ./cmd/spictl -inproc 3 -iters 24 -epoch 6 -seed 11 -migrate-at 2 -resync -verify
+	@out=$$($(GO) run ./cmd/spictl -inproc 3 -iters 19200 -epoch 64 -seed 11 -verify) || { echo "$$out"; exit 1; }; \
+	echo "$$out"; \
+	echo "$$out" | grep -q 'orch: .* migrations=0 deploys=1 warm=299 ' || { echo "orch smoke: a fault-free run must keep one standing deployment"; exit 1; }
+
+# Long-link soak: 300 000 iterations of the orchestration benchmark's
+# graph over three in-process loopback nodes, three times. A link that
+# carries more than a resend window of frames must not wedge (both ends'
+# readers once wrote their cumulative acks at each other); the timeout
+# turns a hang into a failure.
+soak:
+	@d=$$(mktemp -d); trap 'rm -rf $$d' EXIT; \
+	$(GO) build -o $$d/spinode ./cmd/spinode || exit 1; \
+	for i in 1 2 3; do \
+		timeout 60 $$d/spinode -inproc -transport loopback -assign 0,1,2 -iters 300000 -seed 1 \
+			-graph examples/graphs/orchbench.sdf | grep '^digest' \
+			|| { echo "soak run $$i wedged or failed"; exit 1; }; \
+	done
 
 # Fission smoke: pipeline.sdf digests must be bit-identical whether the
 # heaviest actor runs whole or fissioned into 3 replicas behind

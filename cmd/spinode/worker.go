@@ -45,7 +45,7 @@ func runWorker(ctx context.Context, cfg workerConfig, tr transport.Transport, w 
 			return &orch.KernelSet{Kernels: kernels, Collect: sinks.Take}, nil
 		},
 		DataAddr: func(epoch uint32) string {
-			return cfg.DataHost + ":0" // ephemeral port per epoch
+			return cfg.DataHost + ":0" // ephemeral port per deployment
 		},
 		Retry: transport.RetryConfig{
 			Attempts: 60, BaseDelay: 50 * time.Millisecond, MaxDelay: time.Second,

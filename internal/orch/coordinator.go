@@ -3,6 +3,7 @@ package orch
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -52,12 +53,15 @@ type CoordConfig struct {
 	// OnPlace optionally rewrites an epoch's placement before dispatch:
 	// placement[p] is the slot (0-based participant index) hosting
 	// processor p, ids the stable worker ID per slot. Forced migrations
-	// in tests and spictl use it.
+	// in tests and spictl use it. Returning anything but the committed
+	// placement ends the standing deployment.
 	OnPlace func(epoch int, placement []int, ids []uint32) []int
-	// OnDispatch fires after an epoch's tasks are sent — the hook chaos
-	// harnesses use to kill or choke a worker mid-epoch.
+	// OnDispatch fires once per epoch attempt, after its work (Tasks or
+	// Continues) is sent — the hook chaos harnesses use to kill or choke
+	// a worker mid-epoch.
 	OnDispatch func(epoch int)
-	// Obs instruments the control links.
+	// Obs receives the coordinator's epoch, deployment, abort and
+	// migration-pause metrics.
 	Obs *obs.Observer
 }
 
@@ -75,6 +79,11 @@ type Report struct {
 	Epochs     int
 	Commits    int
 	Aborts     int
+	// Deploys counts the attempts that went through the cold path (fresh
+	// listeners, links and partition specs), WarmEpochs those that ran on
+	// the standing deployment of the last commit; they sum to Epochs.
+	Deploys    int
+	WarmEpochs int
 	// Migrations counts processor moves between consecutive committed
 	// placements (including re-placements after a death).
 	Migrations int
@@ -253,10 +262,8 @@ func send(wc *workerConn, msg any) error {
 type epochState struct {
 	epoch     uint32
 	parts     []*workerConn // slot → worker
-	addrs     []string      // slot → per-epoch data address
-	ready     []bool
+	addrs     []string      // slot → data address, once the worker is Ready
 	done      []*Done
-	nDone     int
 	abortOK   map[*workerConn]bool
 	fail      error
 	quiescing bool
@@ -278,6 +285,51 @@ type coordRun struct {
 	ctx  context.Context
 	rep  *Report
 	pool []*workerConn // registered and live, sorted by stable ID
+	// specs caches BuildPartitions (and the resync verdict inside it) per
+	// placement: a re-deployment onto a placement seen before plans nothing.
+	specs map[string][]*spi.PartitionSpec
+}
+
+// deployed is a placement over a participant set, with its partitions.
+type deployed struct {
+	ids       []uint32 // slot → stable worker ID
+	placement []int    // processor → slot
+	specs     []*spi.PartitionSpec
+}
+
+// place picks the epoch's placement. It is sticky: with the participants
+// of the last commit still in place, the committed placement stays unless
+// balancing the measured loads afresh predicts a makespan more than 10 %
+// below it — per-epoch busy times are noisy, and a migration costs a cold
+// deployment.
+func (r *coordRun) place(load []float64, ids []uint32, last *deployed) ([]int, error) {
+	fresh, err := sched.Balance(load, len(ids))
+	if err != nil || last == nil || !slices.Equal(last.ids, ids) {
+		return fresh, err
+	}
+	makespan := func(placement []int) float64 {
+		total := make([]float64, len(ids))
+		for p, slot := range placement {
+			total[slot] += load[p]
+		}
+		return slices.Max(total)
+	}
+	if makespan(fresh) < 0.9*makespan(last.placement) {
+		return fresh, nil
+	}
+	return slices.Clone(last.placement), nil // OnPlace may rewrite it in place
+}
+
+func (r *coordRun) partitions(placement []int, workers int) ([]*spi.PartitionSpec, error) {
+	key := fmt.Sprint(placement)
+	if specs, ok := r.specs[key]; ok {
+		return specs, nil
+	}
+	specs, err := spi.BuildPartitions(r.c.cfg.Graph, r.c.cfg.Mapping, placement, workers)
+	if err == nil {
+		r.specs[key] = specs
+	}
+	return specs, err
 }
 
 // reap declares one worker dead: drop its link, forget it in the pool.
@@ -321,7 +373,6 @@ func (r *coordRun) handle(ev coordEvent, es *epochState) {
 		}
 		if slot := es.slotOf(ev.wc); slot >= 0 {
 			es.addrs[slot] = msg.Addr
-			es.ready[slot] = true
 		}
 	case Done:
 		if es == nil || msg.Epoch != es.epoch {
@@ -330,7 +381,6 @@ func (r *coordRun) handle(ev coordEvent, es *epochState) {
 		if slot := es.slotOf(ev.wc); slot >= 0 && es.done[slot] == nil {
 			d := msg
 			es.done[slot] = &d
-			es.nDone++
 		}
 	case Fail:
 		if es == nil || msg.Epoch != es.epoch || es.quiescing {
@@ -344,6 +394,21 @@ func (r *coordRun) handle(ev coordEvent, es *epochState) {
 			es.abortOK[ev.wc] = true
 		}
 	}
+}
+
+// collect waits until have holds for every slot of the epoch; at the
+// phase deadline the slots it does not hold for are the laggards.
+func (r *coordRun) collect(es *epochState, have func(slot int) bool) error {
+	missing := func() []*workerConn {
+		var lag []*workerConn
+		for slot, wc := range es.parts {
+			if !have(slot) {
+				lag = append(lag, wc)
+			}
+		}
+		return lag
+	}
+	return r.wait(es, func() bool { return len(missing()) == 0 }, missing)
 }
 
 // wait pumps events until cond holds. Outside quiescence an epoch
@@ -450,15 +515,28 @@ func (c *Coordinator) Run(ctx context.Context) (*Report, error) {
 		load[p] = 1
 	}
 	rep := &Report{Digests: map[string]uint64{}, Firings: map[string]int{}}
-	r := &coordRun{c: c, ctx: ctx, rep: rep}
+	r := &coordRun{c: c, ctx: ctx, rep: rep, specs: map[string][]*spi.PartitionSpec{}}
+	o := c.cfg.Obs
+	const epochsHelp = "Epoch attempts, by deployment path."
+	epochsWarm := o.Counter("orch_epochs_total", epochsHelp, obs.L("kind", "warm"))
+	epochsCold := o.Counter("orch_epochs_total", epochsHelp, obs.L("kind", "cold"))
+	deploys := o.Counter("orch_deploys_total", "Cold deployments dispatched.")
+	aborts := o.Counter("orch_aborts_total", "Epoch attempts aborted.")
+	epochUS := o.Histogram("orch_epoch_us", "Committed epoch, dispatch to commit, in microseconds.", nil)
+	pauseUS := o.Histogram("orch_migration_pause_us",
+		"Last commit on a deployment to the first dispatch on its successor, in microseconds.", nil)
 
 	if err := r.wait(nil, func() bool { return len(r.pool) >= c.cfg.MinWorkers }, nil); err != nil {
 		return rep, fmt.Errorf("orch: waiting for %d workers: %w", c.cfg.MinWorkers, err)
 	}
 
-	var lastOwner map[int]uint32 // proc → stable worker ID at last commit
-	var epoch uint32             // unique per attempt: the fencing token
-	var recoverStart time.Time
+	var (
+		committed    *deployed // participants and placement of the last commit
+		standing     bool      // committed's deployment is still up on every participant
+		lastCommit   time.Time
+		epoch        uint32 // unique per attempt: the fencing token
+		recoverStart time.Time
+	)
 	base := 0
 	for base < c.cfg.Iterations {
 		if len(r.pool) == 0 {
@@ -467,86 +545,93 @@ func (c *Coordinator) Run(ctx context.Context) (*Report, error) {
 				return rep, fmt.Errorf("orch: pool empty at iteration %d: %w", base, err)
 			}
 		}
-		n := c.cfg.EpochIters
-		if left := c.cfg.Iterations - base; n > left {
-			n = left
-		}
-		workers := len(r.pool)
-		if workers > m.NumProcs {
-			workers = m.NumProcs
-		}
+		n := min(c.cfg.EpochIters, c.cfg.Iterations-base)
+		workers := min(len(r.pool), m.NumProcs)
 		parts := append([]*workerConn(nil), r.pool[:workers]...)
 		ids := make([]uint32, workers)
 		for i, wc := range parts {
 			ids[i] = wc.id
 		}
-		placement, err := sched.Balance(load, workers)
+		placement, err := r.place(load, ids, committed)
 		if err != nil {
 			return rep, err
 		}
 		if c.cfg.OnPlace != nil {
 			placement = c.cfg.OnPlace(int(epoch), placement, ids)
 		}
-		specs, err := spi.BuildPartitions(g, m, placement, workers)
-		if err != nil {
-			return rep, err
+		// The standing deployment serves this epoch only if nothing about
+		// it changed since every participant acknowledged its last commit.
+		warm := standing && slices.Equal(committed.ids, ids) && slices.Equal(committed.placement, placement)
+		cur := committed
+		if !warm {
+			specs, err := r.partitions(placement, workers)
+			if err != nil {
+				return rep, err
+			}
+			cur = &deployed{ids: ids, placement: placement, specs: specs}
 		}
+		standing = false
 		rep.Epochs++
 		es := &epochState{
 			epoch: epoch, parts: parts,
-			addrs: make([]string, workers), ready: make([]bool, workers),
-			done: make([]*Done, workers),
+			addrs: make([]string, workers), done: make([]*Done, workers),
 		}
-
-		// Phase 1: prepare — fresh per-epoch data listeners.
-		for _, wc := range parts {
-			send(wc, Prepare{Epoch: epoch})
-		}
-		err = r.wait(es, func() bool {
-			for _, ok := range es.ready {
-				if !ok {
-					return false
-				}
-			}
-			return true
-		}, func() []*workerConn {
-			var lag []*workerConn
-			for i, ok := range es.ready {
-				if !ok {
-					lag = append(lag, es.parts[i])
-				}
-			}
-			return lag
-		})
-		if err != nil {
-			if ctx.Err() != nil {
-				return rep, ctx.Err()
-			}
+		// failed quiesces the attempt and sends the next one down the cold
+		// path, replaying from the last commit.
+		failed := func() {
+			aborts.Inc()
 			r.abort(es, n)
 			recoverStart = time.Now()
 			epoch++
-			continue
 		}
+		dispatched := time.Now()
 
-		// Phase 2: dispatch partition specs with the epoch's checkpoint.
-		for slot, wc := range parts {
-			spec := specs[slot]
-			spec.BaseIter, spec.Iterations, spec.Addrs = base, n, es.addrs
-			spec.Resync = c.cfg.Resync
-			for i := range spec.Edges {
-				e := &spec.Edges[i]
-				if (e.Out || e.SameProc) && e.Delay > 0 {
-					spec.Preload[e.ID] = tails[e.ID]
-				}
+		if warm {
+			rep.WarmEpochs++
+			epochsWarm.Inc()
+			for _, wc := range parts {
+				send(wc, Continue{Epoch: epoch, BaseIter: base, Iterations: n})
 			}
-			for pi := range spec.Procs {
-				for _, a := range spec.Procs[pi].Actors {
-					if blob, ok := state[a.Name]; ok {
-						spec.State[a.Name] = blob
+		} else {
+			rep.Deploys++
+			epochsCold.Inc()
+			deploys.Inc()
+			// Cold phase 1: prepare — fresh data listeners for the deployment.
+			for _, wc := range parts {
+				send(wc, Prepare{Epoch: epoch})
+			}
+			if err := r.collect(es, func(slot int) bool { return es.addrs[slot] != "" }); err != nil {
+				if ctx.Err() != nil {
+					return rep, ctx.Err()
+				}
+				failed()
+				continue
+			}
+			// Cold phase 2: dispatch partition specs with the checkpoint.
+			for slot, wc := range parts {
+				spec := cur.specs[slot]
+				spec.BaseIter, spec.Iterations, spec.Addrs = base, n, es.addrs
+				spec.Resync = c.cfg.Resync
+				for i := range spec.Edges {
+					e := &spec.Edges[i]
+					if (e.Out || e.SameProc) && e.Delay > 0 {
+						spec.Preload[e.ID] = tails[e.ID]
 					}
 				}
+				spec.State = map[string][]byte{}
+				for pi := range spec.Procs {
+					for _, a := range spec.Procs[pi].Actors {
+						if blob, ok := state[a.Name]; ok {
+							spec.State[a.Name] = blob
+						}
+					}
+				}
+				send(wc, Task{Epoch: epoch, Spec: spec})
 			}
-			send(wc, Task{Epoch: epoch, Spec: spec})
+			if !lastCommit.IsZero() {
+				pauseUS.Observe(float64(time.Since(lastCommit).Microseconds()))
+				lastCommit = time.Time{}
+			}
 		}
 		if !recoverStart.IsZero() {
 			rep.RecoveryNS += time.Since(recoverStart).Nanoseconds()
@@ -556,41 +641,25 @@ func (c *Coordinator) Run(ctx context.Context) (*Report, error) {
 			c.cfg.OnDispatch(int(epoch))
 		}
 
-		// Phase 3: collect — commit only when every participant is done.
-		err = r.wait(es, func() bool { return es.nDone == len(parts) }, func() []*workerConn {
-			var lag []*workerConn
-			for i, d := range es.done {
-				if d == nil {
-					lag = append(lag, es.parts[i])
-				}
-			}
-			return lag
-		})
-		if err != nil {
+		// Collect — commit only when every participant is done.
+		if err := r.collect(es, func(slot int) bool { return es.done[slot] != nil }); err != nil {
 			if ctx.Err() != nil {
 				return rep, ctx.Err()
 			}
-			r.abort(es, n)
-			recoverStart = time.Now()
-			epoch++
+			failed()
 			continue
 		}
 
 		// Commit: fold digests, absorb checkpoints, re-learn loads, and
 		// count migrations against the last committed ownership.
 		rep.Commits++
-		owner := map[int]uint32{}
-		for p, slot := range placement {
-			owner[p] = ids[slot]
-		}
-		if lastOwner != nil {
-			for p, id := range owner {
-				if lastOwner[p] != id {
+		if committed != nil {
+			for p, slot := range placement {
+				if committed.ids[committed.placement[p]] != ids[slot] {
 					rep.Migrations++
 				}
 			}
 		}
-		lastOwner = owner
 		for slot, d := range es.done {
 			for name, v := range d.Digests {
 				rep.Digests[name] ^= v
@@ -605,11 +674,13 @@ func (c *Coordinator) Run(ctx context.Context) (*Report, error) {
 				rep.Firings[name] += int(nf)
 			}
 			for pi, ns := range d.ProcNS {
-				if pi < len(specs[slot].Procs) && ns > 0 {
-					load[specs[slot].Procs[pi].Proc] = float64(ns)
+				if pi < len(cur.specs[slot].Procs) && ns > 0 {
+					load[cur.specs[slot].Procs[pi].Proc] = float64(ns)
 				}
 			}
 		}
+		committed, standing, lastCommit = cur, true, time.Now()
+		epochUS.Observe(float64(lastCommit.Sub(dispatched).Microseconds()))
 		base += n
 		rep.Iterations = base
 		epoch++

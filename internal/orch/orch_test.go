@@ -2,12 +2,15 @@ package orch
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/dataflow"
 	"repro/internal/demo"
+	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/spi"
 	"repro/internal/transport"
@@ -372,8 +375,10 @@ func TestOrchestratedChaosSeverMigration(t *testing.T) {
 	want := staticDigests(t, iterations)
 	r := newRig(t)
 	defer r.stopAll()
+	// w0 writes HELLO, Register, Ready and then one Done per epoch on its
+	// control link: write 4 is the Done of the first warm epoch.
 	ft := transport.NewFaultTransport(r.tr, transport.FaultConfig{
-		Seed: 7, SeverAt: []int{9}, SkipFrames: 4,
+		Seed: 7, SeverAt: []int{4}, SkipFrames: 2,
 	})
 	// Stagger the registrations so w0 takes slot 0 — the source worker:
 	// with uniform load the balancer leaves proc 0 (SRC) on the first
@@ -417,7 +422,13 @@ func TestOrchestratedLateJoiner(t *testing.T) {
 	rep, err := r.coord(iterations, 6, 1, func(cfg *CoordConfig) {
 		cfg.OnDispatch = func(epoch int) {
 			if epoch == 0 {
-				once.Do(func() { r.worker("late", nil) })
+				// Warm epochs take well under a millisecond: hold this one
+				// until the joiner's Register is on its way, or the run
+				// can be over before it arrives.
+				once.Do(func() {
+					r.worker("late", nil)
+					time.Sleep(50 * time.Millisecond)
+				})
 			}
 		}
 	})
@@ -430,5 +441,377 @@ func TestOrchestratedLateJoiner(t *testing.T) {
 	}
 	if rep.Migrations == 0 {
 		t.Error("late joiner never picked up rebalanced processors")
+	}
+	// One deployment on the lone worker, one on the pair (and another if
+	// the measured loads then call for a better split); every other epoch
+	// ran warm on whichever stood.
+	if rep.Deploys < 2 || rep.WarmEpochs != rep.Epochs-rep.Deploys || rep.Aborts != 0 {
+		t.Errorf("deploys/warm/epochs/aborts = %d/%d/%d/%d, want at least 2 deployments, the rest warm, 0 aborts",
+			rep.Deploys, rep.WarmEpochs, rep.Epochs, rep.Aborts)
+	}
+}
+
+// Standing-deployment tests: a committed placement stays deployed — links,
+// runtime edges, kernels and state resident on the workers — and later
+// epochs reach it with one Continue each. Every departure from the last
+// commit (a placement rewrite, a death, a failed warm epoch, a pool
+// change) must fall back to a cold deployment from the last checkpoint,
+// with digests still bit-identical to the static run.
+
+// TestOrchestratedStandingDeployment runs 300 fault-free epochs of 64 on
+// three workers: one cold deployment, every other epoch warm, no
+// processor ever moved.
+func TestOrchestratedStandingDeployment(t *testing.T) {
+	const epochs, epochIters = 300, 64
+	want := staticDigests(t, epochs*epochIters)
+	r := newRig(t)
+	defer r.stopAll()
+	for _, n := range []string{"w0", "w1", "w2"} {
+		r.worker(n, nil)
+	}
+	o := obs.New()
+	dispatches := 0
+	rep, err := r.coord(epochs*epochIters, epochIters, 3, func(cfg *CoordConfig) {
+		cfg.Obs = o
+		cfg.OnDispatch = func(int) { dispatches++ }
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDigests(t, rep, want)
+	if rep.Epochs != epochs || rep.Commits != epochs || rep.Aborts != 0 {
+		t.Errorf("epochs/commits/aborts = %d/%d/%d, want %d/%d/0", rep.Epochs, rep.Commits, rep.Aborts, epochs, epochs)
+	}
+	if rep.Deploys != 1 || rep.WarmEpochs != epochs-1 || rep.Migrations != 0 {
+		t.Errorf("deploys/warm/migrations = %d/%d/%d, want 1/%d/0", rep.Deploys, rep.WarmEpochs, rep.Migrations, epochs-1)
+	}
+	if dispatches != epochs {
+		t.Errorf("OnDispatch fired %d times, want once per epoch (%d)", dispatches, epochs)
+	}
+	for name, wantN := range map[string]int64{"orch_deploys_total": 1, "orch_aborts_total": 0, "orch_epochs_total": epochs} {
+		if got := o.Metrics.Sum(name); got != wantN {
+			t.Errorf("%s = %d, want %d", name, got, wantN)
+		}
+	}
+	if got, _ := o.Metrics.Get("orch_epochs_total", obs.L("kind", "warm")); got != epochs-1 {
+		t.Errorf(`orch_epochs_total{kind="warm"} = %d, want %d`, got, epochs-1)
+	}
+	for _, n := range []string{"w0", "w1", "w2"} {
+		if err := <-r.errs[n]; err != nil {
+			t.Errorf("worker %s: %v", n, err)
+		}
+	}
+}
+
+// TestOrchestratedMigrationRedeploysOnce rotates the placement at one
+// epoch: that epoch is the only cold one after the first, it needs no
+// abort, and the rotated placement then stands.
+func TestOrchestratedMigrationRedeploysOnce(t *testing.T) {
+	const iterations = 60
+	want := staticDigests(t, iterations)
+	r := newRig(t)
+	defer r.stopAll()
+	for _, n := range []string{"w0", "w1", "w2"} {
+		r.worker(n, nil)
+	}
+	o := obs.New()
+	rep, err := r.coord(iterations, 6, 3, func(cfg *CoordConfig) {
+		cfg.Obs = o
+		cfg.OnPlace = func(epoch int, placement []int, ids []uint32) []int {
+			if epoch != 4 {
+				return placement
+			}
+			rotated := make([]int, len(placement))
+			for p, slot := range placement {
+				rotated[p] = (slot + 1) % len(ids)
+			}
+			return rotated
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDigests(t, rep, want)
+	if rep.Deploys != 2 || rep.WarmEpochs != 8 || rep.Aborts != 0 || rep.Migrations != 3 {
+		t.Errorf("deploys/warm/aborts/migrations = %d/%d/%d/%d, want 2/8/0/3",
+			rep.Deploys, rep.WarmEpochs, rep.Aborts, rep.Migrations)
+	}
+	if pauses := o.Histogram("orch_migration_pause_us", "", nil); pauses.Count() != 1 || pauses.Sum() <= 0 {
+		t.Errorf("migration pause observed %d times (sum %v µs), want once", pauses.Count(), pauses.Sum())
+	}
+}
+
+// TestOrchestratedWarmEpochWorkerDeath kills a worker while a warm epoch
+// runs on the standing deployment: that epoch aborts, the survivors are
+// deployed cold from the last commit and replay exactly its iterations.
+func TestOrchestratedWarmEpochWorkerDeath(t *testing.T) {
+	const iterations, epochIters = 60, 6
+	want := staticDigests(t, iterations)
+	r := newRig(t)
+	defer r.stopAll()
+	for _, n := range []string{"w0", "w1", "w2"} {
+		r.worker(n, nil)
+	}
+	var once sync.Once
+	rep, err := r.coord(iterations, epochIters, 3, func(cfg *CoordConfig) {
+		cfg.OnDispatch = func(epoch int) {
+			if epoch == 3 {
+				once.Do(func() { r.stops["w1"]() })
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDigests(t, rep, want)
+	if rep.Aborts != 1 || rep.StalledTokens != epochIters || rep.WorkersLost != 1 {
+		t.Errorf("aborts/stalled/lost = %d/%d/%d, want 1/%d/1", rep.Aborts, rep.StalledTokens, rep.WorkersLost, epochIters)
+	}
+	// Three processors on two survivors do not balance evenly, so measured
+	// loads may justify further (abort-free) re-placements.
+	if rep.Deploys < 2 || rep.WarmEpochs != rep.Epochs-rep.Deploys {
+		t.Errorf("deploys/warm/epochs = %d/%d/%d, want at least 2 deployments and the rest warm", rep.Deploys, rep.WarmEpochs, rep.Epochs)
+	}
+	if rep.Iterations != iterations || rep.Migrations == 0 {
+		t.Errorf("committed %d iterations with %d migrations", rep.Iterations, rep.Migrations)
+	}
+}
+
+// TestOrchestratedResyncStanding: ack suppression is negotiated once, on
+// the deployment's links, and holds across its warm epochs.
+func TestOrchestratedResyncStanding(t *testing.T) {
+	const iterations = 48
+	want := staticDigests(t, iterations)
+	r := newRig(t)
+	defer r.stopAll()
+	for _, n := range []string{"w0", "w1", "w2"} {
+		r.worker(n, nil)
+	}
+	rep, err := r.coord(iterations, 6, 3, func(cfg *CoordConfig) { cfg.Resync = true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDigests(t, rep, want)
+	if rep.Deploys != 1 || rep.WarmEpochs != 7 || rep.Aborts != 0 {
+		t.Errorf("deploys/warm/aborts = %d/%d/%d, want 1/7/0", rep.Deploys, rep.WarmEpochs, rep.Aborts)
+	}
+}
+
+// coldWorker is a worker that forgets its deployments: each Task is
+// opened and run, but a Continue never finds a deployment to run on. Its
+// links stay up until the coordinator's Abort, like those of a worker
+// whose bookkeeping — not whose process — failed.
+type coldWorker struct {
+	tr     transport.Transport
+	events chan workerEvent
+	fails  int
+}
+
+func (w *coldWorker) run(ctx context.Context) error {
+	conn, err := transport.DialRetry(ctx, w.tr, "coord", fastRetry())
+	if err != nil {
+		return err
+	}
+	link, err := transport.NewLink(conn, transport.LinkConfig{Ctrl: true}, &workerHandler{events: w.events})
+	if err != nil {
+		return err
+	}
+	defer link.Close()
+	send := func(msg any) {
+		op, payload := Encode(msg)
+		link.SendCtrl(op, payload)
+	}
+	send(Register{Name: "cold"})
+	lns := map[uint32]transport.Listener{}
+	var pr *spi.PartitionRun
+	drop := func() {
+		if pr != nil {
+			pr.Close(false)
+			pr = nil
+		}
+	}
+	defer drop()
+	for {
+		var ev workerEvent
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case ev = <-w.events:
+		}
+		if ev.closed || ev.err != nil {
+			return ev.err
+		}
+		switch m := ev.msg.(type) {
+		case Prepare:
+			drop()
+			ln, err := w.tr.Listen(fmt.Sprintf("cold-data-e%d", m.Epoch))
+			if err != nil {
+				return err
+			}
+			lns[m.Epoch] = ln
+			send(Ready{Epoch: m.Epoch, Addr: ln.Addr()})
+		case Task:
+			ks, _ := demoProvider(m.Spec)
+			var res *spi.PartResult
+			pr, err = spi.OpenPartition(m.Spec, ks.Kernels, spi.PartOptions{
+				Transport: w.tr, Listener: lns[m.Epoch], Retry: fastRetry(), Context: ctx,
+			})
+			lns[m.Epoch].Close()
+			if err == nil {
+				res, err = pr.Run(m.Spec.BaseIter, m.Spec.Iterations)
+			}
+			if err != nil {
+				send(Fail{Epoch: m.Epoch, Msg: err.Error()})
+				continue
+			}
+			done := Done{Epoch: m.Epoch, Digests: ks.Collect(), Tails: res.Tails, State: res.State,
+				Firings: map[string]uint32{}, ProcNS: res.ProcNS}
+			for name, n := range res.Firings {
+				done.Firings[name] = uint32(n)
+			}
+			send(done)
+		case Continue:
+			w.fails++
+			send(Fail{Epoch: m.Epoch, Msg: "no standing deployment"})
+		case Abort:
+			drop()
+			send(AbortOK{Epoch: m.Epoch})
+		case Shutdown:
+			return nil
+		}
+	}
+}
+
+// TestOrchestratedContinueUnknownDeployment pools two real workers with
+// one that never has a standing deployment. Every Continue it receives
+// comes back as a Fail; the coordinator must abort that attempt, quiesce
+// the real workers' deployments and retry the epoch cold — never hang,
+// never commit a token twice.
+func TestOrchestratedContinueUnknownDeployment(t *testing.T) {
+	const iterations, epochIters = 24, 6
+	want := staticDigests(t, iterations)
+	r := newRig(t)
+	defer r.stopAll()
+	r.worker("w0", nil)
+	r.worker("w1", nil)
+	cold := &coldWorker{tr: r.tr, events: make(chan workerEvent, 64)}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	coldErr := make(chan error, 1)
+	go func() { coldErr <- cold.run(ctx) }()
+	rep, err := r.coord(iterations, epochIters, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDigests(t, rep, want)
+	// Epoch 0 is cold; each later epoch is one refused warm attempt, then
+	// a cold retry that commits.
+	if rep.Commits != 4 || rep.Aborts != 3 || rep.Deploys != 4 || rep.WarmEpochs != 3 {
+		t.Errorf("commits/aborts/deploys/warm = %d/%d/%d/%d, want 4/3/4/3",
+			rep.Commits, rep.Aborts, rep.Deploys, rep.WarmEpochs)
+	}
+	if rep.StalledTokens != 3*epochIters || rep.WorkersLost != 0 || rep.Migrations != 0 {
+		t.Errorf("stalled/lost/migrations = %d/%d/%d, want %d/0/0", rep.StalledTokens, rep.WorkersLost, rep.Migrations, 3*epochIters)
+	}
+	if err := <-coldErr; err != nil {
+		t.Errorf("cold worker: %v", err)
+	}
+	if cold.fails != 3 {
+		t.Errorf("cold worker refused %d continues, want 3", cold.fails)
+	}
+}
+
+// TestWorkerContinueWithoutDeployment scripts the coordinator side of one
+// control link: a Continue that matches no standing deployment — none at
+// all, or one standing at another iteration — is answered with Fail.
+func TestWorkerContinueWithoutDeployment(t *testing.T) {
+	tr := transport.NewLoopback()
+	ln, err := tr.Listen("coord")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	w, err := NewWorker(WorkerConfig{Transport: tr, Coord: "coord", Name: "w0", Kernels: demoProvider, Retry: fastRetry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	workerErr := make(chan error, 1)
+	go func() { workerErr <- w.Run(ctx) }()
+
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := make(chan coordEvent, 16)
+	ready := make(chan struct{})
+	close(ready)
+	wc := &workerConn{}
+	wc.link, err = transport.AcceptLink(conn, transport.LinkConfig{Node: 1 << 16, Ctrl: true},
+		func(int) ([]transport.EdgeDecl, transport.Handler, error) {
+			return nil, &coordHandler{wc: wc, ready: ready, events: events}, nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wc.link.Abort()
+	expect := func(want any) any {
+		t.Helper()
+		select {
+		case ev := <-events:
+			if reflect.TypeOf(ev.msg) != reflect.TypeOf(want) {
+				t.Fatalf("worker sent %#v (closed=%v err=%v), want a %T", ev.msg, ev.closed, ev.err, want)
+			}
+			return ev.msg
+		case <-time.After(10 * time.Second):
+			t.Fatalf("no %T from the worker", want)
+		}
+		return nil
+	}
+	expect(Register{})
+
+	// No deployment at all.
+	send(wc, Continue{Epoch: 5, BaseIter: 64, Iterations: 64})
+	if f := expect(Fail{}).(Fail); f.Epoch != 5 {
+		t.Errorf("Fail names epoch %d, want 5", f.Epoch)
+	}
+
+	// A one-worker deployment of iterations 0..5, then a Continue that
+	// skips ahead: refused, and the deployment is gone.
+	g, m, err := orchGraph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, err := spi.BuildPartitions(g, m, []int{0, 0, 0}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre, err := spi.InitialPreloads(g, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	send(wc, Prepare{Epoch: 6})
+	addr := expect(Ready{}).(Ready).Addr
+	spec := specs[0]
+	spec.BaseIter, spec.Iterations, spec.Addrs, spec.Preload = 0, 6, []string{addr}, pre
+	send(wc, Task{Epoch: 6, Spec: spec})
+	expect(Done{})
+	send(wc, Continue{Epoch: 7, BaseIter: 6, Iterations: 6})
+	if d := expect(Done{}).(Done); d.Epoch != 7 || d.Firings["SRC"] != 6 {
+		t.Errorf("warm epoch reported %+v, want epoch 7 with 6 firings per actor", d)
+	}
+	send(wc, Continue{Epoch: 8, BaseIter: 18, Iterations: 6})
+	if f := expect(Fail{}).(Fail); f.Epoch != 8 {
+		t.Errorf("Fail names epoch %d, want 8", f.Epoch)
+	}
+	send(wc, Continue{Epoch: 9, BaseIter: 12, Iterations: 6})
+	if f := expect(Fail{}).(Fail); f.Epoch != 9 {
+		t.Errorf("Fail names epoch %d, want 9: a refused deployment must not serve again", f.Epoch)
+	}
+	send(wc, Shutdown{})
+	wc.link.Close()
+	if err := <-workerErr; err != nil {
+		t.Errorf("worker: %v", err)
 	}
 }

@@ -46,6 +46,9 @@ const (
 	OpAbortOK byte = 9
 	// OpShutdown dismisses a worker at end of run.
 	OpShutdown byte = 10
+	// OpContinue runs the next epoch on the worker's standing deployment
+	// (coord → worker), in place of Prepare + Task; answered by Done or Fail.
+	OpContinue byte = 11
 )
 
 // Register introduces a worker by name.
@@ -67,6 +70,15 @@ type Ready struct {
 type Task struct {
 	Epoch uint32
 	Spec  *spi.PartitionSpec
+}
+
+// Continue dispatches the next epoch to a standing deployment: the links,
+// runtime edges, kernels and actor state of the last committed epoch stay
+// as they are, and BaseIter must be the iteration that epoch ended at.
+type Continue struct {
+	Epoch      uint32
+	BaseIter   int
+	Iterations int
 }
 
 // Done reports a committed partition: the sink digest contributions, the
@@ -180,6 +192,16 @@ func (r *reader) bytes() []byte {
 
 func (r *reader) str() string { return string(r.bytes()) }
 
+// iterRange reads a (base iteration, iteration count) pair.
+func (r *reader) iterRange() (base, iters int) {
+	b, n := r.u64(), r.u64()
+	if r.err == nil && (b > math.MaxInt32 || n > math.MaxInt32) {
+		r.err = fmt.Errorf("orch: iteration range %d+%d out of bounds", b, n)
+		return 0, 0
+	}
+	return int(b), int(n)
+}
+
 func (r *reader) done() error {
 	if r.err != nil {
 		return r.err
@@ -282,6 +304,11 @@ func Encode(msg any) (op byte, payload []byte) {
 		return OpAbortOK, w.b
 	case Shutdown:
 		return OpShutdown, nil
+	case Continue:
+		w.u32(m.Epoch)
+		w.u64(uint64(m.BaseIter))
+		w.u64(uint64(m.Iterations))
+		return OpContinue, w.b
 	}
 	panic(fmt.Sprintf("orch: encode of unknown message type %T", msg))
 }
@@ -372,12 +399,9 @@ func decodeSpec(r *reader) *spi.PartitionSpec {
 	for n := r.count(4); n > 0; n-- {
 		s.Addrs = append(s.Addrs, r.str())
 	}
-	base, iters := r.u64(), r.u64()
-	if r.err == nil && (base > math.MaxInt32 || iters > math.MaxInt32) {
-		r.err = fmt.Errorf("orch: iteration range %d+%d out of bounds", base, iters)
+	if s.BaseIter, s.Iterations = r.iterRange(); r.err != nil {
 		return s
 	}
-	s.BaseIter, s.Iterations = int(base), int(iters)
 	for n := r.count(8); n > 0; n-- {
 		p := spi.PartProc{Proc: int(r.u32())}
 		for na := r.count(12); na > 0; na-- {
@@ -501,6 +525,10 @@ func DecodeCtrl(op byte, payload []byte) (any, error) {
 		msg = AbortOK{Epoch: r.u32()}
 	case OpShutdown:
 		msg = Shutdown{}
+	case OpContinue:
+		c := Continue{Epoch: r.u32()}
+		c.BaseIter, c.Iterations = r.iterRange()
+		msg = c
 	default:
 		return nil, fmt.Errorf("orch: unknown control opcode %d", op)
 	}

@@ -54,6 +54,7 @@ func wireMessages() []any {
 		Abort{Epoch: 5},
 		AbortOK{Epoch: 5},
 		Shutdown{},
+		Continue{Epoch: 6, BaseIter: 384, Iterations: 64},
 	}
 }
 

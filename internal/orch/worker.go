@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -13,8 +14,8 @@ import (
 
 // KernelSet is everything a worker needs to execute one partition:
 // kernels by actor name, checkpoint hooks for the stateful ones, and a
-// collector that drains the epoch's sink digest contributions (called
-// only on success, so aborted epochs contribute nothing).
+// collector that drains one epoch's sink digest contributions (called
+// once per finished epoch, so failed epochs contribute nothing).
 type KernelSet struct {
 	Kernels map[string]spi.Kernel
 	Hooks   map[string]spi.StateHooks
@@ -22,8 +23,10 @@ type KernelSet struct {
 }
 
 // KernelProvider builds a fresh KernelSet for one partition spec. It is
-// called once per epoch attempt, so kernel state always starts from the
-// spec's checkpoint blobs, never from a previous attempt's leftovers.
+// called once per deployment — each Task — so kernel state always starts
+// from the spec's checkpoint blobs, never from a failed attempt's
+// leftovers; the warm epochs that follow on the standing deployment keep
+// using the same set, and its state carries over in place.
 type KernelProvider func(spec *spi.PartitionSpec) (*KernelSet, error)
 
 // WorkerConfig configures one orchestrated worker.
@@ -37,8 +40,9 @@ type WorkerConfig struct {
 	Name string
 	// Kernels builds the kernels for each dispatched partition.
 	Kernels KernelProvider
-	// DataAddr returns the address to bind the per-epoch data listener
-	// on. Nil defaults to "<name>-data-e<epoch>" (loopback-style unique
+	// DataAddr returns the address to bind a deployment's data listener
+	// on; it is called once per deployment, with the epoch that opens it.
+	// Nil defaults to "<name>-data-e<epoch>" (loopback-style unique
 	// names); TCP deployments return "host:0" for an ephemeral port.
 	DataAddr func(epoch uint32) string
 	// Retry configures dials: the control dial to the coordinator and
@@ -85,11 +89,15 @@ func (h *workerHandler) HandleCtrl(op byte, payload []byte) {
 	h.events <- workerEvent{msg: msg}
 }
 
-// epochRun is one in-flight partition execution.
-type epochRun struct {
-	epoch  uint32
+// deployment is one standing partition deployment, owned by its serve
+// goroutine: cmds feeds it warm epochs, cancel aborts it, done closes
+// once the goroutine has gone. failed is set before the goroutine reports
+// a Fail, after which it takes no more epochs.
+type deployment struct {
 	cancel context.CancelFunc
+	cmds   chan Continue
 	done   chan struct{}
+	failed atomic.Bool
 }
 
 // Worker registers with a coordinator and executes the partitions it is
@@ -102,7 +110,7 @@ type Worker struct {
 	link *transport.Link
 
 	mu  sync.Mutex
-	lns map[uint32]transport.Listener // per-epoch pending data listeners
+	lns map[uint32]transport.Listener // pending data listeners by opening epoch
 }
 
 // NewWorker validates the config and returns an unstarted worker.
@@ -149,54 +157,61 @@ func (w *Worker) Run(ctx context.Context) error {
 		return err
 	}
 
-	var run *epochRun
+	var dep *deployment
 	for {
 		select {
 		case <-ctx.Done():
-			w.stopRun(run)
+			w.teardown(dep)
 			return ctx.Err()
 		case ev := <-events:
 			switch {
 			case ev.closed:
-				w.stopRun(run)
+				w.teardown(dep)
 				if ctx.Err() != nil {
 					return ctx.Err()
 				}
 				return fmt.Errorf("orch: worker %s lost coordinator: %v", w.cfg.Name, ev.err)
 			case ev.err != nil:
+				w.teardown(dep)
 				return fmt.Errorf("orch: worker %s control decode: %w", w.cfg.Name, ev.err)
 			}
 			switch m := ev.msg.(type) {
 			case Welcome:
 				// Identity is informational for now; specs carry slots.
 			case Prepare:
+				// A new deployment is coming: the standing one is over.
+				w.teardown(dep)
+				dep = nil
 				if err := w.prepare(m.Epoch); err != nil {
 					w.send(Fail{Epoch: m.Epoch, Msg: err.Error()})
 				}
 			case Task:
-				if run != nil {
-					w.stopRun(run)
+				w.teardown(dep)
+				dep = w.deploy(ctx, m)
+			case Continue:
+				if !dep.offer(m) {
+					w.send(Fail{Epoch: m.Epoch, Msg: "no standing deployment"})
 				}
-				run = w.start(ctx, m)
 			case Abort:
-				if run != nil && run.epoch == m.Epoch {
-					w.stopRun(run)
-					run = nil
-				}
+				w.teardown(dep)
+				dep = nil
 				w.dropListener(m.Epoch)
 				w.send(AbortOK{Epoch: m.Epoch})
 			case Shutdown:
-				w.stopRun(run)
+				// Every epoch has committed: what is still in flight on the
+				// data links is delay tokens nobody will consume, so there
+				// is nothing to drain.
+				w.teardown(dep)
 				return nil
 			}
 		}
 	}
 }
 
-// prepare binds the fresh data-plane listener for an epoch and announces
-// its address. A fresh listener per epoch fences connections from
-// aborted epochs out of the new one: stale peers hold addresses nobody
-// listens on anymore.
+// prepare binds the fresh data-plane listener for a deployment and
+// announces its address. A fresh listener per deployment fences
+// connections from aborted ones out of the new one: stale peers hold
+// addresses nobody listens on anymore.
 func (w *Worker) prepare(epoch uint32) error {
 	ln, err := w.cfg.Transport.Listen(w.cfg.DataAddr(epoch))
 	if err != nil {
@@ -231,62 +246,103 @@ func (w *Worker) closeListeners() {
 	w.lns = map[uint32]transport.Listener{}
 }
 
-// start launches one epoch's partition execution and reports Done or Fail
-// when it finishes. The run owns its listener; an Abort cancels the
-// context and the executor unwinds every blocked actor.
-func (w *Worker) start(ctx context.Context, t Task) *epochRun {
-	rctx, cancel := context.WithCancel(ctx)
-	run := &epochRun{epoch: t.Epoch, cancel: cancel, done: make(chan struct{})}
+// deploy opens the deployment a Task describes and runs its first epoch,
+// then serves warm epochs on it until one fails, the coordinator replaces
+// or aborts it, or the worker shuts down. The deployment owns its
+// listener.
+func (w *Worker) deploy(ctx context.Context, t Task) *deployment {
+	dctx, cancel := context.WithCancel(ctx)
+	d := &deployment{cancel: cancel, cmds: make(chan Continue, 1), done: make(chan struct{})}
 	ln := w.takeListener(t.Epoch)
+	fail := func(epoch uint32, msg string) {
+		d.failed.Store(true)
+		w.send(Fail{Epoch: epoch, Msg: msg})
+	}
 	go func() {
-		defer close(run.done)
+		defer close(d.done)
 		defer cancel()
-		if ln != nil {
-			defer ln.Close()
-		} else {
-			w.send(Fail{Epoch: t.Epoch, Msg: "task for an unprepared epoch"})
+		if ln == nil {
+			fail(t.Epoch, "task for an unprepared epoch")
 			return
 		}
+		defer ln.Close()
 		ks, err := w.cfg.Kernels(t.Spec)
 		if err != nil {
-			w.send(Fail{Epoch: t.Epoch, Msg: err.Error()})
+			fail(t.Epoch, err.Error())
 			return
 		}
-		res, err := spi.ExecutePartition(t.Spec, ks.Kernels, spi.PartOptions{
+		pr, err := spi.OpenPartition(t.Spec, ks.Kernels, spi.PartOptions{
 			Transport: w.cfg.Transport, Listener: ln,
-			Retry: w.cfg.Retry, Context: rctx,
+			Retry: w.cfg.Retry, Context: dctx,
 			Reconnect: w.cfg.Reconnect,
 			Heartbeat: w.cfg.Heartbeat, PeerTimeout: w.cfg.PeerTimeout,
 			SendTimeout: w.cfg.SendTimeout,
 			State:       ks.Hooks, Obs: w.cfg.Obs,
 		})
 		if err != nil {
-			if rctx.Err() == nil {
-				w.send(Fail{Epoch: t.Epoch, Msg: err.Error()})
+			if dctx.Err() == nil {
+				fail(t.Epoch, err.Error())
 			}
 			return
 		}
-		done := Done{
-			Epoch: t.Epoch, Tails: res.Tails, State: res.State,
-			Firings: map[string]uint32{}, ProcNS: res.ProcNS,
+		defer pr.Close(false)
+		next := Continue{Epoch: t.Epoch, BaseIter: t.Spec.BaseIter, Iterations: t.Spec.Iterations}
+		for {
+			res, err := pr.Run(next.BaseIter, next.Iterations)
+			if err != nil {
+				if dctx.Err() == nil {
+					fail(next.Epoch, err.Error())
+				}
+				return
+			}
+			done := Done{
+				Epoch: next.Epoch, Tails: res.Tails, State: res.State,
+				Firings: map[string]uint32{}, ProcNS: res.ProcNS,
+			}
+			if ks.Collect != nil {
+				done.Digests = ks.Collect()
+			}
+			for name, n := range res.Firings {
+				done.Firings[name] = uint32(n)
+			}
+			w.send(done)
+			end := next.BaseIter + next.Iterations
+			select {
+			case next = <-d.cmds:
+			case <-dctx.Done():
+				return
+			}
+			if next.BaseIter != end {
+				fail(next.Epoch, fmt.Sprintf("standing deployment is at iteration %d, continue names %d", end, next.BaseIter))
+				return
+			}
 		}
-		if ks.Collect != nil {
-			done.Digests = ks.Collect()
-		}
-		for name, n := range res.Firings {
-			done.Firings[name] = uint32(n)
-		}
-		w.send(done)
 	}()
-	return run
+	return d
 }
 
-func (w *Worker) stopRun(run *epochRun) {
-	if run == nil {
+// offer hands a warm epoch to the deployment; false means there is no
+// deployment able to take it.
+func (d *deployment) offer(c Continue) bool {
+	if d == nil || d.failed.Load() {
+		return false
+	}
+	select {
+	case d.cmds <- c:
+		return true
+	default:
+		return false
+	}
+}
+
+// teardown aborts a deployment, wherever its actors are blocked, and
+// waits until it has gone.
+func (w *Worker) teardown(d *deployment) {
+	if d == nil {
 		return
 	}
-	run.cancel()
-	<-run.done
+	d.cancel()
+	<-d.done
 }
 
 func (w *Worker) send(msg any) error {

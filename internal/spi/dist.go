@@ -519,6 +519,11 @@ func ExecuteDistributed(g *dataflow.Graph, m *sched.Mapping, kernels map[dataflo
 
 	procErrs, wdErr := env.runWatched(myProcs, iterations, watchConfig{
 		stall: opts.StallTimeout, ctx: opts.Context, o: opts.Obs, node: me,
+		abort: func() {
+			for _, l := range links {
+				l.Abort()
+			}
+		},
 	})
 	runErr := watchVerdict(collapseErrs(procErrs), wdErr)
 	if runErr != nil && !opts.Degrade {
@@ -573,10 +578,10 @@ func ExecuteDistributed(g *dataflow.Graph, m *sched.Mapping, kernels map[dataflo
 				firings[name] = stats.ActorFirings[name]
 			}
 		}
-		if wdErr != nil && (cause == nil || errors.Is(cause, ErrClosed) || cancelled(wdErr)) {
-			// The watchdog's CloseAll is what cascaded ErrClosed (and, on
-			// peers, link teardown errors) through the processors; the
-			// stall or cancellation is the root.
+		if wdErr != nil && (cause == nil || collateral(cause) || cancelled(wdErr)) {
+			// The watchdog's release is what cascaded ErrClosed and link
+			// teardown errors through the processors; the stall or
+			// cancellation is the root.
 			cause = wdErr
 		}
 		if cause == nil && len(peerErrs) == 0 {

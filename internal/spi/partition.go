@@ -119,7 +119,8 @@ type PartitionSpec struct {
 	Resync bool
 }
 
-// PartResult reports one epoch of partition execution.
+// PartResult reports one epoch of partition execution: Tails and State
+// are the checkpoint at its end, Firings and ProcNS cover the epoch alone.
 type PartResult struct {
 	// Tails holds, per delayed edge produced here, the in-flight
 	// payloads at the epoch end — the next epoch's Preload.
@@ -132,8 +133,6 @@ type PartResult struct {
 	// nanoseconds, parallel to the spec's Procs — the load signal the
 	// coordinator's placement consumes.
 	ProcNS []int64
-	// SPI aggregates the runtime statistics of the partition's edges.
-	SPI EdgeStats
 }
 
 // StateHooks checkpoint and restore one stateful actor. The executor
@@ -155,9 +154,10 @@ type PartOptions struct {
 	Listener transport.Listener
 	// Retry configures dial retry/backoff toward peer workers.
 	Retry transport.RetryConfig
-	// Context, when non-nil, aborts the run when cancelled: every
-	// blocked actor is released and the run returns the context error.
-	// The coordinator's Abort is exactly a cancellation.
+	// Context, when non-nil, aborts the deployment when cancelled: every
+	// blocked actor is released, the links are torn down and the run in
+	// progress returns the context error. The coordinator's Abort is
+	// exactly a cancellation.
 	Context context.Context
 	// Reconnect enables RESUME link resumption on the data plane, so a
 	// severed connection mid-epoch replays its unacknowledged suffix
@@ -175,7 +175,8 @@ type PartOptions struct {
 }
 
 // partEnv is the partition-local execution environment, the spec-driven
-// image of execEnv.
+// image of execEnv. It is built once per OpenPartition and stays resident
+// across every Run of the deployment.
 type partEnv struct {
 	spec    *PartitionSpec
 	kernels map[string]Kernel
@@ -186,14 +187,37 @@ type partEnv struct {
 	locals  map[uint16][][]byte
 	localMu sync.Mutex
 
-	// tails accumulates the conceptual in-flight queue per delayed edge
-	// produced here: seeded from Preload, appended on every send or
-	// local push, trimmed to the delay depth.
-	tails   map[uint16][][]byte
-	tailsMu sync.Mutex
+	// tails holds, per delayed cross-processor edge produced here, the
+	// last Delay payloads sent. Each ring is written only by the edge's
+	// producing processor and read only between runs.
+	tails map[uint16]*tailRing
+	procs []partProc
+}
 
-	firings map[string]*int
-	procNS  []int64
+// partProc is one hosted processor's resident firing state: the kernel
+// input map and receive buffers it reuses, and the last run's counters.
+type partProc struct {
+	in      map[dataflow.EdgeID][]byte
+	recvBuf map[uint16][]byte
+	fired   []int // per actor, in schedule order
+	busy    int64
+}
+
+// tailRing keeps the last depth payloads pushed, oldest first, in buffers
+// it reuses: a payload may alias a kernel buffer the next firing overwrites.
+type tailRing struct {
+	depth int
+	q     [][]byte
+}
+
+func (t *tailRing) push(payload []byte) {
+	if len(t.q) < t.depth {
+		t.q = append(t.q, append([]byte(nil), payload...))
+		return
+	}
+	oldest := t.q[0]
+	copy(t.q, t.q[1:])
+	t.q[len(t.q)-1] = append(oldest[:0], payload...)
 }
 
 func (env *partEnv) pad(e *PartEdge, payload []byte) ([]byte, error) {
@@ -209,30 +233,16 @@ func (env *partEnv) pad(e *PartEdge, payload []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// recordTail appends one produced payload to an edge's in-flight tail,
-// keeping only the last Delay payloads. A copy is taken: the payload may
-// alias a kernel buffer that the next firing reuses.
-func (env *partEnv) recordTail(e *PartEdge, payload []byte) {
-	env.tailsMu.Lock()
-	t := append(env.tails[e.ID], append([]byte(nil), payload...))
-	if d := int(e.Delay); len(t) > d {
-		t = t[len(t)-d:]
-	}
-	env.tails[e.ID] = t
-	env.tailsMu.Unlock()
-}
-
 // runPartProc is one processor's firing loop, the spec-driven image of
 // execEnv.runProc: same receive order, same padding, same buffer-reuse
 // and copy discipline, so kernels see byte-identical inputs.
-func (env *partEnv) runPartProc(pi int, proc *PartProc) error {
-	spec := env.spec
-	in := map[dataflow.EdgeID][]byte{}
-	recvBuf := map[uint16][]byte{}
+func (env *partEnv) runPartProc(pi, baseIter, n int) error {
+	proc, pp := &env.spec.Procs[pi], &env.procs[pi]
+	in, recvBuf := pp.in, pp.recvBuf
+	clear(pp.fired)
 	var busy int64
-	defer func() { env.procNS[pi] = busy }()
-	for i := 0; i < spec.Iterations; i++ {
-		iter := spec.BaseIter + i
+	defer func() { pp.busy = busy }()
+	for iter := baseIter; iter < baseIter+n; iter++ {
 		for ai := range proc.Actors {
 			a := &proc.Actors[ai]
 			clear(in)
@@ -271,10 +281,10 @@ func (env *partEnv) runPartProc(pi int, proc *PartProc) error {
 				if err != nil {
 					return err
 				}
-				if e.Delay > 0 {
-					env.recordTail(e, payload)
-				}
 				if r, ok := env.remotes[id]; ok {
+					if t := env.tails[id]; t != nil {
+						t.push(payload)
+					}
 					if err := r.tx.Send(payload); err != nil {
 						return fmt.Errorf("spi: actor %s send %s: %w", a.Name, e.Name, err)
 					}
@@ -287,7 +297,7 @@ func (env *partEnv) runPartProc(pi int, proc *PartProc) error {
 				env.locals[id] = append(env.locals[id], payload)
 				env.localMu.Unlock()
 			}
-			*env.firings[a.Name]++
+			pp.fired[ai]++
 		}
 	}
 	return nil
@@ -342,15 +352,29 @@ func crossesWorkers(e *PartEdge) bool {
 	return !e.SameProc && (e.Out != e.In)
 }
 
-// ExecutePartition runs one worker's partition of an execution epoch from
-// its self-contained spec. Kernels are keyed by actor name; cross-worker
-// edges are carried over links dialed/accepted per the spec's per-epoch
+// PartitionRun is one worker's standing deployment of a partition: the
+// runtime edges (with their delay tokens in flight), the data links to
+// peer workers, the kernels and the actor state, all set up once by
+// OpenPartition and reused by every Run until Close.
+type PartitionRun struct {
+	env        *partEnv
+	opts       PartOptions
+	links      map[int]*transport.Link
+	stopResume func()
+	stopWatch  func() bool
+	fails      *peerFails
+}
+
+// OpenPartition sets up one worker's partition from its self-contained
+// spec — the SPI_init of the deployment. Kernels are keyed by actor name;
+// cross-worker edges are carried over links dialed/accepted per the spec's
 // addresses (lower-numbered workers are dialed, higher-numbered accepted,
-// exactly like ExecuteDistributed's node rule). The run is fail-fast: a
-// dead peer, a kernel error, or a cancelled context aborts the epoch and
-// the coordinator re-places and re-executes it — determinism makes the
-// re-execution bit-identical.
-func ExecutePartition(spec *PartitionSpec, kernels map[string]Kernel, opts PartOptions) (*PartResult, error) {
+// exactly like ExecuteDistributed's node rule), and every delayed edge
+// produced here is preloaded from the spec. The spec's BaseIter and
+// Iterations are not consulted: each Run names its own range. Cancelling
+// opts.Context at any point aborts the deployment — blocked actors are
+// released and the links torn down — and the caller still owes a Close.
+func OpenPartition(spec *PartitionSpec, kernels map[string]Kernel, opts PartOptions) (*PartitionRun, error) {
 	if err := validatePartition(spec, kernels); err != nil {
 		return nil, err
 	}
@@ -361,14 +385,15 @@ func ExecutePartition(spec *PartitionSpec, kernels map[string]Kernel, opts PartO
 		rt:      NewRuntime(),
 		remotes: map[uint16]remotePair{},
 		locals:  map[uint16][][]byte{},
-		tails:   map[uint16][][]byte{},
-		firings: map[string]*int{},
-		procNS:  make([]int64, len(spec.Procs)),
+		tails:   map[uint16]*tailRing{},
+		procs:   make([]partProc, len(spec.Procs)),
 	}
 	env.rt.SetObserver(opts.Obs)
 	for pi := range spec.Procs {
-		for ai := range spec.Procs[pi].Actors {
-			env.firings[spec.Procs[pi].Actors[ai].Name] = new(int)
+		env.procs[pi] = partProc{
+			in:      map[dataflow.EdgeID][]byte{},
+			recvBuf: map[uint16][]byte{},
+			fired:   make([]int, len(spec.Procs[pi].Actors)),
 		}
 	}
 
@@ -395,9 +420,8 @@ func ExecutePartition(spec *PartitionSpec, kernels map[string]Kernel, opts PartO
 		e := &spec.Edges[i]
 		env.edges[e.ID] = e
 		if e.SameProc {
-			pre := clonePayloads(spec.Preload[e.ID])
-			env.locals[e.ID] = pre
-			env.tails[e.ID] = clonePayloads(pre)
+			// The local queue itself is the in-flight state.
+			env.locals[e.ID] = clonePayloads(spec.Preload[e.ID])
 			continue
 		}
 		cfg := EdgeConfig{ID: EdgeID(e.ID), Name: e.Name, Mode: Mode(e.Mode),
@@ -414,7 +438,13 @@ func ExecutePartition(spec *PartitionSpec, kernels map[string]Kernel, opts PartO
 		env.remotes[e.ID] = remotePair{tx: tx, rx: rx}
 		if e.Out {
 			outs = append(outs, outEdge{e: e, tx: tx})
-			env.tails[e.ID] = clonePayloads(spec.Preload[e.ID])
+			if e.Delay > 0 {
+				t := &tailRing{depth: int(e.Delay)}
+				for _, p := range spec.Preload[e.ID] {
+					t.push(p)
+				}
+				env.tails[e.ID] = t
+			}
 		}
 		if crossesWorkers(e) {
 			pp := peers[e.Peer]
@@ -434,12 +464,12 @@ func ExecutePartition(spec *PartitionSpec, kernels map[string]Kernel, opts PartO
 	}
 	sort.Slice(resyncIDs, func(i, j int) bool { return resyncIDs[i] < resyncIDs[j] })
 
-	// Establish the per-epoch data links, reusing the distributed-run
-	// connect logic: dial lower-numbered workers, accept higher-numbered
-	// ones, keep the listener routing RESUME frames while reconnection
-	// is on.
-	fails := &peerFails{}
-	links, stopResume, err := connectPeers(env.rt, peers, fails, DistOptions{
+	// Establish the data links, reusing the distributed-run connect
+	// logic: dial lower-numbered workers, accept higher-numbered ones,
+	// keep the listener routing RESUME frames while reconnection is on.
+	pr := &PartitionRun{env: env, opts: opts, fails: &peerFails{}}
+	var err error
+	pr.links, pr.stopResume, err = connectPeers(env.rt, peers, pr.fails, DistOptions{
 		Transport: opts.Transport, Node: spec.Node, Addrs: spec.Addrs,
 		Listener: opts.Listener, Retry: opts.Retry, Context: opts.Context,
 		Reconnect: opts.Reconnect, Heartbeat: opts.Heartbeat,
@@ -449,19 +479,11 @@ func ExecutePartition(spec *PartitionSpec, kernels map[string]Kernel, opts PartO
 	if err != nil {
 		return nil, err
 	}
-	finish := func(graceful bool) {
-		if graceful {
-			var wg sync.WaitGroup
-			for _, l := range links {
-				wg.Add(1)
-				go func(l *transport.Link) { defer wg.Done(); l.Close() }(l)
-			}
-			wg.Wait()
-			return
-		}
-		for _, l := range links {
-			l.Abort()
-		}
+	// A cancelled context unwinds every blocked actor: closing the runtime
+	// edges releases those parked on a queue, aborting the links those
+	// parked in a link write.
+	if opts.Context != nil {
+		pr.stopWatch = context.AfterFunc(opts.Context, pr.abort)
 	}
 
 	// Bind cross-worker edges, then replay the in-flight tokens —
@@ -471,16 +493,14 @@ func ExecutePartition(spec *PartitionSpec, kernels map[string]Kernel, opts PartO
 		if !crossesWorkers(e) {
 			continue
 		}
-		link := links[e.Peer]
+		link := pr.links[e.Peer]
 		if e.Out {
 			err = env.rt.BindRemoteSender(EdgeID(e.ID), link)
 		} else {
 			err = env.rt.BindRemoteReceiver(EdgeID(e.ID), link)
 		}
 		if err != nil {
-			env.rt.CloseAll()
-			finish(false)
-			stopResume()
+			pr.Close(false)
 			return nil, err
 		}
 	}
@@ -490,99 +510,115 @@ func ExecutePartition(spec *PartitionSpec, kernels map[string]Kernel, opts PartO
 			continue
 		}
 		if err := oe.tx.SendBatch(pre); err != nil {
-			env.rt.CloseAll()
-			finish(false)
-			stopResume()
+			pr.Close(false)
 			return nil, fmt.Errorf("spi: preload edge %s: %w", oe.e.Name, err)
 		}
 	}
+	return pr, nil
+}
 
-	// Run the processors; a cancelled context unwinds every blocked
-	// actor by closing the runtime edges.
-	ctx := opts.Context
-	var cancelWatch func()
-	watchDone := make(chan struct{})
-	if ctx != nil {
-		wctx, cancel := context.WithCancel(ctx)
-		cancelWatch = cancel
-		go func() {
-			defer close(watchDone)
-			<-wctx.Done()
-			if ctx.Err() != nil {
-				env.rt.CloseAll()
-			}
-		}()
-	} else {
-		close(watchDone)
+// abort releases every actor of the deployment, wherever it is blocked.
+func (pr *PartitionRun) abort() {
+	pr.env.rt.CloseAll()
+	for _, l := range pr.links {
+		l.Abort()
 	}
-	errs := make([]error, len(spec.Procs))
+}
+
+// Run fires iterations baseIter..baseIter+n-1 on the standing environment
+// and returns the checkpoint at their end. A deployment runs one range at
+// a time, each starting where the last one ended. The run is fail-fast: a
+// dead peer, a kernel error, or a cancelled context fails it, after which
+// the deployment can only be closed — the coordinator re-places and
+// re-executes the range, and determinism makes that bit-identical.
+func (pr *PartitionRun) Run(baseIter, n int) (*PartResult, error) {
+	if baseIter < 0 || n <= 0 {
+		return nil, fmt.Errorf("spi: partition run of %d iterations from %d", n, baseIter)
+	}
+	env := pr.env
+	errs := make([]error, len(env.procs))
 	var wg sync.WaitGroup
-	for pi := range spec.Procs {
+	for pi := range env.procs {
 		wg.Add(1)
 		go func(pi int) {
 			defer wg.Done()
-			errs[pi] = env.runPartProc(pi, &spec.Procs[pi])
+			errs[pi] = env.runPartProc(pi, baseIter, n)
 			if errs[pi] != nil {
 				env.rt.CloseAll()
 			}
 		}(pi)
 	}
 	wg.Wait()
-	if cancelWatch != nil {
-		cancelWatch()
-		<-watchDone
-	}
 	runErr := collapseErrs(errs)
-	if ctx != nil && ctx.Err() != nil {
+	if ctx := pr.opts.Context; ctx != nil && ctx.Err() != nil {
 		runErr = ctx.Err()
 	}
 	if runErr != nil {
-		finish(false)
-		stopResume()
-		if cause := fails.first(); cause != nil && errors.Is(runErr, ErrClosed) {
-			return nil, fmt.Errorf("spi: worker %d: %w (link failure: %v)", spec.Node, runErr, cause)
+		if cause := pr.fails.first(); cause != nil && errors.Is(runErr, ErrClosed) {
+			return nil, fmt.Errorf("spi: worker %d: %w (link failure: %v)", env.spec.Node, runErr, cause)
 		}
 		return nil, runErr
-	}
-	finish(true)
-	stopResume()
-
-	// Fold the links' suppressed-ack counts out of the wire-traffic
-	// columns before snapshotting, mirroring ExecuteDistributed.
-	for _, l := range links {
-		for edge, n := range l.SuppressedAcks() {
-			env.rt.addSuppressed(EdgeID(edge), n)
-		}
 	}
 
 	res := &PartResult{
 		Tails:   map[uint16][][]byte{},
 		State:   map[string][]byte{},
 		Firings: map[string]int{},
-		ProcNS:  env.procNS,
-		SPI:     env.rt.TotalStats(),
+		ProcNS:  make([]int64, len(env.procs)),
 	}
-	for name, n := range env.firings {
-		res.Firings[name] = *n
+	for pi := range env.procs {
+		res.ProcNS[pi] = env.procs[pi].busy
+		for ai, fired := range env.procs[pi].fired {
+			res.Firings[env.spec.Procs[pi].Actors[ai].Name] = fired
+		}
 	}
 	for id, t := range env.tails {
-		e := env.edges[id]
-		if e.Delay == 0 {
-			continue
-		}
-		if e.SameProc {
-			// The local queue itself is the in-flight state (it handles
-			// epochs shorter than the delay for free).
-			t = env.locals[id]
-		}
-		res.Tails[id] = clonePayloads(t)
+		res.Tails[id] = clonePayloads(t.q)
 	}
-	for name, hooks := range opts.State {
+	for id, e := range env.edges {
+		if e.SameProc && e.Delay > 0 {
+			res.Tails[id] = clonePayloads(env.locals[id])
+		}
+	}
+	for name, hooks := range pr.opts.State {
 		if hooks.Checkpoint != nil {
 			res.State[name] = hooks.Checkpoint()
 		}
 	}
 	return res, nil
+}
+
+// Close ends the deployment. A graceful close drains every link with the
+// GOODBYE exchange, so peers that are still consuming see a completed
+// run; otherwise the links are aborted and peers observe a failure.
+func (pr *PartitionRun) Close(graceful bool) {
+	if pr.stopWatch != nil {
+		pr.stopWatch()
+	}
+	if graceful {
+		var wg sync.WaitGroup
+		for _, l := range pr.links {
+			wg.Add(1)
+			go func(l *transport.Link) { defer wg.Done(); l.Close() }(l)
+		}
+		wg.Wait()
+	} else {
+		pr.abort()
+	}
+	pr.stopResume()
+}
+
+// ExecutePartition runs one epoch of a partition as a deployment of its
+// own: open, run the spec's iteration range, close — gracefully when the
+// run succeeded, so every token it sent is delivered before it returns.
+func ExecutePartition(spec *PartitionSpec, kernels map[string]Kernel, opts PartOptions) (*PartResult, error) {
+	pr, err := OpenPartition(spec, kernels, opts)
+	if err != nil {
+		return nil, err
+	}
+	res, err := pr.Run(spec.BaseIter, spec.Iterations)
+	pr.Close(err == nil)
+	return res, err
 }
 
 func clonePayloads(in [][]byte) [][]byte {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/transport"
 )
 
 // Progress watchdog: a distributed (or blocked in-process) run can stall
@@ -36,6 +37,9 @@ type StallError struct {
 	// to the firings it did complete.
 	Stalled []string
 	Firings map[string]int
+	// Edges names the edges that held queued or unacknowledged messages
+	// when the watchdog fired — where the blocked actors were waiting.
+	Edges []string
 }
 
 func (e *StallError) Error() string {
@@ -50,6 +54,9 @@ func (e *StallError) Error() string {
 			fmt.Fprintf(&b, " %s (%d firings)", name, e.Firings[name])
 		}
 	}
+	if len(e.Edges) > 0 {
+		fmt.Fprintf(&b, "; pending edges: %s", strings.Join(e.Edges, ", "))
+	}
 	return b.String()
 }
 
@@ -58,17 +65,30 @@ func (e *StallError) Error() string {
 // received across every edge. Both mirrors only ever grow, so a stable
 // sum means no wire or queue movement at all.
 func (r *Runtime) progressSum() int64 {
+	var sum int64
+	for _, e := range r.snapshotEdges() {
+		sum += e.sentMsgs.Load() + e.ackedMsgs.Load()
+	}
+	return sum
+}
+
+// snapshotEdges returns the runtime's edges in ID order.
+func (r *Runtime) snapshotEdges() []*edge {
 	r.mu.Lock()
 	edges := make([]*edge, 0, len(r.edges))
 	for _, e := range r.edges {
 		edges = append(edges, e)
 	}
 	r.mu.Unlock()
-	var sum int64
-	for _, e := range edges {
-		sum += e.sentMsgs.Load() + e.ackedMsgs.Load()
+	sort.Slice(edges, func(i, j int) bool { return edges[i].cfg.ID < edges[j].cfg.ID })
+	return edges
+}
+
+func (e *edge) displayName() string {
+	if e.cfg.Name == "" {
+		return fmt.Sprintf("%d", e.cfg.ID)
 	}
-	return sum
+	return e.cfg.Name
 }
 
 // firedSum totals completed firings across this node's actors.
@@ -86,6 +106,17 @@ type watchConfig struct {
 	ctx   context.Context // bounds the whole run; nil means unbounded
 	o     *obs.Observer   // receives the stall diagnostic dump (nil-safe)
 	node  int             // reporting node for errors and trace events
+	// abort tears down the node's links (nil-safe): an actor parked inside
+	// a link write is on no runtime edge, so CloseAll alone never wakes it.
+	abort func()
+}
+
+// release unblocks every actor of a run the watchdog has given up on.
+func (env *execEnv) release(w watchConfig) {
+	env.rt.CloseAll()
+	if w.abort != nil {
+		w.abort()
+	}
 }
 
 func (w watchConfig) armed() bool {
@@ -117,8 +148,9 @@ func (env *execEnv) runWatched(procs []int, iterations int, w watchConfig) ([]er
 
 // watch polls for progress until the run finishes, the context expires, or
 // the no-progress window elapses. On stall or cancellation it dumps the
-// diagnostic snapshot and closes every runtime edge, turning the silent
-// deadlock into an ErrClosed cascade the processors report normally.
+// diagnostic snapshot, closes every runtime edge and aborts the node's
+// links, turning the silent deadlock into an ErrClosed cascade the
+// processors report normally.
 func (env *execEnv) watch(done <-chan struct{}, w watchConfig, iterations int) error {
 	var ctxDone <-chan struct{}
 	if w.ctx != nil {
@@ -146,7 +178,7 @@ func (env *execEnv) watch(done <-chan struct{}, w watchConfig, iterations int) e
 		case <-ctxDone:
 			err := fmt.Errorf("spi: node %d run cancelled: %w", w.node, w.ctx.Err())
 			env.dumpStall(w, "deadline", time.Since(lastMove), iterations)
-			env.rt.CloseAll()
+			env.release(w)
 			return err
 		case <-tick:
 			if cur := env.progress(); cur != last {
@@ -160,7 +192,7 @@ func (env *execEnv) watch(done <-chan struct{}, w watchConfig, iterations int) e
 			}
 			serr := env.stallError(w.node, w.stall, iterations)
 			env.dumpStall(w, "stall", silent, iterations)
-			env.rt.CloseAll()
+			env.release(w)
 			return serr
 		}
 	}
@@ -183,6 +215,11 @@ func (env *execEnv) stallError(node int, window time.Duration, iterations int) *
 		}
 	}
 	sort.Strings(e.Stalled)
+	for _, ed := range env.rt.snapshotEdges() {
+		if ed.qlen.Load() > 0 || ed.sentMsgs.Load() != ed.ackedMsgs.Load() {
+			e.Edges = append(e.Edges, ed.displayName())
+		}
+	}
 	return e
 }
 
@@ -198,18 +235,8 @@ func (env *execEnv) dumpStall(w watchConfig, kind string, silent time.Duration, 
 	tr := w.o.Tracer()
 	tr.Instant("watchdog", kind, w.o.Pid(), 0,
 		obs.A("node", int64(w.node)), obs.A("silent_ms", silent.Milliseconds()))
-	env.rt.mu.Lock()
-	edges := make([]*edge, 0, len(env.rt.edges))
-	for _, e := range env.rt.edges {
-		edges = append(edges, e)
-	}
-	env.rt.mu.Unlock()
-	sort.Slice(edges, func(i, j int) bool { return edges[i].cfg.ID < edges[j].cfg.ID })
-	for _, e := range edges {
-		name := e.cfg.Name
-		if name == "" {
-			name = fmt.Sprintf("%d", e.cfg.ID)
-		}
+	for _, e := range env.rt.snapshotEdges() {
+		name := e.displayName()
 		l := obs.L("edge", name)
 		queued := e.qlen.Load()
 		sent := e.sentMsgs.Load()
@@ -234,9 +261,9 @@ func (env *execEnv) dumpStall(w watchConfig, kind string, silent time.Duration, 
 }
 
 // watchVerdict folds the watchdog's verdict into the per-processor
-// outcome: the watchdog's CloseAll cascades ErrClosed through every
-// blocked processor, so when the watchdog fired, its error — not the
-// ErrClosed noise — is the root cause. A cancelled run always reports the
+// outcome: the watchdog's release cascades ErrClosed (or, out of an
+// aborted link, ErrLinkClosed) through every blocked processor, so when
+// the watchdog fired, its error — not that noise — is the root cause. A cancelled run always reports the
 // cancellation (concurrent processor and link errors are collateral of
 // the teardown the caller asked for, on this node or a peer); for a
 // stall, a genuine kernel failure that happens to coincide still wins.
@@ -244,10 +271,16 @@ func watchVerdict(runErr, wdErr error) error {
 	if wdErr == nil {
 		return runErr
 	}
-	if cancelled(wdErr) || runErr == nil || errors.Is(runErr, ErrClosed) {
+	if cancelled(wdErr) || runErr == nil || collateral(runErr) {
 		return wdErr
 	}
 	return runErr
+}
+
+// collateral reports whether err is what a released actor returns: its
+// runtime edge was closed, or the link it was writing to was aborted.
+func collateral(err error) bool {
+	return errors.Is(err, ErrClosed) || errors.Is(err, transport.ErrLinkClosed)
 }
 
 // cancelled reports whether err stems from a context cancellation or

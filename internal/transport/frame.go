@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 )
 
 // Link wire protocol, versions 2 and 3. Every frame is length-delimited
@@ -203,13 +204,27 @@ func putFrameHeader(wire []byte, typ byte, seq uint64, crc uint32, bodyLen int) 
 // read loop dispatches to either consumes the bytes synchronously or
 // copies them (see Handler).
 type frameReader struct {
-	buf  []byte // unread bytes are buf[r:w]
-	r, w int
+	buf    []byte // unread bytes are buf[r:w]
+	r, w   int
+	pooled *[]byte // buf's box, when it came from readChunks
 }
 
 // frameReadChunk sizes the read buffer: large enough to swallow a full
 // default batch (BatchConfig MaxBytes 64 KiB) in one read.
 const frameReadChunk = 64 << 10
+
+// readChunks recycles read buffers across links: a fresh 64 KiB buffer is
+// zeroed and page-faulted in, which made it a large share of what setting
+// up a short-lived link costs.
+var readChunks = sync.Pool{New: func() any { b := make([]byte, frameReadChunk); return &b }}
+
+// release returns the buffer once the connection's reader has exited.
+func (fr *frameReader) release() {
+	if fr.pooled != nil {
+		readChunks.Put(fr.pooled)
+	}
+	*fr = frameReader{}
+}
 
 // fill blocks until at least need unread bytes are buffered. It never
 // reads more than the connection has ready, so buffering adds no
@@ -223,9 +238,19 @@ func (fr *frameReader) fill(rd io.Reader, need int) error {
 		if need > size {
 			size = need
 		}
-		nb := make([]byte, size)
+		var nb []byte
+		var box *[]byte
+		if size == frameReadChunk {
+			box = readChunks.Get().(*[]byte)
+			nb = *box
+		} else {
+			nb = make([]byte, size)
+		}
 		fr.w = copy(nb, fr.buf[fr.r:fr.w])
-		fr.buf = nb
+		if fr.pooled != nil {
+			readChunks.Put(fr.pooled) // outgrown by an oversized frame
+		}
+		fr.buf, fr.pooled = nb, box
 		fr.r = 0
 	} else if fr.r+need > size {
 		fr.w = copy(fr.buf[:size], fr.buf[fr.r:fr.w])

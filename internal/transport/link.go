@@ -398,6 +398,7 @@ type Link struct {
 
 	closedCh chan struct{} // closed once when Close/Abort begins
 	resumeCh chan resumeOffer
+	ackCh    chan struct{} // reader → acker: a cumulative ack is owed
 
 	obs linkObs
 
@@ -602,6 +603,7 @@ func startLink(conn Conn, cfg LinkConfig, h Handler, peer int, token uint64, dia
 		readerDone: make(chan struct{}),
 		closedCh:   make(chan struct{}),
 		resumeCh:   make(chan resumeOffer, 1),
+		ackCh:      make(chan struct{}, 1),
 		obs:        newLinkObs(cfg.Obs, peer),
 	}
 	l.batchOn = cfg.Batch.Enabled()
@@ -648,6 +650,7 @@ func startLink(conn Conn, cfg LinkConfig, h Handler, peer int, token uint64, dia
 		}
 		sort.Slice(l.resyncIDs, func(i, j int) bool { return l.resyncIDs[i] < l.resyncIDs[j] })
 	}
+	go l.acker()
 	go l.readLoop(conn, 0, l.readerDone)
 	if l.resyncOn {
 		// Announce our set before any suppressed silence can be observed.
@@ -864,8 +867,8 @@ func (l *Link) pinger() {
 }
 
 // sendPing writes one liveness probe carrying the current timestamp. It
-// runs on the pinger goroutine, so (unlike the reader's tryCumAck) it may
-// block on the writer mutex; the frame rides the coalescer like any
+// runs on the pinger goroutine, so (unlike the reader) it may block on
+// the writer mutex; the frame rides the coalescer like any
 // other, though on an idle link — the only kind that gets probed — the
 // batch is empty and the deadline timer flushes it within MaxDelay.
 func (l *Link) sendPing(conn Conn, gen int) {
@@ -1151,11 +1154,10 @@ func (l *Link) sendSessionFrame(typ byte, head, body []byte, piggy bool) error {
 			l.poisonSend(gen)
 			return werr
 		}
-		// The reader's tryCumAck yields rather than wait on wmu, so a
-		// writer that held it off must flush the owed ack itself: if
-		// every session write left the reader's ack suppressed, the
-		// peer's resend buffer would fill and its senders stall with
-		// nothing left in flight to retrigger the ack.
+		// A tryCumAck that lost the race for wmu to this write yielded
+		// rather than wait, so the writer flushes the owed ack itself:
+		// otherwise the peer's resend buffer could fill and its senders
+		// stall with nothing left in flight to retrigger the ack.
 		l.recheckCumAck()
 		return nil
 	}

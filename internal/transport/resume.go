@@ -21,6 +21,7 @@ func (l *Link) readLoop(conn Conn, gen int, done chan struct{}) {
 	// handler) before the next read, so the steady-state receive path
 	// allocates nothing.
 	var fr frameReader
+	defer fr.release()
 	for {
 		if l.cfg.IdleTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(l.cfg.IdleTimeout))
@@ -205,7 +206,37 @@ func (l *Link) readLoop(conn Conn, gen int, done chan struct{}) {
 			return
 		}
 		if l.owedAcks() >= interval {
-			l.tryCumAck(conn, gen)
+			// Hand the owed ack to the acker: the reader itself must never
+			// write. On an unbuffered carrier (net.Pipe loopback) DATA one
+			// way and numbered ACKs the other make both readers owe a
+			// cumulative ack at once, and two readers parked in Write each
+			// wait for the other to read.
+			select {
+			case l.ackCh <- struct{}{}:
+			default:
+			}
+		}
+	}
+}
+
+// acker writes the cumulative acks the reader owes, for the life of the
+// link. Unlike tryCumAck's other callers it waits for the writer mutex:
+// nothing depends on this goroutine making progress, so it can queue
+// behind writers that the always-reading peer will release.
+func (l *Link) acker() {
+	for {
+		select {
+		case <-l.ackCh:
+		case <-l.closedCh:
+			return
+		}
+		l.mu.Lock()
+		conn, gen := l.conn, l.gen
+		owed := l.state == stateUp && !l.closing && l.recvSeq-l.cumAcked >= uint64(l.ackInterval())
+		l.mu.Unlock()
+		if owed {
+			l.wmu.Lock()
+			l.cumAckLocked(conn, gen)
 		}
 	}
 }
@@ -250,20 +281,27 @@ func (l *Link) trimUnacked(n uint64) {
 }
 
 // tryCumAck sends a cumulative transport ack covering every in-order
-// frame received so far. It must never block on the writer mutex: on
-// loopback (net.Pipe) a reader waiting behind a writer whose peer is
-// symmetrically stuck would deadlock. A contended lock skips the ack and
-// returns false; liveness then rests on the writer that held the lock,
-// which must call recheckCumAck after releasing it.
+// frame received so far, from a sender path that just released (or is
+// about to wait on) the writer mutex. It does not queue on that mutex: a
+// contended lock skips the ack and returns false; liveness then rests on
+// the writer that held the lock, which must call recheckCumAck after
+// releasing it.
 func (l *Link) tryCumAck(conn Conn, gen int) bool {
 	if !l.wmu.TryLock() {
 		return false
 	}
+	l.cumAckLocked(conn, gen)
+	return true
+}
+
+// cumAckLocked writes the cumulative ack and releases wmu, which the
+// caller holds.
+func (l *Link) cumAckLocked(conn Conn, gen int) {
 	l.mu.Lock()
 	if l.gen != gen || l.state != stateUp {
 		l.mu.Unlock()
 		l.wmu.Unlock()
-		return true
+		return
 	}
 	n := l.recvSeq
 	l.cumAcked = n
@@ -280,7 +318,6 @@ func (l *Link) tryCumAck(conn Conn, gen int) bool {
 	if err != nil {
 		l.connError(gen, &Error{Op: "send", Addr: l.raddr, Transient: isTimeout(err), Err: err})
 	}
-	return true
 }
 
 // recheckCumAck is the other half of tryCumAck's liveness contract:
