@@ -21,7 +21,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/hdl"
 	"repro/internal/huffman"
-	"repro/internal/kpn"
 	"repro/internal/lpc"
 	"repro/internal/mpi"
 	"repro/internal/obs"
@@ -494,51 +493,6 @@ func BenchmarkSASvsFlat(b *testing.B) {
 	}
 	b.ReportMetric(float64(apganMem), "apgan_buffer_bytes")
 	b.ReportMetric(float64(flatMem), "flat_buffer_bytes")
-}
-
-// BenchmarkKPNThroughput measures the KPN runtime's token rate through a
-// three-stage pipeline.
-func BenchmarkKPNThroughput(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		net := kpn.NewNetwork()
-		a := kpn.NewChannel[int](net, "a", 16)
-		c := kpn.NewChannel[int](net, "b", 16)
-		const tokens = 1000
-		err := net.Run(
-			func() error {
-				for k := 0; k < tokens; k++ {
-					if err := a.Write(k); err != nil {
-						return err
-					}
-				}
-				return nil
-			},
-			func() error {
-				for k := 0; k < tokens; k++ {
-					v, err := a.Read()
-					if err != nil {
-						return err
-					}
-					if err := c.Write(v * 2); err != nil {
-						return err
-					}
-				}
-				return nil
-			},
-			func() error {
-				for k := 0; k < tokens; k++ {
-					if _, err := c.Read(); err != nil {
-						return err
-					}
-				}
-				return nil
-			},
-		)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkFraming compares header vs delimiter unpacking of a 4 KiB

@@ -44,7 +44,15 @@ func (g *Graph) BlockDecouples(q Repetitions, e EdgeID, block int) bool {
 // is deadlock-free: after removing every decoupling edge (BlockDecouples),
 // the remaining dependency graph must be acyclic. A block of 0 or 1 is
 // scalar execution and always legal.
-func (g *Graph) CheckBlock(block int) error {
+func (g *Graph) CheckBlock(block int) error { return g.CheckBlockSchedule(block, nil) }
+
+// CheckBlockSchedule is CheckBlock for a mapped execution, where orders
+// lists per processor the actors it fires in sequence: within one block an
+// actor consumes all its inputs before any output becomes visible, and a
+// processor fires its actors' blocks in schedule order, so each order chain
+// joins the dependency graph — sequentialization can create cycles the
+// dataflow graph alone does not have.
+func (g *Graph) CheckBlockSchedule(block int, orders [][]ActorID) error {
 	if block <= 1 {
 		return nil
 	}
@@ -62,6 +70,12 @@ func (g *Graph) CheckBlock(block int) error {
 		e := g.Edge(eid)
 		succ[e.Src] = append(succ[e.Src], e.Snk)
 		indeg[e.Snk]++
+	}
+	for _, order := range orders {
+		for i := 1; i < len(order); i++ {
+			succ[order[i-1]] = append(succ[order[i-1]], order[i])
+			indeg[order[i]]++
+		}
 	}
 	queue := make([]ActorID, 0, n)
 	for a := 0; a < n; a++ {
@@ -89,8 +103,12 @@ func (g *Graph) CheckBlock(block int) error {
 			stuck = append(stuck, g.actors[a].Name)
 		}
 	}
-	return fmt.Errorf("dataflow: block %d deadlocks: cycle through {%s} lacks a delay covering a whole block (need delay >= %d iterations, in whole multiples)",
-		block, strings.Join(stuck, ", "), block)
+	through := "cycle"
+	if len(orders) > 0 {
+		through = "dependency cycle (dataflow edges plus processor schedule order)"
+	}
+	return fmt.Errorf("dataflow: block %d deadlocks: %s through {%s} lacks a delay covering a whole block (need delay >= %d iterations, in whole multiples)",
+		block, through, strings.Join(stuck, ", "), block)
 }
 
 // BlockMemoryBytes models the buffer memory of a blocked execution: every

@@ -19,7 +19,9 @@ import (
 // with edges that cross nodes carried over a transport.Link instead of the
 // in-process queue. Every node executes the same plan (same VTS bounds,
 // same mode/protocol selection, same preloaded delays), so an N-node run
-// is bit-identical to the single-process Execute of the same graph.
+// is bit-identical to the single-process Execute of the same graph — which
+// is the one-node case of this file. open, the SPI_init of a deployment,
+// is shared with partition deployments (partition.go).
 
 // DistOptions configures one node of a distributed execution.
 type DistOptions struct {
@@ -96,9 +98,6 @@ type DistOptions struct {
 	// computed set disagrees is refused at the handshake. Suppressed
 	// counts appear in the per-edge statistics (EdgeStats.AcksSuppressed).
 	Resync bool
-	// resyncEdges is the computed suppression set handed to connectPeers;
-	// ExecuteDistributed fills it when Resync is set.
-	resyncEdges []uint16
 	// Block is the vectorization blocking factor B: every node fires B
 	// consecutive iterations per super-iteration and block-aligned
 	// cross-node edges carry one packed B-token DATA frame per block.
@@ -312,6 +311,145 @@ func declFor(cfg EdgeConfig, out bool) transport.EdgeDecl {
 	}
 }
 
+// peerPlans groups the deployment's cross-node edges by peer node, in edge
+// order — the local half of each link's handshake manifest.
+func (env *execEnv) peerPlans() map[int]*peerPlan {
+	var peers map[int]*peerPlan
+	for i := range env.edges {
+		s := &env.edges[i]
+		if s.peer < 0 {
+			continue
+		}
+		pp := peers[s.peer]
+		if pp == nil {
+			if peers == nil {
+				peers = map[int]*peerPlan{}
+			}
+			pp = &peerPlan{}
+			peers[s.peer] = pp
+		}
+		pp.decls = append(pp.decls, declFor(s.cfg, s.out))
+		pp.ids = append(pp.ids, s.cfg.ID)
+	}
+	return peers
+}
+
+// open is the SPI_init of a deployment, the same whatever lowering built
+// the environment. Every cross-processor edge is initialized on the local
+// runtime before any link comes up, so inbound DATA frames always find
+// their queue; then one link per peer node is established (dialed and
+// accepted, or taken from opts.Links), the local half of each cross-node
+// edge is bound to its link, and the delay tokens are replayed —
+// sender-side only, so each crosses the wire exactly once. On failure
+// nothing is left open.
+func (env *execEnv) open(opts DistOptions) error {
+	env.observe(opts.Obs)
+	for i := range env.edges {
+		s := &env.edges[i]
+		if s.local() {
+			continue
+		}
+		var err error
+		if s.tx, s.rx, err = env.rt.Init(s.cfg); err != nil {
+			return err
+		}
+	}
+
+	peers := env.peerPlans()
+	env.stopResume = func() {}
+	mlinks := make(map[int]MessageLink, len(peers))
+	if opts.Links != nil {
+		// Ascending peer order, so a provider that admits or rejects
+		// per-peer does so deterministically.
+		order := make([]int, 0, len(peers))
+		for peer := range peers {
+			order = append(order, peer)
+		}
+		sort.Ints(order)
+		for _, peer := range order {
+			pp := peers[peer]
+			ml, err := opts.Links.Connect(peer, pp.decls, &linkHandler{rt: env.rt, edges: pp.ids, peer: peer, fails: &env.fails})
+			if err != nil {
+				opts.Links.Finish(false)
+				return err
+			}
+			mlinks[peer] = ml
+		}
+		env.provider = opts.Links
+	} else {
+		var err error
+		if env.links, env.stopResume, err = connectPeers(env.rt, peers, &env.fails, env.resync, opts); err != nil {
+			return err
+		}
+		for p, l := range env.links {
+			mlinks[p] = l
+		}
+	}
+
+	for i := range env.edges {
+		s := &env.edges[i]
+		if s.peer < 0 {
+			continue
+		}
+		s.link = mlinks[s.peer]
+		var err error
+		if s.out {
+			err = env.rt.BindRemoteSender(s.cfg.ID, s.link)
+		} else {
+			err = env.rt.BindRemoteReceiver(s.cfg.ID, s.link)
+		}
+		if err != nil {
+			env.finish(false)
+			return err
+		}
+	}
+	for i := range env.edges {
+		s := &env.edges[i]
+		if len(s.preload) == 0 {
+			continue
+		}
+		if err := s.tx.SendBatch(s.preload); err != nil {
+			env.finish(false)
+			return fmt.Errorf("spi: preload edge %s: %w", s.name, err)
+		}
+	}
+	return nil
+}
+
+// release unblocks every actor of the deployment wherever it is parked:
+// closing the runtime edges wakes those waiting on a queue or a credit,
+// aborting the owned links those inside a link write (a full resend
+// buffer), which is on no runtime edge.
+func (env *execEnv) release() {
+	env.rt.CloseAll()
+	for _, l := range env.links {
+		l.Abort()
+	}
+}
+
+// finish ends the deployment's use of its links. Graceful: owned links
+// drain with the GOODBYE exchange, so peers still consuming see a completed
+// run. Otherwise everything is released and the links aborted — not closed:
+// the peers must observe a failure so they close the shared edges, not a
+// GOODBYE that looks like a normal completion. A provider is told which of
+// the two its sessions should mimic.
+func (env *execEnv) finish(graceful bool) {
+	if !graceful {
+		env.release()
+	}
+	if env.provider != nil {
+		env.provider.Finish(graceful)
+	} else if graceful {
+		var wg sync.WaitGroup
+		for _, l := range env.links {
+			wg.Add(1)
+			go func(l *transport.Link) { defer wg.Done(); l.Close() }(l)
+		}
+		wg.Wait()
+	}
+	env.stopResume()
+}
+
 // ExecuteDistributed runs this node's processors of the mapped graph for
 // the given iteration count, connecting to the peer nodes named in opts.
 // Kernels are required only for actors mapped to this node. All nodes must
@@ -332,33 +470,17 @@ func ExecuteDistributed(g *dataflow.Graph, m *sched.Mapping, kernels map[dataflo
 		return nil, err
 	}
 	me := opts.Node
-
-	var myProcs []int
-	for p := 0; p < m.NumProcs; p++ {
-		if nodeOf[p] == me {
-			myProcs = append(myProcs, p)
-		}
-	}
-	if len(myProcs) == 0 {
-		return nil, fmt.Errorf("spi: node %d hosts no processors", me)
-	}
-	for _, p := range myProcs {
-		for _, a := range m.Order[p] {
-			if kernels[a] == nil && (opts.Block <= 1 || opts.VectorKernels[a] == nil) {
-				return nil, fmt.Errorf("spi: actor %s (node %d) has no kernel", g.Actor(a).Name, me)
-			}
-		}
-	}
-
-	plan, err := newGraphPlan(g, opts.Block)
+	env, err := lowerGraph(g, m, nodeOf, me, opts.Block, kernels, opts.VectorKernels)
 	if err != nil {
 		return nil, err
 	}
-	if plan.block > 1 {
-		if err := checkBlockedMapping(g, m, plan.q, plan.block); err != nil {
-			return nil, err
-		}
+	if len(env.procs) == 0 {
+		return nil, fmt.Errorf("spi: node %d hosts no processors", me)
 	}
+	if err := env.checkKernels(); err != nil {
+		return nil, err
+	}
+	env.degrade = opts.Degrade
 	if opts.Resync {
 		// The suppression set is a pure function of graph and mapping, so
 		// every node computes the same one; each link then filters it to
@@ -367,182 +489,25 @@ func ExecuteDistributed(g *dataflow.Graph, m *sched.Mapping, kernels map[dataflo
 		if err != nil {
 			return nil, err
 		}
-		opts.resyncEdges = rp.SuppressedIDs()
+		env.resync = rp.SuppressedIDs()
 	}
-	env := &execEnv{
-		g: g, m: m, kernels: kernels, vkernels: opts.VectorKernels, plan: plan,
-		rt:       NewRuntime(),
-		remotes:  map[dataflow.EdgeID]remotePair{},
-		locals:   map[dataflow.EdgeID][][]byte{},
-		degrade:  opts.Degrade,
-		edgeID:   map[dataflow.EdgeID]EdgeID{},
-		edgeLink: map[dataflow.EdgeID]MessageLink{},
-	}
-	env.rt.SetObserver(opts.Obs)
-	env.initFirings(myProcs, opts.Obs)
-
-	// Classify edges. Every edge touching this node is Init'd on the local
-	// runtime before any link comes up, so inbound DATA frames always find
-	// their queue; binding and delay preloading happen after the links are
-	// established.
-	type boundEdge struct {
-		eid  dataflow.EdgeID
-		cfg  EdgeConfig
-		tx   *Sender
-		out  bool // local side sends data
-		peer int
-	}
-	peers := map[int]*peerPlan{}
-	var bound []boundEdge
-	for _, eid := range g.Edges() {
-		e := g.Edge(eid)
-		srcNode, snkNode := nodeOf[m.Proc[e.Src]], nodeOf[m.Proc[e.Snk]]
-		switch {
-		case srcNode != me && snkNode != me:
-			continue
-		case m.Proc[e.Src] == m.Proc[e.Snk]:
-			var pre [][]byte
-			for i := 0; i < plan.delayIters(eid); i++ {
-				pre = append(pre, nil)
-			}
-			env.locals[eid] = pre
-			continue
-		}
-		cfg := plan.edgeConfig(eid)
-		tx, rx, err := env.rt.Init(cfg)
-		if err != nil {
-			return nil, err
-		}
-		env.remotes[eid] = remotePair{tx: tx, rx: rx}
-		env.edgeID[eid] = cfg.ID
-		if srcNode == me && snkNode == me {
-			// Both endpoints here: a plain in-process SPI edge.
-			if err := plan.preload(tx, eid, cfg); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		out := srcNode == me
-		peer := snkNode
-		if !out {
-			peer = srcNode
-		}
-		pp := peers[peer]
-		if pp == nil {
-			pp = &peerPlan{}
-			peers[peer] = pp
-		}
-		pp.decls = append(pp.decls, declFor(cfg, out))
-		pp.ids = append(pp.ids, cfg.ID)
-		bound = append(bound, boundEdge{eid: eid, cfg: cfg, tx: tx, out: out, peer: peer})
+	if err := env.open(opts); err != nil {
+		return nil, err
 	}
 
-	fails := &peerFails{}
-	var (
-		mlinks     map[int]MessageLink     // what edges bind to
-		links      map[int]*transport.Link // owned links (nil with a provider)
-		stopResume func()
-	)
-	if opts.Links != nil {
-		mlinks = make(map[int]MessageLink, len(peers))
-		stopResume = func() {}
-		// Ascending peer order, so a provider that admits or rejects
-		// per-peer does so deterministically.
-		order := make([]int, 0, len(peers))
-		for peer := range peers {
-			order = append(order, peer)
-		}
-		sort.Ints(order)
-		for _, peer := range order {
-			pp := peers[peer]
-			ml, cerr := opts.Links.Connect(peer, pp.decls, &linkHandler{rt: env.rt, edges: pp.ids, peer: peer, fails: fails})
-			if cerr != nil {
-				opts.Links.Finish(false)
-				return nil, cerr
-			}
-			mlinks[peer] = ml
-		}
-	} else {
-		links, stopResume, err = connectPeers(env.rt, peers, fails, opts)
-		if err != nil {
-			return nil, err
-		}
-		mlinks = make(map[int]MessageLink, len(links))
-		for p, l := range links {
-			mlinks[p] = l
-		}
-	}
-	closeLinks := func() {
-		var wg sync.WaitGroup
-		for _, l := range links {
-			wg.Add(1)
-			go func(l *transport.Link) { defer wg.Done(); l.Close() }(l)
-		}
-		wg.Wait()
-	}
-	// finish releases the run's links: owned links Close or Abort, a
-	// provider is told which of the two its sessions should mimic.
-	finish := func(graceful bool) {
-		if opts.Links != nil {
-			opts.Links.Finish(graceful)
-			return
-		}
-		if graceful {
-			closeLinks()
-			return
-		}
-		for _, l := range links {
-			l.Abort()
-		}
-	}
-
-	// Bind the local half of each cross-node edge, then preload delays —
-	// sender-side only, so the initial tokens cross the wire exactly once.
-	for _, b := range bound {
-		link := mlinks[b.peer]
-		env.edgeLink[b.eid] = link
-		if b.out {
-			err = env.rt.BindRemoteSender(b.cfg.ID, link)
-		} else {
-			err = env.rt.BindRemoteReceiver(b.cfg.ID, link)
-		}
-		if err == nil && b.out {
-			err = plan.preload(b.tx, b.eid, b.cfg)
-		}
-		if err != nil {
-			env.rt.CloseAll()
-			finish(false)
-			stopResume()
-			return nil, err
-		}
-	}
-
-	procErrs, wdErr := env.runWatched(myProcs, iterations, watchConfig{
+	procErrs, wdErr := env.runWatched(iterations, watchConfig{
 		stall: opts.StallTimeout, ctx: opts.Context, o: opts.Obs, node: me,
-		abort: func() {
-			for _, l := range links {
-				l.Abort()
-			}
-		},
 	})
 	runErr := watchVerdict(collapseErrs(procErrs), wdErr)
-	if runErr != nil && !opts.Degrade {
-		// Abort, not Close: the peers must observe a failure so they
-		// close the shared edges, not a GOODBYE that looks like a normal
-		// completion.
-		finish(false)
-	} else {
-		// Degraded runs close gracefully: surviving peers already received
-		// FINs for the starved edges, and a GOODBYE lets them finish their
-		// own drains normally.
-		finish(true)
-	}
-	stopResume()
+	// Degraded runs close gracefully: surviving peers already received FINs
+	// for the starved edges, and a GOODBYE lets them finish their own
+	// drains normally.
+	env.finish(runErr == nil || opts.Degrade)
 
 	// Fold the transport's piggybacked-ack counts into the per-edge
 	// statistics: these are acks this node's receivers issued that rode
 	// outgoing DATA frames instead of standalone ACK frames.
-	for _, l := range links {
+	for _, l := range env.links {
 		for edge, n := range l.PiggybackedAcks() {
 			env.rt.addPiggybacked(EdgeID(edge), n)
 		}
@@ -553,15 +518,9 @@ func ExecuteDistributed(g *dataflow.Graph, m *sched.Mapping, kernels map[dataflo
 		}
 	}
 
-	stats := &ExecStats{
-		Iterations:     iterations,
-		SPI:            env.rt.TotalStats(),
-		Edges:          env.rt.AllStats(),
-		ActorFirings:   env.firingSnapshot(),
-		LocalTransfers: env.localTransfers,
-	}
+	stats := env.stats(iterations)
 	if opts.Degrade {
-		peerErrs := fails.snapshot()
+		peerErrs := env.fails.snapshot()
 		var starved []string
 		firings := map[string]int{}
 		var cause error
@@ -572,8 +531,8 @@ func ExecuteDistributed(g *dataflow.Graph, m *sched.Mapping, kernels map[dataflo
 			if cause == nil || errors.Is(cause, ErrClosed) && !errors.Is(perr, ErrClosed) {
 				cause = perr
 			}
-			for _, a := range m.Order[myProcs[i]] {
-				name := g.Actor(a).Name
+			for ai := range env.procs[i].actors {
+				name := env.procs[i].actors[ai].name
 				starved = append(starved, name)
 				firings[name] = stats.ActorFirings[name]
 			}
@@ -588,13 +547,13 @@ func ExecuteDistributed(g *dataflow.Graph, m *sched.Mapping, kernels map[dataflo
 			return stats, nil
 		}
 		if cause == nil {
-			cause = fails.first()
+			cause = env.fails.first()
 		}
 		sort.Strings(starved)
 		return stats, &DegradedError{Node: me, Peers: peerErrs, Starved: starved, Firings: firings, Cause: cause}
 	}
 	if runErr != nil {
-		if cause := fails.first(); cause != nil && errors.Is(runErr, ErrClosed) {
+		if cause := env.fails.first(); cause != nil && errors.Is(runErr, ErrClosed) {
 			return nil, fmt.Errorf("spi: node %d: %w (link failure: %v)", me, runErr, cause)
 		}
 		return nil, runErr
@@ -610,12 +569,12 @@ func ExecuteDistributed(g *dataflow.Graph, m *sched.Mapping, kernels map[dataflo
 // setup, routing RESUME connections from re-dialing peers back to their
 // established links; the returned stop function shuts that dispatcher
 // down (it is a no-op otherwise).
-func connectPeers(rt *Runtime, peers map[int]*peerPlan, fails *peerFails, opts DistOptions) (map[int]*transport.Link, func(), error) {
-	links := map[int]*transport.Link{}
+func connectPeers(rt *Runtime, peers map[int]*peerPlan, fails *peerFails, resync []uint16, opts DistOptions) (map[int]*transport.Link, func(), error) {
 	stopNothing := func() {}
 	if len(peers) == 0 {
-		return links, stopNothing, nil
+		return nil, stopNothing, nil
 	}
+	links := map[int]*transport.Link{}
 	ctx := opts.Context
 	if ctx == nil {
 		ctx = context.Background()
@@ -632,7 +591,7 @@ func connectPeers(rt *Runtime, peers map[int]*peerPlan, fails *peerFails, opts D
 		Batch:         opts.Batch,
 		PiggybackAcks: opts.PiggybackAcks,
 		Blocked:       opts.Block > 1,
-		ResyncEdges:   opts.resyncEdges,
+		ResyncEdges:   resync,
 		Obs:           opts.Obs,
 	}
 	handlerFor := func(peer int) ([]transport.EdgeDecl, transport.Handler, error) {
@@ -828,24 +787,13 @@ func PeerDecls(g *dataflow.Graph, m *sched.Mapping, nodeOf []int, me, block int)
 	if len(nodeOf) != m.NumProcs {
 		return nil, fmt.Errorf("spi: NodeOf has %d entries, mapping has %d processors", len(nodeOf), m.NumProcs)
 	}
-	plan, err := newGraphPlan(g, block)
+	env, err := lowerGraph(g, m, nodeOf, me, block, nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	decls := map[int][]transport.EdgeDecl{}
-	for _, eid := range g.Edges() {
-		e := g.Edge(eid)
-		srcNode, snkNode := nodeOf[m.Proc[e.Src]], nodeOf[m.Proc[e.Snk]]
-		if srcNode == snkNode || (srcNode != me && snkNode != me) {
-			continue
-		}
-		cfg := plan.edgeConfig(eid)
-		out := srcNode == me
-		peer := snkNode
-		if !out {
-			peer = srcNode
-		}
-		decls[peer] = append(decls[peer], declFor(cfg, out))
+	for peer, pp := range env.peerPlans() {
+		decls[peer] = pp.decls
 	}
 	return decls, nil
 }

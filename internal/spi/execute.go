@@ -3,13 +3,14 @@ package spi
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/dataflow"
 	"repro/internal/obs"
 	"repro/internal/sched"
+	"repro/internal/transport"
 )
 
 // Functional execution: run a mapped dataflow graph's actors as real
@@ -19,8 +20,12 @@ import (
 // same-processor edges are plain local queues. This is the programming
 // model a downstream SPI user writes against: supply a Kernel per actor,
 // get the paper's separation of computation from communication for free.
-// ExecuteDistributed (dist.go) runs the same engine on a partition of the
-// processors, with cross-partition edges bound to a network transport.
+//
+// This file is the executor core: the compiled environment (execEnv) and
+// the one firing loop (fire) that every mode runs — scalar, blocked,
+// distributed (dist.go) and partition deployments (partition.go) differ
+// in how the environment is lowered and what its edges are bound to, never
+// in the loop. See DESIGN.md, "Executor core".
 
 // Kernel is an actor's functional body for one block firing: it receives
 // the packed payload from every input edge (keyed by edge ID; edges whose
@@ -51,49 +56,125 @@ type ExecStats struct {
 	LocalTransfers int64
 }
 
-// remotePair is one interprocessor edge's communication actors. In a
-// distributed run only the locally-hosted half is set.
-type remotePair struct {
-	tx *Sender
-	rx *Receiver
+// execEnv is one node's deployment in compiled form, the single shape
+// every execution mode runs in. Both lowerings — lowerGraph (graph, mapping,
+// node assignment, blocking factor) and lowerPartition (a PartitionSpec) —
+// produce it; open (dist.go) brings its edges and links up, and run fires
+// it. Everything the firing loop touches per token is resolved here, once:
+// an actor holds its kernel and pointers to its edge slots, a slot holds
+// its queue or communication actors, its bounds and its reusable buffers.
+type execEnv struct {
+	node int
+	// block is the blocking factor B of the firing loop: every actor fires
+	// B iterations back to back. Scalar execution is B = 1.
+	block int
+	rt    *Runtime
+	procs []procPlan
+	// edges holds every edge with an endpoint on this node.
+	edges []edgeSlot
+	// resync is the ack-suppression set the links negotiate (nil = none).
+	resync []uint16
+	// timed has the loop measure kernel time per processor (procPlan.busy),
+	// the load signal a partition run reports.
+	timed bool
+
+	// degrade selects graceful degradation (DistOptions.Degrade): a failing
+	// processor starves only its own edges instead of closing the whole
+	// runtime, so independent actors keep draining.
+	degrade bool
+
+	// Set by open: the links the deployment owns, by peer node, or the
+	// provider that owns them instead; the RESUME dispatcher's stop.
+	links      map[int]*transport.Link
+	provider   LinkProvider
+	stopResume func()
+	fails      peerFails
 }
 
-// execEnv is the shared execution engine: the edge routing tables plus the
-// self-timed per-processor actor loop.
-type execEnv struct {
-	g       *dataflow.Graph
-	m       *sched.Mapping
-	kernels map[dataflow.ActorID]Kernel
-	// vkernels holds native block-firing kernels for blocked runs
-	// (plan.block > 1); actors not present fall back to their scalar
-	// kernel, lifted one firing at a time.
-	vkernels map[dataflow.ActorID]VectorKernel
-	plan     *graphPlan
-	rt       *Runtime
-
-	remotes map[dataflow.EdgeID]remotePair
-	locals  map[dataflow.EdgeID][][]byte
-	localMu sync.Mutex
-
+// procPlan is one hosted processor: its actors in schedule order and the
+// kernel input maps its firings reuse.
+type procPlan struct {
+	proc   int
+	actors []actorSlot
+	in     map[dataflow.EdgeID][]byte
+	vecIn  map[dataflow.EdgeID][][]byte
+	// busy is the kernel time of the last run in nanoseconds (timed
+	// environments only); localTransfers counts same-processor hand-offs.
+	busy           int64
 	localTransfers int64
+}
 
-	// Firing accounting. Each actor is owned by exactly one processor
-	// goroutine, but the slots are read concurrently by the progress
-	// watchdog (watchdog.go), so all access is atomic. actorObs carries
-	// the optional firing metrics/trace handles (nil-safe when no
-	// observer is attached).
-	fired    map[dataflow.ActorID]*int64
-	actorObs map[dataflow.ActorID]actorObs
+// actorSlot is one actor of a processor's schedule.
+type actorSlot struct {
+	name string
+	// vkernel, set only in a blocked run, fires a whole block natively;
+	// otherwise kernel fires once per iteration of the block.
+	kernel  Kernel
+	vkernel VectorKernel
+	in, out []*edgeSlot
+	// fired counts the firings of the current run. The actor is owned by
+	// its processor's goroutine; the progress watchdog reads concurrently.
+	fired atomic.Int64
+	obs   actorObs
+}
 
-	// Graceful degradation (distributed runs with DistOptions.Degrade): a
-	// failing processor starves only its own edges instead of closing the
-	// whole runtime, so independent actors keep draining. edgeID maps each
-	// cross-processor dataflow edge to its runtime edge; edgeLink holds the
-	// link carrying each cross-node edge, so starvation can FIN the remote
-	// half.
-	degrade  bool
-	edgeID   map[dataflow.EdgeID]EdgeID
-	edgeLink map[dataflow.EdgeID]MessageLink
+// edgeSlot is one dataflow edge as the node's plan sees it. A
+// same-processor edge (neither out nor in) is a token queue owned by its
+// processor's goroutine. A cross-processor edge is an SPI edge: both
+// endpoints hosted (out and in) makes it an in-process one, exactly one
+// makes it ride the link to peer. Producer-side and consumer-side fields
+// belong to the goroutines of the respective processors.
+type edgeSlot struct {
+	id   dataflow.EdgeID
+	name string
+	// bmax bounds one token's bytes (VTS b_max); a static token is
+	// zero-padded to exactly bmax.
+	bmax    int
+	dynamic bool
+	// block is the number of iterations per message: B on a block-aligned
+	// cross-processor edge of a blocked run (one packed slab per block),
+	// else 1 (token-granular).
+	block int
+
+	queue [][]byte // same-processor edge: the tokens in flight
+
+	cfg     EdgeConfig
+	out, in bool
+	peer    int // node hosting the far endpoint, -1 when both are here
+	tx      *Sender
+	rx      *Receiver
+	link    MessageLink // the link a cross-node edge is bound to
+	// preload holds the delay messages the producing side replays at open.
+	preload [][]byte
+
+	// Consumer side: the tokens of the block being fired (receive buffers
+	// reused per token, views into slabIn, or a window of queue) and the
+	// slab receive buffer.
+	toks   [][]byte
+	slabIn []byte
+	// Producer side: the slab being packed, and the optional checkpoint
+	// hook keeping the last delay payloads sent (partition deployments).
+	slabOut []byte
+	tail    *tailRing
+}
+
+func (s *edgeSlot) local() bool { return !s.out && !s.in }
+
+// tailRing keeps the last depth payloads pushed, oldest first, in buffers
+// it reuses: a payload may alias a kernel buffer the next firing overwrites.
+type tailRing struct {
+	depth int
+	q     [][]byte
+}
+
+func (t *tailRing) push(payload []byte) {
+	if len(t.q) < t.depth {
+		t.q = append(t.q, append([]byte(nil), payload...))
+		return
+	}
+	oldest := t.q[0]
+	copy(t.q, t.q[1:])
+	t.q[len(t.q)-1] = append(oldest[:0], payload...)
 }
 
 // actorRowBase offsets kernel-firing trace rows (tid = actorRowBase +
@@ -103,7 +184,7 @@ type execEnv struct {
 const actorRowBase = 1000
 
 // actorObs is one actor's firing instrumentation; the zero value (no
-// observer) reduces to the lock-free firing counter alone.
+// observer) does nothing.
 type actorObs struct {
 	firings *obs.Counter
 	latency *obs.Histogram
@@ -113,102 +194,100 @@ type actorObs struct {
 	tid     int
 }
 
-// initFirings allocates the per-actor firing slots for the given
-// processors and, when an observer is attached, their metric handles.
-func (env *execEnv) initFirings(procs []int, o *obs.Observer) {
-	env.fired = map[dataflow.ActorID]*int64{}
-	env.actorObs = map[dataflow.ActorID]actorObs{}
-	for _, p := range procs {
-		for _, a := range env.m.Order[p] {
-			env.fired[a] = new(int64)
-			ao := actorObs{name: env.g.Actor(a).Name, tid: actorRowBase + p}
-			if o != nil {
-				l := obs.L("actor", ao.name)
-				ao.firings = o.Counter("spi_actor_firings_total", "Completed actor firings.", l)
-				ao.latency = o.Histogram("spi_actor_fire_latency_us", "Kernel execution time per firing in microseconds.", obs.LatencyBucketsUS, l)
-				ao.tr = o.Tracer()
-				ao.pid = o.Pid()
-			}
-			env.actorObs[a] = ao
+// done closes the kernel span opened at start for the block at iter.
+func (ao *actorObs) done(start int64, iter int) {
+	ao.tr.Span("kernel", ao.name, ao.pid, ao.tid, start, obs.A("iter", int64(iter)))
+	ao.latency.Observe(float64(ao.tr.Now() - start))
+}
+
+// eachActor visits every hosted actor, in processor and schedule order.
+func (env *execEnv) eachActor(visit func(p *procPlan, a *actorSlot)) {
+	for pi := range env.procs {
+		p := &env.procs[pi]
+		for ai := range p.actors {
+			visit(p, &p.actors[ai])
 		}
 	}
 }
 
-// firingSnapshot reports completed firings per actor name. Call only
-// after run returns (the WaitGroup orders the reads).
-func (env *execEnv) firingSnapshot() map[string]int {
-	out := make(map[string]int, len(env.fired))
-	for a, n := range env.fired {
-		out[env.g.Actor(a).Name] = int(atomic.LoadInt64(n))
+// observe attaches the observer's per-edge and per-actor handles. Call
+// before open: edges pick their counters up at Init.
+func (env *execEnv) observe(o *obs.Observer) {
+	if o == nil {
+		return
 	}
-	return out
+	env.rt.SetObserver(o)
+	env.eachActor(func(p *procPlan, a *actorSlot) {
+		l := obs.L("actor", a.name)
+		a.obs = actorObs{
+			firings: o.Counter("spi_actor_firings_total", "Completed actor firings.", l),
+			latency: o.Histogram("spi_actor_fire_latency_us", "Kernel execution time per firing in microseconds.", obs.LatencyBucketsUS, l),
+			tr:      o.Tracer(), pid: o.Pid(), name: a.name, tid: actorRowBase + p.proc,
+		}
+	})
 }
 
-// run executes the given processors, one goroutine each, and returns the
-// per-processor outcomes (parallel to procs). A failing processor releases
-// its peers: in fail-fast mode by closing every runtime edge, in degraded
-// mode by starving only the edges incident to its own actors.
-func (env *execEnv) run(procs []int, iterations int) []error {
-	errs := make([]error, len(procs))
+// checkKernels verifies every hosted actor can fire.
+func (env *execEnv) checkKernels() (err error) {
+	env.eachActor(func(_ *procPlan, a *actorSlot) {
+		if err == nil && a.kernel == nil && a.vkernel == nil {
+			err = fmt.Errorf("spi: actor %s (node %d) has no kernel", a.name, env.node)
+		}
+	})
+	return err
+}
+
+// run fires iterations base..base+n-1 on every hosted processor, one
+// goroutine each, and returns the per-processor outcomes (parallel to
+// env.procs). A failing processor releases its peers: in fail-fast mode by
+// closing every runtime edge, in degraded mode by starving only the edges
+// incident to its own actors.
+func (env *execEnv) run(base, n int) []error {
+	env.eachActor(func(_ *procPlan, a *actorSlot) { a.fired.Store(0) })
+	errs := make([]error, len(env.procs))
 	var wg sync.WaitGroup
-	for i, p := range procs {
+	for i := range env.procs {
 		wg.Add(1)
-		go func(i, p int) {
+		go func(i int) {
 			defer wg.Done()
-			// A failing processor must release peers blocked on SPI edges.
-			defer func() {
-				if errs[i] != nil {
-					if env.degrade {
-						env.starveProc(p)
-					} else {
-						env.rt.CloseAll()
-					}
-				}
-			}()
-			if env.plan.block > 1 {
-				errs[i] = env.runProcBlocked(p, iterations)
-			} else {
-				errs[i] = env.runProc(p, iterations)
+			p := &env.procs[i]
+			if errs[i] = env.fire(p, base, n); errs[i] == nil {
+				return
 			}
-		}(i, p)
+			if env.degrade {
+				env.starve(p)
+			} else {
+				env.rt.CloseAll()
+			}
+		}(i)
 	}
 	wg.Wait()
 	return errs
 }
 
-// starveProc propagates one processor's death along exactly its own edges:
+// starve propagates one processor's death along exactly its own edges:
 // every cross-processor edge incident to its actors is closed (receivers
 // drain what is already queued, then see ErrClosed) and, for cross-node
 // edges, FIN'd so the remote half starves too — out-edge FINs cut the data
 // supply, in-edge FINs release remote BBS senders waiting on credits that
 // will never come. Actors not reachable from the dead processor keep
 // running to completion.
-func (env *execEnv) starveProc(p int) {
-	seen := map[dataflow.EdgeID]bool{}
-	for _, a := range env.m.Order[p] {
-		for _, eid := range env.g.In(a) {
-			env.starveEdge(eid, seen)
+func (env *execEnv) starve(p *procPlan) {
+	for ai := range p.actors {
+		a := &p.actors[ai]
+		for _, slots := range [2][]*edgeSlot{a.in, a.out} {
+			for _, s := range slots {
+				if s.local() {
+					continue // dies with the processor
+				}
+				if s.link != nil {
+					// Best effort: the link may be the very thing that died.
+					_ = s.link.SendFin(uint16(s.id))
+				}
+				env.rt.CloseEdge(s.cfg.ID)
+			}
 		}
-		for _, eid := range env.g.Out(a) {
-			env.starveEdge(eid, seen)
-		}
 	}
-}
-
-func (env *execEnv) starveEdge(eid dataflow.EdgeID, seen map[dataflow.EdgeID]bool) {
-	if seen[eid] {
-		return
-	}
-	seen[eid] = true
-	id, ok := env.edgeID[eid]
-	if !ok {
-		return // same-processor edge: dies with the processor
-	}
-	if link, remote := env.edgeLink[eid]; remote {
-		// Best effort: the link may be the very thing that died.
-		_ = link.SendFin(uint16(id))
-	}
-	env.rt.CloseEdge(id)
 }
 
 // collapseErrs reduces per-processor outcomes to one error, preferring the
@@ -231,345 +310,221 @@ func collapseErrs(errs []error) error {
 	return closedErr
 }
 
-// runProc is one processor's self-timed loop: fire the mapped actors in
-// schedule order, each blocking only on the data its input edges deliver.
-// Remote input payloads land in per-edge buffers reused across firings
-// (each edge has one sink, so the buffer is this loop's alone), keeping
-// the steady-state receive path allocation-free; the Kernel contract
-// covers the reuse.
-func (env *execEnv) runProc(p, iterations int) error {
-	g := env.g
-	in := map[dataflow.EdgeID][]byte{}
-	recvBuf := map[dataflow.EdgeID][]byte{}
-	for iter := 0; iter < iterations; iter++ {
-		for _, a := range env.m.Order[p] {
-			clear(in)
-			remoteIn := false
-			for _, eid := range g.In(a) {
-				if r, ok := env.remotes[eid]; ok {
-					payload, err := r.rx.ReceiveInto(recvBuf[eid])
-					if err != nil {
-						return fmt.Errorf("spi: actor %s recv %s: %w",
-							g.Actor(a).Name, g.Edge(eid).Name, err)
-					}
-					in[eid] = payload
-					recvBuf[eid] = payload
-					remoteIn = true
-					continue
-				}
-				env.localMu.Lock()
-				queue := env.locals[eid]
-				if len(queue) == 0 {
-					env.localMu.Unlock()
-					return fmt.Errorf("spi: actor %s local underflow on %s (scheduling bug)",
-						g.Actor(a).Name, g.Edge(eid).Name)
-				}
-				in[eid] = queue[0]
-				env.locals[eid] = queue[1:]
-				env.localTransfers++
-				env.localMu.Unlock()
-			}
-			ao := env.actorObs[a]
-			start := ao.tr.Now()
-			out, err := env.kernels[a](iter, in)
-			if err != nil {
-				return fmt.Errorf("spi: actor %s iteration %d: %w", g.Actor(a).Name, iter, err)
-			}
-			ao.tr.Span("kernel", ao.name, ao.pid, ao.tid, start, obs.A("iter", int64(iter)))
-			ao.latency.Observe(float64(ao.tr.Now() - start))
-			for _, eid := range g.Out(a) {
-				payload, err := env.plan.pad(eid, out[eid])
-				if err != nil {
-					return err
-				}
-				if r, ok := env.remotes[eid]; ok {
-					if err := r.tx.Send(payload); err != nil {
-						return fmt.Errorf("spi: actor %s send %s: %w",
-							g.Actor(a).Name, g.Edge(eid).Name, err)
-					}
-					continue
-				}
-				if remoteIn {
-					// The local queue outlives this firing, but the kernel
-					// may have passed a reused receive buffer straight
-					// through; keep a private copy.
-					payload = append([]byte(nil), payload...)
-				}
-				env.localMu.Lock()
-				env.locals[eid] = append(env.locals[eid], payload)
-				env.localMu.Unlock()
-			}
-			ao.firings.Inc()
-			atomic.AddInt64(env.fired[a], 1)
-		}
+// clock and charge time a kernel invocation into its processor's busy time
+// — where somebody reads it: the two clock reads are 100 ns a firing, 2 %
+// of the per-token CPU of a scalar run over TCP.
+func (env *execEnv) clock() time.Time {
+	if env.timed {
+		return time.Now()
 	}
-	return nil
+	return time.Time{}
 }
 
-// runProcBlocked is runProc's vectorized counterpart: fire each actor n
-// times back to back (n = the blocking factor B, or the remainder on the
-// final partial block), moving whole blocks of tokens at once. Block-aligned
-// remote edges deliver and emit one packed slab per block; misaligned remote
-// edges stay token-granular (n receives / n sends per block); local queues
-// always stay token-granular but are popped and pushed n at a time. Blocked
-// and scalar runs of the same graph are bit-identical: the kernels see the
-// same iteration numbers and the same input bytes in the same order.
-func (env *execEnv) runProcBlocked(p, iterations int) error {
-	g := env.g
-	B := env.plan.block
-	in := map[dataflow.EdgeID][][]byte{}
-	scalarIn := map[dataflow.EdgeID][]byte{}
-	recvSlab := map[dataflow.EdgeID][]byte{}  // slab receive buffers, reused per block
-	recvTok := map[dataflow.EdgeID][][]byte{} // per-token receive buffers, misaligned remote edges
-	views := map[dataflow.EdgeID][][]byte{}   // slab token views, reused per block
-	sendSlab := map[dataflow.EdgeID][]byte{}  // outgoing slab builders, reused per block
-	for base := 0; base < iterations; base += B {
-		n := iterations - base
-		if n > B {
-			n = B
-		}
-		for _, a := range env.m.Order[p] {
-			clear(in)
-			for _, eid := range g.In(a) {
-				r, ok := env.remotes[eid]
-				if !ok {
-					env.localMu.Lock()
-					queue := env.locals[eid]
-					if len(queue) < n {
-						env.localMu.Unlock()
-						return fmt.Errorf("spi: actor %s local underflow on %s: block of %d needs %d tokens, have %d (delay too small for the block)",
-							g.Actor(a).Name, g.Edge(eid).Name, n, n, len(queue))
-					}
-					in[eid] = queue[:n:n]
-					env.locals[eid] = queue[n:]
-					env.localTransfers += int64(n)
-					env.localMu.Unlock()
-					continue
-				}
-				if env.plan.edgeBlock(eid) > 1 {
-					slab, err := r.rx.ReceiveInto(recvSlab[eid])
-					if err != nil {
-						return fmt.Errorf("spi: actor %s recv %s: %w",
-							g.Actor(a).Name, g.Edge(eid).Name, err)
-					}
-					recvSlab[eid] = slab
-					info := env.plan.conv.Info(eid)
-					v, err := UnpackSlab(slab, n, int(info.BMax), info.Dynamic, views[eid])
-					if err != nil {
-						return fmt.Errorf("spi: actor %s edge %s: %w",
-							g.Actor(a).Name, g.Edge(eid).Name, err)
-					}
-					views[eid] = v
-					in[eid] = v[:n]
-					continue
-				}
-				bufs := recvTok[eid]
-				for len(bufs) < n {
-					bufs = append(bufs, nil)
-				}
-				for j := 0; j < n; j++ {
-					payload, err := r.rx.ReceiveInto(bufs[j])
-					if err != nil {
-						return fmt.Errorf("spi: actor %s recv %s: %w",
-							g.Actor(a).Name, g.Edge(eid).Name, err)
-					}
-					bufs[j] = payload
-				}
-				recvTok[eid] = bufs
-				in[eid] = bufs[:n]
-			}
-			ao := env.actorObs[a]
-			start := ao.tr.Now()
-			var err error
-			if vk := env.vkernels[a]; vk != nil {
-				err = env.fireVector(a, base, n, in, sendSlab)
-			} else {
-				err = env.fireLifted(a, base, n, in, scalarIn, sendSlab)
-			}
-			if err != nil {
+func (p *procPlan) charge(start time.Time) {
+	if !start.IsZero() {
+		p.busy += time.Since(start).Nanoseconds()
+	}
+}
+
+// fire is the one per-processor firing loop, self-timed: block by block,
+// each actor of the schedule fires its nb iterations back to back (nb = B,
+// or the remainder on a final partial block), blocking only on the data its
+// input edges deliver. Scalar execution is B = 1; a partition epoch is the
+// same loop from base = BaseIter. Kernels see the same iteration numbers
+// and the same input bytes in the same order whatever B is and wherever
+// the edges are bound, which is what makes every mode bit-identical.
+func (env *execEnv) fire(p *procPlan, base, n int) error {
+	p.busy = 0
+	for iter, end := base, base+n; iter < end; iter += env.block {
+		nb := min(env.block, end-iter)
+		for ai := range p.actors {
+			if err := env.fireActor(p, &p.actors[ai], iter, nb); err != nil {
 				return err
 			}
-			ao.tr.Span("kernel", ao.name, ao.pid, ao.tid, start, obs.A("iter", int64(base)))
-			ao.latency.Observe(float64(ao.tr.Now() - start))
-			ao.firings.Add(int64(n))
-			atomic.AddInt64(env.fired[a], int64(n))
 		}
 	}
 	return nil
 }
 
-// fireLifted fires an actor's scalar kernel once per iteration of the
-// block, consuming each firing's outputs before the next: blocked edges
-// pack (copy) the payload into the outgoing slab, misaligned remote edges
-// send immediately, and local pushes always copy — the scalar buffer-reuse
-// contract lets the kernel recycle its output buffers between firings, so
-// nothing it returned may be held by reference across firings.
-func (env *execEnv) fireLifted(a dataflow.ActorID, base, n int, in map[dataflow.EdgeID][][]byte, scalarIn map[dataflow.EdgeID][]byte, sendSlab map[dataflow.EdgeID][]byte) error {
-	g := env.g
-	for _, eid := range g.Out(a) {
-		if _, ok := env.remotes[eid]; ok && env.plan.edgeBlock(eid) > 1 {
-			sendSlab[eid] = beginSlab(sendSlab[eid], n, env.plan.conv.Info(eid).Dynamic)
+// fireActor fires one actor for iterations iter..iter+n-1: gather the n
+// tokens of every input edge, invoke the kernel (a VectorKernel once, a
+// scalar Kernel n times), and route every output token. The kernel span
+// closes when the block's last invocation returns, before its outputs go
+// out: time blocked in a send is the edge's, not the kernel's.
+func (env *execEnv) fireActor(p *procPlan, a *actorSlot, iter, n int) error {
+	remoteIn := false
+	for _, s := range a.in {
+		if err := s.gather(p, n); err != nil {
+			return fmt.Errorf("spi: actor %s edge %s: %w", a.name, s.name, err)
+		}
+		remoteIn = remoteIn || !s.local()
+	}
+	for _, s := range a.out {
+		if s.block > 1 {
+			s.slabOut = beginSlab(s.slabOut, n, s.dynamic)
 		}
 	}
-	for j := 0; j < n; j++ {
-		clear(scalarIn)
-		for eid, toks := range in {
-			scalarIn[eid] = toks[j]
+	// A local queue outlives the firing that fills it, but the payload may
+	// alias a buffer reused before the consumer runs: a receive buffer the
+	// kernel passed straight through, or — when the producer fires a whole
+	// block first — the kernel's own output buffer. Those pushes copy.
+	private := env.block > 1 || remoteIn
+	span := a.obs.tr.Now()
+	if a.vkernel != nil {
+		clear(p.vecIn)
+		for _, s := range a.in {
+			p.vecIn[s.id] = s.toks[:n]
 		}
-		out, err := env.kernels[a](base+j, scalarIn)
+		start := env.clock()
+		out, err := a.vkernel(iter, n, p.vecIn)
+		p.charge(start)
 		if err != nil {
-			return fmt.Errorf("spi: actor %s iteration %d: %w", g.Actor(a).Name, base+j, err)
+			return fmt.Errorf("spi: actor %s iterations %d..%d: %w", a.name, iter, iter+n-1, err)
 		}
-		for _, eid := range g.Out(a) {
-			if err := env.emitToken(a, eid, j, out[eid], sendSlab); err != nil {
-				return err
+		a.obs.done(span, iter)
+		for _, s := range a.out {
+			toks := out[s.id] // nil means n empty payloads
+			if toks != nil && len(toks) != n {
+				return fmt.Errorf("spi: actor %s vector kernel returned %d payloads on edge %s, block needs %d",
+					a.name, len(toks), s.name, n)
+			}
+			for j := 0; j < n; j++ {
+				var tok []byte
+				if toks != nil {
+					tok = toks[j]
+				}
+				if err := s.emit(j, tok, private); err != nil {
+					return fmt.Errorf("spi: actor %s edge %s: %w", a.name, s.name, err)
+				}
+			}
+		}
+	} else {
+		for j := 0; j < n; j++ {
+			clear(p.in)
+			for _, s := range a.in {
+				p.in[s.id] = s.toks[j]
+			}
+			start := env.clock()
+			out, err := a.kernel(iter+j, p.in)
+			p.charge(start)
+			if err != nil {
+				return fmt.Errorf("spi: actor %s iteration %d: %w", a.name, iter+j, err)
+			}
+			if j == n-1 {
+				a.obs.done(span, iter)
+			}
+			// The scalar contract lets the kernel recycle its output
+			// buffers between firings, so each firing's outputs are
+			// consumed before the next.
+			for _, s := range a.out {
+				if err := s.emit(j, out[s.id], private); err != nil {
+					return fmt.Errorf("spi: actor %s edge %s: %w", a.name, s.name, err)
+				}
 			}
 		}
 	}
-	return env.flushSlabs(a, sendSlab)
+	for _, s := range a.out {
+		if s.block > 1 {
+			if err := s.tx.Send(s.slabOut); err != nil {
+				return fmt.Errorf("spi: actor %s edge %s: send: %w", a.name, s.name, err)
+			}
+		}
+	}
+	a.obs.firings.Add(int64(n))
+	a.fired.Add(int64(n))
+	return nil
 }
 
-// fireVector fires an actor's VectorKernel once for the whole block and
-// distributes the returned per-edge token lists: blocked edges pack one
-// slab, misaligned remote edges ship their n messages as one SendBatch,
-// local queues take private copies.
-func (env *execEnv) fireVector(a dataflow.ActorID, base, n int, in map[dataflow.EdgeID][][]byte, sendSlab map[dataflow.EdgeID][]byte) error {
-	g := env.g
-	out, err := env.vkernels[a](base, n, in)
-	if err != nil {
-		return fmt.Errorf("spi: actor %s iterations %d..%d: %w", g.Actor(a).Name, base, base+n-1, err)
-	}
-	for _, eid := range g.Out(a) {
-		toks := out[eid] // nil means n empty payloads
-		if toks != nil && len(toks) != n {
-			return fmt.Errorf("spi: actor %s vector kernel returned %d payloads on edge %s, block needs %d",
-				g.Actor(a).Name, len(toks), g.Edge(eid).Name, n)
+// gather collects into s.toks[:n] the n tokens the next block firing
+// consumes: a window of the local queue, one received slab split into
+// views, or n token-granular receives. Remote payloads land in buffers
+// reused across firings (each edge has one sink, so they are its
+// processor's alone), keeping the steady-state receive path
+// allocation-free; the Kernel contract covers the reuse.
+func (s *edgeSlot) gather(p *procPlan, n int) error {
+	switch {
+	case s.local():
+		if len(s.queue) < n {
+			return fmt.Errorf("local underflow: block needs %d tokens, %d queued (the schedule order or the delay does not cover the block)", n, len(s.queue))
 		}
-		if _, ok := env.remotes[eid]; ok && env.plan.edgeBlock(eid) > 1 {
-			sendSlab[eid] = beginSlab(sendSlab[eid], n, env.plan.conv.Info(eid).Dynamic)
+		s.toks, s.queue = s.queue[:n:n], s.queue[n:]
+		p.localTransfers += int64(n)
+	case s.block > 1:
+		slab, err := s.rx.ReceiveInto(s.slabIn)
+		if err != nil {
+			return fmt.Errorf("recv: %w", err)
+		}
+		s.slabIn = slab
+		if s.toks, err = UnpackSlab(slab, n, s.bmax, s.dynamic, s.toks); err != nil {
+			return err
+		}
+	default:
+		for len(s.toks) < n {
+			s.toks = append(s.toks, nil)
 		}
 		for j := 0; j < n; j++ {
-			var tok []byte
-			if toks != nil {
-				tok = toks[j]
+			payload, err := s.rx.ReceiveInto(s.toks[j])
+			if err != nil {
+				return fmt.Errorf("recv: %w", err)
 			}
-			if err := env.emitToken(a, eid, j, tok, sendSlab); err != nil {
-				return err
-			}
+			s.toks[j] = payload
 		}
 	}
-	return env.flushSlabs(a, sendSlab)
+	return nil
 }
 
-// emitToken routes one firing's output payload on one edge during a blocked
-// run: into the slab builder (blocked remote edge), straight to the sender
-// (misaligned remote edge), or copied onto the local queue. Local pushes
-// always copy in blocked mode — the producer fires its whole block before
-// any consumer runs, so payloads must outlive the kernel's buffer reuse.
-func (env *execEnv) emitToken(a dataflow.ActorID, eid dataflow.EdgeID, j int, payload []byte, sendSlab map[dataflow.EdgeID][]byte) error {
-	g := env.g
-	if r, ok := env.remotes[eid]; ok {
-		if env.plan.edgeBlock(eid) > 1 {
-			info := env.plan.conv.Info(eid)
-			slab, err := appendSlabToken(sendSlab[eid], j, payload, int(info.BMax), info.Dynamic)
-			if err != nil {
-				return fmt.Errorf("spi: actor %s edge %s: %w", g.Actor(a).Name, g.Edge(eid).Name, err)
-			}
-			sendSlab[eid] = slab
-			return nil
-		}
-		padded, err := env.plan.pad(eid, payload)
+// emit routes the j-th output token of a block firing: packed (copied) into
+// the outgoing slab of a blocked edge, sent at once on a token-granular
+// cross-processor edge, or pushed onto the local queue — as a private copy
+// when the caller says the payload's buffer may be reused first. The VTS
+// bound is enforced and short static payloads are zero-padded to the fixed
+// transfer size on every route.
+func (s *edgeSlot) emit(j int, payload []byte, private bool) error {
+	if s.block > 1 {
+		slab, err := appendSlabToken(s.slabOut, j, payload, s.bmax, s.dynamic)
 		if err != nil {
 			return err
 		}
-		if err := r.tx.Send(padded); err != nil {
-			return fmt.Errorf("spi: actor %s send %s: %w", g.Actor(a).Name, g.Edge(eid).Name, err)
-		}
+		s.slabOut = slab
 		return nil
 	}
-	padded, err := env.plan.pad(eid, payload)
-	if err != nil {
-		return err
+	if len(payload) > s.bmax {
+		return fmt.Errorf("kernel produced %d bytes, bound %d", len(payload), s.bmax)
 	}
-	padded = append([]byte(nil), padded...)
-	env.localMu.Lock()
-	env.locals[eid] = append(env.locals[eid], padded)
-	env.localMu.Unlock()
-	return nil
-}
-
-// flushSlabs sends the slab built for every blocked out-edge of the actor.
-func (env *execEnv) flushSlabs(a dataflow.ActorID, sendSlab map[dataflow.EdgeID][]byte) error {
-	g := env.g
-	for _, eid := range g.Out(a) {
-		r, ok := env.remotes[eid]
-		if !ok || env.plan.edgeBlock(eid) <= 1 {
-			continue
+	if !s.dynamic && len(payload) != s.bmax {
+		padded := make([]byte, s.bmax)
+		copy(padded, payload)
+		payload = padded
+	}
+	if s.local() {
+		if private {
+			payload = append([]byte(nil), payload...)
 		}
-		if err := r.tx.Send(sendSlab[eid]); err != nil {
-			return fmt.Errorf("spi: actor %s send %s: %w", g.Actor(a).Name, g.Edge(eid).Name, err)
-		}
+		s.queue = append(s.queue, payload)
+		return nil
+	}
+	if s.tail != nil {
+		s.tail.push(payload)
+	}
+	if err := s.tx.Send(payload); err != nil {
+		return fmt.Errorf("send: %w", err)
 	}
 	return nil
 }
 
-// checkBlockedMapping verifies that blocked execution of this mapping
-// cannot deadlock: within one block an actor consumes all n inputs before
-// any output becomes visible, and a processor fires its actors' blocks in
-// schedule order, so the graph of same-block dependencies — non-decoupling
-// dataflow edges (dataflow.BlockDecouples) plus each processor's sequential
-// order chain — must be acyclic. This subsumes g.CheckBlock for mapped
-// execution: sequentialization can create cycles the dataflow graph alone
-// does not have.
-func checkBlockedMapping(g *dataflow.Graph, m *sched.Mapping, q dataflow.Repetitions, block int) error {
-	n := g.NumActors()
-	indeg := make([]int, n)
-	succ := make([][]dataflow.ActorID, n)
-	add := func(u, v dataflow.ActorID) {
-		succ[u] = append(succ[u], v)
-		indeg[v]++
+// stats reports the deployment's run so far.
+func (env *execEnv) stats(iterations int) *ExecStats {
+	st := &ExecStats{
+		Iterations:   iterations,
+		SPI:          env.rt.TotalStats(),
+		Edges:        env.rt.AllStats(),
+		ActorFirings: map[string]int{},
 	}
-	for _, eid := range g.Edges() {
-		if g.BlockDecouples(q, eid, block) {
-			continue
-		}
-		e := g.Edge(eid)
-		add(e.Src, e.Snk)
+	for pi := range env.procs {
+		st.LocalTransfers += env.procs[pi].localTransfers
 	}
-	for p := 0; p < m.NumProcs; p++ {
-		order := m.Order[p]
-		for i := 1; i < len(order); i++ {
-			add(order[i-1], order[i])
-		}
-	}
-	queue := make([]dataflow.ActorID, 0, n)
-	for a := 0; a < n; a++ {
-		if indeg[a] == 0 {
-			queue = append(queue, dataflow.ActorID(a))
-		}
-	}
-	done := 0
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		done++
-		for _, w := range succ[v] {
-			if indeg[w]--; indeg[w] == 0 {
-				queue = append(queue, w)
-			}
-		}
-	}
-	if done == n {
-		return nil
-	}
-	var stuck []string
-	for a := 0; a < n; a++ {
-		if indeg[a] > 0 {
-			stuck = append(stuck, g.Actor(dataflow.ActorID(a)).Name)
-		}
-	}
-	return fmt.Errorf("spi: block %d deadlocks on this mapping: dependency cycle through {%s} (dataflow edges plus processor schedule order) lacks a delay covering a whole block",
-		block, strings.Join(stuck, ", "))
+	env.eachActor(func(_ *procPlan, a *actorSlot) { st.ActorFirings[a.name] = int(a.fired.Load()) })
+	return st
 }
 
 // Execute runs the mapped graph for the given iteration count. Every actor
@@ -584,74 +539,13 @@ func Execute(g *dataflow.Graph, m *sched.Mapping, kernels map[dataflow.ActorID]K
 // vec.Block: B consecutive iterations fire per super-iteration and every
 // block-aligned interprocessor edge moves its B tokens as one packed slab,
 // paying headers, credits, and acks once per block. Outputs are
-// bit-identical to the scalar run. vec.Block <= 1 is Execute exactly.
+// bit-identical to the scalar run. vec.Block <= 1 is Execute exactly. It is
+// ExecuteDistributed with every processor on the one node.
 func ExecuteBlocked(g *dataflow.Graph, m *sched.Mapping, kernels map[dataflow.ActorID]Kernel, iterations int, vec VecOptions) (*ExecStats, error) {
-	if err := m.Validate(g); err != nil {
-		return nil, err
-	}
-	if iterations <= 0 {
-		return nil, fmt.Errorf("spi: iterations = %d", iterations)
-	}
-	for _, a := range g.Actors() {
-		if kernels[a] == nil && (vec.Block <= 1 || vec.Kernels[a] == nil) {
-			return nil, fmt.Errorf("spi: actor %s has no kernel", g.Actor(a).Name)
-		}
-	}
-	plan, err := newGraphPlan(g, vec.Block)
-	if err != nil {
-		return nil, err
-	}
-	if plan.block > 1 {
-		if err := checkBlockedMapping(g, m, plan.q, plan.block); err != nil {
-			return nil, err
-		}
-	}
-
-	env := &execEnv{
-		g: g, m: m, kernels: kernels, vkernels: vec.Kernels, plan: plan,
-		rt:      NewRuntime(),
-		remotes: map[dataflow.EdgeID]remotePair{},
-		locals:  map[dataflow.EdgeID][][]byte{},
-	}
-	for _, eid := range g.Edges() {
-		e := g.Edge(eid)
-		if m.Proc[e.Src] == m.Proc[e.Snk] {
-			// Preload local queues with delay payloads (empty blocks).
-			var pre [][]byte
-			for i := 0; i < plan.delayIters(eid); i++ {
-				pre = append(pre, nil)
-			}
-			env.locals[eid] = pre
-			continue
-		}
-		cfg := plan.edgeConfig(eid)
-		tx, rx, err := env.rt.Init(cfg)
-		if err != nil {
-			return nil, err
-		}
-		env.remotes[eid] = remotePair{tx: tx, rx: rx}
-		// Initial delays: preload the edge with empty messages.
-		if err := plan.preload(tx, eid, cfg); err != nil {
-			return nil, err
-		}
-	}
-
-	procs := make([]int, m.NumProcs)
-	for p := range procs {
-		procs[p] = p
-	}
-	env.initFirings(procs, nil)
-	procErrs, wdErr := env.runWatched(procs, iterations, watchConfig{
-		stall: vec.StallTimeout, ctx: vec.Context, o: vec.Obs,
+	return ExecuteDistributed(g, m, kernels, iterations, DistOptions{
+		// One address is one node; with no peer it is never listened on.
+		Addrs: []string{"local"}, NodeOf: make([]int, m.NumProcs),
+		Block: vec.Block, VectorKernels: vec.Kernels,
+		StallTimeout: vec.StallTimeout, Context: vec.Context, Obs: vec.Obs,
 	})
-	if err := watchVerdict(collapseErrs(procErrs), wdErr); err != nil {
-		return nil, err
-	}
-	return &ExecStats{
-		Iterations:     iterations,
-		SPI:            env.rt.TotalStats(),
-		Edges:          env.rt.AllStats(),
-		ActorFirings:   env.firingSnapshot(),
-		LocalTransfers: env.localTransfers,
-	}, nil
 }

@@ -4,8 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 	"time"
 
 	"repro/internal/dataflow"
@@ -18,11 +17,11 @@ import (
 // from a self-contained PartitionSpec, without the graph, the mapping, or
 // the VTS analysis. The coordinator (internal/orch) extracts the spec
 // from the full plan and ships it over the control plane; the worker
-// rebuilds exactly the execution environment ExecuteDistributed would
-// have built for the same processors — same edge configs, same payload
-// padding, same receive order, same preloaded delays — so any placement
-// of the processors over any number of workers produces bit-identical
-// kernel inputs.
+// lowers it (lowerPartition) to exactly the execEnv lowerGraph would have
+// built for the same processors — same edge configs, same payload bounds,
+// same receive order, same preloaded delays — and opens and fires it
+// through the same open and run, so any placement of the processors over
+// any number of workers produces bit-identical kernel inputs.
 //
 // A spec additionally carries resumption state: BaseIter offsets the
 // iteration numbers the kernels see, Preload holds the in-flight tokens
@@ -174,182 +173,104 @@ type PartOptions struct {
 	Obs *obs.Observer
 }
 
-// partEnv is the partition-local execution environment, the spec-driven
-// image of execEnv. It is built once per OpenPartition and stays resident
-// across every Run of the deployment.
-type partEnv struct {
-	spec    *PartitionSpec
-	kernels map[string]Kernel
-	edges   map[uint16]*PartEdge
-	rt      *Runtime
-
-	remotes map[uint16]remotePair
-	locals  map[uint16][][]byte
-	localMu sync.Mutex
-
-	// tails holds, per delayed cross-processor edge produced here, the
-	// last Delay payloads sent. Each ring is written only by the edge's
-	// producing processor and read only between runs.
-	tails map[uint16]*tailRing
-	procs []partProc
-}
-
-// partProc is one hosted processor's resident firing state: the kernel
-// input map and receive buffers it reuses, and the last run's counters.
-type partProc struct {
-	in      map[dataflow.EdgeID][]byte
-	recvBuf map[uint16][]byte
-	fired   []int // per actor, in schedule order
-	busy    int64
-}
-
-// tailRing keeps the last depth payloads pushed, oldest first, in buffers
-// it reuses: a payload may alias a kernel buffer the next firing overwrites.
-type tailRing struct {
-	depth int
-	q     [][]byte
-}
-
-func (t *tailRing) push(payload []byte) {
-	if len(t.q) < t.depth {
-		t.q = append(t.q, append([]byte(nil), payload...))
-		return
-	}
-	oldest := t.q[0]
-	copy(t.q, t.q[1:])
-	t.q[len(t.q)-1] = append(oldest[:0], payload...)
-}
-
-func (env *partEnv) pad(e *PartEdge, payload []byte) ([]byte, error) {
-	if len(payload) > int(e.Bytes) {
-		return nil, fmt.Errorf("spi: kernel produced %d bytes on edge %s, bound %d",
-			len(payload), e.Name, e.Bytes)
-	}
-	if e.Mode == uint8(Static) && len(payload) != int(e.Bytes) {
-		out := make([]byte, e.Bytes)
-		copy(out, payload)
-		return out, nil
-	}
-	return payload, nil
-}
-
-// runPartProc is one processor's firing loop, the spec-driven image of
-// execEnv.runProc: same receive order, same padding, same buffer-reuse
-// and copy discipline, so kernels see byte-identical inputs.
-func (env *partEnv) runPartProc(pi, baseIter, n int) error {
-	proc, pp := &env.spec.Procs[pi], &env.procs[pi]
-	in, recvBuf := pp.in, pp.recvBuf
-	clear(pp.fired)
-	var busy int64
-	defer func() { pp.busy = busy }()
-	for iter := baseIter; iter < baseIter+n; iter++ {
-		for ai := range proc.Actors {
-			a := &proc.Actors[ai]
-			clear(in)
-			remoteIn := false
-			for _, id := range a.In {
-				e := env.edges[id]
-				if r, ok := env.remotes[id]; ok {
-					payload, err := r.rx.ReceiveInto(recvBuf[id])
-					if err != nil {
-						return fmt.Errorf("spi: actor %s recv %s: %w", a.Name, e.Name, err)
-					}
-					in[dataflow.EdgeID(id)] = payload
-					recvBuf[id] = payload
-					remoteIn = true
-					continue
-				}
-				env.localMu.Lock()
-				queue := env.locals[id]
-				if len(queue) == 0 {
-					env.localMu.Unlock()
-					return fmt.Errorf("spi: actor %s local underflow on %s (partition bug)", a.Name, e.Name)
-				}
-				in[dataflow.EdgeID(id)] = queue[0]
-				env.locals[id] = queue[1:]
-				env.localMu.Unlock()
-			}
-			start := time.Now()
-			out, err := env.kernels[a.Name](iter, in)
-			busy += time.Since(start).Nanoseconds()
-			if err != nil {
-				return fmt.Errorf("spi: actor %s iteration %d: %w", a.Name, iter, err)
-			}
-			for _, id := range a.Out {
-				e := env.edges[id]
-				payload, err := env.pad(e, out[dataflow.EdgeID(id)])
-				if err != nil {
-					return err
-				}
-				if r, ok := env.remotes[id]; ok {
-					if t := env.tails[id]; t != nil {
-						t.push(payload)
-					}
-					if err := r.tx.Send(payload); err != nil {
-						return fmt.Errorf("spi: actor %s send %s: %w", a.Name, e.Name, err)
-					}
-					continue
-				}
-				if remoteIn {
-					payload = append([]byte(nil), payload...)
-				}
-				env.localMu.Lock()
-				env.locals[id] = append(env.locals[id], payload)
-				env.localMu.Unlock()
-			}
-			pp.fired[ai]++
-		}
-	}
-	return nil
-}
-
-func validatePartition(spec *PartitionSpec, kernels map[string]Kernel) error {
-	if spec.Iterations <= 0 {
-		return fmt.Errorf("spi: partition iterations = %d", spec.Iterations)
-	}
-	if spec.BaseIter < 0 {
-		return fmt.Errorf("spi: partition base iteration = %d", spec.BaseIter)
-	}
-	if len(spec.Procs) == 0 {
-		return errors.New("spi: partition hosts no processors")
-	}
-	if spec.Node < 0 || spec.Workers < 1 || spec.Node >= spec.Workers {
-		return fmt.Errorf("spi: partition node %d of %d workers", spec.Node, spec.Workers)
-	}
-	seen := map[uint16]bool{}
-	for i := range spec.Edges {
-		e := &spec.Edges[i]
-		if seen[e.ID] {
-			return fmt.Errorf("spi: partition declares edge %d twice", e.ID)
-		}
-		seen[e.ID] = true
-		if !e.SameProc && !e.Out && !e.In {
-			return fmt.Errorf("spi: partition edge %s has no hosted endpoint", e.Name)
-		}
-		if crossesWorkers(e) && (e.Peer < 0 || e.Peer >= spec.Workers || e.Peer == spec.Node) {
-			return fmt.Errorf("spi: partition edge %s names peer worker %d of %d", e.Name, e.Peer, spec.Workers)
-		}
-	}
-	for pi := range spec.Procs {
-		for ai := range spec.Procs[pi].Actors {
-			a := &spec.Procs[pi].Actors[ai]
-			if kernels[a.Name] == nil {
-				return fmt.Errorf("spi: actor %s has no kernel", a.Name)
-			}
-			for _, id := range append(append([]uint16{}, a.In...), a.Out...) {
-				if !seen[id] {
-					return fmt.Errorf("spi: actor %s references undeclared edge %d", a.Name, id)
-				}
-			}
-		}
-	}
-	return nil
-}
-
 // crossesWorkers reports whether an edge has exactly one endpoint on this
 // worker, i.e. rides a link to a peer.
 func crossesWorkers(e *PartEdge) bool {
 	return !e.SameProc && (e.Out != e.In)
+}
+
+// lowerPartition validates a spec and compiles it into the execEnv its
+// worker runs: the spec-side twin of lowerGraph, always at block 1. A
+// delayed cross-processor edge produced here gets a tailRing, the
+// checkpoint hook on its out-slot, seeded with the spec's preload.
+func lowerPartition(spec *PartitionSpec, kernels map[string]Kernel) (*execEnv, error) {
+	if spec.Iterations <= 0 {
+		return nil, fmt.Errorf("spi: partition iterations = %d", spec.Iterations)
+	}
+	if spec.BaseIter < 0 {
+		return nil, fmt.Errorf("spi: partition base iteration = %d", spec.BaseIter)
+	}
+	if len(spec.Procs) == 0 {
+		return nil, errors.New("spi: partition hosts no processors")
+	}
+	if spec.Node < 0 || spec.Workers < 1 || spec.Node >= spec.Workers {
+		return nil, fmt.Errorf("spi: partition node %d of %d workers", spec.Node, spec.Workers)
+	}
+	env := &execEnv{node: spec.Node, block: 1, rt: NewRuntime(), timed: true,
+		edges: make([]edgeSlot, len(spec.Edges)), procs: make([]procPlan, len(spec.Procs))}
+	slots := make(map[uint16]*edgeSlot, len(spec.Edges))
+	for i := range spec.Edges {
+		e := &spec.Edges[i]
+		if slots[e.ID] != nil {
+			return nil, fmt.Errorf("spi: partition declares edge %d twice", e.ID)
+		}
+		if !e.SameProc && !e.Out && !e.In {
+			return nil, fmt.Errorf("spi: partition edge %s has no hosted endpoint", e.Name)
+		}
+		if crossesWorkers(e) && (e.Peer < 0 || e.Peer >= spec.Workers || e.Peer == spec.Node) {
+			return nil, fmt.Errorf("spi: partition edge %s names peer worker %d of %d", e.Name, e.Peer, spec.Workers)
+		}
+		s := &env.edges[i]
+		slots[e.ID] = s
+		*s = edgeSlot{id: dataflow.EdgeID(e.ID), name: e.Name, bmax: int(e.Bytes),
+			dynamic: Mode(e.Mode) == Dynamic, block: 1, peer: -1}
+		if e.SameProc {
+			// The local queue itself is the in-flight state.
+			s.queue = clonePayloads(spec.Preload[e.ID])
+			continue
+		}
+		s.cfg = EdgeConfig{ID: EdgeID(e.ID), Name: e.Name, Mode: Mode(e.Mode),
+			Protocol: Protocol(e.Protocol), Capacity: int(e.Capacity)}
+		if s.dynamic {
+			s.cfg.MaxBytes = s.bmax
+		} else {
+			s.cfg.PayloadBytes = s.bmax
+		}
+		s.out, s.in = e.Out, e.In
+		if crossesWorkers(e) {
+			s.peer = e.Peer
+			if spec.Resync && e.SuppressAck {
+				env.resync = append(env.resync, e.ID)
+			}
+		}
+		if e.Out {
+			s.preload = spec.Preload[e.ID]
+			if e.Delay > 0 {
+				s.tail = &tailRing{depth: int(e.Delay)}
+				for _, p := range s.preload {
+					s.tail.push(p)
+				}
+			}
+		}
+	}
+	slices.Sort(env.resync)
+
+	pick := func(actor string, ids []uint16) ([]*edgeSlot, error) {
+		out := make([]*edgeSlot, len(ids))
+		for i, id := range ids {
+			if out[i] = slots[id]; out[i] == nil {
+				return nil, fmt.Errorf("spi: actor %s references undeclared edge %d", actor, id)
+			}
+		}
+		return out, nil
+	}
+	for pi := range spec.Procs {
+		sp := &spec.Procs[pi]
+		env.procs[pi] = procPlan{proc: sp.Proc, actors: make([]actorSlot, len(sp.Actors)),
+			in: map[dataflow.EdgeID][]byte{}}
+		for ai := range sp.Actors {
+			a, as := &sp.Actors[ai], &env.procs[pi].actors[ai]
+			as.name, as.kernel = a.Name, kernels[a.Name]
+			var err error
+			if as.in, err = pick(a.Name, a.In); err != nil {
+				return nil, err
+			}
+			if as.out, err = pick(a.Name, a.Out); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return env, env.checkKernels()
 }
 
 // PartitionRun is one worker's standing deployment of a partition: the
@@ -357,12 +278,10 @@ func crossesWorkers(e *PartEdge) bool {
 // peer workers, the kernels and the actor state, all set up once by
 // OpenPartition and reused by every Run until Close.
 type PartitionRun struct {
-	env        *partEnv
-	opts       PartOptions
-	links      map[int]*transport.Link
-	stopResume func()
-	stopWatch  func() bool
-	fails      *peerFails
+	env       *execEnv
+	spec      *PartitionSpec
+	opts      PartOptions
+	stopWatch func() bool
 }
 
 // OpenPartition sets up one worker's partition from its self-contained
@@ -375,28 +294,10 @@ type PartitionRun struct {
 // opts.Context at any point aborts the deployment — blocked actors are
 // released and the links torn down — and the caller still owes a Close.
 func OpenPartition(spec *PartitionSpec, kernels map[string]Kernel, opts PartOptions) (*PartitionRun, error) {
-	if err := validatePartition(spec, kernels); err != nil {
+	env, err := lowerPartition(spec, kernels)
+	if err != nil {
 		return nil, err
 	}
-	env := &partEnv{
-		spec:    spec,
-		kernels: kernels,
-		edges:   map[uint16]*PartEdge{},
-		rt:      NewRuntime(),
-		remotes: map[uint16]remotePair{},
-		locals:  map[uint16][][]byte{},
-		tails:   map[uint16]*tailRing{},
-		procs:   make([]partProc, len(spec.Procs)),
-	}
-	env.rt.SetObserver(opts.Obs)
-	for pi := range spec.Procs {
-		env.procs[pi] = partProc{
-			in:      map[dataflow.EdgeID][]byte{},
-			recvBuf: map[uint16][]byte{},
-			fired:   make([]int, len(spec.Procs[pi].Actors)),
-		}
-	}
-
 	// Restore checkpointed actor state before any firing.
 	for name, hooks := range opts.State {
 		if hooks.Restore == nil {
@@ -406,123 +307,21 @@ func OpenPartition(spec *PartitionSpec, kernels map[string]Kernel, opts PartOpti
 			return nil, fmt.Errorf("spi: restore state of actor %s: %w", name, err)
 		}
 	}
-
-	// Classify edges and initialize runtime edges before any link comes
-	// up, so inbound DATA always finds its queue.
-	type outEdge struct {
-		e  *PartEdge
-		tx *Sender
-	}
-	peers := map[int]*peerPlan{}
-	var outs []outEdge
-	var resyncIDs []uint16
-	for i := range spec.Edges {
-		e := &spec.Edges[i]
-		env.edges[e.ID] = e
-		if e.SameProc {
-			// The local queue itself is the in-flight state.
-			env.locals[e.ID] = clonePayloads(spec.Preload[e.ID])
-			continue
-		}
-		cfg := EdgeConfig{ID: EdgeID(e.ID), Name: e.Name, Mode: Mode(e.Mode),
-			Protocol: Protocol(e.Protocol), Capacity: int(e.Capacity)}
-		if cfg.Mode == Dynamic {
-			cfg.MaxBytes = int(e.Bytes)
-		} else {
-			cfg.PayloadBytes = int(e.Bytes)
-		}
-		tx, rx, err := env.rt.Init(cfg)
-		if err != nil {
-			return nil, err
-		}
-		env.remotes[e.ID] = remotePair{tx: tx, rx: rx}
-		if e.Out {
-			outs = append(outs, outEdge{e: e, tx: tx})
-			if e.Delay > 0 {
-				t := &tailRing{depth: int(e.Delay)}
-				for _, p := range spec.Preload[e.ID] {
-					t.push(p)
-				}
-				env.tails[e.ID] = t
-			}
-		}
-		if crossesWorkers(e) {
-			pp := peers[e.Peer]
-			if pp == nil {
-				pp = &peerPlan{}
-				peers[e.Peer] = pp
-			}
-			pp.decls = append(pp.decls, transport.EdgeDecl{
-				ID: e.ID, Mode: e.Mode, Out: e.Out, Bytes: e.Bytes,
-				Protocol: e.Protocol, Capacity: e.Capacity,
-			})
-			pp.ids = append(pp.ids, EdgeID(e.ID))
-			if spec.Resync && e.SuppressAck {
-				resyncIDs = append(resyncIDs, e.ID)
-			}
-		}
-	}
-	sort.Slice(resyncIDs, func(i, j int) bool { return resyncIDs[i] < resyncIDs[j] })
-
-	// Establish the data links, reusing the distributed-run connect
-	// logic: dial lower-numbered workers, accept higher-numbered ones,
-	// keep the listener routing RESUME frames while reconnection is on.
-	pr := &PartitionRun{env: env, opts: opts, fails: &peerFails{}}
-	var err error
-	pr.links, pr.stopResume, err = connectPeers(env.rt, peers, pr.fails, DistOptions{
+	err = env.open(DistOptions{
 		Transport: opts.Transport, Node: spec.Node, Addrs: spec.Addrs,
 		Listener: opts.Listener, Retry: opts.Retry, Context: opts.Context,
 		Reconnect: opts.Reconnect, Heartbeat: opts.Heartbeat,
 		PeerTimeout: opts.PeerTimeout, SendTimeout: opts.SendTimeout,
-		Obs: opts.Obs, resyncEdges: resyncIDs,
+		Obs: opts.Obs,
 	})
 	if err != nil {
 		return nil, err
 	}
-	// A cancelled context unwinds every blocked actor: closing the runtime
-	// edges releases those parked on a queue, aborting the links those
-	// parked in a link write.
+	pr := &PartitionRun{env: env, spec: spec, opts: opts}
 	if opts.Context != nil {
-		pr.stopWatch = context.AfterFunc(opts.Context, pr.abort)
-	}
-
-	// Bind cross-worker edges, then replay the in-flight tokens —
-	// sender-side only, so each token crosses the wire exactly once.
-	for i := range spec.Edges {
-		e := &spec.Edges[i]
-		if !crossesWorkers(e) {
-			continue
-		}
-		link := pr.links[e.Peer]
-		if e.Out {
-			err = env.rt.BindRemoteSender(EdgeID(e.ID), link)
-		} else {
-			err = env.rt.BindRemoteReceiver(EdgeID(e.ID), link)
-		}
-		if err != nil {
-			pr.Close(false)
-			return nil, err
-		}
-	}
-	for _, oe := range outs {
-		pre := spec.Preload[oe.e.ID]
-		if len(pre) == 0 {
-			continue
-		}
-		if err := oe.tx.SendBatch(pre); err != nil {
-			pr.Close(false)
-			return nil, fmt.Errorf("spi: preload edge %s: %w", oe.e.Name, err)
-		}
+		pr.stopWatch = context.AfterFunc(opts.Context, env.release)
 	}
 	return pr, nil
-}
-
-// abort releases every actor of the deployment, wherever it is blocked.
-func (pr *PartitionRun) abort() {
-	pr.env.rt.CloseAll()
-	for _, l := range pr.links {
-		l.Abort()
-	}
 }
 
 // Run fires iterations baseIter..baseIter+n-1 on the standing environment
@@ -536,26 +335,13 @@ func (pr *PartitionRun) Run(baseIter, n int) (*PartResult, error) {
 		return nil, fmt.Errorf("spi: partition run of %d iterations from %d", n, baseIter)
 	}
 	env := pr.env
-	errs := make([]error, len(env.procs))
-	var wg sync.WaitGroup
-	for pi := range env.procs {
-		wg.Add(1)
-		go func(pi int) {
-			defer wg.Done()
-			errs[pi] = env.runPartProc(pi, baseIter, n)
-			if errs[pi] != nil {
-				env.rt.CloseAll()
-			}
-		}(pi)
-	}
-	wg.Wait()
-	runErr := collapseErrs(errs)
+	runErr := collapseErrs(env.run(baseIter, n))
 	if ctx := pr.opts.Context; ctx != nil && ctx.Err() != nil {
 		runErr = ctx.Err()
 	}
 	if runErr != nil {
-		if cause := pr.fails.first(); cause != nil && errors.Is(runErr, ErrClosed) {
-			return nil, fmt.Errorf("spi: worker %d: %w (link failure: %v)", env.spec.Node, runErr, cause)
+		if cause := env.fails.first(); cause != nil && errors.Is(runErr, ErrClosed) {
+			return nil, fmt.Errorf("spi: worker %d: %w (link failure: %v)", env.node, runErr, cause)
 		}
 		return nil, runErr
 	}
@@ -568,16 +354,16 @@ func (pr *PartitionRun) Run(baseIter, n int) (*PartResult, error) {
 	}
 	for pi := range env.procs {
 		res.ProcNS[pi] = env.procs[pi].busy
-		for ai, fired := range env.procs[pi].fired {
-			res.Firings[env.spec.Procs[pi].Actors[ai].Name] = fired
-		}
 	}
-	for id, t := range env.tails {
-		res.Tails[id] = clonePayloads(t.q)
-	}
-	for id, e := range env.edges {
-		if e.SameProc && e.Delay > 0 {
-			res.Tails[id] = clonePayloads(env.locals[id])
+	env.eachActor(func(_ *procPlan, a *actorSlot) { res.Firings[a.name] = int(a.fired.Load()) })
+	for i := range pr.spec.Edges {
+		// The in-flight tokens of a delayed edge produced here: the last
+		// Delay payloads sent, or what its local queue holds.
+		switch e, s := &pr.spec.Edges[i], &env.edges[i]; {
+		case s.tail != nil:
+			res.Tails[e.ID] = clonePayloads(s.tail.q)
+		case e.SameProc && e.Delay > 0:
+			res.Tails[e.ID] = clonePayloads(s.queue)
 		}
 	}
 	for name, hooks := range pr.opts.State {
@@ -595,17 +381,7 @@ func (pr *PartitionRun) Close(graceful bool) {
 	if pr.stopWatch != nil {
 		pr.stopWatch()
 	}
-	if graceful {
-		var wg sync.WaitGroup
-		for _, l := range pr.links {
-			wg.Add(1)
-			go func(l *transport.Link) { defer wg.Done(); l.Close() }(l)
-		}
-		wg.Wait()
-	} else {
-		pr.abort()
-	}
-	pr.stopResume()
+	pr.env.finish(graceful)
 }
 
 // ExecutePartition runs one epoch of a partition as a deployment of its
@@ -692,17 +468,12 @@ func BuildPartitions(g *dataflow.Graph, m *sched.Mapping, workerOf []int, worker
 	for _, eid := range g.Edges() {
 		e := g.Edge(eid)
 		srcW, snkW := workerOf[m.Proc[e.Src]], workerOf[m.Proc[e.Snk]]
-		cfg := plan.edgeConfig(eid)
+		decl := declFor(plan.edgeConfig(eid), false)
 		_, suppress := rp.Suppressed[eid]
 		pe := PartEdge{
-			ID: uint16(eid), Name: e.Name, Mode: uint8(cfg.Mode),
-			Protocol: uint8(cfg.Protocol), Capacity: uint32(cfg.Capacity),
+			ID: decl.ID, Name: e.Name, Mode: decl.Mode, Bytes: decl.Bytes,
+			Protocol: decl.Protocol, Capacity: decl.Capacity,
 			Delay: uint32(plan.delayIters(eid)), Peer: -1, SuppressAck: suppress,
-		}
-		if cfg.Mode == Dynamic {
-			pe.Bytes = uint32(cfg.MaxBytes)
-		} else {
-			pe.Bytes = uint32(cfg.PayloadBytes)
 		}
 		if m.Proc[e.Src] == m.Proc[e.Snk] {
 			pe.SameProc = true

@@ -1,15 +1,17 @@
 package spi
 
 import (
-	"fmt"
-
 	"repro/internal/dataflow"
+	"repro/internal/sched"
 	"repro/internal/vts"
 )
 
-// Shared edge planning for the functional executors (Execute and
-// ExecuteDistributed): VTS conversion, buffer bounds, and the per-edge
-// mode/protocol/capacity selection — the compile-time half of SPI_init.
+// Edge planning and the graph lowering of the executor core: VTS
+// conversion, buffer bounds, and the per-edge mode/protocol/capacity
+// selection — the compile-time half of SPI_init — and lowerGraph, which
+// compiles one node's share of a mapped graph into the execEnv every
+// execution mode runs (execute.go). BuildPartitions stamps the same edge
+// plans into PartitionSpecs, whose lowering is lowerPartition.
 
 type graphPlan struct {
 	g      *dataflow.Graph
@@ -37,11 +39,6 @@ func newGraphPlan(g *dataflow.Graph, block int) (*graphPlan, error) {
 	}
 	if block < 1 {
 		block = 1
-	}
-	if block > 1 {
-		if err := g.CheckBlock(block); err != nil {
-			return nil, err
-		}
 	}
 	return &graphPlan{g: g, conv: conv, bounds: bounds, q: q, block: block}, nil
 }
@@ -105,52 +102,109 @@ func (p *graphPlan) edgeConfig(eid dataflow.EdgeID) EdgeConfig {
 	return cfg
 }
 
-// pad enforces the VTS bound and zero-pads short static payloads to the
-// fixed transfer size.
-func (p *graphPlan) pad(eid dataflow.EdgeID, payload []byte) ([]byte, error) {
-	info := p.conv.Info(eid)
-	if int64(len(payload)) > info.BMax {
-		return nil, fmt.Errorf("spi: kernel produced %d bytes on edge %s, bound %d",
-			len(payload), p.g.Edge(eid).Name, info.BMax)
-	}
-	if !info.Dynamic && int64(len(payload)) != info.BMax {
-		out := make([]byte, info.BMax)
-		copy(out, payload)
-		return out, nil
-	}
-	return payload, nil
-}
-
-// preload sends an edge's initial-delay messages (empty blocks) through
-// its sender so iteration 0 finds its tokens, mirroring the channel
-// preloading of the platform lowering. The burst goes out as one
-// SendBatch so a write-coalescing link ships all delay tokens in a
-// single flush. On a blocked edge the delay goes out as delay/B full
-// slabs of B empty tokens — the slab-level image of the scalar preload.
-func (p *graphPlan) preload(tx *Sender, eid dataflow.EdgeID, cfg EdgeConfig) error {
+// preload builds an edge's initial-delay messages (empty blocks), which
+// open sends through the edge's sender so iteration 0 finds its tokens,
+// mirroring the channel preloading of the platform lowering. On a blocked
+// edge the delay goes out as delay/B full slabs of B empty tokens — the
+// slab-level image of the scalar preload. Send copies, so all the
+// messages share one buffer.
+func (p *graphPlan) preload(eid dataflow.EdgeID, cfg EdgeConfig) ([][]byte, error) {
 	bf := p.edgeBlock(eid)
 	n := p.delayIters(eid) / bf
 	if n == 0 {
-		return nil
+		return nil, nil
 	}
-	payloads := make([][]byte, n)
+	var msg []byte
 	if bf > 1 {
 		info := p.conv.Info(eid)
-		empty := make([][]byte, bf)
-		slab, err := PackSlab(nil, empty, int(info.BMax), info.Dynamic)
-		if err != nil {
-			return err
-		}
-		// Send copies, so every delay slab can share one buffer.
-		for i := range payloads {
-			payloads[i] = slab
+		var err error
+		if msg, err = PackSlab(nil, make([][]byte, bf), int(info.BMax), info.Dynamic); err != nil {
+			return nil, err
 		}
 	} else if cfg.Mode == Static {
-		// Send copies, so every delay token can share one zero block.
-		blk := make([]byte, cfg.PayloadBytes)
-		for i := range payloads {
-			payloads[i] = blk
+		msg = make([]byte, cfg.PayloadBytes)
+	}
+	payloads := make([][]byte, n)
+	for i := range payloads {
+		payloads[i] = msg
+	}
+	return payloads, nil
+}
+
+// lowerGraph compiles node me's share of a mapped graph — the processors
+// nodeOf places there, every edge touching them — into an execEnv. Actors
+// without an entry in kernels/vkernels get none (PeerDecls lowers for the
+// edge plan alone); checkKernels reports them.
+func lowerGraph(g *dataflow.Graph, m *sched.Mapping, nodeOf []int, me, block int,
+	kernels map[dataflow.ActorID]Kernel, vkernels map[dataflow.ActorID]VectorKernel) (*execEnv, error) {
+	plan, err := newGraphPlan(g, block)
+	if err != nil {
+		return nil, err
+	}
+	if err := g.CheckBlockSchedule(plan.block, m.Order); err != nil {
+		return nil, err
+	}
+	env := &execEnv{node: me, block: plan.block, rt: NewRuntime(),
+		edges: make([]edgeSlot, 0, g.NumEdges()), procs: make([]procPlan, 0, m.NumProcs)}
+	slots := make([]*edgeSlot, g.NumEdges())
+	for _, eid := range g.Edges() {
+		e := g.Edge(eid)
+		srcProc, snkProc := m.Proc[e.Src], m.Proc[e.Snk]
+		srcNode, snkNode := nodeOf[srcProc], nodeOf[snkProc]
+		if srcNode != me && snkNode != me {
+			continue
+		}
+		info := plan.conv.Info(eid)
+		env.edges = append(env.edges, edgeSlot{id: eid, name: e.Name,
+			bmax: int(info.BMax), dynamic: info.Dynamic, block: 1, peer: -1})
+		s := &env.edges[len(env.edges)-1]
+		slots[eid] = s
+		if srcProc == snkProc {
+			// The local queue starts with the delay tokens (empty blocks).
+			s.queue = make([][]byte, plan.delayIters(eid))
+			continue
+		}
+		s.block = plan.edgeBlock(eid)
+		s.cfg = plan.edgeConfig(eid)
+		s.out, s.in = srcNode == me, snkNode == me
+		switch {
+		case !s.out:
+			s.peer = srcNode
+		case !s.in:
+			s.peer = snkNode
+		}
+		if s.out {
+			// Sender-side only, so the delay tokens cross a wire once.
+			if s.preload, err = plan.preload(eid, s.cfg); err != nil {
+				return nil, err
+			}
 		}
 	}
-	return tx.SendBatch(payloads)
+	pick := func(ids []dataflow.EdgeID) []*edgeSlot {
+		out := make([]*edgeSlot, len(ids))
+		for i, eid := range ids {
+			out[i] = slots[eid]
+		}
+		return out
+	}
+	for p := 0; p < m.NumProcs; p++ {
+		if nodeOf[p] != me {
+			continue
+		}
+		pp := procPlan{proc: p, actors: make([]actorSlot, len(m.Order[p])),
+			in: map[dataflow.EdgeID][]byte{}}
+		if plan.block > 1 {
+			pp.vecIn = map[dataflow.EdgeID][][]byte{}
+		}
+		for i, a := range m.Order[p] {
+			as := &pp.actors[i]
+			as.name, as.kernel = g.Actor(a).Name, kernels[a]
+			if plan.block > 1 {
+				as.vkernel = vkernels[a]
+			}
+			as.in, as.out = pick(g.In(a)), pick(g.Out(a))
+		}
+		env.procs = append(env.procs, pp)
+	}
+	return env, nil
 }

@@ -77,13 +77,10 @@ func (r *Runtime) BindRemoteReceiver(id EdgeID, link MessageLink) error {
 }
 
 func (r *Runtime) lookup(id EdgeID) (*edge, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.edges[id]
-	if !ok {
-		return nil, fmt.Errorf("spi: edge %d not initialized", id)
+	if e := r.edge(id); e != nil {
+		return e, nil
 	}
-	return e, nil
+	return nil, fmt.Errorf("spi: edge %d not initialized", id)
 }
 
 // DeliverData injects one wire message into the edge's receive queue —
@@ -92,10 +89,8 @@ func (r *Runtime) lookup(id EdgeID) (*edge, error) {
 // against a misbehaving peer, and network input must never panic the
 // runtime.
 func (r *Runtime) DeliverData(edge uint16, msg []byte) {
-	r.mu.Lock()
-	e, ok := r.edges[EdgeID(edge)]
-	r.mu.Unlock()
-	if !ok {
+	e := r.edge(EdgeID(edge))
+	if e == nil {
 		return
 	}
 	// Copy into a pooled buffer: the transport layer reuses its read
@@ -120,10 +115,8 @@ func (r *Runtime) DeliverData(edge uint16, msg []byte) {
 // the remote receiver, unblocking a BBS sender waiting on its window and
 // advancing the UBS Outstanding bookkeeping.
 func (r *Runtime) DeliverAck(edge uint16, count uint32) {
-	r.mu.Lock()
-	e, ok := r.edges[EdgeID(edge)]
-	r.mu.Unlock()
-	if !ok {
+	e := r.edge(EdgeID(edge))
+	if e == nil {
 		return
 	}
 	e.mu.Lock()
@@ -148,15 +141,7 @@ func (r *Runtime) CloseEdges(ids []EdgeID) {
 // receivers drain the already-queued messages first. Unknown edges are
 // ignored for the same reason DeliverData drops them.
 func (r *Runtime) CloseEdge(id EdgeID) {
-	r.mu.Lock()
-	e, ok := r.edges[id]
-	r.mu.Unlock()
-	if !ok {
-		return
+	if e := r.edge(id); e != nil {
+		e.close()
 	}
-	e.mu.Lock()
-	e.closed = true
-	e.closedBit.Store(true)
-	e.cond.Broadcast()
-	e.mu.Unlock()
 }

@@ -259,15 +259,42 @@ func (r *Runtime) Init(cfg EdgeConfig) (*Sender, *Receiver, error) {
 
 // Stats returns a snapshot of an edge's statistics.
 func (r *Runtime) Stats(id EdgeID) (EdgeStats, bool) {
-	r.mu.Lock()
-	e, ok := r.edges[id]
-	r.mu.Unlock()
-	if !ok {
+	e := r.edge(id)
+	if e == nil {
 		return EdgeStats{}, false
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.stats, true
+}
+
+// edge looks an edge up by ID, nil when it was never initialized.
+func (r *Runtime) edge(id EdgeID) *edge {
+	r.mu.Lock()
+	e := r.edges[id]
+	r.mu.Unlock()
+	return e
+}
+
+// snapshotEdges returns the runtime's edges in ID order.
+func (r *Runtime) snapshotEdges() []*edge {
+	r.mu.Lock()
+	edges := make([]*edge, 0, len(r.edges))
+	for _, e := range r.edges {
+		edges = append(edges, e)
+	}
+	r.mu.Unlock()
+	sort.Slice(edges, func(i, j int) bool { return edges[i].cfg.ID < edges[j].cfg.ID })
+	return edges
+}
+
+// close marks the edge closed and wakes everything blocked on it.
+func (e *edge) close() {
+	e.mu.Lock()
+	e.closed = true
+	e.closedBit.Store(true)
+	e.cond.Broadcast()
+	e.mu.Unlock()
 }
 
 // EdgeTraffic is one edge's statistics with its identity attached, as
@@ -281,24 +308,21 @@ type EdgeTraffic struct {
 
 // AllStats snapshots every edge's statistics, sorted by edge ID.
 func (r *Runtime) AllStats() []EdgeTraffic {
-	r.mu.Lock()
-	edges := make([]*edge, 0, len(r.edges))
-	for _, e := range r.edges {
-		edges = append(edges, e)
-	}
-	r.mu.Unlock()
+	edges := r.snapshotEdges()
 	out := make([]EdgeTraffic, 0, len(edges))
 	for _, e := range edges {
-		name := e.cfg.Name
-		if name == "" {
-			name = strconv.Itoa(int(e.cfg.ID))
-		}
 		e.mu.Lock()
-		out = append(out, EdgeTraffic{ID: e.cfg.ID, Name: name, Protocol: e.cfg.Protocol, Stats: e.stats})
+		out = append(out, EdgeTraffic{ID: e.cfg.ID, Name: e.displayName(), Protocol: e.cfg.Protocol, Stats: e.stats})
 		e.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
+}
+
+func (e *edge) displayName() string {
+	if e.cfg.Name == "" {
+		return strconv.Itoa(int(e.cfg.ID))
+	}
+	return e.cfg.Name
 }
 
 // CloseAll closes every edge in the runtime, releasing any goroutine
@@ -306,18 +330,8 @@ func (r *Runtime) AllStats() []EdgeTraffic {
 // when one processor of a distributed execution dies, its peers must not
 // wait forever.
 func (r *Runtime) CloseAll() {
-	r.mu.Lock()
-	edges := make([]*edge, 0, len(r.edges))
-	for _, e := range r.edges {
-		edges = append(edges, e)
-	}
-	r.mu.Unlock()
-	for _, e := range edges {
-		e.mu.Lock()
-		e.closed = true
-		e.closedBit.Store(true)
-		e.cond.Broadcast()
-		e.mu.Unlock()
+	for _, e := range r.snapshotEdges() {
+		e.close()
 	}
 }
 
@@ -325,10 +339,8 @@ func (r *Runtime) CloseAll() {
 // edge into its statistics — called by ExecuteDistributed after the run,
 // when the links report how many of the edge's acks rode DATA frames.
 func (r *Runtime) addPiggybacked(id EdgeID, n int64) {
-	r.mu.Lock()
-	e, ok := r.edges[id]
-	r.mu.Unlock()
-	if !ok {
+	e := r.edge(id)
+	if e == nil {
 		return
 	}
 	e.mu.Lock()
@@ -341,10 +353,8 @@ func (r *Runtime) addPiggybacked(id EdgeID, n int64) {
 // optimistically, so the n acks the link swallowed are moved out of the
 // wire-traffic columns into AcksSuppressed.
 func (r *Runtime) addSuppressed(id EdgeID, n int64) {
-	r.mu.Lock()
-	e, ok := r.edges[id]
-	r.mu.Unlock()
-	if !ok {
+	e := r.edge(id)
+	if e == nil {
 		return
 	}
 	e.mu.Lock()
@@ -356,14 +366,8 @@ func (r *Runtime) addSuppressed(id EdgeID, n int64) {
 
 // TotalStats sums statistics across all edges.
 func (r *Runtime) TotalStats() EdgeStats {
-	r.mu.Lock()
-	edges := make([]*edge, 0, len(r.edges))
-	for _, e := range r.edges {
-		edges = append(edges, e)
-	}
-	r.mu.Unlock()
 	var t EdgeStats
-	for _, e := range edges {
+	for _, e := range r.snapshotEdges() {
 		e.mu.Lock()
 		t.Messages += e.stats.Messages
 		t.PayloadBytes += e.stats.PayloadBytes
@@ -608,14 +612,7 @@ func (s *Sender) SendBatch(payloads [][]byte) error {
 
 // Close marks the edge closed. Blocked senders and receivers return
 // ErrClosed; queued messages are discarded.
-func (s *Sender) Close() {
-	e := s.e
-	e.mu.Lock()
-	e.closed = true
-	e.closedBit.Store(true)
-	e.cond.Broadcast()
-	e.mu.Unlock()
-}
+func (s *Sender) Close() { s.e.close() }
 
 // decodePayload validates one dequeued message and appends its payload to
 // dst[:0], recycling the pooled message buffer either way.

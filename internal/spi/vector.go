@@ -156,32 +156,6 @@ func UnpackSlab(slab []byte, min, tokenBytes int, dynamic bool, views [][]byte) 
 // blocked and scalar runs of a graph are required to be bit-identical.
 type VectorKernel func(iter, n int, in map[dataflow.EdgeID][][]byte) (map[dataflow.EdgeID][][]byte, error)
 
-// LiftKernel adapts a scalar Kernel to the VectorKernel signature by firing
-// it once per iteration of the block. Execute does this lifting (with
-// buffer-contract-preserving copies) automatically for actors without a
-// VectorKernel; LiftKernel is for callers composing kernels themselves.
-// Note the scalar buffer-reuse contract does not hold across the lifted
-// call: outputs are copied before the next firing.
-func LiftKernel(k Kernel) VectorKernel {
-	return func(iter, n int, in map[dataflow.EdgeID][][]byte) (map[dataflow.EdgeID][][]byte, error) {
-		out := make(map[dataflow.EdgeID][][]byte)
-		scalarIn := make(map[dataflow.EdgeID][]byte, len(in))
-		for j := 0; j < n; j++ {
-			for eid, toks := range in {
-				scalarIn[eid] = toks[j]
-			}
-			produced, err := k(iter+j, scalarIn)
-			if err != nil {
-				return nil, err
-			}
-			for eid, payload := range produced {
-				out[eid] = append(out[eid], append([]byte(nil), payload...))
-			}
-		}
-		return out, nil
-	}
-}
-
 // VecOptions configures blocked execution for Execute / ExecuteDistributed.
 // The zero value is scalar execution.
 type VecOptions struct {
@@ -202,7 +176,7 @@ type VecOptions struct {
 	// Context, when non-nil, bounds the run: cancellation releases every
 	// blocked actor and the execution returns the context error.
 	Context context.Context
-	// Obs, when non-nil, receives the watchdog's diagnostic dump
-	// (per-edge queue/credit gauges and trace instants on a stall).
+	// Obs, when non-nil, instruments the run as DistOptions.Obs does,
+	// including the watchdog's diagnostic dump on a stall.
 	Obs *obs.Observer
 }

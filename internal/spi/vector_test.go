@@ -267,29 +267,6 @@ func TestExecuteBlockedVectorKernel(t *testing.T) {
 	}
 }
 
-// TestLiftKernel checks the adapter alone: a lifted scalar kernel fires
-// once per iteration and copies its outputs.
-func TestLiftKernel(t *testing.T) {
-	buf := make([]byte, 1) // deliberately reused across firings
-	vk := LiftKernel(func(iter int, in map[dataflow.EdgeID][]byte) (map[dataflow.EdgeID][]byte, error) {
-		buf[0] = byte(iter)
-		return map[dataflow.EdgeID][]byte{3: buf}, nil
-	})
-	out, err := vk(10, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	toks := out[3]
-	if len(toks) != 4 {
-		t.Fatalf("lifted kernel produced %d tokens, want 4", len(toks))
-	}
-	for j, tok := range toks {
-		if len(tok) != 1 || tok[0] != byte(10+j) {
-			t.Errorf("token %d = %v, want [%d] (outputs must be copied, not aliased)", j, tok, 10+j)
-		}
-	}
-}
-
 // TestExecuteBlockedLocalEdges: same-processor edges stay token-granular in
 // a blocked run, popped and pushed a block at a time.
 func TestExecuteBlockedLocalEdges(t *testing.T) {

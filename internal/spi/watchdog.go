@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -72,31 +71,10 @@ func (r *Runtime) progressSum() int64 {
 	return sum
 }
 
-// snapshotEdges returns the runtime's edges in ID order.
-func (r *Runtime) snapshotEdges() []*edge {
-	r.mu.Lock()
-	edges := make([]*edge, 0, len(r.edges))
-	for _, e := range r.edges {
-		edges = append(edges, e)
-	}
-	r.mu.Unlock()
-	sort.Slice(edges, func(i, j int) bool { return edges[i].cfg.ID < edges[j].cfg.ID })
-	return edges
-}
-
-func (e *edge) displayName() string {
-	if e.cfg.Name == "" {
-		return fmt.Sprintf("%d", e.cfg.ID)
-	}
-	return e.cfg.Name
-}
-
 // firedSum totals completed firings across this node's actors.
 func (env *execEnv) firedSum() int64 {
 	var sum int64
-	for _, n := range env.fired {
-		sum += atomic.LoadInt64(n)
-	}
+	env.eachActor(func(_ *procPlan, a *actorSlot) { sum += a.fired.Load() })
 	return sum
 }
 
@@ -106,29 +84,19 @@ type watchConfig struct {
 	ctx   context.Context // bounds the whole run; nil means unbounded
 	o     *obs.Observer   // receives the stall diagnostic dump (nil-safe)
 	node  int             // reporting node for errors and trace events
-	// abort tears down the node's links (nil-safe): an actor parked inside
-	// a link write is on no runtime edge, so CloseAll alone never wakes it.
-	abort func()
-}
-
-// release unblocks every actor of a run the watchdog has given up on.
-func (env *execEnv) release(w watchConfig) {
-	env.rt.CloseAll()
-	if w.abort != nil {
-		w.abort()
-	}
 }
 
 func (w watchConfig) armed() bool {
 	return w.stall > 0 || (w.ctx != nil && w.ctx.Done() != nil)
 }
 
-// runWatched is env.run with the watchdog alongside: it returns the
-// per-processor outcomes plus the watchdog's verdict — a *StallError, the
-// context error, or nil if the run finished (or failed) on its own.
-func (env *execEnv) runWatched(procs []int, iterations int, w watchConfig) ([]error, error) {
+// runWatched is env.run from iteration 0 with the watchdog alongside: it
+// returns the per-processor outcomes plus the watchdog's verdict — a
+// *StallError, the context error, or nil if the run finished (or failed) on
+// its own.
+func (env *execEnv) runWatched(iterations int, w watchConfig) ([]error, error) {
 	if !w.armed() {
-		return env.run(procs, iterations), nil
+		return env.run(0, iterations), nil
 	}
 	done := make(chan struct{})
 	var (
@@ -140,7 +108,7 @@ func (env *execEnv) runWatched(procs []int, iterations int, w watchConfig) ([]er
 		defer wg.Done()
 		werr = env.watch(done, w, iterations)
 	}()
-	errs := env.run(procs, iterations)
+	errs := env.run(0, iterations)
 	close(done)
 	wg.Wait()
 	return errs, werr
@@ -178,7 +146,7 @@ func (env *execEnv) watch(done <-chan struct{}, w watchConfig, iterations int) e
 		case <-ctxDone:
 			err := fmt.Errorf("spi: node %d run cancelled: %w", w.node, w.ctx.Err())
 			env.dumpStall(w, "deadline", time.Since(lastMove), iterations)
-			env.release(w)
+			env.release()
 			return err
 		case <-tick:
 			if cur := env.progress(); cur != last {
@@ -192,7 +160,7 @@ func (env *execEnv) watch(done <-chan struct{}, w watchConfig, iterations int) e
 			}
 			serr := env.stallError(w.node, w.stall, iterations)
 			env.dumpStall(w, "stall", silent, iterations)
-			env.release(w)
+			env.release()
 			return serr
 		}
 	}
@@ -207,13 +175,12 @@ func (env *execEnv) progress() int64 {
 // the watchdog fired.
 func (env *execEnv) stallError(node int, window time.Duration, iterations int) *StallError {
 	e := &StallError{Node: node, Window: window, Firings: map[string]int{}}
-	for a, n := range env.fired {
-		if got := int(atomic.LoadInt64(n)); got < iterations {
-			name := env.g.Actor(a).Name
-			e.Stalled = append(e.Stalled, name)
-			e.Firings[name] = got
+	env.eachActor(func(_ *procPlan, a *actorSlot) {
+		if got := int(a.fired.Load()); got < iterations {
+			e.Stalled = append(e.Stalled, a.name)
+			e.Firings[a.name] = got
 		}
-	}
+	})
 	sort.Strings(e.Stalled)
 	for _, ed := range env.rt.snapshotEdges() {
 		if ed.qlen.Load() > 0 || ed.sentMsgs.Load() != ed.ackedMsgs.Load() {
@@ -250,14 +217,12 @@ func (env *execEnv) dumpStall(w watchConfig, kind string, silent time.Duration, 
 		tr.Instant("watchdog", "edge:"+name, w.o.Pid(), int(e.cfg.ID),
 			obs.A("queued", queued), obs.A("sent", sent), obs.A("acked", acked), obs.A("closed", closed))
 	}
-	for a, n := range env.fired {
-		got := atomic.LoadInt64(n)
-		if int(got) >= iterations {
-			continue
+	env.eachActor(func(_ *procPlan, a *actorSlot) {
+		if got := a.fired.Load(); int(got) < iterations {
+			tr.Instant("watchdog", "actor:"+a.name, w.o.Pid(), actorRowBase,
+				obs.A("firings", got), obs.A("iterations", int64(iterations)))
 		}
-		tr.Instant("watchdog", "actor:"+env.g.Actor(a).Name, w.o.Pid(), actorRowBase,
-			obs.A("firings", got), obs.A("iterations", int64(iterations)))
-	}
+	})
 }
 
 // watchVerdict folds the watchdog's verdict into the per-processor

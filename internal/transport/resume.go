@@ -695,9 +695,21 @@ func (l *Link) adoptConn(conn Conn, peerRecv uint64) error {
 	}
 }
 
-// giveUp marks the link failed after recovery is exhausted and notifies
-// the handler with the last cause.
+// giveUp notifies the handler with the last cause after recovery is
+// exhausted, then marks the link failed. In that order: the state change
+// releases the senders parked in SendData, and whoever unwinds through them
+// must find the failure already delivered — a degraded run whose processors
+// all unwound first closed the link gracefully, which turned the pending
+// notification into a nil and left its report naming no dead peer.
 func (l *Link) giveUp(gen int, cause error) {
+	if l.recoveryOver(gen) {
+		return
+	}
+	if cause == nil {
+		cause = ErrLinkClosed
+	}
+	l.notifyClose(&Error{Op: "resume", Addr: l.raddr,
+		Err: fmt.Errorf("reconnect exhausted: %w", cause)})
 	l.mu.Lock()
 	if l.closing || l.gen != gen || l.state != stateDown {
 		l.mu.Unlock()
@@ -709,11 +721,6 @@ func (l *Link) giveUp(gen int, cause error) {
 	l.broadcastLocked()
 	l.mu.Unlock()
 	l.drainOffers()
-	if cause == nil {
-		cause = ErrLinkClosed
-	}
-	l.notifyClose(&Error{Op: "resume", Addr: l.raddr,
-		Err: fmt.Errorf("reconnect exhausted: %w", cause)})
 }
 
 func (l *Link) drainOffers() {
@@ -911,11 +918,14 @@ func (l *Link) finalAck() {
 }
 
 // awaitPeerGoodbye waits (bounded) for the peer's own GOODBYE so frames
-// in flight toward us drain before the connection is torn down.
+// in flight toward us drain before the connection is torn down. An outage
+// in the meantime is waited out, not taken for the end: the peer may still
+// be producing, and tearing down mid-recovery would leave its senders
+// parked on a link nobody re-dials until its reconnect deadline fails it.
 func (l *Link) awaitPeerGoodbye(deadline time.Time) {
 	for {
 		l.mu.Lock()
-		done := l.peerClosed || l.state != stateUp
+		done := l.peerClosed || l.state == stateFailed || l.state == stateClosed
 		ch := l.changed
 		l.mu.Unlock()
 		if done || !time.Now().Before(deadline) {
