@@ -34,9 +34,9 @@ import (
 	"sync"
 	"time"
 
+	"repro/cmd/internal/runcfg"
 	"repro/internal/dataflow"
 	"repro/internal/demo"
-	"repro/internal/obs"
 	"repro/internal/orch"
 	"repro/internal/sched"
 	"repro/internal/spi"
@@ -58,68 +58,67 @@ edge ds dec snk 1 1 bytes=4
 edge ss src snk 1 1 bytes=6 delay=1
 `
 
-func main() {
-	var cfg ctlConfig
-	graphPath := flag.String("graph", "", "dataflow graph file (default: a built-in 4-actor chain)")
-	assign := flag.String("assign", "", "comma-separated processor index per actor (default for the built-in graph: 0,1,2,0)")
-	flag.IntVar(&cfg.Iterations, "iters", 24, "total graph iterations to execute")
-	flag.IntVar(&cfg.EpochIters, "epoch", 6, "iterations per epoch (the migration/commit granularity)")
-	flag.Uint64Var(&cfg.Seed, "seed", 1, "deterministic kernel seed (workers must use the same)")
-	flag.StringVar(&cfg.Listen, "listen", "", "TCP control-plane address to accept spinode -worker registrations on")
-	flag.IntVar(&cfg.InProc, "inproc", 0, "spawn this many in-process workers over an in-memory transport instead of listening on TCP")
-	flag.IntVar(&cfg.MinWorkers, "min-workers", 0, "wait for this many workers before the first epoch (default: all of -inproc, else 1)")
-	flag.IntVar(&cfg.MigrateAt, "migrate-at", -1, "force a live migration by rotating the placement at this epoch (-1 = never)")
-	killSpec := flag.String("kill", "", "in-proc fault: cancel worker NAME as epoch E dispatches, e.g. w1@2")
-	chokeSpec := flag.String("choke", "", "in-proc fault: silence worker NAME's transport at epoch E (heartbeat-only death), e.g. w1@2")
-	flag.BoolVar(&cfg.Resync, "resync", false, "suppress UBS acks on edges the sync graph proves redundant; workers negotiate the suppression set per link and every epoch's re-placement recomputes it")
-	flag.IntVar(&cfg.Fission, "fission", 0, "rewrite the heaviest fissionable actor (or -fission-actor) into this many replicas behind scatter/gather stages before orchestrating; the replicas place and migrate like ordinary actors (0 = off)")
-	flag.StringVar(&cfg.FissionActor, "fission-actor", "", "with -fission: name of the actor to fission (default: the heaviest fissionable one)")
-	flag.BoolVar(&cfg.Verify, "verify", false, "run the static single-node reference in-process and require bit-identical sink digests")
-	flag.DurationVar(&cfg.Heartbeat, "heartbeat", 25*time.Millisecond, "control/data link liveness probe interval")
-	flag.DurationVar(&cfg.PeerTimeout, "peer-timeout", 0, "declare a worker dead after this much control-link silence (0 = 4x heartbeat)")
-	flag.DurationVar(&cfg.EpochTimeout, "epoch-timeout", 30*time.Second, "reap workers that stall an epoch past this bound")
-	flag.DurationVar(&cfg.Deadline, "deadline", 5*time.Minute, "hard budget for the whole run")
-	flag.Parse()
+// ctlConfig is everything runCtl needs; main fills it from flags, tests
+// construct it directly. Run describes the system (graph, assignment,
+// iterations, seed, fission), the link liveness and resync settings (in
+// Opts, with Opts.Obs instrumenting the coordinator's links) and the
+// deadline; Coord carries -listen, -epoch, -min-workers and -epoch-timeout
+// as the library takes them, and runCtl fills in the rest.
+type ctlConfig struct {
+	runcfg.Run
+	Coord     orch.CoordConfig
+	InProc    int
+	MigrateAt int
+	Kill      *fault
+	Choke     *fault
+	Verify    bool
+}
 
-	var err error
-	if *graphPath != "" {
-		f, ferr := os.Open(*graphPath)
-		if ferr != nil {
-			fmt.Fprintln(os.Stderr, "spictl:", ferr)
-			os.Exit(1)
-		}
-		cfg.Graph, err = dataflow.Parse(f)
-		f.Close()
-	} else {
-		cfg.Graph, err = dataflow.Parse(strings.NewReader(builtinGraph))
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "spictl:", err)
-		os.Exit(1)
+func newFlagSet(c *ctlConfig) *flag.FlagSet {
+	fs := flag.NewFlagSet("spictl", flag.ExitOnError)
+	c.GraphFlags(fs) // no -graph: a built-in 4-actor chain, assigned 0,1,2,0
+	c.SeedFlag(fs)
+	c.FissionFlags(fs) // the replicas place and migrate like ordinary actors
+	c.LivenessFlags(fs)
+	fs.IntVar(&c.Coord.EpochIters, "epoch", 6, "iterations per epoch (the migration/commit granularity)")
+	fs.StringVar(&c.Coord.Addr, "listen", "", "TCP control-plane address to accept spinode -worker registrations on")
+	fs.IntVar(&c.InProc, "inproc", 0, "spawn this many in-process workers over an in-memory transport instead of listening on TCP")
+	fs.IntVar(&c.Coord.MinWorkers, "min-workers", 0, "wait for this many workers before the first epoch (default: all of -inproc, else 1)")
+	fs.IntVar(&c.MigrateAt, "migrate-at", -1, "force a live migration by rotating the placement at this epoch (-1 = never)")
+	fs.Func("kill", "in-proc fault: cancel worker NAME as epoch E dispatches, e.g. w1@2", func(s string) (err error) {
+		c.Kill, err = parseFault(s)
+		return err
+	})
+	fs.Func("choke", "in-proc fault: silence worker NAME's transport at epoch E (heartbeat-only death), e.g. w1@2", func(s string) (err error) {
+		c.Choke, err = parseFault(s)
+		return err
+	})
+	fs.BoolVar(&c.Verify, "verify", false, "run the static single-node reference in-process and require bit-identical sink digests")
+	fs.DurationVar(&c.Coord.EpochTimeout, "epoch-timeout", 30*time.Second, "reap workers that stall an epoch past this bound")
+	return fs
+}
+
+func main() {
+	cfg := ctlConfig{Run: runcfg.Run{
+		Iters: 24, Seed: 1, Deadline: 5 * time.Minute,
+		Opts: spi.DistOptions{Heartbeat: 25 * time.Millisecond},
+	}}
+	newFlagSet(&cfg).Parse(os.Args[1:])
+	misuse := func(msg string) {
+		fmt.Fprintln(os.Stderr, "spictl:", msg)
+		os.Exit(2)
 	}
 	switch {
-	case *assign != "":
-		if cfg.Assign, err = parseInts(*assign); err != nil {
-			fmt.Fprintln(os.Stderr, "spictl: -assign:", err)
-			os.Exit(2)
+	case cfg.GraphPath == "":
+		cfg.Graph, _ = dataflow.Parse(strings.NewReader(builtinGraph)) // a constant the tests parse
+		if cfg.Assign == nil {
+			cfg.Assign = []int{0, 1, 2, 0}
 		}
-	case *graphPath == "":
-		cfg.Assign = []int{0, 1, 2, 0}
-	default:
-		fmt.Fprintln(os.Stderr, "spictl: -assign is required with -graph")
-		os.Exit(2)
+	case cfg.Assign == nil:
+		misuse("-assign is required with -graph")
 	}
-	if cfg.Kill, err = parseFault(*killSpec); err != nil {
-		fmt.Fprintln(os.Stderr, "spictl: -kill:", err)
-		os.Exit(2)
-	}
-	if cfg.Choke, err = parseFault(*chokeSpec); err != nil {
-		fmt.Fprintln(os.Stderr, "spictl: -choke:", err)
-		os.Exit(2)
-	}
-	if (cfg.Listen == "") == (cfg.InProc == 0) {
-		fmt.Fprintln(os.Stderr, "spictl: exactly one of -listen or -inproc is required")
-		os.Exit(2)
+	if (cfg.Coord.Addr == "") == (cfg.InProc == 0) {
+		misuse("exactly one of -listen or -inproc is required")
 	}
 	if err := runCtl(cfg, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "spictl:", err)
@@ -148,48 +147,6 @@ func parseFault(s string) (*fault, error) {
 	return &fault{Worker: name, Epoch: e}, nil
 }
 
-func parseInts(s string) ([]int, error) {
-	if s == "" {
-		return nil, fmt.Errorf("empty list")
-	}
-	parts := strings.Split(s, ",")
-	out := make([]int, len(parts))
-	for i, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("bad entry %q", p)
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-// ctlConfig is everything runCtl needs; main fills it from flags, tests
-// construct it directly.
-type ctlConfig struct {
-	Graph        *dataflow.Graph
-	Assign       []int
-	Iterations   int
-	EpochIters   int
-	Seed         uint64
-	Listen       string
-	InProc       int
-	MinWorkers   int
-	MigrateAt    int
-	Kill         *fault
-	Choke        *fault
-	Resync       bool
-	Fission      int
-	FissionActor string
-	Verify       bool
-	Heartbeat    time.Duration
-	PeerTimeout  time.Duration
-	EpochTimeout time.Duration
-	Deadline     time.Duration
-	// Obs optionally instruments the coordinator's links.
-	Obs *obs.Observer
-}
-
 // staticReference runs the unpartitioned single-process execution and
 // returns its per-sink digests — the bit-identity bar the orchestrated
 // run must clear.
@@ -213,48 +170,32 @@ func staticReference(g *dataflow.Graph, m *sched.Mapping, seed uint64, iters int
 // runCtl drives one orchestrated run end to end and reports digests and
 // elasticity counters on w.
 func runCtl(cfg ctlConfig, w io.Writer) error {
-	m, err := demo.Mapping(cfg.Graph, cfg.Assign)
-	if err != nil {
-		return err
-	}
 	// -fission rewrites the graph before orchestration: the replicas are
 	// ordinary actors from the coordinator's point of view, so they place,
 	// checkpoint, and live-migrate exactly like the rest of the graph.
-	if cfg.Fission > 0 {
-		var target dataflow.ActorID
-		if cfg.FissionActor != "" {
-			a, ok := cfg.Graph.ActorByName(cfg.FissionActor)
-			if !ok {
-				return fmt.Errorf("-fission-actor: graph %q has no actor %q", cfg.Graph.Name(), cfg.FissionActor)
-			}
-			target = a
-		} else {
-			if target, err = dataflow.HeaviestFissionable(cfg.Graph); err != nil {
-				return err
-			}
-		}
-		plan, err := dataflow.Fission(cfg.Graph, target, dataflow.FissionOptions{K: cfg.Fission})
-		if err != nil {
-			return err
-		}
-		if m, err = sched.ExtendFission(m, plan); err != nil {
-			return err
-		}
-		cfg.Graph = plan.Graph
-		fmt.Fprintf(w, "%s\n", plan)
+	sys, err := cfg.Build()
+	if err != nil {
+		return err
 	}
-	min := cfg.MinWorkers
-	if min == 0 {
-		if min = cfg.InProc; min == 0 {
-			min = 1
-		}
+	if sys.Plan != nil {
+		fmt.Fprintf(w, "%s\n", sys.Plan)
 	}
-
-	var tr transport.Transport = &transport.TCP{}
-	coordAddr := cfg.Listen
+	cfg.Transport = "tcp"
 	if cfg.InProc > 0 {
-		tr = transport.NewLoopback()
-		coordAddr = "spictl-coord"
+		cfg.Transport = "loopback"
+	}
+	tr, local, _, err := cfg.OpenTransport()
+	if err != nil {
+		return err
+	}
+	ccfg, o := cfg.Coord, &cfg.Opts
+	ccfg.Transport, ccfg.Graph, ccfg.Mapping, ccfg.Iterations = tr, sys.Graph, sys.Mapping, cfg.Iters
+	ccfg.Heartbeat, ccfg.PeerTimeout, ccfg.Resync, ccfg.Obs = o.Heartbeat, o.PeerTimeout, o.Resync, o.Obs
+	if cfg.InProc > 0 {
+		ccfg.Addr = local(0)
+	}
+	if ccfg.MinWorkers == 0 {
+		ccfg.MinWorkers = max(cfg.InProc, 1)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.Deadline)
 	defer cancel()
@@ -273,14 +214,14 @@ func runCtl(cfg ctlConfig, w io.Writer) error {
 				wtr = choker
 			}
 			wk, err := orch.NewWorker(orch.WorkerConfig{
-				Transport: wtr, Coord: coordAddr, Name: name,
+				Transport: wtr, Coord: ccfg.Addr, Name: name,
 				Kernels: func(spec *spi.PartitionSpec) (*orch.KernelSet, error) {
 					kernels, sinks := demo.PartKernels(spec, cfg.Seed)
 					return &orch.KernelSet{Kernels: kernels, Collect: sinks.Take}, nil
 				},
 				Retry:     transport.RetryConfig{Attempts: 50, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond},
-				Heartbeat: cfg.Heartbeat, PeerTimeout: cfg.PeerTimeout,
-				Obs: cfg.Obs,
+				Heartbeat: o.Heartbeat, PeerTimeout: o.PeerTimeout,
+				Obs: o.Obs,
 			})
 			if err != nil {
 				return err
@@ -294,12 +235,6 @@ func runCtl(cfg ctlConfig, w io.Writer) error {
 		}
 	}
 
-	ccfg := orch.CoordConfig{
-		Transport: tr, Addr: coordAddr, Graph: cfg.Graph, Mapping: m,
-		Iterations: cfg.Iterations, EpochIters: cfg.EpochIters, MinWorkers: min,
-		Heartbeat: cfg.Heartbeat, PeerTimeout: cfg.PeerTimeout,
-		EpochTimeout: cfg.EpochTimeout, Resync: cfg.Resync, Obs: cfg.Obs,
-	}
 	if cfg.MigrateAt >= 0 {
 		at := cfg.MigrateAt
 		ccfg.OnPlace = func(epoch int, placement []int, ids []uint32) []int {
@@ -332,7 +267,7 @@ func runCtl(cfg ctlConfig, w io.Writer) error {
 	}
 
 	fmt.Fprintf(w, "spictl: graph %s, %d iterations in epochs of %d, min %d workers\n",
-		cfg.Graph.Name(), cfg.Iterations, cfg.EpochIters, min)
+		sys.Graph.Name(), cfg.Iters, ccfg.EpochIters, ccfg.MinWorkers)
 	start := time.Now()
 	rep, err := coord.Run(ctx)
 	if err != nil {
@@ -371,7 +306,7 @@ func runCtl(cfg ctlConfig, w io.Writer) error {
 	}
 
 	if cfg.Verify {
-		want, err := staticReference(cfg.Graph, m, cfg.Seed, cfg.Iterations)
+		want, err := staticReference(sys.Graph, sys.Mapping, cfg.Seed, cfg.Iters)
 		if err != nil {
 			return fmt.Errorf("static reference: %w", err)
 		}

@@ -6,7 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/cmd/internal/runcfg"
 	"repro/internal/dataflow"
+	"repro/internal/orch"
+	"repro/internal/spi"
 )
 
 func testCtlConfig(t *testing.T) ctlConfig {
@@ -16,11 +19,12 @@ func testCtlConfig(t *testing.T) ctlConfig {
 		t.Fatal(err)
 	}
 	return ctlConfig{
-		Graph: g, Assign: []int{0, 1, 2, 0},
-		Iterations: 24, EpochIters: 6, Seed: 11,
+		Run: runcfg.Run{
+			Graph: g, Assign: []int{0, 1, 2, 0}, Iters: 24, Seed: 11, Deadline: 60 * time.Second,
+			Opts: spi.DistOptions{Heartbeat: 20 * time.Millisecond, PeerTimeout: 150 * time.Millisecond},
+		},
+		Coord:  orch.CoordConfig{EpochIters: 6, EpochTimeout: 15 * time.Second},
 		InProc: 3, MigrateAt: -1, Verify: true,
-		Heartbeat: 20 * time.Millisecond, PeerTimeout: 150 * time.Millisecond,
-		EpochTimeout: 15 * time.Second, Deadline: 60 * time.Second,
 	}
 }
 

@@ -18,9 +18,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
+	"repro/cmd/internal/runcfg"
 	"repro/internal/dataflow"
 	"repro/internal/demo"
 	"repro/internal/lpc"
@@ -31,47 +30,57 @@ import (
 	"repro/internal/vts"
 )
 
-func main() {
-	graph := flag.String("graph", "fig1", "graph to analyze: fig1, app1, app1full, app2")
-	file := flag.String("file", "", "load a graph description file instead of a built-in graph")
-	assign := flag.String("assign", "", "with -file: comma-separated processor index per actor, building the mapping -resync analyzes")
-	pes := flag.Int("pes", 3, "PE count for app graphs")
-	dot := flag.Bool("dot", false, "print the graph in Graphviz DOT format instead of the analysis")
-	resync := flag.Bool("resync", false, "emit the wire-level ack-suppression verdict: per-edge suppress/keep with covering-path witnesses (needs a mapping: app1, app2, or -file with -assign)")
-	format := flag.String("format", "wire", "with -resync: output format (only \"wire\")")
-	flag.IntVar(&fissionK, "fission", 0,
+// newFlagSet declares spigraph's flags; the analysis switches land in the
+// package-level variables below.
+func newFlagSet(graph, file, format *string, assign *[]int, pes *int) *flag.FlagSet {
+	fs := flag.NewFlagSet("spigraph", flag.ExitOnError)
+	fs.StringVar(graph, "graph", "fig1", "graph to analyze: fig1, app1, app1full, app2")
+	fs.StringVar(file, "file", "", "load a graph description file instead of a built-in graph")
+	fs.Func("assign", "with -file: comma-separated processor index per actor, building the mapping -resync analyzes", runcfg.IntsVar(assign))
+	fs.IntVar(pes, "pes", 3, "PE count for app graphs")
+	fs.BoolVar(&emitDOT, "dot", false, "print the graph in Graphviz DOT format instead of the analysis")
+	fs.BoolVar(&resyncWire, "resync", false, "emit the wire-level ack-suppression verdict: per-edge suppress/keep with covering-path witnesses (needs a mapping: app1, app2, or -file with -assign)")
+	fs.StringVar(format, "format", "wire", "with -resync: output format (only \"wire\")")
+	fs.IntVar(&fissionK, "fission", 0,
 		"rewrite the heaviest fissionable actor (or -fission-actor) into k replicas behind scatter/gather stages and print the plan; -1 chooses k and the block factor jointly under -fission-mem (0 = off)")
-	flag.StringVar(&fissionActor, "fission-actor", "",
+	fs.StringVar(&fissionActor, "fission-actor", "",
 		"with -fission: name of the actor to fission (default: the heaviest fissionable one)")
-	flag.Int64Var(&fissionMem, "fission-mem", 0,
+	fs.Int64Var(&fissionMem, "fission-mem", 0,
 		"with -fission: buffer-memory bound in bytes for the joint (k, block) selection (0 = unbounded)")
-	flag.Parse()
-	emitDOT = *dot
-	resyncWire = *resync
-	if resyncWire && *format != "wire" {
-		fmt.Fprintf(os.Stderr, "spigraph: unknown -format %q (only \"wire\")\n", *format)
+	return fs
+}
+
+func main() {
+	var (
+		graph, file, format string
+		assign              []int
+		pes                 int
+	)
+	newFlagSet(&graph, &file, &format, &assign, &pes).Parse(os.Args[1:])
+	if resyncWire && format != "wire" {
+		fmt.Fprintf(os.Stderr, "spigraph: unknown -format %q (only \"wire\")\n", format)
 		os.Exit(2)
 	}
 
 	var err error
 	switch {
-	case *file != "":
-		err = analyzeFile(*file, *assign)
-	case *graph == "fig1":
+	case file != "":
+		err = analyzeFile(file, assign)
+	case graph == "fig1":
 		err = analyzeFig1()
-	case *graph == "app1full":
+	case graph == "app1full":
 		err = analyzeFullApp1()
-	case *graph == "app1":
+	case graph == "app1":
 		err = analyzeSystem(func() (g *dataflow.Graph, m *sched.Mapping, err error) {
-			sys, err := lpc.ErrorGenSystem(lpc.DefaultDeploy(256, *pes))
+			sys, err := lpc.ErrorGenSystem(lpc.DefaultDeploy(256, pes))
 			if err != nil {
 				return nil, nil, err
 			}
 			return sys.Graph, sys.Mapping, nil
 		})
-	case *graph == "app2":
+	case graph == "app2":
 		err = analyzeSystem(func() (g *dataflow.Graph, m *sched.Mapping, err error) {
-			n := *pes
+			n := pes
 			if n < 1 {
 				n = 2
 			}
@@ -82,7 +91,7 @@ func main() {
 			return sys.Graph, sys.Mapping, nil
 		})
 	default:
-		err = fmt.Errorf("unknown graph %q", *graph)
+		err = fmt.Errorf("unknown graph %q", graph)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "spigraph:", err)
@@ -106,19 +115,9 @@ var (
 // scatter/gather rates, and the rewritten graph with its analysis — so a
 // deployment can be inspected before anything runs.
 func printFission(g *dataflow.Graph) error {
-	var target dataflow.ActorID
-	if fissionActor != "" {
-		a, ok := g.ActorByName(fissionActor)
-		if !ok {
-			return fmt.Errorf("-fission-actor: graph %q has no actor %q", g.Name(), fissionActor)
-		}
-		target = a
-	} else {
-		a, err := dataflow.HeaviestFissionable(g)
-		if err != nil {
-			return err
-		}
-		target = a
+	target, err := runcfg.FissionTarget(g, fissionActor)
+	if err != nil {
+		return err
 	}
 	opts := dataflow.FissionOptions{MemBound: fissionMem}
 	if fissionK > 0 {
@@ -159,13 +158,8 @@ func printFission(g *dataflow.Graph) error {
 	return printVTS(plan.Graph)
 }
 
-func analyzeFile(path, assign string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	g, err := dataflow.Parse(f)
+func analyzeFile(path string, assign []int) error {
+	g, err := runcfg.LoadGraph(path)
 	if err != nil {
 		return err
 	}
@@ -185,31 +179,14 @@ func analyzeFile(path, assign string) error {
 	if !resyncWire {
 		return nil
 	}
-	if assign == "" {
+	if assign == nil {
 		return fmt.Errorf("-resync with -file needs -assign to define the mapping")
 	}
-	procs, err := parseInts(assign)
-	if err != nil {
-		return fmt.Errorf("-assign: %w", err)
-	}
-	m, err := demo.Mapping(g, procs)
+	m, err := demo.Mapping(g, assign)
 	if err != nil {
 		return err
 	}
 	return printResyncWire(g, m)
-}
-
-func parseInts(s string) ([]int, error) {
-	parts := strings.Split(s, ",")
-	out := make([]int, len(parts))
-	for i, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("bad entry %q", p)
-		}
-		out[i] = v
-	}
-	return out, nil
 }
 
 // printResyncWire renders spi.ResyncSuppression as it lands on the wire:

@@ -3,131 +3,53 @@ package main
 import (
 	"fmt"
 	"io"
-	"sync"
 
-	"repro/internal/dataflow"
-	"repro/internal/demo"
 	"repro/internal/session"
-	"repro/internal/spi"
 	"repro/internal/transport"
 )
 
-// startInproc runs a minimal session server inside the spiload process
-// so a load run needs no external spinode: the server side of the graph
-// is computed from -assign/-nodeof exactly as spinode -serve would, and
-// the returned address is what the load loop dials over tr. listenAddr
-// names the server endpoint on tr (any string for loopback, a host:port
-// for TCP). The stop function tears the server down.
-func startInproc(cfg loadConfig, tr transport.Transport, listenAddr string, maxSessions, tenantQuota int, w io.Writer) (func(), string, error) {
-	g := cfg.Graph
-	m, err := demo.Mapping(g, cfg.Assign)
-	if err != nil {
-		return nil, "", err
-	}
-	nodeOf := cfg.NodeOf
-	if nodeOf == nil {
-		nodeOf = make([]int, m.NumProcs)
-		for p := range nodeOf {
-			nodeOf[p] = p
-		}
-	}
+// startInproc runs a session server inside the spiload process so a load
+// run needs no external spinode: the server side of the graph is computed
+// from -assign/-nodeof exactly as spinode -serve would, and the returned
+// address is what the load loop dials over tr. listenAddr names the server
+// endpoint on tr. The stop function tears the server down.
+func startInproc(cfg loadConfig, tr transport.Transport, listenAddr string, w io.Writer) (func(), string, error) {
 	// The server is the single peer the client shares edges with.
-	cdecls, err := spi.PeerDecls(g, m, nodeOf, cfg.Node, 0)
+	sys, serverNode, _, err := clientSystem(cfg)
 	if err != nil {
 		return nil, "", err
 	}
-	if len(cdecls) != 1 {
-		return nil, "", fmt.Errorf("client node %d has %d peers, want exactly 1", cfg.Node, len(cdecls))
-	}
-	var serverNode int
-	for peer := range cdecls {
-		serverNode = peer
-	}
-	sdecls, err := spi.PeerDecls(g, m, nodeOf, serverNode, 0)
-	if err != nil {
-		return nil, "", err
-	}
-
 	srv, err := session.NewServer(session.ServerConfig{
-		Graph:      g,
-		Mapping:    m,
-		NodeOf:     nodeOf,
-		Node:       serverNode,
-		Iterations: cfg.Iters,
-		Kernels: func(sid uint32, tenant string) map[dataflow.ActorID]spi.Kernel {
-			var mu sync.Mutex
-			ks, kerr := demo.Kernels(g, cfg.Seed, demo.Sinks(g), &mu)
-			if kerr != nil {
-				return map[dataflow.ActorID]spi.Kernel{}
-			}
-			return ks
-		},
-		Admission:      session.Admission{MaxSessions: maxSessions, TenantQuota: tenantQuota},
+		Graph: sys.Graph, Mapping: sys.Mapping, NodeOf: sys.NodeOf,
+		Node: serverNode, Iterations: cfg.Iters,
+		Kernels:        sys.SessionKernels,
+		Admission:      cfg.Admission,
 		SessionTimeout: cfg.SessionTimeout,
 	})
 	if err != nil {
 		return nil, "", err
 	}
-
 	ln, err := tr.Listen(listenAddr)
 	if err != nil {
 		srv.Close()
 		return nil, "", err
 	}
-	var lmu sync.Mutex
-	var links []*transport.Link
+	stopping, served := make(chan struct{}), make(chan struct{})
 	go func() {
-		for {
-			conn, aerr := ln.Accept()
-			if aerr != nil {
-				return
-			}
-			go func(conn transport.Conn) {
-				var mux *session.Mux
-				l, lerr := transport.AcceptConn(conn,
-					transport.LinkConfig{Node: serverNode, Sessions: true, Reconnect: cfg.Reconnect},
-					func(peer int) ([]transport.EdgeDecl, transport.Handler, error) {
-						d := sdecls[peer]
-						if d == nil {
-							return nil, nil, fmt.Errorf("no shared edges with node %d", peer)
-						}
-						mux = session.NewMux(nil)
-						return d, mux, nil
-					},
-					func(peer int, token uint64) *transport.Link {
-						lmu.Lock()
-						defer lmu.Unlock()
-						for _, reg := range links {
-							if reg.PeerNode() == peer && reg.Token() == token {
-								return reg
-							}
-						}
-						return nil
-					})
-				if lerr != nil {
-					fmt.Fprintf(w, "spiload: inproc handshake failed: %v\n", lerr)
-					return
-				}
-				if l == nil {
-					return // RESUME, routed
-				}
-				lmu.Lock()
-				links = append(links, l)
-				lmu.Unlock()
-				mux.Bind(l)
-				srv.Attach(mux)
-			}(conn)
+		defer close(served)
+		err := srv.Serve(ln, transport.LinkConfig{Reconnect: cfg.Link.Reconnect}, func(format string, args ...any) {
+			fmt.Fprintf(w, "spiload: inproc "+format+"\n", args...)
+		})
+		select {
+		case <-stopping: // the closed listener's error: the requested stop
+		default:
+			fmt.Fprintf(w, "spiload: inproc server: %v\n", err)
 		}
 	}()
-
 	stop := func() {
+		close(stopping)
 		ln.Close()
-		lmu.Lock()
-		live := append([]*transport.Link(nil), links...)
-		lmu.Unlock()
-		for _, l := range live {
-			l.Abort()
-		}
+		<-served
 		srv.Close()
 	}
 	return stop, ln.Addr(), nil

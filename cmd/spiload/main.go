@@ -20,10 +20,6 @@
 //	        -addrs 127.0.0.1:7101,unused -node 0 -max-sessions 64 -tenant-quota 16
 //	spiload -graph g.sdf -assign 0,1,1 -nodeof 0,1 -node 1 \
 //	        -connect 127.0.0.1:7101 -sessions 200 -tenants 4
-//
-// With -bench the run emits `go test -bench`-style result lines — a
-// serial single-session baseline plus the multi-session load phase — so
-// `spiload -bench | benchdiff` produces the sessions_vs_single tier.
 package main
 
 import (
@@ -41,8 +37,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/cmd/internal/runcfg"
 	"repro/internal/dataflow"
-	"repro/internal/demo"
 	"repro/internal/session"
 	"repro/internal/spi"
 	"repro/internal/transport"
@@ -60,26 +56,27 @@ edge sm src mid 4 4 bytes=2 delay=4
 edge ms mid sink 4 4 bytes=2 dynamic
 `
 
+// loadConfig is everything a load run needs; main fills it from flags,
+// tests construct it directly. Run describes the system both sides execute
+// (graph, assignment, nodes, iterations, seed); Link is the client link as
+// the library takes it (-node, -reconnect).
 type loadConfig struct {
-	Graph       *dataflow.Graph
-	Assign      []int
-	NodeOf      []int
-	Node        int
+	runcfg.Run
+	Link        transport.LinkConfig
 	Connect     string
 	Sessions    int
 	Concurrency int
 	Rate        float64
 	Duration    time.Duration
-	Iters       int
 	Tenants     int
-	Seed        uint64
-	Reconnect   transport.ReconnectConfig
 	OpenTimeout time.Duration
 	// SessionTimeout bounds each session's whole lifetime (open through
 	// close) at one wall-clock deadline; with -inproc it is also handed to
 	// the server as its reap timeout, so an abandoned session is shed
 	// rather than leaked. 0 leaves only the OpenTimeout bound.
 	SessionTimeout time.Duration
+	// Admission is the in-process server's policy (-inproc only).
+	Admission session.Admission
 }
 
 // loadReport aggregates one load phase.
@@ -109,29 +106,12 @@ func (r *loadReport) percentile(p float64) time.Duration {
 	return s[min(i, len(s)-1)]
 }
 
-func (r *loadReport) meanLatency() time.Duration {
-	if len(r.Latencies) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, l := range r.Latencies {
-		sum += l
-	}
-	return sum / time.Duration(len(r.Latencies))
-}
-
 // referenceDigests runs the whole graph locally once and returns the
 // expected digest per sink hosted on the client node — the bit-exactness
 // oracle every session is checked against.
-func referenceDigests(cfg loadConfig) (map[string]uint64, error) {
-	g := cfg.Graph
-	m, err := demo.Mapping(g, cfg.Assign)
-	if err != nil {
-		return nil, err
-	}
-	var mu sync.Mutex
-	digests := demo.Sinks(g)
-	ks, err := demo.Kernels(g, cfg.Seed, digests, &mu)
+func referenceDigests(cfg loadConfig, sys *runcfg.System) (map[string]uint64, error) {
+	g, m := sys.Graph, sys.Mapping
+	ks, digests, err := sys.Kernels()
 	if err != nil {
 		return nil, err
 	}
@@ -139,32 +119,20 @@ func referenceDigests(cfg loadConfig) (map[string]uint64, error) {
 		return nil, err
 	}
 	want := map[string]uint64{}
-	for _, a := range g.Actors() {
-		if len(g.Out(a)) != 0 || int(m.Proc[a]) >= len(cfg.NodeOf) || cfg.NodeOf[m.Proc[a]] != cfg.Node {
-			continue
+	for name, d := range digests {
+		a, _ := g.ActorByName(name)
+		if sys.NodeOf[m.Proc[a]] == cfg.Link.Node {
+			want[name] = *d
 		}
-		name := g.Actor(a).Name
-		want[name] = *digests[name]
 	}
 	return want, nil
 }
 
 // runOne drives a single session end to end and folds the outcome into
-// rep under mu. Returns false only for rejected opens (so callers can
-// track back-pressure if they care).
-func runOne(cfg loadConfig, client *session.Client, tenant string, want map[string]uint64,
+// rep under mu.
+func runOne(cfg loadConfig, sys *runcfg.System, client *session.Client, tenant string, want map[string]uint64,
 	rep *loadReport, mu *sync.Mutex) {
-	g := cfg.Graph
-	m, err := demo.Mapping(g, cfg.Assign)
-	if err != nil {
-		mu.Lock()
-		rep.Failed++
-		mu.Unlock()
-		return
-	}
-	var kmu sync.Mutex
-	digests := demo.Sinks(g)
-	ks, err := demo.Kernels(g, cfg.Seed, digests, &kmu)
+	ks, digests, err := sys.Kernels()
 	if err != nil {
 		mu.Lock()
 		rep.Failed++
@@ -185,11 +153,10 @@ func runOne(cfg loadConfig, client *session.Client, tenant string, want map[stri
 		mu.Unlock()
 		return
 	}
-	stats, execErr := spi.ExecuteDistributed(g, m, ks, cfg.Iters, spi.DistOptions{
-		Node:   cfg.Node,
-		Addrs:  make([]string, len(addrsLen(cfg))),
-		NodeOf: cfg.NodeOf,
-		Links:  s,
+	// Provider links never dial, but ExecuteDistributed validates the
+	// address slot count.
+	stats, execErr := spi.ExecuteDistributed(sys.Graph, sys.Mapping, ks, cfg.Iters, spi.DistOptions{
+		Node: cfg.Link.Node, Addrs: make([]string, sys.Nodes()), NodeOf: sys.NodeOf, Links: s,
 	})
 	var status byte
 	var cerr error
@@ -235,44 +202,36 @@ func runOne(cfg loadConfig, client *session.Client, tenant string, want map[stri
 	}
 }
 
-// addrsLen sizes the placeholder address list: provider links never dial,
-// but ExecuteDistributed validates the slot count.
-func addrsLen(cfg loadConfig) []string {
-	n := 0
-	for _, node := range cfg.NodeOf {
-		if node+1 > n {
-			n = node + 1
-		}
-	}
-	return make([]string, n)
-}
-
-// runLoad connects one session-capable link to the server and runs the
-// configured load phase over it.
-func runLoad(cfg loadConfig, tr transport.Transport, w io.Writer) (*loadReport, error) {
-	g := cfg.Graph
-	m, err := demo.Mapping(g, cfg.Assign)
+// clientSystem resolves the run description and finds the one server node
+// the client shares edges with, returning that node and the client's half
+// of the link's edge manifest.
+func clientSystem(cfg loadConfig) (*runcfg.System, int, []transport.EdgeDecl, error) {
+	sys, err := cfg.Build()
 	if err != nil {
-		return nil, err
+		return nil, 0, nil, err
 	}
-	if cfg.NodeOf == nil {
-		cfg.NodeOf = make([]int, m.NumProcs)
-		for p := range cfg.NodeOf {
-			cfg.NodeOf[p] = p
-		}
-	}
-	decls, err := spi.PeerDecls(g, m, cfg.NodeOf, cfg.Node, 0)
+	decls, err := spi.PeerDecls(sys.Graph, sys.Mapping, sys.NodeOf, cfg.Link.Node, 0)
 	if err != nil {
-		return nil, err
+		return nil, 0, nil, err
 	}
 	if len(decls) != 1 {
-		return nil, fmt.Errorf("client node %d must share edges with exactly one server node, has %d peers", cfg.Node, len(decls))
+		return nil, 0, nil, fmt.Errorf("client node %d must share edges with exactly one server node, has %d peers", cfg.Link.Node, len(decls))
 	}
 	var serverNode int
 	for peer := range decls {
 		serverNode = peer
 	}
-	want, err := referenceDigests(cfg)
+	return sys, serverNode, decls[serverNode], nil
+}
+
+// runLoad connects one session-capable link to the server and runs the
+// configured load phase over it.
+func runLoad(cfg loadConfig, tr transport.Transport, w io.Writer) (*loadReport, error) {
+	sys, _, edges, err := clientSystem(cfg)
+	if err != nil {
+		return nil, err
+	}
+	want, err := referenceDigests(cfg, sys)
 	if err != nil {
 		return nil, err
 	}
@@ -283,11 +242,9 @@ func runLoad(cfg loadConfig, tr transport.Transport, w io.Writer) (*loadReport, 
 		return nil, fmt.Errorf("could not reach server at %s: %w", cfg.Connect, err)
 	}
 	mux := session.NewMux(nil)
-	lcfg := transport.LinkConfig{
-		Node: cfg.Node, Edges: decls[serverNode], Sessions: true,
-		Reconnect: cfg.Reconnect,
-	}
-	if cfg.Reconnect.Attempts > 0 {
+	lcfg := cfg.Link
+	lcfg.Sessions, lcfg.Edges = true, edges
+	if lcfg.Reconnect.Enabled() {
 		lcfg.Redial = func() (transport.Conn, error) { return tr.Dial(cfg.Connect) }
 	}
 	link, err := transport.NewLink(conn, lcfg, mux)
@@ -328,7 +285,7 @@ func runLoad(cfg loadConfig, tr transport.Transport, w io.Writer) (*loadReport, 
 			wg.Add(1)
 			go func(i int64) {
 				defer wg.Done()
-				runOne(cfg, client, tenantOf(i), want, rep, &mu)
+				runOne(cfg, sys, client, tenantOf(i), want, rep, &mu)
 			}(i)
 			<-tick.C
 		}
@@ -347,7 +304,7 @@ func runLoad(cfg loadConfig, tr transport.Transport, w io.Writer) (*loadReport, 
 						started.Add(-1)
 						return
 					}
-					runOne(cfg, client, tenantOf(i), want, rep, &mu)
+					runOne(cfg, sys, client, tenantOf(i), want, rep, &mu)
 				}
 			}()
 		}
@@ -382,152 +339,66 @@ func summarize(w io.Writer, label string, rep *loadReport) error {
 	return nil
 }
 
-// benchLine renders one phase in `go test -bench` result format so
-// benchdiff can pair the single baseline against the sessions phase.
-func benchLine(name string, rep *loadReport) string {
-	tps := float64(0)
-	if rep.Elapsed > 0 {
-		tps = float64(rep.Tokens) / rep.Elapsed.Seconds()
-	}
-	return fmt.Sprintf("BenchmarkSpiload/%s \t%d\t%d ns/op\t%.0f tokens_per_s\t%d admitted_sessions\t%d p50_us\t%d p99_us",
-		name, rep.Started, rep.meanLatency().Nanoseconds(), tps, rep.Admitted,
-		rep.percentile(50).Microseconds(), rep.percentile(99).Microseconds())
-}
-
-func parseInts(s string) ([]int, error) {
-	if s == "" {
-		return nil, fmt.Errorf("empty list")
-	}
-	parts := strings.Split(s, ",")
-	out := make([]int, len(parts))
-	for i, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("bad entry %q", p)
-		}
-		out[i] = v
-	}
-	return out, nil
+func newFlagSet(c *loadConfig, inproc, inprocTCP *bool) *flag.FlagSet {
+	fs := flag.NewFlagSet("spiload", flag.ExitOnError)
+	c.GraphFlags(fs) // no -graph: the built-in 3-actor pipeline, assigned 0,1,1 on nodes 0,1
+	c.NodeOfFlag(fs)
+	c.SeedFlag(fs)  // must match the server's for digest verification
+	c.ChaosFlag(fs) // client side only
+	runcfg.ReconnectFlags(fs, &c.Link.Reconnect)
+	runcfg.AdmissionFlags(fs, &c.Admission) // -inproc only
+	fs.IntVar(&c.Link.Node, "node", 1, "this client's node index")
+	fs.StringVar(&c.Connect, "connect", "", "session server address (required unless -inproc)")
+	fs.IntVar(&c.Sessions, "sessions", 100, "total sessions to run")
+	fs.IntVar(&c.Concurrency, "concurrency", 8, "closed-loop worker count (ignored when -rate > 0)")
+	fs.Float64Var(&c.Rate, "rate", 0, "open-loop session starts per second (0 = closed loop)")
+	fs.DurationVar(&c.Duration, "duration", 0, "stop starting new sessions after this long (0 = run all -sessions)")
+	fs.IntVar(&c.Tenants, "tenants", 1, "tenant names to round-robin sessions across")
+	fs.DurationVar(&c.OpenTimeout, "open-timeout", 30*time.Second, "per-session open/close wait bound")
+	fs.DurationVar(&c.SessionTimeout, "session-timeout", 0,
+		"hard wall-clock budget per session from open to close; with -inproc the server also reaps sessions idle this long (0 = off)")
+	fs.BoolVar(inproc, "inproc", false, "start an in-process session server over loopback (self-contained)")
+	fs.BoolVar(inprocTCP, "inproc-tcp", false, "like -inproc but served over localhost TCP")
+	return fs
 }
 
 func main() {
-	var cfg loadConfig
-	graphPath := flag.String("graph", "", "dataflow graph file (default: built-in 3-actor pipeline)")
-	assign := flag.String("assign", "", "processor per actor (default 0,1,1 with the built-in graph)")
-	nodeof := flag.String("nodeof", "", "node per processor (default identity)")
-	flag.IntVar(&cfg.Node, "node", 1, "this client's node index")
-	flag.StringVar(&cfg.Connect, "connect", "", "session server address (required unless -inproc)")
-	flag.IntVar(&cfg.Sessions, "sessions", 100, "total sessions to run")
-	flag.IntVar(&cfg.Concurrency, "concurrency", 8, "closed-loop worker count (ignored when -rate > 0)")
-	flag.Float64Var(&cfg.Rate, "rate", 0, "open-loop session starts per second (0 = closed loop)")
-	flag.DurationVar(&cfg.Duration, "duration", 0, "stop starting new sessions after this long (0 = run all -sessions)")
-	flag.IntVar(&cfg.Iters, "iters", 10, "graph iterations per session")
-	flag.IntVar(&cfg.Tenants, "tenants", 1, "tenant names to round-robin sessions across")
-	flag.Uint64Var(&cfg.Seed, "seed", 1, "kernel seed; must match the server's -seed for digest verification")
-	flag.DurationVar(&cfg.OpenTimeout, "open-timeout", 30*time.Second, "per-session open/close wait bound")
-	flag.DurationVar(&cfg.SessionTimeout, "session-timeout", 0,
-		"hard wall-clock budget per session from open to close; with -inproc the server also reaps sessions idle this long (0 = off)")
-	reconnect := flag.Int("reconnect", 0, "reconnect attempts after a link drop (0 = fail fast)")
-	reconnectDeadline := flag.Duration("reconnect-deadline", 15*time.Second, "total budget for resuming a dropped link")
-	chaosSpec := flag.String("chaos", "", "client-side fault-injection spec (see transport.ParseFaultSpec)")
-	bench := flag.Bool("bench", false, "emit go-bench result lines: a serial single baseline plus the load phase")
-	inproc := flag.Bool("inproc", false, "start an in-process session server over loopback (self-contained)")
-	inprocTCP := flag.Bool("inproc-tcp", false, "like -inproc but served over localhost TCP")
-	maxSessions := flag.Int("max-sessions", 0, "with -inproc: server session cap")
-	tenantQuota := flag.Int("tenant-quota", 0, "with -inproc: server per-tenant cap")
-	flag.Parse()
-
-	if cfg.Tenants < 1 {
-		cfg.Tenants = 1
+	cfg := loadConfig{Run: runcfg.Run{Iters: 10, Seed: 1, Transport: "tcp"}}
+	var inproc, inprocTCP bool
+	newFlagSet(&cfg, &inproc, &inprocTCP).Parse(os.Args[1:])
+	fail := func(code int, err error) {
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "spiload:", err)
+			os.Exit(code)
+		}
 	}
-	if *graphPath != "" {
-		f, err := os.Open(*graphPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "spiload:", err)
-			os.Exit(1)
-		}
-		cfg.Graph, err = dataflow.Parse(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "spiload:", err)
-			os.Exit(1)
-		}
-		if cfg.Assign, err = parseInts(*assign); err != nil {
-			fmt.Fprintln(os.Stderr, "spiload: -assign:", err)
-			os.Exit(2)
-		}
-	} else {
-		g, err := dataflow.Parse(strings.NewReader(builtinGraph))
-		if err != nil {
-			panic(err)
-		}
-		cfg.Graph, cfg.Assign = g, []int{0, 1, 1}
+	cfg.Tenants = max(cfg.Tenants, 1)
+	if cfg.GraphPath == "" {
+		cfg.Graph, _ = dataflow.Parse(strings.NewReader(builtinGraph)) // a constant the tests parse
+		cfg.Assign = []int{0, 1, 1}
 		if cfg.NodeOf == nil {
 			cfg.NodeOf = []int{0, 1}
 		}
 	}
-	if *nodeof != "" {
-		var err error
-		if cfg.NodeOf, err = parseInts(*nodeof); err != nil {
-			fmt.Fprintln(os.Stderr, "spiload: -nodeof:", err)
-			os.Exit(2)
-		}
+	if inproc {
+		cfg.Transport = "loopback"
 	}
-	if *reconnect > 0 {
-		cfg.Reconnect = transport.ReconnectConfig{Attempts: *reconnect, Deadline: *reconnectDeadline}
-	}
-
-	var tr transport.Transport = &transport.TCP{}
-	if *inproc || *inprocTCP {
-		listenAddr := "127.0.0.1:0"
-		if !*inprocTCP {
-			tr = transport.NewLoopback()
-			listenAddr = "spiload-inproc"
-		}
-		stopInproc, addr, err := startInproc(cfg, tr, listenAddr, *maxSessions, *tenantQuota, os.Stderr)
+	tr, local, _, err := cfg.OpenTransport()
+	fail(1, err)
+	if inproc || inprocTCP {
+		stop, addr, err := startInproc(cfg, tr, local(0), os.Stderr)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "spiload: -inproc:", err)
-			os.Exit(1)
+			fail(1, fmt.Errorf("-inproc: %w", err))
 		}
-		defer stopInproc()
+		defer stop()
 		cfg.Connect = addr
 	} else if cfg.Connect == "" {
-		fmt.Fprintln(os.Stderr, "spiload: -connect is required (or use -inproc)")
-		os.Exit(2)
+		fail(2, errors.New("-connect is required (or use -inproc)"))
 	}
-	if *chaosSpec != "" {
-		fc, err := transport.ParseFaultSpec(*chaosSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "spiload: -chaos:", err)
-			os.Exit(2)
-		}
-		tr = transport.NewFaultTransport(tr, fc)
-	}
-
-	fail := func(err error) {
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "spiload:", err)
-			os.Exit(1)
-		}
-	}
-	if *bench {
-		single := cfg
-		single.Concurrency = 1
-		single.Rate = 0
-		if single.Sessions > 25 {
-			single.Sessions = 25
-		}
-		srep, err := runLoad(single, tr, os.Stderr)
-		fail(err)
-		fail(summarize(os.Stderr, "single", srep))
-		rep, err := runLoad(cfg, tr, os.Stderr)
-		fail(err)
-		fail(summarize(os.Stderr, "sessions", rep))
-		fmt.Println(benchLine("single", srep))
-		fmt.Println(benchLine("sessions", rep))
-		return
+	if cfg.Chaos != nil {
+		tr = transport.NewFaultTransport(tr, *cfg.Chaos)
 	}
 	rep, err := runLoad(cfg, tr, os.Stdout)
-	fail(err)
-	fail(summarize(os.Stdout, "load", rep))
+	fail(1, err)
+	fail(1, summarize(os.Stdout, "load", rep))
 }

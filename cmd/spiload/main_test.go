@@ -2,11 +2,11 @@ package main
 
 import (
 	"bytes"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/cmd/internal/runcfg"
 	"repro/internal/dataflow"
 	"repro/internal/transport"
 )
@@ -18,15 +18,11 @@ func builtinConfig(t *testing.T) loadConfig {
 		t.Fatal(err)
 	}
 	return loadConfig{
-		Graph:       g,
-		Assign:      []int{0, 1, 1},
-		NodeOf:      []int{0, 1},
-		Node:        1,
+		Run:         runcfg.Run{Graph: g, Assign: []int{0, 1, 1}, NodeOf: []int{0, 1}, Iters: 8, Seed: 7},
+		Link:        transport.LinkConfig{Node: 1},
 		Sessions:    20,
 		Concurrency: 4,
-		Iters:       8,
 		Tenants:     2,
-		Seed:        7,
 		OpenTimeout: 20 * time.Second,
 	}
 }
@@ -38,7 +34,7 @@ func TestLoadInproc(t *testing.T) {
 	cfg := builtinConfig(t)
 	tr := transport.NewLoopback()
 	var out bytes.Buffer
-	stop, addr, err := startInproc(cfg, tr, "spiload-test", 0, 0, &out)
+	stop, addr, err := startInproc(cfg, tr, "spiload-test", &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,9 +66,10 @@ func TestLoadAdmissionRejections(t *testing.T) {
 	cfg := builtinConfig(t)
 	cfg.Tenants = 1
 	cfg.Concurrency = 6
+	cfg.Admission.TenantQuota = 1
 	tr := transport.NewLoopback()
 	var out bytes.Buffer
-	stop, addr, err := startInproc(cfg, tr, "spiload-test", 0, 1, &out)
+	stop, addr, err := startInproc(cfg, tr, "spiload-test", &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,39 +91,6 @@ func TestLoadAdmissionRejections(t *testing.T) {
 	}
 }
 
-// TestBenchLineFormat: the emitted line must parse the way benchdiff
-// parses `go test -bench` output — name, N, then metric/unit pairs.
-func TestBenchLineFormat(t *testing.T) {
-	rep := &loadReport{
-		Started: 30, Admitted: 28, Completed: 28,
-		Tokens: 4200, Elapsed: 2 * time.Second,
-		Latencies: []time.Duration{time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond},
-	}
-	line := benchLine("sessions", rep)
-	if !strings.HasPrefix(line, "BenchmarkSpiload/sessions") {
-		t.Fatalf("bad prefix: %q", line)
-	}
-	fields := strings.Fields(line)
-	if len(fields) < 4 || len(fields)%2 != 0 {
-		t.Fatalf("field count %d must be even and >= 4: %q", len(fields), line)
-	}
-	if _, err := strconv.ParseInt(fields[1], 10, 64); err != nil {
-		t.Fatalf("iterations field %q: %v", fields[1], err)
-	}
-	units := map[string]bool{}
-	for i := 2; i+1 < len(fields); i += 2 {
-		if _, err := strconv.ParseFloat(fields[i], 64); err != nil {
-			t.Fatalf("metric value %q: %v", fields[i], err)
-		}
-		units[fields[i+1]] = true
-	}
-	for _, want := range []string{"ns/op", "tokens_per_s", "admitted_sessions", "p50_us", "p99_us"} {
-		if !units[want] {
-			t.Errorf("line missing unit %s: %q", want, line)
-		}
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	rep := &loadReport{}
 	for i := 1; i <= 100; i++ {
@@ -139,7 +103,7 @@ func TestPercentile(t *testing.T) {
 		t.Errorf("p99 = %v", got)
 	}
 	empty := &loadReport{}
-	if empty.percentile(99) != 0 || empty.meanLatency() != 0 {
+	if empty.percentile(99) != 0 {
 		t.Error("empty report percentiles should be zero")
 	}
 }

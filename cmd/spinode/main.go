@@ -23,6 +23,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -33,16 +34,15 @@ import (
 	"os"
 	"os/signal"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/dataflow"
-	"repro/internal/demo"
+	"repro/cmd/internal/runcfg"
 	"repro/internal/obs"
-	"repro/internal/sched"
+	"repro/internal/orch"
+	"repro/internal/session"
 	"repro/internal/spi"
 	"repro/internal/transport"
 )
@@ -51,209 +51,144 @@ import (
 // died; the digests printed cover only the work that completed).
 const exitDegraded = 3
 
-func main() {
-	var cfg nodeConfig
-	graphPath := flag.String("graph", "", "dataflow graph file (see internal/dataflow parse format)")
-	assign := flag.String("assign", "", "comma-separated processor index per actor, in graph order (e.g. 0,1,1)")
-	nodeof := flag.String("nodeof", "", "comma-separated node index per processor (default: processor p on node p)")
-	addrs := flag.String("addrs", "", "comma-separated listen address per node")
-	flag.IntVar(&cfg.Node, "node", 0, "this process's node index")
-	flag.IntVar(&cfg.Iterations, "iters", 10, "graph iterations to execute")
-	flag.Uint64Var(&cfg.Seed, "seed", 1, "deterministic kernel seed")
-	flag.DurationVar(&cfg.ConnectTimeout, "connect-timeout", 0,
-		"bound on connection establishment (0 = retry ladder only; superseded by -deadline)")
-	flag.DurationVar(&cfg.Deadline, "deadline", 0,
-		"hard time budget for the whole run: past it every blocked actor is released and the node exits with a deadline error (0 = unbounded)")
-	flag.DurationVar(&cfg.Heartbeat, "heartbeat", 0,
-		"PING idle links at this interval to detect silent peers; negotiated, so peers without it interoperate (0 = off)")
-	flag.DurationVar(&cfg.PeerTimeout, "peer-timeout", 0,
-		"declare a peer dead after this much silence when -heartbeat is on (0 = 4x heartbeat)")
-	flag.DurationVar(&cfg.StallTimeout, "stall-timeout", 0,
-		"abort the run if no actor fires and no edge moves for this long, naming the stalled actors (0 = off)")
-	reconnect := flag.Int("reconnect", 0, "reconnect attempts after a link drop (0 = fail fast)")
-	reconnectDeadline := flag.Duration("reconnect-deadline", 15*time.Second,
-		"total time budget for resuming one dropped link")
-	flag.BoolVar(&cfg.Degrade, "degrade", false,
-		"on a dead peer, drain the surviving actors and report partial digests (exit status 3) instead of aborting")
-	chaosSpec := flag.String("chaos", "",
-		"fault-injection spec, e.g. seed=7,drop=0.05,severat=40;90 (see transport.ParseFaultSpec)")
-	flag.IntVar(&cfg.Batch.MaxFrames, "batch-frames", 0,
-		"coalesce up to this many frames per link write (0 = no batching, 1 = explicit off)")
-	flag.IntVar(&cfg.Batch.MaxBytes, "batch-bytes", 0,
-		"flush a link's write batch at this many buffered bytes (0 = default when batching)")
-	flag.DurationVar(&cfg.Batch.MaxDelay, "batch-delay", 0,
-		"deadline before a buffered frame is flushed alone (0 = default when batching)")
-	flag.BoolVar(&cfg.PiggybackAcks, "piggyback-acks", false,
-		"carry acknowledgements on outgoing DATA frames when the peer supports it")
-	flag.IntVar(&cfg.Block, "block", 0,
-		"vectorization blocking factor B: fire B iterations per block and pack B tokens per message on block-aligned edges; all nodes must agree (0 = off, bit-identical digests either way)")
-	flag.BoolVar(&cfg.Resync, "resync", false,
-		"suppress UBS acks on edges whose synchronization the sync graph proves another path already covers; negotiated per link, all nodes must agree (bit-identical digests either way)")
-	trans := flag.String("transport", "tcp",
-		"byte transport: tcp, shm (same-host shared-memory rings; -addrs are segment names under -shm-dir), or loopback (in-memory, only useful with -inproc)")
-	shmDir := flag.String("shm-dir", os.TempDir(),
-		"with -transport shm: directory holding the shared-memory rendezvous segments; all nodes must use the same one")
-	flag.IntVar(&cfg.Fission, "fission", 0,
-		"rewrite the heaviest fissionable actor (or -fission-actor) into this many replicas behind scatter/gather stages before executing; digests stay bit-identical to the unfissioned run (0 = off)")
-	flag.StringVar(&cfg.FissionActor, "fission-actor", "",
-		"with -fission: name of the actor to fission (default: the heaviest fissionable one)")
-	inproc := flag.Bool("inproc", false,
-		"run every node of the graph inside this one process over the selected transport and print all digests — the single-command digest-verify mode (-addrs and -node are synthesized)")
-	flag.StringVar(&cfg.HTTPAddr, "http", "",
-		"serve live introspection (GET /metrics, /healthz, /trace) on this address, e.g. 127.0.0.1:9090")
-	flag.DurationVar(&cfg.StatsInterval, "stats-interval", 0,
-		"print a periodic traffic summary line at this interval (0 = off)")
-	serve := flag.Bool("serve", false,
-		"multi-tenant session server: accept client links and run one session-scoped execution per admitted OPEN (see internal/session)")
-	maxSessions := flag.Int("max-sessions", 0,
-		"with -serve: cap on concurrently live sessions across all tenants (0 = unbounded)")
-	tenantQuota := flag.Int("tenant-quota", 0,
-		"with -serve: cap on concurrently live sessions per tenant (0 = unbounded)")
-	tenantBytes := flag.Int64("tenant-bytes", 0,
-		"with -serve: queued-byte budget per tenant before its oldest session is degraded (0 = unbounded)")
-	tenantWeights := flag.String("tenant-weights", "",
-		"with -serve: weighted shares of -max-sessions, e.g. alice=3,bob=1")
-	sessionTimeout := flag.Duration("session-timeout", 0,
-		"with -serve: shed a session whose client has been silent this long (0 = never reap)")
-	worker := flag.Bool("worker", false,
-		"orchestrated worker: register with a spictl coordinator and execute dispatched partitions instead of loading a full manifest (see internal/orch)")
-	coordAddr := flag.String("coord", "",
-		"with -worker: the coordinator's control-plane address")
-	workerName := flag.String("name", "",
-		"with -worker: this worker's registration name (default: host:pid)")
-	dataHost := flag.String("data-host", "127.0.0.1",
-		"with -worker: host to bind per-epoch data-plane listeners on (ephemeral ports)")
-	flag.Parse()
+// nodeConfig is everything the run functions need: the shared run
+// description plus what only spinode has. main fills it from flags, tests
+// construct it directly (transport, listener and observer go in Opts).
+type nodeConfig struct {
+	runcfg.Run
+	// ConnectTimeout bounds connection establishment (0 = retry ladder
+	// only); -deadline supersedes it.
+	ConnectTimeout time.Duration
+	// HTTPAddr, when set, serves GET /metrics (Prometheus text), /healthz
+	// (JSON status) and /trace (Chrome trace_event JSON) during the run;
+	// StatsInterval, when positive, prints a periodic traffic summary.
+	HTTPAddr      string
+	StatsInterval time.Duration
+	// Server holds the -serve admission policy and session timeout as
+	// flagged; runServe fills in the system.
+	Server session.ServerConfig
+}
 
-	if *worker {
+// cli is spinode's whole flag surface: the node configuration plus the
+// mode switches and what only one mode reads.
+type cli struct {
+	nodeConfig
+	addrs                 string
+	inproc, serve, worker bool
+	Worker                orch.WorkerConfig // -coord, -name
+	dataHost              string
+}
+
+func newFlagSet(c *cli) *flag.FlagSet {
+	fs := flag.NewFlagSet("spinode", flag.ExitOnError)
+	c.GraphFlags(fs)
+	c.NodeOfFlag(fs)
+	c.SeedFlag(fs)
+	c.FissionFlags(fs)
+	c.LivenessFlags(fs)
+	c.WireFlags(fs)
+	c.ChaosFlag(fs)
+	runcfg.ReconnectFlags(fs, &c.Opts.Reconnect)
+	runcfg.AdmissionFlags(fs, &c.Server.Admission)
+	fs.StringVar(&c.addrs, "addrs", "", "comma-separated listen address per node")
+	fs.IntVar(&c.Opts.Node, "node", 0, "this process's node index")
+	fs.DurationVar(&c.ConnectTimeout, "connect-timeout", 0,
+		"bound on connection establishment (0 = retry ladder only; superseded by -deadline)")
+	fs.BoolVar(&c.Opts.Degrade, "degrade", false,
+		"on a dead peer, drain the surviving actors and report partial digests (exit status 3) instead of aborting")
+	fs.StringVar(&c.Transport, "transport", c.Transport,
+		"byte transport: tcp, shm (same-host shared-memory rings; -addrs are segment names under -shm-dir), or loopback (in-memory, only useful with -inproc)")
+	fs.StringVar(&c.ShmDir, "shm-dir", c.ShmDir,
+		"with -transport shm: directory holding the shared-memory rendezvous segments; all nodes must use the same one")
+	fs.BoolVar(&c.inproc, "inproc", false,
+		"run every node of the graph inside this one process over the selected transport and print all digests — the single-command digest-verify mode (-addrs and -node are synthesized)")
+	fs.StringVar(&c.HTTPAddr, "http", "",
+		"serve live introspection (GET /metrics, /healthz, /trace) on this address, e.g. 127.0.0.1:9090")
+	fs.DurationVar(&c.StatsInterval, "stats-interval", 0,
+		"print a periodic traffic summary line at this interval (0 = off)")
+	fs.BoolVar(&c.serve, "serve", false,
+		"multi-tenant session server: accept client links and run one session-scoped execution per admitted OPEN (see internal/session)")
+	fs.Int64Var(&c.Server.Admission.MaxTenantBytes, "tenant-bytes", 0,
+		"with -serve: queued-byte budget per tenant before its oldest session is degraded (0 = unbounded)")
+	fs.Func("tenant-weights", "with -serve: weighted shares of -max-sessions, e.g. alice=3,bob=1",
+		func(s string) (err error) {
+			c.Server.Admission.TenantWeights, err = parseWeights(s)
+			return err
+		})
+	fs.DurationVar(&c.Server.SessionTimeout, "session-timeout", 0,
+		"with -serve: shed a session whose client has been silent this long (0 = never reap)")
+	fs.BoolVar(&c.worker, "worker", false,
+		"orchestrated worker: register with a spictl coordinator and execute dispatched partitions instead of loading a full manifest (see internal/orch); honours -transport, -chaos, -seed, -heartbeat, -peer-timeout and -reconnect")
+	fs.StringVar(&c.Worker.Coord, "coord", "", "with -worker: the coordinator's control-plane address")
+	fs.StringVar(&c.Worker.Name, "name", "", "with -worker: this worker's registration name (default: host:pid)")
+	fs.StringVar(&c.dataHost, "data-host", "127.0.0.1",
+		"with -worker: host to bind per-epoch data-plane listeners on (ephemeral ports)")
+	return fs
+}
+
+// prepare checks the mode switches against the flags they need and opens
+// the transport every mode runs over: -transport and -chaos apply to
+// -worker and -serve exactly as to a plain node. An error is flag misuse.
+func (c *cli) prepare() (local func(int) string, err error) {
+	switch {
+	case c.worker && c.Worker.Coord == "":
+		return nil, errors.New("-worker requires -coord")
+	case c.worker:
 		// A worker holds no graph and no assignment: partitions arrive
 		// from the coordinator, so -graph/-assign/-addrs do not apply.
-		if *coordAddr == "" {
-			fmt.Fprintln(os.Stderr, "spinode: -worker requires -coord")
-			os.Exit(2)
-		}
-		wcfg := workerConfig{
-			Coord:       *coordAddr,
-			Name:        *workerName,
-			DataHost:    *dataHost,
-			Seed:        cfg.Seed,
-			Heartbeat:   cfg.Heartbeat,
-			PeerTimeout: cfg.PeerTimeout,
-		}
-		if *reconnect > 0 {
-			wcfg.Reconnect = transport.ReconnectConfig{
-				Attempts: *reconnect, Deadline: *reconnectDeadline,
-			}
-		}
-		ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
-		defer cancel()
-		if err := runWorker(ctx, wcfg, &transport.TCP{}, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "spinode:", err)
-			os.Exit(1)
-		}
-		return
+	case c.GraphPath == "":
+		return nil, errors.New("-graph is required")
+	case c.inproc:
+	case c.addrs == "":
+		return nil, errors.New("-addrs is required")
+	case c.serve && c.Opts.Resync:
+		// Session-tagged acks are never suppressed, so the flag would be
+		// accepted and do nothing.
+		return nil, errors.New("-resync does not apply with -serve: session-tagged acks are never suppressed")
 	}
+	tr, local, _, err := c.OpenTransport()
+	if err != nil {
+		return nil, err
+	}
+	if c.Chaos != nil {
+		tr = transport.NewFaultTransport(tr, *c.Chaos)
+	}
+	c.Opts.Transport = tr
+	if c.addrs != "" {
+		c.Opts.Addrs = strings.Split(c.addrs, ",")
+	}
+	return local, nil
+}
 
-	if *graphPath == "" {
-		fmt.Fprintln(os.Stderr, "spinode: -graph is required")
-		os.Exit(2)
-	}
-	f, err := os.Open(*graphPath)
+func main() {
+	c := cli{nodeConfig: nodeConfig{Run: runcfg.Run{Iters: 10, Seed: 1, Transport: "tcp", ShmDir: os.TempDir()}}}
+	newFlagSet(&c).Parse(os.Args[1:])
+	local, err := c.prepare()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "spinode:", err)
-		os.Exit(1)
-	}
-	cfg.Graph, err = dataflow.Parse(f)
-	f.Close()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "spinode:", err)
-		os.Exit(1)
-	}
-	if cfg.Assign, err = parseInts(*assign); err != nil {
-		fmt.Fprintln(os.Stderr, "spinode: -assign:", err)
 		os.Exit(2)
 	}
-	if *nodeof != "" {
-		if cfg.NodeOf, err = parseInts(*nodeof); err != nil {
-			fmt.Fprintln(os.Stderr, "spinode: -nodeof:", err)
-			os.Exit(2)
-		}
+	cfg := c.nodeConfig
+	ctx := context.Background()
+	if c.worker || c.serve { // the long-lived modes stop on SIGINT
+		var stop context.CancelFunc
+		ctx, stop = signal.NotifyContext(ctx, os.Interrupt)
+		defer stop()
 	}
-	if *addrs == "" && !*inproc {
-		fmt.Fprintln(os.Stderr, "spinode: -addrs is required")
-		os.Exit(2)
-	}
-	if *addrs != "" {
-		cfg.Addrs = strings.Split(*addrs, ",")
-	}
-	if *reconnect > 0 {
-		cfg.Reconnect = transport.ReconnectConfig{
-			Attempts: *reconnect,
-			Deadline: *reconnectDeadline,
-		}
-	}
-
-	var tr transport.Transport
-	switch *trans {
-	case "tcp":
-		tr = &transport.TCP{}
-	case "shm":
-		// The same-host composite: -addrs stay ordinary host:port
-		// addresses, links whose peer is this machine ride the shm
-		// rings, everything else falls back to TCP.
-		tr = &transport.SameHost{Shm: transport.NewShm(*shmDir)}
-	case "loopback":
-		tr = transport.NewLoopback()
+	switch {
+	case c.worker:
+		wc := c.Worker
+		wc.Transport, wc.Reconnect = cfg.Opts.Transport, cfg.Opts.Reconnect
+		wc.Heartbeat, wc.PeerTimeout = cfg.Opts.Heartbeat, cfg.Opts.PeerTimeout
+		err = runWorker(ctx, wc, c.dataHost, cfg.Seed, os.Stdout)
+	case c.inproc:
+		err = runInproc(cfg, local, os.Stdout)
+	case c.serve:
+		err = runServe(cfg, os.Stdout, ctx.Done())
 	default:
-		fmt.Fprintf(os.Stderr, "spinode: unknown -transport %q (tcp, shm, or loopback)\n", *trans)
-		os.Exit(2)
+		err = runNode(cfg, os.Stdout)
 	}
-	if *chaosSpec != "" {
-		fc, err := transport.ParseFaultSpec(*chaosSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "spinode: -chaos:", err)
-			os.Exit(2)
-		}
-		tr = transport.NewFaultTransport(tr, fc)
-	}
-
-	if *inproc {
-		if err := runInproc(cfg, *trans, tr, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "spinode:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *serve {
-		weights, werr := parseWeights(*tenantWeights)
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, "spinode: -tenant-weights:", werr)
-			os.Exit(2)
-		}
-		scfg := serveConfig{
-			nodeConfig:     cfg,
-			MaxSessions:    *maxSessions,
-			TenantQuota:    *tenantQuota,
-			TenantBytes:    *tenantBytes,
-			TenantWeights:  weights,
-			SessionTimeout: *sessionTimeout,
-		}
-		stop := make(chan struct{})
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt)
-		go func() {
-			<-sig
-			close(stop)
-		}()
-		if err := runServe(scfg, tr, nil, os.Stdout, stop); err != nil {
-			fmt.Fprintln(os.Stderr, "spinode:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if err := runNode(cfg, tr, nil, os.Stdout); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "spinode:", err)
 		var de *spi.DegradedError
 		if errors.As(err, &de) {
@@ -263,155 +198,24 @@ func main() {
 	}
 }
 
-func parseInts(s string) ([]int, error) {
-	if s == "" {
-		return nil, fmt.Errorf("empty list")
-	}
-	parts := strings.Split(s, ",")
-	out := make([]int, len(parts))
-	for i, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("bad entry %q", p)
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-// nodeConfig is everything runNode needs; main fills it from flags, tests
-// construct it directly.
-type nodeConfig struct {
-	Graph      *dataflow.Graph
-	Assign     []int // processor per actor, in graph order
-	NodeOf     []int // node per processor; nil = identity
-	Addrs      []string
-	Node       int
-	Iterations int
-	Seed       uint64
-	// ConnectTimeout bounds connection establishment (0 = retry ladder
-	// only); Reconnect and Degrade pass through to spi.DistOptions.
-	ConnectTimeout time.Duration
-	Reconnect      transport.ReconnectConfig
-	Degrade        bool
-	// Deadline bounds the whole run (setup plus execution); it supersedes
-	// ConnectTimeout when set. Heartbeat/PeerTimeout enable link liveness
-	// probing and StallTimeout the no-progress watchdog — all pass
-	// through to spi.DistOptions.
-	Deadline     time.Duration
-	Heartbeat    time.Duration
-	PeerTimeout  time.Duration
-	StallTimeout time.Duration
-	// Batch configures each link's write coalescer; PiggybackAcks lets
-	// links carry acks on outgoing DATA frames (negotiated with the peer).
-	Batch         transport.BatchConfig
-	PiggybackAcks bool
-	// Block is the vectorization blocking factor B (0 or 1 = scalar); all
-	// nodes must use the same value, enforced by the HELLO handshake.
-	Block int
-	// Resync suppresses redundant UBS acks per the §4 sync-graph verdict;
-	// all nodes must agree (enforced per link at handshake).
-	Resync bool
-	// Fission > 0 rewrites FissionActor (default: the heaviest fissionable
-	// actor) into that many replicas behind scatter/gather stages; the demo
-	// kernels run in transparent replication mode, so sink digests stay
-	// bit-identical to the unfissioned run. All nodes must use the same
-	// values.
-	Fission      int
-	FissionActor string
-	// HTTPAddr, when set, serves GET /metrics (Prometheus text),
-	// /healthz (JSON status), and /trace (Chrome trace_event JSON) for
-	// the duration of the run.
-	HTTPAddr string
-	// StatsInterval, when positive, prints a periodic one-line traffic
-	// summary while the run executes.
-	StatsInterval time.Duration
-	// Obs optionally supplies a pre-built observer (tests inject a
-	// seeded one for deterministic traces). When nil, runNode creates a
-	// wall-clock observer if HTTPAddr or StatsInterval require one.
-	Obs *obs.Observer
-}
-
-// buildMapping turns the actor-to-processor assignment into a
-// sched.Mapping, ordering each processor's actors by graph order.
-func buildMapping(g *dataflow.Graph, assign []int) (*sched.Mapping, error) {
-	return demo.Mapping(g, assign)
-}
-
-// demoKernels delegates to the shared demo package: deterministic
-// kernels whose sink digests are invariant under any partition.
-func demoKernels(g *dataflow.Graph, seed uint64, digests map[string]*uint64, mu *sync.Mutex) (map[dataflow.ActorID]spi.Kernel, error) {
-	return demo.Kernels(g, seed, digests, mu)
-}
-
-// buildSystem turns the configured graph and assignment into the system to
-// execute: the mapping, and — when -fission is on — the rewritten graph
-// with its extended mapping and the plan the kernels are wrapped with.
-func buildSystem(cfg nodeConfig) (*dataflow.Graph, *sched.Mapping, *dataflow.FissionPlan, error) {
-	m, err := buildMapping(cfg.Graph, cfg.Assign)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if cfg.Fission <= 0 {
-		return cfg.Graph, m, nil, nil
-	}
-	var target dataflow.ActorID
-	if cfg.FissionActor != "" {
-		a, ok := cfg.Graph.ActorByName(cfg.FissionActor)
-		if !ok {
-			return nil, nil, nil, fmt.Errorf("-fission-actor: graph %q has no actor %q", cfg.Graph.Name(), cfg.FissionActor)
-		}
-		target = a
-	} else {
-		if target, err = dataflow.HeaviestFissionable(cfg.Graph); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	plan, err := dataflow.Fission(cfg.Graph, target, dataflow.FissionOptions{K: cfg.Fission})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	fm, err := sched.ExtendFission(m, plan)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return plan.Graph, fm, plan, nil
-}
-
 // runInproc executes every node of the run inside this process over the
 // selected transport — the digest-verify mode the fission smoke test uses.
-// Each node's report is buffered and printed in node order so digest lines
-// stay greppable.
-func runInproc(cfg nodeConfig, trans string, tr transport.Transport, w io.Writer) error {
-	_, m, _, err := buildSystem(cfg)
+// local names each node's listen address. Each node's report is buffered
+// and printed in node order so digest lines stay greppable.
+func runInproc(cfg nodeConfig, local func(int) string, w io.Writer) error {
+	sys, err := cfg.Build()
 	if err != nil {
 		return err
 	}
-	nodes := m.NumProcs
-	if cfg.NodeOf != nil {
-		nodes = 0
-		for _, n := range cfg.NodeOf {
-			if n+1 > nodes {
-				nodes = n + 1
-			}
-		}
-	}
-	addrs := make([]string, nodes)
+	nodes := sys.Nodes()
+	cfg.Opts.Addrs = make([]string, nodes)
 	lns := make([]transport.Listener, nodes)
-	for i := range addrs {
-		name := fmt.Sprintf("inproc-n%d", i)
-		if trans == "tcp" || trans == "shm" {
-			// Network-style addresses: the shm composite derives its
-			// rendezvous from the resolved port and auto-selects the
-			// rings because the host is local.
-			name = "127.0.0.1:0"
-		}
-		ln, err := tr.Listen(name)
-		if err != nil {
+	for i := range lns {
+		if lns[i], err = cfg.Opts.Transport.Listen(local(i)); err != nil {
 			return err
 		}
-		defer ln.Close()
-		addrs[i], lns[i] = ln.Addr(), ln
+		defer lns[i].Close()
+		cfg.Opts.Addrs[i] = lns[i].Addr()
 	}
 	outs := make([]strings.Builder, nodes)
 	errs := make([]error, nodes)
@@ -421,9 +225,8 @@ func runInproc(cfg nodeConfig, trans string, tr transport.Transport, w io.Writer
 		go func(i int) {
 			defer wg.Done()
 			ncfg := cfg
-			ncfg.Node = i
-			ncfg.Addrs = addrs
-			errs[i] = runNode(ncfg, tr, lns[i], &outs[i])
+			ncfg.Opts.Node, ncfg.Opts.Listener = i, lns[i]
+			errs[i] = runNode(ncfg, &outs[i])
 		}(i)
 	}
 	wg.Wait()
@@ -438,109 +241,79 @@ func runInproc(cfg nodeConfig, trans string, tr transport.Transport, w io.Writer
 	return nil
 }
 
+// serveHTTP starts the -http introspection endpoint and returns its
+// shutdown.
+func serveHTTP(addr string, o *obs.Observer, status func() any, w io.Writer) (func(), error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("-http: %w", err)
+	}
+	srv := &http.Server{Handler: o.Handler(status)}
+	go srv.Serve(ln)
+	fmt.Fprintf(w, "observability: http://%s/metrics /healthz /trace\n", ln.Addr())
+	return func() { srv.Close() }, nil
+}
+
 // runNode executes one node of the distributed run and reports the sink
-// digests and communication statistics on w. tr and ln (optional pre-bound
-// listener for Addrs[Node]) are injectable for tests.
-func runNode(cfg nodeConfig, tr transport.Transport, ln transport.Listener, w io.Writer) error {
-	g, m, plan, err := buildSystem(cfg)
+// digests and communication statistics on w.
+func runNode(cfg nodeConfig, w io.Writer) error {
+	sys, err := cfg.Build()
 	if err != nil {
 		return err
 	}
-	nodeOf := cfg.NodeOf
-	if plan != nil && nodeOf != nil && len(nodeOf) == m.NumProcs-plan.K {
-		// -nodeof names the serial graph's processors; the fission pass
-		// appended one fresh processor per replica. Co-locate those with
-		// the scatter stage's node so fission never changes the node
-		// layout the user asked for — replicas are a same-host concern.
-		ext := make([]int, m.NumProcs)
-		copy(ext, nodeOf)
-		home := ext[m.Proc[plan.Scatter]]
-		for p := m.NumProcs - plan.K; p < m.NumProcs; p++ {
-			ext[p] = home
-		}
-		nodeOf = ext
-	}
-	if nodeOf == nil {
-		nodeOf = make([]int, m.NumProcs)
-		for p := range nodeOf {
-			nodeOf[p] = p
-		}
-	}
-
-	// One digest slot per local sink actor (no output edges).
-	var mu sync.Mutex
-	digests := map[string]*uint64{}
-	var sinkNames []string
-	for _, a := range g.Actors() {
-		if len(g.Out(a)) == 0 {
-			digests[g.Actor(a).Name] = new(uint64)
-		}
-	}
-	var kernels map[dataflow.ActorID]spi.Kernel
-	if plan != nil {
-		// Transparent replication: every replica runs the original demo
-		// kernel and emits its chunk, so the digests match the unfissioned
-		// run bit for bit.
-		base, kerr := demoKernels(plan.Source, cfg.Seed, digests, &mu)
-		if kerr != nil {
-			return kerr
-		}
-		if kernels, err = spi.FissionKernels(plan, base, nil); err != nil {
-			return err
-		}
-	} else if kernels, err = demoKernels(g, cfg.Seed, digests, &mu); err != nil {
+	kernels, digests, err := sys.Kernels()
+	if err != nil {
 		return err
 	}
+	g, m, opts := sys.Graph, sys.Mapping, cfg.Opts
+	opts.NodeOf = sys.NodeOf
 
 	fmt.Fprintf(w, "spinode: graph %s, node %d/%d, %d iterations\n",
-		g.Name(), cfg.Node, len(cfg.Addrs), cfg.Iterations)
-	if plan != nil {
-		fmt.Fprintf(w, "%s\n", plan)
+		g.Name(), opts.Node, len(opts.Addrs), cfg.Iters)
+	if sys.Plan != nil {
+		fmt.Fprintf(w, "%s\n", sys.Plan)
 	}
+	var sinkNames []string
 	for p := 0; p < m.NumProcs; p++ {
-		if nodeOf[p] != cfg.Node {
+		if opts.NodeOf[p] != opts.Node {
 			continue
 		}
 		names := make([]string, len(m.Order[p]))
 		for i, a := range m.Order[p] {
 			names[i] = g.Actor(a).Name
-		}
-		fmt.Fprintf(w, "  processor %d: %s\n", p, strings.Join(names, " "))
-		for _, a := range m.Order[p] {
 			if len(g.Out(a)) == 0 {
-				sinkNames = append(sinkNames, g.Actor(a).Name)
+				sinkNames = append(sinkNames, names[i])
 			}
 		}
+		fmt.Fprintf(w, "  processor %d: %s\n", p, strings.Join(names, " "))
 	}
 
-	// Observability: tests inject a seeded observer via cfg.Obs; the
+	// Observability: tests inject a seeded observer via Opts.Obs; the
 	// -http / -stats-interval flags demand a wall-clock one.
-	o := cfg.Obs
+	o := opts.Obs
 	if o == nil && (cfg.HTTPAddr != "" || cfg.StatsInterval > 0) {
 		o = obs.New()
-		o.Node = cfg.Node
+		o.Node = opts.Node
+		opts.Obs = o
 	}
-	if ft, ok := tr.(*transport.FaultTransport); ok {
+	if ft, ok := opts.Transport.(*transport.FaultTransport); ok {
 		ft.SetObserver(o)
 	}
 	var phase atomic.Value
 	phase.Store("connecting")
 	if cfg.HTTPAddr != "" {
-		httpLn, lerr := net.Listen("tcp", cfg.HTTPAddr)
-		if lerr != nil {
-			return fmt.Errorf("-http: %w", lerr)
-		}
-		srv := &http.Server{Handler: o.Handler(func() any {
+		closeHTTP, err := serveHTTP(cfg.HTTPAddr, o, func() any {
 			return map[string]any{
 				"status":     phase.Load(),
-				"node":       cfg.Node,
+				"node":       opts.Node,
 				"graph":      g.Name(),
-				"iterations": cfg.Iterations,
+				"iterations": cfg.Iters,
 			}
-		})}
-		go srv.Serve(httpLn)
-		defer srv.Close()
-		fmt.Fprintf(w, "observability: http://%s/metrics /healthz /trace\n", httpLn.Addr())
+		}, w)
+		if err != nil {
+			return err
+		}
+		defer closeHTTP()
 	}
 	stopStats := func() {}
 	if cfg.StatsInterval > 0 {
@@ -571,38 +344,16 @@ func runNode(cfg nodeConfig, tr transport.Transport, ln transport.Listener, w io
 		defer stopStats()
 	}
 
-	opts := spi.DistOptions{
-		Transport:     tr,
-		Node:          cfg.Node,
-		Addrs:         cfg.Addrs,
-		NodeOf:        nodeOf,
-		Listener:      ln,
-		Reconnect:     cfg.Reconnect,
-		Degrade:       cfg.Degrade,
-		Batch:         cfg.Batch,
-		PiggybackAcks: cfg.PiggybackAcks,
-		Block:         cfg.Block,
-		Resync:        cfg.Resync,
-		Heartbeat:     cfg.Heartbeat,
-		PeerTimeout:   cfg.PeerTimeout,
-		StallTimeout:  cfg.StallTimeout,
-		Obs:           o,
-	}
 	// DistOptions.Context bounds the whole run: -deadline is that budget
 	// directly; -connect-timeout keeps its historical role (setup bound)
-	// and now also stops a run still stuck past it.
-	switch {
-	case cfg.Deadline > 0:
-		ctx, cancel := context.WithTimeout(context.Background(), cfg.Deadline)
-		defer cancel()
-		opts.Context = ctx
-	case cfg.ConnectTimeout > 0:
-		ctx, cancel := context.WithTimeout(context.Background(), cfg.ConnectTimeout)
+	// and also stops a run still stuck past it.
+	if budget := cmp.Or(cfg.Deadline, cfg.ConnectTimeout); budget > 0 {
+		ctx, cancel := context.WithTimeout(context.Background(), budget)
 		defer cancel()
 		opts.Context = ctx
 	}
 	phase.Store("running")
-	st, err := spi.ExecuteDistributed(g, m, kernels, cfg.Iterations, opts)
+	st, err := spi.ExecuteDistributed(g, m, kernels, cfg.Iters, opts)
 	stopStats() // the run is over; no ticker write may interleave with the summary
 	phase.Store("done")
 	var de *spi.DegradedError
@@ -640,13 +391,13 @@ func runNode(cfg nodeConfig, tr transport.Transport, ln transport.Listener, w io
 		}
 		sort.Ints(peers)
 		for _, p := range peers {
-			fmt.Fprintf(w, "  peer node %d at %s lost: %v\n", p, cfg.Addrs[p], de.Peers[p])
+			fmt.Fprintf(w, "  peer node %d at %s lost: %v\n", p, opts.Addrs[p], de.Peers[p])
 		}
 		if len(de.Starved) > 0 {
 			fmt.Fprintf(w, "  starved actors: %s\n", strings.Join(de.Starved, " "))
 			// How far each starved actor got before its edges died.
 			for _, name := range de.Starved {
-				fmt.Fprintf(w, "    %s completed %d/%d firings\n", name, de.Firings[name], cfg.Iterations)
+				fmt.Fprintf(w, "    %s completed %d/%d firings\n", name, de.Firings[name], cfg.Iters)
 			}
 		}
 		return err

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/cmd/internal/runcfg"
 	"repro/internal/dataflow"
 	"repro/internal/spi"
 	"repro/internal/transport"
@@ -42,30 +43,38 @@ func digestLines(out string) []string {
 	return lines
 }
 
+// pipelineNode is one node's configuration of the 3-actor pipeline tests:
+// assignment 0,1,1, seed 7, everything else as the caller's DistOptions
+// (transport, listener, addresses, node, tuning) say.
+func pipelineNode(g *dataflow.Graph, iters int, nodeOf []int, opts spi.DistOptions) nodeConfig {
+	return nodeConfig{Run: runcfg.Run{
+		Graph: g, Assign: []int{0, 1, 1}, NodeOf: nodeOf, Iters: iters, Seed: 7, Opts: opts,
+	}}
+}
+
+// singleNodeDigests runs g with both processors on one node and returns
+// its digest lines — the reference every distributed variant must match.
+func singleNodeDigests(t *testing.T, g *dataflow.Graph, iters int) []string {
+	t.Helper()
+	var out bytes.Buffer
+	err := runNode(pipelineNode(g, iters, []int{0, 0},
+		spi.DistOptions{Transport: transport.NewLoopback(), Addrs: []string{"only"}}), &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := digestLines(out.String())
+	if len(want) != 1 {
+		t.Fatalf("single-node run printed %d digest lines:\n%s", len(want), out.String())
+	}
+	return want
+}
+
 // TestTwoNodesMatchSingle is the spinode end-to-end: the pipeline graph
 // run on one node must produce the same sink digests as the same graph
 // split across two spinode partitions talking TCP on localhost.
 func TestTwoNodesMatchSingle(t *testing.T) {
 	const iters = 12
-	base := nodeConfig{
-		Graph:      parseTestGraph(t),
-		Assign:     []int{0, 1, 1},
-		Iterations: iters,
-		Seed:       7,
-	}
-
-	// Single node hosting both processors.
-	single := base
-	single.NodeOf = []int{0, 0}
-	single.Addrs = []string{"only"}
-	var singleOut bytes.Buffer
-	if err := runNode(single, transport.NewLoopback(), nil, &singleOut); err != nil {
-		t.Fatal(err)
-	}
-	want := digestLines(singleOut.String())
-	if len(want) != 1 {
-		t.Fatalf("single-node run printed %d digest lines:\n%s", len(want), singleOut.String())
-	}
+	want := singleNodeDigests(t, parseTestGraph(t), iters)
 
 	// Two nodes over TCP localhost (node 1 dials node 0, so only node 0
 	// needs a listener; its ephemeral port is shared via Addrs).
@@ -83,16 +92,11 @@ func TestTwoNodesMatchSingle(t *testing.T) {
 		wg.Add(1)
 		go func(node int) {
 			defer wg.Done()
-			cfg := base
-			cfg.Graph = graphs[node]
-			cfg.NodeOf = []int{0, 1}
-			cfg.Addrs = addrs
-			cfg.Node = node
-			var lnArg transport.Listener
+			opts := spi.DistOptions{Transport: tr, Addrs: addrs, Node: node}
 			if node == 0 {
-				lnArg = ln
+				opts.Listener = ln
 			}
-			errs[node] = runNode(cfg, tr, lnArg, &outs[node])
+			errs[node] = runNode(pipelineNode(graphs[node], iters, []int{0, 1}, opts), &outs[node])
 		}(node)
 	}
 	wg.Wait()
@@ -107,41 +111,6 @@ func TestTwoNodesMatchSingle(t *testing.T) {
 	}
 	if len(got) != 1 || got[0] != want[0] {
 		t.Errorf("digests differ:\nsingle: %v\ndistributed: %v", want, got)
-	}
-}
-
-func TestBuildMapping(t *testing.T) {
-	g := parseTestGraph(t)
-	m, err := buildMapping(g, []int{0, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.NumProcs != 2 || len(m.Order[0]) != 1 || len(m.Order[1]) != 2 {
-		t.Fatalf("mapping = %+v", m)
-	}
-	if err := m.Validate(g); err != nil {
-		t.Fatal(err)
-	}
-	for _, bad := range [][]int{
-		{0, 1},     // wrong length
-		{0, -1, 0}, // negative
-		{0, 2, 2},  // processor 1 empty
-	} {
-		if _, err := buildMapping(g, bad); err == nil {
-			t.Errorf("assignment %v should be rejected", bad)
-		}
-	}
-}
-
-func TestParseInts(t *testing.T) {
-	got, err := parseInts("0, 1,2")
-	if err != nil || len(got) != 3 || got[2] != 2 {
-		t.Fatalf("parseInts = %v, %v", got, err)
-	}
-	for _, bad := range []string{"", "a", "1,,2"} {
-		if _, err := parseInts(bad); err == nil {
-			t.Errorf("parseInts(%q) should fail", bad)
-		}
 	}
 }
 
@@ -161,17 +130,17 @@ func loadPipelineSDF(t *testing.T) *dataflow.Graph {
 	return g
 }
 
-// runTwoNodes runs the two-node split of graph-building fn over tr and
-// returns both nodes' outputs and errors. A watchdog bounds the run so a
-// failed recovery cannot hang the suite.
+// runTwoNodes runs the two-node split of graph-building fn over tr with
+// the tuning in opts and returns both nodes' outputs and errors. A
+// watchdog bounds the run so a failed recovery cannot hang the suite.
 func runTwoNodes(t *testing.T, newGraph func(t *testing.T) *dataflow.Graph, tr transport.Transport,
-	iters int, rc transport.ReconnectConfig, degrade bool, block int, resync bool) ([2]*bytes.Buffer, [2]error) {
+	iters int, opts spi.DistOptions) ([2]*bytes.Buffer, [2]error) {
 	t.Helper()
 	ln, err := tr.Listen("chaos-node0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	addrs := []string{ln.Addr(), "unused"}
+	opts.Transport, opts.Addrs = tr, []string{ln.Addr(), "unused"}
 	outs := [2]*bytes.Buffer{{}, {}}
 	var errs [2]error
 	var wg sync.WaitGroup
@@ -179,24 +148,12 @@ func runTwoNodes(t *testing.T, newGraph func(t *testing.T) *dataflow.Graph, tr t
 		wg.Add(1)
 		go func(node int) {
 			defer wg.Done()
-			cfg := nodeConfig{
-				Graph:      newGraph(t),
-				Assign:     []int{0, 1, 1},
-				NodeOf:     []int{0, 1},
-				Addrs:      addrs,
-				Node:       node,
-				Iterations: iters,
-				Seed:       7,
-				Reconnect:  rc,
-				Degrade:    degrade,
-				Block:      block,
-				Resync:     resync,
-			}
-			var lnArg transport.Listener
+			opts := opts
+			opts.Node = node
 			if node == 0 {
-				lnArg = ln
+				opts.Listener = ln
 			}
-			errs[node] = runNode(cfg, tr, lnArg, outs[node])
+			errs[node] = runNode(pipelineNode(newGraph(t), iters, []int{0, 1}, opts), outs[node])
 		}(node)
 	}
 	done := make(chan struct{})
@@ -214,22 +171,7 @@ func runTwoNodes(t *testing.T, newGraph func(t *testing.T) *dataflow.Graph, tr t
 // the sink digest stays bit-identical to the fault-free single-node run.
 func TestPipelineChaosRecovers(t *testing.T) {
 	const iters = 40
-	single := nodeConfig{
-		Graph:      loadPipelineSDF(t),
-		Assign:     []int{0, 1, 1},
-		NodeOf:     []int{0, 0},
-		Addrs:      []string{"only"},
-		Iterations: iters,
-		Seed:       7,
-	}
-	var ref bytes.Buffer
-	if err := runNode(single, transport.NewLoopback(), nil, &ref); err != nil {
-		t.Fatal(err)
-	}
-	want := digestLines(ref.String())
-	if len(want) != 1 {
-		t.Fatalf("single-node run printed %d digest lines:\n%s", len(want), ref.String())
-	}
+	want := singleNodeDigests(t, loadPipelineSDF(t), iters)
 	rc := transport.ReconnectConfig{Attempts: 50, BaseDelay: time.Millisecond,
 		MaxDelay: 5 * time.Millisecond, Deadline: 20 * time.Second}
 	for _, spec := range []string{
@@ -244,7 +186,7 @@ func TestPipelineChaosRecovers(t *testing.T) {
 				t.Fatal(err)
 			}
 			ft := transport.NewFaultTransport(transport.NewLoopback(), fc)
-			outs, errs := runTwoNodes(t, loadPipelineSDF, ft, iters, rc, false, 0, false)
+			outs, errs := runTwoNodes(t, loadPipelineSDF, ft, iters, spi.DistOptions{Reconnect: rc})
 			for node, err := range errs {
 				if err != nil {
 					t.Fatalf("node %d: %v (faults: %+v)\n%s", node, err, ft.Stats(), outs[node].String())
@@ -266,25 +208,9 @@ func TestPipelineChaosRecovers(t *testing.T) {
 // slabs.
 func TestPipelineBlockedMatchesSingle(t *testing.T) {
 	const iters = 40
-	single := nodeConfig{
-		Graph:      loadPipelineSDF(t),
-		Assign:     []int{0, 1, 1},
-		NodeOf:     []int{0, 0},
-		Addrs:      []string{"only"},
-		Iterations: iters,
-		Seed:       7,
-	}
-	var ref bytes.Buffer
-	if err := runNode(single, transport.NewLoopback(), nil, &ref); err != nil {
-		t.Fatal(err)
-	}
-	want := digestLines(ref.String())
-	if len(want) != 1 {
-		t.Fatalf("single-node run printed %d digest lines:\n%s", len(want), ref.String())
-	}
+	want := singleNodeDigests(t, loadPipelineSDF(t), iters)
 	for _, block := range []int{2, 4, 7} { // 7 leaves a partial final block of 5
-		outs, errs := runTwoNodes(t, loadPipelineSDF, transport.NewLoopback(), iters,
-			transport.ReconnectConfig{}, false, block, false)
+		outs, errs := runTwoNodes(t, loadPipelineSDF, transport.NewLoopback(), iters, spi.DistOptions{Block: block})
 		for node, err := range errs {
 			if err != nil {
 				t.Fatalf("block %d node %d: %v\n%s", block, node, err, outs[node].String())
@@ -301,19 +227,7 @@ func TestPipelineBlockedMatchesSingle(t *testing.T) {
 // slab replay across the resumption must keep the digest bit-identical.
 func TestPipelineBlockedChaosRecovers(t *testing.T) {
 	const iters = 40
-	single := nodeConfig{
-		Graph:      loadPipelineSDF(t),
-		Assign:     []int{0, 1, 1},
-		NodeOf:     []int{0, 0},
-		Addrs:      []string{"only"},
-		Iterations: iters,
-		Seed:       7,
-	}
-	var ref bytes.Buffer
-	if err := runNode(single, transport.NewLoopback(), nil, &ref); err != nil {
-		t.Fatal(err)
-	}
-	want := digestLines(ref.String())
+	want := singleNodeDigests(t, loadPipelineSDF(t), iters)
 	rc := transport.ReconnectConfig{Attempts: 50, BaseDelay: time.Millisecond,
 		MaxDelay: 5 * time.Millisecond, Deadline: 20 * time.Second}
 	fc, err := transport.ParseFaultSpec("seed=31,severat=7;19,skip=4")
@@ -321,7 +235,7 @@ func TestPipelineBlockedChaosRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	ft := transport.NewFaultTransport(transport.NewLoopback(), fc)
-	outs, errs := runTwoNodes(t, loadPipelineSDF, ft, iters, rc, false, 4, false)
+	outs, errs := runTwoNodes(t, loadPipelineSDF, ft, iters, spi.DistOptions{Reconnect: rc, Block: 4})
 	for node, err := range errs {
 		if err != nil {
 			t.Fatalf("node %d: %v (faults: %+v)\n%s", node, err, ft.Stats(), outs[node].String())
@@ -341,22 +255,7 @@ func TestPipelineBlockedChaosRecovers(t *testing.T) {
 // behavior with a bit-identical digest across drops and severs.
 func TestPipelineResyncChaosRecovers(t *testing.T) {
 	const iters = 40
-	single := nodeConfig{
-		Graph:      loadPipelineSDF(t),
-		Assign:     []int{0, 1, 1},
-		NodeOf:     []int{0, 0},
-		Addrs:      []string{"only"},
-		Iterations: iters,
-		Seed:       7,
-	}
-	var ref bytes.Buffer
-	if err := runNode(single, transport.NewLoopback(), nil, &ref); err != nil {
-		t.Fatal(err)
-	}
-	want := digestLines(ref.String())
-	if len(want) != 1 {
-		t.Fatalf("single-node run printed %d digest lines:\n%s", len(want), ref.String())
-	}
+	want := singleNodeDigests(t, loadPipelineSDF(t), iters)
 	rc := transport.ReconnectConfig{Attempts: 50, BaseDelay: time.Millisecond,
 		MaxDelay: 5 * time.Millisecond, Deadline: 20 * time.Second}
 	for _, spec := range []string{
@@ -370,7 +269,7 @@ func TestPipelineResyncChaosRecovers(t *testing.T) {
 				t.Fatal(err)
 			}
 			ft := transport.NewFaultTransport(transport.NewLoopback(), fc)
-			outs, errs := runTwoNodes(t, loadPipelineSDF, ft, iters, rc, false, 0, true)
+			outs, errs := runTwoNodes(t, loadPipelineSDF, ft, iters, spi.DistOptions{Reconnect: rc, Resync: true})
 			for node, err := range errs {
 				if err != nil {
 					t.Fatalf("node %d: %v (faults: %+v)\n%s", node, err, ft.Stats(), outs[node].String())
@@ -404,7 +303,7 @@ func TestPipelineDegradedExit(t *testing.T) {
 	ft := transport.NewFaultTransport(transport.NewLoopback(), fc)
 	rc := transport.ReconnectConfig{Attempts: 4, BaseDelay: time.Millisecond,
 		MaxDelay: 2 * time.Millisecond, Deadline: 500 * time.Millisecond}
-	outs, errs := runTwoNodes(t, loadPipelineSDF, ft, 200, rc, true, 0, false)
+	outs, errs := runTwoNodes(t, loadPipelineSDF, ft, 200, spi.DistOptions{Reconnect: rc, Degrade: true})
 	for node, err := range errs {
 		var de *spi.DegradedError
 		if !errors.As(err, &de) {
@@ -428,18 +327,12 @@ func TestPipelineDegradedExit(t *testing.T) {
 // unreachable peer fails fast with a message naming the peer and address
 // rather than a bare handshake timeout.
 func TestConnectFailureNamesPeer(t *testing.T) {
-	cfg := nodeConfig{
-		Graph:          parseTestGraph(t),
-		Assign:         []int{0, 1, 1},
-		NodeOf:         []int{0, 1},
-		Addrs:          []string{"nobody-home", "unused"},
-		Node:           1,
-		Iterations:     5,
-		Seed:           7,
-		ConnectTimeout: 200 * time.Millisecond,
-	}
+	cfg := pipelineNode(parseTestGraph(t), 5, []int{0, 1}, spi.DistOptions{
+		Transport: transport.NewLoopback(), Addrs: []string{"nobody-home", "unused"}, Node: 1,
+	})
+	cfg.ConnectTimeout = 200 * time.Millisecond
 	var out bytes.Buffer
-	err := runNode(cfg, transport.NewLoopback(), nil, &out)
+	err := runNode(cfg, &out)
 	if err == nil {
 		t.Fatal("run with an unreachable peer succeeded")
 	}

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/spi"
 	"repro/internal/transport"
 )
 
@@ -44,21 +45,11 @@ func runTwoNodesSeeded(t *testing.T, iters int) ([2]*bytes.Buffer, [2]*obs.Obser
 		wg.Add(1)
 		go func(node int) {
 			defer wg.Done()
-			cfg := nodeConfig{
-				Graph:      loadPipelineSDF(t),
-				Assign:     []int{0, 1, 1},
-				NodeOf:     []int{0, 1},
-				Addrs:      addrs,
-				Node:       node,
-				Iterations: iters,
-				Seed:       7,
-				Obs:        obses[node],
-			}
-			var lnArg transport.Listener
+			opts := spi.DistOptions{Transport: tr, Addrs: addrs, Node: node, Obs: obses[node]}
 			if node == 0 {
-				lnArg = ln
+				opts.Listener = ln
 			}
-			errs[node] = runNode(cfg, tr, lnArg, outs[node])
+			errs[node] = runNode(pipelineNode(loadPipelineSDF(t), iters, []int{0, 1}, opts), outs[node])
 		}(node)
 	}
 	wg.Wait()
@@ -254,22 +245,16 @@ func TestHTTPServesDuringRun(t *testing.T) {
 	}
 	addrs := []string{ln.Addr(), "unused"}
 	cfgFor := func(node int) nodeConfig {
-		return nodeConfig{
-			Graph:      loadPipelineSDF(t),
-			Assign:     []int{0, 1, 1},
-			NodeOf:     []int{0, 1},
-			Addrs:      addrs,
-			Node:       node,
-			Iterations: 8,
-			Seed:       7,
-		}
+		return pipelineNode(loadPipelineSDF(t), 8, []int{0, 1},
+			spi.DistOptions{Transport: tr, Addrs: addrs, Node: node})
 	}
 
 	out0 := &syncBuffer{}
 	cfg0 := cfgFor(0)
 	cfg0.HTTPAddr = "127.0.0.1:0"
+	cfg0.Opts.Listener = ln
 	err0 := make(chan error, 1)
-	go func() { err0 <- runNode(cfg0, tr, ln, out0) }()
+	go func() { err0 <- runNode(cfg0, out0) }()
 
 	// Wait for the endpoint address to appear in the output.
 	var base string
@@ -312,7 +297,7 @@ func TestHTTPServesDuringRun(t *testing.T) {
 	}
 
 	var out1 bytes.Buffer
-	if err := runNode(cfgFor(1), tr, nil, &out1); err != nil {
+	if err := runNode(cfgFor(1), &out1); err != nil {
 		t.Fatalf("node 1: %v\n%s", err, out1.String())
 	}
 	if err := <-err0; err != nil {
@@ -331,7 +316,7 @@ func TestDegradedSummaryReportsFirings(t *testing.T) {
 	ft := transport.NewFaultTransport(transport.NewLoopback(), fc)
 	rc := transport.ReconnectConfig{Attempts: 4, BaseDelay: time.Millisecond,
 		MaxDelay: 2 * time.Millisecond, Deadline: 500 * time.Millisecond}
-	outs, errs := runTwoNodes(t, loadPipelineSDF, ft, 200, rc, true, 0, false)
+	outs, errs := runTwoNodes(t, loadPipelineSDF, ft, 200, spi.DistOptions{Reconnect: rc, Degrade: true})
 	firingLine := regexp.MustCompile(`(\w+) completed (\d+)/200 firings`)
 	for node, err := range errs {
 		if err == nil {

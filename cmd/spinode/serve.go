@@ -3,31 +3,14 @@ package main
 import (
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"strings"
-	"sync"
 	"time"
 
-	"repro/internal/dataflow"
+	"repro/cmd/internal/runcfg"
 	"repro/internal/obs"
 	"repro/internal/session"
-	"repro/internal/spi"
 	"repro/internal/transport"
 )
-
-// serveConfig is nodeConfig plus the multi-tenant admission policy for
-// -serve mode.
-type serveConfig struct {
-	nodeConfig
-	MaxSessions   int
-	TenantQuota   int
-	TenantBytes   int64
-	TenantWeights map[string]int
-	// SessionTimeout sheds sessions whose client goes silent for this
-	// long (0 = never reap); see session.ServerConfig.SessionTimeout.
-	SessionTimeout time.Duration
-}
 
 // parseWeights parses the -tenant-weights grammar: "alice=3,bob=1".
 func parseWeights(s string) (map[string]int, error) {
@@ -49,117 +32,57 @@ func parseWeights(s string) (map[string]int, error) {
 	return out, nil
 }
 
-// muxTap is the link handler for one accepted connection: the session
-// mux, plus a hook that drops the link from the serve registry when it
-// dies so RESUME routing never scans dead links.
-type muxTap struct {
-	*session.Mux
-	onClose func(error)
-}
-
-func (t *muxTap) HandleLinkClose(err error) {
-	t.Mux.HandleLinkClose(err)
-	t.onClose(err)
-}
-
 // runServe turns this node into a multi-tenant session server: it
 // accepts one link per client node, admits OPENs under the configured
 // policy, and runs one session-scoped execution of the graph per
 // admitted session. It returns when stop is closed (after draining
 // running sessions) or on a listener error.
-func runServe(cfg serveConfig, tr transport.Transport, ln transport.Listener, w io.Writer, stop <-chan struct{}) error {
-	g := cfg.Graph
-	m, err := buildMapping(g, cfg.Assign)
+func runServe(cfg nodeConfig, w io.Writer, stop <-chan struct{}) error {
+	sys, err := cfg.Build()
 	if err != nil {
 		return err
 	}
-	nodeOf := cfg.NodeOf
-	if nodeOf == nil {
-		nodeOf = make([]int, m.NumProcs)
-		for p := range nodeOf {
-			nodeOf[p] = p
-		}
+	opts, g := cfg.Opts, sys.Graph
+	if opts.Obs == nil {
+		opts.Obs = obs.New()
+		opts.Obs.Node = opts.Node
 	}
-	decls, err := spi.PeerDecls(g, m, nodeOf, cfg.Node, cfg.Block)
-	if err != nil {
-		return err
-	}
-	if len(decls) == 0 {
-		return fmt.Errorf("node %d shares no edges with any peer; nothing to serve", cfg.Node)
+	if ft, ok := opts.Transport.(*transport.FaultTransport); ok {
+		ft.SetObserver(opts.Obs)
 	}
 
-	o := cfg.Obs
-	if o == nil {
-		o = obs.New()
-		o.Node = cfg.Node
-	}
-	if ft, ok := tr.(*transport.FaultTransport); ok {
-		ft.SetObserver(o)
-	}
-
-	srv, err := session.NewServer(session.ServerConfig{
-		Graph:      g,
-		Mapping:    m,
-		NodeOf:     nodeOf,
-		Node:       cfg.Node,
-		Iterations: cfg.Iterations,
-		Block:      cfg.Block,
-		Kernels: func(sid uint32, tenant string) map[dataflow.ActorID]spi.Kernel {
-			// Fresh kernel state (and digest slots) per session: sessions
-			// share nothing but the immutable graph. All sessions use the
-			// node seed, so each reproduces the single-run digests.
-			var mu sync.Mutex
-			digests := map[string]*uint64{}
-			for _, a := range g.Actors() {
-				if len(g.Out(a)) == 0 {
-					digests[g.Actor(a).Name] = new(uint64)
-				}
-			}
-			ks, kerr := demoKernels(g, cfg.Seed, digests, &mu)
-			if kerr != nil {
-				// Impossible past PeerDecls validation; fail the firing.
-				return map[dataflow.ActorID]spi.Kernel{}
-			}
-			return ks
-		},
-		Admission: session.Admission{
-			MaxSessions:    cfg.MaxSessions,
-			TenantQuota:    cfg.TenantQuota,
-			MaxTenantBytes: cfg.TenantBytes,
-			TenantWeights:  cfg.TenantWeights,
-		},
-		SessionTimeout: cfg.SessionTimeout,
-		Obs:            o,
-	})
+	scfg := cfg.Server
+	scfg.Graph, scfg.Mapping, scfg.NodeOf = g, sys.Mapping, sys.NodeOf
+	scfg.Node, scfg.Iterations, scfg.Block, scfg.Obs = opts.Node, cfg.Iters, opts.Block, opts.Obs
+	scfg.Kernels = sys.SessionKernels
+	srv, err := session.NewServer(scfg)
 	if err != nil {
 		return err
 	}
 
+	ln := opts.Listener
 	if ln == nil {
-		ln, err = tr.Listen(cfg.Addrs[cfg.Node])
-		if err != nil {
+		if ln, err = opts.Transport.Listen(opts.Addrs[opts.Node]); err != nil {
 			return err
 		}
 	}
+	adm := scfg.Admission
 	fmt.Fprintf(w, "spinode: serving graph %s as node %d on %s (max-sessions=%d tenant-quota=%d tenant-bytes=%d)\n",
-		g.Name(), cfg.Node, ln.Addr(), cfg.MaxSessions, cfg.TenantQuota, cfg.TenantBytes)
+		g.Name(), opts.Node, ln.Addr(), adm.MaxSessions, adm.TenantQuota, adm.MaxTenantBytes)
 
 	if cfg.HTTPAddr != "" {
-		httpLn, lerr := net.Listen("tcp", cfg.HTTPAddr)
-		if lerr != nil {
-			return fmt.Errorf("-http: %w", lerr)
-		}
-		hsrv := &http.Server{Handler: o.Handler(func() any {
+		closeHTTP, err := serveHTTP(cfg.HTTPAddr, opts.Obs, func() any {
 			return map[string]any{
 				"status":   "serving",
-				"node":     cfg.Node,
+				"node":     opts.Node,
 				"graph":    g.Name(),
 				"sessions": srv.Snapshot(),
 			}
-		})}
-		go hsrv.Serve(httpLn)
-		defer hsrv.Close()
-		fmt.Fprintf(w, "observability: http://%s/metrics /healthz /trace\n", httpLn.Addr())
+		}, w)
+		if err != nil {
+			return err
+		}
+		defer closeHTTP()
 	}
 	if cfg.StatsInterval > 0 {
 		tick := time.NewTicker(cfg.StatsInterval)
@@ -178,116 +101,21 @@ func runServe(cfg serveConfig, tr transport.Transport, ln transport.Listener, w 
 		}()
 	}
 
-	lcfg := transport.LinkConfig{
-		Node:          cfg.Node,
-		Sessions:      true,
-		Reconnect:     cfg.Reconnect,
-		Batch:         cfg.Batch,
-		PiggybackAcks: cfg.PiggybackAcks,
-		Blocked:       cfg.Block > 1,
-		Heartbeat:     cfg.Heartbeat,
-		PeerTimeout:   cfg.PeerTimeout,
-		Obs:           o,
-	}
-	var lmu sync.Mutex
-	links := map[*transport.Link]bool{}
-	lookupResume := func(peer int, token uint64) *transport.Link {
-		lmu.Lock()
-		defer lmu.Unlock()
-		for l := range links {
-			if l.PeerNode() == peer && l.Token() == token {
-				return l
-			}
-		}
-		return nil
-	}
-
-	acceptErr := make(chan error, 1)
+	serveErr := make(chan error, 1)
 	go func() {
-		for {
-			conn, aerr := ln.Accept()
-			if aerr != nil {
-				acceptErr <- aerr
-				return
-			}
-			go func(conn transport.Conn) {
-				var (
-					mux *session.Mux
-					reg struct {
-						mu   sync.Mutex
-						link *transport.Link
-						dead bool
-					}
-				)
-				l, lerr := transport.AcceptConn(conn, lcfg,
-					func(peer int) ([]transport.EdgeDecl, transport.Handler, error) {
-						d := decls[peer]
-						if d == nil {
-							return nil, nil, fmt.Errorf("no shared edges with node %d", peer)
-						}
-						mux = session.NewMux(o)
-						// The tap unregisters the link when it dies so
-						// lookupResume never scans dead links. The close can
-						// race the registration below, hence the dead flag.
-						tap := &muxTap{Mux: mux, onClose: func(error) {
-							reg.mu.Lock()
-							reg.dead = true
-							dead := reg.link
-							reg.mu.Unlock()
-							if dead != nil {
-								lmu.Lock()
-								delete(links, dead)
-								lmu.Unlock()
-							}
-						}}
-						return d, tap, nil
-					}, lookupResume)
-				if lerr != nil {
-					fmt.Fprintf(w, "spinode: handshake failed: %v\n", lerr)
-					return
-				}
-				if l == nil {
-					return // a RESUME, routed to its established link
-				}
-				reg.mu.Lock()
-				reg.link = l
-				alreadyDead := reg.dead
-				reg.mu.Unlock()
-				if !alreadyDead {
-					lmu.Lock()
-					links[l] = true
-					lmu.Unlock()
-				}
-				mux.Bind(l)
-				srv.Attach(mux)
-				fmt.Fprintf(w, "spinode: link up from node %d\n", l.PeerNode())
-			}(conn)
-		}
+		serveErr <- srv.Serve(ln, runcfg.LinkConfig(&opts), func(format string, args ...any) {
+			fmt.Fprintf(w, "spinode: "+format+"\n", args...)
+		})
 	}()
-
 	select {
 	case <-stop:
-	case aerr := <-acceptErr:
+		ln.Close()
+		<-serveErr
+	case err = <-serveErr:
 		// The listener died under us (not a requested stop): report it.
-		select {
-		case <-stop:
-		default:
-			ln.Close()
-			srv.Close()
-			return fmt.Errorf("accept: %w", aerr)
-		}
-	}
-	ln.Close()
-	// Abort outside lmu: Abort waits for the read loop, whose close
-	// notification re-enters lmu through the muxTap.
-	lmu.Lock()
-	live := make([]*transport.Link, 0, len(links))
-	for l := range links {
-		live = append(live, l)
-	}
-	lmu.Unlock()
-	for _, l := range live {
-		l.Abort()
+		ln.Close()
+		srv.Close()
+		return fmt.Errorf("serve: %w", err)
 	}
 	srv.Close()
 	s := srv.Snapshot()

@@ -22,12 +22,12 @@ import (
 // sink, so it holds the digest and can verify bit-exactness locally).
 func serveClient(t *testing.T, tr transport.Transport, addr string) (*session.Client, *transport.Link) {
 	t.Helper()
-	g := parseTestGraph(t)
-	m, err := buildMapping(g, []int{0, 1, 1})
+	cfg := pipelineNode(parseTestGraph(t), 0, nil, spi.DistOptions{})
+	sys, err := cfg.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	decls, err := spi.PeerDecls(g, m, []int{0, 1}, 1, 0)
+	decls, err := spi.PeerDecls(sys.Graph, sys.Mapping, sys.NodeOf, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,25 +49,30 @@ func serveClient(t *testing.T, tr transport.Transport, addr string) (*session.Cl
 
 // runServeSession drives one session end to end from the client side and
 // returns the sink digest line in runNode's format.
-func runServeSession(t *testing.T, client *session.Client, tenant string, iters int, seed uint64) string {
+func runServeSession(t *testing.T, client *session.Client, tenant string, iters int) string {
 	t.Helper()
-	g := parseTestGraph(t)
-	m, err := buildMapping(g, []int{0, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	digests := map[string]*uint64{"sink": new(uint64)}
-	ks, err := demoKernels(g, seed, digests, &mu)
-	if err != nil {
-		t.Fatal(err)
-	}
 	s, err := client.Open(tenant)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, execErr := spi.ExecuteDistributed(g, m, ks, iters, spi.DistOptions{
-		Node: 1, Addrs: make([]string, 2), NodeOf: []int{0, 1}, Links: s,
+	return finishServeSession(t, client, s, tenant, iters)
+}
+
+// finishServeSession runs the client half of an already-open session to
+// its close.
+func finishServeSession(t *testing.T, client *session.Client, s *session.Stream, tenant string, iters int) string {
+	t.Helper()
+	cfg := pipelineNode(parseTestGraph(t), iters, nil, spi.DistOptions{})
+	sys, err := cfg.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ks, digests, err := sys.Kernels()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, execErr := spi.ExecuteDistributed(sys.Graph, sys.Mapping, ks, iters, spi.DistOptions{
+		Node: 1, Addrs: make([]string, 2), NodeOf: sys.NodeOf, Links: s,
 	})
 	status, cerr := s.AwaitClose(20 * time.Second)
 	client.Done(s)
@@ -85,47 +90,22 @@ func runServeSession(t *testing.T, client *session.Client, tenant string, iters 
 // must be bit-identical to the single-node run, and /healthz must report
 // the session counts (satellite: live/admitted/rejected/degraded).
 func TestServeSessionsMatchSingle(t *testing.T) {
-	const iters, seed = 12, uint64(7)
-
-	single := nodeConfig{
-		Graph:      parseTestGraph(t),
-		Assign:     []int{0, 1, 1},
-		NodeOf:     []int{0, 0},
-		Addrs:      []string{"only"},
-		Iterations: iters,
-		Seed:       seed,
-	}
-	var ref bytes.Buffer
-	if err := runNode(single, transport.NewLoopback(), nil, &ref); err != nil {
-		t.Fatal(err)
-	}
-	want := digestLines(ref.String())
-	if len(want) != 1 {
-		t.Fatalf("single-node run printed %d digest lines:\n%s", len(want), ref.String())
-	}
+	const iters = 12
+	want := singleNodeDigests(t, parseTestGraph(t), iters)
 
 	tr := &transport.TCP{}
 	ln, err := tr.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	scfg := serveConfig{
-		nodeConfig: nodeConfig{
-			Graph:      parseTestGraph(t),
-			Assign:     []int{0, 1, 1},
-			NodeOf:     []int{0, 1},
-			Addrs:      []string{ln.Addr(), "unused"},
-			Node:       0,
-			Iterations: iters,
-			Seed:       seed,
-			HTTPAddr:   "127.0.0.1:0",
-		},
-		MaxSessions: 16,
-	}
+	scfg := pipelineNode(parseTestGraph(t), iters, []int{0, 1},
+		spi.DistOptions{Transport: tr, Listener: ln, Addrs: []string{ln.Addr(), "unused"}})
+	scfg.HTTPAddr = "127.0.0.1:0"
+	scfg.Server.Admission.MaxSessions = 16
 	var out lockedBuffer
 	stop := make(chan struct{})
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- runServe(scfg, tr, ln, &out, stop) }()
+	go func() { serveErr <- runServe(scfg, &out, stop) }()
 
 	client, link := serveClient(t, tr, ln.Addr())
 	defer link.Abort()
@@ -137,7 +117,7 @@ func TestServeSessionsMatchSingle(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i] = runServeSession(t, client, fmt.Sprintf("tenant-%d", i%2), iters, seed)
+			got[i] = runServeSession(t, client, fmt.Sprintf("tenant-%d", i%2), iters)
 		}(i)
 	}
 	wg.Wait()
@@ -213,23 +193,13 @@ func TestServeAdmissionCaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scfg := serveConfig{
-		nodeConfig: nodeConfig{
-			Graph:      parseTestGraph(t),
-			Assign:     []int{0, 1, 1},
-			NodeOf:     []int{0, 1},
-			Addrs:      []string{ln.Addr(), "unused"},
-			Node:       0,
-			Iterations: 6,
-			Seed:       7,
-		},
-		MaxSessions: 8,
-		TenantQuota: 1,
-	}
+	scfg := pipelineNode(parseTestGraph(t), 6, []int{0, 1},
+		spi.DistOptions{Transport: tr, Listener: ln, Addrs: []string{ln.Addr(), "unused"}})
+	scfg.Server.Admission = session.Admission{MaxSessions: 8, TenantQuota: 1}
 	var out lockedBuffer
 	stop := make(chan struct{})
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- runServe(scfg, tr, ln, &out, stop) }()
+	go func() { serveErr <- runServe(scfg, &out, stop) }()
 
 	client, link := serveClient(t, tr, ln.Addr())
 	defer link.Abort()
@@ -246,25 +216,12 @@ func TestServeAdmissionCaps(t *testing.T) {
 		t.Fatalf("second open: err = %v, want quota rejection", err)
 	}
 	// A different tenant still fits.
-	d := runServeSession(t, client, "other", 6, 7)
+	d := runServeSession(t, client, "other", 6)
 	if !strings.HasPrefix(d, "digest sink ") {
 		t.Fatalf("bad digest line %q", d)
 	}
 	// Finish the held session so the server drains cleanly.
-	g := parseTestGraph(t)
-	m, _ := buildMapping(g, []int{0, 1, 1})
-	var mu sync.Mutex
-	digests := map[string]*uint64{"sink": new(uint64)}
-	ks, _ := demoKernels(g, 7, digests, &mu)
-	if _, err := spi.ExecuteDistributed(g, m, ks, 6, spi.DistOptions{
-		Node: 1, Addrs: make([]string, 2), NodeOf: []int{0, 1}, Links: s1,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if status, err := s1.AwaitClose(20 * time.Second); err != nil || status != session.CloseDone {
-		t.Fatalf("held session close: status %d err %v", status, err)
-	}
-	client.Done(s1)
+	finishServeSession(t, client, s1, "solo", 6)
 
 	close(stop)
 	if err := <-serveErr; err != nil {

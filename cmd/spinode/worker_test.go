@@ -55,13 +55,13 @@ func TestWorkerModeTCP(t *testing.T) {
 	defer cancel()
 	errs := make(chan error, 3)
 	for _, name := range []string{"wa", "wb", "wc"} {
-		cfg := workerConfig{
-			Coord: coordAddr, Name: name, DataHost: "127.0.0.1", Seed: seed,
+		wc := orch.WorkerConfig{
+			Transport: tcp, Coord: coordAddr, Name: name,
 			Heartbeat: 50 * time.Millisecond, PeerTimeout: 2 * time.Second,
 		}
 		go func() {
 			var out bytes.Buffer
-			errs <- runWorker(ctx, cfg, tcp, &out)
+			errs <- runWorker(ctx, wc, "127.0.0.1", seed, &out)
 		}()
 	}
 

@@ -10,64 +10,77 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"sort"
 	"sync"
-	"time"
 
+	"repro/cmd/internal/runcfg"
 	"repro/internal/dsp"
 	"repro/internal/lpc"
 	"repro/internal/particle"
 	"repro/internal/signal"
 	"repro/internal/spi"
-	"repro/internal/transport"
 )
 
-func main() {
-	app := flag.String("app", "speech", "application: speech (LPC compression) or crack (particle filter)")
-	pes := flag.Int("pes", 2, "number of processing elements")
-	frames := flag.Int("frames", 8, "speech: number of frames to process")
-	particles := flag.Int("particles", 200, "crack: total particle count")
-	steps := flag.Int("steps", 150, "crack: tracking steps")
-	seed := flag.Uint64("seed", 1, "deterministic seed")
-	adaptive := flag.Float64("adaptive", 0, "crack: ESS resampling threshold fraction (0 = resample every step)")
-	hw := flag.Bool("hw", false, "speech: also run the bit-true Q15 hardware model of actor D")
-	trans := flag.String("transport", "chan", "speech actor-D run: chan (in-process SPI runtime), loopback (in-memory byte transport), tcp (two nodes over localhost TCP), shm (two nodes over same-host shared-memory rings)")
-	fission := flag.Int("fission", 0, "speech actor-D run: derive the parallel deployment automatically by fissioning the serial error generator into this many replicas behind scatter/gather stages (0 = use the hand-built n-PE deployment)")
-	flag.IntVar(&netBatch.MaxFrames, "batch-frames", 0,
-		"networked runs: coalesce up to this many frames per link write (0 = no batching)")
-	flag.IntVar(&netBatch.MaxBytes, "batch-bytes", 0,
-		"networked runs: flush a link's write batch at this many buffered bytes")
-	flag.DurationVar(&netBatch.MaxDelay, "batch-delay", 0,
-		"networked runs: deadline before a buffered frame is flushed alone")
-	flag.BoolVar(&netPiggyback, "piggyback-acks", false,
-		"networked runs: carry acknowledgements on outgoing DATA frames")
-	flag.IntVar(&netBlock, "block", 0,
-		"networked runs: vectorization blocking factor B — fire B iterations per block and pack B tokens per message on block-aligned edges (0 = off, bit-identical outputs either way)")
-	flag.BoolVar(&netResync, "resync", false,
-		"networked runs: suppress UBS acks on edges whose synchronization the sync graph proves redundant; negotiated per link (bit-identical outputs either way)")
-	sessions := flag.Int("sessions", 0,
-		"networked speech runs: run this many concurrent actor-D sessions multiplexed over one shared link; per-edge stats aggregate across sessions (0 = one plain execution)")
-	flag.DurationVar(&netHeartbeat, "heartbeat", 0,
-		"networked runs: PING idle links at this interval to detect silent peers (0 = off)")
-	flag.DurationVar(&netPeerTimeout, "peer-timeout", 0,
-		"networked runs: declare a peer dead after this much silence when -heartbeat is on (0 = 4x heartbeat)")
-	flag.DurationVar(&netDeadline, "deadline", 0,
-		"networked runs: hard time budget per execution; past it blocked actors are released and the run fails instead of hanging (0 = unbounded)")
-	flag.DurationVar(&netStallTimeout, "stall-timeout", 0,
-		"networked runs: abort when no actor fires and no edge moves for this long, naming the starved actors (0 = off)")
-	flag.Parse()
+// cli is spirun's flag surface: the shared run description (seed,
+// transport, link tuning, deadline) plus the two applications' own knobs.
+type cli struct {
+	runcfg.Run
+	app              string
+	pes, frames      int
+	particles, steps int
+	adaptive         float64
+	hw               bool
+	sessions         int
+}
 
-	var err error
-	switch *app {
+func newFlagSet(c *cli) *flag.FlagSet {
+	fs := flag.NewFlagSet("spirun", flag.ExitOnError)
+	fs.StringVar(&c.app, "app", "speech", "application: speech (LPC compression) or crack (particle filter)")
+	fs.IntVar(&c.pes, "pes", 2, "number of processing elements")
+	fs.IntVar(&c.frames, "frames", 8, "speech: number of frames to process")
+	fs.IntVar(&c.particles, "particles", 200, "crack: total particle count")
+	fs.IntVar(&c.steps, "steps", 150, "crack: tracking steps")
+	fs.Float64Var(&c.adaptive, "adaptive", 0, "crack: ESS resampling threshold fraction (0 = resample every step)")
+	fs.BoolVar(&c.hw, "hw", false, "speech: also run the bit-true Q15 hardware model of actor D")
+	fs.StringVar(&c.Transport, "transport", c.Transport, "speech actor-D run: chan (in-process SPI runtime), loopback (in-memory byte transport), tcp (two nodes over localhost TCP), shm (two nodes over same-host shared-memory rings)")
+	fs.IntVar(&c.Fission, "fission", 0, "speech actor-D run: derive the parallel deployment automatically by fissioning the serial error generator into this many replicas behind scatter/gather stages (0 = use the hand-built n-PE deployment)")
+	fs.IntVar(&c.sessions, "sessions", 0,
+		"networked speech runs: run this many concurrent actor-D sessions multiplexed over one shared link; per-edge stats aggregate across sessions (0 = one plain execution)")
+	// The link tuning and liveness flags apply to the networked runs only:
+	// the chan transport has no wire to tune.
+	c.SeedFlag(fs)
+	c.WireFlags(fs)
+	c.LivenessFlags(fs)
+	return fs
+}
+
+// check rejects flag combinations that would be accepted and do nothing.
+func (c *cli) check() error {
+	if c.sessions > 0 && c.Opts.Resync {
+		return errors.New("-resync does not apply with -sessions: session-tagged acks are never suppressed")
+	}
+	return nil
+}
+
+func main() {
+	c := cli{Run: runcfg.Run{Seed: 1, Transport: "chan"}}
+	newFlagSet(&c).Parse(os.Args[1:])
+	err := c.check()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "spirun:", err)
+		os.Exit(2)
+	}
+	switch c.app {
 	case "speech":
-		err = runSpeech(*pes, *frames, *seed, *hw, *trans, *sessions, *fission)
+		err = runSpeech(&c)
 	case "crack":
-		err = runCrack(*pes, *particles, *steps, *seed, *adaptive)
+		err = runCrack(c.pes, c.particles, c.steps, c.Seed, c.adaptive)
 	default:
-		err = fmt.Errorf("unknown application %q", *app)
+		err = fmt.Errorf("unknown application %q", c.app)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "spirun:", err)
@@ -75,26 +88,14 @@ func main() {
 	}
 }
 
-// netBatch / netPiggyback hold the transport tuning flags for the
-// loopback/tcp runs (the chan transport has no wire to tune).
-var (
-	netBatch        transport.BatchConfig
-	netPiggyback    bool
-	netBlock        int
-	netResync       bool
-	netHeartbeat    time.Duration
-	netPeerTimeout  time.Duration
-	netDeadline     time.Duration
-	netStallTimeout time.Duration
-)
-
-func runSpeech(pes, frames int, seed uint64, hw bool, trans string, sessions, fission int) error {
+func runSpeech(c *cli) error {
+	pes, sessions, fission, trans := c.pes, c.sessions, c.Fission, c.Transport
 	p := lpc.DefaultParams()
 	codec, err := lpc.NewCodec(p)
 	if err != nil {
 		return err
 	}
-	x := signal.Speech(p.FrameSize*frames, seed)
+	x := signal.Speech(p.FrameSize*c.frames, c.Seed)
 	rep, err := codec.Analyze(x)
 	if err != nil {
 		return err
@@ -127,15 +128,19 @@ func runSpeech(pes, frames int, seed uint64, hw bool, trans string, sessions, fi
 	var stats *lpc.ParallelStats
 	switch {
 	case sessions > 0:
-		parallel, stats, err = sessionsResidual(model, frame, pes, sessions, trans)
+		parallel, stats, err = sessionsResidual(&c.Run, model, frame, pes, sessions)
+	case fission > 0 && trans == "chan":
+		parallel, stats, err = fissionedInProcess(model, frame, fission)
 	case fission > 0:
-		parallel, stats, err = fissionedResidual(model, frame, fission, trans)
+		parallel, stats, err = twoNodeResidual(&c.Run, fission, func(o spi.DistOptions) ([]float64, *spi.ExecStats, error) {
+			return lpc.FissionResidual(model, frame, fission, 1, o)
+		})
 	case trans == "chan":
 		parallel, stats, err = lpc.ParallelResidual(model, frame, pes)
-	case trans == "loopback" || trans == "tcp" || trans == "shm":
-		parallel, stats, err = networkedResidual(model, frame, pes, trans)
 	default:
-		return fmt.Errorf("unknown transport %q (chan, loopback, tcp, or shm)", trans)
+		parallel, stats, err = twoNodeResidual(&c.Run, pes, func(o spi.DistOptions) ([]float64, *spi.ExecStats, error) {
+			return lpc.DistributedResidual(model, frame, pes, 1, o)
+		})
 	}
 	if err != nil {
 		return err
@@ -162,7 +167,7 @@ func runSpeech(pes, frames int, seed uint64, hw bool, trans string, sessions, fi
 	fmt.Printf("  messages: %d, wire bytes: %d, ack bytes: %d\n", stats.Messages, stats.WireBytes, stats.AckBytes)
 	printEdgeTable(stats.Edges)
 	fmt.Printf("  max |serial - parallel| = %g (bit-identical split)\n", maxDiff)
-	if hw {
+	if c.hw {
 		hwRes := lpc.HardwareResidual(model, frame)
 		var hwErr float64
 		for i := range serial {
@@ -208,136 +213,27 @@ func runCrack(pes, particles, steps int, seed uint64, adaptive float64) error {
 	return nil
 }
 
-// networkedResidual runs the actor-D deployment as a two-node distributed
+// twoNodeResidual runs one actor-D deployment as a two-node distributed
 // execution inside this process — the I/O interface on node 0, all worker
 // PEs on node 1 — over the selected byte transport, exercising the same
-// code path as two spinode processes.
-func networkedResidual(model *dsp.LPCModel, frame []float64, pes int, trans string) ([]float64, *lpc.ParallelStats, error) {
-	tr, listenAddr, cleanup, err := pickTransport(trans)
+// code path as two spinode processes. run executes one node's share.
+func twoNodeResidual(r *runcfg.Run, pes int, run func(spi.DistOptions) ([]float64, *spi.ExecStats, error)) ([]float64, *lpc.ParallelStats, error) {
+	tr, local, cleanup, err := r.OpenTransport()
 	if err != nil {
 		return nil, nil, err
 	}
 	defer cleanup()
-	ln, err := tr.Listen(listenAddr)
+	ln, err := tr.Listen(local(0))
 	if err != nil {
 		return nil, nil, err
 	}
-	addrs := []string{ln.Addr(), "unused"}
-
-	var (
-		results [2][]float64
-		stats   [2]*spi.ExecStats
-		errs    [2]error
-		wg      sync.WaitGroup
-	)
-	ctx := context.Background()
-	if netDeadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, netDeadline)
+	opts := r.Opts
+	opts.Transport, opts.Addrs = tr, []string{ln.Addr(), "unused"}
+	if r.Deadline > 0 {
+		ctx, cancel := context.WithTimeout(context.Background(), r.Deadline)
 		defer cancel()
+		opts.Context = ctx
 	}
-	for node := 0; node < 2; node++ {
-		wg.Add(1)
-		go func(node int) {
-			defer wg.Done()
-			opts := spi.DistOptions{
-				Transport:     tr,
-				Node:          node,
-				Addrs:         addrs,
-				Batch:         netBatch,
-				PiggybackAcks: netPiggyback,
-				Block:         netBlock,
-				Resync:        netResync,
-				Heartbeat:     netHeartbeat,
-				PeerTimeout:   netPeerTimeout,
-				StallTimeout:  netStallTimeout,
-			}
-			if netDeadline > 0 {
-				opts.Context = ctx
-			}
-			if node == 0 {
-				opts.Listener = ln
-			}
-			results[node], stats[node], errs[node] = lpc.DistributedResidual(model, frame, pes, 1, opts)
-		}(node)
-	}
-	wg.Wait()
-	for node, err := range errs {
-		if err != nil {
-			return nil, nil, fmt.Errorf("node %d: %w", node, err)
-		}
-	}
-	// Messages are counted on the sending node and acks on the receiving
-	// node, so summing does not double count; per-edge rows merge the two
-	// halves of each cross-node edge the same way.
-	total := &lpc.ParallelStats{PEs: pes}
-	for _, st := range stats {
-		total.Messages += st.SPI.Messages
-		total.WireBytes += st.SPI.WireBytes
-		total.Acks += st.SPI.Acks
-		total.AckBytes += st.SPI.AckBytes
-	}
-	total.Edges = mergeEdgeTraffic(stats[0].Edges, stats[1].Edges)
-	return results[0], total, nil
-}
-
-// pickTransport maps the -transport flag to a byte transport and its node-0
-// listen address; the cleanup removes the shm rendezvous directory.
-func pickTransport(trans string) (tr transport.Transport, listenAddr string, cleanup func(), err error) {
-	cleanup = func() {}
-	switch trans {
-	case "loopback":
-		return transport.NewLoopback(), "node0", cleanup, nil
-	case "tcp":
-		return &transport.TCP{}, "127.0.0.1:0", cleanup, nil
-	case "shm":
-		dir, derr := os.MkdirTemp("", "spirun-shm-")
-		if derr != nil {
-			return nil, "", cleanup, derr
-		}
-		return &transport.SameHost{Shm: transport.NewShm(dir)}, "127.0.0.1:0",
-			func() { os.RemoveAll(dir) }, nil
-	}
-	return nil, "", cleanup, fmt.Errorf("unknown transport %q", trans)
-}
-
-// fissionedResidual runs actor D through the automatic fission pass — the
-// serial error generator rewritten into k replicas behind scatter/gather
-// stages — in-process for chan, as a two-node distributed run otherwise.
-func fissionedResidual(model *dsp.LPCModel, frame []float64, k int, trans string) ([]float64, *lpc.ParallelStats, error) {
-	if trans == "chan" {
-		p := lpc.DefaultDeploy(len(frame), 1)
-		p.SampleBytes = 8
-		fs, err := lpc.FissionErrorGenSystem(p, k, 0)
-		if err != nil {
-			return nil, nil, err
-		}
-		var out []float64
-		kernels, err := lpc.FissionResidualKernels(fs, model, frame, func(e []float64) { out = e })
-		if err != nil {
-			return nil, nil, err
-		}
-		st, err := spi.Execute(fs.Plan.Graph, fs.Mapping, kernels, 1)
-		if err != nil {
-			return nil, nil, err
-		}
-		return out, &lpc.ParallelStats{
-			PEs:      k,
-			Messages: st.SPI.Messages, WireBytes: st.SPI.WireBytes,
-			Acks: st.SPI.Acks, AckBytes: st.SPI.AckBytes,
-			Edges: st.Edges,
-		}, nil
-	}
-	tr, listenAddr, cleanup, err := pickTransport(trans)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer cleanup()
-	ln, err := tr.Listen(listenAddr)
-	if err != nil {
-		return nil, nil, err
-	}
-	addrs := []string{ln.Addr(), "unused"}
 	var (
 		results [2][]float64
 		stats   [2]*spi.ExecStats
@@ -348,22 +244,12 @@ func fissionedResidual(model *dsp.LPCModel, frame []float64, k int, trans string
 		wg.Add(1)
 		go func(node int) {
 			defer wg.Done()
-			opts := spi.DistOptions{
-				Transport:     tr,
-				Node:          node,
-				Addrs:         addrs,
-				Batch:         netBatch,
-				PiggybackAcks: netPiggyback,
-				Block:         netBlock,
-				Resync:        netResync,
-				Heartbeat:     netHeartbeat,
-				PeerTimeout:   netPeerTimeout,
-				StallTimeout:  netStallTimeout,
-			}
+			opts := opts
+			opts.Node = node
 			if node == 0 {
 				opts.Listener = ln
 			}
-			results[node], stats[node], errs[node] = lpc.FissionResidual(model, frame, k, 1, opts)
+			results[node], stats[node], errs[node] = run(opts)
 		}(node)
 	}
 	wg.Wait()
@@ -372,15 +258,51 @@ func fissionedResidual(model *dsp.LPCModel, frame []float64, k int, trans string
 			return nil, nil, fmt.Errorf("node %d: %w", node, err)
 		}
 	}
-	total := &lpc.ParallelStats{PEs: k}
+	return results[0], sumStats(pes, stats[:]), nil
+}
+
+// sumStats totals the per-node (and per-session) statistics of one
+// deployment. Messages are counted on the sending node and acks on the
+// receiving node, so summing does not double count; per-edge rows merge
+// on edge ID, so the halves of a cross-node edge — and every session that
+// crossed it — land in one row.
+func sumStats(pes int, stats []*spi.ExecStats) *lpc.ParallelStats {
+	total := &lpc.ParallelStats{PEs: pes}
+	var lists [][]spi.EdgeTraffic
 	for _, st := range stats {
+		if st == nil {
+			continue
+		}
 		total.Messages += st.SPI.Messages
 		total.WireBytes += st.SPI.WireBytes
 		total.Acks += st.SPI.Acks
 		total.AckBytes += st.SPI.AckBytes
+		lists = append(lists, st.Edges)
 	}
-	total.Edges = mergeEdgeTraffic(stats[0].Edges, stats[1].Edges)
-	return results[0], total, nil
+	total.Edges = mergeEdgeTraffic(lists...)
+	return total
+}
+
+// fissionedInProcess runs actor D through the automatic fission pass —
+// the serial error generator rewritten into k replicas behind
+// scatter/gather stages — on the in-process runtime.
+func fissionedInProcess(model *dsp.LPCModel, frame []float64, k int) ([]float64, *lpc.ParallelStats, error) {
+	p := lpc.DefaultDeploy(len(frame), 1)
+	p.SampleBytes = 8
+	fs, err := lpc.FissionErrorGenSystem(p, k, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	var out []float64
+	kernels, err := lpc.FissionResidualKernels(fs, model, frame, func(e []float64) { out = e })
+	if err != nil {
+		return nil, nil, err
+	}
+	st, err := spi.Execute(fs.Plan.Graph, fs.Mapping, kernels, 1)
+	if err != nil {
+		return nil, nil, err
+	}
+	return out, sumStats(k, []*spi.ExecStats{st}), nil
 }
 
 // mergeEdgeTraffic combines per-edge rows from the nodes of a distributed

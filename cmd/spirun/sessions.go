@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/cmd/internal/runcfg"
 	"repro/internal/dsp"
 	"repro/internal/lpc"
 	"repro/internal/session"
@@ -21,7 +22,7 @@ import (
 // returned stats aggregate both nodes across all sessions, with per-edge
 // rows merged so each edge appears once no matter how many sessions
 // crossed it.
-func sessionsResidual(model *dsp.LPCModel, frame []float64, pes, n int, trans string) ([]float64, *lpc.ParallelStats, error) {
+func sessionsResidual(r *runcfg.Run, model *dsp.LPCModel, frame []float64, pes, n int) ([]float64, *lpc.ParallelStats, error) {
 	if pes > len(frame) {
 		pes = len(frame)
 	}
@@ -32,38 +33,33 @@ func sessionsResidual(model *dsp.LPCModel, frame []float64, pes, n int, trans st
 		return nil, nil, err
 	}
 	nodeOf := lpc.SplitIOWorkers(sys.Mapping.NumProcs, 2)
-	decls0, err := spi.PeerDecls(sys.Graph, sys.Mapping, nodeOf, 0, netBlock)
+	decls0, err := spi.PeerDecls(sys.Graph, sys.Mapping, nodeOf, 0, r.Opts.Block)
 	if err != nil {
 		return nil, nil, err
 	}
-	decls1, err := spi.PeerDecls(sys.Graph, sys.Mapping, nodeOf, 1, netBlock)
+	decls1, err := spi.PeerDecls(sys.Graph, sys.Mapping, nodeOf, 1, r.Opts.Block)
 	if err != nil {
 		return nil, nil, err
 	}
 
-	var tr transport.Transport
-	var listenAddr string
-	switch trans {
-	case "loopback":
-		tr, listenAddr = transport.NewLoopback(), "node0"
-	case "tcp":
-		tr, listenAddr = &transport.TCP{}, "127.0.0.1:0"
-	default:
-		return nil, nil, fmt.Errorf("-sessions needs a networked transport (loopback or tcp), not %q", trans)
+	tr, local, cleanup, err := r.OpenTransport()
+	if err != nil {
+		return nil, nil, err
 	}
-	ln, err := tr.Listen(listenAddr)
+	defer cleanup()
+	ln, err := tr.Listen(local(0))
 	if err != nil {
 		return nil, nil, err
 	}
 	defer ln.Close()
 
-	lcfg := transport.LinkConfig{
-		Sessions:      true,
-		Batch:         netBatch,
-		PiggybackAcks: netPiggyback,
-		Blocked:       netBlock > 1,
-		Heartbeat:     netHeartbeat,
-		PeerTimeout:   netPeerTimeout,
+	lcfg := runcfg.LinkConfig(&r.Opts)
+	// One session's execution on one node: the flagged options over the
+	// session stream in place of a transport of its own.
+	sessionOpts := func(node int, s *session.Stream) spi.DistOptions {
+		o := r.Opts
+		o.Node, o.Addrs, o.NodeOf, o.Links = node, make([]string, 2), nodeOf, s
+		return o
 	}
 	clientMux := session.NewMux(nil) // node 0: opens sessions, assembles residuals
 	serverMux := session.NewMux(nil) // node 1: admits opens, runs the worker half
@@ -123,9 +119,7 @@ func sessionsResidual(model *dsp.LPCModel, frame []float64, pes, n int, trans st
 		serverWG.Add(1)
 		go func() {
 			defer serverWG.Done()
-			_, st, err := lpc.DistributedResidual(model, frame, pes, 1, spi.DistOptions{
-				Node: 1, Addrs: make([]string, 2), NodeOf: nodeOf, Block: netBlock, Links: s, StallTimeout: netStallTimeout,
-			})
+			_, st, err := lpc.DistributedResidual(model, frame, pes, 1, sessionOpts(1, s))
 			status := byte(session.CloseDone)
 			if err != nil {
 				status = session.CloseError
@@ -144,8 +138,8 @@ func sessionsResidual(model *dsp.LPCModel, frame []float64, pes, n int, trans st
 	// -deadline bounds every session's close wait at one shared wall-clock
 	// instant, so n stragglers cannot serialize n full timeouts.
 	var closeBy time.Time
-	if netDeadline > 0 {
-		closeBy = time.Now().Add(netDeadline)
+	if r.Deadline > 0 {
+		closeBy = time.Now().Add(r.Deadline)
 	}
 	results := make([][]float64, n)
 	clientStats := make([]*spi.ExecStats, n)
@@ -160,9 +154,7 @@ func sessionsResidual(model *dsp.LPCModel, frame []float64, pes, n int, trans st
 				errs[i] = err
 				return
 			}
-			results[i], clientStats[i], err = lpc.DistributedResidual(model, frame, pes, 1, spi.DistOptions{
-				Node: 0, Addrs: make([]string, 2), NodeOf: nodeOf, Block: netBlock, Links: s, StallTimeout: netStallTimeout,
-			})
+			results[i], clientStats[i], err = lpc.DistributedResidual(model, frame, pes, 1, sessionOpts(0, s))
 			status, cerr := s.AwaitCloseDeadline(closeBy)
 			client.Done(s)
 			if err == nil && cerr != nil {
@@ -192,23 +184,7 @@ func sessionsResidual(model *dsp.LPCModel, frame []float64, pes, n int, trans st
 		}
 	}
 
-	// Aggregate across sessions and both nodes. Messages count on the
-	// sender, acks on the receiver, so summing never double counts; the
-	// per-edge merge keys on edge ID, so N sessions crossing one edge
-	// produce one row with the summed counters — not N duplicate rows.
-	total := &lpc.ParallelStats{PEs: pes}
-	all := append(append([]*spi.ExecStats(nil), clientStats...), serverStats...)
-	lists := make([][]spi.EdgeTraffic, 0, len(all))
-	for _, st := range all {
-		if st == nil {
-			continue
-		}
-		total.Messages += st.SPI.Messages
-		total.WireBytes += st.SPI.WireBytes
-		total.Acks += st.SPI.Acks
-		total.AckBytes += st.SPI.AckBytes
-		lists = append(lists, st.Edges)
-	}
-	total.Edges = mergeEdgeTraffic(lists...)
-	return results[0], total, nil
+	// Aggregate across sessions and both nodes: N sessions crossing one
+	// edge produce one row with the summed counters, not N duplicate rows.
+	return results[0], sumStats(pes, append(clientStats, serverStats...)), nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"testing"
 
+	"repro/cmd/internal/runcfg"
 	"repro/internal/dsp"
 	"repro/internal/lpc"
 	"repro/internal/signal"
@@ -22,7 +23,7 @@ func TestSessionsResidualMatchesSerial(t *testing.T) {
 	serial := model.Residual(x)
 
 	const pes, sessions = 3, 5
-	parallel, stats, err := sessionsResidual(model, x, pes, sessions, "loopback")
+	parallel, stats, err := sessionsResidual(&runcfg.Run{Transport: "loopback"}, model, x, pes, sessions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestSessionsResidualTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	serial := model.Residual(x)
-	parallel, _, err := sessionsResidual(model, x, 2, 3, "tcp")
+	parallel, _, err := sessionsResidual(&runcfg.Run{Transport: "tcp"}, model, x, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

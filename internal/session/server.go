@@ -9,6 +9,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/spi"
+	"repro/internal/transport"
 )
 
 // ServerConfig describes the graph a serving node runs per session and
@@ -87,6 +88,8 @@ type Server struct {
 	wg       sync.WaitGroup
 	reapStop chan struct{}
 	reapTick *time.Ticker
+	lmu      sync.Mutex
+	links    map[*Mux]*transport.Link // Serve's accepted, still-alive links
 
 	admitted  int64
 	rejected  int64
@@ -120,7 +123,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if nodes == 0 {
 		nodes = cfg.Mapping.NumProcs
 	}
-	s := &Server{cfg: cfg, nodes: nodes, adm: newAdmitter(cfg.Admission)}
+	s := &Server{cfg: cfg, nodes: nodes, adm: newAdmitter(cfg.Admission), links: map[*Mux]*transport.Link{}}
 	s.cond = sync.NewCond(&s.mu)
 	s.wg.Add(1)
 	go s.dispatch()

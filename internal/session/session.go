@@ -100,6 +100,7 @@ type Mux struct {
 	pendingOpens []openEvent
 	closed       bool
 	closeErr     error
+	onClose      func() // Server.Serve's hook: the link died, stop routing RESUMEs to it
 
 	dropped *obs.Counter
 }
@@ -115,6 +116,7 @@ func NewMux(o *obs.Observer) *Mux {
 	return &Mux{
 		bound:   make(chan struct{}),
 		streams: map[uint32]*Stream{},
+		onClose: func() {},
 		dropped: o.Counter("session_frames_dropped_total",
 			"session frames for unknown or already-closed sessions"),
 	}
@@ -267,6 +269,7 @@ func (m *Mux) HandleLinkClose(err error) {
 	for _, s := range streams {
 		s.linkClosed(err)
 	}
+	m.onClose()
 }
 
 // SessionHandler half: tagged traffic routes by session ID.
