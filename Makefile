@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race loc benchmark-build fuzz-smoke chaos obs load orch soak fission
+.PHONY: check fmt vet build test race allocs loc benchmark-build fuzz-smoke chaos obs load orch soak fission
 
-check: fmt vet build loc race benchmark-build fuzz-smoke load orch soak fission
+check: fmt vet build loc race allocs benchmark-build fuzz-smoke load orch soak fission
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -23,6 +23,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The allocation guards (steady-state allocations per iteration and per LPC
+# frame, and what a deployment costs to open) hold their measurements to
+# nothing under the race detector, whose runtime drops sync.Pool entries at
+# random, so `race` alone would never enforce one: this run is the gate.
+allocs:
+	$(GO) test -run Allocs -count=1 ./internal/spi ./internal/lpc
 
 # Non-test Go lines per package: the quantity ROADMAP aim 2 sets its
 # reduction target on. Lines as `wc -l` counts them, comments included, so

@@ -3,6 +3,7 @@ package dsp
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // LPCModel holds an order-M linear predictor: the prediction of sample i is
@@ -60,36 +61,67 @@ func (m *LPCModel) Predict(x []float64, i int) float64 {
 	return p
 }
 
+// ResidualInto appends the prediction error e[i] = x[i] - Predict(x, i) for
+// the samples [start, end) to dst and returns the extended slice; the range
+// is clamped to x, and x must not overlap dst's spare capacity. It is the
+// one error-generation loop — Residual, ResidualRange and the PE kernels of
+// internal/lpc all run it — and it allocates only when dst lacks the room.
+//
+// Each tap sum is accumulated exactly as Predict does it (k = 0..M-1 into
+// one accumulator, a sample before the frame contributing nothing), so the
+// result is bit-identical to the definition whatever the split: the serial
+// reference and every PE round alike.
+func (m *LPCModel) ResidualInto(dst, x []float64, start, end int) []float64 {
+	start, end = max(start, 0), min(end, len(x))
+	if end <= start {
+		return dst
+	}
+	c := m.Coeffs
+	base := len(dst)
+	dst = slices.Grow(dst, end-start)[:base+end-start]
+	e := dst[base:]
+	i := start
+	// The first M samples see a shorter history: taps 0..i-1 only.
+	for ; i < end && i < len(c); i++ {
+		var p float64
+		for k, ck := range c[:i] {
+			p += ck * x[i-1-k]
+		}
+		e[i-start] = x[i] - p
+	}
+	// Steady state: the taps walk the full window w = x[i-M:i] from its
+	// newest sample down. The window never runs out before the taps do; the
+	// guard says so in the form the compiler trades its bounds check for
+	// (indexing w[M-1-k] keeps the check and runs a third slower).
+	for ; i < end; i++ {
+		w := x[i-len(c) : i]
+		var p float64
+		for _, ck := range c {
+			if len(w) == 0 {
+				break
+			}
+			p += ck * w[len(w)-1]
+			w = w[:len(w)-1]
+		}
+		e[i-start] = x[i] - p
+	}
+	return dst
+}
+
 // Residual returns the prediction-error signal e[i] = x[i] - predict(i)
 // over the whole frame — the work of application 1's actor D, the actor
 // the paper parallelizes across PEs.
 func (m *LPCModel) Residual(x []float64) []float64 {
-	e := make([]float64, len(x))
-	for i := range x {
-		e[i] = x[i] - m.Predict(x, i)
-	}
-	return e
+	return m.ResidualInto(make([]float64, 0, len(x)), x, 0, len(x))
 }
 
 // ResidualRange computes the prediction error only for samples
 // [start, end), given the full frame for history — the per-PE slice of
 // actor D: each PE receives the (overlapping) section of the frame it
 // needs plus the coefficients, and produces its share of error values.
+// An empty range yields nil.
 func (m *LPCModel) ResidualRange(x []float64, start, end int) []float64 {
-	if start < 0 {
-		start = 0
-	}
-	if end > len(x) {
-		end = len(x)
-	}
-	if end <= start {
-		return nil
-	}
-	e := make([]float64, end-start)
-	for i := start; i < end; i++ {
-		e[i-start] = x[i] - m.Predict(x, i)
-	}
-	return e
+	return m.ResidualInto(nil, x, start, end)
 }
 
 // Reconstruct inverts Residual: given the error signal and the model,

@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -61,23 +62,97 @@ func TestResidualReconstructRoundtrip(t *testing.T) {
 	}
 }
 
+// residualByDefinition is the error signal as the model defines it, one
+// Predict per sample: the reference the shared loop must equal bit for bit.
+func residualByDefinition(m *LPCModel, x []float64, start, end int) []float64 {
+	var e []float64
+	for i := max(start, 0); i < min(end, len(x)); i++ {
+		e = append(e, x[i]-m.Predict(x, i))
+	}
+	return e
+}
+
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d samples, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: sample %d = %v, definition gives %v", what, i, got[i], want[i])
+		}
+	}
+}
+
 func TestResidualRangeMatchesFull(t *testing.T) {
-	x := signal.Speech(400, 8)
+	x := signal.Speech(2048, 8)
 	m, err := LPCAnalyze(x, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	full := m.Residual(x)
-	// Split into 4 PE-style sections; each must match the full residual.
-	n := 4
-	for p := 0; p < n; p++ {
-		start := p * len(x) / n
-		end := (p + 1) * len(x) / n
-		part := m.ResidualRange(x, start, end)
-		for i := range part {
-			if math.Abs(part[i]-full[start+i]) > 1e-12 {
-				t.Fatalf("PE %d sample %d: %v vs %v", p, i, part[i], full[start+i])
+	sameBits(t, "Residual", full, residualByDefinition(m, x, 0, len(x)))
+	// Every split of the frame at three (4 PEs) or six (7 PEs) of a set of
+	// cut points that includes sections shorter than the model order: each
+	// section must equal its slice of the full residual bit for bit.
+	cuts := []int{1, 3, 9, 10, 11, 512, 1024, 1365, 2038, 2047}
+	var split func(parts int, from int, bounds []int)
+	split = func(parts, from int, bounds []int) {
+		if parts == 1 {
+			bounds = append(bounds, len(x))
+			for p := 0; p+1 < len(bounds); p++ {
+				start, end := bounds[p], bounds[p+1]
+				sameBits(t, fmt.Sprintf("split %v section %d", bounds, p), m.ResidualRange(x, start, end), full[start:end])
 			}
+			return
+		}
+		for c := from; c < len(cuts); c++ {
+			split(parts-1, c+1, append(bounds, cuts[c]))
+		}
+	}
+	for _, n := range []int{4, 7} {
+		split(n, 0, []int{0})
+		// The deployment's own split, PE p computing [p*N/n, (p+1)*N/n).
+		for p := 0; p < n; p++ {
+			start, end := p*len(x)/n, (p+1)*len(x)/n
+			sameBits(t, fmt.Sprintf("%d PEs, PE %d", n, p), m.ResidualRange(x, start, end), full[start:end])
+		}
+	}
+}
+
+// TestResidualIntoMatchesDefinition: the shared loop equals the Predict-based
+// definition bit for bit over orders 1-32, frame lengths 1-4096 and random
+// ranges, including ones that start inside the first Order samples, reach past
+// the frame, or are empty — and it appends, leaving dst's prefix alone.
+func TestResidualIntoMatchesDefinition(t *testing.T) {
+	rng := signal.NewRNG(17)
+	for trial := 0; trial < 400; trial++ {
+		order := 1 + rng.Intn(32)
+		n := 1 + rng.Intn(4096)
+		if trial%4 == 0 {
+			n = 1 + rng.Intn(2*order) // frames around and below the order
+		}
+		m := &LPCModel{Coeffs: make([]float64, order)}
+		for k := range m.Coeffs {
+			m.Coeffs[k] = rng.NormFloat64() / float64(order)
+		}
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = rng.NormFloat64()
+		}
+		sameBits(t, "Residual", m.Residual(x), residualByDefinition(m, x, 0, n))
+		for r := 0; r < 8; r++ {
+			start := rng.Intn(n+order+2) - order/2 - 1
+			end := start + rng.Intn(n+order) - order/2
+			if r == 0 {
+				start = rng.Intn(min(order, n)) // inside the prologue
+			}
+			prefix := []float64{7, 8, 9}
+			got := m.ResidualInto(prefix, x, start, end)
+			what := fmt.Sprintf("order %d, %d samples, [%d, %d)", order, n, start, end)
+			sameBits(t, what+" prefix", got[:3], prefix)
+			sameBits(t, what, got[3:], residualByDefinition(m, x, start, end))
+			sameBits(t, what+" (ResidualRange)", m.ResidualRange(x, start, end), got[3:])
 		}
 	}
 }

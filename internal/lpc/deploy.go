@@ -50,11 +50,12 @@ func (p DeployParams) Validate() error {
 	return nil
 }
 
-// sectionLen returns the number of samples PE i computes.
-func (p DeployParams) sectionLen(i int) int {
-	start := i * p.SampleSize / p.PEs
-	end := (i + 1) * p.SampleSize / p.PEs
-	return end - start
+// sectionOf returns PE i's share of an N-sample frame split over n PEs:
+// the samples [start, end) it computes and the hist samples before start it
+// is sent along with them.
+func (p DeployParams) sectionOf(i int) (start, end, hist int) {
+	start, end = i*p.SampleSize/p.PEs, (i+1)*p.SampleSize/p.PEs
+	return start, end, min(p.Order, start)
 }
 
 // ErrorGenSystem builds the SPI system of the n-PE actor-D deployment:
@@ -75,15 +76,12 @@ func ErrorGenSystem(p DeployParams) (*spi.System, error) {
 	workers := make([]dataflow.ActorID, p.PEs)
 	payload := make(map[dataflow.EdgeID]func(int) int)
 	for i := 0; i < p.PEs; i++ {
-		sl := p.sectionLen(i)
+		start, end, hist := p.sectionOf(i)
+		sl := end - start
 		cost := int64(sl)*int64(p.Order)*p.MACCyclesPerTap + 50
 		w := g.AddActor(fmt.Sprintf("pe%d", i), cost)
 		workers[i] = w
 
-		hist := p.Order
-		if start := i * p.SampleSize / p.PEs; start < hist {
-			hist = start
-		}
 		coeffBytes := p.Order * p.SampleBytes
 		sectBytes := 4 + (sl+hist)*p.SampleBytes
 		errBytes := sl * p.SampleBytes
@@ -133,7 +131,8 @@ func HardwareModel(p DeployParams) (*hdl.Module, error) {
 	top.Add(io)
 
 	for i := 0; i < p.PEs; i++ {
-		sl := p.sectionLen(i)
+		start, end, _ := p.sectionOf(i)
+		sl := end - start
 		pe := hdl.NewModule(fmt.Sprintf("pe%d", i))
 		// Error-generation datapath: a two-lane fixed-point MAC pipeline
 		// over the M filter taps, sample and coefficient memories,

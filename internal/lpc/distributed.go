@@ -18,100 +18,79 @@ import (
 // residualKernels builds the functional kernel set for an ErrorGenSystem
 // graph: io_send scatters coefficients and overlapping frame sections,
 // each pe computes its residual range, io_recv reassembles the frame into
-// collect (which only the node hosting io_recv observes).
-func residualKernels(g *dataflow.Graph, p DeployParams, model *dsp.LPCModel, frame []float64, collect func([]float64)) (map[dataflow.ActorID]spi.Kernel, error) {
-	edge := func(prefix string, i int) (dataflow.EdgeID, error) {
+// collect (which only the node hosting io_recv observes; the slice is the
+// actor's assembly buffer, overwritten by the next frame).
+//
+// Edges are resolved and every buffer a firing needs is set up here, sized
+// from p and cut from sc (nil allocates them one by one) — the VTS
+// discipline applied to kernel scratch: the bounds are known at SPI_init, so
+// the frame path allocates nothing. Each actor returns the same output map
+// and buffers from every firing, which the Kernel contract allows. The
+// assembly buffer alone is never part of sc: it is handed to collect.
+func residualKernels(g *dataflow.Graph, p DeployParams, model *dsp.LPCModel, frame []float64, collect func([]float64), sc *scratch) (map[dataflow.ActorID]spi.Kernel, error) {
+	// Resolve every actor and edge by name now; the first one missing
+	// fails the build.
+	var missing error
+	actor := func(name string) dataflow.ActorID {
+		a, ok := g.ActorByName(name)
+		if !ok && missing == nil {
+			missing = fmt.Errorf("lpc: graph has no %s actor", name)
+		}
+		return a
+	}
+	byName := make(map[string]dataflow.EdgeID, g.NumEdges())
+	for _, eid := range g.Edges() {
+		byName[g.Edge(eid).Name] = eid
+	}
+	edge := func(prefix string, i int) dataflow.EdgeID {
 		name := fmt.Sprintf("%s%d", prefix, i)
-		for _, eid := range g.Edges() {
-			if g.Edge(eid).Name == name {
-				return eid, nil
-			}
+		eid, ok := byName[name]
+		if !ok && missing == nil {
+			missing = fmt.Errorf("lpc: graph has no edge %s", name)
 		}
-		return 0, fmt.Errorf("lpc: graph has no edge %s", name)
+		return eid
 	}
-	ioSend, ok := g.ActorByName("io_send")
-	if !ok {
-		return nil, fmt.Errorf("lpc: graph has no io_send actor")
-	}
-	ioRecv, ok := g.ActorByName("io_recv")
-	if !ok {
-		return nil, fmt.Errorf("lpc: graph has no io_recv actor")
-	}
-	n := p.PEs
-	N := p.SampleSize
+	type peEdges struct{ coeffs, sect, errs dataflow.EdgeID }
+	edges := make([]peEdges, p.PEs)
+	kernels := make(map[dataflow.ActorID]spi.Kernel, p.PEs+2)
+	scatter := make(map[dataflow.EdgeID][]byte, 2*p.PEs)
+	for i := range edges {
+		ed := peEdges{edge("coeffs", i), edge("sect", i), edge("errs", i)}
+		edges[i] = ed
+		start, end, hist := p.sectionOf(i)
+		scatter[ed.coeffs] = sc.bytes(8 * p.Order)
+		scatter[ed.sect] = sc.bytes(4 + 8*(end-start+hist))
 
-	kernels := map[dataflow.ActorID]spi.Kernel{
-		ioSend: func(iter int, in map[dataflow.EdgeID][]byte) (map[dataflow.EdgeID][]byte, error) {
-			out := map[dataflow.EdgeID][]byte{}
-			for i := 0; i < n; i++ {
-				start := i * N / n
-				end := (i + 1) * N / n
-				hist := p.Order
-				if start < hist {
-					hist = start
-				}
-				ce, err := edge("coeffs", i)
-				if err != nil {
-					return nil, err
-				}
-				se, err := edge("sect", i)
-				if err != nil {
-					return nil, err
-				}
-				out[ce] = encodeFloats(model.Coeffs)
-				out[se] = encodeSection(hist, frame[start-hist:end])
-			}
-			return out, nil
-		},
-		ioRecv: func(iter int, in map[dataflow.EdgeID][]byte) (map[dataflow.EdgeID][]byte, error) {
-			assembled := make([]float64, 0, N)
-			for i := 0; i < n; i++ {
-				ee, err := edge("errs", i)
-				if err != nil {
-					return nil, err
-				}
-				part, err := decodeFloats(in[ee])
-				if err != nil {
-					return nil, err
-				}
-				assembled = append(assembled, part...)
-			}
-			collect(assembled)
-			return nil, nil
-		},
+		gen, out := newErrorGen(sc, p.Order, end-start+hist, end-start), make(map[dataflow.EdgeID][]byte, 1)
+		kernels[actor(fmt.Sprintf("pe%d", i))] = func(iter int, in map[dataflow.EdgeID][]byte) (map[dataflow.EdgeID][]byte, error) {
+			errs, err := gen.fireSection(in[ed.coeffs], in[ed.sect])
+			out[ed.errs] = errs
+			return out, err
+		}
 	}
-	for i := 0; i < n; i++ {
-		i := i
-		w, ok := g.ActorByName(fmt.Sprintf("pe%d", i))
-		if !ok {
-			return nil, fmt.Errorf("lpc: graph has no pe%d actor", i)
+	ioSend, ioRecv := actor("io_send"), actor("io_recv")
+	if missing != nil {
+		return nil, missing
+	}
+	kernels[ioSend] = func(iter int, in map[dataflow.EdgeID][]byte) (map[dataflow.EdgeID][]byte, error) {
+		for i, ed := range edges {
+			start, end, hist := p.sectionOf(i)
+			scatter[ed.coeffs] = appendFloats(scatter[ed.coeffs][:0], model.Coeffs)
+			scatter[ed.sect] = appendSection(scatter[ed.sect][:0], hist, frame[start-hist:end])
 		}
-		kernels[w] = func(iter int, in map[dataflow.EdgeID][]byte) (map[dataflow.EdgeID][]byte, error) {
-			ce, err := edge("coeffs", i)
-			if err != nil {
+		return scatter, nil
+	}
+	assembled := make([]float64, 0, p.SampleSize)
+	kernels[ioRecv] = func(iter int, in map[dataflow.EdgeID][]byte) (map[dataflow.EdgeID][]byte, error) {
+		assembled = assembled[:0]
+		for _, ed := range edges {
+			var err error
+			if assembled, err = appendDecoded(assembled, in[ed.errs]); err != nil {
 				return nil, err
 			}
-			se, err := edge("sect", i)
-			if err != nil {
-				return nil, err
-			}
-			ee, err := edge("errs", i)
-			if err != nil {
-				return nil, err
-			}
-			coeffs, err := decodeFloats(in[ce])
-			if err != nil {
-				return nil, err
-			}
-			hist, samples, err := decodeSection(in[se])
-			if err != nil {
-				return nil, err
-			}
-			wm := &dsp.LPCModel{Coeffs: coeffs}
-			return map[dataflow.EdgeID][]byte{
-				ee: encodeFloats(wm.ResidualRange(samples, hist, len(samples))),
-			}, nil
 		}
+		collect(assembled)
+		return nil, nil
 	}
 	return kernels, nil
 }
@@ -152,10 +131,16 @@ func DistributedResidual(model *dsp.LPCModel, frame []float64, nPE, iters int, o
 	if opts.NodeOf == nil {
 		opts.NodeOf = SplitIOWorkers(sys.Mapping.NumProcs, len(opts.Addrs))
 	}
+	// The kernels' scratch — per PE its coefficients, section and errors as
+	// floats, and the section and coefficients in and the errors out as
+	// bytes — is free for the next deployment once this one has returned:
+	// ExecuteDistributed waits for every processor it started.
+	sc := getScratch(2*(p.SampleSize+p.PEs*p.Order), 16*(p.SampleSize+p.PEs*p.Order)+4*p.PEs)
+	defer sc.release()
 	var result []float64
 	kernels, err := residualKernels(sys.Graph, p, model, frame, func(assembled []float64) {
 		result = assembled
-	})
+	}, sc)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -32,7 +32,7 @@ func TestDistributedResidualChaosRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ref []float64
-	kernels, err := residualKernels(sys.Graph, p, model, frame, func(a []float64) { ref = a })
+	kernels, err := residualKernels(sys.Graph, p, model, frame, func(a []float64) { ref = a }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestDistributedResidualChaosBlocked(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ref []float64
-	kernels, err := residualKernels(sys.Graph, p, model, frame, func(a []float64) { ref = a })
+	kernels, err := residualKernels(sys.Graph, p, model, frame, func(a []float64) { ref = a }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestDistributedResidualResyncChaosRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ref []float64
-	kernels, err := residualKernels(sys.Graph, p, model, frame, func(a []float64) { ref = a })
+	kernels, err := residualKernels(sys.Graph, p, model, frame, func(a []float64) { ref = a }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package lpc
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -31,7 +32,7 @@ func TestDistributedResidualTwoProcesses(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ref []float64
-	kernels, err := residualKernels(sys.Graph, p, model, frame, func(a []float64) { ref = a })
+	kernels, err := residualKernels(sys.Graph, p, model, frame, func(a []float64) { ref = a }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,6 +152,33 @@ func TestDistributedResidualPerPENodes(t *testing.T) {
 	for i := range serial {
 		if results[0][i] != serial[i] {
 			t.Fatalf("sample %d: %v vs serial %v", i, results[0][i], serial[i])
+		}
+	}
+}
+
+// TestDistributedResidualRecycledScratch: consecutive deployments hand their
+// kernel scratch on through a pool; what an earlier frame left in it must not
+// show in a later result, whether the next frame fits the recycled slabs or
+// needs larger ones.
+func TestDistributedResidualRecycledScratch(t *testing.T) {
+	for i, n := range []int{512, 512, 300, 2048, 512} {
+		frame := signal.Speech(n, uint64(40+i))
+		model, err := dsp.LPCAnalyze(frame, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := DistributedResidual(model, frame, 4, 2, spi.DistOptions{Addrs: []string{"only"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := model.Residual(frame)
+		if len(got) != len(want) {
+			t.Fatalf("call %d: %d samples, want %d", i, len(got), len(want))
+		}
+		for j := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("call %d sample %d: %v, serial %v", i, j, got[j], want[j])
+			}
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/dataflow"
 	"repro/internal/dsp"
 	"repro/internal/signal"
 	"repro/internal/spi"
@@ -13,11 +12,11 @@ import (
 // TestErrorGenSystemFunctional runs the actor-D deployment graph with REAL
 // kernels under spi.Execute: the I/O interface scatters coefficients and
 // overlapping frame sections, hardware-PE kernels compute residual ranges,
-// and the gather reassembles the frame — then the result is checked against
-// the serial residual. This ties the deployment graph (used for the
-// figure-6 timing) to actual computation.
+// and the gather reassembles the frame — then every frame is checked bit for
+// bit against the serial residual. This ties the deployment graph (used for
+// the figure-6 timing) to actual computation.
 func TestErrorGenSystemFunctional(t *testing.T) {
-	const N = 256
+	const N, iters = 256, 3
 	frame := signal.Speech(N, 77)
 	model, err := dsp.LPCAnalyze(frame, 10)
 	if err != nil {
@@ -32,88 +31,29 @@ func TestErrorGenSystemFunctional(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := sys.Graph
-		ioSend, _ := g.ActorByName("io_send")
-		ioRecv, _ := g.ActorByName("io_recv")
-
-		// Edge lookup by name for kernel wiring.
-		edge := func(name string) dataflow.EdgeID {
-			for _, eid := range g.Edges() {
-				if g.Edge(eid).Name == name {
-					return eid
-				}
-			}
-			t.Fatalf("edge %s missing", name)
-			return 0
+		// io_recv hands over its assembly buffer: keep a copy of each frame.
+		var results [][]float64
+		kernels, err := residualKernels(sys.Graph, p, model, frame, func(a []float64) {
+			results = append(results, append([]float64(nil), a...))
+		}, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-
-		var got []float64
-		const iters = 3
-		results := make([][]float64, 0, iters)
-
-		kernels := map[dataflow.ActorID]spi.Kernel{
-			ioSend: func(iter int, in map[dataflow.EdgeID][]byte) (map[dataflow.EdgeID][]byte, error) {
-				out := map[dataflow.EdgeID][]byte{}
-				for i := 0; i < n; i++ {
-					start := i * N / n
-					end := (i + 1) * N / n
-					hist := p.Order
-					if start < hist {
-						hist = start
-					}
-					out[edgeID(t, g, "coeffs", i)] = encodeFloats(model.Coeffs)
-					out[edgeID(t, g, "sect", i)] = encodeSection(hist, frame[start-hist:end])
-				}
-				return out, nil
-			},
-			ioRecv: func(iter int, in map[dataflow.EdgeID][]byte) (map[dataflow.EdgeID][]byte, error) {
-				assembled := make([]float64, 0, N)
-				for i := 0; i < n; i++ {
-					part, err := decodeFloats(in[edgeID(t, g, "errs", i)])
-					if err != nil {
-						return nil, err
-					}
-					assembled = append(assembled, part...)
-				}
-				results = append(results, assembled)
-				return nil, nil
-			},
-		}
-		for i := 0; i < n; i++ {
-			i := i
-			pe, _ := g.ActorByName(peName(i))
-			kernels[pe] = func(iter int, in map[dataflow.EdgeID][]byte) (map[dataflow.EdgeID][]byte, error) {
-				coeffs, err := decodeFloats(in[edgeID(t, g, "coeffs", i)])
-				if err != nil {
-					return nil, err
-				}
-				hist, samples, err := decodeSection(in[edgeID(t, g, "sect", i)])
-				if err != nil {
-					return nil, err
-				}
-				wm := &dsp.LPCModel{Coeffs: coeffs}
-				errsOut := wm.ResidualRange(samples, hist, len(samples))
-				return map[dataflow.EdgeID][]byte{
-					edgeID(t, g, "errs", i): encodeFloats(errsOut),
-				}, nil
-			}
-		}
-		_ = edge
-
-		st, err := spi.Execute(g, sys.Mapping, kernels, iters)
+		st, err := spi.Execute(sys.Graph, sys.Mapping, kernels, iters)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		if len(results) != iters {
 			t.Fatalf("n=%d: %d gathered frames", n, len(results))
 		}
-		got = results[iters-1]
-		if len(got) != N {
-			t.Fatalf("n=%d: assembled %d samples", n, len(got))
-		}
-		for i := range want {
-			if math.Abs(got[i]-want[i]) > 1e-12 {
-				t.Fatalf("n=%d sample %d: %v vs %v", n, i, got[i], want[i])
+		for it, got := range results {
+			if len(got) != N {
+				t.Fatalf("n=%d frame %d: assembled %d samples", n, it, len(got))
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("n=%d frame %d sample %d: %v vs %v", n, it, i, got[i], want[i])
+				}
 			}
 		}
 		// 3 messages per PE per iteration over the SPI runtime.
@@ -123,16 +63,20 @@ func TestErrorGenSystemFunctional(t *testing.T) {
 	}
 }
 
-func peName(i int) string { return "pe" + string(rune('0'+i)) }
-
-func edgeID(t *testing.T, g *dataflow.Graph, prefix string, i int) dataflow.EdgeID {
-	t.Helper()
-	name := prefix + string(rune('0'+i))
-	for _, eid := range g.Edges() {
-		if g.Edge(eid).Name == name {
-			return eid
-		}
+// TestResidualKernelsNameMissingEdge: an edge the kernels need is resolved
+// when they are built, so a graph without it is refused then, by name.
+func TestResidualKernelsNameMissingEdge(t *testing.T) {
+	p := DefaultDeploy(64, 2)
+	p.SampleBytes = 8
+	narrow := p
+	narrow.PEs = 1
+	sys, err := ErrorGenSystem(narrow)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("edge %s missing", name)
-	return 0
+	model := &dsp.LPCModel{Coeffs: make([]float64, p.Order)}
+	_, err = residualKernels(sys.Graph, p, model, make([]float64, 64), func([]float64) {}, nil)
+	if err == nil || err.Error() != "lpc: graph has no edge coeffs1" {
+		t.Fatalf("err = %v, want the missing edge coeffs1 named", err)
+	}
 }

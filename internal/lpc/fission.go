@@ -95,7 +95,9 @@ func FissionErrorGenSystem(p DeployParams, k int, memBound int64) (*FissionSyste
 
 // serialResidualKernels builds the functional kernels of the serial
 // pipeline. The worker computes the full-frame residual; collect observes
-// each assembled frame on the node hosting io_recv.
+// each assembled frame on the node hosting io_recv (in the actor's assembly
+// buffer, overwritten by the next frame). As in residualKernels, every
+// buffer is sized here, from the frame and the model, and reused.
 func serialResidualKernels(g *dataflow.Graph, model *dsp.LPCModel, frame []float64, collect func([]float64)) (map[dataflow.ActorID]spi.Kernel, error) {
 	ids, err := serialEdgeIDs(g)
 	if err != nil {
@@ -104,31 +106,30 @@ func serialResidualKernels(g *dataflow.Graph, model *dsp.LPCModel, frame []float
 	ioSend, _ := g.ActorByName("io_send")
 	d, _ := g.ActorByName("error_gen")
 	ioRecv, _ := g.ActorByName("io_recv")
+	order, n := model.Order(), len(frame)
+	sent := map[dataflow.EdgeID][]byte{
+		ids.coeffs: make([]byte, 0, 8*order),
+		ids.frame:  make([]byte, 0, 8*n),
+	}
+	gen, out := newErrorGen(nil, order, n, n), make(map[dataflow.EdgeID][]byte, 1)
+	assembled := make([]float64, 0, n)
 	return map[dataflow.ActorID]spi.Kernel{
 		ioSend: func(iter int, in map[dataflow.EdgeID][]byte) (map[dataflow.EdgeID][]byte, error) {
-			return map[dataflow.EdgeID][]byte{
-				ids.coeffs: encodeFloats(model.Coeffs),
-				ids.frame:  encodeFloats(frame),
-			}, nil
+			sent[ids.coeffs] = appendFloats(sent[ids.coeffs][:0], model.Coeffs)
+			sent[ids.frame] = appendFloats(sent[ids.frame][:0], frame)
+			return sent, nil
 		},
 		d: func(iter int, in map[dataflow.EdgeID][]byte) (map[dataflow.EdgeID][]byte, error) {
-			coeffs, err := decodeFloats(in[ids.coeffs])
-			if err != nil {
-				return nil, err
-			}
-			x, err := decodeFloats(in[ids.frame])
-			if err != nil {
-				return nil, err
-			}
-			wm := &dsp.LPCModel{Coeffs: coeffs}
-			return map[dataflow.EdgeID][]byte{ids.errs: encodeFloats(wm.Residual(x))}, nil
+			errs, err := gen.fire(in[ids.coeffs], in[ids.frame], 0, n)
+			out[ids.errs] = errs
+			return out, err
 		},
 		ioRecv: func(iter int, in map[dataflow.EdgeID][]byte) (map[dataflow.EdgeID][]byte, error) {
-			e, err := decodeFloats(in[ids.errs])
-			if err != nil {
+			var err error
+			if assembled, err = appendDecoded(assembled[:0], in[ids.errs]); err != nil {
 				return nil, err
 			}
-			collect(e)
+			collect(assembled)
 			return nil, nil
 		},
 	}, nil
@@ -171,24 +172,29 @@ func FissionResidualKernels(fs *FissionSystem, model *dsp.LPCModel, frame []floa
 	if err != nil {
 		return nil, err
 	}
-	k := fs.Plan.K
-	worker := func(iter, replica int, in map[dataflow.EdgeID][]byte) (map[dataflow.EdgeID][]byte, error) {
-		coeffs, err := decodeFloats(in[ids.coeffs])
-		if err != nil {
-			return nil, err
+	// The one worker closure serves k replicas firing concurrently on their
+	// own processors, so each replica has its own body, scratch and output
+	// map, and its share of the frame is fixed here, not per firing.
+	type replica struct {
+		gen        *errorGen
+		out        map[dataflow.EdgeID][]byte
+		start, end int
+	}
+	replicas := make([]replica, fs.Plan.K)
+	start := 0
+	for r, count := range dataflow.SplitCounts(len(frame), fs.Plan.K) {
+		replicas[r] = replica{newErrorGen(nil, model.Order(), len(frame), count),
+			make(map[dataflow.EdgeID][]byte, 1), start, start + count}
+		start += count
+	}
+	worker := func(iter, r int, in map[dataflow.EdgeID][]byte) (map[dataflow.EdgeID][]byte, error) {
+		rep := &replicas[r]
+		if len(in[ids.frame]) != 8*len(frame) {
+			return nil, fmt.Errorf("lpc: replica %d received a frame of %d bytes, its split is of %d samples", r, len(in[ids.frame]), len(frame))
 		}
-		x, err := decodeFloats(in[ids.frame])
-		if err != nil {
-			return nil, err
-		}
-		counts := dataflow.SplitCounts(len(x), k)
-		start := 0
-		for i := 0; i < replica; i++ {
-			start += counts[i]
-		}
-		wm := &dsp.LPCModel{Coeffs: coeffs}
-		part := wm.ResidualRange(x, start, start+counts[replica])
-		return map[dataflow.EdgeID][]byte{ids.errs: encodeFloats(part)}, nil
+		errs, err := rep.gen.fire(in[ids.coeffs], in[ids.frame], rep.start, rep.end)
+		rep.out[ids.errs] = errs
+		return rep.out, err
 	}
 	return spi.FissionKernels(fs.Plan, serial, worker)
 }

@@ -131,35 +131,76 @@ func TestParallelResidualValidation(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeFloats(t *testing.T) {
+func TestAppendFloatsRoundtrip(t *testing.T) {
 	in := []float64{0, 1.5, -2.25, math.Pi}
-	out, err := decodeFloats(encodeFloats(in))
+	// Both codecs append: what dst already holds stays.
+	enc := appendFloats([]byte{0xAA}, in)
+	if len(enc) != 1+8*len(in) || enc[0] != 0xAA {
+		t.Fatalf("encoded %d bytes, first %#x", len(enc), enc[0])
+	}
+	out, err := appendDecoded([]float64{42}, enc[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(out) != 1+len(in) || out[0] != 42 {
+		t.Fatalf("decoded %v", out)
+	}
 	for i := range in {
-		if in[i] != out[i] {
-			t.Fatalf("roundtrip: %v vs %v", in, out)
+		if in[i] != out[1+i] {
+			t.Fatalf("roundtrip: %v vs %v", in, out[1:])
 		}
 	}
-	if _, err := decodeFloats(make([]byte, 7)); err == nil {
+	if _, err := appendDecoded(nil, make([]byte, 7)); err == nil {
 		t.Error("non-multiple length should fail")
 	}
 }
 
 func TestSectionEncoding(t *testing.T) {
-	hist, samples, err := decodeSection(encodeSection(3, []float64{1, 2, 3, 4, 5}))
+	hist, samples, err := splitSection(appendSection(nil, 3, []float64{1, 2, 3, 4, 5}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hist != 3 || len(samples) != 5 {
-		t.Errorf("hist=%d len=%d", hist, len(samples))
+	if hist != 3 || len(samples) != 5*8 {
+		t.Errorf("hist=%d, %d sample bytes", hist, len(samples))
 	}
-	if _, _, err := decodeSection([]byte{1}); err == nil {
+	if _, _, err := splitSection([]byte{1}); err == nil {
 		t.Error("short section should fail")
 	}
-	if _, _, err := decodeSection(encodeSection(9, []float64{1})); err == nil {
+	if _, _, err := splitSection(appendSection(nil, 9, []float64{1})); err == nil {
 		t.Error("hist > samples should fail")
+	}
+	// A ragged sample payload is caught where it is decoded.
+	if _, err := newErrorGen(nil, 1, 1, 1).fireSection(appendFloats(nil, []float64{.5}), append(appendSection(nil, 0, []float64{1}), 0)); err == nil {
+		t.Error("section with a trailing byte should fail")
+	}
+}
+
+// TestScratchCutsBoundedBuffers: buffers cut from a scratch are empty, hold
+// exactly what was asked for and cannot grow into their neighbours; a nil or
+// exhausted scratch allocates instead; a released one is cut from the start
+// again.
+func TestScratchCutsBoundedBuffers(t *testing.T) {
+	sc := getScratch(8, 16)
+	a, b := sc.floats(3), sc.floats(5)
+	x, y := sc.bytes(10), sc.bytes(6)
+	if len(a) != 0 || cap(a) != 3 || cap(b) != 5 || len(x) != 0 || cap(x) != 10 || cap(y) != 6 {
+		t.Fatalf("caps %d %d %d %d", cap(a), cap(b), cap(x), cap(y))
+	}
+	b, y = append(b, 1), append(y, 1)
+	a = append(a, 2, 2, 2, 2) // outgrows its cut: must move, not overwrite b
+	x = append(x, make([]byte, 11)...)
+	if b[0] != 1 || y[0] != 1 {
+		t.Errorf("a buffer grew into its neighbour: %v %v", b, y)
+	}
+	if extra := sc.floats(1); cap(extra) != 1 {
+		t.Errorf("exhausted scratch: cap %d", cap(extra))
+	}
+	if buf := (*scratch)(nil).bytes(4); cap(buf) != 4 {
+		t.Errorf("nil scratch: cap %d", cap(buf))
+	}
+	sc.release()
+	if sc.nf != 0 || sc.nb != 0 {
+		t.Errorf("released scratch still cut: %d floats, %d bytes", sc.nf, sc.nb)
 	}
 }
 

@@ -1,9 +1,7 @@
 package lpc
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sync"
 
 	"repro/internal/dsp"
@@ -18,51 +16,6 @@ import (
 //
 // The number of coefficients (model order M) and the frame size are not
 // known before run time, so both transfers use SPI_dynamic (paper §5.2).
-
-// encodeFloats packs float64 samples little-endian.
-func encodeFloats(x []float64) []byte {
-	out := make([]byte, 8*len(x))
-	for i, v := range x {
-		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
-	}
-	return out
-}
-
-// decodeFloats unpacks float64 samples.
-func decodeFloats(b []byte) ([]float64, error) {
-	if len(b)%8 != 0 {
-		return nil, fmt.Errorf("lpc: float payload of %d bytes", len(b))
-	}
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out, nil
-}
-
-// sectionMsg frames a PE's input: a u32 history-sample count followed by
-// history+section samples.
-func encodeSection(hist int, samples []float64) []byte {
-	out := make([]byte, 4+8*len(samples))
-	binary.LittleEndian.PutUint32(out, uint32(hist))
-	copy(out[4:], encodeFloats(samples))
-	return out
-}
-
-func decodeSection(b []byte) (hist int, samples []float64, err error) {
-	if len(b) < 4 {
-		return 0, nil, fmt.Errorf("lpc: section payload of %d bytes", len(b))
-	}
-	hist = int(binary.LittleEndian.Uint32(b))
-	samples, err = decodeFloats(b[4:])
-	if err != nil {
-		return 0, nil, err
-	}
-	if hist > len(samples) {
-		return 0, nil, fmt.Errorf("lpc: history %d exceeds %d samples", hist, len(samples))
-	}
-	return hist, samples, nil
-}
 
 // ParallelStats reports the communication activity of one parallel run.
 type ParallelStats struct {
@@ -89,6 +42,7 @@ func ParallelResidual(model *dsp.LPCModel, frame []float64, nPE int) ([]float64,
 		nPE = len(frame)
 	}
 	m := model.Order()
+	p := DeployParams{SampleSize: len(frame), Order: m, PEs: nPE}
 	rt := spi.NewRuntime()
 
 	// Upper bounds for the dynamic edges: a full frame plus history for
@@ -135,15 +89,11 @@ func ParallelResidual(model *dsp.LPCModel, frame []float64, nPE int) ([]float64,
 	var wg sync.WaitGroup
 	errCh := make(chan error, nPE)
 	for i := 0; i < nPE; i++ {
+		start, end, hist := p.sectionOf(i)
 		wg.Add(1)
-		go func(e peEdges) {
+		go func(e peEdges, d *errorGen) {
 			defer wg.Done()
 			cb, err := e.coeffRx.Receive()
-			if err != nil {
-				errCh <- err
-				return
-			}
-			coeffs, err := decodeFloats(cb)
 			if err != nil {
 				errCh <- err
 				return
@@ -153,47 +103,40 @@ func ParallelResidual(model *dsp.LPCModel, frame []float64, nPE int) ([]float64,
 				errCh <- err
 				return
 			}
-			hist, samples, err := decodeSection(sb)
+			errs, err := d.fireSection(cb, sb)
 			if err != nil {
 				errCh <- err
 				return
 			}
-			wm := &dsp.LPCModel{Coeffs: coeffs}
-			errs := wm.ResidualRange(samples, hist, len(samples))
-			if err := e.errTx.Send(encodeFloats(errs)); err != nil {
+			if err := e.errTx.Send(errs); err != nil {
 				errCh <- err
 			}
-		}(edges[i])
+		}(edges[i], newErrorGen(nil, m, end-start+hist, end-start))
 	}
 
-	// I/O interface: scatter, then gather.
-	out := make([]float64, len(frame))
-	starts := make([]int, nPE)
+	// I/O interface: scatter, then gather in PE order. Send copies, so one
+	// encode buffer serves every PE.
+	coeffs := appendFloats(make([]byte, 0, maxCoeffs), model.Coeffs)
+	var sect []byte
 	for i := 0; i < nPE; i++ {
-		start := i * len(frame) / nPE
-		end := (i + 1) * len(frame) / nPE
-		starts[i] = start
-		hist := m
-		if start < m {
-			hist = start
-		}
-		if err := edges[i].coeffTx.Send(encodeFloats(model.Coeffs)); err != nil {
+		start, end, hist := p.sectionOf(i)
+		if err := edges[i].coeffTx.Send(coeffs); err != nil {
 			return nil, nil, err
 		}
-		if err := edges[i].sectTx.Send(encodeSection(hist, frame[start-hist:end])); err != nil {
+		sect = appendSection(sect[:0], hist, frame[start-hist:end])
+		if err := edges[i].sectTx.Send(sect); err != nil {
 			return nil, nil, err
 		}
 	}
+	out := make([]float64, 0, len(frame))
 	for i := 0; i < nPE; i++ {
 		eb, err := edges[i].errRx.Receive()
 		if err != nil {
 			return nil, nil, err
 		}
-		errs, err := decodeFloats(eb)
-		if err != nil {
+		if out, err = appendDecoded(out, eb); err != nil {
 			return nil, nil, err
 		}
-		copy(out[starts[i]:], errs)
 	}
 	wg.Wait()
 	close(errCh)

@@ -2,13 +2,12 @@ package spi
 
 import (
 	"fmt"
-	"math"
 	"os"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/alloctest"
 	"repro/internal/dataflow"
 	"repro/internal/sched"
 	"repro/internal/transport"
@@ -17,13 +16,9 @@ import (
 // Allocation guard: the repo benchmark bounds allocs_per_unit and
 // alloc_bytes_per_unit at 5 %, and the executor's share of both is what
 // these tests pin — steady-state allocations per iteration and the
-// allocations of opening one environment. The pinned values were measured
-// on the commit before the executor core was unified; the kernels allocate
-// nothing, so every count is the executor's or the link's own. A regression
-// fails here, not in the benchmark gate.
-
-// allocSlack is the benchmark's 5 % bound.
-const allocSlack = 0.05
+// allocations of opening one environment. The kernels allocate nothing, so
+// every count is the executor's or the link's own. A regression fails here,
+// not in the benchmark gate.
 
 func pipelineGraph(t *testing.T) (*dataflow.Graph, *sched.Mapping) {
 	t.Helper()
@@ -71,77 +66,22 @@ func pipelineKernels() (map[dataflow.ActorID]Kernel, map[string]Kernel) {
 		map[string]Kernel{"src": src, "mid": mid, "sink": sink}
 }
 
-// allocs is a heap allocation count and its bytes.
-type allocs struct{ n, bytes float64 }
-
-func (a allocs) sub(b allocs) allocs  { return allocs{a.n - b.n, a.bytes - b.bytes} }
-func (a allocs) div(d float64) allocs { return allocs{a.n / d, a.bytes / d} }
-
-// minAllocs is testing.AllocsPerRun taking the minimum over the runs, not
-// the mean: how many frames a link's buffer pools miss depends on when its
-// acks arrive, and that noise only ever adds.
-func minAllocs(runs int, f func()) allocs {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	f() // warm the pools
-	best := allocs{math.Inf(1), math.Inf(1)}
-	var before, after runtime.MemStats
-	for i := 0; i < runs; i++ {
-		runtime.ReadMemStats(&before)
-		f()
-		runtime.ReadMemStats(&after)
-		best.n = math.Min(best.n, float64(after.Mallocs-before.Mallocs))
-		best.bytes = math.Min(best.bytes, float64(after.TotalAlloc-before.TotalAlloc))
-	}
-	return best
-}
-
-// steadyAndOpen splits the allocations of run(n) into the per-iteration
-// steady state (the difference between an N- and a 2N-iteration run, so
-// set-up cancels) and the fixed cost of the deployment around it (a
-// one-iteration run less that iteration).
-func steadyAndOpen(n int, run func(n int)) (perIter, open allocs) {
-	a1 := minAllocs(5, func() { run(n) })
-	a2 := minAllocs(5, func() { run(2 * n) })
-	perIter = a2.sub(a1).div(float64(n))
-	return perIter, minAllocs(5, func() { run(1) }).sub(perIter)
-}
-
-// checkAllocs holds a measurement to the value pinned on the parent commit
-// plus the benchmark's bound; counts that round to a handful per iteration
-// get a floor of 0.1 allocations (8 bytes) on top.
-func checkAllocs(t *testing.T, what string, got, pinned allocs) {
-	t.Helper()
-	t.Logf("%s: %.2f allocations, %.0f B (pinned %.2f, %.0f B)", what, got.n, got.bytes, pinned.n, pinned.bytes)
-	if raceEnabled {
-		return // the race runtime drops sync.Pool entries at random
-	}
-	if limit := math.Max(pinned.n*(1+allocSlack), pinned.n+0.1); got.n > limit {
-		t.Errorf("%s: %.2f allocations, parent commit measured %.2f (bound %.2f)", what, got.n, pinned.n, limit)
-	}
-	if pinned.bytes == 0 {
-		return // bytes not pinned
-	}
-	if limit := math.Max(pinned.bytes*(1+allocSlack), pinned.bytes+8); got.bytes > limit {
-		t.Errorf("%s: %.0f bytes allocated, parent commit measured %.0f (bound %.0f)", what, got.bytes, pinned.bytes, limit)
-	}
-}
-
 func TestAllocsScalarExecute(t *testing.T) {
 	g, m := pipelineGraph(t)
-	perIter, open := steadyAndOpen(2000, func(n int) {
+	perIter, open := alloctest.SteadyAndOpen(2000, func(n int) {
 		byID, _ := pipelineKernels()
 		if _, err := Execute(g, m, byID, n); err != nil {
 			t.Fatal(err)
 		}
 	})
-	checkAllocs(t, "Execute pipeline.sdf per iteration", perIter, pinnedExecPerIter)
-	checkAllocs(t, "Execute pipeline.sdf open", open, pinnedExecOpen)
+	alloctest.Check(t, "Execute pipeline.sdf per iteration", perIter, pinnedExecPerIter)
+	alloctest.Check(t, "Execute pipeline.sdf open", open, pinnedExecOpen)
 }
 
 func TestAllocsDistributedLoopback(t *testing.T) {
 	g, m := pipelineGraph(t)
 	round := 0
-	perIter, open := steadyAndOpen(2000, func(n int) {
+	perIter, open := alloctest.SteadyAndOpen(2000, func(n int) {
 		round++
 		tr := transport.NewLoopback()
 		addrs := []string{fmt.Sprintf("alloc%d-0", round), fmt.Sprintf("alloc%d-1", round)}
@@ -165,8 +105,8 @@ func TestAllocsDistributedLoopback(t *testing.T) {
 			}
 		}
 	})
-	checkAllocs(t, "2-node loopback ExecuteDistributed per iteration", perIter, pinnedDistPerIter)
-	checkAllocs(t, "2-node loopback ExecuteDistributed open", open, pinnedDistOpen)
+	alloctest.Check(t, "2-node loopback ExecuteDistributed per iteration", perIter, pinnedDistPerIter)
+	alloctest.Check(t, "2-node loopback ExecuteDistributed open", open, pinnedDistOpen)
 }
 
 // openPipelinePartitions opens pipeline.sdf as a standing two-worker
@@ -222,7 +162,7 @@ func TestAllocsStandingPartitionRun(t *testing.T) {
 		}
 	}()
 	base := 0
-	perIter, perRun := steadyAndOpen(2000, func(n int) {
+	perIter, perRun := alloctest.SteadyAndOpen(2000, func(n int) {
 		errs := make([]error, 2)
 		var wg sync.WaitGroup
 		for w, pr := range runs {
@@ -240,29 +180,31 @@ func TestAllocsStandingPartitionRun(t *testing.T) {
 			}
 		}
 	})
-	checkAllocs(t, "standing PartitionRun.Run per iteration", perIter, pinnedPartPerIter)
-	checkAllocs(t, "standing PartitionRun.Run per call", perRun, pinnedPartPerRun)
+	alloctest.Check(t, "standing PartitionRun.Run per iteration", perIter, pinnedPartPerIter)
+	alloctest.Check(t, "standing PartitionRun.Run per call", perRun, pinnedPartPerRun)
 
 	round := 0
-	open := minAllocs(5, func() {
+	open := alloctest.Min(5, func() {
 		round++
 		for _, pr := range openPipelinePartitions(t, fmt.Sprintf("open%d", round)) {
 			pr.Close(false)
 		}
 	})
-	checkAllocs(t, "OpenPartition two workers, open and close", open, pinnedPartOpen)
+	alloctest.Check(t, "OpenPartition two workers, open and close", open, pinnedPartOpen)
 }
 
-// Measured on the parent commit (three hand-copied firing loops, two
-// environments) with go1.24 at GOMAXPROCS=1.
+// Measured with go1.24 at GOMAXPROCS=1: the deployment costs on the commit
+// before the executor core was unified (three hand-copied firing loops, two
+// environments), the per-iteration ones after the local queues began to
+// recycle their token buffers, which took one allocation off each.
 var (
-	pinnedExecPerIter = allocs{2.00, 147}
-	pinnedExecOpen    = allocs{122, 7157}
+	pinnedExecPerIter = alloctest.Allocs{N: 1.00, Bytes: 139}
+	pinnedExecOpen    = alloctest.Allocs{N: 122, Bytes: 7157}
 	// Bytes not pinned: how far the edge queues and resend buffers grow
 	// depends on scheduling: three parent runs spread from 72 to 161 B.
-	pinnedDistPerIter = allocs{3.04, 0}
-	pinnedDistOpen    = allocs{464, 28432}
-	pinnedPartPerIter = allocs{3.06, 44}
-	pinnedPartPerRun  = allocs{29, 1620}
-	pinnedPartOpen    = allocs{827, 45384}
+	pinnedDistPerIter = alloctest.Allocs{N: 2.04}
+	pinnedDistOpen    = alloctest.Allocs{N: 464, Bytes: 28432}
+	pinnedPartPerIter = alloctest.Allocs{N: 2.06, Bytes: 36}
+	pinnedPartPerRun  = alloctest.Allocs{N: 29, Bytes: 1620}
+	pinnedPartOpen    = alloctest.Allocs{N: 827, Bytes: 45384}
 )

@@ -35,8 +35,9 @@ import (
 // Input payloads (and the map itself) are valid only for the duration of
 // the call: the executor reuses the buffers for the next firing, so a
 // kernel that carries state across firings must copy what it keeps.
-// Returning an input slice as an output payload is allowed — the send
-// completes before the buffer is reused.
+// Output payloads are copied out (sent, packed or queued) before the actor
+// fires again: a kernel may return an input slice, or the same map and
+// buffers from every firing.
 type Kernel func(iter int, in map[dataflow.EdgeID][]byte) (map[dataflow.EdgeID][]byte, error)
 
 // ExecStats reports a functional run.
@@ -136,7 +137,11 @@ type edgeSlot struct {
 	// else 1 (token-granular).
 	block int
 
-	queue [][]byte // same-processor edge: the tokens in flight
+	// Same-processor edge: the tokens in flight. A token outlives the firing
+	// that produced it, and with it the kernel's claim on the buffer, so the
+	// queue owns its tokens: emit copies each one into a buffer off spare,
+	// where gather puts a token's buffer once its consumer's firing is over.
+	queue, spare [][]byte
 
 	cfg     EdgeConfig
 	out, in bool
@@ -352,23 +357,16 @@ func (env *execEnv) fire(p *procPlan, base, n int) error {
 // closes when the block's last invocation returns, before its outputs go
 // out: time blocked in a send is the edge's, not the kernel's.
 func (env *execEnv) fireActor(p *procPlan, a *actorSlot, iter, n int) error {
-	remoteIn := false
 	for _, s := range a.in {
 		if err := s.gather(p, n); err != nil {
 			return fmt.Errorf("spi: actor %s edge %s: %w", a.name, s.name, err)
 		}
-		remoteIn = remoteIn || !s.local()
 	}
 	for _, s := range a.out {
 		if s.block > 1 {
 			s.slabOut = beginSlab(s.slabOut, n, s.dynamic)
 		}
 	}
-	// A local queue outlives the firing that fills it, but the payload may
-	// alias a buffer reused before the consumer runs: a receive buffer the
-	// kernel passed straight through, or — when the producer fires a whole
-	// block first — the kernel's own output buffer. Those pushes copy.
-	private := env.block > 1 || remoteIn
 	span := a.obs.tr.Now()
 	if a.vkernel != nil {
 		clear(p.vecIn)
@@ -393,7 +391,7 @@ func (env *execEnv) fireActor(p *procPlan, a *actorSlot, iter, n int) error {
 				if toks != nil {
 					tok = toks[j]
 				}
-				if err := s.emit(j, tok, private); err != nil {
+				if err := s.emit(j, tok); err != nil {
 					return fmt.Errorf("spi: actor %s edge %s: %w", a.name, s.name, err)
 				}
 			}
@@ -417,7 +415,7 @@ func (env *execEnv) fireActor(p *procPlan, a *actorSlot, iter, n int) error {
 			// buffers between firings, so each firing's outputs are
 			// consumed before the next.
 			for _, s := range a.out {
-				if err := s.emit(j, out[s.id], private); err != nil {
+				if err := s.emit(j, out[s.id]); err != nil {
 					return fmt.Errorf("spi: actor %s edge %s: %w", a.name, s.name, err)
 				}
 			}
@@ -447,6 +445,7 @@ func (s *edgeSlot) gather(p *procPlan, n int) error {
 		if len(s.queue) < n {
 			return fmt.Errorf("local underflow: block needs %d tokens, %d queued (the schedule order or the delay does not cover the block)", n, len(s.queue))
 		}
+		s.spare = append(s.spare, s.toks...) // the last firing is done with them
 		s.toks, s.queue = s.queue[:n:n], s.queue[n:]
 		p.localTransfers += int64(n)
 	case s.block > 1:
@@ -475,11 +474,11 @@ func (s *edgeSlot) gather(p *procPlan, n int) error {
 
 // emit routes the j-th output token of a block firing: packed (copied) into
 // the outgoing slab of a blocked edge, sent at once on a token-granular
-// cross-processor edge, or pushed onto the local queue — as a private copy
-// when the caller says the payload's buffer may be reused first. The VTS
+// cross-processor edge, or copied into a recycled buffer of the local queue
+// — every route copies, so the payload need not outlive the call. The VTS
 // bound is enforced and short static payloads are zero-padded to the fixed
 // transfer size on every route.
-func (s *edgeSlot) emit(j int, payload []byte, private bool) error {
+func (s *edgeSlot) emit(j int, payload []byte) error {
 	if s.block > 1 {
 		slab, err := appendSlabToken(s.slabOut, j, payload, s.bmax, s.dynamic)
 		if err != nil {
@@ -497,10 +496,11 @@ func (s *edgeSlot) emit(j int, payload []byte, private bool) error {
 		payload = padded
 	}
 	if s.local() {
-		if private {
-			payload = append([]byte(nil), payload...)
+		var buf []byte
+		if k := len(s.spare); k > 0 {
+			buf, s.spare = s.spare[k-1], s.spare[:k-1]
 		}
-		s.queue = append(s.queue, payload)
+		s.queue = append(s.queue, append(buf[:0], payload...))
 		return nil
 	}
 	if s.tail != nil {

@@ -202,6 +202,54 @@ func TestExecuteDelayedFeedback(t *testing.T) {
 	}
 }
 
+// TestExecuteLocalDelayedEdgeRecycledOutput: a producer that hands over the
+// same output buffer at every firing (the Kernel contract allows it) on a
+// delayed edge to a consumer on its own processor. The token waits in the
+// local queue across the producer's next firing, so the queue must hold a
+// copy: the consumer has to see what a producer with a fresh buffer per
+// firing shows it, not the following iteration's bytes.
+func TestExecuteLocalDelayedEdgeRecycledOutput(t *testing.T) {
+	g := dataflow.New("delayed-local")
+	a := g.AddActor("A", 1)
+	b := g.AddActor("B", 1)
+	ab := g.AddEdge("ab", a, b, 1, 1, dataflow.EdgeSpec{TokenBytes: 1, Delay: 1})
+	m := &sched.Mapping{NumProcs: 1, Proc: []sched.Processor{0, 0}, Order: [][]dataflow.ActorID{{a, b}}}
+	seen := func(recycle bool) string {
+		buf := make([]byte, 1)
+		out := map[dataflow.EdgeID][]byte{}
+		var got []byte
+		kernels := map[dataflow.ActorID]Kernel{
+			a: func(iter int, _ map[dataflow.EdgeID][]byte) (map[dataflow.EdgeID][]byte, error) {
+				if !recycle {
+					buf = make([]byte, 1)
+				}
+				buf[0] = byte(iter + 1)
+				out[ab] = buf
+				return out, nil
+			},
+			b: func(iter int, in map[dataflow.EdgeID][]byte) (map[dataflow.EdgeID][]byte, error) {
+				var v byte // stays 0 for the empty delay token
+				if len(in[ab]) > 0 {
+					v = in[ab][0]
+				}
+				got = append(got, v)
+				return nil, nil
+			},
+		}
+		if _, err := Execute(g, m, kernels, 6); err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(got)
+	}
+	fresh, recycled := seen(false), seen(true)
+	if fresh != "[0 1 2 3 4 5]" {
+		t.Fatalf("fresh buffers: consumer saw %s", fresh)
+	}
+	if recycled != fresh {
+		t.Errorf("recycled output buffer: consumer saw %s, with fresh buffers %s", recycled, fresh)
+	}
+}
+
 func TestExecuteStaticPayloadsArePadded(t *testing.T) {
 	g, m := executeChain(t)
 	var got int
