@@ -83,9 +83,9 @@ func (r *Run) FissionFlags(fs *flag.FlagSet) {
 func (r *Run) LivenessFlags(fs *flag.FlagSet) {
 	o := &r.Opts
 	fs.BoolVar(&o.Resync, "resync", o.Resync,
-		"suppress UBS acks on edges whose synchronization the sync graph proves another path already covers; negotiated per link, all nodes must agree (bit-identical digests either way)")
+		"suppress UBS acks on edges whose synchronization the sync graph proves another path already covers; checked per link at the handshake, a peer run without it is refused (bit-identical digests either way)")
 	fs.DurationVar(&o.Heartbeat, "heartbeat", o.Heartbeat,
-		"PING idle links at this interval to detect silent peers; negotiated, so peers without it interoperate (0 = off)")
+		"PING idle links at this interval to detect silent peers; local policy, a peer run without it still answers (0 = off)")
 	fs.DurationVar(&o.PeerTimeout, "peer-timeout", o.PeerTimeout,
 		"declare a peer dead after this much silence when -heartbeat is on (0 = 4x heartbeat)")
 	fs.DurationVar(&r.Deadline, "deadline", r.Deadline,
@@ -103,7 +103,7 @@ func (r *Run) WireFlags(fs *flag.FlagSet) {
 	fs.DurationVar(&o.Batch.MaxDelay, "batch-delay", o.Batch.MaxDelay,
 		"deadline before a buffered frame is flushed alone (0 = default when batching)")
 	fs.BoolVar(&o.PiggybackAcks, "piggyback-acks", o.PiggybackAcks,
-		"carry acknowledgements on outgoing DATA frames when the peer supports it")
+		"carry this node's acknowledgements on its outgoing DATA frames; local policy, a peer run without it sends its own standalone")
 	fs.IntVar(&o.Block, "block", o.Block,
 		"vectorization blocking factor B: fire B iterations per block and pack B tokens per message on block-aligned edges; all nodes must agree (0 = off, bit-identical digests either way)")
 	fs.DurationVar(&o.StallTimeout, "stall-timeout", o.StallTimeout,

@@ -191,7 +191,7 @@ func analyzeFile(path string, assign []int) error {
 
 // printResyncWire renders spi.ResyncSuppression as it lands on the wire:
 // one row per interprocessor edge, suppress or keep, with the covering
-// path that justifies each suppression, then the negotiated ID set.
+// path that justifies each suppression, then the suppressed ID set.
 func printResyncWire(g *dataflow.Graph, m *sched.Mapping) error {
 	plan, err := spi.ResyncSuppression(g, m)
 	if err != nil {

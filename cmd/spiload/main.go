@@ -226,7 +226,7 @@ func clientSystem(cfg loadConfig) (*runcfg.System, int, []transport.EdgeDecl, er
 
 // runLoad connects one session-capable link to the server and runs the
 // configured load phase over it.
-func runLoad(cfg loadConfig, tr transport.Transport, w io.Writer) (*loadReport, error) {
+func runLoad(cfg loadConfig, tr transport.Transport) (*loadReport, error) {
 	sys, _, edges, err := clientSystem(cfg)
 	if err != nil {
 		return nil, err
@@ -253,9 +253,6 @@ func runLoad(cfg loadConfig, tr transport.Transport, w io.Writer) (*loadReport, 
 	}
 	defer link.Abort()
 	mux.Bind(link)
-	if !link.SessionsNegotiated() {
-		fmt.Fprintf(w, "spiload: peer has no session support; running implicit single sessions\n")
-	}
 	client := session.NewClient(mux, cfg.OpenTimeout)
 
 	rep := &loadReport{}
@@ -398,7 +395,7 @@ func main() {
 	if cfg.Chaos != nil {
 		tr = transport.NewFaultTransport(tr, *cfg.Chaos)
 	}
-	rep, err := runLoad(cfg, tr, os.Stdout)
+	rep, err := runLoad(cfg, tr)
 	fail(1, err)
 	fail(1, summarize(os.Stdout, "load", rep))
 }

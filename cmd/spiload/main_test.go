@@ -41,7 +41,7 @@ func TestLoadInproc(t *testing.T) {
 	defer stop()
 	cfg.Connect = addr
 
-	rep, err := runLoad(cfg, tr, &out)
+	rep, err := runLoad(cfg, tr)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out.String())
 	}
@@ -76,7 +76,7 @@ func TestLoadAdmissionRejections(t *testing.T) {
 	defer stop()
 	cfg.Connect = addr
 
-	rep, err := runLoad(cfg, tr, &out)
+	rep, err := runLoad(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}

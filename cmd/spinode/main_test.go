@@ -249,10 +249,10 @@ func TestPipelineBlockedChaosRecovers(t *testing.T) {
 
 // TestPipelineResyncChaosRecovers runs pipeline.sdf under chaos with
 // -resync on both nodes. The graph's only cross-node edge (sm) is static,
-// so the suppression set is empty on both sides, neither advertises the
-// resync capability, and the link falls back to full acking — the test
-// pins that an empty verdict degrades to exactly the unoptimized wire
-// behavior with a bit-identical digest across drops and severs.
+// so the suppression set is empty on both sides, no manifest entry is
+// marked ack-suppressed, and the link acks in full — the test pins that an
+// empty verdict is exactly the unoptimized wire behavior, with a
+// bit-identical digest across drops and severs.
 func TestPipelineResyncChaosRecovers(t *testing.T) {
 	const iters = 40
 	want := singleNodeDigests(t, loadPipelineSDF(t), iters)

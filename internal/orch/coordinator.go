@@ -47,8 +47,8 @@ type CoordConfig struct {
 	// dispatched partition spec: workers skip UBS acks on edges whose
 	// synchronization another path already covers. Each epoch's
 	// re-placement recomputes which marked edges cross workers, so the
-	// suppression set follows migrations. All workers negotiate the set
-	// per link; the verdict itself is placement-independent.
+	// suppression set follows migrations. Every data link checks its part
+	// of the set at the handshake; the verdict is placement-independent.
 	Resync bool
 	// OnPlace optionally rewrites an epoch's placement before dispatch:
 	// placement[p] is the slot (0-based participant index) hosting
@@ -194,7 +194,7 @@ func (c *Coordinator) accept(ln transport.Listener) {
 			wc := &workerConn{}
 			ready := make(chan struct{})
 			link, err := transport.AcceptLink(conn, transport.LinkConfig{
-				Node: 1 << 16, Ctrl: true,
+				Node:      1 << 16,
 				Heartbeat: c.cfg.Heartbeat, PeerTimeout: c.cfg.PeerTimeout,
 			}, func(peer int) ([]transport.EdgeDecl, transport.Handler, error) {
 				return nil, &coordHandler{wc: wc, ready: ready, events: c.events}, nil

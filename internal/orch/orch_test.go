@@ -41,10 +41,33 @@ func orchGraph() (*dataflow.Graph, *sched.Mapping, error) {
 	return g, m, err
 }
 
-// staticDigests runs the unpartitioned single-node reference.
+// resyncGraph is a round trip SRC → W → SNK between processors 0 and 1,
+// whose two UBS acknowledgements the §4 verdict proves redundant (each is
+// covered by the other edge and processor 0's loop), plus a tap W → TAP
+// onto processor 2 whose acknowledgement it keeps. On three workers the
+// node-wide suppression sets are therefore {in, out}, {in, out} and {}.
+func resyncGraph() (*dataflow.Graph, *sched.Mapping, error) {
+	g := dataflow.New("resync")
+	src := g.AddActor("SRC", 1)
+	w := g.AddActor("W", 1)
+	snk := g.AddActor("SNK", 1)
+	tap := g.AddActor("TAP", 1)
+	g.AddEdge("in", src, w, 1, 1, dataflow.EdgeSpec{TokenBytes: 8})
+	g.AddEdge("out", w, snk, 1, 1, dataflow.EdgeSpec{TokenBytes: 8})
+	g.AddEdge("wt", w, tap, 1, 1, dataflow.EdgeSpec{TokenBytes: 4})
+	m, err := demo.Mapping(g, []int{0, 1, 0, 2})
+	return g, m, err
+}
+
+// staticDigests runs the unpartitioned single-node reference of orchGraph.
 func staticDigests(t *testing.T, iterations int) map[string]uint64 {
 	t.Helper()
-	g, m, err := orchGraph()
+	return staticDigestsOf(t, orchGraph, iterations)
+}
+
+func staticDigestsOf(t *testing.T, graph func() (*dataflow.Graph, *sched.Mapping, error), iterations int) map[string]uint64 {
+	t.Helper()
+	g, m, err := graph()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,10 +160,15 @@ type orchRig struct {
 	tr    transport.Transport
 	errs  map[string]chan error
 	stops map[string]context.CancelFunc
+	graph func() (*dataflow.Graph, *sched.Mapping, error)
+	// onSpec, when set, sees every partition spec a worker is handed;
+	// obs, when it names a worker, instruments that worker's data plane.
+	onSpec func(worker string, spec *spi.PartitionSpec)
+	obs    map[string]*obs.Observer
 }
 
 func newRig(t *testing.T) *orchRig {
-	return &orchRig{t: t, tr: transport.NewLoopback(),
+	return &orchRig{t: t, tr: transport.NewLoopback(), graph: orchGraph,
 		errs: map[string]chan error{}, stops: map[string]context.CancelFunc{}}
 }
 
@@ -156,8 +184,13 @@ func (r *orchRig) worker(name string, tr transport.Transport) {
 		tr = r.tr
 	}
 	w, err := NewWorker(WorkerConfig{
-		Transport: tr, Coord: "coord", Name: name, Kernels: demoProvider,
-		Retry:     fastRetry(),
+		Transport: tr, Coord: "coord", Name: name, Retry: fastRetry(), Obs: r.obs[name],
+		Kernels: func(spec *spi.PartitionSpec) (*KernelSet, error) {
+			if r.onSpec != nil {
+				r.onSpec(name, spec)
+			}
+			return demoProvider(spec)
+		},
 		Heartbeat: 20 * time.Millisecond, PeerTimeout: 150 * time.Millisecond,
 	})
 	if err != nil {
@@ -172,7 +205,7 @@ func (r *orchRig) worker(name string, tr transport.Transport) {
 
 // coord runs the coordinator to completion.
 func (r *orchRig) coord(iterations, epochIters, minWorkers int, tweak func(*CoordConfig)) (*Report, error) {
-	g, m, err := orchGraph()
+	g, m, err := r.graph()
 	if err != nil {
 		r.t.Fatal(err)
 	}
@@ -577,14 +610,51 @@ func TestOrchestratedWarmEpochWorkerDeath(t *testing.T) {
 	}
 }
 
-// TestOrchestratedResyncStanding: ack suppression is negotiated once, on
-// the deployment's links, and holds across its warm epochs.
+// TestOrchestratedResyncStanding: ack suppression is checked once, in the
+// handshakes of the deployment's links, and holds across its warm epochs:
+// no ack for a suppressed edge reaches the wire. A worker's node-wide
+// suppression set holds only its own cross-worker edges, so two workers
+// that share a link need not hold equal sets, and here one of them holds
+// none. The run passing pins that a link compares the part of the two sets
+// it carries: a "one side has a set, the other does not: refuse" rule, or
+// one comparing the node-wide sets, fails it.
 func TestOrchestratedResyncStanding(t *testing.T) {
 	const iterations = 48
-	want := staticDigests(t, iterations)
+	want := staticDigestsOf(t, resyncGraph, iterations)
 	r := newRig(t)
 	defer r.stopAll()
+	r.graph = resyncGraph
+	r.obs = map[string]*obs.Observer{}
+	type view struct {
+		set        map[uint16]bool // the node-wide set, as lowerPartition builds it
+		peers      map[int]bool    // workers it shares a data link with
+		keptAcks   int             // inbound cross-worker edges it still acknowledges
+		node       int
+		suppresses bool
+	}
+	var mu sync.Mutex
+	views := map[string]*view{}
+	r.onSpec = func(worker string, spec *spi.PartitionSpec) {
+		v := &view{set: map[uint16]bool{}, peers: map[int]bool{}, node: spec.Node}
+		for _, e := range spec.Edges {
+			if e.SameProc || e.Out == e.In {
+				continue
+			}
+			v.peers[e.Peer] = true
+			switch {
+			case spec.Resync && e.SuppressAck:
+				v.set[e.ID] = true
+				v.suppresses = v.suppresses || e.In
+			case e.In:
+				v.keptAcks++
+			}
+		}
+		mu.Lock()
+		views[worker] = v
+		mu.Unlock()
+	}
 	for _, n := range []string{"w0", "w1", "w2"} {
+		r.obs[n] = obs.New()
 		r.worker(n, nil)
 	}
 	rep, err := r.coord(iterations, 6, 3, func(cfg *CoordConfig) { cfg.Resync = true })
@@ -594,6 +664,33 @@ func TestOrchestratedResyncStanding(t *testing.T) {
 	checkDigests(t, rep, want)
 	if rep.Deploys != 1 || rep.WarmEpochs != 7 || rep.Aborts != 0 {
 		t.Errorf("deploys/warm/aborts = %d/%d/%d, want 1/7/0", rep.Deploys, rep.WarmEpochs, rep.Aborts)
+	}
+	unequal, suppressing := false, 0
+	for name, v := range views {
+		for _, o := range views {
+			unequal = unequal || (v.peers[o.node] && !reflect.DeepEqual(v.set, o.set))
+		}
+		reg := r.obs[name].Metrics
+		suppressed := reg.Sum("transport_link_acks_suppressed_total")
+		onWire := reg.Sum("transport_link_acks_sent_total") + reg.Sum("transport_link_acks_piggybacked_total")
+		if v.suppresses {
+			suppressing++
+			if suppressed == 0 {
+				t.Errorf("worker %s receives on a suppressed edge but swallowed no ack", name)
+			}
+		}
+		if v.keptAcks == 0 && onWire != 0 {
+			t.Errorf("worker %s acknowledges only suppressed edges but put %d acks on the wire", name, onWire)
+		}
+		if v.keptAcks > 0 && onWire == 0 {
+			t.Errorf("worker %s sent no acks for the %d edge(s) the verdict keeps", name, v.keptAcks)
+		}
+	}
+	if suppressing == 0 {
+		t.Error("no worker suppresses anything: the graph no longer exercises resync")
+	}
+	if !unequal {
+		t.Errorf("every linked worker pair holds equal node-wide suppression sets: the graph no longer exercises the per-link comparison")
 	}
 }
 
@@ -612,7 +709,7 @@ func (w *coldWorker) run(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	link, err := transport.NewLink(conn, transport.LinkConfig{Ctrl: true}, &workerHandler{events: w.events})
+	link, err := transport.NewLink(conn, transport.LinkConfig{}, &workerHandler{events: w.events})
 	if err != nil {
 		return err
 	}
@@ -748,7 +845,7 @@ func TestWorkerContinueWithoutDeployment(t *testing.T) {
 	ready := make(chan struct{})
 	close(ready)
 	wc := &workerConn{}
-	wc.link, err = transport.AcceptLink(conn, transport.LinkConfig{Node: 1 << 16, Ctrl: true},
+	wc.link, err = transport.AcceptLink(conn, transport.LinkConfig{Node: 1 << 16},
 		func(int) ([]transport.EdgeDecl, transport.Handler, error) {
 			return nil, &coordHandler{wc: wc, ready: ready, events: events}, nil
 		})

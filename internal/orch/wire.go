@@ -5,7 +5,7 @@
 // die, or run hot — while keeping sink outputs bit-identical to a static
 // run.
 //
-// The control conversation rides CTRL frames (transport feature featOrch)
+// The control conversation rides CTRL frames (see transport.CtrlHandler)
 // on an ordinary link: numbered frames, so the conversation survives
 // reconnects via RESUME replay like the data plane does. Messages use a
 // hand-rolled little-endian codec with strict bounds checks — the decoder

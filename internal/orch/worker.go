@@ -140,15 +140,11 @@ func (w *Worker) Run(ctx context.Context) error {
 		return fmt.Errorf("orch: worker %s dial coordinator: %w", w.cfg.Name, err)
 	}
 	link, err := transport.NewLink(conn, transport.LinkConfig{
-		Node: 0, Ctrl: true,
+		Node:      0,
 		Heartbeat: w.cfg.Heartbeat, PeerTimeout: w.cfg.PeerTimeout,
 	}, &workerHandler{events: events})
 	if err != nil {
 		return fmt.Errorf("orch: worker %s handshake: %w", w.cfg.Name, err)
-	}
-	if !link.CtrlNegotiated() {
-		link.Close()
-		return fmt.Errorf("orch: worker %s: coordinator did not negotiate the control plane", w.cfg.Name)
 	}
 	w.link = link
 	defer w.closeListeners()

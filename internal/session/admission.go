@@ -103,23 +103,21 @@ func (a *admitter) tenantCap(tenant string) int {
 // unbooked to make room — the caller must shed its stream (outside any
 // admitter call). Decisions are a pure function of the book's state, so
 // a deterministic arrival order yields deterministic verdicts.
-func (a *admitter) admit(tenant string, force bool) (status byte, e *entry, victim *entry) {
+func (a *admitter) admit(tenant string) (status byte, e *entry, victim *entry) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if !force {
-		if cap := a.tenantCap(tenant); cap > 0 && a.tenantLive[tenant] >= cap {
-			return StatusRejectedQuota, nil, nil
+	if cap := a.tenantCap(tenant); cap > 0 && a.tenantLive[tenant] >= cap {
+		return StatusRejectedQuota, nil, nil
+	}
+	if a.cfg.MaxSessions > 0 && len(a.live) >= a.cfg.MaxSessions {
+		victim = a.oldestLocked(true, "")
+		if victim == nil {
+			return StatusRejectedCapacity, nil, nil
 		}
-		if a.cfg.MaxSessions > 0 && len(a.live) >= a.cfg.MaxSessions {
-			victim = a.oldestLocked(true, "")
-			if victim == nil {
-				return StatusRejectedCapacity, nil, nil
-			}
-			victim.mu.Lock()
-			victim.shed = true
-			victim.mu.Unlock()
-			a.unbookLocked(victim)
-		}
+		victim.mu.Lock()
+		victim.shed = true
+		victim.mu.Unlock()
+		a.unbookLocked(victim)
 	}
 	a.seq++
 	e = &entry{seq: a.seq, tenant: tenant}

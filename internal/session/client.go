@@ -30,15 +30,9 @@ func NewClient(m *Mux, timeout time.Duration) *Client {
 	return &Client{mux: m, timeout: timeout}
 }
 
-// Open requests one session and waits for the admission verdict. On a
-// link whose peer never negotiated featSessions it falls back to the
-// implicit session: no handshake, at most one concurrent session, and
-// AwaitClose is not meaningful (completion is the local run finishing).
+// Open requests one session and waits for the admission verdict.
 func (c *Client) Open(tenant string) (*Stream, error) {
 	l := c.mux.Link()
-	if !l.SessionsNegotiated() {
-		return c.mux.Implicit(l.PeerNode()), nil
-	}
 	s := c.mux.NewStream(l.PeerNode())
 	if err := l.SendSessionOpen(s.SID(), tenant); err != nil {
 		c.mux.Release(s)
@@ -67,9 +61,6 @@ func (c *Client) Open(tenant string) (*Stream, error) {
 // after its side of the run finished, so a CloseDone here means the full
 // session completed end to end.
 func (s *Stream) AwaitClose(timeout time.Duration) (byte, error) {
-	if !s.tagged {
-		return CloseDone, nil
-	}
 	if timeout <= 0 {
 		timeout = 30 * time.Second
 	}

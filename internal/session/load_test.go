@@ -57,7 +57,7 @@ func TestServerLoadRouting(t *testing.T) {
 	// the book, so no client link is needed.
 	var entries []*entry
 	book := func(s *Server, tenant string) {
-		st, e, _ := s.adm.admit(tenant, false)
+		st, e, _ := s.adm.admit(tenant)
 		if st != StatusAdmitted {
 			t.Fatalf("admit on %p: status %d", s, st)
 		}

@@ -179,21 +179,10 @@ func (s *Server) reapOnce() {
 	}
 }
 
-// Attach wires one bound mux into the server. On links that negotiated
-// featSessions, inbound OPENs feed the admission queue; on old links the
-// server starts the single implicit session immediately (admitted
-// outside the capacity caps — there is no way to tell the peer no).
+// Attach wires one mux into the server: its inbound OPENs feed the
+// admission queue, and every session on it passes admission.
 func (s *Server) Attach(m *Mux) {
-	l := m.Link()
-	if l.SessionsNegotiated() {
-		m.SetOnOpen(func(mm *Mux, sid uint32, tenant string) {
-			s.enqueue(mm, sid, tenant)
-		})
-		return
-	}
-	st := m.Implicit(l.PeerNode())
-	_, e, _ := s.adm.admit("", true)
-	s.startSession(m, st, e, "")
+	m.SetOnOpen(s.enqueue)
 }
 
 func (s *Server) enqueue(m *Mux, sid uint32, tenant string) {
@@ -229,7 +218,7 @@ func (s *Server) dispatch() {
 }
 
 func (s *Server) handleOpen(req openReq) {
-	status, e, victim := s.adm.admit(req.tenant, false)
+	status, e, victim := s.adm.admit(req.tenant)
 	if victim != nil {
 		s.mu.Lock()
 		s.shed++
@@ -262,17 +251,13 @@ func (s *Server) handleOpen(req openReq) {
 		// will fail fast. Run it anyway so the entry is released.
 		_ = err
 	}
-	s.startSession(req.m, stream, e, req.tenant)
-}
-
-func (s *Server) startSession(m *Mux, st *Stream, e *entry, tenant string) {
 	s.mu.Lock()
 	s.admitted++
 	s.mu.Unlock()
-	s.counter("session_admitted_total", "sessions admitted", tenant).Inc()
-	s.gauge("session_live", "currently live sessions", tenant).Add(1)
+	s.counter("session_admitted_total", "sessions admitted", req.tenant).Inc()
+	s.gauge("session_live", "currently live sessions", req.tenant).Add(1)
 	s.wg.Add(1)
-	go s.runSession(m, st, e, tenant)
+	go s.runSession(req.m, stream, e, req.tenant)
 }
 
 // runSession is one session's whole server-side life: instantiate
@@ -299,9 +284,7 @@ func (s *Server) runSession(m *Mux, st *Stream, e *entry, tenant string) {
 	case err != nil:
 		status = CloseError
 	}
-	if st.Tagged() {
-		_ = m.Link().SendSessionClose(st.SID(), status)
-	}
+	_ = m.Link().SendSessionClose(st.SID(), status)
 	m.Release(st)
 	s.adm.release(e, st.takeQueued())
 

@@ -16,9 +16,7 @@
 // Because session frames are ordinary numbered link frames (see
 // transport), a severed connection replays every live session's
 // unacknowledged tail in one RESUME handshake — per-session resume rides
-// the link-level machinery. Against an old peer that does not negotiate
-// featSessions, a Mux degrades to exactly one implicit session carried on
-// the untagged DATA/ACK/FIN frames, preserving interoperability.
+// the link-level machinery.
 package session
 
 import (
@@ -86,15 +84,14 @@ func closeString(status byte) string {
 
 // Mux owns one link's session routing table. It is the link's
 // transport.Handler and transport.SessionHandler: tagged frames dispatch
-// to the Stream registered under their session ID, untagged frames to the
-// implicit stream. Create the Mux first, pass it as the link's handler,
-// then Bind the established link.
+// to the Stream registered under their session ID; untagged frames belong
+// to no session and count as dropped. Create the Mux first, pass it as the
+// link's handler, then Bind the established link.
 type Mux struct {
 	mu           sync.Mutex
 	link         *transport.Link
 	bound        chan struct{}
 	streams      map[uint32]*Stream
-	implicit     *Stream
 	nextSID      uint32
 	onOpen       func(m *Mux, sid uint32, tenant string)
 	pendingOpens []openEvent
@@ -123,8 +120,7 @@ func NewMux(o *obs.Observer) *Mux {
 }
 
 // Bind attaches the established link. Inbound dispatch works before Bind
-// (the reader can race link construction); sends and negotiation checks
-// wait for it.
+// (the reader can race link construction); sends wait for it.
 func (m *Mux) Bind(l *transport.Link) {
 	m.mu.Lock()
 	m.link = l
@@ -158,7 +154,7 @@ func (m *Mux) SetOnOpen(fn func(m *Mux, sid uint32, tenant string)) {
 func (m *Mux) NewStream(peer int) *Stream {
 	m.mu.Lock()
 	m.nextSID++
-	s := newStream(m, m.nextSID, true, peer)
+	s := newStream(m, m.nextSID, peer)
 	m.streams[s.sid] = s
 	if m.closed {
 		s.linkClosed(m.closeErr)
@@ -170,7 +166,7 @@ func (m *Mux) NewStream(peer int) *Stream {
 // Adopt registers a server-side stream for a peer-allocated session ID.
 func (m *Mux) Adopt(sid uint32, peer int) *Stream {
 	m.mu.Lock()
-	s := newStream(m, sid, true, peer)
+	s := newStream(m, sid, peer)
 	m.streams[sid] = s
 	if m.closed {
 		s.linkClosed(m.closeErr)
@@ -179,32 +175,12 @@ func (m *Mux) Adopt(sid uint32, peer int) *Stream {
 	return s
 }
 
-// Implicit returns the untagged stream, creating it on first use: the
-// single session a link falls back to when the peer never negotiated
-// featSessions. Untagged inbound traffic routes here.
-func (m *Mux) Implicit(peer int) *Stream {
-	m.mu.Lock()
-	if m.implicit == nil {
-		m.implicit = newStream(m, 0, false, peer)
-		if m.closed {
-			m.implicit.linkClosed(m.closeErr)
-		}
-	}
-	s := m.implicit
-	m.mu.Unlock()
-	return s
-}
-
 // Release drops one session from the routing table; later frames for the
 // ID count as dropped.
 func (m *Mux) Release(s *Stream) {
 	m.mu.Lock()
-	if s.tagged {
-		if cur := m.streams[s.sid]; cur == s {
-			delete(m.streams, s.sid)
-		}
-	} else if m.implicit == s {
-		m.implicit = nil
+	if cur := m.streams[s.sid]; cur == s {
+		delete(m.streams, s.sid)
 	}
 	m.mu.Unlock()
 }
@@ -216,40 +192,12 @@ func (m *Mux) lookup(sid uint32) *Stream {
 	return s
 }
 
-// Handler half: untagged traffic belongs to the implicit session.
+// Handler half: every frame of a session link is session-tagged, so
+// untagged traffic has no session to go to.
 
-func (m *Mux) HandleData(edge uint16, msg []byte) {
-	m.mu.Lock()
-	s := m.implicit
-	m.mu.Unlock()
-	if s == nil {
-		m.dropped.Inc()
-		return
-	}
-	s.handleData(edge, msg)
-}
-
-func (m *Mux) HandleAck(edge uint16, count uint32) {
-	m.mu.Lock()
-	s := m.implicit
-	m.mu.Unlock()
-	if s == nil {
-		m.dropped.Inc()
-		return
-	}
-	s.handleAck(edge, count)
-}
-
-func (m *Mux) HandleFin(edge uint16) {
-	m.mu.Lock()
-	s := m.implicit
-	m.mu.Unlock()
-	if s == nil {
-		m.dropped.Inc()
-		return
-	}
-	s.handleFin(edge)
-}
+func (m *Mux) HandleData(edge uint16, msg []byte)  { m.dropped.Inc() }
+func (m *Mux) HandleAck(edge uint16, count uint32) { m.dropped.Inc() }
+func (m *Mux) HandleFin(edge uint16)               { m.dropped.Inc() }
 
 // HandleLinkClose fans the link's death (or graceful end) out to every
 // live session: each stream's execution observes exactly what it would
@@ -258,12 +206,9 @@ func (m *Mux) HandleLinkClose(err error) {
 	m.mu.Lock()
 	m.closed = true
 	m.closeErr = err
-	streams := make([]*Stream, 0, len(m.streams)+1)
+	streams := make([]*Stream, 0, len(m.streams))
 	for _, s := range m.streams {
 		streams = append(streams, s)
-	}
-	if m.implicit != nil {
-		streams = append(streams, m.implicit)
 	}
 	m.mu.Unlock()
 	for _, s := range streams {
@@ -347,13 +292,11 @@ const (
 // Stream is one session's half of the shared link: an spi.MessageLink
 // that tags outbound traffic with the session ID, and an
 // spi.LinkProvider handing a session-scoped execution its inbound
-// dispatch. A tagged==false stream is the implicit session of an
-// un-negotiated link and sends untagged frames.
+// dispatch.
 type Stream struct {
-	mux    *Mux
-	sid    uint32
-	tagged bool
-	peer   int
+	mux  *Mux
+	sid  uint32
+	peer int
 
 	mu        sync.Mutex
 	inner     transport.Handler
@@ -376,11 +319,10 @@ type Stream struct {
 	lastActive atomic.Int64 // UnixNano
 }
 
-func newStream(m *Mux, sid uint32, tagged bool, peer int) *Stream {
+func newStream(m *Mux, sid uint32, peer int) *Stream {
 	s := &Stream{
 		mux:     m,
 		sid:     sid,
-		tagged:  tagged,
 		peer:    peer,
 		openCh:  make(chan byte, 1),
 		closeCh: make(chan byte, 1),
@@ -402,12 +344,8 @@ func (s *Stream) IdleFor() time.Duration {
 	return time.Duration(time.Now().UnixNano() - s.lastActive.Load())
 }
 
-// SID returns the session ID (0 for the implicit session).
+// SID returns the session ID.
 func (s *Stream) SID() uint32 { return s.sid }
-
-// Tagged reports whether this stream is a negotiated, tagged session
-// (false: the implicit fallback of an old peer).
-func (s *Stream) Tagged() bool { return s.tagged }
 
 // setAccount installs the per-tenant byte accounting callback. It is
 // invoked with positive deltas as inbound data queues and negative ones
@@ -422,32 +360,22 @@ func (s *Stream) setAccount(fn func(delta int64)) {
 
 // MessageLink half — the session send path.
 
-// SendData transmits one SPI-encoded message, tagged with the session ID
-// on negotiated links. The tagged path allocates nothing beyond what the
-// untagged one does.
+// SendData transmits one SPI-encoded message, tagged with the session ID.
+// The tagged path allocates nothing beyond what an untagged link send does.
 func (s *Stream) SendData(edge uint16, msg []byte) error {
-	if s.tagged {
-		return s.mux.link.SendSessionData(s.sid, edge, msg)
-	}
-	return s.mux.link.SendData(edge, msg)
+	return s.mux.link.SendSessionData(s.sid, edge, msg)
 }
 
 // SendAck transmits a BBS credit / UBS acknowledgement and retires the
 // acknowledged messages from the session's queued-byte estimate.
 func (s *Stream) SendAck(edge uint16, count uint32) error {
 	s.noteConsumed(edge, count)
-	if s.tagged {
-		return s.mux.link.SendSessionAck(s.sid, edge, count)
-	}
-	return s.mux.link.SendAck(edge, count)
+	return s.mux.link.SendSessionAck(s.sid, edge, count)
 }
 
 // SendFin marks one edge of the session finished.
 func (s *Stream) SendFin(edge uint16) error {
-	if s.tagged {
-		return s.mux.link.SendSessionFin(s.sid, edge)
-	}
-	return s.mux.link.SendFin(edge)
+	return s.mux.link.SendSessionFin(s.sid, edge)
 }
 
 // LinkProvider half — a session-scoped ExecuteDistributed binds here.

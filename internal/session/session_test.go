@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/dataflow"
+	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/spi"
 	"repro/internal/transport"
@@ -118,8 +119,9 @@ type harness struct {
 	ln       transport.Listener
 }
 
-// startServe wires a server and a client over one link. clientSessions
-// turns featSessions off on the dialer to exercise old-peer fallback.
+// startServe wires a server and a client over one link. clientSessions is
+// the dialer's LinkConfig.Sessions: an assertion about its handler that
+// the server never sees.
 func startServe(t *testing.T, tr transport.Transport, addr string, cfg ServerConfig, clientSessions bool) *harness {
 	t.Helper()
 	g, m := testGraph()
@@ -325,17 +327,27 @@ func TestServeConcurrentSessions(t *testing.T) {
 	}
 }
 
-// TestImplicitFallback: a client that never negotiated featSessions gets
-// exactly one implicit session and still computes the right answer.
-func TestImplicitFallback(t *testing.T) {
+// TestUnassertedClientPassesAdmission: LinkConfig.Sessions is a local
+// assertion about the handler, not a capability the peer sees. A client
+// link that leaves it unset opens tagged sessions like any other and they
+// pass admission: no session is admitted around the capacity caps, and
+// untagged traffic on a session link belongs to no session.
+func TestUnassertedClientPassesAdmission(t *testing.T) {
 	const iters = 9
 	ref := localReference(t, iters)
-	h := startServe(t, transport.NewLoopback(), "srv", ServerConfig{Iterations: iters}, false)
+	h := startServe(t, transport.NewLoopback(), "srv",
+		ServerConfig{Iterations: iters, Admission: Admission{MaxSessions: 1}}, false)
 	defer h.stop()
-	if h.dialer.SessionsNegotiated() {
-		t.Fatal("test wants an un-negotiated link")
+	s, err := h.client.Open("first")
+	if err != nil {
+		t.Fatal(err)
 	}
-	sink, status, err := h.runSession("legacy")
+	_, err = h.client.Open("second")
+	var oe *OpenError
+	if !errors.As(err, &oe) || oe.Status != StatusRejectedCapacity {
+		t.Fatalf("open beyond MaxSessions: %v, want a capacity rejection", err)
+	}
+	sink, status, err := h.runStream(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,11 +355,20 @@ func TestImplicitFallback(t *testing.T) {
 		t.Fatalf("close status %s", closeString(status))
 	}
 	if !samePayloads(sink, ref) {
-		t.Fatal("implicit session output differs from reference")
+		t.Fatal("session output differs from reference")
 	}
-	waitSnapshot(t, h.srv, "implicit session completion", func(s Snapshot) bool {
-		return s.Completed == 1
-	})
+	snap := waitSnapshot(t, h.srv, "session completion", func(s Snapshot) bool { return s.Completed == 1 })
+	if snap.Admitted != 1 || snap.Rejected != 1 {
+		t.Fatalf("snapshot %+v, want 1 admitted and 1 rejected", snap)
+	}
+
+	m := NewMux(obs.New())
+	m.HandleData(1, []byte{1, 0})
+	m.HandleAck(1, 1)
+	m.HandleFin(1)
+	if got := m.dropped.Value(); got != 3 {
+		t.Fatalf("untagged frames dropped = %d, want 3", got)
+	}
 }
 
 // TestAdmissionCapacity: with MaxSessions = K, K+M concurrent opens admit
@@ -421,21 +442,21 @@ func TestTenantWeights(t *testing.T) {
 		t.Fatalf("unlisted tenant's share = %d, want 1", cap)
 	}
 	for i := 0; i < 3; i++ {
-		if st, _, _ := a.admit("big", false); st != StatusAdmitted {
+		if st, _, _ := a.admit("big"); st != StatusAdmitted {
 			t.Fatalf("big open %d: %s", i, StatusString(st))
 		}
 	}
-	if st, _, _ := a.admit("big", false); st != StatusRejectedQuota {
+	if st, _, _ := a.admit("big"); st != StatusRejectedQuota {
 		t.Fatalf("big beyond share: %s, want quota rejection", StatusString(st))
 	}
-	if st, _, _ := a.admit("small", false); st != StatusAdmitted {
+	if st, _, _ := a.admit("small"); st != StatusAdmitted {
 		t.Fatalf("small within share: %s", StatusString(st))
 	}
 	// Node now full: a healthy book rejects on capacity.
-	if st, _, _ := a.admit("small", false); st != StatusRejectedQuota {
+	if st, _, _ := a.admit("small"); st != StatusRejectedQuota {
 		t.Fatalf("small beyond share: %s", StatusString(st))
 	}
-	if st, _, _ := a.admit("other", false); st != StatusRejectedCapacity {
+	if st, _, _ := a.admit("other"); st != StatusRejectedCapacity {
 		t.Fatalf("full node with no degraded victim: %s", StatusString(st))
 	}
 }

@@ -18,8 +18,9 @@ import (
 // Differential oracle over the executor core: a random consistent graph, a
 // random processor mapping and a random split of the processors over two
 // nodes must produce the sink digests of the scalar in-process run in every
-// execution mode — blocked in-process, distributed over loopback, and a
-// standing partition deployment fired as three consecutive ranges. The demo
+// execution mode — blocked in-process, distributed over loopback under a
+// drawn link policy, and a standing partition deployment fired as three
+// consecutive ranges. The demo
 // kernels make every byte a pure function of graph, seed, actor, iteration
 // and inputs, so any difference is the executor's. The reference run's
 // kernels allocate every output afresh; every other run, the scalar one
@@ -167,12 +168,17 @@ func (c diffCase) inProcess(block int, recycle bool) (map[string]uint64, error) 
 }
 
 // distributed runs the case as two loopback nodes and XOR-folds their sink
-// digests (a sink lives on one node; the other's slot stays zero).
+// digests (a sink lives on one node; the other's slot stays zero). Ack
+// piggybacking and write batching are local send policy, so each node draws
+// its own; the resynchronization verdict is checked for equality at the
+// handshake, so the run draws one. Nothing else runs a mixed pair end to end.
 func (c diffCase) distributed() (map[string]uint64, error) {
 	tr := transport.NewLoopback()
 	addrs := []string{"diff-n0", "diff-n1"}
 	errs := make([]error, 2)
 	digests := make([]map[string]*uint64, 2)
+	rng := signal.NewRNG(c.seed * 104729)
+	resync := rng.Intn(2) == 1
 	var wg sync.WaitGroup
 	for node := range addrs {
 		kernels, d, err := c.kernels(true)
@@ -180,19 +186,24 @@ func (c diffCase) distributed() (map[string]uint64, error) {
 			return nil, err
 		}
 		digests[node] = d
+		opts := spi.DistOptions{
+			Transport: tr, Node: node, Addrs: addrs, NodeOf: c.nodeOf, Retry: diffRetry,
+			Resync: resync, PiggybackAcks: rng.Intn(2) == 1,
+		}
+		if rng.Intn(2) == 1 {
+			opts.Batch = transport.BatchConfig{MaxFrames: 32} // the other thresholds at their defaults
+		}
 		wg.Add(1)
 		go func(node int) {
 			defer wg.Done()
-			_, errs[node] = spi.ExecuteDistributed(c.g, c.m, kernels, c.iterations, spi.DistOptions{
-				Transport: tr, Node: node, Addrs: addrs, NodeOf: c.nodeOf, Retry: diffRetry,
-			})
+			_, errs[node] = spi.ExecuteDistributed(c.g, c.m, kernels, c.iterations, opts)
 		}(node)
 	}
 	wg.Wait()
 	got := map[string]uint64{}
 	for node, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("node %d: %w", node, err)
+			return nil, fmt.Errorf("node %d (resync %v): %w", node, resync, err)
 		}
 		for name, d := range digests[node] {
 			got[name] ^= *d

@@ -69,8 +69,8 @@ type DistOptions struct {
 	// an idle link is PINGed each interval, and a peer silent for
 	// PeerTimeout (default 4×Heartbeat) is declared dead and routed into
 	// the reconnect/degrade path — catching black-holed connections that
-	// never surface an I/O error. 0 disables; the feature is negotiated,
-	// so peers without it still interoperate. See transport.LinkConfig.
+	// never surface an I/O error. 0 disables; probing is local policy, a
+	// peer that does not probe still answers. See transport.LinkConfig.
 	Heartbeat   time.Duration
 	PeerTimeout time.Duration
 	// StallTimeout arms a progress watchdog over the run: if no local
@@ -84,25 +84,25 @@ type DistOptions struct {
 	// (transport.BatchConfig). The zero value disables batching: every
 	// frame is written the moment it is encoded.
 	Batch transport.BatchConfig
-	// PiggybackAcks lets each link carry acknowledgements on outgoing
-	// DATA frames when the peer negotiates the feature, collapsing the
-	// standalone ACK stream of UBS edges. Piggybacked counts appear in
+	// PiggybackAcks lets each link carry this node's acknowledgements on
+	// its outgoing DATA frames (local policy; any peer decodes them),
+	// collapsing the standalone ACK stream of UBS edges. Counts appear in
 	// the per-edge statistics (EdgeStats.AcksPiggybacked).
 	PiggybackAcks bool
 	// Resync carries the §4 resynchronization verdict onto the wire: the
 	// suppression set is computed from the graph and mapping at setup
-	// (ResyncSuppression), and every link negotiates it with its peer —
-	// UBS acks on edges whose synchronization other sync paths cover are
-	// then never sent, standalone or piggybacked. The feature is mutual:
-	// a peer that did not opt in receives full acking, and a peer whose
-	// computed set disagrees is refused at the handshake. Suppressed
+	// (ResyncSuppression), and every link declares its part of it in the
+	// handshake manifest — UBS acks on edges whose synchronization other
+	// sync paths cover are then never sent, standalone or piggybacked. A
+	// peer that did not opt in, or whose computed set disagrees on an edge
+	// of the link, is refused at the handshake, naming the edge. Suppressed
 	// counts appear in the per-edge statistics (EdgeStats.AcksSuppressed).
 	Resync bool
 	// Block is the vectorization blocking factor B: every node fires B
 	// consecutive iterations per super-iteration and block-aligned
 	// cross-node edges carry one packed B-token DATA frame per block.
-	// All nodes must use the same value — the HELLO capability bits and
-	// the edge manifest reject mismatched peers. 0 or 1 is scalar
+	// All nodes must use the same value — the HELLO blocked flag and the
+	// edge manifest reject mismatched peers. 0 or 1 is scalar
 	// execution, bit-identical to today's wire format.
 	Block int
 	// VectorKernels optionally maps locally-hosted actors to native
@@ -132,7 +132,7 @@ type LinkProvider interface {
 	// Connect returns the link carrying the given cross-node edges to
 	// peer and attaches h as the link's inbound dispatcher for this
 	// execution. decls is the local half of the edge manifest, for
-	// validation against whatever the provider negotiated.
+	// validation against whatever the provider established.
 	Connect(peer int, decls []transport.EdgeDecl, h transport.Handler) (MessageLink, error)
 	// Finish ends this execution's use of the links. graceful mirrors
 	// the Close-vs-Abort distinction of owned links: false means peers
@@ -483,8 +483,8 @@ func ExecuteDistributed(g *dataflow.Graph, m *sched.Mapping, kernels map[dataflo
 	env.degrade = opts.Degrade
 	if opts.Resync {
 		// The suppression set is a pure function of graph and mapping, so
-		// every node computes the same one; each link then filters it to
-		// its own edges and verifies the peer agrees before going silent.
+		// every node computes the same one; each link declares its own part
+		// of it in the handshake, which refuses a peer that disagrees.
 		rp, err := ResyncSuppression(g, m)
 		if err != nil {
 			return nil, err

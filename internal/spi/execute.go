@@ -73,7 +73,7 @@ type execEnv struct {
 	procs []procPlan
 	// edges holds every edge with an endpoint on this node.
 	edges []edgeSlot
-	// resync is the ack-suppression set the links negotiate (nil = none).
+	// resync is the ack-suppression set the links declare (nil = none).
 	resync []uint16
 	// timed has the loop measure kernel time per processor (procPlan.busy),
 	// the load signal a partition run reports.

@@ -32,7 +32,7 @@ type ResyncPlan struct {
 }
 
 // SuppressedIDs returns the suppression set as sorted uint16 edge IDs —
-// the canonical wire encoding order used by the featResync negotiation.
+// the form transport.LinkConfig.ResyncEdges takes.
 func (p *ResyncPlan) SuppressedIDs() []uint16 {
 	ids := make([]uint16, 0, len(p.Suppressed))
 	for eid := range p.Suppressed {
@@ -181,7 +181,7 @@ func coveringPath(sg *syncgraph.Graph, src, dst syncgraph.VertexID, maxDelay int
 // suppresses acknowledgement messages entirely (SuppressAcks) — the
 // "removal of redundant acknowledgement edges for SPI actors" the paper
 // describes, automated. Deployments that need the per-edge decision (the
-// distributed runtime's featResync negotiation) use ResyncSuppression,
+// distributed runtime's per-link suppression sets) use ResyncSuppression,
 // which this delegates to.
 //
 // The returned report also serves diagnostic display (counts, period).

@@ -112,8 +112,8 @@ type PartitionSpec struct {
 	// keyed by actor name (see StateHooks).
 	State map[string][]byte
 	// Resync activates ack suppression on the edges BuildPartitions
-	// marked SuppressAck: cross-worker links negotiate the set with
-	// their peers (featResync) and swallow the redundant acks. The
+	// marked SuppressAck: cross-worker links declare them in their
+	// handshake manifests and swallow the redundant acks. The
 	// coordinator sets it uniformly for all workers of an epoch.
 	Resync bool
 }

@@ -94,12 +94,12 @@ type EdgeStats struct {
 	AckBytes int64
 	// AcksPiggybacked counts how many of those acknowledgements rode
 	// outgoing DATA frames as piggybacked entries instead of standalone
-	// ACK frames — remote edges on links that negotiated transport-level
+	// ACK frames — remote edges on links configured with transport-level
 	// piggybacking. Folded in after a distributed run.
 	AcksPiggybacked int64
 	// AcksSuppressed counts acknowledgements the resynchronization
 	// verdict removed from the wire entirely: the receiver issued them,
-	// but the link swallowed them on a negotiated suppressed edge. Folded
+	// but the link swallowed them on an ack-suppressed edge. Folded
 	// in after a distributed run; Acks/AckBytes are reduced by the same
 	// amount so they count only traffic that actually reached the wire.
 	AcksSuppressed int64

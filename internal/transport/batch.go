@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"sync"
 	"time"
 )
@@ -115,14 +116,17 @@ func (l *Link) armFlushLocked() {
 }
 
 // writeWire hands one encoded frame to the connection: appended to the
-// batch when coalescing is on, written directly otherwise. Caller holds
+// batch when coalescing is on and under way, written directly otherwise. Caller holds
 // wmu; wire must remain valid only for the duration of the call (batched
 // bytes are copied). gen identifies the connection the frame targets —
 // stale batched bytes from a previous generation are dropped, because
 // every session frame also lives in the resend buffer and the RESUME
 // replay is the authoritative delivery path after a reconnect.
 func (l *Link) writeWire(conn Conn, gen int, wire []byte) error {
-	if !l.batchOn {
+	// Coalescing starts once the link has carried MaxFrames frames: a short
+	// exchange would only wait out the deadline, which an otherwise idle Go
+	// runtime stretches from MaxDelay to a millisecond.
+	if !l.batchOn || l.obs.framesSent.Value() < int64(l.cfg.Batch.MaxFrames) {
 		if l.cfg.SendTimeout > 0 {
 			conn.SetWriteDeadline(time.Now().Add(l.cfg.SendTimeout))
 		}
@@ -296,7 +300,10 @@ func buildFrame(typ byte, seq uint64, head, tail []byte) savedFrame {
 	n := frameHeaderBytes + len(head) + len(tail)
 	buf := getWire(n)
 	wire := *buf
-	putFrameHeader(wire, typ, seq, frameCRC2(typ, seq, head, tail), len(head)+len(tail))
+	binary.LittleEndian.PutUint32(wire, uint32(13+len(head)+len(tail)))
+	wire[4] = typ
+	binary.LittleEndian.PutUint64(wire[5:], seq)
+	binary.LittleEndian.PutUint32(wire[13:], frameCRC(typ, seq, head, tail))
 	copy(wire[frameHeaderBytes:], head)
 	copy(wire[frameHeaderBytes+len(head):], tail)
 	return savedFrame{seq: seq, wire: wire, buf: buf}
@@ -318,7 +325,7 @@ func (l *Link) PiggybackedAcks() map[uint16]int64 {
 }
 
 // SuppressedAcks reports, per inbound edge, how many acknowledgements
-// this link swallowed under the negotiated resync suppression set. The
+// this link swallowed on the ack-suppressed edges of its manifest. The
 // SPI layer folds these out of its per-edge ack counters after a run,
 // and the spinode stats table surfaces them next to the acks that did
 // reach the wire.

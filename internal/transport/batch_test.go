@@ -2,59 +2,22 @@ package transport
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"fmt"
 	"testing"
 	"time"
 )
 
-// batchLinkPair is linkPair with a LinkConfig tuner applied to both sides,
-// so tests can enable the write coalescer and ack piggybacking per side.
+// batchLinkPair is tunedPair for handshakes that must succeed: tests tune
+// batching, piggybacking, heartbeats, the manifest or the handler type per
+// side.
 func batchLinkPair(t *testing.T, tr Transport, addr string, tuneDial, tuneAccept func(*LinkConfig), hd, ha Handler) (*Link, *Link) {
 	t.Helper()
-	ln, err := tr.Listen(addr)
-	if err != nil {
-		t.Fatal(err)
+	d, a, derr, aerr := tunedPair(t, tr, addr, hd, ha, tuneDial, tuneAccept)
+	if derr != nil || aerr != nil {
+		t.Fatalf("handshake failed: dialer %v, acceptor %v", derr, aerr)
 	}
-	defer ln.Close()
-	type acceptResult struct {
-		l   *Link
-		err error
-	}
-	acceptCh := make(chan acceptResult, 1)
-	go func() {
-		c, err := ln.Accept()
-		if err != nil {
-			acceptCh <- acceptResult{nil, err}
-			return
-		}
-		cfg := LinkConfig{Node: 1}
-		if tuneAccept != nil {
-			tuneAccept(&cfg)
-		}
-		l, err := AcceptLink(c, cfg, func(peer int) ([]EdgeDecl, Handler, error) {
-			return testManifest(false), ha, nil
-		})
-		acceptCh <- acceptResult{l, err}
-	}()
-	c, err := DialRetry(context.Background(), tr, ln.Addr(), RetryConfig{Attempts: 20, BaseDelay: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := LinkConfig{Node: 0, Edges: testManifest(true)}
-	if tuneDial != nil {
-		tuneDial(&cfg)
-	}
-	dialer, err := NewLink(c, cfg, hd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := <-acceptCh
-	if res.err != nil {
-		t.Fatal(res.err)
-	}
-	return dialer, res.l
+	return d, a
 }
 
 func enableBatching(cfg *LinkConfig) {
@@ -230,67 +193,6 @@ func TestBatchedSendFinOrdering(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatal("timed out waiting for FIN")
-}
-
-// TestPiggybackNegotiation checks the HELLO feature handshake: acks ride
-// DATA frames only when both sides opt in; a mixed pair falls back to
-// standalone ACK frames and still delivers every acknowledgement.
-func TestPiggybackNegotiation(t *testing.T) {
-	cases := []struct {
-		name                 string
-		dialerOn, acceptorOn bool
-		wantPiggy            bool
-	}{
-		{"both-on", true, true, true},
-		{"dialer-only", true, false, false},
-		{"acceptor-only", false, true, false},
-		{"both-off", false, false, false},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			tuneD := func(cfg *LinkConfig) { cfg.PiggybackAcks = c.dialerOn }
-			tuneA := func(cfg *LinkConfig) { cfg.PiggybackAcks = c.acceptorOn }
-			hd, ha := newRecordingHandler(), newRecordingHandler()
-			dialer, acceptor := batchLinkPair(t, NewLoopback(), "piggy-"+c.name, tuneD, tuneA, hd, ha)
-			const n = 20
-			for i := 0; i < n; i++ {
-				msg := []byte{7, 0, 1, 0, 0, 0, byte(i)}
-				if err := dialer.SendData(7, msg); err != nil {
-					t.Fatal(err)
-				}
-			}
-			ha.waitData(t, 7, n)
-			// The acceptor acks each message and immediately sends DATA the
-			// other way — the frame a piggybacked ack rides on.
-			for i := 0; i < n; i++ {
-				if err := acceptor.SendAck(7, 1); err != nil {
-					t.Fatal(err)
-				}
-				back := []byte{9, 0, byte(i), 0}
-				if err := acceptor.SendData(9, back); err != nil {
-					t.Fatal(err)
-				}
-			}
-			hd.waitAcks(t, 7, n)
-			hd.waitData(t, 9, n)
-			st := acceptor.Stats()
-			if c.wantPiggy && st.AcksPiggybacked == 0 {
-				t.Fatalf("negotiated piggybacking but all %d acks went standalone", n)
-			}
-			if !c.wantPiggy && st.AcksPiggybacked != 0 {
-				t.Fatalf("piggybacked %d acks without both sides opting in", st.AcksPiggybacked)
-			}
-			if c.wantPiggy {
-				if got := dialer.Stats().AcksPiggybackedRecv; got == 0 {
-					t.Fatal("receiver side counted no piggybacked acks")
-				}
-				if per := acceptor.PiggybackedAcks(); per[7] == 0 {
-					t.Fatalf("per-edge piggyback counts missing edge 7: %v", per)
-				}
-			}
-			closeBoth(dialer, acceptor)
-		})
-	}
 }
 
 // TestBatchResumeAfterSever severs the connection while the coalescer

@@ -16,15 +16,11 @@ import (
 //
 //	CTRL := u8 op | payload
 //
-// The capability is negotiated like sessions (mutual-optional): each side
-// advertises featOrch in its HELLO and CTRL frames flow only when both
-// did. An old peer never sees a CTRL frame.
+// Nothing about it is negotiated: a link whose handler is a CtrlHandler
+// sends and receives CTRL frames, and one whose handler is not fails on
+// either.
 const (
 	frameCtrl byte = 18
-
-	// featOrch advertises that this side understands control-plane CTRL
-	// frames (the orchestration coordinator/worker conversation).
-	featOrch uint32 = 1 << 4
 
 	ctrlMinBytes = 1 // opcode
 
@@ -35,7 +31,7 @@ const (
 	MaxCtrlPayload = 1 << 20
 )
 
-// CtrlHandler extends Handler for links that negotiate featOrch. Calls
+// CtrlHandler extends Handler for links that carry the control plane. Calls
 // are made from the link's reader goroutine in wire order, with the same
 // aliasing contract as Handler: the payload slice passed to HandleCtrl is
 // valid only for the duration of the call.
@@ -67,19 +63,11 @@ func decodeCtrl(body []byte) (op byte, payload []byte, err error) {
 	return body[0], body[ctrlMinBytes:], nil
 }
 
-// CtrlNegotiated reports whether both sides advertised featOrch: CTRL
-// frames may flow only when it returns true.
-func (l *Link) CtrlNegotiated() bool { return l.ctrlOn }
-
 // SendCtrl transmits one control message to the peer. CTRL frames are
 // numbered (resend-buffered, RESUME-replayed) and flushed immediately:
 // control latency bounds orchestration reaction time, so a control
 // message never waits out a coalescer deadline behind bulk data.
 func (l *Link) SendCtrl(op byte, payload []byte) error {
-	if !l.ctrlOn {
-		return &Error{Op: "send", Addr: l.raddr,
-			Err: fmt.Errorf("control plane not negotiated with node %d", l.peer)}
-	}
 	if len(payload) > MaxCtrlPayload {
 		return &Error{Op: "send", Addr: l.raddr,
 			Err: fmt.Errorf("ctrl payload of %d bytes exceeds limit %d", len(payload), MaxCtrlPayload)}
@@ -94,11 +82,10 @@ func (l *Link) SendCtrl(op byte, payload []byte) error {
 }
 
 // dispatchCtrl routes one inbound CTRL frame to the CtrlHandler. It
-// returns a protocol error when the peer sends control frames this side
-// never negotiated.
+// returns a protocol error when this side's handler is not one.
 func (l *Link) dispatchCtrl(body []byte) error {
 	if l.ch == nil {
-		return fmt.Errorf("ctrl frame but the control plane was not negotiated")
+		return fmt.Errorf("ctrl frame but this link's handler is not a CtrlHandler")
 	}
 	op, payload, err := decodeCtrl(body)
 	if err != nil {

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bytes"
-	"context"
 	"sync"
 	"testing"
 	"time"
@@ -51,82 +50,17 @@ func (h *ctrlRecorder) wait(t *testing.T, n int) []ctrlMsg {
 	return nil
 }
 
-// ctrlLinkPair builds a link pair with featOrch advertised per side and —
-// unlike the data-plane pairs — an empty edge manifest: control links
-// between a coordinator and its workers carry no SPI edges at all.
-func ctrlLinkPair(t *testing.T, tr Transport, dialerCtrl, acceptCtrl bool, hd, ha Handler) (*Link, *Link) {
+// ctrlLinkPair builds a link pair with — unlike the data-plane pairs — an
+// empty edge manifest: control links between a coordinator and its
+// workers carry no SPI edges at all.
+func ctrlLinkPair(t *testing.T, tr Transport, hd, ha Handler) (*Link, *Link) {
 	t.Helper()
 	addr := "ctrl"
 	if tr.Name() == "tcp" {
 		addr = "127.0.0.1:0"
 	}
-	ln, err := tr.Listen(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	type acceptResult struct {
-		l   *Link
-		err error
-	}
-	acceptCh := make(chan acceptResult, 1)
-	go func() {
-		c, err := ln.Accept()
-		if err != nil {
-			acceptCh <- acceptResult{nil, err}
-			return
-		}
-		l, err := AcceptLink(c, LinkConfig{Node: 1, Ctrl: acceptCtrl}, func(peer int) ([]EdgeDecl, Handler, error) {
-			return nil, ha, nil
-		})
-		acceptCh <- acceptResult{l, err}
-	}()
-	c, err := DialRetry(context.Background(), tr, ln.Addr(), RetryConfig{Attempts: 20, BaseDelay: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dialer, err := NewLink(c, LinkConfig{Node: 0, Ctrl: dialerCtrl}, hd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := <-acceptCh
-	if res.err != nil {
-		t.Fatal(res.err)
-	}
-	return dialer, res.l
-}
-
-// TestCtrlNegotiation checks the mutual-optional handshake: both sides
-// must advertise featOrch for CTRL frames to flow, and an un-negotiated
-// link rejects control sends instead of confusing an old peer.
-func TestCtrlNegotiation(t *testing.T) {
-	cases := []struct {
-		name           string
-		dialer, accept bool
-		want           bool
-	}{
-		{"both", true, true, true},
-		{"dialer-only", true, false, false},
-		{"acceptor-only", false, true, false},
-		{"neither", false, false, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			hd, ha := newCtrlRecorder(), newCtrlRecorder()
-			d, a := ctrlLinkPair(t, NewLoopback(), tc.dialer, tc.accept, hd, ha)
-			defer closeBoth(d, a)
-			if d.CtrlNegotiated() != tc.want || a.CtrlNegotiated() != tc.want {
-				t.Fatalf("negotiated = %v/%v, want %v", d.CtrlNegotiated(), a.CtrlNegotiated(), tc.want)
-			}
-			err := d.SendCtrl(1, []byte("hello"))
-			if tc.want && err != nil {
-				t.Fatalf("SendCtrl on a negotiated link: %v", err)
-			}
-			if !tc.want && err == nil {
-				t.Fatal("SendCtrl succeeded without negotiation")
-			}
-		})
-	}
+	noEdges := func(cfg *LinkConfig) { cfg.Edges = nil }
+	return batchLinkPair(t, tr, addr, noEdges, noEdges, hd, ha)
 }
 
 // TestCtrlRoundTrip sends control messages both directions over both
@@ -136,7 +70,7 @@ func TestCtrlRoundTrip(t *testing.T) {
 	for name, tr := range transports(t) {
 		t.Run(name, func(t *testing.T) {
 			hd, ha := newCtrlRecorder(), newCtrlRecorder()
-			d, a := ctrlLinkPair(t, tr, true, true, hd, ha)
+			d, a := ctrlLinkPair(t, tr, hd, ha)
 			defer closeBoth(d, a)
 			for i := 0; i < 3; i++ {
 				if err := d.SendCtrl(byte(i+1), []byte{0xAB, byte(i)}); err != nil {
@@ -164,7 +98,7 @@ func TestCtrlRoundTrip(t *testing.T) {
 // before they reach the wire.
 func TestCtrlPayloadBound(t *testing.T) {
 	hd, ha := newCtrlRecorder(), newCtrlRecorder()
-	d, a := ctrlLinkPair(t, NewLoopback(), true, true, hd, ha)
+	d, a := ctrlLinkPair(t, NewLoopback(), hd, ha)
 	defer closeBoth(d, a)
 	if err := d.SendCtrl(1, make([]byte, MaxCtrlPayload+1)); err == nil {
 		t.Fatal("oversized ctrl payload accepted")

@@ -8,14 +8,14 @@ import (
 	"sync"
 )
 
-// Link wire protocol, versions 2 and 3. Every frame is length-delimited
-// and self-checking so the SPI message inside a DATA frame crosses the
-// stream byte-identical to its in-process encoding (spi.EncodeMessage),
-// and so a corrupted or truncated frame is detected at the receiver
-// instead of silently poisoning the dataflow:
+// Link wire protocol, version 4. Every frame is length-delimited and
+// self-checking so the SPI message inside a DATA frame crosses the stream
+// byte-identical to its in-process encoding (spi.EncodeMessage), and so a
+// corrupted or truncated frame is detected at the receiver instead of
+// silently poisoning the dataflow:
 //
 //	frame    := u32 length | u8 type | u64 seq | u32 crc | body
-//	HELLO    := u32 magic | u8 version | u16 node | u64 token | u16 nedges | nedges * decl [| u32 features]
+//	HELLO    := u32 magic | u8 version | u8 flags | u16 node | u64 token | u16 nedges | nedges * decl
 //	decl     := u16 edge | u8 mode | u8 flags | u32 bytes | u8 protocol | u32 capacity
 //	DATA     := SPI-encoded message (edge ID in its first 2 bytes)
 //	ACK      := u16 edge | u32 count                (BBS credits / UBS acks)
@@ -27,7 +27,6 @@ import (
 //	DATAACK  := u8 n | n * (u16 edge | u32 count) | SPI-encoded message
 //	PING     := u64 timestamp                       (liveness probe)
 //	PONG     := u64 timestamp                       (probe echo, RTT sample)
-//	RESYNC   := u32 setcrc | u16 n | n * u16 edge   (ack-suppression set)
 //
 // length covers type+seq+crc+body; crc is CRC-32 (IEEE) over type|seq|body.
 // seq is a per-direction monotonic sequence number carried by the session
@@ -38,13 +37,10 @@ import (
 // carry seq 0 and are never replayed. All integers are little-endian,
 // matching the SPI message headers.
 //
-// Version 3 appends a u32 feature-flag field to HELLO. A version-2 hello
-// (no field) means "no optional features". DATAACK — a DATA frame with
-// piggybacked acknowledgements prefixed to the SPI message — is only
-// ever sent toward a peer that advertised featPiggyAck; a hello carrying
-// features is emitted as version 3, a featureless one as version 2, so a
-// link with no optional features negotiates a byte-identical handshake
-// with an old peer.
+// The handshake negotiates nothing (DESIGN.md, "Wire protocol"): HELLO
+// carries what the two ends must agree on, a peer that differs in any of
+// it or sets an undefined flag bit is refused, and everything else a
+// LinkConfig sets is local send policy that any peer interoperates with.
 const (
 	frameHello    byte = 1
 	frameData     byte = 2
@@ -60,54 +56,32 @@ const (
 	framePong byte = 17
 	// Control-plane frames use 18 (see ctrl.go).
 
-	// frameResync carries the sender's negotiated ack-suppression set: the
-	// sorted edge IDs whose UBS acknowledgements the §4 resynchronization
-	// verdict proved redundant. Sent once after a HELLO handshake and again
-	// after every RESUME (it is unnumbered, so replay never redelivers it);
-	// each side verifies the peer's set matches its own byte-for-byte
-	// before suppressing anything.
-	frameResync byte = 19
+	helloMagic   uint32 = 0x53504931 // "SPI1"
+	helloVersion byte   = 4
 
-	helloMagic      uint32 = 0x53504931 // "SPI1"
-	helloVersion    byte   = 3
-	helloVersionMin byte   = 2
-
-	// featPiggyAck advertises that this side understands inbound DATAACK
-	// frames (acks piggybacked on data).
-	featPiggyAck uint32 = 1 << 0
-	// featBlocked declares that this side's DATA frames carry packed
-	// multi-token slabs on block-aligned edges (vectorized execution).
-	// This bit is a requirement, not an option: the handshake rejects a
-	// peer whose bit disagrees, since the two payload layouts cannot
-	// interoperate.
-	featBlocked uint32 = 1 << 1
-	// featHeartbeat advertises that this side understands PING/PONG
-	// liveness probes. Mutual-optional like featPiggyAck: probes flow only
-	// when both sides advertised it, and an old peer simply negotiates
-	// heartbeats off.
-	featHeartbeat uint32 = 1 << 3
-	// featResync advertises that this side computed a resynchronization
-	// ack-suppression set and understands RESYNC frames. Mutual-optional:
-	// suppression activates only when both sides advertise it AND their
-	// RESYNC sets match exactly; an old peer simply negotiates it off and
-	// receives full acking.
-	featResync uint32 = 1 << 5
+	helloBlocked byte = 1 << 0 // HELLO flags: DATA frames carry packed slabs
+	declOut      byte = 1 << 0 // decl flags: the declaring side sends DATA
+	declNoAck    byte = 1 << 1 // decl flags: UBS acks suppressed (§4 verdict)
 
 	frameHeaderBytes = 17 // u32 length + u8 type + u64 seq + u32 crc
-	helloFixedBytes  = 17 // magic + version + node + token + nedges
+	helloFixedBytes  = 18 // magic + version + flags + node + token + nedges
 	declBytes        = 13
-	featureBytes     = 4
 	ackBodyBytes     = 6
 	finBodyBytes     = 2
 	cumAckBodyBytes  = 8
 	resumeBodyBytes  = 23 // magic + version + node + token + recvSeq
 	piggyEntryBytes  = 6  // u16 edge | u32 count
 	pingBodyBytes    = 8  // u64 sender timestamp, echoed verbatim in PONG
-	resyncFixedBytes = 6  // u32 setcrc | u16 n
 
 	// DefaultMaxFrame bounds one frame; anything larger on the wire is a
 	// framing error, protecting the receiver from hostile length fields.
 	DefaultMaxFrame = 1 << 24
+
+	// maxHandshakeFrame bounds the frames read before a link exists (HELLO,
+	// RESUME, RESUMEOK) by the largest legal one, a HELLO declaring 65535
+	// edges: under 1 MiB, so an unauthenticated connection cannot make the
+	// accept path allocate MaxFrame on the strength of four bytes.
+	maxHandshakeFrame = 13 + helloFixedBytes + 65535*declBytes
 )
 
 // numberedFrame reports whether a frame type carries a session sequence
@@ -148,13 +122,11 @@ type EdgeDecl struct {
 	Protocol uint8
 	// Capacity is the BBS buffer capacity in messages (0 for UBS).
 	Capacity uint32
-}
-
-// frameCRC covers everything the length field delimits except the crc
-// itself, so any single corrupted byte — including in the type or sequence
-// fields — fails verification.
-func frameCRC(typ byte, seq uint64, body []byte) uint32 {
-	return frameCRC2(typ, seq, nil, body)
+	// noAck marks an edge whose UBS acknowledgements the resynchronization
+	// verdict suppresses. The link sets it from LinkConfig.ResyncEdges
+	// before the manifest is sent, so the handshake compares it like every
+	// other attribute of the edge.
+	noAck bool
 }
 
 // crcSmall folds p into crc with the per-byte IEEE table. Identical math
@@ -172,25 +144,18 @@ func crcSmall(crc uint32, p []byte) uint32 {
 	return ^crc
 }
 
-// frameCRC2 computes the frame CRC over a body split into head|tail, so
-// the DATAACK encoder can checksum the piggyback prefix and the SPI
-// message without concatenating them first.
-func frameCRC2(typ byte, seq uint64, head, tail []byte) uint32 {
+// frameCRC covers everything the length field delimits except the crc
+// itself, so any single corrupted byte — including in the type or sequence
+// fields — fails verification. The body is taken as head|tail so the
+// DATAACK encoder can checksum the piggyback prefix and the SPI message
+// without concatenating them first.
+func frameCRC(typ byte, seq uint64, head, tail []byte) uint32 {
 	var hdr [9]byte
 	hdr[0] = typ
 	binary.LittleEndian.PutUint64(hdr[1:], seq)
 	c := crcSmall(0, hdr[:])
 	c = crcSmall(c, head)
 	return crc32.Update(c, crc32.IEEETable, tail)
-}
-
-// putFrameHeader writes the 17-byte frame header into wire, which must
-// have room for it. bodyLen is the length of the body that follows.
-func putFrameHeader(wire []byte, typ byte, seq uint64, crc uint32, bodyLen int) {
-	binary.LittleEndian.PutUint32(wire, uint32(13+bodyLen))
-	wire[4] = typ
-	binary.LittleEndian.PutUint64(wire[5:], seq)
-	binary.LittleEndian.PutUint32(wire[13:], crc)
 }
 
 // frameReader reads frames through an internal chunk buffer: one large
@@ -287,13 +252,18 @@ func (fr *frameReader) read(r io.Reader, maxFrame int) (typ byte, seq uint64, bo
 	if err := fr.fill(r, 4+int(n)); err != nil {
 		return 0, 0, nil, err
 	}
-	f := fr.buf[fr.r+4 : fr.r+4+int(n)]
 	fr.r += 4 + int(n)
+	return openFrame(fr.buf[fr.r-int(n) : fr.r])
+}
+
+// openFrame splits the bytes a length prefix delimits into the frame's
+// fields and verifies its checksum.
+func openFrame(f []byte) (typ byte, seq uint64, body []byte, err error) {
 	typ = f[0]
 	seq = binary.LittleEndian.Uint64(f[1:])
 	crc := binary.LittleEndian.Uint32(f[9:])
 	body = f[13:]
-	if got := frameCRC(typ, seq, body); got != crc {
+	if got := frameCRC(typ, seq, nil, body); got != crc {
 		return 0, 0, nil, fmt.Errorf("frame checksum mismatch: %#x on the wire, computed %#x", crc, got)
 	}
 	return typ, seq, body, nil
@@ -314,15 +284,16 @@ func splitDataAck(body []byte) (acks []byte, msg []byte, err error) {
 }
 
 func writeFrame(w io.Writer, typ byte, seq uint64, body []byte) error {
-	hdr := make([]byte, frameHeaderBytes, frameHeaderBytes+len(body))
-	binary.LittleEndian.PutUint32(hdr, uint32(13+len(body)))
-	hdr[4] = typ
-	binary.LittleEndian.PutUint64(hdr[5:], seq)
-	binary.LittleEndian.PutUint32(hdr[13:], frameCRC(typ, seq, body))
-	_, err := w.Write(append(hdr, body...))
+	f := buildFrame(typ, seq, nil, body)
+	defer putWire(f.buf)
+	_, err := w.Write(f.wire)
 	return err
 }
 
+// readFrame reads one handshake-phase frame (HELLO, RESUME, RESUMEOK): the
+// only frames read before a link, and its frameReader, exist. The length
+// prefix is checked against maxHandshakeFrame as well as maxFrame before
+// anything is allocated for it.
 func readFrame(r io.Reader, maxFrame int) (typ byte, seq uint64, body []byte, err error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
@@ -332,103 +303,100 @@ func readFrame(r io.Reader, maxFrame int) (typ byte, seq uint64, body []byte, er
 	if n < 13 {
 		return 0, 0, nil, fmt.Errorf("frame of %d bytes shorter than its header", n)
 	}
+	if maxFrame > maxHandshakeFrame {
+		maxFrame = maxHandshakeFrame
+	}
 	if int(n) > maxFrame {
-		return 0, 0, nil, fmt.Errorf("frame of %d bytes exceeds limit %d", n, maxFrame)
+		return 0, 0, nil, fmt.Errorf("handshake frame of %d bytes exceeds limit %d", n, maxFrame)
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return 0, 0, nil, err
 	}
-	typ = buf[0]
-	seq = binary.LittleEndian.Uint64(buf[1:])
-	crc := binary.LittleEndian.Uint32(buf[9:])
-	body = buf[13:]
-	if got := frameCRC(typ, seq, body); got != crc {
-		return 0, 0, nil, fmt.Errorf("frame checksum mismatch: %#x on the wire, computed %#x", crc, got)
-	}
-	return typ, seq, body, nil
+	return openFrame(buf)
 }
 
-// encodeHello builds the handshake manifest. A hello advertising no
-// features is emitted in the version-2 format (no trailing feature
-// field), byte-identical to pre-batching links, so feature-free peers of
-// either age interoperate; features force version 3.
-func encodeHello(node uint16, token uint64, edges []EdgeDecl, features uint32) []byte {
-	size := helloFixedBytes + len(edges)*declBytes
-	version := helloVersionMin
-	if features != 0 {
-		size += featureBytes
-		version = helloVersion
-	}
-	body := make([]byte, size)
+// encodeHello builds the handshake manifest.
+func encodeHello(node uint16, token uint64, edges []EdgeDecl, blocked bool) []byte {
+	body := make([]byte, helloFixedBytes+len(edges)*declBytes)
 	binary.LittleEndian.PutUint32(body, helloMagic)
-	body[4] = version
-	binary.LittleEndian.PutUint16(body[5:], node)
-	binary.LittleEndian.PutUint64(body[7:], token)
-	binary.LittleEndian.PutUint16(body[15:], uint16(len(edges)))
+	body[4] = helloVersion
+	if blocked {
+		body[5] = helloBlocked
+	}
+	binary.LittleEndian.PutUint16(body[6:], node)
+	binary.LittleEndian.PutUint64(body[8:], token)
+	binary.LittleEndian.PutUint16(body[16:], uint16(len(edges)))
 	off := helloFixedBytes
 	for _, d := range edges {
 		binary.LittleEndian.PutUint16(body[off:], d.ID)
 		body[off+2] = d.Mode
 		if d.Out {
-			body[off+3] = 1
+			body[off+3] |= declOut
+		}
+		if d.noAck {
+			body[off+3] |= declNoAck
 		}
 		binary.LittleEndian.PutUint32(body[off+4:], d.Bytes)
 		body[off+8] = d.Protocol
 		binary.LittleEndian.PutUint32(body[off+9:], d.Capacity)
 		off += declBytes
 	}
-	if features != 0 {
-		binary.LittleEndian.PutUint32(body[off:], features)
-	}
 	return body
 }
 
-func decodeHello(body []byte) (node uint16, token uint64, edges []EdgeDecl, features uint32, err error) {
+// checkVersion is the one protocol version check, shared by HELLO and
+// RESUME.
+func checkVersion(v byte) error {
+	if v != helloVersion {
+		return fmt.Errorf("peer speaks link protocol version %d, this side version %d; run the same build on both sides", v, helloVersion)
+	}
+	return nil
+}
+
+// decodeHello accepts exactly what encodeHello emits: one version, an exact
+// length, and no flag bit this version does not define, so every accepted
+// body re-encodes byte-identically.
+func decodeHello(body []byte) (node uint16, token uint64, edges []EdgeDecl, blocked bool, err error) {
 	if len(body) < helloFixedBytes {
-		return 0, 0, nil, 0, fmt.Errorf("hello of %d bytes shorter than fixed header", len(body))
+		return 0, 0, nil, false, fmt.Errorf("hello of %d bytes shorter than fixed header", len(body))
 	}
 	if m := binary.LittleEndian.Uint32(body); m != helloMagic {
-		return 0, 0, nil, 0, fmt.Errorf("bad magic %#x", m)
+		return 0, 0, nil, false, fmt.Errorf("bad magic %#x", m)
 	}
-	v := body[4]
-	if v < helloVersionMin || v > helloVersion {
-		return 0, 0, nil, 0, fmt.Errorf("protocol version %d, want %d..%d", v, helloVersionMin, helloVersion)
+	if err := checkVersion(body[4]); err != nil {
+		return 0, 0, nil, false, err
 	}
-	node = binary.LittleEndian.Uint16(body[5:])
-	token = binary.LittleEndian.Uint64(body[7:])
-	n := int(binary.LittleEndian.Uint16(body[15:]))
-	want := helloFixedBytes + n*declBytes
-	if v >= 3 {
-		want += featureBytes
+	if f := body[5]; f&^helloBlocked != 0 {
+		return 0, 0, nil, false, fmt.Errorf("hello sets unknown flag bits %#x", f&^helloBlocked)
 	}
-	if len(body) != want {
-		return 0, 0, nil, 0, fmt.Errorf("hello v%d declares %d edges but carries %d bytes, want %d", v, n, len(body), want)
+	blocked = body[5]&helloBlocked != 0
+	node = binary.LittleEndian.Uint16(body[6:])
+	token = binary.LittleEndian.Uint64(body[8:])
+	n := int(binary.LittleEndian.Uint16(body[16:]))
+	if want := helloFixedBytes + n*declBytes; len(body) != want {
+		return 0, 0, nil, false, fmt.Errorf("hello declares %d edges but carries %d bytes, want %d", n, len(body), want)
 	}
 	edges = make([]EdgeDecl, n)
 	off := helloFixedBytes
 	for i := range edges {
+		f := body[off+3]
+		if f&^(declOut|declNoAck) != 0 {
+			return 0, 0, nil, false, fmt.Errorf("hello declares edge %d with unknown flag bits %#x",
+				binary.LittleEndian.Uint16(body[off:]), f&^(declOut|declNoAck))
+		}
 		edges[i] = EdgeDecl{
 			ID:       binary.LittleEndian.Uint16(body[off:]),
 			Mode:     body[off+2],
-			Out:      body[off+3] != 0,
+			Out:      f&declOut != 0,
 			Bytes:    binary.LittleEndian.Uint32(body[off+4:]),
 			Protocol: body[off+8],
 			Capacity: binary.LittleEndian.Uint32(body[off+9:]),
+			noAck:    f&declNoAck != 0,
 		}
 		off += declBytes
 	}
-	if v >= 3 {
-		features = binary.LittleEndian.Uint32(body[off:])
-	}
-	return node, token, edges, features, nil
-}
-
-func encodeAck(edge uint16, count uint32) []byte {
-	body := make([]byte, ackBodyBytes)
-	binary.LittleEndian.PutUint16(body, edge)
-	binary.LittleEndian.PutUint32(body[2:], count)
-	return body
+	return node, token, edges, blocked, nil
 }
 
 func decodeAck(body []byte) (edge uint16, count uint32, err error) {
@@ -451,12 +419,6 @@ func decodeFin(body []byte) (edge uint16, err error) {
 	return binary.LittleEndian.Uint16(body), nil
 }
 
-func encodeCumAck(recvSeq uint64) []byte {
-	body := make([]byte, cumAckBodyBytes)
-	binary.LittleEndian.PutUint64(body, recvSeq)
-	return body
-}
-
 func decodeCumAck(body []byte) (recvSeq uint64, err error) {
 	if len(body) != cumAckBodyBytes {
 		return 0, fmt.Errorf("cumack frame of %d bytes, want %d", len(body), cumAckBodyBytes)
@@ -467,9 +429,7 @@ func decodeCumAck(body []byte) (recvSeq uint64, err error) {
 func encodeResume(node uint16, token uint64, recvSeq uint64) []byte {
 	body := make([]byte, resumeBodyBytes)
 	binary.LittleEndian.PutUint32(body, helloMagic)
-	// The session token, not the version byte, is what authenticates a
-	// RESUME; emit the minimum version so an old peer accepts it.
-	body[4] = helloVersionMin
+	body[4] = helloVersion
 	binary.LittleEndian.PutUint16(body[5:], node)
 	binary.LittleEndian.PutUint64(body[7:], token)
 	binary.LittleEndian.PutUint64(body[15:], recvSeq)
@@ -483,8 +443,8 @@ func decodeResume(body []byte) (node uint16, token uint64, recvSeq uint64, err e
 	if m := binary.LittleEndian.Uint32(body); m != helloMagic {
 		return 0, 0, 0, fmt.Errorf("bad resume magic %#x", m)
 	}
-	if v := body[4]; v < helloVersionMin || v > helloVersion {
-		return 0, 0, 0, fmt.Errorf("resume protocol version %d, want %d..%d", v, helloVersionMin, helloVersion)
+	if err := checkVersion(body[4]); err != nil {
+		return 0, 0, 0, err
 	}
 	node = binary.LittleEndian.Uint16(body[5:])
 	token = binary.LittleEndian.Uint64(body[7:])
@@ -504,71 +464,6 @@ func decodePing(body []byte) (ts uint64, err error) {
 		return 0, fmt.Errorf("ping frame of %d bytes, want %d", len(body), pingBodyBytes)
 	}
 	return binary.LittleEndian.Uint64(body), nil
-}
-
-// encodeResyncSet writes a RESYNC body: strictly ascending edge IDs
-// prefixed by their count and a CRC-32 (IEEE) over the ID bytes. The CRC
-// is the "hash" both sides compare before suppressing acks — a cheap,
-// order-sensitive fingerprint of the canonical encoding — and the IDs
-// follow in full so a mismatch can be diagnosed, not just detected.
-// ids must already be sorted ascending with no duplicates.
-func encodeResyncSet(ids []uint16) []byte {
-	body := make([]byte, resyncFixedBytes+2*len(ids))
-	binary.LittleEndian.PutUint16(body[4:], uint16(len(ids)))
-	for i, id := range ids {
-		binary.LittleEndian.PutUint16(body[resyncFixedBytes+2*i:], id)
-	}
-	binary.LittleEndian.PutUint32(body, crcSmall(0, body[resyncFixedBytes:]))
-	return body
-}
-
-// decodeResyncSet validates and decodes a RESYNC body. It enforces the
-// canonical form — exact length, strictly ascending IDs, and a matching
-// set CRC — so every accepted body re-encodes byte-identically and the
-// equality check between both ends' sets cannot be confused by
-// duplicates or ordering.
-func decodeResyncSet(body []byte) (ids []uint16, setcrc uint32, err error) {
-	if len(body) < resyncFixedBytes {
-		return nil, 0, fmt.Errorf("resync frame of %d bytes shorter than fixed header", len(body))
-	}
-	n := int(binary.LittleEndian.Uint16(body[4:]))
-	if len(body) != resyncFixedBytes+2*n {
-		return nil, 0, fmt.Errorf("resync frame declares %d edges but carries %d bytes, want %d",
-			n, len(body), resyncFixedBytes+2*n)
-	}
-	setcrc = binary.LittleEndian.Uint32(body)
-	if got := crcSmall(0, body[resyncFixedBytes:]); got != setcrc {
-		return nil, 0, fmt.Errorf("resync set checksum mismatch: %#x on the wire, computed %#x", setcrc, got)
-	}
-	ids = make([]uint16, n)
-	for i := range ids {
-		ids[i] = binary.LittleEndian.Uint16(body[resyncFixedBytes+2*i:])
-		if i > 0 && ids[i-1] >= ids[i] {
-			return nil, 0, fmt.Errorf("resync set not strictly ascending at entry %d (%d after %d)",
-				i, ids[i], ids[i-1])
-		}
-	}
-	return ids, setcrc, nil
-}
-
-// equalU16 reports whether two edge-ID slices are identical — the
-// suppression-set comparison both link ends run on RESYNC receipt.
-func equalU16(a, b []uint16) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func encodeResumeOK(recvSeq uint64) []byte {
-	body := make([]byte, cumAckBodyBytes)
-	binary.LittleEndian.PutUint64(body, recvSeq)
-	return body
 }
 
 func decodeResumeOK(body []byte) (recvSeq uint64, err error) {

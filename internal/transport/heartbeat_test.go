@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bytes"
-	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -10,50 +9,15 @@ import (
 )
 
 // heartbeatPair is linkPair with heartbeat probing configured on both
-// sides (and any extra LinkConfig fields the caller sets via mutate).
+// sides.
 func heartbeatPair(t *testing.T, tr Transport, addr string, hd, ha Handler,
 	interval, timeout time.Duration) (*Link, *Link) {
 	t.Helper()
-	ln, err := tr.Listen(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	type acceptResult struct {
-		l   *Link
-		err error
-	}
-	acceptCh := make(chan acceptResult, 1)
-	go func() {
-		c, err := ln.Accept()
-		if err != nil {
-			acceptCh <- acceptResult{nil, err}
-			return
-		}
-		l, err := AcceptLink(c, LinkConfig{Node: 1, Heartbeat: interval, PeerTimeout: timeout},
-			func(peer int) ([]EdgeDecl, Handler, error) {
-				return testManifest(false), ha, nil
-			})
-		acceptCh <- acceptResult{l, err}
-	}()
-	c, err := DialRetry(context.Background(), tr, ln.Addr(), RetryConfig{Attempts: 20, BaseDelay: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dialer, err := NewLink(c, LinkConfig{
-		Node: 0, Edges: testManifest(true), Heartbeat: interval, PeerTimeout: timeout,
-	}, hd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := <-acceptCh
-	if res.err != nil {
-		t.Fatal(res.err)
-	}
-	return dialer, res.l
+	tune := func(cfg *LinkConfig) { cfg.Heartbeat, cfg.PeerTimeout = interval, timeout }
+	return batchLinkPair(t, tr, addr, tune, tune, hd, ha)
 }
 
-// TestHeartbeatProbesIdleLink: two idle links with heartbeats negotiated
+// TestHeartbeatProbesIdleLink: two idle links with heartbeats configured
 // exchange PING/PONG, sample an RTT, and stay alive well past the peer
 // timeout — silence from a live peer is not a failure.
 func TestHeartbeatProbesIdleLink(t *testing.T) {
@@ -63,9 +27,6 @@ func TestHeartbeatProbesIdleLink(t *testing.T) {
 	defer dialer.Abort()
 	defer acceptor.Abort()
 
-	if !dialer.HeartbeatsNegotiated() || !acceptor.HeartbeatsNegotiated() {
-		t.Fatal("both sides configured heartbeats but negotiation failed")
-	}
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		st := dialer.Stats()
@@ -146,74 +107,6 @@ func TestHeartbeatHalfOpenLinkDetected(t *testing.T) {
 	}
 	if acceptor.Stats().HeartbeatTimeouts == 0 {
 		t.Error("heartbeat timeout fired but the counter stayed zero")
-	}
-}
-
-// TestHeartbeatOldPeerInterop: a peer that never advertised featHeartbeat
-// negotiates heartbeats off — no probes are sent, no timeouts fire, and
-// data still flows both ways.
-func TestHeartbeatOldPeerInterop(t *testing.T) {
-	tr := NewLoopback()
-	ln, err := tr.Listen("hb-old")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	hd, ha := newRecordingHandler(), newRecordingHandler()
-	acceptCh := make(chan *Link, 1)
-	go func() {
-		c, aerr := ln.Accept()
-		if aerr != nil {
-			t.Error(aerr)
-			acceptCh <- nil
-			return
-		}
-		// Old peer: no Heartbeat configured, so no featHeartbeat in HELLO.
-		l, aerr := AcceptLink(c, LinkConfig{Node: 1}, func(peer int) ([]EdgeDecl, Handler, error) {
-			return testManifest(false), ha, nil
-		})
-		if aerr != nil {
-			t.Error(aerr)
-			acceptCh <- nil
-			return
-		}
-		acceptCh <- l
-	}()
-	c, err := DialRetry(context.Background(), tr, ln.Addr(), RetryConfig{Attempts: 20, BaseDelay: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dialer, err := NewLink(c, LinkConfig{
-		Node: 0, Edges: testManifest(true),
-		Heartbeat: 5 * time.Millisecond, PeerTimeout: 20 * time.Millisecond,
-	}, hd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dialer.Abort()
-	acceptor := <-acceptCh
-	if acceptor == nil {
-		t.Fatal("accept failed")
-	}
-	defer acceptor.Abort()
-
-	if dialer.HeartbeatsNegotiated() || acceptor.HeartbeatsNegotiated() {
-		t.Fatal("heartbeats negotiated against a peer that never advertised them")
-	}
-	// Outlive several would-be peer timeouts in silence: the old peer must
-	// not be declared dead, and no probe may reach it.
-	time.Sleep(100 * time.Millisecond)
-	if err := dialer.SendData(7, []byte{7, 0, 4, 0, 0, 0, 0xCC, 0, 0, 0}); err != nil {
-		t.Fatalf("link to old peer died during silence: %v", err)
-	}
-	ha.waitData(t, 7, 1)
-	if st := dialer.Stats(); st.PingsSent != 0 || st.HeartbeatTimeouts != 0 {
-		t.Fatalf("old-peer link sent %d pings, %d timeouts; want none", st.PingsSent, st.HeartbeatTimeouts)
-	}
-	select {
-	case err := <-ha.closed:
-		t.Fatalf("old-peer link closed: %v", err)
-	default:
 	}
 }
 

@@ -74,37 +74,27 @@ type LinkConfig struct {
 	// Batch configures the write coalescer: session frames accumulate in
 	// a per-link buffer and flush as one Write on a frame-count or byte
 	// threshold, a microsecond deadline, or a send stall. The zero value
-	// writes every frame immediately (pre-batching behavior).
+	// writes every frame immediately. Local send policy: the peer's
+	// setting is independent.
 	Batch BatchConfig
-	// PiggybackAcks advertises and, when the peer advertises it too,
-	// enables carrying SPI acks as a prefix on outbound DATA frames
-	// instead of standalone ACK frames. Acks with no DATA to ride are
-	// flushed standalone by the coalescer deadline, so ack latency is
-	// bounded by Batch.MaxDelay (or its default). Enabling this emits a
-	// version-3 HELLO; leaving it off keeps the handshake byte-identical
-	// to version 2 and fully interoperable with old peers.
+	// PiggybackAcks carries this side's SPI acks as a prefix on its
+	// outbound DATA frames (DATAACK) instead of standalone ACK frames.
+	// Acks with no DATA to ride are flushed standalone by the coalescer
+	// deadline, so ack latency is bounded by Batch.MaxDelay (or its
+	// default). Local send policy: every peer decodes DATAACK, and a peer
+	// that leaves this off simply sends its own acks standalone.
 	PiggybackAcks bool
-	// Sessions advertises and, when the peer advertises it too, enables
-	// session multiplexing: session-tagged DATA/ACK/FIN frames plus the
-	// OPEN/OPENOK/CLOSE lifecycle (see SessionHandler). Like
-	// PiggybackAcks this is mutual-optional — an old or unwilling peer
-	// simply negotiates it off, and callers fall back to one implicit
-	// untagged session. The handler passed to NewLink/AcceptConn must
-	// implement SessionHandler when Sessions is set.
+	// Sessions asserts that this link multiplexes sessions: NewLink and
+	// AcceptConn refuse to build it unless the handler is a
+	// SessionHandler. It changes nothing on the wire — any link whose
+	// handler is a SessionHandler sends and receives session frames.
 	Sessions bool
-	// Ctrl advertises and, when the peer advertises it too, enables the
-	// control plane: CTRL frames carrying the orchestration
-	// coordinator/worker conversation (see CtrlHandler). Mutual-optional
-	// like Sessions — an old peer negotiates it off. The handler passed
-	// to NewLink/AcceptConn must implement CtrlHandler when Ctrl is set.
-	Ctrl bool
-	// Heartbeat enables active liveness probing: this side advertises
-	// featHeartbeat in its HELLO and, when the peer advertised it too, a
-	// per-link prober sends a PING whenever no frame has been heard from
-	// the peer for one Heartbeat interval. Any inbound frame refreshes the
-	// last-heard mark, so a busy link never pays for probes; PONG echoes
-	// carry an RTT sample. Zero disables probing (and, with no other
-	// features, keeps the HELLO byte-identical to version 2).
+	// Heartbeat enables active liveness probing: a per-link prober sends
+	// a PING whenever no frame has been heard from the peer for one
+	// Heartbeat interval. Any inbound frame refreshes the last-heard
+	// mark, so a busy link never pays for probes; PONG echoes carry an
+	// RTT sample. Zero disables probing. Local policy: every peer answers
+	// PING, so one side may probe a peer that does not probe back.
 	Heartbeat time.Duration
 	// PeerTimeout declares the connection dead after this much inbound
 	// silence despite probing — the half-open / black-holed failure mode a
@@ -112,29 +102,25 @@ type LinkConfig struct {
 	// The dead connection is routed into the normal failure path: RESUME
 	// recovery when Reconnect allows it, link failure (and the caller's
 	// DegradedError) otherwise. Default 4× Heartbeat; only meaningful when
-	// heartbeats are negotiated.
+	// Heartbeat is set.
 	PeerTimeout time.Duration
 	// Blocked declares that this link's DATA frames carry packed
 	// multi-token slabs on block-aligned edges (vectorized execution).
-	// Unlike PiggybackAcks this is a requirement, not a mutual option:
-	// slab framing changes the payload layout, so the handshake fails
-	// unless both sides run the same mode. Leaving it off keeps the
-	// HELLO byte-identical to a feature-free version-2 handshake. The
-	// edge manifest's Bytes/Capacity fields additionally pin the
-	// blocking factor itself — peers blocked differently disagree on
-	// slab bounds and are rejected by verifyManifest.
+	// Slab framing changes the payload layout, so the handshake fails
+	// unless both sides run the same mode. The edge manifest's
+	// Bytes/Capacity fields additionally pin the blocking factor itself —
+	// peers blocked differently disagree on slab bounds and are rejected
+	// by verifyManifest.
 	Blocked bool
 	// ResyncEdges is the node-wide ack-suppression set from the §4
 	// resynchronization verdict: UBS edge IDs whose acknowledgements are
-	// transitively covered by other synchronization paths. A non-empty
-	// set advertises featResync; when the peer advertises it too, each
-	// side filters the set to this link's declared edges, exchanges it in
-	// a RESYNC frame, and refuses the link unless both filtered sets
-	// match exactly. Once negotiated, SendAck on a listed edge is a
-	// no-op (counted in AcksSuppressed) — standalone and piggybacked
-	// alike — while transport-level cumulative acks keep the peer's
-	// resend buffer trimmed. An old or unwilling peer negotiates the
-	// feature off and receives full acking.
+	// transitively covered by other synchronization paths. The IDs this
+	// link carries become an attribute of their manifest entries, so the
+	// handshake fails unless the peer suppresses exactly the same edges
+	// of this link; IDs it does not carry are ignored. SendAck on a
+	// suppressed edge is a no-op (counted in AcksSuppressed) — standalone
+	// and piggybacked alike — while transport-level cumulative acks keep
+	// the peer's resend buffer trimmed.
 	ResyncEdges []uint16
 	// Obs, when non-nil, exports this link's traffic counters through the
 	// metrics registry (labeled by peer node) and records its session
@@ -340,23 +326,8 @@ type Link struct {
 	in     map[uint16]EdgeDecl // edges the local side receives data on
 
 	batchOn bool           // write coalescing configured
-	piggyOn bool           // ack piggybacking negotiated with the peer
-	sessOn  bool           // session multiplexing negotiated with the peer
-	ctrlOn  bool           // control plane negotiated with the peer
-	hbOn    bool           // heartbeat probing negotiated with the peer
 	sh      SessionHandler // h's session extension, when it has one
 	ch      CtrlHandler    // h's control-plane extension, when it has one
-
-	// Resync ack suppression, negotiated with the peer. resyncSet and
-	// resyncIDs are ResyncEdges filtered to this link's declared edges
-	// (set form for the SendAck hot path, sorted slice form for the
-	// RESYNC frame and the peer-set comparison); all three are written
-	// once before the reader starts and read-only after. resyncVerified
-	// flips when the peer's RESYNC frame matched ours.
-	resyncOn       bool
-	resyncSet      map[uint16]bool
-	resyncIDs      []uint16
-	resyncVerified atomic.Bool
 
 	// Liveness tracking, lock-free: lastHeard is the UnixNano of the last
 	// tick at which the pinger saw the inbound frame counter move (plus
@@ -420,73 +391,86 @@ func newToken() (uint64, error) {
 // connection is closed.
 func NewLink(conn Conn, cfg LinkConfig, h Handler) (*Link, error) {
 	token, err := newToken()
-	if err != nil {
-		conn.Close()
-		return nil, &Error{Op: "handshake", Addr: conn.RemoteAddr(), Err: err}
+	if err == nil {
+		err = cfg.checkHandler(h)
 	}
+	if err != nil {
+		return refuse(conn, "handshake", err)
+	}
+	cfg.Edges = cfg.manifest(cfg.Edges)
 	deadline := time.Now().Add(cfg.handshakeTimeout())
 	conn.SetWriteDeadline(deadline)
-	if err := writeFrame(conn, frameHello, 0, encodeHello(uint16(cfg.Node), token, cfg.Edges, cfg.features())); err != nil {
-		conn.Close()
-		return nil, &Error{Op: "handshake", Addr: conn.RemoteAddr(), Err: err}
+	if err := writeFrame(conn, frameHello, 0, encodeHello(uint16(cfg.Node), token, cfg.Edges, cfg.Blocked)); err != nil {
+		return refuse(conn, "handshake", err)
 	}
-	peer, peerToken, peerEdges, peerFeatures, err := readHello(conn, deadline, cfg.maxFrame())
+	conn.SetReadDeadline(deadline)
+	typ, _, body, err := readFrame(conn, cfg.maxFrame())
+	if err == nil && typ != frameHello {
+		err = fmt.Errorf("first frame has type %d, want hello", typ)
+	}
 	if err != nil {
-		conn.Close()
-		return nil, err
+		return refuse(conn, "handshake", err)
 	}
-	if peerToken != token {
-		conn.Close()
-		return nil, &Error{Op: "handshake", Addr: conn.RemoteAddr(),
-			Err: fmt.Errorf("peer echoed session token %#x, want %#x", peerToken, token)}
+	peer, peerToken, peerEdges, peerBlocked, err := decodeHello(body)
+	if err == nil && peerToken != token {
+		err = fmt.Errorf("peer echoed session token %#x, want %#x", peerToken, token)
 	}
-	if err := verifyManifest(cfg.Edges, peerEdges); err != nil {
-		conn.Close()
-		return nil, &Error{Op: "handshake", Addr: conn.RemoteAddr(), Err: err}
+	if err == nil {
+		err = cfg.agree(peerEdges, peerBlocked)
 	}
-	if err := verifyBlocked(&cfg, peerFeatures); err != nil {
-		conn.Close()
-		return nil, &Error{Op: "handshake", Addr: conn.RemoteAddr(), Err: err}
+	if err != nil {
+		return refuse(conn, "handshake", err)
 	}
-	return startLink(conn, cfg, h, int(peer), token, true, peerFeatures), nil
+	return startLink(conn, cfg, h, int(peer), token, true), nil
 }
 
-// features are the optional-capability bits this endpoint advertises in
-// its HELLO.
-func (c *LinkConfig) features() uint32 {
-	var f uint32
-	if c.PiggybackAcks {
-		f |= featPiggyAck
-	}
-	if c.Blocked {
-		f |= featBlocked
-	}
-	if c.Sessions {
-		f |= featSessions
-	}
-	if c.Ctrl {
-		f |= featOrch
-	}
-	if c.Heartbeat > 0 {
-		f |= featHeartbeat
-	}
-	if len(c.ResyncEdges) > 0 {
-		f |= featResync
-	}
-	return f
+// refuse closes a connection whose handshake (op "handshake") or RESUME
+// routing (op "resume") failed and wraps the cause. Only a timeout is
+// transient; everything else is a disagreement a retry would repeat.
+func refuse(conn Conn, op string, err error) (*Link, error) {
+	conn.Close()
+	return nil, &Error{Op: op, Addr: conn.RemoteAddr(), Transient: isTimeout(err), Err: err}
 }
 
-// verifyBlocked enforces that vectorized (blocked) framing is symmetric:
-// a blocked link cannot interoperate with a scalar peer, in either
-// direction, because the DATA payload layout differs. Old peers never set
-// featBlocked, so they are cleanly rejected with a configuration hint
-// instead of corrupting tokens.
-func verifyBlocked(cfg *LinkConfig, peerFeatures uint32) error {
-	peerBlocked := peerFeatures&featBlocked != 0
-	if cfg.Blocked == peerBlocked {
+// checkHandler enforces what Sessions asserts about the handler.
+func (c *LinkConfig) checkHandler(h Handler) error {
+	if _, ok := h.(SessionHandler); c.Sessions && !ok {
+		return fmt.Errorf("LinkConfig.Sessions is set but the handler (%T) is not a SessionHandler", h)
+	}
+	return nil
+}
+
+// manifest returns edges as HELLO declares them: with the ack-suppressed
+// attribute set on the ones ResyncEdges names. ResyncEdges is node-wide —
+// a node's links each carry their own part of it, possibly none — so IDs
+// outside this link's manifest are dropped here, and what the two ends
+// compare is the per-link set.
+func (c *LinkConfig) manifest(edges []EdgeDecl) []EdgeDecl {
+	if len(c.ResyncEdges) == 0 {
+		return edges
+	}
+	marked := append([]EdgeDecl(nil), edges...) // the caller's slice is not ours to mark
+	for i := range marked {
+		for _, id := range c.ResyncEdges {
+			marked[i].noAck = marked[i].noAck || id == marked[i].ID
+		}
+	}
+	return marked
+}
+
+// agree is the whole handshake check: the peer's HELLO (already of this
+// protocol version) must declare the mirror image of the local manifest
+// and the same DATA payload layout. A blocked link cannot interoperate
+// with a scalar peer in either direction, so it is refused with a
+// configuration hint instead of corrupting tokens.
+func (c *LinkConfig) agree(peerEdges []EdgeDecl, peerBlocked bool) error {
+	if err := verifyManifest(c.Edges, peerEdges); err != nil {
+		return err
+	}
+	if c.Blocked == peerBlocked {
 		return nil
 	}
-	if cfg.Blocked {
+	if c.Blocked {
 		return fmt.Errorf("this side runs blocked (vectorized) edges but the peer does not; run both sides with the same -block")
 	}
 	return fmt.Errorf("peer runs blocked (vectorized) edges but this side does not; run both sides with the same -block")
@@ -510,80 +494,51 @@ func AcceptConn(conn Conn, cfg LinkConfig, lookup func(peer int) ([]EdgeDecl, Ha
 	conn.SetReadDeadline(deadline)
 	typ, _, body, err := readFrame(conn, cfg.maxFrame())
 	if err != nil {
-		conn.Close()
-		return nil, &Error{Op: "handshake", Addr: conn.RemoteAddr(), Transient: isTimeout(err), Err: err}
+		return refuse(conn, "handshake", err)
 	}
 	switch typ {
 	case frameResume:
 		peer, token, recvSeq, err := decodeResume(body)
 		if err != nil {
-			conn.Close()
-			return nil, &Error{Op: "resume", Addr: conn.RemoteAddr(), Err: err}
+			return refuse(conn, "resume", err)
 		}
 		var l *Link
 		if resume != nil {
 			l = resume(int(peer), token)
 		}
 		if l == nil {
-			conn.Close()
-			return nil, &Error{Op: "resume", Addr: conn.RemoteAddr(),
-				Err: fmt.Errorf("no resumable link for node %d", peer)}
+			return refuse(conn, "resume", fmt.Errorf("no resumable link for node %d", peer))
 		}
-		if err := l.adoptConn(conn, recvSeq); err != nil {
-			return nil, err
-		}
-		return nil, nil
+		return nil, l.adoptConn(conn, recvSeq)
 	case frameHello:
-		peer, token, peerEdges, peerFeatures, err := decodeHello(body)
+		peer, token, peerEdges, peerBlocked, err := decodeHello(body)
 		if err != nil {
-			conn.Close()
-			return nil, &Error{Op: "handshake", Addr: conn.RemoteAddr(), Err: err}
+			return refuse(conn, "handshake", err)
 		}
 		edges, h, err := lookup(int(peer))
+		if err == nil {
+			err = cfg.checkHandler(h)
+		}
+		if err == nil {
+			cfg.Edges = cfg.manifest(edges)
+			err = cfg.agree(peerEdges, peerBlocked)
+		}
 		if err != nil {
-			conn.Close()
-			return nil, &Error{Op: "handshake", Addr: conn.RemoteAddr(), Err: err}
-		}
-		cfg.Edges = edges
-		if err := verifyManifest(cfg.Edges, peerEdges); err != nil {
-			conn.Close()
-			return nil, &Error{Op: "handshake", Addr: conn.RemoteAddr(), Err: err}
-		}
-		if err := verifyBlocked(&cfg, peerFeatures); err != nil {
-			conn.Close()
-			return nil, &Error{Op: "handshake", Addr: conn.RemoteAddr(), Err: err}
+			return refuse(conn, "handshake", err)
 		}
 		conn.SetWriteDeadline(deadline)
-		if err := writeFrame(conn, frameHello, 0, encodeHello(uint16(cfg.Node), token, cfg.Edges, cfg.features())); err != nil {
-			conn.Close()
-			return nil, &Error{Op: "handshake", Addr: conn.RemoteAddr(), Err: err}
+		if err := writeFrame(conn, frameHello, 0, encodeHello(uint16(cfg.Node), token, cfg.Edges, cfg.Blocked)); err != nil {
+			return refuse(conn, "handshake", err)
 		}
-		return startLink(conn, cfg, h, int(peer), token, false, peerFeatures), nil
+		return startLink(conn, cfg, h, int(peer), token, false), nil
 	default:
-		conn.Close()
-		return nil, &Error{Op: "handshake", Addr: conn.RemoteAddr(),
-			Err: fmt.Errorf("first frame has type %d, want hello or resume", typ)}
+		return refuse(conn, "handshake", fmt.Errorf("first frame has type %d, want hello or resume", typ))
 	}
 }
 
-func readHello(conn Conn, deadline time.Time, maxFrame int) (uint16, uint64, []EdgeDecl, uint32, error) {
-	conn.SetReadDeadline(deadline)
-	typ, _, body, err := readFrame(conn, maxFrame)
-	if err != nil {
-		return 0, 0, nil, 0, &Error{Op: "handshake", Addr: conn.RemoteAddr(), Transient: isTimeout(err), Err: err}
-	}
-	if typ != frameHello {
-		return 0, 0, nil, 0, &Error{Op: "handshake", Addr: conn.RemoteAddr(),
-			Err: fmt.Errorf("first frame has type %d, want hello", typ)}
-	}
-	peer, token, edges, features, err := decodeHello(body)
-	if err != nil {
-		return 0, 0, nil, 0, &Error{Op: "handshake", Addr: conn.RemoteAddr(), Err: err}
-	}
-	return peer, token, edges, features, nil
-}
-
-func startLink(conn Conn, cfg LinkConfig, h Handler, peer int, token uint64, dialer bool, peerFeatures uint32) *Link {
+// startLink builds the link the handshake agreed on; cfg.Edges is the
+// verified manifest.
+func startLink(conn Conn, cfg LinkConfig, h Handler, peer int, token uint64, dialer bool) *Link {
 	conn.SetReadDeadline(time.Time{})
 	conn.SetWriteDeadline(time.Time{})
 	cfg.Reconnect = cfg.Reconnect.withDefaults()
@@ -607,19 +562,10 @@ func startLink(conn Conn, cfg LinkConfig, h Handler, peer int, token uint64, dia
 		obs:        newLinkObs(cfg.Obs, peer),
 	}
 	l.batchOn = cfg.Batch.Enabled()
-	// Piggybacking is mutual: this side must have it configured and the
-	// peer must have advertised decoding support in its HELLO.
-	l.piggyOn = cfg.PiggybackAcks && peerFeatures&featPiggyAck != 0
-	// Sessions likewise; the handler's SessionHandler half is resolved
-	// once here so the read loop dispatches without a per-frame assert.
-	l.sessOn = cfg.Sessions && peerFeatures&featSessions != 0
+	// The handler's session and control-plane halves are resolved once
+	// here so the read loop dispatches without a per-frame assert.
 	l.sh, _ = h.(SessionHandler)
-	// The control plane likewise.
-	l.ctrlOn = cfg.Ctrl && peerFeatures&featOrch != 0
 	l.ch, _ = h.(CtrlHandler)
-	// Heartbeats likewise: probes flow only when this side wants them and
-	// the peer can answer them.
-	l.hbOn = cfg.Heartbeat > 0 && peerFeatures&featHeartbeat != 0
 	l.lastHeard.Store(time.Now().UnixNano())
 	for _, d := range cfg.Edges {
 		if d.Out {
@@ -628,45 +574,9 @@ func startLink(conn Conn, cfg LinkConfig, h Handler, peer int, token uint64, dia
 			l.in[d.ID] = d
 		}
 	}
-	// Resync ack suppression is mutual like piggybacking. The node-wide
-	// set is filtered to the edges this link actually carries: both ends
-	// computed the same global verdict from the same graph+mapping, and
-	// verifyManifest pinned identical edge declarations, so the filtered
-	// sets must match — which the RESYNC frame exchange below verifies
-	// before either side trusts the silence.
-	if len(cfg.ResyncEdges) > 0 && peerFeatures&featResync != 0 {
-		l.resyncOn = true
-		l.resyncSet = map[uint16]bool{}
-		for _, id := range cfg.ResyncEdges {
-			if _, ok := l.out[id]; ok {
-				l.resyncSet[id] = true
-			} else if _, ok := l.in[id]; ok {
-				l.resyncSet[id] = true
-			}
-		}
-		l.resyncIDs = make([]uint16, 0, len(l.resyncSet))
-		for id := range l.resyncSet {
-			l.resyncIDs = append(l.resyncIDs, id)
-		}
-		sort.Slice(l.resyncIDs, func(i, j int) bool { return l.resyncIDs[i] < l.resyncIDs[j] })
-	}
 	go l.acker()
 	go l.readLoop(conn, 0, l.readerDone)
-	if l.resyncOn {
-		// Announce our set before any suppressed silence can be observed.
-		// This must come after the read loop starts: both ends announce
-		// simultaneously, and on an unbuffered carrier (net.Pipe loopback)
-		// a write can only complete once the peer is reading. The frame is
-		// unnumbered (install re-sends it after every RESUME), so a write
-		// failure here just feeds the normal failure path.
-		l.wmu.Lock()
-		err := l.writeResyncLocked(conn, 0)
-		l.wmu.Unlock()
-		if err != nil {
-			l.connError(0, &Error{Op: "send", Addr: l.raddr, Transient: isTimeout(err), Err: err})
-		}
-	}
-	if l.hbOn {
+	if cfg.Heartbeat > 0 {
 		go l.pinger()
 	}
 	// Publish this link's liveness view into /healthz: keyed by peer, so
@@ -677,7 +587,8 @@ func startLink(conn Conn, cfg LinkConfig, h Handler, peer int, token uint64, dia
 
 // verifyManifest checks that the two handshake manifests describe the same
 // edge set with complementary directions: every edge one side sends, the
-// other receives, with identical mode, size bound, protocol, and capacity.
+// other receives, with identical mode, size bound, protocol, capacity and
+// ack suppression.
 func verifyManifest(local, peer []EdgeDecl) error {
 	if len(local) != len(peer) {
 		return fmt.Errorf("manifest mismatch: local %d edges, peer %d", len(local), len(peer))
@@ -706,6 +617,14 @@ func verifyManifest(local, peer []EdgeDecl) error {
 		if p.Mode != d.Mode || p.Bytes != d.Bytes || p.Protocol != d.Protocol || p.Capacity != d.Capacity {
 			return fmt.Errorf("manifest mismatch on edge %d: local {mode %d, %d bytes, proto %d, cap %d}, peer {mode %d, %d bytes, proto %d, cap %d}",
 				d.ID, d.Mode, d.Bytes, d.Protocol, d.Capacity, p.Mode, p.Bytes, p.Protocol, p.Capacity)
+		}
+		if p.noAck != d.noAck {
+			does, doesNot := "local", "peer"
+			if p.noAck {
+				does, doesNot = doesNot, does
+			}
+			return fmt.Errorf("manifest mismatch on edge %d: %s suppresses acks, %s does not; both sides must compute the resynchronization verdict from the same graph and mapping: run both sides with the same -resync",
+				d.ID, does, doesNot)
 		}
 	}
 	return nil
@@ -755,18 +674,6 @@ func (l *Link) Stats() LinkStats {
 	}
 }
 
-// ResyncNegotiated reports whether both sides advertised featResync and
-// this link is suppressing acks on its filtered suppression set.
-func (l *Link) ResyncNegotiated() bool { return l.resyncOn }
-
-// ResyncVerified reports whether the peer's RESYNC frame arrived and
-// matched this side's suppression set on the current connection.
-func (l *Link) ResyncVerified() bool { return l.resyncVerified.Load() }
-
-// HeartbeatsNegotiated reports whether both sides advertised
-// featHeartbeat: PINGs are sent only when it returns true.
-func (l *Link) HeartbeatsNegotiated() bool { return l.hbOn }
-
 // LinkLiveness is a point-in-time liveness snapshot of one link, shaped
 // for /healthz: how long since the peer was last heard from, the most
 // recent PONG round trip, and the probe counters.
@@ -794,8 +701,8 @@ func stateString(s int) string {
 }
 
 // Liveness snapshots the link's failure-detector state. SinceHeardMS is
-// meaningful only while heartbeats are negotiated (the reader refreshes
-// the mark only then); it still reports time since handshake otherwise.
+// meaningful only while this side probes (the pinger refreshes the mark);
+// it still reports time since handshake otherwise.
 func (l *Link) Liveness() LinkLiveness {
 	l.mu.Lock()
 	state := l.state
@@ -803,7 +710,7 @@ func (l *Link) Liveness() LinkLiveness {
 	return LinkLiveness{
 		Peer:              l.peer,
 		State:             stateString(state),
-		HeartbeatOn:       l.hbOn,
+		HeartbeatOn:       l.cfg.Heartbeat > 0,
 		SinceHeardMS:      (time.Now().UnixNano() - l.lastHeard.Load()) / int64(time.Millisecond),
 		LastRTTMicros:     l.lastRTT.Load(),
 		PingsSent:         l.obs.pingsSent.Value(),
@@ -812,7 +719,7 @@ func (l *Link) Liveness() LinkLiveness {
 }
 
 // pinger is the per-link failure detector, running for the life of a link
-// that negotiated heartbeats. Each tick it first folds the reader's frame
+// that probes (Heartbeat > 0). Each tick it first folds the reader's frame
 // counter into the liveness mark — if any frame arrived since the last
 // tick the peer is alive, stamped at tick granularity so the receive hot
 // path never touches the clock — then checks how long the peer has been
@@ -861,43 +768,20 @@ func (l *Link) pinger() {
 			continue
 		}
 		if silent >= interval {
-			l.sendPing(conn, gen)
+			l.sendProbe(conn, gen, framePing, uint64(time.Now().UnixNano()))
 		}
 	}
 }
 
-// sendPing writes one liveness probe carrying the current timestamp. It
-// runs on the pinger goroutine, so (unlike the reader) it may block on
-// the writer mutex; the frame rides the coalescer like any
-// other, though on an idle link — the only kind that gets probed — the
-// batch is empty and the deadline timer flushes it within MaxDelay.
-func (l *Link) sendPing(conn Conn, gen int) {
-	l.wmu.Lock()
-	l.mu.Lock()
-	if l.gen != gen || l.state != stateUp || l.closing {
-		l.mu.Unlock()
-		l.wmu.Unlock()
-		return
-	}
-	l.mu.Unlock()
-	var body [pingBodyBytes]byte
-	encodePing(body[:], uint64(time.Now().UnixNano()))
-	f := buildFrame(framePing, 0, nil, body[:])
-	err := l.writeWire(conn, gen, f.wire)
-	putWire(f.buf)
-	l.wmu.Unlock()
-	if err != nil {
-		l.connError(gen, &Error{Op: "send", Addr: l.raddr, Transient: isTimeout(err), Err: err})
-		return
-	}
-	l.obs.pingsSent.Inc()
-	l.recheckCumAck()
-}
-
-// sendPong echoes a PING's timestamp back. Spawned on its own goroutine
-// by the reader (like ackGoodbye): answering inline would park the reader
-// on wmu behind writers that may themselves be blocked on the peer.
-func (l *Link) sendPong(conn Conn, gen int, ts uint64) {
+// sendProbe writes one PING (typ framePing, ts the current time) or the
+// PONG echoing a peer's PING (typ framePong, ts its timestamp). Neither
+// runs on the reader: the pinger sends PINGs, and the reader spawns each
+// PONG on its own goroutine (like ackGoodbye), because answering inline
+// would park it on wmu behind writers that may themselves be blocked on
+// the peer. The frame rides the coalescer like any other, though on an
+// idle link — the only kind that gets probed — the batch is empty and the
+// deadline timer flushes it within MaxDelay.
+func (l *Link) sendProbe(conn Conn, gen int, typ byte, ts uint64) {
 	l.wmu.Lock()
 	l.mu.Lock()
 	if l.gen != gen || l.state != stateUp || l.closing {
@@ -908,7 +792,7 @@ func (l *Link) sendPong(conn Conn, gen int, ts uint64) {
 	l.mu.Unlock()
 	var body [pingBodyBytes]byte
 	encodePing(body[:], ts)
-	f := buildFrame(framePong, 0, nil, body[:])
+	f := buildFrame(typ, 0, nil, body[:])
 	err := l.writeWire(conn, gen, f.wire)
 	putWire(f.buf)
 	l.wmu.Unlock()
@@ -916,24 +800,15 @@ func (l *Link) sendPong(conn Conn, gen int, ts uint64) {
 		l.connError(gen, &Error{Op: "send", Addr: l.raddr, Transient: isTimeout(err), Err: err})
 		return
 	}
+	if typ == framePing {
+		l.obs.pingsSent.Inc()
+	}
 	l.recheckCumAck()
 }
 
-// writeResyncLocked writes this side's filtered suppression set as an
-// unnumbered RESYNC frame. Caller holds wmu. Called once at link start
-// and again by install after every RESUME: unnumbered frames are never
-// replayed, so re-sending is what guarantees the peer re-verifies the
-// set on the fresh connection (the check is idempotent).
-func (l *Link) writeResyncLocked(conn Conn, gen int) error {
-	f := buildFrame(frameResync, 0, nil, encodeResyncSet(l.resyncIDs))
-	err := l.writeWire(conn, gen, f.wire)
-	putWire(f.buf)
-	return err
-}
-
 // SendData transmits one SPI-encoded message on an outbound edge. When
-// ack piggybacking is negotiated and acks are queued, the frame goes out
-// as DATAACK carrying them as a prefix.
+// ack piggybacking is on and acks are queued, the frame goes out as
+// DATAACK carrying them as a prefix.
 func (l *Link) SendData(edge uint16, msg []byte) error {
 	if _, ok := l.out[edge]; !ok {
 		return &Error{Op: "send", Addr: l.raddr,
@@ -951,23 +826,25 @@ func (l *Link) SendData(edge uint16, msg []byte) error {
 }
 
 // SendAck transmits a BBS credit / UBS acknowledgement for an inbound
-// edge. With piggybacking negotiated the ack is queued instead: the next
+// edge. With piggybacking on the ack is queued instead: the next
 // outbound DATA frame carries it, or the coalescer deadline flushes it
 // standalone — either way delivery stays reliable, because both carriers
 // are sequence-numbered session frames held for replay.
 func (l *Link) SendAck(edge uint16, count uint32) error {
-	if _, ok := l.in[edge]; !ok {
+	d, ok := l.in[edge]
+	if !ok {
 		return &Error{Op: "send", Addr: l.raddr,
 			Err: fmt.Errorf("edge %d is not inbound on this link", edge)}
 	}
-	if l.resyncOn && l.resyncSet[edge] {
-		// The §4 verdict covers this edge's synchronization through other
-		// sync paths: swallow the ack before it can enter the piggyback
-		// queue or the resend buffer, so no later flush, DATA frame, or
-		// RESUME replay can resurrect it. Transport-level cumulative acks
-		// still trim the peer's resend buffer (they ride every frame
-		// direction independently of SPI acks), so suppression never
-		// wedges the peer's sender.
+	if d.noAck {
+		// Both manifests declare the edge ack-suppressed (the §4 verdict
+		// covers its synchronization through other sync paths): swallow
+		// the ack before it can enter the piggyback queue or the resend
+		// buffer, so no later flush, DATA frame, or RESUME replay can
+		// resurrect it. Transport-level cumulative acks still trim the
+		// peer's resend buffer (they ride every frame direction
+		// independently of SPI acks), so suppression never wedges the
+		// peer's sender.
 		l.wmu.Lock()
 		if l.suppressedSent == nil {
 			l.suppressedSent = make(map[uint16]int64)
@@ -979,7 +856,7 @@ func (l *Link) SendAck(edge uint16, count uint32) error {
 		l.recheckCumAck()
 		return nil
 	}
-	if l.piggyOn {
+	if l.cfg.PiggybackAcks {
 		l.wmu.Lock()
 		l.mu.Lock()
 		switch {
@@ -1005,7 +882,10 @@ func (l *Link) SendAck(edge uint16, count uint32) error {
 		l.recheckCumAck()
 		return nil
 	}
-	if err := l.sendSession(frameAck, encodeAck(edge, count)); err != nil {
+	var body [ackBodyBytes]byte
+	binary.LittleEndian.PutUint16(body[:], edge)
+	binary.LittleEndian.PutUint32(body[2:], count)
+	if err := l.sendSessionFrame(frameAck, body[:], nil, false); err != nil {
 		return err
 	}
 	l.obs.acksSent.Inc()
@@ -1083,6 +963,14 @@ func (l *Link) sendSession(typ byte, body []byte) error {
 // frame that then sits blocked behind a full resend buffer — a stalled
 // sender leaves queued acks for the deadline flusher.
 func (l *Link) sendSessionFrame(typ byte, head, body []byte, piggy bool) error {
+	// Sending a frame family needs what receiving it needs, a handler of
+	// that type: the peer's answers would otherwise fail this link's reader.
+	switch {
+	case sessionFrame(typ) && l.sh == nil:
+		return &Error{Op: "send", Addr: l.raddr, Err: errors.New("session frames need a link whose handler is a SessionHandler")}
+	case typ == frameCtrl && l.ch == nil:
+		return &Error{Op: "send", Addr: l.raddr, Err: errors.New("ctrl frames need a link whose handler is a CtrlHandler")}
+	}
 	for {
 		l.wmu.Lock()
 		l.mu.Lock()
@@ -1131,7 +1019,7 @@ func (l *Link) sendSessionFrame(typ byte, head, body []byte, piggy bool) error {
 			<-ch
 			continue
 		}
-		if piggy && l.piggyOn && len(l.pendingOrder) > 0 {
+		if piggy && len(l.pendingOrder) > 0 {
 			head = l.takePendingAcksLocked()
 			typ = frameDataAck
 		}
@@ -1180,18 +1068,6 @@ func (l *Link) owedAcks() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.recvSeq - l.cumAcked
-}
-
-// encodeFrame builds the complete wire bytes for one frame, so the resend
-// buffer can replay it with a single Write and the CRC is computed once.
-func encodeFrame(typ byte, seq uint64, body []byte) []byte {
-	wire := make([]byte, frameHeaderBytes+len(body))
-	binary.LittleEndian.PutUint32(wire, uint32(13+len(body)))
-	wire[4] = typ
-	binary.LittleEndian.PutUint64(wire[5:], seq)
-	binary.LittleEndian.PutUint32(wire[13:], frameCRC(typ, seq, body))
-	copy(wire[frameHeaderBytes:], body)
-	return wire
 }
 
 // poisonSend marks the link failed after a write error in fail-fast mode.

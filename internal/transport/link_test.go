@@ -89,46 +89,54 @@ func testManifest(dialerSide bool) []EdgeDecl {
 	}
 }
 
-// linkPair connects a dialer and acceptor link over tr at addr.
-func linkPair(t *testing.T, tr Transport, addr string, hd, ha Handler) (*Link, *Link) {
+// tunedPair connects a dialer and an acceptor over tr at addr, each with
+// its own LinkConfig: the tuners (nil for none) adjust the two sides
+// independently, manifest included — the acceptor's lookup answers with
+// its tuned cfg.Edges. It returns each side's link or handshake error.
+func tunedPair(t *testing.T, tr Transport, addr string, hd, ha Handler, tuneD, tuneA func(*LinkConfig)) (d, a *Link, derr, aerr error) {
 	t.Helper()
 	ln, err := tr.Listen(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	type acceptResult struct {
-		l   *Link
-		err error
-	}
-	acceptCh := make(chan acceptResult, 1)
+	accepted := make(chan struct{})
 	go func() {
+		defer close(accepted)
 		c, err := ln.Accept()
 		if err != nil {
-			acceptCh <- acceptResult{nil, err}
+			aerr = err
 			return
 		}
-		l, err := AcceptLink(c, LinkConfig{Node: 1}, func(peer int) ([]EdgeDecl, Handler, error) {
+		cfg := LinkConfig{Node: 1, Edges: testManifest(false)}
+		if tuneA != nil {
+			tuneA(&cfg)
+		}
+		a, aerr = AcceptLink(c, cfg, func(peer int) ([]EdgeDecl, Handler, error) {
 			if peer != 0 {
 				return nil, nil, fmt.Errorf("unexpected peer %d", peer)
 			}
-			return testManifest(false), ha, nil
+			return cfg.Edges, ha, nil
 		})
-		acceptCh <- acceptResult{l, err}
 	}()
 	c, err := DialRetry(context.Background(), tr, ln.Addr(), RetryConfig{Attempts: 20, BaseDelay: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dialer, err := NewLink(c, LinkConfig{Node: 0, Edges: testManifest(true)}, hd)
-	if err != nil {
-		t.Fatal(err)
+	cfg := LinkConfig{Node: 0, Edges: testManifest(true)}
+	if tuneD != nil {
+		tuneD(&cfg)
 	}
-	res := <-acceptCh
-	if res.err != nil {
-		t.Fatal(res.err)
-	}
-	return dialer, res.l
+	d, derr = NewLink(c, cfg, hd)
+	<-accepted
+	return d, a, derr, aerr
+}
+
+// linkPair is tunedPair with both sides at their defaults, for handshakes
+// that must succeed.
+func linkPair(t *testing.T, tr Transport, addr string, hd, ha Handler) (*Link, *Link) {
+	t.Helper()
+	return batchLinkPair(t, tr, addr, nil, nil, hd, ha)
 }
 
 func transports(t *testing.T) map[string]Transport {
@@ -313,7 +321,7 @@ func TestSendTimeoutPoisonsLink(t *testing.T) {
 		if err != nil {
 			return
 		}
-		if err := writeFrame(c, frameHello, 0, encodeHello(1, token, testManifest(false), 0)); err != nil {
+		if err := writeFrame(c, frameHello, 0, encodeHello(1, token, testManifest(false), false)); err != nil {
 			return
 		}
 		peerReady <- c

@@ -156,10 +156,7 @@ func (l *Link) readLoop(conn Conn, gen int, done chan struct{}) {
 				l.readError(gen, &Error{Op: "recv", Addr: l.raddr, Err: derr})
 				return
 			}
-			// Echo from a separate goroutine, like the GOODBYE ack: the
-			// reader must never park on wmu behind a writer that may itself
-			// be blocked on the peer.
-			go l.sendPong(conn, gen, ts)
+			go l.sendProbe(conn, gen, framePong, ts) // never from the reader itself
 		case framePong:
 			ts, derr := decodePing(body)
 			if derr != nil {
@@ -172,25 +169,6 @@ func (l *Link) readLoop(conn Conn, gen int, done chan struct{}) {
 				l.obs.rtt.Observe(float64(us))
 			}
 			l.obs.pongsRecv.Inc()
-		case frameResync:
-			ids, setcrc, derr := decodeResyncSet(body)
-			if derr != nil {
-				l.readError(gen, &Error{Op: "recv", Addr: l.raddr, Err: derr})
-				return
-			}
-			if !l.resyncOn {
-				l.readError(gen, &Error{Op: "recv", Addr: l.raddr,
-					Err: fmt.Errorf("peer sent a resync suppression set but this side did not negotiate one; run both sides with the same -resync")})
-				return
-			}
-			if !equalU16(ids, l.resyncIDs) {
-				l.readError(gen, &Error{Op: "recv", Addr: l.raddr,
-					Err: fmt.Errorf("resync suppression set mismatch (peer set %v crc %#x, local set %v): both sides must compute the verdict from the same graph and mapping; run both sides with the same -resync", ids, setcrc, l.resyncIDs)})
-				return
-			}
-			l.resyncVerified.Store(true)
-			l.obs.tr.Instant("session", "resync-verified", l.obs.pid, l.obs.sessTid,
-				obs.A("edges", int64(len(ids))))
 		case frameGoodbye:
 			// Ack from a separate goroutine — two symmetric closes on
 			// loopback would deadlock if both readers stopped to write —
@@ -359,14 +337,17 @@ func (l *Link) ackGoodbye(conn Conn, gen int) {
 	// the final ack directly — the peer's drain is waiting on it.
 	flushErr := l.flushBatchLocked(conn, gen)
 	conn.SetWriteDeadline(time.Now().Add(l.cfg.closeTimeout()))
-	wire := encodeFrame(frameCumAck, 0, encodeCumAck(n))
-	_, err := conn.Write(wire)
+	var body [cumAckBodyBytes]byte
+	binary.LittleEndian.PutUint64(body[:], n)
+	f := buildFrame(frameCumAck, 0, nil, body[:])
+	_, err := conn.Write(f.wire)
 	conn.SetWriteDeadline(time.Time{})
 	l.wmu.Unlock()
 	if err == nil && flushErr == nil {
 		l.obs.framesSent.Inc()
-		l.obs.bytesSent.Add(int64(len(wire)))
+		l.obs.bytesSent.Add(int64(len(f.wire)))
 	}
+	putWire(f.buf)
 }
 
 // readError classifies a reader failure for generation gen.
@@ -564,7 +545,9 @@ func (l *Link) acceptOffer(off resumeOffer, gen int, deadline time.Time) (done b
 	l.mu.Lock()
 	recv := l.recvSeq
 	l.mu.Unlock()
-	if werr := writeFrame(off.conn, frameResumeOK, 0, encodeResumeOK(recv)); werr != nil {
+	var body [cumAckBodyBytes]byte
+	binary.LittleEndian.PutUint64(body[:], recv)
+	if werr := writeFrame(off.conn, frameResumeOK, 0, body[:]); werr != nil {
 		off.conn.Close()
 		return false, &Error{Op: "resume", Addr: l.raddr, Transient: true, Err: werr}
 	}
@@ -646,14 +629,8 @@ func (l *Link) install(conn Conn, peerRecv uint64, gen int) {
 	}
 	// Acks queued during the outage have no session frame yet; flush
 	// them now rather than waiting for the next DATA or deadline tick.
-	// The suppression set rides along: RESYNC is unnumbered, so the
-	// replay above never redelivers it — re-sending here is what lets
-	// the peer re-verify the set on every resumed connection.
 	if werr == nil {
 		werr = l.flushPendingAcksLocked(conn, gen)
-		if werr == nil && l.resyncOn {
-			werr = l.writeResyncLocked(conn, gen)
-		}
 		if werr == nil {
 			werr = l.flushBatchLocked(conn, gen)
 		}

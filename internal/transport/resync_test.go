@@ -1,148 +1,24 @@
 package transport
 
 import (
-	"bytes"
 	"encoding/binary"
-	"strings"
 	"testing"
-	"time"
 )
-
-func TestResyncSetCodec(t *testing.T) {
-	for _, ids := range [][]uint16{nil, {0}, {7}, {0, 1, 9, 65535}} {
-		body := encodeResyncSet(ids)
-		got, _, err := decodeResyncSet(body)
-		if err != nil {
-			t.Fatalf("set %v: decode: %v", ids, err)
-		}
-		if !equalU16(got, ids) {
-			t.Fatalf("set %v round-tripped to %v", ids, got)
-		}
-		if re := encodeResyncSet(got); !bytes.Equal(re, body) {
-			t.Fatalf("set %v: re-encode not canonical", ids)
-		}
-	}
-
-	// Tampered CRC, short body, inflated count, unsorted and duplicate
-	// IDs must all be rejected.
-	good := encodeResyncSet([]uint16{3, 5})
-	bad := append([]byte(nil), good...)
-	bad[0] ^= 0xFF
-	if _, _, err := decodeResyncSet(bad); err == nil || !strings.Contains(err.Error(), "checksum") {
-		t.Errorf("tampered CRC decoded cleanly (err %v)", err)
-	}
-	if _, _, err := decodeResyncSet(good[:3]); err == nil {
-		t.Error("truncated header decoded cleanly")
-	}
-	bad = append([]byte(nil), good...)
-	binary.LittleEndian.PutUint16(bad[4:], 9)
-	if _, _, err := decodeResyncSet(bad); err == nil {
-		t.Error("inflated count decoded cleanly")
-	}
-	unsorted := encodeResyncSet([]uint16{5, 3}) // encoder trusts the caller; decoder must not
-	if _, _, err := decodeResyncSet(unsorted); err == nil || !strings.Contains(err.Error(), "ascending") {
-		t.Errorf("unsorted set decoded cleanly (err %v)", err)
-	}
-	dup := encodeResyncSet([]uint16{3, 3})
-	if _, _, err := decodeResyncSet(dup); err == nil {
-		t.Error("duplicate IDs decoded cleanly")
-	}
-}
-
-// FuzzDecodeResync throws adversarial bytes at the RESYNC body decoder:
-// it must never panic, and any body it accepts must be canonical — the
-// decoded set re-encodes to the identical bytes.
-func FuzzDecodeResync(f *testing.F) {
-	f.Add(encodeResyncSet(nil))
-	f.Add(encodeResyncSet([]uint16{7}))
-	f.Add(encodeResyncSet([]uint16{0, 1, 2, 3, 4, 5, 6, 7, 8}))
-	f.Add([]byte{0, 0, 0, 0, 255, 255})
-	f.Fuzz(func(t *testing.T, body []byte) {
-		ids, _, err := decodeResyncSet(body)
-		if err != nil {
-			return
-		}
-		if re := encodeResyncSet(ids); !bytes.Equal(re, body) {
-			t.Fatalf("accepted body is not canonical: %x re-encodes to %x", body, re)
-		}
-	})
-}
-
-// resyncLinkPair is linkPair with per-side LinkConfig tuning, so the two
-// ends can carry different suppression sets (or none).
-func resyncLinkPair(t *testing.T, tr Transport, addr string, hd, ha Handler, tuneD, tuneA func(*LinkConfig)) (*Link, *Link, error) {
-	t.Helper()
-	ln, err := tr.Listen(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	type acceptResult struct {
-		l   *Link
-		err error
-	}
-	acceptCh := make(chan acceptResult, 1)
-	go func() {
-		c, err := ln.Accept()
-		if err != nil {
-			acceptCh <- acceptResult{nil, err}
-			return
-		}
-		cfg := LinkConfig{Node: 1}
-		tuneA(&cfg)
-		l, err := AcceptLink(c, cfg, func(peer int) ([]EdgeDecl, Handler, error) {
-			return testManifest(false), ha, nil
-		})
-		acceptCh <- acceptResult{l, err}
-	}()
-	c, err := tr.Dial(ln.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := LinkConfig{Node: 0, Edges: testManifest(true)}
-	tuneD(&cfg)
-	dialer, err := NewLink(c, cfg, hd)
-	if err != nil {
-		return nil, nil, err
-	}
-	res := <-acceptCh
-	if res.err != nil {
-		return nil, nil, res.err
-	}
-	return dialer, res.l, nil
-}
-
-func waitResyncVerified(t *testing.T, links ...*Link) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for _, l := range links {
-		for !l.ResyncVerified() {
-			if time.Now().After(deadline) {
-				t.Fatal("timed out waiting for resync verification")
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-}
 
 // TestResyncSuppressesAcks: with edge 7 in both sides' suppression sets,
 // the receiver's SendAck calls for it are swallowed before any wire or
 // piggyback path — the sender's handler never sees an ack — while edge 9,
-// outside the set, still acks normally.
+// outside the set, still acks normally. The two node-wide sets differ in
+// the IDs this link does not carry (a node's other links' edges): the
+// handshake compares the per-link part only.
 func TestResyncSuppressesAcks(t *testing.T) {
 	for name, tr := range transports(t) {
 		t.Run(name, func(t *testing.T) {
 			hd, ha := newRecordingHandler(), newRecordingHandler()
-			tune := func(cfg *LinkConfig) { cfg.ResyncEdges = []uint16{7} }
-			dialer, acceptor, err := resyncLinkPair(t, tr, testAddr(name), hd, ha, tune, tune)
-			if err != nil {
-				t.Fatal(err)
-			}
+			dialer, acceptor := batchLinkPair(t, tr, testAddr(name),
+				func(cfg *LinkConfig) { cfg.ResyncEdges = []uint16{7, 200} },
+				func(cfg *LinkConfig) { cfg.ResyncEdges = []uint16{300, 7} }, hd, ha)
 			defer closeBoth(dialer, acceptor)
-			if !dialer.ResyncNegotiated() || !acceptor.ResyncNegotiated() {
-				t.Fatal("both sides configured the set but the link did not negotiate it")
-			}
-			waitResyncVerified(t, dialer, acceptor)
 
 			msg := []byte{7, 0, 4, 0, 0, 0, 1, 2, 3, 4}
 			for i := 0; i < 3; i++ {
@@ -190,133 +66,19 @@ func TestResyncSuppressesAcks(t *testing.T) {
 	}
 }
 
-// TestResyncOldPeerInterop: a peer without a suppression set (an old
-// binary, or a node whose verdict is empty) never advertises featResync,
-// so the link falls back to full acking even though this side wanted
-// suppression.
-func TestResyncOldPeerInterop(t *testing.T) {
-	hd, ha := newRecordingHandler(), newRecordingHandler()
-	dialer, acceptor, err := resyncLinkPair(t, NewLoopback(), "resync-old-peer", hd, ha,
-		func(cfg *LinkConfig) { cfg.ResyncEdges = []uint16{7} },
-		func(cfg *LinkConfig) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closeBoth(dialer, acceptor)
-	if dialer.ResyncNegotiated() || acceptor.ResyncNegotiated() {
-		t.Fatal("resync negotiated against a peer that never advertised it")
-	}
-
-	msg := []byte{7, 0, 4, 0, 0, 0, 1, 2, 3, 4}
-	for i := 0; i < 3; i++ {
-		if err := dialer.SendData(7, msg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ha.waitData(t, 7, 3)
-	if err := acceptor.SendAck(7, 3); err != nil {
-		t.Fatal(err)
-	}
-	hd.waitAcks(t, 7, 3)
-	if st := acceptor.Stats(); st.AcksSuppressed != 0 {
-		t.Errorf("AcksSuppressed = %d on an unnegotiated link", st.AcksSuppressed)
-	}
-}
-
-// TestResyncSetMismatchRefused: both sides advertise featResync but
-// computed different suppression sets — the verdicts came from different
-// graphs or mappings — so the link must refuse to run rather than
-// half-suppress, and the error must name the -resync flag.
-func TestResyncSetMismatchRefused(t *testing.T) {
-	hd, ha := newRecordingHandler(), newRecordingHandler()
-	dialer, acceptor, err := resyncLinkPair(t, NewLoopback(), "resync-mismatch", hd, ha,
-		func(cfg *LinkConfig) { cfg.ResyncEdges = []uint16{7} },
-		func(cfg *LinkConfig) { cfg.ResyncEdges = []uint16{9} })
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closeBoth(dialer, acceptor)
-
-	// Both ends tear down: the side that spots the mismatch carries the
-	// descriptive error, its peer just sees the connection die.
-	var errs []string
-	for _, ch := range []chan error{hd.closed, ha.closed} {
-		select {
-		case err := <-ch:
-			if err != nil {
-				errs = append(errs, err.Error())
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("mismatched suppression sets did not close the link")
-		}
-	}
-	joined := strings.Join(errs, "; ")
-	if !strings.Contains(joined, "resync suppression set mismatch") {
-		t.Errorf("close errors %q do not name the mismatch", joined)
-	}
-	if !strings.Contains(joined, "-resync") {
-		t.Errorf("close errors %q do not tell the operator which flag to fix", joined)
-	}
-}
-
-// TestResyncChaosSeverResume severs the connection mid-stream (twice)
-// with suppression negotiated: the RESUME replay must re-send and
-// re-verify the RESYNC frame, every message must still arrive exactly
-// once, and no ack for the suppressed edge may surface on either the
-// wire or the sender's handler — a sever must not resurrect acks.
+// TestResyncChaosSeverResume severs every connection mid-stream with
+// suppression on: every message must still arrive exactly once, and no ack
+// for the suppressed edge may surface on either the wire or the sender's
+// handler — a RESUME resumes a link whose manifest was already verified,
+// and its replay must not resurrect acks.
 func TestResyncChaosSeverResume(t *testing.T) {
+	// Write 0 of a connection is its HELLO or RESUME and the dialer's other
+	// writes are DATA, so 13 and 41 sever mid-stream on every connection.
 	ft := NewFaultTransport(NewLoopback(), FaultConfig{Seed: 9, SeverAt: []int{13, 41}, SkipFrames: 4})
-	rc := ReconnectConfig{Attempts: 50, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond, Deadline: 20 * time.Second}
 	hd, ha := newRecordingHandler(), newRecordingHandler()
-
-	ln, err := ft.Listen("resync-chaos")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	accepted := make(chan *Link, 1)
-	go func() {
-		var acceptor *Link
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			l, err := AcceptConn(c, LinkConfig{Node: 1, Reconnect: rc, ResyncEdges: []uint16{7}},
-				func(peer int) ([]EdgeDecl, Handler, error) { return testManifest(false), ha, nil },
-				func(peer int, token uint64) *Link {
-					if acceptor != nil && acceptor.PeerNode() == peer && acceptor.Token() == token {
-						return acceptor
-					}
-					return nil
-				})
-			if err != nil {
-				continue
-			}
-			if l != nil {
-				acceptor = l
-				accepted <- l
-			}
-		}
-	}()
-	c, err := ft.Dial("resync-chaos")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dialer, err := NewLink(c, LinkConfig{
-		Node: 0, Edges: testManifest(true),
-		Reconnect:   rc,
-		ResyncEdges: []uint16{7},
-		Redial:      func() (Conn, error) { return ft.Dial("resync-chaos") },
-	}, hd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acceptor := <-accepted
+	dialer, acceptor, stop := batchChaosPair(t, ft, func(cfg *LinkConfig) { cfg.ResyncEdges = []uint16{7} }, hd, ha)
+	defer stop()
 	defer closeBoth(dialer, acceptor)
-	if !dialer.ResyncNegotiated() || !acceptor.ResyncNegotiated() {
-		t.Fatal("resync not negotiated")
-	}
 
 	const n = 120
 	for i := 0; i < n; i++ {
@@ -337,8 +99,6 @@ func TestResyncChaosSeverResume(t *testing.T) {
 			t.Fatalf("message %d carries payload %d", i, binary.LittleEndian.Uint32(msg[6:]))
 		}
 	}
-	waitResyncVerified(t, dialer, acceptor)
-
 	if st := dialer.Stats(); st.Resumes == 0 {
 		t.Fatal("no resumes happened; the sever schedule never fired")
 	}

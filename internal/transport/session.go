@@ -19,11 +19,9 @@ import (
 //	SACK    := u32 sid | u16 edge | u32 count            (tagged ACK)
 //	SFIN    := u32 sid | u16 edge                        (tagged FIN)
 //
-// The capability is negotiated like ack piggybacking (mutual-optional):
-// each side advertises featSessions in its HELLO and session frames flow
-// only when both did. An old peer never sees a session frame; callers
-// fall back to running one implicit, untagged session over the plain
-// DATA/ACK/FIN types (see internal/session).
+// Nothing about it is negotiated: a link whose handler is a
+// SessionHandler sends and receives session frames, and one whose handler
+// is not fails on either.
 const (
 	frameSOpen   byte = 10
 	frameSOpenOK byte = 11
@@ -31,10 +29,6 @@ const (
 	frameSData   byte = 13
 	frameSAck    byte = 14
 	frameSFin    byte = 15
-
-	// featSessions advertises that this side understands session-tagged
-	// frames and the OPEN/OPENOK/CLOSE lifecycle.
-	featSessions uint32 = 1 << 2
 
 	sessionIDBytes  = 4
 	sopenFixedBytes = sessionIDBytes + 2            // sid + tenant length
@@ -50,7 +44,7 @@ func sessionFrame(typ byte) bool {
 	return typ >= frameSOpen && typ <= frameSFin
 }
 
-// SessionHandler extends Handler for links that negotiate featSessions.
+// SessionHandler extends Handler for links that multiplex sessions.
 // Calls are made from the link's reader goroutine in wire order, with the
 // same aliasing contract as Handler: the msg slice passed to
 // HandleSessionData is valid only for the duration of the call.
@@ -127,24 +121,9 @@ func decodeSessionFin(body []byte) (sid uint32, edge uint16, err error) {
 	return binary.LittleEndian.Uint32(body), binary.LittleEndian.Uint16(body[sessionIDBytes:]), nil
 }
 
-// SessionsNegotiated reports whether both sides advertised featSessions:
-// session-tagged frames may flow only when it returns true.
-func (l *Link) SessionsNegotiated() bool { return l.sessOn }
-
-func (l *Link) sessionSendable() error {
-	if !l.sessOn {
-		return &Error{Op: "send", Addr: l.raddr,
-			Err: fmt.Errorf("sessions not negotiated with node %d", l.peer)}
-	}
-	return nil
-}
-
 // SendSessionOpen asks the peer to admit session sid for tenant. The
 // answer arrives as HandleSessionOpenOK.
 func (l *Link) SendSessionOpen(sid uint32, tenant string) error {
-	if err := l.sessionSendable(); err != nil {
-		return err
-	}
 	if len(tenant) > maxTenantBytes {
 		return &Error{Op: "send", Addr: l.raddr,
 			Err: fmt.Errorf("tenant name of %d bytes, limit %d", len(tenant), maxTenantBytes)}
@@ -154,9 +133,6 @@ func (l *Link) SendSessionOpen(sid uint32, tenant string) error {
 
 // SendSessionOpenOK answers a session open with an admission status.
 func (l *Link) SendSessionOpenOK(sid uint32, status byte) error {
-	if err := l.sessionSendable(); err != nil {
-		return err
-	}
 	var body [sstatusBytes]byte
 	binary.LittleEndian.PutUint32(body[:], sid)
 	body[sessionIDBytes] = status
@@ -166,9 +142,6 @@ func (l *Link) SendSessionOpenOK(sid uint32, status byte) error {
 // SendSessionClose tears one session down with a final status. Like FIN,
 // the batch is flushed around it: close latency bounds session latency.
 func (l *Link) SendSessionClose(sid uint32, status byte) error {
-	if err := l.sessionSendable(); err != nil {
-		return err
-	}
 	var body [sstatusBytes]byte
 	binary.LittleEndian.PutUint32(body[:], sid)
 	body[sessionIDBytes] = status
@@ -185,9 +158,6 @@ func (l *Link) SendSessionClose(sid uint32, status byte) error {
 // stack-allocated head copied by buildFrame), so the session hot path
 // allocates exactly as much as the untagged one: nothing.
 func (l *Link) SendSessionData(sid uint32, edge uint16, msg []byte) error {
-	if err := l.sessionSendable(); err != nil {
-		return err
-	}
 	if _, ok := l.out[edge]; !ok {
 		return &Error{Op: "send", Addr: l.raddr,
 			Err: fmt.Errorf("edge %d is not outbound on this link", edge)}
@@ -206,9 +176,6 @@ func (l *Link) SendSessionData(sid uint32, edge uint16, msg []byte) error {
 // (the piggyback prefix is untagged), but the write coalescer still
 // batches them with neighboring frames.
 func (l *Link) SendSessionAck(sid uint32, edge uint16, count uint32) error {
-	if err := l.sessionSendable(); err != nil {
-		return err
-	}
 	if _, ok := l.in[edge]; !ok {
 		return &Error{Op: "send", Addr: l.raddr,
 			Err: fmt.Errorf("edge %d is not inbound on this link", edge)}
@@ -227,9 +194,6 @@ func (l *Link) SendSessionAck(sid uint32, edge uint16, count uint32) error {
 // SendSessionFin marks one edge of session sid finished, the tagged
 // counterpart of SendFin.
 func (l *Link) SendSessionFin(sid uint32, edge uint16) error {
-	if err := l.sessionSendable(); err != nil {
-		return err
-	}
 	_, outOK := l.out[edge]
 	_, inOK := l.in[edge]
 	if !outOK && !inOK {
@@ -250,11 +214,11 @@ func (l *Link) SendSessionFin(sid uint32, edge uint16) error {
 }
 
 // dispatchSession routes one inbound session frame to the SessionHandler.
-// It returns a protocol error when the peer sends session frames this
-// side never negotiated, or tags an edge outside the manifest.
+// It returns a protocol error when this side's handler is not one, or the
+// frame tags an edge outside the manifest.
 func (l *Link) dispatchSession(typ byte, body []byte) error {
 	if l.sh == nil {
-		return fmt.Errorf("session frame type %d but sessions were not negotiated", typ)
+		return fmt.Errorf("session frame type %d but this link's handler is not a SessionHandler", typ)
 	}
 	switch typ {
 	case frameSOpen:

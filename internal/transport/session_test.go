@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -95,81 +94,16 @@ func (h *sessionRecorder) wait(t *testing.T, what string, ready func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// sessionLinkPair is linkPair with featSessions advertised per side.
-func sessionLinkPair(t *testing.T, tr Transport, dialerSess, acceptSess bool, hd, ha Handler) (*Link, *Link) {
+// sessionLinkPair is linkPair for session handlers, with the Sessions
+// assertion set on both sides.
+func sessionLinkPair(t *testing.T, tr Transport, hd, ha Handler) (*Link, *Link) {
 	t.Helper()
 	addr := "sess"
 	if tr.Name() == "tcp" {
 		addr = "127.0.0.1:0"
 	}
-	ln, err := tr.Listen(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	type acceptResult struct {
-		l   *Link
-		err error
-	}
-	acceptCh := make(chan acceptResult, 1)
-	go func() {
-		c, err := ln.Accept()
-		if err != nil {
-			acceptCh <- acceptResult{nil, err}
-			return
-		}
-		l, err := AcceptLink(c, LinkConfig{Node: 1, Sessions: acceptSess}, func(peer int) ([]EdgeDecl, Handler, error) {
-			return testManifest(false), ha, nil
-		})
-		acceptCh <- acceptResult{l, err}
-	}()
-	c, err := DialRetry(context.Background(), tr, ln.Addr(), RetryConfig{Attempts: 20, BaseDelay: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dialer, err := NewLink(c, LinkConfig{Node: 0, Edges: testManifest(true), Sessions: dialerSess}, hd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := <-acceptCh
-	if res.err != nil {
-		t.Fatal(res.err)
-	}
-	return dialer, res.l
-}
-
-// TestSessionNegotiation checks the mutual-optional handshake: both sides
-// must advertise featSessions for tagged frames to flow, and an
-// un-negotiated link rejects session sends instead of confusing an old
-// peer.
-func TestSessionNegotiation(t *testing.T) {
-	cases := []struct {
-		name           string
-		dialer, accept bool
-		want           bool
-	}{
-		{"both", true, true, true},
-		{"dialer-only", true, false, false},
-		{"acceptor-only", false, true, false},
-		{"neither", false, false, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			hd, ha := newSessionRecorder(), newSessionRecorder()
-			d, a := sessionLinkPair(t, NewLoopback(), tc.dialer, tc.accept, hd, ha)
-			defer closeBoth(d, a)
-			if d.SessionsNegotiated() != tc.want || a.SessionsNegotiated() != tc.want {
-				t.Fatalf("negotiated = %v/%v, want %v", d.SessionsNegotiated(), a.SessionsNegotiated(), tc.want)
-			}
-			err := d.SendSessionOpen(1, "tenant")
-			if tc.want && err != nil {
-				t.Fatalf("SendSessionOpen on a negotiated link: %v", err)
-			}
-			if !tc.want && err == nil {
-				t.Fatal("SendSessionOpen succeeded without negotiation")
-			}
-		})
-	}
+	sessions := func(cfg *LinkConfig) { cfg.Sessions = true }
+	return batchLinkPair(t, tr, addr, sessions, sessions, hd, ha)
 }
 
 // TestSessionRoundTrip drives the whole tagged lifecycle over both
@@ -179,7 +113,7 @@ func TestSessionRoundTrip(t *testing.T) {
 	for name, tr := range transports(t) {
 		t.Run(name, func(t *testing.T) {
 			hd, ha := newSessionRecorder(), newSessionRecorder()
-			d, a := sessionLinkPair(t, tr, true, true, hd, ha)
+			d, a := sessionLinkPair(t, tr, hd, ha)
 			defer closeBoth(d, a)
 
 			if err := d.SendSessionOpen(1, "alice"); err != nil {
@@ -247,7 +181,7 @@ func TestSessionRoundTrip(t *testing.T) {
 // outside the manifest is rejected on both the send and receive side.
 func TestSessionUndeclaredEdge(t *testing.T) {
 	hd, ha := newSessionRecorder(), newSessionRecorder()
-	d, a := sessionLinkPair(t, NewLoopback(), true, true, hd, ha)
+	d, a := sessionLinkPair(t, NewLoopback(), hd, ha)
 	defer closeBoth(d, a)
 	if err := d.SendSessionData(1, 99, []byte{99, 0, 1}); err == nil {
 		t.Fatal("SendSessionData accepted an undeclared edge")
@@ -278,7 +212,7 @@ func (nullSessionHandler) HandleSessionFin(sid uint32, edge uint16)             
 // (encode, CRC, write) is in scope; the warmup fills the resend window
 // and buffer pools so steady state is what's measured.
 func TestSessionSendZeroAlloc(t *testing.T) {
-	d, a := sessionLinkPair(t, &TCP{}, true, true, nullSessionHandler{}, nullSessionHandler{})
+	d, a := sessionLinkPair(t, &TCP{}, nullSessionHandler{}, nullSessionHandler{})
 	defer closeBoth(d, a)
 	msg := []byte{7, 0, 1, 2}
 	for i := 0; i < 600; i++ {

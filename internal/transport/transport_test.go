@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"runtime"
 	"strings"
@@ -187,12 +188,13 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestHelloRoundTrip(t *testing.T) {
 	edges := testManifest(true)
-	node, token, got, _, err := decodeHello(encodeHello(42, 0xfeedface, edges, 0))
+	edges[0].noAck = true
+	node, token, got, blocked, err := decodeHello(encodeHello(42, 0xfeedface, edges, true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if node != 42 || token != 0xfeedface || len(got) != len(edges) {
-		t.Fatalf("decoded node %d token %#x, %d edges", node, token, len(got))
+	if node != 42 || token != 0xfeedface || !blocked || len(got) != len(edges) {
+		t.Fatalf("decoded node %d token %#x blocked %v, %d edges", node, token, blocked, len(got))
 	}
 	for i := range edges {
 		if got[i] != edges[i] {
@@ -200,7 +202,7 @@ func TestHelloRoundTrip(t *testing.T) {
 		}
 	}
 	// Truncated and corrupted hellos fail cleanly.
-	raw := encodeHello(1, 7, edges, 0)
+	raw := encodeHello(1, 7, edges, false)
 	for cut := 0; cut < len(raw); cut++ {
 		if _, _, _, _, err := decodeHello(raw[:cut]); err == nil {
 			t.Fatalf("hello truncated to %d bytes should fail", cut)
@@ -237,7 +239,7 @@ func TestDialRetryCancelledContext(t *testing.T) {
 	}
 }
 
-// TestResumeFrameRoundTrips covers the v2 control-frame codecs.
+// TestResumeFrameRoundTrips covers the control-frame codecs.
 func TestResumeFrameRoundTrips(t *testing.T) {
 	node, token, recv, err := decodeResume(encodeResume(3, 0xdeadbeef, 99))
 	if err != nil || node != 3 || token != 0xdeadbeef || recv != 99 {
@@ -246,10 +248,12 @@ func TestResumeFrameRoundTrips(t *testing.T) {
 	if _, _, _, err := decodeResume(encodeResume(3, 1, 2)[:10]); err == nil {
 		t.Fatal("truncated resume should fail")
 	}
-	if n, err := decodeResumeOK(encodeResumeOK(7)); err != nil || n != 7 {
+	var seq [cumAckBodyBytes]byte // CUMACK and RESUMEOK senders build this body on the stack
+	binary.LittleEndian.PutUint64(seq[:], 12)
+	if n, err := decodeResumeOK(seq[:]); err != nil || n != 12 {
 		t.Fatalf("resume-ok round trip: %d %v", n, err)
 	}
-	if n, err := decodeCumAck(encodeCumAck(12)); err != nil || n != 12 {
+	if n, err := decodeCumAck(seq[:]); err != nil || n != 12 {
 		t.Fatalf("cumack round trip: %d %v", n, err)
 	}
 	if e, err := decodeFin(encodeFin(9)); err != nil || e != 9 {
