@@ -25,11 +25,12 @@ race:
 	$(GO) test -race ./...
 
 # The allocation guards (steady-state allocations per iteration and per LPC
-# frame, and what a deployment costs to open) hold their measurements to
-# nothing under the race detector, whose runtime drops sync.Pool entries at
-# random, so `race` alone would never enforce one: this run is the gate.
+# frame, what a deployment costs to open, to lower from a ready spec, and a
+# whole admitted session) hold their measurements to nothing under the race
+# detector, whose runtime drops sync.Pool entries at random, so `race` alone
+# would never enforce one: this run is the gate.
 allocs:
-	$(GO) test -run Allocs -count=1 ./internal/spi ./internal/lpc
+	$(GO) test -run Allocs -count=1 ./internal/spi ./internal/lpc ./internal/session
 
 # Non-test Go lines per package: the quantity ROADMAP aim 2 sets its
 # reduction target on. Lines as `wc -l` counts them, comments included, so
@@ -38,7 +39,7 @@ allocs:
 # check` runs this target and fails when one is exceeded, so growth is an
 # explicit, reviewed edit of the number below. Lower a ceiling whenever a
 # change shrinks its directory.
-LOC_CEILINGS = internal/spi:4443 internal/transport:4800 internal/session:1442 internal/orch:1579 cmd:2809
+LOC_CEILINGS = internal/spi:4327 internal/transport:4800 internal/session:1437 internal/orch:1577 cmd:2809
 loc:
 	@over=0; for e in $(LOC_CEILINGS); do d=$${e%:*}; max=$${e#*:}; \
 		n=$$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \

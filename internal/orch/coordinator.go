@@ -43,8 +43,8 @@ type CoordConfig struct {
 	// round, abort quiescence). A worker that blows the deadline is
 	// reaped like a dead one. Zero disables the reaper.
 	EpochTimeout time.Duration
-	// Resync activates the sync-graph ack-suppression marks on every
-	// dispatched partition spec: workers skip UBS acks on edges whose
+	// Resync has the §4 resynchronization verdict computed and stamped on
+	// every dispatched partition spec: workers skip UBS acks on edges whose
 	// synchronization another path already covers. Each epoch's
 	// re-placement recomputes which marked edges cross workers, so the
 	// suppression set follows migrations. Every data link checks its part
@@ -287,6 +287,7 @@ type coordRun struct {
 	pool []*workerConn // registered and live, sorted by stable ID
 	// specs caches BuildPartitions (and the resync verdict inside it) per
 	// placement: a re-deployment onto a placement seen before plans nothing.
+	// A cached spec stays as built; dispatch fills the epoch into a copy.
 	specs map[string][]*spi.PartitionSpec
 }
 
@@ -325,7 +326,8 @@ func (r *coordRun) partitions(placement []int, workers int) ([]*spi.PartitionSpe
 	if specs, ok := r.specs[key]; ok {
 		return specs, nil
 	}
-	specs, err := spi.BuildPartitions(r.c.cfg.Graph, r.c.cfg.Mapping, placement, workers)
+	// Orchestrated runs are scalar: the checkpoint is token-granular.
+	specs, err := spi.BuildPartitions(r.c.cfg.Graph, r.c.cfg.Mapping, placement, workers, 1, r.c.cfg.Resync)
 	if err == nil {
 		r.specs[key] = specs
 	}
@@ -504,12 +506,10 @@ func (c *Coordinator) Run(ctx context.Context) (*Report, error) {
 	go c.accept(ln)
 	defer c.closeAll()
 
-	g, m := c.cfg.Graph, c.cfg.Mapping
-	tails, err := spi.InitialPreloads(g, m)
-	if err != nil {
-		return nil, err
-	}
-	state := map[string][]byte{}
+	m := c.cfg.Mapping
+	// The checkpoint: the in-flight tokens of the delayed edges and the actor
+	// state blobs at the last commit. A fresh spec carries iteration 0's.
+	tails, state := map[uint16][][]byte{}, map[string][]byte{}
 	load := make([]float64, m.NumProcs)
 	for p := range load {
 		load[p] = 1
@@ -609,13 +609,13 @@ func (c *Coordinator) Run(ctx context.Context) (*Report, error) {
 			}
 			// Cold phase 2: dispatch partition specs with the checkpoint.
 			for slot, wc := range parts {
-				spec := cur.specs[slot]
+				spec := *cur.specs[slot]
 				spec.BaseIter, spec.Iterations, spec.Addrs = base, n, es.addrs
-				spec.Resync = c.cfg.Resync
-				for i := range spec.Edges {
-					e := &spec.Edges[i]
-					if (e.Out || e.SameProc) && e.Delay > 0 {
-						spec.Preload[e.ID] = tails[e.ID]
+				spec.Preload = map[uint16][][]byte{}
+				for id, fresh := range cur.specs[slot].Preload {
+					spec.Preload[id] = fresh
+					if tail, ok := tails[id]; ok {
+						spec.Preload[id] = tail
 					}
 				}
 				spec.State = map[string][]byte{}
@@ -626,7 +626,7 @@ func (c *Coordinator) Run(ctx context.Context) (*Report, error) {
 						}
 					}
 				}
-				send(wc, Task{Epoch: epoch, Spec: spec})
+				send(wc, Task{Epoch: epoch, Spec: &spec})
 			}
 			if !lastCommit.IsZero() {
 				pauseUS.Observe(float64(time.Since(lastCommit).Microseconds()))

@@ -642,7 +642,7 @@ func TestOrchestratedResyncStanding(t *testing.T) {
 			}
 			v.peers[e.Peer] = true
 			switch {
-			case spec.Resync && e.SuppressAck:
+			case e.SuppressAck:
 				v.set[e.ID] = true
 				v.suppresses = v.suppresses || e.In
 			case e.In:
@@ -750,7 +750,7 @@ func (w *coldWorker) run(ctx context.Context) error {
 		case Task:
 			ks, _ := demoProvider(m.Spec)
 			var res *spi.PartResult
-			pr, err = spi.OpenPartition(m.Spec, ks.Kernels, spi.PartOptions{
+			pr, err = spi.OpenPartition(m.Spec, ks.Kernels, spi.DistOptions{
 				Transport: w.tr, Listener: lns[m.Epoch], Retry: fastRetry(), Context: ctx,
 			})
 			lns[m.Epoch].Close()
@@ -880,18 +880,14 @@ func TestWorkerContinueWithoutDeployment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs, err := spi.BuildPartitions(g, m, []int{0, 0, 0}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pre, err := spi.InitialPreloads(g, m)
+	specs, err := spi.BuildPartitions(g, m, []int{0, 0, 0}, 1, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	send(wc, Prepare{Epoch: 6})
 	addr := expect(Ready{}).(Ready).Addr
 	spec := specs[0]
-	spec.BaseIter, spec.Iterations, spec.Addrs, spec.Preload = 0, 6, []string{addr}, pre
+	spec.BaseIter, spec.Iterations, spec.Addrs = 0, 6, []string{addr}
 	send(wc, Task{Epoch: 6, Spec: spec})
 	expect(Done{})
 	send(wc, Continue{Epoch: 7, BaseIter: 6, Iterations: 6})

@@ -315,6 +315,7 @@ func Encode(msg any) (op byte, payload []byte) {
 
 func encodeSpec(w *writer, s *spi.PartitionSpec) {
 	w.str(s.Graph)
+	w.u32(uint32(s.Block))
 	w.u32(uint32(s.Node))
 	w.u32(uint32(s.Workers))
 	w.u32(uint32(len(s.Addrs)))
@@ -348,6 +349,7 @@ func encodeSpec(w *writer, s *spi.PartitionSpec) {
 		w.u8(e.Protocol)
 		w.u32(e.Capacity)
 		w.u32(e.Delay)
+		w.u32(e.Block)
 		var flags byte
 		if e.SameProc {
 			flags |= 1
@@ -383,16 +385,12 @@ func encodeSpec(w *writer, s *spi.PartitionSpec) {
 		w.str(k)
 		w.bytes(s.State[k])
 	}
-	var resync byte
-	if s.Resync {
-		resync = 1
-	}
-	w.u8(resync)
 }
 
 func decodeSpec(r *reader) *spi.PartitionSpec {
 	s := &spi.PartitionSpec{
 		Graph:   r.str(),
+		Block:   int(r.u32()),
 		Node:    int(r.u32()),
 		Workers: int(r.u32()),
 	}
@@ -416,7 +414,7 @@ func decodeSpec(r *reader) *spi.PartitionSpec {
 		}
 		s.Procs = append(s.Procs, p)
 	}
-	for n := r.count(25); n > 0; n-- {
+	for n := r.count(29); n > 0; n-- {
 		e := spi.PartEdge{
 			ID:       r.u16(),
 			Name:     r.str(),
@@ -425,6 +423,7 @@ func decodeSpec(r *reader) *spi.PartitionSpec {
 			Protocol: r.u8(),
 			Capacity: r.u32(),
 			Delay:    r.u32(),
+			Block:    r.u32(),
 		}
 		flags := r.u8()
 		e.SameProc = flags&1 != 0
@@ -454,7 +453,6 @@ func decodeSpec(r *reader) *spi.PartitionSpec {
 			return s
 		}
 	}
-	s.Resync = r.u8() != 0
 	return s
 }
 

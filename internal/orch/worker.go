@@ -267,7 +267,7 @@ func (w *Worker) deploy(ctx context.Context, t Task) *deployment {
 			fail(t.Epoch, err.Error())
 			return
 		}
-		pr, err := spi.OpenPartition(t.Spec, ks.Kernels, spi.PartOptions{
+		pr, err := spi.OpenPartition(t.Spec, ks.Kernels, spi.DistOptions{
 			Transport: w.cfg.Transport, Listener: ln,
 			Retry: w.cfg.Retry, Context: dctx,
 			Reconnect: w.cfg.Reconnect,

@@ -2,6 +2,7 @@ package session
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -72,13 +73,15 @@ type SessionAge struct {
 }
 
 // Server owns this node's side of every session on every attached link:
-// it admits OPENs in arrival order, runs one session-scoped
-// ExecuteDistributed per admitted session, and closes each session with
-// its outcome. One Server serves many muxes (one per peer link).
+// it admits OPENs in arrival order, runs one session-scoped deployment of
+// its partition per admitted session, and closes each session with its
+// outcome. One Server serves many muxes (one per peer link).
 type Server struct {
-	cfg   ServerConfig
-	nodes int
-	adm   *admitter
+	cfg ServerConfig
+	// spec is this node's share of the graph, compiled once; every session
+	// lowers it, concurrently, and none writes it.
+	spec *spi.PartitionSpec
+	adm  *admitter
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -105,25 +108,22 @@ type openReq struct {
 	tenant string
 }
 
-// NewServer validates the graph/mapping pair once and starts the
-// admission dispatcher.
+// NewServer compiles this node's partition of the graph once — validating
+// graph, mapping and node assignment — and starts the admission dispatcher.
 func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Graph == nil || cfg.Mapping == nil || cfg.Kernels == nil {
 		return nil, fmt.Errorf("session: ServerConfig needs Graph, Mapping and Kernels")
 	}
-	if err := cfg.Mapping.Validate(cfg.Graph); err != nil {
+	nodes := cfg.Mapping.NumProcs // no NodeOf is the identity assignment
+	if len(cfg.NodeOf) > 0 {
+		nodes = 1 + slices.Max(cfg.NodeOf)
+	}
+	spec, err := spi.BuildPartition(cfg.Graph, cfg.Mapping, cfg.NodeOf, nodes, cfg.Node, cfg.Block, false)
+	if err != nil {
 		return nil, err
 	}
-	nodes := 0
-	for _, n := range cfg.NodeOf {
-		if n+1 > nodes {
-			nodes = n + 1
-		}
-	}
-	if nodes == 0 {
-		nodes = cfg.Mapping.NumProcs
-	}
-	s := &Server{cfg: cfg, nodes: nodes, adm: newAdmitter(cfg.Admission), links: map[*Mux]*transport.Link{}}
+	spec.Iterations = cfg.Iterations
+	s := &Server{cfg: cfg, spec: spec, adm: newAdmitter(cfg.Admission), links: map[*Mux]*transport.Link{}}
 	s.cond = sync.NewCond(&s.mu)
 	s.wg.Add(1)
 	go s.dispatch()
@@ -261,21 +261,16 @@ func (s *Server) handleOpen(req openReq) {
 }
 
 // runSession is one session's whole server-side life: instantiate
-// kernels, execute the node's partition over the session stream, send
+// kernels, lower the server's spec and run it over the session stream, send
 // CLOSE with the outcome, release the admission slot.
 func (s *Server) runSession(m *Mux, st *Stream, e *entry, tenant string) {
 	defer s.wg.Done()
 	start := time.Now()
-	kernels := s.cfg.Kernels(st.SID(), tenant)
-	opts := spi.DistOptions{
-		Node:   s.cfg.Node,
-		Addrs:  make([]string, s.nodes),
-		NodeOf: s.cfg.NodeOf,
-		Block:  s.cfg.Block,
-		Links:  st,
-		Obs:    s.cfg.Obs,
+	kernels := map[string]spi.Kernel{}
+	for a, k := range s.cfg.Kernels(st.SID(), tenant) {
+		kernels[s.cfg.Graph.Actor(a).Name] = k
 	}
-	_, err := spi.ExecuteDistributed(s.cfg.Graph, s.cfg.Mapping, kernels, s.cfg.Iterations, opts)
+	_, err := spi.ExecutePartition(s.spec, kernels, spi.DistOptions{Links: st, Obs: s.cfg.Obs})
 
 	status := CloseDone
 	switch {

@@ -26,12 +26,16 @@ var testNodeOf = []int{0, 1}
 // testGraph is the two-node test graph: A --ab(static, delayed)--> B
 // --bc(dynamic)--> C, with A and C on the client node and B on the
 // server node, so both edges cross the shared link.
-func testGraph() (*dataflow.Graph, *sched.Mapping) {
+func testGraph() (*dataflow.Graph, *sched.Mapping) { return delayedGraph(1) }
+
+// delayedGraph is testGraph with the given number of iterations of delay on
+// ab.
+func delayedGraph(delay int) (*dataflow.Graph, *sched.Mapping) {
 	g := dataflow.New("sess")
 	a := g.AddActor("A", 1)
 	b := g.AddActor("B", 1)
 	c := g.AddActor("C", 1)
-	g.AddEdge("ab", a, b, 8, 8, dataflow.EdgeSpec{TokenBytes: 1, Delay: 8})
+	g.AddEdge("ab", a, b, 8, 8, dataflow.EdgeSpec{TokenBytes: 1, Delay: 8 * delay})
 	g.AddEdge("bc", b, c, 8, 8, dataflow.EdgeSpec{TokenBytes: 1, ProduceDynamic: true, ConsumeDynamic: true})
 	m := &sched.Mapping{
 		NumProcs: 2,
@@ -85,7 +89,12 @@ func defaultServerKernels(sid uint32, tenant string) map[dataflow.ActorID]spi.Ke
 // baseline every session must reproduce.
 func localReference(t *testing.T, iters int) [][]byte {
 	t.Helper()
-	g, m := testGraph()
+	return reference(t, iters, 1)
+}
+
+func reference(t *testing.T, iters, delay int) [][]byte {
+	t.Helper()
+	g, m := delayedGraph(delay)
 	var sink [][]byte
 	var mu sync.Mutex
 	if _, err := spi.Execute(g, m, testKernels(&sink, &mu), iters); err != nil {
@@ -113,6 +122,9 @@ type harness struct {
 	client *Client
 	iters  int
 	block  int
+	// g and m are the graph the client half runs; nil is testGraph.
+	g *dataflow.Graph
+	m *sched.Mapping
 
 	dialer   *transport.Link
 	acceptor *transport.Link
@@ -124,11 +136,11 @@ type harness struct {
 // the server never sees.
 func startServe(t *testing.T, tr transport.Transport, addr string, cfg ServerConfig, clientSessions bool) *harness {
 	t.Helper()
-	g, m := testGraph()
 	if cfg.Graph == nil {
-		cfg.Graph, cfg.Mapping, cfg.NodeOf = g, m, testNodeOf
+		cfg.Graph, cfg.Mapping = testGraph()
 	}
-	cfg.Node = serverNode
+	g, m := cfg.Graph, cfg.Mapping
+	cfg.NodeOf, cfg.Node = testNodeOf, serverNode
 	if cfg.Kernels == nil {
 		cfg.Kernels = defaultServerKernels
 	}
@@ -195,6 +207,7 @@ func startServe(t *testing.T, tr transport.Transport, addr string, cfg ServerCon
 		client: NewClient(clientMux, 10*time.Second),
 		iters:  cfg.Iterations,
 		block:  cfg.Block,
+		g:      g, m: m,
 		dialer: d, acceptor: a, ln: ln,
 	}
 }
@@ -211,7 +224,10 @@ func (h *harness) stop() {
 // runStream executes the client partition over an open stream and waits
 // for the server's verdict.
 func (h *harness) runStream(s *Stream) ([][]byte, byte, error) {
-	g, m := testGraph()
+	g, m := h.g, h.m
+	if g == nil {
+		g, m = testGraph()
+	}
 	var sink [][]byte
 	var mu sync.Mutex
 	_, execErr := spi.ExecuteDistributed(g, m, testKernels(&sink, &mu), h.iters, spi.DistOptions{
@@ -282,6 +298,48 @@ func TestServeSingleSession(t *testing.T) {
 				t.Fatalf("snapshot %+v", snap)
 			}
 		})
+	}
+}
+
+// TestServeBlockedSession: a vectorized server (ServerConfig.Block) serves
+// a graph whose delayed cross-node edge is block-aligned — two iterations of
+// delay at B = 2, so the delay tokens themselves travel as a slab — and
+// whose run ends on a partial block. A session is a static run: it keeps no
+// checkpoint, so nothing about the blocked edge is refused, and its output is
+// the scalar reference's.
+func TestServeBlockedSession(t *testing.T) {
+	const iters, delay = 11, 2
+	ref := reference(t, iters, delay)
+	g, m := delayedGraph(delay)
+	h := startServe(t, transport.NewLoopback(), "srv-blocked",
+		ServerConfig{Graph: g, Mapping: m, Iterations: iters, Block: 2}, true)
+	defer h.stop()
+	for i := 0; i < 3; i++ {
+		sink, status, err := h.runSession("alice")
+		if err != nil || status != CloseDone {
+			t.Fatalf("session %d: status %s, err %v", i, closeString(status), err)
+		}
+		if !samePayloads(sink, ref) {
+			t.Fatalf("session %d: blocked output differs from the scalar reference: %d vs %d payloads", i, len(sink), len(ref))
+		}
+	}
+}
+
+// TestServerNodeListWithHole: a static node list may name nodes that host
+// nothing. Processors on nodes 0 and 2 leave node 1 empty; the server on
+// node 2 compiles its own share alone and starts, and the empty node itself
+// is refused by name.
+func TestServerNodeListWithHole(t *testing.T) {
+	g, m := testGraph()
+	cfg := ServerConfig{Graph: g, Mapping: m, NodeOf: []int{0, 2}, Node: 2, Iterations: 1, Kernels: defaultServerKernels}
+	srv, err := NewServer(cfg)
+	if err != nil {
+		t.Fatalf("node list with a hole: %v", err)
+	}
+	srv.Close()
+	cfg.Node = 1
+	if _, err := NewServer(cfg); err == nil || err.Error() != "spi: node 1 hosts no processors" {
+		t.Fatalf("server on the empty node: %v", err)
 	}
 }
 

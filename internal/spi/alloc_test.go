@@ -109,16 +109,30 @@ func TestAllocsDistributedLoopback(t *testing.T) {
 	alloctest.Check(t, "2-node loopback ExecuteDistributed open", open, pinnedDistOpen)
 }
 
+// TestAllocsLowerReadySpec pins what one deployment of a compiled spec
+// costs before any edge is opened: what a session server, which compiles
+// its spec once, pays per admission instead of planning the graph again.
+func TestAllocsLowerReadySpec(t *testing.T) {
+	g, m := pipelineGraph(t)
+	specs, err := BuildPartitions(g, m, []int{0, 0}, 1, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, byName := pipelineKernels()
+	lower := alloctest.Min(5, func() {
+		if _, err := lowerPartition(specs[0], byName, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	alloctest.Check(t, "lowerPartition pipeline.sdf, one node", lower, pinnedLowerSpec)
+}
+
 // openPipelinePartitions opens pipeline.sdf as a standing two-worker
 // deployment over a fresh loopback.
 func openPipelinePartitions(t *testing.T, tag string) [2]*PartitionRun {
 	t.Helper()
 	g, m := pipelineGraph(t)
-	specs, err := BuildPartitions(g, m, []int{0, 1}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pre, err := InitialPreloads(g, m)
+	specs, err := BuildPartitions(g, m, []int{0, 1}, 2, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,16 +144,11 @@ func openPipelinePartitions(t *testing.T, tag string) [2]*PartitionRun {
 	for w, spec := range specs {
 		spec.Addrs = addrs
 		spec.Iterations = 1
-		for i := range spec.Edges {
-			if e := &spec.Edges[i]; (e.Out || e.SameProc) && e.Delay > 0 {
-				spec.Preload[e.ID] = pre[e.ID]
-			}
-		}
 		wg.Add(1)
 		go func(w int, spec *PartitionSpec) {
 			defer wg.Done()
 			_, byName := pipelineKernels()
-			runs[w], errs[w] = OpenPartition(spec, byName, PartOptions{
+			runs[w], errs[w] = OpenPartition(spec, byName, DistOptions{
 				Transport: tr,
 				Retry:     transport.RetryConfig{Attempts: 50, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
 			})
@@ -193,18 +202,23 @@ func TestAllocsStandingPartitionRun(t *testing.T) {
 	alloctest.Check(t, "OpenPartition two workers, open and close", open, pinnedPartOpen)
 }
 
-// Measured with go1.24 at GOMAXPROCS=1: the deployment costs on the commit
-// before the executor core was unified (three hand-copied firing loops, two
-// environments), the per-iteration ones after the local queues began to
-// recycle their token buffers, which took one allocation off each.
+// Measured with go1.24 at GOMAXPROCS=1. The per-iteration costs date from
+// the commit on which the local queues began to recycle their token buffers;
+// the deployment costs from the one that made the PartitionSpec the single
+// compiled form. A static open pays for the spec it compiles on the way
+// (Execute 122 → 131 allocations, 7157 → 8325 B: the spec with its
+// processors, actors, edge lists and edges, and its preload map); a
+// standing one no longer computes a resynchronization verdict nobody asked
+// for (827 → 369).
 var (
 	pinnedExecPerIter = alloctest.Allocs{N: 1.00, Bytes: 139}
-	pinnedExecOpen    = alloctest.Allocs{N: 122, Bytes: 7157}
+	pinnedExecOpen    = alloctest.Allocs{N: 131, Bytes: 8325}
 	// Bytes not pinned: how far the edge queues and resend buffers grow
 	// depends on scheduling: three parent runs spread from 72 to 161 B.
 	pinnedDistPerIter = alloctest.Allocs{N: 2.04}
-	pinnedDistOpen    = alloctest.Allocs{N: 464, Bytes: 28432}
+	pinnedDistOpen    = alloctest.Allocs{N: 447, Bytes: 27992}
 	pinnedPartPerIter = alloctest.Allocs{N: 2.06, Bytes: 36}
 	pinnedPartPerRun  = alloctest.Allocs{N: 29, Bytes: 1620}
-	pinnedPartOpen    = alloctest.Allocs{N: 827, Bytes: 45384}
+	pinnedPartOpen    = alloctest.Allocs{N: 369, Bytes: 29792}
+	pinnedLowerSpec   = alloctest.Allocs{N: 13, Bytes: 1560}
 )

@@ -6,7 +6,6 @@ import (
 	"repro/internal/dataflow"
 	"repro/internal/platform"
 	"repro/internal/sched"
-	"repro/internal/vts"
 )
 
 // EdgePlan records how one interprocessor dataflow edge is realized by SPI.
@@ -72,35 +71,31 @@ type Deployment struct {
 	SyncChannels []platform.ChannelID
 }
 
-// Build lowers the system onto a platform.Sim. The lowering:
+// Build lowers the system onto a platform.Sim. It reads the edge plans of
+// the planner the executors compile their specs from (graphPlan, plan.go),
+// so the simulated channels and the runtime's edges cannot drift apart. The
+// lowering:
 //
-//  1. VTS-converts the graph so every edge has a static packed rate, and
-//     computes buffer bounds (eq. 1, eq. 2).
-//  2. Chooses per-edge protocol: BBS with the bounded capacity when eq. 2
-//     yields a finite bound, UBS otherwise (or when forced).
+//  1. Plans the graph: VTS conversion so every edge has a static packed
+//     rate, and the buffer bounds (eq. 1, eq. 2).
+//  2. Takes each interprocessor edge's component, protocol and capacity
+//     from its plan (graphPlan.edge: BBS with the bounded capacity when
+//     eq. 2 yields a finite bound, UBS otherwise), UBS when forced.
 //  3. Inserts an SPI channel per interprocessor edge: SPI_static header
-//     for originally-static edges, SPI_dynamic for VTS edges.
+//     for originally-static edges, SPI_dynamic for VTS and blocked edges.
 //  4. Emits per-PE programs in mapping order: receive inputs, compute the
 //     actor block, send outputs — the communication actors bracketing the
 //     computation, per the SPI actor-pair insertion of paper §2.
 func Build(sys *System) (*Deployment, error) {
 	g := sys.Graph
 	m := sys.Mapping
-	if err := m.Validate(g); err != nil {
-		return nil, err
-	}
-	conv, err := vts.Convert(g)
+	// One simulated PE per processor: the identity placement. Like the
+	// executors, the simulator holds the schedule to the blocking factor.
+	plan, err := placedPlan(g, m, nil, m.NumProcs, sys.Block, true, false)
 	if err != nil {
 		return nil, err
 	}
-	bounds, err := vts.ComputeBounds(conv)
-	if err != nil {
-		return nil, err
-	}
-	q, err := g.RepetitionsVector()
-	if err != nil {
-		return nil, err
-	}
+	blk, q := plan.block, plan.q
 	if sys.Platform.NumPEs == 0 {
 		sys.Platform = platform.DefaultConfig(m.NumProcs)
 	}
@@ -119,68 +114,30 @@ func Build(sys *System) (*Deployment, error) {
 	if syncBytes == 0 {
 		syncBytes = 2
 	}
-	blk := sys.Block
-	if blk < 1 {
-		blk = 1
-	}
-	if blk > 1 {
-		if err := g.CheckBlock(blk); err != nil {
-			return nil, err
-		}
-	}
 
 	dep := &Deployment{Sim: sim}
-	// Channel per interprocessor edge.
+	// Channel per interprocessor edge, as planned. A blocked edge moves one
+	// slab per sim iteration, the rest blk individual messages; capacity and
+	// preload count whole messages (slabs when blocked).
+	edgeOf := make(map[dataflow.EdgeID]PartEdge)
 	chanOf := make(map[dataflow.EdgeID]platform.ChannelID)
-	planOf := make(map[dataflow.EdgeID]*EdgePlan)
-	// blockOf is the per-edge message granularity in iterations: blk on
-	// block-aligned edges (one slab per sim iteration), 1 on the rest
-	// (blk individual messages per sim iteration).
-	blockOf := make(map[dataflow.EdgeID]int)
 	for _, eid := range m.InterprocessorEdges(g) {
 		e := g.Edge(eid)
-		info := conv.Info(eid)
-		delayIters := 0
-		if tokensPerMsg := int(g.IterationTokens(q, eid)); tokensPerMsg > 0 {
-			delayIters = e.Delay / tokensPerMsg
-		}
-		bf := 1
-		if blk > 1 && delayIters%blk == 0 {
-			bf = blk
-		}
-		blockOf[eid] = bf
-		mode := Static
-		if info.Dynamic || bf > 1 {
-			mode = Dynamic
-		}
-		b := bounds[eid]
-		proto := BBS
-		capMsgs := 0
-		if sys.ForceUBS[eid] || !b.Bounded {
-			proto = UBS
-		} else {
-			// Capacity in messages: the byte bound divided by the packed
-			// token size, at least one message. A blocked edge counts in
-			// slabs of bf packed tokens, scaling the eq. 2 bound by B.
-			capMsgs = int(b.IPC/b.BMax) / bf
-			if capMsgs < 1 {
-				capMsgs = 1
-			}
+		pe := plan.edge(eid)
+		edgeOf[eid] = pe
+		cfg := pe.config()
+		if sys.ForceUBS[eid] {
+			cfg.Protocol, cfg.Capacity = UBS, 0
 		}
 		spec := platform.ChannelSpec{
 			From:        int(m.Proc[e.Src]),
 			To:          int(m.Proc[e.Snk]),
 			Name:        e.Name,
-			HeaderBytes: HeaderBytes(mode),
-			Capacity:    capMsgs,
+			HeaderBytes: HeaderBytes(cfg.Mode),
+			Capacity:    cfg.Capacity,
+			Preload:     int(pe.Delay / pe.Block),
 		}
-		// Preload counts whole packed messages (slabs when blocked):
-		// delay tokens per message batch moved each iteration.
-		spec.Preload = delayIters / bf
-		if spec.Capacity > 0 && spec.Preload > spec.Capacity {
-			spec.Capacity = spec.Preload
-		}
-		if proto == UBS && !sys.SuppressAcks {
+		if cfg.Protocol == UBS && !sys.SuppressAcks {
 			spec.AckBytes = ackBytes
 		}
 		ch, err := sim.AddChannel(spec)
@@ -189,9 +146,8 @@ func Build(sys *System) (*Deployment, error) {
 		}
 		chanOf[eid] = ch
 		dep.Plans = append(dep.Plans, EdgePlan{
-			Edge: eid, Channel: ch, Mode: mode, Protocol: proto, Capacity: capMsgs,
+			Edge: eid, Channel: ch, Mode: cfg.Mode, Protocol: cfg.Protocol, Capacity: cfg.Capacity,
 		})
-		planOf[eid] = &dep.Plans[len(dep.Plans)-1]
 	}
 
 	// Extra sync message channels.
@@ -222,7 +178,7 @@ func Build(sys *System) (*Deployment, error) {
 				if !ok {
 					continue
 				}
-				for i := blk / blockOf[eid]; i > 0; i-- {
+				for i := blk / int(edgeOf[eid].Block); i > 0; i-- {
 					prog = append(prog, platform.Recv(ch))
 				}
 			}
@@ -252,8 +208,8 @@ func Build(sys *System) (*Deployment, error) {
 				if !ok {
 					continue
 				}
-				info := conv.Info(eid)
-				bf := blockOf[eid]
+				pe := edgeOf[eid]
+				bf := int(pe.Block)
 				if fn, ok := sys.PayloadFn[eid]; ok {
 					if bf > 1 {
 						// One slab carries the block's packed payloads plus
@@ -280,12 +236,12 @@ func Build(sys *System) (*Deployment, error) {
 				} else if bf > 1 {
 					// Worst-case slab: the block's packed payloads at b_max
 					// each, plus the size table on originally-dynamic edges.
-					prog = append(prog, platform.Send(ch, SlabBound(int(info.BMax), info.Dynamic, bf)))
+					prog = append(prog, platform.Send(ch, pe.config().MaxBytes))
 				} else {
 					// Worst-case packed payload per message, blk of them
 					// when the edge is misaligned with the block.
 					for i := 0; i < blk; i++ {
-						prog = append(prog, platform.Send(ch, int(info.BMax)))
+						prog = append(prog, platform.Send(ch, int(pe.Bytes)))
 					}
 				}
 			}

@@ -215,11 +215,7 @@ func (c diffCase) distributed() (map[string]uint64, error) {
 // partitioned opens the case as a standing two-worker deployment and fires
 // it as three consecutive Run ranges.
 func (c diffCase) partitioned() (map[string]uint64, error) {
-	specs, err := spi.BuildPartitions(c.g, c.m, c.nodeOf, 2)
-	if err != nil {
-		return nil, err
-	}
-	pre, err := spi.InitialPreloads(c.g, c.m)
+	specs, err := spi.BuildPartitions(c.g, c.m, c.nodeOf, 2, 1, false)
 	if err != nil {
 		return nil, err
 	}
@@ -234,11 +230,6 @@ func (c diffCase) partitioned() (map[string]uint64, error) {
 	var wg sync.WaitGroup
 	for w, spec := range specs {
 		spec.Addrs, spec.Iterations = addrs, c.iterations
-		for i := range spec.Edges {
-			if e := &spec.Edges[i]; (e.Out || e.SameProc) && e.Delay > 0 {
-				spec.Preload[e.ID] = pre[e.ID]
-			}
-		}
 		kernels, s := demo.PartKernels(spec, c.seed)
 		for name, k := range kernels {
 			kernels[name] = recycling(k)
@@ -247,7 +238,7 @@ func (c diffCase) partitioned() (map[string]uint64, error) {
 		wg.Add(1)
 		go func(w int, spec *spi.PartitionSpec) {
 			defer wg.Done()
-			pr, err := spi.OpenPartition(spec, kernels, spi.PartOptions{Transport: tr, Retry: diffRetry})
+			pr, err := spi.OpenPartition(spec, kernels, spi.DistOptions{Transport: tr, Retry: diffRetry})
 			if err != nil {
 				errs[w] = err
 				return
@@ -332,5 +323,85 @@ func TestDifferentialExecutors(t *testing.T) {
 			got, err = within(t, "partitioned", c.partitioned)
 			check("partitioned", got, err)
 		})
+	}
+}
+
+// TestDifferentialEdgePlans: one edge plan, three consumers. Over the same
+// random graphs, mappings and node splits, at every blocking factor, the
+// simulator's EdgePlan (Build), the spec's PartEdge (BuildPartitions) and the
+// handshake's EdgeDecl (PeerDecls) of an interprocessor edge agree on
+// framing, protocol and capacity — and a one-iteration feedback delay that
+// cannot cover a block is refused by all three.
+func TestDifferentialEdgePlans(t *testing.T) {
+	for seed := uint64(1); seed <= differentialSeeds; seed++ {
+		c := drawCase(t, seed)
+		for _, block := range []int{1, 2, 5} {
+			dep, errB := spi.Build(&spi.System{Graph: c.g, Mapping: c.m, Block: block})
+			specs, errS := spi.BuildPartitions(c.g, c.m, c.nodeOf, 2, block, false)
+			decls := make([]map[int][]transport.EdgeDecl, 2)
+			var errD error
+			for node := range decls {
+				if decls[node], errD = spi.PeerDecls(c.g, c.m, c.nodeOf, node, block); errD != nil {
+					break
+				}
+			}
+			if c.feedback && block > 1 {
+				for what, err := range map[string]error{"Build": errB, "BuildPartitions": errS, "PeerDecls": errD} {
+					if err == nil || !strings.Contains(err.Error(), "deadlocks") {
+						t.Errorf("seed %d block %d: %s: err = %v, want a deadlock refusal", seed, block, what, err)
+					}
+				}
+				continue
+			}
+			if errB != nil || errS != nil || errD != nil {
+				t.Fatalf("seed %d block %d: Build %v, BuildPartitions %v, PeerDecls %v", seed, block, errB, errS, errD)
+			}
+			if len(dep.Plans) != len(c.m.InterprocessorEdges(c.g)) {
+				t.Fatalf("seed %d block %d: %d edge plans for %d interprocessor edges", seed, block, len(dep.Plans), len(c.m.InterprocessorEdges(c.g)))
+			}
+			for _, plan := range dep.Plans {
+				e := c.g.Edge(plan.Edge)
+				where := fmt.Sprintf("seed %d block %d edge %s", seed, block, e.Name)
+				// The spec of each endpoint's node carries the edge.
+				src, snk := c.nodeOf[c.m.Proc[e.Src]], c.nodeOf[c.m.Proc[e.Snk]]
+				for _, node := range []int{src, snk} {
+					var pe *spi.PartEdge
+					for i := range specs[node].Edges {
+						if specs[node].Edges[i].ID == uint16(plan.Edge) {
+							pe = &specs[node].Edges[i]
+						}
+					}
+					if pe == nil {
+						t.Fatalf("%s: not in node %d's spec", where, node)
+					}
+					mode := spi.Mode(pe.Mode) // the token's; a slab is SPI_dynamic
+					if pe.Block > 1 {
+						mode = spi.Dynamic
+					}
+					if mode != plan.Mode || spi.Protocol(pe.Protocol) != plan.Protocol || int(pe.Capacity) != plan.Capacity {
+						t.Errorf("%s: node %d's spec says (%v, %v, %d, block %d), Build (%v, %v, %d)", where, node,
+							mode, spi.Protocol(pe.Protocol), pe.Capacity, pe.Block, plan.Mode, plan.Protocol, plan.Capacity)
+					}
+				}
+				if src == snk {
+					continue
+				}
+				for node, peer := range map[int]int{src: snk, snk: src} {
+					var d *transport.EdgeDecl
+					for i := range decls[node][peer] {
+						if decls[node][peer][i].ID == uint16(plan.Edge) {
+							d = &decls[node][peer][i]
+						}
+					}
+					if d == nil {
+						t.Fatalf("%s: node %d does not declare it to node %d", where, node, peer)
+					}
+					if spi.Mode(d.Mode) != plan.Mode || spi.Protocol(d.Protocol) != plan.Protocol || int(d.Capacity) != plan.Capacity || d.Out != (node == src) {
+						t.Errorf("%s: node %d declares (%v, %v, %d, out %v), Build (%v, %v, %d)", where, node,
+							spi.Mode(d.Mode), spi.Protocol(d.Protocol), d.Capacity, d.Out, plan.Mode, plan.Protocol, plan.Capacity)
+					}
+				}
+			}
+		}
 	}
 }

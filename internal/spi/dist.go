@@ -20,8 +20,10 @@ import (
 // in-process queue. Every node executes the same plan (same VTS bounds,
 // same mode/protocol selection, same preloaded delays), so an N-node run
 // is bit-identical to the single-process Execute of the same graph — which
-// is the one-node case of this file. open, the SPI_init of a deployment,
-// is shared with partition deployments (partition.go).
+// is the one-node case of this file. A static run compiles the spec of its
+// own node alone (ExecuteDistributed) and lowers it like any other
+// (lowerPartition); open, the SPI_init of a deployment, is shared with
+// standing deployments (OpenPartition).
 
 // DistOptions configures one node of a distributed execution.
 type DistOptions struct {
@@ -109,6 +111,10 @@ type DistOptions struct {
 	// block-firing kernels (see VectorKernel); others are lifted from
 	// their scalar Kernel. Ignored when Block <= 1.
 	VectorKernels map[dataflow.ActorID]VectorKernel
+	// State supplies checkpoint/restore hooks per stateful actor name to a
+	// standing deployment (OpenPartition), whose Runs return the
+	// checkpoints; a static run takes none.
+	State map[string]StateHooks
 	// Obs, when non-nil, instruments the run: per-edge SPI counters,
 	// per-link transport counters, kernel firing latencies, and trace
 	// events all land in the observer's registry and tracer. Nil (the
@@ -177,34 +183,24 @@ func (e *DegradedError) Error() string {
 
 func (e *DegradedError) Unwrap() error { return e.Cause }
 
-func (o *DistOptions) nodeOf(m *sched.Mapping) ([]int, error) {
-	nodes := len(o.Addrs)
-	if nodes == 0 {
-		return nil, errors.New("spi: distributed run needs at least one address")
+// placedPlan plans the graph at a blocking factor and places it on a mapping
+// and a processor→node assignment; every node's spec comes out of it.
+func placedPlan(g *dataflow.Graph, m *sched.Mapping, nodeOf []int, nodes, block int, static, resync bool) (*graphPlan, error) {
+	plan, err := newGraphPlan(g, block)
+	if err == nil {
+		err = plan.place(m, nodeOf, nodes, static, resync)
 	}
-	if o.Node < 0 || o.Node >= nodes {
-		return nil, fmt.Errorf("spi: node %d out of range [0,%d)", o.Node, nodes)
+	return plan, err
+}
+
+// byActorName re-keys a kernel table from actor IDs to actor names, the
+// executor core's one keying (dataflow refuses duplicate names).
+func byActorName[K any](g *dataflow.Graph, byID map[dataflow.ActorID]K) map[string]K {
+	byName := make(map[string]K, len(byID))
+	for a, k := range byID {
+		byName[g.Actor(a).Name] = k
 	}
-	nodeOf := o.NodeOf
-	if nodeOf == nil {
-		if m.NumProcs > nodes {
-			return nil, fmt.Errorf("spi: %d processors but only %d node addresses (set NodeOf)", m.NumProcs, nodes)
-		}
-		nodeOf = make([]int, m.NumProcs)
-		for p := range nodeOf {
-			nodeOf[p] = p
-		}
-		return nodeOf, nil
-	}
-	if len(nodeOf) != m.NumProcs {
-		return nil, fmt.Errorf("spi: NodeOf has %d entries, mapping has %d processors", len(nodeOf), m.NumProcs)
-	}
-	for p, n := range nodeOf {
-		if n < 0 || n >= nodes {
-			return nil, fmt.Errorf("spi: NodeOf[%d] = %d out of range [0,%d)", p, n, nodes)
-		}
-	}
-	return nodeOf, nil
+	return byName
 }
 
 // linkHandler adapts a transport.Link's inbound traffic to one Runtime. It
@@ -212,7 +208,7 @@ func (o *DistOptions) nodeOf(m *sched.Mapping) ([]int, error) {
 // edges — the distributed form of failure propagation.
 type linkHandler struct {
 	rt    *Runtime
-	edges []EdgeID
+	edges []transport.EdgeDecl
 	peer  int
 	fails *peerFails
 }
@@ -237,7 +233,9 @@ func (h *linkHandler) HandleLinkClose(err error) {
 		return
 	}
 	h.fails.record(h.peer, err)
-	h.rt.CloseEdges(h.edges)
+	for _, d := range h.edges {
+		h.rt.CloseEdge(EdgeID(d.ID))
+	}
 }
 
 // peerFails records the first failure per peer node, so a degraded run can
@@ -288,61 +286,40 @@ func (f *peerFails) snapshot() map[int]error {
 	return out
 }
 
-// peerPlan is the set of cross-node edges shared with one peer node.
-type peerPlan struct {
-	decls []transport.EdgeDecl
-	ids   []EdgeID // same edges, for CloseEdges on link death
+// decl is a cross-node edge's handshake manifest entry. config sets one of
+// the two byte bounds, the one its mode uses.
+func (e *PartEdge) decl() transport.EdgeDecl {
+	cfg := e.config()
+	return transport.EdgeDecl{ID: e.ID, Mode: uint8(cfg.Mode), Out: e.Out, Bytes: uint32(max(cfg.PayloadBytes, cfg.MaxBytes)),
+		Protocol: e.Protocol, Capacity: e.Capacity}
 }
 
-// declFor renders one edge's planned configuration as its handshake
-// manifest entry.
-func declFor(cfg EdgeConfig, out bool) transport.EdgeDecl {
-	bytes := cfg.PayloadBytes
-	if cfg.Mode == Dynamic {
-		bytes = cfg.MaxBytes
-	}
-	return transport.EdgeDecl{
-		ID:       uint16(cfg.ID),
-		Mode:     uint8(cfg.Mode),
-		Out:      out,
-		Bytes:    uint32(bytes),
-		Protocol: uint8(cfg.Protocol),
-		Capacity: uint32(cfg.Capacity),
-	}
-}
-
-// peerPlans groups the deployment's cross-node edges by peer node, in edge
+// peerDecls groups the spec's cross-node edges by peer node, in edge
 // order — the local half of each link's handshake manifest.
-func (env *execEnv) peerPlans() map[int]*peerPlan {
-	var peers map[int]*peerPlan
-	for i := range env.edges {
-		s := &env.edges[i]
-		if s.peer < 0 {
-			continue
-		}
-		pp := peers[s.peer]
-		if pp == nil {
+func (spec *PartitionSpec) peerDecls() map[int][]transport.EdgeDecl {
+	var peers map[int][]transport.EdgeDecl // stays nil for a node without peers
+	for i := range spec.Edges {
+		if e := &spec.Edges[i]; crossesWorkers(e) {
 			if peers == nil {
-				peers = map[int]*peerPlan{}
+				peers = map[int][]transport.EdgeDecl{}
 			}
-			pp = &peerPlan{}
-			peers[s.peer] = pp
+			peers[e.Peer] = append(peers[e.Peer], e.decl())
 		}
-		pp.decls = append(pp.decls, declFor(s.cfg, s.out))
-		pp.ids = append(pp.ids, s.cfg.ID)
 	}
 	return peers
 }
 
-// open is the SPI_init of a deployment, the same whatever lowering built
-// the environment. Every cross-processor edge is initialized on the local
-// runtime before any link comes up, so inbound DATA frames always find
-// their queue; then one link per peer node is established (dialed and
-// accepted, or taken from opts.Links), the local half of each cross-node
-// edge is bound to its link, and the delay tokens are replayed —
-// sender-side only, so each crosses the wire exactly once. On failure
-// nothing is left open.
-func (env *execEnv) open(opts DistOptions) error {
+// open is the SPI_init of a deployment, the same for a static run and a
+// standing one; env is spec lowered. Every cross-processor edge is
+// initialized on the local runtime before any link comes up, so inbound
+// DATA frames always find their queue; then one link per peer node is
+// established (dialed and accepted, or taken from opts.Links), the local
+// half of each cross-node edge is bound to its link, and the delay tokens
+// are replayed — sender-side only, so each crosses the wire exactly once.
+// On failure nothing is left open.
+func (env *execEnv) open(spec *PartitionSpec, opts DistOptions) error {
+	// What the spec fixes is not the options' to say.
+	opts.Node, opts.Addrs, opts.Block = spec.Node, spec.Addrs, env.block
 	env.observe(opts.Obs)
 	for i := range env.edges {
 		s := &env.edges[i]
@@ -355,7 +332,10 @@ func (env *execEnv) open(opts DistOptions) error {
 		}
 	}
 
-	peers := env.peerPlans()
+	peers := spec.peerDecls()
+	if len(peers) > 0 && opts.Transport == nil && opts.Links == nil {
+		return errors.New("spi: distributed run needs a transport or a link provider")
+	}
 	env.stopResume = func() {}
 	mlinks := make(map[int]MessageLink, len(peers))
 	if opts.Links != nil {
@@ -367,8 +347,7 @@ func (env *execEnv) open(opts DistOptions) error {
 		}
 		sort.Ints(order)
 		for _, peer := range order {
-			pp := peers[peer]
-			ml, err := opts.Links.Connect(peer, pp.decls, &linkHandler{rt: env.rt, edges: pp.ids, peer: peer, fails: &env.fails})
+			ml, err := opts.Links.Connect(peer, peers[peer], &linkHandler{rt: env.rt, edges: peers[peer], peer: peer, fails: &env.fails})
 			if err != nil {
 				opts.Links.Finish(false)
 				return err
@@ -454,49 +433,60 @@ func (env *execEnv) finish(graceful bool) {
 // the given iteration count, connecting to the peer nodes named in opts.
 // Kernels are required only for actors mapped to this node. All nodes must
 // run the same graph, mapping, iteration count, and node assignment; the
-// handshake rejects peers whose edge manifests disagree.
+// handshake rejects peers whose edge manifests disagree. It compiles its own
+// node's spec (BuildPartition) and runs it like ExecutePartition does.
 func ExecuteDistributed(g *dataflow.Graph, m *sched.Mapping, kernels map[dataflow.ActorID]Kernel, iterations int, opts DistOptions) (*ExecStats, error) {
-	if err := m.Validate(g); err != nil {
-		return nil, err
-	}
 	if iterations <= 0 {
 		return nil, fmt.Errorf("spi: iterations = %d", iterations)
 	}
-	if opts.Transport == nil && opts.Links == nil && len(opts.Addrs) > 1 {
-		return nil, errors.New("spi: distributed run needs a transport or a link provider")
+	if len(opts.Addrs) == 0 {
+		return nil, errors.New("spi: distributed run needs at least one address")
 	}
-	nodeOf, err := opts.nodeOf(m)
+	spec, err := BuildPartition(g, m, opts.NodeOf, len(opts.Addrs), opts.Node, opts.Block, opts.Resync)
 	if err != nil {
 		return nil, err
 	}
-	me := opts.Node
-	env, err := lowerGraph(g, m, nodeOf, me, opts.Block, kernels, opts.VectorKernels)
+	spec.Addrs, spec.Iterations = opts.Addrs, iterations
+	var vkernels map[string]VectorKernel
+	if spec.Block > 1 {
+		vkernels = byActorName(g, opts.VectorKernels)
+	}
+	return executeSpec(spec, byActorName(g, kernels), vkernels, opts)
+}
+
+// ExecutePartition is the static run of a ready spec — what
+// ExecuteDistributed does once it has compiled its node's, for a caller that
+// compiled one ahead of time (a session server runs one spec per session):
+// lower it, open, fire the spec's iteration range, close. Kernels are keyed
+// by actor name. Nothing is checkpointed — no tail rings, no kernel clocks,
+// no State hooks; a run that hands its in-flight tokens on is a standing
+// deployment's (OpenPartition). What the spec fixes is taken from it, as in
+// OpenPartition; opts.VectorKernels, keyed by actor ID, are not consulted.
+func ExecutePartition(spec *PartitionSpec, kernels map[string]Kernel, opts DistOptions) (*ExecStats, error) {
+	return executeSpec(spec, kernels, nil, opts)
+}
+
+// executeSpec is the one static run; vkernels are the run's native block
+// kernels by actor name (nil: every actor is lifted from its scalar kernel).
+func executeSpec(spec *PartitionSpec, kernels map[string]Kernel, vkernels map[string]VectorKernel, opts DistOptions) (*ExecStats, error) {
+	if spec.Iterations <= 0 {
+		return nil, fmt.Errorf("spi: partition iterations = %d", spec.Iterations)
+	}
+	if spec.BaseIter < 0 {
+		return nil, fmt.Errorf("spi: partition base iteration = %d", spec.BaseIter)
+	}
+	env, err := lowerPartition(spec, kernels, vkernels)
 	if err != nil {
-		return nil, err
-	}
-	if len(env.procs) == 0 {
-		return nil, fmt.Errorf("spi: node %d hosts no processors", me)
-	}
-	if err := env.checkKernels(); err != nil {
 		return nil, err
 	}
 	env.degrade = opts.Degrade
-	if opts.Resync {
-		// The suppression set is a pure function of graph and mapping, so
-		// every node computes the same one; each link declares its own part
-		// of it in the handshake, which refuses a peer that disagrees.
-		rp, err := ResyncSuppression(g, m)
-		if err != nil {
-			return nil, err
-		}
-		env.resync = rp.SuppressedIDs()
-	}
-	if err := env.open(opts); err != nil {
+	if err := env.open(spec, opts); err != nil {
 		return nil, err
 	}
 
-	procErrs, wdErr := env.runWatched(iterations, watchConfig{
-		stall: opts.StallTimeout, ctx: opts.Context, o: opts.Obs, node: me,
+	iterations := spec.Iterations
+	procErrs, wdErr := env.runWatched(spec.BaseIter, iterations, watchConfig{
+		stall: opts.StallTimeout, ctx: opts.Context, o: opts.Obs, node: env.node,
 	})
 	runErr := watchVerdict(collapseErrs(procErrs), wdErr)
 	// Degraded runs close gracefully: surviving peers already received FINs
@@ -550,15 +540,20 @@ func ExecuteDistributed(g *dataflow.Graph, m *sched.Mapping, kernels map[dataflo
 			cause = env.fails.first()
 		}
 		sort.Strings(starved)
-		return stats, &DegradedError{Node: me, Peers: peerErrs, Starved: starved, Firings: firings, Cause: cause}
+		return stats, &DegradedError{Node: env.node, Peers: peerErrs, Starved: starved, Firings: firings, Cause: cause}
 	}
 	if runErr != nil {
-		if cause := env.fails.first(); cause != nil && errors.Is(runErr, ErrClosed) {
-			return nil, fmt.Errorf("spi: node %d: %w (link failure: %v)", me, runErr, cause)
-		}
-		return nil, runErr
+		return nil, env.rooted(runErr)
 	}
 	return stats, nil
+}
+
+// rooted names the link failure behind a run that died of closed edges.
+func (env *execEnv) rooted(runErr error) error {
+	if cause := env.fails.first(); cause != nil && errors.Is(runErr, ErrClosed) {
+		return fmt.Errorf("spi: node %d: %w (link failure: %v)", env.node, runErr, cause)
+	}
+	return runErr
 }
 
 // connectPeers establishes one link per peer node: this node dials every
@@ -569,7 +564,7 @@ func ExecuteDistributed(g *dataflow.Graph, m *sched.Mapping, kernels map[dataflo
 // setup, routing RESUME connections from re-dialing peers back to their
 // established links; the returned stop function shuts that dispatcher
 // down (it is a no-op otherwise).
-func connectPeers(rt *Runtime, peers map[int]*peerPlan, fails *peerFails, resync []uint16, opts DistOptions) (map[int]*transport.Link, func(), error) {
+func connectPeers(rt *Runtime, peers map[int][]transport.EdgeDecl, fails *peerFails, resync []uint16, opts DistOptions) (map[int]*transport.Link, func(), error) {
 	stopNothing := func() {}
 	if len(peers) == 0 {
 		return nil, stopNothing, nil
@@ -595,11 +590,11 @@ func connectPeers(rt *Runtime, peers map[int]*peerPlan, fails *peerFails, resync
 		Obs:           opts.Obs,
 	}
 	handlerFor := func(peer int) ([]transport.EdgeDecl, transport.Handler, error) {
-		pp := peers[peer]
-		if pp == nil {
+		decls := peers[peer]
+		if decls == nil {
 			return nil, nil, fmt.Errorf("no shared edges with node %d", peer)
 		}
-		return pp.decls, &linkHandler{rt: rt, edges: pp.ids, peer: peer, fails: fails}, nil
+		return decls, &linkHandler{rt: rt, edges: decls, peer: peer, fails: fails}, nil
 	}
 
 	expectAccept := 0
@@ -781,19 +776,13 @@ func connectPeers(rt *Runtime, peers map[int]*peerPlan, fails *peerFails, resync
 // session-scoped run finds its edges already declared on the shared link.
 // block must match the executions' DistOptions.Block.
 func PeerDecls(g *dataflow.Graph, m *sched.Mapping, nodeOf []int, me, block int) (map[int][]transport.EdgeDecl, error) {
-	if err := m.Validate(g); err != nil {
-		return nil, err
+	nodes := me + 1
+	for _, n := range nodeOf {
+		nodes = max(nodes, n+1)
 	}
-	if len(nodeOf) != m.NumProcs {
-		return nil, fmt.Errorf("spi: NodeOf has %d entries, mapping has %d processors", len(nodeOf), m.NumProcs)
-	}
-	env, err := lowerGraph(g, m, nodeOf, me, block, nil, nil)
+	plan, err := placedPlan(g, m, nodeOf, nodes, block, true, false)
 	if err != nil {
 		return nil, err
 	}
-	decls := map[int][]transport.EdgeDecl{}
-	for peer, pp := range env.peerPlans() {
-		decls[peer] = pp.decls
-	}
-	return decls, nil
+	return plan.spec(me).peerDecls(), nil
 }

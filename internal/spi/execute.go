@@ -23,9 +23,9 @@ import (
 //
 // This file is the executor core: the compiled environment (execEnv) and
 // the one firing loop (fire) that every mode runs — scalar, blocked,
-// distributed (dist.go) and partition deployments (partition.go) differ
-// in how the environment is lowered and what its edges are bound to, never
-// in the loop. See DESIGN.md, "Executor core".
+// distributed (dist.go) and standing deployments (partition.go) differ in
+// the spec their environment is lowered from and what its edges are bound
+// to, never in the lowering or the loop. See DESIGN.md, "Executor core".
 
 // Kernel is an actor's functional body for one block firing: it receives
 // the packed payload from every input edge (keyed by edge ID; edges whose
@@ -57,13 +57,13 @@ type ExecStats struct {
 	LocalTransfers int64
 }
 
-// execEnv is one node's deployment in compiled form, the single shape
-// every execution mode runs in. Both lowerings — lowerGraph (graph, mapping,
-// node assignment, blocking factor) and lowerPartition (a PartitionSpec) —
-// produce it; open (dist.go) brings its edges and links up, and run fires
-// it. Everything the firing loop touches per token is resolved here, once:
-// an actor holds its kernel and pointers to its edge slots, a slot holds
-// its queue or communication actors, its bounds and its reusable buffers.
+// execEnv is one node's deployment ready to run, the single shape every
+// execution mode runs in. lowerPartition (partition.go) builds it from the
+// node's PartitionSpec; open (dist.go) brings its edges and links up, and
+// run fires it. Everything the firing loop touches per token is resolved
+// once: an actor holds its kernel and pointers to its edge slots, a slot
+// holds its queue or communication actors, its bounds and its reusable
+// buffers.
 type execEnv struct {
 	node int
 	// block is the blocking factor B of the firing loop: every actor fires
@@ -76,7 +76,7 @@ type execEnv struct {
 	// resync is the ack-suppression set the links declare (nil = none).
 	resync []uint16
 	// timed has the loop measure kernel time per processor (procPlan.busy),
-	// the load signal a partition run reports.
+	// the load signal a standing deployment's Runs report (OpenPartition).
 	timed bool
 
 	// degrade selects graceful degradation (DistOptions.Degrade): a failing
@@ -158,7 +158,7 @@ type edgeSlot struct {
 	toks   [][]byte
 	slabIn []byte
 	// Producer side: the slab being packed, and the optional checkpoint
-	// hook keeping the last delay payloads sent (partition deployments).
+	// hook keeping the last delay payloads sent (standing deployments).
 	slabOut []byte
 	tail    *tailRing
 }

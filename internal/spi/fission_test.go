@@ -246,7 +246,7 @@ func TestFissionExecuteDistributed(t *testing.T) {
 }
 
 // TestFissionPartitionExecution stamps the fissioned graph through
-// BuildPartitions/ExecutePartition — the migration substrate — with the
+// BuildPartitions/OpenPartition — the migration substrate — with the
 // replicas spread over three workers and the stateful actor's hooks
 // threaded through, and checks bit-identity with the unfissioned run.
 func TestFissionPartitionExecution(t *testing.T) {
@@ -258,11 +258,7 @@ func TestFissionPartitionExecution(t *testing.T) {
 	// procs: 0(A,D) 1(B) 2(C scatter + gather) 3..5 replicas.
 	workerOf := []int{0, 1, 2, 0, 1, 2}
 	workers := 3
-	specs, err := BuildPartitions(plan.Graph, fm, workerOf, workers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pre, err := InitialPreloads(plan.Graph, fm)
+	specs, err := BuildPartitions(plan.Graph, fm, workerOf, workers, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,12 +279,6 @@ func TestFissionPartitionExecution(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		spec := specs[w]
 		spec.BaseIter, spec.Iterations, spec.Addrs = 0, iterations, addrs
-		for i := range spec.Edges {
-			e := &spec.Edges[i]
-			if (e.Out || e.SameProc) && e.Delay > 0 {
-				spec.Preload[e.ID] = pre[e.ID]
-			}
-		}
 		byID, _, hooks := partTestKernels(plan.Source, 7, sinks)
 		fk, err := FissionKernels(plan, byID, nil)
 		if err != nil {
@@ -298,7 +288,7 @@ func TestFissionPartitionExecution(t *testing.T) {
 		for id, kern := range fk {
 			byName[plan.Graph.Actor(id).Name] = kern
 		}
-		opts := PartOptions{
+		opts := DistOptions{
 			Transport: tr, Listener: lns[w],
 			Retry: transport.RetryConfig{Attempts: 20, BaseDelay: time.Millisecond,
 				MaxDelay: 5 * time.Millisecond},
@@ -308,9 +298,9 @@ func TestFissionPartitionExecution(t *testing.T) {
 			opts.State["B"] = hooks["B"]
 		}
 		wg.Add(1)
-		go func(w int, spec *PartitionSpec, byName map[string]Kernel, opts PartOptions) {
+		go func(w int, spec *PartitionSpec, byName map[string]Kernel, opts DistOptions) {
 			defer wg.Done()
-			_, errs[w] = ExecutePartition(spec, byName, opts)
+			_, errs[w] = coldEpoch(spec, byName, opts)
 		}(w, spec, byName, opts)
 	}
 	wg.Wait()

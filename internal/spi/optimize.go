@@ -48,6 +48,17 @@ func (p *ResyncPlan) SuppressedIDs() []uint16 {
 // placement never enters — so every node (and every orchestration epoch)
 // that computes it independently arrives at the same set.
 func ResyncSuppression(g *dataflow.Graph, m *sched.Mapping) (*ResyncPlan, error) {
+	pl, err := newGraphPlan(g, 1)
+	if err != nil {
+		return nil, err
+	}
+	return pl.resyncSuppression(m)
+}
+
+// resyncSuppression is ResyncSuppression on a graph already planned, at any
+// blocking factor: the edge protocols it reads do not depend on it.
+func (pl *graphPlan) resyncSuppression(m *sched.Mapping) (*ResyncPlan, error) {
+	g := pl.g
 	ipc, err := syncgraph.BuildIPCGraph(g, m)
 	if err != nil {
 		return nil, err
@@ -72,12 +83,6 @@ func ResyncSuppression(g *dataflow.Graph, m *sched.Mapping) (*ResyncPlan, error)
 		return plan, nil
 	}
 
-	// Protocol selection must match the deployment exactly: only UBS
-	// edges carry acknowledgements, so only they can have one suppressed.
-	pl, err := newGraphPlan(g, 1)
-	if err != nil {
-		return nil, err
-	}
 	byName := map[string]dataflow.EdgeID{}
 	for _, eid := range g.Edges() {
 		e := g.Edge(eid)
@@ -96,7 +101,9 @@ func ResyncSuppression(g *dataflow.Graph, m *sched.Mapping) (*ResyncPlan, error)
 		if !ok {
 			continue
 		}
-		if pl.edgeConfig(eid).Protocol != UBS {
+		// Protocol selection must match the deployment exactly: only UBS
+		// edges carry acknowledgements, so only they can have one suppressed.
+		if Protocol(pl.edge(eid).Protocol) != UBS {
 			continue
 		}
 		// The removal is only actionable with an explicit witness: a path

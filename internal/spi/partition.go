@@ -4,31 +4,30 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
-	"time"
 
 	"repro/internal/dataflow"
-	"repro/internal/obs"
 	"repro/internal/sched"
-	"repro/internal/transport"
 )
 
-// Partition-scoped execution: run one worker's share of a mapped graph
-// from a self-contained PartitionSpec, without the graph, the mapping, or
-// the VTS analysis. The coordinator (internal/orch) extracts the spec
-// from the full plan and ships it over the control plane; the worker
-// lowers it (lowerPartition) to exactly the execEnv lowerGraph would have
-// built for the same processors — same edge configs, same payload bounds,
-// same receive order, same preloaded delays — and opens and fires it
-// through the same open and run, so any placement of the processors over
-// any number of workers produces bit-identical kernel inputs.
+// The compiled form and its lowering. A PartitionSpec is one node's share
+// of a mapped graph — its processors with their schedules, every edge
+// touching them with its planned SPI configuration — self-contained: it
+// needs neither the graph, the mapping nor the VTS analysis. The planner
+// builds it (plan.go: BuildPartition for a static run's own node,
+// BuildPartitions for each worker of an orchestrated placement, whose
+// coordinator ships it over the control plane), and lowerPartition, the one
+// lowering, compiles it into the execEnv every execution mode opens and
+// fires (execute.go, dist.go): once, for a static run (ExecutePartition,
+// dist.go), or as a standing deployment fired range by range
+// (OpenPartition). A spec is read-only once built: lowering copies what it
+// keeps, so any number of deployments may lower one spec concurrently.
 //
 // A spec additionally carries resumption state: BaseIter offsets the
 // iteration numbers the kernels see, Preload holds the in-flight tokens
 // of every delayed edge at the epoch boundary, and State holds per-actor
-// checkpoint blobs. A run returns the matching Tails/State for the next
-// epoch, which is what makes live migration a checkpoint-and-replay of
-// pure data.
+// checkpoint blobs. A standing deployment (OpenPartition) returns the
+// matching Tails/State from every Run, which is what makes live migration a
+// checkpoint-and-replay of pure data.
 
 // PartEdge is one dataflow edge as a partition sees it: the planned SPI
 // configuration plus locality. Locality is decided by the processor-level
@@ -40,15 +39,19 @@ type PartEdge struct {
 	ID uint16
 	// Name is the edge's graph name, for error messages and kernels.
 	Name string
-	// Mode, Bytes, Protocol, Capacity mirror the planned EdgeConfig:
-	// Mode 0 is static (fixed Bytes payloads), 1 dynamic (bound Bytes);
-	// Protocol 0 is BBS with Capacity messages, 1 UBS.
+	// Mode and Bytes describe one token: Mode 0 is static (fixed Bytes
+	// payloads), 1 dynamic (bound Bytes). Protocol 0 is BBS with Capacity
+	// messages, 1 UBS.
 	Mode     uint8
 	Bytes    uint32
 	Protocol uint8
 	Capacity uint32
 	// Delay is the edge's initial delay in whole graph iterations.
 	Delay uint32
+	// Block is the number of iterations per message: the run's blocking
+	// factor on a cross-processor edge whose delay is a whole multiple of it
+	// — one packed slab per block, Capacity counted in slabs — else 1.
+	Block uint32
 	// SameProc marks both endpoints on one processor: a local queue.
 	SameProc bool
 	// Out/In mark the hosted endpoints of a cross-processor edge: both
@@ -61,9 +64,9 @@ type PartEdge struct {
 	Peer int
 	// SuppressAck marks a UBS edge whose acknowledgement the §4
 	// resynchronization verdict proved redundant (see ResyncSuppression).
-	// BuildPartitions always stamps it — the verdict depends only on the
-	// graph and processor mapping, never on placement — and the spec's
-	// Resync flag decides whether the deployment acts on it.
+	// It is stamped only when the run asked for resynchronization, and a
+	// deployment acts on it wherever the edge crosses workers: the link
+	// declares it in its handshake manifest and swallows the acks.
 	SuppressAck bool
 }
 
@@ -84,12 +87,15 @@ type PartProc struct {
 }
 
 // PartitionSpec is the self-contained manifest of one worker's share of
-// an execution epoch. It replaces the full graph + mapping a spinode
+// a mapped graph. It replaces the full graph + mapping a spinode
 // normally loads: a worker holding only its spec can execute, RESUME
 // after a severed connection, and checkpoint for migration.
 type PartitionSpec struct {
 	// Graph is the graph name (kernels fold it into their hashes).
 	Graph string
+	// Block is the run's blocking factor B: every actor fires B iterations
+	// back to back (0 or 1 is scalar execution).
+	Block int
 	// Node is this worker's index for the epoch, Workers the worker
 	// count; Addrs[n] is worker n's data-plane address for this epoch
 	// (only peers' entries need be set).
@@ -111,11 +117,6 @@ type PartitionSpec struct {
 	// State holds per-actor checkpoint blobs for stateful kernels,
 	// keyed by actor name (see StateHooks).
 	State map[string][]byte
-	// Resync activates ack suppression on the edges BuildPartitions
-	// marked SuppressAck: cross-worker links declare them in their
-	// handshake manifests and swallow the redundant acks. The
-	// coordinator sets it uniformly for all workers of an epoch.
-	Resync bool
 }
 
 // PartResult reports one epoch of partition execution: Tails and State
@@ -143,60 +144,63 @@ type StateHooks struct {
 	Restore    func(state []byte) error
 }
 
-// PartOptions configures one partition execution.
-type PartOptions struct {
-	// Transport carries the data-plane links to peer workers.
-	Transport transport.Transport
-	// Listener optionally supplies the pre-bound listener for
-	// Addrs[Node] (the per-epoch ephemeral listener the worker announced
-	// to the coordinator).
-	Listener transport.Listener
-	// Retry configures dial retry/backoff toward peer workers.
-	Retry transport.RetryConfig
-	// Context, when non-nil, aborts the deployment when cancelled: every
-	// blocked actor is released, the links are torn down and the run in
-	// progress returns the context error. The coordinator's Abort is
-	// exactly a cancellation.
-	Context context.Context
-	// Reconnect enables RESUME link resumption on the data plane, so a
-	// severed connection mid-epoch replays its unacknowledged suffix
-	// instead of failing the epoch.
-	Reconnect transport.ReconnectConfig
-	// Heartbeat / PeerTimeout enable liveness probing on data links.
-	Heartbeat   time.Duration
-	PeerTimeout time.Duration
-	// SendTimeout bounds each frame write on data links.
-	SendTimeout time.Duration
-	// State supplies checkpoint/restore hooks per stateful actor name.
-	State map[string]StateHooks
-	// Obs instruments the run's runtime edges and links.
-	Obs *obs.Observer
-}
-
 // crossesWorkers reports whether an edge has exactly one endpoint on this
 // worker, i.e. rides a link to a peer.
 func crossesWorkers(e *PartEdge) bool {
 	return !e.SameProc && (e.Out != e.In)
 }
 
-// lowerPartition validates a spec and compiles it into the execEnv its
-// worker runs: the spec-side twin of lowerGraph, always at block 1. A
-// delayed cross-processor edge produced here gets a tailRing, the
-// checkpoint hook on its out-slot, seeded with the spec's preload.
-func lowerPartition(spec *PartitionSpec, kernels map[string]Kernel) (*execEnv, error) {
-	if spec.Iterations <= 0 {
-		return nil, fmt.Errorf("spi: partition iterations = %d", spec.Iterations)
+// config is the SPI edge a cross-processor edge is initialized as: the
+// token's own framing and bound when it is token-granular, and on a blocked
+// edge SPI_dynamic framing bounded by a full slab — the final block of a run
+// may be partial.
+func (e *PartEdge) config() EdgeConfig {
+	cfg := EdgeConfig{ID: EdgeID(e.ID), Name: e.Name, Mode: Mode(e.Mode),
+		Protocol: Protocol(e.Protocol), Capacity: int(e.Capacity)}
+	switch {
+	case e.Block > 1:
+		cfg.MaxBytes = SlabBound(int(e.Bytes), cfg.Mode == Dynamic, int(e.Block))
+		cfg.Mode = Dynamic
+	case cfg.Mode == Dynamic:
+		cfg.MaxBytes = int(e.Bytes)
+	default:
+		cfg.PayloadBytes = int(e.Bytes)
 	}
-	if spec.BaseIter < 0 {
-		return nil, fmt.Errorf("spi: partition base iteration = %d", spec.BaseIter)
+	return cfg
+}
+
+// delayTokens builds a delayed edge's in-flight payloads at iteration 0,
+// the canonical delay tokens of a fresh run: empty payloads on a
+// same-processor edge (whose local queue preloads nothing) and on a dynamic
+// one, zero blocks of the fixed transfer size on a cross-processor static
+// one. Whatever is preloaded copies, so the blocks share one buffer.
+func (e *PartEdge) delayTokens() [][]byte {
+	tok := []byte{}
+	if !e.SameProc && Mode(e.Mode) == Static {
+		tok = make([]byte, e.Bytes)
 	}
+	tokens := make([][]byte, e.Delay)
+	for i := range tokens {
+		tokens[i] = tok
+	}
+	return tokens
+}
+
+// lowerPartition validates a spec and compiles it into the execEnv its node
+// runs — the only code that builds one. Everything the firing loop touches
+// per token is resolved here: an actor gets its kernel (vkernels are
+// consulted in a blocked run only) and pointers to its edge slots, a slot
+// its SPI configuration, its bounds and its delay messages. The spec is
+// only read. Its BaseIter and Iterations are not consulted: whoever runs the
+// environment names the range.
+func lowerPartition(spec *PartitionSpec, kernels map[string]Kernel, vkernels map[string]VectorKernel) (*execEnv, error) {
 	if len(spec.Procs) == 0 {
 		return nil, errors.New("spi: partition hosts no processors")
 	}
 	if spec.Node < 0 || spec.Workers < 1 || spec.Node >= spec.Workers {
 		return nil, fmt.Errorf("spi: partition node %d of %d workers", spec.Node, spec.Workers)
 	}
-	env := &execEnv{node: spec.Node, block: 1, rt: NewRuntime(), timed: true,
+	env := &execEnv{node: spec.Node, block: max(spec.Block, 1), rt: NewRuntime(),
 		edges: make([]edgeSlot, len(spec.Edges)), procs: make([]procPlan, len(spec.Procs))}
 	slots := make(map[uint16]*edgeSlot, len(spec.Edges))
 	for i := range spec.Edges {
@@ -210,67 +214,87 @@ func lowerPartition(spec *PartitionSpec, kernels map[string]Kernel) (*execEnv, e
 		if crossesWorkers(e) && (e.Peer < 0 || e.Peer >= spec.Workers || e.Peer == spec.Node) {
 			return nil, fmt.Errorf("spi: partition edge %s names peer worker %d of %d", e.Name, e.Peer, spec.Workers)
 		}
+		if e.Block > 1 && (e.SameProc || int(e.Block) != spec.Block) {
+			return nil, fmt.Errorf("spi: partition edge %s has block factor %d in a run of block %d", e.Name, e.Block, spec.Block)
+		}
 		s := &env.edges[i]
 		slots[e.ID] = s
 		*s = edgeSlot{id: dataflow.EdgeID(e.ID), name: e.Name, bmax: int(e.Bytes),
-			dynamic: Mode(e.Mode) == Dynamic, block: 1, peer: -1}
+			dynamic: Mode(e.Mode) == Dynamic, block: max(int(e.Block), 1), peer: -1}
 		if e.SameProc {
 			// The local queue itself is the in-flight state.
 			s.queue = clonePayloads(spec.Preload[e.ID])
 			continue
 		}
-		s.cfg = EdgeConfig{ID: EdgeID(e.ID), Name: e.Name, Mode: Mode(e.Mode),
-			Protocol: Protocol(e.Protocol), Capacity: int(e.Capacity)}
-		if s.dynamic {
-			s.cfg.MaxBytes = s.bmax
-		} else {
-			s.cfg.PayloadBytes = s.bmax
-		}
+		s.cfg = e.config()
 		s.out, s.in = e.Out, e.In
 		if crossesWorkers(e) {
 			s.peer = e.Peer
-			if spec.Resync && e.SuppressAck {
+			if e.SuppressAck {
 				env.resync = append(env.resync, e.ID)
 			}
 		}
 		if e.Out {
-			s.preload = spec.Preload[e.ID]
-			if e.Delay > 0 {
-				s.tail = &tailRing{depth: int(e.Delay)}
-				for _, p := range s.preload {
-					s.tail.push(p)
-				}
+			// Sender-side only, so the delay tokens cross a wire once.
+			var err error
+			if s.preload, err = s.delayMessages(spec.Preload[e.ID]); err != nil {
+				return nil, err
 			}
 		}
 	}
-	slices.Sort(env.resync)
 
-	pick := func(actor string, ids []uint16) ([]*edgeSlot, error) {
+	var undeclared error
+	pick := func(actor string, ids []uint16) []*edgeSlot {
 		out := make([]*edgeSlot, len(ids))
 		for i, id := range ids {
-			if out[i] = slots[id]; out[i] == nil {
-				return nil, fmt.Errorf("spi: actor %s references undeclared edge %d", actor, id)
+			if out[i] = slots[id]; out[i] == nil && undeclared == nil {
+				undeclared = fmt.Errorf("spi: actor %s references undeclared edge %d", actor, id)
 			}
 		}
-		return out, nil
+		return out
 	}
 	for pi := range spec.Procs {
 		sp := &spec.Procs[pi]
-		env.procs[pi] = procPlan{proc: sp.Proc, actors: make([]actorSlot, len(sp.Actors)),
+		pp := &env.procs[pi]
+		*pp = procPlan{proc: sp.Proc, actors: make([]actorSlot, len(sp.Actors)),
 			in: map[dataflow.EdgeID][]byte{}}
+		if env.block > 1 {
+			pp.vecIn = map[dataflow.EdgeID][][]byte{}
+		}
 		for ai := range sp.Actors {
-			a, as := &sp.Actors[ai], &env.procs[pi].actors[ai]
+			a, as := &sp.Actors[ai], &pp.actors[ai]
 			as.name, as.kernel = a.Name, kernels[a.Name]
-			var err error
-			if as.in, err = pick(a.Name, a.In); err != nil {
-				return nil, err
+			if env.block > 1 {
+				as.vkernel = vkernels[a.Name]
 			}
-			if as.out, err = pick(a.Name, a.Out); err != nil {
-				return nil, err
-			}
+			as.in, as.out = pick(a.Name, a.In), pick(a.Name, a.Out)
 		}
 	}
+	if undeclared != nil {
+		return nil, undeclared
+	}
 	return env, env.checkKernels()
+}
+
+// delayMessages turns an out-edge's preloaded delay tokens into the messages
+// open replays through its sender. Token-granular, they are the tokens
+// themselves (SendBatch copies); on a blocked edge they go out as delay/B
+// full slabs of B tokens, the slab-level image of the scalar preload.
+func (s *edgeSlot) delayMessages(tokens [][]byte) ([][]byte, error) {
+	if s.block == 1 {
+		return tokens, nil
+	}
+	if len(tokens)%s.block != 0 {
+		return nil, fmt.Errorf("spi: partition edge %s preloads %d tokens, not whole %d-token slabs", s.name, len(tokens), s.block)
+	}
+	slabs := make([][]byte, len(tokens)/s.block)
+	for i := range slabs {
+		var err error
+		if slabs[i], err = PackSlab(nil, tokens[i*s.block:(i+1)*s.block], s.bmax, s.dynamic); err != nil {
+			return nil, fmt.Errorf("spi: partition edge %s preload: %w", s.name, err)
+		}
+	}
+	return slabs, nil
 }
 
 // PartitionRun is one worker's standing deployment of a partition: the
@@ -280,23 +304,49 @@ func lowerPartition(spec *PartitionSpec, kernels map[string]Kernel) (*execEnv, e
 type PartitionRun struct {
 	env       *execEnv
 	spec      *PartitionSpec
-	opts      PartOptions
+	opts      DistOptions
 	stopWatch func() bool
 }
 
 // OpenPartition sets up one worker's partition from its self-contained
-// spec — the SPI_init of the deployment. Kernels are keyed by actor name;
-// cross-worker edges are carried over links dialed/accepted per the spec's
-// addresses (lower-numbered workers are dialed, higher-numbered accepted,
-// exactly like ExecuteDistributed's node rule), and every delayed edge
-// produced here is preloaded from the spec. The spec's BaseIter and
+// spec — the SPI_init of a standing deployment. Kernels are keyed by actor
+// name; cross-worker edges are carried over links dialed/accepted per the
+// spec's addresses (lower-numbered workers are dialed, higher-numbered
+// accepted, exactly like ExecuteDistributed's node rule) or taken from
+// opts.Links, and every delayed edge produced here is preloaded from the
+// spec. What the spec fixes — Node, Addrs, the blocking factor, the
+// suppression set — is taken from it, not from opts; of opts, the link
+// tuning, Context, Obs and State are used. The spec's BaseIter and
 // Iterations are not consulted: each Run names its own range. Cancelling
 // opts.Context at any point aborts the deployment — blocked actors are
 // released and the links torn down — and the caller still owes a Close.
-func OpenPartition(spec *PartitionSpec, kernels map[string]Kernel, opts PartOptions) (*PartitionRun, error) {
-	env, err := lowerPartition(spec, kernels)
+func OpenPartition(spec *PartitionSpec, kernels map[string]Kernel, opts DistOptions) (*PartitionRun, error) {
+	env, err := lowerPartition(spec, kernels, nil)
 	if err != nil {
 		return nil, err
+	}
+	// What a standing deployment adds to the shared environment, and a static
+	// run never pays for: kernel clocks (the load signal its Runs report) and
+	// the checkpoint hook, a tailRing on every delayed edge produced here,
+	// seeded with the spec's preload.
+	env.timed = true
+	for i := range spec.Edges {
+		e, s := &spec.Edges[i], &env.edges[i]
+		if e.SameProc || e.Delay == 0 {
+			continue
+		}
+		if s.block > 1 {
+			// The tokens in flight on a blocked edge are packed slabs, and a
+			// range that ends inside a block leaves a consumed slab's other
+			// tokens behind.
+			return nil, fmt.Errorf("spi: partition edge %s carries its %d iterations of delay in %d-token slabs: the checkpoint is token-granular", e.Name, e.Delay, e.Block)
+		}
+		if e.Out {
+			s.tail = &tailRing{depth: int(e.Delay)}
+			for _, p := range s.preload {
+				s.tail.push(p)
+			}
+		}
 	}
 	// Restore checkpointed actor state before any firing.
 	for name, hooks := range opts.State {
@@ -307,14 +357,7 @@ func OpenPartition(spec *PartitionSpec, kernels map[string]Kernel, opts PartOpti
 			return nil, fmt.Errorf("spi: restore state of actor %s: %w", name, err)
 		}
 	}
-	err = env.open(DistOptions{
-		Transport: opts.Transport, Node: spec.Node, Addrs: spec.Addrs,
-		Listener: opts.Listener, Retry: opts.Retry, Context: opts.Context,
-		Reconnect: opts.Reconnect, Heartbeat: opts.Heartbeat,
-		PeerTimeout: opts.PeerTimeout, SendTimeout: opts.SendTimeout,
-		Obs: opts.Obs,
-	})
-	if err != nil {
+	if err := env.open(spec, opts); err != nil {
 		return nil, err
 	}
 	pr := &PartitionRun{env: env, spec: spec, opts: opts}
@@ -340,10 +383,7 @@ func (pr *PartitionRun) Run(baseIter, n int) (*PartResult, error) {
 		runErr = ctx.Err()
 	}
 	if runErr != nil {
-		if cause := env.fails.first(); cause != nil && errors.Is(runErr, ErrClosed) {
-			return nil, fmt.Errorf("spi: worker %d: %w (link failure: %v)", env.node, runErr, cause)
-		}
-		return nil, runErr
+		return nil, env.rooted(runErr)
 	}
 
 	res := &PartResult{
@@ -384,23 +424,7 @@ func (pr *PartitionRun) Close(graceful bool) {
 	pr.env.finish(graceful)
 }
 
-// ExecutePartition runs one epoch of a partition as a deployment of its
-// own: open, run the spec's iteration range, close — gracefully when the
-// run succeeded, so every token it sent is delivered before it returns.
-func ExecutePartition(spec *PartitionSpec, kernels map[string]Kernel, opts PartOptions) (*PartResult, error) {
-	pr, err := OpenPartition(spec, kernels, opts)
-	if err != nil {
-		return nil, err
-	}
-	res, err := pr.Run(spec.BaseIter, spec.Iterations)
-	pr.Close(err == nil)
-	return res, err
-}
-
 func clonePayloads(in [][]byte) [][]byte {
-	if in == nil {
-		return nil
-	}
 	out := make([][]byte, len(in))
 	for i, p := range in {
 		out[i] = append([]byte(nil), p...)
@@ -408,125 +432,47 @@ func clonePayloads(in [][]byte) [][]byte {
 	return out
 }
 
-// BuildPartitions extracts one PartitionSpec per worker from the full
+// BuildPartitions compiles one PartitionSpec per worker from the full
 // graph, processor mapping, and processor→worker placement — the
-// coordinator-side complement of ExecutePartition. The returned specs
-// carry structure and edge plans only; the caller fills the per-epoch
-// fields (BaseIter, Iterations, Addrs, Preload, State). Every worker must
-// host at least one processor.
-func BuildPartitions(g *dataflow.Graph, m *sched.Mapping, workerOf []int, workers int) ([]*PartitionSpec, error) {
-	if err := m.Validate(g); err != nil {
-		return nil, err
-	}
-	if len(workerOf) != m.NumProcs {
-		return nil, fmt.Errorf("spi: placement has %d entries, mapping has %d processors", len(workerOf), m.NumProcs)
-	}
-	hosted := make([]bool, workers)
-	for p, w := range workerOf {
-		if w < 0 || w >= workers {
-			return nil, fmt.Errorf("spi: placement[%d] = %d out of range [0,%d)", p, w, workers)
-		}
-		hosted[w] = true
-	}
-	for w, ok := range hosted {
-		if !ok {
-			return nil, fmt.Errorf("spi: worker %d hosts no processors", w)
-		}
-	}
-	plan, err := newGraphPlan(g, 1)
-	if err != nil {
-		return nil, err
-	}
-	// The resynchronization verdict is placement-independent, so the
-	// SuppressAck marks are stamped unconditionally; the spec's Resync
-	// flag (set by the coordinator) decides whether workers act on them.
-	rp, err := ResyncSuppression(g, m)
+// coordinator-side complement of OpenPartition. block is the run's blocking
+// factor (0 or 1 is scalar); with resync the §4 verdict is computed and
+// stamped on the edges as SuppressAck. The returned specs are those of a
+// fresh run; the caller fills the per-epoch fields (BaseIter, Iterations,
+// Addrs, and from a checkpoint Preload and State). The placement names a
+// worker for every processor, and every worker must host at least one.
+func BuildPartitions(g *dataflow.Graph, m *sched.Mapping, workerOf []int, workers, block int, resync bool) ([]*PartitionSpec, error) {
+	plan, err := placedPlan(g, m, workerOf, workers, block, false, resync)
 	if err != nil {
 		return nil, err
 	}
 	specs := make([]*PartitionSpec, workers)
 	for w := range specs {
-		specs[w] = &PartitionSpec{
-			Graph: g.Name(), Node: w, Workers: workers,
-			Preload: map[uint16][][]byte{}, State: map[string][]byte{},
+		spec := plan.spec(w)
+		if len(spec.Procs) == 0 {
+			return nil, fmt.Errorf("spi: worker %d hosts no processors", w)
 		}
-	}
-	for p := 0; p < m.NumProcs; p++ {
-		pp := PartProc{Proc: p}
-		for _, a := range m.Order[p] {
-			pa := PartActor{Name: g.Actor(a).Name}
-			for _, eid := range g.In(a) {
-				pa.In = append(pa.In, uint16(eid))
-			}
-			for _, eid := range g.Out(a) {
-				pa.Out = append(pa.Out, uint16(eid))
-			}
-			pp.Actors = append(pp.Actors, pa)
-		}
-		specs[workerOf[p]].Procs = append(specs[workerOf[p]].Procs, pp)
-	}
-	for _, eid := range g.Edges() {
-		e := g.Edge(eid)
-		srcW, snkW := workerOf[m.Proc[e.Src]], workerOf[m.Proc[e.Snk]]
-		decl := declFor(plan.edgeConfig(eid), false)
-		_, suppress := rp.Suppressed[eid]
-		pe := PartEdge{
-			ID: decl.ID, Name: e.Name, Mode: decl.Mode, Bytes: decl.Bytes,
-			Protocol: decl.Protocol, Capacity: decl.Capacity,
-			Delay: uint32(plan.delayIters(eid)), Peer: -1, SuppressAck: suppress,
-		}
-		if m.Proc[e.Src] == m.Proc[e.Snk] {
-			pe.SameProc = true
-			specs[srcW].Edges = append(specs[srcW].Edges, pe)
-			continue
-		}
-		if srcW == snkW {
-			pe.Out, pe.In = true, true
-			specs[srcW].Edges = append(specs[srcW].Edges, pe)
-			continue
-		}
-		src := pe
-		src.Out, src.Peer = true, snkW
-		specs[srcW].Edges = append(specs[srcW].Edges, src)
-		snk := pe
-		snk.In, snk.Peer = true, srcW
-		specs[snkW].Edges = append(specs[snkW].Edges, snk)
+		spec.State, specs[w] = map[string][]byte{}, spec
 	}
 	return specs, nil
 }
 
-// InitialPreloads computes every delayed edge's in-flight payloads at
-// iteration 0 — the canonical delay tokens a fresh run preloads: empty
-// payloads on same-processor edges (whose local queues preload nothing)
-// and dynamic edges, zero blocks of the static transfer size on
-// cross-processor static edges. Locality follows the processor mapping,
-// never worker placement, so the preloaded bytes match Execute's for any
-// placement.
-func InitialPreloads(g *dataflow.Graph, m *sched.Mapping) (map[uint16][][]byte, error) {
-	plan, err := newGraphPlan(g, 1)
+// BuildPartition compiles the spec of node me alone, under a static node
+// list: what a static run needs of the plan (ExecuteDistributed calls it per
+// run; a session server once, for every session to lower). A nil nodeOf is
+// the identity, processor p on node p, and the list may name nodes that host
+// nothing — only me must host a processor. The caller fills in Addrs and
+// the iteration range.
+func BuildPartition(g *dataflow.Graph, m *sched.Mapping, nodeOf []int, nodes, me, block int, resync bool) (*PartitionSpec, error) {
+	if me < 0 || me >= nodes {
+		return nil, fmt.Errorf("spi: node %d out of range [0,%d)", me, nodes)
+	}
+	plan, err := placedPlan(g, m, nodeOf, nodes, block, true, resync)
 	if err != nil {
 		return nil, err
 	}
-	pre := map[uint16][][]byte{}
-	for _, eid := range g.Edges() {
-		d := plan.delayIters(eid)
-		if d == 0 {
-			continue
-		}
-		e := g.Edge(eid)
-		cfg := plan.edgeConfig(eid)
-		tokens := make([][]byte, d)
-		if m.Proc[e.Src] != m.Proc[e.Snk] && cfg.Mode == Static {
-			blk := make([]byte, cfg.PayloadBytes)
-			for i := range tokens {
-				tokens[i] = blk
-			}
-		} else {
-			for i := range tokens {
-				tokens[i] = []byte{}
-			}
-		}
-		pre[uint16(eid)] = tokens
+	spec := plan.spec(me)
+	if len(spec.Procs) == 0 {
+		return nil, fmt.Errorf("spi: node %d hosts no processors", me)
 	}
-	return pre, nil
+	return spec, nil
 }

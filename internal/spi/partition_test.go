@@ -63,7 +63,7 @@ func (s *partTestSinks) snapshot() map[string]uint64 {
 }
 
 // partTestKernels builds deterministic demo-style kernels for partGraph,
-// keyed both by actor ID (for Execute) and name (for ExecutePartition).
+// keyed both by actor ID (for Execute) and name (for a spec's runs).
 // Actor B is stateful: it folds a running sum of its firing hashes into
 // its outputs, so epoch handoff silently corrupting checkpointed state
 // breaks bit-identity. The returned hooks checkpoint/restore B's state.
@@ -158,6 +158,19 @@ func partReference(t *testing.T, iterations int) (map[string]uint64, map[string]
 	return sinks.snapshot(), st.ActorFirings
 }
 
+// coldEpoch runs one epoch as a standing deployment of its own: open, run the
+// spec's iteration range, close — gracefully when the run succeeded, so
+// every token it sent is delivered — and returns the checkpoint at its end.
+func coldEpoch(spec *PartitionSpec, kernels map[string]Kernel, opts DistOptions) (*PartResult, error) {
+	pr, err := OpenPartition(spec, kernels, opts)
+	if err != nil {
+		return nil, err
+	}
+	res, err := pr.Run(spec.BaseIter, spec.Iterations)
+	pr.Close(err == nil)
+	return res, err
+}
+
 // runPartitionedEpochs drives the full coordinator loop in miniature:
 // partition per the epoch's placement, thread Tails and State blobs across
 // epoch boundaries (exactly what a live migration ships), run every worker
@@ -168,10 +181,7 @@ func runPartitionedEpochs(t *testing.T, iterations, epochLen int,
 	t.Helper()
 	g, m := partGraph()
 	sinks := &partTestSinks{d: map[string]uint64{}}
-	tails, err := InitialPreloads(g, m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tails := map[uint16][][]byte{} // a fresh spec carries iteration 0's own
 	state := map[string][]byte{}
 	firings := map[string]int{}
 	for base, epoch := 0, 0; base < iterations; epoch++ {
@@ -180,7 +190,7 @@ func runPartitionedEpochs(t *testing.T, iterations, epochLen int,
 			n = left
 		}
 		workerOf, workers := placement(epoch)
-		specs, err := BuildPartitions(g, m, workerOf, workers)
+		specs, err := BuildPartitions(g, m, workerOf, workers, 1, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,14 +219,13 @@ func runPartitionedEpochs(t *testing.T, iterations, epochLen int,
 					hosted[a.Name] = true
 				}
 			}
-			for i := range spec.Edges {
-				e := &spec.Edges[i]
-				if (e.Out || e.SameProc) && e.Delay > 0 {
-					spec.Preload[e.ID] = tails[e.ID]
+			for id := range spec.Preload {
+				if tl, ok := tails[id]; ok {
+					spec.Preload[id] = tl
 				}
 			}
 			_, byName, hooks := partTestKernels(g, 7, sinks)
-			opts := PartOptions{
+			opts := DistOptions{
 				Transport: tr, Listener: lns[w],
 				Retry: transport.RetryConfig{Attempts: 20, BaseDelay: time.Millisecond,
 					MaxDelay: 5 * time.Millisecond},
@@ -231,7 +240,7 @@ func runPartitionedEpochs(t *testing.T, iterations, epochLen int,
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				results[w], errs[w] = ExecutePartition(spec, byName, opts)
+				results[w], errs[w] = coldEpoch(spec, byName, opts)
 			}(w)
 		}
 		wg.Wait()
@@ -341,11 +350,7 @@ func TestExecutePartitionResume(t *testing.T) {
 	g, m := partGraph()
 	sinks := &partTestSinks{d: map[string]uint64{}}
 	workerOf, workers := []int{0, 1, 0}, 2
-	specs, err := BuildPartitions(g, m, workerOf, workers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pre, err := InitialPreloads(g, m)
+	specs, err := BuildPartitions(g, m, workerOf, workers, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,14 +373,8 @@ func TestExecutePartitionResume(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		spec := specs[w]
 		spec.BaseIter, spec.Iterations, spec.Addrs = 0, iterations, addrs
-		for i := range spec.Edges {
-			e := &spec.Edges[i]
-			if (e.Out || e.SameProc) && e.Delay > 0 {
-				spec.Preload[e.ID] = pre[e.ID]
-			}
-		}
 		_, byName, hooks := partTestKernels(g, 7, sinks)
-		opts := PartOptions{
+		opts := DistOptions{
 			Transport: ft, Listener: lns[w],
 			Retry: transport.RetryConfig{Attempts: 20, BaseDelay: time.Millisecond,
 				MaxDelay: 5 * time.Millisecond},
@@ -388,7 +387,7 @@ func TestExecutePartitionResume(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			results[w], errs[w] = ExecutePartition(spec, byName, opts)
+			results[w], errs[w] = coldEpoch(spec, byName, opts)
 		}(w)
 	}
 	done := make(chan struct{})
@@ -420,7 +419,7 @@ func TestExecutePartitionAbort(t *testing.T) {
 	g, m := partGraph()
 	sinks := &partTestSinks{d: map[string]uint64{}}
 	workerOf, workers := []int{0, 1, 0}, 2
-	specs, err := BuildPartitions(g, m, workerOf, workers)
+	specs, err := BuildPartitions(g, m, workerOf, workers, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,22 +435,12 @@ func TestExecutePartitionAbort(t *testing.T) {
 		addrs[w], lns[w] = ln.Addr(), ln
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	pre, err := InitialPreloads(g, m)
-	if err != nil {
-		t.Fatal(err)
-	}
 	release := make(chan struct{})
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		spec := specs[w]
 		spec.BaseIter, spec.Iterations, spec.Addrs = 0, 1<<20, addrs
-		for i := range spec.Edges {
-			e := &spec.Edges[i]
-			if (e.Out || e.SameProc) && e.Delay > 0 {
-				spec.Preload[e.ID] = pre[e.ID]
-			}
-		}
 		_, byName, _ := partTestKernels(g, 7, sinks)
 		// Gate actor A so the epoch is guaranteed in-flight when cancelled.
 		inner := byName["A"]
@@ -462,7 +451,7 @@ func TestExecutePartitionAbort(t *testing.T) {
 			}
 			return inner(iter, in)
 		}
-		opts := PartOptions{
+		opts := DistOptions{
 			Transport: tr, Listener: lns[w], Context: ctx,
 			Retry: transport.RetryConfig{Attempts: 20, BaseDelay: time.Millisecond,
 				MaxDelay: 5 * time.Millisecond},
@@ -470,7 +459,7 @@ func TestExecutePartitionAbort(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			_, errs[w] = ExecutePartition(spec, byName, opts)
+			_, errs[w] = coldEpoch(spec, byName, opts)
 		}(w)
 	}
 	<-release
@@ -489,49 +478,207 @@ func TestExecutePartitionAbort(t *testing.T) {
 	}
 }
 
-// TestPartitionSpecValidation exercises the spec validator and the
-// coordinator-side builder errors.
+// TestPartitionSpecValidation is the table of malformed inputs to the one
+// compiled form: what the placement validation refuses of a static node
+// list and of a coordinator's placement (a node list may name nodes that
+// host nothing, a placement may not), and what the lowering refuses of a
+// spec. The texts are part of the contract: the CLIs print them.
 func TestPartitionSpecValidation(t *testing.T) {
 	g, m := partGraph()
-	if _, err := BuildPartitions(g, m, []int{0, 1}, 2); err == nil {
-		t.Error("short placement accepted")
+	sinks := &partTestSinks{d: map[string]uint64{}}
+	byID, byName, _ := partTestKernels(g, 7, sinks)
+	static := func(opts DistOptions) func() error {
+		return func() error { _, err := ExecuteDistributed(g, m, byID, 1, opts); return err }
 	}
-	if _, err := BuildPartitions(g, m, []int{0, 0, 3}, 3); err == nil {
-		t.Error("out-of-range placement accepted")
+	placement := func(workerOf []int, workers int) func() error {
+		return func() error { _, err := BuildPartitions(g, m, workerOf, workers, 1, false); return err }
 	}
-	if _, err := BuildPartitions(g, m, []int{0, 0, 0}, 2); err == nil ||
-		!strings.Contains(err.Error(), "hosts no processors") {
-		t.Errorf("empty worker accepted: %v", err)
-	}
-	specs, err := BuildPartitions(g, m, []int{0, 1, 0}, 2)
+	specs, err := BuildPartitions(g, m, []int{0, 1, 0}, 2, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec := specs[0]
 	spec.BaseIter, spec.Iterations, spec.Addrs = 0, 1, []string{"x", "y"}
-	sinks := &partTestSinks{d: map[string]uint64{}}
-	_, byName, _ := partTestKernels(g, 7, sinks)
-	if _, err := ExecutePartition(spec, nil, PartOptions{}); err == nil {
-		t.Error("missing kernels accepted")
-	}
-	bad := *spec
-	bad.Iterations = 0
-	if _, err := ExecutePartition(&bad, byName, PartOptions{}); err == nil {
-		t.Error("zero iterations accepted")
-	}
-	bad = *spec
-	bad.Node = 2
-	if _, err := ExecutePartition(&bad, byName, PartOptions{}); err == nil {
-		t.Error("node out of worker range accepted")
-	}
-	bad = *spec
-	bad.Edges = append([]PartEdge(nil), spec.Edges...)
-	for i := range bad.Edges {
-		if crossesWorkers(&bad.Edges[i]) {
-			bad.Edges[i].Peer = 5
+	execute := func(mutate func(*PartitionSpec), kernels map[string]Kernel) func() error {
+		return func() error {
+			bad := *spec
+			bad.Edges = append([]PartEdge(nil), spec.Edges...)
+			mutate(&bad)
+			_, err := ExecutePartition(&bad, kernels, DistOptions{})
+			return err
 		}
 	}
-	if _, err := ExecutePartition(&bad, byName, PartOptions{}); err == nil {
-		t.Error("out-of-range peer accepted")
+	two := []string{"x", "y"}
+	for _, c := range []struct {
+		name string
+		run  func() error
+		want string // "" = accepted
+	}{
+		{"no addresses", static(DistOptions{}), "spi: distributed run needs at least one address"},
+		{"node out of range", static(DistOptions{Addrs: two, Node: 2}), "spi: node 2 out of range [0,2)"},
+		{"NodeOf length", static(DistOptions{Addrs: two, NodeOf: []int{0, 1}}), "spi: NodeOf has 2 entries, mapping has 3 processors"},
+		{"NodeOf range", static(DistOptions{Addrs: two, NodeOf: []int{0, 0, 3}}), "spi: NodeOf[2] = 3 out of range [0,2)"},
+		{"identity, too few addresses", static(DistOptions{Addrs: two}), "spi: 3 processors but only 2 node addresses (set NodeOf)"},
+		{"this node hosts nothing", static(DistOptions{Addrs: two, Node: 1, NodeOf: []int{0, 0, 0}}), "spi: node 1 hosts no processors"},
+		{"another node hosts nothing", static(DistOptions{Addrs: two, NodeOf: []int{0, 0, 0}}), ""},
+		{"cross-node edges, no transport", static(DistOptions{Addrs: two, NodeOf: []int{0, 1, 0}}), "spi: distributed run needs a transport or a link provider"},
+		{"a node list with a hole", func() error { _, err := BuildPartition(g, m, []int{0, 2, 0}, 3, 2, 1, false); return err }, ""},
+		{"placement length", placement([]int{0, 1}, 2), "spi: placement has 2 entries, mapping has 3 processors"},
+		{"no placement", placement(nil, 3), "spi: placement has 0 entries, mapping has 3 processors"},
+		{"placement range", placement([]int{0, 0, 3}, 3), "spi: placement[2] = 3 out of range [0,3)"},
+		{"a worker hosts nothing", placement([]int{0, 0, 0}, 2), "spi: worker 1 hosts no processors"},
+		{"missing kernels", execute(func(*PartitionSpec) {}, nil), "has no kernel"},
+		{"zero iterations", execute(func(s *PartitionSpec) { s.Iterations = 0 }, byName), "spi: partition iterations = 0"},
+		{"negative base", execute(func(s *PartitionSpec) { s.BaseIter = -1 }, byName), "spi: partition base iteration = -1"},
+		{"node out of worker range", execute(func(s *PartitionSpec) { s.Node = 2 }, byName), "spi: partition node 2 of 2 workers"},
+		{"no processors", execute(func(s *PartitionSpec) { s.Procs = nil }, byName), "spi: partition hosts no processors"},
+		{"peer out of range", execute(func(s *PartitionSpec) {
+			for i := range s.Edges {
+				if crossesWorkers(&s.Edges[i]) {
+					s.Edges[i].Peer = 5
+				}
+			}
+		}, byName), "names peer worker 5 of 2"},
+		{"edge blocked in a scalar run", execute(func(s *PartitionSpec) { s.Edges[0].Block = 4 }, byName), "has block factor 4 in a run of block 1"},
+		{"preload of half a slab", execute(func(s *PartitionSpec) {
+			s.Block = 2
+			for i := range s.Edges {
+				if e := &s.Edges[i]; e.Out && e.Delay > 0 {
+					e.Block, s.Preload = 2, map[uint16][][]byte{e.ID: {{}}}
+				}
+			}
+		}, byName), "not whole 2-token slabs"},
+	} {
+		err := c.run()
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: refused: %v", c.name, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: error %v, want %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestOpenPartitionNamesNoRange: a standing deployment opens from a spec
+// that names no iteration range — each Run names its own — while
+// ExecutePartition, which runs the spec's range, refuses the same spec.
+func TestOpenPartitionNamesNoRange(t *testing.T) {
+	g, m := partGraph()
+	specs, err := BuildPartitions(g, m, []int{0, 0, 0}, 1, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := specs[0] // BaseIter and Iterations stay zero
+	sinks := &partTestSinks{d: map[string]uint64{}}
+	_, byName, _ := partTestKernels(g, 7, sinks)
+	pr, err := OpenPartition(spec, byName, DistOptions{})
+	if err != nil {
+		t.Fatalf("open from a spec without a range: %v", err)
+	}
+	res, err := pr.Run(0, 5)
+	pr.Close(err == nil)
+	if err != nil || res.Firings["A"] != 5 {
+		t.Fatalf("Run(0, 5) = %+v, %v; want 5 firings per actor", res, err)
+	}
+	want, _ := partReference(t, 5)
+	checkPartDigests(t, sinks.snapshot(), want, nil, nil)
+	if _, err := ExecutePartition(spec, byName, DistOptions{}); err == nil || err.Error() != "spi: partition iterations = 0" {
+		t.Errorf("ExecutePartition on the same spec: %v, want the iteration-count refusal", err)
+	}
+}
+
+// TestOpenPartitionRefusesBlockedCheckpoint: the checkpoint of a standing
+// deployment is token-granular, so a spec whose delayed edge travels in
+// slabs is refused by edge name on both of its workers, and the same graph
+// opens once no delayed edge is blocked. The refusal is the checkpoint's
+// alone: the static run of the same two specs (ExecutePartition), which
+// keeps none, reproduces the scalar digests. partGraph at B = 2 blocks "ab"
+// (two iterations of delay) and leaves "bc" (one) token-granular.
+func TestOpenPartitionRefusesBlockedCheckpoint(t *testing.T) {
+	g, m := partGraph()
+	sinks := &partTestSinks{d: map[string]uint64{}}
+	_, byName, _ := partTestKernels(g, 7, sinks)
+	specs, err := BuildPartitions(g, m, []int{0, 1, 1}, 2, 2, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w, spec := range specs {
+		_, err := OpenPartition(spec, byName, DistOptions{Transport: transport.NewLoopback()})
+		if err == nil || !strings.Contains(err.Error(), "edge ab") || !strings.Contains(err.Error(), "checkpoint") {
+			t.Errorf("worker %d: blocked spec: %v, want a refusal naming edge ab and the checkpoint", w, err)
+		}
+	}
+	tr := transport.NewLoopback()
+	static := &partTestSinks{d: map[string]uint64{}}
+	errs := make([]error, len(specs))
+	var wg sync.WaitGroup
+	for w, spec := range specs {
+		spec.Iterations, spec.Addrs = 7, []string{"blocked-w0", "blocked-w1"} // a partial final block
+		_, kernels, _ := partTestKernels(g, 7, static)
+		wg.Add(1)
+		go func(w int, spec *PartitionSpec) {
+			defer wg.Done()
+			_, errs[w] = ExecutePartition(spec, kernels, DistOptions{Transport: tr,
+				Retry: transport.RetryConfig{Attempts: 20, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}})
+		}(w, spec)
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			t.Fatalf("static run of the blocked spec, worker %d: %v", w, err)
+		}
+	}
+	want7, _ := partReference(t, 7)
+	checkPartDigests(t, static.snapshot(), want7, nil, nil)
+	// B = 3 aligns with no delay: "cd" alone is blocked, and carries none.
+	specs, err = BuildPartitions(g, m, []int{0, 0, 0}, 1, 3, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := OpenPartition(specs[0], byName, DistOptions{})
+	if err != nil {
+		t.Fatalf("blocked spec without a blocked delay: %v", err)
+	}
+	_, err = pr.Run(0, 7)
+	pr.Close(err == nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := partReference(t, 7) // the scalar run's
+	checkPartDigests(t, sinks.snapshot(), want, nil, nil)
+}
+
+// TestSharedSpecConcurrentLowering lowers and runs one spec from 16
+// goroutines at once, as a session server's admissions do: lowering only
+// reads the spec, so under -race this is silent and every run produces the
+// reference digests.
+func TestSharedSpecConcurrentLowering(t *testing.T) {
+	g, m := partGraph()
+	specs, err := BuildPartitions(g, m, []int{0, 0, 0}, 1, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := specs[0]
+	spec.Iterations = 9
+	want, _ := partReference(t, spec.Iterations)
+	errs := make([]error, 16)
+	got := make([]map[string]uint64, len(errs))
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sinks := &partTestSinks{d: map[string]uint64{}}
+			_, byName, _ := partTestKernels(g, 7, sinks)
+			_, errs[i] = ExecutePartition(spec, byName, DistOptions{})
+			got[i] = sinks.snapshot()
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		checkPartDigests(t, got[i], want, nil, nil)
 	}
 }

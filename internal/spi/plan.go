@@ -1,27 +1,38 @@
 package spi
 
 import (
+	"fmt"
+
 	"repro/internal/dataflow"
 	"repro/internal/sched"
 	"repro/internal/vts"
 )
 
-// Edge planning and the graph lowering of the executor core: VTS
-// conversion, buffer bounds, and the per-edge mode/protocol/capacity
-// selection — the compile-time half of SPI_init — and lowerGraph, which
-// compiles one node's share of a mapped graph into the execEnv every
-// execution mode runs (execute.go). BuildPartitions stamps the same edge
-// plans into PartitionSpecs, whose lowering is lowerPartition.
+// The planner: the compile-time half of SPI_init. A graphPlan holds the VTS
+// conversion, the buffer bounds and the blocking factor, and decides per
+// edge the component (static/dynamic), the protocol (BBS/UBS), the capacity
+// and the block factor (edge). Placed on a mapping and a processor→node
+// assignment (place) it builds the one compiled form, a PartitionSpec per
+// node (spec): a static run — Execute, ExecuteBlocked, ExecuteDistributed,
+// PeerDecls, a session server — compiles its own node's (BuildPartition), a
+// coordinator every worker's (BuildPartitions), and whoever runs one hands
+// it to lowerPartition (partition.go), the only code that builds an execEnv. The simulator lowering (build.go) reads the same edge plans.
 
 type graphPlan struct {
 	g      *dataflow.Graph
 	conv   *vts.Result
 	bounds []vts.Bounds
 	q      dataflow.Repetitions
-	// block is the vectorization blocking factor B (1 = scalar). Edges
-	// whose delay is a whole multiple of B iterations carry B-token slabs;
-	// the rest stay token-granular (edgeBlock).
+	// block is the vectorization blocking factor B (1 = scalar).
 	block int
+
+	// Set by place: the mapping, the node hosting each processor, the node
+	// count, and the edges whose acks the §4 verdict suppresses (nil unless
+	// the run asked for resynchronization).
+	m          *sched.Mapping
+	nodeOf     []int
+	nodes      int
+	suppressed map[dataflow.EdgeID]string
 }
 
 func newGraphPlan(g *dataflow.Graph, block int) (*graphPlan, error) {
@@ -37,174 +48,149 @@ func newGraphPlan(g *dataflow.Graph, block int) (*graphPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	if block < 1 {
-		block = 1
-	}
-	return &graphPlan{g: g, conv: conv, bounds: bounds, q: q, block: block}, nil
+	return &graphPlan{g: g, conv: conv, bounds: bounds, q: q, block: max(block, 1)}, nil
 }
 
-// delayIters converts an edge's initial-token delay into whole graph
-// iterations of preloaded (empty) block messages.
-func (p *graphPlan) delayIters(eid dataflow.EdgeID) int {
-	e := p.g.Edge(eid)
+// edge plans one interprocessor edge, locality aside: the SPI component
+// (static/dynamic framing) and the bound of one token, the buffer protocol
+// (BBS when the VTS analysis proves a bound, else UBS), the delay in whole
+// graph iterations, and the block factor — identical for in-process and
+// networked edges, so a distributed run and its single-process reference
+// use the same protocols on the same edges. An edge carries B-token slabs
+// when its delay is a whole multiple of B iterations (including zero);
+// a misaligned delay makes the consumer's block straddle two producer
+// blocks, so such an edge stays token-granular. Capacity and the BBS credit
+// pool are accounted in messages — slabs on a blocked edge, scaling the
+// eq. 2 memory bound by B — and leave room for one message beyond the
+// preloaded delay.
+func (p *graphPlan) edge(eid dataflow.EdgeID) PartEdge {
+	e, info := p.g.Edge(eid), p.conv.Info(eid)
+	delay, bf := 0, 1
 	if t := int(p.g.IterationTokens(p.q, eid)); t > 0 {
-		return e.Delay / t
+		delay = e.Delay / t
 	}
-	return 0
-}
-
-// edgeBlock is the number of iterations packed per message on this edge: the
-// plan's blocking factor when the edge's delay aligns with it (a whole
-// multiple of B iterations, including zero), else 1. A misaligned delay
-// makes the consumer's block straddle two producer blocks, so such edges
-// stay token-granular.
-func (p *graphPlan) edgeBlock(eid dataflow.EdgeID) int {
-	if p.block <= 1 || p.delayIters(eid)%p.block != 0 {
-		return 1
+	if delay%p.block == 0 {
+		bf = p.block
 	}
-	return p.block
-}
-
-// edgeConfig selects the SPI component (static/dynamic framing) and the
-// buffer protocol (BBS when the VTS analysis proves a bound, else UBS) for
-// one interprocessor edge — identical for in-process and networked edges,
-// so a distributed run and its single-process reference use the same
-// protocols on the same edges. A blocked edge (edgeBlock > 1) carries
-// B-token slabs in SPI_dynamic framing — the final block of a run may be
-// partial — with capacity, preload, and the BBS credit pool accounted in
-// slabs, scaling the eq. 2 memory bound by B.
-func (p *graphPlan) edgeConfig(eid dataflow.EdgeID) EdgeConfig {
-	info := p.conv.Info(eid)
-	cfg := EdgeConfig{ID: EdgeID(eid), Name: p.g.Edge(eid).Name, Mode: Static, PayloadBytes: int(info.BMax)}
+	pe := PartEdge{ID: uint16(eid), Name: e.Name, Mode: uint8(Static), Bytes: uint32(info.BMax),
+		Protocol: uint8(UBS), Delay: uint32(delay), Block: uint32(bf), Peer: -1}
 	if info.Dynamic {
-		cfg.Mode = Dynamic
-		cfg.MaxBytes = int(info.BMax)
+		pe.Mode = uint8(Dynamic)
 	}
-	bf := p.edgeBlock(eid)
-	if bf > 1 {
-		cfg.Mode = Dynamic
-		cfg.MaxBytes = SlabBound(int(info.BMax), info.Dynamic, bf)
+	if b := p.bounds[eid]; b.Bounded {
+		pe.Protocol = uint8(BBS)
+		pe.Capacity = uint32(max(int(b.IPC/b.BMax)/bf, delay/bf+1))
 	}
-	b := p.bounds[eid]
-	if b.Bounded {
-		cfg.Protocol = BBS
-		capMsgs := int(b.IPC/b.BMax) / bf
-		if capMsgs < 1 {
-			capMsgs = 1
-		}
-		if d := p.delayIters(eid) / bf; capMsgs < d+1 {
-			capMsgs = d + 1
-		}
-		cfg.Capacity = capMsgs
-	} else {
-		cfg.Protocol = UBS
-	}
-	return cfg
+	return pe
 }
 
-// preload builds an edge's initial-delay messages (empty blocks), which
-// open sends through the edge's sender so iteration 0 finds its tokens,
-// mirroring the channel preloading of the platform lowering. On a blocked
-// edge the delay goes out as delay/B full slabs of B empty tokens — the
-// slab-level image of the scalar preload. Send copies, so all the
-// messages share one buffer.
-func (p *graphPlan) preload(eid dataflow.EdgeID, cfg EdgeConfig) ([][]byte, error) {
-	bf := p.edgeBlock(eid)
-	n := p.delayIters(eid) / bf
-	if n == 0 {
-		return nil, nil
+// place binds the plan to a mapping and a processor→node assignment over
+// the given number of nodes, and is the one validation of both: the mapping
+// against the graph, one node in range per processor, and the schedule
+// against the blocking factor. The assignment is a static run's NodeOf, whose
+// nil is the identity (processor p on node p), or else a coordinator's
+// placement, spelled out. With resync it also computes the §4 verdict, which
+// spec stamps as SuppressAck.
+func (p *graphPlan) place(m *sched.Mapping, nodeOf []int, nodes int, static, resync bool) error {
+	if err := m.Validate(p.g); err != nil {
+		return err
 	}
-	var msg []byte
-	if bf > 1 {
-		info := p.conv.Info(eid)
-		var err error
-		if msg, err = PackSlab(nil, make([][]byte, bf), int(info.BMax), info.Dynamic); err != nil {
-			return nil, err
+	what := "placement"
+	if static {
+		what = "NodeOf"
+	}
+	if static && nodeOf == nil {
+		if m.NumProcs > nodes {
+			return fmt.Errorf("spi: %d processors but only %d node addresses (set NodeOf)", m.NumProcs, nodes)
 		}
-	} else if cfg.Mode == Static {
-		msg = make([]byte, cfg.PayloadBytes)
+		nodeOf = make([]int, m.NumProcs)
+		for proc := range nodeOf {
+			nodeOf[proc] = proc
+		}
 	}
-	payloads := make([][]byte, n)
-	for i := range payloads {
-		payloads[i] = msg
+	if len(nodeOf) != m.NumProcs {
+		return fmt.Errorf("spi: %s has %d entries, mapping has %d processors", what, len(nodeOf), m.NumProcs)
 	}
-	return payloads, nil
+	for proc, n := range nodeOf {
+		if n < 0 || n >= nodes {
+			return fmt.Errorf("spi: %s[%d] = %d out of range [0,%d)", what, proc, n, nodes)
+		}
+	}
+	if err := p.g.CheckBlockSchedule(p.block, m.Order); err != nil {
+		return err
+	}
+	p.m, p.nodeOf, p.nodes = m, nodeOf, nodes
+	if resync {
+		// The suppression set is a pure function of graph and mapping, so
+		// every node computes the same one; each link declares its own part
+		// of it in the handshake, which refuses a peer that disagrees.
+		rp, err := p.resyncSuppression(m)
+		if err != nil {
+			return err
+		}
+		p.suppressed = rp.Suppressed
+	}
+	return nil
 }
 
-// lowerGraph compiles node me's share of a mapped graph — the processors
-// nodeOf places there, every edge touching them — into an execEnv. Actors
-// without an entry in kernels/vkernels get none (PeerDecls lowers for the
-// edge plan alone); checkKernels reports them.
-func lowerGraph(g *dataflow.Graph, m *sched.Mapping, nodeOf []int, me, block int,
-	kernels map[dataflow.ActorID]Kernel, vkernels map[dataflow.ActorID]VectorKernel) (*execEnv, error) {
-	plan, err := newGraphPlan(g, block)
-	if err != nil {
-		return nil, err
+// spec extracts node me's share of the placed plan: the processors placed
+// there with their schedules, every edge touching them, and, as Preload,
+// the delay tokens of a fresh run on the delayed edges produced there. The
+// caller fills in what a deployment adds (Addrs, an iteration range, a
+// checkpoint's Preload and State). A node hosting nothing gets a spec
+// without processors, which lowerPartition refuses.
+func (p *graphPlan) spec(me int) *PartitionSpec {
+	g, m := p.g, p.m
+	// A static run compiles a spec per run and per session, so its slices are
+	// cut from a few arrays sized by the whole graph, not grown by append.
+	spec := &PartitionSpec{Graph: g.Name(), Node: me, Workers: p.nodes, Block: p.block,
+		Procs: make([]PartProc, 0, m.NumProcs), Edges: make([]PartEdge, 0, g.NumEdges()),
+		Preload: map[uint16][][]byte{}}
+	actors, ids := make([]PartActor, 0, g.NumActors()), make([]uint16, 0, 2*g.NumEdges())
+	list := func(eids []dataflow.EdgeID) []uint16 {
+		if len(eids) == 0 {
+			return nil
+		}
+		at := len(ids)
+		for _, eid := range eids {
+			ids = append(ids, uint16(eid))
+		}
+		return ids[at:len(ids):len(ids)]
 	}
-	if err := g.CheckBlockSchedule(plan.block, m.Order); err != nil {
-		return nil, err
+	for proc, order := range m.Order {
+		if p.nodeOf[proc] != me {
+			continue
+		}
+		at := len(actors)
+		for _, a := range order {
+			actors = append(actors, PartActor{Name: g.Actor(a).Name, In: list(g.In(a)), Out: list(g.Out(a))})
+		}
+		spec.Procs = append(spec.Procs, PartProc{Proc: proc, Actors: actors[at:len(actors):len(actors)]})
 	}
-	env := &execEnv{node: me, block: plan.block, rt: NewRuntime(),
-		edges: make([]edgeSlot, 0, g.NumEdges()), procs: make([]procPlan, 0, m.NumProcs)}
-	slots := make([]*edgeSlot, g.NumEdges())
 	for _, eid := range g.Edges() {
 		e := g.Edge(eid)
 		srcProc, snkProc := m.Proc[e.Src], m.Proc[e.Snk]
-		srcNode, snkNode := nodeOf[srcProc], nodeOf[snkProc]
+		srcNode, snkNode := p.nodeOf[srcProc], p.nodeOf[snkProc]
 		if srcNode != me && snkNode != me {
 			continue
 		}
-		info := plan.conv.Info(eid)
-		env.edges = append(env.edges, edgeSlot{id: eid, name: e.Name,
-			bmax: int(info.BMax), dynamic: info.Dynamic, block: 1, peer: -1})
-		s := &env.edges[len(env.edges)-1]
-		slots[eid] = s
-		if srcProc == snkProc {
-			// The local queue starts with the delay tokens (empty blocks).
-			s.queue = make([][]byte, plan.delayIters(eid))
-			continue
-		}
-		s.block = plan.edgeBlock(eid)
-		s.cfg = plan.edgeConfig(eid)
-		s.out, s.in = srcNode == me, snkNode == me
+		pe := p.edge(eid)
+		_, pe.SuppressAck = p.suppressed[eid]
 		switch {
-		case !s.out:
-			s.peer = srcNode
-		case !s.in:
-			s.peer = snkNode
+		case srcProc == snkProc:
+			// A local queue: never on the wire, so never blocked.
+			pe.SameProc, pe.Block = true, 1
+		case srcNode == snkNode:
+			pe.Out, pe.In = true, true
+		case srcNode == me:
+			pe.Out, pe.Peer = true, snkNode
+		default:
+			pe.In, pe.Peer = true, srcNode
 		}
-		if s.out {
-			// Sender-side only, so the delay tokens cross a wire once.
-			if s.preload, err = plan.preload(eid, s.cfg); err != nil {
-				return nil, err
-			}
+		if (pe.Out || pe.SameProc) && pe.Delay > 0 {
+			spec.Preload[pe.ID] = pe.delayTokens()
 		}
+		spec.Edges = append(spec.Edges, pe)
 	}
-	pick := func(ids []dataflow.EdgeID) []*edgeSlot {
-		out := make([]*edgeSlot, len(ids))
-		for i, eid := range ids {
-			out[i] = slots[eid]
-		}
-		return out
-	}
-	for p := 0; p < m.NumProcs; p++ {
-		if nodeOf[p] != me {
-			continue
-		}
-		pp := procPlan{proc: p, actors: make([]actorSlot, len(m.Order[p])),
-			in: map[dataflow.EdgeID][]byte{}}
-		if plan.block > 1 {
-			pp.vecIn = map[dataflow.EdgeID][][]byte{}
-		}
-		for i, a := range m.Order[p] {
-			as := &pp.actors[i]
-			as.name, as.kernel = g.Actor(a).Name, kernels[a]
-			if plan.block > 1 {
-				as.vkernel = vkernels[a]
-			}
-			as.in, as.out = pick(g.In(a)), pick(g.Out(a))
-		}
-		env.procs = append(env.procs, pp)
-	}
-	return env, nil
+	return spec
 }

@@ -220,7 +220,7 @@ func TestStallReleasesBlockedLinkWriter(t *testing.T) {
 func TestPartitionContextReleasesBlockedLinkWriter(t *testing.T) {
 	g, m, byID := streamGraph()
 	byName := map[string]Kernel{"P": byID[0], "C": byID[1]}
-	specs, err := BuildPartitions(g, m, []int{0, 1}, 2)
+	specs, err := BuildPartitions(g, m, []int{0, 1}, 2, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestPartitionContextReleasesBlockedLinkWriter(t *testing.T) {
 		wg.Add(1)
 		go func(w int, spec *PartitionSpec) {
 			defer wg.Done()
-			_, errs[w] = ExecutePartition(spec, byName, PartOptions{
+			_, errs[w] = coldEpoch(spec, byName, DistOptions{
 				Transport: ft, Listener: lns[w], Context: ctx,
 				Retry: transport.RetryConfig{Attempts: 20, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
 			})
@@ -285,32 +285,29 @@ type epochCheckpoint struct {
 
 // runPartEpochs executes partGraph over three workers in epochs, either
 // as one standing deployment (OpenPartition once, Run per epoch) or as a
-// cold deployment per epoch (ExecutePartition with the previous epoch's
+// cold deployment per epoch (coldEpoch with the previous epoch's
 // checkpoint), and returns the checkpoint after every epoch and the sink
 // digests.
 func runPartEpochs(t *testing.T, iterations, epochLen int, standing bool) ([]epochCheckpoint, map[string]uint64) {
 	t.Helper()
 	g, m := partGraph()
 	sinks := &partTestSinks{d: map[string]uint64{}}
-	tails, err := InitialPreloads(g, m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tails := map[uint16][][]byte{} // a fresh spec carries iteration 0's own
 	state := map[string][]byte{}
 	const workers = 3
 	retry := transport.RetryConfig{Attempts: 20, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}
 
 	// deploy builds the three workers' specs, kernels and options for a
 	// deployment starting at base with the current checkpoint.
-	deploy := func(base, n int) ([]*PartitionSpec, []map[string]Kernel, []PartOptions) {
-		specs, err := BuildPartitions(g, m, []int{0, 1, 2}, workers)
+	deploy := func(base, n int) ([]*PartitionSpec, []map[string]Kernel, []DistOptions) {
+		specs, err := BuildPartitions(g, m, []int{0, 1, 2}, workers, 1, false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		tr := transport.NewLoopback()
 		addrs := make([]string, workers)
 		kernels := make([]map[string]Kernel, workers)
-		opts := make([]PartOptions, workers)
+		opts := make([]DistOptions, workers)
 		for w := 0; w < workers; w++ {
 			ln, err := tr.Listen(fmt.Sprintf("w%d", w))
 			if err != nil {
@@ -318,13 +315,13 @@ func runPartEpochs(t *testing.T, iterations, epochLen int, standing bool) ([]epo
 			}
 			t.Cleanup(func() { ln.Close() })
 			addrs[w] = ln.Addr()
-			opts[w] = PartOptions{Transport: tr, Listener: ln, Retry: retry, State: map[string]StateHooks{}}
+			opts[w] = DistOptions{Transport: tr, Listener: ln, Retry: retry, State: map[string]StateHooks{}}
 		}
 		for w, spec := range specs {
 			spec.BaseIter, spec.Iterations, spec.Addrs = base, n, addrs
-			for i := range spec.Edges {
-				if e := &spec.Edges[i]; (e.Out || e.SameProc) && e.Delay > 0 {
-					spec.Preload[e.ID] = tails[e.ID]
+			for id := range spec.Preload {
+				if tl, ok := tails[id]; ok {
+					spec.Preload[id] = tl
 				}
 			}
 			_, byName, hooks := partTestKernels(g, 7, sinks)
@@ -358,7 +355,7 @@ func runPartEpochs(t *testing.T, iterations, epochLen int, standing bool) ([]epo
 				go func(w int) {
 					defer wg.Done()
 					if !standing {
-						results[w], errs[w] = ExecutePartition(specs[w], kernels[w], opts[w])
+						results[w], errs[w] = coldEpoch(specs[w], kernels[w], opts[w])
 						return
 					}
 					if runs[w], errs[w] = OpenPartition(specs[w], kernels[w], opts[w]); errs[w] == nil {

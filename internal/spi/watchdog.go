@@ -90,13 +90,13 @@ func (w watchConfig) armed() bool {
 	return w.stall > 0 || (w.ctx != nil && w.ctx.Done() != nil)
 }
 
-// runWatched is env.run from iteration 0 with the watchdog alongside: it
+// runWatched is env.run with the watchdog alongside: it
 // returns the per-processor outcomes plus the watchdog's verdict — a
 // *StallError, the context error, or nil if the run finished (or failed) on
 // its own.
-func (env *execEnv) runWatched(iterations int, w watchConfig) ([]error, error) {
+func (env *execEnv) runWatched(base, iterations int, w watchConfig) ([]error, error) {
 	if !w.armed() {
-		return env.run(0, iterations), nil
+		return env.run(base, iterations), nil
 	}
 	done := make(chan struct{})
 	var (
@@ -108,7 +108,7 @@ func (env *execEnv) runWatched(iterations int, w watchConfig) ([]error, error) {
 		defer wg.Done()
 		werr = env.watch(done, w, iterations)
 	}()
-	errs := env.run(0, iterations)
+	errs := env.run(base, iterations)
 	close(done)
 	wg.Wait()
 	return errs, werr
