@@ -39,7 +39,7 @@ allocs:
 # check` runs this target and fails when one is exceeded, so growth is an
 # explicit, reviewed edit of the number below. Lower a ceiling whenever a
 # change shrinks its directory.
-LOC_CEILINGS = internal/spi:4327 internal/transport:4800 internal/session:1437 internal/orch:1577 cmd:2809
+LOC_CEILINGS = internal/spi:4327 internal/transport:4546 internal/session:1437 internal/orch:1577 cmd:2803
 loc:
 	@over=0; for e in $(LOC_CEILINGS); do d=$${e%:*}; max=$${e#*:}; \
 		n=$$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
@@ -69,6 +69,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzDecodeHello -fuzztime=5s ./internal/transport
 	$(GO) test -run=NONE -fuzz=FuzzDecodeResume -fuzztime=5s ./internal/transport
 	$(GO) test -run=NONE -fuzz=FuzzDecodeShmHeader -fuzztime=5s ./internal/transport
+	$(GO) test -run=NONE -fuzz=FuzzFaultConnFrames -fuzztime=5s ./internal/transport
 	$(GO) test -run=NONE -fuzz=FuzzDecodeCtrl -fuzztime=5s ./internal/orch
 
 # Multi-tenant load smoke: 100 sessions multiplexed over one shared link
@@ -90,12 +91,15 @@ load:
 # heartbeat-declared death, mid-block sever + live migration), and the
 # resync suite (ack suppression surviving drops, severs, and resumption
 # with bit-identical digests and zero acks on suppressed edges), the two
-# handshake tables (what HELLO refuses, and the one-sided heartbeat, piggyback
-# and batching settings that interoperate), and the differential oracle over the executor core (random graphs, mappings and
-# node splits, every execution mode against the scalar in-process run).
-# Deterministic (seeded), so failures reproduce.
+# handshake tables (what HELLO refuses, and the one-sided heartbeat and
+# piggyback settings that interoperate), the per-link writer's tests (no
+# deadline, coalescing under load, order across the inline-write threshold,
+# write errors, replay, Close draining), and the differential oracle over the
+# executor core (random graphs, mappings and node splits, every execution mode
+# against the scalar in-process run). The fault schedules are seeded and apply
+# per frame, so they hit the same frames however the links coalesce.
 chaos:
-	$(GO) test -race -run 'Chaos|Degraded|Fault|BatchResume|BatchFlushDeadline|Heartbeat|Stall|Deadline|Reap|Orchestrated|Migration|Resync|Handshake|MixedLocalPolicy|Differential' -count=1 \
+	$(GO) test -race -run 'Chaos|Degraded|Fault|BatchResume|Writer|CloseDrains|Heartbeat|Stall|Deadline|Reap|Orchestrated|Migration|Resync|Handshake|MixedLocalPolicy|Differential' -count=1 \
 		./internal/transport ./internal/spi ./internal/lpc ./cmd/spinode ./internal/session ./internal/orch
 
 # Orchestration smoke: a 3-worker in-process pool under spictl, first

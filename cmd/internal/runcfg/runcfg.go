@@ -92,16 +92,9 @@ func (r *Run) LivenessFlags(fs *flag.FlagSet) {
 		"hard time budget for the whole run: past it every blocked actor is released and the run fails with a deadline error (0 = unbounded)")
 }
 
-// WireFlags declares -batch-frames, -batch-bytes, -batch-delay,
-// -piggyback-acks, -block and -stall-timeout.
+// WireFlags declares -piggyback-acks, -block and -stall-timeout.
 func (r *Run) WireFlags(fs *flag.FlagSet) {
 	o := &r.Opts
-	fs.IntVar(&o.Batch.MaxFrames, "batch-frames", o.Batch.MaxFrames,
-		"coalesce up to this many frames per link write (0 = no batching, 1 = explicit off)")
-	fs.IntVar(&o.Batch.MaxBytes, "batch-bytes", o.Batch.MaxBytes,
-		"flush a link's write batch at this many buffered bytes (0 = default when batching)")
-	fs.DurationVar(&o.Batch.MaxDelay, "batch-delay", o.Batch.MaxDelay,
-		"deadline before a buffered frame is flushed alone (0 = default when batching)")
 	fs.BoolVar(&o.PiggybackAcks, "piggyback-acks", o.PiggybackAcks,
 		"carry this node's acknowledgements on its outgoing DATA frames; local policy, a peer run without it sends its own standalone")
 	fs.IntVar(&o.Block, "block", o.Block,
@@ -299,7 +292,7 @@ func (s *System) SessionKernels(sid uint32, tenant string) map[dataflow.ActorID]
 func LinkConfig(o *spi.DistOptions) transport.LinkConfig {
 	return transport.LinkConfig{
 		Node: o.Node, Sessions: true, Blocked: o.Block > 1,
-		Reconnect: o.Reconnect, Batch: o.Batch, PiggybackAcks: o.PiggybackAcks,
+		Reconnect: o.Reconnect, PiggybackAcks: o.PiggybackAcks,
 		Heartbeat: o.Heartbeat, PeerTimeout: o.PeerTimeout, Obs: o.Obs,
 	}
 }

@@ -102,7 +102,7 @@ func TestMalformedInput(t *testing.T) {
 // TestFlagsBindLibraryStructs: the shared flags land in the library's own
 // option structs, and defaults come from the struct value passed in.
 func TestFlagsBindLibraryStructs(t *testing.T) {
-	r, err := parse("-batch-frames", "8", "-batch-bytes", "4096", "-batch-delay", "2ms", "-piggyback-acks",
+	r, err := parse("-piggyback-acks",
 		"-block", "16", "-resync", "-heartbeat", "250ms", "-peer-timeout", "1s", "-stall-timeout", "3s",
 		"-deadline", "9s", "-reconnect", "5", "-chaos", "seed=7,drop=0.05", "-seed", "11", "-iters", "40",
 		"-assign", "0, 1,2", "-nodeof", "0,0,1")
@@ -110,7 +110,7 @@ func TestFlagsBindLibraryStructs(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := r.Opts
-	if o.Batch.MaxFrames != 8 || o.Batch.MaxBytes != 4096 || o.Batch.MaxDelay.Milliseconds() != 2 || !o.PiggybackAcks ||
+	if !o.PiggybackAcks ||
 		o.Block != 16 || !o.Resync || o.Heartbeat.Milliseconds() != 250 || o.PeerTimeout.Seconds() != 1 ||
 		o.StallTimeout.Seconds() != 3 || o.Reconnect.Attempts != 5 || o.Reconnect.Deadline.Seconds() != 15 {
 		t.Errorf("DistOptions = %+v", o)
@@ -120,7 +120,7 @@ func TestFlagsBindLibraryStructs(t *testing.T) {
 		t.Errorf("Run = %+v", r)
 	}
 	lc := LinkConfig(&o)
-	if !lc.Sessions || !lc.Blocked || lc.Batch != o.Batch || !lc.PiggybackAcks || lc.Heartbeat != o.Heartbeat ||
+	if !lc.Sessions || !lc.Blocked || !lc.PiggybackAcks || lc.Heartbeat != o.Heartbeat ||
 		lc.PeerTimeout != o.PeerTimeout || lc.Reconnect != o.Reconnect || lc.ResyncEdges != nil {
 		t.Errorf("LinkConfig = %+v", lc)
 	}

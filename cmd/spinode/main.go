@@ -330,11 +330,12 @@ func runNode(cfg nodeConfig, w io.Writer) error {
 					return
 				case <-tick.C:
 					r := o.Metrics
-					fmt.Fprintf(w, "stats[%s]: msgs=%d data_bytes=%d acks=%d credit_waits=%d frames_sent=%d frames_recv=%d resumes=%d faults=%d\n",
+					sent, writes := r.Sum("transport_link_frames_sent_total"), r.Sum("transport_link_writes_total")
+					fmt.Fprintf(w, "stats[%s]: msgs=%d data_bytes=%d acks=%d credit_waits=%d frames_sent=%d frames_per_write=%.1f frames_recv=%d resumes=%d faults=%d\n",
 						time.Since(start).Round(time.Second),
 						r.Sum("spi_edge_messages_total"), r.Sum("spi_edge_data_bytes_total"),
 						r.Sum("spi_edge_acks_total"), r.Sum("spi_edge_credit_waits_total"),
-						r.Sum("transport_link_frames_sent_total"), r.Sum("transport_link_frames_received_total"),
+						sent, float64(sent)/float64(max(writes, 1)), r.Sum("transport_link_frames_received_total"),
 						r.Sum("transport_link_resumes_total"), r.Sum("chaos_faults_total"))
 				}
 			}

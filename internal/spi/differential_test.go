@@ -169,8 +169,8 @@ func (c diffCase) inProcess(block int, recycle bool) (map[string]uint64, error) 
 
 // distributed runs the case as two loopback nodes and XOR-folds their sink
 // digests (a sink lives on one node; the other's slot stays zero). Ack
-// piggybacking and write batching are local send policy, so each node draws
-// its own; the resynchronization verdict is checked for equality at the
+// piggybacking is local send policy, so each node draws its own; the
+// resynchronization verdict is checked for equality at the
 // handshake, so the run draws one. Nothing else runs a mixed pair end to end.
 func (c diffCase) distributed() (map[string]uint64, error) {
 	tr := transport.NewLoopback()
@@ -189,9 +189,6 @@ func (c diffCase) distributed() (map[string]uint64, error) {
 		opts := spi.DistOptions{
 			Transport: tr, Node: node, Addrs: addrs, NodeOf: c.nodeOf, Retry: diffRetry,
 			Resync: resync, PiggybackAcks: rng.Intn(2) == 1,
-		}
-		if rng.Intn(2) == 1 {
-			opts.Batch = transport.BatchConfig{MaxFrames: 32} // the other thresholds at their defaults
 		}
 		wg.Add(1)
 		go func(node int) {

@@ -82,9 +82,8 @@ type DistOptions struct {
 	// with a *StallError naming the stalled actors (as DegradedError's
 	// cause in degrade mode) instead of hanging forever. 0 disables.
 	StallTimeout time.Duration
-	// Batch configures each link's write coalescer
-	// (transport.BatchConfig). The zero value disables batching: every
-	// frame is written the moment it is encoded.
+	// Batch has no effect; kept until a `benchmark` PR stops naming it
+	// (transport.BatchConfig).
 	Batch transport.BatchConfig
 	// PiggybackAcks lets each link carry this node's acknowledgements on
 	// its outgoing DATA frames (local policy; any peer decodes them),
@@ -411,22 +410,28 @@ func (env *execEnv) release() {
 // run. Otherwise everything is released and the links aborted — not closed:
 // the peers must observe a failure so they close the shared edges, not a
 // GOODBYE that looks like a normal completion. A provider is told which of
-// the two its sessions should mimic.
-func (env *execEnv) finish(graceful bool) {
+// the two its sessions should mimic. Links send asynchronously, so a drain
+// may report that the last frames sent were lost: finish returns the first.
+func (env *execEnv) finish(graceful bool) error {
 	if !graceful {
 		env.release()
 	}
+	var lost error
 	if env.provider != nil {
 		env.provider.Finish(graceful)
 	} else if graceful {
-		var wg sync.WaitGroup
+		closed := make(chan error, len(env.links))
 		for _, l := range env.links {
-			wg.Add(1)
-			go func(l *transport.Link) { defer wg.Done(); l.Close() }(l)
+			go func(l *transport.Link) { closed <- l.Close() }(l)
 		}
-		wg.Wait()
+		for range env.links {
+			if err := <-closed; err != nil && lost == nil {
+				lost = err
+			}
+		}
 	}
 	env.stopResume()
+	return lost
 }
 
 // ExecuteDistributed runs this node's processors of the mapped graph for
@@ -492,19 +497,20 @@ func executeSpec(spec *PartitionSpec, kernels map[string]Kernel, vkernels map[st
 	// Degraded runs close gracefully: surviving peers already received FINs
 	// for the starved edges, and a GOODBYE lets them finish their own
 	// drains normally.
-	env.finish(runErr == nil || opts.Degrade)
+	lost := env.finish(runErr == nil || opts.Degrade)
+	if runErr == nil && lost != nil {
+		runErr = fmt.Errorf("spi: node %d: %w", env.node, lost)
+	}
 
-	// Fold the transport's piggybacked-ack counts into the per-edge
-	// statistics: these are acks this node's receivers issued that rode
-	// outgoing DATA frames instead of standalone ACK frames.
+	// Fold in what the links did with this node's acks: how many rode
+	// outgoing DATA frames instead of standalone ACK frames, and how many
+	// the resynchronization verdict kept off the wire entirely.
 	for _, l := range env.links {
 		for edge, n := range l.PiggybackedAcks() {
-			env.rt.addPiggybacked(EdgeID(edge), n)
+			env.rt.foldLinkAcks(EdgeID(edge), n, 0)
 		}
-		// And the suppressed-ack counts: acks the receive path issued that
-		// the resynchronization verdict kept off the wire entirely.
 		for edge, n := range l.SuppressedAcks() {
-			env.rt.addSuppressed(EdgeID(edge), n)
+			env.rt.foldLinkAcks(EdgeID(edge), 0, n)
 		}
 	}
 
@@ -583,7 +589,6 @@ func connectPeers(rt *Runtime, peers map[int][]transport.EdgeDecl, fails *peerFa
 		Heartbeat:     opts.Heartbeat,
 		PeerTimeout:   opts.PeerTimeout,
 		Reconnect:     opts.Reconnect,
-		Batch:         opts.Batch,
 		PiggybackAcks: opts.PiggybackAcks,
 		Blocked:       opts.Block > 1,
 		ResyncEdges:   resync,

@@ -335,32 +335,21 @@ func (r *Runtime) CloseAll() {
 	}
 }
 
-// addPiggybacked folds a transport link's piggybacked-ack count for one
-// edge into its statistics — called by ExecuteDistributed after the run,
-// when the links report how many of the edge's acks rode DATA frames.
-func (r *Runtime) addPiggybacked(id EdgeID, n int64) {
+// foldLinkAcks folds what a transport link did with one edge's acks into
+// the edge's statistics, after the run: piggybacked of them rode DATA
+// frames, and suppressed were swallowed on a resync-suppressed edge — the
+// receive path counted each SendAck optimistically, so those move out of
+// the wire-traffic columns into AcksSuppressed.
+func (r *Runtime) foldLinkAcks(id EdgeID, piggybacked, suppressed int64) {
 	e := r.edge(id)
 	if e == nil {
 		return
 	}
 	e.mu.Lock()
-	e.stats.AcksPiggybacked += n
-	e.mu.Unlock()
-}
-
-// addSuppressed folds a transport link's resync-suppressed ack count for
-// one edge into its statistics: the receive path counted each SendAck
-// optimistically, so the n acks the link swallowed are moved out of the
-// wire-traffic columns into AcksSuppressed.
-func (r *Runtime) addSuppressed(id EdgeID, n int64) {
-	e := r.edge(id)
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
-	e.stats.Acks -= n
-	e.stats.AckBytes -= n * AckMessageBytes
-	e.stats.AcksSuppressed += n
+	e.stats.AcksPiggybacked += piggybacked
+	e.stats.Acks -= suppressed
+	e.stats.AckBytes -= suppressed * AckMessageBytes
+	e.stats.AcksSuppressed += suppressed
 	e.mu.Unlock()
 }
 
@@ -550,9 +539,9 @@ func (s *Sender) Send(payload []byte) error {
 
 // SendBatch transmits payloads in order — the vectorized Send an actor
 // uses when a firing produces more than one token on an edge. On a
-// remote edge the messages are handed to the link back to back, so a
-// write-coalescing link (transport.BatchConfig) flushes the burst in a
-// few large writes; on a local edge the burst is queued under one lock
+// remote edge the messages are handed to the link back to back, so its
+// writer sends the burst in a few large writes; on a local edge the burst
+// is queued under one lock
 // acquisition and recorded as one aggregate trace event. BBS credit
 // waits still apply per message, exactly as with repeated Send calls.
 func (s *Sender) SendBatch(payloads [][]byte) error {

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"strconv"
@@ -42,22 +43,23 @@ type FaultConfig struct {
 	Delay float64
 	// DelayFor is the stall applied to delayed writes (default 2ms).
 	DelayFor time.Duration
-	// SeverAt lists frame ordinals (counted per connection across both
-	// directions' writes through this wrapper) at which the connection
-	// is severed: the write fails and the conn is closed. Deterministic
+	// SeverAt lists frame ordinals (counted per connection, over the
+	// frames this side writes through the wrapper, however many share a
+	// Write) at which the connection is severed: the frames before it are
+	// delivered, the write fails and the conn is closed. Deterministic
 	// sever points, independent of the RNG.
 	SeverAt []int
 	// Sever is the probability any frame write severs the connection.
 	Sever float64
-	// StallAt, when > 0, black-holes the connection from that write
-	// ordinal on: every write (this one and all later, heartbeats
+	// StallAt, when > 0, black-holes the connection from that frame
+	// ordinal on: every frame (this one and all later, heartbeats
 	// included) reports success but nothing reaches the peer, and the
 	// connection stays open. A sever is detectable — the next I/O errors —
 	// but a stall is pure silence, the half-open failure mode that only a
 	// heartbeat timeout can distinguish from an idle peer. Deterministic,
 	// independent of the RNG; counts one fault when it triggers.
 	StallAt int
-	// SkipFrames exempts the first N writes on each connection from all
+	// SkipFrames exempts the first N frames on each connection from all
 	// faults, keeping handshakes intact so schedules exercise
 	// mid-session recovery rather than connect failures.
 	SkipFrames int
@@ -223,23 +225,38 @@ func (ln *faultListener) Accept() (Conn, error) {
 	return ln.t.newConn(c), nil
 }
 
-// faultConn injects the schedule into Write calls. The Link layer writes
-// exactly one frame per Write (writeFrame and the resend buffer both
-// produce whole-frame byte slices), so per-write faults are per-frame
-// faults.
+// faultConn injects the schedule into Write calls, frame by frame: a link
+// coalesces as many frames into one Write as its load produced, so the
+// wrapper walks the length-prefixed frames in p and gives each its own
+// ordinal and its own draw. A seeded schedule therefore hits the same
+// frames whatever the coalescing.
 type faultConn struct {
 	Conn
 	t *FaultTransport
 
 	mu      sync.Mutex
 	rng     *rand.Rand
-	writes  int
+	frames  int // ordinal of the next frame (PING/PONG excluded)
 	dead    bool
 	stalled bool // StallAt triggered: writes succeed but go nowhere
 }
 
 // errSevered is what writes on a chaos-severed connection report.
 var errSevered = fmt.Errorf("chaos: connection severed")
+
+// frameEnd returns the end of the frame that starts at p[off]. Bytes that
+// do not parse as a whole frame (nothing the link layer writes) count as
+// one frame to the end of p.
+func frameEnd(p []byte, off int) int {
+	if len(p)-off < 4 {
+		return len(p)
+	}
+	n := int(binary.LittleEndian.Uint32(p[off:]))
+	if n < 13 || n > len(p)-off-4 {
+		return len(p)
+	}
+	return off + 4 + n
+}
 
 func (c *faultConn) Write(p []byte) (int, error) {
 	c.mu.Lock()
@@ -251,69 +268,95 @@ func (c *faultConn) Write(p []byte) (int, error) {
 		return len(p), nil // black hole: success reported, nothing sent
 	}
 	cfg := &c.t.cfg
-	// Heartbeat probes bypass the write-ordinal count and the RNG so a
-	// link with probing on draws the exact same fault schedule as one
-	// without: heartbeats observe chaos, they must not perturb it. A
-	// stalled or dead connection still swallows them (above) — that is
-	// the failure they exist to detect.
-	if len(p) > 4 && (p[4] == framePing || p[4] == framePong) {
-		return c.Conn.Write(p)
+	// p[sent:off] is the run of frames that pass untouched; it reaches the
+	// inner connection in one Write when a fault (or the end of p)
+	// interrupts it, so a sever at frame k delivers the frames before k.
+	sent := 0
+	flush := func(end int) error {
+		if end == sent {
+			return nil
+		}
+		_, err := c.Conn.Write(p[sent:end])
+		sent = end
+		return err
 	}
-	ord := c.writes
-	c.writes++
-	if ord < cfg.SkipFrames {
-		return c.Conn.Write(p)
-	}
-	if cfg.StallAt > 0 && ord >= cfg.StallAt && c.t.spendFault() {
-		c.stalled = true
-		atomic.AddInt64(&c.t.stalls, 1)
-		c.t.fault("stall")
-		return len(p), nil
-	}
-	for _, at := range cfg.SeverAt {
-		if at == ord && c.t.spendFault() {
-			return c.sever()
+	for off := 0; off < len(p); {
+		end := frameEnd(p, off)
+		frame := p[off:end]
+		off = end
+		// Heartbeat probes bypass the frame count and the RNG so a link
+		// with probing on draws the exact same fault schedule as one
+		// without: heartbeats observe chaos, they must not perturb it. A
+		// stalled or dead connection still swallows them — that is the
+		// failure they exist to detect.
+		if len(frame) > 4 && (frame[4] == framePing || frame[4] == framePong) {
+			continue
+		}
+		ord := c.frames
+		c.frames++
+		if ord < cfg.SkipFrames {
+			continue
+		}
+		start := end - len(frame)
+		if cfg.StallAt > 0 && ord >= cfg.StallAt && c.t.spendFault() {
+			err := flush(start)
+			c.stalled = true
+			atomic.AddInt64(&c.t.stalls, 1)
+			c.t.fault("stall")
+			return len(p), err
+		}
+		severed := false
+		for _, at := range cfg.SeverAt {
+			severed = severed || (at == ord && c.t.spendFault())
+		}
+		session := len(frame) > 4 && numberedFrame(frame[4])
+		roll := c.rng.Float64()
+		var err error
+		switch {
+		case severed, cfg.Sever > 0 && roll < cfg.Sever && c.t.spendFault():
+			if err = flush(start); err == nil {
+				return c.sever(start)
+			}
+		case session && cfg.Drop > 0 && roll < cfg.Drop && c.t.spendFault():
+			atomic.AddInt64(&c.t.drops, 1)
+			c.t.fault("drop")
+			err = flush(start)
+			sent = end // swallowed; peer sees a sequence gap next frame
+		case session && cfg.Corrupt > 0 && roll < cfg.Corrupt && c.t.spendFault():
+			atomic.AddInt64(&c.t.corrupts, 1)
+			c.t.fault("corrupt")
+			bad := append([]byte(nil), frame...)
+			bad[4+c.rng.Intn(len(bad)-4)] ^= 0x20
+			if err = flush(start); err == nil {
+				_, err = c.Conn.Write(bad)
+			}
+			sent = end
+		case session && cfg.Duplicate > 0 && roll < cfg.Duplicate && c.t.spendFault():
+			atomic.AddInt64(&c.t.dups, 1)
+			c.t.fault("duplicate")
+			if err = flush(end); err == nil {
+				_, err = c.Conn.Write(frame)
+			}
+		case cfg.Delay > 0 && roll < cfg.Delay && c.t.spendFault():
+			atomic.AddInt64(&c.t.delays, 1)
+			c.t.fault("delay")
+			err = flush(start)
+			time.Sleep(cfg.DelayFor)
+		}
+		if err != nil {
+			return sent, err
 		}
 	}
-	// One frame per write: byte 4 is the frame type, so session frames
-	// are identifiable without extra plumbing.
-	session := len(p) > 4 && numberedFrame(p[4])
-	roll := c.rng.Float64()
-	switch {
-	case cfg.Sever > 0 && roll < cfg.Sever && c.t.spendFault():
-		return c.sever()
-	case session && cfg.Drop > 0 && roll < cfg.Drop && c.t.spendFault():
-		atomic.AddInt64(&c.t.drops, 1)
-		c.t.fault("drop")
-		return len(p), nil // swallowed; peer sees a sequence gap next frame
-	case session && cfg.Corrupt > 0 && roll < cfg.Corrupt && c.t.spendFault():
-		atomic.AddInt64(&c.t.corrupts, 1)
-		c.t.fault("corrupt")
-		bad := make([]byte, len(p))
-		copy(bad, p)
-		bad[4+c.rng.Intn(len(bad)-4)] ^= 0x20
-		return c.Conn.Write(bad)
-	case session && cfg.Duplicate > 0 && roll < cfg.Duplicate && c.t.spendFault():
-		atomic.AddInt64(&c.t.dups, 1)
-		c.t.fault("duplicate")
-		if n, err := c.Conn.Write(p); err != nil {
-			return n, err
-		}
-		return c.Conn.Write(p)
-	case cfg.Delay > 0 && roll < cfg.Delay && c.t.spendFault():
-		atomic.AddInt64(&c.t.delays, 1)
-		c.t.fault("delay")
-		time.Sleep(cfg.DelayFor)
-	}
-	return c.Conn.Write(p)
+	return len(p), flush(len(p))
 }
 
-func (c *faultConn) sever() (int, error) {
+// sever kills the connection after n bytes of the current Write went out.
+func (c *faultConn) sever(n int) (int, error) {
 	atomic.AddInt64(&c.t.severs, 1)
 	c.t.fault("sever")
 	c.dead = true
 	c.Conn.Close()
-	return 0, &Error{Op: "send", Addr: c.RemoteAddr(), Err: errSevered}
+	return n, &Error{Op: "send", Addr: c.RemoteAddr(), Err: errSevered}
 }
 
 // ParseFaultSpec parses a "key=value,key=value" chaos specification, as

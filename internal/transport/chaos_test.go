@@ -381,3 +381,125 @@ func TestParseFaultSpec(t *testing.T) {
 		}
 	}
 }
+
+// sinkConn is the inner connection of a faultConn under test: it keeps what
+// reaches it.
+type sinkConn struct {
+	Conn
+	got    bytes.Buffer
+	closed bool
+}
+
+func (c *sinkConn) Write(p []byte) (int, error) { return c.got.Write(p) }
+func (c *sinkConn) Close() error                { c.closed = true; return nil }
+func (c *sinkConn) RemoteAddr() string          { return "sink" }
+
+// frames encodes one frame per type byte, numbered frames in sequence.
+func testFrames(types ...byte) []byte {
+	var wire []byte
+	seq := uint64(0)
+	for i, typ := range types {
+		n := uint64(0)
+		if numberedFrame(typ) {
+			seq++
+			n = seq
+		}
+		wire = appendFrame(wire, typ, n, nil, bytes.Repeat([]byte{byte(i)}, 2+i%5))
+	}
+	return wire
+}
+
+// TestChaosFaultsPerFrame: the wrapper applies its schedule to each frame
+// of a coalesced Write by the frame's own ordinal and type. The same frames
+// draw the same faults whether they arrive in one Write or one each; a sever
+// at frame k delivers the frames before it; probes stay outside the count.
+func TestChaosFaultsPerFrame(t *testing.T) {
+	types := []byte{frameHello, frameData, framePing, frameAck, frameCumAck, frameData, framePong, frameData, frameFin, frameData}
+	whole := testFrames(types...)
+	var each [][]byte
+	for off := 0; off < len(whole); off = frameEnd(whole, off) {
+		each = append(each, whole[off:frameEnd(whole, off)])
+	}
+	run := func(cfg FaultConfig, writes [][]byte) (*sinkConn, FaultStats, error) {
+		ft := NewFaultTransport(NewLoopback(), cfg)
+		sink := &sinkConn{}
+		c := ft.newConn(sink)
+		var err error
+		for _, w := range writes {
+			if _, err = c.Write(w); err != nil {
+				break
+			}
+		}
+		return sink, ft.Stats(), err
+	}
+	for _, cfg := range []FaultConfig{
+		{Seed: 3, Drop: 0.3, Duplicate: 0.3, Corrupt: 0.3, SkipFrames: 1},
+		{Seed: 9, Drop: 0.5, SkipFrames: 2, MaxFaults: 2},
+		{Seed: 1, SeverAt: []int{5}, SkipFrames: 1},
+		{Seed: 1, StallAt: 4, MaxFaults: 1},
+	} {
+		one, oneStats, oneErr := run(cfg, [][]byte{whole})
+		many, manyStats, manyErr := run(cfg, each)
+		if !bytes.Equal(one.got.Bytes(), many.got.Bytes()) || oneStats != manyStats || (oneErr == nil) != (manyErr == nil) {
+			t.Errorf("%+v: one coalesced write delivered %d bytes (%+v, err %v), one write per frame %d bytes (%+v, err %v)",
+				cfg, one.got.Len(), oneStats, oneErr, many.got.Len(), manyStats, manyErr)
+		}
+	}
+	// Sever at ordinal 5 — PING and PONG do not count, so that is the third
+	// DATA frame (index 7): everything before it arrives, nothing after.
+	sink, stats, err := run(FaultConfig{SeverAt: []int{5}}, [][]byte{whole})
+	want := testFrames(types[:7]...)
+	if err == nil || stats.Severs != 1 || !sink.closed || !bytes.Equal(sink.got.Bytes(), want) {
+		t.Errorf("sever at frame 5: err %v, %d severs, closed %v, %d bytes delivered, want the first seven frames (%d bytes)",
+			err, stats.Severs, sink.closed, sink.got.Len(), len(want))
+	}
+}
+
+// FuzzFaultConnFrames: any concatenation of valid frames passes a fault-free
+// wrapper byte-identical, however it is cut into writes, and with drop = 1
+// exactly the unnumbered frames arrive.
+func FuzzFaultConnFrames(f *testing.F) {
+	f.Add([]byte{frameData, frameAck, frameCumAck, framePing}, uint8(2))
+	f.Add([]byte{frameHello}, uint8(0))
+	f.Add([]byte{frameFin, frameGoodbye, frameDataAck, frameCtrl, framePong, frameSData}, uint8(7))
+	f.Fuzz(func(t *testing.T, types []byte, cut uint8) {
+		if len(types) > 64 {
+			types = types[:64]
+		}
+		wire := testFrames(types...)
+		var unnumbered []byte
+		for off := 0; off < len(wire); off = frameEnd(wire, off) {
+			if !numberedFrame(wire[off+4]) {
+				unnumbered = append(unnumbered, wire[off:frameEnd(wire, off)]...)
+			}
+		}
+		// Cut into writes at frame boundaries, every cut+1 frames.
+		var writes [][]byte
+		start, n := 0, 0
+		for off := 0; off < len(wire); {
+			off = frameEnd(wire, off)
+			if n++; n%(int(cut)+1) == 0 || off == len(wire) {
+				writes = append(writes, wire[start:off])
+				start = off
+			}
+		}
+		for _, tc := range []struct {
+			cfg  FaultConfig
+			want []byte
+		}{
+			{FaultConfig{Seed: 5}, wire},
+			{FaultConfig{Seed: 5, Drop: 1}, unnumbered},
+		} {
+			sink := &sinkConn{}
+			c := NewFaultTransport(NewLoopback(), tc.cfg).newConn(sink)
+			for _, w := range writes {
+				if n, err := c.Write(w); err != nil || n != len(w) {
+					t.Fatalf("%+v: Write = %d, %v", tc.cfg, n, err)
+				}
+			}
+			if !bytes.Equal(sink.got.Bytes(), tc.want) {
+				t.Fatalf("%+v: %d bytes arrived, want %d", tc.cfg, sink.got.Len(), len(tc.want))
+			}
+		}
+	})
+}

@@ -64,20 +64,16 @@ func decodeCtrl(body []byte) (op byte, payload []byte, err error) {
 }
 
 // SendCtrl transmits one control message to the peer. CTRL frames are
-// numbered (resend-buffered, RESUME-replayed) and flushed immediately:
-// control latency bounds orchestration reaction time, so a control
-// message never waits out a coalescer deadline behind bulk data.
+// numbered (resend-buffered, RESUME-replayed) like any session frame.
 func (l *Link) SendCtrl(op byte, payload []byte) error {
 	if len(payload) > MaxCtrlPayload {
 		return &Error{Op: "send", Addr: l.raddr,
 			Err: fmt.Errorf("ctrl payload of %d bytes exceeds limit %d", len(payload), MaxCtrlPayload)}
 	}
 	head := [ctrlMinBytes]byte{op}
-	l.flushNow()
-	if err := l.sendSessionFrame(frameCtrl, head[:], payload, false); err != nil {
+	if err := l.sendSessionFrame(frameCtrl, head[:], payload); err != nil {
 		return err
 	}
-	l.flushNow()
 	return nil
 }
 

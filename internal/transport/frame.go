@@ -174,8 +174,8 @@ type frameReader struct {
 	pooled *[]byte // buf's box, when it came from readChunks
 }
 
-// frameReadChunk sizes the read buffer: large enough to swallow a full
-// default batch (BatchConfig MaxBytes 64 KiB) in one read.
+// frameReadChunk sizes the read buffer: large enough to swallow what a busy
+// peer's writer coalesces into one write, short of a whole slab.
 const frameReadChunk = 64 << 10
 
 // readChunks recycles read buffers across links: a fresh 64 KiB buffer is
@@ -281,6 +281,45 @@ func splitDataAck(body []byte) (acks []byte, msg []byte, err error) {
 		return nil, nil, fmt.Errorf("dataack frame of %d bytes too short for %d piggybacked acks plus an SPI header", len(body), n)
 	}
 	return body[1 : 1+n*piggyEntryBytes], body[1+n*piggyEntryBytes:], nil
+}
+
+// wirePool recycles encoded frame buffers. Boxing through *[]byte keeps
+// Put/Get allocation-free; buffers grow to the largest frame a link
+// carries and are then reused at that size, so the steady-state send
+// path performs zero allocations.
+var wirePool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
+
+func putWire(p *[]byte) {
+	if p != nil {
+		wirePool.Put(p)
+	}
+}
+
+// appendFrame encodes one frame onto dst. The body is the concatenation
+// head|tail (head may be nil); splitting it lets the DATAACK path prepend
+// the piggyback prefix to an SPI message without first joining them in a
+// scratch buffer.
+func appendFrame(dst []byte, typ byte, seq uint64, head, tail []byte) []byte {
+	var hdr [frameHeaderBytes]byte
+	binary.LittleEndian.PutUint32(hdr[:], uint32(13+len(head)+len(tail)))
+	hdr[4] = typ
+	binary.LittleEndian.PutUint64(hdr[5:], seq)
+	binary.LittleEndian.PutUint32(hdr[13:], frameCRC(typ, seq, head, tail))
+	dst = append(dst, hdr[:]...)
+	dst = append(dst, head...)
+	return append(dst, tail...)
+}
+
+// buildFrame encodes one frame into a pooled buffer. The returned frame
+// owns the buffer; trimLocked recycles it once the peer's cumulative ack
+// covers the sequence number.
+func buildFrame(typ byte, seq uint64, head, tail []byte) savedFrame {
+	buf := wirePool.Get().(*[]byte)
+	if n := frameHeaderBytes + len(head) + len(tail); cap(*buf) < n {
+		*buf = make([]byte, 0, n)
+	}
+	*buf = appendFrame((*buf)[:0], typ, seq, head, tail)
+	return savedFrame{seq: seq, wire: *buf, buf: buf}
 }
 
 func writeFrame(w io.Writer, typ byte, seq uint64, body []byte) error {

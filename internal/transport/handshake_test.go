@@ -124,12 +124,12 @@ func refuseRawHello(t *testing.T, hello []byte) string {
 	return err.Error()
 }
 
-// TestMixedLocalPolicy: batching, ack piggybacking and heartbeat probing
-// set on one side only. The configured side behaves as configured, the
-// other side as if the option did not exist, and all traffic arrives.
+// TestMixedLocalPolicy: ack piggybacking and heartbeat probing set on one
+// side only. The configured side behaves as configured, the other side as
+// if the option did not exist, and all traffic arrives. (Coalescing is not
+// a policy any more: every link does it, see TestWriterCoalescesWhileBlocked.)
 func TestMixedLocalPolicy(t *testing.T) {
 	piggy := func(cfg *LinkConfig) { cfg.PiggybackAcks = true }
-	batch := func(cfg *LinkConfig) { cfg.Batch = BatchConfig{MaxFrames: 8, MaxDelay: 200 * time.Microsecond} }
 	heartbeat := func(cfg *LinkConfig) { cfg.Heartbeat, cfg.PeerTimeout = 10*time.Millisecond, 500*time.Millisecond }
 
 	// exchange moves n messages and n acks each way: edge 7 dialer →
@@ -191,26 +191,19 @@ func TestMixedLocalPolicy(t *testing.T) {
 			if d.AcksPiggybacked == 0 || a.AcksPiggybackedRecv != d.AcksPiggybacked {
 				t.Errorf("dialer piggybacked %d acks, acceptor decoded %d", d.AcksPiggybacked, a.AcksPiggybackedRecv)
 			}
-			if a.AcksPiggybacked != 0 || a.AcksSent != n || d.AcksReceived != n {
-				t.Errorf("acceptor sent %d standalone / %d piggybacked acks (dialer read %d), want %d standalone", a.AcksSent, a.AcksPiggybacked, d.AcksReceived, n)
+			// Standalone acks for one edge coalesce while the writer is busy:
+			// the credits all arrive (exchange waited for them), in at most
+			// one ACK frame each.
+			if a.AcksPiggybacked != 0 || a.AcksSent < 1 || a.AcksSent > n || d.AcksReceived != a.AcksSent {
+				t.Errorf("acceptor sent %d standalone / %d piggybacked acks (dialer read %d), want 1..%d standalone", a.AcksSent, a.AcksPiggybacked, d.AcksReceived, n)
 			}
 		}},
 		{"piggyback on the acceptor only", nil, piggy, nil, func(t *testing.T, d, a LinkStats) {
 			if a.AcksPiggybacked == 0 || d.AcksPiggybackedRecv != a.AcksPiggybacked {
 				t.Errorf("acceptor piggybacked %d acks, dialer decoded %d", a.AcksPiggybacked, d.AcksPiggybackedRecv)
 			}
-			if d.AcksPiggybacked != 0 || d.AcksSent != n || a.AcksReceived != n {
-				t.Errorf("dialer sent %d standalone / %d piggybacked acks (acceptor read %d), want %d standalone", d.AcksSent, d.AcksPiggybacked, a.AcksReceived, n)
-			}
-		}},
-		{"batching on the dialer only", batch, nil, nil, func(t *testing.T, d, a LinkStats) {
-			if d.BatchFlushes == 0 || a.BatchFlushes != 0 {
-				t.Errorf("batch flushes: dialer %d, acceptor %d; want the dialer alone to coalesce", d.BatchFlushes, a.BatchFlushes)
-			}
-		}},
-		{"batching on the acceptor only", nil, batch, nil, func(t *testing.T, d, a LinkStats) {
-			if a.BatchFlushes == 0 || d.BatchFlushes != 0 {
-				t.Errorf("batch flushes: dialer %d, acceptor %d; want the acceptor alone to coalesce", d.BatchFlushes, a.BatchFlushes)
+			if d.AcksPiggybacked != 0 || d.AcksSent < 1 || d.AcksSent > n || a.AcksReceived != d.AcksSent {
+				t.Errorf("dialer sent %d standalone / %d piggybacked acks (acceptor read %d), want 1..%d standalone", d.AcksSent, d.AcksPiggybacked, a.AcksReceived, n)
 			}
 		}},
 		{"heartbeat on the dialer only", heartbeat, nil, probed, func(t *testing.T, d, a LinkStats) {

@@ -82,11 +82,12 @@ func TestHeartbeatHalfOpenLinkDetected(t *testing.T) {
 	defer dialer.Abort()
 	defer acceptor.Abort()
 
-	// Trip the stall: this write reports success but never arrives.
+	// Trip the stall: this frame's write reports success but never arrives.
 	if err := dialer.SendData(7, []byte{7, 0, 4, 0, 0, 0, 0xBB, 0, 0, 0}); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
+	waitFor(t, "the writer to hit the stall", func() bool { return ft.Stats().Stalls > 0 })
 	if got := ft.Stats().Stalls; got != 1 {
 		t.Fatalf("stall fault injected %d times, want 1", got)
 	}

@@ -42,8 +42,8 @@ type LinkConfig struct {
 	// the same edges with complementary directions and identical
 	// mode/bytes/protocol/capacity.
 	Edges []EdgeDecl
-	// SendTimeout bounds each frame write. Without reconnection a
-	// timed-out write poisons the link (the partial frame is
+	// SendTimeout bounds each carrier write. Without reconnection a
+	// timed-out write fails the link (the partial frame is
 	// unrecoverable); with reconnection it is treated as a dead
 	// connection and repaired by RESUME replay. Zero means no bound.
 	SendTimeout time.Duration
@@ -71,17 +71,15 @@ type LinkConfig struct {
 	// until covered by the peer's cumulative ack, and senders block when
 	// the buffer is full. Default 256 frames.
 	ResendLimit int
-	// Batch configures the write coalescer: session frames accumulate in
-	// a per-link buffer and flush as one Write on a frame-count or byte
-	// threshold, a microsecond deadline, or a send stall. The zero value
-	// writes every frame immediately. Local send policy: the peer's
-	// setting is independent.
+	// Batch has no effect; kept until a `benchmark` PR stops naming it (see
+	// BatchConfig). Every link coalesces the frames that arrive while its
+	// previous write is in flight (writer.go).
 	Batch BatchConfig
 	// PiggybackAcks carries this side's SPI acks as a prefix on its
-	// outbound DATA frames (DATAACK) instead of standalone ACK frames.
-	// Acks with no DATA to ride are flushed standalone by the coalescer
-	// deadline, so ack latency is bounded by Batch.MaxDelay (or its
-	// default). Local send policy: every peer decodes DATAACK, and a peer
+	// outbound DATA frames (DATAACK) instead of standalone ACK frames. An
+	// ack rides the first DATA frame sent before the writer's next pass;
+	// with none, that pass sends it standalone, so a queued ack never waits
+	// on traffic. Local send policy: every peer decodes DATAACK, and a peer
 	// that leaves this off simply sends its own acks standalone.
 	PiggybackAcks bool
 	// Sessions asserts that this link multiplexes sessions: NewLink and
@@ -179,8 +177,10 @@ type LinkStats struct {
 	// AcksPiggybacked counts ack entries carried on outbound DATA frames
 	// instead of standalone ACK frames (AcksSent counts only the
 	// standalone ones); AcksPiggybackedRecv is the inbound mirror.
-	// BatchFlushes counts coalesced multi-frame writes.
-	AcksPiggybacked, AcksPiggybackedRecv, BatchFlushes int64
+	// Writes counts carrier Write calls, so FramesSent / Writes is the
+	// coalescing the link's load produced; BatchFlushes counts the writes
+	// that carried more than one frame.
+	AcksPiggybacked, AcksPiggybackedRecv, BatchFlushes, Writes int64
 	// PingsSent counts liveness probes sent on idle links, PongsReceived
 	// the echoes that came back (each one an RTT sample), and
 	// HeartbeatTimeouts the connections declared dead for inbound silence.
@@ -223,7 +223,7 @@ type linkObs struct {
 	sendStalls             *obs.Counter
 	acksPiggy              *obs.Counter
 	acksPiggyRecv          *obs.Counter
-	batchFlushes           *obs.Counter
+	batchFlushes, writes   *obs.Counter
 	resendDepth            *obs.Gauge
 	pingsSent, pongsRecv   *obs.Counter
 	hbTimeouts             *obs.Counter
@@ -251,9 +251,9 @@ func newLinkObs(o *obs.Observer, peer int) linkObs {
 			dups: &obs.Counter{}, reconnects: &obs.Counter{},
 			sendStalls: &obs.Counter{},
 			acksPiggy:  &obs.Counter{}, acksPiggyRecv: &obs.Counter{},
-			batchFlushes: &obs.Counter{},
-			resendDepth:  &obs.Gauge{},
-			pingsSent:    &obs.Counter{}, pongsRecv: &obs.Counter{},
+			batchFlushes: &obs.Counter{}, writes: &obs.Counter{},
+			resendDepth: &obs.Gauge{},
+			pingsSent:   &obs.Counter{}, pongsRecv: &obs.Counter{},
 			hbTimeouts:     &obs.Counter{},
 			acksSuppressed: &obs.Counter{},
 		}
@@ -280,7 +280,8 @@ func newLinkObs(o *obs.Observer, peer int) linkObs {
 		sendStalls:     o.Counter("transport_link_send_stalls_total", "sends that blocked on a down link or full resend buffer", pl),
 		acksPiggy:      o.Counter("transport_link_acks_piggybacked_total", "ack entries carried on outbound DATA frames", pl),
 		acksPiggyRecv:  o.Counter("transport_link_acks_piggybacked_received_total", "ack entries received on inbound DATA frames", pl),
-		batchFlushes:   o.Counter("transport_link_batch_flushes_total", "coalesced multi-frame writes", pl),
+		batchFlushes:   o.Counter("transport_link_batch_flushes_total", "carrier writes that carried more than one frame", pl),
+		writes:         o.Counter("transport_link_writes_total", "carrier Write calls (frames_sent / writes = frames per write)", pl),
 		resendDepth:    o.Gauge("transport_link_resend_depth", "unacknowledged frames held for replay", pl),
 		pingsSent:      o.Counter("transport_link_pings_sent_total", "liveness probes sent on idle links", pl),
 		pongsRecv:      o.Counter("transport_link_pongs_received_total", "probe echoes received (RTT samples)", pl),
@@ -291,9 +292,8 @@ func newLinkObs(o *obs.Observer, peer int) linkObs {
 }
 
 // savedFrame is one resend-buffer entry: the complete encoded wire bytes
-// plus the pool box they came from. wire aliases *buf; trimUnacked
-// returns buf to the wire pool once the peer's cumulative ack covers
-// seq (unless a RESUME replay is concurrently reading it).
+// plus the pool box they came from. wire aliases *buf; trimLocked returns
+// buf to the wire pool once the peer's cumulative ack covers seq.
 type savedFrame struct {
 	seq  uint64
 	wire []byte
@@ -310,9 +310,9 @@ type resumeOffer struct {
 // stay in a bounded resend buffer until the peer's cumulative transport
 // ack covers them; when the connection dies and LinkConfig.Reconnect
 // allows it, a re-dialed connection replays exactly the unacknowledged
-// suffix via the RESUME handshake. One writer mutex serializes outbound
-// frames and one reader goroutine per connection generation dispatches
-// inbound ones.
+// suffix via the RESUME handshake. One writer goroutine per link sends
+// outbound frames (writer.go) and one reader goroutine per connection
+// generation dispatches inbound ones.
 //
 // Lock order: wmu before mu, never the reverse.
 type Link struct {
@@ -325,9 +325,8 @@ type Link struct {
 	out    map[uint16]EdgeDecl // edges the local side sends data on
 	in     map[uint16]EdgeDecl // edges the local side receives data on
 
-	batchOn bool           // write coalescing configured
-	sh      SessionHandler // h's session extension, when it has one
-	ch      CtrlHandler    // h's control-plane extension, when it has one
+	sh SessionHandler // h's session extension, when it has one
+	ch CtrlHandler    // h's control-plane extension, when it has one
 
 	// Liveness tracking, lock-free: lastHeard is the UnixNano of the last
 	// tick at which the pinger saw the inbound frame counter move (plus
@@ -338,38 +337,41 @@ type Link struct {
 	lastHeard atomic.Int64
 	lastRTT   atomic.Int64
 
-	wmu sync.Mutex // serializes connection writes and RESUME replay
+	wmu   sync.Mutex // held by whoever is writing to the carrier (writer.go)
+	spare []byte     // the write buffer the stage is not using; guarded by wmu
 
-	// Coalescer and piggyback state, guarded by wmu: every producer of
-	// wire bytes already holds the writer mutex, so the batch adds no
-	// locks to the hot path.
-	batch          coalescer
-	pendingAcks    map[uint16]uint32 // acks awaiting a DATA frame to ride
+	mu         sync.Mutex
+	conn       Conn
+	state      int
+	gen        int // bumped each time the connection goes down
+	closing    bool
+	graceful   bool   // local Close or Abort has begun: the shutdown is deliberate
+	closeSeq   uint64 // sendSeq when Close began (0 for Abort): what it still owes the peer
+	closeErr   error  // what Close returns; written inside closeOnce
+	peerClosed bool   // peer sent GOODBYE
+	failErr    error
+	sendSeq    uint64 // last sequence number assigned to an outbound frame
+	recvSeq    uint64 // last in-order sequence number received
+	cumAcked   uint64 // highest recvSeq we have cumulatively acked to the peer
+	peerAcked  uint64 // highest cumulative ack received from the peer
+	unacked    []savedFrame
+	stage      []byte        // encoded frames awaiting the writer's next pass
+	staged     int           // frames in stage
+	ackNow     bool          // the next pass acks cumulatively, whatever the interval
+	inlineSeq  uint64        // the frame its sender is writing from the resend buffer right now
+	changed    chan struct{} // closed+replaced on every state/buffer change
+	readerDone chan struct{} // current generation's reader exit
+
+	pendingAcks    map[uint16]uint32 // SPI acks awaiting the writer's pass or a DATA frame to ride
 	pendingOrder   []uint16          // FIFO of edges with pending acks
 	piggyBuf       []byte            // reusable piggyback-prefix scratch
 	piggySent      map[uint16]int64  // per-edge piggybacked-ack totals
 	suppressedSent map[uint16]int64  // per-edge resync-suppressed ack totals
 
-	mu           sync.Mutex
-	conn         Conn
-	state        int
-	gen          int // bumped each time the connection goes down
-	closing      bool
-	graceful     bool // local Close has begun; close notifications report nil
-	peerClosed   bool // peer sent GOODBYE
-	failErr      error
-	sendSeq      uint64 // last sequence number assigned to an outbound frame
-	recvSeq      uint64 // last in-order sequence number received
-	cumAcked     uint64 // highest recvSeq we have cumulatively acked to the peer
-	peerAcked    uint64 // highest cumulative ack received from the peer
-	unacked      []savedFrame
-	replayActive bool          // a RESUME replay is reading unacked wire bytes
-	changed      chan struct{} // closed+replaced on every state/buffer change
-	readerDone   chan struct{} // current generation's reader exit
-
-	closedCh chan struct{} // closed once when Close/Abort begins
-	resumeCh chan resumeOffer
-	ackCh    chan struct{} // reader → acker: a cumulative ack is owed
+	closedCh   chan struct{} // closed once when Close/Abort begins
+	resumeCh   chan resumeOffer
+	wake       chan struct{} // one token: the writer has something to write
+	writerDone chan struct{} // the writer's exit
 
 	obs linkObs
 
@@ -542,7 +544,6 @@ func startLink(conn Conn, cfg LinkConfig, h Handler, peer int, token uint64, dia
 	conn.SetReadDeadline(time.Time{})
 	conn.SetWriteDeadline(time.Time{})
 	cfg.Reconnect = cfg.Reconnect.withDefaults()
-	cfg.Batch = cfg.Batch.withDefaults()
 	l := &Link{
 		cfg:        cfg,
 		h:          h,
@@ -558,10 +559,10 @@ func startLink(conn Conn, cfg LinkConfig, h Handler, peer int, token uint64, dia
 		readerDone: make(chan struct{}),
 		closedCh:   make(chan struct{}),
 		resumeCh:   make(chan resumeOffer, 1),
-		ackCh:      make(chan struct{}, 1),
+		wake:       make(chan struct{}, 1),
+		writerDone: make(chan struct{}),
 		obs:        newLinkObs(cfg.Obs, peer),
 	}
-	l.batchOn = cfg.Batch.Enabled()
 	// The handler's session and control-plane halves are resolved once
 	// here so the read loop dispatches without a per-frame assert.
 	l.sh, _ = h.(SessionHandler)
@@ -574,7 +575,7 @@ func startLink(conn Conn, cfg LinkConfig, h Handler, peer int, token uint64, dia
 			l.in[d.ID] = d
 		}
 	}
-	go l.acker()
+	go l.writer()
 	go l.readLoop(conn, 0, l.readerDone)
 	if cfg.Heartbeat > 0 {
 		go l.pinger()
@@ -667,6 +668,7 @@ func (l *Link) Stats() LinkStats {
 		AcksPiggybacked:     l.obs.acksPiggy.Value(),
 		AcksPiggybackedRecv: l.obs.acksPiggyRecv.Value(),
 		BatchFlushes:        l.obs.batchFlushes.Value(),
+		Writes:              l.obs.writes.Value(),
 		PingsSent:           l.obs.pingsSent.Value(),
 		PongsReceived:       l.obs.pongsRecv.Value(),
 		HeartbeatTimeouts:   l.obs.hbTimeouts.Value(),
@@ -746,7 +748,7 @@ func (l *Link) pinger() {
 			return
 		}
 		l.mu.Lock()
-		state, conn, gen, closing := l.state, l.conn, l.gen, l.closing
+		state, gen, closing := l.state, l.gen, l.closing
 		l.mu.Unlock()
 		if closing || state == stateClosed || state == stateFailed {
 			return
@@ -768,42 +770,9 @@ func (l *Link) pinger() {
 			continue
 		}
 		if silent >= interval {
-			l.sendProbe(conn, gen, framePing, uint64(time.Now().UnixNano()))
+			l.stageProbe(gen, framePing, uint64(time.Now().UnixNano()))
 		}
 	}
-}
-
-// sendProbe writes one PING (typ framePing, ts the current time) or the
-// PONG echoing a peer's PING (typ framePong, ts its timestamp). Neither
-// runs on the reader: the pinger sends PINGs, and the reader spawns each
-// PONG on its own goroutine (like ackGoodbye), because answering inline
-// would park it on wmu behind writers that may themselves be blocked on
-// the peer. The frame rides the coalescer like any other, though on an
-// idle link — the only kind that gets probed — the batch is empty and the
-// deadline timer flushes it within MaxDelay.
-func (l *Link) sendProbe(conn Conn, gen int, typ byte, ts uint64) {
-	l.wmu.Lock()
-	l.mu.Lock()
-	if l.gen != gen || l.state != stateUp || l.closing {
-		l.mu.Unlock()
-		l.wmu.Unlock()
-		return
-	}
-	l.mu.Unlock()
-	var body [pingBodyBytes]byte
-	encodePing(body[:], ts)
-	f := buildFrame(typ, 0, nil, body[:])
-	err := l.writeWire(conn, gen, f.wire)
-	putWire(f.buf)
-	l.wmu.Unlock()
-	if err != nil {
-		l.connError(gen, &Error{Op: "send", Addr: l.raddr, Transient: isTimeout(err), Err: err})
-		return
-	}
-	if typ == framePing {
-		l.obs.pingsSent.Inc()
-	}
-	l.recheckCumAck()
 }
 
 // SendData transmits one SPI-encoded message on an outbound edge. When
@@ -814,7 +783,7 @@ func (l *Link) SendData(edge uint16, msg []byte) error {
 		return &Error{Op: "send", Addr: l.raddr,
 			Err: fmt.Errorf("edge %d is not outbound on this link", edge)}
 	}
-	if err := l.sendSessionFrame(frameData, nil, msg, true); err != nil {
+	if err := l.sendSessionFrame(frameData, nil, msg); err != nil {
 		return err
 	}
 	// Counters only on the per-frame path: the SPI layer already traces
@@ -826,78 +795,49 @@ func (l *Link) SendData(edge uint16, msg []byte) error {
 }
 
 // SendAck transmits a BBS credit / UBS acknowledgement for an inbound
-// edge. With piggybacking on the ack is queued instead: the next
-// outbound DATA frame carries it, or the coalescer deadline flushes it
-// standalone — either way delivery stays reliable, because both carriers
-// are sequence-numbered session frames held for replay.
+// edge. The ack is queued, never written here and never blocked: the
+// writer's next pass sends it as a numbered ACK frame (coalesced with any
+// other ack queued for the edge), unless piggybacking is on and a DATA
+// frame carries it first — either way delivery is reliable, because both
+// carriers are sequence-numbered session frames held for replay. A handler
+// may therefore ack from the link's reader goroutine.
 func (l *Link) SendAck(edge uint16, count uint32) error {
 	d, ok := l.in[edge]
 	if !ok {
 		return &Error{Op: "send", Addr: l.raddr,
 			Err: fmt.Errorf("edge %d is not inbound on this link", edge)}
 	}
+	l.mu.Lock()
 	if d.noAck {
 		// Both manifests declare the edge ack-suppressed (the §4 verdict
 		// covers its synchronization through other sync paths): swallow
-		// the ack before it can enter the piggyback queue or the resend
-		// buffer, so no later flush, DATA frame, or RESUME replay can
-		// resurrect it. Transport-level cumulative acks still trim the
-		// peer's resend buffer (they ride every frame direction
-		// independently of SPI acks), so suppression never wedges the
-		// peer's sender.
-		l.wmu.Lock()
+		// the ack before it can enter the queue or the resend buffer, so no
+		// later pass, DATA frame, or RESUME replay can resurrect it.
+		// Transport-level cumulative acks still trim the peer's resend
+		// buffer, so suppression never wedges the peer's sender.
 		if l.suppressedSent == nil {
 			l.suppressedSent = make(map[uint16]int64)
 		}
 		l.suppressedSent[edge]++
-		l.wmu.Unlock()
-		l.obs.acksSuppressed.Inc()
-		// Holding wmu may have suppressed the reader's cumulative ack.
-		l.recheckCumAck()
-		return nil
-	}
-	if l.cfg.PiggybackAcks {
-		l.wmu.Lock()
-		l.mu.Lock()
-		switch {
-		case l.closing || l.state == stateClosed:
-			l.mu.Unlock()
-			l.wmu.Unlock()
-			return &Error{Op: "send", Addr: l.raddr, Err: ErrLinkClosed}
-		case l.state == stateFailed:
-			err := l.failErr
-			l.mu.Unlock()
-			l.wmu.Unlock()
-			if err == nil {
-				err = ErrLinkClosed
-			}
-			return &Error{Op: "send", Addr: l.raddr, Err: err}
-		}
 		l.mu.Unlock()
-		l.queueAckLocked(edge, count)
-		l.wmu.Unlock()
-		// Holding wmu may have suppressed the reader's cumulative ack;
-		// in a one-way stream this queue write is the only wire activity
-		// on the ack side, so nothing else would retry it.
-		l.recheckCumAck()
+		l.obs.acksSuppressed.Inc()
 		return nil
 	}
-	var body [ackBodyBytes]byte
-	binary.LittleEndian.PutUint16(body[:], edge)
-	binary.LittleEndian.PutUint32(body[2:], count)
-	if err := l.sendSessionFrame(frameAck, body[:], nil, false); err != nil {
+	if err := l.sendErrLocked(); err != nil {
+		l.mu.Unlock()
 		return err
 	}
-	l.obs.acksSent.Inc()
+	l.queueAckLocked(edge, count)
+	l.mu.Unlock()
+	l.wakeWriter()
 	return nil
 }
 
 // SendFin marks one edge finished: the peer stops expecting DATA (outbound
 // edge) or ACK credits (inbound edge) on it. Degrading nodes send FINs on
 // every edge touching a dead peer's actors so the survivors unblock.
-// Queued acks are materialized first — the peer must not observe a FIN
-// ordered ahead of acks for messages it delivered before the FIN — and
-// the batch is flushed after, because degradation latency matters.
+// Queued acks are materialized ahead of it: the peer must not observe a FIN
+// ordered ahead of acks for messages it delivered before the FIN.
 func (l *Link) SendFin(edge uint16) error {
 	_, outOK := l.out[edge]
 	_, inOK := l.in[edge]
@@ -905,64 +845,51 @@ func (l *Link) SendFin(edge uint16) error {
 		return &Error{Op: "send", Addr: l.raddr,
 			Err: fmt.Errorf("edge %d is not declared on this link", edge)}
 	}
-	l.flushNow()
 	if err := l.sendSession(frameFin, encodeFin(edge)); err != nil {
 		return err
 	}
-	l.flushNow()
 	l.obs.finsSent.Inc()
 	l.obs.tr.Instant("link", "fin:send", l.obs.pid, int(edge))
 	return nil
 }
 
-// flushNow synchronously materializes queued acks and flushes the write
-// batch. Callers use it where latency or ordering matters more than
-// coalescing: FIN, GOODBYE, and test synchronization points.
-func (l *Link) flushNow() {
-	l.wmu.Lock()
-	l.mu.Lock()
-	conn, gen := l.conn, l.gen
-	ok := l.state == stateUp && !l.closing
-	l.mu.Unlock()
-	var err error
-	if ok {
-		err = l.flushPendingAcksLocked(conn, gen)
+// sendErrLocked reports why a link that is shut down or failed refuses a
+// send, nil while it can still carry one. Caller holds mu.
+func (l *Link) sendErrLocked() error {
+	switch {
+	case l.closing || l.state == stateClosed:
+		return &Error{Op: "send", Addr: l.raddr, Err: ErrLinkClosed}
+	case l.state == stateFailed:
+		err := l.failErr
 		if err == nil {
-			err = l.flushBatchLocked(conn, gen)
+			err = ErrLinkClosed
 		}
+		return &Error{Op: "send", Addr: l.raddr, Err: err}
 	}
-	l.wmu.Unlock()
-	if err != nil {
-		werr := &Error{Op: "send", Addr: l.raddr, Transient: isTimeout(err), Err: err}
-		if l.cfg.Reconnect.Enabled() {
-			l.connError(gen, werr)
-		} else {
-			l.poisonSend(gen)
-		}
-	}
-	l.recheckCumAck()
+	return nil
 }
 
-// sendSession assigns the next sequence number to one session frame,
-// stores it in the resend buffer, and writes it out. While the link is
-// down with reconnection pending, or the resend buffer is full, it blocks
-// until the state changes. With reconnection enabled a failed write is not
-// an error: the frame is already buffered and the RESUME replay delivers
-// it.
+// sendSession is sendSessionFrame for a body in one piece.
 func (l *Link) sendSession(typ byte, body []byte) error {
-	return l.sendSessionFrame(typ, nil, body, false)
+	return l.sendSessionFrame(typ, nil, body)
 }
 
-// sendSessionFrame is sendSession with a body split into head|tail (the
-// session-tagged frames pass their u32 sid prefix as a stack-allocated
-// head, which buildFrame copies, keeping the hot path allocation-free)
-// and an opt-in piggyback slot: when piggy is set (DATA frames only, so
-// head is nil), any queued acks are claimed at the moment the sequence
-// number is assigned and prepended as a DATAACK prefix. The claim
-// happens inside the lock, after the stall loop, so an ack never rides a
-// frame that then sits blocked behind a full resend buffer — a stalled
-// sender leaves queued acks for the deadline flusher.
-func (l *Link) sendSessionFrame(typ byte, head, body []byte, piggy bool) error {
+// sendSessionFrame assigns the next sequence number to one session frame
+// whose body is head|tail (the session-tagged frames pass their u32 sid
+// prefix as a stack-allocated head, which buildFrame copies, keeping the
+// hot path allocation-free), files it in the resend buffer and stages it
+// for the writer — or, for a frame of at least inlineWriteBytes, writes it
+// here after whatever was staged before it. While the link is down with
+// reconnection pending, or the resend buffer is full, it blocks until the
+// state changes; that wait comes before the sequence number is assigned,
+// and nothing between the assignment and the frame's place in wire order
+// releases mu. A DATA frame claims the queued acks as a DATAACK prefix at
+// that same moment when piggybacking is on, so an ack never rides a frame
+// that then sits blocked behind a full resend buffer. A failed write of a
+// staged frame reaches the caller on its next send (see writeFailed); with
+// reconnection enabled it is no error at all, the RESUME replay delivers
+// the frame.
+func (l *Link) sendSessionFrame(typ byte, head, body []byte) error {
 	// Sending a frame family needs what receiving it needs, a handler of
 	// that type: the peer's answers would otherwise fail this link's reader.
 	switch {
@@ -971,83 +898,60 @@ func (l *Link) sendSessionFrame(typ byte, head, body []byte, piggy bool) error {
 	case typ == frameCtrl && l.ch == nil:
 		return &Error{Op: "send", Addr: l.raddr, Err: errors.New("ctrl frames need a link whose handler is a CtrlHandler")}
 	}
+	inline := frameHeaderBytes+len(head)+len(body) >= inlineWriteBytes
+	unlock := func() {
+		l.mu.Unlock()
+		if inline {
+			l.wmu.Unlock()
+		}
+	}
 	for {
-		l.wmu.Lock()
+		if inline {
+			l.wmu.Lock()
+		}
 		l.mu.Lock()
-		switch {
-		case l.closing || l.state == stateClosed:
-			l.mu.Unlock()
-			l.wmu.Unlock()
-			return &Error{Op: "send", Addr: l.raddr, Err: ErrLinkClosed}
-		case l.state == stateFailed:
-			err := l.failErr
-			l.mu.Unlock()
-			l.wmu.Unlock()
-			if err == nil {
-				err = ErrLinkClosed
-			}
-			return &Error{Op: "send", Addr: l.raddr, Err: err}
-		case l.state == stateDown, len(l.unacked) >= l.cfg.resendLimit():
+		if err := l.sendErrLocked(); err != nil {
+			unlock()
+			return err
+		}
+		if l.state == stateDown || len(l.unacked) >= l.cfg.resendLimit() {
 			ch := l.changed
-			conn, gen := l.conn, l.gen
-			up := l.state == stateUp
-			l.mu.Unlock()
-			// About to sleep until the peer acks: flush the write batch
-			// first — the peer can only ack frames it has seen, and the
-			// frames that would free our resend buffer may be sitting in
-			// the coalescer.
-			var ferr error
-			if up {
-				ferr = l.flushBatchLocked(conn, gen)
+			if l.state == stateUp && l.recvSeq > l.cumAcked {
+				// About to sleep until the peer acks: send our own owed
+				// cumulative ack, or a symmetrically stalled peer would
+				// wait on us exactly as we wait on it.
+				l.ackNow = true
+				l.wakeWriter()
 			}
-			l.wmu.Unlock()
-			if ferr != nil {
-				werr := &Error{Op: "send", Addr: l.raddr, Transient: isTimeout(ferr), Err: ferr}
-				if !l.cfg.Reconnect.Enabled() {
-					l.poisonSend(gen)
-					return werr
-				}
-				l.connError(gen, werr)
-				continue
-			}
+			unlock()
 			l.obs.sendStalls.Inc()
-			// And flush our own owed cumulative ack, or a symmetrically
-			// stalled peer would wait on us exactly as we wait on it.
-			if l.owedAcks() > 0 {
-				l.tryCumAck(conn, gen)
-			}
 			<-ch
 			continue
 		}
-		if piggy && len(l.pendingOrder) > 0 {
-			head = l.takePendingAcksLocked()
-			typ = frameDataAck
+		switch {
+		case typ == frameFin:
+			l.materializeAcksLocked()
+		case typ == frameData && l.cfg.PiggybackAcks && len(l.pendingOrder) > 0:
+			typ, head = frameDataAck, l.takePendingAcksLocked()
 		}
-		l.sendSeq++
-		seq := l.sendSeq
-		f := buildFrame(typ, seq, head, body)
-		l.unacked = append(l.unacked, f)
-		l.obs.resendDepth.Set(int64(len(l.unacked)))
-		conn, gen := l.conn, l.gen
-		l.mu.Unlock()
-		err := l.writeWire(conn, gen, f.wire)
+		f := l.fileLocked(typ, head, body)
+		if !inline {
+			l.stageLocked(1, f.wire)
+			l.mu.Unlock()
+			l.wakeWriter()
+			return nil
+		}
+		l.inlineSeq = f.seq
+		gen, err := l.writePass(f.wire)
 		l.wmu.Unlock()
-		if err != nil {
-			werr := &Error{Op: "send", Addr: l.raddr, Transient: isTimeout(err), Err: err}
-			if l.cfg.Reconnect.Enabled() {
-				// The frame is buffered; recovery will replay it.
-				l.connError(gen, werr)
-				return nil
-			}
-			l.poisonSend(gen)
-			return werr
+		if err == nil {
+			return nil
 		}
-		// A tryCumAck that lost the race for wmu to this write yielded
-		// rather than wait, so the writer flushes the owed ack itself:
-		// otherwise the peer's resend buffer could fill and its senders
-		// stall with nothing left in flight to retrigger the ack.
-		l.recheckCumAck()
-		return nil
+		werr := l.writeFailed(gen, err)
+		if l.cfg.Reconnect.Enabled() {
+			return nil // the frame is buffered; recovery will replay it
+		}
+		return werr
 	}
 }
 
@@ -1060,27 +964,6 @@ func (l *Link) ackInterval() int {
 		interval = 1
 	}
 	return interval
-}
-
-// owedAcks reports how many in-order frames we have received but not yet
-// covered with a cumulative ack.
-func (l *Link) owedAcks() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.recvSeq - l.cumAcked
-}
-
-// poisonSend marks the link failed after a write error in fail-fast mode.
-// The connection stays open — inbound frames may still drain — matching
-// the pre-resumption behavior where only the send half was poisoned.
-func (l *Link) poisonSend(gen int) {
-	l.mu.Lock()
-	if gen == l.gen && l.state == stateUp {
-		l.state = stateFailed
-		l.failErr = ErrLinkClosed
-		l.broadcastLocked()
-	}
-	l.mu.Unlock()
 }
 
 // connError reports a dead connection observed by generation gen. Stale
@@ -1110,6 +993,10 @@ func (l *Link) connError(gen int, err error) {
 func (l *Link) goDownLocked(cause error) error {
 	l.conn.Close()
 	l.gen++
+	// What was staged for the dead connection goes with it: every session
+	// frame in it is in the resend buffer, and the RESUME replay restages
+	// them from there.
+	l.stage, l.staged, l.ackNow = l.stage[:0], 0, false
 	prevDone := l.readerDone
 	l.obs.tr.Instant("session", "link-down", l.obs.pid, l.obs.sessTid, obs.A("gen", int64(l.gen)))
 	if l.cfg.Reconnect.Enabled() {
@@ -1131,13 +1018,26 @@ func (l *Link) broadcastLocked() {
 
 func (l *Link) notifyClose(err error) {
 	l.mu.Lock()
-	if l.graceful {
-		// The local side chose to close; whatever the connection did
-		// while draining, the shutdown is deliberate, not a failure.
+	if l.graceful && l.lostLocked() == 0 {
+		// The local side chose to close and the peer has everything it
+		// still wanted; whatever the connection did while draining, the
+		// shutdown is deliberate, not a failure.
 		err = nil
 	}
 	l.mu.Unlock()
 	l.notifyOnce.Do(func() { l.h.HandleLinkClose(err) })
+}
+
+// lostLocked counts the frames sent before Close began that the peer has
+// not acknowledged and may still want: their senders were told nil when the
+// frames were staged, so a link that dies under them must say so. A peer
+// that has sent its GOODBYE is done consuming, and an Abort owes nothing.
+// Caller holds mu.
+func (l *Link) lostLocked() uint64 {
+	if l.peerClosed || l.peerAcked >= l.closeSeq {
+		return 0
+	}
+	return l.closeSeq - l.peerAcked
 }
 
 func isTimeout(err error) bool {

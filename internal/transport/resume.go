@@ -36,6 +36,7 @@ func (l *Link) readLoop(conn Conn, gen int, done chan struct{}) {
 		// nothing extra for heartbeat tracking.
 		l.obs.framesRecv.Inc()
 		l.obs.bytesRecv.Add(int64(frameHeaderBytes + len(body)))
+		ackOwed := false
 		if numberedFrame(typ) {
 			l.mu.Lock()
 			if seq <= l.recvSeq {
@@ -52,6 +53,7 @@ func (l *Link) readLoop(conn Conn, gen int, done chan struct{}) {
 				return
 			}
 			l.recvSeq = seq
+			ackOwed = seq-l.cumAcked >= interval
 			l.mu.Unlock()
 		}
 		switch typ {
@@ -156,7 +158,7 @@ func (l *Link) readLoop(conn Conn, gen int, done chan struct{}) {
 				l.readError(gen, &Error{Op: "recv", Addr: l.raddr, Err: derr})
 				return
 			}
-			go l.sendProbe(conn, gen, framePong, ts) // never from the reader itself
+			l.stageProbe(gen, framePong, ts)
 		case framePong:
 			ts, derr := decodePing(body)
 			if derr != nil {
@@ -170,12 +172,9 @@ func (l *Link) readLoop(conn Conn, gen int, done chan struct{}) {
 			}
 			l.obs.pongsRecv.Inc()
 		case frameGoodbye:
-			// Ack from a separate goroutine — two symmetric closes on
-			// loopback would deadlock if both readers stopped to write —
-			// and keep reading: the final CUMACK for our own GOODBYE may
-			// still be inbound. The reader exits when the peer, done
-			// draining, closes the connection.
-			go l.ackGoodbye(conn, gen)
+			// Keep reading: the final CUMACK for our own GOODBYE may still
+			// be inbound. The reader exits when the peer, done draining,
+			// closes the connection.
 			l.peerGoodbye()
 			continue
 		default:
@@ -183,171 +182,58 @@ func (l *Link) readLoop(conn Conn, gen int, done chan struct{}) {
 				Err: fmt.Errorf("unexpected frame type %d", typ)})
 			return
 		}
-		if l.owedAcks() >= interval {
-			// Hand the owed ack to the acker: the reader itself must never
-			// write. On an unbuffered carrier (net.Pipe loopback) DATA one
-			// way and numbered ACKs the other make both readers owe a
-			// cumulative ack at once, and two readers parked in Write each
+		if ackOwed {
+			// The writer's next pass carries the owed ack: the reader itself
+			// must never write. On an unbuffered carrier (net.Pipe loopback)
+			// DATA one way and numbered ACKs the other make both readers owe
+			// a cumulative ack at once, and two readers parked in Write each
 			// wait for the other to read.
-			select {
-			case l.ackCh <- struct{}{}:
-			default:
-			}
-		}
-	}
-}
-
-// acker writes the cumulative acks the reader owes, for the life of the
-// link. Unlike tryCumAck's other callers it waits for the writer mutex:
-// nothing depends on this goroutine making progress, so it can queue
-// behind writers that the always-reading peer will release.
-func (l *Link) acker() {
-	for {
-		select {
-		case <-l.ackCh:
-		case <-l.closedCh:
-			return
-		}
-		l.mu.Lock()
-		conn, gen := l.conn, l.gen
-		owed := l.state == stateUp && !l.closing && l.recvSeq-l.cumAcked >= uint64(l.ackInterval())
-		l.mu.Unlock()
-		if owed {
-			l.wmu.Lock()
-			l.cumAckLocked(conn, gen)
+			l.wakeWriter()
 		}
 	}
 }
 
 // trimUnacked drops resend-buffer frames covered by the peer's cumulative
-// ack n and wakes senders blocked on buffer room. Trimmed frames return
-// their wire buffers to the pool — unless a RESUME replay is concurrently
-// walking a snapshot of the buffer, in which case the references are
-// dropped and the garbage collector takes the slow path (replays are
-// rare; recycling mid-replay would hand the pool bytes still being
-// written to the connection). Acks past our own sendSeq would let a
-// protocol-violating peer recycle frames still being appended, so they
-// are capped.
+// ack n and wakes senders blocked on buffer room.
 func (l *Link) trimUnacked(n uint64) {
 	l.mu.Lock()
+	acksWaiting := l.trimLocked(n) && len(l.pendingOrder) > 0
+	l.mu.Unlock()
+	if acksWaiting {
+		l.wakeWriter() // queued acks may have been waiting for this room
+	}
+}
+
+// trimLocked is trimUnacked for a caller holding mu; it reports whether n
+// advanced the peer's acknowledged mark. Trimmed frames return their wire
+// buffers to the pool — except one its sender is still writing inline (only
+// a peer acknowledging bytes it has not been sent gets there), which is left
+// to the garbage collector. Acks past our own sendSeq would let a
+// protocol-violating peer recycle frames still being appended, so they are
+// capped.
+func (l *Link) trimLocked(n uint64) bool {
 	if n > l.sendSeq {
 		n = l.sendSeq
 	}
-	if n > l.peerAcked {
-		l.peerAcked = n
-		i := 0
-		for i < len(l.unacked) && l.unacked[i].seq <= n {
-			i++
-		}
-		if i > 0 {
-			for j := 0; j < i; j++ {
-				if !l.replayActive {
-					putWire(l.unacked[j].buf)
-				}
-				l.unacked[j] = savedFrame{}
-			}
-			rest := copy(l.unacked, l.unacked[i:])
-			for j := rest; j < len(l.unacked); j++ {
-				l.unacked[j] = savedFrame{}
-			}
-			l.unacked = l.unacked[:rest]
-		}
-		l.obs.resendDepth.Set(int64(len(l.unacked)))
-		l.broadcastLocked()
-	}
-	l.mu.Unlock()
-}
-
-// tryCumAck sends a cumulative transport ack covering every in-order
-// frame received so far, from a sender path that just released (or is
-// about to wait on) the writer mutex. It does not queue on that mutex: a
-// contended lock skips the ack and returns false; liveness then rests on
-// the writer that held the lock, which must call recheckCumAck after
-// releasing it.
-func (l *Link) tryCumAck(conn Conn, gen int) bool {
-	if !l.wmu.TryLock() {
+	if n <= l.peerAcked {
 		return false
 	}
-	l.cumAckLocked(conn, gen)
-	return true
-}
-
-// cumAckLocked writes the cumulative ack and releases wmu, which the
-// caller holds.
-func (l *Link) cumAckLocked(conn Conn, gen int) {
-	l.mu.Lock()
-	if l.gen != gen || l.state != stateUp {
-		l.mu.Unlock()
-		l.wmu.Unlock()
-		return
-	}
-	n := l.recvSeq
-	l.cumAcked = n
-	l.mu.Unlock()
-	var body [cumAckBodyBytes]byte
-	binary.LittleEndian.PutUint64(body[:], n)
-	f := buildFrame(frameCumAck, 0, nil, body[:])
-	// Through the coalescer like any frame: a batched CUMACK is flushed
-	// by the next threshold or the deadline timer, which bounds how long
-	// the peer's resend buffer stays un-trimmed.
-	err := l.writeWire(conn, gen, f.wire)
-	putWire(f.buf)
-	l.wmu.Unlock()
-	if err != nil {
-		l.connError(gen, &Error{Op: "send", Addr: l.raddr, Transient: isTimeout(err), Err: err})
-	}
-}
-
-// recheckCumAck is the other half of tryCumAck's liveness contract:
-// every path that takes wmu may have suppressed the reader's cumulative
-// ack exactly once, at the moment the reader went idle — after which no
-// inbound frame will retry it. So each such path calls this after
-// releasing the lock. The loop covers a recvSeq that advanced while our
-// own ack write held wmu; it terminates because a successful tryCumAck
-// zeroes the owed count and a contended one hands the obligation to the
-// current lock holder.
-func (l *Link) recheckCumAck() {
-	for l.owedAcks() >= uint64(l.ackInterval()) {
-		l.mu.Lock()
-		conn, gen := l.conn, l.gen
-		ok := l.state == stateUp && !l.closing
-		l.mu.Unlock()
-		if !ok || !l.tryCumAck(conn, gen) {
-			return
+	l.peerAcked = n
+	i := 0
+	for i < len(l.unacked) && l.unacked[i].seq <= n {
+		if l.unacked[i].seq != l.inlineSeq {
+			putWire(l.unacked[i].buf)
 		}
+		i++
 	}
-}
-
-// ackGoodbye sends the final cumulative ack telling the peer its GOODBYE
-// (and, by the sequence filter, everything before it) arrived, so the
-// peer's Close can stop draining. Errors are ignored: the RESUME
-// handshake carries the same high-water mark if this write is lost.
-func (l *Link) ackGoodbye(conn Conn, gen int) {
-	l.wmu.Lock()
-	l.mu.Lock()
-	if l.gen != gen || l.state != stateUp {
-		l.mu.Unlock()
-		l.wmu.Unlock()
-		return
+	rest := copy(l.unacked, l.unacked[i:])
+	for j := rest; j < len(l.unacked); j++ {
+		l.unacked[j] = savedFrame{}
 	}
-	n := l.recvSeq
-	l.cumAcked = n
-	l.mu.Unlock()
-	// Flush batched frames first so the stream stays FIFO, then write
-	// the final ack directly — the peer's drain is waiting on it.
-	flushErr := l.flushBatchLocked(conn, gen)
-	conn.SetWriteDeadline(time.Now().Add(l.cfg.closeTimeout()))
-	var body [cumAckBodyBytes]byte
-	binary.LittleEndian.PutUint64(body[:], n)
-	f := buildFrame(frameCumAck, 0, nil, body[:])
-	_, err := conn.Write(f.wire)
-	conn.SetWriteDeadline(time.Time{})
-	l.wmu.Unlock()
-	if err == nil && flushErr == nil {
-		l.obs.framesSent.Inc()
-		l.obs.bytesSent.Add(int64(len(f.wire)))
-	}
-	putWire(f.buf)
+	l.unacked = l.unacked[:rest]
+	l.obs.resendDepth.Set(int64(len(l.unacked)))
+	l.broadcastLocked()
+	return true
 }
 
 // readError classifies a reader failure for generation gen.
@@ -406,11 +292,17 @@ func (l *Link) peerGoneLocked() bool {
 
 // peerGoodbye records the peer's graceful shutdown: the handler sees a nil
 // close, later connection errors are benign, and no resume is attempted.
+// The writer's next pass sends the cumulative ack telling the peer its
+// GOODBYE (and, by the sequence filter, everything before it) arrived, so
+// the peer's Close can stop draining; if that write is lost, the RESUME
+// handshake carries the same high-water mark.
 func (l *Link) peerGoodbye() {
 	l.mu.Lock()
 	l.peerClosed = true
+	l.ackNow = true
 	l.broadcastLocked()
 	l.mu.Unlock()
+	l.wakeWriter()
 	l.notifyClose(nil)
 }
 
@@ -556,42 +448,29 @@ func (l *Link) acceptOffer(off resumeOffer, gen int, deadline time.Time) (done b
 }
 
 // install brings a resumed connection up: trim the resend buffer to the
-// peer's high-water mark, start the new reader, then replay the
-// unacknowledged suffix. The reader starts before the replay — on
-// loopback both sides replay into unbuffered pipes, so each side must be
-// draining inbound frames while its own replay writes block. New sends
-// stay blocked on wmu until the replay lands, preserving frame order.
+// peer's high-water mark and restage what is left, so the writer starts
+// again from the first frame the peer has not seen; sends that arrive from
+// now on stage behind the replay, which preserves frame order. The new
+// reader is running before the writer's first write — on loopback both
+// sides replay into unbuffered pipes, so each side must be draining inbound
+// frames while its own replay blocks.
 func (l *Link) install(conn Conn, peerRecv uint64, gen int) {
-	l.wmu.Lock()
-	// Whatever the coalescer buffered for the dead connection is stale:
-	// every session frame in it lives in the resend buffer, and the
-	// replay below is the authoritative delivery path.
-	l.batch.drop()
 	l.mu.Lock()
 	if l.closing || l.gen != gen || l.state != stateDown {
 		l.mu.Unlock()
-		l.wmu.Unlock()
 		conn.Close()
 		return
 	}
-	if peerRecv > l.peerAcked {
-		l.peerAcked = peerRecv
-		i := 0
-		for i < len(l.unacked) && l.unacked[i].seq <= peerRecv {
-			i++
-		}
-		if i > 0 {
-			l.unacked = append([]savedFrame(nil), l.unacked[i:]...)
-		}
+	l.trimLocked(peerRecv)
+	for _, f := range l.unacked {
+		l.stageLocked(1, f.wire)
 	}
-	replay := make([]savedFrame, len(l.unacked))
-	copy(replay, l.unacked)
-	// The replay walks this snapshot outside mu while the new reader may
-	// already be trimming: replayActive keeps trimmed buffers out of the
-	// wire pool until the replay is done with them.
-	l.replayActive = len(replay) > 0
+	replayed := int64(len(l.unacked))
 	l.conn = conn
 	l.state = stateUp
+	// Acks queued during the outage have no session frame yet: they follow
+	// the replay.
+	l.materializeAcksLocked()
 	// The RESUME handshake just heard from the peer; reset the liveness
 	// mark so the fresh connection starts with a full timeout budget.
 	l.lastHeard.Store(time.Now().UnixNano())
@@ -601,46 +480,15 @@ func (l *Link) install(conn Conn, peerRecv uint64, gen int) {
 	done := make(chan struct{})
 	l.readerDone = done
 	l.obs.resumes.Inc()
-	l.obs.resendDepth.Set(int64(len(l.unacked)))
+	l.obs.retransmits.Add(replayed)
 	l.obs.tr.Instant("session", "resume", l.obs.pid, l.obs.sessTid,
-		obs.A("gen", int64(gen)), obs.A("replay", int64(len(replay))))
+		obs.A("gen", int64(gen)), obs.A("replay", replayed))
 	l.broadcastLocked()
-	l.mu.Unlock()
 	conn.SetReadDeadline(time.Time{})
 	conn.SetWriteDeadline(time.Time{})
 	go l.readLoop(conn, gen, done)
-	var werr error
-	for _, f := range replay {
-		if l.cfg.SendTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(l.cfg.SendTimeout))
-		}
-		if _, err := conn.Write(f.wire); err != nil {
-			werr = err
-			break
-		}
-		l.obs.retransmits.Inc()
-		l.obs.framesSent.Inc()
-		l.obs.bytesSent.Add(int64(len(f.wire)))
-	}
-	if len(replay) > 0 {
-		l.mu.Lock()
-		l.replayActive = false
-		l.mu.Unlock()
-	}
-	// Acks queued during the outage have no session frame yet; flush
-	// them now rather than waiting for the next DATA or deadline tick.
-	if werr == nil {
-		werr = l.flushPendingAcksLocked(conn, gen)
-		if werr == nil {
-			werr = l.flushBatchLocked(conn, gen)
-		}
-	}
-	l.wmu.Unlock()
-	if werr != nil {
-		// The new connection died mid-replay; this schedules the next
-		// recovery round (ownership passes to it).
-		l.connError(gen, &Error{Op: "resume", Addr: l.raddr, Transient: isTimeout(werr), Err: werr})
-	}
+	l.mu.Unlock()
+	l.wakeWriter()
 }
 
 // adoptConn routes a peer's re-dialed RESUME connection to this link. If
@@ -736,99 +584,78 @@ func (l *Link) awaitSettled(deadline time.Time) {
 // drain until the peer's cumulative ack covers it (cycling the connection
 // once if the session tail was silently lost), wait for the peer's own
 // GOODBYE so inbound frames drain too, then tear the connection down and
-// reap the reader. Every wait is bounded by CloseTimeout. Close is
+// reap the reader and the writer. Every wait is bounded by CloseTimeout.
+// The error, also given to HandleLinkClose, says that frames sent before
+// Close were never acknowledged: sends return once their frame is staged,
+// so this is where a caller learns that its last ones were lost. Close is
 // idempotent and safe to call from any goroutine.
 func (l *Link) Close() error {
 	l.closeOnce.Do(func() {
 		deadline := time.Now().Add(l.cfg.closeTimeout())
 		l.mu.Lock()
 		l.graceful = true
+		l.closeSeq = l.sendSeq
 		l.mu.Unlock()
 		l.awaitSettled(deadline)
 		if seq, sent := l.sendGoodbye(); sent {
 			l.drainGoodbye(seq, deadline)
 		}
 		l.awaitPeerGoodbye(deadline)
-		l.finalAck()
+		l.finalAck(deadline)
 		l.mu.Lock()
-		l.closing = true
-		close(l.closedCh)
-		l.state = stateClosed
-		conn := l.conn
-		rd := l.readerDone
-		l.broadcastLocked()
+		if lost := l.lostLocked(); lost > 0 {
+			l.closeErr = &Error{Op: "close", Addr: l.raddr,
+				Err: fmt.Errorf("the last %d frames sent to node %d were never acknowledged", lost, l.peer)}
+		}
 		l.mu.Unlock()
-		conn.Close()
-		<-rd
-		l.drainOffers()
-		l.notifyClose(nil)
+		l.shutdown()
 	})
-	return nil
+	return l.closeErr
+}
+
+// shutdown is the end of Close and all of Abort: mark the link closed, tear
+// the connection down (which releases a reader or writer parked on it) and
+// reap both goroutines.
+func (l *Link) shutdown() {
+	l.mu.Lock()
+	l.graceful = true
+	l.closing = true
+	close(l.closedCh)
+	l.state = stateClosed
+	conn := l.conn
+	rd := l.readerDone
+	l.broadcastLocked()
+	l.mu.Unlock()
+	conn.Close()
+	<-rd
+	<-l.writerDone
+	l.drainOffers()
+	l.notifyClose(l.closeErr)
 }
 
 // sendGoodbye assigns the GOODBYE the next session sequence number and
 // buffers it like any session frame: passing the receiver's sequence
 // filter proves every prior frame arrived, and a RESUME replays it if the
-// connection dies first. It reports the assigned sequence and whether the
-// peer can still be expected to acknowledge it.
+// connection dies first. Queued acks are materialized ahead of it — the
+// GOODBYE must be the last session frame the peer sequences. It reports the
+// assigned sequence and whether the peer can still be expected to
+// acknowledge it.
 func (l *Link) sendGoodbye() (uint64, bool) {
-	l.wmu.Lock()
 	l.mu.Lock()
 	if l.closing || l.state == stateClosed || l.state == stateFailed {
 		l.mu.Unlock()
-		l.wmu.Unlock()
 		return 0, false
 	}
-	down := l.state == stateDown
-	conn, gen := l.conn, l.gen
+	up := l.state == stateUp
+	l.materializeAcksLocked()
+	f := l.fileLocked(frameGoodbye, nil, nil)
+	if up {
+		l.stageLocked(1, f.wire)
+	}
 	l.mu.Unlock()
-	if !down {
-		// Materialize queued acks first: the GOODBYE must be the last
-		// session frame the peer sequences. A write error here also
-		// breaks the goodbye write below, which owns the error handling.
-		if l.cfg.SendTimeout <= 0 {
-			conn.SetWriteDeadline(time.Now().Add(l.cfg.closeTimeout()))
-		}
-		l.flushPendingAcksLocked(conn, gen)
-	}
-	l.mu.Lock()
-	if l.closing || l.state == stateClosed || l.state == stateFailed {
-		l.mu.Unlock()
-		l.wmu.Unlock()
-		return 0, false
-	}
-	down = l.state == stateDown
-	conn, gen = l.conn, l.gen
-	l.sendSeq++
-	seq := l.sendSeq
-	f := buildFrame(frameGoodbye, seq, nil, nil)
-	l.unacked = append(l.unacked, f)
-	l.mu.Unlock()
-	if down {
-		// Buffered only: the pending recovery's replay delivers it.
-		l.wmu.Unlock()
-		return seq, l.cfg.Reconnect.Enabled()
-	}
-	if l.cfg.SendTimeout <= 0 {
-		conn.SetWriteDeadline(time.Now().Add(l.cfg.closeTimeout()))
-	}
-	err := l.writeWire(conn, gen, f.wire)
-	if err == nil {
-		err = l.flushBatchLocked(conn, gen)
-	}
-	conn.SetWriteDeadline(time.Time{})
-	l.wmu.Unlock()
-	if err != nil {
-		l.mu.Lock()
-		peerClosed := l.peerClosed
-		l.mu.Unlock()
-		if l.cfg.Reconnect.Enabled() && !peerClosed {
-			l.connError(gen, &Error{Op: "close", Addr: l.raddr, Transient: isTimeout(err), Err: err})
-			return seq, true
-		}
-		return seq, false
-	}
-	return seq, true
+	l.wakeWriter()
+	// Down: buffered only, and the pending recovery's replay delivers it.
+	return f.seq, up || l.cfg.Reconnect.Enabled()
 }
 
 // drainGoodbye waits until the peer's cumulative ack covers the GOODBYE.
@@ -880,18 +707,25 @@ func (l *Link) awaitAck(seq uint64, deadline time.Time) bool {
 }
 
 // finalAck makes sure the peer's GOODBYE got its closing CUMACK before we
-// tear the connection down: the reader spawns one asynchronously, but a
-// fast Close could otherwise win that race and strand the peer's drain.
-// Duplicate cumulative acks are harmless.
-func (l *Link) finalAck() {
+// tear the connection down: the writer was woken to send one, but a fast
+// Close could otherwise win that race and strand the peer's drain. Running
+// the writer's pass here waits out the write in flight and sends whatever
+// is still owed; the deadline bounds both.
+func (l *Link) finalAck(deadline time.Time) {
 	l.mu.Lock()
 	if !l.peerClosed || l.state != stateUp {
 		l.mu.Unlock()
 		return
 	}
-	conn, gen := l.conn, l.gen
+	if l.cfg.SendTimeout <= 0 {
+		l.conn.SetWriteDeadline(deadline)
+	}
 	l.mu.Unlock()
-	l.ackGoodbye(conn, gen)
+	l.wmu.Lock()
+	l.mu.Lock()
+	l.ackNow = true
+	l.writePass(nil) // an error here is the peer's to recover from: RESUME carries the same mark
+	l.wmu.Unlock()
 }
 
 // awaitPeerGoodbye waits (bounded) for the peer's own GOODBYE so frames
@@ -922,19 +756,5 @@ func (l *Link) awaitPeerGoodbye(deadline time.Time) {
 // failed node from one that completed and closed gracefully. The local
 // handler's close callback reports nil (the shutdown was deliberate).
 func (l *Link) Abort() {
-	l.closeOnce.Do(func() {
-		l.mu.Lock()
-		l.graceful = true
-		l.closing = true
-		close(l.closedCh)
-		l.state = stateClosed
-		conn := l.conn
-		rd := l.readerDone
-		l.broadcastLocked()
-		l.mu.Unlock()
-		conn.Close()
-		<-rd
-		l.drainOffers()
-		l.notifyClose(nil)
-	})
+	l.closeOnce.Do(l.shutdown)
 }

@@ -136,20 +136,17 @@ func (l *Link) SendSessionOpenOK(sid uint32, status byte) error {
 	var body [sstatusBytes]byte
 	binary.LittleEndian.PutUint32(body[:], sid)
 	body[sessionIDBytes] = status
-	return l.sendSessionFrame(frameSOpenOK, body[:], nil, false)
+	return l.sendSessionFrame(frameSOpenOK, body[:], nil)
 }
 
-// SendSessionClose tears one session down with a final status. Like FIN,
-// the batch is flushed around it: close latency bounds session latency.
+// SendSessionClose tears one session down with a final status.
 func (l *Link) SendSessionClose(sid uint32, status byte) error {
 	var body [sstatusBytes]byte
 	binary.LittleEndian.PutUint32(body[:], sid)
 	body[sessionIDBytes] = status
-	l.flushNow()
-	if err := l.sendSessionFrame(frameSClose, body[:], nil, false); err != nil {
+	if err := l.sendSessionFrame(frameSClose, body[:], nil); err != nil {
 		return err
 	}
-	l.flushNow()
 	return nil
 }
 
@@ -164,7 +161,7 @@ func (l *Link) SendSessionData(sid uint32, edge uint16, msg []byte) error {
 	}
 	var head [sessionIDBytes]byte
 	binary.LittleEndian.PutUint32(head[:], sid)
-	if err := l.sendSessionFrame(frameSData, head[:], msg, false); err != nil {
+	if err := l.sendSessionFrame(frameSData, head[:], msg); err != nil {
 		return err
 	}
 	l.obs.dataSent.Inc()
@@ -173,8 +170,7 @@ func (l *Link) SendSessionData(sid uint32, edge uint16, msg []byte) error {
 
 // SendSessionAck transmits a BBS credit / UBS acknowledgement for an
 // inbound edge of session sid. Session acks never ride DATAACK frames
-// (the piggyback prefix is untagged), but the write coalescer still
-// batches them with neighboring frames.
+// (the piggyback prefix is untagged); they are staged like any frame.
 func (l *Link) SendSessionAck(sid uint32, edge uint16, count uint32) error {
 	if _, ok := l.in[edge]; !ok {
 		return &Error{Op: "send", Addr: l.raddr,
@@ -184,7 +180,7 @@ func (l *Link) SendSessionAck(sid uint32, edge uint16, count uint32) error {
 	binary.LittleEndian.PutUint32(body[:], sid)
 	binary.LittleEndian.PutUint16(body[sessionIDBytes:], edge)
 	binary.LittleEndian.PutUint32(body[sessionIDBytes+2:], count)
-	if err := l.sendSessionFrame(frameSAck, body[:], nil, false); err != nil {
+	if err := l.sendSessionFrame(frameSAck, body[:], nil); err != nil {
 		return err
 	}
 	l.obs.acksSent.Inc()
@@ -203,11 +199,9 @@ func (l *Link) SendSessionFin(sid uint32, edge uint16) error {
 	var body [sfinBodyBytes]byte
 	binary.LittleEndian.PutUint32(body[:], sid)
 	binary.LittleEndian.PutUint16(body[sessionIDBytes:], edge)
-	l.flushNow()
-	if err := l.sendSessionFrame(frameSFin, body[:], nil, false); err != nil {
+	if err := l.sendSessionFrame(frameSFin, body[:], nil); err != nil {
 		return err
 	}
-	l.flushNow()
 	l.obs.finsSent.Inc()
 	l.obs.tr.Instant("link", "fin:send", l.obs.pid, int(edge))
 	return nil

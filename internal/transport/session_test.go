@@ -206,30 +206,41 @@ func (nullSessionHandler) HandleSessionData(sid uint32, edge uint16, msg []byte)
 func (nullSessionHandler) HandleSessionAck(sid uint32, edge uint16, count uint32) {}
 func (nullSessionHandler) HandleSessionFin(sid uint32, edge uint16)               {}
 
-// TestSessionSendZeroAlloc: the session-tagged send path must not
-// allocate per frame — the tag rides a stack-array head copied into the
-// pooled wire buffer. Measured over real TCP so the whole hot path
-// (encode, CRC, write) is in scope; the warmup fills the resend window
-// and buffer pools so steady state is what's measured.
-func TestSessionSendZeroAlloc(t *testing.T) {
+// TestSendZeroAlloc: the send path must not allocate per frame, whichever
+// way the frame leaves — staged for the writer (the session tag rides a
+// stack-array head copied into the pooled wire buffer, an ack is a map entry
+// the writer turns into a frame) or written inline by its sender. Measured
+// over real TCP so the whole hot path (encode, CRC, stage, write) is in
+// scope; the warmup fills the resend window and buffer pools so steady state
+// is what's measured.
+func TestSendZeroAlloc(t *testing.T) {
 	d, a := sessionLinkPair(t, &TCP{}, nullSessionHandler{}, nullSessionHandler{})
 	defer closeBoth(d, a)
-	msg := []byte{7, 0, 1, 2}
-	for i := 0; i < 600; i++ {
-		if err := d.SendSessionData(1, 7, msg); err != nil {
-			t.Fatal(err)
+	small := []byte{7, 0, 1, 2}
+	large := make([]byte, 2*inlineWriteBytes)
+	large[0] = 7
+	for name, send := range map[string]func() error{
+		"staged session DATA": func() error { return d.SendSessionData(1, 7, small) },
+		"staged DATA":         func() error { return d.SendData(7, small) },
+		"queued ACK":          func() error { return d.SendAck(9, 1) },
+		"inline DATA":         func() error { return d.SendData(7, large) },
+	} {
+		for i := 0; i < 600; i++ {
+			if err := send(); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	allocs := testing.AllocsPerRun(2000, func() {
-		if err := d.SendSessionData(1, 7, msg); err != nil {
-			t.Fatal(err)
+		allocs := testing.AllocsPerRun(2000, func() {
+			if err := send(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// Background goroutines (reader, writer) can contribute a stray
+		// allocation while the measurement runs; amortized-zero is the
+		// contract.
+		if allocs > 0.5 {
+			t.Errorf("%s: send path allocates %.2f allocs/op, want 0", name, allocs)
 		}
-	})
-	// Background goroutines (reader, cumack writer) can contribute a
-	// stray allocation while the measurement runs; amortized-zero is the
-	// contract.
-	if allocs > 0.5 {
-		t.Fatalf("session send path allocates %.2f allocs/op, want 0", allocs)
 	}
 }
 
