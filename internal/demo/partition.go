@@ -1,9 +1,6 @@
 package demo
 
 import (
-	"fmt"
-	"hash/fnv"
-	"sort"
 	"sync"
 
 	"repro/internal/dataflow"
@@ -49,42 +46,20 @@ func PartKernels(spec *spi.PartitionSpec, seed uint64) (map[string]spi.Kernel, *
 		for ai := range spec.Procs[pi].Actors {
 			a := &spec.Procs[pi].Actors[ai]
 			name := a.Name
-			ins := append([]uint16(nil), a.In...)
-			sort.Slice(ins, func(i, j int) bool { return ins[i] < ins[j] })
-			outs := a.Out
-			kernels[name] = func(iter int, in map[dataflow.EdgeID][]byte) (map[dataflow.EdgeID][]byte, error) {
-				h := fnv.New64a()
-				fmt.Fprintf(h, "%s|%s|%d|%d", spec.Graph, name, iter, seed)
-				for _, id := range ins {
-					fmt.Fprintf(h, "|%s:", edges[id].Name)
-					h.Write(in[dataflow.EdgeID(id)])
-				}
-				state := h.Sum64()
-				if len(outs) == 0 {
-					sinks.mu.Lock()
-					sinks.digests[name] ^= state * uint64(iter*2654435761+1)
-					sinks.mu.Unlock()
-					return nil, nil
-				}
-				out := map[dataflow.EdgeID][]byte{}
-				for _, id := range outs {
-					e := edges[id]
-					n := int(e.Bytes)
-					if e.Mode == uint8(spi.Dynamic) && n > 1 {
-						n = 1 + int(state%uint64(n))
-					}
-					buf := make([]byte, n)
-					s := state ^ uint64(id)
-					for i := range buf {
-						s ^= s << 13
-						s ^= s >> 7
-						s ^= s << 17
-						buf[i] = byte(s)
-					}
-					out[dataflow.EdgeID(id)] = buf
-				}
-				return out, nil
+			var ins []inPort
+			for _, id := range a.In {
+				ins = append(ins, newInPort(dataflow.EdgeID(id), edges[id].Name))
 			}
+			var outs []outPort
+			for _, id := range a.Out {
+				e := edges[id]
+				outs = append(outs, newOutPort(dataflow.EdgeID(id), int(e.Bytes), e.Mode == uint8(spi.Dynamic)))
+			}
+			kernels[name] = newKernel(spec.Graph, name, seed, ins, outs, func(fold uint64) {
+				sinks.mu.Lock()
+				sinks.digests[name] ^= fold
+				sinks.mu.Unlock()
+			})
 		}
 	}
 	return kernels, sinks

@@ -2,6 +2,7 @@ package spi
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/dataflow"
 )
@@ -93,7 +94,10 @@ func FissionKernels(plan *dataflow.FissionPlan, kernels map[dataflow.ActorID]Ker
 		return o, nil
 	}
 
-	// Replicas.
+	// Replicas. In transparent mode they all fire the one original kernel,
+	// which may return the same buffers from every firing (DESIGN.md §15):
+	// origMu makes each firing and the copy of its chunk one step.
+	var origMu sync.Mutex
 	for i := 0; i < k; i++ {
 		i := i
 		out[plan.Replicas[i]] = func(iter int, in map[dataflow.EdgeID][]byte) (map[dataflow.EdgeID][]byte, error) {
@@ -106,6 +110,8 @@ func FissionKernels(plan *dataflow.FissionPlan, kernels map[dataflow.ActorID]Ker
 			if worker != nil {
 				srcOut, err = worker(iter, i, srcIn)
 			} else {
+				origMu.Lock()
+				defer origMu.Unlock()
 				srcOut, err = orig(iter, srcIn)
 			}
 			if err != nil {
@@ -116,8 +122,8 @@ func FissionKernels(plan *dataflow.FissionPlan, kernels map[dataflow.ActorID]Ker
 				p := srcOut[eid]
 				if worker == nil {
 					// Transparent mode: the replica computed the full
-					// output; keep only this replica's chunk.
-					p = SplitPayload(p, src.Edge(eid).TokenBytes, k)[i]
+					// output; keep only (a copy of) this replica's chunk.
+					p = append([]byte(nil), SplitPayload(p, src.Edge(eid).TokenBytes, k)[i]...)
 				}
 				o[plan.GatherEdges[eid][i]] = p
 			}
