@@ -89,10 +89,34 @@ func (m *LPCModel) ResidualInto(dst, x []float64, start, end int) []float64 {
 		}
 		e[i-start] = x[i] - p
 	}
-	// Steady state: the taps walk the full window w = x[i-M:i] from its
-	// newest sample down. The window never runs out before the taps do; the
-	// guard says so in the form the compiler trades its bounds check for
-	// (indexing w[M-1-k] keeps the check and runs a third slower).
+	// Steady state, four samples at a time: sample i+j has the full window
+	// x[i+j-M : i+j], so the four windows are w = x[i-M : i+3] seen through
+	// offsets 0..3, and the taps walk w from its newest samples down. Each
+	// sample keeps its own accumulator and Predict's tap order, so every sum
+	// is the same sequence of operations as in the one-sample loop below;
+	// what changes is that four independent chains are in flight per tap.
+	// That makes the loop wait on arithmetic, not on instruction fetch: the
+	// one-sample loop is so short that its speed depended on where the
+	// linker put it (a third slower starting on a 64-byte boundary than 32
+	// bytes past one). The window never runs out before the taps do; the
+	// guards say so in the form the compiler trades its bounds checks for.
+	for ; i+4 <= end; i += 4 {
+		w := x[i-len(c) : i+3]
+		var p0, p1, p2, p3 float64
+		for _, ck := range c {
+			n := len(w)
+			if n < 4 {
+				break
+			}
+			p3 += ck * w[n-1]
+			p2 += ck * w[n-2]
+			p1 += ck * w[n-3]
+			p0 += ck * w[n-4]
+			w = w[:n-1]
+		}
+		o := e[i-start : i-start+4]
+		o[0], o[1], o[2], o[3] = x[i]-p0, x[i+1]-p1, x[i+2]-p2, x[i+3]-p3
+	}
 	for ; i < end; i++ {
 		w := x[i-len(c) : i]
 		var p float64

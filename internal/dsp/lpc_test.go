@@ -249,3 +249,18 @@ func TestQuantizeAllRoundtripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// BenchmarkResidualInto times actor D's loop on one 256-sample frame of an
+// order-10 model, the shape every LPC workload runs.
+func BenchmarkResidualInto(b *testing.B) {
+	x := signal.Speech(256, 1)
+	m, err := LPCAnalyze(x, 10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dst := make([]float64, 0, len(x))
+	b.SetBytes(int64(8 * len(x)))
+	for i := 0; i < b.N; i++ {
+		dst = m.ResidualInto(dst[:0], x, 0, len(x))
+	}
+}
