@@ -67,6 +67,14 @@ func TestLoadAdmissionRejections(t *testing.T) {
 	cfg.Tenants = 1
 	cfg.Concurrency = 6
 	cfg.Admission.TenantQuota = 1
+	// The client runs the source, so the server's half of a session lasts
+	// until the client has run its own and concurrent sessions really
+	// overlap there. A server that hosts only the source finishes and frees
+	// the quota by itself, in microseconds, whatever the clients do.
+	cfg.Link.Node = 0
+	// Enough sessions that six workers are certain to have two in flight at
+	// once: twenty can be over before the second worker is scheduled.
+	cfg.Sessions = 200
 	tr := transport.NewLoopback()
 	var out bytes.Buffer
 	stop, addr, err := startInproc(cfg, tr, "spiload-test", &out)

@@ -358,7 +358,7 @@ type Link struct {
 	stage      []byte        // encoded frames awaiting the writer's next pass
 	staged     int           // frames in stage
 	ackNow     bool          // the next pass acks cumulatively, whatever the interval
-	inlineSeq  uint64        // the frame its sender is writing from the resend buffer right now
+	inlineSeq  uint64        // the frame its sender is writing from the resend buffer right now (0: none, or trimmed meanwhile)
 	changed    chan struct{} // closed+replaced on every state/buffer change
 	readerDone chan struct{} // current generation's reader exit
 
@@ -936,13 +936,12 @@ func (l *Link) sendSessionFrame(typ byte, head, body []byte) error {
 		}
 		f := l.fileLocked(typ, head, body)
 		if !inline {
-			l.stageLocked(1, f.wire)
+			l.stageLocked(f.wire)
 			l.mu.Unlock()
 			l.wakeWriter()
 			return nil
 		}
-		l.inlineSeq = f.seq
-		gen, err := l.writePass(f.wire)
+		gen, err := l.writePass(f)
 		l.wmu.Unlock()
 		if err == nil {
 			return nil

@@ -206,11 +206,11 @@ func (l *Link) trimUnacked(n uint64) {
 
 // trimLocked is trimUnacked for a caller holding mu; it reports whether n
 // advanced the peer's acknowledged mark. Trimmed frames return their wire
-// buffers to the pool — except one its sender is still writing inline (only
-// a peer acknowledging bytes it has not been sent gets there), which is left
-// to the garbage collector. Acks past our own sendSeq would let a
-// protocol-violating peer recycle frames still being appended, so they are
-// capped.
+// buffers to the pool — except one its sender is still writing inline (the
+// peer can read and acknowledge a frame before the sender is back from
+// Write), which that sender recycles when it is done. Acks past our own
+// sendSeq would let a protocol-violating peer recycle frames still being
+// appended, so they are capped.
 func (l *Link) trimLocked(n uint64) bool {
 	if n > l.sendSeq {
 		n = l.sendSeq
@@ -221,7 +221,9 @@ func (l *Link) trimLocked(n uint64) bool {
 	l.peerAcked = n
 	i := 0
 	for i < len(l.unacked) && l.unacked[i].seq <= n {
-		if l.unacked[i].seq != l.inlineSeq {
+		if l.unacked[i].seq == l.inlineSeq {
+			l.inlineSeq = 0
+		} else {
 			putWire(l.unacked[i].buf)
 		}
 		i++
@@ -463,7 +465,7 @@ func (l *Link) install(conn Conn, peerRecv uint64, gen int) {
 	}
 	l.trimLocked(peerRecv)
 	for _, f := range l.unacked {
-		l.stageLocked(1, f.wire)
+		l.stageLocked(f.wire)
 	}
 	replayed := int64(len(l.unacked))
 	l.conn = conn
@@ -650,7 +652,7 @@ func (l *Link) sendGoodbye() (uint64, bool) {
 	l.materializeAcksLocked()
 	f := l.fileLocked(frameGoodbye, nil, nil)
 	if up {
-		l.stageLocked(1, f.wire)
+		l.stageLocked(f.wire)
 	}
 	l.mu.Unlock()
 	l.wakeWriter()
@@ -724,7 +726,7 @@ func (l *Link) finalAck(deadline time.Time) {
 	l.wmu.Lock()
 	l.mu.Lock()
 	l.ackNow = true
-	l.writePass(nil) // an error here is the peer's to recover from: RESUME carries the same mark
+	l.writePass(savedFrame{}) // an error here is the peer's to recover from: RESUME carries the same mark
 	l.wmu.Unlock()
 }
 

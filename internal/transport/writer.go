@@ -59,11 +59,11 @@ func (l *Link) fileLocked(typ byte, head, body []byte) savedFrame {
 	return f
 }
 
-// stageLocked appends encoded frames to what the writer's next pass sends.
-// Caller holds mu and wakes the writer after releasing it.
-func (l *Link) stageLocked(frames int, wire []byte) {
+// stageLocked appends one encoded frame to what the writer's next pass
+// sends. Caller holds mu and wakes the writer after releasing it.
+func (l *Link) stageLocked(wire []byte) {
 	l.stage = append(l.stage, wire...)
-	l.staged += frames
+	l.staged++
 }
 
 // stageControlLocked stages one unnumbered frame with a small fixed body.
@@ -85,7 +85,7 @@ func (l *Link) writer() {
 		l.wmu.Lock()
 		l.mu.Lock()
 		l.materializeAcksLocked()
-		gen, err := l.writePass(nil)
+		gen, err := l.writePass(savedFrame{})
 		l.wmu.Unlock()
 		if err != nil {
 			l.writeFailed(gen, err)
@@ -95,10 +95,11 @@ func (l *Link) writer() {
 
 // writePass is the only code that writes to the carrier once the link is
 // up: it sends what is staged, with the cumulative ack if one is owed, and
-// then inline, the large frame its caller just filed, if any. The caller
-// holds wmu and mu; writePass releases mu before it writes. The error, if
-// any, is the caller's to report once it has released wmu.
-func (l *Link) writePass(inline []byte) (gen int, err error) {
+// then inline, the large frame its caller just filed (the zero savedFrame:
+// none). The caller holds wmu and mu; writePass releases mu before it
+// writes. The error, if any, is the caller's to report once it has released
+// wmu.
+func (l *Link) writePass(inline savedFrame) (gen int, err error) {
 	gen = l.gen
 	if l.state != stateUp || l.closing {
 		l.mu.Unlock()
@@ -114,10 +115,14 @@ func (l *Link) writePass(inline []byte) (gen int, err error) {
 	buf, frames := l.stage, l.staged
 	l.stage, l.staged = l.spare[:0], 0
 	conn := l.conn
+	// The inline frame is written from its resend-buffer bytes outside mu;
+	// should the peer's cumulative ack cover it before the write returns,
+	// trimLocked leaves its buffer for this sender to recycle.
+	l.inlineSeq = inline.seq
 	l.mu.Unlock()
 
 	writes := 0
-	for _, p := range [2][]byte{buf, inline} {
+	for _, p := range [2][]byte{buf, inline.wire} {
 		if len(p) == 0 || err != nil {
 			continue
 		}
@@ -131,8 +136,11 @@ func (l *Link) writePass(inline []byte) (gen int, err error) {
 		buf = nil
 	}
 	l.spare = buf[:0]
-	if inline != nil {
+	if inline.buf != nil {
 		l.mu.Lock()
+		if l.inlineSeq != inline.seq {
+			putWire(inline.buf) // trimmed while it was being written
+		}
 		l.inlineSeq = 0
 		l.mu.Unlock()
 	}
@@ -142,12 +150,12 @@ func (l *Link) writePass(inline []byte) (gen int, err error) {
 	if frames > 1 {
 		l.obs.batchFlushes.Inc()
 	}
-	if inline != nil {
+	if inline.buf != nil {
 		frames++
 	}
 	l.obs.writes.Add(int64(writes))
 	l.obs.framesSent.Add(int64(frames))
-	l.obs.bytesSent.Add(int64(len(buf) + len(inline)))
+	l.obs.bytesSent.Add(int64(len(buf) + len(inline.wire)))
 	return gen, nil
 }
 
@@ -244,7 +252,7 @@ func (l *Link) materializeAcksLocked() {
 		binary.LittleEndian.PutUint16(body[:], edge)
 		binary.LittleEndian.PutUint32(body[2:], l.pendingAcks[edge])
 		delete(l.pendingAcks, edge)
-		l.stageLocked(1, l.fileLocked(frameAck, body[:], nil).wire)
+		l.stageLocked(l.fileLocked(frameAck, body[:], nil).wire)
 		l.obs.acksSent.Inc()
 		n++
 	}
