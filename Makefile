@@ -39,7 +39,7 @@ allocs:
 # check` runs this target and fails when one is exceeded, so growth is an
 # explicit, reviewed edit of the number below. Lower a ceiling whenever a
 # change shrinks its directory.
-LOC_CEILINGS = internal/spi:4327 internal/transport:4546 internal/session:1437 internal/orch:1577 cmd:2803
+LOC_CEILINGS = internal/spi:4327 internal/transport:4555 internal/session:1437 internal/orch:1577 cmd:2803
 loc:
 	@over=0; for e in $(LOC_CEILINGS); do d=$${e%:*}; max=$${e#*:}; \
 		n=$$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
