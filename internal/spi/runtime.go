@@ -157,10 +157,11 @@ func newEdgeObs(o *obs.Observer, cfg EdgeConfig) edgeObs {
 }
 
 // msgPool recycles encoded-message buffers across Send/Receive cycles.
-// Boxing through *[]byte keeps Put/Get allocation-free; buffers grow to
-// the largest message an edge carries and are then reused at that size,
-// so the steady-state send path performs zero allocations.
-var msgPool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
+// Boxing through *[]byte keeps Put/Get allocation-free; buffers grow to the
+// largest message an edge carries and are reused at that size, so the steady
+// state allocates nothing. A fresh one starts small: an unbounded (UBS) queue
+// holds one per token its producer is ahead by, which can be its whole run.
+var msgPool = sync.Pool{New: func() any { b := make([]byte, 0, 64); return &b }}
 
 func getMsg() *[]byte { return msgPool.Get().(*[]byte) }
 
@@ -335,11 +336,10 @@ func (r *Runtime) CloseAll() {
 	}
 }
 
-// foldLinkAcks folds what a transport link did with one edge's acks into
-// the edge's statistics, after the run: piggybacked of them rode DATA
-// frames, and suppressed were swallowed on a resync-suppressed edge — the
-// receive path counted each SendAck optimistically, so those move out of
-// the wire-traffic columns into AcksSuppressed.
+// foldLinkAcks folds what a link did with one edge's acks into the edge's
+// statistics after the run: piggybacked rode DATA frames; suppressed were
+// swallowed on a resync-suppressed edge, and since the receive path counted
+// each SendAck optimistically they move out of the wire-traffic columns.
 func (r *Runtime) foldLinkAcks(id EdgeID, piggybacked, suppressed int64) {
 	e := r.edge(id)
 	if e == nil {
