@@ -28,8 +28,8 @@ func Example() {
 
 // SPI_static messages carry only the edge ID; the size is compile-time
 // knowledge.
-func ExampleEncodeMessage() {
-	msg := spi.EncodeMessage(spi.Static, 7, []byte{1, 2, 3, 4})
+func ExampleAppendMessage() {
+	msg := spi.AppendMessage(nil, spi.Static, 7, []byte{1, 2, 3, 4})
 	id, payload, _ := spi.DecodeStatic(msg, 4)
 	fmt.Println("edge", id, "payload", payload, "wire bytes", len(msg))
 	// Output:

@@ -145,3 +145,47 @@ func FissionKernels(plan *dataflow.FissionPlan, kernels map[dataflow.ActorID]Ker
 	}
 	return out, nil
 }
+
+// SplitPayload chunks one packed payload token-wise over k workers:
+// worker i receives dataflow.SplitCounts(tokens, k)[i] whole tokens of
+// tokenBytes each, contiguous and in order, and any trailing partial
+// token (a dynamic byte stream whose length is not a multiple of the
+// token size) rides with the last worker. Concatenating the chunks in
+// worker order always reproduces the payload byte for byte — including
+// the uneven tail when the token count is not divisible by k, which the
+// last worker absorbs. Chunks may be empty (tokens < k); empty chunks
+// are valid dynamic payloads.
+func SplitPayload(p []byte, tokenBytes, k int) [][]byte {
+	if tokenBytes <= 0 {
+		tokenBytes = 1
+	}
+	chunks := make([][]byte, k)
+	if k <= 0 {
+		return chunks
+	}
+	counts := dataflow.SplitCounts(len(p)/tokenBytes, k)
+	off := 0
+	for i := 0; i < k; i++ {
+		end := off + counts[i]*tokenBytes
+		if i == k-1 {
+			end = len(p) // uneven tail and partial-token bytes
+		}
+		chunks[i] = p[off:end]
+		off = end
+	}
+	return chunks
+}
+
+// ConcatChunks reassembles chunks produced by SplitPayload (or by the
+// replica workers of a fissioned actor) in worker order.
+func ConcatChunks(chunks [][]byte) []byte {
+	n := 0
+	for _, c := range chunks {
+		n += len(c)
+	}
+	out := make([]byte, 0, n)
+	for _, c := range chunks {
+		out = append(out, c...)
+	}
+	return out
+}

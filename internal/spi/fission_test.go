@@ -53,9 +53,10 @@ func TestSplitPayloadRoundtrip(t *testing.T) {
 	}
 }
 
-// TestScatterSendSplitGatherConcat drives the collectives end to end over
-// the runtime with token counts that do not divide evenly: each worker
-// echoes its chunk into the gather, and CollectConcat must reassemble the
+// TestScatterSendSplitGatherConcat drives the fission stages' payload path
+// end to end over the runtime with token counts that do not divide evenly:
+// SplitPayload's chunks go out on one dynamic edge per worker, each worker
+// echoes its chunk onto a gather edge, and ConcatChunks must reassemble the
 // original payload token-exactly for random k and counts.
 func TestScatterSendSplitGatherConcat(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
@@ -67,38 +68,48 @@ func TestScatterSendSplitGatherConcat(t *testing.T) {
 		rng.Read(payload)
 
 		rt := NewRuntime()
-		sc, err := NewScatter(rt, 0, k, len(payload)+tb, UBS, 0)
-		if err != nil {
-			t.Fatal(err)
+		edges := func(base EdgeID) ([]*Sender, []*Receiver) {
+			tx, rx := make([]*Sender, k), make([]*Receiver, k)
+			for i := range tx {
+				var err error
+				tx[i], rx[i], err = rt.Init(EdgeConfig{ID: base + EdgeID(i), Mode: Dynamic, MaxBytes: len(payload) + tb, Protocol: UBS})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			return tx, rx
 		}
-		ga, err := NewGather(rt, 100, k, len(payload)+tb, UBS, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		scTx, scRx := edges(0)
+		gaTx, gaRx := edges(100)
 		var wg sync.WaitGroup
 		for i := 0; i < k; i++ {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				p, err := sc.WorkerRecv(i).Receive()
+				p, err := scRx[i].Receive()
 				if err != nil {
 					t.Errorf("worker %d recv: %v", i, err)
 					return
 				}
-				if err := ga.WorkerSend(i).Send(p); err != nil {
+				if err := gaTx[i].Send(p); err != nil {
 					t.Errorf("worker %d send: %v", i, err)
 				}
 			}(i)
 		}
-		if err := sc.SendSplit(payload, tb); err != nil {
-			t.Fatal(err)
+		for i, c := range SplitPayload(payload, tb, k) {
+			if err := scTx[i].Send(c); err != nil {
+				t.Fatal(err)
+			}
 		}
-		got, err := ga.CollectConcat()
-		if err != nil {
-			t.Fatal(err)
+		chunks := make([][]byte, k)
+		for i, rx := range gaRx {
+			var err error
+			if chunks[i], err = rx.Receive(); err != nil {
+				t.Fatal(err)
+			}
 		}
 		wg.Wait()
-		if !bytes.Equal(got, payload) {
+		if got := ConcatChunks(chunks); !bytes.Equal(got, payload) {
 			t.Fatalf("k=%d tb=%d tokens=%d: reassembly mismatch (%d bytes vs %d)",
 				k, tb, tokens, len(got), len(payload))
 		}

@@ -17,8 +17,8 @@ import (
 //     the remote receiver returns one credit (an ACK frame) per consumed
 //     message, exactly the shared read-pointer the in-process protocol
 //     maintains.
-//   - UBS: the sender never blocks; acknowledgements keep Outstanding
-//     consistent for the dynamic buffer bookkeeping.
+//   - UBS: the sender never blocks; acknowledgements keep the sent/acked
+//     window consistent for the dynamic buffer bookkeeping.
 //
 // The binding deliberately does not know about package transport: any
 // MessageLink implementation works, and transport.Link satisfies the
@@ -113,7 +113,7 @@ func (r *Runtime) DeliverData(edge uint16, msg []byte) {
 
 // DeliverAck credits the edge's sender with count acknowledgements from
 // the remote receiver, unblocking a BBS sender waiting on its window and
-// advancing the UBS Outstanding bookkeeping.
+// advancing the UBS sent/acked bookkeeping.
 func (r *Runtime) DeliverAck(edge uint16, count uint32) {
 	e := r.edge(EdgeID(edge))
 	if e == nil {
@@ -126,20 +126,11 @@ func (r *Runtime) DeliverAck(edge uint16, count uint32) {
 	e.cond.Broadcast()
 }
 
-// CloseEdges closes the given edges, releasing blocked senders and
-// receivers with ErrClosed once their queues drain. The transport layer
-// calls it when a link dies or closes, so a lost peer cannot leave local
-// actors blocked forever — the distributed form of CloseAll's failure
-// propagation.
-func (r *Runtime) CloseEdges(ids []EdgeID) {
-	for _, id := range ids {
-		r.CloseEdge(id)
-	}
-}
-
 // CloseEdge closes one edge: blocked senders return ErrClosed immediately,
-// receivers drain the already-queued messages first. Unknown edges are
-// ignored for the same reason DeliverData drops them.
+// receivers drain the already-queued messages first. The transport layer
+// calls it for every edge of a link that dies, so a lost peer cannot leave
+// local actors blocked forever. Unknown edges are ignored for the same
+// reason DeliverData drops them.
 func (r *Runtime) CloseEdge(id EdgeID) {
 	if e := r.edge(id); e != nil {
 		e.close()

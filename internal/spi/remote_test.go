@@ -96,11 +96,11 @@ func TestRemoteSenderRoundTrip(t *testing.T) {
 		t.Fatalf("receiver acks = %v, want [1]", linkB.acks)
 	}
 	// And the sender's UBS bookkeeping advances once the ack is delivered.
-	if out := txA.Outstanding(); out != 1 {
+	if out := outstanding(txA); out != 1 {
 		t.Fatalf("outstanding before ack = %d", out)
 	}
 	rtA.DeliverAck(5, 1)
-	if out := txA.Outstanding(); out != 0 {
+	if out := outstanding(txA); out != 0 {
 		t.Fatalf("outstanding after ack = %d", out)
 	}
 }
@@ -198,9 +198,9 @@ func TestCloseEdgesDrainsQueueFirst(t *testing.T) {
 	if err := rt.BindRemoteReceiver(4, &fakeLink{}); err != nil {
 		t.Fatal(err)
 	}
-	msg := EncodeMessage(Static, 4, []byte{7, 8})
+	msg := AppendMessage(nil, Static, 4, []byte{7, 8})
 	rt.DeliverData(4, msg)
-	rt.CloseEdges([]EdgeID{4})
+	rt.CloseEdge(4)
 	got, err := rx.Receive()
 	if err != nil || got[0] != 7 || got[1] != 8 {
 		t.Fatalf("queued message after close: %v, %v", got, err)

@@ -194,10 +194,9 @@ type edge struct {
 	acked  int64 // messages acknowledged by the receiver (UBS, and BBS credits on remote edges)
 
 	// Lock-free mirrors of the queue length, send/ack totals, and the
-	// closed flag, maintained at every mutation site under mu. They let
-	// TryReceive answer an empty poll and Outstanding read the window
-	// without taking the edge lock, so uninstrumented hot loops stay
-	// lock-cheap.
+	// closed flag, maintained at every mutation site under mu. The
+	// progress watchdog polls them (watchdog.go) without taking the edge
+	// lock, so a stalled run can be diagnosed while actors hold it.
 	qlen      atomic.Int64
 	sentMsgs  atomic.Int64
 	ackedMsgs atomic.Int64
@@ -537,13 +536,13 @@ func (s *Sender) Send(payload []byte) error {
 	return e.queueLocalLocked(queued{msg: *mb, buf: mb}, len(payload))
 }
 
-// SendBatch transmits payloads in order — the vectorized Send an actor
-// uses when a firing produces more than one token on an edge. On a
-// remote edge the messages are handed to the link back to back, so its
-// writer sends the burst in a few large writes; on a local edge the burst
-// is queued under one lock
-// acquisition and recorded as one aggregate trace event. BBS credit
-// waits still apply per message, exactly as with repeated Send calls.
+// SendBatch transmits payloads in order, all of them validated before any
+// moves — how an edge's delay tokens are preloaded (dist.go). On a remote
+// edge the messages are handed to the link back to back, so its writer
+// sends the burst in a few large writes; on a local edge the burst is
+// queued under one lock acquisition and recorded as one aggregate trace
+// event. BBS credit waits still apply per message, exactly as with
+// repeated Send calls.
 func (s *Sender) SendBatch(payloads [][]byte) error {
 	e := s.e
 	for _, p := range payloads {
@@ -690,114 +689,4 @@ func (rc *Receiver) ReceiveInto(buf []byte) ([]byte, error) {
 		_ = link.SendAck(uint16(id), 1)
 	}
 	return e.decodePayload(q, buf)
-}
-
-// ReceiveBatch waits for at least one message, then drains up to max
-// queued messages in one lock round, returning their payloads in order as
-// caller-owned copies. Any max <= 0 — zero or negative alike — means "no
-// limit": the whole queue drains, never fewer than one message. On a
-// remote edge the consumed messages are acknowledged with a single merged
-// count, so one ACK frame — or one piggyback entry — credits the whole
-// burst.
-func (rc *Receiver) ReceiveBatch(max int) ([][]byte, error) {
-	e := rc.e
-	e.mu.Lock()
-	for e.qdepthLocked() == 0 && !e.closed {
-		e.cond.Wait()
-	}
-	if e.qdepthLocked() == 0 && e.closed {
-		e.mu.Unlock()
-		return nil, ErrClosed
-	}
-	n := e.qdepthLocked()
-	if max > 0 && n > max {
-		n = max
-	}
-	taken := make([]queued, n)
-	for i := range taken {
-		taken[i] = e.popLocked()
-	}
-	depth := e.qdepthLocked()
-	link := e.remoteRx
-	acked := false
-	if link == nil {
-		if e.cfg.Protocol == UBS {
-			e.acked += int64(n)
-			e.ackedMsgs.Add(int64(n))
-			e.stats.Acks += int64(n)
-			e.stats.AckBytes += int64(n) * AckMessageBytes
-			acked = true
-		}
-	} else {
-		e.stats.Acks += int64(n)
-		e.stats.AckBytes += int64(n) * AckMessageBytes
-		acked = true
-	}
-	e.cond.Broadcast()
-	id := e.cfg.ID
-	e.mu.Unlock()
-	var msgBytes int64
-	for _, q := range taken {
-		msgBytes += int64(len(q.msg))
-	}
-	e.obs.queueDepth.Set(int64(depth))
-	ts := e.obs.tr.Now()
-	e.obs.tr.InstantAt(ts, "edge", e.obs.evRecv, e.obs.pid, int(id), obs.A("bytes", msgBytes))
-	if acked {
-		e.obs.acks.Add(int64(n))
-		e.obs.ackBytes.Add(int64(n) * AckMessageBytes)
-		e.obs.tr.InstantAt(ts, "edge", e.obs.evAck, e.obs.pid, int(id))
-	}
-	if link != nil {
-		_ = link.SendAck(uint16(id), uint32(n))
-	}
-	out := make([][]byte, 0, n)
-	for i, q := range taken {
-		p, err := e.decodePayload(q, nil)
-		if err != nil {
-			for _, rest := range taken[i+1:] {
-				putMsg(rest.buf)
-			}
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
-// TryReceive is the non-blocking variant: ok is false when no message is
-// queued.
-func (rc *Receiver) TryReceive() (payload []byte, ok bool, err error) {
-	e := rc.e
-	// Lock-free fast path: an empty, open edge — the common answer for a
-	// polling loop — is read from the atomic mirrors without taking the
-	// edge lock.
-	if e.qlen.Load() == 0 && !e.closedBit.Load() {
-		return nil, false, nil
-	}
-	e.mu.Lock()
-	if e.qdepthLocked() == 0 {
-		closed := e.closed
-		e.mu.Unlock()
-		if closed {
-			return nil, false, ErrClosed
-		}
-		return nil, false, nil
-	}
-	e.mu.Unlock()
-	p, err := rc.Receive()
-	if err != nil {
-		return nil, false, err
-	}
-	return p, true, nil
-}
-
-// Outstanding returns, for a UBS edge, how many sent messages have not yet
-// been acknowledged — the sender-side bookkeeping that sizes the dynamic
-// buffer. It reads the lock-free counter mirrors, so a concurrent send or
-// ack may be reflected in one term before the other; the value is exact
-// whenever the edge is quiescent.
-func (s *Sender) Outstanding() int64 {
-	e := s.e
-	return e.sentMsgs.Load() - e.ackedMsgs.Load()
 }

@@ -34,6 +34,74 @@ func TestInitDuplicateEdge(t *testing.T) {
 	}
 }
 
+// TestScatterGatherPipeline: one dynamic edge out to each of n workers and
+// one back, the workers running concurrently; every worker's result comes
+// back on its own edge.
+func TestScatterGatherPipeline(t *testing.T) {
+	rt := NewRuntime()
+	const n = 4
+	scatter, gather := make([]*Sender, n), make([]*Receiver, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		tx, in, err := rt.Init(EdgeConfig{ID: EdgeID(i), Mode: Dynamic, MaxBytes: 64, Protocol: UBS})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, rx, err := rt.Init(EdgeConfig{ID: EdgeID(100 + i), Mode: Dynamic, MaxBytes: 64, Protocol: UBS})
+		if err != nil {
+			t.Fatal(err)
+		}
+		scatter[i], gather[i] = tx, rx
+		// Workers double each byte of their input.
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p, err := in.Receive()
+			if err != nil {
+				t.Errorf("worker %d recv: %v", i, err)
+				return
+			}
+			for j := range p {
+				p[j] *= 2
+			}
+			if err := out.Send(p); err != nil {
+				t.Errorf("worker %d send: %v", i, err)
+			}
+		}()
+	}
+	payloads := [][]byte{{1}, {2, 2}, {3, 3, 3}, {4}}
+	for i, p := range payloads {
+		if err := scatter[i].Send(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := [][]byte{{2}, {4, 4}, {6, 6, 6}, {8}}
+	for i, rx := range gather {
+		if got, err := rx.Receive(); err != nil || !bytes.Equal(got, want[i]) {
+			t.Errorf("worker %d result %v (%v), want %v", i, got, err, want[i])
+		}
+	}
+	wg.Wait()
+}
+
+// TestScatterEdgeIDCollision: a gather fan-in whose edge IDs overlap the
+// scatter fan-out's range is refused at the first colliding ID.
+func TestScatterEdgeIDCollision(t *testing.T) {
+	rt := NewRuntime()
+	for i := 0; i < 2; i++ {
+		if _, _, err := rt.Init(EdgeConfig{ID: EdgeID(i), Mode: Dynamic, MaxBytes: 16, Protocol: UBS}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The gather range starts at 1, inside the scatter range 0..1.
+	if _, _, err := rt.Init(EdgeConfig{ID: 1, Mode: Dynamic, MaxBytes: 16, Protocol: UBS}); err == nil {
+		t.Error("edge ID collision should fail")
+	}
+	if _, _, err := rt.Init(EdgeConfig{ID: 2, Mode: Dynamic, MaxBytes: 16, Protocol: UBS}); err != nil {
+		t.Errorf("edge past the scatter range: %v", err)
+	}
+}
+
 func TestStaticSendReceive(t *testing.T) {
 	rt := NewRuntime()
 	tx, rx, err := rt.Init(EdgeConfig{ID: 5, Mode: Static, PayloadBytes: 4, Protocol: UBS})
@@ -117,14 +185,14 @@ func TestUBSNeverBlocksAndAcks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if tx.Outstanding() != 100 {
-		t.Errorf("outstanding = %d, want 100", tx.Outstanding())
+	if outstanding(tx) != 100 {
+		t.Errorf("outstanding = %d, want 100", outstanding(tx))
 	}
 	for i := 0; i < 40; i++ {
 		rx.Receive()
 	}
-	if tx.Outstanding() != 60 {
-		t.Errorf("outstanding = %d, want 60", tx.Outstanding())
+	if outstanding(tx) != 60 {
+		t.Errorf("outstanding = %d, want 60", outstanding(tx))
 	}
 	st, _ := rt.Stats(1)
 	if st.Acks != 40 {
@@ -162,23 +230,6 @@ func TestCloseUnblocksEverybody(t *testing.T) {
 	}
 	if !errors.Is(recvErr, ErrClosed) {
 		t.Errorf("recv err = %v, want ErrClosed", recvErr)
-	}
-}
-
-func TestTryReceive(t *testing.T) {
-	rt := NewRuntime()
-	tx, rx, _ := rt.Init(EdgeConfig{ID: 1, Mode: Static, PayloadBytes: 1, Protocol: UBS})
-	if _, ok, err := rx.TryReceive(); ok || err != nil {
-		t.Errorf("empty TryReceive = %v,%v", ok, err)
-	}
-	tx.Send([]byte{7})
-	p, ok, err := rx.TryReceive()
-	if !ok || err != nil || p[0] != 7 {
-		t.Errorf("TryReceive = %v,%v,%v", p, ok, err)
-	}
-	tx.Close()
-	if _, _, err := rx.TryReceive(); !errors.Is(err, ErrClosed) {
-		t.Errorf("closed TryReceive err = %v", err)
 	}
 }
 

@@ -69,16 +69,10 @@ func HeaderBytes(m Mode) int {
 	return StaticHeaderBytes
 }
 
-// EncodeMessage frames a payload for the wire. For Static mode the payload
+// AppendMessage frames a payload for the wire into dst (growing it as
+// needed) and returns the extended slice. For Static mode the payload
 // length must equal the edge's fixed size (validated by the caller); the
 // encoded form is header || payload.
-func EncodeMessage(mode Mode, id EdgeID, payload []byte) []byte {
-	return AppendMessage(nil, mode, id, payload)
-}
-
-// AppendMessage frames a payload for the wire into dst (growing it as
-// needed) and returns the extended slice — the allocation-free form of
-// EncodeMessage for callers that recycle their encode buffers.
 func AppendMessage(dst []byte, mode Mode, id EdgeID, payload []byte) []byte {
 	switch mode {
 	case Static:

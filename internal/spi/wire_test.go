@@ -9,7 +9,7 @@ import (
 
 func TestStaticWireRoundtrip(t *testing.T) {
 	payload := []byte{1, 2, 3, 4}
-	msg := EncodeMessage(Static, 7, payload)
+	msg := AppendMessage(nil, Static, 7, payload)
 	if len(msg) != StaticHeaderBytes+4 {
 		t.Fatalf("wire length %d, want %d", len(msg), StaticHeaderBytes+4)
 	}
@@ -24,7 +24,7 @@ func TestStaticWireRoundtrip(t *testing.T) {
 
 func TestDynamicWireRoundtrip(t *testing.T) {
 	payload := []byte{9, 8, 7}
-	msg := EncodeMessage(Dynamic, 300, payload)
+	msg := AppendMessage(nil, Dynamic, 300, payload)
 	if len(msg) != DynamicHeaderBytes+3 {
 		t.Fatalf("wire length %d, want %d", len(msg), DynamicHeaderBytes+3)
 	}
@@ -51,7 +51,7 @@ func TestDecodeStaticErrors(t *testing.T) {
 	if _, _, err := DecodeStatic([]byte{1}, 0); err == nil {
 		t.Error("short message should fail")
 	}
-	msg := EncodeMessage(Static, 1, []byte{1, 2})
+	msg := AppendMessage(nil, Static, 1, []byte{1, 2})
 	if _, _, err := DecodeStatic(msg, 3); err == nil {
 		t.Error("size mismatch should fail")
 	}
@@ -61,7 +61,7 @@ func TestDecodeDynamicErrors(t *testing.T) {
 	if _, _, err := DecodeDynamic([]byte{1, 2, 3}, 10); err == nil {
 		t.Error("short message should fail")
 	}
-	msg := EncodeMessage(Dynamic, 1, make([]byte, 8))
+	msg := AppendMessage(nil, Dynamic, 1, make([]byte, 8))
 	if _, _, err := DecodeDynamic(msg, 4); err == nil {
 		t.Error("bound violation should fail")
 	}
@@ -90,12 +90,12 @@ func TestWireRoundtripProperty(t *testing.T) {
 		payload := make([]byte, int(n))
 		r.Read(payload)
 		// static
-		sid, sp, err := DecodeStatic(EncodeMessage(Static, EdgeID(id), payload), len(payload))
+		sid, sp, err := DecodeStatic(AppendMessage(nil, Static, EdgeID(id), payload), len(payload))
 		if err != nil || sid != EdgeID(id) || !bytes.Equal(sp, payload) {
 			return false
 		}
 		// dynamic
-		did, dp, err := DecodeDynamic(EncodeMessage(Dynamic, EdgeID(id), payload), 255)
+		did, dp, err := DecodeDynamic(AppendMessage(nil, Dynamic, EdgeID(id), payload), 255)
 		if err != nil || did != EdgeID(id) || !bytes.Equal(dp, payload) {
 			return false
 		}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 )
@@ -247,100 +246,6 @@ func TestChaosGiveUpNotifiesBeforeRelease(t *testing.T) {
 	}
 	dialer.Abort()
 	acceptor.Abort() // a Close would wait its whole timeout for the dead peer's GOODBYE
-}
-
-// cutTransport remembers the connections it dials so a test can drop them
-// under a live link at a moment of its choosing.
-type cutTransport struct {
-	Transport
-	mu    sync.Mutex
-	conns []Conn
-}
-
-func (c *cutTransport) Dial(addr string) (Conn, error) {
-	conn, err := c.Transport.Dial(addr)
-	if err == nil {
-		c.mu.Lock()
-		c.conns = append(c.conns, conn)
-		c.mu.Unlock()
-	}
-	return conn, err
-}
-
-func (c *cutTransport) cut() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, conn := range c.conns {
-		conn.Close()
-	}
-	c.conns = nil
-}
-
-// TestCloseWaitsOutOutageForPeerGoodbye: a node that finished first sits in
-// Close waiting for its peer's GOODBYE, because the peer may still be
-// sending. A connection lost during that wait must be recovered like any
-// other, not end the wait — the closer used to tear down mid-recovery,
-// and the peer's senders then stayed parked on a link nobody re-dialed
-// until its reconnect deadline (TestExecutePartitionResume, 1 run in 90
-// under load: worker 0 failed after exactly its 20 s budget).
-func TestCloseWaitsOutOutageForPeerGoodbye(t *testing.T) {
-	ct := &cutTransport{Transport: NewLoopback()}
-	hd, ha := newRecordingHandler(), newRecordingHandler()
-	dialer, acceptor, stop := chaosLinkPair(t, NewFaultTransport(ct, FaultConfig{}), hd, ha)
-	defer stop()
-
-	dialerClosed := make(chan struct{})
-	go func() { dialer.Close(); close(dialerClosed) }()
-	select {
-	case err := <-ha.closed:
-		if err != nil {
-			t.Fatalf("acceptor saw %v, want the dialer's graceful GOODBYE", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("dialer's GOODBYE never arrived")
-	}
-	// One frame the acceptor has sent and the dialer not yet covered with a
-	// cumulative ack (those go out every 64 frames): with a tail to replay,
-	// the acceptor waits for a re-dial when the connection drops instead of
-	// writing its finished peer off.
-	const late = 4
-	if err := acceptor.SendData(9, []byte{9, 0, 0, 0}); err != nil {
-		t.Fatal(err)
-	}
-	hd.waitData(t, 9, 1)
-	// The GOODBYE's ack is on its way back; give the dialer a moment to
-	// reach the wait for ours, then lose the connection under it.
-	time.Sleep(50 * time.Millisecond)
-	ct.cut()
-
-	finished := make(chan error, 1)
-	go func() {
-		for i := 1; i < late; i++ {
-			if err := acceptor.SendData(9, []byte{9, 0, byte(i), 0}); err != nil {
-				finished <- fmt.Errorf("late send %d: %v", i, err)
-				return
-			}
-		}
-		acceptor.Close()
-		finished <- nil
-	}()
-	// Well inside the 5 s close timeout, let alone the 20 s reconnect one.
-	select {
-	case err := <-finished:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(3 * time.Second):
-		t.Fatal("the still-producing peer is parked on a link its closed peer no longer re-dials")
-	}
-	select {
-	case <-dialerClosed:
-	case <-time.After(3 * time.Second):
-		t.Fatal("dialer's Close did not return after the peer's GOODBYE")
-	}
-	if got := hd.waitData(t, 9, late); len(got) != late {
-		t.Fatalf("closing dialer received %d of the peer's %d late messages", len(got), late)
-	}
 }
 
 // TestChaosFailFastZeroValue checks the zero-value reconnect policy keeps

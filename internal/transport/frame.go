@@ -10,7 +10,7 @@ import (
 
 // Link wire protocol, version 4. Every frame is length-delimited and
 // self-checking so the SPI message inside a DATA frame crosses the stream
-// byte-identical to its in-process encoding (spi.EncodeMessage), and so a
+// byte-identical to its in-process encoding (spi.AppendMessage), and so a
 // corrupted or truncated frame is detected at the receiver instead of
 // silently poisoning the dataflow:
 //

@@ -191,14 +191,17 @@ type LinkStats struct {
 	AcksSuppressed int64
 }
 
-// Link connection states. A link starts up, drops to down when its
-// connection dies with reconnection enabled, returns to up after a RESUME,
-// and ends in closed (deliberate shutdown) or failed (unrecoverable).
+// Link connection states (the lifecycle table is DESIGN.md §6). A link
+// starts up. A lost connection ends it quietly (failed) once the
+// conversation is over — see overLocked — and is otherwise an outage: down
+// with Reconnect, until a RESUME brings it back up or recovery gives up
+// (failed); failed at once without. Close or Abort ends it in closed. The
+// two end states are last so `state >= stateFailed` reads "ended".
 const (
 	stateUp = iota
 	stateDown
-	stateClosed
 	stateFailed
+	stateClosed
 )
 
 // linkObs is one link's resolved observability handles. The counters and
@@ -343,13 +346,13 @@ type Link struct {
 	mu         sync.Mutex
 	conn       Conn
 	state      int
-	gen        int // bumped each time the connection goes down
-	closing    bool
+	gen        int    // bumped each time a connection is lost
 	graceful   bool   // local Close or Abort has begun: the shutdown is deliberate
 	closeSeq   uint64 // sendSeq when Close began (0 for Abort): what it still owes the peer
 	closeErr   error  // what Close returns; written inside closeOnce
+	byeSeq     uint64 // our GOODBYE's sequence number (0: not sent)
 	peerClosed bool   // peer sent GOODBYE
-	failErr    error
+	failErr    error  // why sends are refused, once the link has ended (ErrLinkClosed wrapped)
 	sendSeq    uint64 // last sequence number assigned to an outbound frame
 	recvSeq    uint64 // last in-order sequence number received
 	cumAcked   uint64 // highest recvSeq we have cumulatively acked to the peer
@@ -748,9 +751,9 @@ func (l *Link) pinger() {
 			return
 		}
 		l.mu.Lock()
-		state, gen, closing := l.state, l.gen, l.closing
+		state, gen := l.state, l.gen
 		l.mu.Unlock()
-		if closing || state == stateClosed || state == stateFailed {
+		if state >= stateFailed {
 			return
 		}
 		if state != stateUp {
@@ -853,20 +856,13 @@ func (l *Link) SendFin(edge uint16) error {
 	return nil
 }
 
-// sendErrLocked reports why a link that is shut down or failed refuses a
-// send, nil while it can still carry one. Caller holds mu.
+// sendErrLocked reports why a link that has ended refuses a send, nil while
+// it can still carry one. Caller holds mu.
 func (l *Link) sendErrLocked() error {
-	switch {
-	case l.closing || l.state == stateClosed:
-		return &Error{Op: "send", Addr: l.raddr, Err: ErrLinkClosed}
-	case l.state == stateFailed:
-		err := l.failErr
-		if err == nil {
-			err = ErrLinkClosed
-		}
-		return &Error{Op: "send", Addr: l.raddr, Err: err}
+	if l.failErr == nil {
+		return nil
 	}
-	return nil
+	return &Error{Op: "send", Addr: l.raddr, Err: l.failErr}
 }
 
 // sendSession is sendSessionFrame for a body in one piece.
@@ -965,49 +961,109 @@ func (l *Link) ackInterval() int {
 	return interval
 }
 
-// connError reports a dead connection observed by generation gen. Stale
-// generations and deliberate shutdowns are ignored; otherwise the link
-// goes down (reconnection enabled) or fails (fail-fast).
+// connError reports a dead connection seen on generation gen by its
+// reader, the writer or the pinger — the one place a connection error is
+// classified. The first report on the live connection loses it
+// (loseConnLocked); a stale generation, an outage recovery already owns and
+// a failed link ignore it. A link Close tore down hears what Close returns.
 func (l *Link) connError(gen int, err error) {
 	l.mu.Lock()
-	if gen != l.gen || l.state != stateUp {
-		l.mu.Unlock()
-		return
+	notify, report := l.closeErr, l.state == stateClosed
+	if gen == l.gen && l.state == stateUp {
+		notify = l.loseConnLocked(err)
+		report = notify != nil
 	}
-	if l.closing || l.peerGoneLocked() {
-		l.mu.Unlock()
-		l.notifyClose(nil)
-		return
-	}
-	notify := l.goDownLocked(err)
 	l.mu.Unlock()
-	if notify != nil {
+	if report {
 		l.notifyClose(notify)
 	}
 }
 
-// goDownLocked transitions up→down (spawning recovery) or up→failed. The
-// caller holds mu; the returned error, if non-nil, must be passed to
-// notifyClose after unlocking.
-func (l *Link) goDownLocked(cause error) error {
+// loseConnLocked drops the live connection: the link ends quietly if the
+// conversation is over, goes down (spawning recovery) with Reconnect, and
+// fails otherwise. The caller holds mu; the returned error, if non-nil,
+// must be passed to notifyClose after unlocking.
+func (l *Link) loseConnLocked(cause error) error {
 	l.conn.Close()
 	l.gen++
 	// What was staged for the dead connection goes with it: every session
 	// frame in it is in the resend buffer, and the RESUME replay restages
 	// them from there.
 	l.stage, l.staged, l.ackNow = l.stage[:0], 0, false
-	prevDone := l.readerDone
+	if l.overLocked() {
+		l.endLocked(stateFailed, nil) // the handler heard nil with the peer's GOODBYE
+		return nil
+	}
 	l.obs.tr.Instant("session", "link-down", l.obs.pid, l.obs.sessTid, obs.A("gen", int64(l.gen)))
 	if l.cfg.Reconnect.Enabled() {
 		l.state = stateDown
 		l.broadcastLocked()
-		go l.recover(l.gen, prevDone, cause)
+		go l.recover(l.gen, l.readerDone, cause)
 		return nil
 	}
-	l.state = stateFailed
-	l.failErr = ErrLinkClosed
-	l.broadcastLocked()
+	l.endLocked(stateFailed, cause)
 	return cause
+}
+
+// overLocked reports whether the conversation is over: the peer's GOODBYE
+// has arrived and our own has been acknowledged, so neither side has
+// anything left to say or to replay. Until then a lost connection is an
+// outage like any other, whatever is unacknowledged: a peer that said
+// GOODBYE may still need our GOODBYE's ack, and a peer we said GOODBYE to
+// may still be producing. Caller holds mu.
+func (l *Link) overLocked() bool {
+	return l.peerClosed && l.byeSeq != 0 && l.peerAcked >= l.byeSeq
+}
+
+// endLocked moves the link to an end state (failed or closed) and fixes
+// what every later send reports: ErrLinkClosed naming the peer and the
+// first cause the link ended with, nil meaning the peer finished the
+// conversation. Caller holds mu.
+func (l *Link) endLocked(state int, cause error) {
+	if l.failErr == nil {
+		if cause == nil {
+			l.failErr = fmt.Errorf("%w: node %d closed", ErrLinkClosed, l.peer)
+		} else {
+			l.failErr = fmt.Errorf("%w: node %d: %v", ErrLinkClosed, l.peer, cause)
+		}
+	}
+	l.state = state
+	l.broadcastLocked()
+}
+
+// ownsOutageLocked reports whether the recovery of generation gen still
+// owns the outage: no other transition (a shutdown, a give-up, a racing
+// RESUME) has moved the link on. Caller holds mu.
+func (l *Link) ownsOutageLocked(gen int) bool {
+	return l.gen == gen && l.state == stateDown
+}
+
+func (l *Link) ownsOutage(gen int) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.ownsOutageLocked(gen)
+}
+
+// await blocks until cond, evaluated under mu, holds or the deadline
+// passes, and reports cond's last value. Every state, buffer and ack change
+// broadcasts on changed, so cond is re-evaluated whenever it can have
+// changed.
+func (l *Link) await(deadline time.Time, cond func() bool) bool {
+	for {
+		l.mu.Lock()
+		ok := cond()
+		ch := l.changed
+		l.mu.Unlock()
+		if ok || !time.Now().Before(deadline) {
+			return ok
+		}
+		t := time.NewTimer(time.Until(deadline))
+		select {
+		case <-ch:
+		case <-t.C:
+		}
+		t.Stop()
+	}
 }
 
 func (l *Link) broadcastLocked() {
@@ -1030,8 +1086,9 @@ func (l *Link) notifyClose(err error) {
 // lostLocked counts the frames sent before Close began that the peer has
 // not acknowledged and may still want: their senders were told nil when the
 // frames were staged, so a link that dies under them must say so. A peer
-// that has sent its GOODBYE is done consuming, and an Abort owes nothing.
-// Caller holds mu.
+// that has sent its GOODBYE has finished its run and wants nothing more —
+// though the conversation is not over until it has acknowledged our
+// GOODBYE too (overLocked) — and an Abort owes nothing. Caller holds mu.
 func (l *Link) lostLocked() uint64 {
 	if l.peerClosed || l.peerAcked >= l.closeSeq {
 		return 0

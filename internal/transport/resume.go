@@ -2,6 +2,7 @@ package transport
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"time"
 
@@ -10,7 +11,7 @@ import (
 
 // readLoop dispatches inbound frames for one connection generation. It
 // exits on the first read error (stale generations just die quietly; the
-// live one reports through readError) or when the link is torn down. The
+// live one reports through connError) or when the link is torn down. The
 // peer's GOODBYE does not stop it: the connection stays readable so the
 // final ack exchange of a graceful close can complete in both directions.
 func (l *Link) readLoop(conn Conn, gen int, done chan struct{}) {
@@ -28,7 +29,7 @@ func (l *Link) readLoop(conn Conn, gen int, done chan struct{}) {
 		}
 		typ, seq, body, err := fr.read(conn, l.cfg.maxFrame())
 		if err != nil {
-			l.readError(gen, &Error{Op: "recv", Addr: l.raddr, Transient: isTimeout(err), Err: err})
+			l.connError(gen, &Error{Op: "recv", Addr: l.raddr, Transient: isTimeout(err), Err: err})
 			return
 		}
 		// Any frame is proof of life: the pinger watches this counter and
@@ -48,7 +49,7 @@ func (l *Link) readLoop(conn Conn, gen int, done chan struct{}) {
 			if seq != l.recvSeq+1 {
 				want := l.recvSeq + 1
 				l.mu.Unlock()
-				l.readError(gen, &Error{Op: "recv", Addr: l.raddr,
+				l.connError(gen, &Error{Op: "recv", Addr: l.raddr,
 					Err: fmt.Errorf("sequence gap: got frame %d, want %d (frames lost)", seq, want)})
 				return
 			}
@@ -59,13 +60,13 @@ func (l *Link) readLoop(conn Conn, gen int, done chan struct{}) {
 		switch typ {
 		case frameData:
 			if len(body) < 2 {
-				l.readError(gen, &Error{Op: "recv", Addr: l.raddr,
+				l.connError(gen, &Error{Op: "recv", Addr: l.raddr,
 					Err: fmt.Errorf("data frame of %d bytes shorter than an SPI header", len(body))})
 				return
 			}
 			id := binary.LittleEndian.Uint16(body)
 			if _, ok := l.in[id]; !ok {
-				l.readError(gen, &Error{Op: "recv", Addr: l.raddr,
+				l.connError(gen, &Error{Op: "recv", Addr: l.raddr,
 					Err: fmt.Errorf("data frame for undeclared inbound edge %d", id)})
 				return
 			}
@@ -74,12 +75,12 @@ func (l *Link) readLoop(conn Conn, gen int, done chan struct{}) {
 		case frameDataAck:
 			acksRaw, msg, derr := splitDataAck(body)
 			if derr != nil {
-				l.readError(gen, &Error{Op: "recv", Addr: l.raddr, Err: derr})
+				l.connError(gen, &Error{Op: "recv", Addr: l.raddr, Err: derr})
 				return
 			}
 			id := binary.LittleEndian.Uint16(msg)
 			if _, ok := l.in[id]; !ok {
-				l.readError(gen, &Error{Op: "recv", Addr: l.raddr,
+				l.connError(gen, &Error{Op: "recv", Addr: l.raddr,
 					Err: fmt.Errorf("data frame for undeclared inbound edge %d", id)})
 				return
 			}
@@ -93,7 +94,7 @@ func (l *Link) readLoop(conn Conn, gen int, done chan struct{}) {
 				}
 			}
 			if !okAcks {
-				l.readError(gen, &Error{Op: "recv", Addr: l.raddr,
+				l.connError(gen, &Error{Op: "recv", Addr: l.raddr,
 					Err: fmt.Errorf("piggybacked ack for undeclared outbound edge %d", bad)})
 				return
 			}
@@ -109,11 +110,11 @@ func (l *Link) readLoop(conn Conn, gen int, done chan struct{}) {
 		case frameAck:
 			id, n, derr := decodeAck(body)
 			if derr != nil {
-				l.readError(gen, &Error{Op: "recv", Addr: l.raddr, Err: derr})
+				l.connError(gen, &Error{Op: "recv", Addr: l.raddr, Err: derr})
 				return
 			}
 			if _, ok := l.out[id]; !ok {
-				l.readError(gen, &Error{Op: "recv", Addr: l.raddr,
+				l.connError(gen, &Error{Op: "recv", Addr: l.raddr,
 					Err: fmt.Errorf("ack frame for undeclared outbound edge %d", id)})
 				return
 			}
@@ -122,13 +123,13 @@ func (l *Link) readLoop(conn Conn, gen int, done chan struct{}) {
 		case frameFin:
 			id, derr := decodeFin(body)
 			if derr != nil {
-				l.readError(gen, &Error{Op: "recv", Addr: l.raddr, Err: derr})
+				l.connError(gen, &Error{Op: "recv", Addr: l.raddr, Err: derr})
 				return
 			}
 			_, inOK := l.in[id]
 			_, outOK := l.out[id]
 			if !inOK && !outOK {
-				l.readError(gen, &Error{Op: "recv", Addr: l.raddr,
+				l.connError(gen, &Error{Op: "recv", Addr: l.raddr,
 					Err: fmt.Errorf("fin frame for undeclared edge %d", id)})
 				return
 			}
@@ -138,31 +139,31 @@ func (l *Link) readLoop(conn Conn, gen int, done chan struct{}) {
 		case frameCumAck:
 			n, derr := decodeCumAck(body)
 			if derr != nil {
-				l.readError(gen, &Error{Op: "recv", Addr: l.raddr, Err: derr})
+				l.connError(gen, &Error{Op: "recv", Addr: l.raddr, Err: derr})
 				return
 			}
 			l.trimUnacked(n)
 		case frameSOpen, frameSOpenOK, frameSClose, frameSData, frameSAck, frameSFin:
 			if derr := l.dispatchSession(typ, body); derr != nil {
-				l.readError(gen, &Error{Op: "recv", Addr: l.raddr, Err: derr})
+				l.connError(gen, &Error{Op: "recv", Addr: l.raddr, Err: derr})
 				return
 			}
 		case frameCtrl:
 			if derr := l.dispatchCtrl(body); derr != nil {
-				l.readError(gen, &Error{Op: "recv", Addr: l.raddr, Err: derr})
+				l.connError(gen, &Error{Op: "recv", Addr: l.raddr, Err: derr})
 				return
 			}
 		case framePing:
 			ts, derr := decodePing(body)
 			if derr != nil {
-				l.readError(gen, &Error{Op: "recv", Addr: l.raddr, Err: derr})
+				l.connError(gen, &Error{Op: "recv", Addr: l.raddr, Err: derr})
 				return
 			}
 			l.stageProbe(gen, framePong, ts)
 		case framePong:
 			ts, derr := decodePing(body)
 			if derr != nil {
-				l.readError(gen, &Error{Op: "recv", Addr: l.raddr, Err: derr})
+				l.connError(gen, &Error{Op: "recv", Addr: l.raddr, Err: derr})
 				return
 			}
 			if rtt := time.Now().UnixNano() - int64(ts); rtt >= 0 {
@@ -178,7 +179,7 @@ func (l *Link) readLoop(conn Conn, gen int, done chan struct{}) {
 			l.peerGoodbye()
 			continue
 		default:
-			l.readError(gen, &Error{Op: "recv", Addr: l.raddr,
+			l.connError(gen, &Error{Op: "recv", Addr: l.raddr,
 				Err: fmt.Errorf("unexpected frame type %d", typ)})
 			return
 		}
@@ -238,63 +239,10 @@ func (l *Link) trimLocked(n uint64) bool {
 	return true
 }
 
-// readError classifies a reader failure for generation gen.
-func (l *Link) readError(gen int, err *Error) {
-	l.mu.Lock()
-	if l.closing || l.state == stateClosed {
-		l.mu.Unlock()
-		l.notifyClose(nil)
-		return
-	}
-	if gen != l.gen {
-		l.mu.Unlock()
-		return
-	}
-	if l.state == stateFailed {
-		// Send half already poisoned this link; the read error carries
-		// the peer-visible cause.
-		l.mu.Unlock()
-		l.notifyClose(err)
-		return
-	}
-	if l.state != stateUp {
-		l.mu.Unlock()
-		return
-	}
-	if l.peerGoneLocked() {
-		l.mu.Unlock()
-		l.notifyClose(nil)
-		return
-	}
-	notify := l.goDownLocked(err)
-	l.mu.Unlock()
-	if notify != nil {
-		l.notifyClose(notify)
-	}
-}
-
-// peerGoneLocked handles a connection error after the peer's GOODBYE. If
-// nothing of ours remains to replay (or resumption is off), the link is
-// done for good: fail it — waking a draining Close and blocked senders —
-// rather than going down quietly with the state stuck at up. Reports
-// whether it consumed the error; false means recovery should still run to
-// replay our unacknowledged tail. Caller holds mu.
-func (l *Link) peerGoneLocked() bool {
-	if !l.peerClosed {
-		return false
-	}
-	if l.cfg.Reconnect.Enabled() && len(l.unacked) > 0 {
-		return false
-	}
-	l.state = stateFailed
-	l.failErr = ErrLinkClosed
-	l.broadcastLocked()
-	return true
-}
-
 // peerGoodbye records the peer's graceful shutdown: the handler sees a nil
-// close, later connection errors are benign, and no resume is attempted.
-// The writer's next pass sends the cumulative ack telling the peer its
+// close now, and once our own GOODBYE is acknowledged the conversation is
+// over (overLocked). The writer's next pass sends the cumulative ack telling
+// the peer its
 // GOODBYE (and, by the sequence filter, everything before it) arrived, so
 // the peer's Close can stop draining; if that write is lost, the RESUME
 // handshake carries the same high-water mark.
@@ -329,7 +277,7 @@ func (l *Link) recover(gen int, prevDone chan struct{}, cause error) {
 					delay = rc.MaxDelay
 				}
 			}
-			if l.recoveryOver(gen) {
+			if !l.ownsOutage(gen) {
 				return
 			}
 			l.obs.reconnects.Inc()
@@ -365,14 +313,6 @@ func (l *Link) recover(gen int, prevDone chan struct{}, cause error) {
 			return
 		}
 	}
-}
-
-// recoveryOver reports whether this recovery attempt lost ownership of the
-// link (shutdown, or another transition raced it).
-func (l *Link) recoveryOver(gen int) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.closing || l.gen != gen || l.state != stateDown
 }
 
 func (l *Link) sleepUntil(d time.Duration, deadline time.Time) bool {
@@ -458,7 +398,7 @@ func (l *Link) acceptOffer(off resumeOffer, gen int, deadline time.Time) (done b
 // frames while its own replay blocks.
 func (l *Link) install(conn Conn, peerRecv uint64, gen int) {
 	l.mu.Lock()
-	if l.closing || l.gen != gen || l.state != stateDown {
+	if !l.ownsOutageLocked(gen) {
 		l.mu.Unlock()
 		conn.Close()
 		return
@@ -493,26 +433,26 @@ func (l *Link) install(conn Conn, peerRecv uint64, gen int) {
 	l.wakeWriter()
 }
 
-// adoptConn routes a peer's re-dialed RESUME connection to this link. If
-// the link still thinks its old connection is up (asymmetric failure —
-// only the peer noticed), the old connection is torn down first and the
-// spawned recovery picks the offer up.
-// A peer whose GOODBYE already arrived may still re-dial: its graceful
-// close is draining and needs the RESUME handshake to pick up our receive
-// high-water mark, so peerClosed does not reject the offer.
+// adoptConn routes a peer's re-dialed RESUME connection to this link's
+// recovery. If the link still thinks its old connection is up (asymmetric
+// failure — only the peer noticed), that connection is lost here first,
+// exactly as if this side had seen it die: an outage, whose recovery picks
+// the offer up, unless the conversation is over. A peer whose GOODBYE
+// already arrived may still re-dial — until it has our ack of it, the
+// conversation is not over.
 func (l *Link) adoptConn(conn Conn, peerRecv uint64) error {
 	l.mu.Lock()
-	if l.closing || l.state == stateClosed || l.state == stateFailed || !l.cfg.Reconnect.Enabled() {
-		l.mu.Unlock()
+	if l.state == stateUp && l.cfg.Reconnect.Enabled() {
+		l.loseConnLocked(&Error{Op: "resume", Addr: l.raddr,
+			Err: fmt.Errorf("peer re-dialed; abandoning current connection")})
+	}
+	down := l.state == stateDown
+	l.mu.Unlock()
+	if !down {
 		conn.Close()
 		return &Error{Op: "resume", Addr: conn.RemoteAddr(),
 			Err: fmt.Errorf("link to node %d is not resumable", l.peer)}
 	}
-	if l.state == stateUp {
-		l.goDownLocked(&Error{Op: "resume", Addr: l.raddr,
-			Err: fmt.Errorf("peer re-dialed; abandoning current connection")})
-	}
-	l.mu.Unlock()
 	select {
 	case l.resumeCh <- resumeOffer{conn: conn, recvSeq: peerRecv}:
 		return nil
@@ -529,23 +469,18 @@ func (l *Link) adoptConn(conn Conn, peerRecv uint64) error {
 // all unwound first closed the link gracefully, which turned the pending
 // notification into a nil and left its report naming no dead peer.
 func (l *Link) giveUp(gen int, cause error) {
-	if l.recoveryOver(gen) {
+	if !l.ownsOutage(gen) {
 		return
 	}
-	if cause == nil {
-		cause = ErrLinkClosed
-	}
-	l.notifyClose(&Error{Op: "resume", Addr: l.raddr,
-		Err: fmt.Errorf("reconnect exhausted: %w", cause)})
+	err := &Error{Op: "resume", Addr: l.raddr, Err: fmt.Errorf("reconnect exhausted: %w", cause)}
+	l.notifyClose(err)
 	l.mu.Lock()
-	if l.closing || l.gen != gen || l.state != stateDown {
+	if !l.ownsOutageLocked(gen) {
 		l.mu.Unlock()
 		return
 	}
-	l.state = stateFailed
-	l.failErr = ErrLinkClosed
+	l.endLocked(stateFailed, err)
 	l.obs.tr.Instant("session", "link-failed", l.obs.pid, l.obs.sessTid, obs.A("gen", int64(gen)))
-	l.broadcastLocked()
 	l.mu.Unlock()
 	l.drainOffers()
 }
@@ -561,36 +496,19 @@ func (l *Link) drainOffers() {
 	}
 }
 
-// awaitSettled blocks while the link is down (a recovery is replaying the
-// unacknowledged suffix), bounded by deadline.
-func (l *Link) awaitSettled(deadline time.Time) {
-	for {
-		l.mu.Lock()
-		if l.state != stateDown || !time.Now().Before(deadline) {
-			l.mu.Unlock()
-			return
-		}
-		ch := l.changed
-		l.mu.Unlock()
-		t := time.NewTimer(time.Until(deadline))
-		select {
-		case <-ch:
-		case <-t.C:
-		}
-		t.Stop()
-	}
-}
-
-// Close shuts the link down gracefully: wait out a pending reconnection so
-// unacknowledged frames are replayed, send a sequence-numbered GOODBYE,
-// drain until the peer's cumulative ack covers it (cycling the connection
-// once if the session tail was silently lost), wait for the peer's own
-// GOODBYE so inbound frames drain too, then tear the connection down and
-// reap the reader and the writer. Every wait is bounded by CloseTimeout.
-// The error, also given to HandleLinkClose, says that frames sent before
-// Close were never acknowledged: sends return once their frame is staged,
-// so this is where a caller learns that its last ones were lost. Close is
-// idempotent and safe to call from any goroutine.
+// Close shuts the link down gracefully, as a sequence of bounded waits on
+// the link's state: wait out a pending reconnection so unacknowledged
+// frames are replayed, send a sequence-numbered GOODBYE, drain until the
+// peer's cumulative ack covers it (cycling the connection once if the
+// session tail was silently lost), wait for the peer's own GOODBYE so
+// inbound frames drain too — an outage meanwhile is waited out, not taken
+// for the end, since the peer may still be producing — acknowledge it,
+// then tear the connection down and reap the reader and the writer. Every
+// wait is bounded by CloseTimeout. The error, also given to
+// HandleLinkClose, says that frames sent before Close were never
+// acknowledged: sends return once their frame is staged, so this is where a
+// caller learns that its last ones were lost. Close is idempotent and safe
+// to call from any goroutine.
 func (l *Link) Close() error {
 	l.closeOnce.Do(func() {
 		deadline := time.Now().Add(l.cfg.closeTimeout())
@@ -598,11 +516,11 @@ func (l *Link) Close() error {
 		l.graceful = true
 		l.closeSeq = l.sendSeq
 		l.mu.Unlock()
-		l.awaitSettled(deadline)
-		if seq, sent := l.sendGoodbye(); sent {
-			l.drainGoodbye(seq, deadline)
+		l.await(deadline, func() bool { return l.state != stateDown })
+		if l.sendGoodbye() {
+			l.drainGoodbye(deadline)
 		}
-		l.awaitPeerGoodbye(deadline)
+		l.await(deadline, func() bool { return l.peerClosed || l.state >= stateFailed })
 		l.finalAck(deadline)
 		l.mu.Lock()
 		if lost := l.lostLocked(); lost > 0 {
@@ -615,18 +533,19 @@ func (l *Link) Close() error {
 	return l.closeErr
 }
 
+// errClosedHere is why a link this side closed or aborted refuses sends.
+var errClosedHere = errors.New("closed by this side")
+
 // shutdown is the end of Close and all of Abort: mark the link closed, tear
 // the connection down (which releases a reader or writer parked on it) and
 // reap both goroutines.
 func (l *Link) shutdown() {
 	l.mu.Lock()
 	l.graceful = true
-	l.closing = true
 	close(l.closedCh)
-	l.state = stateClosed
+	l.endLocked(stateClosed, errClosedHere)
 	conn := l.conn
 	rd := l.readerDone
-	l.broadcastLocked()
 	l.mu.Unlock()
 	conn.Close()
 	<-rd
@@ -638,74 +557,53 @@ func (l *Link) shutdown() {
 // sendGoodbye assigns the GOODBYE the next session sequence number and
 // buffers it like any session frame: passing the receiver's sequence
 // filter proves every prior frame arrived, and a RESUME replays it if the
-// connection dies first. Queued acks are materialized ahead of it — the
-// GOODBYE must be the last session frame the peer sequences. It reports the
-// assigned sequence and whether the peer can still be expected to
-// acknowledge it.
-func (l *Link) sendGoodbye() (uint64, bool) {
+// connection dies first (while the link is down it is buffered only, and
+// the pending recovery's replay delivers it). Queued acks are materialized
+// ahead of it — the GOODBYE must be the last session frame the peer
+// sequences. It reports whether the link had not ended, so the peer can
+// still be expected to acknowledge the GOODBYE.
+func (l *Link) sendGoodbye() bool {
 	l.mu.Lock()
-	if l.closing || l.state == stateClosed || l.state == stateFailed {
+	if l.state >= stateFailed {
 		l.mu.Unlock()
-		return 0, false
+		return false
 	}
-	up := l.state == stateUp
 	l.materializeAcksLocked()
 	f := l.fileLocked(frameGoodbye, nil, nil)
-	if up {
+	l.byeSeq = f.seq
+	if l.state == stateUp {
 		l.stageLocked(f.wire)
 	}
 	l.mu.Unlock()
 	l.wakeWriter()
-	// Down: buffered only, and the pending recovery's replay delivers it.
-	return f.seq, up || l.cfg.Reconnect.Enabled()
+	return true
 }
 
-// drainGoodbye waits until the peer's cumulative ack covers the GOODBYE.
-// No ack means the session tail — possibly the GOODBYE itself — was lost
-// with no later frame to expose the gap, so with reconnection enabled the
-// connection is cycled once: the RESUME handshake exchanges high-water
-// marks and the replay delivers the missing suffix.
-func (l *Link) drainGoodbye(seq uint64, deadline time.Time) {
+// drainGoodbye waits until the peer's cumulative ack covers the GOODBYE,
+// or the link ends. No ack means the session tail — possibly the GOODBYE
+// itself — was lost with no later frame to expose the gap, so with
+// reconnection enabled the connection is cycled once: the RESUME handshake
+// exchanges high-water marks and the replay delivers the missing suffix.
+func (l *Link) drainGoodbye(deadline time.Time) {
+	settled := func() bool { return l.peerAcked >= l.byeSeq || l.state >= stateFailed }
 	if !l.cfg.Reconnect.Enabled() {
-		l.awaitAck(seq, deadline)
+		l.await(deadline, settled)
 		return
 	}
 	probe := time.Now().Add(l.cfg.closeTimeout() / 4)
 	if probe.After(deadline) {
 		probe = deadline
 	}
-	if l.awaitAck(seq, probe) {
+	if l.await(probe, settled) {
 		return
 	}
 	l.mu.Lock()
 	if l.state == stateUp {
-		l.goDownLocked(&Error{Op: "close", Addr: l.raddr,
+		l.loseConnLocked(&Error{Op: "close", Addr: l.raddr,
 			Err: fmt.Errorf("final frames unacknowledged; cycling connection to replay")})
 	}
 	l.mu.Unlock()
-	l.awaitSettled(deadline)
-	l.awaitAck(seq, deadline)
-}
-
-// awaitAck waits until the peer's cumulative ack reaches seq, the link
-// dies, or the deadline passes, and reports whether the ack arrived.
-func (l *Link) awaitAck(seq uint64, deadline time.Time) bool {
-	for {
-		l.mu.Lock()
-		acked := l.peerAcked >= seq
-		dead := l.state == stateFailed || l.state == stateClosed
-		ch := l.changed
-		l.mu.Unlock()
-		if acked || dead || !time.Now().Before(deadline) {
-			return acked
-		}
-		t := time.NewTimer(time.Until(deadline))
-		select {
-		case <-ch:
-		case <-t.C:
-		}
-		t.Stop()
-	}
+	l.await(deadline, settled)
 }
 
 // finalAck makes sure the peer's GOODBYE got its closing CUMACK before we
@@ -728,29 +626,6 @@ func (l *Link) finalAck(deadline time.Time) {
 	l.ackNow = true
 	l.writePass(savedFrame{}) // an error here is the peer's to recover from: RESUME carries the same mark
 	l.wmu.Unlock()
-}
-
-// awaitPeerGoodbye waits (bounded) for the peer's own GOODBYE so frames
-// in flight toward us drain before the connection is torn down. An outage
-// in the meantime is waited out, not taken for the end: the peer may still
-// be producing, and tearing down mid-recovery would leave its senders
-// parked on a link nobody re-dials until its reconnect deadline fails it.
-func (l *Link) awaitPeerGoodbye(deadline time.Time) {
-	for {
-		l.mu.Lock()
-		done := l.peerClosed || l.state == stateFailed || l.state == stateClosed
-		ch := l.changed
-		l.mu.Unlock()
-		if done || !time.Now().Before(deadline) {
-			return
-		}
-		t := time.NewTimer(time.Until(deadline))
-		select {
-		case <-ch:
-		case <-t.C:
-		}
-		t.Stop()
-	}
 }
 
 // Abort tears the link down immediately, without the GOODBYE exchange or

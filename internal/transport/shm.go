@@ -547,9 +547,6 @@ type SameHost struct {
 	Fallback Transport
 }
 
-// NewSameHost returns the default shm-over-tcp composite.
-func NewSameHost() *SameHost { return &SameHost{} }
-
 func (s *SameHost) Name() string { return "shm" }
 
 func (s *SameHost) shm() *Shm {

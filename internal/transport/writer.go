@@ -101,7 +101,7 @@ func (l *Link) writer() {
 // wmu.
 func (l *Link) writePass(inline savedFrame) (gen int, err error) {
 	gen = l.gen
-	if l.state != stateUp || l.closing {
+	if l.state != stateUp {
 		l.mu.Unlock()
 		return gen, nil
 	}
@@ -178,7 +178,7 @@ func (l *Link) stageProbe(gen int, typ byte, ts uint64) {
 	var body [pingBodyBytes]byte
 	encodePing(body[:], ts)
 	l.mu.Lock()
-	ok := l.gen == gen && l.state == stateUp && !l.closing
+	ok := l.gen == gen && l.state == stateUp
 	if ok {
 		l.stageControlLocked(typ, body[:])
 	}

@@ -26,30 +26,54 @@ func batchLinkPair(t *testing.T, tr Transport, addr string, tuneDial, tuneAccept
 
 func enablePiggyback(cfg *LinkConfig) { cfg.PiggybackAcks = true }
 
-// gatedTransport is an in-memory carrier whose dialed connections record
-// every Write they are handed (when, and how many frames it carried) and
-// can be gated: while a gate is shut, Write parks before the bytes move,
-// the way a carrier does whose peer is not reading. The accepting side is
-// plain loopback.
+// gatedTransport is an in-memory carrier whose connections, dialed and
+// accepted, record every Write they are handed (when, and how many frames
+// it carried) and can be gated: while a gate is shut, Write parks before the
+// bytes move, the way a carrier does whose peer is not reading.
 type gatedTransport struct {
 	*Loopback
-	mu    sync.Mutex
-	conns []*gatedConn // in dial order
+	mu             sync.Mutex
+	conns, accepts []*gatedConn // in dial and accept order
 }
 
 func newGatedTransport() *gatedTransport { return &gatedTransport{Loopback: NewLoopback()} }
+
+func (g *gatedTransport) track(c Conn, into *[]*gatedConn) *gatedConn {
+	gc := &gatedConn{Conn: c, gate: make(chan struct{})}
+	close(gc.gate)
+	g.mu.Lock()
+	*into = append(*into, gc)
+	g.mu.Unlock()
+	return gc
+}
 
 func (g *gatedTransport) Dial(addr string) (Conn, error) {
 	c, err := g.Loopback.Dial(addr)
 	if err != nil {
 		return nil, err
 	}
-	gc := &gatedConn{Conn: c, gate: make(chan struct{})}
-	close(gc.gate)
-	g.mu.Lock()
-	g.conns = append(g.conns, gc)
-	g.mu.Unlock()
-	return gc, nil
+	return g.track(c, &g.conns), nil
+}
+
+func (g *gatedTransport) Listen(addr string) (Listener, error) {
+	ln, err := g.Loopback.Listen(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &gatedListener{Listener: ln, g: g}, nil
+}
+
+type gatedListener struct {
+	Listener
+	g *gatedTransport
+}
+
+func (l *gatedListener) Accept() (Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return l.g.track(c, &l.g.accepts), nil
 }
 
 // dialed returns the i-th connection dialed through the transport.
@@ -57,6 +81,23 @@ func (g *gatedTransport) dialed(i int) *gatedConn {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.conns[i]
+}
+
+// accepted returns the i-th connection accepted through the transport.
+func (g *gatedTransport) accepted(i int) *gatedConn {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.accepts[i]
+}
+
+// cut drops every connection made so far under whatever link runs on it:
+// both ends' readers see the stream end.
+func (g *gatedTransport) cut() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for _, c := range g.conns {
+		c.Conn.Close()
+	}
 }
 
 type recordedWrite struct {
