@@ -92,11 +92,9 @@ func (r *Run) LivenessFlags(fs *flag.FlagSet) {
 		"hard time budget for the whole run: past it every blocked actor is released and the run fails with a deadline error (0 = unbounded)")
 }
 
-// WireFlags declares -piggyback-acks, -block and -stall-timeout.
+// WireFlags declares -block and -stall-timeout.
 func (r *Run) WireFlags(fs *flag.FlagSet) {
 	o := &r.Opts
-	fs.BoolVar(&o.PiggybackAcks, "piggyback-acks", o.PiggybackAcks,
-		"carry this node's acknowledgements on its outgoing DATA frames; local policy, a peer run without it sends its own standalone")
 	fs.IntVar(&o.Block, "block", o.Block,
 		"vectorization blocking factor B: fire B iterations per block and pack B tokens per message on block-aligned edges; all nodes must agree (0 = off, bit-identical digests either way)")
 	fs.DurationVar(&o.StallTimeout, "stall-timeout", o.StallTimeout,
@@ -292,8 +290,7 @@ func (s *System) SessionKernels(sid uint32, tenant string) map[dataflow.ActorID]
 func LinkConfig(o *spi.DistOptions) transport.LinkConfig {
 	return transport.LinkConfig{
 		Node: o.Node, Sessions: true, Blocked: o.Block > 1,
-		Reconnect: o.Reconnect, PiggybackAcks: o.PiggybackAcks,
-		Heartbeat: o.Heartbeat, PeerTimeout: o.PeerTimeout, Obs: o.Obs,
+		Reconnect: o.Reconnect, Heartbeat: o.Heartbeat, PeerTimeout: o.PeerTimeout, Obs: o.Obs,
 	}
 }
 

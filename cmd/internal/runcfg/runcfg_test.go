@@ -102,16 +102,14 @@ func TestMalformedInput(t *testing.T) {
 // TestFlagsBindLibraryStructs: the shared flags land in the library's own
 // option structs, and defaults come from the struct value passed in.
 func TestFlagsBindLibraryStructs(t *testing.T) {
-	r, err := parse("-piggyback-acks",
-		"-block", "16", "-resync", "-heartbeat", "250ms", "-peer-timeout", "1s", "-stall-timeout", "3s",
+	r, err := parse("-block", "16", "-resync", "-heartbeat", "250ms", "-peer-timeout", "1s", "-stall-timeout", "3s",
 		"-deadline", "9s", "-reconnect", "5", "-chaos", "seed=7,drop=0.05", "-seed", "11", "-iters", "40",
 		"-assign", "0, 1,2", "-nodeof", "0,0,1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := r.Opts
-	if !o.PiggybackAcks ||
-		o.Block != 16 || !o.Resync || o.Heartbeat.Milliseconds() != 250 || o.PeerTimeout.Seconds() != 1 ||
+	if o.Block != 16 || !o.Resync || o.Heartbeat.Milliseconds() != 250 || o.PeerTimeout.Seconds() != 1 ||
 		o.StallTimeout.Seconds() != 3 || o.Reconnect.Attempts != 5 || o.Reconnect.Deadline.Seconds() != 15 {
 		t.Errorf("DistOptions = %+v", o)
 	}
@@ -120,7 +118,7 @@ func TestFlagsBindLibraryStructs(t *testing.T) {
 		t.Errorf("Run = %+v", r)
 	}
 	lc := LinkConfig(&o)
-	if !lc.Sessions || !lc.Blocked || !lc.PiggybackAcks || lc.Heartbeat != o.Heartbeat ||
+	if !lc.Sessions || !lc.Blocked || lc.Heartbeat != o.Heartbeat ||
 		lc.PeerTimeout != o.PeerTimeout || lc.Reconnect != o.Reconnect || lc.ResyncEdges != nil {
 		t.Errorf("LinkConfig = %+v", lc)
 	}

@@ -379,9 +379,8 @@ func runNode(cfg nodeConfig, w io.Writer) error {
 		fmt.Fprintf(w, "stats: %d messages, %d wire bytes, %d acks, %d local transfers\n",
 			st.SPI.Messages, st.SPI.WireBytes, st.SPI.Acks, st.LocalTransfers)
 		for _, e := range st.Edges {
-			fmt.Fprintf(w, "  edge %s (%s): %d messages, %d data bytes, %d acks, %d ack bytes, %d piggybacked, %d suppressed\n",
-				e.Name, e.Protocol, e.Stats.Messages, e.Stats.WireBytes, e.Stats.Acks, e.Stats.AckBytes,
-				e.Stats.AcksPiggybacked, e.Stats.AcksSuppressed)
+			fmt.Fprintf(w, "  edge %s (%s): %d messages, %d data bytes, %d acks, %d ack bytes, %d suppressed\n",
+				e.Name, e.Protocol, e.Stats.Messages, e.Stats.WireBytes, e.Stats.Acks, e.Stats.AckBytes, e.Stats.AcksSuppressed)
 		}
 	}
 	if de != nil {

@@ -23,6 +23,7 @@ import (
 	"repro/internal/particle"
 	"repro/internal/signal"
 	"repro/internal/spi"
+	"repro/internal/transport"
 )
 
 // cli is spirun's flag surface: the shared run description (seed,
@@ -50,8 +51,8 @@ func newFlagSet(c *cli) *flag.FlagSet {
 	fs.IntVar(&c.Fission, "fission", 0, "speech actor-D run: derive the parallel deployment automatically by fissioning the serial error generator into this many replicas behind scatter/gather stages (0 = use the hand-built n-PE deployment)")
 	fs.IntVar(&c.sessions, "sessions", 0,
 		"networked speech runs: run this many concurrent actor-D sessions multiplexed over one shared link; per-edge stats aggregate across sessions (0 = one plain execution)")
-	// The link tuning and liveness flags apply to the networked runs only:
-	// the chan transport has no wire to tune.
+	// The link tuning flags apply to the networked runs only: the chan
+	// transport has no wire to tune.
 	c.SeedFlag(fs)
 	c.WireFlags(fs)
 	c.LivenessFlags(fs)
@@ -124,23 +125,29 @@ func runSpeech(c *cli) error {
 		return err
 	}
 	serial := model.Residual(frame)
+	pes = min(pes, len(frame))
+	what := fmt.Sprintf("parallelized on %d PEs over SPI_dynamic edges", pes)
+	run := func(o spi.DistOptions) ([]float64, *spi.ExecStats, error) {
+		return lpc.DistributedResidual(model, frame, pes, 1, o)
+	}
+	if fission > 0 && sessions == 0 {
+		what = fmt.Sprintf("auto-fissioned into %d replicas behind scatter/gather stages", fission)
+		run = func(o spi.DistOptions) ([]float64, *spi.ExecStats, error) {
+			return lpc.FissionResidual(model, frame, fission, 1, o)
+		}
+	}
 	var parallel []float64
-	var stats *lpc.ParallelStats
+	var stats *spi.ExecStats
+	where := trans + " transport, 2 nodes"
 	switch {
 	case sessions > 0:
+		where = fmt.Sprintf("%s transport, %d sessions on one shared link", trans, sessions)
 		parallel, stats, err = sessionsResidual(&c.Run, model, frame, pes, sessions)
-	case fission > 0 && trans == "chan":
-		parallel, stats, err = fissionedInProcess(model, frame, fission)
-	case fission > 0:
-		parallel, stats, err = twoNodeResidual(&c.Run, fission, func(o spi.DistOptions) ([]float64, *spi.ExecStats, error) {
-			return lpc.FissionResidual(model, frame, fission, 1, o)
-		})
 	case trans == "chan":
-		parallel, stats, err = lpc.ParallelResidual(model, frame, pes)
+		where = "in-process"
+		parallel, stats, err = runNodes(&c.Run, 1, run)
 	default:
-		parallel, stats, err = twoNodeResidual(&c.Run, pes, func(o spi.DistOptions) ([]float64, *spi.ExecStats, error) {
-			return lpc.DistributedResidual(model, frame, pes, 1, o)
-		})
+		parallel, stats, err = runNodes(&c.Run, 2, run)
 	}
 	if err != nil {
 		return err
@@ -151,20 +158,8 @@ func runSpeech(c *cli) error {
 			maxDiff = d
 		}
 	}
-	switch {
-	case sessions > 0:
-		fmt.Printf("actor D parallelized on %d PEs over SPI_dynamic edges (%s transport, %d sessions on one shared link)\n",
-			stats.PEs, trans, sessions)
-	case fission > 0 && trans == "chan":
-		fmt.Printf("actor D auto-fissioned into %d replicas behind scatter/gather stages (in-process)\n", stats.PEs)
-	case fission > 0:
-		fmt.Printf("actor D auto-fissioned into %d replicas behind scatter/gather stages (%s transport, 2 nodes)\n", stats.PEs, trans)
-	case trans == "chan":
-		fmt.Printf("actor D parallelized on %d PEs over SPI_dynamic edges\n", stats.PEs)
-	default:
-		fmt.Printf("actor D parallelized on %d PEs over SPI_dynamic edges (%s transport, 2 nodes)\n", stats.PEs, trans)
-	}
-	fmt.Printf("  messages: %d, wire bytes: %d, ack bytes: %d\n", stats.Messages, stats.WireBytes, stats.AckBytes)
+	fmt.Printf("actor D %s (%s)\n", what, where)
+	fmt.Printf("  messages: %d, wire bytes: %d, ack bytes: %d\n", stats.SPI.Messages, stats.SPI.WireBytes, stats.SPI.AckBytes)
 	printEdgeTable(stats.Edges)
 	fmt.Printf("  max |serial - parallel| = %g (bit-identical split)\n", maxDiff)
 	if c.hw {
@@ -213,34 +208,36 @@ func runCrack(pes, particles, steps int, seed uint64, adaptive float64) error {
 	return nil
 }
 
-// twoNodeResidual runs one actor-D deployment as a two-node distributed
-// execution inside this process — the I/O interface on node 0, all worker
-// PEs on node 1 — over the selected byte transport, exercising the same
-// code path as two spinode processes. run executes one node's share.
-func twoNodeResidual(r *runcfg.Run, pes int, run func(spi.DistOptions) ([]float64, *spi.ExecStats, error)) ([]float64, *lpc.ParallelStats, error) {
-	tr, local, cleanup, err := r.OpenTransport()
-	if err != nil {
-		return nil, nil, err
-	}
-	defer cleanup()
-	ln, err := tr.Listen(local(0))
-	if err != nil {
-		return nil, nil, err
-	}
+// runNodes runs one actor-D deployment as a distributed execution inside
+// this process: on one node for -transport chan, or over two — the I/O
+// interface on node 0, all worker PEs on node 1 — on the selected byte
+// transport, exercising the same code path as two spinode processes. run
+// executes one node's share.
+func runNodes(r *runcfg.Run, nodes int, run func(spi.DistOptions) ([]float64, *spi.ExecStats, error)) ([]float64, *spi.ExecStats, error) {
 	opts := r.Opts
-	opts.Transport, opts.Addrs = tr, []string{ln.Addr(), "unused"}
+	opts.Addrs = []string{"in-process"}
+	var ln transport.Listener
+	if nodes > 1 {
+		tr, local, cleanup, err := r.OpenTransport()
+		if err != nil {
+			return nil, nil, err
+		}
+		defer cleanup()
+		if ln, err = tr.Listen(local(0)); err != nil {
+			return nil, nil, err
+		}
+		opts.Transport, opts.Addrs = tr, []string{ln.Addr(), "unused"}
+	}
 	if r.Deadline > 0 {
 		ctx, cancel := context.WithTimeout(context.Background(), r.Deadline)
 		defer cancel()
 		opts.Context = ctx
 	}
-	var (
-		results [2][]float64
-		stats   [2]*spi.ExecStats
-		errs    [2]error
-		wg      sync.WaitGroup
-	)
-	for node := 0; node < 2; node++ {
+	results := make([][]float64, nodes)
+	stats := make([]*spi.ExecStats, nodes)
+	errs := make([]error, nodes)
+	var wg sync.WaitGroup
+	for node := 0; node < nodes; node++ {
 		wg.Add(1)
 		go func(node int) {
 			defer wg.Done()
@@ -258,51 +255,26 @@ func twoNodeResidual(r *runcfg.Run, pes int, run func(spi.DistOptions) ([]float6
 			return nil, nil, fmt.Errorf("node %d: %w", node, err)
 		}
 	}
-	return results[0], sumStats(pes, stats[:]), nil
+	return results[0], sumStats(stats), nil
 }
 
 // sumStats totals the per-node (and per-session) statistics of one
 // deployment. Messages are counted on the sending node and acks on the
 // receiving node, so summing does not double count; per-edge rows merge
 // on edge ID, so the halves of a cross-node edge — and every session that
-// crossed it — land in one row.
-func sumStats(pes int, stats []*spi.ExecStats) *lpc.ParallelStats {
-	total := &lpc.ParallelStats{PEs: pes}
+// crossed it — land in one row, and the totals are the rows' sum.
+func sumStats(stats []*spi.ExecStats) *spi.ExecStats {
 	var lists [][]spi.EdgeTraffic
 	for _, st := range stats {
-		if st == nil {
-			continue
+		if st != nil {
+			lists = append(lists, st.Edges)
 		}
-		total.Messages += st.SPI.Messages
-		total.WireBytes += st.SPI.WireBytes
-		total.Acks += st.SPI.Acks
-		total.AckBytes += st.SPI.AckBytes
-		lists = append(lists, st.Edges)
 	}
-	total.Edges = mergeEdgeTraffic(lists...)
+	total := &spi.ExecStats{Edges: mergeEdgeTraffic(lists...)}
+	for _, e := range total.Edges {
+		addEdgeStats(&total.SPI, e.Stats)
+	}
 	return total
-}
-
-// fissionedInProcess runs actor D through the automatic fission pass —
-// the serial error generator rewritten into k replicas behind
-// scatter/gather stages — on the in-process runtime.
-func fissionedInProcess(model *dsp.LPCModel, frame []float64, k int) ([]float64, *lpc.ParallelStats, error) {
-	p := lpc.DefaultDeploy(len(frame), 1)
-	p.SampleBytes = 8
-	fs, err := lpc.FissionErrorGenSystem(p, k, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	var out []float64
-	kernels, err := lpc.FissionResidualKernels(fs, model, frame, func(e []float64) { out = e })
-	if err != nil {
-		return nil, nil, err
-	}
-	st, err := spi.Execute(fs.Plan.Graph, fs.Mapping, kernels, 1)
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, sumStats(k, []*spi.ExecStats{st}), nil
 }
 
 // mergeEdgeTraffic combines per-edge rows from the nodes of a distributed
@@ -320,17 +292,7 @@ func mergeEdgeTraffic(lists ...[]spi.EdgeTraffic) []spi.EdgeTraffic {
 				order = append(order, e.ID)
 				continue
 			}
-			m.Stats.Messages += e.Stats.Messages
-			m.Stats.PayloadBytes += e.Stats.PayloadBytes
-			m.Stats.WireBytes += e.Stats.WireBytes
-			m.Stats.Acks += e.Stats.Acks
-			m.Stats.AckBytes += e.Stats.AckBytes
-			m.Stats.AcksPiggybacked += e.Stats.AcksPiggybacked
-			m.Stats.AcksSuppressed += e.Stats.AcksSuppressed
-			m.Stats.CreditWaits += e.Stats.CreditWaits
-			if e.Stats.MaxQueued > m.Stats.MaxQueued {
-				m.Stats.MaxQueued = e.Stats.MaxQueued
-			}
+			addEdgeStats(&m.Stats, e.Stats)
 		}
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
@@ -341,16 +303,27 @@ func mergeEdgeTraffic(lists ...[]spi.EdgeTraffic) []spi.EdgeTraffic {
 	return out
 }
 
+// addEdgeStats adds s's counters into dst; MaxQueued takes the larger.
+func addEdgeStats(dst *spi.EdgeStats, s spi.EdgeStats) {
+	dst.Messages += s.Messages
+	dst.PayloadBytes += s.PayloadBytes
+	dst.WireBytes += s.WireBytes
+	dst.Acks += s.Acks
+	dst.AckBytes += s.AckBytes
+	dst.AcksSuppressed += s.AcksSuppressed
+	dst.CreditWaits += s.CreditWaits
+	dst.MaxQueued = max(dst.MaxQueued, s.MaxQueued)
+}
+
 // printEdgeTable renders the per-edge traffic breakdown.
 func printEdgeTable(edges []spi.EdgeTraffic) {
 	if len(edges) == 0 {
 		return
 	}
-	fmt.Printf("  %-10s %-8s %9s %11s %10s %10s %10s %10s\n", "edge", "proto", "messages", "data bytes", "acks", "ack bytes", "piggyback", "suppressed")
+	fmt.Printf("  %-10s %-8s %9s %11s %10s %10s %10s\n", "edge", "proto", "messages", "data bytes", "acks", "ack bytes", "suppressed")
 	for _, e := range edges {
-		fmt.Printf("  %-10s %-8s %9d %11d %10d %10d %10d %10d\n",
-			e.Name, e.Protocol, e.Stats.Messages, e.Stats.WireBytes, e.Stats.Acks, e.Stats.AckBytes,
-			e.Stats.AcksPiggybacked, e.Stats.AcksSuppressed)
+		fmt.Printf("  %-10s %-8s %9d %11d %10d %10d %10d\n",
+			e.Name, e.Protocol, e.Stats.Messages, e.Stats.WireBytes, e.Stats.Acks, e.Stats.AckBytes, e.Stats.AcksSuppressed)
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 // returned stats aggregate both nodes across all sessions, with per-edge
 // rows merged so each edge appears once no matter how many sessions
 // crossed it.
-func sessionsResidual(r *runcfg.Run, model *dsp.LPCModel, frame []float64, pes, n int) ([]float64, *lpc.ParallelStats, error) {
+func sessionsResidual(r *runcfg.Run, model *dsp.LPCModel, frame []float64, pes, n int) ([]float64, *spi.ExecStats, error) {
 	if pes > len(frame) {
 		pes = len(frame)
 	}
@@ -186,5 +186,5 @@ func sessionsResidual(r *runcfg.Run, model *dsp.LPCModel, frame []float64, pes, 
 
 	// Aggregate across sessions and both nodes: N sessions crossing one
 	// edge produce one row with the summed counters, not N duplicate rows.
-	return results[0], sumStats(pes, append(clientStats, serverStats...)), nil
+	return results[0], sumStats(append(clientStats, serverStats...)), nil
 }

@@ -51,8 +51,8 @@ func TestSessionsResidualMatchesSerial(t *testing.T) {
 	if len(stats.Edges) != 3*pes {
 		t.Errorf("aggregated table has %d edges, want %d (coeffs/sect/errs per PE)", len(stats.Edges), 3*pes)
 	}
-	if stats.Messages != int64(sessions*3*pes) {
-		t.Errorf("total messages %d, want %d", stats.Messages, sessions*3*pes)
+	if stats.SPI.Messages != int64(sessions*3*pes) {
+		t.Errorf("total messages %d, want %d", stats.SPI.Messages, sessions*3*pes)
 	}
 }
 

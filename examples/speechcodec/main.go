@@ -47,8 +47,8 @@ func main() {
 	fmt.Printf("frame wire format: %d bytes for %d samples (%.2f bits/sample)\n",
 		len(wire), back.N, float64(len(wire))*8/float64(back.N))
 
-	// Actor D on n PEs over the software SPI runtime, checked against the
-	// serial residual.
+	// Actor D on n PEs over the software SPI runtime, one node in this
+	// process, checked against the serial residual.
 	frame := x[:p.FrameSize]
 	model, err := dsp.LPCAnalyze(frame, p.Order)
 	if err != nil {
@@ -56,7 +56,7 @@ func main() {
 	}
 	serial := model.Residual(frame)
 	for _, n := range []int{1, 2, 4} {
-		par, stats, err := lpc.ParallelResidual(model, frame, n)
+		par, stats, err := lpc.DistributedResidual(model, frame, n, 1, spi.DistOptions{Addrs: []string{"in-process"}})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func main() {
 			}
 		}
 		fmt.Printf("n=%d PEs: %d SPI messages, %d wire bytes, identical=%v\n",
-			n, stats.Messages, stats.WireBytes, same)
+			n, stats.SPI.Messages, stats.SPI.WireBytes, same)
 	}
 
 	// Figure-6 style timing sweep on the simulated platform.

@@ -8,12 +8,20 @@ import (
 	"repro/internal/spi"
 )
 
-// Distributed error generation — application 1 across OS processes: the
-// same n-PE actor-D deployment graph as ParallelResidual, but executed with
-// spi.ExecuteDistributed so the I/O interface and the worker PEs can live
-// in different processes connected by a byte transport. The kernels are
-// pure functions of (iteration, inputs), so any partition of the mapping
-// produces bit-identical residuals.
+// Parallel error generation — the paper's hardware/software co-design
+// experiment: only actor D is parallelized, across n PEs. The I/O interface
+// splits the frame into overlapping sections (each PE needs M samples of
+// history to predict its first sample; the first section predicts from the
+// zero-extended past, as dsp.LPCModel.Residual does), sends each PE its
+// section and the predictor coefficients, and collects the error values.
+// The model order and the frame size are not known before run time, so all
+// three transfers use SPI_dynamic (paper §5.2).
+//
+// The deployment runs with spi.ExecuteDistributed over any number of nodes:
+// one address runs it in this process, more let the I/O interface and the
+// worker PEs live in different processes connected by a byte transport.
+// The kernels are pure functions of (iteration, inputs), so any partition
+// of the mapping produces bit-identical residuals.
 
 // residualKernels builds the functional kernel set for an ErrorGenSystem
 // graph: io_send scatters coefficients and overlapping frame sections,

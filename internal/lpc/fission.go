@@ -158,11 +158,11 @@ func serialEdgeIDs(g *dataflow.Graph) (serialEdges, error) {
 	return ids, nil
 }
 
-// FissionResidualKernels builds the kernel set of a fissioned deployment:
+// fissionResidualKernels builds the kernel set of a fissioned deployment:
 // the serial kernels plus a FissionWorker in which replica r computes
 // ResidualRange over its SplitCounts share of the frame — 1/k of the
 // multiply-accumulate work, against the broadcast frame for history.
-func FissionResidualKernels(fs *FissionSystem, model *dsp.LPCModel, frame []float64, collect func([]float64)) (map[dataflow.ActorID]spi.Kernel, error) {
+func fissionResidualKernels(fs *FissionSystem, model *dsp.LPCModel, frame []float64, collect func([]float64)) (map[dataflow.ActorID]spi.Kernel, error) {
 	src := fs.Plan.Source
 	serial, err := serialResidualKernels(src, model, frame, collect)
 	if err != nil {
@@ -241,7 +241,7 @@ func FissionResidual(model *dsp.LPCModel, frame []float64, k, iters int, opts sp
 		opts.NodeOf = SplitIOWorkers(fs.Mapping.NumProcs, len(opts.Addrs))
 	}
 	var result []float64
-	kernels, err := FissionResidualKernels(fs, model, frame, func(e []float64) { result = e })
+	kernels, err := fissionResidualKernels(fs, model, frame, func(e []float64) { result = e })
 	if err != nil {
 		return nil, nil, err
 	}

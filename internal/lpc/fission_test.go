@@ -43,7 +43,7 @@ func TestFissionResidualLocalBitIdentical(t *testing.T) {
 					t.Fatalf("plan chose k=%d, want %d", fs.Plan.K, k)
 				}
 				var frames [][]float64
-				kernels, err := FissionResidualKernels(fs, model, frame, func(e []float64) {
+				kernels, err := fissionResidualKernels(fs, model, frame, func(e []float64) {
 					frames = append(frames, e)
 				})
 				if err != nil {
@@ -94,7 +94,7 @@ func TestFissionErrorGenSystemAutoK(t *testing.T) {
 	}
 	want := model.Residual(frame)
 	var got []float64
-	kernels, err := FissionResidualKernels(fs, model, frame, func(e []float64) { got = e })
+	kernels, err := fissionResidualKernels(fs, model, frame, func(e []float64) { got = e })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,6 +93,12 @@ func TestCompressDropsPartialFrames(t *testing.T) {
 	}
 }
 
+// oneNode runs the n-PE deployment in this process: DistributedResidual
+// with one address.
+func oneNode(model *dsp.LPCModel, frame []float64, nPE int) ([]float64, *spi.ExecStats, error) {
+	return DistributedResidual(model, frame, nPE, 1, spi.DistOptions{Addrs: []string{"in-process"}})
+}
+
 func TestParallelResidualMatchesSerial(t *testing.T) {
 	x := signal.Speech(400, 9)
 	model, err := dsp.LPCAnalyze(x, 10)
@@ -101,33 +107,40 @@ func TestParallelResidualMatchesSerial(t *testing.T) {
 	}
 	want := model.Residual(x)
 	for _, n := range []int{1, 2, 3, 4, 7} {
-		got, stats, err := ParallelResidual(model, x, n)
+		got, stats, err := oneNode(model, x, n)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
+		if len(got) != len(want) {
+			t.Fatalf("n=%d: %d samples, want %d", n, len(got), len(want))
+		}
 		for i := range want {
-			if math.Abs(got[i]-want[i]) > 1e-12 {
+			if got[i] != want[i] {
 				t.Fatalf("n=%d sample %d: %v vs %v", n, i, got[i], want[i])
 			}
 		}
-		if stats.Messages != int64(3*n) {
-			t.Errorf("n=%d messages = %d, want %d", n, stats.Messages, 3*n)
+		if stats.SPI.Messages != int64(3*n) {
+			t.Errorf("n=%d messages = %d, want %d", n, stats.SPI.Messages, 3*n)
 		}
-		if stats.PEs != n {
-			t.Errorf("n=%d stats.PEs = %d", n, stats.PEs)
+		if pes := len(stats.ActorFirings) - 2; pes != n {
+			t.Errorf("n=%d: %d PEs fired", n, pes)
 		}
 	}
 }
 
 func TestParallelResidualValidation(t *testing.T) {
 	model := &dsp.LPCModel{Coeffs: []float64{0.5}}
-	if _, _, err := ParallelResidual(model, []float64{1, 2}, 0); err == nil {
-		t.Error("nPE=0 should fail")
+	for _, n := range []int{0, -1} {
+		if _, _, err := oneNode(model, []float64{1, 2}, n); err == nil {
+			t.Errorf("nPE=%d should fail", n)
+		}
 	}
 	// More PEs than samples clamps rather than failing.
-	got, _, err := ParallelResidual(model, []float64{1, 2}, 10)
+	got, stats, err := oneNode(model, []float64{1, 2}, 10)
 	if err != nil || len(got) != 2 {
 		t.Errorf("clamp: %v %v", got, err)
+	} else if pes := len(stats.ActorFirings) - 2; pes != 2 {
+		t.Errorf("clamp: %d PEs fired, want 2", pes)
 	}
 }
 

@@ -2,14 +2,16 @@ package lpc
 
 import (
 	"repro/internal/dsp"
+	"repro/internal/spi"
 )
 
 // CompressFrameParallel is CompressFrame with actor D distributed across
-// nPE SPI-connected workers, as the paper's co-design implementation does.
+// nPE SPI-connected workers, as the paper's co-design implementation does:
+// the n-PE deployment of DistributedResidual, on one node in this process.
 // The output is bit-identical to the serial codec: the residual split is
 // exact (workers receive the overlapping history they need), and every
 // other stage is unchanged.
-func (c *Codec) CompressFrameParallel(frame []float64, nPE int) (*Frame, *ParallelStats, error) {
+func (c *Codec) CompressFrameParallel(frame []float64, nPE int) (*Frame, *spi.ExecStats, error) {
 	if len(frame) != c.p.FrameSize {
 		return nil, nil, errFrameSize(c, len(frame))
 	}
@@ -29,7 +31,7 @@ func (c *Codec) CompressFrameParallel(frame []float64, nPE int) (*Frame, *Parall
 	qmodel := &dsp.LPCModel{Coeffs: cq.DequantizeAll(qidx)}
 
 	// Actor D over SPI workers.
-	errs, stats, err := ParallelResidual(qmodel, frame, nPE)
+	errs, stats, err := DistributedResidual(qmodel, frame, nPE, 1, spi.DistOptions{Addrs: []string{"in-process"}})
 	if err != nil {
 		return nil, nil, err
 	}

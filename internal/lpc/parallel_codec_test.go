@@ -26,8 +26,8 @@ func TestCompressFrameParallelIdentical(t *testing.T) {
 		if string(sb) != string(pb) {
 			t.Errorf("n=%d: parallel frame differs from serial", n)
 		}
-		if stats.Messages != int64(3*n) {
-			t.Errorf("n=%d: messages = %d", n, stats.Messages)
+		if stats.SPI.Messages != int64(3*n) {
+			t.Errorf("n=%d: messages = %d", n, stats.SPI.Messages)
 		}
 	}
 }

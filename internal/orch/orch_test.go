@@ -672,7 +672,7 @@ func TestOrchestratedResyncStanding(t *testing.T) {
 		}
 		reg := r.obs[name].Metrics
 		suppressed := reg.Sum("transport_link_acks_suppressed_total")
-		onWire := reg.Sum("transport_link_acks_sent_total") + reg.Sum("transport_link_acks_piggybacked_total")
+		onWire := reg.Sum("transport_link_acks_sent_total")
 		if v.suppresses {
 			suppressing++
 			if suppressed == 0 {

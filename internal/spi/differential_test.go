@@ -168,10 +168,9 @@ func (c diffCase) inProcess(block int, recycle bool) (map[string]uint64, error) 
 }
 
 // distributed runs the case as two loopback nodes and XOR-folds their sink
-// digests (a sink lives on one node; the other's slot stays zero). Ack
-// piggybacking is local send policy, so each node draws its own; the
-// resynchronization verdict is checked for equality at the
-// handshake, so the run draws one. Nothing else runs a mixed pair end to end.
+// digests (a sink lives on one node; the other's slot stays zero). The
+// resynchronization verdict is checked for equality at the handshake, so
+// the run draws one for both nodes.
 func (c diffCase) distributed() (map[string]uint64, error) {
 	tr := transport.NewLoopback()
 	addrs := []string{"diff-n0", "diff-n1"}
@@ -188,7 +187,7 @@ func (c diffCase) distributed() (map[string]uint64, error) {
 		digests[node] = d
 		opts := spi.DistOptions{
 			Transport: tr, Node: node, Addrs: addrs, NodeOf: c.nodeOf, Retry: diffRetry,
-			Resync: resync, PiggybackAcks: rng.Intn(2) == 1,
+			Resync: resync,
 		}
 		wg.Add(1)
 		go func(node int) {

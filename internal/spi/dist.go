@@ -85,19 +85,17 @@ type DistOptions struct {
 	// Batch has no effect; kept until a `benchmark` PR stops naming it
 	// (transport.BatchConfig).
 	Batch transport.BatchConfig
-	// PiggybackAcks lets each link carry this node's acknowledgements on
-	// its outgoing DATA frames (local policy; any peer decodes them),
-	// collapsing the standalone ACK stream of UBS edges. Counts appear in
-	// the per-edge statistics (EdgeStats.AcksPiggybacked).
+	// PiggybackAcks has no effect; kept until a `benchmark` PR stops naming
+	// it (transport.LinkConfig.PiggybackAcks).
 	PiggybackAcks bool
 	// Resync carries the §4 resynchronization verdict onto the wire: the
 	// suppression set is computed from the graph and mapping at setup
 	// (ResyncSuppression), and every link declares its part of it in the
 	// handshake manifest — UBS acks on edges whose synchronization other
-	// sync paths cover are then never sent, standalone or piggybacked. A
-	// peer that did not opt in, or whose computed set disagrees on an edge
-	// of the link, is refused at the handshake, naming the edge. Suppressed
-	// counts appear in the per-edge statistics (EdgeStats.AcksSuppressed).
+	// sync paths cover are then never sent. A peer that did not opt in, or
+	// whose computed set disagrees on an edge of the link, is refused at the
+	// handshake, naming the edge. Suppressed counts appear in the per-edge
+	// statistics (EdgeStats.AcksSuppressed).
 	Resync bool
 	// Block is the vectorization blocking factor B: every node fires B
 	// consecutive iterations per super-iteration and block-aligned
@@ -502,15 +500,10 @@ func executeSpec(spec *PartitionSpec, kernels map[string]Kernel, vkernels map[st
 		runErr = fmt.Errorf("spi: node %d: %w", env.node, lost)
 	}
 
-	// Fold in what the links did with this node's acks: how many rode
-	// outgoing DATA frames instead of standalone ACK frames, and how many
-	// the resynchronization verdict kept off the wire entirely.
+	// Fold in the acks the resynchronization verdict kept off the wire.
 	for _, l := range env.links {
-		for edge, n := range l.PiggybackedAcks() {
-			env.rt.foldLinkAcks(EdgeID(edge), n, 0)
-		}
 		for edge, n := range l.SuppressedAcks() {
-			env.rt.foldLinkAcks(EdgeID(edge), 0, n)
+			env.rt.foldLinkAcks(EdgeID(edge), n)
 		}
 	}
 
@@ -582,17 +575,16 @@ func connectPeers(rt *Runtime, peers map[int][]transport.EdgeDecl, fails *peerFa
 	}
 	me := opts.Node
 	lcfg := transport.LinkConfig{
-		Node:          me,
-		SendTimeout:   opts.SendTimeout,
-		IdleTimeout:   opts.IdleTimeout,
-		CloseTimeout:  opts.CloseTimeout,
-		Heartbeat:     opts.Heartbeat,
-		PeerTimeout:   opts.PeerTimeout,
-		Reconnect:     opts.Reconnect,
-		PiggybackAcks: opts.PiggybackAcks,
-		Blocked:       opts.Block > 1,
-		ResyncEdges:   resync,
-		Obs:           opts.Obs,
+		Node:         me,
+		SendTimeout:  opts.SendTimeout,
+		IdleTimeout:  opts.IdleTimeout,
+		CloseTimeout: opts.CloseTimeout,
+		Heartbeat:    opts.Heartbeat,
+		PeerTimeout:  opts.PeerTimeout,
+		Reconnect:    opts.Reconnect,
+		Blocked:      opts.Block > 1,
+		ResyncEdges:  resync,
+		Obs:          opts.Obs,
 	}
 	handlerFor := func(peer int) ([]transport.EdgeDecl, transport.Handler, error) {
 		decls := peers[peer]

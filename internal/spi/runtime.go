@@ -92,10 +92,8 @@ type EdgeStats struct {
 	// (AckMessageBytes each) — the synchronization traffic OptimizeSync
 	// removes on bounded edges.
 	AckBytes int64
-	// AcksPiggybacked counts how many of those acknowledgements rode
-	// outgoing DATA frames as piggybacked entries instead of standalone
-	// ACK frames — remote edges on links configured with transport-level
-	// piggybacking. Folded in after a distributed run.
+	// AcksPiggybacked is always 0, kept until a `benchmark` PR stops naming
+	// it: every acknowledgement that reaches the wire is an ACK frame.
 	AcksPiggybacked int64
 	// AcksSuppressed counts acknowledgements the resynchronization
 	// verdict removed from the wire entirely: the receiver issued them,
@@ -335,17 +333,15 @@ func (r *Runtime) CloseAll() {
 	}
 }
 
-// foldLinkAcks folds what a link did with one edge's acks into the edge's
-// statistics after the run: piggybacked rode DATA frames; suppressed were
-// swallowed on a resync-suppressed edge, and since the receive path counted
-// each SendAck optimistically they move out of the wire-traffic columns.
-func (r *Runtime) foldLinkAcks(id EdgeID, piggybacked, suppressed int64) {
+// foldLinkAcks folds the acks a link swallowed on one resync-suppressed
+// edge into the edge's statistics after the run: the receive path counted
+// each SendAck optimistically, so they move out of the wire-traffic columns.
+func (r *Runtime) foldLinkAcks(id EdgeID, suppressed int64) {
 	e := r.edge(id)
 	if e == nil {
 		return
 	}
 	e.mu.Lock()
-	e.stats.AcksPiggybacked += piggybacked
 	e.stats.Acks -= suppressed
 	e.stats.AckBytes -= suppressed * AckMessageBytes
 	e.stats.AcksSuppressed += suppressed
@@ -362,7 +358,6 @@ func (r *Runtime) TotalStats() EdgeStats {
 		t.WireBytes += e.stats.WireBytes
 		t.Acks += e.stats.Acks
 		t.AckBytes += e.stats.AckBytes
-		t.AcksPiggybacked += e.stats.AcksPiggybacked
 		t.AcksSuppressed += e.stats.AcksSuppressed
 		t.CreditWaits += e.stats.CreditWaits
 		if e.stats.MaxQueued > t.MaxQueued {

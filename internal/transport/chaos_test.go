@@ -366,7 +366,7 @@ func TestChaosFaultsPerFrame(t *testing.T) {
 func FuzzFaultConnFrames(f *testing.F) {
 	f.Add([]byte{frameData, frameAck, frameCumAck, framePing}, uint8(2))
 	f.Add([]byte{frameHello}, uint8(0))
-	f.Add([]byte{frameFin, frameGoodbye, frameDataAck, frameCtrl, framePong, frameSData}, uint8(7))
+	f.Add([]byte{frameFin, frameGoodbye, frameResumeOK, frameCtrl, framePong, frameSData}, uint8(7))
 	f.Fuzz(func(t *testing.T, types []byte, cut uint8) {
 		if len(types) > 64 {
 			types = types[:64]

@@ -8,7 +8,7 @@ import (
 	"sync"
 )
 
-// Link wire protocol, version 4. Every frame is length-delimited and
+// Link wire protocol, version 5. Every frame is length-delimited and
 // self-checking so the SPI message inside a DATA frame crosses the stream
 // byte-identical to its in-process encoding (spi.AppendMessage), and so a
 // corrupted or truncated frame is detected at the receiver instead of
@@ -24,7 +24,6 @@ import (
 //	RESUME   := u32 magic | u8 version | u16 node | u64 token | u64 recvSeq
 //	RESUMEOK := u64 recvSeq
 //	GOODBYE  := empty                               (graceful shutdown)
-//	DATAACK  := u8 n | n * (u16 edge | u32 count) | SPI-encoded message
 //	PING     := u64 timestamp                       (liveness probe)
 //	PONG     := u64 timestamp                       (probe echo, RTT sample)
 //
@@ -50,14 +49,14 @@ const (
 	frameResume   byte = 6
 	frameResumeOK byte = 7
 	frameFin      byte = 8
-	frameDataAck  byte = 9
+	// 9 is retired (DATAACK, protocol v4); v5 reads it as an unknown type.
 	// Session-tagged frames occupy 10..15 (see session.go).
 	framePing byte = 16
 	framePong byte = 17
 	// Control-plane frames use 18 (see ctrl.go).
 
 	helloMagic   uint32 = 0x53504931 // "SPI1"
-	helloVersion byte   = 4
+	helloVersion byte   = 5
 
 	helloBlocked byte = 1 << 0 // HELLO flags: DATA frames carry packed slabs
 	declOut      byte = 1 << 0 // decl flags: the declaring side sends DATA
@@ -70,7 +69,6 @@ const (
 	finBodyBytes     = 2
 	cumAckBodyBytes  = 8
 	resumeBodyBytes  = 23 // magic + version + node + token + recvSeq
-	piggyEntryBytes  = 6  // u16 edge | u32 count
 	pingBodyBytes    = 8  // u64 sender timestamp, echoed verbatim in PONG
 
 	// DefaultMaxFrame bounds one frame; anything larger on the wire is a
@@ -89,9 +87,6 @@ const (
 // GOODBYE is numbered so a graceful close cannot outrun lost data: the
 // frame only passes the receiver's sequence filter once every prior
 // session frame has arrived, and a RESUME replays it like any other.
-// DATAACK is numbered like the DATA frame it is: replaying it redelivers
-// the piggybacked acks too, which the ack counters absorb idempotently
-// because the sequence filter drops the duplicate before dispatch.
 // Session frames (SOPEN..SFIN) are numbered for the same reason DATA is:
 // buffering them until the peer's cumulative ack means a RESUME replay
 // recovers every live session's unacknowledged tail — per-session resume
@@ -101,7 +96,7 @@ const (
 // is replayed by RESUME instead of silently vanishing.
 func numberedFrame(typ byte) bool {
 	return typ == frameData || typ == frameAck || typ == frameFin || typ == frameGoodbye ||
-		typ == frameDataAck || sessionFrame(typ) || typ == frameCtrl
+		sessionFrame(typ) || typ == frameCtrl
 }
 
 // EdgeDecl is one edge's entry in the handshake manifest. Both sides of a
@@ -146,9 +141,9 @@ func crcSmall(crc uint32, p []byte) uint32 {
 
 // frameCRC covers everything the length field delimits except the crc
 // itself, so any single corrupted byte — including in the type or sequence
-// fields — fails verification. The body is taken as head|tail so the
-// DATAACK encoder can checksum the piggyback prefix and the SPI message
-// without concatenating them first.
+// fields — fails verification. The body is taken as head|tail so a
+// session frame's sid prefix and its SPI message are checksummed without
+// concatenating them first.
 func frameCRC(typ byte, seq uint64, head, tail []byte) uint32 {
 	var hdr [9]byte
 	hdr[0] = typ
@@ -269,20 +264,6 @@ func openFrame(f []byte) (typ byte, seq uint64, body []byte, err error) {
 	return typ, seq, body, nil
 }
 
-// splitDataAck splits a DATAACK body into its raw piggybacked-ack entries
-// (n consecutive piggyEntryBytes records) and the SPI message they rode
-// on. The message must be at least an SPI header (2 bytes).
-func splitDataAck(body []byte) (acks []byte, msg []byte, err error) {
-	if len(body) < 1 {
-		return nil, nil, fmt.Errorf("dataack frame with empty body")
-	}
-	n := int(body[0])
-	if len(body) < 1+n*piggyEntryBytes+2 {
-		return nil, nil, fmt.Errorf("dataack frame of %d bytes too short for %d piggybacked acks plus an SPI header", len(body), n)
-	}
-	return body[1 : 1+n*piggyEntryBytes], body[1+n*piggyEntryBytes:], nil
-}
-
 // wirePool recycles encoded frame buffers. Boxing through *[]byte keeps
 // Put/Get allocation-free; buffers grow to the largest frame a link
 // carries and are then reused at that size, so the steady-state send
@@ -296,9 +277,9 @@ func putWire(p *[]byte) {
 }
 
 // appendFrame encodes one frame onto dst. The body is the concatenation
-// head|tail (head may be nil); splitting it lets the DATAACK path prepend
-// the piggyback prefix to an SPI message without first joining them in a
-// scratch buffer.
+// head|tail (head may be nil); splitting it lets a session frame prepend
+// its sid to an SPI message without first joining them in a scratch
+// buffer.
 func appendFrame(dst []byte, typ byte, seq uint64, head, tail []byte) []byte {
 	var hdr [frameHeaderBytes]byte
 	binary.LittleEndian.PutUint32(hdr[:], uint32(13+len(head)+len(tail)))

@@ -29,7 +29,7 @@ func oldHello(version byte, edges []EdgeDecl) []byte {
 	return body
 }
 
-// tamperedHello is a well-formed v4 HELLO with one byte overwritten.
+// tamperedHello is a well-formed current HELLO with one byte overwritten.
 func tamperedHello(off int, v byte) []byte {
 	body := encodeHello(0, 1, testManifest(true), false)
 	body[off] = v
@@ -44,14 +44,16 @@ func TestHandshakeRefused(t *testing.T) {
 	sessions := func(cfg *LinkConfig) { cfg.Sessions = true }
 	cases := []struct {
 		name string
-		// hello, when set, is written by a raw dialer in place of a link's
-		// own HELLO; otherwise two links handshake under the tuners.
-		hello        []byte
-		tuneD, tuneA func(*LinkConfig)
-		want         []string // every one must appear in the refusal
+		// hello (or resume), when set, is written by a raw dialer as its
+		// first frame; otherwise two links handshake under the tuners.
+		hello, resume []byte
+		tuneD, tuneA  func(*LinkConfig)
+		want          []string // every one must appear in the refusal
 	}{
-		{name: "hello v2", hello: oldHello(2, testManifest(true)), want: []string{"version 2", "version 4"}},
-		{name: "hello v3", hello: oldHello(3, testManifest(true)), want: []string{"version 3", "version 4"}},
+		{name: "hello v2", hello: oldHello(2, testManifest(true)), want: []string{"version 2", "version 5"}},
+		{name: "hello v3", hello: oldHello(3, testManifest(true)), want: []string{"version 3", "version 5"}},
+		{name: "hello v4", hello: tamperedHello(4, 4), want: []string{"version 4", "version 5"}},
+		{name: "resume v4", resume: tamperedResume(4, 4), want: []string{"resume", "version 4", "version 5"}},
 		{name: "unknown hello flag bit", hello: tamperedHello(5, 0x82), want: []string{"hello sets unknown flag bits 0x82"}},
 		{name: "unknown decl flag bit", hello: tamperedHello(helloFixedBytes+3, declOut|0x04), want: []string{"edge 7", "unknown flag bits 0x4"}},
 		{name: "blocked dialer, scalar acceptor", tuneD: blocked, want: []string{"peer runs blocked", "-block"}},
@@ -69,9 +71,12 @@ func TestHandshakeRefused(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			start := time.Now()
 			var refusal string
-			if tc.hello != nil {
-				refusal = refuseRawHello(t, tc.hello)
-			} else {
+			switch {
+			case tc.hello != nil:
+				refusal = refuseRaw(t, frameHello, tc.hello)
+			case tc.resume != nil:
+				refusal = refuseRaw(t, frameResume, tc.resume)
+			default:
 				d, a, derr, aerr := tunedPair(t, NewLoopback(), "refused", newRecordingHandler(), newRecordingHandler(), tc.tuneD, tc.tuneA)
 				if d != nil || a != nil || derr == nil || aerr == nil {
 					t.Fatalf("handshake built a link: dialer %v (%v), acceptor %v (%v)", d, derr, a, aerr)
@@ -94,9 +99,16 @@ func TestHandshakeRefused(t *testing.T) {
 	}
 }
 
-// refuseRawHello plays a dialer that writes hello as its first frame and
-// returns the acceptor's refusal.
-func refuseRawHello(t *testing.T, hello []byte) string {
+// tamperedResume is tamperedHello for a RESUME.
+func tamperedResume(off int, v byte) []byte {
+	body := encodeResume(0, 1, 0)
+	body[off] = v
+	return body
+}
+
+// refuseRaw plays a dialer that writes one frame of type typ as its first
+// and returns the acceptor's refusal.
+func refuseRaw(t *testing.T, typ byte, body []byte) string {
 	t.Helper()
 	tr := NewLoopback()
 	ln, err := tr.Listen("raw")
@@ -109,7 +121,7 @@ func refuseRawHello(t *testing.T, hello []byte) string {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	go writeFrame(c, frameHello, 0, hello)
+	go writeFrame(c, typ, 0, body)
 	sc, err := ln.Accept()
 	if err != nil {
 		t.Fatal(err)
@@ -119,23 +131,26 @@ func refuseRawHello(t *testing.T, hello []byte) string {
 	})
 	if err == nil {
 		l.Abort()
-		t.Fatal("handshake accepted the hello")
+		t.Fatal("handshake accepted the first frame")
 	}
 	return err.Error()
 }
 
-// TestMixedLocalPolicy: ack piggybacking and heartbeat probing set on one
-// side only. The configured side behaves as configured, the other side as
-// if the option did not exist, and all traffic arrives. (Coalescing is not
-// a policy any more: every link does it, see TestWriterCoalescesWhileBlocked.)
+// TestMixedLocalPolicy: heartbeat probing set on one side only. The
+// configured side behaves as configured, the other side as if the option
+// did not exist, and all traffic arrives. (Coalescing is not a policy any
+// more: every link does it, see TestWriterCoalescesWhileBlocked; nor is
+// where an ack travels: every SPI ack is an ACK frame in the writer's next
+// pass, beside whatever DATA is staged.)
 func TestMixedLocalPolicy(t *testing.T) {
-	piggy := func(cfg *LinkConfig) { cfg.PiggybackAcks = true }
 	heartbeat := func(cfg *LinkConfig) { cfg.Heartbeat, cfg.PeerTimeout = 10*time.Millisecond, 500*time.Millisecond }
 
-	// exchange moves n messages and n acks each way: edge 7 dialer →
-	// acceptor, edge 9 back, every ack followed by DATA it could ride.
+	// exchange moves n messages and n acks each way: edge 7 (UBS) dialer →
+	// acceptor, edge 9 (BBS credits) back, every ack queued beside DATA.
+	// Each side acks and sends behind a write parked at its shut gate, so
+	// the writer's next pass finds acks and DATA waiting together.
 	const n = 20
-	exchange := func(t *testing.T, dialer, acceptor *Link, hd, ha *recordingHandler) {
+	exchange := func(t *testing.T, gt *gatedTransport, dialer, acceptor *Link, hd, ha *recordingHandler) {
 		t.Helper()
 		for i := 0; i < n; i++ {
 			if err := dialer.SendData(7, []byte{7, 0, 1, 0, 0, 0, byte(i)}); err != nil {
@@ -143,26 +158,56 @@ func TestMixedLocalPolicy(t *testing.T) {
 			}
 		}
 		ha.waitData(t, 7, n)
-		for i := 0; i < n; i++ {
-			if err := acceptor.SendAck(7, 1); err != nil {
-				t.Fatal(err)
+		ackAndSend := func(conn *gatedConn, l *Link, ackEdge, dataEdge uint16) {
+			conn.shut()
+			for i := 0; i < n; i++ {
+				if err := l.SendAck(ackEdge, 1); err != nil {
+					t.Fatal(err)
+				}
+				if err := l.SendData(dataEdge, []byte{byte(dataEdge), 0, 1, 0, 0, 0, byte(i)}); err != nil {
+					t.Fatal(err)
+				}
+				if i == 0 {
+					conn.waitParked(t)
+				}
 			}
-			if err := acceptor.SendData(9, []byte{9, 0, byte(i), 0}); err != nil {
-				t.Fatal(err)
-			}
+			conn.open()
 		}
+		ackAndSend(gt.accepted(0), acceptor, 7, 9)
 		hd.waitAcks(t, 7, n)
 		hd.waitData(t, 9, n)
-		for i := 0; i < n; i++ {
-			if err := dialer.SendAck(9, 1); err != nil {
-				t.Fatal(err)
-			}
-			if err := dialer.SendData(7, []byte{7, 0, 1, 0, 0, 0, byte(i)}); err != nil {
-				t.Fatal(err)
-			}
-		}
+		ackAndSend(gt.dialed(0), dialer, 9, 7)
 		ha.waitAcks(t, 9, n)
 		ha.waitData(t, 7, 2*n)
+	}
+
+	// Acks for one edge merge while the writer is busy: the credits all
+	// arrive (exchange waited for them) in 1..n ACK frames, and at least one
+	// Write carries an ACK beside DATA.
+	acksBesideData := func(t *testing.T, side string, sent LinkStats, peerRecv int64, writes []recordedWrite) {
+		t.Helper()
+		if sent.AcksSent < 1 || sent.AcksSent > n || peerRecv != sent.AcksSent {
+			t.Errorf("%s sent %d ACK frames (peer read %d), want 1..%d", side, sent.AcksSent, peerRecv, n)
+		}
+		var ackFrames int64
+		beside := false
+		for _, w := range writes {
+			hasAck, hasData := false, false
+			for _, typ := range w.frames {
+				hasAck = hasAck || typ == frameAck
+				hasData = hasData || typ == frameData
+				if typ == frameAck {
+					ackFrames++
+				}
+			}
+			beside = beside || hasAck && hasData
+		}
+		if ackFrames != sent.AcksSent {
+			t.Errorf("%s: %d ACK frames on the wire, stats say %d", side, ackFrames, sent.AcksSent)
+		}
+		if !beside {
+			t.Errorf("%s: no Write carried an ACK frame beside DATA", side)
+		}
 	}
 
 	// The prober gets PONGs and an RTT sample from a peer that never
@@ -184,29 +229,16 @@ func TestMixedLocalPolicy(t *testing.T) {
 	cases := []struct {
 		name         string
 		tuneD, tuneA func(*LinkConfig)
-		idle         func(t *testing.T, dialer, acceptor *Link)     // before any traffic
-		check        func(t *testing.T, dialer, acceptor LinkStats) // after the exchange
+		idle         func(t *testing.T, dialer, acceptor *Link) // before any traffic
+		// check runs after the exchange, with each side's stats and the
+		// Writes its connection recorded.
+		check func(t *testing.T, d, a LinkStats, dw, aw []recordedWrite)
 	}{
-		{"piggyback on the dialer only", piggy, nil, nil, func(t *testing.T, d, a LinkStats) {
-			if d.AcksPiggybacked == 0 || a.AcksPiggybackedRecv != d.AcksPiggybacked {
-				t.Errorf("dialer piggybacked %d acks, acceptor decoded %d", d.AcksPiggybacked, a.AcksPiggybackedRecv)
-			}
-			// Standalone acks for one edge coalesce while the writer is busy:
-			// the credits all arrive (exchange waited for them), in at most
-			// one ACK frame each.
-			if a.AcksPiggybacked != 0 || a.AcksSent < 1 || a.AcksSent > n || d.AcksReceived != a.AcksSent {
-				t.Errorf("acceptor sent %d standalone / %d piggybacked acks (dialer read %d), want 1..%d standalone", a.AcksSent, a.AcksPiggybacked, d.AcksReceived, n)
-			}
+		{"acks beside DATA both ways, no resync", nil, nil, nil, func(t *testing.T, d, a LinkStats, dw, aw []recordedWrite) {
+			acksBesideData(t, "acceptor", a, d.AcksReceived, aw)
+			acksBesideData(t, "dialer", d, a.AcksReceived, dw)
 		}},
-		{"piggyback on the acceptor only", nil, piggy, nil, func(t *testing.T, d, a LinkStats) {
-			if a.AcksPiggybacked == 0 || d.AcksPiggybackedRecv != a.AcksPiggybacked {
-				t.Errorf("acceptor piggybacked %d acks, dialer decoded %d", a.AcksPiggybacked, d.AcksPiggybackedRecv)
-			}
-			if d.AcksPiggybacked != 0 || d.AcksSent < 1 || d.AcksSent > n || a.AcksReceived != d.AcksSent {
-				t.Errorf("dialer sent %d standalone / %d piggybacked acks (acceptor read %d), want 1..%d standalone", d.AcksSent, d.AcksPiggybacked, a.AcksReceived, n)
-			}
-		}},
-		{"heartbeat on the dialer only", heartbeat, nil, probed, func(t *testing.T, d, a LinkStats) {
+		{"heartbeat on the dialer only", heartbeat, nil, probed, func(t *testing.T, d, a LinkStats, _, _ []recordedWrite) {
 			if d.HeartbeatTimeouts != 0 {
 				t.Errorf("live peer produced %d heartbeat timeouts", d.HeartbeatTimeouts)
 			}
@@ -214,13 +246,14 @@ func TestMixedLocalPolicy(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			gt := newGatedTransport()
 			hd, ha := newRecordingHandler(), newRecordingHandler()
-			dialer, acceptor := batchLinkPair(t, NewLoopback(), "mixed", tc.tuneD, tc.tuneA, hd, ha)
+			dialer, acceptor := batchLinkPair(t, gt, "mixed", tc.tuneD, tc.tuneA, hd, ha)
 			if tc.idle != nil {
 				tc.idle(t, dialer, acceptor)
 			}
-			exchange(t, dialer, acceptor, hd, ha)
-			tc.check(t, dialer.Stats(), acceptor.Stats())
+			exchange(t, gt, dialer, acceptor, hd, ha)
+			tc.check(t, dialer.Stats(), acceptor.Stats(), gt.dialed(0).recorded(0), gt.accepted(0).recorded(0))
 			closeBoth(dialer, acceptor)
 		})
 	}
@@ -284,25 +317,87 @@ func TestSendNeedsHandlerType(t *testing.T) {
 	}
 }
 
-// TestHelloGolden pins the exact version-4 bytes of one HELLO and one
+// TestRetiredFrameType: type 9 was DATAACK, retired with protocol v4. A peer
+// that sends one after the handshake fails the link with a protocol error
+// naming the type, and nothing of the frame is dispatched.
+func TestRetiredFrameType(t *testing.T) {
+	tr := NewLoopback()
+	ln, err := tr.Listen("retired")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	c, err := tr.Dial("retired")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ha := newRecordingHandler()
+	accepted := make(chan *Link, 1)
+	go func() {
+		sc, err := ln.Accept()
+		if err != nil {
+			t.Error(err)
+			accepted <- nil
+			return
+		}
+		l, err := AcceptLink(sc, LinkConfig{Node: 1}, func(int) ([]EdgeDecl, Handler, error) {
+			return testManifest(false), ha, nil
+		})
+		if err != nil {
+			t.Error(err)
+		}
+		accepted <- l
+	}()
+	if err := writeFrame(c, frameHello, 0, encodeHello(0, 1, testManifest(true), false)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := readFrame(c, DefaultMaxFrame); err != nil {
+		t.Fatal(err)
+	}
+	a := <-accepted
+	if a == nil {
+		return
+	}
+	defer a.Abort()
+	// A v4 DATAACK: one credit for outbound edge 9, riding a message on 7.
+	if err := writeFrame(c, 9, 1, []byte{1, 9, 0, 1, 0, 0, 0, 7, 0}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-ha.closed:
+		if err == nil || !strings.Contains(err.Error(), "unexpected frame type 9") {
+			t.Fatalf("link closed with %v, want a protocol error naming type 9", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a type-9 frame did not fail the link")
+	}
+	ha.mu.Lock()
+	defer ha.mu.Unlock()
+	if len(ha.data) != 0 || len(ha.acks) != 0 {
+		t.Errorf("the retired frame was dispatched: data %v, acks %v", ha.data, ha.acks)
+	}
+}
+
+// TestHelloGolden pins the exact version-5 bytes of one HELLO and one
 // RESUME: a layout change must be a deliberate edit of these strings (and
 // of helloVersion).
 func TestHelloGolden(t *testing.T) {
 	edges := testManifest(true)
 	edges[0].noAck = true
-	hello := "31495053" + "04" + "01" + "0201" + "8877665544332211" + "0200" +
+	hello := "31495053" + "05" + "01" + "0201" + "8877665544332211" + "0200" +
 		"0700" + "01" + "03" + "00040000" + "01" + "00000000" +
 		"0900" + "00" + "00" + "10000000" + "00" + "04000000"
 	if got := hex.EncodeToString(encodeHello(0x0102, 0x1122334455667788, edges, true)); got != hello {
 		t.Errorf("HELLO layout changed:\n got %s\nwant %s", got, hello)
 	}
-	resume := "31495053" + "04" + "0201" + "8877665544332211" + "6300000000000000"
+	resume := "31495053" + "05" + "0201" + "8877665544332211" + "6300000000000000"
 	if got := hex.EncodeToString(encodeResume(0x0102, 0x1122334455667788, 99)); got != resume {
 		t.Errorf("RESUME layout changed:\n got %s\nwant %s", got, resume)
 	}
 	old := encodeResume(1, 2, 3)
 	old[4] = 3
-	if _, _, _, err := decodeResume(old); err == nil || !strings.Contains(err.Error(), "version 3") || !strings.Contains(err.Error(), "version 4") {
+	if _, _, _, err := decodeResume(old); err == nil || !strings.Contains(err.Error(), "version 3") || !strings.Contains(err.Error(), "version 5") {
 		t.Errorf("v3 RESUME: %v, want a refusal naming both versions", err)
 	}
 }
@@ -314,6 +409,7 @@ func FuzzDecodeHello(f *testing.F) {
 	f.Add(encodeHello(0, 0, nil, false))
 	f.Add(encodeHello(3, 0xfeedface, testManifest(true), true))
 	f.Add(oldHello(3, testManifest(false)))
+	f.Add(tamperedHello(4, 4))
 	f.Add(tamperedHello(helloFixedBytes+3, 0xff))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		node, token, edges, blocked, err := decodeHello(body)
@@ -331,6 +427,7 @@ func FuzzDecodeHello(f *testing.F) {
 func FuzzDecodeResume(f *testing.F) {
 	f.Add(encodeResume(3, 0xdeadbeef, 99))
 	f.Add(encodeResume(0, 0, 0)[:10])
+	f.Add(tamperedResume(4, 4))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		node, token, recvSeq, err := decodeResume(body)
 		if err != nil {

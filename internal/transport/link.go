@@ -75,12 +75,9 @@ type LinkConfig struct {
 	// BatchConfig). Every link coalesces the frames that arrive while its
 	// previous write is in flight (writer.go).
 	Batch BatchConfig
-	// PiggybackAcks carries this side's SPI acks as a prefix on its
-	// outbound DATA frames (DATAACK) instead of standalone ACK frames. An
-	// ack rides the first DATA frame sent before the writer's next pass;
-	// with none, that pass sends it standalone, so a queued ack never waits
-	// on traffic. Local send policy: every peer decodes DATAACK, and a peer
-	// that leaves this off simply sends its own acks standalone.
+	// PiggybackAcks has no effect; kept until a `benchmark` PR stops naming
+	// it. Every SPI ack leaves as an ACK frame in the writer's next pass,
+	// merged per edge and written with whatever DATA is staged beside it.
 	PiggybackAcks bool
 	// Sessions asserts that this link multiplexes sessions: NewLink and
 	// AcceptConn refuse to build it unless the handler is a
@@ -116,9 +113,8 @@ type LinkConfig struct {
 	// link carries become an attribute of their manifest entries, so the
 	// handshake fails unless the peer suppresses exactly the same edges
 	// of this link; IDs it does not carry are ignored. SendAck on a
-	// suppressed edge is a no-op (counted in AcksSuppressed) — standalone
-	// and piggybacked alike — while transport-level cumulative acks keep
-	// the peer's resend buffer trimmed.
+	// suppressed edge is a no-op (counted in AcksSuppressed), while
+	// transport-level cumulative acks keep the peer's resend buffer trimmed.
 	ResyncEdges []uint16
 	// Obs, when non-nil, exports this link's traffic counters through the
 	// metrics registry (labeled by peer node) and records its session
@@ -174,20 +170,17 @@ type LinkStats struct {
 	// frames replayed by them, DuplicatesDropped the inbound frames
 	// discarded by the sequence filter.
 	Resumes, Retransmits, DuplicatesDropped int64
-	// AcksPiggybacked counts ack entries carried on outbound DATA frames
-	// instead of standalone ACK frames (AcksSent counts only the
-	// standalone ones); AcksPiggybackedRecv is the inbound mirror.
 	// Writes counts carrier Write calls, so FramesSent / Writes is the
 	// coalescing the link's load produced; BatchFlushes counts the writes
 	// that carried more than one frame.
-	AcksPiggybacked, AcksPiggybackedRecv, BatchFlushes, Writes int64
+	BatchFlushes, Writes int64
 	// PingsSent counts liveness probes sent on idle links, PongsReceived
 	// the echoes that came back (each one an RTT sample), and
 	// HeartbeatTimeouts the connections declared dead for inbound silence.
 	PingsSent, PongsReceived, HeartbeatTimeouts int64
 	// AcksSuppressed counts SendAck calls swallowed on resync-suppressed
 	// edges: acknowledgements the §4 verdict proved redundant, which
-	// therefore never reached the wire standalone or piggybacked.
+	// therefore never reached the wire.
 	AcksSuppressed int64
 }
 
@@ -224,8 +217,6 @@ type linkObs struct {
 	resumes, retransmits   *obs.Counter
 	dups, reconnects       *obs.Counter
 	sendStalls             *obs.Counter
-	acksPiggy              *obs.Counter
-	acksPiggyRecv          *obs.Counter
 	batchFlushes, writes   *obs.Counter
 	resendDepth            *obs.Gauge
 	pingsSent, pongsRecv   *obs.Counter
@@ -252,8 +243,7 @@ func newLinkObs(o *obs.Observer, peer int) linkObs {
 			finsSent: &obs.Counter{}, finsRecv: &obs.Counter{},
 			resumes: &obs.Counter{}, retransmits: &obs.Counter{},
 			dups: &obs.Counter{}, reconnects: &obs.Counter{},
-			sendStalls: &obs.Counter{},
-			acksPiggy:  &obs.Counter{}, acksPiggyRecv: &obs.Counter{},
+			sendStalls:   &obs.Counter{},
 			batchFlushes: &obs.Counter{}, writes: &obs.Counter{},
 			resendDepth: &obs.Gauge{},
 			pingsSent:   &obs.Counter{}, pongsRecv: &obs.Counter{},
@@ -281,8 +271,6 @@ func newLinkObs(o *obs.Observer, peer int) linkObs {
 		dups:           o.Counter("transport_link_duplicates_dropped_total", "inbound frames discarded by the sequence filter", pl),
 		reconnects:     o.Counter("transport_link_reconnect_attempts_total", "re-dial attempts during outages", pl),
 		sendStalls:     o.Counter("transport_link_send_stalls_total", "sends that blocked on a down link or full resend buffer", pl),
-		acksPiggy:      o.Counter("transport_link_acks_piggybacked_total", "ack entries carried on outbound DATA frames", pl),
-		acksPiggyRecv:  o.Counter("transport_link_acks_piggybacked_received_total", "ack entries received on inbound DATA frames", pl),
 		batchFlushes:   o.Counter("transport_link_batch_flushes_total", "carrier writes that carried more than one frame", pl),
 		writes:         o.Counter("transport_link_writes_total", "carrier Write calls (frames_sent / writes = frames per write)", pl),
 		resendDepth:    o.Gauge("transport_link_resend_depth", "unacknowledged frames held for replay", pl),
@@ -365,10 +353,8 @@ type Link struct {
 	changed    chan struct{} // closed+replaced on every state/buffer change
 	readerDone chan struct{} // current generation's reader exit
 
-	pendingAcks    map[uint16]uint32 // SPI acks awaiting the writer's pass or a DATA frame to ride
+	pendingAcks    map[uint16]uint32 // SPI acks awaiting the writer's next pass
 	pendingOrder   []uint16          // FIFO of edges with pending acks
-	piggyBuf       []byte            // reusable piggyback-prefix scratch
-	piggySent      map[uint16]int64  // per-edge piggybacked-ack totals
 	suppressedSent map[uint16]int64  // per-edge resync-suppressed ack totals
 
 	closedCh   chan struct{} // closed once when Close/Abort begins
@@ -655,27 +641,25 @@ func (l *Link) RemoteAddr() string { return l.raddr }
 // Stats returns a snapshot of the link's traffic counters.
 func (l *Link) Stats() LinkStats {
 	return LinkStats{
-		FramesSent:          l.obs.framesSent.Value(),
-		FramesReceived:      l.obs.framesRecv.Value(),
-		BytesSent:           l.obs.bytesSent.Value(),
-		BytesReceived:       l.obs.bytesRecv.Value(),
-		DataSent:            l.obs.dataSent.Value(),
-		DataReceived:        l.obs.dataRecv.Value(),
-		AcksSent:            l.obs.acksSent.Value(),
-		AcksReceived:        l.obs.acksRecv.Value(),
-		FinsSent:            l.obs.finsSent.Value(),
-		FinsReceived:        l.obs.finsRecv.Value(),
-		Resumes:             l.obs.resumes.Value(),
-		Retransmits:         l.obs.retransmits.Value(),
-		DuplicatesDropped:   l.obs.dups.Value(),
-		AcksPiggybacked:     l.obs.acksPiggy.Value(),
-		AcksPiggybackedRecv: l.obs.acksPiggyRecv.Value(),
-		BatchFlushes:        l.obs.batchFlushes.Value(),
-		Writes:              l.obs.writes.Value(),
-		PingsSent:           l.obs.pingsSent.Value(),
-		PongsReceived:       l.obs.pongsRecv.Value(),
-		HeartbeatTimeouts:   l.obs.hbTimeouts.Value(),
-		AcksSuppressed:      l.obs.acksSuppressed.Value(),
+		FramesSent:        l.obs.framesSent.Value(),
+		FramesReceived:    l.obs.framesRecv.Value(),
+		BytesSent:         l.obs.bytesSent.Value(),
+		BytesReceived:     l.obs.bytesRecv.Value(),
+		DataSent:          l.obs.dataSent.Value(),
+		DataReceived:      l.obs.dataRecv.Value(),
+		AcksSent:          l.obs.acksSent.Value(),
+		AcksReceived:      l.obs.acksRecv.Value(),
+		FinsSent:          l.obs.finsSent.Value(),
+		FinsReceived:      l.obs.finsRecv.Value(),
+		Resumes:           l.obs.resumes.Value(),
+		Retransmits:       l.obs.retransmits.Value(),
+		DuplicatesDropped: l.obs.dups.Value(),
+		BatchFlushes:      l.obs.batchFlushes.Value(),
+		Writes:            l.obs.writes.Value(),
+		PingsSent:         l.obs.pingsSent.Value(),
+		PongsReceived:     l.obs.pongsRecv.Value(),
+		HeartbeatTimeouts: l.obs.hbTimeouts.Value(),
+		AcksSuppressed:    l.obs.acksSuppressed.Value(),
 	}
 }
 
@@ -778,9 +762,7 @@ func (l *Link) pinger() {
 	}
 }
 
-// SendData transmits one SPI-encoded message on an outbound edge. When
-// ack piggybacking is on and acks are queued, the frame goes out as
-// DATAACK carrying them as a prefix.
+// SendData transmits one SPI-encoded message on an outbound edge.
 func (l *Link) SendData(edge uint16, msg []byte) error {
 	if _, ok := l.out[edge]; !ok {
 		return &Error{Op: "send", Addr: l.raddr,
@@ -800,10 +782,8 @@ func (l *Link) SendData(edge uint16, msg []byte) error {
 // SendAck transmits a BBS credit / UBS acknowledgement for an inbound
 // edge. The ack is queued, never written here and never blocked: the
 // writer's next pass sends it as a numbered ACK frame (coalesced with any
-// other ack queued for the edge), unless piggybacking is on and a DATA
-// frame carries it first — either way delivery is reliable, because both
-// carriers are sequence-numbered session frames held for replay. A handler
-// may therefore ack from the link's reader goroutine.
+// other ack queued for the edge), held for replay like every session frame.
+// A handler may therefore ack from the link's reader goroutine.
 func (l *Link) SendAck(edge uint16, count uint32) error {
 	d, ok := l.in[edge]
 	if !ok {
@@ -815,7 +795,7 @@ func (l *Link) SendAck(edge uint16, count uint32) error {
 		// Both manifests declare the edge ack-suppressed (the §4 verdict
 		// covers its synchronization through other sync paths): swallow
 		// the ack before it can enter the queue or the resend buffer, so no
-		// later pass, DATA frame, or RESUME replay can resurrect it.
+		// later pass or RESUME replay can resurrect it.
 		// Transport-level cumulative acks still trim the peer's resend
 		// buffer, so suppression never wedges the peer's sender.
 		if l.suppressedSent == nil {
@@ -879,10 +859,8 @@ func (l *Link) sendSession(typ byte, body []byte) error {
 // reconnection pending, or the resend buffer is full, it blocks until the
 // state changes; that wait comes before the sequence number is assigned,
 // and nothing between the assignment and the frame's place in wire order
-// releases mu. A DATA frame claims the queued acks as a DATAACK prefix at
-// that same moment when piggybacking is on, so an ack never rides a frame
-// that then sits blocked behind a full resend buffer. A failed write of a
-// staged frame reaches the caller on its next send (see writeFailed); with
+// releases mu. A failed write of a staged frame reaches the caller on its
+// next send (see writeFailed); with
 // reconnection enabled it is no error at all, the RESUME replay delivers
 // the frame.
 func (l *Link) sendSessionFrame(typ byte, head, body []byte) error {
@@ -924,11 +902,8 @@ func (l *Link) sendSessionFrame(typ byte, head, body []byte) error {
 			<-ch
 			continue
 		}
-		switch {
-		case typ == frameFin:
+		if typ == frameFin {
 			l.materializeAcksLocked()
-		case typ == frameData && l.cfg.PiggybackAcks && len(l.pendingOrder) > 0:
-			typ, head = frameDataAck, l.takePendingAcksLocked()
 		}
 		f := l.fileLocked(typ, head, body)
 		if !inline {

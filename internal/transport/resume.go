@@ -72,41 +72,6 @@ func (l *Link) readLoop(conn Conn, gen int, done chan struct{}) {
 			}
 			l.obs.dataRecv.Inc()
 			l.h.HandleData(id, body)
-		case frameDataAck:
-			acksRaw, msg, derr := splitDataAck(body)
-			if derr != nil {
-				l.connError(gen, &Error{Op: "recv", Addr: l.raddr, Err: derr})
-				return
-			}
-			id := binary.LittleEndian.Uint16(msg)
-			if _, ok := l.in[id]; !ok {
-				l.connError(gen, &Error{Op: "recv", Addr: l.raddr,
-					Err: fmt.Errorf("data frame for undeclared inbound edge %d", id)})
-				return
-			}
-			bad := uint16(0)
-			okAcks := true
-			for off := 0; off < len(acksRaw); off += piggyEntryBytes {
-				e := binary.LittleEndian.Uint16(acksRaw[off:])
-				if _, ok := l.out[e]; !ok {
-					bad, okAcks = e, false
-					break
-				}
-			}
-			if !okAcks {
-				l.connError(gen, &Error{Op: "recv", Addr: l.raddr,
-					Err: fmt.Errorf("piggybacked ack for undeclared outbound edge %d", bad)})
-				return
-			}
-			l.obs.dataRecv.Inc()
-			l.obs.acksPiggyRecv.Add(int64(len(acksRaw) / piggyEntryBytes))
-			// Acks first: they free the peer-facing credit/ack state the
-			// data's consumer may immediately depend on.
-			for off := 0; off < len(acksRaw); off += piggyEntryBytes {
-				l.h.HandleAck(binary.LittleEndian.Uint16(acksRaw[off:]),
-					binary.LittleEndian.Uint32(acksRaw[off+2:]))
-			}
-			l.h.HandleData(id, msg)
 		case frameAck:
 			id, n, derr := decodeAck(body)
 			if derr != nil {

@@ -169,8 +169,7 @@ func (l *Link) SendSessionData(sid uint32, edge uint16, msg []byte) error {
 }
 
 // SendSessionAck transmits a BBS credit / UBS acknowledgement for an
-// inbound edge of session sid. Session acks never ride DATAACK frames
-// (the piggyback prefix is untagged); they are staged like any frame.
+// inbound edge of session sid, staged like any frame.
 func (l *Link) SendSessionAck(sid uint32, edge uint16, count uint32) error {
 	if _, ok := l.in[edge]; !ok {
 		return &Error{Op: "send", Addr: l.raddr,

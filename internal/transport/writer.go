@@ -192,10 +192,9 @@ func (l *Link) stageProbe(gen int, typ byte, ts uint64) {
 	}
 }
 
-// queueAckLocked records an SPI ack for the writer's next pass to send —
-// or, with piggybacking on, for a DATA frame that gets there first to
-// carry. Acks for one edge coalesce into one entry, so the queue is bounded
-// by the link's inbound edges and SendAck never blocks. Caller holds mu.
+// queueAckLocked records an SPI ack for the writer's next pass to send.
+// Acks for one edge coalesce into one entry, so the queue is bounded by the
+// link's inbound edges and SendAck never blocks. Caller holds mu.
 func (l *Link) queueAckLocked(edge uint16, count uint32) {
 	if l.pendingAcks == nil {
 		l.pendingAcks = make(map[uint16]uint32)
@@ -204,33 +203,6 @@ func (l *Link) queueAckLocked(edge uint16, count uint32) {
 		l.pendingOrder = append(l.pendingOrder, edge)
 	}
 	l.pendingAcks[edge] += count
-}
-
-// takePendingAcksLocked drains up to 255 queued ack entries into the
-// piggyback prefix (u8 n | n * (u16 edge | u32 count)) reusing the
-// link's prefix buffer, and credits the per-edge piggyback counters.
-// Caller holds mu and must consume the returned slice before releasing
-// it (buildFrame copies it into the frame).
-func (l *Link) takePendingAcksLocked() []byte {
-	n := len(l.pendingOrder)
-	if n > 255 {
-		n = 255
-	}
-	l.piggyBuf = append(l.piggyBuf[:0], byte(n))
-	for _, e := range l.pendingOrder[:n] {
-		c := l.pendingAcks[e]
-		l.piggyBuf = append(l.piggyBuf,
-			byte(e), byte(e>>8),
-			byte(c), byte(c>>8), byte(c>>16), byte(c>>24))
-		delete(l.pendingAcks, e)
-		if l.piggySent == nil {
-			l.piggySent = make(map[uint16]int64)
-		}
-		l.piggySent[e] += int64(c)
-	}
-	l.pendingOrder = l.pendingOrder[:copy(l.pendingOrder, l.pendingOrder[n:])]
-	l.obs.acksPiggy.Add(int64(n))
-	return l.piggyBuf
 }
 
 // materializeAcksLocked turns queued acks into staged, numbered ACK
@@ -257,16 +229,6 @@ func (l *Link) materializeAcksLocked() {
 		n++
 	}
 	l.pendingOrder = l.pendingOrder[:copy(l.pendingOrder, l.pendingOrder[n:])]
-}
-
-// PiggybackedAcks reports, per inbound edge, how many acknowledgements
-// this link has piggybacked on outbound DATA frames instead of sending
-// as standalone ACK frames. The spinode stats table surfaces these next
-// to the edge's standalone ack count.
-func (l *Link) PiggybackedAcks() map[uint16]int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return copyCounts(l.piggySent)
 }
 
 // SuppressedAcks reports, per inbound edge, how many acknowledgements

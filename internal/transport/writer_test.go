@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -13,8 +14,7 @@ import (
 )
 
 // batchLinkPair is tunedPair for handshakes that must succeed: tests tune
-// batching, piggybacking, heartbeats, the manifest or the handler type per
-// side.
+// heartbeats, the manifest or the handler type per side.
 func batchLinkPair(t *testing.T, tr Transport, addr string, tuneDial, tuneAccept func(*LinkConfig), hd, ha Handler) (*Link, *Link) {
 	t.Helper()
 	d, a, derr, aerr := tunedPair(t, tr, addr, hd, ha, tuneDial, tuneAccept)
@@ -23,8 +23,6 @@ func batchLinkPair(t *testing.T, tr Transport, addr string, tuneDial, tuneAccept
 	}
 	return d, a
 }
-
-func enablePiggyback(cfg *LinkConfig) { cfg.PiggybackAcks = true }
 
 // gatedTransport is an in-memory carrier whose connections, dialed and
 // accepted, record every Write they are handed (when, and how many frames
@@ -193,14 +191,13 @@ func dataMsg(i int) []byte {
 
 // TestWriterHasNoDeadline: nothing on the write side waits for company. A
 // lone frame on an idle link is on the wire within a millisecond whatever
-// the (retired) batch knobs say, and so is a lone ack queued for
-// piggybacking with no DATA frame to ride.
+// the (retired) batch knobs say, and so is a lone ack with no DATA beside
+// it.
 func TestWriterHasNoDeadline(t *testing.T) {
 	gt := newGatedTransport()
 	hd, ha := newRecordingHandler(), newRecordingHandler()
 	tune := func(cfg *LinkConfig) {
 		cfg.Batch = BatchConfig{MaxFrames: 1000, MaxBytes: 1 << 20, MaxDelay: time.Hour}
-		cfg.PiggybackAcks = true
 	}
 	dialer, acceptor := batchLinkPair(t, gt, "no-deadline", tune, tune, hd, ha)
 	defer closeBoth(dialer, acceptor)
@@ -228,8 +225,8 @@ func TestWriterHasNoDeadline(t *testing.T) {
 			t.Errorf("a lone %s frame on an idle link took %v to reach the carrier, want under 1ms", name, best)
 		}
 	}
-	if st := dialer.Stats(); st.AcksPiggybacked != 0 || st.AcksSent == 0 {
-		t.Errorf("acks with no DATA to ride: %d piggybacked, %d standalone; want all standalone", st.AcksPiggybacked, st.AcksSent)
+	if st := dialer.Stats(); st.AcksSent == 0 {
+		t.Error("no ACK frame sent for the lone acks")
 	}
 }
 
@@ -468,14 +465,14 @@ func TestCloseDrainsWriter(t *testing.T) {
 	waitFor(t, "every link goroutine to exit", func() bool { return runtime.NumGoroutine() <= before })
 }
 
-// TestPiggybackedRoundTrip drives ordered traffic both directions with
-// piggybacking on, over every carrier, and checks delivery is exact and in
-// order.
-func TestPiggybackedRoundTrip(t *testing.T) {
+// TestBidirectionalRoundTrip drives ordered traffic both directions, each
+// message beside an ack queued for the other direction's edge, over every
+// carrier, and checks delivery is exact and in order.
+func TestBidirectionalRoundTrip(t *testing.T) {
 	for name, tr := range transports(t) {
 		t.Run(name, func(t *testing.T) {
 			hd, ha := newRecordingHandler(), newRecordingHandler()
-			dialer, acceptor := batchLinkPair(t, tr, testAddr(name), enablePiggyback, enablePiggyback, hd, ha)
+			dialer, acceptor := batchLinkPair(t, tr, testAddr(name), nil, nil, hd, ha)
 			const n = 200
 			for i := 0; i < n; i++ {
 				fwd := make([]byte, 8)
@@ -518,7 +515,7 @@ func TestPiggybackedRoundTrip(t *testing.T) {
 func TestWriterRacesClose(t *testing.T) {
 	for i := 0; i < 25; i++ {
 		hd, ha := newRecordingHandler(), newRecordingHandler()
-		dialer, acceptor := batchLinkPair(t, NewLoopback(), fmt.Sprintf("writer-close-%d", i), enablePiggyback, enablePiggyback, hd, ha)
+		dialer, acceptor := batchLinkPair(t, NewLoopback(), fmt.Sprintf("writer-close-%d", i), nil, nil, hd, ha)
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
@@ -550,7 +547,7 @@ func TestWriterRacesClose(t *testing.T) {
 // observes all of it before the FIN.
 func TestSendFinOrdering(t *testing.T) {
 	hd, ha := newRecordingHandler(), newRecordingHandler()
-	dialer, acceptor := batchLinkPair(t, NewLoopback(), "fin-order", enablePiggyback, nil, hd, ha)
+	dialer, acceptor := batchLinkPair(t, NewLoopback(), "fin-order", nil, nil, hd, ha)
 	const n = 5
 	for i := 0; i < n; i++ {
 		msg := []byte{7, 0, 1, 0, 0, 0, byte(i)}
@@ -584,13 +581,13 @@ func TestSendFinOrdering(t *testing.T) {
 }
 
 // TestBatchResumeAfterSever severs the connection in the middle of
-// coalesced writes, with piggybacking on: the RESUME replay must still
+// coalesced writes, with acks queued the other way: the RESUME replay must still
 // deliver the numbered stream exactly once, in order, bit-identical — the
 // frames of a lost write are recovered from the per-frame resend buffer.
 func TestBatchResumeAfterSever(t *testing.T) {
 	ft := NewFaultTransport(NewLoopback(), FaultConfig{Seed: 17, SeverAt: []int{11, 29, 60}, SkipFrames: 4})
 	hd, ha := newRecordingHandler(), newRecordingHandler()
-	dialer, acceptor, stop := batchChaosPair(t, ft, enablePiggyback, hd, ha)
+	dialer, acceptor, stop := batchChaosPair(t, ft, func(*LinkConfig) {}, hd, ha)
 	defer stop()
 	const n = 200
 	for i := 0; i < n; i++ {
@@ -677,59 +674,67 @@ func batchChaosPair(t *testing.T, ft Transport, tune func(*LinkConfig), hd, ha H
 	return dialer, acceptor, func() { ln.Close() }
 }
 
-// FuzzDecodeBatched fuzzes the DATAACK framing: arbitrary bodies must
-// never panic the splitter, and a well-formed piggyback prefix built from
-// the fuzz input must round-trip through the frame encoder and reader
-// bit-identically.
+// FuzzDecodeBatched fuzzes the receive side of coalesced writes. Frames
+// built from the fuzz input and concatenated the way a writer pass stages
+// them, handed to the frame reader in reads of a fuzz-chosen size, must come
+// back one by one with type, sequence number and body intact, and then EOF.
+// The raw input, read the same way, must never panic the reader.
 func FuzzDecodeBatched(f *testing.F) {
-	f.Add([]byte{0, 7, 0}, []byte{7, 0, 1, 2})
-	f.Add([]byte{1, 7, 0, 3, 0, 0, 0, 9, 0}, []byte{9, 0})
-	f.Add([]byte{}, []byte{})
-	f.Add([]byte{255}, []byte{1, 2, 3})
-	f.Fuzz(func(t *testing.T, body, msg []byte) {
-		if acks, m, err := splitDataAck(body); err == nil {
-			if len(acks)%piggyEntryBytes != 0 {
-				t.Fatalf("splitDataAck returned %d ack bytes, not a multiple of %d", len(acks), piggyEntryBytes)
-			}
-			if len(m) < 2 {
-				t.Fatalf("splitDataAck returned %d-byte message, shorter than an SPI header", len(m))
-			}
-		}
-		if len(msg) < 2 {
-			return
-		}
-		// Build a well-formed prefix from the fuzz bytes: u8 n then n
-		// six-byte entries drawn (cyclically) from body.
-		n := 0
-		if len(body) > 0 {
-			n = int(body[0]) % 8
-		}
-		prefix := make([]byte, 1+n*piggyEntryBytes)
-		prefix[0] = byte(n)
-		for i := 1; i < len(prefix); i++ {
-			if len(body) > 0 {
-				prefix[i] = body[i%len(body)]
+	f.Add([]byte{frameData, 7, 0, 1, 2}, uint8(3))
+	f.Add([]byte{frameAck, 7, 0, 3, 0, 0, 0, frameData, 9, 0}, uint8(0))
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte{255, 255, 255, 255, 1}, uint8(255))
+	f.Fuzz(func(t *testing.T, in []byte, chunk uint8) {
+		var raw frameReader
+		defer raw.release()
+		for rd := (&trickle{p: in, n: int(chunk) + 1}); ; {
+			if _, _, _, err := raw.read(rd, DefaultMaxFrame); err != nil {
+				break
 			}
 		}
-		fr := buildFrame(frameDataAck, 42, prefix, msg)
-		defer putWire(fr.buf)
-		var reader frameReader
-		typ, seq, got, err := reader.read(bytes.NewReader(fr.wire), DefaultMaxFrame)
-		if err != nil {
-			t.Fatalf("reading back a built frame: %v", err)
+		if len(in) > 64 {
+			in = in[:64]
 		}
-		if typ != frameDataAck || seq != 42 {
-			t.Fatalf("frame read back as type %d seq %d", typ, seq)
+		// Frame i has type in[i], seq i and a body of up to 6 bytes of in,
+		// split at a varying point into head|tail.
+		var wire []byte
+		bodies := make([][]byte, len(in))
+		for i, typ := range in {
+			body := in[i:min(len(in), i+int(typ)%7)]
+			k := i % (len(body) + 1)
+			wire = appendFrame(wire, typ, uint64(i), body[:k], body[k:])
+			bodies[i] = body
 		}
-		acks, m, err := splitDataAck(got)
-		if err != nil {
-			t.Fatalf("splitting a well-formed DATAACK: %v", err)
+		var fr frameReader
+		defer fr.release()
+		rd := &trickle{p: wire, n: int(chunk) + 1}
+		for i := range in {
+			typ, seq, body, err := fr.read(rd, DefaultMaxFrame)
+			if err != nil {
+				t.Fatalf("frame %d of %d: %v", i, len(in), err)
+			}
+			if typ != in[i] || seq != uint64(i) || !bytes.Equal(body, bodies[i]) {
+				t.Fatalf("frame %d read back as type %d seq %d body %x, want %d %d %x", i, typ, seq, body, in[i], i, bodies[i])
+			}
 		}
-		if !bytes.Equal(acks, prefix[1:]) {
-			t.Fatalf("ack entries %x, want %x", acks, prefix[1:])
-		}
-		if !bytes.Equal(m, msg) {
-			t.Fatalf("message %x, want %x", m, msg)
+		if _, _, _, err := fr.read(rd, DefaultMaxFrame); err != io.EOF {
+			t.Fatalf("after the last frame: %v, want EOF", err)
 		}
 	})
+}
+
+// trickle hands out its bytes at most n per Read, the way a stream carrier
+// may split a coalesced write.
+type trickle struct {
+	p []byte
+	n int
+}
+
+func (r *trickle) Read(b []byte) (int, error) {
+	if len(r.p) == 0 {
+		return 0, io.EOF
+	}
+	k := copy(b, r.p[:min(len(r.p), r.n)])
+	r.p = r.p[k:]
+	return k, nil
 }
