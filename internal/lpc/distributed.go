@@ -122,7 +122,8 @@ func SplitIOWorkers(numProcs, nodes int) []int {
 // system for iters frames. opts.NodeOf defaults to SplitIOWorkers. The
 // node hosting io_recv (node 0 under that split) returns the assembled
 // residual of the last iteration; worker-only nodes return nil. Every node
-// must pass identical model/frame/nPE/iters.
+// must pass identical model/frame/nPE/iters; the model's order sizes the
+// coefficient edges and the history sent to each PE.
 func DistributedResidual(model *dsp.LPCModel, frame []float64, nPE, iters int, opts spi.DistOptions) ([]float64, *spi.ExecStats, error) {
 	if nPE <= 0 {
 		return nil, nil, fmt.Errorf("lpc: nPE = %d", nPE)
@@ -131,7 +132,8 @@ func DistributedResidual(model *dsp.LPCModel, frame []float64, nPE, iters int, o
 		nPE = len(frame)
 	}
 	p := DefaultDeploy(len(frame), nPE)
-	p.SampleBytes = 8 // the functional kernels move float64 samples
+	p.SampleBytes = 8               // the functional kernels move float64 samples
+	p.Order = max(model.Order(), 1) // an empty predictor deploys at order 1
 	sys, err := ErrorGenSystem(p)
 	if err != nil {
 		return nil, nil, err

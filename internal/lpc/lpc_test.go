@@ -101,29 +101,31 @@ func oneNode(model *dsp.LPCModel, frame []float64, nPE int) ([]float64, *spi.Exe
 
 func TestParallelResidualMatchesSerial(t *testing.T) {
 	x := signal.Speech(400, 9)
-	model, err := dsp.LPCAnalyze(x, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := model.Residual(x)
-	for _, n := range []int{1, 2, 3, 4, 7} {
-		got, stats, err := oneNode(model, x, n)
+	for _, order := range []int{10, 16} {
+		model, err := dsp.LPCAnalyze(x, order)
 		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
+			t.Fatal(err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("n=%d: %d samples, want %d", n, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d sample %d: %v vs %v", n, i, got[i], want[i])
+		want := model.Residual(x)
+		for _, n := range []int{1, 2, 3, 4, 7} {
+			got, stats, err := oneNode(model, x, n)
+			if err != nil {
+				t.Fatalf("order=%d n=%d: %v", order, n, err)
 			}
-		}
-		if stats.SPI.Messages != int64(3*n) {
-			t.Errorf("n=%d messages = %d, want %d", n, stats.SPI.Messages, 3*n)
-		}
-		if pes := len(stats.ActorFirings) - 2; pes != n {
-			t.Errorf("n=%d: %d PEs fired", n, pes)
+			if len(got) != len(want) {
+				t.Fatalf("order=%d n=%d: %d samples, want %d", order, n, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("order=%d n=%d sample %d: %v vs %v", order, n, i, got[i], want[i])
+				}
+			}
+			if stats.SPI.Messages != int64(3*n) {
+				t.Errorf("order=%d n=%d messages = %d, want %d", order, n, stats.SPI.Messages, 3*n)
+			}
+			if pes := len(stats.ActorFirings) - 2; pes != n {
+				t.Errorf("order=%d n=%d: %d PEs fired", order, n, pes)
+			}
 		}
 	}
 }
@@ -141,6 +143,11 @@ func TestParallelResidualValidation(t *testing.T) {
 		t.Errorf("clamp: %v %v", got, err)
 	} else if pes := len(stats.ActorFirings) - 2; pes != 2 {
 		t.Errorf("clamp: %d PEs fired, want 2", pes)
+	}
+	// An empty predictor deploys: its residual is the frame.
+	got, _, err = oneNode(&dsp.LPCModel{}, []float64{1, 2, 3}, 2)
+	if err != nil || len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Errorf("empty predictor: %v %v", got, err)
 	}
 }
 

@@ -276,6 +276,11 @@ func TestWriterCoalescesWhileBlocked(t *testing.T) {
 	if len(seqs) != n {
 		t.Fatalf("%d DATA frames on the wire, want %d", len(seqs), n)
 	}
+	// The writer counts a write once Write returns, which can be after the
+	// peer has already read what it carried.
+	waitFor(t, "the writer to count its writes", func() bool {
+		return dialer.Stats().Writes-stats.Writes >= int64(len(writes))
+	})
 	st := dialer.Stats()
 	if w, f := st.Writes-stats.Writes, st.FramesSent-stats.FramesSent; w != int64(len(writes)) || f < n || st.BatchFlushes == stats.BatchFlushes {
 		t.Errorf("counters: %d writes (carrier saw %d), %d frames, %d multi-frame writes", w, len(writes), f, st.BatchFlushes-stats.BatchFlushes)
@@ -674,11 +679,12 @@ func batchChaosPair(t *testing.T, ft Transport, tune func(*LinkConfig), hd, ha H
 	return dialer, acceptor, func() { ln.Close() }
 }
 
-// FuzzDecodeBatched fuzzes the receive side of coalesced writes. Frames
-// built from the fuzz input and concatenated the way a writer pass stages
-// them, handed to the frame reader in reads of a fuzz-chosen size, must come
-// back one by one with type, sequence number and body intact, and then EOF.
-// The raw input, read the same way, must never panic the reader.
+// FuzzDecodeBatched fuzzes the decoding of a batch: the frames one writer
+// pass coalesces into a single carrier write (a batch flush, in LinkStats).
+// Frames built from the fuzz input and concatenated the way a writer pass
+// stages them, handed to the frame reader in reads of a fuzz-chosen size,
+// must come back one by one with type, sequence number and body intact, and
+// then EOF. The raw input, read the same way, must never panic the reader.
 func FuzzDecodeBatched(f *testing.F) {
 	f.Add([]byte{frameData, 7, 0, 1, 2}, uint8(3))
 	f.Add([]byte{frameAck, 7, 0, 3, 0, 0, 0, frameData, 9, 0}, uint8(0))
