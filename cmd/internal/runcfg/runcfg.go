@@ -96,7 +96,7 @@ func (r *Run) LivenessFlags(fs *flag.FlagSet) {
 func (r *Run) WireFlags(fs *flag.FlagSet) {
 	o := &r.Opts
 	fs.IntVar(&o.Block, "block", o.Block,
-		"vectorization blocking factor B: fire B iterations per block and pack B tokens per message on block-aligned edges; all nodes must agree (0 = off, bit-identical digests either way)")
+		"vectorization blocking factor B: fire B iterations per block and pack B tokens per message on every cross-processor edge; all nodes must agree (0 = off, bit-identical digests either way)")
 	fs.DurationVar(&o.StallTimeout, "stall-timeout", o.StallTimeout,
 		"abort the run if no actor fires and no edge moves for this long, naming the stalled actors (0 = off)")
 }

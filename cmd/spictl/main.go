@@ -283,8 +283,8 @@ func runCtl(cfg ctlConfig, w io.Writer) error {
 	for _, name := range names {
 		fmt.Fprintf(w, "digest %s %016x\n", name, rep.Digests[name])
 	}
-	fmt.Fprintf(w, "orch: epochs=%d commits=%d aborts=%d migrations=%d deploys=%d warm=%d stalled_tokens=%d workers_seen=%d workers_lost=%d recovery=%s elapsed=%s\n",
-		rep.Epochs, rep.Commits, rep.Aborts, rep.Migrations, rep.Deploys, rep.WarmEpochs, rep.StalledTokens,
+	fmt.Fprintf(w, "orch: epochs=%d commits=%d aborts=%d migrations=%d deploys=%d warm=%d block=%d stalled_tokens=%d workers_seen=%d workers_lost=%d recovery=%s elapsed=%s\n",
+		rep.Epochs, rep.Commits, rep.Aborts, rep.Migrations, rep.Deploys, rep.WarmEpochs, rep.Block, rep.StalledTokens,
 		rep.WorkersSeen, rep.WorkersLost, time.Duration(rep.RecoveryNS), elapsed.Round(time.Millisecond))
 
 	// A killed or choked in-proc worker exits with an error by design;

@@ -35,7 +35,7 @@ func TestRunCtlHealthy(t *testing.T) {
 	if err := runCtl(testCtlConfig(t), &out); err != nil {
 		t.Fatalf("runCtl: %v\n%s", err, out.String())
 	}
-	for _, want := range []string{"digest snk ", "commits=4 aborts=0", "bit-identical"} {
+	for _, want := range []string{"digest snk ", "commits=4 aborts=0", "block=6 ", "bit-identical"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output missing %q:\n%s", want, out.String())
 		}

@@ -203,9 +203,8 @@ func TestPipelineChaosRecovers(t *testing.T) {
 
 // TestPipelineBlockedMatchesSingle: running the shipped pipeline.sdf with
 // -block must leave the sink digest bit-identical to the scalar
-// single-node run. The graph mixes both edge classes: sm's one-iteration
-// delay never aligns with a block above 1 (token-granular), ms packs
-// slabs.
+// single-node run. sm's one-iteration delay never aligns with a block
+// above 1, so its slabs carry it; ms has none.
 func TestPipelineBlockedMatchesSingle(t *testing.T) {
 	const iters = 40
 	want := singleNodeDigests(t, loadPipelineSDF(t), iters)

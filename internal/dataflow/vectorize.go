@@ -144,10 +144,6 @@ type VectorizePlan struct {
 	// MemoryBytes is the modeled buffer memory of the chosen block
 	// (BlockMemoryBytes).
 	MemoryBytes int64
-	// BlockedEdges lists the edges whose delay aligns with the block
-	// (delay a whole multiple of Block iterations, including zero) and so
-	// carry packed B-iteration slabs; the rest stay token-granular.
-	BlockedEdges []EdgeID
 }
 
 // Vectorize picks the largest blocking factor B in [1, maxBlock] that is
@@ -180,11 +176,6 @@ func Vectorize(g *Graph, memBound int64, maxBlock int) (*VectorizePlan, error) {
 	}
 	for a, r := range q {
 		plan.Factors[a] = int64(best) * r
-	}
-	for _, eid := range g.Edges() {
-		if best > 1 && g.DelayIterations(q, eid)%best == 0 {
-			plan.BlockedEdges = append(plan.BlockedEdges, eid)
-		}
 	}
 	return plan, nil
 }

@@ -140,7 +140,7 @@ func fnvAdd(h uint64, p []byte) uint64 {
 // needs is laid out here, once: the hashed prefix and tags as bytes, the
 // inputs sorted, the output map and its buffers — which every firing
 // returns, as the Kernel contract allows (DESIGN.md §15: an output is the
-// kernel's until the firing's emits return). So one kernel must not be
+// kernel's to reuse when the actor fires again). So one kernel must not be
 // fired from two goroutines at once.
 func newKernel(graph, actor string, seed uint64, ins []inPort, outs []outPort, sink func(fold uint64)) spi.Kernel {
 	sort.Slice(ins, func(i, j int) bool { return ins[i].id < ins[j].id })

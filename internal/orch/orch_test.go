@@ -233,6 +233,14 @@ func (r *orchRig) stopAll() {
 	}
 }
 
+// checkBlock holds a run to the blocking factor the coordinator must pick.
+func checkBlock(t *testing.T, rep *Report, want int) {
+	t.Helper()
+	if rep.Block != want {
+		t.Errorf("run at block %d, want %d", rep.Block, want)
+	}
+}
+
 func checkDigests(t *testing.T, rep *Report, want map[string]uint64) {
 	t.Helper()
 	if len(rep.Digests) != len(want) {
@@ -242,6 +250,32 @@ func checkDigests(t *testing.T, rep *Report, want map[string]uint64) {
 		if rep.Digests[name] != w {
 			t.Errorf("sink %s digest = %#x, want %#x (static)", name, rep.Digests[name], w)
 		}
+	}
+}
+
+// TestOrchestratedBlockRule: the coordinator runs every epoch at the largest
+// B ≤ 16 that divides the epoch length and that the mapped schedule admits.
+func TestOrchestratedBlockRule(t *testing.T) {
+	g, m, err := orchGraph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for epochIters, want := range map[int]int{64: 16, 6: 6, 24: 12, 17: 1, 1: 1} {
+		if got := epochBlock(g, m, epochIters); got != want {
+			t.Errorf("orch graph, epochs of %d: block %d, want %d", epochIters, got, want)
+		}
+	}
+	// A cycle whose delay of 8 iterations decouples blocks of 8 but not 16.
+	cyc := dataflow.New("cycle")
+	a, b := cyc.AddActor("A", 1), cyc.AddActor("B", 1)
+	cyc.AddEdge("fwd", a, b, 1, 1, dataflow.EdgeSpec{TokenBytes: 2})
+	cyc.AddEdge("back", b, a, 1, 1, dataflow.EdgeSpec{TokenBytes: 2, Delay: 8})
+	cm, err := demo.Mapping(cyc, []int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := epochBlock(cyc, cm, 64); got != 8 {
+		t.Errorf("cycle with a delay of 8, epochs of 64: block %d, want 8", got)
 	}
 }
 
@@ -299,6 +333,7 @@ func TestOrchestratedForcedMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkDigests(t, rep, want)
+	checkBlock(t, rep, 6)
 	if rep.Migrations == 0 {
 		t.Error("forced rotation produced no recorded migrations")
 	}
@@ -331,6 +366,7 @@ func TestOrchestratedWorkerDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkDigests(t, rep, want)
+	checkBlock(t, rep, 6)
 	if rep.WorkersLost != 1 {
 		t.Errorf("WorkersLost = %d, want 1", rep.WorkersLost)
 	}
@@ -367,6 +403,7 @@ func TestOrchestratedHeartbeatDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkDigests(t, rep, want)
+	checkBlock(t, rep, 6)
 	if rep.Aborts == 0 || rep.StalledTokens == 0 {
 		t.Errorf("aborts/stalled = %d/%d, want both nonzero", rep.Aborts, rep.StalledTokens)
 	}
@@ -425,6 +462,7 @@ func TestOrchestratedChaosSeverMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkDigests(t, rep, want)
+	checkBlock(t, rep, 6)
 	if st := ft.Stats(); st.Severs == 0 {
 		t.Fatal("fault schedule never severed the control link")
 	}
@@ -512,6 +550,7 @@ func TestOrchestratedStandingDeployment(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkDigests(t, rep, want)
+	checkBlock(t, rep, 16)
 	if rep.Epochs != epochs || rep.Commits != epochs || rep.Aborts != 0 {
 		t.Errorf("epochs/commits/aborts = %d/%d/%d, want %d/%d/0", rep.Epochs, rep.Commits, rep.Aborts, epochs, epochs)
 	}

@@ -302,26 +302,29 @@ func TestServeSingleSession(t *testing.T) {
 }
 
 // TestServeBlockedSession: a vectorized server (ServerConfig.Block) serves
-// a graph whose delayed cross-node edge is block-aligned — two iterations of
-// delay at B = 2, so the delay tokens themselves travel as a slab — and
-// whose run ends on a partial block. A session is a static run: it keeps no
-// checkpoint, so nothing about the blocked edge is refused, and its output is
-// the scalar reference's.
+// a graph with a delayed cross-node edge at B = 2 — two iterations of delay,
+// which travel as one preloaded slab, or one, which the producer carries at
+// the head of its first slab — and whose run ends on a partial block. Its
+// output is the scalar reference's.
 func TestServeBlockedSession(t *testing.T) {
-	const iters, delay = 11, 2
-	ref := reference(t, iters, delay)
-	g, m := delayedGraph(delay)
-	h := startServe(t, transport.NewLoopback(), "srv-blocked",
-		ServerConfig{Graph: g, Mapping: m, Iterations: iters, Block: 2}, true)
-	defer h.stop()
-	for i := 0; i < 3; i++ {
-		sink, status, err := h.runSession("alice")
-		if err != nil || status != CloseDone {
-			t.Fatalf("session %d: status %s, err %v", i, closeString(status), err)
+	const iters = 11
+	for _, delay := range []int{1, 2} {
+		ref := reference(t, iters, delay)
+		g, m := delayedGraph(delay)
+		h := startServe(t, transport.NewLoopback(), fmt.Sprintf("srv-blocked-d%d", delay),
+			ServerConfig{Graph: g, Mapping: m, Iterations: iters, Block: 2}, true)
+		for i := 0; i < 3; i++ {
+			sink, status, err := h.runSession("alice")
+			if err != nil || status != CloseDone {
+				h.stop()
+				t.Fatalf("delay %d, session %d: status %s, err %v", delay, i, closeString(status), err)
+			}
+			if !samePayloads(sink, ref) {
+				h.stop()
+				t.Fatalf("delay %d, session %d: blocked output differs from the scalar reference: %d vs %d payloads", delay, i, len(sink), len(ref))
+			}
 		}
-		if !samePayloads(sink, ref) {
-			t.Fatalf("session %d: blocked output differs from the scalar reference: %d vs %d payloads", i, len(sink), len(ref))
-		}
+		h.stop()
 	}
 }
 

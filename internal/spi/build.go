@@ -48,10 +48,9 @@ type System struct {
 	// SyncMessageBytes is the payload of one sync message (default 2).
 	SyncMessageBytes int
 	// Block is the vectorization blocking factor B: one simulated
-	// iteration models B graph iterations fired back to back, with
-	// block-aligned interprocessor edges moving one packed B-token slab
-	// (one header, one credit/ack) per sim iteration and misaligned
-	// edges moving B individual messages. Callers sweep speedup-vs-B by
+	// iteration models B graph iterations fired back to back, with every
+	// interprocessor edge moving one packed B-token slab (one header, one
+	// credit/ack) per sim iteration. Callers sweep speedup-vs-B by
 	// running iters/B sim iterations and dividing the per-iteration time
 	// by B. 0 or 1 models scalar execution exactly.
 	Block int
@@ -116,19 +115,18 @@ func Build(sys *System) (*Deployment, error) {
 	}
 
 	dep := &Deployment{Sim: sim}
-	// Channel per interprocessor edge, as planned. A blocked edge moves one
-	// slab per sim iteration, the rest blk individual messages; capacity and
-	// preload count whole messages (slabs when blocked).
-	edgeOf := make(map[dataflow.EdgeID]PartEdge)
+	// Channel per interprocessor edge, as planned: one message (a slab when
+	// blocked) per sim iteration; capacity and preload count whole messages.
+	cfgOf := make(map[dataflow.EdgeID]EdgeConfig)
 	chanOf := make(map[dataflow.EdgeID]platform.ChannelID)
 	for _, eid := range m.InterprocessorEdges(g) {
 		e := g.Edge(eid)
 		pe := plan.edge(eid)
-		edgeOf[eid] = pe
 		cfg := pe.config()
 		if sys.ForceUBS[eid] {
 			cfg.Protocol, cfg.Capacity = UBS, 0
 		}
+		cfgOf[eid] = cfg
 		spec := platform.ChannelSpec{
 			From:        int(m.Proc[e.Src]),
 			To:          int(m.Proc[e.Snk]),
@@ -166,19 +164,14 @@ func Build(sys *System) (*Deployment, error) {
 	}
 
 	// Per-PE programs. One sim iteration models blk graph iterations: an
-	// actor's blk compute blocks fuse into one Compute op, block-aligned
-	// edges move one slab, misaligned edges repeat their per-iteration
-	// message blk times.
+	// actor's blk compute blocks fuse into one Compute op, and every edge
+	// moves one message.
 	for p := 0; p < m.NumProcs; p++ {
 		var prog platform.Program
 		for _, a := range m.Order[p] {
 			// Receive every interprocessor input.
 			for _, eid := range g.In(a) {
-				ch, ok := chanOf[eid]
-				if !ok {
-					continue
-				}
-				for i := blk / int(edgeOf[eid].Block); i > 0; i-- {
+				if ch, ok := chanOf[eid]; ok {
 					prog = append(prog, platform.Recv(ch))
 				}
 			}
@@ -208,41 +201,25 @@ func Build(sys *System) (*Deployment, error) {
 				if !ok {
 					continue
 				}
-				pe := edgeOf[eid]
-				bf := int(pe.Block)
-				if fn, ok := sys.PayloadFn[eid]; ok {
-					if bf > 1 {
-						// One slab carries the block's packed payloads plus
-						// the per-token size table of the slab layout.
-						base := fn
-						prog = append(prog, platform.SendFn(ch, func(iter int) int {
-							total := slabCountBytes + bf*slabSizeBytes
-							for j := 0; j < bf; j++ {
-								total += base(iter*bf + j)
-							}
-							return total
-						}))
-					} else if blk > 1 {
-						base := fn
+				fn, ok := sys.PayloadFn[eid]
+				switch {
+				case ok && blk > 1:
+					// One slab carries the block's packed payloads plus the
+					// per-token size table of the slab layout.
+					prog = append(prog, platform.SendFn(ch, func(iter int) int {
+						total := slabCountBytes + blk*slabSizeBytes
 						for j := 0; j < blk; j++ {
-							j := j
-							prog = append(prog, platform.SendFn(ch, func(iter int) int {
-								return base(iter*blk + j)
-							}))
+							total += fn(iter*blk + j)
 						}
-					} else {
-						prog = append(prog, platform.SendFn(ch, fn))
-					}
-				} else if bf > 1 {
-					// Worst-case slab: the block's packed payloads at b_max
-					// each, plus the size table on originally-dynamic edges.
-					prog = append(prog, platform.Send(ch, pe.config().MaxBytes))
-				} else {
-					// Worst-case packed payload per message, blk of them
-					// when the edge is misaligned with the block.
-					for i := 0; i < blk; i++ {
-						prog = append(prog, platform.Send(ch, int(pe.Bytes)))
-					}
+						return total
+					}))
+				case ok:
+					prog = append(prog, platform.SendFn(ch, fn))
+				default:
+					// Worst case: the packed payload at b_max, or the slab of
+					// blk of them plus the size table on dynamic edges.
+					cfg := cfgOf[eid]
+					prog = append(prog, platform.Send(ch, max(cfg.PayloadBytes, cfg.MaxBytes)))
 				}
 			}
 		}

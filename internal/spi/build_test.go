@@ -231,9 +231,10 @@ func TestBuildBlockedEdgePacksSlabs(t *testing.T) {
 	}
 }
 
-func TestBuildBlockedMisalignedEdgeStaysScalar(t *testing.T) {
-	// One iteration of delay does not divide block 2, so the edge keeps
-	// token granularity: two individual messages per sim iteration.
+func TestBuildBlockedMisalignedEdgeCarries(t *testing.T) {
+	// One iteration of delay does not divide block 2, and the edge still
+	// moves one slab per sim iteration: the delay token rides at the head of
+	// the producer's first slab (the carry), so nothing is preloaded.
 	g, m := mappedPair(t, 1, 1, dataflow.EdgeSpec{TokenBytes: 4, Delay: 1})
 	dep, err := Build(&System{Graph: g, Mapping: m, Block: 2})
 	if err != nil {
@@ -243,11 +244,14 @@ func TestBuildBlockedMisalignedEdgeStaysScalar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Messages[platform.DataMsg] != 10 {
-		t.Errorf("messages = %d, want 10 (2 per sim iteration, no slab)", st.Messages[platform.DataMsg])
+	if st.Messages[platform.DataMsg] != 5 {
+		t.Errorf("messages = %d, want 5 (one slab per sim iteration)", st.Messages[platform.DataMsg])
 	}
-	if dep.Plans[0].Mode != Static {
-		t.Errorf("mode = %v, want Static (misaligned edge keeps scalar framing)", dep.Plans[0].Mode)
+	if dep.Plans[0].Mode != Dynamic {
+		t.Errorf("mode = %v, want Dynamic (slabs use SPI_dynamic framing)", dep.Plans[0].Mode)
+	}
+	if pre := dep.Sim.Channel(dep.Plans[0].Channel).Preload; pre != 0 {
+		t.Errorf("preload = %d slabs, want 0 (⌊1/2⌋)", pre)
 	}
 }
 

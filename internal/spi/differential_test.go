@@ -19,8 +19,8 @@ import (
 // random processor mapping and a random split of the processors over two
 // nodes must produce the sink digests of the scalar in-process run in every
 // execution mode — blocked in-process, distributed over loopback under a
-// drawn link policy, and a standing partition deployment fired as three
-// consecutive ranges. The demo
+// drawn link policy, and a standing partition deployment, scalar and
+// blocked, fired as consecutive ranges. The demo
 // kernels make every byte a pure function of graph, seed, actor, iteration
 // and inputs, so any difference is the executor's. The reference run's
 // kernels allocate every output afresh; every other run, the scalar one
@@ -40,14 +40,20 @@ type diffCase struct {
 	feedback   bool
 }
 
+// forwardDelays are the delays, in iterations, of the drawn forward edges:
+// 1, B−1, B+1 and 2B+1 for both blocking factors, so a blocked run preloads
+// whole slabs, carries a partial one, or both.
+var forwardDelays = []int{1, 3, 4, 5, 6, 11}
+
 // drawCase draws graph, mapping and node split from the seed. Actors sit on
 // their processor in graph order — topological by construction, feedback
 // edges carrying an iteration of delay — so the scalar self-timed schedule
 // cannot deadlock. The iteration count is odd and no multiple of 5: both
-// blocking factors end on a partial block. Wherever some processor hosts two
-// actors, a forward edge with one or two iterations of delay joins two actors
-// of one processor: the tokens of such an edge sit in its local queue while
-// their producer fires again.
+// blocking factors end on a partial block. A forward edge with a delay from
+// forwardDelays joins two actors of different processors, and wherever some
+// processor hosts two actors another joins two actors of one processor: the
+// tokens of such an edge sit in its local queue while their producer fires
+// again.
 func drawCase(t *testing.T, seed uint64) diffCase {
 	t.Helper()
 	rng := signal.NewRNG(seed * 7919)
@@ -79,17 +85,23 @@ func drawCase(t *testing.T, seed uint64) diffCase {
 			assign[i] = rng.Intn(procs)
 		}
 	}
+	q, err := g.RepetitionsVector()
+	if err != nil {
+		t.Fatal(err)
+	}
+	forward := func(name string, src, snk int) {
+		produce, consume := int(q[snk]), int(q[src]) // q[src]·q[snk] tokens an iteration
+		delay := forwardDelays[rng.Intn(len(forwardDelays))]
+		g.AddEdge(name, dataflow.ActorID(src), dataflow.ActorID(snk), produce, consume,
+			dataflow.EdgeSpec{Delay: delay * produce * consume, TokenBytes: 1 + rng.Intn(4)})
+	}
+	src := rng.Intn(procs - 1) // actors below procs sit on processors of their own
+	forward("carried", src, src+1+rng.Intn(procs-src-1))
 	if spec.Actors > procs {
 		snk := procs + rng.Intn(spec.Actors-procs)
 		src := rng.Intn(snk)
 		assign[snk] = assign[src]
-		q, err := g.RepetitionsVector()
-		if err != nil {
-			t.Fatal(err)
-		}
-		produce, consume := int(q[snk]), int(q[src]) // q[src]·q[snk] tokens an iteration
-		g.AddEdge("delayed", dataflow.ActorID(src), dataflow.ActorID(snk), produce, consume,
-			dataflow.EdgeSpec{Delay: (1 + rng.Intn(2)) * produce * consume, TokenBytes: 1 + rng.Intn(4)})
+		forward("delayed", src, snk)
 	}
 	m, err := demo.Mapping(g, assign)
 	if err != nil {
@@ -111,7 +123,7 @@ func drawCase(t *testing.T, seed uint64) diffCase {
 // largest input's buffer when it fits (an input slice may be returned as an
 // output), and every other one — every output of a source actor, which has
 // no input to pass through — in a per-edge buffer the next firing overwrites
-// (outputs need only live until the firing's emits return). The bytes are
+// (outputs need only live until the actor fires again). The bytes are
 // the wrapped kernel's; an executor that keeps a payload by reference past
 // those points — a local push without its copy — changes a digest.
 func recycling(k spi.Kernel) spi.Kernel {
@@ -208,16 +220,23 @@ func (c diffCase) distributed() (map[string]uint64, error) {
 	return got, nil
 }
 
-// partitioned opens the case as a standing two-worker deployment and fires
-// it as three consecutive Run ranges.
-func (c diffCase) partitioned() (map[string]uint64, error) {
-	specs, err := spi.BuildPartitions(c.g, c.m, c.nodeOf, 2, 1, false)
+// partitioned opens the case as a standing two-worker deployment at the
+// given blocking factor and fires it as consecutive Run ranges: two of whole
+// blocks while they fit, then the rest, which may end inside a block.
+func (c diffCase) partitioned(block int) (map[string]uint64, error) {
+	specs, err := spi.BuildPartitions(c.g, c.m, c.nodeOf, 2, block, false)
 	if err != nil {
 		return nil, err
 	}
-	cut1 := 1 + int(c.seed)%3
-	cut2 := cut1 + 1 + int(c.seed)%4
-	ranges := [][2]int{{0, cut1}, {cut1, cut2 - cut1}, {cut2, c.iterations - cut2}}
+	var ranges [][2]int
+	for base, i := 0, 0; base < c.iterations; i++ {
+		n := c.iterations - base
+		if i < 2 {
+			n = min(n, block*(1+int(c.seed)%(3+i)))
+		}
+		ranges = append(ranges, [2]int{base, n})
+		base += n
+	}
 
 	tr := transport.NewLoopback()
 	addrs := []string{"diff-w0", "diff-w1"}
@@ -313,11 +332,12 @@ func TestDifferentialExecutors(t *testing.T) {
 					continue
 				}
 				check(mode, got, err)
+				mode = fmt.Sprintf("partitioned, block %d", block)
+				got, err = within(t, mode, func() (map[string]uint64, error) { return c.partitioned(block) })
+				check(mode, got, err)
 			}
 			got, err := within(t, "distributed", c.distributed)
 			check("distributed", got, err)
-			got, err = within(t, "partitioned", c.partitioned)
-			check("partitioned", got, err)
 		})
 	}
 }

@@ -98,8 +98,8 @@ type DistOptions struct {
 	// statistics (EdgeStats.AcksSuppressed).
 	Resync bool
 	// Block is the vectorization blocking factor B: every node fires B
-	// consecutive iterations per super-iteration and block-aligned
-	// cross-node edges carry one packed B-token DATA frame per block.
+	// consecutive iterations per super-iteration and every cross-node edge
+	// carries one packed B-token DATA frame per block.
 	// All nodes must use the same value — the HELLO blocked flag and the
 	// edge manifest reject mismatched peers. 0 or 1 is scalar
 	// execution, bit-identical to today's wire format.
@@ -324,7 +324,7 @@ func (env *execEnv) open(spec *PartitionSpec, opts DistOptions) error {
 			continue
 		}
 		var err error
-		if s.tx, s.rx, err = env.rt.Init(s.cfg); err != nil {
+		if s.tx, s.rx, err = env.rt.Init(spec.Edges[i].config()); err != nil {
 			return err
 		}
 	}
@@ -370,9 +370,9 @@ func (env *execEnv) open(spec *PartitionSpec, opts DistOptions) error {
 		s.link = mlinks[s.peer]
 		var err error
 		if s.out {
-			err = env.rt.BindRemoteSender(s.cfg.ID, s.link)
+			err = env.rt.BindRemoteSender(EdgeID(s.id), s.link)
 		} else {
-			err = env.rt.BindRemoteReceiver(s.cfg.ID, s.link)
+			err = env.rt.BindRemoteReceiver(EdgeID(s.id), s.link)
 		}
 		if err != nil {
 			env.finish(false)

@@ -132,7 +132,7 @@ type edgeSlot struct {
 	// zero-padded to exactly bmax.
 	bmax    int
 	dynamic bool
-	// block is the number of iterations per message: B on a block-aligned
+	// block is the number of iterations per message: B on every
 	// cross-processor edge of a blocked run (one packed slab per block),
 	// else 1 (token-granular).
 	block int
@@ -143,7 +143,6 @@ type edgeSlot struct {
 	// where gather puts a token's buffer once its consumer's firing is over.
 	queue, spare [][]byte
 
-	cfg     EdgeConfig
 	out, in bool
 	peer    int // node hosting the far endpoint, -1 when both are here
 	tx      *Sender
@@ -157,9 +156,15 @@ type edgeSlot struct {
 	// slab receive buffer.
 	toks   [][]byte
 	slabIn []byte
-	// Producer side: the slab being packed, and the optional checkpoint
-	// hook keeping the last delay payloads sent (standing deployments).
+	// Producer side: the open slab and the fill tokens packed into it (the
+	// carry between blocks); ready, the message the next flush sends when
+	// due — the slab the block filled, whose buffer the slab after next
+	// opens in, or a scalar run's token; and the optional checkpoint hook
+	// keeping the last delay payloads emitted (standing deployments).
 	slabOut []byte
+	fill    int
+	ready   []byte
+	due     bool
 	tail    *tailRing
 }
 
@@ -167,19 +172,25 @@ func (s *edgeSlot) local() bool { return !s.out && !s.in }
 
 // tailRing keeps the last depth payloads pushed, oldest first, in buffers
 // it reuses: a payload may alias a kernel buffer the next firing overwrites.
+// A static token is kept zero-padded to pad bytes, as the wire carries it.
 type tailRing struct {
-	depth int
-	q     [][]byte
+	depth, pad int
+	q          [][]byte
 }
 
 func (t *tailRing) push(payload []byte) {
+	var buf []byte
 	if len(t.q) < t.depth {
-		t.q = append(t.q, append([]byte(nil), payload...))
-		return
+		t.q = append(t.q, nil)
+	} else {
+		buf = t.q[0][:0]
+		copy(t.q, t.q[1:])
 	}
-	oldest := t.q[0]
-	copy(t.q, t.q[1:])
-	t.q[len(t.q)-1] = append(oldest[:0], payload...)
+	buf = append(buf, payload...)
+	for len(buf) < t.pad {
+		buf = append(buf, 0)
+	}
+	t.q[len(t.q)-1] = buf
 }
 
 // actorRowBase offsets kernel-firing trace rows (tid = actorRowBase +
@@ -289,7 +300,7 @@ func (env *execEnv) starve(p *procPlan) {
 					// Best effort: the link may be the very thing that died.
 					_ = s.link.SendFin(uint16(s.id))
 				}
-				env.rt.CloseEdge(s.cfg.ID)
+				env.rt.CloseEdge(EdgeID(s.id))
 			}
 		}
 	}
@@ -315,9 +326,11 @@ func collapseErrs(errs []error) error {
 	return closedErr
 }
 
-// clock and charge time a kernel invocation into its processor's busy time
-// — where somebody reads it: the two clock reads are 100 ns a firing, 2 %
-// of the per-token CPU of a scalar run over TCP.
+// clock and charge time a block firing's kernel invocations, and the packing
+// of their outputs, into its processor's busy time — where somebody reads it:
+// a standing deployment. The pair is read once per block firing, never
+// around a send; read around every kernel call, it cost elastic_loopback
+// at B = 16 a fifth of its units/s (2-CPU host).
 func (env *execEnv) clock() time.Time {
 	if env.timed {
 		return time.Now()
@@ -353,29 +366,24 @@ func (env *execEnv) fire(p *procPlan, base, n int) error {
 
 // fireActor fires one actor for iterations iter..iter+n-1: gather the n
 // tokens of every input edge, invoke the kernel (a VectorKernel once, a
-// scalar Kernel n times), and route every output token. The kernel span
-// closes when the block's last invocation returns, before its outputs go
-// out: time blocked in a send is the edge's, not the kernel's.
+// scalar Kernel n times), route every output token, and then send what the
+// block completed: at most one message per cross-processor edge. The kernel
+// span closes when the block's last invocation returns, before its outputs
+// go out: time blocked in a send is the edge's, not the kernel's.
 func (env *execEnv) fireActor(p *procPlan, a *actorSlot, iter, n int) error {
 	for _, s := range a.in {
 		if err := s.gather(p, n); err != nil {
 			return fmt.Errorf("spi: actor %s edge %s: %w", a.name, s.name, err)
 		}
 	}
-	for _, s := range a.out {
-		if s.block > 1 {
-			s.slabOut = beginSlab(s.slabOut, n, s.dynamic)
-		}
-	}
 	span := a.obs.tr.Now()
+	start := env.clock()
 	if a.vkernel != nil {
 		clear(p.vecIn)
 		for _, s := range a.in {
 			p.vecIn[s.id] = s.toks[:n]
 		}
-		start := env.clock()
 		out, err := a.vkernel(iter, n, p.vecIn)
-		p.charge(start)
 		if err != nil {
 			return fmt.Errorf("spi: actor %s iterations %d..%d: %w", a.name, iter, iter+n-1, err)
 		}
@@ -391,7 +399,7 @@ func (env *execEnv) fireActor(p *procPlan, a *actorSlot, iter, n int) error {
 				if toks != nil {
 					tok = toks[j]
 				}
-				if err := s.emit(j, tok); err != nil {
+				if err := s.emit(tok); err != nil {
 					return fmt.Errorf("spi: actor %s edge %s: %w", a.name, s.name, err)
 				}
 			}
@@ -402,9 +410,7 @@ func (env *execEnv) fireActor(p *procPlan, a *actorSlot, iter, n int) error {
 			for _, s := range a.in {
 				p.in[s.id] = s.toks[j]
 			}
-			start := env.clock()
 			out, err := a.kernel(iter+j, p.in)
-			p.charge(start)
 			if err != nil {
 				return fmt.Errorf("spi: actor %s iteration %d: %w", a.name, iter+j, err)
 			}
@@ -413,19 +419,19 @@ func (env *execEnv) fireActor(p *procPlan, a *actorSlot, iter, n int) error {
 			}
 			// The scalar contract lets the kernel recycle its output
 			// buffers between firings, so each firing's outputs are
-			// consumed before the next.
+			// consumed before the next: a scalar run's n is 1, and its
+			// ready token is sent before the kernel runs again.
 			for _, s := range a.out {
-				if err := s.emit(j, out[s.id]); err != nil {
+				if err := s.emit(out[s.id]); err != nil {
 					return fmt.Errorf("spi: actor %s edge %s: %w", a.name, s.name, err)
 				}
 			}
 		}
 	}
+	p.charge(start)
 	for _, s := range a.out {
-		if s.block > 1 {
-			if err := s.tx.Send(s.slabOut); err != nil {
-				return fmt.Errorf("spi: actor %s edge %s: send: %w", a.name, s.name, err)
-			}
+		if err := s.flush(n < env.block); err != nil {
+			return fmt.Errorf("spi: actor %s edge %s: send: %w", a.name, s.name, err)
 		}
 	}
 	a.obs.firings.Add(int64(n))
@@ -472,42 +478,80 @@ func (s *edgeSlot) gather(p *procPlan, n int) error {
 	return nil
 }
 
-// emit routes the j-th output token of a block firing: packed (copied) into
-// the outgoing slab of a blocked edge, sent at once on a token-granular
-// cross-processor edge, or copied into a recycled buffer of the local queue
-// — every route copies, so the payload need not outlive the call. The VTS
-// bound is enforced and short static payloads are zero-padded to the fixed
-// transfer size on every route.
-func (s *edgeSlot) emit(j int, payload []byte) error {
+// emit routes the next output token of a block firing: packed (copied) into
+// the open slab of a blocked edge, held as a scalar run's ready message on a
+// cross-processor edge, or copied into a recycled buffer of the local queue.
+// It never sends: flush does, once the block's kernels are done. The VTS bound is enforced and short static payloads are zero-padded
+// to the fixed transfer size on every route.
+func (s *edgeSlot) emit(payload []byte) error {
 	if s.block > 1 {
-		slab, err := appendSlabToken(s.slabOut, j, payload, s.bmax, s.dynamic)
-		if err != nil {
+		if err := s.pack(payload); err != nil {
 			return err
 		}
-		s.slabOut = slab
-		return nil
-	}
-	if len(payload) > s.bmax {
-		return fmt.Errorf("kernel produced %d bytes, bound %d", len(payload), s.bmax)
-	}
-	if !s.dynamic && len(payload) != s.bmax {
-		padded := make([]byte, s.bmax)
-		copy(padded, payload)
-		payload = padded
-	}
-	if s.local() {
-		var buf []byte
-		if k := len(s.spare); k > 0 {
-			buf, s.spare = s.spare[k-1], s.spare[:k-1]
+	} else {
+		if len(payload) > s.bmax {
+			return fmt.Errorf("kernel produced %d bytes, bound %d", len(payload), s.bmax)
 		}
-		s.queue = append(s.queue, append(buf[:0], payload...))
-		return nil
+		if !s.dynamic && len(payload) != s.bmax {
+			padded := make([]byte, s.bmax)
+			copy(padded, payload)
+			payload = padded
+		}
+		if s.local() {
+			var buf []byte
+			if k := len(s.spare); k > 0 {
+				buf, s.spare = s.spare[k-1], s.spare[:k-1]
+			}
+			s.queue = append(s.queue, append(buf[:0], payload...))
+			return nil
+		}
+		s.ready, s.due = payload, true // a scalar run: the firing's one token, sent before the kernel runs again
 	}
 	if s.tail != nil {
 		s.tail.push(payload)
 	}
-	if err := s.tx.Send(payload); err != nil {
-		return fmt.Errorf("send: %w", err)
+	return nil
+}
+
+// pack appends one token to the open slab, opening one in slabOut's buffer
+// when none is (fill 0). The slab a token fills becomes the ready message —
+// one per block firing, since a block emits B tokens — and slabOut takes the
+// buffer the last one was sent from. So every slab holds exactly the B
+// tokens one consumer block reads, whatever the edge's delay: the d mod B
+// delay tokens that do not make a whole slab are the first slab's head
+// (preloadDelay, partition.go), and as many of every block's tokens are the
+// next one's.
+func (s *edgeSlot) pack(payload []byte) error {
+	if s.fill == 0 {
+		s.slabOut = beginSlab(s.slabOut, s.block, s.dynamic)
+	}
+	slab, err := appendSlabToken(s.slabOut, s.fill, payload, s.bmax, s.dynamic)
+	if err != nil {
+		return err
+	}
+	if s.slabOut, s.fill = slab, s.fill+1; s.fill == s.block {
+		s.ready, s.slabOut, s.fill, s.due = slab, s.ready, 0, true
+	}
+	return nil
+}
+
+// flush sends the message a block firing completed, if any. A run that ends
+// inside a block (short) without filling the open slab sends it as it
+// stands: its consumer's final block needs only its first tokens, and a
+// dynamic slab's size table is zero past the last one packed.
+func (s *edgeSlot) flush(short bool) error {
+	switch {
+	case s.due:
+		s.due = false
+		if s.block > 1 && s.fill == 0 {
+			// Nothing was packed past the full slab, so the next can open in
+			// its buffer: an edge without a carry packs into one buffer only.
+			s.ready, s.slabOut = s.slabOut, s.ready
+			return s.tx.Send(s.slabOut)
+		}
+		return s.tx.Send(s.ready)
+	case short && s.block > 1:
+		return s.tx.Send(s.slabOut)
 	}
 	return nil
 }
@@ -537,8 +581,8 @@ func Execute(g *dataflow.Graph, m *sched.Mapping, kernels map[dataflow.ActorID]K
 
 // ExecuteBlocked runs the mapped graph like Execute but vectorized by
 // vec.Block: B consecutive iterations fire per super-iteration and every
-// block-aligned interprocessor edge moves its B tokens as one packed slab,
-// paying headers, credits, and acks once per block. Outputs are
+// interprocessor edge moves B tokens as one packed slab, paying headers,
+// credits, and acks once per block. Outputs are
 // bit-identical to the scalar run. vec.Block <= 1 is Execute exactly. It is
 // ExecuteDistributed with every processor on the one node.
 func ExecuteBlocked(g *dataflow.Graph, m *sched.Mapping, kernels map[dataflow.ActorID]Kernel, iterations int, vec VecOptions) (*ExecStats, error) {

@@ -49,8 +49,8 @@ type PartEdge struct {
 	// Delay is the edge's initial delay in whole graph iterations.
 	Delay uint32
 	// Block is the number of iterations per message: the run's blocking
-	// factor on a cross-processor edge whose delay is a whole multiple of it
-	// — one packed slab per block, Capacity counted in slabs — else 1.
+	// factor on every cross-processor edge — one packed slab per block,
+	// Capacity counted in slabs — and 1 on a same-processor edge.
 	Block uint32
 	// SameProc marks both endpoints on one processor: a local queue.
 	SameProc bool
@@ -151,9 +151,9 @@ func crossesWorkers(e *PartEdge) bool {
 }
 
 // config is the SPI edge a cross-processor edge is initialized as: the
-// token's own framing and bound when it is token-granular, and on a blocked
-// edge SPI_dynamic framing bounded by a full slab — the final block of a run
-// may be partial.
+// token's own framing and bound in a scalar run, and in a blocked one
+// SPI_dynamic framing bounded by a full slab — a run that ends inside a
+// block sends its open slab short.
 func (e *PartEdge) config() EdgeConfig {
 	cfg := EdgeConfig{ID: EdgeID(e.ID), Name: e.Name, Mode: Mode(e.Mode),
 		Protocol: Protocol(e.Protocol), Capacity: int(e.Capacity)}
@@ -214,8 +214,12 @@ func lowerPartition(spec *PartitionSpec, kernels map[string]Kernel, vkernels map
 		if crossesWorkers(e) && (e.Peer < 0 || e.Peer >= spec.Workers || e.Peer == spec.Node) {
 			return nil, fmt.Errorf("spi: partition edge %s names peer worker %d of %d", e.Name, e.Peer, spec.Workers)
 		}
-		if e.Block > 1 && (e.SameProc || int(e.Block) != spec.Block) {
-			return nil, fmt.Errorf("spi: partition edge %s has block factor %d in a run of block %d", e.Name, e.Block, spec.Block)
+		want := env.block
+		if e.SameProc {
+			want = 1
+		}
+		if max(int(e.Block), 1) != want {
+			return nil, fmt.Errorf("spi: partition edge %s has block factor %d, want %d in a run of block %d", e.Name, e.Block, want, env.block)
 		}
 		s := &env.edges[i]
 		slots[e.ID] = s
@@ -226,7 +230,6 @@ func lowerPartition(spec *PartitionSpec, kernels map[string]Kernel, vkernels map
 			s.queue = clonePayloads(spec.Preload[e.ID])
 			continue
 		}
-		s.cfg = e.config()
 		s.out, s.in = e.Out, e.In
 		if crossesWorkers(e) {
 			s.peer = e.Peer
@@ -236,8 +239,7 @@ func lowerPartition(spec *PartitionSpec, kernels map[string]Kernel, vkernels map
 		}
 		if e.Out {
 			// Sender-side only, so the delay tokens cross a wire once.
-			var err error
-			if s.preload, err = s.delayMessages(spec.Preload[e.ID]); err != nil {
+			if err := s.preloadDelay(spec.Preload[e.ID]); err != nil {
 				return nil, err
 			}
 		}
@@ -276,25 +278,27 @@ func lowerPartition(spec *PartitionSpec, kernels map[string]Kernel, vkernels map
 	return env, env.checkKernels()
 }
 
-// delayMessages turns an out-edge's preloaded delay tokens into the messages
-// open replays through its sender. Token-granular, they are the tokens
-// themselves (SendBatch copies); on a blocked edge they go out as delay/B
-// full slabs of B tokens, the slab-level image of the scalar preload.
-func (s *edgeSlot) delayMessages(tokens [][]byte) ([][]byte, error) {
+// preloadDelay turns an out-edge's d preloaded delay tokens into the
+// messages open replays through its sender. Token-granular, they are the
+// tokens themselves (SendBatch copies). In a blocked run they go out as
+// ⌊d/B⌋ full slabs of B tokens, and the other d mod B tokens — the carry —
+// open the slab the producer's first block completes, so the consumer's
+// block k reads slab k whatever d is.
+func (s *edgeSlot) preloadDelay(tokens [][]byte) error {
 	if s.block == 1 {
-		return tokens, nil
+		s.preload = tokens
+		return nil
 	}
-	if len(tokens)%s.block != 0 {
-		return nil, fmt.Errorf("spi: partition edge %s preloads %d tokens, not whole %d-token slabs", s.name, len(tokens), s.block)
-	}
-	slabs := make([][]byte, len(tokens)/s.block)
-	for i := range slabs {
-		var err error
-		if slabs[i], err = PackSlab(nil, tokens[i*s.block:(i+1)*s.block], s.bmax, s.dynamic); err != nil {
-			return nil, fmt.Errorf("spi: partition edge %s preload: %w", s.name, err)
+	for _, tok := range tokens {
+		if err := s.pack(tok); err != nil {
+			return fmt.Errorf("spi: partition edge %s preload: %w", s.name, err)
+		}
+		if s.due {
+			// A preloaded slab is replayed at open: no slab opens in it.
+			s.preload, s.ready, s.due = append(s.preload, s.ready), nil, false
 		}
 	}
-	return slabs, nil
+	return nil
 }
 
 // PartitionRun is one worker's standing deployment of a partition: the
@@ -306,6 +310,9 @@ type PartitionRun struct {
 	spec      *PartitionSpec
 	opts      DistOptions
 	stopWatch func() bool
+	// ended refuses every Run after one that ended inside a block: that
+	// Run sent its open slabs short, so no carry lines up with a later block.
+	ended error
 }
 
 // OpenPartition sets up one worker's partition from its self-contained
@@ -328,23 +335,20 @@ func OpenPartition(spec *PartitionSpec, kernels map[string]Kernel, opts DistOpti
 	// What a standing deployment adds to the shared environment, and a static
 	// run never pays for: kernel clocks (the load signal its Runs report) and
 	// the checkpoint hook, a tailRing on every delayed edge produced here,
-	// seeded with the spec's preload.
+	// seeded with the spec's preload. The checkpoint is token-granular in a
+	// blocked run too: the last d tokens emitted are what is in flight
+	// whenever a range ends on a block boundary — sent slabs not yet consumed
+	// and the carry — and a cold redeployment re-chunks them (preloadDelay).
 	env.timed = true
 	for i := range spec.Edges {
 		e, s := &spec.Edges[i], &env.edges[i]
-		if e.SameProc || e.Delay == 0 {
-			continue
-		}
-		if s.block > 1 {
-			// The tokens in flight on a blocked edge are packed slabs, and a
-			// range that ends inside a block leaves a consumed slab's other
-			// tokens behind.
-			return nil, fmt.Errorf("spi: partition edge %s carries its %d iterations of delay in %d-token slabs: the checkpoint is token-granular", e.Name, e.Delay, e.Block)
-		}
-		if e.Out {
+		if e.Out && !e.SameProc && e.Delay > 0 {
 			s.tail = &tailRing{depth: int(e.Delay)}
-			for _, p := range s.preload {
-				s.tail.push(p)
+			if !s.dynamic {
+				s.tail.pad = s.bmax
+			}
+			for _, tok := range spec.Preload[e.ID] {
+				s.tail.push(tok)
 			}
 		}
 	}
@@ -369,15 +373,23 @@ func OpenPartition(spec *PartitionSpec, kernels map[string]Kernel, opts DistOpti
 
 // Run fires iterations baseIter..baseIter+n-1 on the standing environment
 // and returns the checkpoint at their end. A deployment runs one range at
-// a time, each starting where the last one ended. The run is fail-fast: a
-// dead peer, a kernel error, or a cancelled context fails it, after which
-// the deployment can only be closed — the coordinator re-places and
-// re-executes the range, and determinism makes that bit-identical.
+// a time, each starting where the last one ended; in a blocked deployment
+// only the last range may end inside a block (n not a multiple of B), and
+// every later Run is refused. The run is fail-fast: a dead peer, a kernel
+// error, or a cancelled context fails it, after which the deployment can
+// only be closed — the coordinator re-places and re-executes the range, and
+// determinism makes that bit-identical.
 func (pr *PartitionRun) Run(baseIter, n int) (*PartResult, error) {
 	if baseIter < 0 || n <= 0 {
 		return nil, fmt.Errorf("spi: partition run of %d iterations from %d", n, baseIter)
 	}
+	if pr.ended != nil {
+		return nil, pr.ended
+	}
 	env := pr.env
+	if n%env.block != 0 {
+		pr.ended = fmt.Errorf("spi: partition run %d..%d ended inside a %d-iteration block: the deployment runs no further range", baseIter, baseIter+n-1, env.block)
+	}
 	runErr := collapseErrs(env.run(baseIter, n))
 	if ctx := pr.opts.Context; ctx != nil && ctx.Err() != nil {
 		runErr = ctx.Err()
@@ -398,7 +410,7 @@ func (pr *PartitionRun) Run(baseIter, n int) (*PartResult, error) {
 	env.eachActor(func(_ *procPlan, a *actorSlot) { res.Firings[a.name] = int(a.fired.Load()) })
 	for i := range pr.spec.Edges {
 		// The in-flight tokens of a delayed edge produced here: the last
-		// Delay payloads sent, or what its local queue holds.
+		// Delay payloads emitted, or what its local queue holds.
 		switch e, s := &pr.spec.Edges[i], &env.edges[i]; {
 		case s.tail != nil:
 			res.Tails[e.ID] = clonePayloads(s.tail.q)

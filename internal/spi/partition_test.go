@@ -539,15 +539,21 @@ func TestPartitionSpecValidation(t *testing.T) {
 				}
 			}
 		}, byName), "names peer worker 5 of 2"},
-		{"edge blocked in a scalar run", execute(func(s *PartitionSpec) { s.Edges[0].Block = 4 }, byName), "has block factor 4 in a run of block 1"},
+		{"edge blocked in a scalar run", execute(func(s *PartitionSpec) { s.Edges[0].Block = 4 }, byName), "has block factor 4, want 1 in a run of block 1"},
+		{"edge token-granular in a blocked run", execute(func(s *PartitionSpec) { s.Block = 2 }, byName), "has block factor 1, want 2 in a run of block 2"},
+		// Half a slab of delay is the carry: lowering takes it, and the run
+		// gets as far as its links.
 		{"preload of half a slab", execute(func(s *PartitionSpec) {
 			s.Block = 2
 			for i := range s.Edges {
-				if e := &s.Edges[i]; e.Out && e.Delay > 0 {
-					e.Block, s.Preload = 2, map[uint16][][]byte{e.ID: {{}}}
+				if e := &s.Edges[i]; !e.SameProc {
+					e.Block = 2
+					if e.Out && e.Delay > 0 {
+						s.Preload = map[uint16][][]byte{e.ID: {{}}}
+					}
 				}
 			}
-		}, byName), "not whole 2-token slabs"},
+		}, byName), "spi: distributed run needs a transport or a link provider"},
 	} {
 		err := c.run()
 		switch {
@@ -587,65 +593,23 @@ func TestOpenPartitionNamesNoRange(t *testing.T) {
 	}
 }
 
-// TestOpenPartitionRefusesBlockedCheckpoint: the checkpoint of a standing
-// deployment is token-granular, so a spec whose delayed edge travels in
-// slabs is refused by edge name on both of its workers, and the same graph
-// opens once no delayed edge is blocked. The refusal is the checkpoint's
-// alone: the static run of the same two specs (ExecutePartition), which
-// keeps none, reproduces the scalar digests. partGraph at B = 2 blocks "ab"
-// (two iterations of delay) and leaves "bc" (one) token-granular.
-func TestOpenPartitionRefusesBlockedCheckpoint(t *testing.T) {
-	g, m := partGraph()
-	sinks := &partTestSinks{d: map[string]uint64{}}
-	_, byName, _ := partTestKernels(g, 7, sinks)
-	specs, err := BuildPartitions(g, m, []int{0, 1, 1}, 2, 2, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for w, spec := range specs {
-		_, err := OpenPartition(spec, byName, DistOptions{Transport: transport.NewLoopback()})
-		if err == nil || !strings.Contains(err.Error(), "edge ab") || !strings.Contains(err.Error(), "checkpoint") {
-			t.Errorf("worker %d: blocked spec: %v, want a refusal naming edge ab and the checkpoint", w, err)
-		}
-	}
-	tr := transport.NewLoopback()
-	static := &partTestSinks{d: map[string]uint64{}}
-	errs := make([]error, len(specs))
-	var wg sync.WaitGroup
-	for w, spec := range specs {
-		spec.Iterations, spec.Addrs = 7, []string{"blocked-w0", "blocked-w1"} // a partial final block
-		_, kernels, _ := partTestKernels(g, 7, static)
-		wg.Add(1)
-		go func(w int, spec *PartitionSpec) {
-			defer wg.Done()
-			_, errs[w] = ExecutePartition(spec, kernels, DistOptions{Transport: tr,
-				Retry: transport.RetryConfig{Attempts: 20, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}})
-		}(w, spec)
-	}
-	wg.Wait()
-	for w, err := range errs {
-		if err != nil {
-			t.Fatalf("static run of the blocked spec, worker %d: %v", w, err)
-		}
-	}
-	want7, _ := partReference(t, 7)
-	checkPartDigests(t, static.snapshot(), want7, nil, nil)
-	// B = 3 aligns with no delay: "cd" alone is blocked, and carries none.
-	specs, err = BuildPartitions(g, m, []int{0, 0, 0}, 1, 3, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr, err := OpenPartition(specs[0], byName, DistOptions{})
-	if err != nil {
-		t.Fatalf("blocked spec without a blocked delay: %v", err)
-	}
-	_, err = pr.Run(0, 7)
-	pr.Close(err == nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := partReference(t, 7) // the scalar run's
-	checkPartDigests(t, sinks.snapshot(), want, nil, nil)
+// TestOpenPartitionBlockedCheckpoint: a blocked standing deployment with
+// delayed edges checkpoints exactly what the per-epoch cold path does, and
+// what a scalar run does at the same epoch boundaries. partGraph at B = 2 on
+// two workers preloads "ab" (two iterations of delay) as one slab across
+// workers and carries "bc"'s one delay token inside worker 1; the last epoch
+// ends inside a block.
+func TestOpenPartitionBlockedCheckpoint(t *testing.T) {
+	const iterations, epochLen = 7, 2
+	workerOf := []int{0, 1, 1}
+	want, _ := partReference(t, iterations)
+	scalar, _ := runPartEpochs(t, iterations, epochLen, 1, workerOf, false)
+	cold, coldDigests := runPartEpochs(t, iterations, epochLen, 2, workerOf, false)
+	warm, warmDigests := runPartEpochs(t, iterations, epochLen, 2, workerOf, true)
+	sameCheckpoints(t, "standing vs cold", warm, cold)
+	sameCheckpoints(t, "blocked vs scalar", cold, scalar)
+	checkPartDigests(t, coldDigests, want, nil, nil)
+	checkPartDigests(t, warmDigests, want, nil, nil)
 }
 
 // TestSharedSpecConcurrentLowering lowers and runs one spec from 16

@@ -56,30 +56,22 @@ func newGraphPlan(g *dataflow.Graph, block int) (*graphPlan, error) {
 // (BBS when the VTS analysis proves a bound, else UBS), the delay in whole
 // graph iterations, and the block factor — identical for in-process and
 // networked edges, so a distributed run and its single-process reference
-// use the same protocols on the same edges. An edge carries B-token slabs
-// when its delay is a whole multiple of B iterations (including zero);
-// a misaligned delay makes the consumer's block straddle two producer
-// blocks, so such an edge stays token-granular. Capacity and the BBS credit
-// pool are accounted in messages — slabs on a blocked edge, scaling the
-// eq. 2 memory bound by B — and leave room for one message beyond the
-// preloaded delay.
+// use the same protocols on the same edges. In a blocked run every
+// cross-processor edge carries consumer-aligned B-token slabs, whatever its
+// delay (execute.go, pack). Capacity and the BBS credit pool are accounted
+// in messages — slabs in a blocked run, scaling the eq. 2 memory bound by
+// B — and leave room for one message beyond the ⌊delay/B⌋ preloaded slabs.
 func (p *graphPlan) edge(eid dataflow.EdgeID) PartEdge {
 	e, info := p.g.Edge(eid), p.conv.Info(eid)
-	delay, bf := 0, 1
-	if t := int(p.g.IterationTokens(p.q, eid)); t > 0 {
-		delay = e.Delay / t
-	}
-	if delay%p.block == 0 {
-		bf = p.block
-	}
+	delay := p.g.DelayIterations(p.q, eid)
 	pe := PartEdge{ID: uint16(eid), Name: e.Name, Mode: uint8(Static), Bytes: uint32(info.BMax),
-		Protocol: uint8(UBS), Delay: uint32(delay), Block: uint32(bf), Peer: -1}
+		Protocol: uint8(UBS), Delay: uint32(delay), Block: uint32(p.block), Peer: -1}
 	if info.Dynamic {
 		pe.Mode = uint8(Dynamic)
 	}
 	if b := p.bounds[eid]; b.Bounded {
 		pe.Protocol = uint8(BBS)
-		pe.Capacity = uint32(max(int(b.IPC/b.BMax)/bf, delay/bf+1))
+		pe.Capacity = uint32(max(int(b.IPC/b.BMax)/p.block, delay/p.block+1))
 	}
 	return pe
 }

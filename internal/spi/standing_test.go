@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -283,24 +284,25 @@ type epochCheckpoint struct {
 	Firings map[string]int
 }
 
-// runPartEpochs executes partGraph over three workers in epochs, either
-// as one standing deployment (OpenPartition once, Run per epoch) or as a
-// cold deployment per epoch (coldEpoch with the previous epoch's
-// checkpoint), and returns the checkpoint after every epoch and the sink
-// digests.
-func runPartEpochs(t *testing.T, iterations, epochLen int, standing bool) ([]epochCheckpoint, map[string]uint64) {
+// runPartEpochs executes partGraph at the given blocking factor over the
+// workers of a placement in epochs, either as one standing deployment
+// (OpenPartition once, Run per epoch) or as a cold deployment per epoch
+// (coldEpoch with the previous epoch's checkpoint), and returns the
+// checkpoint after every epoch, with nil payloads read as empty ones (tails
+// travel as bytes), and the sink digests.
+func runPartEpochs(t *testing.T, iterations, epochLen, block int, workerOf []int, standing bool) ([]epochCheckpoint, map[string]uint64) {
 	t.Helper()
 	g, m := partGraph()
 	sinks := &partTestSinks{d: map[string]uint64{}}
 	tails := map[uint16][][]byte{} // a fresh spec carries iteration 0's own
 	state := map[string][]byte{}
-	const workers = 3
+	workers := slices.Max(workerOf) + 1
 	retry := transport.RetryConfig{Attempts: 20, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}
 
 	// deploy builds the three workers' specs, kernels and options for a
 	// deployment starting at base with the current checkpoint.
 	deploy := func(base, n int) ([]*PartitionSpec, []map[string]Kernel, []DistOptions) {
-		specs, err := BuildPartitions(g, m, []int{0, 1, 2}, workers, 1, false)
+		specs, err := BuildPartitions(g, m, workerOf, workers, block, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -392,6 +394,11 @@ func runPartEpochs(t *testing.T, iterations, epochLen int, standing bool) ([]epo
 		}
 		for id, tl := range tails {
 			cp.Tails[id] = clonePayloads(tl)
+			for j, p := range cp.Tails[id] {
+				if p == nil {
+					cp.Tails[id][j] = []byte{}
+				}
+			}
 		}
 		for name, blob := range state {
 			cp.State[name] = append([]byte(nil), blob...)
@@ -407,37 +414,45 @@ func runPartEpochs(t *testing.T, iterations, epochLen int, standing bool) ([]epo
 	return out, sinks.snapshot()
 }
 
+// sameCheckpoints compares two runs' checkpoints epoch by epoch.
+func sameCheckpoints(t *testing.T, what string, got, want []epochCheckpoint) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d epochs, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("%s, epoch %d:\n got %+v\nwant %+v", what, i, got[i], want[i])
+		}
+	}
+}
+
 // TestStandingPartitionMigrationCheckpoints: a standing deployment must
 // hand the coordinator, after every epoch, exactly the checkpoint a cold
 // deployment of that epoch would have — that is what lets a migration or
 // a recovery restart cold from any commit. partGraph has a stateful actor
-// with StateHooks, a same-processor delayed edge and a cross-worker edge
-// with a delay of two; epochs of one iteration are shorter than it.
+// with StateHooks, a same-processor delayed edge and cross-worker edges
+// with delays of two and one; epochs of one iteration are shorter than
+// them. At B = 4 both delays are carried, and the checkpoint at a block
+// boundary is the scalar run's; the last epoch ends inside a block.
 func TestStandingPartitionMigrationCheckpoints(t *testing.T) {
 	const iterations = 9
 	want, _ := partReference(t, iterations)
-	for _, epochLen := range []int{1, 4} {
-		cold, coldDigests := runPartEpochs(t, iterations, epochLen, false)
-		warm, warmDigests := runPartEpochs(t, iterations, epochLen, true)
-		for i := range cold {
-			// Tails travel as bytes: nil and empty payloads are one value.
-			for _, cp := range []*epochCheckpoint{&cold[i], &warm[i]} {
-				for _, tl := range cp.Tails {
-					for j, p := range tl {
-						if p == nil {
-							tl[j] = []byte{}
-						}
-					}
-				}
-			}
-			if !reflect.DeepEqual(warm[i], cold[i]) {
-				t.Errorf("epochs of %d, epoch %d:\nstanding %+v\n    cold %+v", epochLen, i, warm[i], cold[i])
-			}
+	scalar := map[int][]epochCheckpoint{}
+	for _, c := range []struct{ block, epochLen int }{{1, 1}, {1, 4}, {4, 4}, {4, 8}} {
+		what := fmt.Sprintf("block %d, epochs of %d", c.block, c.epochLen)
+		cold, coldDigests := runPartEpochs(t, iterations, c.epochLen, c.block, []int{0, 1, 2}, false)
+		warm, warmDigests := runPartEpochs(t, iterations, c.epochLen, c.block, []int{0, 1, 2}, true)
+		sameCheckpoints(t, what+": standing vs cold", warm, cold)
+		if c.block == 1 {
+			scalar[c.epochLen] = cold
+		} else if ref, ok := scalar[c.epochLen]; ok {
+			sameCheckpoints(t, what+": blocked vs scalar", cold, ref)
 		}
 		for name, d := range want {
 			if coldDigests[name] != d || warmDigests[name] != d {
-				t.Errorf("epochs of %d: sink %s cold %#x standing %#x, monolithic run %#x",
-					epochLen, name, coldDigests[name], warmDigests[name], d)
+				t.Errorf("%s: sink %s cold %#x standing %#x, monolithic run %#x",
+					what, name, coldDigests[name], warmDigests[name], d)
 			}
 		}
 	}

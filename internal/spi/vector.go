@@ -12,11 +12,12 @@ import (
 
 // Vectorized (blocked) execution. A blocking factor B groups B consecutive
 // graph iterations into one super-iteration: each actor fires B times back
-// to back and every block-aligned interprocessor edge moves its B tokens in
-// a single packed VTS-style message (a "slab"), so headers, credits, and
-// acks are paid once per block instead of once per token. Edges whose
-// initial delay is not a whole multiple of B iterations stay token-granular
-// (their producer/consumer iteration windows straddle block boundaries);
+// to back and every interprocessor edge moves B tokens in a single packed
+// VTS-style message (a "slab"), so headers, credits, and acks are paid once
+// per block instead of once per token. Slabs are consumer-aligned: each
+// holds the B tokens one consumer block reads, so a delay d that is not a
+// whole multiple of B preloads ⌊d/B⌋ slabs and the sender carries the
+// other d mod B tokens at the head of its next slab (edgeSlot.pack);
 // same-processor edges always stay token-granular, since they never touch
 // the wire.
 //
@@ -28,8 +29,9 @@ import (
 //	per-token-dynamic edge (bounded token size):  u16 count | count x u32
 //	    token sizes | payloads, concatenated.
 //
-// A blocked edge is always carried in SPI_dynamic framing (the final block
-// of a run may be partial), with MaxBytes covering a full slab.
+// A blocked edge is always carried in SPI_dynamic framing (a run that ends
+// inside a block sends its open slab short), with MaxBytes covering a full
+// slab.
 
 const (
 	slabCountBytes = 2 // u16 token count, dynamic-token slabs only

@@ -100,7 +100,7 @@ type LinkConfig struct {
 	// Heartbeat is set.
 	PeerTimeout time.Duration
 	// Blocked declares that this link's DATA frames carry packed
-	// multi-token slabs on block-aligned edges (vectorized execution).
+	// multi-token slabs on every edge (vectorized execution).
 	// Slab framing changes the payload layout, so the handshake fails
 	// unless both sides run the same mode. The edge manifest's
 	// Bytes/Capacity fields additionally pin the blocking factor itself —

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"time"
 )
 
 // errLoopbackRefused mirrors ECONNREFUSED for the in-memory transport.
@@ -36,7 +37,7 @@ func (l *Loopback) Listen(addr string) (Listener, error) {
 	ln := &loopbackListener{
 		owner:   l,
 		addr:    addr,
-		backlog: make(chan net.Conn, 16),
+		backlog: make(chan *pipeConn, 16),
 		done:    make(chan struct{}),
 	}
 	l.listeners[addr] = ln
@@ -54,9 +55,12 @@ func (l *Loopback) Dial(addr string) (Conn, error) {
 		return nil, &Error{Op: "dial", Addr: addr, Transient: true, Err: errLoopbackRefused}
 	}
 	client, server := net.Pipe()
+	dialed := &pipeConn{Conn: client, local: "loopback:dialer", remote: addr}
+	accepted := &pipeConn{Conn: server, local: ln.addr, remote: "loopback:dialer", peer: dialed}
+	dialed.peer = accepted
 	select {
-	case ln.backlog <- server:
-		return &pipeConn{Conn: client, local: "loopback:dialer", remote: addr}, nil
+	case ln.backlog <- accepted:
+		return dialed, nil
 	case <-ln.done:
 		return nil, &Error{Op: "dial", Addr: addr, Transient: true, Err: errLoopbackRefused}
 	}
@@ -65,7 +69,7 @@ func (l *Loopback) Dial(addr string) (Conn, error) {
 type loopbackListener struct {
 	owner   *Loopback
 	addr    string
-	backlog chan net.Conn
+	backlog chan *pipeConn
 	done    chan struct{}
 	once    sync.Once
 }
@@ -73,7 +77,7 @@ type loopbackListener struct {
 func (ln *loopbackListener) Accept() (Conn, error) {
 	select {
 	case c := <-ln.backlog:
-		return &pipeConn{Conn: c, local: ln.addr, remote: "loopback:dialer"}, nil
+		return c, nil
 	case <-ln.done:
 		return nil, &Error{Op: "accept", Addr: ln.addr, Err: errors.New("listener closed")}
 	}
@@ -95,7 +99,21 @@ func (ln *loopbackListener) Addr() string { return ln.addr }
 type pipeConn struct {
 	net.Conn
 	local, remote string
+	// peer is the other end of a loopback pipe, nil on a socket.
+	peer *pipeConn
 }
 
 func (c *pipeConn) LocalAddr() string  { return c.local }
 func (c *pipeConn) RemoteAddr() string { return c.remote }
+
+// Close clears the deadlines of both ends of a loopback pipe, then closes
+// this one: net.Pipe's Close leaves armed deadline timers running, each
+// pinning its pipe until it fires, and an end whose peer has closed can no
+// longer clear its own (nor needs them: its reads and writes fail at once).
+func (c *pipeConn) Close() error {
+	_ = c.Conn.SetDeadline(time.Time{}) // refused once an end has closed, whose Close cleared it
+	if c.peer != nil {
+		_ = c.peer.Conn.SetDeadline(time.Time{})
+	}
+	return c.Conn.Close()
+}

@@ -119,6 +119,53 @@ func TestLoopbackAddressReuse(t *testing.T) {
 	ln2.Close()
 }
 
+// TestLoopbackCloseReleasesPipe: a closed loopback connection must not
+// outlive its last reference by its deadlines. net.Pipe's Close leaves armed
+// deadline timers running, and each pins its pipe until it fires; here an
+// hour out, on both ends, which close one after the other.
+func TestLoopbackCloseReleasesPipe(t *testing.T) {
+	tr := NewLoopback()
+	ln, err := tr.Listen("gc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	freed := make(chan struct{}, 2)
+	func() {
+		dialed, err := tr.Dial("gc")
+		if err != nil {
+			t.Fatal(err)
+		}
+		accepted, err := ln.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		hour := time.Now().Add(time.Hour)
+		for _, c := range []Conn{dialed, accepted} {
+			if err := c.SetReadDeadline(hour); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.SetWriteDeadline(hour); err != nil {
+				t.Fatal(err)
+			}
+			runtime.SetFinalizer(c.(*pipeConn).Conn, func(any) { freed <- struct{}{} })
+		}
+		dialed.Close()
+		accepted.Close()
+	}()
+	for got, gcs := 0, 0; got < 2; {
+		runtime.GC()
+		select {
+		case <-freed:
+			got++
+		case <-time.After(20 * time.Millisecond):
+			if gcs++; gcs == 10 {
+				t.Fatalf("%d of 2 closed pipes still reachable after %d collections", 2-got, gcs)
+			}
+		}
+	}
+}
+
 // TestShutdownLeaksNoGoroutines drives a full link round trip on both
 // transports and verifies every reader/acceptor goroutine is reaped.
 func TestShutdownLeaksNoGoroutines(t *testing.T) {
