@@ -39,7 +39,7 @@ allocs:
 # check` runs this target and fails when one is exceeded, so growth is an
 # explicit, reviewed edit of the number below. Lower a ceiling whenever a
 # change shrinks its directory.
-LOC_CEILINGS = internal/spi:4084 internal/transport:4384 internal/session:1437 internal/orch:1597 internal/lpc:1694 cmd:2772
+LOC_CEILINGS = internal/spi:4076 internal/transport:4167 internal/session:1513 internal/orch:1594 internal/lpc:1694 cmd:2774
 loc:
 	@over=0; for e in $(LOC_CEILINGS); do d=$${e%:*}; max=$${e#*:}; \
 		n=$$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
@@ -64,7 +64,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzDecodeDynamic -fuzztime=5s ./internal/spi
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=5s ./internal/dataflow
 	$(GO) test -run=NONE -fuzz=FuzzDecodeBatched -fuzztime=5s ./internal/transport
-	$(GO) test -run=NONE -fuzz=FuzzDecodeSessionFrame -fuzztime=5s ./internal/transport
+	$(GO) test -run=NONE -fuzz=FuzzDecodeSessionFrame -fuzztime=5s ./internal/session
 	$(GO) test -run=NONE -fuzz=FuzzDecodePing -fuzztime=5s ./internal/transport
 	$(GO) test -run=NONE -fuzz=FuzzDecodeHello -fuzztime=5s ./internal/transport
 	$(GO) test -run=NONE -fuzz=FuzzDecodeResume -fuzztime=5s ./internal/transport
@@ -96,7 +96,9 @@ load:
 # handshake tables (what HELLO refuses, and what each side sets on its own:
 # heartbeats, and acks as ACK frames in the writer's pass beside DATA), the
 # per-link writer's tests (no deadline, coalescing under load, order across
-# the inline-write threshold, write errors, replay, Close draining), the
+# the inline-write threshold, acks merged per session tag and edge, write
+# errors, replay, Close draining), the session server's sever-and-resume
+# tests (a RESUME lands on its link; a dead link leaves RESUME routing), the
 # differential oracle over the
 # executor core (random graphs, mappings and node splits, every execution mode
 # against the scalar in-process run), and the carry table of blocked runs
@@ -105,7 +107,7 @@ load:
 # fault tests run blocked. The fault schedules are seeded and apply
 # per frame, so they hit the same frames however the links coalesce.
 chaos:
-	$(GO) test -race -run 'Chaos|Lifecycle|Degraded|Fault|BatchResume|Writer|CloseDrains|Heartbeat|Stall|Deadline|Reap|Orchestrated|Migration|Resync|Handshake|MixedLocalPolicy|Differential|Carry|BlockedCheckpoint' -count=1 \
+	$(GO) test -race -run 'Chaos|Lifecycle|Degraded|Fault|BatchResume|Writer|CloseDrains|Heartbeat|Stall|Deadline|Reap|Orchestrated|Migration|Resync|Handshake|MixedLocalPolicy|Differential|Carry|BlockedCheckpoint|ServeResume|ServeForgets' -count=1 \
 		./internal/transport ./internal/spi ./internal/lpc ./cmd/spinode ./internal/session ./internal/orch
 
 # Orchestration smoke: a 3-worker in-process pool under spictl, first

@@ -106,8 +106,8 @@ func sessionsResidual(r *runcfg.Run, model *dsp.LPCModel, frame []float64, pes, 
 	defer l0.Abort()
 	clientMux.Bind(l0)
 
-	// Worker side: every OPEN is admitted and runs its half of the graph
-	// session-scoped over the adopted stream.
+	// Worker side: every OPEN for a fresh session ID is admitted and runs its
+	// half of the graph session-scoped over the adopted stream.
 	var (
 		smu         sync.Mutex
 		serverStats []*spi.ExecStats
@@ -115,7 +115,11 @@ func sessionsResidual(r *runcfg.Run, model *dsp.LPCModel, frame []float64, pes, 
 	)
 	serverMux.SetOnOpen(func(m *session.Mux, sid uint32, tenant string) {
 		s := m.Adopt(sid, 0)
-		m.Link().SendSessionOpenOK(sid, session.StatusAdmitted)
+		if s == nil {
+			m.SendOpenOK(sid, session.StatusRejectedID)
+			return
+		}
+		m.SendOpenOK(sid, session.StatusAdmitted)
 		serverWG.Add(1)
 		go func() {
 			defer serverWG.Done()
@@ -124,12 +128,10 @@ func sessionsResidual(r *runcfg.Run, model *dsp.LPCModel, frame []float64, pes, 
 			if err != nil {
 				status = session.CloseError
 			}
-			m.Link().SendSessionClose(sid, status)
+			m.SendClose(sid, status)
 			m.Release(s)
 			smu.Lock()
-			if st != nil {
-				serverStats = append(serverStats, st)
-			}
+			serverStats = append(serverStats, st) // sumStats skips a failed run's nil
 			smu.Unlock()
 		}()
 	})

@@ -55,8 +55,6 @@ type WorkerConfig struct {
 	PeerTimeout time.Duration
 	// Reconnect enables RESUME resumption on the data plane.
 	Reconnect transport.ReconnectConfig
-	// SendTimeout bounds data-plane frame writes.
-	SendTimeout time.Duration
 	// Obs instruments the worker's runtime edges and links.
 	Obs *obs.Observer
 }
@@ -272,8 +270,7 @@ func (w *Worker) deploy(ctx context.Context, t Task) *deployment {
 			Retry: w.cfg.Retry, Context: dctx,
 			Reconnect: w.cfg.Reconnect,
 			Heartbeat: w.cfg.Heartbeat, PeerTimeout: w.cfg.PeerTimeout,
-			SendTimeout: w.cfg.SendTimeout,
-			State:       ks.Hooks, Obs: w.cfg.Obs,
+			State: ks.Hooks, Obs: w.cfg.Obs,
 		})
 		if err != nil {
 			if dctx.Err() == nil {

@@ -32,9 +32,11 @@ func NewClient(m *Mux, timeout time.Duration) *Client {
 
 // Open requests one session and waits for the admission verdict.
 func (c *Client) Open(tenant string) (*Stream, error) {
-	l := c.mux.Link()
-	s := c.mux.NewStream(l.PeerNode())
-	if err := l.SendSessionOpen(s.SID(), tenant); err != nil {
+	if len(tenant) > maxTenantBytes {
+		return nil, fmt.Errorf("session: tenant name of %d bytes, limit %d", len(tenant), maxTenantBytes)
+	}
+	s := c.mux.NewStream(c.mux.Link().PeerNode())
+	if err := c.mux.send(ctrlMsg{op: opOpen, sid: s.SID(), tenant: tenant}); err != nil {
 		c.mux.Release(s)
 		return nil, err
 	}

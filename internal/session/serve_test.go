@@ -137,8 +137,11 @@ var fastReconnect = transport.ReconnectConfig{Attempts: 50, BaseDelay: time.Mill
 func TestServeResumeLandsOnOriginalLink(t *testing.T) {
 	const iters = 12
 	ref := localReference(t, iters)
+	// Every connection is severed at its frame 10: the first one, after the
+	// HELLO, the OPEN and at most eight of the session's twelve DATA frames,
+	// mid-session however many acks a writer pass merges.
 	ft := transport.NewFaultTransport(transport.NewLoopback(),
-		transport.FaultConfig{Seed: 9, SeverAt: []int{20, 45}, SkipFrames: 8})
+		transport.FaultConfig{Seed: 9, SeverAt: []int{10}, SkipFrames: 8})
 	s := startServing(t, ft, "serve-resume", iters, transport.LinkConfig{Reconnect: fastReconnect})
 	h := s.connect(t, ft, iters, fastReconnect)
 
@@ -173,8 +176,11 @@ func TestServeResumeLandsOnOriginalLink(t *testing.T) {
 // want of a resumable link instead of being handed a dead one.
 func TestServeForgetsDeadLink(t *testing.T) {
 	const iters = 12
+	// Frame 10 of the client's connection comes before its session's twelfth
+	// DATA frame, however many acks a writer pass merges (see
+	// TestServeResumeLandsOnOriginalLink).
 	ft := transport.NewFaultTransport(transport.NewLoopback(),
-		transport.FaultConfig{Seed: 5, SeverAt: []int{20}, SkipFrames: 8})
+		transport.FaultConfig{Seed: 5, SeverAt: []int{10}, SkipFrames: 8})
 	s := startServing(t, ft, "serve-dead", iters, transport.LinkConfig{})
 	rc := fastReconnect
 	rc.Attempts, rc.Deadline = 3, 2*time.Second

@@ -41,9 +41,6 @@ type ServerConfig struct {
 	// Obs, when non-nil, exports per-tenant session metrics and threads
 	// through to each session's execution.
 	Obs *obs.Observer
-	// OnDone, when non-nil, is called as each session finishes (after its
-	// CLOSE is sent) with the close status and the execution error.
-	OnDone func(sid uint32, tenant string, status byte, err error)
 }
 
 // Snapshot is a point-in-time view of the server's admission book, in
@@ -218,6 +215,13 @@ func (s *Server) dispatch() {
 }
 
 func (s *Server) handleOpen(req openReq) {
+	// Adopting first claims the ID: an OPEN for ID 0, or for a session live
+	// on this link, is refused before admission books or sheds anything.
+	stream := req.m.Adopt(req.sid, req.m.Link().PeerNode())
+	if stream == nil {
+		s.reject(req, StatusRejectedID)
+		return
+	}
 	status, e, victim := s.adm.admit(req.tenant)
 	if victim != nil {
 		s.mu.Lock()
@@ -232,25 +236,17 @@ func (s *Server) handleOpen(req openReq) {
 		}
 	}
 	if status != StatusAdmitted {
-		s.mu.Lock()
-		s.rejected++
-		s.mu.Unlock()
-		s.cfg.Obs.Counter("session_rejected_total", "sessions refused by admission control",
-			obs.L("tenant", req.tenant), obs.L("reason", StatusString(status))).Inc()
-		_ = req.m.Link().SendSessionOpenOK(req.sid, status)
+		req.m.Release(stream)
+		s.reject(req, status)
 		return
 	}
-	stream := req.m.Adopt(req.sid, req.m.Link().PeerNode())
 	e.mu.Lock()
 	e.stream = stream
 	e.mu.Unlock()
 	stream.setAccount(func(delta int64) { s.adm.addBytes(e, delta) })
-	if err := req.m.Link().SendSessionOpenOK(req.sid, StatusAdmitted); err != nil {
-		// The link died under the verdict; the stream is already (or is
-		// about to be) closed by the mux fan-out, and runSession below
-		// will fail fast. Run it anyway so the entry is released.
-		_ = err
-	}
+	// Should the link die under the verdict, the mux fan-out closes the
+	// stream and runSession fails fast; it runs anyway to release the entry.
+	_ = req.m.SendOpenOK(req.sid, StatusAdmitted)
 	s.mu.Lock()
 	s.admitted++
 	s.mu.Unlock()
@@ -258,6 +254,16 @@ func (s *Server) handleOpen(req openReq) {
 	s.gauge("session_live", "currently live sessions", req.tenant).Add(1)
 	s.wg.Add(1)
 	go s.runSession(req.m, stream, e, req.tenant)
+}
+
+// reject answers an OPEN with a rejection verdict.
+func (s *Server) reject(req openReq, status byte) {
+	s.mu.Lock()
+	s.rejected++
+	s.mu.Unlock()
+	s.cfg.Obs.Counter("session_rejected_total", "sessions refused by admission control",
+		obs.L("tenant", req.tenant), obs.L("reason", StatusString(status))).Inc()
+	_ = req.m.SendOpenOK(req.sid, status)
 }
 
 // runSession is one session's whole server-side life: instantiate
@@ -279,7 +285,7 @@ func (s *Server) runSession(m *Mux, st *Stream, e *entry, tenant string) {
 	case err != nil:
 		status = CloseError
 	}
-	_ = m.Link().SendSessionClose(st.SID(), status)
+	_ = m.SendClose(st.SID(), status)
 	m.Release(st)
 	s.adm.release(e, st.takeQueued())
 
@@ -298,9 +304,6 @@ func (s *Server) runSession(m *Mux, st *Stream, e *entry, tenant string) {
 	}
 	s.cfg.Obs.Histogram("session_duration_us", "per-session wall time in microseconds",
 		obs.LatencyBucketsUS, obs.L("tenant", tenant)).Observe(float64(time.Since(start).Microseconds()))
-	if s.cfg.OnDone != nil {
-		s.cfg.OnDone(st.SID(), tenant, status, err)
-	}
 }
 
 func (s *Server) counter(name, help, tenant string) *obs.Counter {

@@ -9,14 +9,15 @@
 // The layering:
 //
 //	transport.Link     one connection, one resend buffer, RESUME replay
-//	Mux                routes session-tagged frames to per-session Streams
+//	Mux                routes tagged DATA/ACK/FIN to per-session Streams,
+//	                   and the lifecycle's CTRL messages (ctrl.go)
 //	Stream             spi.MessageLink + spi.LinkProvider for one session
 //	Server / Client    OPEN/OPENOK/CLOSE lifecycle, admission, execution
 //
-// Because session frames are ordinary numbered link frames (see
-// transport), a severed connection replays every live session's
-// unacknowledged tail in one RESUME handshake — per-session resume rides
-// the link-level machinery.
+// Because a session's frames are the link's ordinary numbered frames
+// with its ID as their tag, a severed connection replays every live
+// session's unacknowledged tail in one RESUME handshake — per-session
+// resume rides the link-level machinery.
 package session
 
 import (
@@ -31,7 +32,7 @@ import (
 	"repro/internal/transport"
 )
 
-// Admission verdicts carried in OPENOK frames.
+// Admission verdicts carried in OPENOK messages.
 const (
 	// StatusAdmitted means the session is live; tagged traffic may flow.
 	StatusAdmitted byte = 0
@@ -41,9 +42,13 @@ const (
 	// StatusRejectedQuota means the tenant is at its per-tenant session
 	// cap (quota or weighted fair share).
 	StatusRejectedQuota byte = 2
+	// StatusRejectedID means the OPEN named session ID 0 (the link's
+	// untagged run) or an ID already live on the link; the live session
+	// is left untouched.
+	StatusRejectedID byte = 3
 )
 
-// Session outcomes carried in CLOSE frames.
+// Session outcomes carried in CLOSE messages.
 const (
 	// CloseDone is a completed run.
 	CloseDone byte = 0
@@ -63,6 +68,8 @@ func StatusString(status byte) string {
 		return "rejected-capacity"
 	case StatusRejectedQuota:
 		return "rejected-quota"
+	case StatusRejectedID:
+		return "rejected-session-id"
 	default:
 		return fmt.Sprintf("status-%d", status)
 	}
@@ -83,10 +90,11 @@ func closeString(status byte) string {
 }
 
 // Mux owns one link's session routing table. It is the link's
-// transport.Handler and transport.SessionHandler: tagged frames dispatch
-// to the Stream registered under their session ID; untagged frames belong
-// to no session and count as dropped. Create the Mux first, pass it as the
-// link's handler, then Bind the established link.
+// transport.SessionHandler and transport.CtrlHandler: tagged frames
+// dispatch to the Stream registered under their session ID, lifecycle
+// messages arrive as CTRL frames, and untagged frames belong to no session
+// and count as dropped. Create the Mux first, pass it as the link's
+// handler, then Bind the established link.
 type Mux struct {
 	mu           sync.Mutex
 	link         *transport.Link
@@ -115,7 +123,7 @@ func NewMux(o *obs.Observer) *Mux {
 		streams: map[uint32]*Stream{},
 		onClose: func() {},
 		dropped: o.Counter("session_frames_dropped_total",
-			"session frames for unknown or already-closed sessions"),
+			"session frames for unknown or already-closed sessions, untagged or malformed"),
 	}
 }
 
@@ -151,9 +159,13 @@ func (m *Mux) SetOnOpen(fn func(m *Mux, sid uint32, tenant string)) {
 
 // NewStream allocates a client-side stream with a fresh session ID and
 // registers it, so the OPENOK (and any data racing it) finds its session.
+// The ID is never 0, nor one still live after the counter wraps.
 func (m *Mux) NewStream(peer int) *Stream {
 	m.mu.Lock()
 	m.nextSID++
+	for m.nextSID == 0 || m.streams[m.nextSID] != nil {
+		m.nextSID++
+	}
 	s := newStream(m, m.nextSID, peer)
 	m.streams[s.sid] = s
 	if m.closed {
@@ -163,9 +175,15 @@ func (m *Mux) NewStream(peer int) *Stream {
 	return s
 }
 
-// Adopt registers a server-side stream for a peer-allocated session ID.
+// Adopt registers a server-side stream for a peer-allocated session ID. It
+// returns nil, registering nothing, for ID 0 or an ID already live on this
+// mux: a repeated OPEN must not take a live session's routing over.
 func (m *Mux) Adopt(sid uint32, peer int) *Stream {
 	m.mu.Lock()
+	if sid == 0 || m.streams[sid] != nil {
+		m.mu.Unlock()
+		return nil
+	}
 	s := newStream(m, sid, peer)
 	m.streams[sid] = s
 	if m.closed {
@@ -217,66 +235,65 @@ func (m *Mux) HandleLinkClose(err error) {
 	m.onClose()
 }
 
+// HandleCtrl is the CtrlHandler half: one lifecycle message. An OPEN goes
+// to the open callback (the server's admission queue), a verdict or an
+// outcome to the stream it names; a malformed message, or one for no live
+// session, counts as dropped.
+func (m *Mux) HandleCtrl(op byte, payload []byte) {
+	msg, err := decodeCtrl(op, payload)
+	if err != nil {
+		m.dropped.Inc()
+		return
+	}
+	if msg.op == opOpen {
+		m.mu.Lock()
+		fn := m.onOpen
+		if fn == nil {
+			m.pendingOpens = append(m.pendingOpens, openEvent{sid: msg.sid, tenant: msg.tenant})
+		}
+		m.mu.Unlock()
+		if fn != nil {
+			fn(m, msg.sid, msg.tenant)
+		}
+		return
+	}
+	s := m.lookup(msg.sid)
+	switch {
+	case s == nil:
+		m.dropped.Inc()
+	case msg.op == opOpenOK:
+		s.handleOpenOK(msg.status)
+	default:
+		s.handleClose(msg.status)
+	}
+}
+
 // SessionHandler half: tagged traffic routes by session ID.
 
-func (m *Mux) HandleSessionOpen(sid uint32, tenant string) {
-	m.mu.Lock()
-	fn := m.onOpen
-	if fn == nil {
-		m.pendingOpens = append(m.pendingOpens, openEvent{sid: sid, tenant: tenant})
-	}
-	m.mu.Unlock()
-	if fn != nil {
-		fn(m, sid, tenant)
-	}
-}
-
-func (m *Mux) HandleSessionOpenOK(sid uint32, status byte) {
-	if s := m.lookup(sid); s != nil {
-		s.handleOpenOK(status)
-	} else {
-		m.dropped.Inc()
-	}
-}
-
-func (m *Mux) HandleSessionClose(sid uint32, status byte) {
-	if s := m.lookup(sid); s != nil {
-		s.handleClose(status)
-	} else {
-		m.dropped.Inc()
-	}
-}
-
 func (m *Mux) HandleSessionData(sid uint32, edge uint16, msg []byte) {
-	if s := m.lookup(sid); s != nil {
-		s.handleData(edge, msg)
-	} else {
-		m.dropped.Inc()
-	}
+	m.deliver(sid, event{kind: evData, edge: edge, msg: msg})
 }
 
 func (m *Mux) HandleSessionAck(sid uint32, edge uint16, count uint32) {
-	if s := m.lookup(sid); s != nil {
-		s.handleAck(edge, count)
-	} else {
-		m.dropped.Inc()
-	}
+	m.deliver(sid, event{kind: evAck, edge: edge, count: count})
 }
 
 func (m *Mux) HandleSessionFin(sid uint32, edge uint16) {
+	m.deliver(sid, event{kind: evFin, edge: edge})
+}
+
+// deliver routes one tagged event to its session; one for no live session
+// counts as dropped.
+func (m *Mux) deliver(sid uint32, ev event) {
 	if s := m.lookup(sid); s != nil {
-		s.handleFin(edge)
+		s.deliver(ev)
 	} else {
 		m.dropped.Inc()
 	}
 }
 
-// pendingEvent buffers one inbound event that arrived before the
-// session's execution attached its handler (the client's OPEN races its
-// ExecuteDistributed call; the server's admission verdict races its
-// kernel instantiation). Data payloads are copied — the link reader's
-// buffer does not outlive the dispatch.
-type pendingEvent struct {
+// event is one inbound DATA, ACK or FIN of a session.
+type event struct {
 	kind  byte
 	edge  uint16
 	count uint32
@@ -289,6 +306,18 @@ const (
 	evFin
 )
 
+// to hands the event to h.
+func (ev event) to(h transport.Handler) {
+	switch ev.kind {
+	case evData:
+		h.HandleData(ev.edge, ev.msg)
+	case evAck:
+		h.HandleAck(ev.edge, ev.count)
+	default:
+		h.HandleFin(ev.edge)
+	}
+}
+
 // Stream is one session's half of the shared link: an spi.MessageLink
 // that tags outbound traffic with the session ID, and an
 // spi.LinkProvider handing a session-scoped execution its inbound
@@ -300,7 +329,7 @@ type Stream struct {
 
 	mu        sync.Mutex
 	inner     transport.Handler
-	pending   []pendingEvent
+	pending   []event
 	closed    bool
 	closeErr  error
 	declBytes map[uint16]int64 // inbound edge -> declared payload bound
@@ -404,14 +433,7 @@ func (s *Stream) Connect(peer int, decls []transport.EdgeDecl, h transport.Handl
 	pend := s.pending
 	s.pending = nil
 	for _, ev := range pend {
-		switch ev.kind {
-		case evData:
-			h.HandleData(ev.edge, ev.msg)
-		case evAck:
-			h.HandleAck(ev.edge, ev.count)
-		case evFin:
-			h.HandleFin(ev.edge)
-		}
+		ev.to(h)
 	}
 	if s.closed {
 		h.HandleLinkClose(s.closeErr)
@@ -424,62 +446,30 @@ func (s *Stream) Connect(peer int, decls []transport.EdgeDecl, h transport.Handl
 // Server/Client lifecycle, not the execution.
 func (s *Stream) Finish(graceful bool) {}
 
-// Inbound dispatch, called from the link reader via the Mux. Events are
-// delivered (or buffered) under the stream lock, which serializes them
-// against Connect's replay: an execution observes the exact wire order.
-
-func (s *Stream) handleData(edge uint16, msg []byte) {
+// deliver hands one inbound event, from the link reader via the Mux, to
+// the execution — or, until one connects, buffers it (the client's OPEN
+// races its ExecuteDistributed call; the server's admission verdict races
+// its kernel instantiation), copying a payload the reader's buffer will not
+// keep. Events are delivered or buffered under the stream lock, which
+// serializes them against Connect's replay: an execution observes the
+// exact wire order.
+func (s *Stream) deliver(ev event) {
 	s.touch()
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return
 	}
-	if s.acct != nil {
-		s.queued += int64(len(msg))
-		s.acct(int64(len(msg)))
+	if ev.kind == evData && s.acct != nil {
+		s.queued += int64(len(ev.msg))
+		s.acct(int64(len(ev.msg)))
 	}
-	if h := s.inner; h != nil {
-		h.HandleData(edge, msg)
-		s.mu.Unlock()
+	if s.inner != nil {
+		ev.to(s.inner)
 		return
 	}
-	cp := make([]byte, len(msg))
-	copy(cp, msg)
-	s.pending = append(s.pending, pendingEvent{kind: evData, edge: edge, msg: cp})
-	s.mu.Unlock()
-}
-
-func (s *Stream) handleAck(edge uint16, count uint32) {
-	s.touch()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	if h := s.inner; h != nil {
-		h.HandleAck(edge, count)
-		s.mu.Unlock()
-		return
-	}
-	s.pending = append(s.pending, pendingEvent{kind: evAck, edge: edge, count: count})
-	s.mu.Unlock()
-}
-
-func (s *Stream) handleFin(edge uint16) {
-	s.touch()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	if h := s.inner; h != nil {
-		h.HandleFin(edge)
-		s.mu.Unlock()
-		return
-	}
-	s.pending = append(s.pending, pendingEvent{kind: evFin, edge: edge})
-	s.mu.Unlock()
+	ev.msg = append([]byte(nil), ev.msg...)
+	s.pending = append(s.pending, ev)
 }
 
 func (s *Stream) handleOpenOK(status byte) {

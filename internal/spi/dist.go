@@ -62,11 +62,6 @@ type DistOptions struct {
 	// a *DegradedError naming the dead peers and starved actors. Without
 	// it a link failure aborts the whole node (the original behavior).
 	Degrade bool
-	// SendTimeout / IdleTimeout / CloseTimeout parameterize each link;
-	// see transport.LinkConfig.
-	SendTimeout  time.Duration
-	IdleTimeout  time.Duration
-	CloseTimeout time.Duration
 	// Heartbeat enables transport-level liveness probing on every link:
 	// an idle link is PINGed each interval, and a peer silent for
 	// PeerTimeout (default 4×Heartbeat) is declared dead and routed into
@@ -575,16 +570,13 @@ func connectPeers(rt *Runtime, peers map[int][]transport.EdgeDecl, fails *peerFa
 	}
 	me := opts.Node
 	lcfg := transport.LinkConfig{
-		Node:         me,
-		SendTimeout:  opts.SendTimeout,
-		IdleTimeout:  opts.IdleTimeout,
-		CloseTimeout: opts.CloseTimeout,
-		Heartbeat:    opts.Heartbeat,
-		PeerTimeout:  opts.PeerTimeout,
-		Reconnect:    opts.Reconnect,
-		Blocked:      opts.Block > 1,
-		ResyncEdges:  resync,
-		Obs:          opts.Obs,
+		Node:        me,
+		Heartbeat:   opts.Heartbeat,
+		PeerTimeout: opts.PeerTimeout,
+		Reconnect:   opts.Reconnect,
+		Blocked:     opts.Block > 1,
+		ResyncEdges: resync,
+		Obs:         opts.Obs,
 	}
 	handlerFor := func(peer int) ([]transport.EdgeDecl, transport.Handler, error) {
 		decls := peers[peer]

@@ -18,7 +18,7 @@ import (
 // same faults, so chaos tests are reproducible by seed.
 //
 // Probabilistic faults (Drop, Duplicate, Corrupt) apply only to numbered
-// session frames — DATA, ACK, FIN — never to handshake or control frames,
+// frames — DATA, ACK, FIN, GOODBYE, CTRL — never to handshake or probe frames,
 // so every injected fault is one the resume protocol is designed to
 // repair: a drop surfaces as a sequence gap, a corruption as a CRC
 // mismatch, a duplicate is discarded by the sequence filter. Delay and
@@ -27,12 +27,12 @@ type FaultConfig struct {
 	// Seed drives the per-connection RNG. Connections draw from the
 	// schedule in dial/accept order.
 	Seed int64
-	// Drop is the probability a session frame write is silently
+	// Drop is the probability a numbered frame write is silently
 	// swallowed (the peer sees a sequence gap on the next frame).
 	Drop float64
-	// Duplicate is the probability a session frame is written twice.
+	// Duplicate is the probability a numbered frame is written twice.
 	Duplicate float64
-	// Corrupt is the probability one byte of a session frame is flipped
+	// Corrupt is the probability one byte of a numbered frame is flipped
 	// before writing. The flip lands beyond the length prefix so the
 	// frame CRC always catches it: a corrupted length prefix would
 	// desynchronize the stream instead, which only an idle timeout (not
@@ -309,7 +309,7 @@ func (c *faultConn) Write(p []byte) (int, error) {
 		for _, at := range cfg.SeverAt {
 			severed = severed || (at == ord && c.t.spendFault())
 		}
-		session := len(frame) > 4 && numberedFrame(frame[4])
+		numbered := len(frame) > 4 && numberedFrame(frame[4])
 		roll := c.rng.Float64()
 		var err error
 		switch {
@@ -317,12 +317,12 @@ func (c *faultConn) Write(p []byte) (int, error) {
 			if err = flush(start); err == nil {
 				return c.sever(start)
 			}
-		case session && cfg.Drop > 0 && roll < cfg.Drop && c.t.spendFault():
+		case numbered && cfg.Drop > 0 && roll < cfg.Drop && c.t.spendFault():
 			atomic.AddInt64(&c.t.drops, 1)
 			c.t.fault("drop")
 			err = flush(start)
 			sent = end // swallowed; peer sees a sequence gap next frame
-		case session && cfg.Corrupt > 0 && roll < cfg.Corrupt && c.t.spendFault():
+		case numbered && cfg.Corrupt > 0 && roll < cfg.Corrupt && c.t.spendFault():
 			atomic.AddInt64(&c.t.corrupts, 1)
 			c.t.fault("corrupt")
 			bad := append([]byte(nil), frame...)
@@ -331,7 +331,7 @@ func (c *faultConn) Write(p []byte) (int, error) {
 				_, err = c.Conn.Write(bad)
 			}
 			sent = end
-		case session && cfg.Duplicate > 0 && roll < cfg.Duplicate && c.t.spendFault():
+		case numbered && cfg.Duplicate > 0 && roll < cfg.Duplicate && c.t.spendFault():
 			atomic.AddInt64(&c.t.dups, 1)
 			c.t.fault("duplicate")
 			if err = flush(end); err == nil {

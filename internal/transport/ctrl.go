@@ -4,15 +4,18 @@ import (
 	"fmt"
 )
 
-// Control-plane frames, link wire protocol extension. The orchestration
-// layer (internal/orch) runs its coordinator↔worker conversation over
-// ordinary links as CTRL frames: a numbered link frame whose body is a
-// one-byte opcode followed by an opaque payload the transport never
-// interprets. Numbering matters — CTRL frames ride the resend buffer,
-// cumulative acks, and RESUME replay exactly like DATA, so a worker that
-// loses its connection mid-dispatch reconnects and replays the tail of
-// the control conversation instead of desynchronizing from the
-// coordinator.
+// Control-plane frames. A layer above the transport runs its own
+// conversation over an ordinary link as CTRL frames: a numbered link frame
+// whose body is a one-byte opcode followed by an opaque payload the
+// transport never interprets. One control frame serves both control
+// planes: the orchestration layer (internal/orch) carries its
+// coordinator↔worker conversation on it, and the session layer
+// (internal/session) opens, admits and closes sessions on it. No link
+// carries both, so each plane numbers its opcodes on its own. Numbering
+// matters — CTRL frames ride the resend buffer, cumulative acks, and RESUME
+// replay exactly like DATA, so a worker that loses its connection
+// mid-dispatch reconnects and replays the tail of the control conversation
+// instead of desynchronizing from the coordinator.
 //
 //	CTRL := u8 op | payload
 //
@@ -20,8 +23,6 @@ import (
 // sends and receives CTRL frames, and one whose handler is not fails on
 // either.
 const (
-	frameCtrl byte = 18
-
 	ctrlMinBytes = 1 // opcode
 
 	// MaxCtrlPayload bounds one control payload. Partition specs for
@@ -31,7 +32,7 @@ const (
 	MaxCtrlPayload = 1 << 20
 )
 
-// CtrlHandler extends Handler for links that carry the control plane. Calls
+// CtrlHandler extends Handler for links that carry a control plane. Calls
 // are made from the link's reader goroutine in wire order, with the same
 // aliasing contract as Handler: the payload slice passed to HandleCtrl is
 // valid only for the duration of the call.
@@ -43,50 +44,33 @@ type CtrlHandler interface {
 	HandleCtrl(op byte, payload []byte)
 }
 
-// encodeCtrl builds a CTRL body: opcode followed by the opaque payload.
-func encodeCtrl(op byte, payload []byte) []byte {
-	body := make([]byte, ctrlMinBytes+len(payload))
-	body[0] = op
-	copy(body[ctrlMinBytes:], payload)
-	return body
-}
-
-// decodeCtrl splits a CTRL body into opcode and payload.
-func decodeCtrl(body []byte) (op byte, payload []byte, err error) {
-	if len(body) < ctrlMinBytes {
-		return 0, nil, fmt.Errorf("ctrl frame with empty body")
-	}
-	if len(body)-ctrlMinBytes > MaxCtrlPayload {
-		return 0, nil, fmt.Errorf("ctrl payload of %d bytes exceeds limit %d",
-			len(body)-ctrlMinBytes, MaxCtrlPayload)
-	}
-	return body[0], body[ctrlMinBytes:], nil
-}
-
 // SendCtrl transmits one control message to the peer. CTRL frames are
-// numbered (resend-buffered, RESUME-replayed) like any session frame.
+// numbered (resend-buffered, RESUME-replayed) like DATA. The payload is
+// copied before SendCtrl returns and does not escape, so a caller may
+// build it in a stack array.
 func (l *Link) SendCtrl(op byte, payload []byte) error {
+	if l.ch == nil {
+		return l.sendError("ctrl frames need a link whose handler is a CtrlHandler")
+	}
 	if len(payload) > MaxCtrlPayload {
-		return &Error{Op: "send", Addr: l.raddr,
-			Err: fmt.Errorf("ctrl payload of %d bytes exceeds limit %d", len(payload), MaxCtrlPayload)}
+		return l.sendError("ctrl payload of %d bytes exceeds limit %d", len(payload), MaxCtrlPayload)
 	}
 	head := [ctrlMinBytes]byte{op}
-	if err := l.sendSessionFrame(frameCtrl, head[:], payload); err != nil {
-		return err
-	}
-	return nil
+	return l.sendFrame(frameCtrl, head[:], payload)
 }
 
 // dispatchCtrl routes one inbound CTRL frame to the CtrlHandler. It
-// returns a protocol error when this side's handler is not one.
+// returns a protocol error when this side's handler is not one or the
+// frame is malformed.
 func (l *Link) dispatchCtrl(body []byte) error {
-	if l.ch == nil {
+	switch {
+	case l.ch == nil:
 		return fmt.Errorf("ctrl frame but this link's handler is not a CtrlHandler")
+	case len(body) < ctrlMinBytes:
+		return fmt.Errorf("ctrl frame with empty body")
+	case len(body)-ctrlMinBytes > MaxCtrlPayload:
+		return fmt.Errorf("ctrl payload of %d bytes exceeds limit %d", len(body)-ctrlMinBytes, MaxCtrlPayload)
 	}
-	op, payload, err := decodeCtrl(body)
-	if err != nil {
-		return err
-	}
-	l.ch.HandleCtrl(op, payload)
+	l.ch.HandleCtrl(body[0], body[ctrlMinBytes:])
 	return nil
 }

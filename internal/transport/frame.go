@@ -8,7 +8,7 @@ import (
 	"sync"
 )
 
-// Link wire protocol, version 5. Every frame is length-delimited and
+// Link wire protocol, version 6. Every frame is length-delimited and
 // self-checking so the SPI message inside a DATA frame crosses the stream
 // byte-identical to its in-process encoding (spi.AppendMessage), and so a
 // corrupted or truncated frame is detected at the receiver instead of
@@ -17,24 +17,29 @@ import (
 //	frame    := u32 length | u8 type | u64 seq | u32 crc | body
 //	HELLO    := u32 magic | u8 version | u8 flags | u16 node | u64 token | u16 nedges | nedges * decl
 //	decl     := u16 edge | u8 mode | u8 flags | u32 bytes | u8 protocol | u32 capacity
-//	DATA     := SPI-encoded message (edge ID in its first 2 bytes)
-//	ACK      := u16 edge | u32 count                (BBS credits / UBS acks)
-//	FIN      := u16 edge                            (edge teardown, degradation)
-//	CUMACK   := u64 recvSeq                         (transport-level cumulative ack)
+//	DATA     := u32 tag | SPI-encoded message (edge ID in its first 2 bytes)
+//	ACK      := u32 tag | u16 edge | u32 count  (BBS credits / UBS acks)
+//	FIN      := u32 tag | u16 edge              (edge teardown, degradation)
+//	CUMACK   := u64 recvSeq                     (transport-level cumulative ack)
 //	RESUME   := u32 magic | u8 version | u16 node | u64 token | u64 recvSeq
 //	RESUMEOK := u64 recvSeq
-//	GOODBYE  := empty                               (graceful shutdown)
-//	PING     := u64 timestamp                       (liveness probe)
-//	PONG     := u64 timestamp                       (probe echo, RTT sample)
+//	GOODBYE  := empty                           (graceful shutdown)
+//	PING     := u64 timestamp                   (liveness probe)
+//	PONG     := u64 timestamp                   (probe echo, RTT sample)
+//	CTRL     := u8 op | payload                 (control plane, see ctrl.go)
+//
+// The tag names the run a DATA, ACK or FIN belongs to: 0 is the link's own
+// run (Handler), any other value a session multiplexed over the link
+// (SessionHandler, see session.go).
 //
 // length covers type+seq+crc+body; crc is CRC-32 (IEEE) over type|seq|body.
-// seq is a per-direction monotonic sequence number carried by the session
-// frames (DATA, ACK, FIN) — those are buffered by the sender until the
-// peer's CUMACK covers them, which is what makes a RESUME handshake able to
-// replay exactly the unacknowledged suffix after a connection is re-dialed.
-// Control frames (HELLO, CUMACK, RESUME, RESUMEOK, GOODBYE, PING, PONG)
-// carry seq 0 and are never replayed. All integers are little-endian,
-// matching the SPI message headers.
+// seq is a per-direction monotonic sequence number carried by the numbered
+// frames (DATA, ACK, FIN, GOODBYE, CTRL) — those are buffered by the sender
+// until the peer's CUMACK covers them, which is what makes a RESUME
+// handshake able to replay exactly the unacknowledged suffix after a
+// connection is re-dialed. The others (HELLO, CUMACK, RESUME, RESUMEOK,
+// PING, PONG) carry seq 0 and are never replayed. All integers are
+// little-endian, matching the SPI message headers.
 //
 // The handshake negotiates nothing (DESIGN.md, "Wire protocol"): HELLO
 // carries what the two ends must agree on, a peer that differs in any of
@@ -49,14 +54,14 @@ const (
 	frameResume   byte = 6
 	frameResumeOK byte = 7
 	frameFin      byte = 8
-	// 9 is retired (DATAACK, protocol v4); v5 reads it as an unknown type.
-	// Session-tagged frames occupy 10..15 (see session.go).
+	// 9..15 are retired (9 DATAACK with protocol v4, 10..15 the session
+	// frame family with v5); v6 reads them as unknown types.
 	framePing byte = 16
 	framePong byte = 17
-	// Control-plane frames use 18 (see ctrl.go).
+	frameCtrl byte = 18
 
 	helloMagic   uint32 = 0x53504931 // "SPI1"
-	helloVersion byte   = 5
+	helloVersion byte   = 6
 
 	helloBlocked byte = 1 << 0 // HELLO flags: DATA frames carry packed slabs
 	declOut      byte = 1 << 0 // decl flags: the declaring side sends DATA
@@ -65,38 +70,36 @@ const (
 	frameHeaderBytes = 17 // u32 length + u8 type + u64 seq + u32 crc
 	helloFixedBytes  = 18 // magic + version + flags + node + token + nedges
 	declBytes        = 13
-	ackBodyBytes     = 6
-	finBodyBytes     = 2
+	tagBytes         = 4
+	dataMinBytes     = tagBytes + 2 // tag + SPI edge ID
+	ackBodyBytes     = tagBytes + 6 // tag + edge + count
+	finBodyBytes     = tagBytes + 2 // tag + edge
 	cumAckBodyBytes  = 8
 	resumeBodyBytes  = 23 // magic + version + node + token + recvSeq
 	pingBodyBytes    = 8  // u64 sender timestamp, echoed verbatim in PONG
 
-	// DefaultMaxFrame bounds one frame; anything larger on the wire is a
-	// framing error, protecting the receiver from hostile length fields.
-	DefaultMaxFrame = 1 << 24
+	// maxFrame bounds one frame; anything larger on the wire is a framing
+	// error, protecting the receiver from hostile length fields.
+	maxFrame = 1 << 24
 
 	// maxHandshakeFrame bounds the frames read before a link exists (HELLO,
 	// RESUME, RESUMEOK) by the largest legal one, a HELLO declaring 65535
 	// edges: under 1 MiB, so an unauthenticated connection cannot make the
-	// accept path allocate MaxFrame on the strength of four bytes.
+	// accept path allocate maxFrame on the strength of four bytes.
 	maxHandshakeFrame = 13 + helloFixedBytes + 65535*declBytes
 )
 
-// numberedFrame reports whether a frame type carries a session sequence
-// number, i.e. participates in resend buffering and RESUME replay.
-// GOODBYE is numbered so a graceful close cannot outrun lost data: the
-// frame only passes the receiver's sequence filter once every prior
-// session frame has arrived, and a RESUME replays it like any other.
-// Session frames (SOPEN..SFIN) are numbered for the same reason DATA is:
-// buffering them until the peer's cumulative ack means a RESUME replay
-// recovers every live session's unacknowledged tail — per-session resume
-// rides the link-level machinery with no extra state.
-// CTRL frames are numbered so the orchestration conversation survives a
-// reconnect: a dispatch or completion report lost to a severed connection
-// is replayed by RESUME instead of silently vanishing.
+// numberedFrame reports whether a frame type carries a sequence number,
+// i.e. participates in resend buffering and RESUME replay. DATA, ACK and
+// FIN are, whatever their tag, so a RESUME replay recovers every live
+// session's unacknowledged tail with no per-session state. GOODBYE is
+// numbered so a graceful close cannot outrun lost data: the frame only
+// passes the receiver's sequence filter once every prior frame has
+// arrived. CTRL frames are numbered so a control conversation survives a
+// reconnect: a message lost to a severed connection is replayed instead of
+// silently vanishing.
 func numberedFrame(typ byte) bool {
-	return typ == frameData || typ == frameAck || typ == frameFin || typ == frameGoodbye ||
-		sessionFrame(typ) || typ == frameCtrl
+	return typ == frameData || typ == frameAck || typ == frameFin || typ == frameGoodbye || typ == frameCtrl
 }
 
 // EdgeDecl is one edge's entry in the handshake manifest. Both sides of a
@@ -124,33 +127,21 @@ type EdgeDecl struct {
 	noAck bool
 }
 
-// crcSmall folds p into crc with the per-byte IEEE table. Identical math
-// to crc32.Update, but a leaf the escape analyzer can see through:
-// crc32.Update dispatches through a func variable, so every argument
-// leaks and stack-resident prefixes (the 9-byte type|seq header, a
-// session-ID head, a fixed-size ack body) would each cost a heap
-// allocation per frame. Large payloads still go through crc32.Update for
-// its vectorized kernels.
-func crcSmall(crc uint32, p []byte) uint32 {
-	crc = ^crc
-	for _, v := range p {
+// frameCRC covers everything the length field delimits except the crc
+// itself — typSeq, the type and sequence number in front of it, and the
+// body behind it — so any single corrupted byte, including in the type or
+// sequence fields, fails verification. Both slices are read from an
+// encoded frame, never from a caller's buffer: crc32.Update dispatches
+// through a func variable, which makes the escape analyzer move whatever
+// it is handed to the heap, and a sender's stack-built tag or control
+// payload would cost an allocation per frame. The 9-byte typSeq takes the
+// per-byte table inline, cheaper than a second call into crc32.
+func frameCRC(typSeq, body []byte) uint32 {
+	crc := ^uint32(0)
+	for _, v := range typSeq {
 		crc = crc32.IEEETable[byte(crc)^v] ^ (crc >> 8)
 	}
-	return ^crc
-}
-
-// frameCRC covers everything the length field delimits except the crc
-// itself, so any single corrupted byte — including in the type or sequence
-// fields — fails verification. The body is taken as head|tail so a
-// session frame's sid prefix and its SPI message are checksummed without
-// concatenating them first.
-func frameCRC(typ byte, seq uint64, head, tail []byte) uint32 {
-	var hdr [9]byte
-	hdr[0] = typ
-	binary.LittleEndian.PutUint64(hdr[1:], seq)
-	c := crcSmall(0, hdr[:])
-	c = crcSmall(c, head)
-	return crc32.Update(c, crc32.IEEETable, tail)
+	return crc32.Update(^crc, crc32.IEEETable, body)
 }
 
 // frameReader reads frames through an internal chunk buffer: one large
@@ -233,7 +224,7 @@ func (fr *frameReader) fill(rd io.Reader, need int) error {
 	return nil
 }
 
-func (fr *frameReader) read(r io.Reader, maxFrame int) (typ byte, seq uint64, body []byte, err error) {
+func (fr *frameReader) read(r io.Reader) (typ byte, seq uint64, body []byte, err error) {
 	if err := fr.fill(r, 4); err != nil {
 		return 0, 0, nil, err
 	}
@@ -258,7 +249,7 @@ func openFrame(f []byte) (typ byte, seq uint64, body []byte, err error) {
 	seq = binary.LittleEndian.Uint64(f[1:])
 	crc := binary.LittleEndian.Uint32(f[9:])
 	body = f[13:]
-	if got := frameCRC(typ, seq, nil, body); got != crc {
+	if got := frameCRC(f[:9], body); got != crc {
 		return 0, 0, nil, fmt.Errorf("frame checksum mismatch: %#x on the wire, computed %#x", crc, got)
 	}
 	return typ, seq, body, nil
@@ -277,18 +268,22 @@ func putWire(p *[]byte) {
 }
 
 // appendFrame encodes one frame onto dst. The body is the concatenation
-// head|tail (head may be nil); splitting it lets a session frame prepend
-// its sid to an SPI message without first joining them in a scratch
-// buffer.
+// head|tail (head may be nil); splitting it lets a frame prepend its tag
+// or opcode to an SPI message or payload without first joining them in a
+// scratch buffer. The checksum is computed over the bytes appended to dst,
+// so neither head nor tail escapes.
 func appendFrame(dst []byte, typ byte, seq uint64, head, tail []byte) []byte {
+	start := len(dst)
 	var hdr [frameHeaderBytes]byte
 	binary.LittleEndian.PutUint32(hdr[:], uint32(13+len(head)+len(tail)))
 	hdr[4] = typ
 	binary.LittleEndian.PutUint64(hdr[5:], seq)
-	binary.LittleEndian.PutUint32(hdr[13:], frameCRC(typ, seq, head, tail))
 	dst = append(dst, hdr[:]...)
 	dst = append(dst, head...)
-	return append(dst, tail...)
+	dst = append(dst, tail...)
+	f := dst[start+4:]
+	binary.LittleEndian.PutUint32(f[9:], frameCRC(f[:9], f[13:]))
+	return dst
 }
 
 // buildFrame encodes one frame into a pooled buffer. The returned frame
@@ -312,9 +307,9 @@ func writeFrame(w io.Writer, typ byte, seq uint64, body []byte) error {
 
 // readFrame reads one handshake-phase frame (HELLO, RESUME, RESUMEOK): the
 // only frames read before a link, and its frameReader, exist. The length
-// prefix is checked against maxHandshakeFrame as well as maxFrame before
-// anything is allocated for it.
-func readFrame(r io.Reader, maxFrame int) (typ byte, seq uint64, body []byte, err error) {
+// prefix is checked against maxHandshakeFrame before anything is allocated
+// for it.
+func readFrame(r io.Reader) (typ byte, seq uint64, body []byte, err error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 		return 0, 0, nil, err
@@ -323,11 +318,8 @@ func readFrame(r io.Reader, maxFrame int) (typ byte, seq uint64, body []byte, er
 	if n < 13 {
 		return 0, 0, nil, fmt.Errorf("frame of %d bytes shorter than its header", n)
 	}
-	if maxFrame > maxHandshakeFrame {
-		maxFrame = maxHandshakeFrame
-	}
-	if int(n) > maxFrame {
-		return 0, 0, nil, fmt.Errorf("handshake frame of %d bytes exceeds limit %d", n, maxFrame)
+	if n > maxHandshakeFrame {
+		return 0, 0, nil, fmt.Errorf("handshake frame of %d bytes exceeds limit %d", n, maxHandshakeFrame)
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(r, buf); err != nil {
@@ -419,24 +411,41 @@ func decodeHello(body []byte) (node uint16, token uint64, edges []EdgeDecl, bloc
 	return node, token, edges, blocked, nil
 }
 
-func decodeAck(body []byte) (edge uint16, count uint32, err error) {
+// splitData splits a DATA body into its tag and the SPI message, which
+// must be at least an edge ID.
+func splitData(body []byte) (tag uint32, msg []byte, err error) {
+	if len(body) < dataMinBytes {
+		return 0, nil, fmt.Errorf("data frame of %d bytes shorter than a tag plus an SPI header", len(body))
+	}
+	return binary.LittleEndian.Uint32(body), body[tagBytes:], nil
+}
+
+// putAck encodes an ACK body.
+func putAck(body *[ackBodyBytes]byte, tag uint32, edge uint16, count uint32) {
+	binary.LittleEndian.PutUint32(body[:], tag)
+	binary.LittleEndian.PutUint16(body[tagBytes:], edge)
+	binary.LittleEndian.PutUint32(body[tagBytes+2:], count)
+}
+
+func decodeAck(body []byte) (tag uint32, edge uint16, count uint32, err error) {
 	if len(body) != ackBodyBytes {
-		return 0, 0, fmt.Errorf("ack frame of %d bytes, want %d", len(body), ackBodyBytes)
+		return 0, 0, 0, fmt.Errorf("ack frame of %d bytes, want %d", len(body), ackBodyBytes)
 	}
-	return binary.LittleEndian.Uint16(body), binary.LittleEndian.Uint32(body[2:]), nil
+	return binary.LittleEndian.Uint32(body), binary.LittleEndian.Uint16(body[tagBytes:]),
+		binary.LittleEndian.Uint32(body[tagBytes+2:]), nil
 }
 
-func encodeFin(edge uint16) []byte {
-	body := make([]byte, finBodyBytes)
-	binary.LittleEndian.PutUint16(body, edge)
-	return body
+// putFin encodes a FIN body.
+func putFin(body *[finBodyBytes]byte, tag uint32, edge uint16) {
+	binary.LittleEndian.PutUint32(body[:], tag)
+	binary.LittleEndian.PutUint16(body[tagBytes:], edge)
 }
 
-func decodeFin(body []byte) (edge uint16, err error) {
+func decodeFin(body []byte) (tag uint32, edge uint16, err error) {
 	if len(body) != finBodyBytes {
-		return 0, fmt.Errorf("fin frame of %d bytes, want %d", len(body), finBodyBytes)
+		return 0, 0, fmt.Errorf("fin frame of %d bytes, want %d", len(body), finBodyBytes)
 	}
-	return binary.LittleEndian.Uint16(body), nil
+	return binary.LittleEndian.Uint32(body), binary.LittleEndian.Uint16(body[tagBytes:]), nil
 }
 
 func decodeCumAck(body []byte) (recvSeq uint64, err error) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -50,10 +51,12 @@ func TestHandshakeRefused(t *testing.T) {
 		tuneD, tuneA  func(*LinkConfig)
 		want          []string // every one must appear in the refusal
 	}{
-		{name: "hello v2", hello: oldHello(2, testManifest(true)), want: []string{"version 2", "version 5"}},
-		{name: "hello v3", hello: oldHello(3, testManifest(true)), want: []string{"version 3", "version 5"}},
-		{name: "hello v4", hello: tamperedHello(4, 4), want: []string{"version 4", "version 5"}},
-		{name: "resume v4", resume: tamperedResume(4, 4), want: []string{"resume", "version 4", "version 5"}},
+		{name: "hello v2", hello: oldHello(2, testManifest(true)), want: []string{"version 2", "version 6"}},
+		{name: "hello v3", hello: oldHello(3, testManifest(true)), want: []string{"version 3", "version 6"}},
+		{name: "hello v4", hello: tamperedHello(4, 4), want: []string{"version 4", "version 6"}},
+		{name: "hello v5", hello: tamperedHello(4, 5), want: []string{"version 5", "version 6"}},
+		{name: "resume v4", resume: tamperedResume(4, 4), want: []string{"resume", "version 4", "version 6"}},
+		{name: "resume v5", resume: tamperedResume(4, 5), want: []string{"resume", "version 5", "version 6"}},
 		{name: "unknown hello flag bit", hello: tamperedHello(5, 0x82), want: []string{"hello sets unknown flag bits 0x82"}},
 		{name: "unknown decl flag bit", hello: tamperedHello(helloFixedBytes+3, declOut|0x04), want: []string{"edge 7", "unknown flag bits 0x4"}},
 		{name: "blocked dialer, scalar acceptor", tuneD: blocked, want: []string{"peer runs blocked", "-block"}},
@@ -289,115 +292,135 @@ func TestMixedLocalPolicy(t *testing.T) {
 	})
 }
 
-// TestSendNeedsHandlerType: with nothing negotiated, what gates session
+// TestSendNeedsHandlerType: with nothing negotiated, what gates tagged
 // and CTRL frames is the handler's type, on both ends: a link whose
 // handler cannot receive a frame family refuses to send it, and fails
-// with a protocol error when its peer does.
+// with a protocol error when its peer does. A session link, for its part,
+// counts untagged traffic as belonging to no session (internal/session).
 func TestSendNeedsHandlerType(t *testing.T) {
 	hd, ha := newSessionRecorder(), newRecordingHandler()
 	d, a := linkPair(t, NewLoopback(), "gate", hd, ha)
 	defer d.Abort()
 	defer a.Abort()
-	if err := a.SendSessionOpen(1, "tenant"); err == nil || !strings.Contains(err.Error(), "SessionHandler") {
-		t.Fatalf("plain-handler link sent a session frame: %v", err)
+	if err := a.SendSessionData(4, 9, []byte{9, 0, 1}); err == nil || !strings.Contains(err.Error(), "SessionHandler") {
+		t.Fatalf("plain-handler link sent a tagged frame: %v", err)
+	}
+	if err := a.SendSessionAck(4, 7, 1); err == nil || !strings.Contains(err.Error(), "SessionHandler") {
+		t.Fatalf("plain-handler link queued a tagged ack: %v", err)
 	}
 	if err := a.SendCtrl(1, nil); err == nil || !strings.Contains(err.Error(), "CtrlHandler") {
 		t.Fatalf("plain-handler link sent a ctrl frame: %v", err)
 	}
-	if err := d.SendSessionOpen(1, "tenant"); err != nil {
-		t.Fatalf("session-handler link refused a session frame: %v", err)
+	if err := d.SendSessionData(4, 7, []byte{7, 0, 1}); err != nil {
+		t.Fatalf("session-handler link refused a tagged frame: %v", err)
 	}
 	select {
 	case err := <-ha.closed:
-		if err == nil || !strings.Contains(err.Error(), "not a SessionHandler") {
-			t.Fatalf("plain-handler link closed with %v, want the protocol error", err)
+		if err == nil || !strings.Contains(err.Error(), "session 4") || !strings.Contains(err.Error(), "not a SessionHandler") {
+			t.Fatalf("plain-handler link closed with %v, want the protocol error naming session 4", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("a session frame for a plain handler did not fail the link")
-	}
-}
-
-// TestRetiredFrameType: type 9 was DATAACK, retired with protocol v4. A peer
-// that sends one after the handshake fails the link with a protocol error
-// naming the type, and nothing of the frame is dispatched.
-func TestRetiredFrameType(t *testing.T) {
-	tr := NewLoopback()
-	ln, err := tr.Listen("retired")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	c, err := tr.Dial("retired")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ha := newRecordingHandler()
-	accepted := make(chan *Link, 1)
-	go func() {
-		sc, err := ln.Accept()
-		if err != nil {
-			t.Error(err)
-			accepted <- nil
-			return
-		}
-		l, err := AcceptLink(sc, LinkConfig{Node: 1}, func(int) ([]EdgeDecl, Handler, error) {
-			return testManifest(false), ha, nil
-		})
-		if err != nil {
-			t.Error(err)
-		}
-		accepted <- l
-	}()
-	if err := writeFrame(c, frameHello, 0, encodeHello(0, 1, testManifest(true), false)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := readFrame(c, DefaultMaxFrame); err != nil {
-		t.Fatal(err)
-	}
-	a := <-accepted
-	if a == nil {
-		return
-	}
-	defer a.Abort()
-	// A v4 DATAACK: one credit for outbound edge 9, riding a message on 7.
-	if err := writeFrame(c, 9, 1, []byte{1, 9, 0, 1, 0, 0, 0, 7, 0}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-ha.closed:
-		if err == nil || !strings.Contains(err.Error(), "unexpected frame type 9") {
-			t.Fatalf("link closed with %v, want a protocol error naming type 9", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("a type-9 frame did not fail the link")
+		t.Fatal("a tagged frame for a plain handler did not fail the link")
 	}
 	ha.mu.Lock()
 	defer ha.mu.Unlock()
-	if len(ha.data) != 0 || len(ha.acks) != 0 {
-		t.Errorf("the retired frame was dispatched: data %v, acks %v", ha.data, ha.acks)
+	if len(ha.data) != 0 {
+		t.Errorf("the tagged frame reached the untagged handler: %v", ha.data)
 	}
 }
 
-// TestHelloGolden pins the exact version-5 bytes of one HELLO and one
+// TestRetiredFrameType: type 9 was DATAACK, retired with protocol v4, and
+// 10..15 the session frame family, retired with v5. A peer that sends one
+// after the handshake fails the link with a protocol error naming the
+// type, and nothing of the frame is dispatched.
+func TestRetiredFrameType(t *testing.T) {
+	for typ := byte(9); typ <= 15; typ++ {
+		t.Run(fmt.Sprintf("type %d", typ), func(t *testing.T) {
+			tr := NewLoopback()
+			ln, err := tr.Listen("retired")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			c, err := tr.Dial("retired")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			ha := newRecordingHandler()
+			accepted := make(chan *Link, 1)
+			go func() {
+				sc, err := ln.Accept()
+				if err != nil {
+					t.Error(err)
+					accepted <- nil
+					return
+				}
+				l, err := AcceptLink(sc, LinkConfig{Node: 1}, func(int) ([]EdgeDecl, Handler, error) {
+					return testManifest(false), ha, nil
+				})
+				if err != nil {
+					t.Error(err)
+				}
+				accepted <- l
+			}()
+			if err := writeFrame(c, frameHello, 0, encodeHello(0, 1, testManifest(true), false)); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, _, err := readFrame(c); err != nil {
+				t.Fatal(err)
+			}
+			a := <-accepted
+			if a == nil {
+				return
+			}
+			defer a.Abort()
+			// A body each retired type could have carried: a v4 DATAACK (one
+			// credit for edge 9 riding a message on 7), or a v5 session frame
+			// of session 1 on edge 7.
+			body := []byte{1, 9, 0, 1, 0, 0, 0, 7, 0}
+			if typ > 9 {
+				body = []byte{1, 0, 0, 0, 7, 0, 1, 0, 0, 0}
+			}
+			if err := writeFrame(c, typ, 1, body); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case err := <-ha.closed:
+				if want := fmt.Sprintf("unexpected frame type %d", typ); err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("link closed with %v, want a protocol error naming type %d", err, typ)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("a type-%d frame did not fail the link", typ)
+			}
+			ha.mu.Lock()
+			defer ha.mu.Unlock()
+			if len(ha.data) != 0 || len(ha.acks) != 0 || len(ha.fins) != 0 {
+				t.Errorf("the retired frame was dispatched: data %v, acks %v, fins %v", ha.data, ha.acks, ha.fins)
+			}
+		})
+	}
+}
+
+// TestHelloGolden pins the exact version-6 bytes of one HELLO and one
 // RESUME: a layout change must be a deliberate edit of these strings (and
 // of helloVersion).
 func TestHelloGolden(t *testing.T) {
 	edges := testManifest(true)
 	edges[0].noAck = true
-	hello := "31495053" + "05" + "01" + "0201" + "8877665544332211" + "0200" +
+	hello := "31495053" + "06" + "01" + "0201" + "8877665544332211" + "0200" +
 		"0700" + "01" + "03" + "00040000" + "01" + "00000000" +
 		"0900" + "00" + "00" + "10000000" + "00" + "04000000"
 	if got := hex.EncodeToString(encodeHello(0x0102, 0x1122334455667788, edges, true)); got != hello {
 		t.Errorf("HELLO layout changed:\n got %s\nwant %s", got, hello)
 	}
-	resume := "31495053" + "05" + "0201" + "8877665544332211" + "6300000000000000"
+	resume := "31495053" + "06" + "0201" + "8877665544332211" + "6300000000000000"
 	if got := hex.EncodeToString(encodeResume(0x0102, 0x1122334455667788, 99)); got != resume {
 		t.Errorf("RESUME layout changed:\n got %s\nwant %s", got, resume)
 	}
 	old := encodeResume(1, 2, 3)
 	old[4] = 3
-	if _, _, _, err := decodeResume(old); err == nil || !strings.Contains(err.Error(), "version 3") || !strings.Contains(err.Error(), "version 5") {
+	if _, _, _, err := decodeResume(old); err == nil || !strings.Contains(err.Error(), "version 3") || !strings.Contains(err.Error(), "version 6") {
 		t.Errorf("v3 RESUME: %v, want a refusal naming both versions", err)
 	}
 }
@@ -410,6 +433,7 @@ func FuzzDecodeHello(f *testing.F) {
 	f.Add(encodeHello(3, 0xfeedface, testManifest(true), true))
 	f.Add(oldHello(3, testManifest(false)))
 	f.Add(tamperedHello(4, 4))
+	f.Add(tamperedHello(4, 5))
 	f.Add(tamperedHello(helloFixedBytes+3, 0xff))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		node, token, edges, blocked, err := decodeHello(body)
@@ -441,7 +465,7 @@ func FuzzDecodeResume(f *testing.F) {
 
 // TestHandshakeFrameBound: a connection's first four bytes are a length
 // prefix nobody has authenticated. One that claims a frame just under
-// MaxFrame (16 MiB) and then stalls must be refused at once, naming the
+// maxFrame (16 MiB) and then stalls must be refused at once, naming the
 // limit, before the accept path allocates anything of that size — it used
 // to allocate the 16 MiB and wait out the handshake timeout.
 func TestHandshakeFrameBound(t *testing.T) {
@@ -458,7 +482,7 @@ func TestHandshakeFrameBound(t *testing.T) {
 		}
 		defer c.Close()
 		var prefix [4]byte
-		binary.LittleEndian.PutUint32(prefix[:], DefaultMaxFrame-1)
+		binary.LittleEndian.PutUint32(prefix[:], maxFrame-1)
 		go c.Write(prefix[:]) // then silence
 		sc, err := ln.Accept()
 		if err != nil {

@@ -195,7 +195,7 @@ func FuzzDecodePing(f *testing.F) {
 			encodePing(enc[:], ts)
 			fr := buildFrame(typ, 0, nil, enc[:])
 			var reader frameReader
-			rtyp, seq, got, err := reader.read(bytes.NewReader(fr.wire), DefaultMaxFrame)
+			rtyp, seq, got, err := reader.read(bytes.NewReader(fr.wire))
 			putWire(fr.buf)
 			if err != nil {
 				t.Fatalf("reading back a built %d frame: %v", typ, err)

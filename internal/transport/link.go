@@ -47,19 +47,11 @@ type LinkConfig struct {
 	// unrecoverable); with reconnection it is treated as a dead
 	// connection and repaired by RESUME replay. Zero means no bound.
 	SendTimeout time.Duration
-	// IdleTimeout bounds the gap between inbound frames; exceeding it
-	// counts as a connection failure. Zero means no bound.
-	IdleTimeout time.Duration
-	// HandshakeTimeout bounds the hello exchange (default 5s).
-	HandshakeTimeout time.Duration
 	// CloseTimeout bounds how long Close waits — first for a pending
 	// reconnection to replay unacknowledged frames, then for the peer's
 	// GOODBYE — before forcing the connection shut (default 5s).
 	CloseTimeout time.Duration
-	// MaxFrame rejects inbound frames larger than this (default
-	// DefaultMaxFrame).
-	MaxFrame int
-	// Reconnect is the session-resumption policy. The zero value fails
+	// Reconnect is the link-resumption policy. The zero value fails
 	// fast on the first connection error, exactly like links behaved
 	// before resumption existed.
 	Reconnect ReconnectConfig
@@ -67,10 +59,6 @@ type LinkConfig struct {
 	// Required on the dialing side when Reconnect is enabled; the
 	// accepting side leaves it nil and waits for the peer to re-dial.
 	Redial func() (Conn, error)
-	// ResendLimit bounds the resend buffer: session frames are retained
-	// until covered by the peer's cumulative ack, and senders block when
-	// the buffer is full. Default 256 frames.
-	ResendLimit int
 	// Batch has no effect; kept until a `benchmark` PR stops naming it (see
 	// BatchConfig). Every link coalesces the frames that arrive while its
 	// previous write is in flight (writer.go).
@@ -82,7 +70,7 @@ type LinkConfig struct {
 	// Sessions asserts that this link multiplexes sessions: NewLink and
 	// AcceptConn refuse to build it unless the handler is a
 	// SessionHandler. It changes nothing on the wire — any link whose
-	// handler is a SessionHandler sends and receives session frames.
+	// handler is a SessionHandler sends and receives session-tagged frames.
 	Sessions bool
 	// Heartbeat enables active liveness probing: a per-link prober sends
 	// a PING whenever no frame has been heard from the peer for one
@@ -123,32 +111,24 @@ type LinkConfig struct {
 	Obs *obs.Observer
 }
 
-func (c *LinkConfig) handshakeTimeout() time.Duration {
-	if c.HandshakeTimeout > 0 {
-		return c.HandshakeTimeout
-	}
-	return 5 * time.Second
-}
+const (
+	// handshakeTimeout bounds the HELLO or RESUME exchange.
+	handshakeTimeout = 5 * time.Second
+	// resendLimit bounds the resend buffer: numbered frames are retained
+	// until covered by the peer's cumulative ack, and senders block when
+	// the buffer is full.
+	resendLimit = 256
+	// ackInterval is the cumulative-ack threshold: acks cover batches of a
+	// quarter of the peer's resend budget, so the peer trims long before
+	// its senders would stall.
+	ackInterval = resendLimit / 4
+)
 
 func (c *LinkConfig) closeTimeout() time.Duration {
 	if c.CloseTimeout > 0 {
 		return c.CloseTimeout
 	}
 	return 5 * time.Second
-}
-
-func (c *LinkConfig) maxFrame() int {
-	if c.MaxFrame > 0 {
-		return c.MaxFrame
-	}
-	return DefaultMaxFrame
-}
-
-func (c *LinkConfig) resendLimit() int {
-	if c.ResendLimit > 0 {
-		return c.ResendLimit
-	}
-	return 256
 }
 
 func (c *LinkConfig) peerTimeout() time.Duration {
@@ -353,8 +333,8 @@ type Link struct {
 	changed    chan struct{} // closed+replaced on every state/buffer change
 	readerDone chan struct{} // current generation's reader exit
 
-	pendingAcks    map[uint16]uint32 // SPI acks awaiting the writer's next pass
-	pendingOrder   []uint16          // FIFO of edges with pending acks
+	pendingAcks    map[ackKey]uint32 // SPI acks awaiting the writer's next pass
+	pendingOrder   []ackKey          // FIFO of (tag, edge) pairs with pending acks
 	suppressedSent map[uint16]int64  // per-edge resync-suppressed ack totals
 
 	closedCh   chan struct{} // closed once when Close/Abort begins
@@ -389,13 +369,13 @@ func NewLink(conn Conn, cfg LinkConfig, h Handler) (*Link, error) {
 		return refuse(conn, "handshake", err)
 	}
 	cfg.Edges = cfg.manifest(cfg.Edges)
-	deadline := time.Now().Add(cfg.handshakeTimeout())
+	deadline := time.Now().Add(handshakeTimeout)
 	conn.SetWriteDeadline(deadline)
 	if err := writeFrame(conn, frameHello, 0, encodeHello(uint16(cfg.Node), token, cfg.Edges, cfg.Blocked)); err != nil {
 		return refuse(conn, "handshake", err)
 	}
 	conn.SetReadDeadline(deadline)
-	typ, _, body, err := readFrame(conn, cfg.maxFrame())
+	typ, _, body, err := readFrame(conn)
 	if err == nil && typ != frameHello {
 		err = fmt.Errorf("first frame has type %d, want hello", typ)
 	}
@@ -481,9 +461,9 @@ func AcceptLink(conn Conn, cfg LinkConfig, lookup func(peer int) ([]EdgeDecl, Ha
 // unacknowledged frames internally. With resume == nil, RESUME frames are
 // rejected.
 func AcceptConn(conn Conn, cfg LinkConfig, lookup func(peer int) ([]EdgeDecl, Handler, error), resume func(peer int, token uint64) *Link) (*Link, error) {
-	deadline := time.Now().Add(cfg.handshakeTimeout())
+	deadline := time.Now().Add(handshakeTimeout)
 	conn.SetReadDeadline(deadline)
-	typ, _, body, err := readFrame(conn, cfg.maxFrame())
+	typ, _, body, err := readFrame(conn)
 	if err != nil {
 		return refuse(conn, "handshake", err)
 	}
@@ -762,33 +742,53 @@ func (l *Link) pinger() {
 	}
 }
 
-// SendData transmits one SPI-encoded message on an outbound edge.
-func (l *Link) SendData(edge uint16, msg []byte) error {
+// SendData transmits one SPI-encoded message on an outbound edge of the
+// link's own run (tag 0).
+func (l *Link) SendData(edge uint16, msg []byte) error { return l.sendData(0, edge, msg) }
+
+// SendAck transmits a BBS credit / UBS acknowledgement for an inbound edge
+// of the link's own run. The ack is queued, never written here and never
+// blocked: the writer's next pass sends it as a numbered ACK frame, merged
+// with every other ack queued for the same tag and edge, held for replay
+// like every numbered frame. A handler may therefore ack from the link's
+// reader goroutine.
+func (l *Link) SendAck(edge uint16, count uint32) error { return l.sendAck(0, edge, count) }
+
+// SendFin marks one edge of the link's own run finished: the peer stops
+// expecting DATA (outbound edge) or ACK credits (inbound edge) on it.
+// Degrading nodes send FINs on every edge touching a dead peer's actors so
+// the survivors unblock. Queued acks, of every tag, are materialized ahead
+// of it: the peer must not observe a FIN ordered ahead of acks for
+// messages it delivered before the FIN.
+func (l *Link) SendFin(edge uint16) error { return l.sendFin(0, edge) }
+
+func (l *Link) sendData(tag uint32, edge uint16, msg []byte) error {
 	if _, ok := l.out[edge]; !ok {
-		return &Error{Op: "send", Addr: l.raddr,
-			Err: fmt.Errorf("edge %d is not outbound on this link", edge)}
+		return l.sendError("edge %d is not outbound on this link", edge)
 	}
-	if err := l.sendSessionFrame(frameData, nil, msg); err != nil {
+	if err := l.checkTag(tag); err != nil {
+		return err
+	}
+	var head [tagBytes]byte
+	binary.LittleEndian.PutUint32(head[:], tag)
+	if err := l.sendFrame(frameData, head[:], msg); err != nil {
 		return err
 	}
 	// Counters only on the per-frame path: the SPI layer already traces
 	// this message as an edge event, and a second instant per frame is
 	// measurable overhead for no new information. The trace ring carries
-	// link *session* events (down, reconnect, resume, replay).
+	// link lifecycle events (down, reconnect, resume, replay).
 	l.obs.dataSent.Inc()
 	return nil
 }
 
-// SendAck transmits a BBS credit / UBS acknowledgement for an inbound
-// edge. The ack is queued, never written here and never blocked: the
-// writer's next pass sends it as a numbered ACK frame (coalesced with any
-// other ack queued for the edge), held for replay like every session frame.
-// A handler may therefore ack from the link's reader goroutine.
-func (l *Link) SendAck(edge uint16, count uint32) error {
+func (l *Link) sendAck(tag uint32, edge uint16, count uint32) error {
 	d, ok := l.in[edge]
 	if !ok {
-		return &Error{Op: "send", Addr: l.raddr,
-			Err: fmt.Errorf("edge %d is not inbound on this link", edge)}
+		return l.sendError("edge %d is not inbound on this link", edge)
+	}
+	if err := l.checkTag(tag); err != nil {
+		return err
 	}
 	l.mu.Lock()
 	if d.noAck {
@@ -810,30 +810,44 @@ func (l *Link) SendAck(edge uint16, count uint32) error {
 		l.mu.Unlock()
 		return err
 	}
-	l.queueAckLocked(edge, count)
+	l.queueAckLocked(keyOf(tag, edge), count)
 	l.mu.Unlock()
 	l.wakeWriter()
 	return nil
 }
 
-// SendFin marks one edge finished: the peer stops expecting DATA (outbound
-// edge) or ACK credits (inbound edge) on it. Degrading nodes send FINs on
-// every edge touching a dead peer's actors so the survivors unblock.
-// Queued acks are materialized ahead of it: the peer must not observe a FIN
-// ordered ahead of acks for messages it delivered before the FIN.
-func (l *Link) SendFin(edge uint16) error {
+func (l *Link) sendFin(tag uint32, edge uint16) error {
 	_, outOK := l.out[edge]
 	_, inOK := l.in[edge]
 	if !outOK && !inOK {
-		return &Error{Op: "send", Addr: l.raddr,
-			Err: fmt.Errorf("edge %d is not declared on this link", edge)}
+		return l.sendError("edge %d is not declared on this link", edge)
 	}
-	if err := l.sendSession(frameFin, encodeFin(edge)); err != nil {
+	if err := l.checkTag(tag); err != nil {
+		return err
+	}
+	var body [finBodyBytes]byte
+	putFin(&body, tag, edge)
+	if err := l.sendFrame(frameFin, body[:], nil); err != nil {
 		return err
 	}
 	l.obs.finsSent.Inc()
 	l.obs.tr.Instant("link", "fin:send", l.obs.pid, int(edge))
 	return nil
+}
+
+// checkTag refuses a session-tagged send on a link whose handler is not a
+// SessionHandler: sending needs what receiving needs, and the peer's
+// tagged answers would fail this link's reader.
+func (l *Link) checkTag(tag uint32) error {
+	if tag != 0 && l.sh == nil {
+		return l.sendError("session %d: tagged frames need a link whose handler is a SessionHandler", tag)
+	}
+	return nil
+}
+
+// sendError is the error of a send the link refuses before it is filed.
+func (l *Link) sendError(format string, args ...any) error {
+	return &Error{Op: "send", Addr: l.raddr, Err: fmt.Errorf(format, args...)}
 }
 
 // sendErrLocked reports why a link that has ended refuses a send, nil while
@@ -845,34 +859,20 @@ func (l *Link) sendErrLocked() error {
 	return &Error{Op: "send", Addr: l.raddr, Err: l.failErr}
 }
 
-// sendSession is sendSessionFrame for a body in one piece.
-func (l *Link) sendSession(typ byte, body []byte) error {
-	return l.sendSessionFrame(typ, nil, body)
-}
-
-// sendSessionFrame assigns the next sequence number to one session frame
-// whose body is head|tail (the session-tagged frames pass their u32 sid
-// prefix as a stack-allocated head, which buildFrame copies, keeping the
-// hot path allocation-free), files it in the resend buffer and stages it
-// for the writer — or, for a frame of at least inlineWriteBytes, writes it
-// here after whatever was staged before it. While the link is down with
-// reconnection pending, or the resend buffer is full, it blocks until the
-// state changes; that wait comes before the sequence number is assigned,
-// and nothing between the assignment and the frame's place in wire order
-// releases mu. A failed write of a staged frame reaches the caller on its
-// next send (see writeFailed); with
-// reconnection enabled it is no error at all, the RESUME replay delivers
-// the frame.
-func (l *Link) sendSessionFrame(typ byte, head, body []byte) error {
-	// Sending a frame family needs what receiving it needs, a handler of
-	// that type: the peer's answers would otherwise fail this link's reader.
-	switch {
-	case sessionFrame(typ) && l.sh == nil:
-		return &Error{Op: "send", Addr: l.raddr, Err: errors.New("session frames need a link whose handler is a SessionHandler")}
-	case typ == frameCtrl && l.ch == nil:
-		return &Error{Op: "send", Addr: l.raddr, Err: errors.New("ctrl frames need a link whose handler is a CtrlHandler")}
-	}
-	inline := frameHeaderBytes+len(head)+len(body) >= inlineWriteBytes
+// sendFrame assigns the next sequence number to one numbered frame whose
+// body is head|tail (a tag or opcode prefix passed as a stack-allocated
+// head, which buildFrame copies, keeping the hot path allocation-free),
+// files it in the resend buffer and stages it for the writer — or, for a
+// frame of at least inlineWriteBytes, writes it here after whatever was
+// staged before it. While the link is down with reconnection pending, or
+// the resend buffer is full, it blocks until the state changes; that wait
+// comes before the sequence number is assigned, and nothing between the
+// assignment and the frame's place in wire order releases mu. A failed
+// write of a staged frame reaches the caller on its next send (see
+// writeFailed); with reconnection enabled it is no error at all, the
+// RESUME replay delivers the frame.
+func (l *Link) sendFrame(typ byte, head, tail []byte) error {
+	inline := frameHeaderBytes+len(head)+len(tail) >= inlineWriteBytes
 	unlock := func() {
 		l.mu.Unlock()
 		if inline {
@@ -888,7 +888,7 @@ func (l *Link) sendSessionFrame(typ byte, head, body []byte) error {
 			unlock()
 			return err
 		}
-		if l.state == stateDown || len(l.unacked) >= l.cfg.resendLimit() {
+		if l.state == stateDown || len(l.unacked) >= resendLimit {
 			ch := l.changed
 			if l.state == stateUp && l.recvSeq > l.cumAcked {
 				// About to sleep until the peer acks: send our own owed
@@ -905,7 +905,7 @@ func (l *Link) sendSessionFrame(typ byte, head, body []byte) error {
 		if typ == frameFin {
 			l.materializeAcksLocked()
 		}
-		f := l.fileLocked(typ, head, body)
+		f := l.fileLocked(typ, head, tail)
 		if !inline {
 			l.stageLocked(f.wire)
 			l.mu.Unlock()
@@ -923,17 +923,6 @@ func (l *Link) sendSessionFrame(typ byte, head, body []byte) error {
 		}
 		return werr
 	}
-}
-
-// ackInterval is the cumulative-ack suppression threshold: acks cover
-// batches of a quarter of the peer's assumed resend budget, so the peer
-// trims long before its senders would stall.
-func (l *Link) ackInterval() int {
-	interval := l.cfg.resendLimit() / 4
-	if interval < 1 {
-		interval = 1
-	}
-	return interval
 }
 
 // connError reports a dead connection seen on generation gen by its
@@ -961,7 +950,7 @@ func (l *Link) connError(gen int, err error) {
 func (l *Link) loseConnLocked(cause error) error {
 	l.conn.Close()
 	l.gen++
-	// What was staged for the dead connection goes with it: every session
+	// What was staged for the dead connection goes with it: every numbered
 	// frame in it is in the resend buffer, and the RESUME replay restages
 	// them from there.
 	l.stage, l.staged, l.ackNow = l.stage[:0], 0, false

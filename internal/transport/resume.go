@@ -16,7 +16,6 @@ import (
 // final ack exchange of a graceful close can complete in both directions.
 func (l *Link) readLoop(conn Conn, gen int, done chan struct{}) {
 	defer close(done)
-	interval := uint64(l.ackInterval())
 	// One reusable frame buffer per connection generation: the body
 	// handed to each case aliases it and is consumed (or copied by the
 	// handler) before the next read, so the steady-state receive path
@@ -24,10 +23,7 @@ func (l *Link) readLoop(conn Conn, gen int, done chan struct{}) {
 	var fr frameReader
 	defer fr.release()
 	for {
-		if l.cfg.IdleTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(l.cfg.IdleTimeout))
-		}
-		typ, seq, body, err := fr.read(conn, l.cfg.maxFrame())
+		typ, seq, body, err := fr.read(conn)
 		if err != nil {
 			l.connError(gen, &Error{Op: "recv", Addr: l.raddr, Transient: isTimeout(err), Err: err})
 			return
@@ -54,98 +50,11 @@ func (l *Link) readLoop(conn Conn, gen int, done chan struct{}) {
 				return
 			}
 			l.recvSeq = seq
-			ackOwed = seq-l.cumAcked >= interval
+			ackOwed = seq-l.cumAcked >= ackInterval
 			l.mu.Unlock()
 		}
-		switch typ {
-		case frameData:
-			if len(body) < 2 {
-				l.connError(gen, &Error{Op: "recv", Addr: l.raddr,
-					Err: fmt.Errorf("data frame of %d bytes shorter than an SPI header", len(body))})
-				return
-			}
-			id := binary.LittleEndian.Uint16(body)
-			if _, ok := l.in[id]; !ok {
-				l.connError(gen, &Error{Op: "recv", Addr: l.raddr,
-					Err: fmt.Errorf("data frame for undeclared inbound edge %d", id)})
-				return
-			}
-			l.obs.dataRecv.Inc()
-			l.h.HandleData(id, body)
-		case frameAck:
-			id, n, derr := decodeAck(body)
-			if derr != nil {
-				l.connError(gen, &Error{Op: "recv", Addr: l.raddr, Err: derr})
-				return
-			}
-			if _, ok := l.out[id]; !ok {
-				l.connError(gen, &Error{Op: "recv", Addr: l.raddr,
-					Err: fmt.Errorf("ack frame for undeclared outbound edge %d", id)})
-				return
-			}
-			l.obs.acksRecv.Inc()
-			l.h.HandleAck(id, n)
-		case frameFin:
-			id, derr := decodeFin(body)
-			if derr != nil {
-				l.connError(gen, &Error{Op: "recv", Addr: l.raddr, Err: derr})
-				return
-			}
-			_, inOK := l.in[id]
-			_, outOK := l.out[id]
-			if !inOK && !outOK {
-				l.connError(gen, &Error{Op: "recv", Addr: l.raddr,
-					Err: fmt.Errorf("fin frame for undeclared edge %d", id)})
-				return
-			}
-			l.obs.finsRecv.Inc()
-			l.obs.tr.Instant("link", "fin:recv", l.obs.pid, int(id))
-			l.h.HandleFin(id)
-		case frameCumAck:
-			n, derr := decodeCumAck(body)
-			if derr != nil {
-				l.connError(gen, &Error{Op: "recv", Addr: l.raddr, Err: derr})
-				return
-			}
-			l.trimUnacked(n)
-		case frameSOpen, frameSOpenOK, frameSClose, frameSData, frameSAck, frameSFin:
-			if derr := l.dispatchSession(typ, body); derr != nil {
-				l.connError(gen, &Error{Op: "recv", Addr: l.raddr, Err: derr})
-				return
-			}
-		case frameCtrl:
-			if derr := l.dispatchCtrl(body); derr != nil {
-				l.connError(gen, &Error{Op: "recv", Addr: l.raddr, Err: derr})
-				return
-			}
-		case framePing:
-			ts, derr := decodePing(body)
-			if derr != nil {
-				l.connError(gen, &Error{Op: "recv", Addr: l.raddr, Err: derr})
-				return
-			}
-			l.stageProbe(gen, framePong, ts)
-		case framePong:
-			ts, derr := decodePing(body)
-			if derr != nil {
-				l.connError(gen, &Error{Op: "recv", Addr: l.raddr, Err: derr})
-				return
-			}
-			if rtt := time.Now().UnixNano() - int64(ts); rtt >= 0 {
-				us := rtt / int64(time.Microsecond)
-				l.lastRTT.Store(us)
-				l.obs.rtt.Observe(float64(us))
-			}
-			l.obs.pongsRecv.Inc()
-		case frameGoodbye:
-			// Keep reading: the final CUMACK for our own GOODBYE may still
-			// be inbound. The reader exits when the peer, done draining,
-			// closes the connection.
-			l.peerGoodbye()
-			continue
-		default:
-			l.connError(gen, &Error{Op: "recv", Addr: l.raddr,
-				Err: fmt.Errorf("unexpected frame type %d", typ)})
+		if err := l.dispatch(gen, typ, body); err != nil {
+			l.connError(gen, &Error{Op: "recv", Addr: l.raddr, Err: err})
 			return
 		}
 		if ackOwed {
@@ -157,6 +66,119 @@ func (l *Link) readLoop(conn Conn, gen int, done chan struct{}) {
 			l.wakeWriter()
 		}
 	}
+}
+
+// dispatch hands one inbound frame of connection generation gen to its
+// handler, in wire order. An error is a protocol violation: the frame
+// cannot be decoded, names an edge outside the manifest or a session this
+// link's handler cannot take, or has a type this version does not define.
+func (l *Link) dispatch(gen int, typ byte, body []byte) error {
+	switch typ {
+	case frameData:
+		tag, msg, err := splitData(body)
+		if err != nil {
+			return err
+		}
+		edge := binary.LittleEndian.Uint16(msg)
+		if _, ok := l.in[edge]; !ok {
+			return fmt.Errorf("data frame for undeclared inbound edge %d", edge)
+		}
+		sh, err := l.session(tag)
+		if err != nil {
+			return err
+		}
+		l.obs.dataRecv.Inc()
+		if sh == nil {
+			l.h.HandleData(edge, msg)
+		} else {
+			sh.HandleSessionData(tag, edge, msg)
+		}
+	case frameAck:
+		tag, edge, n, err := decodeAck(body)
+		if err != nil {
+			return err
+		}
+		if _, ok := l.out[edge]; !ok {
+			return fmt.Errorf("ack frame for undeclared outbound edge %d", edge)
+		}
+		sh, err := l.session(tag)
+		if err != nil {
+			return err
+		}
+		l.obs.acksRecv.Inc()
+		if sh == nil {
+			l.h.HandleAck(edge, n)
+		} else {
+			sh.HandleSessionAck(tag, edge, n)
+		}
+	case frameFin:
+		tag, edge, err := decodeFin(body)
+		if err != nil {
+			return err
+		}
+		_, inOK := l.in[edge]
+		_, outOK := l.out[edge]
+		if !inOK && !outOK {
+			return fmt.Errorf("fin frame for undeclared edge %d", edge)
+		}
+		sh, err := l.session(tag)
+		if err != nil {
+			return err
+		}
+		l.obs.finsRecv.Inc()
+		l.obs.tr.Instant("link", "fin:recv", l.obs.pid, int(edge))
+		if sh == nil {
+			l.h.HandleFin(edge)
+		} else {
+			sh.HandleSessionFin(tag, edge)
+		}
+	case frameCumAck:
+		n, err := decodeCumAck(body)
+		if err != nil {
+			return err
+		}
+		l.trimUnacked(n)
+	case frameCtrl:
+		return l.dispatchCtrl(body)
+	case framePing:
+		ts, err := decodePing(body)
+		if err != nil {
+			return err
+		}
+		l.stageProbe(gen, framePong, ts)
+	case framePong:
+		ts, err := decodePing(body)
+		if err != nil {
+			return err
+		}
+		if rtt := time.Now().UnixNano() - int64(ts); rtt >= 0 {
+			us := rtt / int64(time.Microsecond)
+			l.lastRTT.Store(us)
+			l.obs.rtt.Observe(float64(us))
+		}
+		l.obs.pongsRecv.Inc()
+	case frameGoodbye:
+		// Keep reading: the final CUMACK for our own GOODBYE may still be
+		// inbound. The reader exits when the peer, done draining, closes
+		// the connection.
+		l.peerGoodbye()
+	default:
+		return fmt.Errorf("unexpected frame type %d", typ)
+	}
+	return nil
+}
+
+// session resolves a frame's tag: nil for the link's own run (tag 0), the
+// SessionHandler for a session, and a protocol error when this link's
+// handler takes no sessions.
+func (l *Link) session(tag uint32) (SessionHandler, error) {
+	if tag == 0 {
+		return nil, nil
+	}
+	if l.sh == nil {
+		return nil, fmt.Errorf("frame for session %d but this link's handler is not a SessionHandler", tag)
+	}
+	return l.sh, nil
 }
 
 // trimUnacked drops resend-buffer frames covered by the peer's cumulative
@@ -318,7 +340,7 @@ func (l *Link) dialResume(deadline time.Time) (Conn, uint64, error) {
 		conn.Close()
 		return nil, 0, &Error{Op: "resume", Addr: l.raddr, Transient: true, Err: err}
 	}
-	typ, _, body, err := readFrame(conn, l.cfg.maxFrame())
+	typ, _, body, err := readFrame(conn)
 	if err != nil {
 		conn.Close()
 		return nil, 0, &Error{Op: "resume", Addr: l.raddr, Transient: true, Err: err}
@@ -375,8 +397,8 @@ func (l *Link) install(conn Conn, peerRecv uint64, gen int) {
 	replayed := int64(len(l.unacked))
 	l.conn = conn
 	l.state = stateUp
-	// Acks queued during the outage have no session frame yet: they follow
-	// the replay.
+	// Acks queued during the outage have no frame yet: they follow the
+	// replay.
 	l.materializeAcksLocked()
 	// The RESUME handshake just heard from the peer; reset the liveness
 	// mark so the fresh connection starts with a full timeout budget.
@@ -519,13 +541,12 @@ func (l *Link) shutdown() {
 	l.notifyClose(l.closeErr)
 }
 
-// sendGoodbye assigns the GOODBYE the next session sequence number and
-// buffers it like any session frame: passing the receiver's sequence
-// filter proves every prior frame arrived, and a RESUME replays it if the
-// connection dies first (while the link is down it is buffered only, and
-// the pending recovery's replay delivers it). Queued acks are materialized
-// ahead of it — the GOODBYE must be the last session frame the peer
-// sequences. It reports whether the link had not ended, so the peer can
+// sendGoodbye assigns the GOODBYE the next sequence number and buffers it
+// like any numbered frame: passing the receiver's sequence filter proves
+// every prior frame arrived, and a RESUME replays it if the connection
+// dies first (while the link is down it is buffered only, and the pending
+// recovery's replay delivers it). Queued acks are materialized ahead of it
+// — the GOODBYE must be the last numbered frame the peer sequences. It reports whether the link had not ended, so the peer can
 // still be expected to acknowledge the GOODBYE.
 func (l *Link) sendGoodbye() bool {
 	l.mu.Lock()

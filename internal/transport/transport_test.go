@@ -210,7 +210,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err := writeFrame(&buf, frameData, 42, body); err != nil {
 		t.Fatal(err)
 	}
-	typ, seq, got, err := readFrame(strings.NewReader(buf.String()), DefaultMaxFrame)
+	typ, seq, got, err := readFrame(strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	// Oversized length field is rejected, not allocated.
 	huge := string([]byte{0xff, 0xff, 0xff, 0x7f, frameData})
-	if _, _, _, err := readFrame(strings.NewReader(huge), DefaultMaxFrame); err == nil {
+	if _, _, _, err := readFrame(strings.NewReader(huge)); err == nil {
 		t.Fatal("oversized frame should be rejected")
 	}
 	// Any single flipped byte fails the frame CRC.
@@ -227,7 +227,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	for i := 4; i < len(raw); i++ {
 		bad := append([]byte(nil), raw...)
 		bad[i] ^= 0x01
-		if _, _, _, err := readFrame(strings.NewReader(string(bad)), DefaultMaxFrame); err == nil {
+		if _, _, _, err := readFrame(strings.NewReader(string(bad))); err == nil {
 			t.Fatalf("corrupted byte %d should fail the CRC", i)
 		}
 	}
@@ -303,7 +303,14 @@ func TestResumeFrameRoundTrips(t *testing.T) {
 	if n, err := decodeCumAck(seq[:]); err != nil || n != 12 {
 		t.Fatalf("cumack round trip: %d %v", n, err)
 	}
-	if e, err := decodeFin(encodeFin(9)); err != nil || e != 9 {
-		t.Fatalf("fin round trip: %d %v", e, err)
+	var fin [finBodyBytes]byte
+	putFin(&fin, 5, 9)
+	if tag, e, err := decodeFin(fin[:]); err != nil || tag != 5 || e != 9 {
+		t.Fatalf("fin round trip: tag %d edge %d %v", tag, e, err)
+	}
+	var ack [ackBodyBytes]byte
+	putAck(&ack, 5, 9, 3)
+	if tag, e, n, err := decodeAck(ack[:]); err != nil || tag != 5 || e != 9 || n != 3 {
+		t.Fatalf("ack round trip: tag %d edge %d count %d %v", tag, e, n, err)
 	}
 }

@@ -47,7 +47,7 @@ func (l *Link) wakeWriter() {
 	}
 }
 
-// fileLocked assigns the next sequence number to one session frame and
+// fileLocked assigns the next sequence number to one numbered frame and
 // files it in the resend buffer, where it stays until the peer's cumulative
 // ack covers it. Caller holds mu and places f.wire in wire order before
 // releasing it.
@@ -105,7 +105,7 @@ func (l *Link) writePass(inline savedFrame) (gen int, err error) {
 		l.mu.Unlock()
 		return gen, nil
 	}
-	if owed := l.recvSeq - l.cumAcked; owed > 0 && (l.ackNow || owed >= uint64(l.ackInterval())) {
+	if owed := l.recvSeq - l.cumAcked; owed > 0 && (l.ackNow || owed >= ackInterval) {
 		var body [cumAckBodyBytes]byte
 		binary.LittleEndian.PutUint64(body[:], l.recvSeq)
 		l.stageControlLocked(frameCumAck, body[:])
@@ -160,7 +160,7 @@ func (l *Link) writePass(inline savedFrame) (gen int, err error) {
 }
 
 // writeFailed reports a failed carrier write of generation gen: the link
-// goes down (reconnection enabled — every session frame of the lost write
+// goes down (reconnection enabled — every numbered frame of the lost write
 // is in the resend buffer, and the RESUME replay delivers it) or fails.
 // Senders learn of a failure on their next send, the handler through
 // HandleLinkClose.
@@ -192,38 +192,45 @@ func (l *Link) stageProbe(gen int, typ byte, ts uint64) {
 	}
 }
 
+// ackKey names what one ACK frame acknowledges, an edge of one run: the
+// run's tag above the edge ID, packed so the queue's map takes its fast
+// integer-key path. Acks merge per key and never across tags, so each
+// session's credits reach that session alone.
+type ackKey uint64
+
+func keyOf(tag uint32, edge uint16) ackKey { return ackKey(tag)<<16 | ackKey(edge) }
+
 // queueAckLocked records an SPI ack for the writer's next pass to send.
-// Acks for one edge coalesce into one entry, so the queue is bounded by the
-// link's inbound edges and SendAck never blocks. Caller holds mu.
-func (l *Link) queueAckLocked(edge uint16, count uint32) {
+// Acks for one key coalesce into one entry, so the queue is bounded by the
+// inbound edges of the live runs and SendAck never blocks. Caller holds mu.
+func (l *Link) queueAckLocked(k ackKey, count uint32) {
 	if l.pendingAcks == nil {
-		l.pendingAcks = make(map[uint16]uint32)
+		l.pendingAcks = make(map[ackKey]uint32)
 	}
-	if _, ok := l.pendingAcks[edge]; !ok {
-		l.pendingOrder = append(l.pendingOrder, edge)
+	if _, ok := l.pendingAcks[k]; !ok {
+		l.pendingOrder = append(l.pendingOrder, k)
 	}
-	l.pendingAcks[edge] += count
+	l.pendingAcks[k] += count
 }
 
 // materializeAcksLocked turns queued acks into staged, numbered ACK
-// frames. Each needs resend-buffer room; acks that do not fit stay queued
-// and trimLocked wakes the writer when the peer's cumulative ack frees
-// slots, so ack delivery stays live without overrunning the resend budget.
-// On a link that is not up they stay queued too (install materializes them
-// behind the replay). Caller holds mu.
+// frames, one per key. Each needs resend-buffer room; acks that do not fit
+// stay queued and trimLocked wakes the writer when the peer's cumulative
+// ack frees slots, so ack delivery stays live without overrunning the
+// resend budget. On a link that is not up they stay queued too (install
+// materializes them behind the replay). Caller holds mu.
 func (l *Link) materializeAcksLocked() {
 	if l.state != stateUp {
 		return
 	}
 	n := 0
-	for _, edge := range l.pendingOrder {
-		if len(l.unacked) >= l.cfg.resendLimit() {
+	for _, k := range l.pendingOrder {
+		if len(l.unacked) >= resendLimit {
 			break
 		}
 		var body [ackBodyBytes]byte
-		binary.LittleEndian.PutUint16(body[:], edge)
-		binary.LittleEndian.PutUint32(body[2:], l.pendingAcks[edge])
-		delete(l.pendingAcks, edge)
+		putAck(&body, uint32(k>>16), uint16(k), l.pendingAcks[k])
+		delete(l.pendingAcks, k)
 		l.stageLocked(l.fileLocked(frameAck, body[:], nil).wire)
 		l.obs.acksSent.Inc()
 		n++

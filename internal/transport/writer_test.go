@@ -102,6 +102,7 @@ type recordedWrite struct {
 	at     time.Time
 	frames []byte   // the type byte of each frame the Write carried
 	seqs   []uint64 // and its sequence number
+	bodies [][]byte // and a copy of its body
 }
 
 type gatedConn struct {
@@ -146,6 +147,7 @@ func (c *gatedConn) Write(p []byte) (int, error) {
 		for off := 0; off < len(p); off = frameEnd(p, off) {
 			w.frames = append(w.frames, p[off+4])
 			w.seqs = append(w.seqs, binary.LittleEndian.Uint64(p[off+5:]))
+			w.bodies = append(w.bodies, append([]byte(nil), p[off+frameHeaderBytes:frameEnd(p, off)]...))
 		}
 		c.writes = append(c.writes, w)
 	}
@@ -547,6 +549,89 @@ func TestWriterRacesClose(t *testing.T) {
 	}
 }
 
+// TestWriterMergesAcksPerTag: acks queued behind a parked write leave in
+// the writer's next pass as one ACK frame per (tag, edge) — fewer frames
+// than acks, at least one carrying a merged count — and are never merged
+// across tags: the link's own run and two sessions, all acking the same
+// edge, each receive exactly their own total.
+func TestWriterMergesAcksPerTag(t *testing.T) {
+	gt := newGatedTransport()
+	hd, ha := newSessionRecorder(), newSessionRecorder()
+	sessions := func(cfg *LinkConfig) { cfg.Sessions = true }
+	dialer, acceptor := batchLinkPair(t, gt, "merge-acks", sessions, sessions, hd, ha)
+	defer closeBoth(dialer, acceptor)
+	ack := func(tag uint32) {
+		t.Helper()
+		var err error
+		if tag == 0 {
+			err = acceptor.SendAck(7, 1)
+		} else {
+			err = acceptor.SendSessionAck(tag, 7, 1)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	conn := gt.accepted(0)
+	before := len(conn.recorded(0))
+	conn.shut()
+	want := map[uint32]uint32{0: 5, 1: 7, 2: 3}
+	ack(0) // the writer takes this one into a Write and parks there
+	conn.waitParked(t)
+	left := map[uint32]uint32{0: want[0] - 1, 1: want[1], 2: want[2]}
+	for issued := true; issued; {
+		issued = false
+		for tag := uint32(0); tag < 3; tag++ {
+			if left[tag] > 0 {
+				ack(tag)
+				left[tag]--
+				issued = true
+			}
+		}
+	}
+	conn.open()
+	hd.recordingHandler.waitAcks(t, 7, want[0])
+	hd.wait(t, "the sessions' acks", func() bool { return hd.acks[1][7] == want[1] && hd.acks[2][7] == want[2] })
+	time.Sleep(10 * time.Millisecond) // an ack too many would arrive now
+	hd.mu.Lock()
+	got := map[uint32]uint32{1: hd.acks[1][7], 2: hd.acks[2][7]}
+	hd.mu.Unlock()
+	hd.recordingHandler.mu.Lock()
+	got[0] = hd.recordingHandler.acks[7]
+	hd.recordingHandler.mu.Unlock()
+	for tag, n := range want {
+		if got[tag] != n {
+			t.Errorf("tag %d received %d acks, want %d", tag, got[tag], n)
+		}
+	}
+
+	frames, merged := 0, false
+	onWire := map[uint32]uint32{}
+	for _, w := range conn.recorded(before) {
+		for i, typ := range w.frames {
+			if typ != frameAck {
+				continue
+			}
+			tag, edge, n, err := decodeAck(w.bodies[i])
+			if err != nil || edge != 7 {
+				t.Fatalf("ACK frame %x: edge %d, %v", w.bodies[i], edge, err)
+			}
+			frames++
+			onWire[tag] += n
+			merged = merged || n > 1
+		}
+	}
+	// One frame for the parked write's ack, then one per tag.
+	if issued := want[0] + want[1] + want[2]; frames != 1+len(want) || !merged {
+		t.Errorf("%d acks left in %d ACK frames (a merged count: %v), want %d frames, at least one merged", issued, frames, merged, 1+len(want))
+	}
+	for tag, n := range want {
+		if onWire[tag] != n {
+			t.Errorf("tag %d: ACK frames on the wire carry %d, want %d", tag, onWire[tag], n)
+		}
+	}
+}
+
 // TestSendFinOrdering: FIN is sequenced behind everything sent before it —
 // the DATA frames and the acks still queued for the writer — so the peer
 // observes all of it before the FIN.
@@ -694,7 +779,7 @@ func FuzzDecodeBatched(f *testing.F) {
 		var raw frameReader
 		defer raw.release()
 		for rd := (&trickle{p: in, n: int(chunk) + 1}); ; {
-			if _, _, _, err := raw.read(rd, DefaultMaxFrame); err != nil {
+			if _, _, _, err := raw.read(rd); err != nil {
 				break
 			}
 		}
@@ -715,7 +800,7 @@ func FuzzDecodeBatched(f *testing.F) {
 		defer fr.release()
 		rd := &trickle{p: wire, n: int(chunk) + 1}
 		for i := range in {
-			typ, seq, body, err := fr.read(rd, DefaultMaxFrame)
+			typ, seq, body, err := fr.read(rd)
 			if err != nil {
 				t.Fatalf("frame %d of %d: %v", i, len(in), err)
 			}
@@ -723,7 +808,7 @@ func FuzzDecodeBatched(f *testing.F) {
 				t.Fatalf("frame %d read back as type %d seq %d body %x, want %d %d %x", i, typ, seq, body, in[i], i, bodies[i])
 			}
 		}
-		if _, _, _, err := fr.read(rd, DefaultMaxFrame); err != io.EOF {
+		if _, _, _, err := fr.read(rd); err != io.EOF {
 			t.Fatalf("after the last frame: %v, want EOF", err)
 		}
 	})
