@@ -1,6 +1,9 @@
 # Repo-wide checks. `make check` is the CI gate: formatting, vet, build,
 # the full test suite under the race detector, and a short fuzz smoke over
-# the untrusted-byte parsers.
+# the untrusted-byte parsers. The test suite includes the reachability rule
+# (internal/apicheck): every package-level declaration of a non-main package
+# is reached from a program (cmd/*, examples/*, bench/) or used by another
+# package's tests, or the suite fails listing it.
 
 GO ?= go
 
@@ -34,19 +37,25 @@ allocs:
 
 # Non-test Go lines per package: the quantity ROADMAP aim 2 sets its
 # reduction target on. Lines as `wc -l` counts them, comments included, so
-# the number moves only when code or its documentation does. Each tracked
-# directory has a ceiling (its count when the ceiling was last set): `make
-# check` runs this target and fails when one is exceeded, so growth is an
-# explicit, reviewed edit of the number below. Lower a ceiling whenever a
-# change shrinks its directory.
-LOC_CEILINGS = internal/spi:4076 internal/transport:4167 internal/session:1513 internal/orch:1594 internal/lpc:1694 cmd:2774
+# the number moves only when code or its documentation does. Every internal
+# package, cmd/ and examples/ has a ceiling (its count when the ceiling was
+# last set): `make check` runs this target and fails when one is exceeded,
+# so growth is an explicit, reviewed edit of the number below. Lower a
+# ceiling whenever a change shrinks its directory. internal/apicheck is
+# test-only and stays at 0.
+LOC_CEILINGS = internal/spi:4043 internal/transport:4163 internal/session:1432 internal/orch:1594 internal/lpc:1487 cmd:2774 \
+	internal/alloctest:90 internal/apicheck:0 internal/dataflow:1659 internal/demo:246 internal/dsp:467 \
+	internal/experiments:762 internal/fixed:92 internal/hdl:486 internal/huffman:336 internal/mpi:287 \
+	internal/obs:832 internal/particle:780 internal/platform:678 internal/sched:1033 internal/signal:183 \
+	internal/syncgraph:850 internal/vts:366 examples:553
 loc:
 	@over=0; for e in $(LOC_CEILINGS); do d=$${e%:*}; max=$${e#*:}; \
 		n=$$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
 		printf '%-20s %6d  (ceiling %d)\n' $$d $$n $$max; \
 		[ $$n -le $$max ] || over=1; \
 	done; \
-	[ $$over -eq 0 ] || { echo "loc: a directory outgrew its ceiling; shrink it, or raise the ceiling in the Makefile on purpose"; exit 1; }
+	for d in internal/*; do case " $(LOC_CEILINGS) " in *" $$d:"*) ;; *) echo "loc: $$d has no ceiling"; over=1;; esac; done; \
+	[ $$over -eq 0 ] || { echo "loc: a directory outgrew its ceiling or has none; shrink it, or set the ceiling in the Makefile on purpose"; exit 1; }
 
 # bench/ is a module of its own (the repo benchmark, see BENCHMARK.json)
 # that builds against this one: its smoke test runs here so an API change

@@ -58,81 +58,6 @@ func (g *Graph) TopologicalOrder() ([]ActorID, error) {
 	return order, nil
 }
 
-// StronglyConnectedComponents returns the SCCs of the directed graph in
-// reverse topological order of the condensation (Tarjan's algorithm).
-// All edges participate regardless of delay.
-func (g *Graph) StronglyConnectedComponents() [][]ActorID {
-	n := len(g.actors)
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = -1
-	}
-	var stack []ActorID
-	var sccs [][]ActorID
-	counter := 0
-
-	// Iterative Tarjan to avoid deep recursion on long chains.
-	type frame struct {
-		v    ActorID
-		edge int // next outgoing edge index to examine
-	}
-	for root := 0; root < n; root++ {
-		if index[root] != -1 {
-			continue
-		}
-		frames := []frame{{v: ActorID(root)}}
-		index[root] = counter
-		low[root] = counter
-		counter++
-		stack = append(stack, ActorID(root))
-		onStack[root] = true
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			v := f.v
-			if f.edge < len(g.out[v]) {
-				e := &g.edges[g.out[v][f.edge]]
-				f.edge++
-				w := e.Snk
-				if index[w] == -1 {
-					index[w] = counter
-					low[w] = counter
-					counter++
-					stack = append(stack, w)
-					onStack[w] = true
-					frames = append(frames, frame{v: w})
-				} else if onStack[w] && index[w] < low[v] {
-					low[v] = index[w]
-				}
-				continue
-			}
-			// all edges of v examined
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				p := frames[len(frames)-1].v
-				if low[v] < low[p] {
-					low[p] = low[v]
-				}
-			}
-			if low[v] == index[v] {
-				var scc []ActorID
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					scc = append(scc, w)
-					if w == v {
-						break
-					}
-				}
-				sccs = append(sccs, scc)
-			}
-		}
-	}
-	return sccs
-}
-
 // InfiniteDelay is returned by MinDelayPaths for unreachable actors.
 const InfiniteDelay = int64(math.MaxInt64)
 
@@ -193,37 +118,4 @@ func (g *Graph) MinDelayPaths(src ActorID) []int64 {
 		}
 	}
 	return dist
-}
-
-// IsWeaklyConnected reports whether the graph is connected when edge
-// direction is ignored. Single-actor graphs are connected; the empty graph
-// is not.
-func (g *Graph) IsWeaklyConnected() bool {
-	n := len(g.actors)
-	if n == 0 {
-		return false
-	}
-	seen := make([]bool, n)
-	queue := []ActorID{0}
-	seen[0] = true
-	count := 1
-	for len(queue) > 0 {
-		a := queue[0]
-		queue = queue[1:]
-		for _, eid := range g.out[a] {
-			if w := g.edges[eid].Snk; !seen[w] {
-				seen[w] = true
-				count++
-				queue = append(queue, w)
-			}
-		}
-		for _, eid := range g.in[a] {
-			if w := g.edges[eid].Src; !seen[w] {
-				seen[w] = true
-				count++
-				queue = append(queue, w)
-			}
-		}
-	}
-	return count == n
 }

@@ -44,16 +44,3 @@ edge data src dst 4 2 bytes=8 delay=2
 	// Output:
 	// example [1 2]
 }
-
-// Expand a multirate graph to firing granularity.
-func ExampleExpand() {
-	g := dataflow.New("mr")
-	a := g.AddActor("A", 1)
-	b := g.AddActor("B", 1)
-	g.AddEdge("ab", a, b, 2, 1, dataflow.EdgeSpec{})
-
-	ex, _ := dataflow.Expand(g)
-	fmt.Println("firings:", ex.Graph.NumActors(), "token edges:", ex.Graph.NumEdges())
-	// Output:
-	// firings: 3 token edges: 2
-}

@@ -270,25 +270,6 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := New(g.name)
-	c.actors = append([]Actor(nil), g.actors...)
-	c.edges = append([]Edge(nil), g.edges...)
-	c.out = make([][]EdgeID, len(g.out))
-	c.in = make([][]EdgeID, len(g.in))
-	for i := range g.out {
-		c.out[i] = append([]EdgeID(nil), g.out[i]...)
-	}
-	for i := range g.in {
-		c.in[i] = append([]EdgeID(nil), g.in[i]...)
-	}
-	for name, id := range g.actorByName {
-		c.actorByName[name] = id
-	}
-	return c
-}
-
 // String renders a compact description of the graph, one edge per line,
 // suitable for debugging and golden tests.
 func (g *Graph) String() string {

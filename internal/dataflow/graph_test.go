@@ -121,23 +121,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	g := chain(t, [][2]int{{2, 3}, {1, 2}})
-	c := g.Clone()
-	if c.String() != g.String() {
-		t.Fatalf("clone differs:\n%s\nvs\n%s", c, g)
-	}
-	// Mutating the clone must not affect the original.
-	x := c.AddActor("extra", 1)
-	c.AddEdge("xe", x, 0, 1, 1, EdgeSpec{})
-	if g.NumActors() == c.NumActors() {
-		t.Error("clone mutation leaked into original")
-	}
-	if _, ok := g.ActorByName("extra"); ok {
-		t.Error("clone name map leaked into original")
-	}
-}
-
 func TestStringOutput(t *testing.T) {
 	g := chain(t, [][2]int{{2, 3}})
 	s := g.String()

@@ -129,40 +129,3 @@ func Parse(r io.Reader) (*Graph, error) {
 func ParseString(s string) (*Graph, error) {
 	return Parse(strings.NewReader(s))
 }
-
-// Emit writes the graph in the Parse format; Parse(Emit(g)) reproduces g.
-func (g *Graph) Emit(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "graph %s\n", g.name); err != nil {
-		return err
-	}
-	for _, a := range g.Actors() {
-		act := g.Actor(a)
-		if _, err := fmt.Fprintf(w, "actor %s %d\n", act.Name, act.ExecCycles); err != nil {
-			return err
-		}
-	}
-	for _, eid := range g.Edges() {
-		e := g.Edge(eid)
-		opts := ""
-		switch {
-		case e.Produce.Kind == DynamicPort && e.Consume.Kind == DynamicPort:
-			opts += " dynamic"
-		case e.Produce.Kind == DynamicPort:
-			opts += " dynsrc"
-		case e.Consume.Kind == DynamicPort:
-			opts += " dynsnk"
-		}
-		if e.Delay != 0 {
-			opts += fmt.Sprintf(" delay=%d", e.Delay)
-		}
-		if e.TokenBytes != 1 {
-			opts += fmt.Sprintf(" bytes=%d", e.TokenBytes)
-		}
-		if _, err := fmt.Fprintf(w, "edge %s %s %s %d %d%s\n",
-			e.Name, g.Actor(e.Src).Name, g.Actor(e.Snk).Name,
-			e.Produce.Rate, e.Consume.Rate, opts); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -163,10 +163,3 @@ func (g *Graph) IterationTokens(q Repetitions, e EdgeID) int64 {
 	}
 	return q[ed.Src] * rate
 }
-
-// IsConsistent reports whether the graph's balance equations admit a
-// positive solution.
-func (g *Graph) IsConsistent() bool {
-	_, err := g.RepetitionsVector()
-	return err == nil
-}

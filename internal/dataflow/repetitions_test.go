@@ -50,9 +50,6 @@ func TestRepetitionsInconsistent(t *testing.T) {
 	if ie.Edge == "" {
 		t.Error("InconsistentError should name the offending edge")
 	}
-	if g.IsConsistent() {
-		t.Error("IsConsistent = true for inconsistent graph")
-	}
 }
 
 func TestRepetitionsCycleConsistent(t *testing.T) {

@@ -1,5 +1,5 @@
 // Package dsp implements the signal-processing kernels used by the SPI
-// paper's applications: FFT, windowing, autocorrelation, LU decomposition,
+// paper's applications: FFT, autocorrelation, LU decomposition,
 // linear-predictive coding (LPC) analysis, and uniform quantization.
 //
 // These are the computational actors of application 1 (LPC-based acoustic
@@ -74,32 +74,6 @@ func fftDir(x []complex128, inverse bool) error {
 	return nil
 }
 
-// FFTReal transforms a real signal, returning the full complex spectrum.
-// len(x) must be a power of two.
-func FFTReal(x []float64) ([]complex128, error) {
-	out := make([]complex128, len(x))
-	for i, v := range x {
-		out[i] = complex(v, 0)
-	}
-	if err := FFT(out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// PowerSpectrum returns |X[k]|^2 for the full spectrum of a real signal.
-func PowerSpectrum(x []float64) ([]float64, error) {
-	spec, err := FFTReal(x)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(spec))
-	for i, c := range spec {
-		out[i] = real(c)*real(c) + imag(c)*imag(c)
-	}
-	return out, nil
-}
-
 // NextPow2 returns the smallest power of two >= n (and at least 1).
 func NextPow2(n int) int {
 	p := 1
@@ -109,52 +83,9 @@ func NextPow2(n int) int {
 	return p
 }
 
-// HammingWindow returns an n-point Hamming window.
-func HammingWindow(n int) []float64 {
-	w := make([]float64, n)
-	if n == 1 {
-		w[0] = 1
-		return w
-	}
-	for i := range w {
-		w[i] = 0.54 - 0.46*math.Cos(2*math.Pi*float64(i)/float64(n-1))
-	}
-	return w
-}
-
-// ApplyWindow multiplies x by w element-wise into a new slice. Panics if
-// lengths differ (caller bug).
-func ApplyWindow(x, w []float64) []float64 {
-	if len(x) != len(w) {
-		panic(fmt.Sprintf("dsp: window length %d != signal length %d", len(w), len(x)))
-	}
-	out := make([]float64, len(x))
-	for i := range x {
-		out[i] = x[i] * w[i]
-	}
-	return out
-}
-
-// Autocorrelation returns r[0..maxLag] with r[k] = sum_i x[i]*x[i+k],
-// computed in the time domain. maxLag must be < len(x).
-func Autocorrelation(x []float64, maxLag int) ([]float64, error) {
-	if maxLag < 0 || maxLag >= len(x) {
-		return nil, fmt.Errorf("dsp: maxLag %d out of range for %d samples", maxLag, len(x))
-	}
-	r := make([]float64, maxLag+1)
-	for k := 0; k <= maxLag; k++ {
-		var s float64
-		for i := 0; i+k < len(x); i++ {
-			s += x[i] * x[i+k]
-		}
-		r[k] = s
-	}
-	return r, nil
-}
-
-// AutocorrelationFFT computes the same biased autocorrelation as
-// Autocorrelation but via the Wiener-Khinchin theorem: r = IFFT(|FFT(x)|^2)
-// with zero-padding to avoid circular wrap. Faster for long frames; the
+// AutocorrelationFFT returns the biased autocorrelation r[0..maxLag] with
+// r[k] = sum_i x[i]*x[i+k], computed via the Wiener-Khinchin theorem:
+// r = IFFT(|FFT(x)|^2) with zero-padding to avoid circular wrap. The
 // paper's application 1 computes its FFT actor (B) on the input frame, and
 // the spectral route shares that work.
 func AutocorrelationFFT(x []float64, maxLag int) ([]float64, error) {

@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -27,9 +28,6 @@ func TestNextPow2(t *testing.T) {
 func TestFFTRejectsNonPow2(t *testing.T) {
 	if err := FFT(make([]complex128, 3)); err == nil {
 		t.Error("length 3 should fail")
-	}
-	if _, err := FFTReal(make([]float64, 6)); err == nil {
-		t.Error("length 6 should fail")
 	}
 }
 
@@ -95,19 +93,19 @@ func TestParsevalProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 128
-		x := make([]float64, n)
+		x := make([]complex128, n)
 		var timePower float64
 		for i := range x {
-			x[i] = r.NormFloat64()
-			timePower += x[i] * x[i]
+			v := r.NormFloat64()
+			x[i] = complex(v, 0)
+			timePower += v * v
 		}
-		ps, err := PowerSpectrum(x)
-		if err != nil {
+		if FFT(x) != nil {
 			return false
 		}
 		var freqPower float64
-		for _, p := range ps {
-			freqPower += p
+		for _, c := range x {
+			freqPower += real(c)*real(c) + imag(c)*imag(c)
 		}
 		freqPower /= float64(n)
 		return math.Abs(timePower-freqPower) < 1e-8*(1+timePower)
@@ -117,44 +115,27 @@ func TestParsevalProperty(t *testing.T) {
 	}
 }
 
-func TestHammingWindow(t *testing.T) {
-	w := HammingWindow(64)
-	if math.Abs(w[0]-0.08) > 1e-12 || math.Abs(w[63]-0.08) > 1e-12 {
-		t.Errorf("endpoints %v %v, want 0.08", w[0], w[63])
+// autocorrelation returns r[0..maxLag] with r[k] = sum_i x[i]*x[i+k],
+// computed in the time domain: the oracle AutocorrelationFFT is checked
+// against. maxLag must be < len(x).
+func autocorrelation(x []float64, maxLag int) ([]float64, error) {
+	if maxLag < 0 || maxLag >= len(x) {
+		return nil, fmt.Errorf("dsp: maxLag %d out of range for %d samples", maxLag, len(x))
 	}
-	// Symmetric and peaked near the middle.
-	for i := 0; i < 32; i++ {
-		if math.Abs(w[i]-w[63-i]) > 1e-12 {
-			t.Fatalf("asymmetric at %d", i)
+	r := make([]float64, maxLag+1)
+	for k := 0; k <= maxLag; k++ {
+		var s float64
+		for i := 0; i+k < len(x); i++ {
+			s += x[i] * x[i+k]
 		}
+		r[k] = s
 	}
-	if w[31] < 0.95 {
-		t.Errorf("peak %v too low", w[31])
-	}
-	if one := HammingWindow(1); one[0] != 1 {
-		t.Errorf("1-point window = %v", one)
-	}
-}
-
-func TestApplyWindow(t *testing.T) {
-	got := ApplyWindow([]float64{1, 2, 3}, []float64{2, 0.5, 1})
-	want := []float64{2, 1, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ApplyWindow = %v, want %v", got, want)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch should panic")
-		}
-	}()
-	ApplyWindow([]float64{1}, []float64{1, 2})
+	return r, nil
 }
 
 func TestAutocorrelationKnown(t *testing.T) {
 	x := []float64{1, 2, 3}
-	r, err := Autocorrelation(x, 2)
+	r, err := autocorrelation(x, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,10 +148,10 @@ func TestAutocorrelationKnown(t *testing.T) {
 }
 
 func TestAutocorrelationBadLag(t *testing.T) {
-	if _, err := Autocorrelation([]float64{1, 2}, 2); err == nil {
+	if _, err := autocorrelation([]float64{1, 2}, 2); err == nil {
 		t.Error("maxLag >= len should fail")
 	}
-	if _, err := Autocorrelation([]float64{1, 2}, -1); err == nil {
+	if _, err := autocorrelation([]float64{1, 2}, -1); err == nil {
 		t.Error("negative maxLag should fail")
 	}
 	if _, err := AutocorrelationFFT([]float64{1, 2}, 5); err == nil {
@@ -186,7 +167,7 @@ func TestAutocorrelationFFTMatchesDirect(t *testing.T) {
 		for i := range x {
 			x[i] = r.NormFloat64()
 		}
-		direct, err := Autocorrelation(x, 12)
+		direct, err := autocorrelation(x, 12)
 		if err != nil {
 			return false
 		}

@@ -64,7 +64,7 @@ func (m *LPCModel) Predict(x []float64, i int) float64 {
 // ResidualInto appends the prediction error e[i] = x[i] - Predict(x, i) for
 // the samples [start, end) to dst and returns the extended slice; the range
 // is clamped to x, and x must not overlap dst's spare capacity. It is the
-// one error-generation loop — Residual, ResidualRange and the PE kernels of
+// one error-generation loop — Residual and the PE kernels of
 // internal/lpc all run it — and it allocates only when dst lacks the room.
 //
 // Each tap sum is accumulated exactly as Predict does it (k = 0..M-1 into
@@ -139,15 +139,6 @@ func (m *LPCModel) Residual(x []float64) []float64 {
 	return m.ResidualInto(make([]float64, 0, len(x)), x, 0, len(x))
 }
 
-// ResidualRange computes the prediction error only for samples
-// [start, end), given the full frame for history — the per-PE slice of
-// actor D: each PE receives the (overlapping) section of the frame it
-// needs plus the coefficients, and produces its share of error values.
-// An empty range yields nil.
-func (m *LPCModel) ResidualRange(x []float64, start, end int) []float64 {
-	return m.ResidualInto(nil, x, start, end)
-}
-
 // Reconstruct inverts Residual: given the error signal and the model,
 // rebuild the original samples exactly (up to floating-point roundoff).
 func (m *LPCModel) Reconstruct(e []float64) []float64 {
@@ -156,26 +147,6 @@ func (m *LPCModel) Reconstruct(e []float64) []float64 {
 		x[i] = e[i] + m.Predict(x, i)
 	}
 	return x
-}
-
-// PredictionGain returns the ratio of signal power to residual power in
-// decibels — the standard figure of merit for LPC: higher is better
-// compression potential.
-func PredictionGain(x, e []float64) float64 {
-	var sx, se float64
-	for i := range x {
-		sx += x[i] * x[i]
-	}
-	for i := range e {
-		se += e[i] * e[i]
-	}
-	if se == 0 {
-		return math.Inf(1)
-	}
-	if sx == 0 {
-		return 0
-	}
-	return 10 * math.Log10(sx/se)
 }
 
 // Quantizer is a uniform midtread scalar quantizer over [-Range, +Range]

@@ -102,7 +102,7 @@ func TestResidualRangeMatchesFull(t *testing.T) {
 			bounds = append(bounds, len(x))
 			for p := 0; p+1 < len(bounds); p++ {
 				start, end := bounds[p], bounds[p+1]
-				sameBits(t, fmt.Sprintf("split %v section %d", bounds, p), m.ResidualRange(x, start, end), full[start:end])
+				sameBits(t, fmt.Sprintf("split %v section %d", bounds, p), m.ResidualInto(nil, x, start, end), full[start:end])
 			}
 			return
 		}
@@ -115,7 +115,7 @@ func TestResidualRangeMatchesFull(t *testing.T) {
 		// The deployment's own split, PE p computing [p*N/n, (p+1)*N/n).
 		for p := 0; p < n; p++ {
 			start, end := p*len(x)/n, (p+1)*len(x)/n
-			sameBits(t, fmt.Sprintf("%d PEs, PE %d", n, p), m.ResidualRange(x, start, end), full[start:end])
+			sameBits(t, fmt.Sprintf("%d PEs, PE %d", n, p), m.ResidualInto(nil, x, start, end), full[start:end])
 		}
 	}
 }
@@ -152,7 +152,7 @@ func TestResidualIntoMatchesDefinition(t *testing.T) {
 			what := fmt.Sprintf("order %d, %d samples, [%d, %d)", order, n, start, end)
 			sameBits(t, what+" prefix", got[:3], prefix)
 			sameBits(t, what, got[3:], residualByDefinition(m, x, start, end))
-			sameBits(t, what+" (ResidualRange)", m.ResidualRange(x, start, end), got[3:])
+			sameBits(t, what+" (nil dst)", m.ResidualInto(nil, x, start, end), got[3:])
 		}
 	}
 }
@@ -160,33 +160,11 @@ func TestResidualIntoMatchesDefinition(t *testing.T) {
 func TestResidualRangeClamps(t *testing.T) {
 	x := []float64{1, 2, 3}
 	m := &LPCModel{Coeffs: []float64{0.5}}
-	if got := m.ResidualRange(x, -5, 100); len(got) != 3 {
+	if got := m.ResidualInto(nil, x, -5, 100); len(got) != 3 {
 		t.Errorf("clamped range length %d, want 3", len(got))
 	}
-	if got := m.ResidualRange(x, 2, 1); got != nil {
+	if got := m.ResidualInto(nil, x, 2, 1); got != nil {
 		t.Errorf("empty range should be nil, got %v", got)
-	}
-}
-
-func TestPredictionGainPositiveOnSpeech(t *testing.T) {
-	x := signal.Speech(2048, 12)
-	m, err := LPCAnalyze(x, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := m.Residual(x)
-	g := PredictionGain(x, e)
-	if g < 6 {
-		t.Errorf("prediction gain %v dB too low for a speech-like source", g)
-	}
-}
-
-func TestPredictionGainEdgeCases(t *testing.T) {
-	if g := PredictionGain([]float64{1, 1}, []float64{0, 0}); !math.IsInf(g, 1) {
-		t.Errorf("zero residual gain = %v, want +Inf", g)
-	}
-	if g := PredictionGain([]float64{0, 0}, []float64{1, 1}); g != 0 {
-		t.Errorf("zero signal gain = %v, want 0", g)
 	}
 }
 

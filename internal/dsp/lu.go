@@ -37,7 +37,6 @@ type LU struct {
 	lu   *Matrix
 	perm []int
 	// sign of the permutation, for determinant computation
-	parity float64
 }
 
 // Decompose computes the LU decomposition of a (Doolittle with partial
@@ -52,7 +51,6 @@ func Decompose(a *Matrix) (*LU, error) {
 	for i := range perm {
 		perm[i] = i
 	}
-	parity := 1.0
 	for col := 0; col < n; col++ {
 		// Pivot: largest absolute value in the column at or below the
 		// diagonal.
@@ -72,7 +70,6 @@ func Decompose(a *Matrix) (*LU, error) {
 				lu.Data[pivot*n+j], lu.Data[col*n+j] = lu.Data[col*n+j], lu.Data[pivot*n+j]
 			}
 			perm[pivot], perm[col] = perm[col], perm[pivot]
-			parity = -parity
 		}
 		d := lu.At(col, col)
 		for r := col + 1; r < n; r++ {
@@ -83,7 +80,7 @@ func Decompose(a *Matrix) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, perm: perm, parity: parity}, nil
+	return &LU{lu: lu, perm: perm}, nil
 }
 
 // Solve solves A x = b using the decomposition. b is not modified.
@@ -110,15 +107,6 @@ func (d *LU) Solve(b []float64) ([]float64, error) {
 		x[i] /= d.lu.At(i, i)
 	}
 	return x, nil
-}
-
-// Determinant returns det(A) from the decomposition.
-func (d *LU) Determinant() float64 {
-	det := d.parity
-	for i := 0; i < d.lu.N; i++ {
-		det *= d.lu.At(i, i)
-	}
-	return det
 }
 
 // SolveSystem is a convenience wrapper: decompose a and solve for b.

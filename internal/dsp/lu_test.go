@@ -50,26 +50,6 @@ func TestSingularDetected(t *testing.T) {
 	}
 }
 
-func TestDeterminant(t *testing.T) {
-	a := matFromRows([][]float64{{2, 0}, {0, 3}})
-	lu, err := Decompose(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(lu.Determinant()-6) > 1e-12 {
-		t.Errorf("det = %v, want 6", lu.Determinant())
-	}
-	// Permutation parity: swapping rows flips sign.
-	b := matFromRows([][]float64{{0, 3}, {2, 0}})
-	lub, err := Decompose(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(lub.Determinant()+6) > 1e-12 {
-		t.Errorf("det = %v, want -6", lub.Determinant())
-	}
-}
-
 func TestSolveRejectsWrongRHS(t *testing.T) {
 	a := matFromRows([][]float64{{1, 0}, {0, 1}})
 	lu, _ := Decompose(a)

@@ -122,7 +122,7 @@ func BBSvsUBS() (*Table, error) {
 		}
 		spec := platform.ChannelSpec{From: 0, To: 1, Name: "e", HeaderBytes: spi.DynamicHeaderBytes}
 		if ubs {
-			spec.AckBytes = 4
+			spec.AckBytes = spi.AckMessageBytes
 		} else {
 			spec.Capacity = 4
 		}

@@ -27,11 +27,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
 }
 
-// AddRowf appends a row formatting each value with the matching verb.
-func (t *Table) AddRowf(format string, values ...interface{}) {
-	t.AddRow(strings.Fields(fmt.Sprintf(format, values...))...)
-}
-
 // String renders the table with aligned columns.
 func (t *Table) String() string {
 	var b strings.Builder

@@ -47,19 +47,8 @@ func sat32(v int32) Q15 {
 	return Q15(v)
 }
 
-// Add returns a+b with saturation.
-func Add(a, b Q15) Q15 { return sat32(int32(a) + int32(b)) }
-
 // Sub returns a-b with saturation.
 func Sub(a, b Q15) Q15 { return sat32(int32(a) - int32(b)) }
-
-// Mul returns a*b in Q15 with rounding; the single overflow case
-// (-1 x -1 = +1) saturates to One.
-func Mul(a, b Q15) Q15 {
-	p := int32(a) * int32(b) // Q30
-	p += 1 << 14             // round
-	return sat32(p >> 15)
-}
 
 // Acc is a Q17.30 multiply-accumulate register (64-bit in software, wide
 // accumulator in hardware): products accumulate at full Q30 precision and
@@ -69,11 +58,6 @@ type Acc int64
 // MAC accumulates a*b (Q30) into the register.
 func (a Acc) MAC(x, y Q15) Acc {
 	return a + Acc(int64(x)*int64(y))
-}
-
-// AddQ15 accumulates a Q15 value (promoted to Q30).
-func (a Acc) AddQ15(x Q15) Acc {
-	return a + Acc(int64(x)<<15)
 }
 
 // Q15 converts the accumulator to Q15 with rounding and saturation.
@@ -87,20 +71,6 @@ func (a Acc) Q15() Q15 {
 		return MinusOne
 	}
 	return Q15(v)
-}
-
-// DotProduct computes sum(a[i]*b[i]) through the wide accumulator, the
-// inner loop of the hardware error generator.
-func DotProduct(a, b []Q15) Q15 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	var acc Acc
-	for i := 0; i < n; i++ {
-		acc = acc.MAC(a[i], b[i])
-	}
-	return acc.Q15()
 }
 
 // FromFloats converts a slice.

@@ -39,18 +39,6 @@ func (m *Module) Add(child *Module) *Module {
 	return m
 }
 
-// AddN attaches n copies of a module template by instantiating the builder
-// n times (hardware replication, e.g. one datapath per PE).
-func (m *Module) AddN(n int, build func(i int) *Module) *Module {
-	for i := 0; i < n; i++ {
-		m.Add(build(i))
-	}
-	return m
-}
-
-// Own returns the module's directly-owned resources.
-func (m *Module) Own() Resources { return m.own }
-
 // Total returns the aggregate resources of the module and all descendants.
 func (m *Module) Total() Resources {
 	t := m.own
@@ -58,20 +46,6 @@ func (m *Module) Total() Resources {
 		t = t.Add(c.Total())
 	}
 	return t
-}
-
-// Find returns the first descendant (depth-first, including m itself) with
-// the given name, or nil.
-func (m *Module) Find(name string) *Module {
-	if m.name == name {
-		return m
-	}
-	for _, c := range m.children {
-		if f := c.Find(name); f != nil {
-			return f
-		}
-	}
-	return nil
 }
 
 // FindAll returns every descendant (including m) whose name has the given

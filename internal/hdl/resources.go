@@ -41,17 +41,6 @@ func (r Resources) Add(o Resources) Resources {
 	}
 }
 
-// Scale returns the resources multiplied by n (n instances of a module).
-func (r Resources) Scale(n int) Resources {
-	return Resources{
-		Slices:   r.Slices * n,
-		SliceFFs: r.SliceFFs * n,
-		LUT4s:    r.LUT4s * n,
-		BRAMs:    r.BRAMs * n,
-		DSP48s:   r.DSP48s * n,
-	}
-}
-
 // IsZero reports whether all counts are zero.
 func (r Resources) IsZero() bool {
 	return r == Resources{}
@@ -95,16 +84,5 @@ func VirtexSX35() Resources {
 		LUT4s:    30720,
 		BRAMs:    192,
 		DSP48s:   192,
-	}
-}
-
-// VirtexLX60 returns a logic-rich alternative device budget.
-func VirtexLX60() Resources {
-	return Resources{
-		Slices:   26624,
-		SliceFFs: 53248,
-		LUT4s:    53248,
-		BRAMs:    160,
-		DSP48s:   64,
 	}
 }

@@ -21,61 +21,6 @@ func SPIInit(edges int) *Module {
 	return m
 }
 
-// SPISendStatic returns an SPI_static send actor: a 2-byte header register,
-// a word counter for the fixed-length burst, and a small FSM. bufferBytes
-// is the outgoing staging FIFO (distributed RAM for small buffers, BRAM
-// beyond 256 bytes).
-func SPISendStatic(name string, bufferBytes int) *Module {
-	m := NewModule("spi_send_static." + name)
-	m.Add(Register(name+".hdr", 16)) // edge ID only
-	m.Add(Counter(name+".burst", 12))
-	m.Add(FSM(name+".ctl", 4))
-	m.Add(stagingFIFO(name+".fifo", bufferBytes))
-	return m
-}
-
-// SPISendDynamic returns an SPI_dynamic send actor: edge ID plus 32-bit
-// size header registers, the size computation/compare against b_max, and
-// the staging FIFO sized to the VTS bound.
-func SPISendDynamic(name string, bMaxBytes int) *Module {
-	m := NewModule("spi_send_dynamic." + name)
-	m.Add(Register(name+".hdr", 16+32)) // edge ID + message size
-	m.Add(Counter(name+".burst", 16))
-	m.Add(Comparator(name+".bound", 16)) // size vs b_max check
-	m.Add(FSM(name+".ctl", 6))
-	m.Add(stagingFIFO(name+".fifo", bMaxBytes))
-	return m
-}
-
-// SPIRecvStatic returns an SPI_static receive actor: edge-ID match, fixed
-// burst counter, FSM, and the IPC buffer sized by the BBS bound.
-func SPIRecvStatic(name string, bufferBytes int) *Module {
-	m := NewModule("spi_recv_static." + name)
-	m.Add(Comparator(name+".idmatch", 16))
-	m.Add(Counter(name+".burst", 12))
-	m.Add(FSM(name+".ctl", 4))
-	m.Add(stagingFIFO(name+".buf", bufferBytes))
-	return m
-}
-
-// SPIRecvDynamic returns an SPI_dynamic receive actor: edge-ID match, size
-// extraction from the header (the paper's argument for header framing: no
-// per-byte delimiter scan logic), variable burst counter, the UBS
-// acknowledgement generator, and the IPC buffer.
-func SPIRecvDynamic(name string, bufferBytes int, ubs bool) *Module {
-	m := NewModule("spi_recv_dynamic." + name)
-	m.Add(Comparator(name+".idmatch", 16))
-	m.Add(Register(name+".size", 32))
-	m.Add(Counter(name+".burst", 16))
-	m.Add(FSM(name+".ctl", 6))
-	if ubs {
-		m.Add(LUTLogic(name+".ackgen", 12))
-		m.Add(Counter(name+".ackseq", 16))
-	}
-	m.Add(stagingFIFO(name+".buf", bufferBytes))
-	return m
-}
-
 // stagingFIFO picks distributed RAM for small buffers and block RAM beyond
 // 128 bytes, as a synthesis tool would.
 func stagingFIFO(name string, bytes int) *Module {

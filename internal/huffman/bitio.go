@@ -38,17 +38,6 @@ func (w *BitWriter) WriteBits(v uint32, width uint) {
 // Bytes returns the packed stream. Trailing unused bits are zero.
 func (w *BitWriter) Bytes() []byte { return w.buf }
 
-// BitLen returns the number of bits written.
-func (w *BitWriter) BitLen() int {
-	if len(w.buf) == 0 {
-		return 0
-	}
-	if w.nbit == 0 {
-		return len(w.buf) * 8
-	}
-	return (len(w.buf)-1)*8 + int(w.nbit)
-}
-
 // BitReader consumes bits MSB-first from a byte slice.
 type BitReader struct {
 	buf []byte

@@ -257,16 +257,3 @@ func Histogram(symbols []uint16, alphabet int) []int64 {
 	}
 	return h
 }
-
-// EncodedBits returns the total bit length of encoding the histogram's
-// symbols with this codebook — the compression figure without materializing
-// the stream.
-func (c *Codebook) EncodedBits(freqs []int64) int64 {
-	var total int64
-	for s, f := range freqs {
-		if s < len(c.Lengths) {
-			total += f * int64(c.Lengths[s])
-		}
-	}
-	return total
-}

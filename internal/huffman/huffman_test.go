@@ -25,25 +25,6 @@ func TestBitWriterReaderRoundtrip(t *testing.T) {
 	}
 }
 
-func TestBitLen(t *testing.T) {
-	var w BitWriter
-	if w.BitLen() != 0 {
-		t.Errorf("empty BitLen = %d", w.BitLen())
-	}
-	w.WriteBits(1, 1)
-	if w.BitLen() != 1 {
-		t.Errorf("BitLen = %d, want 1", w.BitLen())
-	}
-	w.WriteBits(0, 7)
-	if w.BitLen() != 8 {
-		t.Errorf("BitLen = %d, want 8", w.BitLen())
-	}
-	w.WriteBits(0, 3)
-	if w.BitLen() != 11 {
-		t.Errorf("BitLen = %d, want 11", w.BitLen())
-	}
-}
-
 func TestReadPastEnd(t *testing.T) {
 	r := NewBitReader([]byte{0xFF})
 	if _, err := r.ReadBits(9); err != ErrUnexpectedEOF {
@@ -186,26 +167,6 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
-func TestEncodedBitsMatchesActualStream(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	syms := make([]uint16, 500)
-	for i := range syms {
-		syms[i] = uint16(r.Intn(16))
-	}
-	freqs := Histogram(syms, 16)
-	cb, err := Build(freqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var w BitWriter
-	if err := cb.Encode(&w, syms); err != nil {
-		t.Fatal(err)
-	}
-	if int64(w.BitLen()) != cb.EncodedBits(freqs) {
-		t.Errorf("EncodedBits = %d, actual = %d", cb.EncodedBits(freqs), w.BitLen())
-	}
-}
-
 // Property: encode/decode roundtrip over random symbol streams, and the
 // code respects Kraft's inequality with equality (complete code).
 func TestHuffmanRoundtripProperty(t *testing.T) {
@@ -270,7 +231,11 @@ func TestHuffmanBeatsFixedWidthOnSkewedData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bits := cb.EncodedBits(freqs)
+	var w BitWriter
+	if err := cb.Encode(&w, syms); err != nil {
+		t.Fatal(err)
+	}
+	bits := int64(len(w.Bytes())) * 8
 	fixed := int64(len(syms)) * 4
 	if bits >= fixed {
 		t.Errorf("huffman %d bits !< fixed %d bits", bits, fixed)

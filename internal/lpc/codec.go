@@ -99,9 +99,6 @@ func NewCodec(p Params) (*Codec, error) {
 	return &Codec{p: p}, nil
 }
 
-// Params returns the codec parameters.
-func (c *Codec) Params() Params { return c.p }
-
 // CompressFrame runs the full actor pipeline on one frame.
 func (c *Codec) CompressFrame(frame []float64) (*Frame, error) {
 	if len(frame) != c.p.FrameSize {
@@ -224,11 +221,10 @@ type Report struct {
 	CompressedBits int64
 	Ratio          float64
 	SNRdB          float64
-	PredictionGain float64
 }
 
 // Analyze compresses, decompresses, and measures quality: compression ratio
-// against 16-bit PCM, reconstruction SNR, and average prediction gain.
+// against 16-bit PCM and reconstruction SNR.
 func (c *Codec) Analyze(signal []float64) (*Report, error) {
 	frames, err := c.Compress(signal)
 	if err != nil {

@@ -199,32 +199,6 @@ func fissionResidualKernels(fs *FissionSystem, model *dsp.LPCModel, frame []floa
 	return spi.FissionKernels(fs.Plan, serial, worker)
 }
 
-// SerialResidual runs this node's share of the UNfissioned serial pipeline
-// distributed over opts.Addrs — the baseline the fissioned deployment is
-// benchmarked against. The node hosting io_recv returns the last frame's
-// residual.
-func SerialResidual(model *dsp.LPCModel, frame []float64, iters int, opts spi.DistOptions) ([]float64, *spi.ExecStats, error) {
-	p := DefaultDeploy(len(frame), 1)
-	p.SampleBytes = 8
-	sys, err := SerialErrorGenSystem(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	if opts.NodeOf == nil {
-		opts.NodeOf = SplitIOWorkers(sys.Mapping.NumProcs, len(opts.Addrs))
-	}
-	var result []float64
-	kernels, err := serialResidualKernels(sys.Graph, model, frame, func(e []float64) { result = e })
-	if err != nil {
-		return nil, nil, err
-	}
-	st, err := spi.ExecuteDistributed(sys.Graph, sys.Mapping, kernels, iters, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return result, st, nil
-}
-
 // FissionResidual fissions the serial pipeline into k replicas and runs
 // this node's share distributed over opts.Addrs. opts.NodeOf defaults to
 // SplitIOWorkers over the extended mapping (I/O on node 0, scatter/gather

@@ -237,66 +237,3 @@ func TestFissionResidualChaosShm(t *testing.T) {
 		}
 	}
 }
-
-// TestSerialResidualMatchesFission: the benchmark baseline and the
-// fissioned deployment produce the same bytes over the same transport.
-func TestSerialResidualMatchesFission(t *testing.T) {
-	const n, iters = 160, 2
-	frame := signal.Speech(n, 77)
-	model, err := dsp.LPCAnalyze(frame, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(fission int) []float64 {
-		t.Helper()
-		tr := transport.NewShm(t.TempDir())
-		ln, err := tr.Listen("lpc-serial0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs := []string{ln.Addr(), "unused"}
-		var (
-			results [2][]float64
-			errs    [2]error
-			wg      sync.WaitGroup
-		)
-		for node := 0; node < 2; node++ {
-			wg.Add(1)
-			go func(node int) {
-				defer wg.Done()
-				opts := spi.DistOptions{
-					Transport: tr,
-					Node:      node,
-					Addrs:     addrs,
-					Retry: transport.RetryConfig{Attempts: 20, BaseDelay: time.Millisecond,
-						MaxDelay: 5 * time.Millisecond},
-				}
-				if node == 0 {
-					opts.Listener = ln
-				}
-				if fission > 0 {
-					results[node], _, errs[node] = FissionResidual(model, frame, fission, iters, opts)
-				} else {
-					results[node], _, errs[node] = SerialResidual(model, frame, iters, opts)
-				}
-			}(node)
-		}
-		wg.Wait()
-		for node, err := range errs {
-			if err != nil {
-				t.Fatalf("fission=%d node %d: %v", fission, node, err)
-			}
-		}
-		return results[0]
-	}
-	serial := run(0)
-	fissioned := run(5)
-	if len(serial) != n || len(fissioned) != n {
-		t.Fatalf("assembled %d / %d samples, want %d", len(serial), len(fissioned), n)
-	}
-	for i := range serial {
-		if serial[i] != fissioned[i] {
-			t.Fatalf("sample %d: serial %v, fissioned %v", i, serial[i], fissioned[i])
-		}
-	}
-}

@@ -47,17 +47,6 @@ func QuantizeModel(m *dsp.LPCModel) *HardwareModelQ15 {
 	return q
 }
 
-// Float returns the effective floating-point coefficients the hardware
-// model realizes (after quantization).
-func (h *HardwareModelQ15) Float() []float64 {
-	out := make([]float64, len(h.Coeffs))
-	factor := math.Pow(2, float64(h.Shift))
-	for i, c := range h.Coeffs {
-		out[i] = c.Float() * factor
-	}
-	return out
-}
-
 // Residual computes the prediction error of the Q15 frame exactly as the
 // hardware datapath does: per sample, a wide MAC over the taps, a left
 // shift compensating the coefficient scaling, rounding, saturation, and a

@@ -15,10 +15,10 @@ func TestQuantizeModelShift(t *testing.T) {
 	if hm.Shift != 1 {
 		t.Errorf("shift = %d, want 1 (max |c| = 1.79 < 2)", hm.Shift)
 	}
-	eff := hm.Float()
+	factor := math.Pow(2, float64(hm.Shift))
 	for i, c := range m.Coeffs {
-		if math.Abs(eff[i]-c) > math.Pow(2, float64(hm.Shift))/32768 {
-			t.Errorf("coeff %d: %v vs %v", i, eff[i], c)
+		if eff := hm.Coeffs[i].Float() * factor; math.Abs(eff-c) > factor/32768 {
+			t.Errorf("coeff %d: %v vs %v", i, eff, c)
 		}
 	}
 }

@@ -36,7 +36,7 @@ func TestUnmarshalFrameMutations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alphabet := 1 << uint(c.Params().ErrorBits)
+	alphabet := 1 << uint(c.p.ErrorBits)
 	r := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 500; trial++ {
 		mut := append([]byte(nil), data...)

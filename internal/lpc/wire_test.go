@@ -25,7 +25,7 @@ func TestFrameMarshalRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := UnmarshalFrame(data, 1<<uint(c.Params().ErrorBits))
+	g, err := UnmarshalFrame(data, 1<<uint(c.p.ErrorBits))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestFrameMarshalRoundtrip(t *testing.T) {
 func TestUnmarshalFrameErrors(t *testing.T) {
 	c, f := compressOne(t)
 	data, _ := f.MarshalBinary()
-	alphabet := 1 << uint(c.Params().ErrorBits)
+	alphabet := 1 << uint(c.p.ErrorBits)
 
 	if _, err := UnmarshalFrame(data[:5], alphabet); err == nil {
 		t.Error("truncated frame should fail")
@@ -73,7 +73,7 @@ func TestUnmarshalFrameErrors(t *testing.T) {
 func TestCompressedBitsMatchesWire(t *testing.T) {
 	c, f := compressOne(t)
 	data, _ := f.MarshalBinary()
-	if got := f.CompressedBits(c.Params()); got != int64(len(data))*8 {
+	if got := f.CompressedBits(c.p); got != int64(len(data))*8 {
 		t.Errorf("CompressedBits = %d, wire = %d bits", got, len(data)*8)
 	}
 }

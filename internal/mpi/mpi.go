@@ -186,56 +186,6 @@ func (c *Comm) Recv(src, dst int, tag uint32) (Envelope, []byte, error) {
 	return Decode(msg)
 }
 
-// Bcast sends payload from root to every other rank (naive linear
-// broadcast, as small FPGA MPI implementations use).
-func (c *Comm) Bcast(root int, tag uint32, dt Datatype, payload []byte) error {
-	for r := 0; r < c.size; r++ {
-		if r == root {
-			continue
-		}
-		if err := c.Send(root, r, tag, dt, payload); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// RecvBcast receives one broadcast message at a non-root rank.
-func (c *Comm) RecvBcast(root, rank int, tag uint32) ([]byte, error) {
-	_, p, err := c.Recv(root, rank, tag)
-	return p, err
-}
-
-// ReduceFloat64 gathers one float64 from every rank at root and returns
-// their element-wise sum. contributions maps rank -> value; the root's own
-// value is passed directly. (A convenience for the particle filter's
-// weight-sum exchange in the MPI-baseline configuration.)
-func (c *Comm) ReduceFloat64(root int, tag uint32, ownValue float64, ranks []int) (float64, error) {
-	sum := ownValue
-	for _, r := range ranks {
-		if r == root {
-			continue
-		}
-		_, p, err := c.Recv(r, root, tag)
-		if err != nil {
-			return 0, err
-		}
-		if len(p) != 8 {
-			return 0, fmt.Errorf("mpi: reduce contribution of %d bytes", len(p))
-		}
-		bitsv := binary.LittleEndian.Uint64(p)
-		sum += float64frombits(bitsv)
-	}
-	return sum, nil
-}
-
-// SendFloat64 sends a single float64 (for ReduceFloat64 contributions).
-func (c *Comm) SendFloat64(src, dst int, tag uint32, v float64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], float64bits(v))
-	return c.Send(src, dst, tag, Float64, b[:])
-}
-
 // Stats returns a snapshot of the communicator's traffic counters.
 func (c *Comm) Stats() Stats {
 	c.mu.Lock()

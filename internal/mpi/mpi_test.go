@@ -130,35 +130,6 @@ func TestCommBlockingRecv(t *testing.T) {
 	}
 }
 
-func TestBcast(t *testing.T) {
-	c, _ := NewComm(4)
-	if err := c.Bcast(0, 3, Byte, []byte{7}); err != nil {
-		t.Fatal(err)
-	}
-	for r := 1; r < 4; r++ {
-		p, err := c.RecvBcast(0, r, 3)
-		if err != nil || p[0] != 7 {
-			t.Fatalf("rank %d: %v %v", r, p, err)
-		}
-	}
-	if st := c.Stats(); st.Messages != 3 {
-		t.Errorf("broadcast messages = %d, want 3", st.Messages)
-	}
-}
-
-func TestReduceFloat64(t *testing.T) {
-	c, _ := NewComm(3)
-	c.SendFloat64(1, 0, 8, 2.5)
-	c.SendFloat64(2, 0, 8, 4.0)
-	sum, err := c.ReduceFloat64(0, 8, 1.5, []int{0, 1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum != 8.0 {
-		t.Errorf("sum = %v, want 8", sum)
-	}
-}
-
 func TestStatsHandshakes(t *testing.T) {
 	c, _ := NewComm(2)
 	c.Send(0, 1, 1, Byte, make([]byte, 10)) // eager

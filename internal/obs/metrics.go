@@ -58,25 +58,23 @@ func (c *Counter) Value() int64 {
 // Gauge is a metric that can go up and down. All methods are safe for
 // concurrent use and no-ops on a nil receiver.
 type Gauge struct {
-	v   atomic.Int64
-	max atomic.Int64
+	v atomic.Int64
 }
 
-// Set stores v and raises the high-water mark.
+// Set stores v.
 func (g *Gauge) Set(v int64) {
 	if g == nil {
 		return
 	}
 	g.v.Store(v)
-	raiseMax(&g.max, v)
 }
 
-// Add adjusts the gauge by delta and raises the high-water mark.
+// Add adjusts the gauge by delta.
 func (g *Gauge) Add(delta int64) {
 	if g == nil {
 		return
 	}
-	raiseMax(&g.max, g.v.Add(delta))
+	g.v.Add(delta)
 }
 
 // Value returns the current value (0 on nil).
@@ -85,23 +83,6 @@ func (g *Gauge) Value() int64 {
 		return 0
 	}
 	return g.v.Load()
-}
-
-// Max returns the largest value ever Set/Add-ed (0 on nil).
-func (g *Gauge) Max() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.max.Load()
-}
-
-func raiseMax(m *atomic.Int64, v int64) {
-	for {
-		cur := m.Load()
-		if v <= cur || m.CompareAndSwap(cur, v) {
-			return
-		}
-	}
 }
 
 // Histogram accumulates observations into fixed cumulative-style buckets

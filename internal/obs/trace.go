@@ -83,11 +83,10 @@ func TestClock(seed uint64) Clock {
 type Tracer struct {
 	clock Clock
 
-	mu      sync.Mutex
-	ring    []Event
-	next    int
-	full    bool
-	dropped int64
+	mu   sync.Mutex
+	ring []Event
+	next int
+	full bool
 }
 
 // DefaultTraceEvents is the default ring capacity.
@@ -163,7 +162,6 @@ func (t *Tracer) emit(ev Event) {
 	} else {
 		t.ring[t.next] = ev
 		t.full = true
-		t.dropped++
 	}
 	t.next++
 	if t.next == cap(t.ring) {
@@ -197,15 +195,6 @@ func (t *Tracer) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.ring)
-}
-
-func (t *Tracer) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
 }
 
 // WriteChrome renders the retained events as Chrome trace_event JSON.

@@ -15,9 +15,6 @@ func TestTracerRecordsAndWraps(t *testing.T) {
 	if tr.Len() != 4 {
 		t.Errorf("Len = %d, want 4 (ring capacity)", tr.Len())
 	}
-	if tr.Dropped() != 2 {
-		t.Errorf("Dropped = %d, want 2", tr.Dropped())
-	}
 	evs := tr.Events()
 	// Oldest-first: tids 2,3,4,5 survive.
 	for i, ev := range evs {
@@ -142,8 +139,5 @@ func TestTracerConcurrent(t *testing.T) {
 	wg.Wait()
 	if tr.Len() != 1024 {
 		t.Errorf("Len = %d, want full ring", tr.Len())
-	}
-	if got := tr.Dropped() + int64(tr.Len()); got != 8000 {
-		t.Errorf("retained+dropped = %d, want 8000", got)
 	}
 }

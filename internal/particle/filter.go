@@ -56,11 +56,6 @@ type Filter struct {
 	particles []float64
 	weights   []float64
 	rng       *signal.RNG
-
-	// adaptive resampling state (see ess.go)
-	adaptive     bool
-	resampleFrac float64
-	resamplings  int64
 }
 
 // NewFilter creates a filter with n particles initialized at the model's
@@ -85,12 +80,6 @@ func NewFilter(model Model, n int, seed uint64) (*Filter, error) {
 	return f, nil
 }
 
-// N returns the particle count.
-func (f *Filter) N() int { return len(f.particles) }
-
-// Particles returns the current particle values (borrowed; do not modify).
-func (f *Filter) Particles() []float64 { return f.particles }
-
 // Step performs one E-U-S iteration against an observation and returns the
 // weighted state estimate (computed after the update, before selection).
 func (f *Filter) Step(observation float64) float64 {
@@ -110,7 +99,6 @@ func (f *Filter) Step(observation float64) float64 {
 	for i := range f.weights {
 		f.weights[i] = 1
 	}
-	f.resamplings++
 	return est
 }
 
@@ -157,32 +145,6 @@ func SystematicResample(particles, weights []float64, sum float64, count int, rn
 		out[i] = particles[j]
 	}
 	return out
-}
-
-// Multiplicities returns, per particle, the replica count systematic
-// resampling would assign for a total of `count` draws. The counts sum to
-// `count`; they drive the local-resampling step of the distributed filter.
-func Multiplicities(weights []float64, sum float64, count int, rng *signal.RNG) []int {
-	mult := make([]int, len(weights))
-	if sum <= 0 {
-		for i := 0; i < count; i++ {
-			mult[i%len(weights)]++
-		}
-		return mult
-	}
-	step := sum / float64(count)
-	u := rng.Float64() * step
-	var cum float64
-	j := 0
-	for i := 0; i < count; i++ {
-		target := u + float64(i)*step
-		for cum+weights[j] < target && j < len(weights)-1 {
-			cum += weights[j]
-			j++
-		}
-		mult[j]++
-	}
-	return mult
 }
 
 // RMSE returns the root-mean-square error between estimates and truth.

@@ -79,42 +79,6 @@ func TestSystematicResampleZeroWeights(t *testing.T) {
 	}
 }
 
-func TestMultiplicitiesSumToCount(t *testing.T) {
-	f := func(seed uint64, n uint8) bool {
-		if n == 0 {
-			return true
-		}
-		rng := signal.NewRNG(seed)
-		weights := make([]float64, 5)
-		var sum float64
-		for i := range weights {
-			weights[i] = rng.Float64()
-			sum += weights[i]
-		}
-		mult := Multiplicities(weights, sum, int(n), rng)
-		total := 0
-		for _, m := range mult {
-			total += m
-		}
-		return total == int(n)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMultiplicitiesZeroSum(t *testing.T) {
-	rng := signal.NewRNG(1)
-	mult := Multiplicities([]float64{0, 0, 0}, 0, 7, rng)
-	total := 0
-	for _, m := range mult {
-		total += m
-	}
-	if total != 7 {
-		t.Errorf("degenerate multiplicities sum %d, want 7", total)
-	}
-}
-
 func TestEstimateWeighted(t *testing.T) {
 	est := Estimate([]float64{1, 3}, []float64{1, 3}, 4)
 	if math.Abs(est-2.5) > 1e-12 {

@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"sort"
 	"strings"
 	"testing"
 )
@@ -324,11 +325,12 @@ func TestChannelPreload(t *testing.T) {
 	// The first two receives are satisfied by the preload at time 0, long
 	// before the sender's 100-cycle compute finishes.
 	var recvs []Segment
-	for _, s := range sim.LastTrace().PESegments(1) {
-		if s.Kind == SegRecv {
+	for _, s := range sim.LastTrace().Segments {
+		if s.PE == 1 && s.Kind == SegRecv {
 			recvs = append(recvs, s)
 		}
 	}
+	sort.Slice(recvs, func(i, j int) bool { return recvs[i].Start < recvs[j].Start })
 	if len(recvs) != 3 {
 		t.Fatalf("recv segments = %d", len(recvs))
 	}

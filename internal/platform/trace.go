@@ -2,7 +2,6 @@ package platform
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -59,29 +58,6 @@ func (s *Sim) EnableTrace() { s.trace = true }
 // LastTrace returns the trace of the most recent Run (nil when tracing is
 // disabled).
 func (s *Sim) LastTrace() *Trace { return s.lastTrace }
-
-// PESegments returns the segments of one PE in time order.
-func (t *Trace) PESegments(pe int) []Segment {
-	var out []Segment
-	for _, s := range t.Segments {
-		if s.PE == pe {
-			out = append(out, s)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	return out
-}
-
-// Busy returns the total busy time of a PE in the trace.
-func (t *Trace) Busy(pe int) Time {
-	var b Time
-	for _, s := range t.Segments {
-		if s.PE == pe {
-			b += s.End - s.Start
-		}
-	}
-	return b
-}
 
 // Gantt renders a fixed-width textual Gantt chart: one row per PE, one
 // column per time bucket; '#' compute, '>' send, '<' recv, '.' idle.

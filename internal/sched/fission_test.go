@@ -23,7 +23,7 @@ func TestExtendFissionPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := SingleProcessor(g)
+	m, err := singleProcessor(g)
 	if err != nil {
 		t.Fatal(err)
 	}

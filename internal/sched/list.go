@@ -169,20 +169,3 @@ func ListSchedule(g *dataflow.Graph, nprocs int, commCycles int64) (*Mapping, er
 	}
 	return m, nil
 }
-
-// Makespan returns the static makespan estimate of one iteration of the
-// mapping: the same earliest-start recurrence ListSchedule uses, evaluated
-// on the final placement.
-func Makespan(g *dataflow.Graph, m *Mapping, commCycles int64) (int64, error) {
-	if err := m.Validate(g); err != nil {
-		return 0, err
-	}
-	res, err := SelfTimed(g, m, SelfTimedConfig{
-		Iterations: 1,
-		CommCycles: func(dataflow.EdgeID) int64 { return commCycles },
-	})
-	if err != nil {
-		return 0, err
-	}
-	return res.Finish, nil
-}

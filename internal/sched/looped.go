@@ -291,21 +291,3 @@ func SASBufferMemory(g *dataflow.Graph, root *LoopNode) (int64, error) {
 	}
 	return total, nil
 }
-
-// FlatSAS returns the trivial single-appearance schedule in topological
-// order: (q[a1] a1)(q[a2] a2)... — the baseline APGAN improves on.
-func FlatSAS(g *dataflow.Graph) (*LoopNode, error) {
-	q, err := g.RepetitionsVector()
-	if err != nil {
-		return nil, err
-	}
-	order, err := g.TopologicalOrder()
-	if err != nil {
-		return nil, err
-	}
-	root := &LoopNode{Count: 1, Actor: dataflow.NoActor}
-	for _, a := range order {
-		root.Body = append(root.Body, &LoopNode{Count: q[a], Actor: a})
-	}
-	return root, nil
-}

@@ -82,18 +82,3 @@ func (m *Mapping) InterprocessorEdges(g *dataflow.Graph) []dataflow.EdgeID {
 	}
 	return out
 }
-
-// SingleProcessor returns the trivial mapping that places every actor on
-// processor 0 in PASS-derived order.
-func SingleProcessor(g *dataflow.Graph) (*Mapping, error) {
-	order, err := g.TopologicalOrder()
-	if err != nil {
-		return nil, err
-	}
-	m := &Mapping{
-		NumProcs: 1,
-		Proc:     make([]Processor, g.NumActors()),
-		Order:    [][]dataflow.ActorID{order},
-	}
-	return m, nil
-}

@@ -182,25 +182,3 @@ func ranThisIter(m *Mapping, next []int, src dataflow.ActorID) bool {
 	}
 	return false
 }
-
-// Speedup returns the ratio of single-processor self-timed finish time to
-// the mapping's finish time over the same iteration count — the quantity
-// plotted in the paper's figures 6 and 7 as execution-time reduction.
-func Speedup(g *dataflow.Graph, m *Mapping, cfg SelfTimedConfig) (float64, error) {
-	single, err := SingleProcessor(g)
-	if err != nil {
-		return 0, err
-	}
-	base, err := SelfTimed(g, single, cfg)
-	if err != nil {
-		return 0, err
-	}
-	multi, err := SelfTimed(g, m, cfg)
-	if err != nil {
-		return 0, err
-	}
-	if multi.Finish == 0 {
-		return 0, fmt.Errorf("sched: zero finish time")
-	}
-	return float64(base.Finish) / float64(multi.Finish), nil
-}

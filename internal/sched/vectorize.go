@@ -32,14 +32,6 @@ func BlockedSAS(root *LoopNode, block int64) *LoopNode {
 	return &LoopNode{Count: root.Count, Actor: root.Actor, Body: body}
 }
 
-// BlockedSASMemory is the buffer memory of the APGAN schedule blocked by
-// the given factor: the per-edge maximum occupancy of B back-to-back
-// iterations fired leaf-wise. It errors when the blocked schedule is not
-// admissible (a feedback delay too small for the block).
-func BlockedSASMemory(g *dataflow.Graph, root *LoopNode, block int64) (int64, error) {
-	return SASBufferMemory(g, BlockedSAS(root, block))
-}
-
 // PickBlock chooses the largest blocking factor in [1, maxBlock]
 // (default 64 when maxBlock <= 0) whose blocked APGAN schedule is
 // admissible, deadlock-free under blocked inter-processor execution

@@ -49,11 +49,11 @@ func TestBlockedSASIdentityAtOne(t *testing.T) {
 func TestBlockedSASMemoryGrows(t *testing.T) {
 	g := cdChain()
 	sas, _ := SingleAppearanceSchedule(g)
-	m1, err := BlockedSASMemory(g, sas, 1)
+	m1, err := SASBufferMemory(g, BlockedSAS(sas, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m4, err := BlockedSASMemory(g, sas, 4)
+	m4, err := SASBufferMemory(g, BlockedSAS(sas, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,14 +81,14 @@ func TestPickBlockMemoryBound(t *testing.T) {
 	g := cdChain()
 	sas, _ := SingleAppearanceSchedule(g)
 	const maxBlock = 8
-	bound, err := BlockedSASMemory(g, sas, 4)
+	bound, err := SASBufferMemory(g, BlockedSAS(sas, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Expected answer: the largest block whose memory fits the bound.
 	want := 1
 	for b := maxBlock; b > 1; b-- {
-		if m, err := BlockedSASMemory(g, sas, int64(b)); err == nil && m <= bound {
+		if m, err := SASBufferMemory(g, BlockedSAS(sas, int64(b))); err == nil && m <= bound {
 			want = b
 			break
 		}
@@ -100,7 +100,7 @@ func TestPickBlockMemoryBound(t *testing.T) {
 	if b != want {
 		t.Errorf("PickBlock under %d bytes = %d, want %d", bound, b, want)
 	}
-	if m, err := BlockedSASMemory(g, sas, int64(b)); err != nil || m > bound {
+	if m, err := SASBufferMemory(g, BlockedSAS(sas, int64(b))); err != nil || m > bound {
 		t.Errorf("chosen block %d costs %d bytes (err %v), bound %d", b, m, err, bound)
 	}
 	if blocked == nil {

@@ -219,21 +219,3 @@ func (a *admitter) counts() (live, degraded int) {
 	defer a.mu.Unlock()
 	return len(a.live), a.degraded
 }
-
-func (a *admitter) queuedBytes(tenant string) int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.tenantBytes[tenant]
-}
-
-// totalBytes sums queued inbound bytes across all tenants, the node-wide
-// backpressure signal Load reports for placement.
-func (a *admitter) totalBytes() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	var n int64
-	for _, b := range a.tenantBytes {
-		n += b
-	}
-	return n
-}

@@ -35,8 +35,6 @@ type System struct {
 	// ForceUBS lists edges forced onto the UBS protocol regardless of the
 	// bound analysis (for ablation studies).
 	ForceUBS map[dataflow.EdgeID]bool
-	// AckBytes is the UBS acknowledgement payload size (default 4).
-	AckBytes int
 	// SuppressAcks drops the UBS acknowledgement messages — the
 	// configuration after resynchronization has proven them redundant
 	// (paper §4.1). Used by the resynchronization ablation.
@@ -45,8 +43,6 @@ type System struct {
 	// messages (resynchronization edges realized as separate messages):
 	// each entry is a (fromPE, toPE) pair carrying SyncMessageBytes.
 	ExtraSync []SyncMessage
-	// SyncMessageBytes is the payload of one sync message (default 2).
-	SyncMessageBytes int
 	// Block is the vectorization blocking factor B: one simulated
 	// iteration models B graph iterations fired back to back, with every
 	// interprocessor edge moving one packed B-token slab (one header, one
@@ -55,6 +51,9 @@ type System struct {
 	// by B. 0 or 1 models scalar execution exactly.
 	Block int
 }
+
+// SyncMessageBytes is the payload of one pure synchronization message.
+const SyncMessageBytes = 2
 
 // SyncMessage is a pure synchronization message between two PEs, sent at a
 // fixed point in the iteration (after the source PE's computation).
@@ -105,15 +104,6 @@ func Build(sys *System) (*Deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	ackBytes := sys.AckBytes
-	if ackBytes == 0 {
-		ackBytes = 4
-	}
-	syncBytes := sys.SyncMessageBytes
-	if syncBytes == 0 {
-		syncBytes = 2
-	}
-
 	dep := &Deployment{Sim: sim}
 	// Channel per interprocessor edge, as planned: one message (a slab when
 	// blocked) per sim iteration; capacity and preload count whole messages.
@@ -136,7 +126,7 @@ func Build(sys *System) (*Deployment, error) {
 			Preload:     int(pe.Delay / pe.Block),
 		}
 		if cfg.Protocol == UBS && !sys.SuppressAcks {
-			spec.AckBytes = ackBytes
+			spec.AckBytes = AckMessageBytes
 		}
 		ch, err := sim.AddChannel(spec)
 		if err != nil {
@@ -226,7 +216,7 @@ func Build(sys *System) (*Deployment, error) {
 		// Pure sync messages sent at end of this PE's iteration; matching
 		// receives appended to the destination below.
 		for _, ch := range syncSendOf[p] {
-			prog = append(prog, platform.SendKind(ch, syncBytes, platform.SyncMsg))
+			prog = append(prog, platform.SendKind(ch, SyncMessageBytes, platform.SyncMsg))
 		}
 		if err := sim.SetProgram(p, prog); err != nil {
 			return nil, err

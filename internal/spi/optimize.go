@@ -179,26 +179,3 @@ func coveringPath(sg *syncgraph.Graph, src, dst syncgraph.VertexID, maxDelay int
 	fmt.Fprintf(&b, " (delay %d <= %d)", dist[dst], maxDelay)
 	return b.String(), true
 }
-
-// OptimizeSync runs the paper's §4 synchronization optimization on a
-// system and applies the verdict to its deployment: the IPC graph is
-// derived from the mapping, UBS acknowledgement edges are added as
-// synchronization feedback, and resynchronization removes the redundant
-// ones. If EVERY acknowledgement edge is proven redundant, the deployment
-// suppresses acknowledgement messages entirely (SuppressAcks) — the
-// "removal of redundant acknowledgement edges for SPI actors" the paper
-// describes, automated. Deployments that need the per-edge decision (the
-// distributed runtime's per-link suppression sets) use ResyncSuppression,
-// which this delegates to.
-//
-// The returned report also serves diagnostic display (counts, period).
-func OptimizeSync(sys *System) (*syncgraph.ResyncReport, error) {
-	plan, err := ResyncSuppression(sys.Graph, sys.Mapping)
-	if err != nil {
-		return nil, err
-	}
-	if plan.AckFeedback > 0 && plan.AckSurviving == 0 {
-		sys.SuppressAcks = true
-	}
-	return plan.Report, nil
-}

@@ -36,18 +36,22 @@ func fanoutSystem(t *testing.T, workers int) *System {
 	return &System{Graph: g, Mapping: m}
 }
 
-func TestOptimizeSyncSuppressesRedundantAcks(t *testing.T) {
+// TestBuildSuppressAcksSendsNoAcks: when the resynchronization verdict
+// proves every acknowledgement redundant, the deployment built with
+// SuppressAcks sends none, and its total traffic drops.
+func TestBuildSuppressAcksSendsNoAcks(t *testing.T) {
 	sys := fanoutSystem(t, 3)
-	rep, err := OptimizeSync(sys)
+	plan, err := ResyncSuppression(sys.Graph, sys.Mapping)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sys.SuppressAcks {
-		t.Fatalf("acks not suppressed despite full redundancy: %s", rep)
+	if plan.AckFeedback == 0 || plan.AckSurviving != 0 {
+		t.Fatalf("acks not all redundant: feedback=%d surviving=%d", plan.AckFeedback, plan.AckSurviving)
 	}
-	if rep.SyncAfter >= rep.SyncBefore {
+	if rep := plan.Report; rep.SyncAfter >= rep.SyncBefore {
 		t.Errorf("no reduction: %s", rep)
 	}
+	sys.SuppressAcks = true
 	// The optimized deployment must generate zero acknowledgement traffic.
 	dep, err := Build(sys)
 	if err != nil {
@@ -149,33 +153,10 @@ func TestResyncSuppressionSingleProc(t *testing.T) {
 	}
 }
 
-func TestOptimizeSyncNoIPCEdges(t *testing.T) {
-	// Single-processor system: nothing to optimize, no suppression claim.
-	g := dataflow.New("solo")
-	a := g.AddActor("A", 1)
-	b := g.AddActor("B", 1)
-	g.AddEdge("ab", a, b, 1, 1, dataflow.EdgeSpec{})
-	sys := &System{Graph: g, Mapping: &sched.Mapping{
-		NumProcs: 1, Proc: []sched.Processor{0, 0},
-		Order: [][]dataflow.ActorID{{a, b}},
-	}}
-	rep, err := OptimizeSync(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sys.SuppressAcks {
-		t.Error("no feedback was added; SuppressAcks must stay false")
-	}
-	if rep.SyncBefore != 0 {
-		t.Errorf("unexpected sync edges: %s", rep)
-	}
-}
-
-func TestOptimizeSyncInvalidMapping(t *testing.T) {
+func TestResyncSuppressionInvalidMapping(t *testing.T) {
 	g := dataflow.New("bad")
 	g.AddActor("A", 1)
-	sys := &System{Graph: g, Mapping: &sched.Mapping{NumProcs: 0}}
-	if _, err := OptimizeSync(sys); err == nil {
+	if _, err := ResyncSuppression(g, &sched.Mapping{NumProcs: 0}); err == nil {
 		t.Error("invalid mapping should fail")
 	}
 }

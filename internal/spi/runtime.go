@@ -35,9 +35,9 @@ func (p Protocol) String() string {
 // ErrClosed is returned by operations on a closed edge.
 var ErrClosed = errors.New("spi: edge closed")
 
-// AckMessageBytes is the wire size charged per acknowledgement in edge
-// statistics — the UBS ack / BBS credit payload, matching the default
-// SystemSpec.AckBytes of the platform lowering.
+// AckMessageBytes is the wire size of one acknowledgement — the UBS ack /
+// BBS credit payload — charged in edge statistics and by the platform
+// lowering (Build).
 const AckMessageBytes = 4
 
 // EdgeConfig declares one interprocessor edge to the runtime — the work of
@@ -89,8 +89,8 @@ type EdgeStats struct {
 	// Acks counts UBS acknowledgements issued by the receiver.
 	Acks int64
 	// AckBytes is the wire cost of those acknowledgements
-	// (AckMessageBytes each) — the synchronization traffic OptimizeSync
-	// removes on bounded edges.
+	// (AckMessageBytes each) — the synchronization traffic the
+	// resynchronization verdict (ResyncSuppression) removes on bounded edges.
 	AckBytes int64
 	// AcksPiggybacked is always 0, kept until a `benchmark` PR stops naming
 	// it: every acknowledgement that reaches the wire is an ACK frame.

@@ -9,10 +9,10 @@ import (
 // TCP_NODELAY enabled so the small SPI headers are not batched behind
 // Nagle's algorithm (signal-processing traffic is latency-sensitive and
 // already coalesced into block transfers by the dataflow granularity).
-type TCP struct {
-	// DialTimeout bounds one connect attempt; zero means 3s.
-	DialTimeout time.Duration
-}
+type TCP struct{}
+
+// tcpDialTimeout bounds one connect attempt.
+const tcpDialTimeout = 3 * time.Second
 
 func (t *TCP) Name() string { return "tcp" }
 
@@ -25,11 +25,7 @@ func (t *TCP) Listen(addr string) (Listener, error) {
 }
 
 func (t *TCP) Dial(addr string) (Conn, error) {
-	timeout := t.DialTimeout
-	if timeout <= 0 {
-		timeout = 3 * time.Second
-	}
-	c, err := net.DialTimeout("tcp", addr, timeout)
+	c, err := net.DialTimeout("tcp", addr, tcpDialTimeout)
 	if err != nil {
 		return nil, &Error{Op: "dial", Addr: addr, Transient: dialTransient(err), Err: err}
 	}

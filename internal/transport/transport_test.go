@@ -53,7 +53,7 @@ func TestDialRetryRefusedThenUp(t *testing.T) {
 }
 
 func TestDialRetryTCPRefused(t *testing.T) {
-	tr := &TCP{DialTimeout: time.Second}
+	tr := &TCP{}
 	// Bind and release a port so the address is valid but refused.
 	ln, err := tr.Listen("127.0.0.1:0")
 	if err != nil {
@@ -78,7 +78,7 @@ func TestDialRetryTCPRefused(t *testing.T) {
 }
 
 func TestDialFatalErrorNotRetried(t *testing.T) {
-	tr := &TCP{DialTimeout: time.Second}
+	tr := &TCP{}
 	var attempts atomic.Int64
 	counted := countingTransport{Transport: tr, dials: &attempts}
 	_, err := DialRetry(context.Background(), counted, "not-an-address", RetryConfig{

@@ -60,9 +60,6 @@ func NewPacker(bmax int64, framing Framing) *Packer {
 	return &Packer{bmax: bmax, framing: framing, buf: make([]byte, 0, cap)}
 }
 
-// BMax returns the payload bound.
-func (p *Packer) BMax() int64 { return p.bmax }
-
 // Pack frames payload into a packed token. The returned slice aliases the
 // Packer's internal buffer and is valid until the next Pack call. Returns
 // an error if the payload exceeds b_max — by construction a VTS edge never
@@ -154,19 +151,5 @@ func (u *Unpacker) Unpack(msg []byte) ([]byte, error) {
 		return nil, fmt.Errorf("vts: packed token missing delimiter")
 	default:
 		return nil, fmt.Errorf("vts: unknown framing %v", u.framing)
-	}
-}
-
-// FrameOverhead returns the wire bytes added by framing a payload of the
-// given size: constant for header framing, data-dependent (escapes) for
-// delimiter framing in the worst case.
-func FrameOverhead(framing Framing, payload int) int {
-	switch framing {
-	case HeaderFraming:
-		return SizeHeaderBytes
-	case DelimiterFraming:
-		return 1 + payload // delimiter + worst-case all-escaped expansion
-	default:
-		return 0
 	}
 }

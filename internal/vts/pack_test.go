@@ -106,18 +106,6 @@ func TestReceiverOpsDelimiterScalesWithPayload(t *testing.T) {
 	}
 }
 
-func TestFrameOverhead(t *testing.T) {
-	if got := FrameOverhead(HeaderFraming, 100); got != SizeHeaderBytes {
-		t.Errorf("header overhead = %d, want %d", got, SizeHeaderBytes)
-	}
-	if got := FrameOverhead(DelimiterFraming, 100); got != 101 {
-		t.Errorf("delimiter worst-case overhead = %d, want 101", got)
-	}
-	if got := FrameOverhead(Framing(9), 100); got != 0 {
-		t.Errorf("unknown framing overhead = %d, want 0", got)
-	}
-}
-
 func TestFramingString(t *testing.T) {
 	if HeaderFraming.String() != "header" || DelimiterFraming.String() != "delimiter" {
 		t.Errorf("framing strings: %s %s", HeaderFraming, DelimiterFraming)
