@@ -6,8 +6,9 @@
 package demo
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -71,10 +72,6 @@ func Sinks(g *dataflow.Graph) map[string]*uint64 {
 // every byte is a pure function of the graph and seed, any partition of
 // the graph produces the same digests.
 func Kernels(g *dataflow.Graph, seed uint64, digests map[string]*uint64, mu *sync.Mutex) (map[dataflow.ActorID]spi.Kernel, error) {
-	conv, err := vts.Convert(g)
-	if err != nil {
-		return nil, err
-	}
 	kernels := map[dataflow.ActorID]spi.Kernel{}
 	for _, a := range g.Actors() {
 		name := g.Actor(a).Name
@@ -84,7 +81,10 @@ func Kernels(g *dataflow.Graph, seed uint64, digests map[string]*uint64, mu *syn
 		}
 		var outs []outPort
 		for _, eid := range g.Out(a) {
-			info := conv.Info(eid)
+			info, err := vts.EdgeOf(g.Edge(eid))
+			if err != nil {
+				return nil, err
+			}
 			outs = append(outs, newOutPort(eid, int(info.BMax), info.Dynamic))
 		}
 		kernels[a] = newKernel(g.Name(), name, seed, ins, outs, func(fold uint64) {
@@ -143,7 +143,7 @@ func fnvAdd(h uint64, p []byte) uint64 {
 // kernel's to reuse when the actor fires again). So one kernel must not be
 // fired from two goroutines at once.
 func newKernel(graph, actor string, seed uint64, ins []inPort, outs []outPort, sink func(fold uint64)) spi.Kernel {
-	sort.Slice(ins, func(i, j int) bool { return ins[i].id < ins[j].id })
+	slices.SortFunc(ins, func(a, b inPort) int { return cmp.Compare(a.id, b.id) })
 	prefix := []byte(graph + "|" + actor + "|")
 	suffix := strconv.AppendUint([]byte{'|'}, seed, 10)
 	out := make(map[dataflow.EdgeID][]byte, len(outs))

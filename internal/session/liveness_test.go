@@ -1,10 +1,14 @@
 package session
 
 import (
+	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/dataflow"
+	"repro/internal/spi"
 	"repro/internal/transport"
 )
 
@@ -120,4 +124,43 @@ func TestAwaitCloseDeadline(t *testing.T) {
 		t.Errorf("expired wait error %q does not mention the deadline", cerr)
 	}
 	h.client.Done(s)
+}
+
+// TestClientFailureReleasesServerHalf: a session run that fails on the
+// client must not strand the server's half. The client's abortive finish
+// FINs every edge it declared, so the server's actors unwind, the server
+// CLOSEs with CloseError and books the failure — promptly, with no reaper
+// configured to clean up after it.
+func TestClientFailureReleasesServerHalf(t *testing.T) {
+	h := startServe(t, transport.NewLoopback(), "client-fails", ServerConfig{}, true)
+	defer h.stop()
+	s, err := h.client.Open("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sink [][]byte
+	var mu sync.Mutex
+	kernels := testKernels(&sink, &mu)
+	a := kernels[0]
+	kernels[0] = func(iter int, in map[dataflow.EdgeID][]byte) (map[dataflow.EdgeID][]byte, error) {
+		if iter == 3 {
+			return nil, errors.New("kernel A failed")
+		}
+		return a(iter, in)
+	}
+	g, m := testGraph()
+	_, execErr := spi.ExecuteDistributed(g, m, kernels, h.iters, spi.DistOptions{
+		Node: clientNode, Addrs: make([]string, 2), NodeOf: testNodeOf, Links: s,
+	})
+	if execErr == nil || !strings.Contains(execErr.Error(), "kernel A failed") {
+		t.Fatalf("client run error = %v, want kernel A's failure", execErr)
+	}
+	status, cerr := s.AwaitClose(time.Second)
+	h.client.Done(s)
+	if cerr != nil || status != CloseError {
+		t.Fatalf("close verdict %s, err %v; want %s within 1s", closeString(status), cerr, closeString(CloseError))
+	}
+	waitSnapshot(t, h.srv, "the failed session to be booked", func(sn Snapshot) bool {
+		return sn.Failed == 1 && sn.Live == 0
+	})
 }

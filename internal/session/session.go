@@ -332,6 +332,7 @@ type Stream struct {
 	pending   []event
 	closed    bool
 	closeErr  error
+	edges     []uint16         // every edge the execution declared in Connect
 	declBytes map[uint16]int64 // inbound edge -> declared payload bound
 	queued    int64            // estimated inbound bytes delivered but unconsumed
 	acct      func(delta int64)
@@ -425,6 +426,7 @@ func (s *Stream) Connect(peer int, decls []transport.EdgeDecl, h transport.Handl
 		s.declBytes = make(map[uint16]int64, len(decls))
 	}
 	for _, d := range decls {
+		s.edges = append(s.edges, d.ID)
 		if !d.Out {
 			s.declBytes[d.ID] = int64(d.Bytes)
 		}
@@ -441,10 +443,23 @@ func (s *Stream) Connect(peer int, decls []transport.EdgeDecl, h transport.Handl
 	return s, nil
 }
 
-// Finish ends the execution's use of the stream. The stream itself stays
-// registered — session teardown (CLOSE, release) belongs to the
-// Server/Client lifecycle, not the execution.
-func (s *Stream) Finish(graceful bool) {}
+// Finish ends the execution's use of the stream. An abortive finish FINs
+// every edge the execution declared, as a degraded run's starve does, so
+// the peer's half of the session unwinds instead of waiting on a run that
+// is gone. The stream itself stays registered — session teardown (CLOSE,
+// release) belongs to the Server/Client lifecycle, not the execution.
+func (s *Stream) Finish(graceful bool) {
+	if graceful {
+		return
+	}
+	s.mu.Lock()
+	edges := s.edges
+	s.mu.Unlock()
+	for _, id := range edges {
+		// Best effort: the link may be the very thing that failed.
+		_ = s.SendFin(id)
+	}
+}
 
 // deliver hands one inbound event, from the link reader via the Mux, to
 // the execution — or, until one connects, buffers it (the client's OPEN

@@ -1,6 +1,7 @@
 package spi
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"sync"
@@ -109,6 +110,26 @@ func TestAllocsDistributedLoopback(t *testing.T) {
 	alloctest.Check(t, "2-node loopback ExecuteDistributed open", open, pinnedDistOpen)
 }
 
+// TestAllocsWatchedRun is TestAllocsScalarExecute with the watchdog armed,
+// as every benchmark workload runs: a stall window and a context. Arming
+// it costs a timer and a context callback, not a goroutine.
+func TestAllocsWatchedRun(t *testing.T) {
+	g, m := pipelineGraph(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	perIter, open := alloctest.SteadyAndOpen(2000, func(n int) {
+		byID, _ := pipelineKernels()
+		if _, err := ExecuteDistributed(g, m, byID, n, DistOptions{
+			Addrs: []string{"local"}, NodeOf: []int{0, 0},
+			StallTimeout: time.Minute, Context: ctx,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	alloctest.Check(t, "watched one-node ExecuteDistributed pipeline.sdf per iteration", perIter, pinnedExecPerIter)
+	alloctest.Check(t, "watched one-node ExecuteDistributed pipeline.sdf open", open, pinnedWatchedOpen)
+}
+
 // TestAllocsLowerReadySpec pins what one deployment of a compiled spec
 // costs before any edge is opened: what a session server, which compiles
 // its spec once, pays per admission instead of planning the graph again.
@@ -171,7 +192,7 @@ func TestAllocsStandingPartitionRun(t *testing.T) {
 		}
 	}()
 	base := 0
-	perIter, perRun := alloctest.SteadyAndOpen(2000, func(n int) {
+	run := func(n int) {
 		errs := make([]error, 2)
 		var wg sync.WaitGroup
 		for w, pr := range runs {
@@ -188,7 +209,20 @@ func TestAllocsStandingPartitionRun(t *testing.T) {
 				t.Fatalf("worker %d: %v", w, err)
 			}
 		}
+	}
+	perIter, _ := alloctest.SteadyAndOpen(2000, run)
+	// A one-iteration Run files one frame on each side's link, and a frame's
+	// buffer goes back to the pool only when the peer acknowledges a whole
+	// cycle of them (the transport's cumulative-ack interval, 64 frames). So
+	// Runs are measured a cycle at a time: six consecutive Runs fall inside
+	// one cycle, and after a GC emptied the pool every one of them missed it.
+	const cycle = 64
+	batch := alloctest.Min(5, func() {
+		for i := 0; i < cycle; i++ {
+			run(1)
+		}
 	})
+	perRun := alloctest.Allocs{N: batch.N/cycle - perIter.N, Bytes: batch.Bytes/cycle - perIter.Bytes}
 	alloctest.Check(t, "standing PartitionRun.Run per iteration", perIter, pinnedPartPerIter)
 	alloctest.Check(t, "standing PartitionRun.Run per call", perRun, pinnedPartPerRun)
 
@@ -209,16 +243,23 @@ func TestAllocsStandingPartitionRun(t *testing.T) {
 // (Execute 122 → 131 allocations, 7157 → 8325 B: the spec with its
 // processors, actors, edge lists and edges, and its preload map); a
 // standing one no longer computes a resynchronization verdict nobody asked
-// for (827 → 369).
+// for (827 → 369). A run that fires its last processor on the calling
+// goroutine and keeps its runtime edges in a sorted slice, not a map, opens
+// for less: Execute 131 → 123 allocations and 8325 → 8069 B, two nodes
+// 447 → 436 and 27 992 → 27 551 B, a lowering 13 → 12 and 1560 → 1536 B,
+// a standing Run 29 → 25 and 1617 → 1443 B (both measured a cumulative-ack
+// cycle at a time). A watched open pays for two timers where it paid for a
+// goroutine, a ticker and a channel: 140 → 129 allocations, 8909 → 8485 B.
 var (
 	pinnedExecPerIter = alloctest.Allocs{N: 1.00, Bytes: 139}
-	pinnedExecOpen    = alloctest.Allocs{N: 131, Bytes: 8325}
+	pinnedExecOpen    = alloctest.Allocs{N: 123, Bytes: 8069}
+	pinnedWatchedOpen = alloctest.Allocs{N: 129, Bytes: 8485}
 	// Bytes not pinned: how far the edge queues and resend buffers grow
 	// depends on scheduling: three parent runs spread from 72 to 161 B.
 	pinnedDistPerIter = alloctest.Allocs{N: 2.04}
-	pinnedDistOpen    = alloctest.Allocs{N: 447, Bytes: 27992}
+	pinnedDistOpen    = alloctest.Allocs{N: 436, Bytes: 27551}
 	pinnedPartPerIter = alloctest.Allocs{N: 2.06, Bytes: 36}
-	pinnedPartPerRun  = alloctest.Allocs{N: 29, Bytes: 1620}
+	pinnedPartPerRun  = alloctest.Allocs{N: 25, Bytes: 1443}
 	pinnedPartOpen    = alloctest.Allocs{N: 369, Bytes: 29792}
-	pinnedLowerSpec   = alloctest.Allocs{N: 13, Bytes: 1560}
+	pinnedLowerSpec   = alloctest.Allocs{N: 12, Bytes: 1536}
 )

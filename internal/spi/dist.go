@@ -483,9 +483,8 @@ func executeSpec(spec *PartitionSpec, kernels map[string]Kernel, vkernels map[st
 	}
 
 	iterations := spec.Iterations
-	procErrs, wdErr := env.runWatched(spec.BaseIter, iterations, watchConfig{
-		stall: opts.StallTimeout, ctx: opts.Context, o: opts.Obs, node: env.node,
-	})
+	wd := &watchdog{env: env, stall: opts.StallTimeout, ctx: opts.Context, o: opts.Obs, iterations: iterations}
+	procErrs, wdErr := wd.run(spec.BaseIter)
 	runErr := watchVerdict(collapseErrs(procErrs), wdErr)
 	// Degraded runs close gracefully: surviving peers already received FINs
 	// for the starved edges, and a GOODBYE lets them finish their own
@@ -686,21 +685,15 @@ func connectPeers(rt *Runtime, peers map[int][]transport.EdgeDecl, fails *peerFa
 	// The accept loop blocks in ln.Accept with no context awareness of its
 	// own; close the listener when the context dies so a cancelled node
 	// (e.g. an orchestrated worker aborting mid-connect) unwinds instead
-	// of waiting forever for a peer that will never dial.
-	connected := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			// Only unblock the accept loop; the goroutines record their
-			// own, more descriptive errors (the dialers are ctx-aware).
-			if ln != nil {
-				ln.Close()
-			}
-		case <-connected:
-		}
-	}()
+	// of waiting forever for a peer that will never dial. Only the accept
+	// loop needs it: the dialers are ctx-aware, and record their own, more
+	// descriptive errors.
+	unwatch := func() bool { return false }
+	if ln != nil {
+		unwatch = context.AfterFunc(ctx, func() { ln.Close() })
+	}
 	wg.Wait()
-	close(connected)
+	unwatch()
 	if firstErr == nil {
 		for peer := range peers {
 			if links[peer] == nil {

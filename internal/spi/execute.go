@@ -14,8 +14,9 @@ import (
 )
 
 // Functional execution: run a mapped dataflow graph's actors as real
-// computations. Each processor becomes a goroutine executing its actor
-// order per iteration; interprocessor edges ride the SPI software runtime
+// computations. Each processor fires its actor order per iteration on a
+// goroutine of its own — except the last, which fires on the goroutine
+// that runs the deployment; interprocessor edges ride the SPI software runtime
 // (with the same mode/protocol selection as the platform lowering), and
 // same-processor edges are plain local queues. This is the programming
 // model a downstream SPI user writes against: supply a Kernel per actor,
@@ -253,32 +254,38 @@ func (env *execEnv) checkKernels() (err error) {
 	return err
 }
 
-// run fires iterations base..base+n-1 on every hosted processor, one
-// goroutine each, and returns the per-processor outcomes (parallel to
-// env.procs). A failing processor releases its peers: in fail-fast mode by
-// closing every runtime edge, in degraded mode by starving only the edges
-// incident to its own actors.
+// run fires iterations base..base+n-1 on every hosted processor, the last
+// on the calling goroutine and every other on one of its own (so a
+// one-processor node starts none), and returns the per-processor outcomes
+// (parallel to env.procs). A failing processor releases its peers: in
+// fail-fast mode by closing every runtime edge, in degraded mode by starving
+// only the edges incident to its own actors.
 func (env *execEnv) run(base, n int) []error {
 	env.eachActor(func(_ *procPlan, a *actorSlot) { a.fired.Store(0) })
 	errs := make([]error, len(env.procs))
+	last := len(env.procs) - 1 // lowerPartition refuses a spec without processors
 	var wg sync.WaitGroup
-	for i := range env.procs {
-		wg.Add(1)
-		go func(i int) {
+	wg.Add(last)
+	for i := range last {
+		go func() {
 			defer wg.Done()
-			p := &env.procs[i]
-			if errs[i] = env.fire(p, base, n); errs[i] == nil {
-				return
-			}
-			if env.degrade {
-				env.starve(p)
-			} else {
-				env.rt.CloseAll()
-			}
-		}(i)
+			errs[i] = env.fireProc(&env.procs[i], base, n)
+		}()
 	}
+	errs[last] = env.fireProc(&env.procs[last], base, n)
 	wg.Wait()
 	return errs
+}
+
+// fireProc fires one processor and, should it fail, releases its peers.
+func (env *execEnv) fireProc(p *procPlan, base, n int) error {
+	err := env.fire(p, base, n)
+	if err != nil && env.degrade {
+		env.starve(p)
+	} else if err != nil {
+		env.rt.CloseAll()
+	}
+	return err
 }
 
 // starve propagates one processor's death along exactly its own edges:

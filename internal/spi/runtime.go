@@ -1,9 +1,10 @@
 package spi
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -219,13 +220,13 @@ type Receiver struct{ e *edge }
 // packages hdl and platform.
 type Runtime struct {
 	mu    sync.Mutex
-	edges map[EdgeID]*edge
+	edges []*edge // every initialized edge, in ID order
 	obs   *obs.Observer
 }
 
 // NewRuntime returns an empty runtime.
 func NewRuntime() *Runtime {
-	return &Runtime{edges: make(map[EdgeID]*edge)}
+	return &Runtime{}
 }
 
 // SetObserver attaches metrics and tracing to the runtime. Edges
@@ -246,12 +247,13 @@ func (r *Runtime) Init(cfg EdgeConfig) (*Sender, *Receiver, error) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, dup := r.edges[cfg.ID]; dup {
+	i, dup := r.search(cfg.ID)
+	if dup {
 		return nil, nil, fmt.Errorf("spi: edge %d already initialized", cfg.ID)
 	}
 	e := &edge{cfg: cfg, obs: newEdgeObs(r.obs, cfg)}
 	e.cond = sync.NewCond(&e.mu)
-	r.edges[cfg.ID] = e
+	r.edges = slices.Insert(r.edges, i, e)
 	return &Sender{e: e}, &Receiver{e: e}, nil
 }
 
@@ -266,24 +268,29 @@ func (r *Runtime) Stats(id EdgeID) (EdgeStats, bool) {
 	return e.stats, true
 }
 
+// search finds where edge id is, or would be inserted, in r.edges.
+// Caller holds r.mu.
+func (r *Runtime) search(id EdgeID) (int, bool) {
+	return slices.BinarySearchFunc(r.edges, id, func(e *edge, id EdgeID) int { return cmp.Compare(e.cfg.ID, id) })
+}
+
 // edge looks an edge up by ID, nil when it was never initialized.
 func (r *Runtime) edge(id EdgeID) *edge {
 	r.mu.Lock()
-	e := r.edges[id]
-	r.mu.Unlock()
-	return e
+	defer r.mu.Unlock()
+	if i, ok := r.search(id); ok {
+		return r.edges[i]
+	}
+	return nil
 }
 
-// snapshotEdges returns the runtime's edges in ID order.
-func (r *Runtime) snapshotEdges() []*edge {
+// eachEdge visits the runtime's edges in ID order, holding r.mu.
+func (r *Runtime) eachEdge(visit func(e *edge)) {
 	r.mu.Lock()
-	edges := make([]*edge, 0, len(r.edges))
+	defer r.mu.Unlock()
 	for _, e := range r.edges {
-		edges = append(edges, e)
+		visit(e)
 	}
-	r.mu.Unlock()
-	sort.Slice(edges, func(i, j int) bool { return edges[i].cfg.ID < edges[j].cfg.ID })
-	return edges
 }
 
 // close marks the edge closed and wakes everything blocked on it.
@@ -306,9 +313,10 @@ type EdgeTraffic struct {
 
 // AllStats snapshots every edge's statistics, sorted by edge ID.
 func (r *Runtime) AllStats() []EdgeTraffic {
-	edges := r.snapshotEdges()
-	out := make([]EdgeTraffic, 0, len(edges))
-	for _, e := range edges {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]EdgeTraffic, 0, len(r.edges))
+	for _, e := range r.edges {
 		e.mu.Lock()
 		out = append(out, EdgeTraffic{ID: e.cfg.ID, Name: e.displayName(), Protocol: e.cfg.Protocol, Stats: e.stats})
 		e.mu.Unlock()
@@ -328,9 +336,7 @@ func (e *edge) displayName() string {
 // when one processor of a distributed execution dies, its peers must not
 // wait forever.
 func (r *Runtime) CloseAll() {
-	for _, e := range r.snapshotEdges() {
-		e.close()
-	}
+	r.eachEdge((*edge).close)
 }
 
 // foldLinkAcks folds the acks a link swallowed on one resync-suppressed
@@ -351,7 +357,7 @@ func (r *Runtime) foldLinkAcks(id EdgeID, suppressed int64) {
 // TotalStats sums statistics across all edges.
 func (r *Runtime) TotalStats() EdgeStats {
 	var t EdgeStats
-	for _, e := range r.snapshotEdges() {
+	r.eachEdge(func(e *edge) {
 		e.mu.Lock()
 		t.Messages += e.stats.Messages
 		t.PayloadBytes += e.stats.PayloadBytes
@@ -364,7 +370,7 @@ func (r *Runtime) TotalStats() EdgeStats {
 			t.MaxQueued = e.stats.MaxQueued
 		}
 		e.mu.Unlock()
-	}
+	})
 	return t
 }
 

@@ -15,14 +15,14 @@ import (
 
 // Progress watchdog: a distributed (or blocked in-process) run can stall
 // silently — a peer black-holing frames, a lost credit, a blocked-mapping
-// bug — with every processor goroutine parked inside an SPI receive or a
-// full BBS window. The watchdog polls a monotone progress sum (actor
-// firings plus per-edge send/ack totals); when it stops moving for the
-// configured window the run is declared stalled: a per-edge diagnostic
-// snapshot lands in the observer, every blocked actor is released via
-// CloseAll, and the caller gets a *StallError naming the actors that never
-// finished instead of a hang. The same machinery propagates a context
-// deadline over the whole run.
+// bug — with every processor parked inside an SPI receive or a full BBS
+// window. The watchdog polls a monotone progress sum (actor firings plus
+// per-edge send/ack totals); when it stops moving for the configured window
+// the run is declared stalled: a per-edge diagnostic snapshot lands in the
+// observer, every blocked actor is released via CloseAll, and the caller
+// gets a *StallError naming the actors that never finished instead of a
+// hang. The same machinery propagates a context deadline over the whole run,
+// the moment the context is done.
 
 // StallError reports a run aborted by the progress watchdog: no actor
 // fired and no edge moved a message or credit for the whole window.
@@ -59,168 +59,160 @@ func (e *StallError) Error() string {
 	return b.String()
 }
 
-// progressSum is the runtime half of the watchdog's monotone progress
-// counter: total messages sent plus total acknowledgements/credits
-// received across every edge. Both mirrors only ever grow, so a stable
-// sum means no wire or queue movement at all.
-func (r *Runtime) progressSum() int64 {
-	var sum int64
-	for _, e := range r.snapshotEdges() {
-		sum += e.sentMsgs.Load() + e.ackedMsgs.Load()
-	}
-	return sum
+// watchdog is one run's progress watchdog: two callbacks that cost a run
+// nothing until they fire. The stall poll re-arms itself every window/4, the
+// context callback runs once the context is done. The first to fire records
+// the verdict, dumps the snapshot and releases the deployment (closes every
+// runtime edge and aborts the node's links) under mu, which the end of the
+// run takes too: nothing is released once run has returned.
+type watchdog struct {
+	env        *execEnv
+	stall      time.Duration   // no-progress window; 0 disables the stall poll
+	ctx        context.Context // bounds the whole run; nil means unbounded
+	o          *obs.Observer   // receives the diagnostic dump (nil-safe)
+	iterations int
+	every      time.Duration // stall poll period: a stall is declared at most window/4 late
+
+	mu       sync.Mutex
+	over     bool  // the verdict is in, or the run has ended
+	err      error // the verdict
+	last     int64 // the progress sum at lastMove
+	lastMove time.Time
+	poll     *time.Timer
+	stopCtx  func() bool
 }
 
-// firedSum totals completed firings across this node's actors.
-func (env *execEnv) firedSum() int64 {
-	var sum int64
+// run is env.run under the watchdog: the per-processor outcomes plus the
+// verdict — a *StallError, the context error, or nil if the run finished
+// (or failed) on its own.
+func (wd *watchdog) run(base int) ([]error, error) {
+	if wd.stall <= 0 && (wd.ctx == nil || wd.ctx.Done() == nil) {
+		return wd.env.run(base, wd.iterations), nil
+	}
+	wd.mu.Lock()
+	wd.last, wd.lastMove = wd.env.progress(), time.Now()
+	if wd.stall > 0 {
+		wd.every = max(wd.stall/4, time.Millisecond)
+		wd.poll = time.AfterFunc(wd.every, wd.check)
+	}
+	if wd.ctx != nil {
+		wd.stopCtx = context.AfterFunc(wd.ctx, wd.cancel)
+	}
+	wd.mu.Unlock()
+	errs := wd.env.run(base, wd.iterations)
+	return errs, wd.disarm()
+}
+
+// check is one stall poll.
+func (wd *watchdog) check() {
+	wd.mu.Lock()
+	defer wd.mu.Unlock()
+	if wd.over {
+		return
+	}
+	if cur := wd.env.progress(); cur != wd.last {
+		wd.last, wd.lastMove = cur, time.Now()
+	} else if silent := time.Since(wd.lastMove); silent >= wd.stall {
+		wd.fire(wd.stallError(), "stall", silent)
+		return
+	}
+	wd.poll.Reset(wd.every)
+}
+
+func (wd *watchdog) cancel() {
+	wd.mu.Lock()
+	defer wd.mu.Unlock()
+	if !wd.over {
+		wd.fire(wd.cancelErr(), "deadline", time.Since(wd.lastMove))
+	}
+}
+
+func (wd *watchdog) cancelErr() error {
+	return fmt.Errorf("spi: node %d run cancelled: %w", wd.env.node, wd.ctx.Err())
+}
+
+// fire records the verdict, dumps the snapshot and releases the
+// deployment. Caller holds mu.
+func (wd *watchdog) fire(err error, kind string, silent time.Duration) {
+	wd.over, wd.err = true, err
+	wd.dump(kind, silent)
+	wd.env.release()
+}
+
+// disarm stops both timers once the run has returned and reports the
+// verdict. A context done by now is the verdict even if its callback has
+// not run yet: the run may have ended on the teardown a peer's
+// cancellation cascaded, and the caller should see the deadline it set.
+func (wd *watchdog) disarm() error {
+	wd.mu.Lock()
+	defer wd.mu.Unlock()
+	if wd.poll != nil {
+		wd.poll.Stop()
+	}
+	if wd.stopCtx != nil && !wd.stopCtx() && !wd.over {
+		wd.err = wd.cancelErr()
+	}
+	wd.over = true
+	return wd.err
+}
+
+// progress is the node-wide monotone progress sum the watchdog polls; every
+// term only ever grows, so a stable sum means nothing moved at all.
+func (env *execEnv) progress() (sum int64) {
 	env.eachActor(func(_ *procPlan, a *actorSlot) { sum += a.fired.Load() })
+	env.rt.eachEdge(func(e *edge) { sum += e.sentMsgs.Load() + e.ackedMsgs.Load() })
 	return sum
-}
-
-// watchConfig parameterizes one watched run.
-type watchConfig struct {
-	stall time.Duration   // no-progress window; 0 disables the stall watchdog
-	ctx   context.Context // bounds the whole run; nil means unbounded
-	o     *obs.Observer   // receives the stall diagnostic dump (nil-safe)
-	node  int             // reporting node for errors and trace events
-}
-
-func (w watchConfig) armed() bool {
-	return w.stall > 0 || (w.ctx != nil && w.ctx.Done() != nil)
-}
-
-// runWatched is env.run with the watchdog alongside: it
-// returns the per-processor outcomes plus the watchdog's verdict — a
-// *StallError, the context error, or nil if the run finished (or failed) on
-// its own.
-func (env *execEnv) runWatched(base, iterations int, w watchConfig) ([]error, error) {
-	if !w.armed() {
-		return env.run(base, iterations), nil
-	}
-	done := make(chan struct{})
-	var (
-		wg   sync.WaitGroup
-		werr error
-	)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		werr = env.watch(done, w, iterations)
-	}()
-	errs := env.run(base, iterations)
-	close(done)
-	wg.Wait()
-	return errs, werr
-}
-
-// watch polls for progress until the run finishes, the context expires, or
-// the no-progress window elapses. On stall or cancellation it dumps the
-// diagnostic snapshot, closes every runtime edge and aborts the node's
-// links, turning the silent deadlock into an ErrClosed cascade the
-// processors report normally.
-func (env *execEnv) watch(done <-chan struct{}, w watchConfig, iterations int) error {
-	var ctxDone <-chan struct{}
-	if w.ctx != nil {
-		ctxDone = w.ctx.Done()
-	}
-	// Poll at a quarter of the window so detection lags the true stall by
-	// at most window/4; a stall is declared only after a full window with
-	// a frozen progress sum.
-	var tick <-chan time.Time
-	if w.stall > 0 {
-		interval := w.stall / 4
-		if interval < time.Millisecond {
-			interval = time.Millisecond
-		}
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		tick = t.C
-	}
-	last := env.progress()
-	lastMove := time.Now()
-	for {
-		select {
-		case <-done:
-			return nil
-		case <-ctxDone:
-			err := fmt.Errorf("spi: node %d run cancelled: %w", w.node, w.ctx.Err())
-			env.dumpStall(w, "deadline", time.Since(lastMove), iterations)
-			env.release()
-			return err
-		case <-tick:
-			if cur := env.progress(); cur != last {
-				last = cur
-				lastMove = time.Now()
-				continue
-			}
-			silent := time.Since(lastMove)
-			if silent < w.stall {
-				continue
-			}
-			serr := env.stallError(w.node, w.stall, iterations)
-			env.dumpStall(w, "stall", silent, iterations)
-			env.release()
-			return serr
-		}
-	}
-}
-
-// progress is the node-wide monotone progress sum the watchdog polls.
-func (env *execEnv) progress() int64 {
-	return env.firedSum() + env.rt.progressSum()
 }
 
 // stallError names the actors that had not completed all iterations when
 // the watchdog fired.
-func (env *execEnv) stallError(node int, window time.Duration, iterations int) *StallError {
-	e := &StallError{Node: node, Window: window, Firings: map[string]int{}}
-	env.eachActor(func(_ *procPlan, a *actorSlot) {
-		if got := int(a.fired.Load()); got < iterations {
+func (wd *watchdog) stallError() *StallError {
+	e := &StallError{Node: wd.env.node, Window: wd.stall, Firings: map[string]int{}}
+	wd.env.eachActor(func(_ *procPlan, a *actorSlot) {
+		if got := int(a.fired.Load()); got < wd.iterations {
 			e.Stalled = append(e.Stalled, a.name)
 			e.Firings[a.name] = got
 		}
 	})
 	sort.Strings(e.Stalled)
-	for _, ed := range env.rt.snapshotEdges() {
+	wd.env.rt.eachEdge(func(ed *edge) {
 		if ed.qlen.Load() > 0 || ed.sentMsgs.Load() != ed.ackedMsgs.Load() {
 			e.Edges = append(e.Edges, ed.displayName())
 		}
-	}
+	})
 	return e
 }
 
-// dumpStall snapshots every edge's queue/credit state into the observer:
+// dump snapshots every edge's queue/credit state into the observer:
 // one counter tick for the event, per-edge gauges for occupancy and the
 // unacknowledged window, and one trace instant per edge so the stall is
 // visible on the timeline next to the traffic that preceded it.
-func (env *execEnv) dumpStall(w watchConfig, kind string, silent time.Duration, iterations int) {
-	if w.o == nil {
+func (wd *watchdog) dump(kind string, silent time.Duration) {
+	o := wd.o
+	if o == nil {
 		return
 	}
-	w.o.Counter("spi_watchdog_fired_total", "Runs aborted by the progress watchdog.", obs.L("kind", kind)).Inc()
-	tr := w.o.Tracer()
-	tr.Instant("watchdog", kind, w.o.Pid(), 0,
-		obs.A("node", int64(w.node)), obs.A("silent_ms", silent.Milliseconds()))
-	for _, e := range env.rt.snapshotEdges() {
+	o.Counter("spi_watchdog_fired_total", "Runs aborted by the progress watchdog.", obs.L("kind", kind)).Inc()
+	tr := o.Tracer()
+	tr.Instant("watchdog", kind, o.Pid(), 0,
+		obs.A("node", int64(wd.env.node)), obs.A("silent_ms", silent.Milliseconds()))
+	wd.env.rt.eachEdge(func(e *edge) {
 		name := e.displayName()
 		l := obs.L("edge", name)
-		queued := e.qlen.Load()
-		sent := e.sentMsgs.Load()
-		acked := e.ackedMsgs.Load()
-		w.o.Gauge("spi_watchdog_edge_queued", "Messages queued per edge at the last watchdog dump.", l).Set(queued)
-		w.o.Gauge("spi_watchdog_edge_outstanding", "Unacknowledged messages per edge at the last watchdog dump.", l).Set(sent - acked)
+		queued, sent, acked := e.qlen.Load(), e.sentMsgs.Load(), e.ackedMsgs.Load()
+		o.Gauge("spi_watchdog_edge_queued", "Messages queued per edge at the last watchdog dump.", l).Set(queued)
+		o.Gauge("spi_watchdog_edge_outstanding", "Unacknowledged messages per edge at the last watchdog dump.", l).Set(sent - acked)
 		closed := int64(0)
 		if e.closedBit.Load() {
 			closed = 1
 		}
-		tr.Instant("watchdog", "edge:"+name, w.o.Pid(), int(e.cfg.ID),
+		tr.Instant("watchdog", "edge:"+name, o.Pid(), int(e.cfg.ID),
 			obs.A("queued", queued), obs.A("sent", sent), obs.A("acked", acked), obs.A("closed", closed))
-	}
-	env.eachActor(func(_ *procPlan, a *actorSlot) {
-		if got := a.fired.Load(); int(got) < iterations {
-			tr.Instant("watchdog", "actor:"+a.name, w.o.Pid(), actorRowBase,
-				obs.A("firings", got), obs.A("iterations", int64(iterations)))
+	})
+	wd.env.eachActor(func(_ *procPlan, a *actorSlot) {
+		if got := a.fired.Load(); int(got) < wd.iterations {
+			tr.Instant("watchdog", "actor:"+a.name, o.Pid(), actorRowBase,
+				obs.A("firings", got), obs.A("iterations", int64(wd.iterations)))
 		}
 	})
 }

@@ -70,40 +70,37 @@ func Convert(g *dataflow.Graph) (*Result, error) {
 	infos := make([]EdgeInfo, 0, g.NumEdges())
 	for _, eid := range g.Edges() {
 		e := g.Edge(eid)
-		info := EdgeInfo{
-			Original:      eid,
-			Dynamic:       e.Dynamic(),
-			RawTokenBytes: e.TokenBytes,
+		info, err := EdgeOf(e)
+		if err != nil {
+			return nil, err
 		}
-		if e.Dynamic() {
-			// The producer packs up to its bound per firing; the consumer
-			// must accept a whole packed token, so the packed size bound is
-			// the larger of the two declared rate bounds.
-			maxRate := e.Produce.Rate
-			if e.Consume.Rate > maxRate {
-				maxRate = e.Consume.Rate
-			}
-			if maxRate <= 0 {
-				return nil, fmt.Errorf("vts: dynamic edge %q has no positive rate bound", e.Name)
-			}
-			info.MaxRawTokens = maxRate
-			info.BMax = int64(maxRate) * int64(e.TokenBytes)
-			out.AddEdge(e.Name, e.Src, e.Snk, 1, 1, dataflow.EdgeSpec{
-				Delay:      e.Delay,
-				TokenBytes: int(info.BMax),
-			})
-		} else {
-			info.MaxRawTokens = e.Produce.Rate
-			info.BMax = int64(e.Produce.Rate) * int64(e.TokenBytes)
-			out.AddEdge(e.Name, e.Src, e.Snk, e.Produce.Rate, e.Consume.Rate, dataflow.EdgeSpec{
-				Delay:      e.Delay,
-				TokenBytes: e.TokenBytes,
-			})
+		info.Original = eid
+		prod, cons, bytes := e.Produce.Rate, e.Consume.Rate, e.TokenBytes
+		if info.Dynamic {
+			prod, cons, bytes = 1, 1, int(info.BMax)
 		}
+		out.AddEdge(e.Name, e.Src, e.Snk, prod, cons, dataflow.EdgeSpec{Delay: e.Delay, TokenBytes: bytes})
 		infos = append(infos, info)
 	}
 	if _, err := out.RepetitionsVector(); err != nil {
 		return nil, fmt.Errorf("vts: converted graph is not consistent: %w", err)
 	}
 	return &Result{Graph: out, Edges: infos}, nil
+}
+
+// EdgeOf is the VTS conversion of one edge: its attributes in the converted
+// graph, Original aside (an Edge does not know its ID; Convert fills it in).
+func EdgeOf(e *dataflow.Edge) (EdgeInfo, error) {
+	info := EdgeInfo{Dynamic: e.Dynamic(), RawTokenBytes: e.TokenBytes, MaxRawTokens: e.Produce.Rate}
+	if info.Dynamic {
+		// The producer packs up to its bound per firing; the consumer
+		// must accept a whole packed token, so the packed size bound is
+		// the larger of the two declared rate bounds.
+		info.MaxRawTokens = max(e.Produce.Rate, e.Consume.Rate)
+		if info.MaxRawTokens <= 0 {
+			return EdgeInfo{}, fmt.Errorf("vts: dynamic edge %q has no positive rate bound", e.Name)
+		}
+	}
+	info.BMax = int64(info.MaxRawTokens) * int64(e.TokenBytes)
+	return info, nil
 }
