@@ -1,9 +1,13 @@
 # Repo-wide checks. `make check` is the CI gate: formatting, vet, build,
 # the full test suite under the race detector, and a short fuzz smoke over
-# the untrusted-byte parsers. The test suite includes the reachability rule
-# (internal/apicheck): every package-level declaration of a non-main package
-# is reached from a program (cmd/*, examples/*, bench/) or used by another
-# package's tests, or the suite fails listing it.
+# the untrusted-byte parsers. The test suite includes the two API rules of
+# internal/apicheck, and fails listing what breaks them. The declaration
+# rule: every package-level declaration of a non-main package is reached
+# from a program (cmd/*, examples/*, bench/) or used by another package's
+# tests. The field rule: every exported field of a struct declared in a
+# non-main package that non-test code reads is also written by non-test
+# code (a composite-literal key, an assignment or inc/dec of it or of an
+# index of it, or &x.F, which is how flags bind).
 
 GO ?= go
 
@@ -15,8 +19,10 @@ fmt:
 	@out=$$(gofmt -l .); \
 	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# bench/ is a module of its own (see benchmark-build): vet it as well.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 build:
 	$(GO) build ./...
@@ -45,11 +51,11 @@ allocs:
 # so growth is an explicit, reviewed edit of the number below. Lower a
 # ceiling whenever a change shrinks its directory. internal/apicheck is
 # test-only and stays at 0.
-LOC_CEILINGS = internal/spi:4041 internal/transport:4163 internal/session:1447 internal/orch:1594 internal/lpc:1487 cmd:2774 \
-	internal/alloctest:90 internal/apicheck:0 internal/dataflow:1659 internal/demo:246 internal/dsp:467 \
+LOC_CEILINGS = internal/spi:3815 internal/transport:4064 internal/session:1447 internal/orch:1549 internal/lpc:1487 cmd:2765 \
+	internal/alloctest:90 internal/apicheck:0 internal/dataflow:1622 internal/demo:246 internal/dsp:467 \
 	internal/experiments:762 internal/fixed:92 internal/hdl:486 internal/huffman:336 internal/mpi:287 \
-	internal/obs:832 internal/particle:780 internal/platform:678 internal/sched:1033 internal/signal:183 \
-	internal/syncgraph:850 internal/vts:363 examples:553
+	internal/obs:832 internal/particle:780 internal/platform:658 internal/sched:1022 internal/signal:183 \
+	internal/syncgraph:770 internal/vts:363 examples:553
 loc:
 	@over=0; for e in $(LOC_CEILINGS); do d=$${e%:*}; max=$${e#*:}; \
 		n=$$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
@@ -69,19 +75,23 @@ benchmark-build:
 
 # Short fuzz passes over the parsers and wire decoders (the surfaces that
 # consume untrusted bytes). Each target runs for a bounded time so the
-# smoke stays CI-friendly.
+# smoke stays CI-friendly. FUZZ_TARGETS must name exactly the func Fuzz*
+# of internal/, as directory:name: the target fails before fuzzing when a
+# fuzz test is missing from the list or the list names one that is gone.
+FUZZ_TARGETS = internal/spi:FuzzDecodeStatic internal/spi:FuzzDecodeDynamic internal/dataflow:FuzzParse \
+	internal/transport:FuzzDecodeBatched internal/session:FuzzDecodeSessionFrame internal/transport:FuzzDecodePing \
+	internal/transport:FuzzDecodeHello internal/transport:FuzzDecodeResume internal/transport:FuzzDecodeShmHeader \
+	internal/transport:FuzzFaultConnFrames internal/orch:FuzzDecodeCtrl
 fuzz-smoke:
-	$(GO) test -run=NONE -fuzz=FuzzDecodeStatic -fuzztime=5s ./internal/spi
-	$(GO) test -run=NONE -fuzz=FuzzDecodeDynamic -fuzztime=5s ./internal/spi
-	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=5s ./internal/dataflow
-	$(GO) test -run=NONE -fuzz=FuzzDecodeBatched -fuzztime=5s ./internal/transport
-	$(GO) test -run=NONE -fuzz=FuzzDecodeSessionFrame -fuzztime=5s ./internal/session
-	$(GO) test -run=NONE -fuzz=FuzzDecodePing -fuzztime=5s ./internal/transport
-	$(GO) test -run=NONE -fuzz=FuzzDecodeHello -fuzztime=5s ./internal/transport
-	$(GO) test -run=NONE -fuzz=FuzzDecodeResume -fuzztime=5s ./internal/transport
-	$(GO) test -run=NONE -fuzz=FuzzDecodeShmHeader -fuzztime=5s ./internal/transport
-	$(GO) test -run=NONE -fuzz=FuzzFaultConnFrames -fuzztime=5s ./internal/transport
-	$(GO) test -run=NONE -fuzz=FuzzDecodeCtrl -fuzztime=5s ./internal/orch
+	@have=" $$(grep -rHoE '^func Fuzz[A-Za-z0-9_]+' --include='*_test.go' internal | sed -E 's|/[^/]*_test\.go:func |:|' | tr '\n' ' ')"; \
+	want=" $(FUZZ_TARGETS) "; bad=0; \
+	for e in $$have; do case "$$want" in *" $$e "*) ;; *) echo "fuzz-smoke: $$e is missing from FUZZ_TARGETS"; bad=1;; esac; done; \
+	for e in $$want; do case "$$have" in *" $$e "*) ;; *) echo "fuzz-smoke: FUZZ_TARGETS names $$e, which is gone"; bad=1;; esac; done; \
+	[ $$bad -eq 0 ]
+	@for e in $(FUZZ_TARGETS); do d=$${e%:*}; f=$${e#*:}; \
+		echo "$(GO) test -run=NONE -fuzz=^$$f\$$ -fuzztime=5s ./$$d"; \
+		$(GO) test -run=NONE -fuzz="^$$f\$$" -fuzztime=5s ./$$d || exit 1; \
+	done
 
 # Multi-tenant load smoke: 100 sessions multiplexed over one shared link
 # against the in-process session server, on both byte carriers (loopback

@@ -8,9 +8,9 @@ import (
 
 func TestFlagSurface(t *testing.T) {
 	var (
-		graph, file, format string
-		assign              []int
-		pes                 int
+		graph, file string
+		assign      []int
+		pes         int
 	)
-	flagtest.Golden(t, "spigraph", newFlagSet(&graph, &file, &format, &assign, &pes))
+	flagtest.Golden(t, "spigraph", newFlagSet(&graph, &file, &assign, &pes))
 }

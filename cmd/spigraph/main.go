@@ -10,8 +10,8 @@
 // acks a distributed deployment suppresses, and the covering path that
 // proves each one redundant:
 //
-//	spigraph -graph app1 -resync -format=wire
-//	spigraph -file pipeline.sdf -assign 0,1,1 -resync -format=wire
+//	spigraph -graph app1 -resync
+//	spigraph -file pipeline.sdf -assign 0,1,1 -resync
 package main
 
 import (
@@ -32,7 +32,7 @@ import (
 
 // newFlagSet declares spigraph's flags; the analysis switches land in the
 // package-level variables below.
-func newFlagSet(graph, file, format *string, assign *[]int, pes *int) *flag.FlagSet {
+func newFlagSet(graph, file *string, assign *[]int, pes *int) *flag.FlagSet {
 	fs := flag.NewFlagSet("spigraph", flag.ExitOnError)
 	fs.StringVar(graph, "graph", "fig1", "graph to analyze: fig1, app1, app1full, app2")
 	fs.StringVar(file, "file", "", "load a graph description file instead of a built-in graph")
@@ -40,7 +40,6 @@ func newFlagSet(graph, file, format *string, assign *[]int, pes *int) *flag.Flag
 	fs.IntVar(pes, "pes", 3, "PE count for app graphs")
 	fs.BoolVar(&emitDOT, "dot", false, "print the graph in Graphviz DOT format instead of the analysis")
 	fs.BoolVar(&resyncWire, "resync", false, "emit the wire-level ack-suppression verdict: per-edge suppress/keep with covering-path witnesses (needs a mapping: app1, app2, or -file with -assign)")
-	fs.StringVar(format, "format", "wire", "with -resync: output format (only \"wire\")")
 	fs.IntVar(&fissionK, "fission", 0,
 		"rewrite the heaviest fissionable actor (or -fission-actor) into k replicas behind scatter/gather stages and print the plan; -1 chooses k and the block factor jointly under -fission-mem (0 = off)")
 	fs.StringVar(&fissionActor, "fission-actor", "",
@@ -52,15 +51,11 @@ func newFlagSet(graph, file, format *string, assign *[]int, pes *int) *flag.Flag
 
 func main() {
 	var (
-		graph, file, format string
-		assign              []int
-		pes                 int
+		graph, file string
+		assign      []int
+		pes         int
 	)
-	newFlagSet(&graph, &file, &format, &assign, &pes).Parse(os.Args[1:])
-	if resyncWire && format != "wire" {
-		fmt.Fprintf(os.Stderr, "spigraph: unknown -format %q (only \"wire\")\n", format)
-		os.Exit(2)
-	}
+	newFlagSet(&graph, &file, &assign, &pes).Parse(os.Args[1:])
 
 	var err error
 	switch {
@@ -130,12 +125,8 @@ func printFission(g *dataflow.Graph) error {
 	fmt.Println(plan)
 	for _, eid := range g.In(target) {
 		e := g.Edge(eid)
-		mode := "broadcast"
-		if plan.SplitIn[eid] {
-			mode = "split"
-		}
-		fmt.Printf("  scatter in  %-10s %d tokens/iter x %d bytes, %s\n",
-			e.Name, plan.InTokens[eid], e.TokenBytes, mode)
+		fmt.Printf("  scatter in  %-10s %d tokens/iter x %d bytes, broadcast\n",
+			e.Name, plan.InTokens[eid], e.TokenBytes)
 		for _, sid := range plan.ScatterEdges[eid] {
 			se := plan.Graph.Edge(sid)
 			fmt.Printf("    %-20s -> %-12s bound %d tokens\n",
@@ -317,7 +308,7 @@ func analyzeSystem(build func() (*dataflow.Graph, *sched.Mapping, error)) error 
 	}
 	sg := syncgraph.SynchronizationGraph(ipc)
 	syncgraph.AddAllFeedback(sg, 1)
-	rep := syncgraph.Resynchronize(sg, syncgraph.ResyncOptions{})
+	rep := syncgraph.Resynchronize(sg)
 	fmt.Println(rep)
 	if resyncWire {
 		if err := printResyncWire(g, m); err != nil {

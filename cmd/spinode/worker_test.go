@@ -45,28 +45,13 @@ func TestWorkerModeTCP(t *testing.T) {
 	}
 
 	tcp := &transport.TCP{}
-	ln, err := tcp.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	coordAddr := ln.Addr()
-
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	errs := make(chan error, 3)
-	for _, name := range []string{"wa", "wb", "wc"} {
-		wc := orch.WorkerConfig{
-			Transport: tcp, Coord: coordAddr, Name: name,
-			Heartbeat: 50 * time.Millisecond, PeerTimeout: 2 * time.Second,
-		}
-		go func() {
-			var out bytes.Buffer
-			errs <- runWorker(ctx, wc, "127.0.0.1", seed, &out)
-		}()
-	}
-
+	// The coordinator listens on an ephemeral port; the workers learn it
+	// from the listener it opens.
+	bound := make(chan string, 1)
 	coord, err := orch.NewCoordinator(orch.CoordConfig{
-		Transport: tcp, Addr: coordAddr, Listener: ln,
+		Transport: addrTransport{tcp, bound}, Addr: "127.0.0.1:0",
 		Graph: g, Mapping: m,
 		Iterations: iterations, EpochIters: 6, MinWorkers: 3,
 		Heartbeat: 50 * time.Millisecond, PeerTimeout: 2 * time.Second,
@@ -85,10 +70,39 @@ func TestWorkerModeTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := coord.Run(ctx)
-	if err != nil {
-		t.Fatal(err)
+	type result struct {
+		rep *orch.Report
+		err error
 	}
+	ran := make(chan result, 1)
+	go func() {
+		rep, err := coord.Run(ctx)
+		ran <- result{rep, err}
+	}()
+	var coordAddr string
+	select {
+	case coordAddr = <-bound:
+	case r := <-ran:
+		t.Fatalf("coordinator ended before listening: %v", r.err)
+	}
+
+	errs := make(chan error, 3)
+	for _, name := range []string{"wa", "wb", "wc"} {
+		wc := orch.WorkerConfig{
+			Transport: tcp, Coord: coordAddr, Name: name,
+			Heartbeat: 50 * time.Millisecond, PeerTimeout: 2 * time.Second,
+		}
+		go func() {
+			var out bytes.Buffer
+			errs <- runWorker(ctx, wc, "127.0.0.1", seed, &out)
+		}()
+	}
+
+	r := <-ran
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	rep := r.rep
 	for name, want := range digests {
 		if rep.Digests[name] != *want {
 			t.Errorf("sink %s digest = %#x, want %#x (static)", name, rep.Digests[name], *want)
@@ -105,4 +119,18 @@ func TestWorkerModeTCP(t *testing.T) {
 			t.Errorf("worker: %v", err)
 		}
 	}
+}
+
+// addrTransport is TCP that reports the address of every listener it opens.
+type addrTransport struct {
+	*transport.TCP
+	bound chan<- string
+}
+
+func (a addrTransport) Listen(addr string) (transport.Listener, error) {
+	ln, err := a.TCP.Listen(addr)
+	if err == nil {
+		a.bound <- ln.Addr()
+	}
+	return ln, err
 }

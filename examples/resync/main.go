@@ -17,7 +17,7 @@ func main() {
 	g3 := experiments.Fig3Graph(3)
 	fmt.Printf("  before: %d sync edges, %d redundant\n", g3.SyncCount(), g3.CountRedundant())
 	mcmBefore, _ := g3.MaxCycleMean()
-	rep := syncgraph.Resynchronize(g3, syncgraph.ResyncOptions{})
+	rep := syncgraph.Resynchronize(g3)
 	mcmAfter, _ := g3.MaxCycleMean()
 	fmt.Printf("  after:  %d sync edges (period %.1f -> %.1f cycles)\n",
 		g3.SyncCount(), mcmBefore, mcmAfter)
@@ -29,7 +29,7 @@ func main() {
 	fmt.Println("\n2-PE particle filter (figure 5):")
 	g5 := experiments.Fig5Graph()
 	fmt.Printf("  before: %d sync edges, %d redundant\n", g5.SyncCount(), g5.CountRedundant())
-	rep5 := syncgraph.Resynchronize(g5, syncgraph.ResyncOptions{})
+	rep5 := syncgraph.Resynchronize(g5)
 	fmt.Printf("  after:  %d sync edges\n", g5.SyncCount())
 	fmt.Printf("  %s\n", rep5)
 

@@ -1,8 +1,17 @@
-// Package apicheck holds the repository's reachability rule as a test: every
-// package-level func, method, type, var and const of a non-main package must
-// be reached from a program (the main packages of this module and of bench/)
-// or be used by the tests of another package. Anything else is API that no
-// program calls, and it goes together with the tests that only exercise it.
+// Package apicheck holds two rules of the repository's API as tests.
+//
+// The declaration rule: every package-level func, method, type, var and const
+// of a non-main package must be reached from a program (the main packages of
+// this module and of bench/) or be used by the tests of another package.
+// Anything else is API that no program calls, and it goes together with the
+// tests that only exercise it.
+//
+// The field rule: every exported field of a struct declared in a non-main
+// package that non-test code reads must also be written by some non-test code
+// (a composite-literal key or positional element, an assignment or inc/dec
+// of the field or of an index of it, or &x.F, which is how flags bind). A
+// field that only tests set is an option no program has, and the code that
+// reads it runs with its zero value everywhere else.
 //
 // The check is stdlib-only: `go list -json` names the files, go/parser and
 // go/types read them, and importer.Default supplies the standard library.
@@ -21,6 +30,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -35,27 +45,51 @@ var stdlibCalls = []string{
 	"LocalAddr", "RemoteAddr", "SetDeadline", "SetReadDeadline", "SetWriteDeadline",
 }
 
-func TestEveryDeclarationIsReached(t *testing.T) {
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pkgs []*pkg
-	for _, dir := range []string{root, filepath.Join(root, "bench")} {
-		ps, err := goList(dir)
+var repo struct {
+	once      sync.Once
+	unreached []string
+	unset     []string
+	err       error
+}
+
+// checkRepo runs both rules over this module and bench/ once per test binary.
+func checkRepo(t *testing.T) (unreached, unset []string) {
+	repo.once.Do(func() {
+		root, err := filepath.Abs(filepath.Join("..", ".."))
 		if err != nil {
-			t.Fatal(err)
+			repo.err = err
+			return
 		}
-		pkgs = append(pkgs, ps...)
+		var pkgs []*pkg
+		for _, dir := range []string{root, filepath.Join(root, "bench")} {
+			ps, err := goList(dir)
+			if err != nil {
+				repo.err = err
+				return
+			}
+			pkgs = append(pkgs, ps...)
+		}
+		repo.unreached, repo.unset, repo.err = check(pkgs, root)
+	})
+	if repo.err != nil {
+		t.Fatal(repo.err)
 	}
-	unreached, err := check(pkgs, root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(unreached) > 0 {
+	return repo.unreached, repo.unset
+}
+
+func TestEveryDeclarationIsReached(t *testing.T) {
+	if unreached, _ := checkRepo(t); len(unreached) > 0 {
 		t.Errorf("%d declarations are reached by no program and by no other package's tests;\n"+
 			"give each a caller in a program or delete it with the tests that only exercise it:\n\t%s",
 			len(unreached), strings.Join(unreached, "\n\t"))
+	}
+}
+
+func TestEveryReadFieldIsWritten(t *testing.T) {
+	if _, unset := checkRepo(t); len(unset) > 0 {
+		t.Errorf("%d exported fields are read by non-test code but set only by tests or by nothing;\n"+
+			"delete each, with the code that reads it, and run with the value every program runs with:\n\t%s",
+			len(unset), strings.Join(unset, "\n\t"))
 	}
 }
 
@@ -125,31 +159,39 @@ type checker struct {
 	tested map[string]*types.Package // variants with the package's own tests
 	decls  map[string]*decl
 	roots  []string
+
+	fields  map[string]*decl // exported struct fields of non-main packages
+	read    map[string]bool  // fields non-test code reads
+	written map[string]bool  // fields non-test code writes
 }
 
 // check returns the unreached declarations of the non-main packages among
-// pkgs as sorted "file:line name" lines, files relative to root.
-func check(pkgs []*pkg, root string) ([]string, error) {
+// pkgs, and their exported fields that non-test code reads but never writes,
+// as sorted "file:line name" lines, files relative to root.
+func check(pkgs []*pkg, root string) (unreached, unset []string, err error) {
 	c := &checker{
-		fset:   token.NewFileSet(),
-		std:    importer.Default(),
-		pkgs:   map[string]*pkg{},
-		parsed: map[string]*ast.File{},
-		plain:  map[string]*types.Package{},
-		tested: map[string]*types.Package{},
-		decls:  map[string]*decl{},
+		fset:    token.NewFileSet(),
+		std:     importer.Default(),
+		pkgs:    map[string]*pkg{},
+		parsed:  map[string]*ast.File{},
+		plain:   map[string]*types.Package{},
+		tested:  map[string]*types.Package{},
+		decls:   map[string]*decl{},
+		fields:  map[string]*decl{},
+		read:    map[string]bool{},
+		written: map[string]bool{},
 	}
 	for _, p := range pkgs {
 		c.pkgs[p.path] = p
 	}
 	for _, p := range pkgs {
 		if _, err := c.importPlain(p.path); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	for _, p := range pkgs {
 		if err := c.checkTests(p); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 
@@ -160,19 +202,30 @@ func check(pkgs []*pkg, root string) ([]string, error) {
 			dead = append(dead, d)
 		}
 	}
-	sort.Slice(dead, func(i, j int) bool {
-		a, b := dead[i].pos, dead[j].pos
+	var unwritten []*decl
+	for k, f := range c.fields {
+		if c.read[k] && !c.written[k] {
+			unwritten = append(unwritten, f)
+		}
+	}
+	return lines(dead, root), lines(unwritten, root), nil
+}
+
+// lines renders decls as "file:line name" in source order.
+func lines(ds []*decl, root string) []string {
+	sort.Slice(ds, func(i, j int) bool {
+		a, b := ds[i].pos, ds[j].pos
 		return a.Filename < b.Filename || a.Filename == b.Filename && a.Offset < b.Offset
 	})
 	var out []string
-	for _, d := range dead {
+	for _, d := range ds {
 		file, err := filepath.Rel(root, d.pos.Filename)
 		if err != nil {
 			file = d.pos.Filename
 		}
 		out = append(out, fmt.Sprintf("%s:%d %s", filepath.ToSlash(file), d.pos.Line, d.name))
 	}
-	return out, nil
+	return out
 }
 
 func (c *checker) parse(p *pkg, names []string) ([]*ast.File, error) {
@@ -212,7 +265,12 @@ func (c *checker) importer(resolve func(string) (*types.Package, error)) types.I
 }
 
 func newInfo() *types.Info {
-	return &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	return &types.Info{
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
 }
 
 // importPlain type-checks a package's non-test files, after the packages they
@@ -239,6 +297,7 @@ func (c *checker) importPlain(path string) (*types.Package, error) {
 	c.plain[path] = tp
 	for _, f := range files {
 		c.record(p, f, info)
+		c.fieldUses(f, info)
 	}
 	return tp, nil
 }
@@ -345,6 +404,9 @@ func (c *checker) record(p *pkg, f *ast.File, info *types.Info) {
 				switch s := spec.(type) {
 				case *ast.TypeSpec:
 					add(s.Name, s)
+					if !p.main {
+						c.recordFields(p, s, info)
+					}
 				case *ast.ValueSpec:
 					for _, id := range s.Names {
 						add(id, s)
@@ -424,4 +486,98 @@ func (c *checker) reach() map[string]bool {
 		}
 	}
 	return reached
+}
+
+// recordFields adds the exported, named fields of the struct types in a type
+// declaration, nested struct types included.
+func (c *checker) recordFields(p *pkg, s *ast.TypeSpec, info *types.Info) {
+	ast.Inspect(s.Type, func(n ast.Node) bool {
+		st, ok := n.(*ast.StructType)
+		if !ok {
+			return true
+		}
+		for _, f := range st.Fields.List {
+			for _, id := range f.Names {
+				if id.IsExported() {
+					c.fields[c.key(info.Defs[id])] = &decl{
+						pkg: p.path, name: s.Name.Name + "." + id.Name, pos: c.fset.Position(id.Pos()),
+					}
+				}
+			}
+		}
+		return true
+	})
+}
+
+// fieldUses records which struct fields a non-test file writes and which it
+// reads. A write is a composite-literal key or positional element, the
+// target of an assignment, inc/dec or range clause (or an index of it), or
+// the operand of &. Every other selection of a field is a read.
+func (c *checker) fieldUses(f *ast.File, info *types.Info) {
+	writes := map[*ast.SelectorExpr]bool{}
+	write := func(e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				sel := info.Selections[x]
+				if sel == nil || sel.Kind() != types.FieldVal {
+					return
+				}
+				writes[x] = true
+				c.written[c.key(sel.Obj())] = true
+				e = x.X
+			default:
+				return
+			}
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CompositeLit:
+			t := info.Types[n].Type
+			if ptr, ok := t.(*types.Pointer); ok {
+				t = ptr.Elem()
+			}
+			st, ok := t.Underlying().(*types.Struct)
+			if !ok {
+				return true
+			}
+			for i, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					c.written[c.key(info.Uses[kv.Key.(*ast.Ident)])] = true
+				} else {
+					c.written[c.key(st.Field(i))] = true
+				}
+			}
+		case *ast.AssignStmt:
+			if n.Tok != token.DEFINE {
+				for _, e := range n.Lhs {
+					write(e)
+				}
+			}
+		case *ast.IncDecStmt:
+			write(n.X)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				write(n.X)
+			}
+		case *ast.RangeStmt:
+			if n.Tok == token.ASSIGN {
+				for _, e := range []ast.Expr{n.Key, n.Value} {
+					if e != nil {
+						write(e)
+					}
+				}
+			}
+		case *ast.SelectorExpr:
+			if sel := info.Selections[n]; sel != nil && sel.Kind() == types.FieldVal && !writes[n] {
+				c.read[c.key(sel.Obj())] = true
+			}
+		}
+		return true
+	})
 }

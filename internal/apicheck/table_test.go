@@ -55,12 +55,33 @@ func OwnTestOnly() int { return 1 }
 func OtherTestOnly() int { return 2 }
 
 func Unused() {}
+
+// Config is read by Use; each field but the last two is written by the
+// program in a different form.
+type Config struct {
+	Keyed     int
+	Assigned  int
+	Indexed   []int
+	Counted   int
+	Bound     int
+	WriteOnly int
+	TestSet   int
+	Unset     int
+}
+
+type Pair struct{ A, B int }
+
+func Use(c *Config, p Pair) int {
+	return c.Keyed + c.Assigned + c.Indexed[0] + c.Counted + c.Bound + c.TestSet + c.Unset + p.A + p.B
+}
 `,
 			"/ex/lib/lib_test.go": `package lib
 
 import "testing"
 
 func TestOwn(t *testing.T) { _ = OwnTestOnly() }
+
+func TestConfig(t *testing.T) { _ = Use(&Config{TestSet: 1}, Pair{}) }
 `,
 		},
 	},
@@ -91,6 +112,7 @@ func TestOther(t *testing.T) { _ = lib.OtherTestOnly() }
 
 import (
 	"errors"
+	"flag"
 
 	"ex/lib"
 )
@@ -101,6 +123,13 @@ func main() {
 	lib.Heapify(&lib.H{3, 1, 2})
 	_ = errors.Is(lib.Wrap(base), base)
 	_ = lib.Total([]lib.Shape{lib.NewSquare(2)})
+
+	c := &lib.Config{Keyed: 1, WriteOnly: 1, Indexed: make([]int, 1)}
+	c.Assigned = 2
+	c.Indexed[0] = 3
+	c.Counted++
+	flag.IntVar(&c.Bound, "n", 0, "")
+	_ = lib.Use(c, lib.Pair{1, 2})
 }
 `,
 		},
@@ -108,12 +137,12 @@ func main() {
 }
 
 func TestCheckerTable(t *testing.T) {
-	unreached, err := check(tableModule, "/ex")
+	unreached, unset, err := check(tableModule, "/ex")
 	if err != nil {
 		t.Fatal(err)
 	}
 	reported := map[string]bool{}
-	for _, line := range unreached {
+	for _, line := range append(append([]string{}, unreached...), unset...) {
 		reported[line[strings.LastIndex(line, " ")+1:]] = true
 	}
 	for _, c := range []struct {
@@ -128,6 +157,15 @@ func TestCheckerTable(t *testing.T) {
 		{"OtherTestOnly", false, "another package's test uses it"},
 		{"OwnTestOnly", true, "only its own package's tests use it"},
 		{"Unused", true, "nothing uses it"},
+		{"Config.Keyed", false, "a composite-literal key sets it"},
+		{"Config.Assigned", false, "an assignment sets it"},
+		{"Config.Indexed", false, "an assignment to an index of it sets it"},
+		{"Config.Counted", false, "an inc/dec sets it"},
+		{"Config.Bound", false, "&c.Bound binds a flag to it"},
+		{"Pair.A", false, "a positional composite literal sets it"},
+		{"Config.WriteOnly", false, "nothing reads it"},
+		{"Config.TestSet", true, "only a test sets it"},
+		{"Config.Unset", true, "nothing sets it"},
 	} {
 		if reported[c.name] != c.reported {
 			t.Errorf("%s: reported = %v, want %v (%s)", c.name, reported[c.name], c.reported, c.why)
@@ -135,5 +173,8 @@ func TestCheckerTable(t *testing.T) {
 	}
 	if want := []string{"lib/lib.go:38 OwnTestOnly", "lib/lib.go:42 Unused"}; strings.Join(unreached, "\n") != strings.Join(want, "\n") {
 		t.Errorf("unreached =\n\t%s\nwant\n\t%s", strings.Join(unreached, "\n\t"), strings.Join(want, "\n\t"))
+	}
+	if want := []string{"lib/lib.go:53 Config.TestSet", "lib/lib.go:54 Config.Unset"}; strings.Join(unset, "\n") != strings.Join(want, "\n") {
+		t.Errorf("unset =\n\t%s\nwant\n\t%s", strings.Join(unset, "\n\t"), strings.Join(want, "\n\t"))
 	}
 }

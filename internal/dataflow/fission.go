@@ -79,7 +79,11 @@ func ChunkBound(total, k, i int) int {
 	return b
 }
 
-// FissionOptions configures a fission rewrite.
+// FissionOptions configures a fission rewrite. Every input edge of the
+// fissioned actor is broadcast — each replica receives the full payload, as
+// a data-parallel kernel may need shared state (the LPC coefficients, the
+// frame history overlap) alongside its chunk — and every output edge is
+// split into the replicas' SplitCounts chunks.
 type FissionOptions struct {
 	// K fixes the replica count. Zero means choose k (and the block
 	// factor) jointly under MemBound via the cost model below.
@@ -87,23 +91,17 @@ type FissionOptions struct {
 	// MemBound caps the modeled buffer memory (BlockMemoryBytes) of the
 	// rewritten graph at the chosen block factor. <= 0 means unbounded.
 	MemBound int64
-	// MaxK caps the replica-count search; <= 0 defaults to 16.
-	MaxK int
-	// MaxBlock caps the block-factor search; <= 0 defaults to 64.
-	MaxBlock int
-	// MsgCycles is the modeled per-message overhead in processor cycles
-	// (header, credit, scheduling) used by the joint chooser; <= 0
-	// defaults to 400.
-	MsgCycles int64
-	// Split lists source input edges whose payload is split token-wise
-	// across the replicas (replica i receives its SplitCounts chunk).
-	// Input edges not listed are broadcast: every replica receives the
-	// full payload. Broadcast is the default because a data-parallel
-	// kernel may need shared state (the LPC coefficients, the frame
-	// history overlap) alongside its chunk; output edges are always
-	// split.
-	Split []EdgeID
 }
+
+// The joint chooser's search bounds and cost model: at most fissionMaxK
+// replicas and blocks of at most fissionMaxBlock iterations, with
+// fissionMsgCycles the modeled per-message overhead in processor cycles
+// (header, credit, scheduling).
+const (
+	fissionMaxK      = 16
+	fissionMaxBlock  = 64
+	fissionMsgCycles = 400
+)
 
 // FissionPlan is the result of a fission rewrite.
 type FissionPlan struct {
@@ -131,11 +129,9 @@ type FissionPlan struct {
 	// replica->gather edges (both in replica order).
 	ScatterEdges map[EdgeID][]EdgeID
 	GatherEdges  map[EdgeID][]EdgeID
-	// SplitIn marks the source input edges that are split rather than
-	// broadcast.
-	SplitIn map[EdgeID]bool
 	// InTokens / OutTokens record the per-iteration token bound of each
-	// source input/output edge (the totals SplitCounts chunks against).
+	// source input/output edge (an output's is the total SplitCounts
+	// chunks).
 	InTokens  map[EdgeID]int64
 	OutTokens map[EdgeID]int64
 }
@@ -186,9 +182,9 @@ func HeaviestFissionable(g *Graph) (ActorID, error) {
 // factor are chosen jointly under opts.MemBound: the chooser minimizes
 // the modeled per-iteration cost
 //
-//	cost(k, B) = ExecCycles(a)/k + MsgCycles * k * (ins+outs) / B
+//	cost(k, B) = ExecCycles(a)/k + fissionMsgCycles * k * (ins+outs) / B
 //
-// over k in [1, MaxK] with B the largest deadlock-free block whose
+// over k in [1, fissionMaxK] with B the largest deadlock-free block whose
 // BlockMemoryBytes fits the bound — so a tight bound backs k off to
 // leave room for the block that amortizes the scatter/gather traffic.
 func Fission(g *Graph, a ActorID, opts FissionOptions) (*FissionPlan, error) {
@@ -198,38 +194,12 @@ func Fission(g *Graph, a ActorID, opts FissionOptions) (*FissionPlan, error) {
 	if err := Fissionable(g, a); err != nil {
 		return nil, err
 	}
-	maxK := opts.MaxK
-	if maxK <= 0 {
-		maxK = 16
-	}
-	maxBlock := opts.MaxBlock
-	if maxBlock <= 0 {
-		maxBlock = 64
-	}
-	msgCycles := opts.MsgCycles
-	if msgCycles <= 0 {
-		msgCycles = 400
-	}
-	split := map[EdgeID]bool{}
-	for _, eid := range opts.Split {
-		found := false
-		for _, in := range g.In(a) {
-			if in == eid {
-				found = true
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("dataflow: split edge %d is not an input of actor %q", eid, g.Actor(a).Name)
-		}
-		split[eid] = true
-	}
-
 	build := func(k int) (*FissionPlan, error) {
-		plan, err := rewrite(g, a, k, split)
+		plan, err := rewrite(g, a, k)
 		if err != nil {
 			return nil, err
 		}
-		vp, err := Vectorize(plan.Graph, opts.MemBound, maxBlock)
+		vp, err := Vectorize(plan.Graph, opts.MemBound, fissionMaxBlock)
 		if err != nil {
 			return nil, err
 		}
@@ -257,7 +227,7 @@ func Fission(g *Graph, a ActorID, opts FissionOptions) (*FissionPlan, error) {
 	edges := int64(len(g.In(a)) + len(g.Out(a)))
 	var best *FissionPlan
 	var bestCost float64
-	for k := 1; k <= maxK; k++ {
+	for k := 1; k <= fissionMaxK; k++ {
 		plan, err := build(k)
 		if err != nil {
 			// Over the memory bound (or otherwise infeasible): larger k
@@ -265,7 +235,7 @@ func Fission(g *Graph, a ActorID, opts FissionOptions) (*FissionPlan, error) {
 			break
 		}
 		cost := float64(work)/float64(k) +
-			float64(msgCycles)*float64(int64(k)*edges)/float64(plan.Block)
+			float64(fissionMsgCycles)*float64(int64(k)*edges)/float64(plan.Block)
 		if best == nil || cost < bestCost {
 			best, bestCost = plan, cost
 		}
@@ -280,7 +250,7 @@ func Fission(g *Graph, a ActorID, opts FissionOptions) (*FissionPlan, error) {
 // and edges are re-added in insertion order so their IDs survive; actor
 // a's node becomes the scatter stage, its output edges are re-rooted at
 // the gather stage, and the scatter/gather plumbing is appended.
-func rewrite(g *Graph, a ActorID, k int, split map[EdgeID]bool) (*FissionPlan, error) {
+func rewrite(g *Graph, a ActorID, k int) (*FissionPlan, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("dataflow: fission into %d replicas", k)
 	}
@@ -344,7 +314,6 @@ func rewrite(g *Graph, a ActorID, k int, split map[EdgeID]bool) (*FissionPlan, e
 		Gather:       gather,
 		ScatterEdges: map[EdgeID][]EdgeID{},
 		GatherEdges:  map[EdgeID][]EdgeID{},
-		SplitIn:      map[EdgeID]bool{},
 		InTokens:     map[EdgeID]int64{},
 		OutTokens:    map[EdgeID]int64{},
 	}
@@ -366,24 +335,18 @@ func rewrite(g *Graph, a ActorID, k int, split map[EdgeID]bool) (*FissionPlan, e
 		return total
 	}
 
-	// Scatter plumbing: one dynamic edge per (input edge, replica). A
-	// broadcast edge carries up to the full per-iteration payload to
-	// every replica; a split edge carries replica i's ChunkBound. The
-	// chunks vary at run time (dynamic sources, uneven tails), so the
+	// Scatter plumbing: one dynamic edge per (input edge, replica), each
+	// carrying up to the full per-iteration payload (every input is
+	// broadcast). Payloads vary at run time (dynamic sources), so the
 	// plumbing is always dynamic-rate with the bound as the declared
 	// maximum — exactly the paper's VTS discipline.
 	for _, eid := range g.In(a) {
 		e := g.Edge(eid)
 		total := edgeTokens(eid)
 		plan.InTokens[eid] = total
-		plan.SplitIn[eid] = split[eid]
 		ids := make([]EdgeID, k)
 		for i := 0; i < k; i++ {
-			bound := int(total)
-			if split[eid] {
-				bound = ChunkBound(int(total), k, i)
-			}
-			ids[i] = f.AddEdge(fmt.Sprintf("%s>%s#%d", e.Name, name, i), a, replicas[i], bound, bound,
+			ids[i] = f.AddEdge(fmt.Sprintf("%s>%s#%d", e.Name, name, i), a, replicas[i], int(total), int(total),
 				EdgeSpec{TokenBytes: e.TokenBytes, ProduceDynamic: true, ConsumeDynamic: true})
 		}
 		plan.ScatterEdges[eid] = ids

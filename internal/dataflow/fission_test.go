@@ -179,14 +179,14 @@ func TestHeaviestFissionable(t *testing.T) {
 // backs both off, and an impossible bound is an error.
 func TestFissionJointSelection(t *testing.T) {
 	g, heavy := fissionTestGraph()
-	free, err := Fission(g, heavy, FissionOptions{MaxK: 8, MaxBlock: 32})
+	free, err := Fission(g, heavy, FissionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if free.K != 8 || free.Block != 32 {
-		t.Errorf("unbounded choice (k=%d, B=%d), want (8, 32)", free.K, free.Block)
+	if free.K != fissionMaxK || free.Block != fissionMaxBlock {
+		t.Errorf("unbounded choice (k=%d, B=%d), want (%d, %d)", free.K, free.Block, fissionMaxK, fissionMaxBlock)
 	}
-	bounded, err := Fission(g, heavy, FissionOptions{MaxK: 8, MaxBlock: 32, MemBound: free.MemoryBytes / 4})
+	bounded, err := Fission(g, heavy, FissionOptions{MemBound: free.MemoryBytes / 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,7 +85,7 @@ func TestFullPipelineIntegration(t *testing.T) {
 	}
 	sg := syncgraph.SynchronizationGraph(ipc)
 	syncgraph.AddAllFeedback(sg, 2)
-	rep := syncgraph.Resynchronize(sg, syncgraph.ResyncOptions{})
+	rep := syncgraph.Resynchronize(sg)
 	if rep.SyncAfter > rep.SyncBefore {
 		t.Errorf("resynchronization increased sync edges: %s", rep)
 	}

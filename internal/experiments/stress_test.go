@@ -54,7 +54,7 @@ func TestRandomGraphStress(t *testing.T) {
 				}
 				sg := syncgraph.SynchronizationGraph(ipc)
 				syncgraph.AddAllFeedback(sg, 1)
-				rep := syncgraph.Resynchronize(sg, syncgraph.ResyncOptions{MaxRounds: 4})
+				rep := syncgraph.Resynchronize(sg)
 				if rep.SyncAfter > rep.SyncBefore {
 					t.Fatalf("seed %d %s/%d: resync grew: %s", seed, scheduler, nprocs, rep)
 				}

@@ -76,7 +76,7 @@ func resyncTable(title string, g *syncgraph.Graph, paperNote string) *Table {
 		}
 	}
 	before := syncgraph.Cost(g, protocols)
-	rep := syncgraph.Resynchronize(g, syncgraph.ResyncOptions{})
+	rep := syncgraph.Resynchronize(g)
 	after := syncgraph.Cost(g, protocols)
 
 	t := &Table{
@@ -117,7 +117,7 @@ func Fig5() (*Table, error) {
 func Fig3DOT(nPE int) (before, after string) {
 	g := Fig3Graph(nPE)
 	before = g.DOT("fig3-before")
-	syncgraph.Resynchronize(g, syncgraph.ResyncOptions{})
+	syncgraph.Resynchronize(g)
 	after = g.DOT("fig3-after")
 	return before, after
 }
@@ -126,7 +126,7 @@ func Fig3DOT(nPE int) (before, after string) {
 func Fig5DOT() (before, after string) {
 	g := Fig5Graph()
 	before = g.DOT("fig5-before")
-	syncgraph.Resynchronize(g, syncgraph.ResyncOptions{})
+	syncgraph.Resynchronize(g)
 	after = g.DOT("fig5-after")
 	return before, after
 }

@@ -18,10 +18,9 @@ import (
 // CoordConfig configures one orchestrated run.
 type CoordConfig struct {
 	// Transport carries the control links; Addr is the control-plane
-	// listen address (Listener optionally supplies it pre-bound).
+	// listen address.
 	Transport transport.Transport
 	Addr      string
-	Listener  transport.Listener
 	// Graph and Mapping are the application and its processor-level
 	// schedule; placement moves processors between workers but never
 	// rewrites the mapping, which is what keeps outputs bit-identical.
@@ -513,22 +512,18 @@ func (r *coordRun) abort(es *epochState, n int) {
 // report. It blocks until Iterations have committed, the context is
 // cancelled, or progress becomes impossible.
 func (c *Coordinator) Run(ctx context.Context) (*Report, error) {
-	ln := c.cfg.Listener
-	if ln == nil {
-		var err error
-		ln, err = c.cfg.Transport.Listen(c.cfg.Addr)
-		if err != nil {
-			return nil, fmt.Errorf("orch: coordinator listen: %w", err)
-		}
+	ln, err := c.cfg.Transport.Listen(c.cfg.Addr)
+	if err != nil {
+		return nil, fmt.Errorf("orch: coordinator listen: %w", err)
 	}
 	defer ln.Close()
 	go c.accept(ln)
 	defer c.closeAll()
 
 	m := c.cfg.Mapping
-	// The checkpoint: the in-flight tokens of the delayed edges and the actor
-	// state blobs at the last commit. A fresh spec carries iteration 0's.
-	tails, state := map[uint16][][]byte{}, map[string][]byte{}
+	// The checkpoint: the in-flight tokens of the delayed edges at the last
+	// commit. A fresh spec carries iteration 0's.
+	tails := map[uint16][][]byte{}
 	load := make([]float64, m.NumProcs)
 	for p := range load {
 		load[p] = 1
@@ -638,14 +633,6 @@ func (c *Coordinator) Run(ctx context.Context) (*Report, error) {
 						spec.Preload[id] = tail
 					}
 				}
-				spec.State = map[string][]byte{}
-				for pi := range spec.Procs {
-					for _, a := range spec.Procs[pi].Actors {
-						if blob, ok := state[a.Name]; ok {
-							spec.State[a.Name] = blob
-						}
-					}
-				}
 				send(wc, Task{Epoch: epoch, Spec: &spec})
 			}
 			if !lastCommit.IsZero() {
@@ -686,9 +673,6 @@ func (c *Coordinator) Run(ctx context.Context) (*Report, error) {
 			}
 			for id, t := range d.Tails {
 				tails[id] = t
-			}
-			for name, blob := range d.State {
-				state[name] = blob
 			}
 			for name, nf := range d.Firings {
 				rep.Firings[name] += int(nf)

@@ -523,7 +523,7 @@ func TestOrchestratedLateJoiner(t *testing.T) {
 }
 
 // Standing-deployment tests: a committed placement stays deployed — links,
-// runtime edges, kernels and state resident on the workers — and later
+// runtime edges and kernels resident on the workers — and later
 // epochs reach it with one Continue each. Every departure from the last
 // commit (a placement rewrite, a death, a failed warm epoch, a pool
 // change) must fall back to a cold deployment from the last checkpoint,
@@ -800,7 +800,7 @@ func (w *coldWorker) run(ctx context.Context) error {
 				send(Fail{Epoch: m.Epoch, Msg: err.Error()})
 				continue
 			}
-			done := Done{Epoch: m.Epoch, Digests: ks.Collect(), Tails: res.Tails, State: res.State,
+			done := Done{Epoch: m.Epoch, Digests: ks.Collect(), Tails: res.Tails,
 				Firings: map[string]uint32{}, ProcNS: res.ProcNS}
 			for name, n := range res.Firings {
 				done.Firings[name] = uint32(n)

@@ -82,14 +82,13 @@ type Continue struct {
 }
 
 // Done reports a committed partition: the sink digest contributions, the
-// delayed-edge tails and actor state blobs (the migration checkpoint),
-// firing counts, and per-processor busy time (the placement load signal,
-// parallel to the spec's Procs).
+// delayed-edge tails (the migration checkpoint), firing counts, and
+// per-processor busy time (the placement load signal, parallel to the
+// spec's Procs).
 type Done struct {
 	Epoch   uint32
 	Digests map[string]uint64
 	Tails   map[uint16][][]byte
-	State   map[string][]byte
 	Firings map[string]uint32
 	ProcNS  []int64
 }
@@ -277,11 +276,6 @@ func Encode(msg any) (op byte, payload []byte) {
 				w.bytes(p)
 			}
 		}
-		w.u32(uint32(len(m.State)))
-		for _, k := range sortedStrings(m.State) {
-			w.str(k)
-			w.bytes(m.State[k])
-		}
 		w.u32(uint32(len(m.Firings)))
 		for _, k := range sortedStrings(m.Firings) {
 			w.str(k)
@@ -380,11 +374,6 @@ func encodeSpec(w *writer, s *spi.PartitionSpec) {
 			w.bytes(p)
 		}
 	}
-	w.u32(uint32(len(s.State)))
-	for _, k := range sortedStrings(s.State) {
-		w.str(k)
-		w.bytes(s.State[k])
-	}
 }
 
 func decodeSpec(r *reader) *spi.PartitionSpec {
@@ -445,14 +434,6 @@ func decodeSpec(r *reader) *spi.PartitionSpec {
 		}
 		s.Preload[id] = payloads
 	}
-	s.State = map[string][]byte{}
-	for n := r.count(8); n > 0; n-- {
-		k := r.str()
-		s.State[k] = r.bytes()
-		if r.err != nil {
-			return s
-		}
-	}
 	return s
 }
 
@@ -477,8 +458,7 @@ func DecodeCtrl(op byte, payload []byte) (any, error) {
 		msg = t
 	case OpDone:
 		d := Done{Epoch: r.u32(), Digests: map[string]uint64{},
-			Tails: map[uint16][][]byte{}, State: map[string][]byte{},
-			Firings: map[string]uint32{}}
+			Tails: map[uint16][][]byte{}, Firings: map[string]uint32{}}
 		for n := r.count(12); n > 0; n-- {
 			k := r.str()
 			d.Digests[k] = r.u64()
@@ -496,13 +476,6 @@ func DecodeCtrl(op byte, payload []byte) (any, error) {
 				return nil, r.err
 			}
 			d.Tails[id] = payloads
-		}
-		for n := r.count(8); n > 0; n-- {
-			k := r.str()
-			d.State[k] = r.bytes()
-			if r.err != nil {
-				return nil, r.err
-			}
 		}
 		for n := r.count(8); n > 0; n-- {
 			k := r.str()

@@ -38,21 +38,18 @@ func wireMessages() []any {
 				1: {[]byte{1, 2}, {}},
 				2: {nil},
 			},
-			State: map[string][]byte{"B": {9, 9}, "S": {}},
 		}},
 		Task{Epoch: 0, Spec: &spi.PartitionSpec{
 			Graph: "empty", Workers: 1, Iterations: 1,
-			Preload: map[uint16][][]byte{}, State: map[string][]byte{},
+			Preload: map[uint16][][]byte{},
 		}},
 		Done{Epoch: 4,
 			Digests: map[string]uint64{"S": 0xdeadbeef},
 			Tails:   map[uint16][][]byte{1: {[]byte{5}}, 7: {}},
-			State:   map[string][]byte{"B": {1}},
 			Firings: map[string]uint32{"B": 5, "S": 5},
 			ProcNS:  []int64{1234, 0}},
 		Done{Epoch: 9, Digests: map[string]uint64{},
-			Tails: map[uint16][][]byte{}, State: map[string][]byte{},
-			Firings: map[string]uint32{}},
+			Tails: map[uint16][][]byte{}, Firings: map[string]uint32{}},
 		Fail{Epoch: 5, Msg: "kernel exploded"},
 		Abort{Epoch: 5},
 		AbortOK{Epoch: 5},
@@ -105,7 +102,6 @@ func builtSpecs(t testing.TB) []*spi.PartitionSpec {
 		}
 		for _, s := range specs {
 			s.BaseIter, s.Iterations = 64*len(out), 64
-			s.State["A0"] = []byte{byte(len(out)), 1}
 			for w := 0; w < s.Workers; w++ {
 				s.Addrs = append(s.Addrs, fmt.Sprintf("w%d-data-e%d", w, len(out)))
 			}

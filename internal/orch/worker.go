@@ -13,20 +13,18 @@ import (
 )
 
 // KernelSet is everything a worker needs to execute one partition:
-// kernels by actor name, checkpoint hooks for the stateful ones, and a
-// collector that drains one epoch's sink digest contributions (called
-// once per finished epoch, so failed epochs contribute nothing).
+// kernels by actor name and a collector that drains one epoch's sink
+// digest contributions (called once per finished epoch, so failed epochs
+// contribute nothing).
 type KernelSet struct {
 	Kernels map[string]spi.Kernel
-	Hooks   map[string]spi.StateHooks
 	Collect func() map[string]uint64
 }
 
 // KernelProvider builds a fresh KernelSet for one partition spec. It is
-// called once per deployment — each Task — so kernel state always starts
-// from the spec's checkpoint blobs, never from a failed attempt's
-// leftovers; the warm epochs that follow on the standing deployment keep
-// using the same set, and its state carries over in place.
+// called once per deployment — each Task — so a deployment never fires a
+// failed attempt's kernels; the warm epochs that follow on the standing
+// deployment keep using the same set.
 type KernelProvider func(spec *spi.PartitionSpec) (*KernelSet, error)
 
 // WorkerConfig configures one orchestrated worker.
@@ -270,7 +268,7 @@ func (w *Worker) deploy(ctx context.Context, t Task) *deployment {
 			Retry: w.cfg.Retry, Context: dctx,
 			Reconnect: w.cfg.Reconnect,
 			Heartbeat: w.cfg.Heartbeat, PeerTimeout: w.cfg.PeerTimeout,
-			State: ks.Hooks, Obs: w.cfg.Obs,
+			Obs: w.cfg.Obs,
 		})
 		if err != nil {
 			if dctx.Err() == nil {
@@ -289,7 +287,7 @@ func (w *Worker) deploy(ctx context.Context, t Task) *deployment {
 				return
 			}
 			done := Done{
-				Epoch: next.Epoch, Tails: res.Tails, State: res.State,
+				Epoch: next.Epoch, Tails: res.Tails,
 				Firings: map[string]uint32{}, ProcNS: res.ProcNS,
 			}
 			if ks.Collect != nil {

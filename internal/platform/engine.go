@@ -30,14 +30,6 @@ func NewSim(cfg Config) (*Sim, error) {
 // Config returns the platform configuration.
 func (s *Sim) Config() Config { return s.cfg }
 
-// Program returns the currently installed program of a PE (nil if none).
-func (s *Sim) Program(pe int) Program {
-	if pe < 0 || pe >= len(s.programs) {
-		return nil
-	}
-	return s.programs[pe]
-}
-
 // Channel returns the spec of a channel. It panics on an unknown ID (a
 // caller bug: IDs only come from AddChannel).
 func (s *Sim) Channel(id ChannelID) ChannelSpec { return s.channels[id] }
@@ -50,7 +42,7 @@ func (s *Sim) AddChannel(spec ChannelSpec) (ChannelID, error) {
 	if spec.From == spec.To {
 		return 0, fmt.Errorf("platform: channel %q is a self-loop", spec.Name)
 	}
-	if spec.Capacity < 0 || spec.HeaderBytes < 0 || spec.AckBytes < 0 || spec.Preload < 0 || spec.PreloadBytes < 0 {
+	if spec.Capacity < 0 || spec.HeaderBytes < 0 || spec.AckBytes < 0 || spec.Preload < 0 {
 		return 0, fmt.Errorf("platform: channel %q has negative parameter", spec.Name)
 	}
 	if spec.Capacity > 0 && spec.Preload > spec.Capacity {
@@ -169,9 +161,7 @@ func (s *Sim) Run(iterations int) (*Stats, error) {
 	}
 	for i := range s.channels {
 		for p := 0; p < s.channels[i].Preload; p++ {
-			chs[i].queue = append(chs[i].queue, message{
-				arriveAt: 0, bytes: s.channels[i].PreloadBytes, kind: DataMsg,
-			})
+			chs[i].queue = append(chs[i].queue, message{arriveAt: 0, kind: DataMsg})
 			chs[i].sent++
 		}
 		chs[i].maxQueued = len(chs[i].queue)
@@ -210,9 +200,6 @@ func (s *Sim) Run(iterations int) (*Stats, error) {
 			switch op.Kind {
 			case OpCompute:
 				c := op.Cycles
-				if op.CyclesFn != nil {
-					c = op.CyclesFn(st.iter)
-				}
 				if c < 0 {
 					return fmt.Errorf("platform: PE %d computed negative cycles %d", pe, c)
 				}

@@ -190,18 +190,6 @@ func TestDynamicSendSizes(t *testing.T) {
 	}
 }
 
-func TestComputeFn(t *testing.T) {
-	sim, _ := NewSim(DefaultConfig(1))
-	sim.SetProgram(0, Program{ComputeFn(func(iter int) int64 { return int64(100 * (iter + 1)) })})
-	st, err := sim.Run(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Finish != 300 {
-		t.Errorf("finish = %d, want 300", st.Finish)
-	}
-}
-
 func TestDeadlockDetected(t *testing.T) {
 	// Two PEs each waiting to receive from the other before sending.
 	cfg := DefaultConfig(2)
@@ -310,7 +298,7 @@ func TestChannelPreload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := sim.AddChannel(ChannelSpec{From: 0, To: 1, Name: "d", Preload: 2, PreloadBytes: 4})
+	ch, err := sim.AddChannel(ChannelSpec{From: 0, To: 1, Name: "d", Preload: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,10 +75,9 @@ type ChannelSpec struct {
 	AckBytes int
 	// Preload seeds the channel with that many zero-time messages before
 	// the run — the initial tokens (delays) of a dataflow edge. Preloaded
-	// messages consume BBS capacity and are not counted in traffic stats.
+	// messages carry no payload, consume BBS capacity and are not counted
+	// in traffic stats.
 	Preload int
-	// PreloadBytes is the payload size attributed to preloaded messages.
-	PreloadBytes int
 }
 
 // OpKind enumerates program operations.
@@ -96,11 +95,8 @@ const (
 // Op is one program step.
 type Op struct {
 	Kind OpKind
-	// Cycles is the duration of OpCompute. May be a function of the
-	// iteration via CyclesFn; Cycles is used when CyclesFn is nil.
+	// Cycles is the duration of OpCompute.
 	Cycles int64
-	// CyclesFn, if set, supplies per-iteration compute cost.
-	CyclesFn func(iter int) int64
 	// Ch is the channel of OpSend/OpRecv.
 	Ch ChannelID
 	// Bytes is the payload size of OpSend. BytesFn overrides per iteration
@@ -113,9 +109,6 @@ type Op struct {
 
 // Compute returns an OpCompute with fixed cost.
 func Compute(cycles int64) Op { return Op{Kind: OpCompute, Cycles: cycles} }
-
-// ComputeFn returns an OpCompute with per-iteration cost.
-func ComputeFn(f func(iter int) int64) Op { return Op{Kind: OpCompute, CyclesFn: f} }
 
 // Send returns an OpSend with fixed payload size.
 func Send(ch ChannelID, bytes int) Op { return Op{Kind: OpSend, Ch: ch, Bytes: bytes} }

@@ -36,32 +36,13 @@ func TestETFRejectsBadInput(t *testing.T) {
 
 func TestETFAvoidsExpensiveCommunication(t *testing.T) {
 	// A chain of small actors: with huge communication cost, ETF should
-	// keep everything on one processor; HLF's processor choice ignores
-	// downstream effects less gracefully. At minimum, ETF's result must
-	// not be worse.
+	// keep everything on one processor.
 	g := pipeline(10, 10, 10, 10, 10, 10)
 	const comm = 100000
 	etf, err := ETFSchedule(g, 3, comm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := SelfTimedConfig{Iterations: 4, CommCycles: func(dataflow.EdgeID) int64 { return comm }}
-	etfRes, err := SelfTimed(g, etf, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hlf, err := ListSchedule(g, 3, comm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hlfRes, err := SelfTimed(g, hlf, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if etfRes.Finish > hlfRes.Finish {
-		t.Errorf("ETF (%d) worse than HLF (%d) under expensive comm", etfRes.Finish, hlfRes.Finish)
-	}
-	// With that comm cost, the chain must stay on one processor.
 	if len(etf.InterprocessorEdges(g)) != 0 {
 		t.Errorf("ETF split a chain despite %d-cycle comm", comm)
 	}

@@ -209,27 +209,6 @@ func TestSelfTimedFanoutSpeedup(t *testing.T) {
 	}
 }
 
-func TestSelfTimedCommCostReducesSpeedup(t *testing.T) {
-	g := fanout(2, 1, 100, 1)
-	m, err := ListSchedule(g, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := SelfTimedConfig{Iterations: 4}
-	fast, err := SelfTimed(g, m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.CommCycles = func(dataflow.EdgeID) int64 { return 500 }
-	slow, err := SelfTimed(g, m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if slow.Finish <= fast.Finish {
-		t.Errorf("comm cost did not slow execution: %d vs %d", slow.Finish, fast.Finish)
-	}
-}
-
 func TestSelfTimedDelayedEdgePipelines(t *testing.T) {
 	// A -> B with one iteration of delay: B(k) depends on A(k-1), so on two
 	// processors the steady-state period is max(costA, costB), not the sum.

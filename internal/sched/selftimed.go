@@ -11,9 +11,6 @@ type SelfTimedConfig struct {
 	// Iterations is the number of graph iterations to simulate. Must be
 	// positive.
 	Iterations int
-	// CommCycles gives the latency in cycles added to a token batch that
-	// crosses processors on the given edge. Nil means zero-cost IPC.
-	CommCycles func(dataflow.EdgeID) int64
 	// Warmup is the number of leading iterations excluded from the period
 	// estimate (to let the self-timed pipeline reach steady state).
 	Warmup int
@@ -46,7 +43,7 @@ type SelfTimedResult struct {
 // iteration, so iteration k of the consumer depends on iteration
 // k - floor(delay(e)/T(e)) of the producer (initial delays buy whole
 // iterations of slack; fractional remainders are ignored, which is
-// conservative). Interprocessor edges add CommCycles(e) to availability.
+// conservative). Interprocessor communication is modeled as free.
 func SelfTimed(g *dataflow.Graph, m *Mapping, cfg SelfTimedConfig) (*SelfTimedResult, error) {
 	if err := m.Validate(g); err != nil {
 		return nil, err
@@ -57,10 +54,6 @@ func SelfTimed(g *dataflow.Graph, m *Mapping, cfg SelfTimedConfig) (*SelfTimedRe
 	q, err := g.RepetitionsVector()
 	if err != nil {
 		return nil, err
-	}
-	comm := cfg.CommCycles
-	if comm == nil {
-		comm = func(dataflow.EdgeID) int64 { return 0 }
 	}
 
 	n := g.NumActors()
@@ -123,11 +116,7 @@ func SelfTimed(g *dataflow.Graph, m *Mapping, cfg SelfTimedConfig) (*SelfTimedRe
 							okToFire = false
 							break
 						}
-						avail := finish[dep][e.Src]
-						if m.Proc[e.Src] != Processor(p) {
-							avail += comm(eid)
-						}
-						if avail > start {
+						if avail := finish[dep][e.Src]; avail > start {
 							start = avail
 						}
 					}

@@ -115,23 +115,6 @@ func TestBuildBoundedEdgeGetsBBS(t *testing.T) {
 	}
 }
 
-func TestBuildForceUBS(t *testing.T) {
-	g, m := mappedPair(t, 1, 1, dataflow.EdgeSpec{TokenBytes: 4})
-	aID, _ := g.ActorByName("A")
-	bID, _ := g.ActorByName("B")
-	g.AddEdge("ba", bID, aID, 1, 1, dataflow.EdgeSpec{Delay: 2})
-	dep, err := Build(&System{
-		Graph: g, Mapping: m,
-		ForceUBS: map[dataflow.EdgeID]bool{0: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dep.Plans[0].Protocol != UBS {
-		t.Errorf("ForceUBS ignored: %+v", dep.Plans[0])
-	}
-}
-
 func TestBuildPreloadFromDelay(t *testing.T) {
 	// Edge with 2 iterations of delay lets the consumer start immediately.
 	g, m := mappedPair(t, 1, 1, dataflow.EdgeSpec{TokenBytes: 4, Delay: 2})
@@ -148,141 +131,10 @@ func TestBuildPreloadFromDelay(t *testing.T) {
 	}
 }
 
-func TestBuildExtraSyncMessages(t *testing.T) {
-	g, m := mappedPair(t, 1, 1, dataflow.EdgeSpec{TokenBytes: 4})
-	dep, err := Build(&System{
-		Graph: g, Mapping: m,
-		ExtraSync: []SyncMessage{{FromPE: 1, ToPE: 0}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dep.SyncChannels) != 1 {
-		t.Fatalf("sync channels = %v", dep.SyncChannels)
-	}
-	st, err := dep.Sim.Run(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Messages[platform.SyncMsg] != 3 {
-		t.Errorf("sync messages = %d, want 3", st.Messages[platform.SyncMsg])
-	}
-}
-
-func TestBuildComputeFnOverride(t *testing.T) {
-	g, m := mappedPair(t, 1, 1, dataflow.EdgeSpec{TokenBytes: 4})
-	aID, _ := g.ActorByName("A")
-	dep, err := Build(&System{
-		Graph: g, Mapping: m,
-		ComputeFn: map[dataflow.ActorID]func(int) int64{
-			aID: func(iter int) int64 { return 5000 },
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := dep.Sim.Run(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Finish < 5000 {
-		t.Errorf("finish = %d, want >= 5000 (override)", st.Finish)
-	}
-}
-
-func TestBuildBlockedEdgePacksSlabs(t *testing.T) {
-	// Block 4 on a delay-free edge: the simulator must model one packed
-	// slab per sim iteration instead of four scalar messages, with the
-	// header paid once per block.
-	g, m := mappedPair(t, 4, 4, dataflow.EdgeSpec{TokenBytes: 2})
-	scalar, err := Build(&System{Graph: g, Mapping: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocked, err := Build(&System{Graph: g, Mapping: m, Block: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 20 graph iterations either way: 20 scalar sim iterations vs 5
-	// blocked ones.
-	ss, err := scalar.Sim.Run(20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs, err := blocked.Sim.Run(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ss.Messages[platform.DataMsg] != 20 || bs.Messages[platform.DataMsg] != 5 {
-		t.Errorf("messages scalar/blocked = %d/%d, want 20/5",
-			ss.Messages[platform.DataMsg], bs.Messages[platform.DataMsg])
-	}
-	// Same 8-byte payload per graph iteration; the blocked run pays one
-	// dynamic header per slab instead of one static header per message.
-	if ss.Bytes[platform.DataMsg] != 20*(8+StaticHeaderBytes) {
-		t.Errorf("scalar bytes = %d", ss.Bytes[platform.DataMsg])
-	}
-	want := int64(5 * (SlabBound(8, false, 4) + DynamicHeaderBytes))
-	if bs.Bytes[platform.DataMsg] != want {
-		t.Errorf("blocked bytes = %d, want %d", bs.Bytes[platform.DataMsg], want)
-	}
-	if hdr := blocked.Sim.Channel(blocked.Plans[0].Channel).HeaderBytes; hdr != DynamicHeaderBytes {
-		t.Errorf("blocked header = %d, want %d (slabs use SPI_dynamic framing)", hdr, DynamicHeaderBytes)
-	}
-}
-
-func TestBuildBlockedMisalignedEdgeCarries(t *testing.T) {
-	// One iteration of delay does not divide block 2, and the edge still
-	// moves one slab per sim iteration: the delay token rides at the head of
-	// the producer's first slab (the carry), so nothing is preloaded.
-	g, m := mappedPair(t, 1, 1, dataflow.EdgeSpec{TokenBytes: 4, Delay: 1})
-	dep, err := Build(&System{Graph: g, Mapping: m, Block: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := dep.Sim.Run(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Messages[platform.DataMsg] != 5 {
-		t.Errorf("messages = %d, want 5 (one slab per sim iteration)", st.Messages[platform.DataMsg])
-	}
-	if dep.Plans[0].Mode != Dynamic {
-		t.Errorf("mode = %v, want Dynamic (slabs use SPI_dynamic framing)", dep.Plans[0].Mode)
-	}
-	if pre := dep.Sim.Channel(dep.Plans[0].Channel).Preload; pre != 0 {
-		t.Errorf("preload = %d slabs, want 0 (⌊1/2⌋)", pre)
-	}
-}
-
-func TestBuildRejectsInfeasibleBlock(t *testing.T) {
-	// A tight cycle with one iteration of delay admits no block above 1;
-	// Build must surface CheckBlock's diagnosis instead of deadlocking
-	// the simulation.
-	g, m := mappedPair(t, 1, 1, dataflow.EdgeSpec{TokenBytes: 2})
-	aID, _ := g.ActorByName("A")
-	bID, _ := g.ActorByName("B")
-	g.AddEdge("ba", bID, aID, 1, 1, dataflow.EdgeSpec{Delay: 1, TokenBytes: 1})
-	if _, err := Build(&System{Graph: g, Mapping: m, Block: 2}); err == nil {
-		t.Error("block 2 on a 1-iteration-delay cycle should fail feasibility")
-	}
-	if _, err := Build(&System{Graph: g, Mapping: m, Block: 1}); err != nil {
-		t.Errorf("scalar build of the same system should pass: %v", err)
-	}
-}
-
 func TestBuildRejectsBadMapping(t *testing.T) {
 	g, _ := mappedPair(t, 1, 1, dataflow.EdgeSpec{})
 	bad := &sched.Mapping{NumProcs: 1, Proc: []sched.Processor{0}, Order: [][]dataflow.ActorID{{0}}}
 	if _, err := Build(&System{Graph: g, Mapping: bad}); err == nil {
 		t.Error("mismatched mapping should fail")
-	}
-}
-
-func TestBuildRejectsSmallPlatform(t *testing.T) {
-	g, m := mappedPair(t, 1, 1, dataflow.EdgeSpec{})
-	cfg := platform.DefaultConfig(1)
-	if _, err := Build(&System{Graph: g, Mapping: m, Platform: cfg}); err == nil {
-		t.Error("1-PE platform for 2-proc mapping should fail")
 	}
 }

@@ -344,15 +344,21 @@ func TestDifferentialExecutors(t *testing.T) {
 
 // TestDifferentialEdgePlans: one edge plan, three consumers. Over the same
 // random graphs, mappings and node splits, at every blocking factor, the
-// simulator's EdgePlan (Build), the spec's PartEdge (BuildPartitions) and the
-// handshake's EdgeDecl (PeerDecls) of an interprocessor edge agree on
-// framing, protocol and capacity — and a one-iteration feedback delay that
-// cannot cover a block is refused by all three.
+// spec's PartEdge (BuildPartitions) and the handshake's EdgeDecl
+// (PeerDecls) of an interprocessor edge agree on framing, protocol and
+// capacity, and at block 1 with the simulator's EdgePlan (Build) too — and
+// a one-iteration feedback delay that cannot cover a block is refused.
 func TestDifferentialEdgePlans(t *testing.T) {
 	for seed := uint64(1); seed <= differentialSeeds; seed++ {
 		c := drawCase(t, seed)
+		dep, err := spi.Build(&spi.System{Graph: c.g, Mapping: c.m})
+		if err != nil {
+			t.Fatalf("seed %d: Build: %v", seed, err)
+		}
+		if len(dep.Plans) != len(c.m.InterprocessorEdges(c.g)) {
+			t.Fatalf("seed %d: %d edge plans for %d interprocessor edges", seed, len(dep.Plans), len(c.m.InterprocessorEdges(c.g)))
+		}
 		for _, block := range []int{1, 2, 5} {
-			dep, errB := spi.Build(&spi.System{Graph: c.g, Mapping: c.m, Block: block})
 			specs, errS := spi.BuildPartitions(c.g, c.m, c.nodeOf, 2, block, false)
 			decls := make([]map[int][]transport.EdgeDecl, 2)
 			var errD error
@@ -362,25 +368,25 @@ func TestDifferentialEdgePlans(t *testing.T) {
 				}
 			}
 			if c.feedback && block > 1 {
-				for what, err := range map[string]error{"Build": errB, "BuildPartitions": errS, "PeerDecls": errD} {
+				for what, err := range map[string]error{"BuildPartitions": errS, "PeerDecls": errD} {
 					if err == nil || !strings.Contains(err.Error(), "deadlocks") {
 						t.Errorf("seed %d block %d: %s: err = %v, want a deadlock refusal", seed, block, what, err)
 					}
 				}
 				continue
 			}
-			if errB != nil || errS != nil || errD != nil {
-				t.Fatalf("seed %d block %d: Build %v, BuildPartitions %v, PeerDecls %v", seed, block, errB, errS, errD)
-			}
-			if len(dep.Plans) != len(c.m.InterprocessorEdges(c.g)) {
-				t.Fatalf("seed %d block %d: %d edge plans for %d interprocessor edges", seed, block, len(dep.Plans), len(c.m.InterprocessorEdges(c.g)))
+			if errS != nil || errD != nil {
+				t.Fatalf("seed %d block %d: BuildPartitions %v, PeerDecls %v", seed, block, errS, errD)
 			}
 			for _, plan := range dep.Plans {
 				e := c.g.Edge(plan.Edge)
 				where := fmt.Sprintf("seed %d block %d edge %s", seed, block, e.Name)
-				// The spec of each endpoint's node carries the edge.
+				// The spec of each endpoint's node carries the edge; at block 1
+				// it is Build's plan, and in a blocked run the source's spec is
+				// the reference.
 				src, snk := c.nodeOf[c.m.Proc[e.Src]], c.nodeOf[c.m.Proc[e.Snk]]
-				for _, node := range []int{src, snk} {
+				refMode, refProto, refCap, refWhat := plan.Mode, plan.Protocol, plan.Capacity, "Build"
+				for i, node := range []int{src, snk} {
 					var pe *spi.PartEdge
 					for i := range specs[node].Edges {
 						if specs[node].Edges[i].ID == uint16(plan.Edge) {
@@ -394,9 +400,13 @@ func TestDifferentialEdgePlans(t *testing.T) {
 					if pe.Block > 1 {
 						mode = spi.Dynamic
 					}
-					if mode != plan.Mode || spi.Protocol(pe.Protocol) != plan.Protocol || int(pe.Capacity) != plan.Capacity {
-						t.Errorf("%s: node %d's spec says (%v, %v, %d, block %d), Build (%v, %v, %d)", where, node,
-							mode, spi.Protocol(pe.Protocol), pe.Capacity, pe.Block, plan.Mode, plan.Protocol, plan.Capacity)
+					if i == 0 && block > 1 {
+						refMode, refProto, refCap = mode, spi.Protocol(pe.Protocol), int(pe.Capacity)
+						refWhat = fmt.Sprintf("node %d's spec", src)
+					}
+					if mode != refMode || spi.Protocol(pe.Protocol) != refProto || int(pe.Capacity) != refCap {
+						t.Errorf("%s: node %d's spec says (%v, %v, %d, block %d), %s (%v, %v, %d)", where, node,
+							mode, spi.Protocol(pe.Protocol), pe.Capacity, pe.Block, refWhat, refMode, refProto, refCap)
 					}
 				}
 				if src == snk {
@@ -412,9 +422,9 @@ func TestDifferentialEdgePlans(t *testing.T) {
 					if d == nil {
 						t.Fatalf("%s: node %d does not declare it to node %d", where, node, peer)
 					}
-					if spi.Mode(d.Mode) != plan.Mode || spi.Protocol(d.Protocol) != plan.Protocol || int(d.Capacity) != plan.Capacity || d.Out != (node == src) {
-						t.Errorf("%s: node %d declares (%v, %v, %d, out %v), Build (%v, %v, %d)", where, node,
-							spi.Mode(d.Mode), spi.Protocol(d.Protocol), d.Capacity, d.Out, plan.Mode, plan.Protocol, plan.Capacity)
+					if spi.Mode(d.Mode) != refMode || spi.Protocol(d.Protocol) != refProto || int(d.Capacity) != refCap || d.Out != (node == src) {
+						t.Errorf("%s: node %d declares (%v, %v, %d, out %v), %s (%v, %v, %d)", where, node,
+							spi.Mode(d.Mode), spi.Protocol(d.Protocol), d.Capacity, d.Out, refWhat, refMode, refProto, refCap)
 					}
 				}
 			}

@@ -99,14 +99,6 @@ type DistOptions struct {
 	// edge manifest reject mismatched peers. 0 or 1 is scalar
 	// execution, bit-identical to today's wire format.
 	Block int
-	// VectorKernels optionally maps locally-hosted actors to native
-	// block-firing kernels (see VectorKernel); others are lifted from
-	// their scalar Kernel. Ignored when Block <= 1.
-	VectorKernels map[dataflow.ActorID]VectorKernel
-	// State supplies checkpoint/restore hooks per stateful actor name to a
-	// standing deployment (OpenPartition), whose Runs return the
-	// checkpoints; a static run takes none.
-	State map[string]StateHooks
 	// Obs, when non-nil, instruments the run: per-edge SPI counters,
 	// per-link transport counters, kernel firing latencies, and trace
 	// events all land in the observer's registry and tracer. Nil (the
@@ -187,8 +179,8 @@ func placedPlan(g *dataflow.Graph, m *sched.Mapping, nodeOf []int, nodes, block 
 
 // byActorName re-keys a kernel table from actor IDs to actor names, the
 // executor core's one keying (dataflow refuses duplicate names).
-func byActorName[K any](g *dataflow.Graph, byID map[dataflow.ActorID]K) map[string]K {
-	byName := make(map[string]K, len(byID))
+func byActorName(g *dataflow.Graph, byID map[dataflow.ActorID]Kernel) map[string]Kernel {
+	byName := make(map[string]Kernel, len(byID))
 	for a, k := range byID {
 		byName[g.Actor(a).Name] = k
 	}
@@ -445,35 +437,25 @@ func ExecuteDistributed(g *dataflow.Graph, m *sched.Mapping, kernels map[dataflo
 		return nil, err
 	}
 	spec.Addrs, spec.Iterations = opts.Addrs, iterations
-	var vkernels map[string]VectorKernel
-	if spec.Block > 1 {
-		vkernels = byActorName(g, opts.VectorKernels)
-	}
-	return executeSpec(spec, byActorName(g, kernels), vkernels, opts)
+	return ExecutePartition(spec, byActorName(g, kernels), opts)
 }
 
 // ExecutePartition is the static run of a ready spec — what
 // ExecuteDistributed does once it has compiled its node's, for a caller that
 // compiled one ahead of time (a session server runs one spec per session):
 // lower it, open, fire the spec's iteration range, close. Kernels are keyed
-// by actor name. Nothing is checkpointed — no tail rings, no kernel clocks,
-// no State hooks; a run that hands its in-flight tokens on is a standing
-// deployment's (OpenPartition). What the spec fixes is taken from it, as in
-// OpenPartition; opts.VectorKernels, keyed by actor ID, are not consulted.
+// by actor name. Nothing is checkpointed — no tail rings, no kernel clocks;
+// a run that hands its in-flight tokens on is a standing deployment's
+// (OpenPartition). What the spec fixes is taken from it, as in
+// OpenPartition. It is the one static run.
 func ExecutePartition(spec *PartitionSpec, kernels map[string]Kernel, opts DistOptions) (*ExecStats, error) {
-	return executeSpec(spec, kernels, nil, opts)
-}
-
-// executeSpec is the one static run; vkernels are the run's native block
-// kernels by actor name (nil: every actor is lifted from its scalar kernel).
-func executeSpec(spec *PartitionSpec, kernels map[string]Kernel, vkernels map[string]VectorKernel, opts DistOptions) (*ExecStats, error) {
 	if spec.Iterations <= 0 {
 		return nil, fmt.Errorf("spi: partition iterations = %d", spec.Iterations)
 	}
 	if spec.BaseIter < 0 {
 		return nil, fmt.Errorf("spi: partition base iteration = %d", spec.BaseIter)
 	}
-	env, err := lowerPartition(spec, kernels, vkernels)
+	env, err := lowerPartition(spec, kernels)
 	if err != nil {
 		return nil, err
 	}

@@ -99,7 +99,6 @@ type procPlan struct {
 	proc   int
 	actors []actorSlot
 	in     map[dataflow.EdgeID][]byte
-	vecIn  map[dataflow.EdgeID][][]byte
 	// busy is the kernel time of the last run in nanoseconds (timed
 	// environments only); localTransfers counts same-processor hand-offs.
 	busy           int64
@@ -109,10 +108,8 @@ type procPlan struct {
 // actorSlot is one actor of a processor's schedule.
 type actorSlot struct {
 	name string
-	// vkernel, set only in a blocked run, fires a whole block natively;
-	// otherwise kernel fires once per iteration of the block.
+	// kernel fires once per iteration of the block.
 	kernel  Kernel
-	vkernel VectorKernel
 	in, out []*edgeSlot
 	// fired counts the firings of the current run. The actor is owned by
 	// its processor's goroutine; the progress watchdog reads concurrently.
@@ -247,7 +244,7 @@ func (env *execEnv) observe(o *obs.Observer) {
 // checkKernels verifies every hosted actor can fire.
 func (env *execEnv) checkKernels() (err error) {
 	env.eachActor(func(_ *procPlan, a *actorSlot) {
-		if err == nil && a.kernel == nil && a.vkernel == nil {
+		if err == nil && a.kernel == nil {
 			err = fmt.Errorf("spi: actor %s (node %d) has no kernel", a.name, env.node)
 		}
 	})
@@ -372,11 +369,11 @@ func (env *execEnv) fire(p *procPlan, base, n int) error {
 }
 
 // fireActor fires one actor for iterations iter..iter+n-1: gather the n
-// tokens of every input edge, invoke the kernel (a VectorKernel once, a
-// scalar Kernel n times), route every output token, and then send what the
-// block completed: at most one message per cross-processor edge. The kernel
-// span closes when the block's last invocation returns, before its outputs
-// go out: time blocked in a send is the edge's, not the kernel's.
+// tokens of every input edge, invoke the kernel n times, route every output
+// token, and then send what the block completed: at most one message per
+// cross-processor edge. The kernel span closes when the block's last
+// invocation returns, before its outputs go out: time blocked in a send is
+// the edge's, not the kernel's.
 func (env *execEnv) fireActor(p *procPlan, a *actorSlot, iter, n int) error {
 	for _, s := range a.in {
 		if err := s.gather(p, n); err != nil {
@@ -385,53 +382,25 @@ func (env *execEnv) fireActor(p *procPlan, a *actorSlot, iter, n int) error {
 	}
 	span := a.obs.tr.Now()
 	start := env.clock()
-	if a.vkernel != nil {
-		clear(p.vecIn)
+	for j := 0; j < n; j++ {
+		clear(p.in)
 		for _, s := range a.in {
-			p.vecIn[s.id] = s.toks[:n]
+			p.in[s.id] = s.toks[j]
 		}
-		out, err := a.vkernel(iter, n, p.vecIn)
+		out, err := a.kernel(iter+j, p.in)
 		if err != nil {
-			return fmt.Errorf("spi: actor %s iterations %d..%d: %w", a.name, iter, iter+n-1, err)
+			return fmt.Errorf("spi: actor %s iteration %d: %w", a.name, iter+j, err)
 		}
-		a.obs.done(span, iter)
+		if j == n-1 {
+			a.obs.done(span, iter)
+		}
+		// The Kernel contract lets a kernel recycle its output buffers
+		// between firings, so each firing's outputs are consumed before the
+		// next: a scalar run's n is 1, and its ready token is sent before
+		// the kernel runs again.
 		for _, s := range a.out {
-			toks := out[s.id] // nil means n empty payloads
-			if toks != nil && len(toks) != n {
-				return fmt.Errorf("spi: actor %s vector kernel returned %d payloads on edge %s, block needs %d",
-					a.name, len(toks), s.name, n)
-			}
-			for j := 0; j < n; j++ {
-				var tok []byte
-				if toks != nil {
-					tok = toks[j]
-				}
-				if err := s.emit(tok); err != nil {
-					return fmt.Errorf("spi: actor %s edge %s: %w", a.name, s.name, err)
-				}
-			}
-		}
-	} else {
-		for j := 0; j < n; j++ {
-			clear(p.in)
-			for _, s := range a.in {
-				p.in[s.id] = s.toks[j]
-			}
-			out, err := a.kernel(iter+j, p.in)
-			if err != nil {
-				return fmt.Errorf("spi: actor %s iteration %d: %w", a.name, iter+j, err)
-			}
-			if j == n-1 {
-				a.obs.done(span, iter)
-			}
-			// The scalar contract lets the kernel recycle its output
-			// buffers between firings, so each firing's outputs are
-			// consumed before the next: a scalar run's n is 1, and its
-			// ready token is sent before the kernel runs again.
-			for _, s := range a.out {
-				if err := s.emit(out[s.id]); err != nil {
-					return fmt.Errorf("spi: actor %s edge %s: %w", a.name, s.name, err)
-				}
+			if err := s.emit(out[s.id]); err != nil {
+				return fmt.Errorf("spi: actor %s edge %s: %w", a.name, s.name, err)
 			}
 		}
 	}
@@ -596,7 +565,6 @@ func ExecuteBlocked(g *dataflow.Graph, m *sched.Mapping, kernels map[dataflow.Ac
 	return ExecuteDistributed(g, m, kernels, iterations, DistOptions{
 		// One address is one node; with no peer it is never listened on.
 		Addrs: []string{"local"}, NodeOf: make([]int, m.NumProcs),
-		Block: vec.Block, VectorKernels: vec.Kernels,
-		StallTimeout: vec.StallTimeout, Context: vec.Context, Obs: vec.Obs,
+		Block: vec.Block, StallTimeout: vec.StallTimeout, Context: vec.Context,
 	})
 }

@@ -11,8 +11,8 @@ import (
 // is ID-stable, so every non-fissioned actor's kernel runs unchanged;
 // this file supplies the three new stages:
 //
-//   - the scatter stage (the fissioned actor's reused node) splits or
-//     broadcasts each input payload across the replicas,
+//   - the scatter stage (the fissioned actor's reused node) broadcasts
+//     each input payload to the replicas,
 //   - each replica computes its share,
 //   - the gather stage reassembles the replica chunks in order, so
 //     downstream actors see byte-identical payloads.
@@ -23,8 +23,7 @@ import (
 // directly from its inputs — real 1/k work per replica, real speedup.
 //
 // Without a worker, FissionKernels falls back to transparent replication:
-// every replica receives the full (broadcast) inputs, runs the original
-// kernel, and emits only its SplitCounts chunk of each output. That does
+// every replica runs the original kernel on the full inputs, and emits only its SplitCounts chunk of each output. That does
 // k-times the compute — no speedup — but it is semantics-preserving for
 // ANY kernel, which is what the digest smokes verify: the plumbing
 // (scatter/gather edges, placement, transports, chaos recovery) is
@@ -34,8 +33,7 @@ import (
 
 // FissionWorker computes one replica's share of a fissioned actor: it
 // receives the replica's input payloads keyed by the SOURCE graph's
-// input edge IDs (full payloads for broadcast edges, the replica's
-// token chunk for split edges) and returns the replica's chunk of each
+// input edge IDs (every input is broadcast: full payloads) and returns the replica's chunk of each
 // output keyed by the SOURCE graph's output edge IDs. Concatenating the
 // replica chunks in order must reproduce the unfissioned actor's output.
 type FissionWorker func(iter, replica int, in map[dataflow.EdgeID][]byte) (map[dataflow.EdgeID][]byte, error)
@@ -44,21 +42,12 @@ type FissionWorker func(iter, replica int, in map[dataflow.EdgeID][]byte) (map[d
 // set of plan.Source: non-fissioned kernels are reused as-is (the
 // rewrite preserves their actor and edge IDs), and the scatter, replica,
 // and gather stages are synthesized. worker selects the replica mode;
-// nil means transparent replication, which requires every input edge to
-// be broadcast (the original kernel needs its full inputs).
+// nil means transparent replication.
 func FissionKernels(plan *dataflow.FissionPlan, kernels map[dataflow.ActorID]Kernel, worker FissionWorker) (map[dataflow.ActorID]Kernel, error) {
 	src := plan.Source
 	orig := kernels[plan.Actor]
-	if worker == nil {
-		if orig == nil {
-			return nil, fmt.Errorf("spi: fission of %q in transparent mode needs the actor's kernel", src.Actor(plan.Actor).Name)
-		}
-		for eid, isSplit := range plan.SplitIn {
-			if isSplit {
-				return nil, fmt.Errorf("spi: fission of %q in transparent mode cannot split input edge %q (the original kernel needs full inputs)",
-					src.Actor(plan.Actor).Name, src.Edge(eid).Name)
-			}
-		}
+	if worker == nil && orig == nil {
+		return nil, fmt.Errorf("spi: fission of %q in transparent mode needs the actor's kernel", src.Actor(plan.Actor).Name)
 	}
 
 	out := make(map[dataflow.ActorID]Kernel, len(kernels)+plan.K+1)
@@ -73,22 +62,14 @@ func FissionKernels(plan *dataflow.FissionPlan, kernels map[dataflow.ActorID]Ker
 	ins := append([]dataflow.EdgeID(nil), src.In(plan.Actor)...)
 	outs := append([]dataflow.EdgeID(nil), src.Out(plan.Actor)...)
 
-	// Scatter: split or broadcast each input payload. Returning input
-	// aliases is allowed by the Kernel contract (sends complete before
-	// the executor reuses the buffers).
+	// Scatter: broadcast each input payload. Returning input aliases is
+	// allowed by the Kernel contract (sends complete before the executor
+	// reuses the buffers).
 	out[plan.Scatter] = func(iter int, in map[dataflow.EdgeID][]byte) (map[dataflow.EdgeID][]byte, error) {
 		o := make(map[dataflow.EdgeID][]byte, len(ins)*k)
 		for _, eid := range ins {
-			ids := plan.ScatterEdges[eid]
-			if plan.SplitIn[eid] {
-				chunks := SplitPayload(in[eid], src.Edge(eid).TokenBytes, k)
-				for i := 0; i < k; i++ {
-					o[ids[i]] = chunks[i]
-				}
-			} else {
-				for i := 0; i < k; i++ {
-					o[ids[i]] = in[eid]
-				}
+			for _, id := range plan.ScatterEdges[eid] {
+				o[id] = in[eid]
 			}
 		}
 		return o, nil

@@ -147,7 +147,7 @@ func TestFissionExecuteTransparent(t *testing.T) {
 		t.Run(fmt.Sprintf("k%d", k), func(t *testing.T) {
 			plan, fm := fissionPartPlan(t, k)
 			sinks := &partTestSinks{d: map[string]uint64{}}
-			byID, _, _ := partTestKernels(plan.Source, 7, sinks)
+			byID, _ := partTestKernels(plan.Source, 7, sinks)
 			fk, err := FissionKernels(plan, byID, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -162,23 +162,6 @@ func TestFissionExecuteTransparent(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestFissionKernelsRejectsSplitTransparent: transparent replication needs
-// full inputs, so a plan that splits an input edge must be refused.
-func TestFissionKernelsRejectsSplitTransparent(t *testing.T) {
-	g, _ := partGraph()
-	c, _ := g.ActorByName("C")
-	bc := g.In(c)[0]
-	plan, err := dataflow.Fission(g, c, dataflow.FissionOptions{K: 2, Split: []dataflow.EdgeID{bc}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sinks := &partTestSinks{d: map[string]uint64{}}
-	byID, _, _ := partTestKernels(g, 7, sinks)
-	if _, err := FissionKernels(plan, byID, nil); err == nil {
-		t.Error("FissionKernels accepted a split input edge in transparent mode")
 	}
 }
 
@@ -223,7 +206,7 @@ func TestFissionExecuteDistributed(t *testing.T) {
 		wg.Add(1)
 		go func(node int) {
 			defer wg.Done()
-			byID, _, _ := partTestKernels(plan.Source, 7, sinks)
+			byID, _ := partTestKernels(plan.Source, 7, sinks)
 			fk, err := FissionKernels(plan, byID, nil)
 			if err != nil {
 				errs[node] = err
@@ -258,8 +241,7 @@ func TestFissionExecuteDistributed(t *testing.T) {
 
 // TestFissionPartitionExecution stamps the fissioned graph through
 // BuildPartitions/OpenPartition — the migration substrate — with the
-// replicas spread over three workers and the stateful actor's hooks
-// threaded through, and checks bit-identity with the unfissioned run.
+// replicas spread over three workers, and checks bit-identity with the unfissioned run.
 func TestFissionPartitionExecution(t *testing.T) {
 	const iterations = 10
 	const k = 3
@@ -290,7 +272,7 @@ func TestFissionPartitionExecution(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		spec := specs[w]
 		spec.BaseIter, spec.Iterations, spec.Addrs = 0, iterations, addrs
-		byID, _, hooks := partTestKernels(plan.Source, 7, sinks)
+		byID, _ := partTestKernels(plan.Source, 7, sinks)
 		fk, err := FissionKernels(plan, byID, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -303,10 +285,6 @@ func TestFissionPartitionExecution(t *testing.T) {
 			Transport: tr, Listener: lns[w],
 			Retry: transport.RetryConfig{Attempts: 20, BaseDelay: time.Millisecond,
 				MaxDelay: 5 * time.Millisecond},
-			State: map[string]StateHooks{},
-		}
-		if w == 1 { // B's worker
-			opts.State["B"] = hooks["B"]
 		}
 		wg.Add(1)
 		go func(w int, spec *PartitionSpec, byName map[string]Kernel, opts DistOptions) {

@@ -65,7 +65,7 @@ func (pl *graphPlan) resyncSuppression(m *sched.Mapping) (*ResyncPlan, error) {
 	}
 	sg := syncgraph.SynchronizationGraph(ipc)
 	added := syncgraph.AddAllFeedback(sg, 1)
-	rep := syncgraph.Resynchronize(sg, syncgraph.ResyncOptions{})
+	rep := syncgraph.Resynchronize(sg)
 
 	surviving := 0
 	for _, e := range sg.EdgesOfKind(syncgraph.SyncEdge) {

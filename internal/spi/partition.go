@@ -114,34 +114,20 @@ type PartitionSpec struct {
 	// (Out or SameProc), the in-flight payloads at BaseIter — the zero
 	// blocks of a fresh run, or the previous epoch's tails.
 	Preload map[uint16][][]byte
-	// State holds per-actor checkpoint blobs for stateful kernels,
-	// keyed by actor name (see StateHooks).
-	State map[string][]byte
 }
 
-// PartResult reports one epoch of partition execution: Tails and State
-// are the checkpoint at its end, Firings and ProcNS cover the epoch alone.
+// PartResult reports one epoch of partition execution: Tails are the
+// checkpoint at its end, Firings and ProcNS cover the epoch alone.
 type PartResult struct {
 	// Tails holds, per delayed edge produced here, the in-flight
 	// payloads at the epoch end — the next epoch's Preload.
 	Tails map[uint16][][]byte
-	// State holds the per-actor checkpoint blobs at the epoch end.
-	State map[string][]byte
 	// Firings counts completed firings per actor.
 	Firings map[string]int
 	// ProcNS is the kernel-execution time per hosted processor in
 	// nanoseconds, parallel to the spec's Procs — the load signal the
 	// coordinator's placement consumes.
 	ProcNS []int64
-}
-
-// StateHooks checkpoint and restore one stateful actor. The executor
-// calls Restore with the spec's blob (nil for a fresh run) before the
-// first firing and Checkpoint after the last; stateless actors simply
-// have no hooks.
-type StateHooks struct {
-	Checkpoint func() []byte
-	Restore    func(state []byte) error
 }
 
 // crossesWorkers reports whether an edge has exactly one endpoint on this
@@ -188,12 +174,12 @@ func (e *PartEdge) delayTokens() [][]byte {
 
 // lowerPartition validates a spec and compiles it into the execEnv its node
 // runs — the only code that builds one. Everything the firing loop touches
-// per token is resolved here: an actor gets its kernel (vkernels are
-// consulted in a blocked run only) and pointers to its edge slots, a slot
+// per token is resolved here: an actor gets its kernel and pointers to its
+// edge slots, a slot
 // its SPI configuration, its bounds and its delay messages. The spec is
 // only read. Its BaseIter and Iterations are not consulted: whoever runs the
 // environment names the range.
-func lowerPartition(spec *PartitionSpec, kernels map[string]Kernel, vkernels map[string]VectorKernel) (*execEnv, error) {
+func lowerPartition(spec *PartitionSpec, kernels map[string]Kernel) (*execEnv, error) {
 	if len(spec.Procs) == 0 {
 		return nil, errors.New("spi: partition hosts no processors")
 	}
@@ -260,15 +246,9 @@ func lowerPartition(spec *PartitionSpec, kernels map[string]Kernel, vkernels map
 		pp := &env.procs[pi]
 		*pp = procPlan{proc: sp.Proc, actors: make([]actorSlot, len(sp.Actors)),
 			in: map[dataflow.EdgeID][]byte{}}
-		if env.block > 1 {
-			pp.vecIn = map[dataflow.EdgeID][][]byte{}
-		}
 		for ai := range sp.Actors {
 			a, as := &sp.Actors[ai], &pp.actors[ai]
 			as.name, as.kernel = a.Name, kernels[a.Name]
-			if env.block > 1 {
-				as.vkernel = vkernels[a.Name]
-			}
 			as.in, as.out = pick(a.Name, a.In), pick(a.Name, a.Out)
 		}
 	}
@@ -303,7 +283,7 @@ func (s *edgeSlot) preloadDelay(tokens [][]byte) error {
 
 // PartitionRun is one worker's standing deployment of a partition: the
 // runtime edges (with their delay tokens in flight), the data links to
-// peer workers, the kernels and the actor state, all set up once by
+// peer workers and the kernels, all set up once by
 // OpenPartition and reused by every Run until Close.
 type PartitionRun struct {
 	env       *execEnv
@@ -323,12 +303,12 @@ type PartitionRun struct {
 // opts.Links, and every delayed edge produced here is preloaded from the
 // spec. What the spec fixes — Node, Addrs, the blocking factor, the
 // suppression set — is taken from it, not from opts; of opts, the link
-// tuning, Context, Obs and State are used. The spec's BaseIter and
+// tuning, Context and Obs are used. The spec's BaseIter and
 // Iterations are not consulted: each Run names its own range. Cancelling
 // opts.Context at any point aborts the deployment — blocked actors are
 // released and the links torn down — and the caller still owes a Close.
 func OpenPartition(spec *PartitionSpec, kernels map[string]Kernel, opts DistOptions) (*PartitionRun, error) {
-	env, err := lowerPartition(spec, kernels, nil)
+	env, err := lowerPartition(spec, kernels)
 	if err != nil {
 		return nil, err
 	}
@@ -350,15 +330,6 @@ func OpenPartition(spec *PartitionSpec, kernels map[string]Kernel, opts DistOpti
 			for _, tok := range spec.Preload[e.ID] {
 				s.tail.push(tok)
 			}
-		}
-	}
-	// Restore checkpointed actor state before any firing.
-	for name, hooks := range opts.State {
-		if hooks.Restore == nil {
-			continue
-		}
-		if err := hooks.Restore(spec.State[name]); err != nil {
-			return nil, fmt.Errorf("spi: restore state of actor %s: %w", name, err)
 		}
 	}
 	if err := env.open(spec, opts); err != nil {
@@ -400,7 +371,6 @@ func (pr *PartitionRun) Run(baseIter, n int) (*PartResult, error) {
 
 	res := &PartResult{
 		Tails:   map[uint16][][]byte{},
-		State:   map[string][]byte{},
 		Firings: map[string]int{},
 		ProcNS:  make([]int64, len(env.procs)),
 	}
@@ -416,11 +386,6 @@ func (pr *PartitionRun) Run(baseIter, n int) (*PartResult, error) {
 			res.Tails[e.ID] = clonePayloads(s.tail.q)
 		case e.SameProc && e.Delay > 0:
 			res.Tails[e.ID] = clonePayloads(s.queue)
-		}
-	}
-	for name, hooks := range pr.opts.State {
-		if hooks.Checkpoint != nil {
-			res.State[name] = hooks.Checkpoint()
 		}
 	}
 	return res, nil
@@ -450,7 +415,7 @@ func clonePayloads(in [][]byte) [][]byte {
 // factor (0 or 1 is scalar); with resync the §4 verdict is computed and
 // stamped on the edges as SuppressAck. The returned specs are those of a
 // fresh run; the caller fills the per-epoch fields (BaseIter, Iterations,
-// Addrs, and from a checkpoint Preload and State). The placement names a
+// Addrs, and from a checkpoint Preload). The placement names a
 // worker for every processor, and every worker must host at least one.
 func BuildPartitions(g *dataflow.Graph, m *sched.Mapping, workerOf []int, workers, block int, resync bool) ([]*PartitionSpec, error) {
 	plan, err := placedPlan(g, m, workerOf, workers, block, false, resync)
@@ -463,7 +428,7 @@ func BuildPartitions(g *dataflow.Graph, m *sched.Mapping, workerOf []int, worker
 		if len(spec.Procs) == 0 {
 			return nil, fmt.Errorf("spi: worker %d hosts no processors", w)
 		}
-		spec.State, specs[w] = map[string][]byte{}, spec
+		specs[w] = spec
 	}
 	return specs, nil
 }

@@ -2,7 +2,6 @@ package spi
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"strings"
@@ -17,7 +16,7 @@ import (
 
 // Bit-identity tests for partition-scoped execution: any placement of the
 // mapped processors over any number of workers, with any epoching and any
-// mid-run re-placement (simulated migration via Tails/State handoff), must
+// mid-run re-placement (simulated migration via Tails handoff), must
 // produce exactly the sink digests of the monolithic Execute run.
 
 // partGraph builds a 4-actor, 3-processor graph exercising every edge
@@ -64,14 +63,10 @@ func (s *partTestSinks) snapshot() map[string]uint64 {
 
 // partTestKernels builds deterministic demo-style kernels for partGraph,
 // keyed both by actor ID (for Execute) and name (for a spec's runs).
-// Actor B is stateful: it folds a running sum of its firing hashes into
-// its outputs, so epoch handoff silently corrupting checkpointed state
-// breaks bit-identity. The returned hooks checkpoint/restore B's state.
 func partTestKernels(g *dataflow.Graph, seed uint64, sinks *partTestSinks) (
-	map[dataflow.ActorID]Kernel, map[string]Kernel, map[string]StateHooks) {
+	map[dataflow.ActorID]Kernel, map[string]Kernel) {
 	byID := map[dataflow.ActorID]Kernel{}
 	byName := map[string]Kernel{}
-	hooks := map[string]StateHooks{}
 	for _, aid := range g.Actors() {
 		aid := aid
 		name := g.Actor(aid).Name
@@ -82,7 +77,6 @@ func partTestKernels(g *dataflow.Graph, seed uint64, sinks *partTestSinks) (
 			}
 		}
 		outs := g.Out(aid)
-		var acc uint64 // actor B's running state
 		k := func(iter int, in map[dataflow.EdgeID][]byte) (map[dataflow.EdgeID][]byte, error) {
 			h := fnv.New64a()
 			fmt.Fprintf(h, "%s|%s|%d|%d", g.Name(), name, iter, seed)
@@ -91,10 +85,6 @@ func partTestKernels(g *dataflow.Graph, seed uint64, sinks *partTestSinks) (
 				h.Write(in[id])
 			}
 			state := h.Sum64()
-			if name == "B" {
-				acc += state
-				state ^= acc
-			}
 			if len(outs) == 0 {
 				sinks.mu.Lock()
 				sinks.d[name] ^= state * uint64(iter*2654435761+1)
@@ -122,26 +112,8 @@ func partTestKernels(g *dataflow.Graph, seed uint64, sinks *partTestSinks) (
 		}
 		byID[aid] = k
 		byName[name] = k
-		if name == "B" {
-			hooks[name] = StateHooks{
-				Checkpoint: func() []byte {
-					return binary.LittleEndian.AppendUint64(nil, acc)
-				},
-				Restore: func(state []byte) error {
-					if state == nil {
-						acc = 0
-						return nil
-					}
-					if len(state) != 8 {
-						return fmt.Errorf("state blob is %d bytes", len(state))
-					}
-					acc = binary.LittleEndian.Uint64(state)
-					return nil
-				},
-			}
-		}
 	}
-	return byID, byName, hooks
+	return byID, byName
 }
 
 // partReference runs the monolithic executor and returns the sink digests
@@ -150,7 +122,7 @@ func partReference(t *testing.T, iterations int) (map[string]uint64, map[string]
 	t.Helper()
 	g, m := partGraph()
 	sinks := &partTestSinks{d: map[string]uint64{}}
-	byID, _, _ := partTestKernels(g, 7, sinks)
+	byID, _ := partTestKernels(g, 7, sinks)
 	st, err := Execute(g, m, byID, iterations)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +144,7 @@ func coldEpoch(spec *PartitionSpec, kernels map[string]Kernel, opts DistOptions)
 }
 
 // runPartitionedEpochs drives the full coordinator loop in miniature:
-// partition per the epoch's placement, thread Tails and State blobs across
+// partition per the epoch's placement, thread Tails across
 // epoch boundaries (exactly what a live migration ships), run every worker
 // over a fresh per-epoch loopback, and accumulate sink digests. placement
 // maps an epoch index to (workerOf, workers).
@@ -182,7 +154,6 @@ func runPartitionedEpochs(t *testing.T, iterations, epochLen int,
 	g, m := partGraph()
 	sinks := &partTestSinks{d: map[string]uint64{}}
 	tails := map[uint16][][]byte{} // a fresh spec carries iteration 0's own
-	state := map[string][]byte{}
 	firings := map[string]int{}
 	for base, epoch := 0, 0; base < iterations; epoch++ {
 		n := epochLen
@@ -213,29 +184,16 @@ func runPartitionedEpochs(t *testing.T, iterations, epochLen int,
 		for w := 0; w < workers; w++ {
 			spec := specs[w]
 			spec.BaseIter, spec.Iterations, spec.Addrs = base, n, addrs
-			hosted := map[string]bool{}
-			for pi := range spec.Procs {
-				for _, a := range spec.Procs[pi].Actors {
-					hosted[a.Name] = true
-				}
-			}
 			for id := range spec.Preload {
 				if tl, ok := tails[id]; ok {
 					spec.Preload[id] = tl
 				}
 			}
-			_, byName, hooks := partTestKernels(g, 7, sinks)
+			_, byName := partTestKernels(g, 7, sinks)
 			opts := DistOptions{
 				Transport: tr, Listener: lns[w],
 				Retry: transport.RetryConfig{Attempts: 20, BaseDelay: time.Millisecond,
 					MaxDelay: 5 * time.Millisecond},
-				State: map[string]StateHooks{},
-			}
-			for name, h := range hooks {
-				if hosted[name] {
-					spec.State[name] = state[name]
-					opts.State[name] = h
-				}
 			}
 			wg.Add(1)
 			go func(w int) {
@@ -252,9 +210,6 @@ func runPartitionedEpochs(t *testing.T, iterations, epochLen int,
 		for _, res := range results {
 			for id, tl := range res.Tails {
 				tails[id] = tl
-			}
-			for name, blob := range res.State {
-				state[name] = blob
 			}
 			for name, nf := range res.Firings {
 				firings[name] += nf
@@ -305,8 +260,8 @@ func TestExecutePartitionColocated(t *testing.T) {
 }
 
 // TestExecutePartitionMigration re-places processors at every epoch
-// boundary — including shrinking from three workers to two and moving the
-// stateful actor's processor — with Tails and State threaded across, the
+// boundary — including shrinking from three workers to two and moving B's
+// processor — with Tails threaded across, the
 // exact data a live migration ships. Digests must not move by a bit.
 func TestExecutePartitionMigration(t *testing.T) {
 	const iterations = 13
@@ -373,16 +328,12 @@ func TestExecutePartitionResume(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		spec := specs[w]
 		spec.BaseIter, spec.Iterations, spec.Addrs = 0, iterations, addrs
-		_, byName, hooks := partTestKernels(g, 7, sinks)
+		_, byName := partTestKernels(g, 7, sinks)
 		opts := DistOptions{
 			Transport: ft, Listener: lns[w],
 			Retry: transport.RetryConfig{Attempts: 20, BaseDelay: time.Millisecond,
 				MaxDelay: 5 * time.Millisecond},
 			Reconnect: chaosReconnect(20 * time.Second),
-			State:     map[string]StateHooks{},
-		}
-		if w == workerOf[1] {
-			opts.State["B"] = hooks["B"]
 		}
 		wg.Add(1)
 		go func(w int) {
@@ -441,7 +392,7 @@ func TestExecutePartitionAbort(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		spec := specs[w]
 		spec.BaseIter, spec.Iterations, spec.Addrs = 0, 1<<20, addrs
-		_, byName, _ := partTestKernels(g, 7, sinks)
+		_, byName := partTestKernels(g, 7, sinks)
 		// Gate actor A so the epoch is guaranteed in-flight when cancelled.
 		inner := byName["A"]
 		byName["A"] = func(iter int, in map[dataflow.EdgeID][]byte) (map[dataflow.EdgeID][]byte, error) {
@@ -486,7 +437,7 @@ func TestExecutePartitionAbort(t *testing.T) {
 func TestPartitionSpecValidation(t *testing.T) {
 	g, m := partGraph()
 	sinks := &partTestSinks{d: map[string]uint64{}}
-	byID, byName, _ := partTestKernels(g, 7, sinks)
+	byID, byName := partTestKernels(g, 7, sinks)
 	static := func(opts DistOptions) func() error {
 		return func() error { _, err := ExecuteDistributed(g, m, byID, 1, opts); return err }
 	}
@@ -576,7 +527,7 @@ func TestOpenPartitionNamesNoRange(t *testing.T) {
 	}
 	spec := specs[0] // BaseIter and Iterations stay zero
 	sinks := &partTestSinks{d: map[string]uint64{}}
-	_, byName, _ := partTestKernels(g, 7, sinks)
+	_, byName := partTestKernels(g, 7, sinks)
 	pr, err := OpenPartition(spec, byName, DistOptions{})
 	if err != nil {
 		t.Fatalf("open from a spec without a range: %v", err)
@@ -633,7 +584,7 @@ func TestSharedSpecConcurrentLowering(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			sinks := &partTestSinks{d: map[string]uint64{}}
-			_, byName, _ := partTestKernels(g, 7, sinks)
+			_, byName := partTestKernels(g, 7, sinks)
 			_, errs[i] = ExecutePartition(spec, byName, DistOptions{})
 			got[i] = sinks.snapshot()
 		}(i)

@@ -276,11 +276,9 @@ func TestPartitionContextReleasesBlockedLinkWriter(t *testing.T) {
 }
 
 // epochCheckpoint is what a coordinator holds after one epoch: every
-// delayed edge's tail and every stateful actor's blob, plus the firings
-// the epoch added.
+// delayed edge's tail, plus the firings the epoch added.
 type epochCheckpoint struct {
 	Tails   map[uint16][][]byte
-	State   map[string][]byte
 	Firings map[string]int
 }
 
@@ -295,7 +293,6 @@ func runPartEpochs(t *testing.T, iterations, epochLen, block int, workerOf []int
 	g, m := partGraph()
 	sinks := &partTestSinks{d: map[string]uint64{}}
 	tails := map[uint16][][]byte{} // a fresh spec carries iteration 0's own
-	state := map[string][]byte{}
 	workers := slices.Max(workerOf) + 1
 	retry := transport.RetryConfig{Attempts: 20, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}
 
@@ -317,7 +314,7 @@ func runPartEpochs(t *testing.T, iterations, epochLen, block int, workerOf []int
 			}
 			t.Cleanup(func() { ln.Close() })
 			addrs[w] = ln.Addr()
-			opts[w] = DistOptions{Transport: tr, Listener: ln, Retry: retry, State: map[string]StateHooks{}}
+			opts[w] = DistOptions{Transport: tr, Listener: ln, Retry: retry}
 		}
 		for w, spec := range specs {
 			spec.BaseIter, spec.Iterations, spec.Addrs = base, n, addrs
@@ -326,16 +323,8 @@ func runPartEpochs(t *testing.T, iterations, epochLen, block int, workerOf []int
 					spec.Preload[id] = tl
 				}
 			}
-			_, byName, hooks := partTestKernels(g, 7, sinks)
+			_, byName := partTestKernels(g, 7, sinks)
 			kernels[w] = byName
-			for pi := range spec.Procs {
-				for _, a := range spec.Procs[pi].Actors {
-					if h, ok := hooks[a.Name]; ok {
-						spec.State[a.Name] = state[a.Name]
-						opts[w].State[a.Name] = h
-					}
-				}
-			}
 		}
 		return specs, kernels, opts
 	}
@@ -380,13 +369,10 @@ func runPartEpochs(t *testing.T, iterations, epochLen, block int, workerOf []int
 				t.Fatalf("iteration %d worker %d: %v", base, w, err)
 			}
 		}
-		cp := epochCheckpoint{Tails: map[uint16][][]byte{}, State: map[string][]byte{}, Firings: map[string]int{}}
+		cp := epochCheckpoint{Tails: map[uint16][][]byte{}, Firings: map[string]int{}}
 		for _, res := range results {
 			for id, tl := range res.Tails {
 				tails[id] = tl
-			}
-			for name, blob := range res.State {
-				state[name] = blob
 			}
 			for name, nf := range res.Firings {
 				cp.Firings[name] = nf
@@ -399,9 +385,6 @@ func runPartEpochs(t *testing.T, iterations, epochLen, block int, workerOf []int
 					cp.Tails[id][j] = []byte{}
 				}
 			}
-		}
-		for name, blob := range state {
-			cp.State[name] = append([]byte(nil), blob...)
 		}
 		out = append(out, cp)
 	}
@@ -430,8 +413,8 @@ func sameCheckpoints(t *testing.T, what string, got, want []epochCheckpoint) {
 // TestStandingPartitionMigrationCheckpoints: a standing deployment must
 // hand the coordinator, after every epoch, exactly the checkpoint a cold
 // deployment of that epoch would have — that is what lets a migration or
-// a recovery restart cold from any commit. partGraph has a stateful actor
-// with StateHooks, a same-processor delayed edge and cross-worker edges
+// a recovery restart cold from any commit. partGraph has a same-processor
+// delayed edge and cross-worker edges
 // with delays of two and one; epochs of one iteration are shorter than
 // them. At B = 4 both delays are carried, and the checkpoint at a block
 // boundary is the scalar run's; the last epoch ends inside a block.

@@ -5,9 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"time"
-
-	"repro/internal/dataflow"
-	"repro/internal/obs"
 )
 
 // Vectorized (blocked) execution. A blocking factor B groups B consecutive
@@ -147,17 +144,6 @@ func UnpackSlab(slab []byte, min, tokenBytes int, dynamic bool, views [][]byte) 
 	return views, nil
 }
 
-// VectorKernel fires an actor n times in one call: iter is the first
-// iteration of the block and in holds, per input edge, the n payloads for
-// iterations iter..iter+n-1 (views into runtime buffers, valid only for the
-// duration of the call). It returns, per output edge, the n payloads in
-// firing order. Returned payloads must be distinct live slices — the
-// runtime packs them after the call returns — but may alias the inputs.
-// Omitted output edges send n empty payloads. A VectorKernel must produce
-// exactly the bytes its scalar counterpart would across the same n firings:
-// blocked and scalar runs of a graph are required to be bit-identical.
-type VectorKernel func(iter, n int, in map[dataflow.EdgeID][][]byte) (map[dataflow.EdgeID][][]byte, error)
-
 // VecOptions configures blocked execution for Execute / ExecuteDistributed.
 // The zero value is scalar execution.
 type VecOptions struct {
@@ -165,11 +151,6 @@ type VecOptions struct {
 	// iterations fired per super-iteration. 0 or 1 selects scalar
 	// execution, preserving today's behavior exactly.
 	Block int
-	// Kernels optionally maps actors to VectorKernel implementations that
-	// fire a whole block natively; actors not present fall back to their
-	// scalar Kernel, lifted one firing at a time (bit-identical, but
-	// without the amortized-call benefit).
-	Kernels map[dataflow.ActorID]VectorKernel
 	// StallTimeout arms the progress watchdog: a run with no actor
 	// firings and no edge message/credit movement for this long is
 	// aborted with a *StallError naming the stalled actors instead of
@@ -178,7 +159,4 @@ type VecOptions struct {
 	// Context, when non-nil, bounds the run: cancellation releases every
 	// blocked actor and the execution returns the context error.
 	Context context.Context
-	// Obs, when non-nil, instruments the run as DistOptions.Obs does,
-	// including the watchdog's diagnostic dump on a stall.
-	Obs *obs.Observer
 }

@@ -233,40 +233,6 @@ func TestExecuteBlockedMappingDeadlock(t *testing.T) {
 	}
 }
 
-// TestExecuteBlockedVectorKernel swaps B's scalar kernel for a native
-// VectorKernel and demands the same bytes as the scalar run.
-func TestExecuteBlockedVectorKernel(t *testing.T) {
-	const iterations = 19
-	ref := runReference(t, iterations)
-	g, m := distGraph()
-	var sink [][]byte
-	var mu sync.Mutex
-	kernels := distKernels(&sink, &mu)
-	scalarB := kernels[1]
-	delete(kernels, 1) // B runs only through its vector kernel
-	vk := func(iter, n int, in map[dataflow.EdgeID][][]byte) (map[dataflow.EdgeID][][]byte, error) {
-		out := make([][]byte, n)
-		for j := 0; j < n; j++ {
-			produced, err := scalarB(iter+j, map[dataflow.EdgeID][]byte{0: in[0][j]})
-			if err != nil {
-				return nil, err
-			}
-			out[j] = produced[1]
-		}
-		return map[dataflow.EdgeID][][]byte{1: out}, nil
-	}
-	_, err := ExecuteBlocked(g, m, kernels, iterations, VecOptions{
-		Block:   4,
-		Kernels: map[dataflow.ActorID]VectorKernel{1: vk},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !samePayloads(ref, sink) {
-		t.Error("vector-kernel run differs from the scalar reference")
-	}
-}
-
 // TestExecuteBlockedLocalEdges: same-processor edges stay token-granular in
 // a blocked run, popped and pushed a block at a time.
 func TestExecuteBlockedLocalEdges(t *testing.T) {

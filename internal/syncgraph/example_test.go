@@ -37,7 +37,7 @@ func ExampleResynchronize() {
 	g.AddEdge(a, b, 1, syncgraph.SyncEdge, "stale-ack") // implied by the data edge
 	g.AddEdge(b, a, 2, syncgraph.SyncEdge, "credit")
 
-	rep := syncgraph.Resynchronize(g, syncgraph.ResyncOptions{})
+	rep := syncgraph.Resynchronize(g)
 	fmt.Println(rep)
 	// Output:
 	// resync: 3 -> 2 sync edges (removed 1 redundant, added 0, pruned 0); period 15.0 -> 15.0

@@ -4,23 +4,6 @@ import (
 	"fmt"
 )
 
-// ResyncOptions tunes the resynchronization heuristic.
-type ResyncOptions struct {
-	// MaxRounds bounds the number of greedy insertion rounds. Zero means
-	// a generous default.
-	MaxRounds int
-	// AllowPeriodIncrease permits accepting a new edge even if it raises
-	// the maximum cycle mean (throughput loss). The paper's
-	// resynchronization targets latency-insensitive reduction, so the
-	// default (false) rejects candidates that slow the steady state.
-	AllowPeriodIncrease bool
-	// Latency-constrained resynchronization: when MaxLatency > 0,
-	// candidates that push Latency(LatencySrc, LatencySnk) beyond the
-	// bound are rejected.
-	LatencySrc, LatencySnk VertexID
-	MaxLatency             int64
-}
-
 // ResyncReport summarizes a resynchronization run.
 type ResyncReport struct {
 	// SyncBefore / SyncAfter count run-time synchronization edges
@@ -55,17 +38,16 @@ func (r *ResyncReport) String() string {
 //     added, and thus the net synchronization cost is reduced" (paper §4.1).
 //
 // Candidates that would create a zero-delay cycle (deadlock) or degrade the
-// steady-state period (unless AllowPeriodIncrease) are rejected.
-func Resynchronize(g *Graph, opt ResyncOptions) *ResyncReport {
+// steady-state period are rejected: the paper's resynchronization targets
+// latency-insensitive reduction, not throughput loss. Rounds stop when no
+// candidate gains, after at most |V|²+1 of them.
+func Resynchronize(g *Graph) *ResyncReport {
 	rep := &ResyncReport{SyncBefore: g.SyncCount()}
 	rep.PeriodBefore, _ = g.MaxCycleMean()
 
 	rep.RemovedFirst = g.RemoveRedundant()
 
-	maxRounds := opt.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = len(g.verts)*len(g.verts) + 1
-	}
+	maxRounds := len(g.verts)*len(g.verts) + 1
 	for round := 0; round < maxRounds; round++ {
 		bestGain := 0
 		bestU, bestV := VertexID(-1), VertexID(-1)
@@ -91,16 +73,8 @@ func Resynchronize(g *Graph, opt ResyncOptions) *ResyncReport {
 				if gain <= bestGain {
 					continue
 				}
-				if !opt.AllowPeriodIncrease {
-					p, live := trial.MaxCycleMean()
-					if !live || p > basePeriod+1e-6 {
-						continue
-					}
-				}
-				if opt.MaxLatency > 0 {
-					if l, ok := trial.Latency(opt.LatencySrc, opt.LatencySnk); ok && l > opt.MaxLatency {
-						continue
-					}
+				if p, live := trial.MaxCycleMean(); !live || p > basePeriod+1e-6 {
+					continue
 				}
 				bestGain = gain
 				bestU, bestV = VertexID(u), VertexID(v)

@@ -116,7 +116,7 @@ func fig3Graph(nPE int) *Graph {
 func TestResynchronizeFig3RemovesRedundantAcks(t *testing.T) {
 	g := fig3Graph(3)
 	before := g.SyncCount()
-	rep := Resynchronize(g, ResyncOptions{})
+	rep := Resynchronize(g)
 	if rep.SyncBefore != before {
 		t.Errorf("SyncBefore = %d, want %d", rep.SyncBefore, before)
 	}
@@ -146,7 +146,7 @@ func TestResynchronizePreservesPeriod(t *testing.T) {
 	if !ok {
 		t.Fatal("fig3 graph should be live")
 	}
-	rep := Resynchronize(g, ResyncOptions{})
+	rep := Resynchronize(g)
 	after, ok := g.MaxCycleMean()
 	if !ok {
 		t.Fatal("resynchronized graph deadlocked")
@@ -162,7 +162,7 @@ func TestResynchronizeNoOpOnOptimalGraph(t *testing.T) {
 	a := g.AddVertex("A", 0, 1)
 	b := g.AddVertex("B", 1, 1)
 	g.AddEdge(a, b, 0, IPCEdge, "data")
-	rep := Resynchronize(g, ResyncOptions{})
+	rep := Resynchronize(g)
 	if rep.SyncBefore != 1 || rep.SyncAfter != 1 || len(rep.Added) != 0 {
 		t.Errorf("unexpected changes on optimal graph: %s", rep)
 	}

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bytes"
-	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -120,54 +119,6 @@ func TestChaosStallSpec(t *testing.T) {
 	}
 	if cfg.StallAt != 5 || cfg.MaxFaults != 1 {
 		t.Fatalf("parsed %+v, want StallAt=5 MaxFaults=1", cfg)
-	}
-}
-
-// TestJitterDeterministic: the same jitter seed yields the same delay
-// schedule, different seeds diverge, and every jittered delay stays
-// within [d*(1-j), d*(1+j)].
-func TestJitterDeterministic(t *testing.T) {
-	const base = 100 * time.Millisecond
-	const j = 0.5
-	seq := func(seed int64) []time.Duration {
-		rng := jitterRNG(j, seed)
-		out := make([]time.Duration, 16)
-		for i := range out {
-			out[i] = jitterDelay(base, j, rng)
-		}
-		return out
-	}
-	a, b := seq(42), seq(42)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("seed 42 diverged at draw %d: %v vs %v", i, a[i], b[i])
-		}
-		lo := time.Duration(float64(base) * (1 - j))
-		hi := time.Duration(float64(base) * (1 + j))
-		if a[i] < lo || a[i] > hi {
-			t.Fatalf("draw %d = %v outside [%v, %v]", i, a[i], lo, hi)
-		}
-	}
-	c := seq(43)
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("seeds 42 and 43 produced identical schedules")
-	}
-	// No jitter: the delay passes through untouched and needs no RNG.
-	if rng := jitterRNG(0, 9); rng != nil {
-		t.Fatal("jitterRNG(0, _) should be nil")
-	}
-	if d := jitterDelay(base, 0, nil); d != base {
-		t.Fatalf("unjittered delay = %v, want %v", d, base)
-	}
-	if d := jitterDelay(base, j, rand.New(rand.NewSource(1))); d == 0 {
-		t.Fatal("jittered delay collapsed to zero")
 	}
 }
 

@@ -44,9 +44,9 @@ func (h *onceHandler) HandleLinkClose(err error) {
 // closer has unacknowledged at the cut × Reconnect. Every row: each side's
 // HandleLinkClose is called exactly once, with nil (every row here ends a
 // conversation both sides chose to end); each Close returns nil within
-// CloseTimeout of its call; the second closer's late sends are delivered
-// exactly once and in order, or refused with ErrLinkClosed; and no link
-// goroutine outlives the pair.
+// the close bound (closeTimeout) of its call; the second closer's late
+// sends are delivered exactly once and in order, or refused with
+// ErrLinkClosed; and no link goroutine outlives the pair.
 //
 // The rule under test: with Reconnect, a connection lost before the
 // conversation is over — the peer's GOODBYE arrived *and* ours is
@@ -76,13 +76,14 @@ func TestLinkLifecycle(t *testing.T) {
 }
 
 func lifecycleRow(t *testing.T, dialerFirst bool, cut lifecycleCut, unacked int, reconnect bool) {
-	const closeTimeout = 2 * time.Second
+	const rowCloseTimeout = 2 * time.Second
+	defer func(d time.Duration) { closeTimeout = d }(closeTimeout)
+	closeTimeout = rowCloseTimeout
 	before := runtime.NumGoroutine()
 	gt := newGatedTransport()
 	hd := &onceHandler{recordingHandler: newRecordingHandler()}
 	ha := &onceHandler{recordingHandler: newRecordingHandler()}
 	dialer, acceptor, stop := batchChaosPair(t, gt, func(cfg *LinkConfig) {
-		cfg.CloseTimeout = closeTimeout
 		if !reconnect {
 			cfg.Reconnect = ReconnectConfig{}
 		}
@@ -161,8 +162,8 @@ func lifecycleRow(t *testing.T, dialerFirst bool, cut lifecycleCut, unacked int,
 			if err != nil {
 				t.Errorf("%s's Close: %v, want nil", c.who, err)
 			}
-		case <-time.After(time.Until(c.start.Add(closeTimeout + time.Second))):
-			t.Fatalf("%s's Close still running %v after it began (CloseTimeout %v)", c.who, time.Since(c.start).Round(time.Millisecond), closeTimeout)
+		case <-time.After(time.Until(c.start.Add(rowCloseTimeout + time.Second))):
+			t.Fatalf("%s's Close still running %v after it began (close bound %v)", c.who, time.Since(c.start).Round(time.Millisecond), rowCloseTimeout)
 		}
 	}
 	got := fh.waitData(t, edge, 0)

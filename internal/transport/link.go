@@ -42,15 +42,6 @@ type LinkConfig struct {
 	// the same edges with complementary directions and identical
 	// mode/bytes/protocol/capacity.
 	Edges []EdgeDecl
-	// SendTimeout bounds each carrier write. Without reconnection a
-	// timed-out write fails the link (the partial frame is
-	// unrecoverable); with reconnection it is treated as a dead
-	// connection and repaired by RESUME replay. Zero means no bound.
-	SendTimeout time.Duration
-	// CloseTimeout bounds how long Close waits — first for a pending
-	// reconnection to replay unacknowledged frames, then for the peer's
-	// GOODBYE — before forcing the connection shut (default 5s).
-	CloseTimeout time.Duration
 	// Reconnect is the link-resumption policy. The zero value fails
 	// fast on the first connection error, exactly like links behaved
 	// before resumption existed.
@@ -124,12 +115,10 @@ const (
 	ackInterval = resendLimit / 4
 )
 
-func (c *LinkConfig) closeTimeout() time.Duration {
-	if c.CloseTimeout > 0 {
-		return c.CloseTimeout
-	}
-	return 5 * time.Second
-}
+// closeTimeout bounds how long Close waits — first for a pending
+// reconnection to replay unacknowledged frames, then for the peer's GOODBYE
+// — before forcing the connection shut. A link takes it when it starts.
+var closeTimeout = 5 * time.Second
 
 func (c *LinkConfig) peerTimeout() time.Duration {
 	if c.PeerTimeout > 0 {
@@ -289,6 +278,7 @@ type resumeOffer struct {
 type Link struct {
 	cfg    LinkConfig
 	h      Handler
+	closeT time.Duration // closeTimeout when the link started
 	peer   int
 	token  uint64
 	raddr  string
@@ -516,6 +506,7 @@ func startLink(conn Conn, cfg LinkConfig, h Handler, peer int, token uint64, dia
 	l := &Link{
 		cfg:        cfg,
 		h:          h,
+		closeT:     closeTimeout,
 		peer:       peer,
 		token:      token,
 		raddr:      conn.RemoteAddr(),

@@ -297,71 +297,6 @@ func TestHandshakeManifestMismatch(t *testing.T) {
 	}
 }
 
-func TestSendTimeoutPoisonsLink(t *testing.T) {
-	tr := NewLoopback()
-	ln, err := tr.Listen("n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	peerReady := make(chan Conn, 1)
-	go func() {
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		// Handshake manually (echoing the dialer's session token), then
-		// stop reading: the link's writes must hit their deadline instead
-		// of blocking forever.
-		_, _, body, err := readFrame(c)
-		if err != nil {
-			return
-		}
-		_, token, _, _, err := decodeHello(body)
-		if err != nil {
-			return
-		}
-		if err := writeFrame(c, frameHello, 0, encodeHello(1, token, testManifest(false), false)); err != nil {
-			return
-		}
-		peerReady <- c
-	}()
-	c, err := tr.Dial("n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := NewLink(c, LinkConfig{
-		Node: 0, Edges: testManifest(true),
-		SendTimeout: 30 * time.Millisecond, CloseTimeout: 50 * time.Millisecond,
-	}, newRecordingHandler())
-	if err != nil {
-		t.Fatal(err)
-	}
-	peer := <-peerReady
-	defer peer.Close()
-
-	msg := make([]byte, 4096)
-	msg[0] = 7
-	var sendErr error
-	// The pipe is unbuffered, so the first unread frame blocks the writer.
-	for i := 0; i < 64 && sendErr == nil; i++ {
-		sendErr = l.SendData(7, msg)
-	}
-	if sendErr == nil {
-		t.Fatal("send into a stalled peer should time out")
-	}
-	var te *Error
-	if !asError(sendErr, &te) || !te.Timeout() {
-		t.Fatalf("send error = %v, want timeout", sendErr)
-	}
-	// The stream may hold a partial frame now; the link must refuse to
-	// send more.
-	if err := l.SendData(7, msg); err == nil {
-		t.Fatal("send after timeout should fail")
-	}
-	l.Close()
-}
-
 func asError(err error, target **Error) bool {
 	for err != nil {
 		if e, ok := err.(*Error); ok {

@@ -252,17 +252,13 @@ func (l *Link) recover(gen int, prevDone chan struct{}, cause error) {
 	deadline := time.Now().Add(rc.Deadline)
 	lastErr := cause
 	if l.dialer {
-		rng := jitterRNG(rc.Jitter, rc.JitterSeed)
 		delay := rc.BaseDelay
 		for attempt := 0; attempt < rc.Attempts; attempt++ {
 			if attempt > 0 {
-				if !l.sleepUntil(jitterDelay(delay, rc.Jitter, rng), deadline) {
+				if !l.sleepUntil(delay, deadline) {
 					break
 				}
-				delay = time.Duration(float64(delay) * rc.Multiplier)
-				if delay > rc.MaxDelay {
-					delay = rc.MaxDelay
-				}
+				delay = backoff(delay, rc.MaxDelay)
 			}
 			if !l.ownsOutage(gen) {
 				return
@@ -491,14 +487,14 @@ func (l *Link) drainOffers() {
 // inbound frames drain too — an outage meanwhile is waited out, not taken
 // for the end, since the peer may still be producing — acknowledge it,
 // then tear the connection down and reap the reader and the writer. Every
-// wait is bounded by CloseTimeout. The error, also given to
+// wait is bounded by closeTimeout. The error, also given to
 // HandleLinkClose, says that frames sent before Close were never
 // acknowledged: sends return once their frame is staged, so this is where a
 // caller learns that its last ones were lost. Close is idempotent and safe
 // to call from any goroutine.
 func (l *Link) Close() error {
 	l.closeOnce.Do(func() {
-		deadline := time.Now().Add(l.cfg.closeTimeout())
+		deadline := time.Now().Add(l.closeT)
 		l.mu.Lock()
 		l.graceful = true
 		l.closeSeq = l.sendSeq
@@ -576,7 +572,7 @@ func (l *Link) drainGoodbye(deadline time.Time) {
 		l.await(deadline, settled)
 		return
 	}
-	probe := time.Now().Add(l.cfg.closeTimeout() / 4)
+	probe := time.Now().Add(l.closeT / 4)
 	if probe.After(deadline) {
 		probe = deadline
 	}
@@ -603,9 +599,7 @@ func (l *Link) finalAck(deadline time.Time) {
 		l.mu.Unlock()
 		return
 	}
-	if l.cfg.SendTimeout <= 0 {
-		l.conn.SetWriteDeadline(deadline)
-	}
+	l.conn.SetWriteDeadline(deadline)
 	l.mu.Unlock()
 	l.wmu.Lock()
 	l.mu.Lock()

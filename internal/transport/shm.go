@@ -60,7 +60,15 @@ const (
 
 	shmMinRing = 4096
 	shmMaxRing = 1 << 30
+
+	// shmDialTimeout bounds how long a dialer waits for the listener to
+	// pick up a renamed-in segment.
+	shmDialTimeout = 3 * time.Second
 )
+
+// shmRingBytes is the per-direction ring capacity of a dialed segment, a
+// power of two in [shmMinRing, shmMaxRing].
+var shmRingBytes uint32 = 1 << 20
 
 // Segment state bits.
 const (
@@ -309,12 +317,6 @@ func (c *shmConn) RemoteAddr() string                 { return c.remote }
 type Shm struct {
 	// Base is the rendezvous root; empty means os.TempDir().
 	Base string
-	// RingBytes is the per-direction ring capacity, rounded up to a power
-	// of two in [4KiB, 1GiB]; 0 means 1MiB.
-	RingBytes int
-	// DialTimeout bounds how long a dialer waits for the listener to
-	// pick up a renamed-in segment; 0 means 3s.
-	DialTimeout time.Duration
 
 	seq atomic.Uint64
 }
@@ -330,18 +332,6 @@ func (s *Shm) base() string {
 		return s.Base
 	}
 	return os.TempDir()
-}
-
-func (s *Shm) ringCap() uint32 {
-	n := s.RingBytes
-	if n <= 0 {
-		n = 1 << 20
-	}
-	c := uint32(shmMinRing)
-	for int(c) < n && c < shmMaxRing {
-		c <<= 1
-	}
-	return c
 }
 
 // shmSanitize maps an address to a filesystem-safe rendezvous name.
@@ -386,7 +376,7 @@ func (s *Shm) Dial(addr string) (Conn, error) {
 	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
 		return nil, &Error{Op: "dial", Addr: addr, Transient: true, Err: errLoopbackRefused}
 	}
-	ringCap := s.ringCap()
+	ringCap := shmRingBytes
 	segSize := shmDataOff + 2*int(ringCap)
 	f, err := os.CreateTemp(s.base(), "spi-shm-seg-*")
 	if err != nil {
@@ -416,11 +406,7 @@ func (s *Shm) Dial(addr string) (Conn, error) {
 		// The listener closed between the Stat and the rename.
 		return fail(errLoopbackRefused, true)
 	}
-	timeout := s.DialTimeout
-	if timeout <= 0 {
-		timeout = 3 * time.Second
-	}
-	deadline := time.Now().Add(timeout)
+	deadline := time.Now().Add(shmDialTimeout)
 	state := shmU32(seg, shmOffState)
 	for atomic.LoadUint32(state)&shmStateAccepted == 0 {
 		if _, err := os.Stat(dir); err != nil {
@@ -536,15 +522,13 @@ func (ln *shmListener) attach(path string) (Conn, error) {
 
 // SameHost composes the shared-memory and a networked transport into the
 // auto-selecting transport the CLIs expose as -transport shm: Listen binds
-// the network address and a shm rendezvous derived from the resolved
-// port, accepting from both; Dial takes the shm path when the target host
-// is this machine and falls back to the network otherwise (or when the
-// peer is not listening on shm — e.g. it runs plain TCP).
+// the TCP address and a shm rendezvous derived from the resolved port,
+// accepting from both; Dial takes the shm path when the target host is
+// this machine and falls back to TCP otherwise (or when the peer is not
+// listening on shm — e.g. it runs plain TCP).
 type SameHost struct {
 	// Shm is the same-host path; nil means NewShm("").
 	Shm *Shm
-	// Fallback is the cross-host path; nil means &TCP{}.
-	Fallback Transport
 }
 
 func (s *SameHost) Name() string { return "shm" }
@@ -554,13 +538,6 @@ func (s *SameHost) shm() *Shm {
 		return s.Shm
 	}
 	return NewShm("")
-}
-
-func (s *SameHost) fallback() Transport {
-	if s.Fallback != nil {
-		return s.Fallback
-	}
-	return &TCP{}
 }
 
 // sameHostName derives the shm rendezvous name both sides can compute:
@@ -599,7 +576,7 @@ func shmHostIsLocal(host string) bool {
 }
 
 func (s *SameHost) Listen(addr string) (Listener, error) {
-	nln, err := s.fallback().Listen(addr)
+	nln, err := (&TCP{}).Listen(addr)
 	if err != nil {
 		return nil, err
 	}
@@ -624,7 +601,7 @@ func (s *SameHost) Dial(addr string) (Conn, error) {
 			return c, nil
 		}
 	}
-	return s.fallback().Dial(addr)
+	return (&TCP{}).Dial(addr)
 }
 
 type sameHostAccept struct {

@@ -43,6 +43,13 @@ func shmPair(t *testing.T, s *Shm, addr string) (Conn, Conn) {
 	return dc, r.c
 }
 
+// setShmRing dials the test's segments with rings of n bytes.
+func setShmRing(t *testing.T, n uint32) {
+	old := shmRingBytes
+	shmRingBytes = n
+	t.Cleanup(func() { shmRingBytes = old })
+}
+
 // TestShmConnStream pushes a pseudo-random byte stream many times the ring
 // capacity through both directions concurrently and checks byte-exact,
 // in-order delivery — the ring wrap, uneven chunking, and backpressure
@@ -50,7 +57,7 @@ func shmPair(t *testing.T, s *Shm, addr string) (Conn, Conn) {
 // mappings whose only synchronization is the ring atomics.
 func TestShmConnStream(t *testing.T) {
 	s := NewShm(t.TempDir())
-	s.RingBytes = shmMinRing // force many wraps
+	setShmRing(t, shmMinRing) // force many wraps
 	dc, ac := shmPair(t, s, "stream")
 
 	const total = 64 * shmMinRing
@@ -147,7 +154,7 @@ func TestShmConnClose(t *testing.T) {
 // clearing the deadline restores blocking I/O.
 func TestShmConnDeadlines(t *testing.T) {
 	s := NewShm(t.TempDir())
-	s.RingBytes = shmMinRing
+	setShmRing(t, shmMinRing)
 	dc, ac := shmPair(t, s, "deadline")
 
 	ac.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
@@ -291,7 +298,6 @@ func TestShmAcceptRejectsCorruptSegment(t *testing.T) {
 // waiting dialers away with a transient refusal.
 func TestShmListenerCloseUnblocks(t *testing.T) {
 	s := NewShm(t.TempDir())
-	s.DialTimeout = 10 * time.Second
 	ln, err := s.Listen("bye")
 	if err != nil {
 		t.Fatal(err)
@@ -355,7 +361,7 @@ func TestShmChaosSeverResume(t *testing.T) {
 // path for a local address and falls back to the network when the peer
 // has no shm rendezvous (e.g. it listens with plain TCP).
 func TestSameHostSelectsShm(t *testing.T) {
-	sh := &SameHost{Shm: NewShm(t.TempDir()), Fallback: &TCP{}}
+	sh := &SameHost{Shm: NewShm(t.TempDir())}
 	ln, err := sh.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -411,7 +417,7 @@ func TestSameHostFallsBackToTCP(t *testing.T) {
 			c.Close()
 		}
 	}()
-	sh := &SameHost{Shm: NewShm(t.TempDir()), Fallback: tcp}
+	sh := &SameHost{Shm: NewShm(t.TempDir())}
 	c, err := sh.Dial(ln.Addr())
 	if err != nil {
 		t.Fatal(err)

@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"syscall"
 	"time"
@@ -128,28 +127,22 @@ type RetryConfig struct {
 	// Zero means DefaultRetry.Attempts.
 	Attempts int
 	// BaseDelay is the sleep after the first failure; each further
-	// failure multiplies it by Multiplier up to MaxDelay.
-	BaseDelay  time.Duration
-	MaxDelay   time.Duration
-	Multiplier float64
-	// Jitter spreads each backoff sleep uniformly over
-	// [d·(1−Jitter), d·(1+Jitter)]. Purely deterministic backoff makes
-	// every client of a restarted node re-dial in lockstep — a thundering
-	// herd exactly when the node is least able to absorb one. 0 disables;
-	// values are clamped to [0, 1].
-	Jitter float64
-	// JitterSeed seeds the jitter RNG for reproducible schedules in
-	// tests; 0 draws a nondeterministic seed.
-	JitterSeed int64
+	// failure doubles it up to MaxDelay.
+	BaseDelay time.Duration
+	MaxDelay  time.Duration
 }
 
 // DefaultRetry is tuned for process startup races: ~12 attempts spanning a
 // few seconds.
 var DefaultRetry = RetryConfig{
-	Attempts:   12,
-	BaseDelay:  10 * time.Millisecond,
-	MaxDelay:   500 * time.Millisecond,
-	Multiplier: 2,
+	Attempts:  12,
+	BaseDelay: 10 * time.Millisecond,
+	MaxDelay:  500 * time.Millisecond,
+}
+
+// backoff is the delay after one that slept d: doubled, capped at limit.
+func backoff(d, limit time.Duration) time.Duration {
+	return min(2*d, limit)
 }
 
 func (rc RetryConfig) withDefaults() RetryConfig {
@@ -163,42 +156,7 @@ func (rc RetryConfig) withDefaults() RetryConfig {
 	if rc.MaxDelay > 0 {
 		d.MaxDelay = rc.MaxDelay
 	}
-	if rc.Multiplier > 1 {
-		d.Multiplier = rc.Multiplier
-	}
-	d.Jitter = rc.Jitter
-	d.JitterSeed = rc.JitterSeed
 	return d
-}
-
-// jitterRNG builds the backoff-jitter source: seeded when the caller
-// wants a reproducible schedule, time-derived otherwise. Returns nil when
-// jitter is disabled so the no-jitter path stays allocation-free.
-func jitterRNG(jitter float64, seed int64) *rand.Rand {
-	if jitter <= 0 {
-		return nil
-	}
-	if seed == 0 {
-		seed = time.Now().UnixNano()
-	}
-	return rand.New(rand.NewSource(seed))
-}
-
-// jitterDelay spreads d uniformly over [d·(1−j), d·(1+j)]. A nil rng
-// (jitter disabled) returns d unchanged.
-func jitterDelay(d time.Duration, j float64, rng *rand.Rand) time.Duration {
-	if rng == nil || j <= 0 || d <= 0 {
-		return d
-	}
-	if j > 1 {
-		j = 1
-	}
-	f := 1 + j*(2*rng.Float64()-1)
-	jd := time.Duration(float64(d) * f)
-	if jd < 0 {
-		return 0
-	}
-	return jd
 }
 
 // DialRetry dials addr, retrying transient failures with exponential
@@ -207,18 +165,14 @@ func jitterDelay(d time.Duration, j float64, rng *rand.Rand) time.Duration {
 // the backoff sleeps and returns ctx.Err() wrapped in a transport Error.
 func DialRetry(ctx context.Context, t Transport, addr string, rc RetryConfig) (Conn, error) {
 	rc = rc.withDefaults()
-	rng := jitterRNG(rc.Jitter, rc.JitterSeed)
 	delay := rc.BaseDelay
 	var lastErr error
 	for attempt := 0; attempt < rc.Attempts; attempt++ {
 		if attempt > 0 {
-			if err := sleepCtx(ctx, jitterDelay(delay, rc.Jitter, rng)); err != nil {
+			if err := sleepCtx(ctx, delay); err != nil {
 				return nil, &Error{Op: "dial", Addr: addr, Err: err}
 			}
-			delay = time.Duration(float64(delay) * rc.Multiplier)
-			if delay > rc.MaxDelay {
-				delay = rc.MaxDelay
-			}
+			delay = backoff(delay, rc.MaxDelay)
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, &Error{Op: "dial", Addr: addr, Err: err}
@@ -261,21 +215,13 @@ type ReconnectConfig struct {
 	// reconnection.
 	Attempts int
 	// BaseDelay is the sleep before the first re-dial; each failure
-	// multiplies it by Multiplier up to MaxDelay. Defaults mirror
-	// DefaultRetry when Attempts > 0.
-	BaseDelay  time.Duration
-	MaxDelay   time.Duration
-	Multiplier float64
+	// doubles it up to MaxDelay. Defaults mirror DefaultRetry when
+	// Attempts > 0.
+	BaseDelay time.Duration
+	MaxDelay  time.Duration
 	// Deadline bounds one whole outage (all attempts plus handshakes).
 	// Zero means 30s when reconnection is enabled.
 	Deadline time.Duration
-	// Jitter spreads each re-dial backoff uniformly over
-	// [d·(1−Jitter), d·(1+Jitter)], de-synchronizing the reconnect storm
-	// when a node serving many links restarts. 0 disables; clamped to
-	// [0, 1]. JitterSeed makes the schedule reproducible in tests (0 =
-	// nondeterministic).
-	Jitter     float64
-	JitterSeed int64
 }
 
 // Enabled reports whether the policy allows any reconnection at all.
@@ -290,9 +236,6 @@ func (rc ReconnectConfig) withDefaults() ReconnectConfig {
 	}
 	if rc.MaxDelay <= 0 {
 		rc.MaxDelay = DefaultRetry.MaxDelay
-	}
-	if rc.Multiplier <= 1 {
-		rc.Multiplier = DefaultRetry.Multiplier
 	}
 	if rc.Deadline <= 0 {
 		rc.Deadline = 30 * time.Second

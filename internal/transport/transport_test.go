@@ -16,7 +16,7 @@ func TestDialRetryRefusedThenUp(t *testing.T) {
 	// Nothing listening: all attempts burn, the last error is transient.
 	start := time.Now()
 	_, err := DialRetry(context.Background(), tr, "ghost", RetryConfig{
-		Attempts: 4, BaseDelay: 2 * time.Millisecond, MaxDelay: 8 * time.Millisecond, Multiplier: 2,
+		Attempts: 4, BaseDelay: 2 * time.Millisecond, MaxDelay: 8 * time.Millisecond,
 	})
 	if err == nil {
 		t.Fatal("dialing an unbound address should fail")

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"encoding/binary"
-	"time"
 )
 
 // One writer per link. After the handshake (and each RESUME exchange)
@@ -125,9 +124,6 @@ func (l *Link) writePass(inline savedFrame) (gen int, err error) {
 	for _, p := range [2][]byte{buf, inline.wire} {
 		if len(p) == 0 || err != nil {
 			continue
-		}
-		if l.cfg.SendTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(l.cfg.SendTimeout))
 		}
 		_, err = conn.Write(p)
 		writes++
