@@ -33,15 +33,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The allocation guards (steady-state allocations per iteration and per LPC
-# frame, what a deployment costs to open — also with the stall watchdog and a
+# The allocation guards (steady-state allocations per iteration, per LPC
+# frame and per particle-filter step, what a deployment costs to open — also with the stall watchdog and a
 # context armed, as every benchmark workload runs (TestAllocsWatchedRun) — to
 # lower from a ready spec, and a whole admitted session) hold their
 # measurements to nothing under the race detector, whose runtime drops
 # sync.Pool entries at random, so `race` alone would never enforce one: this
 # run is the gate.
 allocs:
-	$(GO) test -run Allocs -count=1 ./internal/spi ./internal/lpc ./internal/session
+	$(GO) test -run Allocs -count=1 ./internal/spi ./internal/lpc ./internal/session ./internal/particle
 
 # Non-test Go lines per package: the quantity ROADMAP aim 2 sets its
 # reduction target on. Lines as `wc -l` counts them, comments included, so
@@ -51,10 +51,10 @@ allocs:
 # so growth is an explicit, reviewed edit of the number below. Lower a
 # ceiling whenever a change shrinks its directory. internal/apicheck is
 # test-only and stays at 0.
-LOC_CEILINGS = internal/spi:3815 internal/transport:4064 internal/session:1447 internal/orch:1549 internal/lpc:1487 cmd:2765 \
+LOC_CEILINGS = internal/spi:3818 internal/transport:4064 internal/session:1447 internal/orch:1549 internal/lpc:1487 cmd:2765 \
 	internal/alloctest:90 internal/apicheck:0 internal/dataflow:1622 internal/demo:246 internal/dsp:467 \
 	internal/experiments:762 internal/fixed:92 internal/hdl:486 internal/huffman:336 internal/mpi:287 \
-	internal/obs:832 internal/particle:780 internal/platform:658 internal/sched:1022 internal/signal:183 \
+	internal/obs:832 internal/particle:770 internal/platform:658 internal/sched:1022 internal/signal:183 \
 	internal/syncgraph:770 internal/vts:363 examples:553
 loc:
 	@over=0; for e in $(LOC_CEILINGS); do d=$${e%:*}; max=$${e#*:}; \

@@ -56,19 +56,36 @@ func (p DeployParams) Validate() error {
 	return nil
 }
 
-// FilterSystem builds the SPI system of the n-PE filter. Each PE carries
-// three tasks matching the paper's split of the resampling step (figure 5):
-// estimate+update (which also produces the partial sums), local resampling,
-// and intra-resampling. Cross-PE edges: partial-sum exchange (SPI_static,
-// 16 bytes) from EU to every other PE's local-resampling task, and particle
-// migration (SPI_dynamic, bounded by all N particles) from local to every
-// other PE's intra-resampling task.
+// FilterSystem builds the SPI system of the n-PE filter — the graph
+// Distributed runs. Each PE carries three tasks matching the paper's split
+// of the resampling step (figure 5): estimate+update (which also produces
+// the partial sums), local resampling, and intra-resampling, and a loopback
+// edge with one iteration of delay from the last back to the first.
+// Cross-PE edges: partial-sum exchange (SPI_static, 24 bytes: Σw, Σw·a and
+// Σw², the last for the adaptive gate) from EU to every other PE's
+// local-resampling task, and particle migration (SPI_dynamic, bounded by
+// all N particles) from local to every other PE's intra-resampling task.
+// The loopback closes a delayed cycle through every cross-PE edge, so
+// eq. 2 bounds them all and every one is BBS.
 //
 // Migration sizes vary at run time; the deterministic sizeFn drives the
 // simulated payloads (pass nil for a representative synthetic pattern).
 func FilterSystem(p DeployParams, sizeFn func(iter int) int) (*spi.System, error) {
+	sys, _, err := filterSystem(p, sizeFn)
+	return sys, err
+}
+
+// peEdges are one PE's edges in FilterSystem's graph: its intra-PE ones,
+// and its sum and migration edges to each other PE q at index q.
+type peEdges struct {
+	eurs, rsxs, loop dataflow.EdgeID
+	sum, mig         []dataflow.EdgeID
+}
+
+// filterSystem is FilterSystem, with every PE's edges.
+func filterSystem(p DeployParams, sizeFn func(iter int) int) (*spi.System, []peEdges, error) {
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	perPE := p.Particles / p.PEs
 	if sizeFn == nil {
@@ -89,22 +106,26 @@ func FilterSystem(p DeployParams, sizeFn func(iter int) int) (*spi.System, error
 		xs[i] = g.AddActor(fmt.Sprintf("xs%d", i), int64(perPE)*p.ExchangeCyclesPerParticle)
 	}
 	payload := map[dataflow.EdgeID]func(int) int{}
+	edges := make([]peEdges, p.PEs)
 	for i := 0; i < p.PEs; i++ {
-		// Intra-PE pipeline: eu -> rs -> xs (same processor).
-		g.AddEdge(fmt.Sprintf("eurs%d", i), eu[i], rs[i], 1, 1, dataflow.EdgeSpec{TokenBytes: 4})
-		g.AddEdge(fmt.Sprintf("rsxs%d", i), rs[i], xs[i], 1, 1, dataflow.EdgeSpec{TokenBytes: 4})
+		e := &edges[i]
+		e.sum, e.mig = make([]dataflow.EdgeID, p.PEs), make([]dataflow.EdgeID, p.PEs)
+		// Intra-PE pipeline: eu -> rs -> xs (same processor), and back.
+		e.eurs = g.AddEdge(fmt.Sprintf("eurs%d", i), eu[i], rs[i], 1, 1, dataflow.EdgeSpec{TokenBytes: 4})
+		e.rsxs = g.AddEdge(fmt.Sprintf("rsxs%d", i), rs[i], xs[i], 1, 1, dataflow.EdgeSpec{TokenBytes: 4})
+		e.loop = g.AddEdge(fmt.Sprintf("loop%d", i), xs[i], eu[i], 1, 1, dataflow.EdgeSpec{Delay: 1, TokenBytes: 4})
 		for j := 0; j < p.PEs; j++ {
 			if i == j {
 				continue
 			}
 			// Partial sums: fixed-length message (SPI_static).
-			g.AddEdge(fmt.Sprintf("sum%d_%d", i, j), eu[i], rs[j], 16, 16,
+			e.sum[j] = g.AddEdge(fmt.Sprintf("sum%d_%d", i, j), eu[i], rs[j], 24, 24,
 				dataflow.EdgeSpec{TokenBytes: 1})
 			// Particle migration: variable length (SPI_dynamic).
 			bound := p.Particles * p.ParticleBytes
-			me := g.AddEdge(fmt.Sprintf("mig%d_%d", i, j), rs[i], xs[j], bound, bound,
+			e.mig[j] = g.AddEdge(fmt.Sprintf("mig%d_%d", i, j), rs[i], xs[j], bound, bound,
 				dataflow.EdgeSpec{ProduceDynamic: true, ConsumeDynamic: true, TokenBytes: 1})
-			payload[me] = sizeFn
+			payload[e.mig[j]] = sizeFn
 		}
 	}
 	m := &sched.Mapping{
@@ -118,7 +139,7 @@ func FilterSystem(p DeployParams, sizeFn func(iter int) int) (*spi.System, error
 		m.Proc[xs[i]] = sched.Processor(i)
 		m.Order[i] = []dataflow.ActorID{eu[i], rs[i], xs[i]}
 	}
-	return &spi.System{Graph: g, Mapping: m, PayloadFn: payload}, nil
+	return &spi.System{Graph: g, Mapping: m, PayloadFn: payload}, edges, nil
 }
 
 // HardwareModel builds the HDL module tree of the n-PE particle filter for

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sync"
 
+	"repro/internal/dataflow"
 	"repro/internal/signal"
 	"repro/internal/spi"
 )
@@ -21,24 +22,19 @@ import (
 //     deficit PEs so all PEs again hold N/n particles — the message length
 //     varies at run time, so SPI_dynamic is used.
 //
-// All communication rides on the spi software runtime; per-edge statistics
-// are exposed through Stats.
+// The filter runs FilterSystem's graph on the executor core: each PE is
+// one processor firing three kernels in order — eu (estimate, update, the
+// partial sums), rs (the global estimate and local resampling) and xs (the
+// imports) — and every Step fires one iteration of a standing one-node
+// deployment. Per-edge statistics are exposed through Stats.
 type Distributed struct {
-	model Model
-	pes   int
-	perPE int
+	model      Model
+	pes, perPE int
 
 	peState []peFilter
-	// sum edges: fixed 24-byte messages (partial weight sum, partial
-	// weighted state sum, partial squared-weight sum), one per ordered
-	// PE pair.
-	sumTx map[[2]int]*spi.Sender
-	sumRx map[[2]int]*spi.Receiver
-	// particle-migration edges: variable-size, one per ordered pair.
-	migTx map[[2]int]*spi.Sender
-	migRx map[[2]int]*spi.Receiver
-
-	rt *spi.Runtime
+	run     *spi.PartitionRun
+	steps   int
+	y, est  float64 // the observation of the step being fired, PE 0's estimate
 
 	// adaptive resampling (ESS-gated): see SetResampleThreshold.
 	adaptive     bool
@@ -46,36 +42,79 @@ type Distributed struct {
 	resamplings  int64
 }
 
+// peFilter is one PE's kernel state: the particles it carries from step to
+// step and what its actors hand each other within one.
 type peFilter struct {
-	particles []float64
-	weights   []float64
-	rng       *signal.RNG
+	particles, weights []float64
+	rng                *signal.RNG
+	// Every PE's partial weight, weighted-state and squared-weight sums, in
+	// PE order: eu fills this PE's entry, rs the others'.
+	sums, weighted, sumSqs []float64
+	// spare is the second particle buffer: rs resamples into it, and once
+	// xs has appended the imports it becomes the particles. resampled is
+	// the adaptive gate's verdict.
+	spare     []float64
+	resampled bool
+}
+
+// filterGraph is FilterSystem's graph for one (particles, PEs) shape, with
+// every PE's edges and the one-node spec compiled from it.
+type filterGraph struct {
+	sys  *spi.System
+	pe   []peEdges
+	spec *spi.PartitionSpec
+}
+
+// graphs caches the compiled filter per [2]int{particles, PEs}: every
+// filter of one shape runs the same spec, which a deployment only reads.
+var graphs sync.Map
+
+func compiledGraph(particles, pes int) (*filterGraph, error) {
+	key := [2]int{particles, pes}
+	if fg, ok := graphs.Load(key); ok {
+		return fg.(*filterGraph), nil
+	}
+	sys, edges, err := filterSystem(DefaultDeploy(particles, pes), nil)
+	if err != nil {
+		return nil, err
+	}
+	spec, err := spi.BuildPartition(sys.Graph, sys.Mapping, make([]int, pes), 1, 0, 0, false)
+	if err != nil {
+		return nil, err
+	}
+	fg, _ := graphs.LoadOrStore(key, &filterGraph{sys: sys, pe: edges, spec: spec})
+	return fg.(*filterGraph), nil
 }
 
 // NewDistributed creates an n-PE filter over nParticles total. nParticles
 // must divide evenly among PEs (the paper's equal distribution).
 func NewDistributed(model Model, nParticles, pes int, seed uint64) (*Distributed, error) {
-	if pes <= 0 {
-		return nil, fmt.Errorf("particle: %d PEs", pes)
+	d, fg, err := newDistributed(model, nParticles, pes, seed)
+	if err != nil {
+		return nil, err
 	}
-	if nParticles <= 0 || nParticles%pes != 0 {
-		return nil, fmt.Errorf("particle: %d particles not divisible across %d PEs", nParticles, pes)
+	ks := d.kernels(fg, func(int) float64 { return d.y }, func(_ int, est float64) { d.est = est })
+	if d.run, err = spi.OpenPartition(fg.spec, ks, spi.DistOptions{}); err != nil {
+		return nil, err
 	}
-	d := &Distributed{
-		model: model,
-		pes:   pes,
-		perPE: nParticles / pes,
-		rt:    spi.NewRuntime(),
-		sumTx: map[[2]int]*spi.Sender{},
-		sumRx: map[[2]int]*spi.Receiver{},
-		migTx: map[[2]int]*spi.Sender{},
-		migRx: map[[2]int]*spi.Receiver{},
+	return d, nil
+}
+
+// newDistributed sets up the filter's state, without a deployment.
+func newDistributed(model Model, nParticles, pes int, seed uint64) (*Distributed, *filterGraph, error) {
+	fg, err := compiledGraph(nParticles, pes) // validates the shape
+	if err != nil {
+		return nil, nil, err
 	}
+	d := &Distributed{model: model, pes: pes, perPE: nParticles / pes}
 	for p := 0; p < pes; p++ {
 		pf := peFilter{
 			particles: make([]float64, d.perPE),
 			weights:   make([]float64, d.perPE),
 			rng:       signal.NewRNG(seed + uint64(p)*0x9E37),
+			sums:      make([]float64, pes),
+			weighted:  make([]float64, pes),
+			sumSqs:    make([]float64, pes),
 		}
 		for i := range pf.particles {
 			pf.particles[i] = model.P.A0 * (1 + 0.05*pf.rng.NormFloat64())
@@ -86,34 +125,7 @@ func NewDistributed(model Model, nParticles, pes int, seed uint64) (*Distributed
 		}
 		d.peState = append(d.peState, pf)
 	}
-	id := spi.EdgeID(0)
-	for p := 0; p < pes; p++ {
-		for q := 0; q < pes; q++ {
-			if p == q {
-				continue
-			}
-			tx, rx, err := d.rt.Init(spi.EdgeConfig{
-				ID: id, Mode: spi.Static, PayloadBytes: 24, Protocol: spi.BBS, Capacity: 2,
-			})
-			if err != nil {
-				return nil, err
-			}
-			id++
-			d.sumTx[[2]int{p, q}] = tx
-			d.sumRx[[2]int{p, q}] = rx
-
-			mtx, mrx, err := d.rt.Init(spi.EdgeConfig{
-				ID: id, Mode: spi.Dynamic, MaxBytes: 8 * nParticles, Protocol: spi.UBS,
-			})
-			if err != nil {
-				return nil, err
-			}
-			id++
-			d.migTx[[2]int{p, q}] = mtx
-			d.migRx[[2]int{p, q}] = mrx
-		}
-	}
-	return d, nil
+	return d, fg, nil
 }
 
 // PEs returns the PE count; PerPE the particles each PE holds.
@@ -121,15 +133,15 @@ func (d *Distributed) PEs() int   { return d.pes }
 func (d *Distributed) PerPE() int { return d.perPE }
 
 // Stats returns the aggregated SPI traffic so far.
-func (d *Distributed) Stats() spi.EdgeStats { return d.rt.TotalStats() }
+func (d *Distributed) Stats() spi.EdgeStats { return d.run.Traffic() }
 
-// SetResampleThreshold makes the distributed filter adaptive: the full
-// resampling exchange (local resampling + particle migration) runs only
-// when the global effective sample size falls below frac * N. All PEs
-// compute the same ESS from the exchanged partial sums, so the decision is
-// consistent without extra coordination. Skipped iterations still exchange
-// the fixed-size partial sums (SPI_static) but send no migration messages —
-// an adaptive saving on the SPI_dynamic traffic.
+// SetResampleThreshold makes the distributed filter adaptive: local
+// resampling and particle migration run only when the global effective
+// sample size falls below frac * N. All PEs compute the same ESS from the
+// exchanged partial sums, so the decision is consistent without extra
+// coordination. Skipped iterations still exchange the fixed-size partial
+// sums (SPI_static), and their migrations are empty SPI_dynamic tokens:
+// the header alone crosses the edge, an adaptive saving on its payload.
 func (d *Distributed) SetResampleThreshold(frac float64) {
 	d.adaptive = true
 	d.resampleFrac = frac
@@ -137,42 +149,6 @@ func (d *Distributed) SetResampleThreshold(frac float64) {
 
 // Resamplings returns how many distributed resampling rounds have run.
 func (d *Distributed) Resamplings() int64 { return d.resamplings }
-
-func encodeSums(s, w, sq float64) []byte {
-	out := make([]byte, 24)
-	binary.LittleEndian.PutUint64(out, math.Float64bits(s))
-	binary.LittleEndian.PutUint64(out[8:], math.Float64bits(w))
-	binary.LittleEndian.PutUint64(out[16:], math.Float64bits(sq))
-	return out
-}
-
-func decodeSums(b []byte) (s, w, sq float64, err error) {
-	if len(b) != 24 {
-		return 0, 0, 0, fmt.Errorf("particle: sum message of %d bytes", len(b))
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b)),
-		math.Float64frombits(binary.LittleEndian.Uint64(b[8:])),
-		math.Float64frombits(binary.LittleEndian.Uint64(b[16:])), nil
-}
-
-func encodeParticles(x []float64) []byte {
-	out := make([]byte, 8*len(x))
-	for i, v := range x {
-		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
-	}
-	return out
-}
-
-func decodeParticles(b []byte) ([]float64, error) {
-	if len(b)%8 != 0 {
-		return nil, fmt.Errorf("particle: particle message of %d bytes", len(b))
-	}
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out, nil
-}
 
 // quotas computes, identically on every PE, the per-PE offspring counts
 // from the partial weight sums using the largest-remainder method: counts
@@ -187,41 +163,32 @@ func quotas(partialSums []float64, total int) []int {
 	if sum <= 0 {
 		// Degenerate weights: keep the equal split.
 		for i := range out {
-			out[i] = total / n
-		}
-		rem := total - (total/n)*n
-		for i := 0; i < rem; i++ {
-			out[i]++
+			if out[i] = total / n; i < total%n {
+				out[i]++
+			}
 		}
 		return out
 	}
-	type frac struct {
-		pe int
-		f  float64
-	}
-	fracs := make([]frac, n)
+	fracs := make([]float64, n)
 	assigned := 0
 	for i, s := range partialSums {
 		exact := float64(total) * s / sum
 		fl := math.Floor(exact)
 		out[i] = int(fl)
 		assigned += int(fl)
-		fracs[i] = frac{pe: i, f: exact - fl}
+		fracs[i] = exact - fl
 	}
 	// Largest remainders get the leftover counts; ties resolve by PE index
 	// so all PEs agree.
 	for assigned < total {
 		best := -1
-		for i := range fracs {
-			if best == -1 || fracs[i].f > fracs[best].f ||
-				(fracs[i].f == fracs[best].f && fracs[i].pe < fracs[best].pe) {
-				if fracs[i].f >= 0 {
-					best = i
-				}
+		for i, f := range fracs {
+			if f >= 0 && (best == -1 || f > fracs[best]) {
+				best = i
 			}
 		}
-		out[fracs[best].pe]++
-		fracs[best].f = -1
+		out[best]++
+		fracs[best] = -1
 		assigned++
 	}
 	return out
@@ -260,149 +227,149 @@ func migrationPlan(quota []int, perPE int) map[[2]int]int {
 	return plan
 }
 
-// Step runs one distributed E-U-S iteration against an observation. All
-// PEs execute concurrently as goroutines; the returned estimate is the
-// global weighted mean every PE computes from the exchanged partial sums.
-func (d *Distributed) Step(observation float64) (float64, error) {
-	ests := make([]float64, d.pes)
-	errs := make([]error, d.pes)
-	var wg sync.WaitGroup
-	for p := 0; p < d.pes; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			ests[p], errs[p] = d.stepPE(p, observation)
-		}(p)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
+// kernels builds the three kernels of every PE over fg's graph, keyed by
+// actor name: obs gives the observation of an iteration, and PE 0's rs
+// hands est the estimate of each. Every actor returns the same output map
+// and payload buffers from every firing, which the Kernel contract allows.
+func (d *Distributed) kernels(fg *filterGraph, obs func(iter int) float64, est func(iter int, est float64)) map[string]spi.Kernel {
+	ks := make(map[string]spi.Kernel, 3*d.pes)
+	token := make([]byte, 4) // the eurs, rsxs and loop edges order the actors and carry nothing
+	for p := range d.peState {
+		pf, e := &d.peState[p], &fg.pe[p]
+		sumMsg, mig := make([]byte, 24), make([][]byte, d.pes) // mig by destination PE
+		euOut := map[dataflow.EdgeID][]byte{e.eurs: token}
+		rsOut := map[dataflow.EdgeID][]byte{e.rsxs: token}
+		xsOut := map[dataflow.EdgeID][]byte{e.loop: token}
+		for q := range d.pes {
+			if q != p {
+				euOut[e.sum[q]] = sumMsg
+			}
+		}
+
+		// E: propagate; U: multiplicative weight update (weights are all 1
+		// after a resampling round, so this equals assignment in the default
+		// always-resample configuration); then the partial sums.
+		ks[fmt.Sprintf("eu%d", p)] = func(iter int, _ map[dataflow.EdgeID][]byte) (map[dataflow.EdgeID][]byte, error) {
+			y := obs(iter)
+			var sum, weighted, sumSq float64
+			for i, a := range pf.particles {
+				pf.particles[i] = d.model.Propagate(a, pf.rng)
+				pf.weights[i] *= d.model.Likelihood(y, pf.particles[i])
+				w := pf.weights[i]
+				sum += w
+				weighted += w * pf.particles[i]
+				sumSq += w * w
+			}
+			pf.sums[p], pf.weighted[p], pf.sumSqs[p] = sum, weighted, sumSq
+			binary.LittleEndian.PutUint64(sumMsg, math.Float64bits(sum))
+			binary.LittleEndian.PutUint64(sumMsg[8:], math.Float64bits(weighted))
+			binary.LittleEndian.PutUint64(sumMsg[16:], math.Float64bits(sumSq))
+			return euOut, nil
+		}
+
+		// Resampling sub-steps 1 and 2: fold the exchanged sums into the
+		// estimate, then resample locally against the global quota and
+		// export the surplus. Every PE sends one (possibly empty) migration
+		// to every other PE: a static message *rate* with variable token
+		// size — exactly the VTS pattern.
+		ks[fmt.Sprintf("rs%d", p)] = func(iter int, in map[dataflow.EdgeID][]byte) (map[dataflow.EdgeID][]byte, error) {
+			var totalSum, totalWeighted, totalSumSq float64
+			for q := range d.pes {
+				if b := in[fg.pe[q].sum[p]]; q != p {
+					if len(b) != 24 {
+						return nil, fmt.Errorf("particle: sum message of %d bytes", len(b))
+					}
+					pf.sums[q] = math.Float64frombits(binary.LittleEndian.Uint64(b))
+					pf.weighted[q] = math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))
+					pf.sumSqs[q] = math.Float64frombits(binary.LittleEndian.Uint64(b[16:]))
+				}
+				totalSum += pf.sums[q]
+				totalWeighted += pf.weighted[q]
+				totalSumSq += pf.sumSqs[q]
+			}
+			estimate := totalWeighted / totalSum
+			if totalSum <= 0 {
+				estimate = Estimate(pf.particles, nil, 0) // the unweighted mean
+			}
+			if p == 0 {
+				est(iter, estimate)
+			}
+
+			// Adaptive gate: all PEs compute the same global ESS from the
+			// exchanged sums; a healthy weight distribution skips local
+			// resampling and sends empty migrations.
+			pf.resampled = !d.adaptive || totalSumSq <= 0 ||
+				totalSum*totalSum/totalSumSq < d.resampleFrac*float64(d.pes*d.perPE)
+			var plan map[[2]int]int
+			if pf.resampled {
+				if p == 0 {
+					d.resamplings++ // counted once per round, on PE 0
+				}
+				quota := quotas(pf.sums, d.pes*d.perPE)
+				pf.spare = SystematicResample(pf.spare, pf.particles, pf.weights, pf.sums[p], quota[p], pf.rng)
+				plan = migrationPlan(quota, d.perPE)
+				for i := range pf.weights {
+					pf.weights[i] = 1
+				}
+			}
+			exportFrom := d.perPE
+			for q := range d.pes {
+				if q == p {
+					continue
+				}
+				msg := mig[q][:0]
+				if k := plan[[2]int{p, q}]; k > 0 {
+					for _, a := range pf.spare[exportFrom : exportFrom+k] {
+						msg = binary.LittleEndian.AppendUint64(msg, math.Float64bits(a))
+					}
+					exportFrom += k
+				}
+				mig[q] = msg
+				rsOut[e.mig[q]] = msg
+			}
+			return rsOut, nil
+		}
+
+		// Resampling sub-step 3: intra-resampling. The next particles are
+		// the kept ones followed by every other PE's imports in PE order
+		// (written over the exports, which rs has already sent).
+		ks[fmt.Sprintf("xs%d", p)] = func(iter int, in map[dataflow.EdgeID][]byte) (map[dataflow.EdgeID][]byte, error) {
+			next := pf.particles
+			if pf.resampled {
+				next = pf.spare[:min(len(pf.spare), d.perPE)]
+			}
+			for q := range d.pes {
+				if b := in[fg.pe[q].mig[p]]; q != p {
+					if len(b)%8 != 0 {
+						return nil, fmt.Errorf("particle: particle message of %d bytes", len(b))
+					}
+					for i := 0; i < len(b); i += 8 {
+						next = append(next, math.Float64frombits(binary.LittleEndian.Uint64(b[i:])))
+					}
+				}
+			}
+			if len(next) != d.perPE {
+				return nil, fmt.Errorf("particle: PE %d ended iteration with %d particles, want %d", p, len(next), d.perPE)
+			}
+			if pf.resampled {
+				pf.spare, pf.particles = pf.particles, next
+			}
+			return xsOut, nil
 		}
 	}
-	return ests[0], nil
+	return ks
 }
 
-func (d *Distributed) stepPE(p int, observation float64) (float64, error) {
-	pf := &d.peState[p]
-	// E: propagate; U: multiplicative weight update (weights are all 1
-	// after a resampling round, so this equals assignment in the default
-	// always-resample configuration).
-	var localSum, localWeighted, localSumSq float64
-	for i, a := range pf.particles {
-		pf.particles[i] = d.model.Propagate(a, pf.rng)
-		pf.weights[i] *= d.model.Likelihood(observation, pf.particles[i])
-		w := pf.weights[i]
-		localSum += w
-		localWeighted += w * pf.particles[i]
-		localSumSq += w * w
+// Step runs one distributed E-U-S iteration against an observation: one
+// iteration of the standing deployment. The returned estimate is the
+// global weighted mean every PE computes from the exchanged partial sums.
+func (d *Distributed) Step(observation float64) (float64, error) {
+	d.y = observation
+	if _, err := d.run.Run(d.steps, 1); err != nil {
+		return 0, err
 	}
-	// Resampling sub-step 1: exchange partial sums (SPI_static).
-	sums := make([]float64, d.pes)
-	weighted := make([]float64, d.pes)
-	sumSqs := make([]float64, d.pes)
-	sums[p], weighted[p], sumSqs[p] = localSum, localWeighted, localSumSq
-	for q := 0; q < d.pes; q++ {
-		if q == p {
-			continue
-		}
-		if err := d.sumTx[[2]int{p, q}].Send(encodeSums(localSum, localWeighted, localSumSq)); err != nil {
-			return 0, err
-		}
-	}
-	for q := 0; q < d.pes; q++ {
-		if q == p {
-			continue
-		}
-		b, err := d.sumRx[[2]int{q, p}].Receive()
-		if err != nil {
-			return 0, err
-		}
-		sums[q], weighted[q], sumSqs[q], err = decodeSums(b)
-		if err != nil {
-			return 0, err
-		}
-	}
-	var totalSum, totalWeighted, totalSumSq float64
-	for q := 0; q < d.pes; q++ {
-		totalSum += sums[q]
-		totalWeighted += weighted[q]
-		totalSumSq += sumSqs[q]
-	}
-	est := totalWeighted / totalSum
-	if totalSum <= 0 {
-		var s float64
-		for _, a := range pf.particles {
-			s += a
-		}
-		est = s / float64(len(pf.particles))
-	}
-
-	// Adaptive gate: all PEs compute the same global ESS from the
-	// exchanged sums; a healthy weight distribution skips the whole
-	// resampling exchange (and its SPI_dynamic migration traffic).
-	if d.adaptive && totalSumSq > 0 {
-		ess := totalSum * totalSum / totalSumSq
-		if ess >= d.resampleFrac*float64(d.pes*d.perPE) {
-			return est, nil
-		}
-	}
-	if p == 0 {
-		d.resamplings++ // counted once per round, on PE 0
-	}
-
-	// Resampling sub-step 2: local resampling against the global quota.
-	quota := quotas(sums, d.pes*d.perPE)
-	local := SystematicResample(pf.particles, pf.weights, localSum, quota[p], pf.rng)
-
-	// Resampling sub-step 3: intra-resampling (SPI_dynamic). Every PE
-	// sends one (possibly empty) migration message to every other PE: a
-	// static message *rate* with variable token size — exactly the VTS
-	// pattern.
-	plan := migrationPlan(quota, d.perPE)
-	kept := local
-	if len(kept) > d.perPE {
-		kept = local[:d.perPE]
-	}
-	exportFrom := d.perPE
-	for q := 0; q < d.pes; q++ {
-		if q == p {
-			continue
-		}
-		k := plan[[2]int{p, q}]
-		var payload []byte
-		if k > 0 {
-			payload = encodeParticles(local[exportFrom : exportFrom+k])
-			exportFrom += k
-		}
-		if err := d.migTx[[2]int{p, q}].Send(payload); err != nil {
-			return 0, err
-		}
-	}
-	next := make([]float64, 0, d.perPE)
-	next = append(next, kept...)
-	for q := 0; q < d.pes; q++ {
-		if q == p {
-			continue
-		}
-		b, err := d.migRx[[2]int{q, p}].Receive()
-		if err != nil {
-			return 0, err
-		}
-		imported, err := decodeParticles(b)
-		if err != nil {
-			return 0, err
-		}
-		next = append(next, imported...)
-	}
-	if len(next) != d.perPE {
-		return 0, fmt.Errorf("particle: PE %d ended iteration with %d particles, want %d", p, len(next), d.perPE)
-	}
-	pf.particles = next
-	for i := range pf.weights {
-		pf.weights[i] = 1
-	}
-	return est, nil
+	d.steps++
+	return d.est, nil
 }
 
 // Run tracks a whole observation sequence and returns per-step estimates.

@@ -3,6 +3,7 @@ package particle
 import (
 	"testing"
 
+	"repro/internal/dataflow"
 	"repro/internal/hdl"
 	"repro/internal/platform"
 	"repro/internal/signal"
@@ -74,9 +75,9 @@ func TestDistributedCommunicationPattern(t *testing.T) {
 	if st.Messages != int64(10*4) {
 		t.Errorf("messages = %d, want 40", st.Messages)
 	}
-	// Migration edges are UBS: acks flow.
-	if st.Acks == 0 {
-		t.Error("expected UBS acknowledgements on migration edges")
+	// The loop edges bound every edge by eq. 2, so all are BBS: no acks.
+	if st.Acks != 0 {
+		t.Errorf("acks = %d, want 0 (every edge is BBS)", st.Acks)
 	}
 }
 
@@ -92,22 +93,21 @@ func TestDistributedSingePEMatchesNoComm(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeParticles(t *testing.T) {
-	in := []float64{1.5, -2, 0}
-	out, err := decodeParticles(encodeParticles(in))
+func TestKernelsRejectMalformedTokens(t *testing.T) {
+	d, fg, err := newDistributed(testModel(), 100, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range in {
-		if in[i] != out[i] {
-			t.Fatal("roundtrip mismatch")
-		}
+	ks := d.kernels(fg, func(int) float64 { return 0 }, func(int, float64) {})
+	e := fg.pe[1]
+	if _, err := ks["rs0"](0, map[dataflow.EdgeID][]byte{e.sum[0]: make([]byte, 8)}); err == nil {
+		t.Error("rs0 took an 8-byte sum message")
 	}
-	if _, err := decodeParticles(make([]byte, 9)); err == nil {
-		t.Error("bad length should fail")
+	if _, err := ks["xs0"](0, map[dataflow.EdgeID][]byte{e.mig[0]: make([]byte, 9)}); err == nil {
+		t.Error("xs0 took a 9-byte migration")
 	}
-	if _, _, _, err := decodeSums(make([]byte, 8)); err == nil {
-		t.Error("bad sums length should fail")
+	if _, err := ks["xs0"](0, map[dataflow.EdgeID][]byte{e.mig[0]: make([]byte, 8)}); err == nil {
+		t.Error("xs0 kept a particle too many")
 	}
 }
 
@@ -254,10 +254,11 @@ func TestDistributedAdaptiveSavesMigrations(t *testing.T) {
 	if adaptive.Resamplings() == 0 {
 		t.Error("adaptive filter never resampled")
 	}
-	// Fewer messages overall: migrations skipped on healthy iterations.
-	if adaptive.Stats().Messages >= always.Stats().Messages {
-		t.Errorf("adaptive messages %d !< always %d",
-			adaptive.Stats().Messages, always.Stats().Messages)
+	// A skipped migration is a header-only SPI_dynamic token: as many
+	// messages, fewer payload bytes.
+	if a, b := adaptive.Stats(), always.Stats(); a.Messages != b.Messages || a.PayloadBytes >= b.PayloadBytes {
+		t.Errorf("adaptive %d messages and %d payload bytes, always %d and %d: want equal messages, fewer bytes",
+			a.Messages, a.PayloadBytes, b.Messages, b.PayloadBytes)
 	}
 	// Tracking quality comparable to observation noise.
 	if rmse := RMSE(ests, truth); rmse > 2*p.MeasureNoise {

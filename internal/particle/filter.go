@@ -22,6 +22,7 @@ package particle
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/signal"
 )
@@ -95,7 +96,7 @@ func (f *Filter) Step(observation float64) float64 {
 	}
 	est := Estimate(f.particles, f.weights, sum)
 	// S: select via systematic resampling.
-	f.particles = SystematicResample(f.particles, f.weights, sum, len(f.particles), f.rng)
+	f.particles = SystematicResample(nil, f.particles, f.weights, sum, len(f.particles), f.rng)
 	for i := range f.weights {
 		f.weights[i] = 1
 	}
@@ -123,9 +124,10 @@ func Estimate(particles, weights []float64, sum float64) float64 {
 // systematic (stratified comb) resampling: new samples are exact replicas
 // of old samples with multiplicities proportional to their weights — the
 // selection scheme the paper describes. With a zero weight sum it copies
-// particles cyclically.
-func SystematicResample(particles, weights []float64, sum float64, count int, rng *signal.RNG) []float64 {
-	out := make([]float64, count)
+// particles cyclically. The draw is written to dst, which is reused when
+// it has the capacity and must not overlap particles.
+func SystematicResample(dst, particles, weights []float64, sum float64, count int, rng *signal.RNG) []float64 {
+	out := slices.Grow(dst[:0], count)[:count]
 	if sum <= 0 {
 		for i := range out {
 			out[i] = particles[i%len(particles)]

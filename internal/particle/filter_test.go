@@ -59,7 +59,7 @@ func TestSystematicResampleConservesCount(t *testing.T) {
 	rng := signal.NewRNG(5)
 	particles := []float64{1, 2, 3, 4}
 	weights := []float64{0, 0, 1, 0}
-	out := SystematicResample(particles, weights, 1, 8, rng)
+	out := SystematicResample(nil, particles, weights, 1, 8, rng)
 	if len(out) != 8 {
 		t.Fatalf("resampled %d, want 8", len(out))
 	}
@@ -73,7 +73,7 @@ func TestSystematicResampleConservesCount(t *testing.T) {
 
 func TestSystematicResampleZeroWeights(t *testing.T) {
 	rng := signal.NewRNG(5)
-	out := SystematicResample([]float64{1, 2}, []float64{0, 0}, 0, 4, rng)
+	out := SystematicResample(nil, []float64{1, 2}, []float64{0, 0}, 0, 4, rng)
 	if len(out) != 4 {
 		t.Fatalf("len = %d", len(out))
 	}

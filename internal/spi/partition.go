@@ -391,6 +391,9 @@ func (pr *PartitionRun) Run(baseIter, n int) (*PartResult, error) {
 	return res, nil
 }
 
+// Traffic sums the SPI traffic of the deployment's edges so far.
+func (pr *PartitionRun) Traffic() EdgeStats { return pr.env.rt.TotalStats() }
+
 // Close ends the deployment. A graceful close drains every link with the
 // GOODBYE exchange, so peers that are still consuming see a completed
 // run; otherwise the links are aborted and peers observe a failure.
