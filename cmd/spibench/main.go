@@ -6,8 +6,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/experiments"
@@ -16,37 +18,41 @@ import (
 	"repro/internal/spi"
 )
 
+// errUnknown names an experiment that does not exist, which exits 2.
+var errUnknown = errors.New("unknown experiment")
+
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (all, fig1, fig3, fig5, fig6, fig7, table1, table2, spivsmpi, bbsvsubs, vtspadding, framing)")
-	dot := flag.Bool("dot", false, "print Graphviz DOT for fig3/fig5 instead of tables")
-	gantt := flag.Bool("gantt", false, "print a Gantt timeline of the 3-PE actor-D deployment")
-	tree := flag.Bool("tree", false, "print the HDL module hierarchies behind tables 1 and 2")
-	flag.Parse()
-
-	if *tree {
-		if err := printTrees(); err != nil {
-			fmt.Fprintln(os.Stderr, "spibench:", err)
-			os.Exit(1)
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "spibench:", err)
+		if errors.Is(err, errUnknown) {
+			os.Exit(2)
 		}
-		return
+		os.Exit(1)
 	}
+}
 
-	if *gantt {
-		if err := printGantt(); err != nil {
-			fmt.Fprintln(os.Stderr, "spibench:", err)
-			os.Exit(1)
-		}
-		return
-	}
+// run parses args and writes the selected artifact to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("spibench", flag.ExitOnError)
+	exp := fs.String("exp", "all", "experiment to run (all, fig1, fig3, fig5, fig6, fig7, table1, table2, spivsmpi, bbsvsubs, vtspadding, framing)")
+	dot := fs.Bool("dot", false, "print Graphviz DOT for fig3/fig5 instead of tables")
+	gantt := fs.Bool("gantt", false, "print a Gantt timeline of the 3-PE actor-D deployment")
+	tree := fs.Bool("tree", false, "print the HDL module hierarchies behind tables 1 and 2")
+	fs.Parse(args)
 
-	if *dot {
+	switch {
+	case *tree:
+		return printTrees(w)
+	case *gantt:
+		return printGantt(w)
+	case *dot:
 		b3, a3 := experiments.Fig3DOT(3)
 		b5, a5 := experiments.Fig5DOT()
-		fmt.Println(b3)
-		fmt.Println(a3)
-		fmt.Println(b5)
-		fmt.Println(a5)
-		return
+		fmt.Fprintln(w, b3)
+		fmt.Fprintln(w, a3)
+		fmt.Fprintln(w, b5)
+		fmt.Fprintln(w, a5)
+		return nil
 	}
 
 	builders := map[string]func() (*experiments.Table, error){
@@ -66,46 +72,44 @@ func main() {
 	if *exp == "all" {
 		tables, err := experiments.All()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "spibench:", err)
-			os.Exit(1)
+			return err
 		}
 		for _, t := range tables {
-			fmt.Println(t)
+			fmt.Fprintln(w, t)
 		}
-		return
+		return nil
 	}
 	b, ok := builders[*exp]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "spibench: unknown experiment %q\n", *exp)
-		os.Exit(2)
+		return fmt.Errorf("%w %q", errUnknown, *exp)
 	}
 	t, err := b()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "spibench:", err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Println(t)
+	fmt.Fprintln(w, t)
+	return nil
 }
 
 // printTrees prints the synthesis-style module hierarchy reports of the
 // two hardware models.
-func printTrees() error {
+func printTrees(w io.Writer) error {
 	top1, err := lpc.HardwareModel(lpc.DefaultDeploy(512, 4))
 	if err != nil {
 		return err
 	}
-	fmt.Printf("Table 1 hierarchy (Fmax %.0f MHz):\n%s\n", top1.FmaxMHz(), top1.Report())
+	fmt.Fprintf(w, "Table 1 hierarchy (Fmax %.0f MHz):\n%s\n", top1.FmaxMHz(), top1.Report())
 	top2, err := particle.HardwareModel(particle.DefaultDeploy(300, 2))
 	if err != nil {
 		return err
 	}
-	fmt.Printf("Table 2 hierarchy (Fmax %.0f MHz):\n%s", top2.FmaxMHz(), top2.Report())
+	fmt.Fprintf(w, "Table 2 hierarchy (Fmax %.0f MHz):\n%s", top2.FmaxMHz(), top2.Report())
 	return nil
 }
 
 // printGantt runs a short 3-PE actor-D deployment with tracing and renders
 // the per-PE timeline ('#' compute, '>' send, '<' recv, '.' idle).
-func printGantt() error {
+func printGantt(w io.Writer) error {
 	sys, err := lpc.ErrorGenSystem(lpc.DefaultDeploy(256, 3))
 	if err != nil {
 		return err
@@ -120,8 +124,8 @@ func printGantt() error {
 		return err
 	}
 	cfg := dep.Sim.Config()
-	fmt.Printf("3-PE actor D (N=256), 4 frames, %.1f us total\n",
+	fmt.Fprintf(w, "3-PE actor D (N=256), 4 frames, %.1f us total\n",
 		st.Microseconds(cfg, st.Finish))
-	fmt.Print(dep.Sim.LastTrace().Gantt(cfg.NumPEs, 100))
+	fmt.Fprint(w, dep.Sim.LastTrace().Gantt(cfg.NumPEs, 100))
 	return nil
 }

@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/cmd/internal/runcfg"
@@ -50,23 +51,31 @@ func newFlagSet(graph, file *string, assign *[]int, pes *int) *flag.FlagSet {
 }
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "spigraph:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args and writes the requested analysis to w.
+func run(args []string, w io.Writer) error {
 	var (
 		graph, file string
 		assign      []int
 		pes         int
 	)
-	newFlagSet(&graph, &file, &assign, &pes).Parse(os.Args[1:])
+	newFlagSet(&graph, &file, &assign, &pes).Parse(args)
 
 	var err error
 	switch {
 	case file != "":
-		err = analyzeFile(file, assign)
+		err = analyzeFile(w, file, assign)
 	case graph == "fig1":
-		err = analyzeFig1()
+		err = analyzeFig1(w)
 	case graph == "app1full":
-		err = analyzeFullApp1()
+		err = analyzeFullApp1(w)
 	case graph == "app1":
-		err = analyzeSystem(func() (g *dataflow.Graph, m *sched.Mapping, err error) {
+		err = analyzeSystem(w, func() (g *dataflow.Graph, m *sched.Mapping, err error) {
 			sys, err := lpc.ErrorGenSystem(lpc.DefaultDeploy(256, pes))
 			if err != nil {
 				return nil, nil, err
@@ -74,7 +83,7 @@ func main() {
 			return sys.Graph, sys.Mapping, nil
 		})
 	case graph == "app2":
-		err = analyzeSystem(func() (g *dataflow.Graph, m *sched.Mapping, err error) {
+		err = analyzeSystem(w, func() (g *dataflow.Graph, m *sched.Mapping, err error) {
 			n := pes
 			if n < 1 {
 				n = 2
@@ -88,10 +97,7 @@ func main() {
 	default:
 		err = fmt.Errorf("unknown graph %q", graph)
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "spigraph:", err)
-		os.Exit(1)
-	}
+	return err
 }
 
 // emitDOT switches printVTS-style analyses to Graphviz output; resyncWire
@@ -109,7 +115,7 @@ var (
 // plan: the chosen (k, block) point with its memory bound, the per-replica
 // scatter/gather rates, and the rewritten graph with its analysis — so a
 // deployment can be inspected before anything runs.
-func printFission(g *dataflow.Graph) error {
+func printFission(w io.Writer, g *dataflow.Graph) error {
 	target, err := runcfg.FissionTarget(g, fissionActor)
 	if err != nil {
 		return err
@@ -122,48 +128,48 @@ func printFission(g *dataflow.Graph) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println(plan)
+	fmt.Fprintln(w, plan)
 	for _, eid := range g.In(target) {
 		e := g.Edge(eid)
-		fmt.Printf("  scatter in  %-10s %d tokens/iter x %d bytes, broadcast\n",
+		fmt.Fprintf(w, "  scatter in  %-10s %d tokens/iter x %d bytes, broadcast\n",
 			e.Name, plan.InTokens[eid], e.TokenBytes)
 		for _, sid := range plan.ScatterEdges[eid] {
 			se := plan.Graph.Edge(sid)
-			fmt.Printf("    %-20s -> %-12s bound %d tokens\n",
+			fmt.Fprintf(w, "    %-20s -> %-12s bound %d tokens\n",
 				se.Name, plan.Graph.Actor(se.Snk).Name, se.Produce.Rate)
 		}
 	}
 	for _, eid := range g.Out(target) {
 		e := g.Edge(eid)
 		counts := dataflow.SplitCounts(int(plan.OutTokens[eid]), plan.K)
-		fmt.Printf("  gather out  %-10s %d tokens/iter x %d bytes, split %v\n",
+		fmt.Fprintf(w, "  gather out  %-10s %d tokens/iter x %d bytes, split %v\n",
 			e.Name, plan.OutTokens[eid], e.TokenBytes, counts)
 		for _, gid := range plan.GatherEdges[eid] {
 			ge := plan.Graph.Edge(gid)
-			fmt.Printf("    %-20s <- %-12s bound %d tokens\n",
+			fmt.Fprintf(w, "    %-20s <- %-12s bound %d tokens\n",
 				ge.Name, plan.Graph.Actor(ge.Src).Name, ge.Produce.Rate)
 		}
 	}
-	fmt.Println("rewritten graph:")
-	fmt.Print(plan.Graph)
-	return printVTS(plan.Graph)
+	fmt.Fprintln(w, "rewritten graph:")
+	fmt.Fprint(w, plan.Graph)
+	return printVTS(w, plan.Graph)
 }
 
-func analyzeFile(path string, assign []int) error {
+func analyzeFile(w io.Writer, path string, assign []int) error {
 	g, err := runcfg.LoadGraph(path)
 	if err != nil {
 		return err
 	}
 	if emitDOT {
-		fmt.Print(g.DOT())
+		fmt.Fprint(w, g.DOT())
 		return nil
 	}
-	fmt.Print(g)
-	if err := printVTS(g); err != nil {
+	fmt.Fprint(w, g)
+	if err := printVTS(w, g); err != nil {
 		return err
 	}
 	if fissionK != 0 {
-		if err := printFission(g); err != nil {
+		if err := printFission(w, g); err != nil {
 			return err
 		}
 	}
@@ -177,18 +183,18 @@ func analyzeFile(path string, assign []int) error {
 	if err != nil {
 		return err
 	}
-	return printResyncWire(g, m)
+	return printResyncWire(w, g, m)
 }
 
 // printResyncWire renders spi.ResyncSuppression as it lands on the wire:
 // one row per interprocessor edge, suppress or keep, with the covering
 // path that justifies each suppression, then the suppressed ID set.
-func printResyncWire(g *dataflow.Graph, m *sched.Mapping) error {
+func printResyncWire(w io.Writer, g *dataflow.Graph, m *sched.Mapping) error {
 	plan, err := spi.ResyncSuppression(g, m)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("resync wire verdict: %d ack feedback edge(s), %d suppressed, %d surviving\n",
+	fmt.Fprintf(w, "resync wire verdict: %d ack feedback edge(s), %d suppressed, %d surviving\n",
 		plan.AckFeedback, len(plan.Suppressed), plan.AckSurviving)
 	for _, eid := range g.Edges() {
 		e := g.Edge(eid)
@@ -196,24 +202,24 @@ func printResyncWire(g *dataflow.Graph, m *sched.Mapping) error {
 			continue
 		}
 		if witness, ok := plan.Suppressed[eid]; ok {
-			fmt.Printf("  edge %-3d %-12s suppress  via %s\n", eid, e.Name, witness)
+			fmt.Fprintf(w, "  edge %-3d %-12s suppress  via %s\n", eid, e.Name, witness)
 		} else {
-			fmt.Printf("  edge %-3d %-12s keep\n", eid, e.Name)
+			fmt.Fprintf(w, "  edge %-3d %-12s keep\n", eid, e.Name)
 		}
 	}
-	fmt.Printf("wire suppression set: %v\n", plan.SuppressedIDs())
+	fmt.Fprintf(w, "wire suppression set: %v\n", plan.SuppressedIDs())
 	return nil
 }
 
 // analyzeFullApp1 analyzes the five-actor application-1 pipeline of the
 // paper's figure 2, including its looped single-appearance schedule.
-func analyzeFullApp1() error {
+func analyzeFullApp1(w io.Writer) error {
 	g, err := lpc.FullGraph(lpc.DefaultParams())
 	if err != nil {
 		return err
 	}
-	fmt.Print(g)
-	if err := printVTS(g); err != nil {
+	fmt.Fprint(w, g)
+	if err := printVTS(w, g); err != nil {
 		return err
 	}
 	sas, err := sched.SingleAppearanceSchedule(g)
@@ -224,11 +230,11 @@ func analyzeFullApp1() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("single-appearance schedule: %s (buffer memory %d bytes)\n", sas.Notation(g), mem)
+	fmt.Fprintf(w, "single-appearance schedule: %s (buffer memory %d bytes)\n", sas.Notation(g), mem)
 	return nil
 }
 
-func analyzeFig1() error {
+func analyzeFig1(w io.Writer) error {
 	g := dataflow.New("fig1")
 	a := g.AddActor("A", 10)
 	b := g.AddActor("B", 10)
@@ -237,14 +243,14 @@ func analyzeFig1() error {
 	})
 	g.AddEdge("ba", b, a, 1, 1, dataflow.EdgeSpec{Delay: 2})
 	if emitDOT {
-		fmt.Print(g.DOT())
+		fmt.Fprint(w, g.DOT())
 		return nil
 	}
-	fmt.Print(g)
-	return printVTS(g)
+	fmt.Fprint(w, g)
+	return printVTS(w, g)
 }
 
-func printVTS(g *dataflow.Graph) error {
+func printVTS(w io.Writer, g *dataflow.Graph) error {
 	conv, err := vts.Convert(g)
 	if err != nil {
 		return err
@@ -253,54 +259,54 @@ func printVTS(g *dataflow.Graph) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("repetitions vector: %v\n", q)
+	fmt.Fprintf(w, "repetitions vector: %v\n", q)
 	sched, err := conv.Graph.FindPASS()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("PASS (%d firings):", len(sched))
+	fmt.Fprintf(w, "PASS (%d firings):", len(sched))
 	for _, a := range sched {
-		fmt.Printf(" %s", conv.Graph.Actor(a).Name)
+		fmt.Fprintf(w, " %s", conv.Graph.Actor(a).Name)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	bounds, err := vts.ComputeBounds(conv)
 	if err != nil {
 		return err
 	}
-	fmt.Println("VTS bounds per edge:")
+	fmt.Fprintln(w, "VTS bounds per edge:")
 	for _, b := range bounds {
 		e := conv.Graph.Edge(b.Edge)
 		proto := "SPI_BBS"
 		if !b.Bounded {
 			proto = "SPI_UBS (no static bound)"
 		}
-		fmt.Printf("  %-10s b_max=%-6d c_sdf=%-3d c(e)=%-6d Gamma=%-3d B(e)=%-6d %s\n",
+		fmt.Fprintf(w, "  %-10s b_max=%-6d c_sdf=%-3d c(e)=%-6d Gamma=%-3d B(e)=%-6d %s\n",
 			e.Name, b.BMax, b.CSDF, b.CE, b.Gamma, b.IPC, proto)
 	}
 	total, unbounded := vts.TotalBoundedMemory(bounds)
-	fmt.Printf("total bounded buffer memory: %d bytes (%d UBS edges)\n", total, unbounded)
+	fmt.Fprintf(w, "total bounded buffer memory: %d bytes (%d UBS edges)\n", total, unbounded)
 	return nil
 }
 
-func analyzeSystem(build func() (*dataflow.Graph, *sched.Mapping, error)) error {
+func analyzeSystem(w io.Writer, build func() (*dataflow.Graph, *sched.Mapping, error)) error {
 	g, m, err := build()
 	if err != nil {
 		return err
 	}
 	if emitDOT {
-		fmt.Print(g.DOT())
+		fmt.Fprint(w, g.DOT())
 		return nil
 	}
-	fmt.Print(g)
-	if err := printVTS(g); err != nil {
+	fmt.Fprint(w, g)
+	if err := printVTS(w, g); err != nil {
 		return err
 	}
 	if fissionK != 0 {
-		if err := printFission(g); err != nil {
+		if err := printFission(w, g); err != nil {
 			return err
 		}
 	}
-	fmt.Printf("mapping: %d processors, %d interprocessor edges\n",
+	fmt.Fprintf(w, "mapping: %d processors, %d interprocessor edges\n",
 		m.NumProcs, len(m.InterprocessorEdges(g)))
 	ipc, err := syncgraph.BuildIPCGraph(g, m)
 	if err != nil {
@@ -309,9 +315,9 @@ func analyzeSystem(build func() (*dataflow.Graph, *sched.Mapping, error)) error 
 	sg := syncgraph.SynchronizationGraph(ipc)
 	syncgraph.AddAllFeedback(sg, 1)
 	rep := syncgraph.Resynchronize(sg)
-	fmt.Println(rep)
+	fmt.Fprintln(w, rep)
 	if resyncWire {
-		if err := printResyncWire(g, m); err != nil {
+		if err := printResyncWire(w, g, m); err != nil {
 			return err
 		}
 	}
@@ -319,7 +325,7 @@ func analyzeSystem(build func() (*dataflow.Graph, *sched.Mapping, error)) error 
 	if err != nil {
 		return err
 	}
-	fmt.Printf("self-timed analysis: steady period %.1f cycles, finish %d cycles over 20 iterations\n",
+	fmt.Fprintf(w, "self-timed analysis: steady period %.1f cycles, finish %d cycles over 20 iterations\n",
 		res.Period, res.Finish)
 	return nil
 }
