@@ -1,8 +1,7 @@
 // Command spibench regenerates the paper's tables and figures from the
 // simulated platform. With no flags it prints everything; -exp selects one
-// experiment (fig1, fig3, fig5, fig6, fig7, table1, table2, spivsmpi,
-// bbsvsubs, vtspadding); -dot prints the Graphviz form of the
-// synchronization-graph figures.
+// experiment by its name in experiments.Experiments (-h lists them); -dot
+// prints the Graphviz form of the synchronization-graph figures.
 package main
 
 import (
@@ -11,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"repro/internal/experiments"
 	"repro/internal/lpc"
@@ -33,8 +33,12 @@ func main() {
 
 // run parses args and writes the selected artifact to w.
 func run(args []string, w io.Writer) error {
+	names := []string{"all"}
+	for _, e := range experiments.Experiments {
+		names = append(names, e.Name)
+	}
 	fs := flag.NewFlagSet("spibench", flag.ExitOnError)
-	exp := fs.String("exp", "all", "experiment to run (all, fig1, fig3, fig5, fig6, fig7, table1, table2, spivsmpi, bbsvsubs, vtspadding, framing)")
+	exp := fs.String("exp", "all", "experiment to run: "+strings.Join(names, ", "))
 	dot := fs.Bool("dot", false, "print Graphviz DOT for fig3/fig5 instead of tables")
 	gantt := fs.Bool("gantt", false, "print a Gantt timeline of the 3-PE actor-D deployment")
 	tree := fs.Bool("tree", false, "print the HDL module hierarchies behind tables 1 and 2")
@@ -46,29 +50,13 @@ func run(args []string, w io.Writer) error {
 	case *gantt:
 		return printGantt(w)
 	case *dot:
-		b3, a3 := experiments.Fig3DOT(3)
-		b5, a5 := experiments.Fig5DOT()
-		fmt.Fprintln(w, b3)
-		fmt.Fprintln(w, a3)
-		fmt.Fprintln(w, b5)
-		fmt.Fprintln(w, a5)
-		return nil
+		dots, err := experiments.SyncFigureDOT()
+		for _, d := range dots {
+			fmt.Fprintln(w, d)
+		}
+		return err
 	}
 
-	builders := map[string]func() (*experiments.Table, error){
-		"fig1":       experiments.Fig1VTS,
-		"fig3":       experiments.Fig3,
-		"fig5":       experiments.Fig5,
-		"fig6":       experiments.Fig6,
-		"fig7":       experiments.Fig7,
-		"table1":     experiments.Table1,
-		"table2":     experiments.Table2,
-		"spivsmpi":   experiments.SPIvsMPI,
-		"bbsvsubs":   experiments.BBSvsUBS,
-		"vtspadding": experiments.VTSPadding,
-		"framing":    experiments.Framing,
-		"resync":     experiments.ResyncPlatform,
-	}
 	if *exp == "all" {
 		tables, err := experiments.All()
 		if err != nil {
@@ -79,16 +67,17 @@ func run(args []string, w io.Writer) error {
 		}
 		return nil
 	}
-	b, ok := builders[*exp]
-	if !ok {
-		return fmt.Errorf("%w %q", errUnknown, *exp)
+	for _, e := range experiments.Experiments {
+		if e.Name == *exp {
+			t, err := e.Run()
+			if err != nil {
+				return err
+			}
+			fmt.Fprintln(w, t)
+			return nil
+		}
 	}
-	t, err := b()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, t)
-	return nil
+	return fmt.Errorf("%w %q (one of %s)", errUnknown, *exp, strings.Join(names, ", "))
 }
 
 // printTrees prints the synthesis-style module hierarchy reports of the

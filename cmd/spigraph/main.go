@@ -27,7 +27,6 @@ import (
 	"repro/internal/particle"
 	"repro/internal/sched"
 	"repro/internal/spi"
-	"repro/internal/syncgraph"
 	"repro/internal/vts"
 )
 
@@ -183,17 +182,19 @@ func analyzeFile(w io.Writer, path string, assign []int) error {
 	if err != nil {
 		return err
 	}
-	return printResyncWire(w, g, m)
-}
-
-// printResyncWire renders spi.ResyncSuppression as it lands on the wire:
-// one row per interprocessor edge, suppress or keep, with the covering
-// path that justifies each suppression, then the suppressed ID set.
-func printResyncWire(w io.Writer, g *dataflow.Graph, m *sched.Mapping) error {
 	plan, err := spi.ResyncSuppression(g, m)
 	if err != nil {
 		return err
 	}
+	printResyncWire(w, g, m, plan)
+	return nil
+}
+
+// printResyncWire renders the spi.ResyncSuppression plan as it lands on the
+// wire: one row per interprocessor edge, suppress or keep, with the
+// covering path that justifies each suppression, then the suppressed ID
+// set.
+func printResyncWire(w io.Writer, g *dataflow.Graph, m *sched.Mapping, plan *spi.ResyncPlan) {
 	fmt.Fprintf(w, "resync wire verdict: %d ack feedback edge(s), %d suppressed, %d surviving\n",
 		plan.AckFeedback, len(plan.Suppressed), plan.AckSurviving)
 	for _, eid := range g.Edges() {
@@ -208,7 +209,6 @@ func printResyncWire(w io.Writer, g *dataflow.Graph, m *sched.Mapping) error {
 		}
 	}
 	fmt.Fprintf(w, "wire suppression set: %v\n", plan.SuppressedIDs())
-	return nil
 }
 
 // analyzeFullApp1 analyzes the five-actor application-1 pipeline of the
@@ -308,18 +308,13 @@ func analyzeSystem(w io.Writer, build func() (*dataflow.Graph, *sched.Mapping, e
 	}
 	fmt.Fprintf(w, "mapping: %d processors, %d interprocessor edges\n",
 		m.NumProcs, len(m.InterprocessorEdges(g)))
-	ipc, err := syncgraph.BuildIPCGraph(g, m)
+	plan, err := spi.ResyncSuppression(g, m)
 	if err != nil {
 		return err
 	}
-	sg := syncgraph.SynchronizationGraph(ipc)
-	syncgraph.AddAllFeedback(sg, 1)
-	rep := syncgraph.Resynchronize(sg)
-	fmt.Fprintln(w, rep)
+	fmt.Fprintln(w, plan.Report)
 	if resyncWire {
-		if err := printResyncWire(w, g, m); err != nil {
-			return err
-		}
+		printResyncWire(w, g, m, plan)
 	}
 	res, err := sched.SelfTimed(g, m, sched.SelfTimedConfig{Iterations: 20, Warmup: 5})
 	if err != nil {

@@ -1,39 +1,39 @@
-// Resynchronization example: walk through the synchronization-graph
-// optimization of paper §4 on the figure-3 and figure-5 systems — derive
-// the synchronization graph, remove redundant synchronization edges, insert
-// resynchronization edges where profitable, and confirm the steady-state
-// period is preserved.
+// Resynchronization example: paper §4's synchronization-graph optimization
+// on the deployments figures 3 and 5 are computed from (3-PE actor D, the
+// 2-PE particle filter), run by spi.ResyncSuppression as a -resync run does
+// at setup: an acknowledgement feedback edge per interprocessor edge, the
+// redundant ones removed at an unchanged period, and those the wire drops.
 package main
 
 import (
 	"fmt"
+	"log"
 
-	"repro/internal/experiments"
-	"repro/internal/syncgraph"
+	"repro/internal/lpc"
+	"repro/internal/particle"
+	"repro/internal/spi"
 )
 
 func main() {
-	fmt.Println("3-PE actor D (figure 3):")
-	g3 := experiments.Fig3Graph(3)
-	fmt.Printf("  before: %d sync edges, %d redundant\n", g3.SyncCount(), g3.CountRedundant())
-	mcmBefore, _ := g3.MaxCycleMean()
-	rep := syncgraph.Resynchronize(g3)
-	mcmAfter, _ := g3.MaxCycleMean()
-	fmt.Printf("  after:  %d sync edges (period %.1f -> %.1f cycles)\n",
-		g3.SyncCount(), mcmBefore, mcmAfter)
-	fmt.Printf("  %s\n", rep)
-	for _, e := range rep.RemovedFirst {
-		fmt.Printf("    removed redundant: %s (delay %d)\n", e.Label, e.Delay)
+	actorD, err := lpc.ErrorGenSystem(lpc.DefaultDeploy(256, 3))
+	check(err)
+	filter, err := particle.FilterSystem(particle.DefaultDeploy(300, 2), nil)
+	check(err)
+	var plan *spi.ResyncPlan
+	for _, sys := range []*spi.System{actorD, filter} {
+		plan, err = spi.ResyncSuppression(sys.Graph, sys.Mapping)
+		check(err)
+		fmt.Printf("%s:\n  %s\n", sys.Graph.Name(), plan.Report)
+		for _, e := range plan.Report.RemovedFirst {
+			fmt.Printf("    removed redundant: %s (delay %d)\n", e.Label, e.Delay)
+		}
+		fmt.Printf("  wire suppresses %d of %d feedback edges (UBS acks only)\n\n", len(plan.Suppressed), plan.AckFeedback)
 	}
+	fmt.Print("Graphviz (after) for the particle filter:\n", plan.Graph.DOT("fig5-after"))
+}
 
-	fmt.Println("\n2-PE particle filter (figure 5):")
-	g5 := experiments.Fig5Graph()
-	fmt.Printf("  before: %d sync edges, %d redundant\n", g5.SyncCount(), g5.CountRedundant())
-	rep5 := syncgraph.Resynchronize(g5)
-	fmt.Printf("  after:  %d sync edges\n", g5.SyncCount())
-	fmt.Printf("  %s\n", rep5)
-
-	fmt.Println("\nGraphviz (after) for the particle filter:")
-	_, after := experiments.Fig5DOT()
-	fmt.Println(after)
+func check(err error) {
+	if err != nil {
+		log.Fatal(err)
+	}
 }

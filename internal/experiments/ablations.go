@@ -322,14 +322,25 @@ func Framing() (*Table, error) {
 	return t, nil
 }
 
+// Experiment is one named table or figure.
+type Experiment struct {
+	Name string
+	Run  func() (*Table, error)
+}
+
+// Experiments lists every experiment in presentation order: All runs them
+// in this order, and spibench -exp selects one by name.
+var Experiments = []Experiment{
+	{"fig1", Fig1VTS}, {"fig3", Fig3}, {"fig5", Fig5}, {"fig6", Fig6}, {"fig7", Fig7},
+	{"table1", Table1}, {"table2", Table2}, {"spivsmpi", SPIvsMPI}, {"resync", ResyncPlatform},
+	{"bbsvsubs", BBSvsUBS}, {"vtspadding", VTSPadding}, {"framing", Framing},
+}
+
 // All runs every experiment and returns the tables in presentation order.
 func All() ([]*Table, error) {
-	builders := []func() (*Table, error){
-		Fig1VTS, Fig3, Fig5, Fig6, Fig7, Table1, Table2, SPIvsMPI, ResyncPlatform, BBSvsUBS, VTSPadding, Framing,
-	}
-	out := make([]*Table, 0, len(builders))
-	for _, b := range builders {
-		t, err := b()
+	out := make([]*Table, 0, len(Experiments))
+	for _, e := range Experiments {
+		t, err := e.Run()
 		if err != nil {
 			return nil, err
 		}

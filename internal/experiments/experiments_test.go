@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/spi"
 )
 
 func cellFloat(t *testing.T, tbl *Table, row, col int) float64 {
@@ -150,16 +154,53 @@ func TestFig5ReducesSync(t *testing.T) {
 }
 
 func TestFigDOTOutputs(t *testing.T) {
-	b3, a3 := Fig3DOT(3)
-	if !strings.Contains(b3, "digraph") || !strings.Contains(a3, "digraph") {
-		t.Error("fig3 DOT malformed")
+	dots, err := SyncFigureDOT()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if strings.Count(a3, "dashed") > strings.Count(b3, "dashed") {
-		t.Error("fig3 after has more sync edges than before")
+	if len(dots) != 4 {
+		t.Fatalf("%d DOT graphs, want fig3 and fig5 before and after", len(dots))
 	}
-	b5, a5 := Fig5DOT()
-	if strings.Count(a5, "dashed") > strings.Count(b5, "dashed") {
-		t.Error("fig5 after has more sync edges than before")
+	for i := 0; i < len(dots); i += 2 {
+		before, after := dots[i], dots[i+1]
+		if !strings.Contains(before, "digraph") || !strings.Contains(after, "digraph") {
+			t.Errorf("DOT malformed:\n%s\n%s", before, after)
+		}
+		if strings.Count(after, "dashed") >= strings.Count(before, "dashed") {
+			t.Errorf("%s: resynchronization removed no sync edge", before[:strings.Index(before, "{")])
+		}
+	}
+}
+
+// TestSyncFiguresMatchWireVerdict: figures 3 and 5 report the verdict the
+// wire acts on — the same sync-edge counts and period as
+// spi.ResyncSuppression on the same deployments.
+func TestSyncFiguresMatchWireVerdict(t *testing.T) {
+	for _, f := range []struct {
+		table  func() (*Table, error)
+		system func() (*spi.System, error)
+	}{{Fig3, fig3System}, {Fig5, fig5System}} {
+		tbl, err := f.table()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := f.system()
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := spi.ResyncSuppression(sys.Graph, sys.Mapping)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := plan.Report
+		want := [][]string{
+			{"sync_edges", fmt.Sprint(rep.SyncBefore), fmt.Sprint(rep.SyncAfter)},
+			{"steady_period_cycles", fmt.Sprintf("%.1f", rep.PeriodBefore), fmt.Sprintf("%.1f", rep.PeriodAfter)},
+		}
+		got := [][]string{tbl.Rows[0], tbl.Rows[4]}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: rows %v, wire verdict %v", tbl.Title, got, want)
+		}
 	}
 }
 

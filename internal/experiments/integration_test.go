@@ -7,7 +7,6 @@ import (
 	"repro/internal/dataflow"
 	"repro/internal/sched"
 	"repro/internal/spi"
-	"repro/internal/syncgraph"
 	"repro/internal/vts"
 )
 
@@ -79,17 +78,14 @@ func TestFullPipelineIntegration(t *testing.T) {
 	}
 
 	// Stage 4: synchronization analysis.
-	ipc, err := syncgraph.BuildIPCGraph(g, m)
+	plan, err := spi.ResyncSuppression(g, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sg := syncgraph.SynchronizationGraph(ipc)
-	syncgraph.AddAllFeedback(sg, 2)
-	rep := syncgraph.Resynchronize(sg)
-	if rep.SyncAfter > rep.SyncBefore {
+	if rep := plan.Report; rep.SyncAfter > rep.SyncBefore {
 		t.Errorf("resynchronization increased sync edges: %s", rep)
 	}
-	if _, live := sg.MaxCycleMean(); !live {
+	if _, live := plan.Graph.MaxCycleMean(); !live {
 		t.Fatal("optimized graph deadlocked")
 	}
 

@@ -6,7 +6,6 @@ import (
 	"repro/internal/dataflow"
 	"repro/internal/sched"
 	"repro/internal/spi"
-	"repro/internal/syncgraph"
 	"repro/internal/vts"
 )
 
@@ -48,14 +47,11 @@ func TestRandomGraphStress(t *testing.T) {
 				if err := m.Validate(g); err != nil {
 					t.Fatalf("seed %d %s/%d: invalid mapping: %v", seed, scheduler, nprocs, err)
 				}
-				ipc, err := syncgraph.BuildIPCGraph(g, m)
+				plan, err := spi.ResyncSuppression(g, m)
 				if err != nil {
-					t.Fatalf("seed %d %s/%d: IPC graph: %v", seed, scheduler, nprocs, err)
+					t.Fatalf("seed %d %s/%d: resync: %v", seed, scheduler, nprocs, err)
 				}
-				sg := syncgraph.SynchronizationGraph(ipc)
-				syncgraph.AddAllFeedback(sg, 1)
-				rep := syncgraph.Resynchronize(sg)
-				if rep.SyncAfter > rep.SyncBefore {
+				if rep := plan.Report; rep.SyncAfter > rep.SyncBefore {
 					t.Fatalf("seed %d %s/%d: resync grew: %s", seed, scheduler, nprocs, rep)
 				}
 				dep, err := spi.Build(&spi.System{Graph: g, Mapping: m})

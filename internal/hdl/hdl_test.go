@@ -159,49 +159,6 @@ func TestPrimitiveValidation(t *testing.T) {
 	}
 }
 
-func TestSPILibraryBundle(t *testing.T) {
-	lib := SPILibrary("pe0", []SPIEdgeHW{
-		{Name: "frame", Dynamic: true, BufferBytes: 1024, UBS: true, Receives: true},
-		{Name: "errs", Dynamic: false, BufferBytes: 64, Sends: true},
-	})
-	if !strings.HasPrefix(lib.Name(), "spi_lib.") {
-		t.Errorf("library name %q must carry the spi_ prefix", lib.Name())
-	}
-	total := lib.Total()
-	if total.IsZero() {
-		t.Error("library has zero area")
-	}
-	if len(lib.FindAll("pe0.rx_engine")) == 0 {
-		t.Error("shared receive engine missing")
-	}
-	if len(lib.FindAll("pe0.tx_engine")) == 0 {
-		t.Error("shared send engine missing")
-	}
-	if len(lib.FindAll("pe0.buf.frame")) == 0 || len(lib.FindAll("pe0.buf.errs")) == 0 {
-		t.Error("per-edge staging buffers missing")
-	}
-	// The 1 KiB dynamic frame buffer lands in BRAM.
-	if lib.Total().BRAMs == 0 {
-		t.Error("large buffer should use BRAM")
-	}
-}
-
-func TestSPILibrarySharesEngines(t *testing.T) {
-	// Doubling the edge count must not double the library: engines are
-	// shared, only staging buffers replicate.
-	small := SPILibrary("a", []SPIEdgeHW{
-		{Name: "e0", Dynamic: true, BufferBytes: 64, UBS: true, Sends: true, Receives: true},
-	}).Total()
-	big := SPILibrary("b", []SPIEdgeHW{
-		{Name: "e0", Dynamic: true, BufferBytes: 64, UBS: true, Sends: true, Receives: true},
-		{Name: "e1", Dynamic: true, BufferBytes: 64, UBS: true, Sends: true, Receives: true},
-		{Name: "e2", Dynamic: true, BufferBytes: 64, UBS: true, Sends: true, Receives: true},
-	}).Total()
-	if big.Slices >= 3*small.Slices {
-		t.Errorf("library does not share engines: 1 edge = %d slices, 3 edges = %d", small.Slices, big.Slices)
-	}
-}
-
 // Property: Total is always the sum of Own over the closure (checked by
 // random trees).
 func TestTotalIsSumProperty(t *testing.T) {

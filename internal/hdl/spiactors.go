@@ -1,6 +1,10 @@
 package hdl
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/spi"
+)
 
 // Hardware realizations of the SPI communication actors (paper §5.1: the
 // FPGA library implements SPI_init, SPI_send and SPI_receive for both
@@ -21,86 +25,80 @@ func SPIInit(edges int) *Module {
 	return m
 }
 
-// stagingFIFO picks distributed RAM for small buffers and block RAM beyond
-// 128 bytes, as a synthesis tool would.
-func stagingFIFO(name string, bytes int) *Module {
-	if bytes <= 0 {
-		bytes = 16
+// AddSPILibraries adds to top the datapath of every processor p that has
+// one, datapaths[p] (nil for a processor without), and beside it p's
+// "spi_lib" module, derived as paper §5 builds the library from the edge
+// plans spi.Build makes for sys: a send or receive actor for each
+// interprocessor edge p ends, SPI_static or SPI_dynamic by the edge's
+// mode, an acknowledgement generator only where p receives a UBS edge, and
+// a staging buffer of B(e) on a BBS edge (its capacity in messages of b_max
+// bytes, as the runtime provisions it) or of c(e) on a UBS edge (one b_max
+// message). As in the paper's FPGA library, the actors share one send and
+// one receive engine (header formation/parsing FSMs, burst counters, the
+// bound check, the acknowledgement generator), which multiplex over the
+// per-edge buffers by edge ID. Sharing the engines is what keeps the
+// library small relative to the full system (tables 1 and 2).
+func AddSPILibraries(top *Module, sys *spi.System, datapaths []*Module) error {
+	dep, err := spi.Build(sys)
+	if err != nil {
+		return err
 	}
-	if bytes <= 128 {
-		return FIFODistributed(name, bytes)
-	}
-	return FIFOBRAM(name, bytes)
-}
-
-// SPILibrary bundles the communication actors of one PE: init logic plus a
-// send/receive actor per edge description.
-type SPIEdgeHW struct {
-	// Name labels the edge.
-	Name string
-	// Dynamic selects the SPI_dynamic actor pair.
-	Dynamic bool
-	// BufferBytes is the staging/IPC buffer size (the VTS bound for
-	// dynamic edges, rate x token size for static).
-	BufferBytes int
-	// UBS adds the acknowledgement generator on the receive side.
-	UBS bool
-	// Sends / Receives say which actor(s) this PE instantiates for the
-	// edge (a PE usually has one side; the I/O interface has the other).
-	Sends, Receives bool
-}
-
-// SPILibrary returns the "spi_lib" module of one PE given its edges. As in
-// the paper's FPGA library, a PE instantiates one shared send engine and
-// one shared receive engine (header formation/parsing FSMs, burst counters,
-// the bound check and — under UBS — the acknowledgement generator), which
-// multiplex over per-edge staging buffers selected by edge ID. Sharing the
-// engines is what keeps the library small relative to the full system
-// (tables 1 and 2).
-func SPILibrary(pe string, edges []SPIEdgeHW) *Module {
-	m := NewModule("spi_lib." + pe)
-	m.Add(SPIInit(max(1, len(edges))))
-	var anySend, anyRecv, anyDyn, anyUBS bool
-	for _, e := range edges {
-		anySend = anySend || e.Sends
-		anyRecv = anyRecv || e.Receives
-		anyDyn = anyDyn || e.Dynamic
-		anyUBS = anyUBS || (e.UBS && e.Receives)
-	}
-	if anySend {
-		tx := NewModule(pe + ".tx_engine")
-		tx.Add(Register(pe+".tx.hdr", 16))
-		if anyDyn {
-			tx.Add(Register(pe+".tx.size", 16))
-			tx.Add(Comparator(pe+".tx.bound", 16))
+	for proc, dp := range datapaths {
+		if dp == nil {
+			continue
 		}
-		tx.Add(Counter(pe+".tx.burst", 10))
-		tx.Add(FSM(pe+".tx.ctl", 6))
-		m.Add(tx)
-	}
-	if anyRecv {
-		rx := NewModule(pe + ".rx_engine")
-		rx.Add(Comparator(pe+".rx.idmatch", 16))
-		if anyDyn {
-			rx.Add(Register(pe+".rx.size", 16))
+		pe, lib := dp.Name(), NewModule("spi_lib."+dp.Name())
+		var edges int
+		var anySend, anyRecv, anyDyn, anyUBS bool
+		for _, pl := range dep.Plans {
+			e := sys.Graph.Edge(pl.Edge)
+			send, recv := int(sys.Mapping.Proc[e.Src]) == proc, int(sys.Mapping.Proc[e.Snk]) == proc
+			if !send && !recv {
+				continue
+			}
+			edges++
+			anySend, anyRecv = anySend || send, anyRecv || recv
+			anyDyn = anyDyn || pl.Mode == spi.Dynamic
+			anyUBS = anyUBS || recv && pl.Protocol == spi.UBS
+			buf := max(pl.PayloadBytes, pl.MaxBytes)
+			if pl.Protocol == spi.BBS {
+				buf *= pl.Capacity
+			}
+			// Distributed RAM for small buffers, block RAM beyond 128
+			// bytes, as a synthesis tool would pick.
+			fifo := FIFODistributed
+			if buf > 128 {
+				fifo = FIFOBRAM
+			}
+			lib.Add(fifo(pe+".buf."+pl.Name, buf))
 		}
-		rx.Add(Counter(pe+".rx.burst", 10))
-		rx.Add(FSM(pe+".rx.ctl", 6))
-		if anyUBS {
-			rx.Add(LUTLogic(pe+".rx.ackgen", 8))
-			rx.Add(Counter(pe+".rx.ackseq", 8))
+		lib.Add(SPIInit(max(1, edges)))
+		if anySend {
+			tx := NewModule(pe + ".tx_engine")
+			tx.Add(Register(pe+".tx.hdr", 16))
+			if anyDyn {
+				tx.Add(Register(pe+".tx.size", 16))
+				tx.Add(Comparator(pe+".tx.bound", 16))
+			}
+			tx.Add(Counter(pe+".tx.burst", 10))
+			tx.Add(FSM(pe+".tx.ctl", 6))
+			lib.Add(tx)
 		}
-		m.Add(rx)
+		if anyRecv {
+			rx := NewModule(pe + ".rx_engine")
+			rx.Add(Comparator(pe+".rx.idmatch", 16))
+			if anyDyn {
+				rx.Add(Register(pe+".rx.size", 16))
+			}
+			rx.Add(Counter(pe+".rx.burst", 10))
+			rx.Add(FSM(pe+".rx.ctl", 6))
+			if anyUBS {
+				rx.Add(LUTLogic(pe+".rx.ackgen", 8))
+				rx.Add(Counter(pe+".rx.ackseq", 8))
+			}
+			lib.Add(rx)
+		}
+		top.Add(dp).Add(lib)
 	}
-	for _, e := range edges {
-		m.Add(stagingFIFO(pe+".buf."+e.Name, e.BufferBytes))
-	}
-	return m
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return nil
 }

@@ -115,10 +115,11 @@ func ErrorGenSystem(p DeployParams) (*spi.System, error) {
 
 // HardwareModel builds the HDL module tree of the n-PE actor-D
 // implementation for the table-1 style area report: per PE a MAC datapath
-// with sample/coefficient memories plus its SPI library instance, and a
-// shared I/O interface.
+// with sample/coefficient memories plus the SPI library its edges in
+// ErrorGenSystem call for, and a shared I/O interface.
 func HardwareModel(p DeployParams) (*hdl.Module, error) {
-	if err := p.Validate(); err != nil {
+	sys, err := ErrorGenSystem(p)
+	if err != nil {
 		return nil, err
 	}
 	top := hdl.NewModule(fmt.Sprintf("actorD_%dpe", p.PEs))
@@ -130,6 +131,9 @@ func HardwareModel(p DeployParams) (*hdl.Module, error) {
 	io.Add(hdl.Counter("io.addr", 16))
 	top.Add(io)
 
+	// PE i runs on processor i+1; the I/O interface's processor 0 carries
+	// no datapath.
+	datapaths := make([]*hdl.Module, p.PEs+1)
 	for i := 0; i < p.PEs; i++ {
 		start, end, _ := p.sectionOf(i)
 		sl := end - start
@@ -151,15 +155,10 @@ func HardwareModel(p DeployParams) (*hdl.Module, error) {
 		pe.Add(hdl.Counter(name+".addr", 12))
 		pe.Add(hdl.Counter(name+".tap", 8))
 		pe.Add(hdl.Comparator(name+".sectend", 12))
-		top.Add(pe)
-
-		// SPI library instance for this PE's three dynamic edges.
-		sectBytes := 4 + (sl+p.Order)*p.SampleBytes
-		top.Add(hdl.SPILibrary(fmt.Sprintf("pe%d", i), []hdl.SPIEdgeHW{
-			{Name: fmt.Sprintf("coeffs%d", i), Dynamic: true, BufferBytes: p.Order * p.SampleBytes, UBS: true, Receives: true},
-			{Name: fmt.Sprintf("sect%d", i), Dynamic: true, BufferBytes: sectBytes, UBS: true, Receives: true},
-			{Name: fmt.Sprintf("errs%d", i), Dynamic: true, BufferBytes: sl * p.SampleBytes, UBS: true, Sends: true},
-		}))
+		datapaths[i+1] = pe
+	}
+	if err := hdl.AddSPILibraries(top, sys, datapaths); err != nil {
+		return nil, err
 	}
 	return top, nil
 }

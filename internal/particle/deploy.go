@@ -147,10 +147,12 @@ func filterSystem(p DeployParams, sizeFn func(iter int) int) (*spi.System, []peE
 // state-propagation unit (square root and power-law evaluation), a
 // likelihood unit (exponential via table + multipliers), the resampling
 // comparator tree, a hardware RNG, and the particle/weight memories.
-// The SPI library (one static sum edge, one dynamic migration edge per
-// neighbour) is a tiny fraction — the paper's headline table-2 result.
+// The SPI library its edges in FilterSystem call for (a static sum edge
+// and a dynamic migration edge to and from every other PE) is a tiny
+// fraction — the paper's headline table-2 result.
 func HardwareModel(p DeployParams) (*hdl.Module, error) {
-	if err := p.Validate(); err != nil {
+	sys, err := FilterSystem(p, nil)
+	if err != nil {
 		return nil, err
 	}
 	perPE := p.Particles / p.PEs
@@ -161,6 +163,8 @@ func HardwareModel(p DeployParams) (*hdl.Module, error) {
 	io.Add(hdl.FSM("io.ctl", 8))
 	top.Add(io)
 
+	// PE i runs on processor i.
+	datapaths := make([]*hdl.Module, p.PEs)
 	for i := 0; i < p.PEs; i++ {
 		name := fmt.Sprintf("pe%d", i)
 		pe := hdl.NewModule(name)
@@ -200,21 +204,10 @@ func HardwareModel(p DeployParams) (*hdl.Module, error) {
 		pe.Add(hdl.FSM(name+".ctl", 24))
 		pe.Add(hdl.LUTLogic(name+".glue", 1900))
 		pe.Add(hdl.Register(name+".stage", 512))
-		top.Add(pe)
-
-		// SPI library for this PE's edges.
-		var edges []hdl.SPIEdgeHW
-		for j := 0; j < p.PEs; j++ {
-			if i == j {
-				continue
-			}
-			edges = append(edges,
-				hdl.SPIEdgeHW{Name: fmt.Sprintf("sum%d", j), BufferBytes: 16, Sends: true, Receives: true},
-				hdl.SPIEdgeHW{Name: fmt.Sprintf("mig%d", j), Dynamic: true, UBS: true,
-					BufferBytes: p.Particles * p.ParticleBytes, Sends: true, Receives: true},
-			)
-		}
-		top.Add(hdl.SPILibrary(name, edges))
+		datapaths[i] = pe
+	}
+	if err := hdl.AddSPILibraries(top, sys, datapaths); err != nil {
+		return nil, err
 	}
 	return top, nil
 }

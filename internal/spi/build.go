@@ -6,13 +6,12 @@ import (
 	"repro/internal/sched"
 )
 
-// EdgePlan records how one interprocessor dataflow edge is realized by SPI.
+// EdgePlan records how one interprocessor dataflow edge is realized by SPI:
+// its simulated channel and the configuration the runtime gives the edge.
 type EdgePlan struct {
-	Edge     dataflow.EdgeID
-	Channel  platform.ChannelID
-	Mode     Mode
-	Protocol Protocol
-	Capacity int
+	Edge    dataflow.EdgeID
+	Channel platform.ChannelID
+	EdgeConfig
 }
 
 // System describes an SPI deployment of a mapped dataflow graph onto the
@@ -90,9 +89,7 @@ func Build(sys *System) (*Deployment, error) {
 			return nil, err
 		}
 		chanOf[eid] = ch
-		dep.Plans = append(dep.Plans, EdgePlan{
-			Edge: eid, Channel: ch, Mode: cfg.Mode, Protocol: cfg.Protocol, Capacity: cfg.Capacity,
-		})
+		dep.Plans = append(dep.Plans, EdgePlan{Edge: eid, Channel: ch, EdgeConfig: cfg})
 	}
 
 	// Per-PE programs: one sim iteration is one graph iteration.

@@ -21,6 +21,9 @@ import (
 type ResyncPlan struct {
 	// Report is the raw resynchronization summary (counts, period).
 	Report *syncgraph.ResyncReport
+	// Graph is the optimized synchronization graph; Unoptimized recovers
+	// it as built.
+	Graph *syncgraph.Graph
 	// Suppressed maps each suppressible dataflow edge to its witness.
 	// Only UBS interprocessor edges appear: BBS credits are flow
 	// control, never redundant bookkeeping.
@@ -59,11 +62,10 @@ func ResyncSuppression(g *dataflow.Graph, m *sched.Mapping) (*ResyncPlan, error)
 // blocking factor: the edge protocols it reads do not depend on it.
 func (pl *graphPlan) resyncSuppression(m *sched.Mapping) (*ResyncPlan, error) {
 	g := pl.g
-	ipc, err := syncgraph.BuildIPCGraph(g, m)
+	sg, err := syncgraph.BuildIPCGraph(g, m)
 	if err != nil {
 		return nil, err
 	}
-	sg := syncgraph.SynchronizationGraph(ipc)
 	added := syncgraph.AddAllFeedback(sg, 1)
 	rep := syncgraph.Resynchronize(sg)
 
@@ -76,6 +78,7 @@ func (pl *graphPlan) resyncSuppression(m *sched.Mapping) (*ResyncPlan, error) {
 
 	plan := &ResyncPlan{
 		Report:      rep,
+		Graph:       sg,
 		Suppressed:  map[dataflow.EdgeID]string{},
 		AckFeedback: added, AckSurviving: surviving,
 	}

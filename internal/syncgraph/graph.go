@@ -11,12 +11,13 @@
 //
 //	start(v_i, k) >= end(v_j, k - d)
 //
-// The synchronization graph G_s initially equals G_ipc; *redundant* edges —
-// whose constraint is implied by the rest of the graph — can be removed,
-// and *resynchronization* inserts new edges that render several existing
-// ones redundant, reducing net synchronization cost. SPI uses this to
-// eliminate redundant acknowledgement traffic of the SPI_UBS protocol on
-// distributed-memory targets.
+// The synchronization graph G_s is G_ipc plus the protocol feedback edges
+// (AddAllFeedback); *redundant* edges — whose constraint is implied by the
+// rest of the graph — can be removed, and *resynchronization* inserts new
+// edges that render several existing ones redundant, reducing net
+// synchronization cost. SPI uses this to eliminate redundant
+// acknowledgement traffic of the SPI_UBS protocol on distributed-memory
+// targets.
 package syncgraph
 
 import (
@@ -88,6 +89,9 @@ type Graph struct {
 	edges []Edge
 	out   [][]int // edge indices
 	in    [][]int
+	// built is the edge count when Resynchronize first ran (0 before):
+	// the edges from there on are ones it inserted.
+	built int
 }
 
 // NewGraph returns an empty synchronization graph.
@@ -156,15 +160,11 @@ func (g *Graph) liveEdgeIndices() []int {
 	return out
 }
 
-// removeEdge tombstones the edge at index i.
-func (g *Graph) removeEdge(i int) {
-	g.edges[i].Kind = removedKind
-}
-
 // Clone returns a deep copy (live edges only are semantically relevant, but
 // tombstones are preserved so indices remain comparable).
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
+		built: g.built,
 		verts: append([]Vertex(nil), g.verts...),
 		edges: append([]Edge(nil), g.edges...),
 		out:   make([][]int, len(g.out)),
@@ -175,6 +175,27 @@ func (g *Graph) Clone() *Graph {
 	}
 	for i := range g.in {
 		c.in[i] = append([]int(nil), g.in[i]...)
+	}
+	return c
+}
+
+// Unoptimized returns a copy of g as built, before RemoveRedundant and
+// Resynchronize: the edges they removed (all of them sync edges) restored,
+// the ones Resynchronize inserted dropped.
+func (g *Graph) Unoptimized() *Graph {
+	c := NewGraph()
+	for _, v := range g.verts {
+		c.AddVertex(v.Name, v.Proc, v.ExecCycles)
+	}
+	edges := g.edges
+	if g.built > 0 {
+		edges = edges[:g.built]
+	}
+	for _, e := range edges {
+		if e.Kind == removedKind {
+			e.Kind = SyncEdge
+		}
+		c.AddEdge(e.Src, e.Snk, e.Delay, e.Kind, e.Label)
 	}
 	return c
 }

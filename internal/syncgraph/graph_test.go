@@ -172,7 +172,7 @@ func TestAddFeedbackClampsSlots(t *testing.T) {
 	a := g.AddVertex("A", 0, 1)
 	b := g.AddVertex("B", 1, 1)
 	g.AddEdge(a, b, 0, IPCEdge, "d")
-	AddFeedback(g, g.EdgesOfKind(IPCEdge)[0], 0)
+	AddAllFeedback(g, 0)
 	if e := g.EdgesOfKind(SyncEdge)[0]; e.Delay != 1 {
 		t.Errorf("clamped delay = %d, want 1", e.Delay)
 	}

@@ -61,15 +61,8 @@ func BuildIPCGraph(g *dataflow.Graph, m *sched.Mapping) (*Graph, error) {
 	return sg, nil
 }
 
-// SynchronizationGraph returns G_s: initially identical to G_ipc (the IPC
-// edges' synchronization function is represented as-is). Callers then apply
-// RemoveRedundant and Resynchronize. The input is not modified.
-func SynchronizationGraph(ipc *Graph) *Graph {
-	return ipc.Clone()
-}
-
-// AddFeedback inserts the protocol feedback edges implied by the SPI buffer
-// protocols onto a synchronization graph:
+// AddAllFeedback inserts, for every live IPC edge, the protocol feedback
+// edge implied by the SPI buffer protocols and returns how many it added:
 //
 //   - For a BBS (bounded buffer) IPC edge, the sender may run at most
 //     `slots` iterations ahead of the receiver before blocking, which is a
@@ -79,21 +72,14 @@ func SynchronizationGraph(ipc *Graph) *Graph {
 //     snk->src with the given ack delay (how many outstanding
 //     unacknowledged messages the sender tolerates).
 //
-// These are the edges resynchronization later prunes. The edge label gets
-// an "ack:" prefix so reports can attribute savings.
-func AddFeedback(g *Graph, e Edge, slots int64) int {
-	if slots < 1 {
-		slots = 1
-	}
-	return g.AddEdge(e.Snk, e.Src, slots, SyncEdge, "ack:"+e.Label)
-}
-
-// AddAllFeedback adds a feedback edge for every live IPC edge with the
-// given slot count and returns how many were added.
+// These are the edges resynchronization later prunes. Each edge's label
+// gets an "ack:" prefix so reports can attribute savings. Slots below 1
+// count as 1.
 func AddAllFeedback(g *Graph, slots int64) int {
+	slots = max(slots, 1)
 	n := 0
 	for _, e := range g.EdgesOfKind(IPCEdge) {
-		AddFeedback(g, e, slots)
+		g.AddEdge(e.Snk, e.Src, slots, SyncEdge, "ack:"+e.Label)
 		n++
 	}
 	return n

@@ -108,10 +108,8 @@ func (g *Graph) RemoveRedundant() []Edge {
 				continue
 			}
 			if g.IsRedundant(ei) {
-				e := g.edges[ei]
-				g.removeEdge(ei)
-				e.Kind = SyncEdge // report the original kind, not the tombstone
-				removed = append(removed, e)
+				removed = append(removed, g.edges[ei])
+				g.edges[ei].Kind = removedKind
 				progress = true
 			}
 		}
@@ -119,16 +117,4 @@ func (g *Graph) RemoveRedundant() []Edge {
 			return removed
 		}
 	}
-}
-
-// CountRedundant returns how many live sync edges are currently redundant,
-// without removing anything.
-func (g *Graph) CountRedundant() int {
-	n := 0
-	for i := range g.edges {
-		if g.edges[i].Kind == SyncEdge && g.IsRedundant(i) {
-			n++
-		}
-	}
-	return n
 }

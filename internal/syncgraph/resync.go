@@ -42,6 +42,9 @@ func (r *ResyncReport) String() string {
 // latency-insensitive reduction, not throughput loss. Rounds stop when no
 // candidate gains, after at most |V|²+1 of them.
 func Resynchronize(g *Graph) *ResyncReport {
+	if g.built == 0 {
+		g.built = len(g.edges)
+	}
 	rep := &ResyncReport{SyncBefore: g.SyncCount()}
 	rep.PeriodBefore, _ = g.MaxCycleMean()
 

@@ -135,7 +135,7 @@ func TestResynchronizeFig3RemovesRedundantAcks(t *testing.T) {
 	if removedLabels["ack:frame"] == 0 {
 		t.Errorf("ack:frame should be removed (implied via errors + loopback); removed = %v", removedLabels)
 	}
-	if g.CountRedundant() != 0 {
+	if countRedundant(g) != 0 {
 		t.Error("redundant edges remain after resynchronization")
 	}
 }
@@ -206,5 +206,36 @@ func TestProtocolString(t *testing.T) {
 func TestMessagesPerTransfer(t *testing.T) {
 	if MessagesPerTransfer(BBS) != 1 || MessagesPerTransfer(UBS) != 2 {
 		t.Error("MessagesPerTransfer wrong")
+	}
+}
+
+func TestUnoptimizedRestoresBuiltGraph(t *testing.T) {
+	// Two processors of two tasks each, with a1->b1 and a2->b2 both
+	// needed: inserting a2->b1 makes both redundant, so Resynchronize both
+	// removes and inserts.
+	g := NewGraph()
+	a1, a2 := g.AddVertex("a1", 0, 10), g.AddVertex("a2", 0, 10)
+	b1, b2 := g.AddVertex("b1", 1, 10), g.AddVertex("b2", 1, 10)
+	g.AddEdge(a1, a2, 0, IntraprocEdge, "p0-seq")
+	g.AddEdge(a2, a1, 1, LoopbackEdge, "p0-loop")
+	g.AddEdge(b1, b2, 0, IntraprocEdge, "p1-seq")
+	g.AddEdge(b2, b1, 1, LoopbackEdge, "p1-loop")
+	g.AddEdge(a1, b1, 0, SyncEdge, "s1")
+	g.AddEdge(a2, b2, 0, SyncEdge, "s2")
+	built := g.String()
+
+	rep := Resynchronize(g)
+	if len(rep.Added) == 0 || rep.SyncAfter >= rep.SyncBefore {
+		t.Fatalf("expected an insertion that pays: %s\n%s", rep, g)
+	}
+	u := g.Unoptimized()
+	if got := u.String(); got != built {
+		t.Errorf("Unoptimized:\n%s\nwant the graph as built:\n%s", got, built)
+	}
+	if u.SyncCount() != rep.SyncBefore {
+		t.Errorf("Unoptimized has %d sync edges, report says %d before", u.SyncCount(), rep.SyncBefore)
+	}
+	if g.SyncCount() != rep.SyncAfter {
+		t.Errorf("Unoptimized changed the optimized graph: %d sync edges, report says %d", g.SyncCount(), rep.SyncAfter)
 	}
 }
