@@ -51,11 +51,11 @@ allocs:
 # so growth is an explicit, reviewed edit of the number below. Lower a
 # ceiling whenever a change shrinks its directory. internal/apicheck is
 # test-only and stays at 0.
-LOC_CEILINGS = internal/spi:3818 internal/transport:4064 internal/session:1447 internal/orch:1549 internal/lpc:1486 cmd:2759 \
-	internal/alloctest:90 internal/apicheck:0 internal/dataflow:1622 internal/demo:246 internal/dsp:467 \
+LOC_CEILINGS = internal/spi:3795 internal/transport:4064 internal/session:1447 internal/orch:1549 internal/lpc:1476 cmd:2507 \
+	internal/alloctest:90 internal/apicheck:0 internal/dataflow:1611 internal/demo:246 internal/dsp:467 \
 	internal/experiments:741 internal/fixed:92 internal/hdl:484 internal/huffman:336 internal/mpi:287 \
 	internal/obs:832 internal/particle:763 internal/platform:658 internal/sched:1022 internal/signal:183 \
-	internal/syncgraph:766 internal/vts:363 examples:553
+	internal/syncgraph:765 internal/vts:363 examples:528
 loc:
 	@over=0; for e in $(LOC_CEILINGS); do d=$${e%:*}; max=$${e#*:}; \
 		n=$$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \

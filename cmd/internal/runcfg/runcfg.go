@@ -265,7 +265,7 @@ func (s *System) Kernels() (map[dataflow.ActorID]spi.Kernel, map[string]*uint64,
 	digests := demo.Sinks(src)
 	ks, err := demo.Kernels(src, s.seed, digests, new(sync.Mutex))
 	if err == nil && s.Plan != nil {
-		ks, err = spi.FissionKernels(s.Plan, ks, nil)
+		ks, err = spi.FissionKernels(s.Plan, ks)
 	}
 	return ks, digests, err
 }

@@ -3,8 +3,9 @@
 // graph optimization pipeline.
 //
 //	spigraph -graph fig1   # the paper's VTS example
-//	spigraph -graph app1   # the n-PE actor D system
-//	spigraph -graph app2   # the 2-PE particle filter system
+//	spigraph -graph app1      # the n-PE actor D system
+//	spigraph -graph app1full  # the whole codec on n PEs
+//	spigraph -graph app2      # the n-PE particle filter system
 //
 // The wire-level resynchronization verdict — which interprocessor UBS
 // acks a distributed deployment suppresses, and the covering path that
@@ -39,7 +40,7 @@ func newFlagSet(graph, file *string, assign *[]int, pes *int) *flag.FlagSet {
 	fs.Func("assign", "with -file: comma-separated processor index per actor, building the mapping -resync analyzes", runcfg.IntsVar(assign))
 	fs.IntVar(pes, "pes", 3, "PE count for app graphs")
 	fs.BoolVar(&emitDOT, "dot", false, "print the graph in Graphviz DOT format instead of the analysis")
-	fs.BoolVar(&resyncWire, "resync", false, "emit the wire-level ack-suppression verdict: per-edge suppress/keep with covering-path witnesses (needs a mapping: app1, app2, or -file with -assign)")
+	fs.BoolVar(&resyncWire, "resync", false, "emit the wire-level ack-suppression verdict: per-edge suppress/keep with covering-path witnesses (needs a mapping: app1, app1full, app2, or -file with -assign)")
 	fs.IntVar(&fissionK, "fission", 0,
 		"rewrite the heaviest fissionable actor (or -fission-actor) into k replicas behind scatter/gather stages and print the plan; -1 chooses k and the block factor jointly under -fission-mem (0 = off)")
 	fs.StringVar(&fissionActor, "fission-actor", "",
@@ -72,26 +73,17 @@ func run(args []string, w io.Writer) error {
 	case graph == "fig1":
 		err = analyzeFig1(w)
 	case graph == "app1full":
-		err = analyzeFullApp1(w)
+		err = analyzeSystem(w, func() (*spi.System, error) { return lpc.CodecSystem(lpc.DefaultParams(), pes) })
 	case graph == "app1":
-		err = analyzeSystem(w, func() (g *dataflow.Graph, m *sched.Mapping, err error) {
-			sys, err := lpc.ErrorGenSystem(lpc.DefaultDeploy(256, pes))
-			if err != nil {
-				return nil, nil, err
-			}
-			return sys.Graph, sys.Mapping, nil
-		})
+		err = analyzeSystem(w, func() (*spi.System, error) { return lpc.ErrorGenSystem(lpc.DefaultDeploy(256, pes)) })
 	case graph == "app2":
-		err = analyzeSystem(w, func() (g *dataflow.Graph, m *sched.Mapping, err error) {
-			n := pes
-			if n < 1 {
-				n = 2
-			}
-			sys, err := particle.FilterSystem(particle.DefaultDeploy(200*n, n), nil)
-			if err != nil {
-				return nil, nil, err
-			}
-			return sys.Graph, sys.Mapping, nil
+		// The figures' filter: 150 particles per PE (300 on fig. 5's 2 PEs).
+		n := pes
+		if n < 1 {
+			n = 2
+		}
+		err = analyzeSystem(w, func() (*spi.System, error) {
+			return particle.FilterSystem(particle.DefaultDeploy(150*n, n), nil)
 		})
 	default:
 		err = fmt.Errorf("unknown graph %q", graph)
@@ -211,29 +203,6 @@ func printResyncWire(w io.Writer, g *dataflow.Graph, m *sched.Mapping, plan *spi
 	fmt.Fprintf(w, "wire suppression set: %v\n", plan.SuppressedIDs())
 }
 
-// analyzeFullApp1 analyzes the five-actor application-1 pipeline of the
-// paper's figure 2, including its looped single-appearance schedule.
-func analyzeFullApp1(w io.Writer) error {
-	g, err := lpc.FullGraph(lpc.DefaultParams())
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(w, g)
-	if err := printVTS(w, g); err != nil {
-		return err
-	}
-	sas, err := sched.SingleAppearanceSchedule(g)
-	if err != nil {
-		return err
-	}
-	mem, err := sched.SASBufferMemory(g, sas)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "single-appearance schedule: %s (buffer memory %d bytes)\n", sas.Notation(g), mem)
-	return nil
-}
-
 func analyzeFig1(w io.Writer) error {
 	g := dataflow.New("fig1")
 	a := g.AddActor("A", 10)
@@ -288,11 +257,12 @@ func printVTS(w io.Writer, g *dataflow.Graph) error {
 	return nil
 }
 
-func analyzeSystem(w io.Writer, build func() (*dataflow.Graph, *sched.Mapping, error)) error {
-	g, m, err := build()
+func analyzeSystem(w io.Writer, build func() (*spi.System, error)) error {
+	sys, err := build()
 	if err != nil {
 		return err
 	}
+	g, m := sys.Graph, sys.Mapping
 	if emitDOT {
 		fmt.Fprint(w, g.DOT())
 		return nil

@@ -10,12 +10,13 @@ package main
 import (
 	"bytes"
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
 	"sort"
 	"sync"
+	"time"
 
 	"repro/cmd/internal/runcfg"
 	"repro/internal/dsp"
@@ -35,7 +36,6 @@ type cli struct {
 	particles, steps int
 	adaptive         float64
 	hw               bool
-	sessions         int
 }
 
 func newFlagSet(c *cli) *flag.FlagSet {
@@ -47,10 +47,7 @@ func newFlagSet(c *cli) *flag.FlagSet {
 	fs.IntVar(&c.steps, "steps", 150, "crack: tracking steps")
 	fs.Float64Var(&c.adaptive, "adaptive", 0, "crack: ESS resampling threshold fraction (0 = resample every step)")
 	fs.BoolVar(&c.hw, "hw", false, "speech: also run the bit-true Q15 hardware model of actor D")
-	fs.StringVar(&c.Transport, "transport", c.Transport, "speech actor-D run: chan (in-process SPI runtime), loopback (in-memory byte transport), tcp (two nodes over localhost TCP), shm (two nodes over same-host shared-memory rings)")
-	fs.IntVar(&c.Fission, "fission", 0, "speech actor-D run: derive the parallel deployment automatically by fissioning the serial error generator into this many replicas behind scatter/gather stages (0 = use the hand-built n-PE deployment)")
-	fs.IntVar(&c.sessions, "sessions", 0,
-		"networked speech runs: run this many concurrent actor-D sessions multiplexed over one shared link; per-edge stats aggregate across sessions (0 = one plain execution)")
+	fs.StringVar(&c.Transport, "transport", c.Transport, "speech: chan (in-process SPI runtime), loopback (in-memory byte transport), tcp (two nodes over localhost TCP), shm (two nodes over same-host shared-memory rings); on two nodes the I/O processors run on node 0 and the PEs on node 1")
 	// The link tuning flags apply to the networked runs only: the chan
 	// transport has no wire to tune.
 	c.SeedFlag(fs)
@@ -59,22 +56,10 @@ func newFlagSet(c *cli) *flag.FlagSet {
 	return fs
 }
 
-// check rejects flag combinations that would be accepted and do nothing.
-func (c *cli) check() error {
-	if c.sessions > 0 && c.Opts.Resync {
-		return errors.New("-resync does not apply with -sessions: session-tagged acks are never suppressed")
-	}
-	return nil
-}
-
 func main() {
 	c := cli{Run: runcfg.Run{Seed: 1, Transport: "chan"}}
 	newFlagSet(&c).Parse(os.Args[1:])
-	err := c.check()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "spirun:", err)
-		os.Exit(2)
-	}
+	var err error
 	switch c.app {
 	case "speech":
 		err = runSpeech(&c)
@@ -90,25 +75,36 @@ func main() {
 }
 
 func runSpeech(c *cli) error {
-	pes, sessions, fission, trans := c.pes, c.sessions, c.Fission, c.Transport
 	p := lpc.DefaultParams()
 	codec, err := lpc.NewCodec(p)
 	if err != nil {
 		return err
 	}
 	x := signal.Speech(p.FrameSize*c.frames, c.Seed)
-	rep, err := codec.Analyze(x)
+	nodes, where := 2, c.Transport+" transport, 2 nodes"
+	if c.Transport == "chan" {
+		nodes, where = 1, "in-process"
+	}
+	start := time.Now()
+	frames, stats, err := runNodes(&c.Run, nodes, func(o spi.DistOptions) ([]*lpc.Frame, *spi.ExecStats, error) {
+		return codec.Run(x, c.pes, o)
+	})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("LPC speech compression (application 1)\n")
-	fmt.Printf("  frames:            %d x %d samples, order %d\n", rep.Frames, p.FrameSize, p.Order)
+	elapsed := time.Since(start)
+	rep, err := codec.Analyze(x, frames)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("LPC speech compression (application 1), actor D on %d PEs over SPI_dynamic edges (%s)\n", c.pes, where)
+	fmt.Printf("  frames:            %d x %d samples, order %d, %.0f frames/s\n", rep.Frames, p.FrameSize, p.Order, float64(rep.Frames)/elapsed.Seconds())
 	fmt.Printf("  compression ratio: %.2fx vs 16-bit PCM\n", rep.Ratio)
 	fmt.Printf("  reconstruction:    %.1f dB SNR\n", rep.SNRdB)
 
 	// Container roundtrip through the wire format.
 	var stream bytes.Buffer
-	n, err := codec.EncodeStream(&stream, x)
+	n, err := codec.EncodeStream(&stream, frames)
 	if err != nil {
 		return err
 	}
@@ -118,51 +114,26 @@ func runSpeech(c *cli) error {
 	}
 	fmt.Printf("  container stream:  %d bytes, %d samples decoded\n", n, len(decoded))
 
-	// Parallel actor D across the SPI runtime, verified against serial.
-	frame := x[:p.FrameSize]
-	model, err := dsp.LPCAnalyze(frame, p.Order)
-	if err != nil {
-		return err
-	}
-	serial := model.Residual(frame)
-	pes = min(pes, len(frame))
-	what := fmt.Sprintf("parallelized on %d PEs over SPI_dynamic edges", pes)
-	run := func(o spi.DistOptions) ([]float64, *spi.ExecStats, error) {
-		return lpc.DistributedResidual(model, frame, pes, 1, o)
-	}
-	if fission > 0 && sessions == 0 {
-		what = fmt.Sprintf("auto-fissioned into %d replicas behind scatter/gather stages", fission)
-		run = func(o spi.DistOptions) ([]float64, *spi.ExecStats, error) {
-			return lpc.FissionResidual(model, frame, fission, 1, o)
+	// The serial oracle: CompressFrame frame by frame.
+	for i, f := range frames {
+		want, err := codec.CompressFrame(x[i*p.FrameSize : (i+1)*p.FrameSize])
+		if err != nil {
+			return err
+		}
+		if !reflect.DeepEqual(f, want) {
+			return fmt.Errorf("frame %d differs from the serial CompressFrame", i)
 		}
 	}
-	var parallel []float64
-	var stats *spi.ExecStats
-	where := trans + " transport, 2 nodes"
-	switch {
-	case sessions > 0:
-		where = fmt.Sprintf("%s transport, %d sessions on one shared link", trans, sessions)
-		parallel, stats, err = sessionsResidual(&c.Run, model, frame, pes, sessions)
-	case trans == "chan":
-		where = "in-process"
-		parallel, stats, err = runNodes(&c.Run, 1, run)
-	default:
-		parallel, stats, err = runNodes(&c.Run, 2, run)
-	}
-	if err != nil {
-		return err
-	}
-	var maxDiff float64
-	for i := range serial {
-		if d := abs(serial[i] - parallel[i]); d > maxDiff {
-			maxDiff = d
-		}
-	}
-	fmt.Printf("actor D %s (%s)\n", what, where)
+	fmt.Printf("  frames identical to the serial CompressFrame loop (bit-identical split)\n")
 	fmt.Printf("  messages: %d, wire bytes: %d, ack bytes: %d\n", stats.SPI.Messages, stats.SPI.WireBytes, stats.SPI.AckBytes)
 	printEdgeTable(stats.Edges)
-	fmt.Printf("  max |serial - parallel| = %g (bit-identical split)\n", maxDiff)
 	if c.hw {
+		frame := x[:p.FrameSize]
+		model, err := dsp.LPCAnalyze(frame, p.Order)
+		if err != nil {
+			return err
+		}
+		serial := model.Residual(frame)
 		hwRes := lpc.HardwareResidual(model, frame)
 		var hwErr float64
 		for i := range serial {
@@ -208,12 +179,12 @@ func runCrack(pes, particles, steps int, seed uint64, adaptive float64) error {
 	return nil
 }
 
-// runNodes runs one actor-D deployment as a distributed execution inside
-// this process: on one node for -transport chan, or over two — the I/O
-// interface on node 0, all worker PEs on node 1 — on the selected byte
-// transport, exercising the same code path as two spinode processes. run
-// executes one node's share.
-func runNodes(r *runcfg.Run, nodes int, run func(spi.DistOptions) ([]float64, *spi.ExecStats, error)) ([]float64, *spi.ExecStats, error) {
+// runNodes runs the codec as a distributed execution inside this process:
+// on one node for -transport chan, or over two — the I/O processors on node
+// 0, all worker PEs on node 1 — on the selected byte transport, exercising
+// the same code path as two spinode processes. run executes one node's
+// share; node 0's frames are returned.
+func runNodes(r *runcfg.Run, nodes int, run func(spi.DistOptions) ([]*lpc.Frame, *spi.ExecStats, error)) ([]*lpc.Frame, *spi.ExecStats, error) {
 	opts := r.Opts
 	opts.Addrs = []string{"in-process"}
 	var ln transport.Listener
@@ -233,7 +204,7 @@ func runNodes(r *runcfg.Run, nodes int, run func(spi.DistOptions) ([]float64, *s
 		defer cancel()
 		opts.Context = ctx
 	}
-	results := make([][]float64, nodes)
+	results := make([][]*lpc.Frame, nodes)
 	stats := make([]*spi.ExecStats, nodes)
 	errs := make([]error, nodes)
 	var wg sync.WaitGroup
@@ -258,11 +229,10 @@ func runNodes(r *runcfg.Run, nodes int, run func(spi.DistOptions) ([]float64, *s
 	return results[0], sumStats(stats), nil
 }
 
-// sumStats totals the per-node (and per-session) statistics of one
-// deployment. Messages are counted on the sending node and acks on the
-// receiving node, so summing does not double count; per-edge rows merge
-// on edge ID, so the halves of a cross-node edge — and every session that
-// crossed it — land in one row, and the totals are the rows' sum.
+// sumStats totals the per-node statistics of one deployment. Messages are
+// counted on the sending node and acks on the receiving node, so summing
+// does not double count; per-edge rows merge on edge ID, so the halves of
+// a cross-node edge land in one row, and the totals are the rows' sum.
 func sumStats(stats []*spi.ExecStats) *spi.ExecStats {
 	var lists [][]spi.EdgeTraffic
 	for _, st := range stats {

@@ -238,17 +238,6 @@ func (g *Graph) Edges() []EdgeID {
 	return ids
 }
 
-// HasDynamicEdges reports whether any edge has a dynamic port. Such graphs
-// require VTS conversion before pure SDF analysis applies.
-func (g *Graph) HasDynamicEdges() bool {
-	for i := range g.edges {
-		if g.edges[i].Dynamic() {
-			return true
-		}
-	}
-	return false
-}
-
 // Validate checks structural invariants that the incremental builders cannot
 // enforce: the graph must have at least one actor, and every dynamic port
 // must carry a positive upper bound (the VTS restriction from the paper:

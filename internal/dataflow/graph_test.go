@@ -93,9 +93,6 @@ func TestDynamicEdgeFlag(t *testing.T) {
 	if !g.Edge(e2).Dynamic() {
 		t.Error("dynamic edge reported static")
 	}
-	if !g.HasDynamicEdges() {
-		t.Error("HasDynamicEdges = false")
-	}
 	if g.Edge(e2).Produce.Kind != DynamicPort || g.Edge(e2).Consume.Kind != DynamicPort {
 		t.Error("port kinds not set")
 	}

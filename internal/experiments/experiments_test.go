@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/particle"
+	"repro/internal/sched"
 	"repro/internal/spi"
 )
 
@@ -174,7 +176,9 @@ func TestFigDOTOutputs(t *testing.T) {
 
 // TestSyncFiguresMatchWireVerdict: figures 3 and 5 report the verdict the
 // wire acts on — the same sync-edge counts and period as
-// spi.ResyncSuppression on the same deployments.
+// spi.ResyncSuppression on the same deployments — and `spigraph -graph app2
+// -pes 2`, which deploys the figures' 150 particles per PE, analyzes fig.
+// 5's system and prints its period.
 func TestSyncFiguresMatchWireVerdict(t *testing.T) {
 	for _, f := range []struct {
 		table  func() (*Table, error)
@@ -201,6 +205,29 @@ func TestSyncFiguresMatchWireVerdict(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: rows %v, wire verdict %v", tbl.Title, got, want)
 		}
+	}
+
+	fig5, err := Fig5()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := fig5System()
+	if err != nil {
+		t.Fatal(err)
+	}
+	app2, err := particle.FilterSystem(particle.DefaultDeploy(150*2, 2), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if app2.Graph.String() != sys.Graph.String() {
+		t.Errorf("spigraph -graph app2 -pes 2 analyzes\n%s\nfig. 5 deploys\n%s", app2.Graph, sys.Graph)
+	}
+	res, err := sched.SelfTimed(app2.Graph, app2.Mapping, sched.SelfTimedConfig{Iterations: 20, Warmup: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprintf("%.1f", res.Period), fig5.Rows[4][1]; got != want {
+		t.Errorf("spigraph -graph app2 -pes 2: steady period %s cycles, fig. 5 %s", got, want)
 	}
 }
 

@@ -55,7 +55,7 @@ func resyncTable(title string, system func() (*spi.System, error), paperNote str
 		Notes:  []string{paperNote, rep.String()},
 	}
 	t.AddRow("sync_edges", fmt.Sprintf("%d", rep.SyncBefore), fmt.Sprintf("%d", rep.SyncAfter))
-	t.AddRow("pure_sync_messages", fmt.Sprintf("%d", before.SyncEdges), fmt.Sprintf("%d", after.SyncEdges))
+	t.AddRow("pure_sync_messages", fmt.Sprintf("%d", before.Messages-before.IPCEdges), fmt.Sprintf("%d", after.Messages-after.IPCEdges))
 	t.AddRow("messages_per_iter", fmt.Sprintf("%d", before.Messages), fmt.Sprintf("%d", after.Messages))
 	t.AddRow("shared_mem_sync_ops", fmt.Sprintf("%d", before.SharedMemoryOps), fmt.Sprintf("%d", after.SharedMemoryOps))
 	t.AddRow("steady_period_cycles", fmt.Sprintf("%.1f", rep.PeriodBefore), fmt.Sprintf("%.1f", rep.PeriodAfter))

@@ -9,10 +9,11 @@
 //	A (read) → B (FFT) → C (LU predictor) → D (error generation) → E (Huffman)
 //
 // Actor D is the computational hot spot the paper parallelizes across n
-// hardware PEs; package lpc provides both the functional codec and the
-// parallel/deployment models (dataflow graph, SPI system, HDL area model)
-// the experiments use. Because the frame size and model order are not known
-// before run time, the D-side transfers use SPI_dynamic.
+// hardware PEs. The codec runs as one SPI system (CodecSystem) on the
+// executor, with the serial CompressFrame as its oracle; package lpc also
+// provides the deployment models of actor D alone (SPI system, HDL area
+// model) the experiments use. Because the frame size and model order are
+// not known before run time, the D-side transfers use SPI_dynamic.
 package lpc
 
 import (
@@ -21,6 +22,7 @@ import (
 
 	"repro/internal/dsp"
 	"repro/internal/huffman"
+	"repro/internal/spi"
 )
 
 // Params configures the codec.
@@ -99,37 +101,40 @@ func NewCodec(p Params) (*Codec, error) {
 	return &Codec{p: p}, nil
 }
 
-// CompressFrame runs the full actor pipeline on one frame.
+// CompressFrame runs the full actor pipeline on one frame, serially: the
+// oracle Run's frames are held to.
 func (c *Codec) CompressFrame(frame []float64) (*Frame, error) {
 	if len(frame) != c.p.FrameSize {
-		return nil, errFrameSize(c, len(frame))
+		return nil, fmt.Errorf("lpc: frame has %d samples, codec expects %d", len(frame), c.p.FrameSize)
 	}
-	// Actors B + C: spectral analysis and LU-based predictor design.
-	model, err := dsp.LPCAnalyze(frame, c.p.Order)
+	qidx, coeffScale, coeffs, err := c.designStage(frame)
 	if err != nil {
 		return nil, err
 	}
-	// Quantize coefficients; the decoder must predict with the SAME
-	// quantized model, so requantize before computing the residual.
-	coeffScale := maxAbs(model.Coeffs)
+	// Actor D: prediction error with the quantized model.
+	errs := (&dsp.LPCModel{Coeffs: coeffs}).Residual(frame)
+	return c.entropyStage(qidx, coeffScale, errs)
+}
+
+// designStage is actors B + C — spectral analysis and LU-based predictor
+// design — and the coefficient quantizer. The decoder must predict with the
+// SAME quantized model, so coeffs, the model actor D predicts with, are the
+// requantized coefficients.
+func (c *Codec) designStage(frame []float64) (qidx []uint16, coeffScale float64, coeffs []float64, err error) {
+	model, err := dsp.LPCAnalyze(frame, c.p.Order)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	coeffScale = maxAbs(model.Coeffs)
 	if coeffScale == 0 {
 		coeffScale = 1
 	}
 	cq, err := dsp.NewQuantizer(c.p.CoeffBits, coeffScale*1.0001)
 	if err != nil {
-		return nil, err
+		return nil, 0, nil, err
 	}
-	qidx := cq.QuantizeAll(model.Coeffs)
-	qmodel := &dsp.LPCModel{Coeffs: cq.DequantizeAll(qidx)}
-
-	// Actor D: prediction error with the quantized model.
-	errs := qmodel.Residual(frame)
-
-	return c.entropyStage(qidx, coeffScale, errs)
-}
-
-func errFrameSize(c *Codec, got int) error {
-	return fmt.Errorf("lpc: frame has %d samples, codec expects %d", got, c.p.FrameSize)
+	qidx = cq.QuantizeAll(model.Coeffs)
+	return qidx, coeffScale, cq.DequantizeAll(qidx), nil
 }
 
 // entropyStage is actor E: quantize the error signal, Huffman code it, and
@@ -186,19 +191,12 @@ func (c *Codec) DecompressFrame(f *Frame) ([]float64, error) {
 	return model.Reconstruct(errs), nil
 }
 
-// Compress processes a whole signal frame by frame (trailing partial frames
-// are dropped, as the paper's fixed-frame pipeline does).
+// Compress processes a whole signal frame by frame: Run in this process,
+// with actor D on one PE. Trailing partial frames are dropped, as the
+// paper's fixed-frame pipeline does.
 func (c *Codec) Compress(signal []float64) ([]*Frame, error) {
-	n := len(signal) / c.p.FrameSize
-	frames := make([]*Frame, 0, n)
-	for i := 0; i < n; i++ {
-		f, err := c.CompressFrame(signal[i*c.p.FrameSize : (i+1)*c.p.FrameSize])
-		if err != nil {
-			return nil, fmt.Errorf("lpc: frame %d: %w", i, err)
-		}
-		frames = append(frames, f)
-	}
-	return frames, nil
+	frames, _, err := c.Run(signal, 1, spi.DistOptions{Addrs: []string{"in-process"}})
+	return frames, err
 }
 
 // Decompress inverts Compress.
@@ -223,13 +221,10 @@ type Report struct {
 	SNRdB          float64
 }
 
-// Analyze compresses, decompresses, and measures quality: compression ratio
-// against 16-bit PCM and reconstruction SNR.
-func (c *Codec) Analyze(signal []float64) (*Report, error) {
-	frames, err := c.Compress(signal)
-	if err != nil {
-		return nil, err
-	}
+// Analyze decompresses frames, the compression of signal, and measures
+// their quality: compression ratio against 16-bit PCM and reconstruction
+// SNR.
+func (c *Codec) Analyze(signal []float64, frames []*Frame) (*Report, error) {
 	recon, err := c.Decompress(frames)
 	if err != nil {
 		return nil, err

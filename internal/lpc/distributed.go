@@ -23,19 +23,27 @@ import (
 // The kernels are pure functions of (iteration, inputs), so any partition
 // of the mapping produces bit-identical residuals.
 
-// residualKernels builds the functional kernel set for an ErrorGenSystem
-// graph: io_send scatters coefficients and overlapping frame sections,
-// each pe computes its residual range, io_recv reassembles the frame into
-// collect (which only the node hosting io_recv observes; the slice is the
-// actor's assembly buffer, overwritten by the next frame).
-//
-// Edges are resolved and every buffer a firing needs is set up here, sized
-// from p and cut from sc (nil allocates them one by one) — the VTS
-// discipline applied to kernel scratch: the bounds are known at SPI_init, so
-// the frame path allocates nothing. Each actor returns the same output map
-// and buffers from every firing, which the Kernel contract allows. The
-// assembly buffer alone is never part of sc: it is handed to collect.
-func residualKernels(g *dataflow.Graph, p DeployParams, model *dsp.LPCModel, frame []float64, collect func([]float64), sc *scratch) (map[dataflow.ActorID]spi.Kernel, error) {
+// dSection is actor D's part of an ErrorGenSystem graph, or of CodecSystem's
+// built on it: the I/O interface's two actors, each PE's edges, and the
+// interface's scatter and gather bodies, which every deployment shares.
+// Every buffer a firing needs is sized from p when it is built and cut from
+// sc (nil allocates them one by one) — the VTS bounds are known at
+// SPI_init, so the frame path allocates nothing; the scatter returns the
+// same map and buffers from every firing, as the Kernel contract allows.
+// The assembly buffer, which gather hands out, is never part of sc.
+type dSection struct {
+	p              DeployParams
+	ioSend, ioRecv dataflow.ActorID
+	edges          []peEdges
+	scattered      map[dataflow.EdgeID][]byte
+	assembled      []float64
+}
+
+type peEdges struct{ coeffs, sect, errs dataflow.EdgeID }
+
+// newDSection resolves the section in g and adds each PE's kernel — the
+// residual of its section, errorGen.fireSection — to kernels.
+func newDSection(g *dataflow.Graph, p DeployParams, kernels map[dataflow.ActorID]spi.Kernel, sc *scratch) (*dSection, error) {
 	// Resolve every actor and edge by name now; the first one missing
 	// fails the build.
 	var missing error
@@ -58,16 +66,18 @@ func residualKernels(g *dataflow.Graph, p DeployParams, model *dsp.LPCModel, fra
 		}
 		return eid
 	}
-	type peEdges struct{ coeffs, sect, errs dataflow.EdgeID }
-	edges := make([]peEdges, p.PEs)
-	kernels := make(map[dataflow.ActorID]spi.Kernel, p.PEs+2)
-	scatter := make(map[dataflow.EdgeID][]byte, 2*p.PEs)
-	for i := range edges {
+	d := &dSection{
+		p:         p,
+		edges:     make([]peEdges, p.PEs),
+		scattered: make(map[dataflow.EdgeID][]byte, 2*p.PEs+1),
+		assembled: make([]float64, 0, p.SampleSize),
+	}
+	for i := range d.edges {
 		ed := peEdges{edge("coeffs", i), edge("sect", i), edge("errs", i)}
-		edges[i] = ed
+		d.edges[i] = ed
 		start, end, hist := p.sectionOf(i)
-		scatter[ed.coeffs] = sc.bytes(8 * p.Order)
-		scatter[ed.sect] = sc.bytes(4 + 8*(end-start+hist))
+		d.scattered[ed.coeffs] = sc.bytes(8 * p.Order)
+		d.scattered[ed.sect] = sc.bytes(4 + 8*(end-start+hist))
 
 		gen, out := newErrorGen(sc, p.Order, end-start+hist, end-start), make(map[dataflow.EdgeID][]byte, 1)
 		kernels[actor(fmt.Sprintf("pe%d", i))] = func(iter int, in map[dataflow.EdgeID][]byte) (map[dataflow.EdgeID][]byte, error) {
@@ -76,26 +86,52 @@ func residualKernels(g *dataflow.Graph, p DeployParams, model *dsp.LPCModel, fra
 			return out, err
 		}
 	}
-	ioSend, ioRecv := actor("io_send"), actor("io_recv")
-	if missing != nil {
-		return nil, missing
+	d.ioSend, d.ioRecv = actor("io_send"), actor("io_recv")
+	return d, missing
+}
+
+// scatter is io_send's output for one frame: every PE's coefficients and its
+// overlapping section of the frame.
+func (d *dSection) scatter(coeffs, frame []float64) map[dataflow.EdgeID][]byte {
+	for i, ed := range d.edges {
+		start, end, hist := d.p.sectionOf(i)
+		d.scattered[ed.coeffs] = appendFloats(d.scattered[ed.coeffs][:0], coeffs)
+		d.scattered[ed.sect] = appendSection(d.scattered[ed.sect][:0], hist, frame[start-hist:end])
 	}
-	kernels[ioSend] = func(iter int, in map[dataflow.EdgeID][]byte) (map[dataflow.EdgeID][]byte, error) {
-		for i, ed := range edges {
-			start, end, hist := p.sectionOf(i)
-			scatter[ed.coeffs] = appendFloats(scatter[ed.coeffs][:0], model.Coeffs)
-			scatter[ed.sect] = appendSection(scatter[ed.sect][:0], hist, frame[start-hist:end])
+	return d.scattered
+}
+
+// gather reassembles the frame's prediction error from io_recv's inputs, in
+// the actor's assembly buffer, which the next frame overwrites.
+func (d *dSection) gather(in map[dataflow.EdgeID][]byte) ([]float64, error) {
+	d.assembled = d.assembled[:0]
+	for _, ed := range d.edges {
+		var err error
+		if d.assembled, err = appendDecoded(d.assembled, in[ed.errs]); err != nil {
+			return nil, err
 		}
-		return scatter, nil
 	}
-	assembled := make([]float64, 0, p.SampleSize)
-	kernels[ioRecv] = func(iter int, in map[dataflow.EdgeID][]byte) (map[dataflow.EdgeID][]byte, error) {
-		assembled = assembled[:0]
-		for _, ed := range edges {
-			var err error
-			if assembled, err = appendDecoded(assembled, in[ed.errs]); err != nil {
-				return nil, err
-			}
+	return d.assembled, nil
+}
+
+// residualKernels builds the functional kernel set for an ErrorGenSystem
+// graph: io_send scatters the model's coefficients and the frame, each pe
+// computes its residual range, io_recv reassembles the frame into collect
+// (which only the node hosting io_recv observes; the slice is the actor's
+// assembly buffer, overwritten by the next frame).
+func residualKernels(g *dataflow.Graph, p DeployParams, model *dsp.LPCModel, frame []float64, collect func([]float64), sc *scratch) (map[dataflow.ActorID]spi.Kernel, error) {
+	kernels := make(map[dataflow.ActorID]spi.Kernel, p.PEs+2)
+	d, err := newDSection(g, p, kernels, sc)
+	if err != nil {
+		return nil, err
+	}
+	kernels[d.ioSend] = func(iter int, in map[dataflow.EdgeID][]byte) (map[dataflow.EdgeID][]byte, error) {
+		return d.scatter(model.Coeffs, frame), nil
+	}
+	kernels[d.ioRecv] = func(iter int, in map[dataflow.EdgeID][]byte) (map[dataflow.EdgeID][]byte, error) {
+		assembled, err := d.gather(in)
+		if err != nil {
+			return nil, err
 		}
 		collect(assembled)
 		return nil, nil

@@ -63,11 +63,9 @@ func splitSection(b []byte) (hist int, samples []byte, err error) {
 
 // errorGen is the body of actor D — decode the predictor coefficients and
 // the samples, compute a range of the prediction error, encode it — with
-// the scratch one firing needs. Every deployment of the actor runs it: the
-// PEs of the hand-built system (residualKernels), the serial pipeline's
-// worker and each replica of its fission. An instance belongs to one actor;
-// sized for that actor's payloads when it is built, it allocates nothing
-// when it fires.
+// the scratch one firing needs. Every PE of every deployment runs it
+// (dSection). An instance belongs to one actor; sized for that actor's
+// payloads when it is built, it allocates nothing when it fires.
 type errorGen struct {
 	model   dsp.LPCModel // Coeffs is decode scratch
 	samples []float64

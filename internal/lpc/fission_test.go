@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dataflow"
 	"repro/internal/dsp"
 	"repro/internal/signal"
 	"repro/internal/spi"
@@ -15,7 +16,61 @@ import (
 // Bit-identity of the fissioned LPC residual: for any replica count —
 // including ones that do not divide the frame length — the gathered error
 // signal must equal the serial model.Residual exactly, locally, over the
-// shm transport, and under chaos sever/resume.
+// shm transport, and under chaos sever/resume. The serial pipeline is
+// fissioned with spi.FissionKernels, whose replicas each run error_gen on
+// the whole frame and keep their SplitCounts share of its output.
+
+// fissionKernels builds the kernel set of a fissioned serial pipeline:
+// io_send sends the model's coefficients and the frame, error_gen computes
+// the frame's residual, and io_recv hands the gathered residual to collect.
+func fissionKernels(fs *FissionSystem, model *dsp.LPCModel, frame []float64, collect func([]float64)) (map[dataflow.ActorID]spi.Kernel, error) {
+	g := fs.Plan.Source
+	ids := map[string]dataflow.EdgeID{}
+	for _, eid := range g.Edges() {
+		ids[g.Edge(eid).Name] = eid
+	}
+	coeffs, samples, errs := ids["coeffs"], ids["frame"], ids["errs"]
+	ioSend, _ := g.ActorByName("io_send")
+	d, _ := g.ActorByName("error_gen")
+	ioRecv, _ := g.ActorByName("io_recv")
+	gen := newErrorGen(nil, model.Order(), len(frame), len(frame))
+	return spi.FissionKernels(fs.Plan, map[dataflow.ActorID]spi.Kernel{
+		ioSend: func(int, map[dataflow.EdgeID][]byte) (map[dataflow.EdgeID][]byte, error) {
+			return map[dataflow.EdgeID][]byte{coeffs: appendFloats(nil, model.Coeffs), samples: appendFloats(nil, frame)}, nil
+		},
+		d: func(_ int, in map[dataflow.EdgeID][]byte) (map[dataflow.EdgeID][]byte, error) {
+			e, err := gen.fire(in[coeffs], in[samples], 0, len(frame))
+			return map[dataflow.EdgeID][]byte{errs: e}, err
+		},
+		ioRecv: func(_ int, in map[dataflow.EdgeID][]byte) (map[dataflow.EdgeID][]byte, error) {
+			got, err := appendDecoded(nil, in[errs])
+			if err == nil {
+				collect(got)
+			}
+			return nil, err
+		},
+	})
+}
+
+// fissionResidual runs this node's share of the serial pipeline fissioned
+// into k replicas, with I/O on node 0 and the rest spread over the other
+// nodes (SplitIOWorkers), and returns the last residual io_recv gathered.
+func fissionResidual(model *dsp.LPCModel, frame []float64, k, iters int, opts spi.DistOptions) ([]float64, error) {
+	p := DefaultDeploy(len(frame), 1)
+	p.SampleBytes = 8
+	fs, err := FissionErrorGenSystem(p, k, 0)
+	if err != nil {
+		return nil, err
+	}
+	opts.NodeOf = SplitIOWorkers(fs.Mapping.NumProcs, len(opts.Addrs))
+	var got []float64
+	kernels, err := fissionKernels(fs, model, frame, func(e []float64) { got = e })
+	if err != nil {
+		return nil, err
+	}
+	_, err = spi.ExecuteDistributed(fs.Plan.Graph, fs.Mapping, kernels, iters, opts)
+	return got, err
+}
 
 // TestFissionResidualLocalBitIdentical runs the fissioned deployment on
 // the monolithic executor for several k (k=1 degenerate, k=3 and k=7 not
@@ -43,7 +98,7 @@ func TestFissionResidualLocalBitIdentical(t *testing.T) {
 					t.Fatalf("plan chose k=%d, want %d", fs.Plan.K, k)
 				}
 				var frames [][]float64
-				kernels, err := fissionResidualKernels(fs, model, frame, func(e []float64) {
+				kernels, err := fissionKernels(fs, model, frame, func(e []float64) {
 					frames = append(frames, e)
 				})
 				if err != nil {
@@ -94,7 +149,7 @@ func TestFissionErrorGenSystemAutoK(t *testing.T) {
 	}
 	want := model.Residual(frame)
 	var got []float64
-	kernels, err := fissionResidualKernels(fs, model, frame, func(e []float64) { got = e })
+	kernels, err := fissionKernels(fs, model, frame, func(e []float64) { got = e })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +201,7 @@ func TestFissionResidualDistributedShm(t *testing.T) {
 			if node == 0 {
 				opts.Listener = ln
 			}
-			results[node], _, errs[node] = FissionResidual(model, frame, k, iters, opts)
+			results[node], errs[node] = fissionResidual(model, frame, k, iters, opts)
 		}(node)
 	}
 	wg.Wait()
@@ -209,7 +264,7 @@ func TestFissionResidualChaosShm(t *testing.T) {
 			if node == 0 {
 				opts.Listener = ln
 			}
-			results[node], _, errs[node] = FissionResidual(model, frame, k, iters, opts)
+			results[node], errs[node] = fissionResidual(model, frame, k, iters, opts)
 		}(node)
 	}
 	done := make(chan struct{})

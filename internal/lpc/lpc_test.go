@@ -64,10 +64,20 @@ func TestCompressFrameSizeValidation(t *testing.T) {
 	}
 }
 
+// compress is Compress, failing the test on an error.
+func compress(t *testing.T, c *Codec, x []float64) []*Frame {
+	t.Helper()
+	frames, err := c.Compress(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frames
+}
+
 func TestAnalyzeWholeSignal(t *testing.T) {
 	c, _ := NewCodec(DefaultParams())
 	x := signal.Speech(256*8, 7)
-	rep, err := c.Analyze(x)
+	rep, err := c.Analyze(x, compress(t, c, x))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,13 +21,9 @@ const (
 	streamVersion = 1
 )
 
-// EncodeStream compresses the signal and writes the container to w,
-// returning the number of container bytes written.
-func (c *Codec) EncodeStream(w io.Writer, signal []float64) (int64, error) {
-	frames, err := c.Compress(signal)
-	if err != nil {
-		return 0, err
-	}
+// EncodeStream writes the container of the codec's frames to w, returning
+// the number of container bytes written.
+func (c *Codec) EncodeStream(w io.Writer, frames []*Frame) (int64, error) {
 	bw := bufio.NewWriter(w)
 	var written int64
 	put := func(v interface{}) error {

@@ -14,7 +14,7 @@ func TestStreamRoundtrip(t *testing.T) {
 	codec, _ := NewCodec(p)
 	x := signal.Speech(p.FrameSize*6, 31)
 	var buf bytes.Buffer
-	n, err := codec.EncodeStream(&buf, x)
+	n, err := codec.EncodeStream(&buf, compress(t, codec, x))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestStreamCompressionBeatsRaw(t *testing.T) {
 	codec, _ := NewCodec(p)
 	x := signal.Speech(p.FrameSize*10, 8)
 	var buf bytes.Buffer
-	if _, err := codec.EncodeStream(&buf, x); err != nil {
+	if _, err := codec.EncodeStream(&buf, compress(t, codec, x)); err != nil {
 		t.Fatal(err)
 	}
 	raw := len(x) * 2 // 16-bit PCM
@@ -61,7 +61,7 @@ func TestDecodeStreamErrors(t *testing.T) {
 	codec, _ := NewCodec(p)
 	x := signal.Speech(p.FrameSize*2, 4)
 	var buf bytes.Buffer
-	if _, err := codec.EncodeStream(&buf, x); err != nil {
+	if _, err := codec.EncodeStream(&buf, compress(t, codec, x)); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
@@ -85,7 +85,7 @@ func TestDecodeStreamCorruptFrameLength(t *testing.T) {
 	codec, _ := NewCodec(p)
 	x := signal.Speech(p.FrameSize, 4)
 	var buf bytes.Buffer
-	codec.EncodeStream(&buf, x)
+	codec.EncodeStream(&buf, compress(t, codec, x))
 	data := buf.Bytes()
 	// Frame length field sits after the 13-byte header + 4-byte count.
 	data[13] = 0xFF

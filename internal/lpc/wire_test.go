@@ -80,7 +80,8 @@ func TestCompressedBitsMatchesWire(t *testing.T) {
 
 func TestCompressionRatioWithSparseTable(t *testing.T) {
 	c, _ := NewCodec(DefaultParams())
-	rep, err := c.Analyze(signal.Speech(256*16, 21))
+	x := signal.Speech(256*16, 21)
+	rep, err := c.Analyze(x, compress(t, c, x))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,37 +17,24 @@ import (
 //   - the gather stage reassembles the replica chunks in order, so
 //     downstream actors see byte-identical payloads.
 //
-// Two replica modes cover the two ways an actor is data-parallel:
-//
-// A FissionWorker (the LPC path) computes replica r's output chunks
-// directly from its inputs — real 1/k work per replica, real speedup.
-//
-// Without a worker, FissionKernels falls back to transparent replication:
-// every replica runs the original kernel on the full inputs, and emits only its SplitCounts chunk of each output. That does
-// k-times the compute — no speedup — but it is semantics-preserving for
-// ANY kernel, which is what the digest smokes verify: the plumbing
-// (scatter/gather edges, placement, transports, chaos recovery) is
-// exercised end to end with bit-identical sink digests. Kernels must
-// treat a nil input and an empty input identically (the scatter stage
-// forwards a delayed edge's nil payload as an empty chunk).
-
-// FissionWorker computes one replica's share of a fissioned actor: it
-// receives the replica's input payloads keyed by the SOURCE graph's
-// input edge IDs (every input is broadcast: full payloads) and returns the replica's chunk of each
-// output keyed by the SOURCE graph's output edge IDs. Concatenating the
-// replica chunks in order must reproduce the unfissioned actor's output.
-type FissionWorker func(iter, replica int, in map[dataflow.EdgeID][]byte) (map[dataflow.EdgeID][]byte, error)
+// The replicas replicate transparently: every replica runs the original
+// kernel on the full inputs, and emits only its SplitCounts chunk of each
+// output. That does k-times the compute — no speedup — but it is
+// semantics-preserving for ANY kernel, which is what the digest smokes
+// verify: the plumbing (scatter/gather edges, placement, transports, chaos
+// recovery) is exercised end to end with bit-identical sink digests.
+// Kernels must treat a nil input and an empty input identically (the
+// scatter stage forwards a delayed edge's nil payload as an empty chunk).
 
 // FissionKernels builds the kernel set for plan.Graph from the kernel
 // set of plan.Source: non-fissioned kernels are reused as-is (the
 // rewrite preserves their actor and edge IDs), and the scatter, replica,
-// and gather stages are synthesized. worker selects the replica mode;
-// nil means transparent replication.
-func FissionKernels(plan *dataflow.FissionPlan, kernels map[dataflow.ActorID]Kernel, worker FissionWorker) (map[dataflow.ActorID]Kernel, error) {
+// and gather stages are synthesized around the fissioned actor's kernel.
+func FissionKernels(plan *dataflow.FissionPlan, kernels map[dataflow.ActorID]Kernel) (map[dataflow.ActorID]Kernel, error) {
 	src := plan.Source
 	orig := kernels[plan.Actor]
-	if worker == nil && orig == nil {
-		return nil, fmt.Errorf("spi: fission of %q in transparent mode needs the actor's kernel", src.Actor(plan.Actor).Name)
+	if orig == nil {
+		return nil, fmt.Errorf("spi: fission of %q needs the actor's kernel", src.Actor(plan.Actor).Name)
 	}
 
 	out := make(map[dataflow.ActorID]Kernel, len(kernels)+plan.K+1)
@@ -75,9 +62,9 @@ func FissionKernels(plan *dataflow.FissionPlan, kernels map[dataflow.ActorID]Ker
 		return o, nil
 	}
 
-	// Replicas. In transparent mode they all fire the one original kernel,
-	// which may return the same buffers from every firing (DESIGN.md §15):
-	// origMu makes each firing and the copy of its chunk one step.
+	// Replicas. They all fire the one original kernel, which may return the
+	// same buffers from every firing (DESIGN.md §15): origMu makes each
+	// firing and the copy of its chunk one step.
 	var origMu sync.Mutex
 	for i := 0; i < k; i++ {
 		i := i
@@ -86,27 +73,17 @@ func FissionKernels(plan *dataflow.FissionPlan, kernels map[dataflow.ActorID]Ker
 			for _, eid := range ins {
 				srcIn[eid] = in[plan.ScatterEdges[eid][i]]
 			}
-			var srcOut map[dataflow.EdgeID][]byte
-			var err error
-			if worker != nil {
-				srcOut, err = worker(iter, i, srcIn)
-			} else {
-				origMu.Lock()
-				defer origMu.Unlock()
-				srcOut, err = orig(iter, srcIn)
-			}
+			origMu.Lock()
+			defer origMu.Unlock()
+			srcOut, err := orig(iter, srcIn)
 			if err != nil {
 				return nil, fmt.Errorf("spi: fission replica %d of %q: %w", i, src.Actor(plan.Actor).Name, err)
 			}
+			// The replica computed the full output; keep only (a copy of)
+			// this replica's chunk.
 			o := make(map[dataflow.EdgeID][]byte, len(outs))
 			for _, eid := range outs {
-				p := srcOut[eid]
-				if worker == nil {
-					// Transparent mode: the replica computed the full
-					// output; keep only (a copy of) this replica's chunk.
-					p = append([]byte(nil), SplitPayload(p, src.Edge(eid).TokenBytes, k)[i]...)
-				}
-				o[plan.GatherEdges[eid][i]] = p
+				o[plan.GatherEdges[eid][i]] = append([]byte(nil), SplitPayload(srcOut[eid], src.Edge(eid).TokenBytes, k)[i]...)
 			}
 			return o, nil
 		}

@@ -148,7 +148,7 @@ func TestFissionExecuteTransparent(t *testing.T) {
 			plan, fm := fissionPartPlan(t, k)
 			sinks := &partTestSinks{d: map[string]uint64{}}
 			byID, _ := partTestKernels(plan.Source, 7, sinks)
-			fk, err := FissionKernels(plan, byID, nil)
+			fk, err := FissionKernels(plan, byID)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -207,7 +207,7 @@ func TestFissionExecuteDistributed(t *testing.T) {
 		go func(node int) {
 			defer wg.Done()
 			byID, _ := partTestKernels(plan.Source, 7, sinks)
-			fk, err := FissionKernels(plan, byID, nil)
+			fk, err := FissionKernels(plan, byID)
 			if err != nil {
 				errs[node] = err
 				return
@@ -273,7 +273,7 @@ func TestFissionPartitionExecution(t *testing.T) {
 		spec := specs[w]
 		spec.BaseIter, spec.Iterations, spec.Addrs = 0, iterations, addrs
 		byID, _ := partTestKernels(plan.Source, 7, sinks)
-		fk, err := FissionKernels(plan, byID, nil)
+		fk, err := FissionKernels(plan, byID)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,13 +1,11 @@
 package syncgraph
 
+import "strings"
+
 // Synchronization cost accounting for SPI buffer protocols (paper §4).
-//
-// SPI_BBS (bounded buffer synchronization) applies when a buffer provably
-// never exceeds a predetermined size; the sender and receiver keep shared
-// read/write pointers, costing a fixed small number of pointer operations
-// per transfer. SPI_UBS (unbounded buffer synchronization) applies when no
-// static bound exists; it additionally exchanges acknowledgement messages
-// to keep the dynamically grown buffer consistent.
+// SPI_BBS applies when a buffer provably never exceeds a predetermined
+// size: sender and receiver share read/write pointers. SPI_UBS applies when
+// no static bound exists, and acknowledges every transfer.
 
 // Protocol selects a buffer-synchronization protocol for an IPC edge.
 type Protocol uint8
@@ -34,11 +32,9 @@ const (
 	UBSOpsPerTransfer = 4
 )
 
-// MessagesPerTransfer returns the number of distinct messages one logical
-// transfer costs on a distributed-memory target: the data message itself,
-// plus an acknowledgement message for UBS (BBS back-pressure rides on the
-// shared pointers mapped into the bounded buffer, needing no extra
-// message in steady state).
+// MessagesPerTransfer returns the messages one logical transfer costs on a
+// distributed-memory target: the data message, plus an acknowledgement for
+// UBS (BBS back-pressure rides on the buffer's shared pointers).
 func MessagesPerTransfer(p Protocol) int {
 	if p == UBS {
 		return 2
@@ -54,9 +50,9 @@ type CostSummary struct {
 	// a shared-memory target under the given per-edge protocols.
 	SharedMemoryOps int
 	// Messages is the per-iteration message count on a distributed-memory
-	// target: one data message per IPC edge, one sync message per pure
-	// sync edge (resynchronization edges and surviving acks are separate
-	// messages in the HDL SPI library, per §4.1).
+	// target: one data message per IPC edge; for its feedback edge ("ack:"
+	// + its label) one for a UBS ack and none for BBS back-pressure; one
+	// per other sync edge (separate messages in the HDL SPI library, §4.1).
 	Messages int
 }
 
@@ -68,17 +64,20 @@ func Cost(g *Graph, protocols map[string]Protocol) CostSummary {
 		switch e.Kind {
 		case IPCEdge:
 			s.IPCEdges++
-			p := protocols[e.Label]
-			if p == UBS {
+			if protocols[e.Label] == UBS {
 				s.SharedMemoryOps += UBSOpsPerTransfer
 			} else {
 				s.SharedMemoryOps += BBSOpsPerTransfer
 			}
-			s.Messages += MessagesPerTransfer(p)
+			s.Messages++
 		case SyncEdge:
 			s.SyncEdges++
 			s.SharedMemoryOps += BBSOpsPerTransfer
-			s.Messages++
+			if ipc, ok := strings.CutPrefix(e.Label, "ack:"); ok {
+				s.Messages += MessagesPerTransfer(protocols[ipc]) - 1 // the transfer's ack, if any
+			} else {
+				s.Messages++
+			}
 		}
 	}
 	return s

@@ -183,15 +183,18 @@ func TestCostSummary(t *testing.T) {
 	g.AddEdge(a, b, 0, IPCEdge, "stat")
 	g.AddEdge(a, b, 0, IPCEdge, "dyn")
 	g.AddEdge(b, a, 1, SyncEdge, "ack:dyn")
+	g.AddEdge(b, a, 1, SyncEdge, "ack:stat")
+	g.AddEdge(a, b, 0, SyncEdge, "resync")
 	cost := Cost(g, map[string]Protocol{"dyn": UBS})
-	if cost.IPCEdges != 2 || cost.SyncEdges != 1 {
+	if cost.IPCEdges != 2 || cost.SyncEdges != 3 {
 		t.Errorf("edge counts: %+v", cost)
 	}
-	// stat: BBS 2 ops, dyn: UBS 4 ops, ack sync: 2 ops => 8.
-	if cost.SharedMemoryOps != 8 {
-		t.Errorf("SharedMemoryOps = %d, want 8", cost.SharedMemoryOps)
+	// stat: BBS 2 ops, dyn: UBS 4 ops, three sync edges: 2 ops each => 12.
+	if cost.SharedMemoryOps != 12 {
+		t.Errorf("SharedMemoryOps = %d, want 12", cost.SharedMemoryOps)
 	}
-	// stat: 1 msg, dyn: 2 msgs (data+ack), sync edge: 1 msg => 4.
+	// stat and dyn: 1 data msg each, ack:dyn: the UBS ack, ack:stat: BBS
+	// back-pressure, no message, resync: 1 msg => 4.
 	if cost.Messages != 4 {
 		t.Errorf("Messages = %d, want 4", cost.Messages)
 	}
@@ -203,9 +206,21 @@ func TestProtocolString(t *testing.T) {
 	}
 }
 
+// TestMessagesPerTransfer: a transfer costs its data message, plus an ack
+// under UBS, and Cost charges exactly that for an IPC edge with its
+// protocol feedback edge.
 func TestMessagesPerTransfer(t *testing.T) {
 	if MessagesPerTransfer(BBS) != 1 || MessagesPerTransfer(UBS) != 2 {
 		t.Error("MessagesPerTransfer wrong")
+	}
+	for _, p := range []Protocol{BBS, UBS} {
+		g := NewGraph()
+		a, b := g.AddVertex("A", 0, 1), g.AddVertex("B", 1, 1)
+		g.AddEdge(a, b, 0, IPCEdge, "e")
+		AddAllFeedback(g, 1)
+		if got := Cost(g, map[string]Protocol{"e": p}).Messages; got != MessagesPerTransfer(p) {
+			t.Errorf("%s: Cost charges %d messages for a transfer and its feedback, want %d", p, got, MessagesPerTransfer(p))
+		}
 	}
 }
 

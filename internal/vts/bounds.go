@@ -10,9 +10,9 @@ import (
 // §3 of the paper.
 type Bounds struct {
 	Edge dataflow.EdgeID
-	// CSDF is c_sdf(e): an upper bound on the number of (packed) tokens
-	// that coexist on e at any time under the analyzed schedule. Computed
-	// on the converted (pure SDF) graph.
+	// CSDF is c_sdf(e): an upper bound on the number of packed tokens (one
+	// firing's production) that coexist on e at any time under the analyzed
+	// schedule, computed on the converted (pure SDF) graph.
 	CSDF int64
 	// BMax is b_max(e): the maximum bytes in one packed token.
 	BMax int64
@@ -56,7 +56,7 @@ func ComputeBounds(r *Result) ([]Bounds, error) {
 		info := r.Edges[eid]
 		b := Bounds{
 			Edge: eid,
-			CSDF: csdf[eid],
+			CSDF: (csdf[eid] + int64(e.Produce.Rate) - 1) / int64(e.Produce.Rate),
 			BMax: info.BMax,
 		}
 		b.CE = b.CSDF * b.BMax
