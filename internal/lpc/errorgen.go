@@ -5,24 +5,27 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 
 	"repro/internal/dsp"
 )
 
 // Actor D as a kernel: the sample codecs and the one decode → residual →
 // encode body every deployment of error generation runs. The wire form of
-// samples is little-endian float64. The codecs append, so an actor that
-// fires every frame encodes into and decodes into scratch it sized once,
-// and each is one pass over the samples.
+// samples is little-endian float64: on a little-endian host, its memory
+// form, so each codec is one copy there and a loop elsewhere (putFloats,
+// getFloats). The codecs append, so an actor that fires every frame encodes
+// into and decodes into scratch it sized once.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // appendFloats appends x to dst, 8 bytes a sample.
 func appendFloats(dst []byte, x []float64) []byte {
 	base := len(dst)
 	dst = slices.Grow(dst, 8*len(x))[:base+8*len(x)]
-	out := dst[base:]
-	for _, v := range x {
-		binary.LittleEndian.PutUint64(out[:8], math.Float64bits(v))
-		out = out[8:]
+	if littleEndian {
+		copy(dst[base:], unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(x))), 8*len(x)))
+	} else {
+		putFloats(dst[base:], x)
 	}
 	return dst
 }
@@ -34,12 +37,24 @@ func appendDecoded(dst []float64, b []byte) ([]float64, error) {
 	}
 	base := len(dst)
 	dst = slices.Grow(dst, len(b)/8)[:base+len(b)/8]
-	out := dst[base:]
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[:8]))
-		b = b[8:]
+	if littleEndian {
+		copy(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(dst[base:]))), len(b)), b)
+	} else {
+		getFloats(dst[base:], b)
 	}
 	return dst, nil
+}
+
+func putFloats(out []byte, x []float64) {
+	for i, v := range x {
+		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
+	}
+}
+
+func getFloats(out []float64, b []byte) {
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
 }
 
 // appendSection appends a PE's input to dst: a u32 count of history

@@ -1,6 +1,7 @@
 package spi
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -108,6 +109,38 @@ func TestAllocsDistributedLoopback(t *testing.T) {
 	})
 	alloctest.Check(t, "2-node loopback ExecuteDistributed per iteration", perIter, pinnedDistPerIter)
 	alloctest.Check(t, "2-node loopback ExecuteDistributed open", open, pinnedDistOpen)
+}
+
+// TestAllocsEmitPadsShortStaticToken: a kernel output shorter than its
+// static edge's token is zero-padded in a buffer the edge slot owns, not in
+// one allocated per token — on a cross-processor edge, where flush sends
+// the padded token before the slot emits again, and on a local one, where
+// emit copies it into the queue.
+func TestAllocsEmitPadsShortStaticToken(t *testing.T) {
+	want := []byte{7, 0, 0, 0, 0, 0, 0, 0}
+	for _, s := range []*edgeSlot{
+		{name: "cross-processor", bmax: 8, block: 1, out: true, in: true, peer: -1},
+		{name: "local", bmax: 8, block: 1, peer: -1},
+	} {
+		var tok []byte
+		perToken := alloctest.Min(5, func() {
+			for range 100 {
+				if err := s.emit(want[:1]); err != nil {
+					t.Fatal(err)
+				}
+				if s.local() { // what the consumer's gather takes and gives back
+					tok = s.queue[0]
+					s.spare, s.queue = append(s.spare, s.queue...), s.queue[:0]
+				} else { // what flush sends
+					tok, s.due = s.ready, false
+				}
+			}
+		})
+		if !bytes.Equal(tok, want) {
+			t.Errorf("%s edge: padded token %v, want %v", s.name, tok, want)
+		}
+		alloctest.AtMost(t, s.name+" edge: 100 one-byte tokens on an 8-byte static edge", perToken, alloctest.Allocs{})
+	}
 }
 
 // TestAllocsWatchedRun is TestAllocsScalarExecute with the watchdog armed,

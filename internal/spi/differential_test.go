@@ -24,7 +24,9 @@ import (
 // kernels make every byte a pure function of graph, seed, actor, iteration
 // and inputs, so any difference is the executor's. The reference run's
 // kernels allocate every output afresh; every other run, the scalar one
-// first, wraps them in recycling.
+// first, wraps them in recycling. A second reference, scalar too, runs the
+// kernels echoing copies of their inputs, and the in-process runs repeat
+// with them echoing the input slices themselves.
 
 const differentialSeeds = 60
 
@@ -151,21 +153,65 @@ func recycling(k spi.Kernel) spi.Kernel {
 	}
 }
 
-func (c diffCase) kernels(recycle bool) (map[dataflow.ActorID]spi.Kernel, map[string]*uint64, error) {
+// echoing wraps a kernel so that it hands inputs back out: every output
+// becomes the input of the lowest edge ID that is no longer than it (so
+// within the output edge's bound, where a static token is padded), as a
+// copy or, with alias, as the input slice itself — a view into the local
+// queue, a received message or a slab. The copy is the reference; an
+// executor that reuses a view's buffer before the output aliasing it is
+// sent, packed or queued changes a digest.
+func echoing(k spi.Kernel, alias bool) spi.Kernel {
+	return func(iter int, in map[dataflow.EdgeID][]byte) (map[dataflow.EdgeID][]byte, error) {
+		out, err := k(iter, in)
+		if err != nil {
+			return nil, err
+		}
+		for eid, payload := range out {
+			from := dataflow.EdgeID(-1)
+			for id, buf := range in {
+				if len(buf) <= len(payload) && (from < 0 || id < from) {
+					from = id
+				}
+			}
+			if from < 0 {
+				continue
+			}
+			if out[eid] = in[from]; !alias {
+				out[eid] = append([]byte(nil), in[from]...)
+			}
+		}
+		return out, nil
+	}
+}
+
+// kernelKind selects what a run wraps the demo kernels in.
+type kernelKind int
+
+const (
+	fresh     kernelKind = iota // the demo kernels, every output allocated afresh
+	recycled                    // recycling
+	echoCopy                    // echoing copies
+	echoAlias                   // echoing the input slices themselves
+)
+
+func (c diffCase) kernels(kind kernelKind) (map[dataflow.ActorID]spi.Kernel, map[string]*uint64, error) {
 	digests := demo.Sinks(c.g)
 	kernels, err := demo.Kernels(c.g, c.seed, digests, new(sync.Mutex))
-	if recycle {
-		for a, k := range kernels {
+	for a, k := range kernels {
+		switch kind {
+		case recycled:
 			kernels[a] = recycling(k)
+		case echoCopy, echoAlias:
+			kernels[a] = echoing(k, kind == echoAlias)
 		}
 	}
 	return kernels, digests, err
 }
 
 // inProcess runs the case on one node with the given blocking factor
-// (1 = scalar), on kernels that recycle their buffers or allocate afresh.
-func (c diffCase) inProcess(block int, recycle bool) (map[string]uint64, error) {
-	kernels, digests, err := c.kernels(recycle)
+// (1 = scalar), on kernels of the given kind.
+func (c diffCase) inProcess(block int, kind kernelKind) (map[string]uint64, error) {
+	kernels, digests, err := c.kernels(kind)
 	if err != nil {
 		return nil, err
 	}
@@ -192,7 +238,7 @@ func (c diffCase) distributed() (map[string]uint64, error) {
 	resync := rng.Intn(2) == 1
 	var wg sync.WaitGroup
 	for node := range addrs {
-		kernels, d, err := c.kernels(true)
+		kernels, d, err := c.kernels(recycled)
 		if err != nil {
 			return nil, err
 		}
@@ -305,11 +351,15 @@ func TestDifferentialExecutors(t *testing.T) {
 	for seed := uint64(1); seed <= differentialSeeds; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			c := drawCase(t, seed)
-			want, err := within(t, "scalar", func() (map[string]uint64, error) { return c.inProcess(1, false) })
+			want, err := within(t, "scalar", func() (map[string]uint64, error) { return c.inProcess(1, fresh) })
 			if err != nil {
 				t.Fatalf("scalar reference: %v", err)
 			}
-			check := func(mode string, got map[string]uint64, err error) {
+			echoWant, err := within(t, "scalar echo", func() (map[string]uint64, error) { return c.inProcess(1, echoCopy) })
+			if err != nil {
+				t.Fatalf("scalar echo reference: %v", err)
+			}
+			check := func(mode string, want, got map[string]uint64, err error) {
 				t.Helper()
 				if err != nil {
 					t.Errorf("%s: %v", mode, err)
@@ -323,7 +373,7 @@ func TestDifferentialExecutors(t *testing.T) {
 			}
 			for _, block := range []int{1, 2, 5} {
 				mode := fmt.Sprintf("block %d", block)
-				got, err := within(t, mode, func() (map[string]uint64, error) { return c.inProcess(block, true) })
+				got, err := within(t, mode, func() (map[string]uint64, error) { return c.inProcess(block, recycled) })
 				if c.feedback && block > 1 {
 					// One iteration of delay on a cycle cannot cover a block.
 					if err == nil || !strings.Contains(err.Error(), "deadlocks") {
@@ -331,13 +381,16 @@ func TestDifferentialExecutors(t *testing.T) {
 					}
 					continue
 				}
-				check(mode, got, err)
+				check(mode, want, got, err)
+				mode = fmt.Sprintf("echo, block %d", block)
+				got, err = within(t, mode, func() (map[string]uint64, error) { return c.inProcess(block, echoAlias) })
+				check(mode, echoWant, got, err)
 				mode = fmt.Sprintf("partitioned, block %d", block)
 				got, err = within(t, mode, func() (map[string]uint64, error) { return c.partitioned(block) })
-				check(mode, got, err)
+				check(mode, want, got, err)
 			}
 			got, err := within(t, "distributed", c.distributed)
-			check("distributed", got, err)
+			check("distributed", want, got, err)
 		})
 	}
 }

@@ -33,12 +33,14 @@ import (
 // initial delay covers this iteration deliver nil) and returns the packed
 // payload for every output edge. Omitted outputs send empty payloads.
 //
-// Input payloads (and the map itself) are valid only for the duration of
-// the call: the executor reuses the buffers for the next firing, so a
-// kernel that carries state across firings must copy what it keeps.
-// Output payloads are copied out (sent, packed or queued) before the actor
-// fires again: a kernel may return an input slice, or the same map and
-// buffers from every firing.
+// An input payload is a view into the message that carried it — a token
+// of the local queue, or a received message or slab, not copied out — and
+// it (and the map itself) is valid only for the duration of the call: the
+// executor reuses the buffer once the firing's outputs are out, so a kernel
+// that carries state across firings must copy what it keeps. Output
+// payloads are copied out (sent, packed or queued) before the actor fires
+// again: a kernel may return an input slice, or the same map and buffers
+// from every firing.
 type Kernel func(iter int, in map[dataflow.EdgeID][]byte) (map[dataflow.EdgeID][]byte, error)
 
 // ExecStats reports a functional run.
@@ -149,11 +151,11 @@ type edgeSlot struct {
 	// preload holds the delay messages the producing side replays at open.
 	preload [][]byte
 
-	// Consumer side: the tokens of the block being fired (receive buffers
-	// reused per token, views into slabIn, or a window of queue) and the
-	// slab receive buffer.
-	toks   [][]byte
-	slabIn []byte
+	// Consumer side: the tokens of the block being fired (a window of queue,
+	// or views into the received message) and held, that message's pooled
+	// buffer, kept until the firing's outputs are out.
+	toks [][]byte
+	held *[]byte
 	// Producer side: the open slab and the fill tokens packed into it (the
 	// carry between blocks); ready, the message the next flush sends when
 	// due — the slab the block filled, whose buffer the slab after next
@@ -164,6 +166,7 @@ type edgeSlot struct {
 	ready   []byte
 	due     bool
 	tail    *tailRing
+	pad     []byte // a short static token padded to bmax
 }
 
 func (s *edgeSlot) local() bool { return !s.out && !s.in }
@@ -410,55 +413,50 @@ func (env *execEnv) fireActor(p *procPlan, a *actorSlot, iter, n int) error {
 			return fmt.Errorf("spi: actor %s edge %s: send: %w", a.name, s.name, err)
 		}
 	}
+	for _, s := range a.in {
+		putMsg(s.held) // the inputs' last copy is out: back to the pool
+		s.held = nil
+	}
 	a.obs.firings.Add(int64(n))
 	a.fired.Add(int64(n))
 	return nil
 }
 
 // gather collects into s.toks[:n] the n tokens the next block firing
-// consumes: a window of the local queue, one received slab split into
-// views, or n token-granular receives. Remote payloads land in buffers
-// reused across firings (each edge has one sink, so they are its
-// processor's alone), keeping the steady-state receive path
-// allocation-free; the Kernel contract covers the reuse.
+// consumes: a window of the local queue, or views into one received
+// message — a slab split into its tokens, or a scalar run's one token —
+// whose pooled buffer the slot holds until fireActor's flush is done: a
+// kernel may return an input as an output, so the buffer must outlive the
+// send that copies it out. Each edge has one sink, so the buffer is its
+// processor's alone, and the receive path copies nothing.
 func (s *edgeSlot) gather(p *procPlan, n int) error {
-	switch {
-	case s.local():
+	if s.local() {
 		if len(s.queue) < n {
 			return fmt.Errorf("local underflow: block needs %d tokens, %d queued (the schedule order or the delay does not cover the block)", n, len(s.queue))
 		}
 		s.spare = append(s.spare, s.toks...) // the last firing is done with them
 		s.toks, s.queue = s.queue[:n:n], s.queue[n:]
 		p.localTransfers += int64(n)
-	case s.block > 1:
-		slab, err := s.rx.ReceiveInto(s.slabIn)
-		if err != nil {
-			return fmt.Errorf("recv: %w", err)
-		}
-		s.slabIn = slab
-		if s.toks, err = UnpackSlab(slab, n, s.bmax, s.dynamic, s.toks); err != nil {
-			return err
-		}
-	default:
-		for len(s.toks) < n {
-			s.toks = append(s.toks, nil)
-		}
-		for j := 0; j < n; j++ {
-			payload, err := s.rx.ReceiveInto(s.toks[j])
-			if err != nil {
-				return fmt.Errorf("recv: %w", err)
-			}
-			s.toks[j] = payload
-		}
+		return nil
 	}
-	return nil
+	msg, mb, err := s.rx.receive()
+	if s.held = mb; err != nil {
+		return fmt.Errorf("recv: %w", err)
+	}
+	if s.block == 1 { // a scalar run: n is 1
+		s.toks = append(s.toks[:0], msg)
+		return nil
+	}
+	s.toks, err = UnpackSlab(msg, n, s.bmax, s.dynamic, s.toks)
+	return err
 }
 
 // emit routes the next output token of a block firing: packed (copied) into
 // the open slab of a blocked edge, held as a scalar run's ready message on a
 // cross-processor edge, or copied into a recycled buffer of the local queue.
-// It never sends: flush does, once the block's kernels are done. The VTS bound is enforced and short static payloads are zero-padded
-// to the fixed transfer size on every route.
+// It never sends: flush does, once the block's kernels are done. The VTS
+// bound is enforced and short static payloads are zero-padded to the fixed
+// transfer size on every route.
 func (s *edgeSlot) emit(payload []byte) error {
 	if s.block > 1 {
 		if err := s.pack(payload); err != nil {
@@ -469,9 +467,9 @@ func (s *edgeSlot) emit(payload []byte) error {
 			return fmt.Errorf("kernel produced %d bytes, bound %d", len(payload), s.bmax)
 		}
 		if !s.dynamic && len(payload) != s.bmax {
-			padded := make([]byte, s.bmax)
-			copy(padded, payload)
-			payload = padded
+			// Copied out at emit (local) or flush before the next emit.
+			s.pad = append(append(s.pad[:0], payload...), make([]byte, s.bmax-len(payload))...)
+			payload = s.pad
 		}
 		if s.local() {
 			var buf []byte

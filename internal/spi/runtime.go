@@ -374,9 +374,6 @@ func (r *Runtime) TotalStats() EdgeStats {
 	return t
 }
 
-// checkPayload validates a payload against the edge's mode: Static
-// payloads must have exactly the configured size, Dynamic ones must not
-// exceed the b_max bound.
 // qdepthLocked is the number of undelivered messages. Caller holds e.mu.
 func (e *edge) qdepthLocked() int { return len(e.queue) - e.qhead }
 
@@ -415,6 +412,9 @@ func (e *edge) popLocked() queued {
 	return q
 }
 
+// checkPayload validates a payload against the edge's mode: Static
+// payloads must have exactly the configured size, Dynamic ones must not
+// exceed the b_max bound.
 func (e *edge) checkPayload(payload []byte) error {
 	switch e.cfg.Mode {
 	case Static:
@@ -603,31 +603,21 @@ func (s *Sender) SendBatch(payloads [][]byte) error {
 // ErrClosed; queued messages are discarded.
 func (s *Sender) Close() { s.e.close() }
 
-// decodePayload validates one dequeued message and appends its payload to
-// dst[:0], recycling the pooled message buffer either way.
-func (e *edge) decodePayload(q queued, dst []byte) ([]byte, error) {
+// decodePayload validates one dequeued message and returns its payload, a
+// view into msg.
+func (e *edge) decodePayload(msg []byte) ([]byte, error) {
 	var gotID EdgeID
 	var payload []byte
 	var err error
 	if e.cfg.Mode == Static {
-		gotID, payload, err = DecodeStatic(q.msg, e.cfg.PayloadBytes)
+		gotID, payload, err = DecodeStatic(msg, e.cfg.PayloadBytes)
 	} else {
-		gotID, payload, err = DecodeDynamic(q.msg, e.cfg.MaxBytes)
+		gotID, payload, err = DecodeDynamic(msg, e.cfg.MaxBytes)
 	}
 	if err == nil && gotID != e.cfg.ID {
 		err = fmt.Errorf("spi: edge %d received message for edge %d", e.cfg.ID, gotID)
 	}
-	if err != nil {
-		putMsg(q.buf)
-		return nil, err
-	}
-	if dst == nil && len(payload) == 0 {
-		putMsg(q.buf)
-		return []byte{}, nil
-	}
-	out := append(dst[:0], payload...)
-	putMsg(q.buf)
-	return out, nil
+	return payload, err
 }
 
 // Receive blocks for the next message, decodes it, and returns the payload.
@@ -638,10 +628,27 @@ func (rc *Receiver) Receive() ([]byte, error) {
 }
 
 // ReceiveInto is Receive with a caller-supplied buffer: the payload is
-// appended to buf[:0] (growing it as needed) and the resulting slice
-// returned, so a steady-state receive loop that feeds each payload back
-// in performs zero allocations. A nil buf behaves exactly like Receive.
+// copied out of the message, appended to buf[:0] (growing it as needed),
+// and the message buffer recycled, so a steady-state receive loop that
+// feeds each payload back in performs zero allocations. A nil buf behaves
+// exactly like Receive. The executor receives by view instead.
 func (rc *Receiver) ReceiveInto(buf []byte) ([]byte, error) {
+	payload, mb, err := rc.receive()
+	if err != nil {
+		return nil, err
+	}
+	if buf == nil && len(payload) == 0 {
+		buf = []byte{}
+	}
+	buf = append(buf[:0], payload...)
+	putMsg(mb)
+	return buf, nil
+}
+
+// receive blocks for the next message and returns its payload, a view into
+// the pooled buffer mb it arrived in: the caller owns mb, and the view is
+// valid until the caller hands mb back with putMsg.
+func (rc *Receiver) receive() (payload []byte, mb *[]byte, err error) {
 	e := rc.e
 	e.mu.Lock()
 	for e.qdepthLocked() == 0 && !e.closed {
@@ -649,7 +656,7 @@ func (rc *Receiver) ReceiveInto(buf []byte) ([]byte, error) {
 	}
 	if e.qdepthLocked() == 0 && e.closed {
 		e.mu.Unlock()
-		return nil, ErrClosed
+		return nil, nil, ErrClosed
 	}
 	q := e.popLocked()
 	depth := e.qdepthLocked()
@@ -689,5 +696,9 @@ func (rc *Receiver) ReceiveInto(buf []byte) ([]byte, error) {
 		// surfaces there. The message itself was delivered; keep it.
 		_ = link.SendAck(uint16(id), 1)
 	}
-	return e.decodePayload(q, buf)
+	if payload, err = e.decodePayload(q.msg); err != nil {
+		putMsg(q.buf)
+		return nil, nil, err
+	}
+	return payload, q.buf, nil
 }
