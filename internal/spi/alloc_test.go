@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -141,6 +142,31 @@ func TestAllocsEmitPadsShortStaticToken(t *testing.T) {
 		}
 		alloctest.AtMost(t, s.name+" edge: 100 one-byte tokens on an 8-byte static edge", perToken, alloctest.Allocs{})
 	}
+}
+
+// TestAllocsMessageBuffersOutliveCollections: a message buffer given back
+// is there for the next send however many collections ran in between. A
+// sync.Pool empties in two, so every cold deployment after them bought its
+// buffers again, and whether one did depended on when the collector ran.
+func TestAllocsMessageBuffersOutliveCollections(t *testing.T) {
+	rt := NewRuntime()
+	tx, rx, err := rt.Init(EdgeConfig{ID: 1, Mode: Static, PayloadBytes: 4096, Protocol: BBS, Capacity: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, buf := make([]byte, 4096), make([]byte, 0, 4096)
+	collect := func() { runtime.GC(); runtime.GC() }
+	got := alloctest.Min(5, func() {
+		collect()
+		if err := tx.Send(payload); err != nil {
+			t.Fatal(err)
+		}
+		if buf, err = rx.ReceiveInto(buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// What the collections allocate themselves is the limit.
+	alloctest.AtMost(t, "a 4 KiB message sent after two collections", got, alloctest.Min(5, collect))
 }
 
 // TestAllocsWatchedRun is TestAllocsScalarExecute with the watchdog armed,

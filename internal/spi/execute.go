@@ -279,7 +279,9 @@ func (env *execEnv) run(base, n int) []error {
 
 // fireProc fires one processor and, should it fail, releases its peers.
 func (env *execEnv) fireProc(p *procPlan, base, n int) error {
-	err := env.fire(p, base, n)
+	var msgs msgCache // the buffers this processor's sends take and its receives give back
+	err := env.fire(p, &msgs, base, n)
+	msgs.spill(0)
 	if err != nil && env.degrade {
 		env.starve(p)
 	} else if err != nil {
@@ -358,12 +360,12 @@ func (p *procPlan) charge(start time.Time) {
 // same loop from base = BaseIter. Kernels see the same iteration numbers
 // and the same input bytes in the same order whatever B is and wherever
 // the edges are bound, which is what makes every mode bit-identical.
-func (env *execEnv) fire(p *procPlan, base, n int) error {
+func (env *execEnv) fire(p *procPlan, msgs *msgCache, base, n int) error {
 	p.busy = 0
 	for iter, end := base, base+n; iter < end; iter += env.block {
 		nb := min(env.block, end-iter)
 		for ai := range p.actors {
-			if err := env.fireActor(p, &p.actors[ai], iter, nb); err != nil {
+			if err := env.fireActor(p, msgs, &p.actors[ai], iter, nb); err != nil {
 				return err
 			}
 		}
@@ -377,7 +379,7 @@ func (env *execEnv) fire(p *procPlan, base, n int) error {
 // cross-processor edge. The kernel span closes when the block's last
 // invocation returns, before its outputs go out: time blocked in a send is
 // the edge's, not the kernel's.
-func (env *execEnv) fireActor(p *procPlan, a *actorSlot, iter, n int) error {
+func (env *execEnv) fireActor(p *procPlan, msgs *msgCache, a *actorSlot, iter, n int) error {
 	for _, s := range a.in {
 		if err := s.gather(p, n); err != nil {
 			return fmt.Errorf("spi: actor %s edge %s: %w", a.name, s.name, err)
@@ -409,12 +411,12 @@ func (env *execEnv) fireActor(p *procPlan, a *actorSlot, iter, n int) error {
 	}
 	p.charge(start)
 	for _, s := range a.out {
-		if err := s.flush(n < env.block); err != nil {
+		if err := s.flush(n < env.block, msgs); err != nil {
 			return fmt.Errorf("spi: actor %s edge %s: send: %w", a.name, s.name, err)
 		}
 	}
 	for _, s := range a.in {
-		putMsg(s.held) // the inputs' last copy is out: back to the pool
+		msgs.put(s.held) // the inputs' last copy is out
 		s.held = nil
 	}
 	a.obs.firings.Add(int64(n))
@@ -513,7 +515,7 @@ func (s *edgeSlot) pack(payload []byte) error {
 // inside a block (short) without filling the open slab sends it as it
 // stands: its consumer's final block needs only its first tokens, and a
 // dynamic slab's size table is zero past the last one packed.
-func (s *edgeSlot) flush(short bool) error {
+func (s *edgeSlot) flush(short bool, c *msgCache) error {
 	switch {
 	case s.due:
 		s.due = false
@@ -521,11 +523,11 @@ func (s *edgeSlot) flush(short bool) error {
 			// Nothing was packed past the full slab, so the next can open in
 			// its buffer: an edge without a carry packs into one buffer only.
 			s.ready, s.slabOut = s.slabOut, s.ready
-			return s.tx.Send(s.slabOut)
+			return s.tx.send(s.slabOut, c)
 		}
-		return s.tx.Send(s.ready)
+		return s.tx.send(s.ready, c)
 	case short && s.block > 1:
-		return s.tx.Send(s.slabOut)
+		return s.tx.send(s.slabOut, c)
 	}
 	return nil
 }

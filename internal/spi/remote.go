@@ -104,7 +104,7 @@ func (r *Runtime) DeliverData(edge uint16, msg []byte) {
 		putMsg(mb)
 		return
 	}
-	if depth := e.pushLocked(queued{msg: *mb, buf: mb}); depth > e.stats.MaxQueued {
+	if depth := e.pushLocked(mb); depth > e.stats.MaxQueued {
 		e.stats.MaxQueued = depth
 	}
 	e.cond.Broadcast()

@@ -155,28 +155,82 @@ func newEdgeObs(o *obs.Observer, cfg EdgeConfig) edgeObs {
 	}
 }
 
-// msgPool recycles encoded-message buffers across Send/Receive cycles.
-// Boxing through *[]byte keeps Put/Get allocation-free; buffers grow to the
-// largest message an edge carries and are reused at that size, so the steady
-// state allocates nothing. A fresh one starts small: an unbounded (UBS) queue
-// holds one per token its producer is ahead by, which can be its whole run.
-var msgPool = sync.Pool{New: func() any { b := make([]byte, 0, 64); return &b }}
+// msgFree recycles encoded-message buffers across sends, receives and
+// deployments, boxed so that neither getMsg nor putMsg allocates; a buffer
+// grows to the largest message it carries. It is a last-in-first-out list
+// under one lock and not a sync.Pool, which empties in two collections and
+// strands an item in the private slot of the processor that put it: which
+// cold LPC deployment found its buffers was down to scheduling. It keeps
+// msgFreeMax buffers, room for what a deployment has in flight; the
+// run-ahead of an unbounded queue goes past that to msgOverflow, which the
+// collector may empty.
+var msgFree struct {
+	sync.Mutex
+	bufs []*[]byte
+}
 
-func getMsg() *[]byte { return msgPool.Get().(*[]byte) }
+var msgOverflow = sync.Pool{New: func() any { b := make([]byte, 0, 64); return &b }}
 
-func putMsg(p *[]byte) {
-	if p != nil {
-		msgPool.Put(p)
+const msgFreeMax = 512
+
+func getMsg() *[]byte {
+	msgFree.Lock()
+	defer msgFree.Unlock()
+	n := len(msgFree.bufs) - 1
+	if n < 0 {
+		return msgOverflow.Get().(*[]byte)
+	}
+	p := msgFree.bufs[n]
+	msgFree.bufs[n], msgFree.bufs = nil, msgFree.bufs[:n]
+	return p
+}
+
+func putMsg(ps ...*[]byte) {
+	msgFree.Lock()
+	defer msgFree.Unlock()
+	for _, p := range ps {
+		if len(msgFree.bufs) < msgFreeMax {
+			msgFree.bufs = append(msgFree.bufs, p)
+		} else {
+			msgOverflow.Put(p)
+		}
 	}
 }
 
-// queued is one encoded message waiting in an edge's receive queue,
-// together with the pool box its bytes live in (nil when the bytes are
-// not pooled) so the receiver can recycle the buffer after copying the
-// payload out.
-type queued struct {
-	msg []byte
-	buf *[]byte
+// msgCache is an executor processor's few buffers in front of msgFree, its
+// goroutine's alone: its sends take what its receives gave back without
+// the lock. It trades with msgFree one buffer when dry and half when full,
+// and is small, since a slab it holds is one the list cannot hand out. A
+// nil msgCache is msgFree itself.
+type msgCache struct {
+	n    int
+	bufs [4]*[]byte
+}
+
+func (c *msgCache) get() *[]byte {
+	if c == nil || c.n == 0 {
+		return getMsg()
+	}
+	c.n--
+	return c.bufs[c.n]
+}
+
+func (c *msgCache) put(p *[]byte) {
+	switch {
+	case c == nil:
+		putMsg(p)
+	case p != nil:
+		if c.n == len(c.bufs) {
+			c.spill(c.n / 2)
+		}
+		c.bufs[c.n], c.n = p, c.n+1
+	}
+}
+
+// spill gives all but keep of the cached buffers back to msgFree.
+func (c *msgCache) spill(keep int) {
+	putMsg(c.bufs[keep:c.n]...)
+	c.n = keep
 }
 
 // edge is the shared state between a Sender and Receiver.
@@ -186,8 +240,8 @@ type edge struct {
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	queue  []queued // encoded messages; live entries are queue[qhead:]
-	qhead  int      // consumed prefix of queue (see pushLocked/popLocked)
+	queue  []*[]byte // encoded messages from msgFree; live entries are queue[qhead:]
+	qhead  int       // consumed prefix of queue (see pushLocked/popLocked)
 	closed bool
 	stats  EdgeStats
 	acked  int64 // messages acknowledged by the receiver (UBS, and BBS credits on remote edges)
@@ -383,11 +437,11 @@ func (e *edge) qdepthLocked() int { return len(e.queue) - e.qhead }
 // recycled when the queue drains (or compacted here when the consumed
 // prefix blocks an in-place append) and a steady-state send/receive loop
 // allocates nothing. Caller holds e.mu.
-func (e *edge) pushLocked(q queued) int {
+func (e *edge) pushLocked(q *[]byte) int {
 	if e.qhead > 0 && len(e.queue) == cap(e.queue) {
 		n := copy(e.queue, e.queue[e.qhead:])
 		for i := n; i < len(e.queue); i++ {
-			e.queue[i] = queued{}
+			e.queue[i] = nil
 		}
 		e.queue = e.queue[:n]
 		e.qhead = 0
@@ -400,9 +454,9 @@ func (e *edge) pushLocked(q queued) int {
 // popLocked removes and returns the oldest message; the vacated slot is
 // zeroed so the backing array does not pin pooled buffers. Caller holds
 // e.mu and has checked the queue is non-empty.
-func (e *edge) popLocked() queued {
+func (e *edge) popLocked() *[]byte {
 	q := e.queue[e.qhead]
-	e.queue[e.qhead] = queued{}
+	e.queue[e.qhead] = nil
 	e.qhead++
 	if e.qhead == len(e.queue) {
 		e.queue = e.queue[:0]
@@ -492,14 +546,15 @@ func (e *edge) sendRemoteLocked(link MessageLink, payloadLen int, msg []byte) er
 
 // queueLocalLocked appends one encoded message to the local queue after
 // waiting out the BBS capacity. Caller holds e.mu; released on return.
-// On success the queue owns q's pooled buffer.
-func (e *edge) queueLocalLocked(q queued, payloadLen int) error {
+// On success the queue owns q.
+func (e *edge) queueLocalLocked(q *[]byte, payloadLen int) error {
 	e.waitCreditLocked(false)
 	if e.closed {
 		e.mu.Unlock()
-		putMsg(q.buf)
+		putMsg(q)
 		return ErrClosed
 	}
+	wire := int64(len(*q)) // the receiver may recycle q once the lock is released
 	depth := e.pushLocked(q)
 	if depth > e.stats.MaxQueued {
 		e.stats.MaxQueued = depth
@@ -507,13 +562,13 @@ func (e *edge) queueLocalLocked(q queued, payloadLen int) error {
 	e.stats.Messages++
 	e.sentMsgs.Add(1)
 	e.stats.PayloadBytes += int64(payloadLen)
-	e.stats.WireBytes += int64(len(q.msg))
+	e.stats.WireBytes += wire
 	e.cond.Broadcast()
 	e.mu.Unlock()
 	e.obs.msgs.Inc()
-	e.obs.dataBytes.Add(int64(len(q.msg)))
+	e.obs.dataBytes.Add(wire)
 	e.obs.queueDepth.Set(int64(depth))
-	e.obs.tr.Instant("edge", e.obs.evSend, e.obs.pid, int(e.cfg.ID), obs.A("bytes", int64(len(q.msg))))
+	e.obs.tr.Instant("edge", e.obs.evSend, e.obs.pid, int(e.cfg.ID), obs.A("bytes", wire))
 	return nil
 }
 
@@ -521,20 +576,23 @@ func (e *edge) queueLocalLocked(q queued, payloadLen int) error {
 // exactly the configured size; for Dynamic edges it must not exceed
 // MaxBytes. Under BBS, Send blocks while the buffer is full. Send copies
 // the payload; the caller may reuse its slice.
-func (s *Sender) Send(payload []byte) error {
+func (s *Sender) Send(payload []byte) error { return s.send(payload, nil) }
+
+// send is Send taking its message buffer from c.
+func (s *Sender) send(payload []byte, c *msgCache) error {
 	e := s.e
 	if err := e.checkPayload(payload); err != nil {
 		return err
 	}
-	mb := getMsg()
+	mb := c.get()
 	*mb = AppendMessage((*mb)[:0], e.cfg.Mode, e.cfg.ID, payload)
 	e.mu.Lock()
 	if link := e.remoteTx; link != nil {
 		err := e.sendRemoteLocked(link, len(payload), *mb)
-		putMsg(mb)
+		c.put(mb)
 		return err
 	}
-	return e.queueLocalLocked(queued{msg: *mb, buf: mb}, len(payload))
+	return e.queueLocalLocked(mb, len(payload))
 }
 
 // SendBatch transmits payloads in order, all of them validated before any
@@ -555,18 +613,15 @@ func (s *Sender) SendBatch(payloads [][]byte) error {
 		return nil
 	}
 	e.mu.Lock()
-	if link := e.remoteTx; link != nil {
+	if e.remoteTx != nil {
 		e.mu.Unlock()
-		mb := getMsg()
+		var c msgCache
+		defer c.spill(0)
 		for _, p := range payloads {
-			*mb = AppendMessage((*mb)[:0], e.cfg.Mode, e.cfg.ID, p)
-			e.mu.Lock()
-			if err := e.sendRemoteLocked(link, len(p), *mb); err != nil {
-				putMsg(mb)
+			if err := s.send(p, &c); err != nil {
 				return err
 			}
 		}
-		putMsg(mb)
 		return nil
 	}
 	var wireBytes int64
@@ -578,7 +633,7 @@ func (s *Sender) SendBatch(payloads [][]byte) error {
 		}
 		mb := getMsg()
 		*mb = AppendMessage((*mb)[:0], e.cfg.Mode, e.cfg.ID, p)
-		if depth := e.pushLocked(queued{msg: *mb, buf: mb}); depth > e.stats.MaxQueued {
+		if depth := e.pushLocked(mb); depth > e.stats.MaxQueued {
 			e.stats.MaxQueued = depth
 		}
 		e.stats.Messages++
@@ -683,7 +738,7 @@ func (rc *Receiver) receive() (payload []byte, mb *[]byte, err error) {
 	e.mu.Unlock()
 	e.obs.queueDepth.Set(int64(depth))
 	ts := e.obs.tr.Now()
-	e.obs.tr.InstantAt(ts, "edge", e.obs.evRecv, e.obs.pid, int(id), obs.A("bytes", int64(len(q.msg))))
+	e.obs.tr.InstantAt(ts, "edge", e.obs.evRecv, e.obs.pid, int(id), obs.A("bytes", int64(len(*q))))
 	if acked {
 		e.obs.acks.Inc()
 		e.obs.ackBytes.Add(AckMessageBytes)
@@ -696,9 +751,9 @@ func (rc *Receiver) receive() (payload []byte, mb *[]byte, err error) {
 		// surfaces there. The message itself was delivered; keep it.
 		_ = link.SendAck(uint16(id), 1)
 	}
-	if payload, err = e.decodePayload(q.msg); err != nil {
-		putMsg(q.buf)
+	if payload, err = e.decodePayload(*q); err != nil {
+		putMsg(q)
 		return nil, nil, err
 	}
-	return payload, q.buf, nil
+	return payload, q, nil
 }
