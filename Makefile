@@ -51,7 +51,7 @@ allocs:
 # so growth is an explicit, reviewed edit of the number below. Lower a
 # ceiling whenever a change shrinks its directory. internal/apicheck is
 # test-only and stays at 0.
-LOC_CEILINGS = internal/spi:3861 internal/transport:4064 internal/session:1447 internal/orch:1549 internal/lpc:1491 cmd:2507 \
+LOC_CEILINGS = internal/spi:3814 internal/transport:4112 internal/session:1448 internal/orch:1549 internal/lpc:1491 cmd:2507 \
 	internal/alloctest:90 internal/apicheck:0 internal/dataflow:1611 internal/demo:246 internal/dsp:467 \
 	internal/experiments:741 internal/fixed:92 internal/hdl:484 internal/huffman:336 internal/mpi:287 \
 	internal/obs:832 internal/particle:763 internal/platform:658 internal/sched:1022 internal/signal:183 \
@@ -81,7 +81,7 @@ benchmark-build:
 FUZZ_TARGETS = internal/spi:FuzzDecodeStatic internal/spi:FuzzDecodeDynamic internal/dataflow:FuzzParse \
 	internal/transport:FuzzDecodeBatched internal/session:FuzzDecodeSessionFrame internal/transport:FuzzDecodePing \
 	internal/transport:FuzzDecodeHello internal/transport:FuzzDecodeResume internal/transport:FuzzDecodeShmHeader \
-	internal/transport:FuzzFaultConnFrames internal/orch:FuzzDecodeCtrl internal/lpc:FuzzFloatCodec
+	internal/transport:FuzzFaultConnFrames internal/transport:FuzzSealFrame internal/orch:FuzzDecodeCtrl internal/lpc:FuzzFloatCodec
 fuzz-smoke:
 	@have=" $$(grep -rHoE '^func Fuzz[A-Za-z0-9_]+' --include='*_test.go' internal | sed -E 's|/[^/]*_test\.go:func |:|' | tr '\n' ' ')"; \
 	want=" $(FUZZ_TARGETS) "; bad=0; \

@@ -390,10 +390,11 @@ func (s *Stream) setAccount(fn func(delta int64)) {
 
 // MessageLink half — the session send path.
 
-// SendData transmits one SPI-encoded message, tagged with the session ID.
-// The tagged path allocates nothing beyond what an untagged link send does.
-func (s *Stream) SendData(edge uint16, msg []byte) error {
-	return s.mux.link.SendSessionData(s.sid, edge, msg)
+// SendBuffer transmits one SPI-encoded message, tagged with the session ID,
+// and takes its buffer (transport.Link.SendBuffer). The tagged path
+// allocates nothing beyond what an untagged link send does.
+func (s *Stream) SendBuffer(edge uint16, buf *[]byte) error {
+	return s.mux.link.SendSessionBuffer(s.sid, edge, buf)
 }
 
 // SendAck transmits a BBS credit / UBS acknowledgement and retires the

@@ -128,8 +128,8 @@ func TestReceiveIntoReusesBuffer(t *testing.T) {
 
 // BenchmarkSendReceiveInto measures the steady-state local hot path:
 // pooled encode on Send, caller-supplied buffer on receive. With the
-// message buffers recycled through msgFree this is allocation-free per
-// message (run with -benchmem).
+// message buffers recycled through the transport's free list this is
+// allocation-free per message (run with -benchmem).
 func BenchmarkSendReceiveInto(b *testing.B) {
 	rt := NewRuntime()
 	tx, rx, _ := rt.Init(EdgeConfig{ID: 1, Mode: Static, PayloadBytes: 64, Protocol: BBS, Capacity: 8})

@@ -134,7 +134,8 @@ func (c *countingLinks) Connect(_ int, _ []transport.EdgeDecl, h transport.Handl
 
 func (c *countingLinks) Finish(bool) {}
 
-func (c *countingLinks) SendData(edge uint16, _ []byte) error {
+func (c *countingLinks) SendBuffer(edge uint16, buf *[]byte) error {
+	transport.Recycle(buf)
 	c.sent.Add(1)
 	c.h.HandleAck(edge, 1)
 	return nil

@@ -152,22 +152,26 @@ type edgeSlot struct {
 	preload [][]byte
 
 	// Consumer side: the tokens of the block being fired (a window of queue,
-	// or views into the received message) and held, that message's pooled
-	// buffer, kept until the firing's outputs are out.
+	// or views into the received message) and held, that message's buffer,
+	// kept until the firing's outputs are out.
 	toks [][]byte
 	held *[]byte
-	// Producer side: the open slab and the fill tokens packed into it (the
-	// carry between blocks); ready, the message the next flush sends when
-	// due — the slab the block filled, whose buffer the slab after next
-	// opens in, or a scalar run's token; and the optional checkpoint hook
-	// keeping the last delay payloads emitted (standing deployments).
-	slabOut []byte
-	fill    int
-	ready   []byte
-	due     bool
-	tail    *tailRing
-	pad     []byte // a short static token padded to bmax
+	// Producer side: the open slab (nil: none) and the fill tokens packed
+	// into it (the carry between blocks); full, the slab the block filled;
+	// ready, a scalar run's token, due for the next flush; and the optional
+	// checkpoint hook keeping the last delay payloads emitted (standing
+	// deployments).
+	slab, full *[]byte
+	fill       int
+	ready      []byte
+	due        bool
+	tail       *tailRing
+	pad        []byte // a short static token padded to bmax
 }
+
+// slabBase is where a slab starts in its message buffer: behind the frame
+// header's room and the SPI_dynamic header a blocked edge is carried in.
+const slabBase = transport.Headroom + DynamicHeaderBytes
 
 func (s *edgeSlot) local() bool { return !s.out && !s.in }
 
@@ -454,7 +458,7 @@ func (s *edgeSlot) gather(p *procPlan, n int) error {
 }
 
 // emit routes the next output token of a block firing: packed (copied) into
-// the open slab of a blocked edge, held as a scalar run's ready message on a
+// the open slab of a blocked edge, held as a scalar run's ready token on a
 // cross-processor edge, or copied into a recycled buffer of the local queue.
 // It never sends: flush does, once the block's kernels are done. The VTS
 // bound is enforced and short static payloads are zero-padded to the fixed
@@ -489,47 +493,48 @@ func (s *edgeSlot) emit(payload []byte) error {
 	return nil
 }
 
-// pack appends one token to the open slab, opening one in slabOut's buffer
-// when none is (fill 0). The slab a token fills becomes the ready message —
-// one per block firing, since a block emits B tokens — and slabOut takes the
-// buffer the last one was sent from. So every slab holds exactly the B
-// tokens one consumer block reads, whatever the edge's delay: the d mod B
-// delay tokens that do not make a whole slab are the first slab's head
-// (preloadDelay, partition.go), and as many of every block's tokens are the
-// next one's.
+// pack appends one token to the open slab, opening one when none is (fill
+// 0) in a message buffer sized once from SlabBound, so the slab never
+// regrows and flush sends it in place. The slab a token fills becomes the
+// full one — one per block firing, since a block emits B tokens. So every
+// slab holds exactly the B tokens one consumer block reads, whatever the
+// edge's delay: the d mod B delay tokens that do not make a whole slab are
+// the first slab's head (preloadDelay, partition.go), and as many of every
+// block's tokens are the next one's.
 func (s *edgeSlot) pack(payload []byte) error {
 	if s.fill == 0 {
-		s.slabOut = beginSlab(s.slabOut, s.block, s.dynamic)
+		s.slab = transport.Buffer(DynamicHeaderBytes + SlabBound(s.bmax, s.dynamic, s.block))
+		*s.slab = beginSlab((*s.slab)[:slabBase], s.block, s.dynamic)
 	}
-	slab, err := appendSlabToken(s.slabOut, s.fill, payload, s.bmax, s.dynamic)
+	slab, err := appendSlabToken(*s.slab, slabBase, s.fill, payload, s.bmax, s.dynamic)
 	if err != nil {
 		return err
 	}
-	if s.slabOut, s.fill = slab, s.fill+1; s.fill == s.block {
-		s.ready, s.slabOut, s.fill, s.due = slab, s.ready, 0, true
+	if *s.slab, s.fill = slab, s.fill+1; s.fill == s.block {
+		s.full, s.slab, s.fill = s.slab, nil, 0
 	}
 	return nil
 }
 
-// flush sends the message a block firing completed, if any. A run that ends
-// inside a block (short) without filling the open slab sends it as it
-// stands: its consumer's final block needs only its first tokens, and a
-// dynamic slab's size table is zero past the last one packed.
+// flush sends the message a block firing completed, if any, handing a slab
+// on in the buffer it was packed in. A run that ends inside a block (short)
+// without filling the open slab sends it as it stands: its consumer's final
+// block needs only its first tokens, and a dynamic slab's size table is zero
+// past the last one packed.
 func (s *edgeSlot) flush(short bool, c *msgCache) error {
+	var mb *[]byte
 	switch {
 	case s.due:
 		s.due = false
-		if s.block > 1 && s.fill == 0 {
-			// Nothing was packed past the full slab, so the next can open in
-			// its buffer: an edge without a carry packs into one buffer only.
-			s.ready, s.slabOut = s.slabOut, s.ready
-			return s.tx.send(s.slabOut, c)
-		}
 		return s.tx.send(s.ready, c)
-	case short && s.block > 1:
-		return s.tx.send(s.slabOut, c)
+	case s.full != nil:
+		mb, s.full = s.full, nil
+	case short && s.slab != nil:
+		mb, s.slab, s.fill = s.slab, nil, 0
+	default:
+		return nil
 	}
-	return nil
+	return s.tx.commit(mb)
 }
 
 // stats reports the deployment's run so far.

@@ -273,9 +273,9 @@ func (s *edgeSlot) preloadDelay(tokens [][]byte) error {
 		if err := s.pack(tok); err != nil {
 			return fmt.Errorf("spi: partition edge %s preload: %w", s.name, err)
 		}
-		if s.due {
-			// A preloaded slab is replayed at open: no slab opens in it.
-			s.preload, s.ready, s.due = append(s.preload, s.ready), nil, false
+		if s.full != nil {
+			// A preloaded slab is replayed at open, which copies it.
+			s.preload, s.full = append(s.preload, (*s.full)[slabBase:]), nil
 		}
 	}
 	return nil

@@ -2,16 +2,18 @@ package spi
 
 import (
 	"fmt"
+
+	"repro/internal/transport"
 )
 
 // Remote edge binding: one half of a Runtime edge — its Sender or its
 // Receiver — can be bound to a network link, turning the in-process
 // shared-memory edge into one end of an interprocessor edge between OS
 // processes. The Sender/Receiver API is unchanged: Send encodes the
-// message with the same SPI_static / SPI_dynamic wire format and hands it
-// to the link; inbound messages and acknowledgements are injected by the
-// transport layer through DeliverData / DeliverAck. Buffer synchronization
-// crosses the wire too:
+// message with the same SPI_static / SPI_dynamic wire format and hands its
+// buffer to the link; inbound messages and acknowledgements are injected by
+// the transport layer through DeliverData / DeliverAck. Buffer
+// synchronization crosses the wire too:
 //
 //   - BBS: the sender blocks while Capacity messages are unacknowledged;
 //     the remote receiver returns one credit (an ACK frame) per consumed
@@ -20,16 +22,18 @@ import (
 //   - UBS: the sender never blocks; acknowledgements keep the sent/acked
 //     window consistent for the dynamic buffer bookkeeping.
 //
-// The binding deliberately does not know about package transport: any
-// MessageLink implementation works, and transport.Link satisfies the
-// interface.
+// Any MessageLink implementation works; transport.Link satisfies the
+// interface, and a session's stream (internal/session) tags what it sends
+// with the session's ID.
 
 // MessageLink is the subset of a transport link the runtime needs: framed
 // delivery of SPI-encoded messages, acknowledgement counts, and per-edge
 // FIN markers. All methods must be safe for concurrent use.
 type MessageLink interface {
-	// SendData transmits one SPI-encoded message (header included).
-	SendData(edge uint16, msg []byte) error
+	// SendBuffer transmits one SPI-encoded message (header included), which
+	// buf holds behind transport.Headroom bytes of room for the frame
+	// header, and takes the buffer (see transport.Link.SendBuffer).
+	SendBuffer(edge uint16, buf *[]byte) error
 	// SendAck transmits a BBS credit / UBS acknowledgement count.
 	SendAck(edge uint16, count uint32) error
 	// SendFin tells the peer this side of one edge is permanently done —
@@ -93,15 +97,15 @@ func (r *Runtime) DeliverData(edge uint16, msg []byte) {
 	if e == nil {
 		return
 	}
-	// Copy into a pooled buffer: the transport layer reuses its read
-	// buffer, and the receiver recycles the copy after decoding, so the
+	// Copy into a buffer from the free list: the transport layer reuses its
+	// read buffer, and the receiver recycles the copy after decoding, so the
 	// steady-state delivery path allocates nothing.
-	mb := getMsg()
-	*mb = append((*mb)[:0], msg...)
+	mb := transport.Buffer(len(msg))
+	*mb = append(*mb, msg...)
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
-		putMsg(mb)
+		transport.Recycle(mb)
 		return
 	}
 	if depth := e.pushLocked(mb); depth > e.stats.MaxQueued {

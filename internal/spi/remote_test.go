@@ -4,9 +4,11 @@ import (
 	"errors"
 	"sync"
 	"testing"
+
+	"repro/internal/transport"
 )
 
-// fakeLink records SendData / SendAck traffic and can be wired to fail.
+// fakeLink records SendBuffer / SendAck traffic and can be wired to fail.
 type fakeLink struct {
 	mu    sync.Mutex
 	data  [][]byte
@@ -16,15 +18,14 @@ type fakeLink struct {
 	fail  error
 }
 
-func (f *fakeLink) SendData(edge uint16, msg []byte) error {
+func (f *fakeLink) SendBuffer(edge uint16, buf *[]byte) error {
+	defer transport.Recycle(buf)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.fail != nil {
 		return f.fail
 	}
-	cp := make([]byte, len(msg))
-	copy(cp, msg)
-	f.data = append(f.data, cp)
+	f.data = append(f.data, append([]byte(nil), message(buf)...))
 	f.edges = append(f.edges, edge)
 	return nil
 }

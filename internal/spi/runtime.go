@@ -2,6 +2,7 @@ package spi
 
 import (
 	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -10,6 +11,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/obs"
+	"repro/internal/transport"
 )
 
 // Protocol selects the buffer-synchronization protocol of an edge.
@@ -155,70 +157,33 @@ func newEdgeObs(o *obs.Observer, cfg EdgeConfig) edgeObs {
 	}
 }
 
-// msgFree recycles encoded-message buffers across sends, receives and
-// deployments, boxed so that neither getMsg nor putMsg allocates; a buffer
-// grows to the largest message it carries. It is a last-in-first-out list
-// under one lock and not a sync.Pool, which empties in two collections and
-// strands an item in the private slot of the processor that put it: which
-// cold LPC deployment found its buffers was down to scheduling. It keeps
-// msgFreeMax buffers, room for what a deployment has in flight; the
-// run-ahead of an unbounded queue goes past that to msgOverflow, which the
-// collector may empty.
-var msgFree struct {
-	sync.Mutex
-	bufs []*[]byte
-}
-
-var msgOverflow = sync.Pool{New: func() any { b := make([]byte, 0, 64); return &b }}
-
-const msgFreeMax = 512
-
-func getMsg() *[]byte {
-	msgFree.Lock()
-	defer msgFree.Unlock()
-	n := len(msgFree.bufs) - 1
-	if n < 0 {
-		return msgOverflow.Get().(*[]byte)
-	}
-	p := msgFree.bufs[n]
-	msgFree.bufs[n], msgFree.bufs = nil, msgFree.bufs[:n]
-	return p
-}
-
-func putMsg(ps ...*[]byte) {
-	msgFree.Lock()
-	defer msgFree.Unlock()
-	for _, p := range ps {
-		if len(msgFree.bufs) < msgFreeMax {
-			msgFree.bufs = append(msgFree.bufs, p)
-		} else {
-			msgOverflow.Put(p)
-		}
-	}
-}
-
-// msgCache is an executor processor's few buffers in front of msgFree, its
-// goroutine's alone: its sends take what its receives gave back without
-// the lock. It trades with msgFree one buffer when dry and half when full,
-// and is small, since a slab it holds is one the list cannot hand out. A
-// nil msgCache is msgFree itself.
+// msgCache is an executor processor's few message buffers in front of the
+// transport's free list (transport.Buffer), its goroutine's alone: its sends
+// take what its receives gave back without the list's lock. It trades with
+// the list one buffer when dry and half when full, and is small, since a
+// slab it holds is one the list cannot hand out. A nil msgCache is the list
+// itself.
 type msgCache struct {
 	n    int
 	bufs [4]*[]byte
 }
 
-func (c *msgCache) get() *[]byte {
-	if c == nil || c.n == 0 {
-		return getMsg()
+// get returns a buffer with room for an n-byte message behind
+// transport.Headroom.
+func (c *msgCache) get(n int) *[]byte {
+	if c == nil || c.n == 0 || cap(*c.bufs[c.n-1]) < transport.Headroom+n {
+		return transport.Buffer(n)
 	}
 	c.n--
-	return c.bufs[c.n]
+	p := c.bufs[c.n]
+	*p = (*p)[:transport.Headroom]
+	return p
 }
 
 func (c *msgCache) put(p *[]byte) {
 	switch {
 	case c == nil:
-		putMsg(p)
+		transport.Recycle(p)
 	case p != nil:
 		if c.n == len(c.bufs) {
 			c.spill(c.n / 2)
@@ -227,11 +192,14 @@ func (c *msgCache) put(p *[]byte) {
 	}
 }
 
-// spill gives all but keep of the cached buffers back to msgFree.
+// spill gives all but keep of the cached buffers back to the list.
 func (c *msgCache) spill(keep int) {
-	putMsg(c.bufs[keep:c.n]...)
+	transport.Recycle(c.bufs[keep:c.n]...)
 	c.n = keep
 }
+
+// message is the SPI message a buffer carries behind its headroom.
+func message(mb *[]byte) []byte { return (*mb)[transport.Headroom:] }
 
 // edge is the shared state between a Sender and Receiver.
 type edge struct {
@@ -240,7 +208,7 @@ type edge struct {
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	queue  []*[]byte // encoded messages from msgFree; live entries are queue[qhead:]
+	queue  []*[]byte // message buffers (see message); live entries are queue[qhead:]
 	qhead  int       // consumed prefix of queue (see pushLocked/popLocked)
 	closed bool
 	stats  EdgeStats
@@ -515,46 +483,48 @@ func (e *edge) waitCreditLocked(remote bool) {
 	e.obs.tr.Span("edge", e.obs.evStall, e.obs.pid, int(e.cfg.ID), start)
 }
 
-// sendRemoteLocked transmits one encoded message over the link after
-// waiting out the BBS window. Caller holds e.mu; released on return. The
-// transport copies the message into its frame buffer before SendData
-// returns, so the caller may recycle msg afterwards.
-func (e *edge) sendRemoteLocked(link MessageLink, payloadLen int, msg []byte) error {
+// sendRemoteLocked hands one message buffer to the link after waiting out
+// the BBS window. Caller holds e.mu; released on return. The link takes mb:
+// it seals the frame in the buffer's headroom, files the buffer in its
+// resend buffer and recycles it once the peer has acknowledged the frame.
+func (e *edge) sendRemoteLocked(link MessageLink, payloadLen int, mb *[]byte) error {
 	e.waitCreditLocked(true)
 	if e.closed {
 		e.mu.Unlock()
+		transport.Recycle(mb)
 		return ErrClosed
 	}
+	wire := int64(len(message(mb)))
 	e.stats.Messages++
 	e.sentMsgs.Add(1)
 	e.stats.PayloadBytes += int64(payloadLen)
-	e.stats.WireBytes += int64(len(msg))
+	e.stats.WireBytes += wire
 	q := int(e.stats.Messages - e.acked)
 	if q > e.stats.MaxQueued {
 		e.stats.MaxQueued = q
 	}
 	e.mu.Unlock()
 	e.obs.msgs.Inc()
-	e.obs.dataBytes.Add(int64(len(msg)))
+	e.obs.dataBytes.Add(wire)
 	e.obs.queueDepth.Set(int64(q))
-	e.obs.tr.Instant("edge", e.obs.evSend, e.obs.pid, int(e.cfg.ID), obs.A("bytes", int64(len(msg))))
-	if err := link.SendData(uint16(e.cfg.ID), msg); err != nil {
+	e.obs.tr.Instant("edge", e.obs.evSend, e.obs.pid, int(e.cfg.ID), obs.A("bytes", wire))
+	if err := link.SendBuffer(uint16(e.cfg.ID), mb); err != nil {
 		return fmt.Errorf("spi: edge %d remote send: %w", e.cfg.ID, err)
 	}
 	return nil
 }
 
-// queueLocalLocked appends one encoded message to the local queue after
+// queueLocalLocked appends one message buffer to the local queue after
 // waiting out the BBS capacity. Caller holds e.mu; released on return.
-// On success the queue owns q.
+// The queue takes q.
 func (e *edge) queueLocalLocked(q *[]byte, payloadLen int) error {
 	e.waitCreditLocked(false)
 	if e.closed {
 		e.mu.Unlock()
-		putMsg(q)
+		transport.Recycle(q)
 		return ErrClosed
 	}
-	wire := int64(len(*q)) // the receiver may recycle q once the lock is released
+	wire := int64(len(message(q))) // the receiver may recycle q once the lock is released
 	depth := e.pushLocked(q)
 	if depth > e.stats.MaxQueued {
 		e.stats.MaxQueued = depth
@@ -584,73 +554,52 @@ func (s *Sender) send(payload []byte, c *msgCache) error {
 	if err := e.checkPayload(payload); err != nil {
 		return err
 	}
-	mb := c.get()
-	*mb = AppendMessage((*mb)[:0], e.cfg.Mode, e.cfg.ID, payload)
+	mb := c.get(HeaderBytes(e.cfg.Mode) + len(payload))
+	*mb = AppendMessage(*mb, e.cfg.Mode, e.cfg.ID, payload)
+	return s.sendBuffer(mb, len(payload))
+}
+
+// commit sends the slab a blocked edge slot packed in place (edgeSlot.pack),
+// bounded by SlabBound, on its SPI_dynamic edge: it fills in the header
+// reserved in front of the slab, and the message goes out in the buffer it
+// was packed in.
+func (s *Sender) commit(mb *[]byte) error {
+	msg := message(mb)
+	n := len(msg) - DynamicHeaderBytes
+	binary.LittleEndian.PutUint16(msg, uint16(s.e.cfg.ID))
+	binary.LittleEndian.PutUint32(msg[2:], uint32(n))
+	return s.sendBuffer(mb, n)
+}
+
+// sendBuffer sends the message mb carries and hands the buffer on: to the
+// local queue, or to the link.
+func (s *Sender) sendBuffer(mb *[]byte, payloadLen int) error {
+	e := s.e
 	e.mu.Lock()
 	if link := e.remoteTx; link != nil {
-		err := e.sendRemoteLocked(link, len(payload), *mb)
-		c.put(mb)
-		return err
+		return e.sendRemoteLocked(link, payloadLen, mb)
 	}
-	return e.queueLocalLocked(mb, len(payload))
+	return e.queueLocalLocked(mb, payloadLen)
 }
 
 // SendBatch transmits payloads in order, all of them validated before any
-// moves — how an edge's delay tokens are preloaded (dist.go). On a remote
-// edge the messages are handed to the link back to back, so its writer
-// sends the burst in a few large writes; on a local edge the burst is
-// queued under one lock acquisition and recorded as one aggregate trace
-// event. BBS credit waits still apply per message, exactly as with
-// repeated Send calls.
+// moves — how an edge's delay tokens are preloaded (dist.go). Each is sent
+// as Send sends it, BBS credit waits included; on a remote edge they reach
+// the link back to back, so its writer sends the burst in a few large
+// writes.
 func (s *Sender) SendBatch(payloads [][]byte) error {
-	e := s.e
 	for _, p := range payloads {
-		if err := e.checkPayload(p); err != nil {
+		if err := s.e.checkPayload(p); err != nil {
 			return err
 		}
 	}
-	if len(payloads) == 0 {
-		return nil
-	}
-	e.mu.Lock()
-	if e.remoteTx != nil {
-		e.mu.Unlock()
-		var c msgCache
-		defer c.spill(0)
-		for _, p := range payloads {
-			if err := s.send(p, &c); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var wireBytes int64
+	var c msgCache
+	defer c.spill(0)
 	for _, p := range payloads {
-		e.waitCreditLocked(false)
-		if e.closed {
-			e.mu.Unlock()
-			return ErrClosed
+		if err := s.send(p, &c); err != nil {
+			return err
 		}
-		mb := getMsg()
-		*mb = AppendMessage((*mb)[:0], e.cfg.Mode, e.cfg.ID, p)
-		if depth := e.pushLocked(mb); depth > e.stats.MaxQueued {
-			e.stats.MaxQueued = depth
-		}
-		e.stats.Messages++
-		e.sentMsgs.Add(1)
-		e.stats.PayloadBytes += int64(len(p))
-		e.stats.WireBytes += int64(len(*mb))
-		wireBytes += int64(len(*mb))
-		// Per-message wake-up: with a small BBS capacity the receiver must
-		// drain between appends for the burst to make progress.
-		e.cond.Broadcast()
 	}
-	depth := e.qdepthLocked()
-	e.mu.Unlock()
-	e.obs.msgs.Add(int64(len(payloads)))
-	e.obs.dataBytes.Add(wireBytes)
-	e.obs.queueDepth.Set(int64(depth))
-	e.obs.tr.Instant("edge", e.obs.evSend, e.obs.pid, int(e.cfg.ID), obs.A("bytes", wireBytes))
 	return nil
 }
 
@@ -696,13 +645,13 @@ func (rc *Receiver) ReceiveInto(buf []byte) ([]byte, error) {
 		buf = []byte{}
 	}
 	buf = append(buf[:0], payload...)
-	putMsg(mb)
+	transport.Recycle(mb)
 	return buf, nil
 }
 
 // receive blocks for the next message and returns its payload, a view into
-// the pooled buffer mb it arrived in: the caller owns mb, and the view is
-// valid until the caller hands mb back with putMsg.
+// the buffer mb it arrived in: the caller owns mb, and the view is valid
+// until the caller gives mb back to the free list.
 func (rc *Receiver) receive() (payload []byte, mb *[]byte, err error) {
 	e := rc.e
 	e.mu.Lock()
@@ -738,7 +687,7 @@ func (rc *Receiver) receive() (payload []byte, mb *[]byte, err error) {
 	e.mu.Unlock()
 	e.obs.queueDepth.Set(int64(depth))
 	ts := e.obs.tr.Now()
-	e.obs.tr.InstantAt(ts, "edge", e.obs.evRecv, e.obs.pid, int(id), obs.A("bytes", int64(len(*q))))
+	e.obs.tr.InstantAt(ts, "edge", e.obs.evRecv, e.obs.pid, int(id), obs.A("bytes", int64(len(message(q)))))
 	if acked {
 		e.obs.acks.Inc()
 		e.obs.ackBytes.Add(AckMessageBytes)
@@ -751,8 +700,8 @@ func (rc *Receiver) receive() (payload []byte, mb *[]byte, err error) {
 		// surfaces there. The message itself was delivered; keep it.
 		_ = link.SendAck(uint16(id), 1)
 	}
-	if payload, err = e.decodePayload(*q); err != nil {
-		putMsg(q)
+	if payload, err = e.decodePayload(message(q)); err != nil {
+		transport.Recycle(q)
 		return nil, nil, err
 	}
 	return payload, q, nil

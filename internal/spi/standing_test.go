@@ -127,7 +127,7 @@ func TestLoopbackLongLinkSoak(t *testing.T) {
 // streamGraph is a free-running producer feeding a consumer on another
 // processor over a dynamic (UBS) edge: the producer never waits for a
 // credit, so with its frames black-holed it runs on until its link's
-// resend buffer fills and parks inside Link.SendData — on no runtime
+// resend buffer fills and parks inside Link.SendBuffer — on no runtime
 // edge, where CloseAll cannot reach it.
 func streamGraph() (*dataflow.Graph, *sched.Mapping, map[dataflow.ActorID]Kernel) {
 	g := dataflow.New("stream")

@@ -45,50 +45,45 @@ func SlabBound(tokenBytes int, dynamic bool, n int) int {
 	return n * tokenBytes
 }
 
-// beginSlab starts a slab of n tokens in dst (reusing its capacity): for a
-// dynamic-token slab it reserves the count and size table up front so
-// payloads can be appended one firing at a time; a static-token slab has no
-// header.
+// beginSlab appends the head of a slab of n tokens to dst: for a
+// dynamic-token slab the count and a zeroed size table, so payloads can be
+// appended one firing at a time; a static-token slab has no head.
 func beginSlab(dst []byte, n int, dynamic bool) []byte {
-	dst = dst[:0]
-	if dynamic {
-		header := slabCountBytes + n*slabSizeBytes
-		for len(dst) < header {
-			dst = append(dst, 0)
-		}
-		binary.BigEndian.PutUint16(dst[:slabCountBytes], uint16(n))
+	if !dynamic {
+		return dst
 	}
+	base := len(dst)
+	dst = append(dst, make([]byte, slabCountBytes+n*slabSizeBytes)...)
+	binary.BigEndian.PutUint16(dst[base:], uint16(n))
 	return dst
 }
 
-// appendSlabToken adds the idx-th token to a slab begun with beginSlab. A
-// static-token slab zero-pads every payload to exactly tokenBytes, matching
-// the scalar SPI_static contract; a dynamic-token slab records the payload
-// size in the reserved table. The payload is copied, so callers may reuse
-// its buffer immediately.
-func appendSlabToken(slab []byte, idx int, payload []byte, tokenBytes int, dynamic bool) ([]byte, error) {
+// appendSlabToken adds the idx-th token to the slab begun at dst[base:] with
+// beginSlab. A static-token slab zero-pads every payload to exactly
+// tokenBytes, matching the scalar SPI_static contract; a dynamic-token slab
+// records the payload size in the reserved table. The payload is copied, so
+// callers may reuse its buffer immediately.
+func appendSlabToken(dst []byte, base, idx int, payload []byte, tokenBytes int, dynamic bool) ([]byte, error) {
 	if len(payload) > tokenBytes {
 		return nil, fmt.Errorf("spi: slab token %d: payload %d bytes exceeds token bound %d", idx, len(payload), tokenBytes)
 	}
 	if dynamic {
-		binary.BigEndian.PutUint32(slab[slabCountBytes+idx*slabSizeBytes:], uint32(len(payload)))
-		return append(slab, payload...), nil
+		binary.BigEndian.PutUint32(dst[base+slabCountBytes+idx*slabSizeBytes:], uint32(len(payload)))
+		return append(dst, payload...), nil
 	}
-	slab = append(slab, payload...)
-	for pad := tokenBytes - len(payload); pad > 0; pad-- {
-		slab = append(slab, 0)
-	}
-	return slab, nil
+	dst = append(dst, payload...)
+	return append(dst, make([]byte, tokenBytes-len(payload))...), nil
 }
 
 // PackSlab encodes tokens as one slab appended to dst (reusing its
 // capacity) and returns the result. tokenBytes bounds each payload;
 // dynamic selects the per-token-size layout. Payloads are copied.
 func PackSlab(dst []byte, tokens [][]byte, tokenBytes int, dynamic bool) ([]byte, error) {
+	base := len(dst)
 	slab := beginSlab(dst, len(tokens), dynamic)
 	var err error
 	for i, tok := range tokens {
-		if slab, err = appendSlabToken(slab, i, tok, tokenBytes, dynamic); err != nil {
+		if slab, err = appendSlabToken(slab, base, i, tok, tokenBytes, dynamic); err != nil {
 			return nil, err
 		}
 	}

@@ -56,7 +56,7 @@ func (l *Link) SendCtrl(op byte, payload []byte) error {
 		return l.sendError("ctrl payload of %d bytes exceeds limit %d", len(payload), MaxCtrlPayload)
 	}
 	head := [ctrlMinBytes]byte{op}
-	return l.sendFrame(frameCtrl, head[:], payload)
+	return l.sendFrame(frameCtrl, frameOf(head[:], payload))
 }
 
 // dispatchCtrl routes one inbound CTRL frame to the CtrlHandler. It

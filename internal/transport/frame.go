@@ -155,25 +155,21 @@ func frameCRC(typSeq, body []byte) uint32 {
 // read loop dispatches to either consumes the bytes synchronously or
 // copies them (see Handler).
 type frameReader struct {
-	buf    []byte // unread bytes are buf[r:w]
-	r, w   int
-	pooled *[]byte // buf's box, when it came from readChunks
+	buf  []byte // unread bytes are buf[r:w]
+	r, w int
+	box  *[]byte // buf's buffer from the free list
 }
 
 // frameReadChunk sizes the read buffer: large enough to swallow what a busy
-// peer's writer coalesces into one write, short of a whole slab.
+// peer's writer coalesces into one write. A frame larger than that, such
+// as a slab, gets a buffer of its size.
 const frameReadChunk = 64 << 10
 
-// readChunks recycles read buffers across links: a fresh 64 KiB buffer is
-// zeroed and page-faulted in, which made it a large share of what setting
-// up a short-lived link costs.
-var readChunks = sync.Pool{New: func() any { b := make([]byte, frameReadChunk); return &b }}
-
-// release returns the buffer once the connection's reader has exited.
+// release gives the buffer back to the free list once the connection's
+// reader has exited: zeroing and faulting in a fresh one was a large share
+// of what setting up a short-lived link cost.
 func (fr *frameReader) release() {
-	if fr.pooled != nil {
-		readChunks.Put(fr.pooled)
-	}
+	Recycle(fr.box)
 	*fr = frameReader{}
 }
 
@@ -184,27 +180,14 @@ func (fr *frameReader) fill(rd io.Reader, need int) error {
 	if fr.w-fr.r >= need {
 		return nil
 	}
-	if size := cap(fr.buf); size < need || size < frameReadChunk {
-		size = frameReadChunk
-		if need > size {
-			size = need
-		}
-		var nb []byte
-		var box *[]byte
-		if size == frameReadChunk {
-			box = readChunks.Get().(*[]byte)
-			nb = *box
-		} else {
-			nb = make([]byte, size)
-		}
+	if cap(fr.buf) < need {
+		box := Buffer(max(need, frameReadChunk))
+		nb := (*box)[:cap(*box)]
 		fr.w = copy(nb, fr.buf[fr.r:fr.w])
-		if fr.pooled != nil {
-			readChunks.Put(fr.pooled) // outgrown by an oversized frame
-		}
-		fr.buf, fr.pooled = nb, box
-		fr.r = 0
-	} else if fr.r+need > size {
-		fr.w = copy(fr.buf[:size], fr.buf[fr.r:fr.w])
+		Recycle(fr.box) // outgrown by an oversized frame
+		fr.buf, fr.box, fr.r = nb, box, 0
+	} else if fr.r+need > cap(fr.buf) {
+		fr.w = copy(fr.buf[:cap(fr.buf)], fr.buf[fr.r:fr.w])
 		fr.r = 0
 	}
 	fr.buf = fr.buf[:cap(fr.buf)]
@@ -255,17 +238,87 @@ func openFrame(f []byte) (typ byte, seq uint64, body []byte, err error) {
 	return typ, seq, body, nil
 }
 
-// wirePool recycles encoded frame buffers. Boxing through *[]byte keeps
-// Put/Get allocation-free; buffers grow to the largest frame a link
-// carries and are then reused at that size, so the steady-state send
-// path performs zero allocations.
-var wirePool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
+// The free list: every message, frame and read buffer comes from this one
+// last-in-first-out list under one lock and goes back to it. Not a
+// sync.Pool, which loses what sat through two collections, so a cold
+// deployment rebuilt its buffers whenever the collector had run. It keeps
+// freeMax buffers, room for what a deployment has in flight; an unbounded
+// queue's run-ahead past that goes to a Pool the collector may empty.
+var free struct {
+	sync.Mutex
+	bufs []*[]byte
+}
 
-func putWire(p *[]byte) {
-	if p != nil {
-		wirePool.Put(p)
+var freeOverflow = sync.Pool{New: func() any { return new([]byte) }}
+
+const freeMax = 512
+
+// Headroom is the room a message buffer keeps in front of the SPI message
+// it carries: the DATA frame's header and tag, which the link writes in
+// place when it files the buffer, so a message is never copied into a frame.
+const Headroom = frameHeaderBytes + tagBytes
+
+// Buffer takes a buffer from the free list with room for an n-byte SPI
+// message: length Headroom, capacity at least Headroom+n, so the message
+// appended to it never regrows it. It takes the topmost buffer of up to
+// about twice that: a 64 KiB read buffer carrying an ack frame is lost with
+// the frame when a link is aborted, and the next link buys its own.
+func Buffer(n int) *[]byte {
+	need := Headroom + n
+	free.Lock()
+	for i := len(free.bufs) - 1; i >= 0; i-- {
+		if p := free.bufs[i]; cap(*p) >= need && cap(*p) <= 2*need+64 {
+			last := len(free.bufs) - 1
+			free.bufs[i], free.bufs[last] = free.bufs[last], nil
+			free.bufs = free.bufs[:last]
+			free.Unlock()
+			*p = (*p)[:Headroom]
+			return p
+		}
+	}
+	free.Unlock()
+	p := freeOverflow.Get().(*[]byte)
+	if cap(*p) < need {
+		*p = make([]byte, Headroom, max(need, 64))
+	}
+	*p = (*p)[:Headroom]
+	return p
+}
+
+// Recycle gives buffers back to the free list; nil entries are skipped.
+func Recycle(bufs ...*[]byte) {
+	free.Lock()
+	defer free.Unlock()
+	for _, p := range bufs {
+		switch {
+		case p == nil:
+		case len(free.bufs) < freeMax:
+			free.bufs = append(free.bufs, p)
+		default:
+			freeOverflow.Put(p)
+		}
 	}
 }
+
+// frameOf takes a buffer from the free list and appends the body head|tail
+// behind room for the frame header, for sealFrame to fill in.
+func frameOf(head, tail []byte) *[]byte {
+	f := Buffer(len(head) + len(tail))
+	*f = append(append((*f)[:frameHeaderBytes], head...), tail...)
+	return f
+}
+
+// sealFrame writes the header of the frame f in place: the length, type and
+// sequence number, and the checksum over them and the body behind.
+func sealFrame(f []byte, typ byte, seq uint64) {
+	binary.LittleEndian.PutUint32(f, uint32(len(f)-4))
+	f[4] = typ
+	binary.LittleEndian.PutUint64(f[5:], seq)
+	binary.LittleEndian.PutUint32(f[13:], frameCRC(f[4:13], f[frameHeaderBytes:]))
+}
+
+// frameSeq reads a sealed frame's sequence number.
+func frameSeq(f []byte) uint64 { return binary.LittleEndian.Uint64(f[5:]) }
 
 // appendFrame encodes one frame onto dst. The body is the concatenation
 // head|tail (head may be nil); splitting it lets a frame prepend its tag
@@ -286,22 +339,11 @@ func appendFrame(dst []byte, typ byte, seq uint64, head, tail []byte) []byte {
 	return dst
 }
 
-// buildFrame encodes one frame into a pooled buffer. The returned frame
-// owns the buffer; trimLocked recycles it once the peer's cumulative ack
-// covers the sequence number.
-func buildFrame(typ byte, seq uint64, head, tail []byte) savedFrame {
-	buf := wirePool.Get().(*[]byte)
-	if n := frameHeaderBytes + len(head) + len(tail); cap(*buf) < n {
-		*buf = make([]byte, 0, n)
-	}
-	*buf = appendFrame((*buf)[:0], typ, seq, head, tail)
-	return savedFrame{seq: seq, wire: *buf, buf: buf}
-}
-
 func writeFrame(w io.Writer, typ byte, seq uint64, body []byte) error {
-	f := buildFrame(typ, seq, nil, body)
-	defer putWire(f.buf)
-	_, err := w.Write(f.wire)
+	f := frameOf(nil, body)
+	defer Recycle(f)
+	sealFrame(*f, typ, seq)
+	_, err := w.Write(*f)
 	return err
 }
 

@@ -302,7 +302,7 @@ func TestSendNeedsHandlerType(t *testing.T) {
 	d, a := linkPair(t, NewLoopback(), "gate", hd, ha)
 	defer d.Abort()
 	defer a.Abort()
-	if err := a.SendSessionData(4, 9, []byte{9, 0, 1}); err == nil || !strings.Contains(err.Error(), "SessionHandler") {
+	if err := sendSessionData(a, 4, 9, []byte{9, 0, 1}); err == nil || !strings.Contains(err.Error(), "SessionHandler") {
 		t.Fatalf("plain-handler link sent a tagged frame: %v", err)
 	}
 	if err := a.SendSessionAck(4, 7, 1); err == nil || !strings.Contains(err.Error(), "SessionHandler") {
@@ -311,7 +311,7 @@ func TestSendNeedsHandlerType(t *testing.T) {
 	if err := a.SendCtrl(1, nil); err == nil || !strings.Contains(err.Error(), "CtrlHandler") {
 		t.Fatalf("plain-handler link sent a ctrl frame: %v", err)
 	}
-	if err := d.SendSessionData(4, 7, []byte{7, 0, 1}); err != nil {
+	if err := sendSessionData(d, 4, 7, []byte{7, 0, 1}); err != nil {
 		t.Fatalf("session-handler link refused a tagged frame: %v", err)
 	}
 	select {

@@ -144,10 +144,8 @@ func FuzzDecodePing(f *testing.F) {
 		for _, typ := range []byte{framePing, framePong} {
 			var enc [pingBodyBytes]byte
 			encodePing(enc[:], ts)
-			fr := buildFrame(typ, 0, nil, enc[:])
 			var reader frameReader
-			rtyp, seq, got, err := reader.read(bytes.NewReader(fr.wire))
-			putWire(fr.buf)
+			rtyp, seq, got, err := reader.read(bytes.NewReader(appendFrame(nil, typ, 0, nil, enc[:])))
 			if err != nil {
 				t.Fatalf("reading back a built %d frame: %v", typ, err)
 			}

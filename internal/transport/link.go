@@ -251,15 +251,6 @@ func newLinkObs(o *obs.Observer, peer int) linkObs {
 	}
 }
 
-// savedFrame is one resend-buffer entry: the complete encoded wire bytes
-// plus the pool box they came from. wire aliases *buf; trimLocked returns
-// buf to the wire pool once the peer's cumulative ack covers seq.
-type savedFrame struct {
-	seq  uint64
-	wire []byte
-	buf  *[]byte
-}
-
 type resumeOffer struct {
 	conn    Conn
 	recvSeq uint64 // peer's receive high-water mark from its RESUME
@@ -304,22 +295,22 @@ type Link struct {
 	mu         sync.Mutex
 	conn       Conn
 	state      int
-	gen        int    // bumped each time a connection is lost
-	graceful   bool   // local Close or Abort has begun: the shutdown is deliberate
-	closeSeq   uint64 // sendSeq when Close began (0 for Abort): what it still owes the peer
-	closeErr   error  // what Close returns; written inside closeOnce
-	byeSeq     uint64 // our GOODBYE's sequence number (0: not sent)
-	peerClosed bool   // peer sent GOODBYE
-	failErr    error  // why sends are refused, once the link has ended (ErrLinkClosed wrapped)
-	sendSeq    uint64 // last sequence number assigned to an outbound frame
-	recvSeq    uint64 // last in-order sequence number received
-	cumAcked   uint64 // highest recvSeq we have cumulatively acked to the peer
-	peerAcked  uint64 // highest cumulative ack received from the peer
-	unacked    []savedFrame
+	gen        int           // bumped each time a connection is lost
+	graceful   bool          // local Close or Abort has begun: the shutdown is deliberate
+	closeSeq   uint64        // sendSeq when Close began (0 for Abort): what it still owes the peer
+	closeErr   error         // what Close returns; written inside closeOnce
+	byeSeq     uint64        // our GOODBYE's sequence number (0: not sent)
+	peerClosed bool          // peer sent GOODBYE
+	failErr    error         // why sends are refused, once the link has ended (ErrLinkClosed wrapped)
+	sendSeq    uint64        // last sequence number assigned to an outbound frame
+	recvSeq    uint64        // last in-order sequence number received
+	cumAcked   uint64        // highest recvSeq we have cumulatively acked to the peer
+	peerAcked  uint64        // highest cumulative ack received from the peer
+	unacked    []*[]byte     // numbered frames, sealed in buffers from the free list, until the peer acks them
 	stage      []byte        // encoded frames awaiting the writer's next pass
 	staged     int           // frames in stage
 	ackNow     bool          // the next pass acks cumulatively, whatever the interval
-	inlineSeq  uint64        // the frame its sender is writing from the resend buffer right now (0: none, or trimmed meanwhile)
+	inline     *[]byte       // the frame its sender is writing from the resend buffer right now (nil: none, or trimmed meanwhile)
 	changed    chan struct{} // closed+replaced on every state/buffer change
 	readerDone chan struct{} // current generation's reader exit
 
@@ -734,8 +725,20 @@ func (l *Link) pinger() {
 }
 
 // SendData transmits one SPI-encoded message on an outbound edge of the
-// link's own run (tag 0).
-func (l *Link) SendData(edge uint16, msg []byte) error { return l.sendData(0, edge, msg) }
+// link's own run (tag 0): it copies msg into a buffer from the free list
+// and sends that (SendBuffer).
+func (l *Link) SendData(edge uint16, msg []byte) error {
+	b := Buffer(len(msg))
+	*b = append(*b, msg...)
+	return l.SendBuffer(edge, b)
+}
+
+// SendBuffer transmits one SPI-encoded message on an outbound edge of the
+// link's own run, built behind the Headroom of a buffer from the free list,
+// and takes the buffer: the frame header and tag are written into the
+// headroom, the buffer itself is filed, and it is recycled once the peer
+// has acknowledged the frame (at once, when the send is refused).
+func (l *Link) SendBuffer(edge uint16, buf *[]byte) error { return l.sendData(0, edge, buf) }
 
 // SendAck transmits a BBS credit / UBS acknowledgement for an inbound edge
 // of the link's own run. The ack is queued, never written here and never
@@ -753,16 +756,17 @@ func (l *Link) SendAck(edge uint16, count uint32) error { return l.sendAck(0, ed
 // messages it delivered before the FIN.
 func (l *Link) SendFin(edge uint16) error { return l.sendFin(0, edge) }
 
-func (l *Link) sendData(tag uint32, edge uint16, msg []byte) error {
+func (l *Link) sendData(tag uint32, edge uint16, buf *[]byte) error {
+	err := l.checkTag(tag)
 	if _, ok := l.out[edge]; !ok {
-		return l.sendError("edge %d is not outbound on this link", edge)
+		err = l.sendError("edge %d is not outbound on this link", edge)
 	}
-	if err := l.checkTag(tag); err != nil {
+	if err != nil {
+		Recycle(buf)
 		return err
 	}
-	var head [tagBytes]byte
-	binary.LittleEndian.PutUint32(head[:], tag)
-	if err := l.sendFrame(frameData, head[:], msg); err != nil {
+	binary.LittleEndian.PutUint32((*buf)[frameHeaderBytes:], tag)
+	if err := l.sendFrame(frameData, buf); err != nil {
 		return err
 	}
 	// Counters only on the per-frame path: the SPI layer already traces
@@ -818,7 +822,7 @@ func (l *Link) sendFin(tag uint32, edge uint16) error {
 	}
 	var body [finBodyBytes]byte
 	putFin(&body, tag, edge)
-	if err := l.sendFrame(frameFin, body[:], nil); err != nil {
+	if err := l.sendFrame(frameFin, frameOf(body[:], nil)); err != nil {
 		return err
 	}
 	l.obs.finsSent.Inc()
@@ -850,20 +854,19 @@ func (l *Link) sendErrLocked() error {
 	return &Error{Op: "send", Addr: l.raddr, Err: l.failErr}
 }
 
-// sendFrame assigns the next sequence number to one numbered frame whose
-// body is head|tail (a tag or opcode prefix passed as a stack-allocated
-// head, which buildFrame copies, keeping the hot path allocation-free),
-// files it in the resend buffer and stages it for the writer — or, for a
-// frame of at least inlineWriteBytes, writes it here after whatever was
-// staged before it. While the link is down with reconnection pending, or
-// the resend buffer is full, it blocks until the state changes; that wait
-// comes before the sequence number is assigned, and nothing between the
-// assignment and the frame's place in wire order releases mu. A failed
-// write of a staged frame reaches the caller on its next send (see
-// writeFailed); with reconnection enabled it is no error at all, the
-// RESUME replay delivers the frame.
-func (l *Link) sendFrame(typ byte, head, tail []byte) error {
-	inline := frameHeaderBytes+len(head)+len(tail) >= inlineWriteBytes
+// sendFrame sends one numbered frame whose body is built in f behind room
+// for the header (frameOf, or a message buffer's Headroom with the tag
+// written) and takes the buffer: it files the buffer (fileLocked) and
+// stages the frame for the writer — or, for a frame of at least
+// inlineWriteBytes, writes it here after whatever was staged before it.
+// While the link is down with reconnection pending, or the resend buffer is
+// full, it blocks until the state changes; that wait comes before the
+// sequence number is assigned, and nothing between the assignment and the
+// frame's place in wire order releases mu. A failed write of a staged frame
+// reaches the caller on its next send (see writeFailed); with reconnection
+// enabled it is no error at all, the RESUME replay delivers the frame.
+func (l *Link) sendFrame(typ byte, f *[]byte) error {
+	inline := len(*f) >= inlineWriteBytes
 	unlock := func() {
 		l.mu.Unlock()
 		if inline {
@@ -877,6 +880,7 @@ func (l *Link) sendFrame(typ byte, head, tail []byte) error {
 		l.mu.Lock()
 		if err := l.sendErrLocked(); err != nil {
 			unlock()
+			Recycle(f)
 			return err
 		}
 		if l.state == stateDown || len(l.unacked) >= resendLimit {
@@ -896,9 +900,9 @@ func (l *Link) sendFrame(typ byte, head, tail []byte) error {
 		if typ == frameFin {
 			l.materializeAcksLocked()
 		}
-		f := l.fileLocked(typ, head, tail)
+		l.fileLocked(typ, f)
 		if !inline {
-			l.stageLocked(f.wire)
+			l.stageLocked(*f)
 			l.mu.Unlock()
 			l.wakeWriter()
 			return nil

@@ -193,8 +193,8 @@ func (l *Link) trimUnacked(n uint64) {
 }
 
 // trimLocked is trimUnacked for a caller holding mu; it reports whether n
-// advanced the peer's acknowledged mark. Trimmed frames return their wire
-// buffers to the pool — except one its sender is still writing inline (the
+// advanced the peer's acknowledged mark. Trimmed frames go back to the free
+// list in one batch — except one its sender is still writing inline (the
 // peer can read and acknowledge a frame before the sender is back from
 // Write), which that sender recycles when it is done. Acks past our own
 // sendSeq would let a protocol-violating peer recycle frames still being
@@ -208,18 +208,14 @@ func (l *Link) trimLocked(n uint64) bool {
 	}
 	l.peerAcked = n
 	i := 0
-	for i < len(l.unacked) && l.unacked[i].seq <= n {
-		if l.unacked[i].seq == l.inlineSeq {
-			l.inlineSeq = 0
-		} else {
-			putWire(l.unacked[i].buf)
+	for ; i < len(l.unacked) && frameSeq(*l.unacked[i]) <= n; i++ {
+		if l.unacked[i] == l.inline {
+			l.inline, l.unacked[i] = nil, nil
 		}
-		i++
 	}
+	Recycle(l.unacked[:i]...)
 	rest := copy(l.unacked, l.unacked[i:])
-	for j := rest; j < len(l.unacked); j++ {
-		l.unacked[j] = savedFrame{}
-	}
+	clear(l.unacked[rest:])
 	l.unacked = l.unacked[:rest]
 	l.obs.resendDepth.Set(int64(len(l.unacked)))
 	l.broadcastLocked()
@@ -388,7 +384,7 @@ func (l *Link) install(conn Conn, peerRecv uint64, gen int) {
 	}
 	l.trimLocked(peerRecv)
 	for _, f := range l.unacked {
-		l.stageLocked(f.wire)
+		l.stageLocked(*f)
 	}
 	replayed := int64(len(l.unacked))
 	l.conn = conn
@@ -551,10 +547,11 @@ func (l *Link) sendGoodbye() bool {
 		return false
 	}
 	l.materializeAcksLocked()
-	f := l.fileLocked(frameGoodbye, nil, nil)
-	l.byeSeq = f.seq
+	f := frameOf(nil, nil)
+	l.fileLocked(frameGoodbye, f)
+	l.byeSeq = l.sendSeq
 	if l.state == stateUp {
-		l.stageLocked(f.wire)
+		l.stageLocked(*f)
 	}
 	l.mu.Unlock()
 	l.wakeWriter()
@@ -604,7 +601,7 @@ func (l *Link) finalAck(deadline time.Time) {
 	l.wmu.Lock()
 	l.mu.Lock()
 	l.ackNow = true
-	l.writePass(savedFrame{}) // an error here is the peer's to recover from: RESUME carries the same mark
+	l.writePass(nil) // an error here is the peer's to recover from: RESUME carries the same mark
 	l.wmu.Unlock()
 }
 

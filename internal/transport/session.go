@@ -24,11 +24,11 @@ type SessionHandler interface {
 	HandleSessionFin(sid uint32, edge uint16)
 }
 
-// SendSessionData is SendData for session sid. The tag rides in the frame
-// header build (a stack-allocated head copied by buildFrame), so the
-// session hot path allocates exactly as much as the untagged one: nothing.
-func (l *Link) SendSessionData(sid uint32, edge uint16, msg []byte) error {
-	return l.sendData(sid, edge, msg)
+// SendSessionBuffer is SendBuffer for session sid. The tag is written into
+// the buffer's headroom with the frame header, so the session hot path
+// allocates exactly as much as the untagged one: nothing.
+func (l *Link) SendSessionBuffer(sid uint32, edge uint16, buf *[]byte) error {
+	return l.sendData(sid, edge, buf)
 }
 
 // SendSessionAck is SendAck for session sid: it queues exactly like

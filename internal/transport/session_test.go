@@ -97,13 +97,13 @@ func TestSessionRoundTrip(t *testing.T) {
 			// Tagged data on sessions 1 and 2, untagged on tag 0, all
 			// interleaved on edge 7 (outbound for the dialer).
 			msg := func(tag byte) []byte { return []byte{7, 0, tag, tag} }
-			if err := d.SendSessionData(1, 7, msg(0xa1)); err != nil {
+			if err := sendSessionData(d, 1, 7, msg(0xa1)); err != nil {
 				t.Fatal(err)
 			}
 			if err := d.SendData(7, msg(0x01)); err != nil {
 				t.Fatal(err)
 			}
-			if err := d.SendSessionData(2, 7, msg(0xb2)); err != nil {
+			if err := sendSessionData(d, 2, 7, msg(0xb2)); err != nil {
 				t.Fatal(err)
 			}
 			ha.wait(t, "tagged data", func() bool {
@@ -143,8 +143,8 @@ func TestSessionUndeclaredEdge(t *testing.T) {
 	hd, ha := newSessionRecorder(), newSessionRecorder()
 	d, a := sessionLinkPair(t, NewLoopback(), hd, ha)
 	defer closeBoth(d, a)
-	if err := d.SendSessionData(1, 99, []byte{99, 0, 1}); err == nil {
-		t.Fatal("SendSessionData accepted an undeclared edge")
+	if err := sendSessionData(d, 1, 99, []byte{99, 0, 1}); err == nil {
+		t.Fatal("SendSessionBuffer accepted an undeclared edge")
 	}
 	if err := d.SendSessionAck(1, 7, 1); err == nil {
 		t.Fatal("SendSessionAck accepted an outbound edge")
@@ -163,6 +163,14 @@ func (nullSessionHandler) HandleSessionData(sid uint32, edge uint16, msg []byte)
 func (nullSessionHandler) HandleSessionAck(sid uint32, edge uint16, count uint32) {}
 func (nullSessionHandler) HandleSessionFin(sid uint32, edge uint16)               {}
 
+// sendSessionData is SendData for session sid: msg copied into a buffer
+// from the free list, sent with SendSessionBuffer.
+func sendSessionData(l *Link, sid uint32, edge uint16, msg []byte) error {
+	b := Buffer(len(msg))
+	*b = append(*b, msg...)
+	return l.SendSessionBuffer(sid, edge, b)
+}
+
 // TestSendZeroAlloc: the send path must not allocate per frame, whichever
 // way the frame leaves — staged for the writer (the tag rides a stack-array
 // head copied into the pooled wire buffer, an ack is a map entry the writer
@@ -177,7 +185,7 @@ func TestSendZeroAlloc(t *testing.T) {
 	large := make([]byte, 2*inlineWriteBytes)
 	large[0] = 7
 	for name, send := range map[string]func() error{
-		"staged session DATA": func() error { return d.SendSessionData(1, 7, small) },
+		"staged session DATA": func() error { return sendSessionData(d, 1, 7, small) },
 		"staged DATA":         func() error { return d.SendData(7, small) },
 		"queued ACK":          func() error { return d.SendAck(9, 1) },
 		"queued session ACK":  func() error { return d.SendSessionAck(1, 9, 1) },
@@ -252,7 +260,7 @@ func BenchmarkSessionSendData(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var err error
 				if tagged {
-					err = d.SendSessionData(1, 7, msg)
+					err = sendSessionData(d, 1, 7, msg)
 				} else {
 					err = d.SendData(7, msg)
 				}

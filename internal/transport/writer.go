@@ -46,16 +46,16 @@ func (l *Link) wakeWriter() {
 	}
 }
 
-// fileLocked assigns the next sequence number to one numbered frame and
-// files it in the resend buffer, where it stays until the peer's cumulative
-// ack covers it. Caller holds mu and places f.wire in wire order before
-// releasing it.
-func (l *Link) fileLocked(typ byte, head, body []byte) savedFrame {
+// fileLocked is the one filing path of numbered frames: it assigns the next
+// sequence number, seals the frame in place and files its buffer itself in
+// the resend buffer, until the peer's cumulative ack covers it and a trim
+// gives it back to the free list. Caller holds mu and places the frame in
+// wire order before releasing it.
+func (l *Link) fileLocked(typ byte, f *[]byte) {
 	l.sendSeq++
-	f := buildFrame(typ, l.sendSeq, head, body)
+	sealFrame(*f, typ, l.sendSeq)
 	l.unacked = append(l.unacked, f)
 	l.obs.resendDepth.Set(int64(len(l.unacked)))
-	return f
 }
 
 // stageLocked appends one encoded frame to what the writer's next pass
@@ -84,7 +84,7 @@ func (l *Link) writer() {
 		l.wmu.Lock()
 		l.mu.Lock()
 		l.materializeAcksLocked()
-		gen, err := l.writePass(savedFrame{})
+		gen, err := l.writePass(nil)
 		l.wmu.Unlock()
 		if err != nil {
 			l.writeFailed(gen, err)
@@ -94,11 +94,10 @@ func (l *Link) writer() {
 
 // writePass is the only code that writes to the carrier once the link is
 // up: it sends what is staged, with the cumulative ack if one is owed, and
-// then inline, the large frame its caller just filed (the zero savedFrame:
-// none). The caller holds wmu and mu; writePass releases mu before it
-// writes. The error, if any, is the caller's to report once it has released
-// wmu.
-func (l *Link) writePass(inline savedFrame) (gen int, err error) {
+// then inline, the large frame its caller just filed (nil: none). The
+// caller holds wmu and mu; writePass releases mu before it writes. The
+// error, if any, is the caller's to report once it has released wmu.
+func (l *Link) writePass(inline *[]byte) (gen int, err error) {
 	gen = l.gen
 	if l.state != stateUp {
 		l.mu.Unlock()
@@ -117,11 +116,15 @@ func (l *Link) writePass(inline savedFrame) (gen int, err error) {
 	// The inline frame is written from its resend-buffer bytes outside mu;
 	// should the peer's cumulative ack cover it before the write returns,
 	// trimLocked leaves its buffer for this sender to recycle.
-	l.inlineSeq = inline.seq
+	var wire []byte
+	if inline != nil {
+		wire = *inline
+	}
+	l.inline = inline
 	l.mu.Unlock()
 
 	writes := 0
-	for _, p := range [2][]byte{buf, inline.wire} {
+	for _, p := range [2][]byte{buf, wire} {
 		if len(p) == 0 || err != nil {
 			continue
 		}
@@ -132,12 +135,12 @@ func (l *Link) writePass(inline savedFrame) (gen int, err error) {
 		buf = nil
 	}
 	l.spare = buf[:0]
-	if inline.buf != nil {
+	if inline != nil {
 		l.mu.Lock()
-		if l.inlineSeq != inline.seq {
-			putWire(inline.buf) // trimmed while it was being written
+		if l.inline != inline {
+			Recycle(inline) // trimmed while it was being written
 		}
-		l.inlineSeq = 0
+		l.inline = nil
 		l.mu.Unlock()
 	}
 	if err != nil {
@@ -146,12 +149,12 @@ func (l *Link) writePass(inline savedFrame) (gen int, err error) {
 	if frames > 1 {
 		l.obs.batchFlushes.Inc()
 	}
-	if inline.buf != nil {
+	if inline != nil {
 		frames++
 	}
 	l.obs.writes.Add(int64(writes))
 	l.obs.framesSent.Add(int64(frames))
-	l.obs.bytesSent.Add(int64(len(buf) + len(inline.wire)))
+	l.obs.bytesSent.Add(int64(len(buf) + len(wire)))
 	return gen, nil
 }
 
@@ -227,7 +230,9 @@ func (l *Link) materializeAcksLocked() {
 		var body [ackBodyBytes]byte
 		putAck(&body, uint32(k>>16), uint16(k), l.pendingAcks[k])
 		delete(l.pendingAcks, k)
-		l.stageLocked(l.fileLocked(frameAck, body[:], nil).wire)
+		f := frameOf(body[:], nil)
+		l.fileLocked(frameAck, f)
+		l.stageLocked(*f)
 		l.obs.acksSent.Inc()
 		n++
 	}

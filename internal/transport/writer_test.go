@@ -103,6 +103,7 @@ type recordedWrite struct {
 	frames []byte   // the type byte of each frame the Write carried
 	seqs   []uint64 // and its sequence number
 	bodies [][]byte // and a copy of its body
+	wire   [][]byte // and a copy of the whole frame
 }
 
 type gatedConn struct {
@@ -148,6 +149,7 @@ func (c *gatedConn) Write(p []byte) (int, error) {
 			w.frames = append(w.frames, p[off+4])
 			w.seqs = append(w.seqs, binary.LittleEndian.Uint64(p[off+5:]))
 			w.bodies = append(w.bodies, append([]byte(nil), p[off+frameHeaderBytes:frameEnd(p, off)]...))
+			w.wire = append(w.wire, append([]byte(nil), p[off:frameEnd(p, off)]...))
 		}
 		c.writes = append(c.writes, w)
 	}
