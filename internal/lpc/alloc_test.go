@@ -92,7 +92,7 @@ func blockedLoopback(t *testing.T) func(n int) {
 
 func TestAllocsDistributedResidualBlockedLoopback(t *testing.T) {
 	perFrame, _ := alloctest.SteadyAndOpen(640, blockedLoopback(t))
-	alloctest.Check(t, "two nodes over loopback, block 16: per frame", perFrame, pinnedBlockedPerFrame)
+	alloctest.AtMost(t, "two nodes over loopback, block 16: per frame", perFrame, blockedPerFrameLimit)
 }
 
 // TestAllocsBlockedBuffersOutliveCollections: a cold blocked deployment
@@ -113,10 +113,13 @@ func TestAllocsBlockedBuffersOutliveCollections(t *testing.T) {
 
 // Measured with go1.24 at GOMAXPROCS=1. A steady-state blocked frame was
 // held to the in-process limit, one allocation and 256 B, and measured 0.02
-// and 2–4 B once slabs were packed in their frames' buffers. The cold
-// deployment measured 23.05 allocations and 83 283 B per frame while frame
-// buffers came from a sync.Pool and slab buffers regrew by append.
+// and 2–4 B once slabs were packed in their frames' buffers; it measures 0
+// and 0 B since a link's cumulative-ack trim stopped replacing its change
+// channel when nothing waits on it, and is held to Check's floor for a zero.
+// The cold deployment measured 23.05 allocations and 83 283 B per frame
+// while frame buffers came from a sync.Pool and slab buffers regrew by
+// append; it measures 16.83 and 2087 B with acks every quarter MiB.
 var (
-	pinnedBlockedPerFrame     = alloctest.Allocs{N: 0.02, Bytes: 4}
+	blockedPerFrameLimit      = alloctest.Allocs{N: 0.1, Bytes: 8}
 	pinnedColdBlockedPerFrame = alloctest.Allocs{N: 16.75, Bytes: 2101}
 )

@@ -188,24 +188,31 @@ func byActorName(g *dataflow.Graph, byID map[dataflow.ActorID]Kernel) map[string
 }
 
 // linkHandler adapts a transport.Link's inbound traffic to one Runtime. It
-// records which edges the link carries so a dead link closes exactly those
+// finds a frame's edge without the runtime's lock, in the edge table as it
+// stood when the link was built, and a dead link closes exactly the link's
 // edges — the distributed form of failure propagation.
 type linkHandler struct {
-	rt    *Runtime
-	edges []transport.EdgeDecl
+	edges []*edge
+	decls []transport.EdgeDecl
 	peer  int
 	fails *peerFails
 }
 
-func (h *linkHandler) HandleData(edge uint16, msg []byte) { h.rt.DeliverData(edge, msg) }
-func (h *linkHandler) HandleAck(edge uint16, count uint32) {
-	h.rt.DeliverAck(edge, count)
+func newLinkHandler(rt *Runtime, decls []transport.EdgeDecl, peer int, fails *peerFails) *linkHandler {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	rt.edges = rt.edges[:len(rt.edges):len(rt.edges)] // a later Init copies it, never writes into it
+	return &linkHandler{edges: rt.edges, decls: decls, peer: peer, fails: fails}
 }
+
+func (h *linkHandler) edge(id uint16) *edge                { return find(h.edges, EdgeID(id)) }
+func (h *linkHandler) HandleData(edge uint16, msg []byte)  { h.edge(edge).deliverData(msg) }
+func (h *linkHandler) HandleAck(edge uint16, count uint32) { h.edge(edge).deliverAck(count) }
 
 // HandleFin closes exactly one edge: the peer declared that its half is
 // permanently done (its hosting actor starved), so local receivers drain
 // and local senders stop — without touching the link's other edges.
-func (h *linkHandler) HandleFin(edge uint16) { h.rt.CloseEdge(EdgeID(edge)) }
+func (h *linkHandler) HandleFin(edge uint16) { h.edge(edge).close() }
 
 func (h *linkHandler) HandleLinkClose(err error) {
 	if err == nil {
@@ -217,8 +224,8 @@ func (h *linkHandler) HandleLinkClose(err error) {
 		return
 	}
 	h.fails.record(h.peer, err)
-	for _, d := range h.edges {
-		h.rt.CloseEdge(EdgeID(d.ID))
+	for _, d := range h.decls {
+		h.edge(d.ID).close()
 	}
 }
 
@@ -331,7 +338,7 @@ func (env *execEnv) open(spec *PartitionSpec, opts DistOptions) error {
 		}
 		sort.Ints(order)
 		for _, peer := range order {
-			ml, err := opts.Links.Connect(peer, peers[peer], &linkHandler{rt: env.rt, edges: peers[peer], peer: peer, fails: &env.fails})
+			ml, err := opts.Links.Connect(peer, peers[peer], newLinkHandler(env.rt, peers[peer], peer, &env.fails))
 			if err != nil {
 				opts.Links.Finish(false)
 				return err
@@ -564,7 +571,7 @@ func connectPeers(rt *Runtime, peers map[int][]transport.EdgeDecl, fails *peerFa
 		if decls == nil {
 			return nil, nil, fmt.Errorf("no shared edges with node %d", peer)
 		}
-		return decls, &linkHandler{rt: rt, edges: decls, peer: peer, fails: fails}, nil
+		return decls, newLinkHandler(rt, decls, peer, fails), nil
 	}
 
 	expectAccept := 0

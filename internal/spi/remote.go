@@ -49,17 +49,7 @@ type MessageLink interface {
 // BBS/UBS window is maintained from acknowledgements delivered via
 // DeliverAck. Bind before the first Send; each half binds at most once.
 func (r *Runtime) BindRemoteSender(id EdgeID, link MessageLink) error {
-	e, err := r.lookup(id)
-	if err != nil {
-		return err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.remoteTx != nil {
-		return fmt.Errorf("spi: edge %d sender already remote-bound", id)
-	}
-	e.remoteTx = link
-	return nil
+	return r.bind(id, link, "sender", func(e *edge) *MessageLink { return &e.remoteTx })
 }
 
 // BindRemoteReceiver marks the edge's Receive side as fed by link:
@@ -67,33 +57,32 @@ func (r *Runtime) BindRemoteSender(id EdgeID, link MessageLink) error {
 // acknowledgement (BBS credit or UBS ack) back through the link. Bind
 // before the first Receive; each half binds at most once.
 func (r *Runtime) BindRemoteReceiver(id EdgeID, link MessageLink) error {
-	e, err := r.lookup(id)
-	if err != nil {
-		return err
+	return r.bind(id, link, "receiver", func(e *edge) *MessageLink { return &e.remoteRx })
+}
+
+// bind sets the half of edge id that half points at, at most once.
+func (r *Runtime) bind(id EdgeID, link MessageLink, name string, half func(*edge) *MessageLink) error {
+	e := r.edge(id)
+	if e == nil {
+		return fmt.Errorf("spi: edge %d not initialized", id)
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.remoteRx != nil {
-		return fmt.Errorf("spi: edge %d receiver already remote-bound", id)
+	if *half(e) != nil {
+		return fmt.Errorf("spi: edge %d %s already remote-bound", id, name)
 	}
-	e.remoteRx = link
+	*half(e) = link
 	return nil
 }
 
-func (r *Runtime) lookup(id EdgeID) (*edge, error) {
-	if e := r.edge(id); e != nil {
-		return e, nil
-	}
-	return nil, fmt.Errorf("spi: edge %d not initialized", id)
-}
-
 // DeliverData injects one wire message into the edge's receive queue —
-// the transport layer's entry point. Unknown edges and messages arriving
-// after close are dropped: both can only happen during shutdown races or
-// against a misbehaving peer, and network input must never panic the
-// runtime.
-func (r *Runtime) DeliverData(edge uint16, msg []byte) {
-	e := r.edge(EdgeID(edge))
+// what a link's handler does without the runtime's lock. Unknown edges
+// and messages arriving after close are dropped: both can only happen during
+// shutdown races or against a misbehaving peer, and network input must never
+// panic the runtime.
+func (r *Runtime) DeliverData(edge uint16, msg []byte) { r.edge(EdgeID(edge)).deliverData(msg) }
+
+func (e *edge) deliverData(msg []byte) {
 	if e == nil {
 		return
 	}
@@ -118,8 +107,9 @@ func (r *Runtime) DeliverData(edge uint16, msg []byte) {
 // DeliverAck credits the edge's sender with count acknowledgements from
 // the remote receiver, unblocking a BBS sender waiting on its window and
 // advancing the UBS sent/acked bookkeeping.
-func (r *Runtime) DeliverAck(edge uint16, count uint32) {
-	e := r.edge(EdgeID(edge))
+func (r *Runtime) DeliverAck(edge uint16, count uint32) { r.edge(EdgeID(edge)).deliverAck(count) }
+
+func (e *edge) deliverAck(count uint32) {
 	if e == nil {
 		return
 	}
@@ -135,8 +125,4 @@ func (r *Runtime) DeliverAck(edge uint16, count uint32) {
 // calls it for every edge of a link that dies, so a lost peer cannot leave
 // local actors blocked forever. Unknown edges are ignored for the same
 // reason DeliverData drops them.
-func (r *Runtime) CloseEdge(id EdgeID) {
-	if e := r.edge(id); e != nil {
-		e.close()
-	}
-}
+func (r *Runtime) CloseEdge(id EdgeID) { r.edge(id).close() }

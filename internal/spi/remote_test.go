@@ -210,3 +210,44 @@ func TestCloseEdgesDrainsQueueFirst(t *testing.T) {
 		t.Fatalf("drained closed edge returns %v, want ErrClosed", err)
 	}
 }
+
+// TestLinkHandlerOutlivesInit: a link's handler finds its edges without the
+// runtime's lock, in the edge table as it stood when the handler was built.
+// Inits racing with the link's reader — edges 3 to 5 land in the middle of
+// the table, where an insert in place would shift edge 6 under the reader —
+// must copy the table instead (the race detector watches), every ack must
+// land on its edge, and an edge the link does not carry is dropped.
+func TestLinkHandlerOutlivesInit(t *testing.T) {
+	rt := NewRuntime()
+	cfg := func(id EdgeID) EdgeConfig { return EdgeConfig{ID: id, Mode: Dynamic, MaxBytes: 8, Protocol: UBS} }
+	for _, id := range []EdgeID{2, 6, 7} { // three edges: the table has room for a fourth
+		if _, _, err := rt.Init(cfg(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := newLinkHandler(rt, []transport.EdgeDecl{{ID: 2}, {ID: 6}, {ID: 7}}, 1, &peerFails{})
+	done := make(chan error, 1)
+	go func() {
+		for id := EdgeID(3); id < 6; id++ {
+			if _, _, err := rt.Init(cfg(id)); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for i := 0; i < 1000; i++ {
+		h.HandleAck(6, 1)
+		h.HandleAck(2, 2)
+		h.HandleAck(7, 3)
+		h.HandleAck(9, 1)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	for id, want := range map[EdgeID]int64{2: 2000, 6: 1000, 7: 3000, 3: 0} {
+		if got := rt.edge(id).ackedMsgs.Load(); got != want {
+			t.Errorf("edge %d credited %d acks, want %d", id, got, want)
+		}
+	}
+}

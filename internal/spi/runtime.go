@@ -269,7 +269,7 @@ func (r *Runtime) Init(cfg EdgeConfig) (*Sender, *Receiver, error) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	i, dup := r.search(cfg.ID)
+	i, dup := search(r.edges, cfg.ID)
 	if dup {
 		return nil, nil, fmt.Errorf("spi: edge %d already initialized", cfg.ID)
 	}
@@ -290,20 +290,24 @@ func (r *Runtime) Stats(id EdgeID) (EdgeStats, bool) {
 	return e.stats, true
 }
 
-// search finds where edge id is, or would be inserted, in r.edges.
-// Caller holds r.mu.
-func (r *Runtime) search(id EdgeID) (int, bool) {
-	return slices.BinarySearchFunc(r.edges, id, func(e *edge, id EdgeID) int { return cmp.Compare(e.cfg.ID, id) })
+// search finds where edge id is, or would be inserted, in edges (ID order).
+func search(edges []*edge, id EdgeID) (int, bool) {
+	return slices.BinarySearchFunc(edges, id, func(e *edge, id EdgeID) int { return cmp.Compare(e.cfg.ID, id) })
+}
+
+// find looks edge id up in edges (ID order), nil when it is not there.
+func find(edges []*edge, id EdgeID) *edge {
+	if i, ok := search(edges, id); ok {
+		return edges[i]
+	}
+	return nil
 }
 
 // edge looks an edge up by ID, nil when it was never initialized.
 func (r *Runtime) edge(id EdgeID) *edge {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if i, ok := r.search(id); ok {
-		return r.edges[i]
-	}
-	return nil
+	return find(r.edges, id)
 }
 
 // eachEdge visits the runtime's edges in ID order, holding r.mu.
@@ -315,8 +319,11 @@ func (r *Runtime) eachEdge(visit func(e *edge)) {
 	}
 }
 
-// close marks the edge closed and wakes everything blocked on it.
+// close marks the edge closed and wakes everything blocked on it (nil: none).
 func (e *edge) close() {
+	if e == nil {
+		return
+	}
 	e.mu.Lock()
 	e.closed = true
 	e.closedBit.Store(true)

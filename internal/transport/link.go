@@ -105,14 +105,16 @@ type LinkConfig struct {
 const (
 	// handshakeTimeout bounds the HELLO or RESUME exchange.
 	handshakeTimeout = 5 * time.Second
-	// resendLimit bounds the resend buffer: numbered frames are retained
-	// until covered by the peer's cumulative ack, and senders block when
-	// the buffer is full.
+	// resendLimit and resendBytes bound the resend buffer in frames and in
+	// wire bytes: numbered frames are retained until covered by the peer's
+	// cumulative ack, and senders block while the buffer is full (fullLocked).
 	resendLimit = 256
-	// ackInterval is the cumulative-ack threshold: acks cover batches of a
-	// quarter of the peer's resend budget, so the peer trims long before
-	// its senders would stall.
+	resendBytes = 1 << 20
+	// ackInterval and ackBytes are the cumulative-ack thresholds: a receiver
+	// acks once a quarter of the peer's resend budget has arrived, in frames
+	// or in bytes, so the peer trims long before its senders would stall.
 	ackInterval = resendLimit / 4
+	ackBytes    = resendBytes / 4
 )
 
 // closeTimeout bounds how long Close waits — first for a pending
@@ -188,6 +190,7 @@ type linkObs struct {
 	sendStalls             *obs.Counter
 	batchFlushes, writes   *obs.Counter
 	resendDepth            *obs.Gauge
+	resendSize             *obs.Gauge
 	pingsSent, pongsRecv   *obs.Counter
 	hbTimeouts             *obs.Counter
 	acksSuppressed         *obs.Counter
@@ -214,8 +217,8 @@ func newLinkObs(o *obs.Observer, peer int) linkObs {
 			dups: &obs.Counter{}, reconnects: &obs.Counter{},
 			sendStalls:   &obs.Counter{},
 			batchFlushes: &obs.Counter{}, writes: &obs.Counter{},
-			resendDepth: &obs.Gauge{},
-			pingsSent:   &obs.Counter{}, pongsRecv: &obs.Counter{},
+			resendDepth: &obs.Gauge{}, resendSize: &obs.Gauge{},
+			pingsSent: &obs.Counter{}, pongsRecv: &obs.Counter{},
 			hbTimeouts:     &obs.Counter{},
 			acksSuppressed: &obs.Counter{},
 		}
@@ -243,6 +246,7 @@ func newLinkObs(o *obs.Observer, peer int) linkObs {
 		batchFlushes:   o.Counter("transport_link_batch_flushes_total", "carrier writes that carried more than one frame", pl),
 		writes:         o.Counter("transport_link_writes_total", "carrier Write calls (frames_sent / writes = frames per write)", pl),
 		resendDepth:    o.Gauge("transport_link_resend_depth", "unacknowledged frames held for replay", pl),
+		resendSize:     o.Gauge("transport_link_resend_bytes", "wire bytes of the unacknowledged frames held for replay", pl),
 		pingsSent:      o.Counter("transport_link_pings_sent_total", "liveness probes sent on idle links", pl),
 		pongsRecv:      o.Counter("transport_link_pongs_received_total", "probe echoes received (RTT samples)", pl),
 		hbTimeouts:     o.Counter("transport_link_heartbeat_timeouts_total", "connections declared dead for inbound silence", pl),
@@ -307,11 +311,14 @@ type Link struct {
 	cumAcked   uint64        // highest recvSeq we have cumulatively acked to the peer
 	peerAcked  uint64        // highest cumulative ack received from the peer
 	unacked    []*[]byte     // numbered frames, sealed in buffers from the free list, until the peer acks them
+	unackedLen int           // wire bytes of the frames in unacked
+	recvBytes  int           // wire bytes of the numbered frames received since cumAcked was set
 	stage      []byte        // encoded frames awaiting the writer's next pass
 	staged     int           // frames in stage
-	ackNow     bool          // the next pass acks cumulatively, whatever the interval
+	ackNow     bool          // the next pass sends the owed cumulative ack
 	inline     *[]byte       // the frame its sender is writing from the resend buffer right now (nil: none, or trimmed meanwhile)
-	changed    chan struct{} // closed+replaced on every state/buffer change
+	changed    chan struct{} // closed+replaced on a state/buffer change once watched
+	watched    bool          // a waiter took changed: the next change closes it
 	readerDone chan struct{} // current generation's reader exit
 
 	pendingAcks    map[ackKey]uint32 // SPI acks awaiting the writer's next pass
@@ -883,8 +890,9 @@ func (l *Link) sendFrame(typ byte, f *[]byte) error {
 			Recycle(f)
 			return err
 		}
-		if l.state == stateDown || len(l.unacked) >= resendLimit {
+		if l.state == stateDown || l.fullLocked(len(*f)) {
 			ch := l.changed
+			l.watched = true
 			if l.state == stateUp && l.recvSeq > l.cumAcked {
 				// About to sleep until the peer acks: send our own owed
 				// cumulative ack, or a symmetrically stalled peer would
@@ -1012,6 +1020,7 @@ func (l *Link) await(deadline time.Time, cond func() bool) bool {
 		l.mu.Lock()
 		ok := cond()
 		ch := l.changed
+		l.watched = true
 		l.mu.Unlock()
 		if ok || !time.Now().Before(deadline) {
 			return ok
@@ -1025,9 +1034,13 @@ func (l *Link) await(deadline time.Time, cond func() bool) bool {
 	}
 }
 
+// broadcastLocked wakes whoever waits for a change. It replaces the channel
+// only once a waiter took it, not on every trim of a stream.
 func (l *Link) broadcastLocked() {
-	close(l.changed)
-	l.changed = make(chan struct{})
+	if l.watched {
+		close(l.changed)
+		l.changed, l.watched = make(chan struct{}), false
+	}
 }
 
 func (l *Link) notifyClose(err error) {

@@ -49,8 +49,9 @@ func (l *Link) readLoop(conn Conn, gen int, done chan struct{}) {
 					Err: fmt.Errorf("sequence gap: got frame %d, want %d (frames lost)", seq, want)})
 				return
 			}
-			l.recvSeq = seq
-			ackOwed = seq-l.cumAcked >= ackInterval
+			l.recvSeq, l.recvBytes = seq, l.recvBytes+frameHeaderBytes+len(body)
+			ackOwed = seq-l.cumAcked >= ackInterval || l.recvBytes >= ackBytes
+			l.ackNow = l.ackNow || ackOwed
 			l.mu.Unlock()
 		}
 		if err := l.dispatch(gen, typ, body); err != nil {
@@ -209,6 +210,7 @@ func (l *Link) trimLocked(n uint64) bool {
 	l.peerAcked = n
 	i := 0
 	for ; i < len(l.unacked) && frameSeq(*l.unacked[i]) <= n; i++ {
+		l.unackedLen -= len(*l.unacked[i])
 		if l.unacked[i] == l.inline {
 			l.inline, l.unacked[i] = nil, nil
 		}
@@ -218,6 +220,7 @@ func (l *Link) trimLocked(n uint64) bool {
 	clear(l.unacked[rest:])
 	l.unacked = l.unacked[:rest]
 	l.obs.resendDepth.Set(int64(len(l.unacked)))
+	l.obs.resendSize.Set(int64(l.unackedLen))
 	l.broadcastLocked()
 	return true
 }
@@ -397,7 +400,7 @@ func (l *Link) install(conn Conn, peerRecv uint64, gen int) {
 	l.lastHeard.Store(time.Now().UnixNano())
 	// The RESUME/RESUME-OK exchange carried our recvSeq, so everything
 	// received so far is already acknowledged to the peer.
-	l.cumAcked = l.recvSeq
+	l.cumAcked, l.recvBytes = l.recvSeq, 0
 	done := make(chan struct{})
 	l.readerDone = done
 	l.obs.resumes.Inc()

@@ -55,7 +55,16 @@ func (l *Link) fileLocked(typ byte, f *[]byte) {
 	l.sendSeq++
 	sealFrame(*f, typ, l.sendSeq)
 	l.unacked = append(l.unacked, f)
+	l.unackedLen += len(*f)
 	l.obs.resendDepth.Set(int64(len(l.unacked)))
+	l.obs.resendSize.Set(int64(l.unackedLen))
+}
+
+// fullLocked reports whether a numbered frame of n wire bytes waits for room:
+// the resend buffer holds resendLimit frames, or at least ackBytes and n more
+// would pass resendBytes; the peer owes an ack for either (DESIGN.md §6).
+func (l *Link) fullLocked(n int) bool {
+	return len(l.unacked) >= resendLimit || l.unackedLen >= ackBytes && l.unackedLen+n > resendBytes
 }
 
 // stageLocked appends one encoded frame to what the writer's next pass
@@ -103,11 +112,11 @@ func (l *Link) writePass(inline *[]byte) (gen int, err error) {
 		l.mu.Unlock()
 		return gen, nil
 	}
-	if owed := l.recvSeq - l.cumAcked; owed > 0 && (l.ackNow || owed >= ackInterval) {
+	if l.ackNow && l.recvSeq > l.cumAcked {
 		var body [cumAckBodyBytes]byte
 		binary.LittleEndian.PutUint64(body[:], l.recvSeq)
 		l.stageControlLocked(frameCumAck, body[:])
-		l.cumAcked = l.recvSeq
+		l.cumAcked, l.recvBytes = l.recvSeq, 0
 	}
 	l.ackNow = false
 	buf, frames := l.stage, l.staged
@@ -224,7 +233,7 @@ func (l *Link) materializeAcksLocked() {
 	}
 	n := 0
 	for _, k := range l.pendingOrder {
-		if len(l.unacked) >= resendLimit {
+		if l.fullLocked(frameHeaderBytes + ackBodyBytes) {
 			break
 		}
 		var body [ackBodyBytes]byte
