@@ -183,12 +183,10 @@ func analyzeFile(w io.Writer, path string, assign []int) error {
 }
 
 // printResyncWire renders the spi.ResyncSuppression plan as it lands on the
-// wire: one row per interprocessor edge, suppress or keep, with the
-// covering path that justifies each suppression, then the suppressed ID
-// set.
+// wire: a suppress/keep/bbs row per interprocessor edge, then the ID set.
 func printResyncWire(w io.Writer, g *dataflow.Graph, m *sched.Mapping, plan *spi.ResyncPlan) {
-	fmt.Fprintf(w, "resync wire verdict: %d ack feedback edge(s), %d suppressed, %d surviving\n",
-		plan.AckFeedback, len(plan.Suppressed), plan.AckSurviving)
+	fmt.Fprintf(w, "resync wire verdict: %d of %d ack feedback edge(s) carry no message (%d suppressed, %d BBS), %d surviving\n",
+		plan.Silent(), plan.AckFeedback, len(plan.Suppressed), len(plan.BBS), plan.AckSurviving)
 	for _, eid := range g.Edges() {
 		e := g.Edge(eid)
 		if m.Proc[e.Src] == m.Proc[e.Snk] {
@@ -196,6 +194,8 @@ func printResyncWire(w io.Writer, g *dataflow.Graph, m *sched.Mapping, plan *spi
 		}
 		if witness, ok := plan.Suppressed[eid]; ok {
 			fmt.Fprintf(w, "  edge %-3d %-12s suppress  via %s\n", eid, e.Name, witness)
+		} else if plan.BBS[eid] {
+			fmt.Fprintf(w, "  edge %-3d %-12s bbs       sends no ack\n", eid, e.Name)
 		} else {
 			fmt.Fprintf(w, "  edge %-3d %-12s keep\n", eid, e.Name)
 		}

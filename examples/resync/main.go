@@ -27,7 +27,7 @@ func main() {
 		for _, e := range plan.Report.RemovedFirst {
 			fmt.Printf("    removed redundant: %s (delay %d)\n", e.Label, e.Delay)
 		}
-		fmt.Printf("  wire suppresses %d of %d feedback edges (UBS acks only)\n\n", len(plan.Suppressed), plan.AckFeedback)
+		fmt.Printf("  wire carries no message on %d of %d feedback edges (%d suppressed UBS acks, %d BBS)\n\n", plan.Silent(), plan.AckFeedback, len(plan.Suppressed), len(plan.BBS))
 	}
 	fmt.Print("Graphviz (after) for the particle filter:\n", plan.Graph.DOT("fig5-after"))
 }

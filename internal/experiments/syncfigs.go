@@ -59,7 +59,7 @@ func resyncTable(title string, system func() (*spi.System, error), paperNote str
 	t.AddRow("messages_per_iter", fmt.Sprintf("%d", before.Messages), fmt.Sprintf("%d", after.Messages))
 	t.AddRow("shared_mem_sync_ops", fmt.Sprintf("%d", before.SharedMemoryOps), fmt.Sprintf("%d", after.SharedMemoryOps))
 	t.AddRow("steady_period_cycles", fmt.Sprintf("%.1f", rep.PeriodBefore), fmt.Sprintf("%.1f", rep.PeriodAfter))
-	t.Notes = append(t.Notes, fmt.Sprintf("wire verdict: %d of %d feedback edges suppressed (UBS acks only)", len(plan.Suppressed), plan.AckFeedback))
+	t.Notes = append(t.Notes, fmt.Sprintf("wire verdict: %d of %d feedback edges carry no message (%d suppressed UBS acks, %d BBS)", plan.Silent(), plan.AckFeedback, len(plan.Suppressed), len(plan.BBS)))
 	return t, nil
 }
 

@@ -158,10 +158,10 @@ func TestDistributedResidualResyncChaosRecovers(t *testing.T) {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			stats := runChaosSchedule(t, model, frame, ref, sc.cfg, rc, nPE, iters, sc.block, N, true)
-			// The receiving half of every cross-node UBS edge folds its
-			// swallowed acks into AcksSuppressed and must show zero acks on
-			// the wire: coeffs_i and sect_i land on node 1, errs_i on node
-			// 0 — 3*nPE suppressed rows in total.
+			// The receiving half of every cross-node UBS edge counts the
+			// acks it did not send in AcksSuppressed and must show zero
+			// acks: coeffs_i and sect_i land on node 1, errs_i on node 0 —
+			// 3*nPE suppressed rows in total.
 			suppressedRows := 0
 			for node, st := range stats {
 				for _, e := range st.Edges {

@@ -651,7 +651,10 @@ func TestOrchestratedWarmEpochWorkerDeath(t *testing.T) {
 
 // TestOrchestratedResyncStanding: ack suppression is checked once, in the
 // handshakes of the deployment's links, and holds across its warm epochs:
-// no ack for a suppressed edge reaches the wire. A worker's node-wide
+// the receiver of a suppressed edge counts every ack it did not send
+// (EdgeStats.AcksSuppressed, exported per edge), issues none, and a worker
+// that receives only on suppressed edges puts no ACK frame on the wire. A
+// worker's node-wide
 // suppression set holds only its own cross-worker edges, so two workers
 // that share a link need not hold equal sets, and here one of them holds
 // none. The run passing pins that a link compares the part of the two sets
@@ -665,11 +668,11 @@ func TestOrchestratedResyncStanding(t *testing.T) {
 	r.graph = resyncGraph
 	r.obs = map[string]*obs.Observer{}
 	type view struct {
-		set        map[uint16]bool // the node-wide set, as lowerPartition builds it
-		peers      map[int]bool    // workers it shares a data link with
-		keptAcks   int             // inbound cross-worker edges it still acknowledges
-		node       int
-		suppresses bool
+		set      map[uint16]bool // the node-wide set, as lowerPartition builds it
+		peers    map[int]bool    // workers it shares a data link with
+		keptAcks int             // inbound cross-worker edges it still acknowledges
+		node     int
+		quiet    []string // inbound cross-worker edges whose acks are suppressed
 	}
 	var mu sync.Mutex
 	views := map[string]*view{}
@@ -683,7 +686,9 @@ func TestOrchestratedResyncStanding(t *testing.T) {
 			switch {
 			case e.SuppressAck:
 				v.set[e.ID] = true
-				v.suppresses = v.suppresses || e.In
+				if e.In {
+					v.quiet = append(v.quiet, e.Name)
+				}
 			case e.In:
 				v.keptAcks++
 			}
@@ -710,12 +715,13 @@ func TestOrchestratedResyncStanding(t *testing.T) {
 			unequal = unequal || (v.peers[o.node] && !reflect.DeepEqual(v.set, o.set))
 		}
 		reg := r.obs[name].Metrics
-		suppressed := reg.Sum("transport_link_acks_suppressed_total")
 		onWire := reg.Sum("transport_link_acks_sent_total")
-		if v.suppresses {
+		for _, edge := range v.quiet {
 			suppressing++
-			if suppressed == 0 {
-				t.Errorf("worker %s receives on a suppressed edge but swallowed no ack", name)
+			suppressed, _ := reg.Get("spi_edge_acks_suppressed_total", obs.L("edge", edge))
+			acks, _ := reg.Get("spi_edge_acks_total", obs.L("edge", edge))
+			if want := int64(iterations / rep.Block); suppressed != want || acks != 0 {
+				t.Errorf("worker %s edge %s: %d acks suppressed, %d issued; want one suppressed per slab (%d) and none issued", name, edge, suppressed, acks, want)
 			}
 		}
 		if v.keptAcks == 0 && onWire != 0 {

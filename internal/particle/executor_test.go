@@ -1,13 +1,16 @@
 package particle
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/alloctest"
 	"repro/internal/dataflow"
+	"repro/internal/obs"
 	"repro/internal/signal"
 	"repro/internal/spi"
 	"repro/internal/transport"
@@ -68,78 +71,121 @@ func TestDistributedPinnedEstimates(t *testing.T) {
 	}
 }
 
-// TestDistributedOverCarriers runs the filter's kernels as a two-node
-// distributed execution — PE 0 on node 0, the other PEs on node 1, so every
-// sum and migration edge of PE 0 crosses the link — and checks every
-// estimate bit for bit against the in-process filter.
-func TestDistributedOverCarriers(t *testing.T) {
+// splitFilter runs the filter's kernels as a two-node distributed
+// execution over tr, node 0 listening at addr — PE 0 on node 0, the other
+// PEs on node 1, so every sum and migration edge of PE 0 crosses the link —
+// and checks every estimate and the resampling count bit for bit against
+// the in-process filter. Every edge is BBS, so neither node may send an SPI
+// acknowledgement: it checks that no ack is counted and no ACK frame crosses
+// the link, and returns each node's metrics.
+func splitFilter(t *testing.T, tr transport.Transport, addr string, frac float64, tune func(*spi.DistOptions)) [2]*obs.Registry {
+	t.Helper()
 	const n, pes, steps, seed = 150, 3, 200, 5
 	p := signal.DefaultCrackParams()
-	obs := signal.CrackObservations(signal.CrackTruth(steps, p, 42), p, 43)
-	for _, frac := range []float64{0, 0.9} {
-		ref, err := NewDistributed(Model{P: p}, n, pes, seed)
-		if err != nil {
-			t.Fatal(err)
+	ys := signal.CrackObservations(signal.CrackTruth(steps, p, 42), p, 43)
+	ref, err := NewDistributed(Model{P: p}, n, pes, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frac > 0 {
+		ref.SetResampleThreshold(frac)
+	}
+	want, err := ref.Run(ys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := tr.Listen(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]float64, steps)
+	var resamplings int64
+	var errs [2]error
+	var stats [2]*spi.ExecStats
+	var regs [2]*obs.Registry
+	var wg sync.WaitGroup
+	for node := range 2 {
+		o := obs.New()
+		regs[node] = o.Metrics
+		opts := spi.DistOptions{Transport: tr, Node: node, Addrs: []string{ln.Addr(), "unused"}, NodeOf: []int{0, 1, 1}, Obs: o}
+		if node == 0 {
+			opts.Listener = ln
 		}
-		if frac > 0 {
-			ref.SetResampleThreshold(frac)
-		}
-		want, err := ref.Run(obs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, carrier := range []string{"loopback", "tcp"} {
-			var tr transport.Transport = transport.NewLoopback()
-			addr := "pf-node0"
-			if carrier == "tcp" {
-				tr, addr = &transport.TCP{}, "127.0.0.1:0"
-			}
-			ln, err := tr.Listen(addr)
+		tune(&opts)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			d, fg, err := newDistributed(Model{P: p}, n, pes, seed)
 			if err != nil {
-				t.Fatal(err)
+				errs[node] = err
+				return
 			}
-			got := make([]float64, steps)
-			var resamplings int64
-			errs := make([]error, 2)
-			var wg sync.WaitGroup
-			for node := range 2 {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					d, fg, err := newDistributed(Model{P: p}, n, pes, seed)
-					if err != nil {
-						errs[node] = err
-						return
-					}
-					if frac > 0 {
-						d.SetResampleThreshold(frac)
-					}
-					ks := d.kernels(fg, func(iter int) float64 { return obs[iter] }, func(iter int, est float64) { got[iter] = est })
-					opts := spi.DistOptions{Transport: tr, Node: node, Addrs: []string{ln.Addr(), "unused"}, NodeOf: []int{0, 1, 1}}
-					if node == 0 {
-						opts.Listener = ln
-					}
-					_, errs[node] = spi.ExecuteDistributed(fg.sys.Graph, fg.sys.Mapping, byActorID(fg.sys.Graph, ks), steps, opts)
-					if node == 0 {
-						resamplings = d.Resamplings()
-					}
-				}()
+			if frac > 0 {
+				d.SetResampleThreshold(frac)
 			}
-			wg.Wait()
-			for node, err := range errs {
-				if err != nil {
-					t.Fatalf("frac %v over %s: node %d: %v", frac, carrier, node, err)
-				}
+			ks := d.kernels(fg, func(iter int) float64 { return ys[iter] }, func(iter int, est float64) { got[iter] = est })
+			stats[node], errs[node] = spi.ExecuteDistributed(fg.sys.Graph, fg.sys.Mapping, byActorID(fg.sys.Graph, ks), steps, opts)
+			if node == 0 {
+				resamplings = d.Resamplings()
 			}
-			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("frac %v over %s: step %d estimate %v, in-process %v", frac, carrier, i, got[i], want[i])
-				}
-			}
-			if resamplings != ref.Resamplings() {
-				t.Errorf("frac %v over %s: %d resamplings, in-process %d", frac, carrier, resamplings, ref.Resamplings())
-			}
+		}()
+	}
+	wg.Wait()
+	for node, err := range errs {
+		if err != nil {
+			t.Fatalf("node %d: %v", node, err)
 		}
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("step %d estimate %v, in-process %v", i, got[i], want[i])
+		}
+	}
+	if resamplings != ref.Resamplings() {
+		t.Errorf("%d resamplings, in-process %d", resamplings, ref.Resamplings())
+	}
+	for node, st := range stats {
+		if frames := regs[node].Sum("transport_link_acks_sent_total"); st.SPI.Messages == 0 || st.SPI.Acks != 0 || frames != 0 {
+			t.Errorf("node %d sent %d messages, %d acks, %d ACK frames; want some, 0, 0", node, st.SPI.Messages, st.SPI.Acks, frames)
+		}
+	}
+	return regs
+}
+
+// TestDistributedOverCarriers runs the split filter (splitFilter) over
+// loopback and TCP, with and without resampling.
+func TestDistributedOverCarriers(t *testing.T) {
+	for _, frac := range []float64{0, 0.9} {
+		for _, carrier := range []string{"loopback", "tcp"} {
+			t.Run(fmt.Sprintf("frac=%v/%s", frac, carrier), func(t *testing.T) {
+				var tr transport.Transport = transport.NewLoopback()
+				addr := "pf-node0"
+				if carrier == "tcp" {
+					tr, addr = &transport.TCP{}, "127.0.0.1:0"
+				}
+				splitFilter(t, tr, addr, frac, func(*spi.DistOptions) {})
+			})
+		}
+	}
+}
+
+// TestDistributedFilterChaos runs the split filter over a seeded fault
+// schedule that severs every connection twice and drops frames: link
+// resumption repairs it, and the estimates stay bit-identical with no SPI
+// acknowledgement sent — no BBS edge of the filter needs one across a
+// RESUME either.
+func TestDistributedFilterChaos(t *testing.T) {
+	ft := transport.NewFaultTransport(transport.NewLoopback(), transport.FaultConfig{
+		Seed: 17, SeverAt: []int{40, 150}, Drop: 0.02, SkipFrames: 6, MaxFaults: 20})
+	regs := splitFilter(t, ft, "pf-chaos0", 0.9, func(o *spi.DistOptions) {
+		o.Reconnect = transport.ReconnectConfig{Attempts: 50, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond, Deadline: 20 * time.Second}
+		o.Retry = transport.RetryConfig{Attempts: 20, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}
+	})
+	if resumes := regs[0].Sum("transport_link_resumes_total") + regs[1].Sum("transport_link_resumes_total"); resumes == 0 {
+		t.Fatal("no resumes happened; the fault schedule never fired")
+	}
+	if st := ft.Stats(); st.Severs == 0 || st.Drops == 0 {
+		t.Fatalf("fault schedule injected %+v, want severs and drops", st)
 	}
 }
 

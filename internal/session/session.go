@@ -333,7 +333,7 @@ type Stream struct {
 	closed    bool
 	closeErr  error
 	edges     []uint16         // every edge the execution declared in Connect
-	declBytes map[uint16]int64 // inbound edge -> declared payload bound
+	declBytes map[uint16]int64 // inbound UBS edge -> declared payload bound
 	queued    int64            // estimated inbound bytes delivered but unconsumed
 	acct      func(delta int64)
 
@@ -397,8 +397,8 @@ func (s *Stream) SendBuffer(edge uint16, buf *[]byte) error {
 	return s.mux.link.SendSessionBuffer(s.sid, edge, buf)
 }
 
-// SendAck transmits a BBS credit / UBS acknowledgement and retires the
-// acknowledged messages from the session's queued-byte estimate.
+// SendAck transmits a UBS acknowledgement and retires the acknowledged
+// messages from the session's queued-byte estimate.
 func (s *Stream) SendAck(edge uint16, count uint32) error {
 	s.noteConsumed(edge, count)
 	return s.mux.link.SendSessionAck(s.sid, edge, count)
@@ -413,7 +413,9 @@ func (s *Stream) SendFin(edge uint16) error {
 
 // Connect attaches the execution's inbound handler and replays, in
 // arrival order, everything buffered since the session opened. The
-// stream carries exactly one peer, fixed at open time.
+// stream carries exactly one peer, fixed at open time. From then on only
+// inbound UBS edges count toward the queued-byte estimate: the plan bounds a
+// BBS edge, which sends no acknowledgement that could retire its bytes.
 func (s *Stream) Connect(peer int, decls []transport.EdgeDecl, h transport.Handler) (spi.MessageLink, error) {
 	if peer != s.peer {
 		return nil, fmt.Errorf("session %d: execution wants peer %d, stream carries peer %d", s.sid, peer, s.peer)
@@ -423,12 +425,10 @@ func (s *Stream) Connect(peer int, decls []transport.EdgeDecl, h transport.Handl
 	if s.inner != nil {
 		return nil, errors.New("session: stream already bound to an execution")
 	}
-	if s.declBytes == nil {
-		s.declBytes = make(map[uint16]int64, len(decls))
-	}
+	s.declBytes = make(map[uint16]int64, len(decls))
 	for _, d := range decls {
 		s.edges = append(s.edges, d.ID)
-		if !d.Out {
+		if !d.Out && spi.Protocol(d.Protocol) == spi.UBS {
 			s.declBytes[d.ID] = int64(d.Bytes)
 		}
 	}
@@ -436,6 +436,9 @@ func (s *Stream) Connect(peer int, decls []transport.EdgeDecl, h transport.Handl
 	pend := s.pending
 	s.pending = nil
 	for _, ev := range pend {
+		if _, ubs := s.declBytes[ev.edge]; !ubs { // counted before the edge's protocol was known
+			s.account(-int64(len(ev.msg)))
+		}
 		ev.to(h)
 	}
 	if s.closed {
@@ -476,9 +479,8 @@ func (s *Stream) deliver(ev event) {
 	if s.closed {
 		return
 	}
-	if ev.kind == evData && s.acct != nil {
-		s.queued += int64(len(ev.msg))
-		s.acct(int64(len(ev.msg)))
+	if _, ubs := s.declBytes[ev.edge]; ubs || s.inner == nil { // only data has bytes
+		s.account(int64(len(ev.msg)))
 	}
 	if s.inner != nil {
 		ev.to(s.inner)
@@ -552,22 +554,20 @@ func (s *Stream) linkError() error {
 	return s.closeErr
 }
 
+// account moves the queued-byte estimate by delta, never below zero, and
+// reports the move to the tenant's budget. Caller holds s.mu.
+func (s *Stream) account(delta int64) {
+	if delta = max(delta, -s.queued); s.acct != nil && delta != 0 {
+		s.queued += delta
+		s.acct(delta)
+	}
+}
+
 // noteConsumed retires count acknowledged messages from the queued-byte
 // estimate, valued at the edge's declared payload bound.
 func (s *Stream) noteConsumed(edge uint16, count uint32) {
 	s.mu.Lock()
-	if s.acct == nil {
-		s.mu.Unlock()
-		return
-	}
-	delta := int64(count) * s.declBytes[edge]
-	if delta > s.queued {
-		delta = s.queued
-	}
-	if delta > 0 {
-		s.queued -= delta
-		s.acct(-delta)
-	}
+	s.account(-int64(count) * s.declBytes[edge])
 	s.mu.Unlock()
 }
 

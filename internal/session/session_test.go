@@ -649,7 +649,7 @@ func TestStreamByteAccounting(t *testing.T) {
 	s := m.Adopt(9, 1)
 	var total int64
 	s.setAccount(func(d int64) { total += d })
-	if _, err := s.Connect(1, []transport.EdgeDecl{{ID: 2, Bytes: 8}}, &replayRecorder{}); err != nil {
+	if _, err := s.Connect(1, []transport.EdgeDecl{{ID: 2, Bytes: 8, Protocol: uint8(spi.UBS)}}, &replayRecorder{}); err != nil {
 		t.Fatal(err)
 	}
 	m.HandleSessionData(9, 2, make([]byte, 10))
@@ -668,6 +668,87 @@ func TestStreamByteAccounting(t *testing.T) {
 	}
 	if q := s.takeQueued(); q != 0 {
 		t.Fatalf("residual queued = %d", q)
+	}
+}
+
+// bbsRoundTrip is A ⇄ B across the link: ab carries an 8-byte token per
+// iteration to the server's B, and ba returns one with an iteration of
+// delay. The cycle bounds both edges, so both are BBS.
+func bbsRoundTrip() (*dataflow.Graph, *sched.Mapping) {
+	g := dataflow.New("bbs")
+	a := g.AddActor("A", 1)
+	b := g.AddActor("B", 1)
+	g.AddEdge("ab", a, b, 1, 1, dataflow.EdgeSpec{TokenBytes: 8})
+	g.AddEdge("ba", b, a, 1, 1, dataflow.EdgeSpec{TokenBytes: 8, Delay: 1})
+	return g, &sched.Mapping{NumProcs: 2, Proc: []sched.Processor{0, 1}, Order: [][]dataflow.ActorID{{a}, {b}}}
+}
+
+// bbsKernels are bbsRoundTrip's kernels. With reached set, B closes it in
+// its last firing and waits for gate before finishing.
+func bbsKernels(iters int, reached chan<- struct{}, gate <-chan struct{}) map[dataflow.ActorID]spi.Kernel {
+	tok := make([]byte, 8)
+	return map[dataflow.ActorID]spi.Kernel{
+		0: func(int, map[dataflow.EdgeID][]byte) (map[dataflow.EdgeID][]byte, error) {
+			return map[dataflow.EdgeID][]byte{0: tok}, nil
+		},
+		1: func(iter int, _ map[dataflow.EdgeID][]byte) (map[dataflow.EdgeID][]byte, error) {
+			if iter == iters-1 && reached != nil {
+				close(reached)
+				<-gate
+			}
+			return map[dataflow.EdgeID][]byte{1: tok}, nil
+		},
+	}
+}
+
+// TestServeBBSEdgeHoldsNoBytes: a BBS edge sends no acknowledgement that
+// could retire its bytes, and the plan bounds its buffer, so a session
+// whose inbound cross-node edge is BBS adds nothing to its tenant's
+// queued-byte estimate. Under a budget a few messages wide it is not
+// degraded once it has consumed every message, and the estimate is 0
+// then and after release.
+func TestServeBBSEdgeHoldsNoBytes(t *testing.T) {
+	const iters = 50
+	g, m := bbsRoundTrip()
+	reached, gate := make(chan struct{}), make(chan struct{})
+	h := startServe(t, transport.NewLoopback(), "srv", ServerConfig{
+		Graph: g, Mapping: m, Iterations: iters,
+		Kernels:   func(uint32, string) map[dataflow.ActorID]spi.Kernel { return bbsKernels(iters, reached, gate) },
+		Admission: Admission{MaxTenantBytes: 64},
+	}, true)
+	defer h.stop()
+	estimate := func() int64 {
+		h.srv.adm.mu.Lock()
+		defer h.srv.adm.mu.Unlock()
+		return h.srv.adm.tenantBytes["t"]
+	}
+	s, err := h.client.Open("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := spi.ExecuteDistributed(g, m, bbsKernels(iters, nil, nil), iters, spi.DistOptions{
+			Node: clientNode, Addrs: make([]string, 2), NodeOf: testNodeOf, Links: s,
+		})
+		done <- err
+	}()
+	<-reached
+	if snap, n := h.srv.Snapshot(), estimate(); snap.Live != 1 || snap.Degraded != 0 || n != 0 {
+		t.Errorf("after %d inbound BBS messages: %d live, %d degraded, estimate %d bytes; want 1, 0, 0", iters, snap.Live, snap.Degraded, n)
+	}
+	close(gate)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	status, err := s.AwaitClose(20 * time.Second)
+	h.client.Done(s)
+	if err != nil || status != CloseDone {
+		t.Fatalf("close: %s, %v", closeString(status), err)
+	}
+	waitSnapshot(t, h.srv, "completion", func(s Snapshot) bool { return s.Completed == 1 && s.Live == 0 })
+	if n := estimate(); n != 0 {
+		t.Errorf("estimate after release = %d bytes, want 0", n)
 	}
 }
 

@@ -151,4 +151,4 @@ func BenchmarkSendReceiveInto(b *testing.B) {
 
 // outstanding is a sender's unacknowledged window as the watchdog reads it:
 // the lock-free sent and acked mirrors.
-func outstanding(s *Sender) int64 { return s.e.sentMsgs.Load() - s.e.ackedMsgs.Load() }
+func outstanding(s *Sender) int64 { return s.e.outstanding() }

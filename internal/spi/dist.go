@@ -89,8 +89,8 @@ type DistOptions struct {
 	// handshake manifest — UBS acks on edges whose synchronization other
 	// sync paths cover are then never sent. A peer that did not opt in, or
 	// whose computed set disagrees on an edge of the link, is refused at the
-	// handshake, naming the edge. Suppressed counts appear in the per-edge
-	// statistics (EdgeStats.AcksSuppressed).
+	// handshake, naming the edge. The receivers of suppressed edges count
+	// what they did not send in EdgeStats.AcksSuppressed.
 	Resync bool
 	// Block is the vectorization blocking factor B: every node fires B
 	// consecutive iterations per super-iteration and every cross-node edge
@@ -321,6 +321,7 @@ func (env *execEnv) open(spec *PartitionSpec, opts DistOptions) error {
 		if s.tx, s.rx, err = env.rt.Init(spec.Edges[i].config()); err != nil {
 			return err
 		}
+		s.tx.e.noAck = s.peer >= 0 && spec.Edges[i].SuppressAck
 	}
 
 	peers := spec.peerDecls()
@@ -387,9 +388,9 @@ func (env *execEnv) open(spec *PartitionSpec, opts DistOptions) error {
 }
 
 // release unblocks every actor of the deployment wherever it is parked:
-// closing the runtime edges wakes those waiting on a queue or a credit,
-// aborting the owned links those inside a link write (a full resend
-// buffer), which is on no runtime edge.
+// closing the runtime edges wakes those waiting on a queue or a full
+// in-process BBS buffer, aborting the owned links those inside a link
+// write (a full resend buffer), which is on no runtime edge.
 func (env *execEnv) release() {
 	env.rt.CloseAll()
 	for _, l := range env.links {
@@ -481,13 +482,6 @@ func ExecutePartition(spec *PartitionSpec, kernels map[string]Kernel, opts DistO
 	lost := env.finish(runErr == nil || opts.Degrade)
 	if runErr == nil && lost != nil {
 		runErr = fmt.Errorf("spi: node %d: %w", env.node, lost)
-	}
-
-	// Fold in the acks the resynchronization verdict kept off the wire.
-	for _, l := range env.links {
-		for edge, n := range l.SuppressedAcks() {
-			env.rt.foldLinkAcks(EdgeID(edge), n)
-		}
 	}
 
 	stats := env.stats(iterations)

@@ -298,9 +298,8 @@ func (env *execEnv) fireProc(p *procPlan, base, n int) error {
 // every cross-processor edge incident to its actors is closed (receivers
 // drain what is already queued, then see ErrClosed) and, for cross-node
 // edges, FIN'd so the remote half starves too — out-edge FINs cut the data
-// supply, in-edge FINs release remote BBS senders waiting on credits that
-// will never come. Actors not reachable from the dead processor keep
-// running to completion.
+// supply, in-edge FINs stop the remote senders at their next send. Actors
+// not reachable from the dead processor keep running to completion.
 func (env *execEnv) starve(p *procPlan) {
 	for ai := range p.actors {
 		a := &p.actors[ai]
@@ -563,7 +562,7 @@ func Execute(g *dataflow.Graph, m *sched.Mapping, kernels map[dataflow.ActorID]K
 // ExecuteBlocked runs the mapped graph like Execute but vectorized by
 // vec.Block: B consecutive iterations fire per super-iteration and every
 // interprocessor edge moves B tokens as one packed slab, paying headers,
-// credits, and acks once per block. Outputs are
+// in-process BBS waits, and acks once per block. Outputs are
 // bit-identical to the scalar run. vec.Block <= 1 is Execute exactly. It is
 // ExecuteDistributed with every processor on the one node.
 func ExecuteBlocked(g *dataflow.Graph, m *sched.Mapping, kernels map[dataflow.ActorID]Kernel, iterations int, vec VecOptions) (*ExecStats, error) {

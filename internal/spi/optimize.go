@@ -25,14 +25,22 @@ type ResyncPlan struct {
 	// it as built.
 	Graph *syncgraph.Graph
 	// Suppressed maps each suppressible dataflow edge to its witness.
-	// Only UBS interprocessor edges appear: BBS credits are flow
-	// control, never redundant bookkeeping.
+	// Only UBS interprocessor edges appear: a BBS edge sends no
+	// acknowledgement to suppress.
 	Suppressed map[dataflow.EdgeID]string
+	// BBS holds the interprocessor BBS edges. The analysis bounds their
+	// buffers, so they send no acknowledgement and their feedback edges
+	// carry no message on the wire whatever the verdict.
+	BBS map[dataflow.EdgeID]bool
 	// AckFeedback counts the acknowledgement feedback edges added to the
 	// synchronization graph; AckSurviving counts those the optimization
 	// could not remove.
 	AckFeedback, AckSurviving int
 }
+
+// Silent counts the feedback edges that carry no message on the wire: the
+// suppressed UBS acknowledgements and every BBS edge's.
+func (p *ResyncPlan) Silent() int { return len(p.Suppressed) + len(p.BBS) }
 
 // SuppressedIDs returns the suppression set as sorted uint16 edge IDs —
 // the form transport.LinkConfig.ResyncEdges takes.
@@ -80,6 +88,7 @@ func (pl *graphPlan) resyncSuppression(m *sched.Mapping) (*ResyncPlan, error) {
 		Report:      rep,
 		Graph:       sg,
 		Suppressed:  map[dataflow.EdgeID]string{},
+		BBS:         map[dataflow.EdgeID]bool{},
 		AckFeedback: added, AckSurviving: surviving,
 	}
 	if added == 0 {
@@ -91,6 +100,9 @@ func (pl *graphPlan) resyncSuppression(m *sched.Mapping) (*ResyncPlan, error) {
 		e := g.Edge(eid)
 		if m.Proc[e.Src] != m.Proc[e.Snk] {
 			byName[e.Name] = eid
+			if Protocol(pl.edge(eid).Protocol) == BBS {
+				plan.BBS[eid] = true
+			}
 		}
 	}
 
@@ -101,12 +113,9 @@ func (pl *graphPlan) resyncSuppression(m *sched.Mapping) (*ResyncPlan, error) {
 			continue
 		}
 		eid, ok := byName[name]
-		if !ok {
-			continue
-		}
 		// Protocol selection must match the deployment exactly: only UBS
 		// edges carry acknowledgements, so only they can have one suppressed.
-		if Protocol(pl.edge(eid).Protocol) != UBS {
+		if !ok || plan.BBS[eid] {
 			continue
 		}
 		// The removal is only actionable with an explicit witness: a path

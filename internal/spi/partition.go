@@ -66,7 +66,7 @@ type PartEdge struct {
 	// resynchronization verdict proved redundant (see ResyncSuppression).
 	// It is stamped only when the run asked for resynchronization, and a
 	// deployment acts on it wherever the edge crosses workers: the link
-	// declares it in its handshake manifest and swallows the acks.
+	// declares it in its handshake manifest, and the receiver sends no ack.
 	SuppressAck bool
 }
 

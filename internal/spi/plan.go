@@ -58,7 +58,7 @@ func newGraphPlan(g *dataflow.Graph, block int) (*graphPlan, error) {
 // networked edges, so a distributed run and its single-process reference
 // use the same protocols on the same edges. In a blocked run every
 // cross-processor edge carries consumer-aligned B-token slabs, whatever its
-// delay (execute.go, pack). Capacity and the BBS credit pool are accounted
+// delay (execute.go, pack). Capacity and the BBS buffer bound are accounted
 // in messages — slabs in a blocked run, scaling the eq. 2 memory bound by
 // B — and leave room for one message beyond the ⌊delay/B⌋ preloaded slabs.
 func (p *graphPlan) edge(eid dataflow.EdgeID) PartEdge {

@@ -12,15 +12,16 @@ import (
 // processes. The Sender/Receiver API is unchanged: Send encodes the
 // message with the same SPI_static / SPI_dynamic wire format and hands its
 // buffer to the link; inbound messages and acknowledgements are injected by
-// the transport layer through DeliverData / DeliverAck. Buffer
-// synchronization crosses the wire too:
+// the transport layer through DeliverData / DeliverAck. Which consumed
+// message sends an acknowledgement is the plan's decision alone (acks):
 //
-//   - BBS: the sender blocks while Capacity messages are unacknowledged;
-//     the remote receiver returns one credit (an ACK frame) per consumed
-//     message, exactly the shared read-pointer the in-process protocol
-//     maintains.
-//   - UBS: the sender never blocks; acknowledgements keep the sent/acked
-//     window consistent for the dynamic buffer bookkeeping.
+//   - BBS: nothing crosses back. The analysis bounds the buffer, so the
+//     sender never waits; the receiver checks the bound, and a message that
+//     arrives with Capacity messages queued fails the edge — a bug in the
+//     bound or in the executor's self-timed order, never flow control.
+//   - UBS: the sender never blocks; the receiver acks each consumed
+//     message, keeping the sent/acked window for the buffer bookkeeping,
+//     unless the §4 resynchronization verdict suppresses the edge.
 //
 // Any MessageLink implementation works; transport.Link satisfies the
 // interface, and a session's stream (internal/session) tags what it sends
@@ -34,28 +35,28 @@ type MessageLink interface {
 	// buf holds behind transport.Headroom bytes of room for the frame
 	// header, and takes the buffer (see transport.Link.SendBuffer).
 	SendBuffer(edge uint16, buf *[]byte) error
-	// SendAck transmits a BBS credit / UBS acknowledgement count.
+	// SendAck transmits a UBS acknowledgement count.
 	SendAck(edge uint16, count uint32) error
 	// SendFin tells the peer this side of one edge is permanently done —
-	// no more data will be produced (out edges) and no more credits
-	// returned (in edges). Used by graceful degradation to starve exactly
+	// no more data will be produced (out edges) and no more messages
+	// consumed (in edges). Used by graceful degradation to starve exactly
 	// the actors downstream of a failure while the rest of the graph
 	// drains.
 	SendFin(edge uint16) error
 }
 
 // BindRemoteSender routes the edge's Send side over link: payloads are
-// encoded as usual but transmitted instead of queued locally, and the
-// BBS/UBS window is maintained from acknowledgements delivered via
-// DeliverAck. Bind before the first Send; each half binds at most once.
+// encoded as usual but transmitted instead of queued locally, and the UBS
+// window is maintained from acknowledgements delivered via DeliverAck.
+// Bind before the first Send; each half binds at most once.
 func (r *Runtime) BindRemoteSender(id EdgeID, link MessageLink) error {
 	return r.bind(id, link, "sender", func(e *edge) *MessageLink { return &e.remoteTx })
 }
 
 // BindRemoteReceiver marks the edge's Receive side as fed by link:
-// messages arrive via DeliverData, and every consumed message sends an
-// acknowledgement (BBS credit or UBS ack) back through the link. Bind
-// before the first Receive; each half binds at most once.
+// messages arrive via DeliverData, and on a UBS edge every consumed
+// message sends an acknowledgement back through the link. Bind before the
+// first Receive; each half binds at most once.
 func (r *Runtime) BindRemoteReceiver(id EdgeID, link MessageLink) error {
 	return r.bind(id, link, "receiver", func(e *edge) *MessageLink { return &e.remoteRx })
 }
@@ -79,7 +80,8 @@ func (r *Runtime) bind(id EdgeID, link MessageLink, name string, half func(*edge
 // what a link's handler does without the runtime's lock. Unknown edges
 // and messages arriving after close are dropped: both can only happen during
 // shutdown races or against a misbehaving peer, and network input must never
-// panic the runtime.
+// panic the runtime. A message that finds a BBS edge's Capacity slots full
+// fails the edge instead of queueing: Receive returns the error.
 func (r *Runtime) DeliverData(edge uint16, msg []byte) { r.edge(EdgeID(edge)).deliverData(msg) }
 
 func (e *edge) deliverData(msg []byte) {
@@ -92,7 +94,11 @@ func (e *edge) deliverData(msg []byte) {
 	mb := transport.Buffer(len(msg))
 	*mb = append(*mb, msg...)
 	e.mu.Lock()
-	if e.closed {
+	if e.fault == nil && e.cfg.Protocol == BBS && e.qdepthLocked() >= e.cfg.Capacity {
+		// The receiver is not waiting: Capacity messages are queued.
+		e.fault = fmt.Errorf("spi: edge %s: a message arrived with all %d BBS slots full", e.displayName(), e.cfg.Capacity)
+	}
+	if e.closed || e.fault != nil {
 		e.mu.Unlock()
 		transport.Recycle(mb)
 		return
@@ -105,19 +111,14 @@ func (e *edge) deliverData(msg []byte) {
 }
 
 // DeliverAck credits the edge's sender with count acknowledgements from
-// the remote receiver, unblocking a BBS sender waiting on its window and
-// advancing the UBS sent/acked bookkeeping.
+// the remote receiver, advancing the UBS sent/acked bookkeeping. Nothing
+// waits on it.
 func (r *Runtime) DeliverAck(edge uint16, count uint32) { r.edge(EdgeID(edge)).deliverAck(count) }
 
 func (e *edge) deliverAck(count uint32) {
-	if e == nil {
-		return
+	if e != nil {
+		e.ackedMsgs.Add(int64(count))
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.acked += int64(count)
-	e.ackedMsgs.Add(int64(count))
-	e.cond.Broadcast()
 }
 
 // CloseEdge closes one edge: blocked senders return ErrClosed immediately,

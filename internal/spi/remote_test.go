@@ -2,8 +2,10 @@ package spi
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/transport"
 )
@@ -106,39 +108,90 @@ func TestRemoteSenderRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRemoteBBSWindow checks that a remote BBS sender blocks on the credit
-// window and unblocks when DeliverAck returns credits.
-func TestRemoteBBSWindow(t *testing.T) {
+// TestRemoteBBSSenderNeverBlocks: the analysis bounds a BBS edge, so a
+// remote sender waits for no credit — every send returns at once, well past
+// Capacity — and its receiver sends no acknowledgement back.
+func TestRemoteBBSSenderNeverBlocks(t *testing.T) {
 	cfg := EdgeConfig{ID: 2, Mode: Static, PayloadBytes: 4, Protocol: BBS, Capacity: 2}
-	rt := NewRuntime()
-	tx, _, err := rt.Init(cfg)
+	rtA, rtB := NewRuntime(), NewRuntime()
+	tx, _, err := rtA.Init(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	link := &fakeLink{}
-	if err := rt.BindRemoteSender(2, link); err != nil {
+	_, rx, err := rtB.Init(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	pay := []byte{1, 2, 3, 4}
-	for i := 0; i < 2; i++ {
-		if err := tx.Send(pay); err != nil {
+	linkA, linkB := &fakeLink{}, &fakeLink{}
+	if err := rtA.BindRemoteSender(2, linkA); err != nil {
+		t.Fatal(err)
+	}
+	if err := rtB.BindRemoteReceiver(2, linkB); err != nil {
+		t.Fatal(err)
+	}
+	const n = 10
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < n; i++ {
+			if err := tx.Send([]byte{1, 2, 3, byte(i)}); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a remote BBS sender blocked")
+	}
+	if len(linkA.data) != n {
+		t.Fatalf("link carried %d messages, want %d", len(linkA.data), n)
+	}
+	for _, msg := range linkA.data[:cfg.Capacity] {
+		rtB.DeliverData(2, msg)
+		if _, err := rx.Receive(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Window full: the third send must block until a credit arrives.
-	done := make(chan error, 1)
-	go func() { done <- tx.Send(pay) }()
-	select {
-	case err := <-done:
-		t.Fatalf("send beyond window returned early: %v", err)
-	default:
+	if st, _ := rtA.Stats(2); st.CreditWaits != 0 {
+		t.Errorf("credit waits = %d, want 0", st.CreditWaits)
 	}
-	rt.DeliverAck(2, 1)
-	if err := <-done; err != nil {
+	if st, _ := rtB.Stats(2); len(linkB.acks) != 0 || st.Acks != 0 {
+		t.Errorf("BBS receiver sent acks %v (stats %d), want none", linkB.acks, st.Acks)
+	}
+}
+
+// TestRemoteBBSOverrunFails: a message that arrives with every BBS slot
+// full fails the edge, and Receive returns an error naming the edge and
+// its bound instead of a bare ErrClosed.
+func TestRemoteBBSOverrunFails(t *testing.T) {
+	cfg := EdgeConfig{ID: 2, Name: "sums", Mode: Static, PayloadBytes: 1, Protocol: BBS, Capacity: 2}
+	rt := NewRuntime()
+	_, rx, err := rt.Init(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(link.data) != 3 {
-		t.Fatalf("link carried %d messages, want 3", len(link.data))
+	if err := rt.BindRemoteReceiver(2, &fakeLink{}); err != nil {
+		t.Fatal(err)
+	}
+	msg := AppendMessage(nil, Static, 2, []byte{7})
+	rt.DeliverData(2, msg)
+	rt.DeliverData(2, msg)
+	if _, err := rx.Receive(); err != nil {
+		t.Fatal(err)
+	}
+	rt.DeliverData(2, msg) // two queued again: at the bound, not past it
+	rt.DeliverData(2, msg) // past it
+	_, err = rx.Receive()
+	if err == nil || errors.Is(err, ErrClosed) || !strings.Contains(err.Error(), "edge sums") || !strings.Contains(err.Error(), "all 2 BBS slots full") {
+		t.Fatalf("receive after an overrun: %v, want the edge's bound error", err)
+	}
+	if _, again := rx.Receive(); again == nil || again.Error() != err.Error() {
+		t.Fatalf("second receive: %v, want the same error", again)
 	}
 }
 

@@ -18,13 +18,15 @@ import (
 type Protocol uint8
 
 const (
-	// BBS is bounded-buffer synchronization: the sender blocks when the
-	// buffer holds Capacity messages. Use when the VTS/IPC analysis proves
-	// a bound (vts.Bounds.Bounded).
+	// BBS is bounded-buffer synchronization, for edges whose buffer the
+	// VTS/IPC analysis bounds (vts.Bounds.Bounded): no acknowledgement
+	// crosses between the ends. An in-process sender blocks while the
+	// buffer holds Capacity messages; a remote one never waits, and its
+	// receiver fails the edge when a message arrives past Capacity.
 	BBS Protocol = iota
 	// UBS is unbounded-buffer synchronization: the sender never blocks;
-	// the receiver acknowledges each message so the sender can reclaim
-	// buffer space consistently.
+	// the receiver acknowledges each consumed message, unless the §4
+	// resynchronization verdict suppresses the edge's acknowledgements.
 	UBS
 )
 
@@ -38,9 +40,8 @@ func (p Protocol) String() string {
 // ErrClosed is returned by operations on a closed edge.
 var ErrClosed = errors.New("spi: edge closed")
 
-// AckMessageBytes is the wire size of one acknowledgement — the UBS ack /
-// BBS credit payload — charged in edge statistics and by the platform
-// lowering (Build).
+// AckMessageBytes is the wire size of one UBS acknowledgement, charged in
+// edge statistics and by the platform lowering (Build).
 const AckMessageBytes = 4
 
 // EdgeConfig declares one interprocessor edge to the runtime — the work of
@@ -93,19 +94,17 @@ type EdgeStats struct {
 	Acks int64
 	// AckBytes is the wire cost of those acknowledgements
 	// (AckMessageBytes each) — the synchronization traffic the
-	// resynchronization verdict (ResyncSuppression) removes on bounded edges.
+	// resynchronization verdict (ResyncSuppression) removes.
 	AckBytes int64
 	// AcksPiggybacked is always 0, kept until a `benchmark` PR stops naming
 	// it: every acknowledgement that reaches the wire is an ACK frame.
 	AcksPiggybacked int64
-	// AcksSuppressed counts acknowledgements the resynchronization
-	// verdict removed from the wire entirely: the receiver issued them,
-	// but the link swallowed them on an ack-suppressed edge. Folded
-	// in after a distributed run; Acks/AckBytes are reduced by the same
-	// amount so they count only traffic that actually reached the wire.
+	// AcksSuppressed counts the acknowledgements the resynchronization
+	// verdict removed: the receiver of a suppressed cross-node UBS edge
+	// counts one per consumed message here and sends none.
 	AcksSuppressed int64
-	// CreditWaits counts Send calls that blocked on a full BBS window
-	// before proceeding.
+	// CreditWaits counts Send calls that blocked on a full in-process BBS
+	// queue before proceeding.
 	CreditWaits int64
 	// MaxQueued is the largest observed buffer occupancy in messages.
 	MaxQueued int
@@ -119,6 +118,7 @@ type edgeObs struct {
 	dataBytes   *obs.Counter
 	acks        *obs.Counter
 	ackBytes    *obs.Counter
+	suppressed  *obs.Counter
 	creditWaits *obs.Counter
 	queueDepth  *obs.Gauge
 	tr          *obs.Tracer
@@ -143,9 +143,10 @@ func newEdgeObs(o *obs.Observer, cfg EdgeConfig) edgeObs {
 	return edgeObs{
 		msgs:        o.Counter("spi_edge_messages_total", "Data messages transferred per SPI edge.", l),
 		dataBytes:   o.Counter("spi_edge_data_bytes_total", "Wire bytes (payload+header) of data messages per SPI edge.", l),
-		acks:        o.Counter("spi_edge_acks_total", "Acknowledgements (UBS acks / BBS credits) issued per SPI edge.", l),
+		acks:        o.Counter("spi_edge_acks_total", "UBS acknowledgements issued per SPI edge.", l),
 		ackBytes:    o.Counter("spi_edge_ack_bytes_total", "Wire bytes of acknowledgement traffic per SPI edge.", l),
-		creditWaits: o.Counter("spi_edge_credit_waits_total", "Send calls that blocked on a full BBS window per SPI edge.", l),
+		suppressed:  o.Counter("spi_edge_acks_suppressed_total", "Acknowledgements the resynchronization verdict removed per SPI edge.", l),
+		creditWaits: o.Counter("spi_edge_credit_waits_total", "Send calls that blocked on a full in-process BBS queue per SPI edge.", l),
 		queueDepth:  o.Gauge("spi_edge_queue_depth", "Current buffer occupancy in messages per SPI edge.", l),
 		tr:          o.Tracer(),
 		pid:         o.Pid(),
@@ -211,8 +212,11 @@ type edge struct {
 	queue  []*[]byte // message buffers (see message); live entries are queue[qhead:]
 	qhead  int       // consumed prefix of queue (see pushLocked/popLocked)
 	closed bool
+	fault  error // why deliverData failed the edge: Receive returns it at once
 	stats  EdgeStats
-	acked  int64 // messages acknowledged by the receiver (UBS, and BBS credits on remote edges)
+	// noAck marks a cross-node UBS edge the §4 verdict suppresses. It is
+	// set when the deployment opens, before any traffic.
+	noAck bool
 
 	// Lock-free mirrors of the queue length, send/ack totals, and the
 	// closed flag, maintained at every mutation site under mu. The
@@ -225,7 +229,8 @@ type edge struct {
 
 	// Remote binding (see remote.go): when remoteTx is set the Sender
 	// transmits over the link instead of queueing; when remoteRx is set
-	// the queue is fed by DeliverData and every consume acks the peer.
+	// the queue is fed by DeliverData and, where the edge acks (acks),
+	// every consume acks the peer.
 	remoteTx MessageLink
 	remoteRx MessageLink
 }
@@ -368,21 +373,6 @@ func (r *Runtime) CloseAll() {
 	r.eachEdge((*edge).close)
 }
 
-// foldLinkAcks folds the acks a link swallowed on one resync-suppressed
-// edge into the edge's statistics after the run: the receive path counted
-// each SendAck optimistically, so they move out of the wire-traffic columns.
-func (r *Runtime) foldLinkAcks(id EdgeID, suppressed int64) {
-	e := r.edge(id)
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
-	e.stats.Acks -= suppressed
-	e.stats.AckBytes -= suppressed * AckMessageBytes
-	e.stats.AcksSuppressed += suppressed
-	e.mu.Unlock()
-}
-
 // TotalStats sums statistics across all edges.
 func (r *Runtime) TotalStats() EdgeStats {
 	var t EdgeStats
@@ -460,42 +450,39 @@ func (e *edge) checkPayload(payload []byte) error {
 	return nil
 }
 
-// bbsFullLocked reports whether a BBS sender must wait for credit. The
-// remote window is (sent - acked) against Capacity — the shared
-// write/read-pointer distance, maintained from the peer's credit
-// messages — while the local window is the queue length. Caller holds
-// e.mu.
-func (e *edge) bbsFullLocked(remote bool) bool {
-	if e.cfg.Protocol != BBS || e.closed {
-		return false
-	}
-	if remote {
-		return int(e.stats.Messages-e.acked) >= e.cfg.Capacity
-	}
-	return e.qdepthLocked() >= e.cfg.Capacity
+// acks reports whether a consumed message sends an acknowledgement: on a
+// UBS edge the verdict does not suppress. A BBS edge never does — the
+// analysis bounds its buffer.
+func (e *edge) acks() bool { return e.cfg.Protocol == UBS && !e.noAck }
+
+// bbsFullLocked reports whether an in-process BBS sender must wait for the
+// receiver to consume. Caller holds e.mu.
+func (e *edge) bbsFullLocked() bool {
+	return e.cfg.Protocol == BBS && !e.closed && e.qdepthLocked() >= e.cfg.Capacity
 }
 
-// waitCreditLocked blocks while the BBS window is full, counting the
-// stall once per call. Caller holds e.mu.
-func (e *edge) waitCreditLocked(remote bool) {
-	if !e.bbsFullLocked(remote) {
+// waitCreditLocked blocks while the in-process BBS queue is full, counting
+// the stall once per call. Caller holds e.mu.
+func (e *edge) waitCreditLocked() {
+	if !e.bbsFullLocked() {
 		return
 	}
 	e.stats.CreditWaits++
 	e.obs.creditWaits.Inc()
 	start := e.obs.tr.Now()
-	for e.bbsFullLocked(remote) {
+	for e.bbsFullLocked() {
 		e.cond.Wait()
 	}
 	e.obs.tr.Span("edge", e.obs.evStall, e.obs.pid, int(e.cfg.ID), start)
 }
 
-// sendRemoteLocked hands one message buffer to the link after waiting out
-// the BBS window. Caller holds e.mu; released on return. The link takes mb:
-// it seals the frame in the buffer's headroom, files the buffer in its
-// resend buffer and recycles it once the peer has acknowledged the frame.
+// sendRemoteLocked hands one message buffer to the link; it never waits.
+// Caller holds e.mu; released on return. The link takes mb: it seals the
+// frame in the buffer's headroom, files the buffer in its resend buffer and
+// recycles it once the peer has acknowledged the frame. The unacknowledged
+// messages are the queue depth where the edge acks; a BBS receiver counts
+// its own (deliverData).
 func (e *edge) sendRemoteLocked(link MessageLink, payloadLen int, mb *[]byte) error {
-	e.waitCreditLocked(true)
 	if e.closed {
 		e.mu.Unlock()
 		transport.Recycle(mb)
@@ -506,14 +493,12 @@ func (e *edge) sendRemoteLocked(link MessageLink, payloadLen int, mb *[]byte) er
 	e.sentMsgs.Add(1)
 	e.stats.PayloadBytes += int64(payloadLen)
 	e.stats.WireBytes += wire
-	q := int(e.stats.Messages - e.acked)
-	if q > e.stats.MaxQueued {
-		e.stats.MaxQueued = q
-	}
+	q := e.outstanding()
+	e.stats.MaxQueued = max(e.stats.MaxQueued, int(q))
 	e.mu.Unlock()
 	e.obs.msgs.Inc()
 	e.obs.dataBytes.Add(wire)
-	e.obs.queueDepth.Set(int64(q))
+	e.obs.queueDepth.Set(q)
 	e.obs.tr.Instant("edge", e.obs.evSend, e.obs.pid, int(e.cfg.ID), obs.A("bytes", wire))
 	if err := link.SendBuffer(uint16(e.cfg.ID), mb); err != nil {
 		return fmt.Errorf("spi: edge %d remote send: %w", e.cfg.ID, err)
@@ -525,7 +510,7 @@ func (e *edge) sendRemoteLocked(link MessageLink, payloadLen int, mb *[]byte) er
 // waiting out the BBS capacity. Caller holds e.mu; released on return.
 // The queue takes q.
 func (e *edge) queueLocalLocked(q *[]byte, payloadLen int) error {
-	e.waitCreditLocked(false)
+	e.waitCreditLocked()
 	if e.closed {
 		e.mu.Unlock()
 		transport.Recycle(q)
@@ -551,7 +536,8 @@ func (e *edge) queueLocalLocked(q *[]byte, payloadLen int) error {
 
 // Send transmits one payload. For Static edges the payload must have
 // exactly the configured size; for Dynamic edges it must not exceed
-// MaxBytes. Under BBS, Send blocks while the buffer is full. Send copies
+// MaxBytes. Under BBS, Send blocks while the in-process buffer is full;
+// a remote-bound Send never blocks on the protocol. Send copies
 // the payload; the caller may reuse its slice.
 func (s *Sender) Send(payload []byte) error { return s.send(payload, nil) }
 
@@ -591,7 +577,7 @@ func (s *Sender) sendBuffer(mb *[]byte, payloadLen int) error {
 
 // SendBatch transmits payloads in order, all of them validated before any
 // moves — how an edge's delay tokens are preloaded (dist.go). Each is sent
-// as Send sends it, BBS credit waits included; on a remote edge they reach
+// as Send sends it, in-process BBS waits included; on a remote edge they reach
 // the link back to back, so its writer sends the burst in a few large
 // writes.
 func (s *Sender) SendBatch(payloads [][]byte) error {
@@ -633,7 +619,9 @@ func (e *edge) decodePayload(msg []byte) ([]byte, error) {
 
 // Receive blocks for the next message, decodes it, and returns the payload.
 // Under UBS the receiver issues an acknowledgement (counted in stats) after
-// consuming. The returned slice is owned by the caller.
+// consuming, unless the edge's acknowledgements are suppressed. On a remote
+// BBS edge that a message overran, it returns the error naming the edge and
+// its bound. The returned slice is owned by the caller.
 func (rc *Receiver) Receive() ([]byte, error) {
 	return rc.ReceiveInto(nil)
 }
@@ -665,31 +653,27 @@ func (rc *Receiver) receive() (payload []byte, mb *[]byte, err error) {
 	for e.qdepthLocked() == 0 && !e.closed {
 		e.cond.Wait()
 	}
-	if e.qdepthLocked() == 0 && e.closed {
+	if e.fault != nil || e.qdepthLocked() == 0 {
+		err := cmp.Or(e.fault, ErrClosed)
 		e.mu.Unlock()
-		return nil, nil, ErrClosed
+		return nil, nil, err
 	}
 	q := e.popLocked()
 	depth := e.qdepthLocked()
-	link := e.remoteRx
-	acked := false
-	if link == nil {
-		if e.cfg.Protocol == UBS {
-			e.acked++
-			e.ackedMsgs.Add(1)
-			e.stats.Acks++
-			e.stats.AckBytes += AckMessageBytes
-			acked = true
-		}
-	} else {
-		// Remote edge: the credit/ack must cross the wire. Count it for
-		// both protocols — on a network edge the BBS credit is a real
-		// synchronization message, not a shared-memory pointer update.
+	var link MessageLink
+	acked := e.acks()
+	switch {
+	case acked:
 		e.stats.Acks++
 		e.stats.AckBytes += AckMessageBytes
-		acked = true
+		if link = e.remoteRx; link == nil {
+			e.ackedMsgs.Add(1)
+		}
+	case e.noAck:
+		e.stats.AcksSuppressed++
+		e.obs.suppressed.Inc()
 	}
-	e.cond.Broadcast() // return BBS credit / wake senders
+	e.cond.Broadcast() // wake an in-process BBS sender
 	id := e.cfg.ID
 	e.mu.Unlock()
 	e.obs.queueDepth.Set(int64(depth))
@@ -701,10 +685,10 @@ func (rc *Receiver) receive() (payload []byte, mb *[]byte, err error) {
 		e.obs.tr.InstantAt(ts, "edge", e.obs.evAck, e.obs.pid, int(id))
 	}
 	if link != nil {
-		// A failed ack only starves the remote sender of a credit, and a
-		// link that cannot carry the ack has already died or closed — the
-		// transport layer closes the affected edges, so the failure
-		// surfaces there. The message itself was delivered; keep it.
+		// An ack gates no sender, and a link that cannot carry it has
+		// already died or closed — the transport layer closes the
+		// affected edges, so the failure surfaces there. The message
+		// itself was delivered; keep it.
 		_ = link.SendAck(uint16(id), 1)
 	}
 	if payload, err = e.decodePayload(message(q)); err != nil {

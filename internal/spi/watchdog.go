@@ -176,11 +176,19 @@ func (wd *watchdog) stallError() *StallError {
 	})
 	sort.Strings(e.Stalled)
 	wd.env.rt.eachEdge(func(ed *edge) {
-		if ed.qlen.Load() > 0 || ed.sentMsgs.Load() != ed.ackedMsgs.Load() {
+		if ed.qlen.Load() > 0 || ed.outstanding() != 0 {
 			e.Edges = append(e.Edges, ed.displayName())
 		}
 	})
 	return e
+}
+
+// outstanding is the edge's unacknowledged messages if it acks at all.
+func (e *edge) outstanding() (n int64) {
+	if e.acks() {
+		n = e.sentMsgs.Load() - e.ackedMsgs.Load()
+	}
+	return n
 }
 
 // dump snapshots every edge's queue/credit state into the observer:
@@ -201,7 +209,7 @@ func (wd *watchdog) dump(kind string, silent time.Duration) {
 		l := obs.L("edge", name)
 		queued, sent, acked := e.qlen.Load(), e.sentMsgs.Load(), e.ackedMsgs.Load()
 		o.Gauge("spi_watchdog_edge_queued", "Messages queued per edge at the last watchdog dump.", l).Set(queued)
-		o.Gauge("spi_watchdog_edge_outstanding", "Unacknowledged messages per edge at the last watchdog dump.", l).Set(sent - acked)
+		o.Gauge("spi_watchdog_edge_outstanding", "Unacknowledged messages per acknowledging edge at the last watchdog dump.", l).Set(e.outstanding())
 		closed := int64(0)
 		if e.closedBit.Load() {
 			closed = 1

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/dataflow"
+	"repro/internal/sched"
 	"repro/internal/transport"
 )
 
@@ -239,5 +240,54 @@ func TestWatchVerdict(t *testing.T) {
 		if !strings.Contains(msg, want) {
 			t.Errorf("StallError %q does not mention %q", msg, want)
 		}
+	}
+}
+
+// TestStallSparesDrainedBBSEdges: a BBS edge sends no acknowledgement, so
+// its sent count never meets an acked one; a stall report must not list it
+// as pending once it is drained. A ⇄ B is a BBS cycle (ba carries the
+// delay), C reads bc, then ac (both UBS). B stalls inside its last firing,
+// so ab and ba are drained, bc is acknowledged up to date, and only ac,
+// where A's last message waits for C, is pending.
+func TestStallSparesDrainedBBSEdges(t *testing.T) {
+	const iterations, window = 20, 200 * time.Millisecond
+	g := dataflow.New("bbsstall")
+	a := g.AddActor("A", 1)
+	b := g.AddActor("B", 1)
+	c := g.AddActor("C", 1)
+	ab := g.AddEdge("ab", a, b, 1, 1, dataflow.EdgeSpec{TokenBytes: 1})
+	ba := g.AddEdge("ba", b, a, 1, 1, dataflow.EdgeSpec{TokenBytes: 1, Delay: 1})
+	bc := g.AddEdge("bc", b, c, 1, 1, dataflow.EdgeSpec{TokenBytes: 1})
+	ac := g.AddEdge("ac", a, c, 1, 1, dataflow.EdgeSpec{TokenBytes: 1})
+	m := &sched.Mapping{NumProcs: 3, Proc: []sched.Processor{0, 1, 2}, Order: [][]dataflow.ActorID{{a}, {b}, {c}}}
+	tok := []byte{1}
+	kernels := map[dataflow.ActorID]Kernel{
+		a: func(int, map[dataflow.EdgeID][]byte) (map[dataflow.EdgeID][]byte, error) {
+			return map[dataflow.EdgeID][]byte{ab: tok, ac: tok}, nil
+		},
+		b: func(iter int, _ map[dataflow.EdgeID][]byte) (map[dataflow.EdgeID][]byte, error) {
+			if iter == iterations-1 {
+				time.Sleep(3 * window) // outlasts the watchdog, then returns
+			}
+			return map[dataflow.EdgeID][]byte{ba: tok, bc: tok}, nil
+		},
+		c: func(int, map[dataflow.EdgeID][]byte) (map[dataflow.EdgeID][]byte, error) { return nil, nil },
+	}
+	plan, err := newGraphPlan(g, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []dataflow.EdgeID{ab, ba} {
+		if Protocol(plan.edge(e).Protocol) != BBS {
+			t.Fatalf("edge %s is not BBS: the graph no longer exercises the rule", g.Edge(e).Name)
+		}
+	}
+	_, err = ExecuteBlocked(g, m, kernels, iterations, VecOptions{StallTimeout: window})
+	var se *StallError
+	if !errors.As(err, &se) {
+		t.Fatalf("run returned %v, want a StallError", err)
+	}
+	if strings.Join(se.Stalled, ",") != "B,C" || strings.Join(se.Edges, ",") != "ac" {
+		t.Fatalf("stalled %v, pending edges %v; want [B C] and [ac]", se.Stalled, se.Edges)
 	}
 }

@@ -113,6 +113,12 @@ func TestWriterBoundsResendBytes(t *testing.T) {
 			if least := int64((total - ackBytes) / (resendBytes + slabFrame)); acks < least || acks <= n/ackInterval {
 				t.Fatalf("%d cumulative acks for %d bytes in %d frames; the byte cadence sends at least %d", acks, total, n, least)
 			}
+			// The cadence owes an ack every ⌈ackBytes/slabFrame⌉ frames, and it
+			// leaves on time: the reader yields to the writer it woke. Before
+			// it did, the writer's pass ran late and a run sent 14–45 of 50.
+			if owed := int64(n / ((ackBytes + slabFrame - 1) / slabFrame)); acks < owed*4/5 {
+				t.Fatalf("%d cumulative acks where the cadence owes %d: the owed acks waited for the writer", acks, owed)
+			}
 			start := time.Now()
 			closeBoth(dialer, acceptor)
 			if took := time.Since(start); took > closeTimeout/2 {

@@ -8,7 +8,7 @@ import (
 	"sync"
 )
 
-// Link wire protocol, version 6. Every frame is length-delimited and
+// Link wire protocol, version 7. Every frame is length-delimited and
 // self-checking so the SPI message inside a DATA frame crosses the stream
 // byte-identical to its in-process encoding (spi.AppendMessage), and so a
 // corrupted or truncated frame is detected at the receiver instead of
@@ -18,7 +18,7 @@ import (
 //	HELLO    := u32 magic | u8 version | u8 flags | u16 node | u64 token | u16 nedges | nedges * decl
 //	decl     := u16 edge | u8 mode | u8 flags | u32 bytes | u8 protocol | u32 capacity
 //	DATA     := u32 tag | SPI-encoded message (edge ID in its first 2 bytes)
-//	ACK      := u32 tag | u16 edge | u32 count  (BBS credits / UBS acks)
+//	ACK      := u32 tag | u16 edge | u32 count  (UBS acks; a BBS edge sends none)
 //	FIN      := u32 tag | u16 edge              (edge teardown, degradation)
 //	CUMACK   := u64 recvSeq                     (transport-level cumulative ack)
 //	RESUME   := u32 magic | u8 version | u16 node | u64 token | u64 recvSeq
@@ -55,13 +55,15 @@ const (
 	frameResumeOK byte = 7
 	frameFin      byte = 8
 	// 9..15 are retired (9 DATAACK with protocol v4, 10..15 the session
-	// frame family with v5); v6 reads them as unknown types.
+	// frame family with v5); later versions read them as unknown types.
 	framePing byte = 16
 	framePong byte = 17
 	frameCtrl byte = 18
 
-	helloMagic   uint32 = 0x53504931 // "SPI1"
-	helloVersion byte   = 6
+	helloMagic uint32 = 0x53504931 // "SPI1"
+	// helloVersion 7: a BBS receiver returns no credits, so a v6 sender
+	// would wait on them forever.
+	helloVersion byte = 7
 
 	helloBlocked byte = 1 << 0 // HELLO flags: DATA frames carry packed slabs
 	declOut      byte = 1 << 0 // decl flags: the declaring side sends DATA

@@ -27,7 +27,7 @@ type Handler interface {
 	HandleData(edge uint16, msg []byte)
 	HandleAck(edge uint16, count uint32)
 	// HandleFin marks one edge as finished by the peer: no more DATA will
-	// arrive on an inbound edge, no more ACK credits on an outbound one.
+	// arrive on an inbound edge, no more ACKs on an outbound one.
 	// Degrading nodes use it to release actors blocked on a dead peer.
 	HandleFin(edge uint16)
 	HandleLinkClose(err error)
@@ -91,9 +91,8 @@ type LinkConfig struct {
 	// transitively covered by other synchronization paths. The IDs this
 	// link carries become an attribute of their manifest entries, so the
 	// handshake fails unless the peer suppresses exactly the same edges
-	// of this link; IDs it does not carry are ignored. SendAck on a
-	// suppressed edge is a no-op (counted in AcksSuppressed), while
-	// transport-level cumulative acks keep the peer's resend buffer trimmed.
+	// of this link; IDs it does not carry are ignored. The link sends
+	// what it is given: the SPI layer decides which acks exist.
 	ResyncEdges []uint16
 	// Obs, when non-nil, exports this link's traffic counters through the
 	// metrics registry (labeled by peer node) and records its session
@@ -149,10 +148,6 @@ type LinkStats struct {
 	// the echoes that came back (each one an RTT sample), and
 	// HeartbeatTimeouts the connections declared dead for inbound silence.
 	PingsSent, PongsReceived, HeartbeatTimeouts int64
-	// AcksSuppressed counts SendAck calls swallowed on resync-suppressed
-	// edges: acknowledgements the §4 verdict proved redundant, which
-	// therefore never reached the wire.
-	AcksSuppressed int64
 }
 
 // Link connection states (the lifecycle table is DESIGN.md §6). A link
@@ -193,7 +188,6 @@ type linkObs struct {
 	resendSize             *obs.Gauge
 	pingsSent, pongsRecv   *obs.Counter
 	hbTimeouts             *obs.Counter
-	acksSuppressed         *obs.Counter
 	// rtt is the PONG round-trip histogram in microseconds. Unlike the
 	// counters it stays nil without a registry: a zero-value Histogram has
 	// no buckets to observe into, and Stats has the lastRTT atomic anyway.
@@ -219,39 +213,37 @@ func newLinkObs(o *obs.Observer, peer int) linkObs {
 			batchFlushes: &obs.Counter{}, writes: &obs.Counter{},
 			resendDepth: &obs.Gauge{}, resendSize: &obs.Gauge{},
 			pingsSent: &obs.Counter{}, pongsRecv: &obs.Counter{},
-			hbTimeouts:     &obs.Counter{},
-			acksSuppressed: &obs.Counter{},
+			hbTimeouts: &obs.Counter{},
 		}
 	}
 	pl := obs.L("peer", strconv.Itoa(peer))
 	return linkObs{
-		tr:             o.Tracer(),
-		pid:            o.Pid(),
-		sessTid:        sessionRowBase + peer,
-		framesSent:     o.Counter("transport_link_frames_sent_total", "frames written to the peer", pl),
-		framesRecv:     o.Counter("transport_link_frames_received_total", "frames read from the peer", pl),
-		bytesSent:      o.Counter("transport_link_bytes_sent_total", "wire bytes written (headers included)", pl),
-		bytesRecv:      o.Counter("transport_link_bytes_received_total", "wire bytes read (headers included)", pl),
-		dataSent:       o.Counter("transport_link_data_sent_total", "DATA frames sent", pl),
-		dataRecv:       o.Counter("transport_link_data_received_total", "DATA frames received", pl),
-		acksSent:       o.Counter("transport_link_acks_sent_total", "ACK frames sent", pl),
-		acksRecv:       o.Counter("transport_link_acks_received_total", "ACK frames received", pl),
-		finsSent:       o.Counter("transport_link_fins_sent_total", "FIN frames sent", pl),
-		finsRecv:       o.Counter("transport_link_fins_received_total", "FIN frames received", pl),
-		resumes:        o.Counter("transport_link_resumes_total", "successful RESUME handshakes", pl),
-		retransmits:    o.Counter("transport_link_retransmits_total", "frames replayed by RESUME recovery", pl),
-		dups:           o.Counter("transport_link_duplicates_dropped_total", "inbound frames discarded by the sequence filter", pl),
-		reconnects:     o.Counter("transport_link_reconnect_attempts_total", "re-dial attempts during outages", pl),
-		sendStalls:     o.Counter("transport_link_send_stalls_total", "sends that blocked on a down link or full resend buffer", pl),
-		batchFlushes:   o.Counter("transport_link_batch_flushes_total", "carrier writes that carried more than one frame", pl),
-		writes:         o.Counter("transport_link_writes_total", "carrier Write calls (frames_sent / writes = frames per write)", pl),
-		resendDepth:    o.Gauge("transport_link_resend_depth", "unacknowledged frames held for replay", pl),
-		resendSize:     o.Gauge("transport_link_resend_bytes", "wire bytes of the unacknowledged frames held for replay", pl),
-		pingsSent:      o.Counter("transport_link_pings_sent_total", "liveness probes sent on idle links", pl),
-		pongsRecv:      o.Counter("transport_link_pongs_received_total", "probe echoes received (RTT samples)", pl),
-		hbTimeouts:     o.Counter("transport_link_heartbeat_timeouts_total", "connections declared dead for inbound silence", pl),
-		acksSuppressed: o.Counter("transport_link_acks_suppressed_total", "acks swallowed on resync-suppressed edges", pl),
-		rtt:            o.Histogram("transport_link_rtt_us", "PING/PONG round-trip time in microseconds.", nil, pl),
+		tr:           o.Tracer(),
+		pid:          o.Pid(),
+		sessTid:      sessionRowBase + peer,
+		framesSent:   o.Counter("transport_link_frames_sent_total", "frames written to the peer", pl),
+		framesRecv:   o.Counter("transport_link_frames_received_total", "frames read from the peer", pl),
+		bytesSent:    o.Counter("transport_link_bytes_sent_total", "wire bytes written (headers included)", pl),
+		bytesRecv:    o.Counter("transport_link_bytes_received_total", "wire bytes read (headers included)", pl),
+		dataSent:     o.Counter("transport_link_data_sent_total", "DATA frames sent", pl),
+		dataRecv:     o.Counter("transport_link_data_received_total", "DATA frames received", pl),
+		acksSent:     o.Counter("transport_link_acks_sent_total", "ACK frames sent", pl),
+		acksRecv:     o.Counter("transport_link_acks_received_total", "ACK frames received", pl),
+		finsSent:     o.Counter("transport_link_fins_sent_total", "FIN frames sent", pl),
+		finsRecv:     o.Counter("transport_link_fins_received_total", "FIN frames received", pl),
+		resumes:      o.Counter("transport_link_resumes_total", "successful RESUME handshakes", pl),
+		retransmits:  o.Counter("transport_link_retransmits_total", "frames replayed by RESUME recovery", pl),
+		dups:         o.Counter("transport_link_duplicates_dropped_total", "inbound frames discarded by the sequence filter", pl),
+		reconnects:   o.Counter("transport_link_reconnect_attempts_total", "re-dial attempts during outages", pl),
+		sendStalls:   o.Counter("transport_link_send_stalls_total", "sends that blocked on a down link or full resend buffer", pl),
+		batchFlushes: o.Counter("transport_link_batch_flushes_total", "carrier writes that carried more than one frame", pl),
+		writes:       o.Counter("transport_link_writes_total", "carrier Write calls (frames_sent / writes = frames per write)", pl),
+		resendDepth:  o.Gauge("transport_link_resend_depth", "unacknowledged frames held for replay", pl),
+		resendSize:   o.Gauge("transport_link_resend_bytes", "wire bytes of the unacknowledged frames held for replay", pl),
+		pingsSent:    o.Counter("transport_link_pings_sent_total", "liveness probes sent on idle links", pl),
+		pongsRecv:    o.Counter("transport_link_pongs_received_total", "probe echoes received (RTT samples)", pl),
+		hbTimeouts:   o.Counter("transport_link_heartbeat_timeouts_total", "connections declared dead for inbound silence", pl),
+		rtt:          o.Histogram("transport_link_rtt_us", "PING/PONG round-trip time in microseconds.", nil, pl),
 	}
 }
 
@@ -321,9 +313,8 @@ type Link struct {
 	watched    bool          // a waiter took changed: the next change closes it
 	readerDone chan struct{} // current generation's reader exit
 
-	pendingAcks    map[ackKey]uint32 // SPI acks awaiting the writer's next pass
-	pendingOrder   []ackKey          // FIFO of (tag, edge) pairs with pending acks
-	suppressedSent map[uint16]int64  // per-edge resync-suppressed ack totals
+	pendingAcks  map[ackKey]uint32 // SPI acks awaiting the writer's next pass
+	pendingOrder []ackKey          // FIFO of (tag, edge) pairs with pending acks
 
 	closedCh   chan struct{} // closed once when Close/Abort begins
 	resumeCh   chan resumeOffer
@@ -628,7 +619,6 @@ func (l *Link) Stats() LinkStats {
 		PingsSent:         l.obs.pingsSent.Value(),
 		PongsReceived:     l.obs.pongsRecv.Value(),
 		HeartbeatTimeouts: l.obs.hbTimeouts.Value(),
-		AcksSuppressed:    l.obs.acksSuppressed.Value(),
 	}
 }
 
@@ -747,7 +737,7 @@ func (l *Link) SendData(edge uint16, msg []byte) error {
 // has acknowledged the frame (at once, when the send is refused).
 func (l *Link) SendBuffer(edge uint16, buf *[]byte) error { return l.sendData(0, edge, buf) }
 
-// SendAck transmits a BBS credit / UBS acknowledgement for an inbound edge
+// SendAck transmits a UBS acknowledgement for an inbound edge
 // of the link's own run. The ack is queued, never written here and never
 // blocked: the writer's next pass sends it as a numbered ACK frame, merged
 // with every other ack queued for the same tag and edge, held for replay
@@ -756,7 +746,7 @@ func (l *Link) SendBuffer(edge uint16, buf *[]byte) error { return l.sendData(0,
 func (l *Link) SendAck(edge uint16, count uint32) error { return l.sendAck(0, edge, count) }
 
 // SendFin marks one edge of the link's own run finished: the peer stops
-// expecting DATA (outbound edge) or ACK credits (inbound edge) on it.
+// expecting DATA (outbound edge) or ACKs (inbound edge) on it.
 // Degrading nodes send FINs on every edge touching a dead peer's actors so
 // the survivors unblock. Queued acks, of every tag, are materialized ahead
 // of it: the peer must not observe a FIN ordered ahead of acks for
@@ -785,29 +775,13 @@ func (l *Link) sendData(tag uint32, edge uint16, buf *[]byte) error {
 }
 
 func (l *Link) sendAck(tag uint32, edge uint16, count uint32) error {
-	d, ok := l.in[edge]
-	if !ok {
+	if _, ok := l.in[edge]; !ok {
 		return l.sendError("edge %d is not inbound on this link", edge)
 	}
 	if err := l.checkTag(tag); err != nil {
 		return err
 	}
 	l.mu.Lock()
-	if d.noAck {
-		// Both manifests declare the edge ack-suppressed (the §4 verdict
-		// covers its synchronization through other sync paths): swallow
-		// the ack before it can enter the queue or the resend buffer, so no
-		// later pass or RESUME replay can resurrect it.
-		// Transport-level cumulative acks still trim the peer's resend
-		// buffer, so suppression never wedges the peer's sender.
-		if l.suppressedSent == nil {
-			l.suppressedSent = make(map[uint16]int64)
-		}
-		l.suppressedSent[edge]++
-		l.mu.Unlock()
-		l.obs.acksSuppressed.Inc()
-		return nil
-	}
 	if err := l.sendErrLocked(); err != nil {
 		l.mu.Unlock()
 		return err

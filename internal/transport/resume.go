@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"time"
 
 	"repro/internal/obs"
@@ -63,8 +64,12 @@ func (l *Link) readLoop(conn Conn, gen int, done chan struct{}) {
 			// must never write. On an unbuffered carrier (net.Pipe loopback)
 			// DATA one way and numbered ACKs the other make both readers owe
 			// a cumulative ack at once, and two readers parked in Write each
-			// wait for the other to read.
+			// wait for the other to read. The reader then yields: a sender
+			// and this reader handing frames to each other keep the woken
+			// writer off the processor, and the peer's sender runs out of
+			// budget while the ack waits (TestWriterBoundsResendBytes).
 			l.wakeWriter()
+			runtime.Gosched()
 		}
 	}
 }

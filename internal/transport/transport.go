@@ -16,8 +16,8 @@
 //
 // Package spi binds Runtime edges onto a Link (see spi.BindRemoteSender /
 // spi.BindRemoteReceiver): DATA frames carry SPI-encoded messages
-// unchanged, and ACK frames carry the BBS credits / UBS acknowledgements
-// that the in-process runtime exchanged through shared memory.
+// unchanged, and ACK frames carry the UBS acknowledgements the SPI layer
+// decides to send (a BBS edge sends none).
 package transport
 
 import (

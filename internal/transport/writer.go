@@ -247,22 +247,3 @@ func (l *Link) materializeAcksLocked() {
 	}
 	l.pendingOrder = l.pendingOrder[:copy(l.pendingOrder, l.pendingOrder[n:])]
 }
-
-// SuppressedAcks reports, per inbound edge, how many acknowledgements
-// this link swallowed on the ack-suppressed edges of its manifest. The
-// SPI layer folds these out of its per-edge ack counters after a run,
-// and the spinode stats table surfaces them next to the acks that did
-// reach the wire.
-func (l *Link) SuppressedAcks() map[uint16]int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return copyCounts(l.suppressedSent)
-}
-
-func copyCounts(m map[uint16]int64) map[uint16]int64 {
-	out := make(map[uint16]int64, len(m))
-	for e, n := range m {
-		out[e] = n
-	}
-	return out
-}
