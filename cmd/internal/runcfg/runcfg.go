@@ -2,8 +2,8 @@
 // spictl, spiload) describe a run. The shared flags bind straight onto the
 // library's own option structs (spi.DistOptions, transport.ReconnectConfig,
 // session.Admission), Build resolves -graph/-assign/-nodeof/-fission into
-// the system to execute, and OpenTransport maps -transport/-shm-dir to a
-// byte transport. The rule for a new run option: one field on the library
+// the system to execute, and OpenTransport maps -transport to a byte
+// transport. The rule for a new run option: one field on the library
 // struct, one line in the binder below — no per-CLI mirror field, no
 // hand-written copy into an options literal.
 package runcfg
@@ -49,8 +49,7 @@ type Run struct {
 	Deadline time.Duration
 
 	// Over what.
-	Transport string                 // -transport: tcp, shm or loopback
-	ShmDir    string                 // -shm-dir; "" = a temp dir OpenTransport removes again
+	Transport string                 // -transport: tcp or loopback
 	Chaos     *transport.FaultConfig // -chaos; nil = no fault injection
 }
 
@@ -294,33 +293,15 @@ func LinkConfig(o *spi.DistOptions) transport.LinkConfig {
 	}
 }
 
-// OpenTransport maps -transport/-shm-dir to the byte transport, the address
-// the i-th endpoint of a self-contained (one-process) run listens on, and
-// the cleanup of whatever opening it created. -chaos is left to the caller:
-// spiload faults only its client side.
-func (r *Run) OpenTransport() (tr transport.Transport, local func(i int) string, cleanup func(), err error) {
-	local = func(int) string { return "127.0.0.1:0" }
-	cleanup = func() {}
+// OpenTransport maps -transport to the byte transport and the address the
+// i-th endpoint of a self-contained (one-process) run listens on. -chaos is
+// left to the caller: spiload faults only its client side.
+func (r *Run) OpenTransport() (transport.Transport, func(i int) string, error) {
 	switch r.Transport {
 	case "tcp":
-		tr = &transport.TCP{}
-	case "shm":
-		// The same-host composite: addresses stay ordinary host:port,
-		// links whose peer is this machine ride the shm rings, everything
-		// else falls back to TCP.
-		dir := r.ShmDir
-		if dir == "" {
-			if dir, err = os.MkdirTemp("", "spi-shm-"); err != nil {
-				return nil, nil, nil, err
-			}
-			cleanup = func() { os.RemoveAll(dir) }
-		}
-		tr = &transport.SameHost{Shm: transport.NewShm(dir)}
+		return &transport.TCP{}, func(int) string { return "127.0.0.1:0" }, nil
 	case "loopback":
-		tr = transport.NewLoopback()
-		local = func(i int) string { return fmt.Sprintf("inproc-n%d", i) }
-	default:
-		return nil, nil, nil, fmt.Errorf("unknown -transport %q (tcp, shm or loopback)", r.Transport)
+		return transport.NewLoopback(), func(i int) string { return fmt.Sprintf("inproc-n%d", i) }, nil
 	}
-	return tr, local, cleanup, nil
+	return nil, nil, fmt.Errorf("unknown -transport %q (tcp or loopback)", r.Transport)
 }

@@ -41,11 +41,9 @@ func resolve(args ...string) (*Run, *System, error) {
 	if err != nil {
 		return r, nil, err
 	}
-	_, _, cleanup, err := r.OpenTransport()
-	if err != nil {
+	if _, _, err := r.OpenTransport(); err != nil {
 		return r, nil, err
 	}
-	cleanup()
 	return r, sys, nil
 }
 
@@ -173,15 +171,21 @@ func TestBuildFission(t *testing.T) {
 }
 
 // TestOpenTransport: each -transport value yields its carrier and local
-// addresses a one-process run can listen on, n of them at once.
+// addresses a one-process run can listen on, n of them at once. The
+// shared-memory carrier is gone: -transport shm is refused, naming the
+// carriers that remain.
 func TestOpenTransport(t *testing.T) {
-	for name, want := range map[string]string{"tcp": "tcp", "shm": "shm", "loopback": "loopback"} {
+	if _, _, err := (&Run{Transport: "shm"}).OpenTransport(); err == nil ||
+		!strings.Contains(err.Error(), "tcp") || !strings.Contains(err.Error(), "loopback") {
+		t.Errorf("-transport shm: err = %v, want a refusal naming tcp and loopback", err)
+	}
+	for _, name := range []string{"tcp", "loopback"} {
 		r := Run{Transport: name}
-		tr, local, cleanup, err := r.OpenTransport()
+		tr, local, err := r.OpenTransport()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tr.Name() != want {
+		if tr.Name() != name {
 			t.Errorf("-transport %s opened %q", name, tr.Name())
 		}
 		var lns []transport.Listener
@@ -195,6 +199,5 @@ func TestOpenTransport(t *testing.T) {
 		for _, ln := range lns {
 			ln.Close()
 		}
-		cleanup()
 	}
 }

@@ -184,7 +184,7 @@ func runCtl(cfg ctlConfig, w io.Writer) error {
 	if cfg.InProc > 0 {
 		cfg.Transport = "loopback"
 	}
-	tr, local, _, err := cfg.OpenTransport()
+	tr, local, err := cfg.OpenTransport()
 	if err != nil {
 		return err
 	}

@@ -380,7 +380,7 @@ func main() {
 	if inproc {
 		cfg.Transport = "loopback"
 	}
-	tr, local, _, err := cfg.OpenTransport()
+	tr, local, err := cfg.OpenTransport()
 	fail(1, err)
 	if inproc || inprocTCP {
 		stop, addr, err := startInproc(cfg, tr, local(0), os.Stderr)

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"os"
 	"strings"
 	"testing"
 
@@ -10,7 +9,7 @@ import (
 )
 
 func newTestCLI() *cli {
-	return &cli{nodeConfig: nodeConfig{Run: runcfg.Run{Iters: 10, Seed: 1, Transport: "tcp", ShmDir: os.TempDir()}}}
+	return &cli{nodeConfig: nodeConfig{Run: runcfg.Run{Iters: 10, Seed: 1, Transport: "tcp"}}}
 }
 
 func TestFlagSurface(t *testing.T) {
@@ -23,15 +22,15 @@ func TestFlagSurface(t *testing.T) {
 // cannot honour, as flag misuse naming the flag and the mode.
 func TestModeFlags(t *testing.T) {
 	c := newTestCLI()
-	args := []string{"-worker", "-coord", "127.0.0.1:1", "-transport", "shm", "-shm-dir", t.TempDir(), "-chaos", "seed=3,drop=0.1"}
+	args := []string{"-worker", "-coord", "127.0.0.1:1", "-transport", "tcp", "-chaos", "seed=3,drop=0.1"}
 	if err := newFlagSet(c).Parse(args); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.prepare(); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Opts.Transport.Name(); got != "shm+chaos" {
-		t.Errorf("-worker -transport shm -chaos runs over %q, want shm+chaos", got)
+	if got := c.Opts.Transport.Name(); got != "tcp+chaos" {
+		t.Errorf("-worker -transport tcp -chaos runs over %q, want tcp+chaos", got)
 	}
 
 	for _, tc := range []struct {
@@ -43,6 +42,7 @@ func TestModeFlags(t *testing.T) {
 		{"-addrs a,b", []string{"-graph"}},
 		{"-graph g.sdf", []string{"-addrs"}},
 		{"-graph g.sdf -addrs a,b -transport carrier-pigeon", []string{"-transport", "carrier-pigeon"}},
+		{"-graph g.sdf -addrs a,b -transport shm", []string{"-transport", "shm", "tcp", "loopback"}},
 	} {
 		c := newTestCLI()
 		if err := newFlagSet(c).Parse(strings.Fields(tc.args)); err != nil {

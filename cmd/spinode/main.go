@@ -97,9 +97,7 @@ func newFlagSet(c *cli) *flag.FlagSet {
 	fs.BoolVar(&c.Opts.Degrade, "degrade", false,
 		"on a dead peer, drain the surviving actors and report partial digests (exit status 3) instead of aborting")
 	fs.StringVar(&c.Transport, "transport", c.Transport,
-		"byte transport: tcp, shm (same-host shared-memory rings; -addrs are segment names under -shm-dir), or loopback (in-memory, only useful with -inproc)")
-	fs.StringVar(&c.ShmDir, "shm-dir", c.ShmDir,
-		"with -transport shm: directory holding the shared-memory rendezvous segments; all nodes must use the same one")
+		"byte transport: tcp, or loopback (in-memory, only useful with -inproc)")
 	fs.BoolVar(&c.inproc, "inproc", false,
 		"run every node of the graph inside this one process over the selected transport and print all digests — the single-command digest-verify mode (-addrs and -node are synthesized)")
 	fs.StringVar(&c.HTTPAddr, "http", "",
@@ -146,7 +144,7 @@ func (c *cli) prepare() (local func(int) string, err error) {
 		// accepted and do nothing.
 		return nil, errors.New("-resync does not apply with -serve: session-tagged acks are never suppressed")
 	}
-	tr, local, _, err := c.OpenTransport()
+	tr, local, err := c.OpenTransport()
 	if err != nil {
 		return nil, err
 	}
@@ -161,7 +159,7 @@ func (c *cli) prepare() (local func(int) string, err error) {
 }
 
 func main() {
-	c := cli{nodeConfig: nodeConfig{Run: runcfg.Run{Iters: 10, Seed: 1, Transport: "tcp", ShmDir: os.TempDir()}}}
+	c := cli{nodeConfig: nodeConfig{Run: runcfg.Run{Iters: 10, Seed: 1, Transport: "tcp"}}}
 	newFlagSet(&c).Parse(os.Args[1:])
 	local, err := c.prepare()
 	if err != nil {

@@ -131,10 +131,21 @@ func loadPipelineSDF(t *testing.T) *dataflow.Graph {
 }
 
 // runTwoNodes runs the two-node split of graph-building fn over tr with
-// the tuning in opts and returns both nodes' outputs and errors. A
-// watchdog bounds the run so a failed recovery cannot hang the suite.
+// the tuning in opts and returns both nodes' outputs and errors.
 func runTwoNodes(t *testing.T, newGraph func(t *testing.T) *dataflow.Graph, tr transport.Transport,
 	iters int, opts spi.DistOptions) ([2]*bytes.Buffer, [2]error) {
+	t.Helper()
+	return runSplit(t, tr, opts, func(opts spi.DistOptions) nodeConfig {
+		return pipelineNode(newGraph(t), iters, []int{0, 1}, opts)
+	})
+}
+
+// runSplit runs node 0 (the listener) and node 1 of the configurations
+// node builds over tr, each with opts plus its transport, addresses and
+// node number. A watchdog bounds the run so a failed recovery cannot hang
+// the suite.
+func runSplit(t *testing.T, tr transport.Transport, opts spi.DistOptions,
+	node func(opts spi.DistOptions) nodeConfig) ([2]*bytes.Buffer, [2]error) {
 	t.Helper()
 	ln, err := tr.Listen("chaos-node0")
 	if err != nil {
@@ -144,17 +155,17 @@ func runTwoNodes(t *testing.T, newGraph func(t *testing.T) *dataflow.Graph, tr t
 	outs := [2]*bytes.Buffer{{}, {}}
 	var errs [2]error
 	var wg sync.WaitGroup
-	for node := 0; node < 2; node++ {
+	for n := 0; n < 2; n++ {
 		wg.Add(1)
-		go func(node int) {
+		go func(n int) {
 			defer wg.Done()
 			opts := opts
-			opts.Node = node
-			if node == 0 {
+			opts.Node = n
+			if n == 0 {
 				opts.Listener = ln
 			}
-			errs[node] = runNode(pipelineNode(newGraph(t), iters, []int{0, 1}, opts), outs[node])
-		}(node)
+			errs[n] = runNode(node(opts), outs[n])
+		}(n)
 	}
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
@@ -198,6 +209,65 @@ func TestPipelineChaosRecovers(t *testing.T) {
 					spec, want, got, ft.Stats())
 			}
 		})
+	}
+}
+
+// bbsCycle has a cross-node BBS cycle: with a and c on node 0 and b on
+// node 1, ab and ba carry no acks, so after a dropped frame the side that
+// lost it may have nothing numbered left to receive.
+const bbsCycle = `graph bbscycle
+actor a 10
+actor b 10
+actor c 10
+edge ab a b 1 1 bytes=8
+edge ba b a 1 1 bytes=8 delay=2
+edge bc b c 1 1 bytes=4
+`
+
+// TestBBSCycleDropsHeartbeatRecover: a frame dropped with nothing numbered
+// behind it is noticed at the next heartbeat probe, which carries its
+// sender's last sequence number, and RESUME replays it. Without that
+// (protocol v7) both nodes waited on each other, and each of these seeds
+// ended in a StallError.
+func TestBBSCycleDropsHeartbeatRecover(t *testing.T) {
+	const iters = 400
+	node := func(nodeOf []int, opts spi.DistOptions) nodeConfig {
+		g, err := dataflow.Parse(strings.NewReader(bbsCycle))
+		if err != nil {
+			t.Error(err) // called on the nodes' goroutines too
+		}
+		return nodeConfig{Run: runcfg.Run{Graph: g, Assign: []int{0, 1, 0}, NodeOf: nodeOf, Iters: iters, Seed: 7, Opts: opts}}
+	}
+	var ref bytes.Buffer
+	if err := runNode(node([]int{0, 0}, spi.DistOptions{Transport: transport.NewLoopback(), Addrs: []string{"only"}}), &ref); err != nil {
+		t.Fatal(err)
+	}
+	want := digestLines(ref.String())
+	if len(want) != 1 {
+		t.Fatalf("single-node run printed %d digest lines:\n%s", len(want), ref.String())
+	}
+	rc := transport.ReconnectConfig{Attempts: 50, BaseDelay: time.Millisecond,
+		MaxDelay: 5 * time.Millisecond, Deadline: 20 * time.Second}
+	opts := spi.DistOptions{Reconnect: rc, Heartbeat: 20 * time.Millisecond, StallTimeout: 2 * time.Second}
+	for seed := 1; seed <= 6; seed++ {
+		fc, err := transport.ParseFaultSpec(fmt.Sprintf("seed=%d,drop=0.05,skip=6,maxfaults=20", seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ft := transport.NewFaultTransport(transport.NewLoopback(), fc)
+		outs, errs := runSplit(t, ft, opts, func(opts spi.DistOptions) nodeConfig { return node([]int{0, 1}, opts) })
+		for n, err := range errs {
+			if err != nil {
+				t.Fatalf("seed %d node %d: %v (faults: %+v)\n%s", seed, n, err, ft.Stats(), outs[n].String())
+			}
+		}
+		if ft.Stats().Drops == 0 {
+			t.Fatalf("seed %d: no frame dropped; the schedule proves nothing", seed)
+		}
+		got := append(digestLines(outs[0].String()), digestLines(outs[1].String())...)
+		if len(got) != 1 || got[0] != want[0] {
+			t.Errorf("seed %d: digests diverged:\nwant %v\ngot  %v (faults: %+v)", seed, want, got, ft.Stats())
+		}
 	}
 }
 

@@ -47,7 +47,7 @@ func newFlagSet(c *cli) *flag.FlagSet {
 	fs.IntVar(&c.steps, "steps", 150, "crack: tracking steps")
 	fs.Float64Var(&c.adaptive, "adaptive", 0, "crack: ESS resampling threshold fraction (0 = resample every step)")
 	fs.BoolVar(&c.hw, "hw", false, "speech: also run the bit-true Q15 hardware model of actor D")
-	fs.StringVar(&c.Transport, "transport", c.Transport, "speech: chan (in-process SPI runtime), loopback (in-memory byte transport), tcp (two nodes over localhost TCP), shm (two nodes over same-host shared-memory rings); on two nodes the I/O processors run on node 0 and the PEs on node 1")
+	fs.StringVar(&c.Transport, "transport", c.Transport, "speech: chan (in-process SPI runtime), loopback (in-memory byte transport) or tcp (two nodes over localhost TCP); on two nodes the I/O processors run on node 0 and the PEs on node 1")
 	// The link tuning flags apply to the networked runs only: the chan
 	// transport has no wire to tune.
 	c.SeedFlag(fs)
@@ -189,11 +189,10 @@ func runNodes(r *runcfg.Run, nodes int, run func(spi.DistOptions) ([]*lpc.Frame,
 	opts.Addrs = []string{"in-process"}
 	var ln transport.Listener
 	if nodes > 1 {
-		tr, local, cleanup, err := r.OpenTransport()
+		tr, local, err := r.OpenTransport()
 		if err != nil {
 			return nil, nil, err
 		}
-		defer cleanup()
 		if ln, err = tr.Listen(local(0)); err != nil {
 			return nil, nil, err
 		}

@@ -15,8 +15,8 @@ import (
 
 // Bit-identity of the fissioned LPC residual: for any replica count —
 // including ones that do not divide the frame length — the gathered error
-// signal must equal the serial model.Residual exactly, locally, over the
-// shm transport, and under chaos sever/resume. The serial pipeline is
+// signal must equal the serial model.Residual exactly, locally, over TCP,
+// and under chaos sever/resume. The serial pipeline is
 // fissioned with spi.FissionKernels, whose replicas each run error_gen on
 // the whole frame and keep their SplitCounts share of its output.
 
@@ -163,11 +163,11 @@ func TestFissionErrorGenSystemAutoK(t *testing.T) {
 	}
 }
 
-// TestFissionResidualDistributedShm runs the fissioned pipeline across two
-// OS-visible endpoints of the shared-memory ring transport — I/O on node
-// 0, scatter/gather and all replicas on node 1 — and checks the assembled
+// TestFissionResidualDistributedTCP runs the fissioned pipeline across two
+// nodes over a real byte stream, localhost TCP — I/O on node 0,
+// scatter/gather and all replicas on node 1 — and checks the assembled
 // residual bit-exactly against both the serial run and model.Residual.
-func TestFissionResidualDistributedShm(t *testing.T) {
+func TestFissionResidualDistributedTCP(t *testing.T) {
 	const n, k, iters = 200, 4, 3
 	frame := signal.Speech(n, 77)
 	model, err := dsp.LPCAnalyze(frame, 10)
@@ -176,8 +176,8 @@ func TestFissionResidualDistributedShm(t *testing.T) {
 	}
 	want := model.Residual(frame)
 
-	tr := transport.NewShm(t.TempDir())
-	ln, err := tr.Listen("lpc-fiss0")
+	tr := &transport.TCP{}
+	ln, err := tr.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,11 +221,10 @@ func TestFissionResidualDistributedShm(t *testing.T) {
 	}
 }
 
-// TestFissionResidualChaosShm severs the shm rings mid-run: the dialer
-// re-attaches over fresh segments and the RESUME replay must leave the
-// fissioned residual bit-identical to the serial one — the ISSUE's chaos
-// criterion on the fission workload.
-func TestFissionResidualChaosShm(t *testing.T) {
+// TestFissionResidualChaosTCP severs the TCP connection mid-run: the dialer
+// re-dials and the RESUME replay must leave the fissioned residual
+// bit-identical to the serial one.
+func TestFissionResidualChaosTCP(t *testing.T) {
 	const n, k, iters = 256, 3, 4
 	frame := signal.Speech(n, 77)
 	model, err := dsp.LPCAnalyze(frame, 10)
@@ -234,10 +233,10 @@ func TestFissionResidualChaosShm(t *testing.T) {
 	}
 	want := model.Residual(frame)
 
-	ft := transport.NewFaultTransport(transport.NewShm(t.TempDir()), transport.FaultConfig{
+	ft := transport.NewFaultTransport(&transport.TCP{}, transport.FaultConfig{
 		Seed: 401, SeverAt: []int{9, 23, 51}, SkipFrames: 4,
 	})
-	ln, err := ft.Listen("lpc-fisschaos0")
+	ln, err := ft.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -133,9 +133,6 @@ func NewComm(size int) (*Comm, error) {
 	return c, nil
 }
 
-// Size returns the number of ranks.
-func (c *Comm) Size() int { return c.size }
-
 // Send transmits payload elements of the given datatype from src to dst
 // with a tag. It validates ranks and datatype/payload agreement, frames the
 // full header, and accounts rendezvous handshakes above the eager limit.

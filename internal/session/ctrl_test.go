@@ -24,7 +24,6 @@ func TestSessionCtrlRoundTrip(t *testing.T) {
 	}{
 		{"loopback", transport.NewLoopback(), "ctrl"},
 		{"tcp", &transport.TCP{}, "127.0.0.1:0"},
-		{"shm", transport.NewShm(t.TempDir()), "ctrl"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g, m := testGraph()

@@ -132,7 +132,6 @@ func TestResyncSuppressesAcks(t *testing.T) {
 	}{
 		"loopback": {transport.NewLoopback(), "resync0"},
 		"tcp":      {&transport.TCP{}, "127.0.0.1:0"},
-		"shm":      {transport.NewShm(t.TempDir()), "resync0"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			stats, regs := resyncNodes(t, c.tr, c.addr, iterations, transport.ReconnectConfig{})

@@ -86,7 +86,7 @@ const slabFrame = frameHeaderBytes + tagBytes + 64<<10
 // of the link's state, which a lost wake-up would turn into the 5 s bound.
 func TestWriterBoundsResendBytes(t *testing.T) {
 	const n, size = 200, 64 << 10
-	trs := transports(t)
+	trs := transports()
 	for _, name := range []string{"loopback", "tcp"} {
 		t.Run(name, func(t *testing.T) {
 			tr := trs[name]

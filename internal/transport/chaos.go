@@ -321,7 +321,7 @@ func (c *faultConn) Write(p []byte) (int, error) {
 			atomic.AddInt64(&c.t.drops, 1)
 			c.t.fault("drop")
 			err = flush(start)
-			sent = end // swallowed; peer sees a sequence gap next frame
+			sent = end // swallowed; peer sees a sequence gap at the next numbered frame or probe
 		case numbered && cfg.Corrupt > 0 && roll < cfg.Corrupt && c.t.spendFault():
 			atomic.AddInt64(&c.t.corrupts, 1)
 			c.t.fault("corrupt")

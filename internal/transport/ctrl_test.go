@@ -67,7 +67,7 @@ func ctrlLinkPair(t *testing.T, tr Transport, hd, ha Handler) (*Link, *Link) {
 // byte carriers on an edge-free link, checking opcode and payload arrive
 // intact and in order.
 func TestCtrlRoundTrip(t *testing.T) {
-	for name, tr := range transports(t) {
+	for name, tr := range transports() {
 		t.Run(name, func(t *testing.T) {
 			hd, ha := newCtrlRecorder(), newCtrlRecorder()
 			d, a := ctrlLinkPair(t, tr, hd, ha)

@@ -8,7 +8,7 @@ import (
 	"sync"
 )
 
-// Link wire protocol, version 7. Every frame is length-delimited and
+// Link wire protocol, version 8. Every frame is length-delimited and
 // self-checking so the SPI message inside a DATA frame crosses the stream
 // byte-identical to its in-process encoding (spi.AppendMessage), and so a
 // corrupted or truncated frame is detected at the receiver instead of
@@ -24,8 +24,8 @@ import (
 //	RESUME   := u32 magic | u8 version | u16 node | u64 token | u64 recvSeq
 //	RESUMEOK := u64 recvSeq
 //	GOODBYE  := empty                           (graceful shutdown)
-//	PING     := u64 timestamp                   (liveness probe)
-//	PONG     := u64 timestamp                   (probe echo, RTT sample)
+//	PING     := u64 timestamp | u64 sendSeq     (liveness probe)
+//	PONG     := u64 timestamp | u64 sendSeq     (probe echo, RTT sample)
 //	CTRL     := u8 op | payload                 (control plane, see ctrl.go)
 //
 // The tag names the run a DATA, ACK or FIN belongs to: 0 is the link's own
@@ -38,8 +38,10 @@ import (
 // until the peer's CUMACK covers them, which is what makes a RESUME
 // handshake able to replay exactly the unacknowledged suffix after a
 // connection is re-dialed. The others (HELLO, CUMACK, RESUME, RESUMEOK,
-// PING, PONG) carry seq 0 and are never replayed. All integers are
-// little-endian, matching the SPI message headers.
+// PING, PONG) carry seq 0 and are never replayed; a probe's body carries
+// its sender's sendSeq instead, and follows every frame up to it on the
+// wire, so a receiver behind it has lost frames that nothing numbered
+// followed. All integers are little-endian, matching the SPI headers.
 //
 // The handshake negotiates nothing (DESIGN.md, "Wire protocol"): HELLO
 // carries what the two ends must agree on, a peer that differs in any of
@@ -61,9 +63,9 @@ const (
 	frameCtrl byte = 18
 
 	helloMagic uint32 = 0x53504931 // "SPI1"
-	// helloVersion 7: a BBS receiver returns no credits, so a v6 sender
-	// would wait on them forever.
-	helloVersion byte = 7
+	// helloVersion 8: PING and PONG carry the sender's sendSeq, which a v7
+	// peer's 8-byte probes lack.
+	helloVersion byte = 8
 
 	helloBlocked byte = 1 << 0 // HELLO flags: DATA frames carry packed slabs
 	declOut      byte = 1 << 0 // decl flags: the declaring side sends DATA
@@ -78,7 +80,7 @@ const (
 	finBodyBytes     = tagBytes + 2 // tag + edge
 	cumAckBodyBytes  = 8
 	resumeBodyBytes  = 23 // magic + version + node + token + recvSeq
-	pingBodyBytes    = 8  // u64 sender timestamp, echoed verbatim in PONG
+	pingBodyBytes    = 16 // u64 timestamp (a PONG echoes the PING's) + u64 sendSeq
 
 	// maxFrame bounds one frame; anything larger on the wire is a framing
 	// error, protecting the receiver from hostile length fields.
@@ -525,18 +527,20 @@ func decodeResume(body []byte) (node uint16, token uint64, recvSeq uint64, err e
 	return node, token, recvSeq, nil
 }
 
-// encodePing writes a PING/PONG body: the sender's monotonic timestamp in
-// nanoseconds. A PONG echoes the PING's timestamp verbatim, so the prober
-// computes the round-trip time without any clock agreement between peers.
-func encodePing(dst []byte, ts uint64) {
+// encodePing writes a PING/PONG body: the prober's monotonic timestamp in
+// nanoseconds and the sender's last assigned sequence number. A PONG
+// echoes the PING's timestamp verbatim, so the prober computes the
+// round-trip time without any clock agreement between peers.
+func encodePing(dst []byte, ts, seq uint64) {
 	binary.LittleEndian.PutUint64(dst, ts)
+	binary.LittleEndian.PutUint64(dst[8:], seq)
 }
 
-func decodePing(body []byte) (ts uint64, err error) {
+func decodePing(body []byte) (ts, seq uint64, err error) {
 	if len(body) != pingBodyBytes {
-		return 0, fmt.Errorf("ping frame of %d bytes, want %d", len(body), pingBodyBytes)
+		return 0, 0, fmt.Errorf("ping frame of %d bytes, want %d", len(body), pingBodyBytes)
 	}
-	return binary.LittleEndian.Uint64(body), nil
+	return binary.LittleEndian.Uint64(body), binary.LittleEndian.Uint64(body[8:]), nil
 }
 
 func decodeResumeOK(body []byte) (recvSeq uint64, err error) {

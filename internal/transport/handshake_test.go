@@ -51,14 +51,16 @@ func TestHandshakeRefused(t *testing.T) {
 		tuneD, tuneA  func(*LinkConfig)
 		want          []string // every one must appear in the refusal
 	}{
-		{name: "hello v2", hello: oldHello(2, testManifest(true)), want: []string{"version 2", "version 7"}},
-		{name: "hello v3", hello: oldHello(3, testManifest(true)), want: []string{"version 3", "version 7"}},
-		{name: "hello v4", hello: tamperedHello(4, 4), want: []string{"version 4", "version 7"}},
-		{name: "hello v5", hello: tamperedHello(4, 5), want: []string{"version 5", "version 7"}},
-		{name: "resume v4", resume: tamperedResume(4, 4), want: []string{"resume", "version 4", "version 7"}},
-		{name: "resume v5", resume: tamperedResume(4, 5), want: []string{"resume", "version 5", "version 7"}},
-		{name: "hello v6", hello: tamperedHello(4, 6), want: []string{"version 6", "version 7"}},
-		{name: "resume v6", resume: tamperedResume(4, 6), want: []string{"resume", "version 6", "version 7"}},
+		{name: "hello v2", hello: oldHello(2, testManifest(true)), want: []string{"version 2", "version 8"}},
+		{name: "hello v3", hello: oldHello(3, testManifest(true)), want: []string{"version 3", "version 8"}},
+		{name: "hello v4", hello: tamperedHello(4, 4), want: []string{"version 4", "version 8"}},
+		{name: "hello v5", hello: tamperedHello(4, 5), want: []string{"version 5", "version 8"}},
+		{name: "resume v4", resume: tamperedResume(4, 4), want: []string{"resume", "version 4", "version 8"}},
+		{name: "resume v5", resume: tamperedResume(4, 5), want: []string{"resume", "version 5", "version 8"}},
+		{name: "hello v6", hello: tamperedHello(4, 6), want: []string{"version 6", "version 8"}},
+		{name: "resume v6", resume: tamperedResume(4, 6), want: []string{"resume", "version 6", "version 8"}},
+		{name: "hello v7", hello: tamperedHello(4, 7), want: []string{"version 7", "version 8"}},
+		{name: "resume v7", resume: tamperedResume(4, 7), want: []string{"resume", "version 7", "version 8"}},
 		{name: "unknown hello flag bit", hello: tamperedHello(5, 0x82), want: []string{"hello sets unknown flag bits 0x82"}},
 		{name: "unknown decl flag bit", hello: tamperedHello(helloFixedBytes+3, declOut|0x04), want: []string{"edge 7", "unknown flag bits 0x4"}},
 		{name: "blocked dialer, scalar acceptor", tuneD: blocked, want: []string{"peer runs blocked", "-block"}},
@@ -404,25 +406,25 @@ func TestRetiredFrameType(t *testing.T) {
 	}
 }
 
-// TestHelloGolden pins the exact version-6 bytes of one HELLO and one
+// TestHelloGolden pins the exact version-8 bytes of one HELLO and one
 // RESUME: a layout change must be a deliberate edit of these strings (and
 // of helloVersion).
 func TestHelloGolden(t *testing.T) {
 	edges := testManifest(true)
 	edges[0].noAck = true
-	hello := "31495053" + "07" + "01" + "0201" + "8877665544332211" + "0200" +
+	hello := "31495053" + "08" + "01" + "0201" + "8877665544332211" + "0200" +
 		"0700" + "01" + "03" + "00040000" + "01" + "00000000" +
 		"0900" + "00" + "00" + "10000000" + "00" + "04000000"
 	if got := hex.EncodeToString(encodeHello(0x0102, 0x1122334455667788, edges, true)); got != hello {
 		t.Errorf("HELLO layout changed:\n got %s\nwant %s", got, hello)
 	}
-	resume := "31495053" + "07" + "0201" + "8877665544332211" + "6300000000000000"
+	resume := "31495053" + "08" + "0201" + "8877665544332211" + "6300000000000000"
 	if got := hex.EncodeToString(encodeResume(0x0102, 0x1122334455667788, 99)); got != resume {
 		t.Errorf("RESUME layout changed:\n got %s\nwant %s", got, resume)
 	}
 	old := encodeResume(1, 2, 3)
 	old[4] = 3
-	if _, _, _, err := decodeResume(old); err == nil || !strings.Contains(err.Error(), "version 3") || !strings.Contains(err.Error(), "version 7") {
+	if _, _, _, err := decodeResume(old); err == nil || !strings.Contains(err.Error(), "version 3") || !strings.Contains(err.Error(), "version 8") {
 		t.Errorf("v3 RESUME: %v, want a refusal naming both versions", err)
 	}
 }

@@ -2,7 +2,9 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -59,6 +61,56 @@ func TestHeartbeatProbesIdleLink(t *testing.T) {
 	case err := <-ha.closed:
 		t.Fatalf("idle-but-alive link closed: %v", err)
 	default:
+	}
+}
+
+// TestHeartbeatProbesFollowTheirFrames: a probe carries the last sequence
+// number its sender assigned, and its receiver reads a number past its own
+// recvSeq as frames lost. So a probe must reach the wire after every frame
+// up to that number, those a sender writes inline included. Senders stream
+// frames on both sides of the inline threshold, pausing now and then so the
+// sending end, which hears little, probes between them; with reconnection
+// off, one probe ahead of its frames would fail the link.
+func TestHeartbeatProbesFollowTheirFrames(t *testing.T) {
+	sizes := []int{16, 1000, inlineWriteBytes - frameHeaderBytes, 20 << 10}
+	const senders, perSender = 4, 150
+	for name, tr := range transports() {
+		t.Run(name, func(t *testing.T) {
+			hd, ha := newRecordingHandler(), newRecordingHandler()
+			dialer, acceptor := heartbeatPair(t, tr, testAddr(name), hd, ha, time.Millisecond, 10*time.Second)
+			var wg sync.WaitGroup
+			for s := 0; s < senders; s++ {
+				wg.Add(1)
+				go func(s int) {
+					defer wg.Done()
+					for i := 0; i < perSender; i++ {
+						msg := make([]byte, sizes[(s+i)%len(sizes)])
+						msg[0] = 7
+						binary.LittleEndian.PutUint32(msg[2:], uint32(len(msg)-6))
+						if err := dialer.SendData(7, msg); err != nil {
+							t.Errorf("sender %d frame %d: %v", s, i, err)
+							return
+						}
+						if i%10 == 0 {
+							time.Sleep(time.Millisecond) // let the pinger find the link silent
+						}
+					}
+				}(s)
+			}
+			wg.Wait()
+			ha.waitData(t, 7, senders*perSender)
+			for _, h := range []*recordingHandler{hd, ha} {
+				select {
+				case err := <-h.closed:
+					t.Fatalf("link closed mid-stream: %v", err)
+				default:
+				}
+			}
+			if dialer.Stats().PingsSent == 0 {
+				t.Fatal("the sender never probed mid-stream")
+			}
+			closeBoth(dialer, acceptor)
+		})
 	}
 }
 
@@ -123,27 +175,28 @@ func TestChaosStallSpec(t *testing.T) {
 }
 
 // FuzzDecodePing fuzzes the PING/PONG body decoder: arbitrary bodies
-// must never panic, and a well-formed timestamp round-trips through the
-// frame encoder and reader bit-identically for both frame types.
+// must never panic, whatever it accepts re-encodes to the same bytes, and
+// a well-formed timestamp and sequence number round-trip through the frame
+// encoder and reader bit-identically for both frame types.
 func FuzzDecodePing(f *testing.F) {
-	f.Add([]byte{}, uint64(0))
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint64(1))
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, uint64(1<<63))
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0}, uint64(1234567890))
-	f.Fuzz(func(t *testing.T, body []byte, ts uint64) {
-		if got, err := decodePing(body); err == nil {
+	f.Add([]byte{}, uint64(0), uint64(0))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint64(1), uint64(2))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, uint64(1<<63), uint64(1))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0}, uint64(1234567890), uint64(1<<40))
+	f.Fuzz(func(t *testing.T, body []byte, ts, sendSeq uint64) {
+		if gotTS, gotSeq, err := decodePing(body); err == nil {
 			if len(body) != pingBodyBytes {
 				t.Fatalf("decodePing accepted a %d-byte body", len(body))
 			}
 			var back [pingBodyBytes]byte
-			encodePing(back[:], got)
+			encodePing(back[:], gotTS, gotSeq)
 			if !bytes.Equal(back[:], body) {
-				t.Fatalf("decode/encode not inverse: %x -> %d -> %x", body, got, back)
+				t.Fatalf("decode/encode not inverse: %x -> %d,%d -> %x", body, gotTS, gotSeq, back)
 			}
 		}
 		for _, typ := range []byte{framePing, framePong} {
 			var enc [pingBodyBytes]byte
-			encodePing(enc[:], ts)
+			encodePing(enc[:], ts, sendSeq)
 			var reader frameReader
 			rtyp, seq, got, err := reader.read(bytes.NewReader(appendFrame(nil, typ, 0, nil, enc[:])))
 			if err != nil {
@@ -152,12 +205,12 @@ func FuzzDecodePing(f *testing.F) {
 			if rtyp != typ || seq != 0 {
 				t.Fatalf("frame read back as type %d seq %d", rtyp, seq)
 			}
-			back, err := decodePing(got)
+			backTS, backSeq, err := decodePing(got)
 			if err != nil {
 				t.Fatalf("decoding a well-formed ping body: %v", err)
 			}
-			if back != ts {
-				t.Fatalf("timestamp round-tripped as %d, want %d", back, ts)
+			if backTS != ts || backSeq != sendSeq {
+				t.Fatalf("probe round-tripped as %d,%d, want %d,%d", backTS, backSeq, ts, sendSeq)
 			}
 		}
 	})

@@ -139,11 +139,10 @@ func linkPair(t *testing.T, tr Transport, addr string, hd, ha Handler) (*Link, *
 	return batchLinkPair(t, tr, addr, nil, nil, hd, ha)
 }
 
-func transports(t *testing.T) map[string]Transport {
+func transports() map[string]Transport {
 	return map[string]Transport{
 		"loopback": NewLoopback(),
 		"tcp":      &TCP{},
-		"shm":      NewShm(t.TempDir()),
 	}
 }
 
@@ -155,7 +154,7 @@ func testAddr(name string) string {
 }
 
 func TestLinkRoundTrip(t *testing.T) {
-	for name, tr := range transports(t) {
+	for name, tr := range transports() {
 		t.Run(name, func(t *testing.T) {
 			hd, ha := newRecordingHandler(), newRecordingHandler()
 			dialer, acceptor := linkPair(t, tr, testAddr(name), hd, ha)
@@ -313,7 +312,7 @@ func asError(err error, target **Error) bool {
 }
 
 func TestAbruptPeerDeathReportsError(t *testing.T) {
-	for name, tr := range transports(t) {
+	for name, tr := range transports() {
 		t.Run(name, func(t *testing.T) {
 			hd, ha := newRecordingHandler(), newRecordingHandler()
 			dialer, acceptor := linkPair(t, tr, testAddr(name), hd, ha)
@@ -339,7 +338,7 @@ func TestAbruptPeerDeathReportsError(t *testing.T) {
 // discipline: every send either delivers or fails with ErrLinkClosed, and
 // nothing panics or deadlocks.
 func TestCloseRacesSend(t *testing.T) {
-	for name, tr := range transports(t) {
+	for name, tr := range transports() {
 		t.Run(name, func(t *testing.T) {
 			hd, ha := newRecordingHandler(), newRecordingHandler()
 			dialer, acceptor := linkPair(t, tr, testAddr(name), hd, ha)

@@ -146,16 +146,22 @@ func (l *Link) dispatch(gen int, typ byte, body []byte) error {
 		l.trimUnacked(n)
 	case frameCtrl:
 		return l.dispatchCtrl(body)
-	case framePing:
-		ts, err := decodePing(body)
+	case framePing, framePong:
+		ts, seq, err := decodePing(body)
 		if err != nil {
 			return err
 		}
-		l.stageProbe(gen, framePong, ts)
-	case framePong:
-		ts, err := decodePing(body)
-		if err != nil {
-			return err
+		// Every frame up to seq precedes the probe on the wire: a recvSeq
+		// behind it is a sequence gap, and RESUME replays what it lost.
+		l.mu.Lock()
+		want := l.recvSeq + 1
+		l.mu.Unlock()
+		if seq >= want {
+			return fmt.Errorf("sequence gap: probe follows frame %d, want frame %d (frames lost)", seq, want)
+		}
+		if typ == framePing {
+			l.stageProbe(gen, framePong, ts)
+			break
 		}
 		if rtt := time.Now().UnixNano() - int64(ts); rtt >= 0 {
 			us := rtt / int64(time.Microsecond)

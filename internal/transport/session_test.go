@@ -88,7 +88,7 @@ func sessionLinkPair(t *testing.T, tr Transport, hd, ha Handler) (*Link, *Link) 
 // session lifecycle is internal/session's, on CTRL frames:
 // TestSessionCtrlRoundTrip.)
 func TestSessionRoundTrip(t *testing.T) {
-	for name, tr := range transports(t) {
+	for name, tr := range transports() {
 		t.Run(name, func(t *testing.T) {
 			hd, ha := newSessionRecorder(), newSessionRecorder()
 			d, a := sessionLinkPair(t, tr, hd, ha)

@@ -84,13 +84,6 @@ func (e *Error) Error() string {
 
 func (e *Error) Unwrap() error { return e.Err }
 
-// Timeout reports whether the underlying cause was an I/O timeout, so
-// Error satisfies the net.Error convention.
-func (e *Error) Timeout() bool {
-	var ne net.Error
-	return errors.As(e.Err, &ne) && ne.Timeout()
-}
-
 // IsTransient reports whether err is a transport error worth retrying:
 // refused or timed-out connects, send timeouts. Handshake and protocol
 // failures are fatal.

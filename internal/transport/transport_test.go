@@ -170,7 +170,7 @@ func TestLoopbackCloseReleasesPipe(t *testing.T) {
 // transports and verifies every reader/acceptor goroutine is reaped.
 func TestShutdownLeaksNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
-	for name, tr := range transports(t) {
+	for name, tr := range transports() {
 		hd, ha := newRecordingHandler(), newRecordingHandler()
 		dialer, acceptor := linkPair(t, tr, testAddr(name), hd, ha)
 		msg := []byte{7, 0, 1, 0, 0, 0, 9}
@@ -312,5 +312,34 @@ func TestResumeFrameRoundTrips(t *testing.T) {
 	putAck(&ack, 5, 9, 3)
 	if tag, e, n, err := decodeAck(ack[:]); err != nil || tag != 5 || e != 9 || n != 3 {
 		t.Fatalf("ack round trip: tag %d edge %d count %d %v", tag, e, n, err)
+	}
+}
+
+// TestSameHostFallsBackToTCP: SameHost, kept for the benchmark's
+// lpc_shm_stream workload, is plain TCP.
+func TestSameHostFallsBackToTCP(t *testing.T) {
+	tcp := &TCP{}
+	ln, err := tcp.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		c, err := ln.Accept()
+		if err == nil {
+			c.Close()
+		}
+	}()
+	sh := &SameHost{Shm: NewShm(t.TempDir())}
+	if sh.Name() != "tcp" {
+		t.Fatalf("SameHost is named %q, want tcp", sh.Name())
+	}
+	c, err := sh.Dial(ln.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if c.RemoteAddr() != ln.Addr() {
+		t.Fatalf("SameHost dialed %q, want the TCP listener %q", c.RemoteAddr(), ln.Addr())
 	}
 }

@@ -181,13 +181,16 @@ func (l *Link) writeFailed(gen int, err error) *Error {
 // stageProbe stages one PING (ts the current time) or the PONG echoing a
 // peer's PING (ts its timestamp) on connection generation gen. The pinger
 // sends PINGs; the reader answers with PONGs, which is staging, not
-// writing, so it cannot park behind a peer that is not reading.
+// writing, so it cannot park behind a peer that is not reading. The probe
+// carries sendSeq as of its staging: under mu every frame up to it is
+// staged ahead of the probe, or claimed by an inline write that holds wmu
+// until it is written, so the probe reaches the wire after all of them.
 func (l *Link) stageProbe(gen int, typ byte, ts uint64) {
 	var body [pingBodyBytes]byte
-	encodePing(body[:], ts)
 	l.mu.Lock()
 	ok := l.gen == gen && l.state == stateUp
 	if ok {
+		encodePing(body[:], ts, l.sendSeq)
 		l.stageControlLocked(typ, body[:])
 	}
 	l.mu.Unlock()

@@ -315,7 +315,7 @@ func (h *ackingHandler) HandleData(edge uint16, msg []byte) {
 func TestWriterMixedSizesKeepOrder(t *testing.T) {
 	sizes := []int{16, 1000, inlineWriteBytes - frameHeaderBytes - 1, inlineWriteBytes - frameHeaderBytes, 20 << 10, 128 << 10}
 	const senders, perSender = 8, 120
-	for name, tr := range transports(t) {
+	for name, tr := range transports() {
 		t.Run(name, func(t *testing.T) {
 			hd, ha := newRecordingHandler(), &ackingHandler{recordingHandler: newRecordingHandler()}
 			dialer, acceptor := batchLinkPair(t, tr, testAddr(name), nil, nil, hd, ha)
@@ -478,7 +478,7 @@ func TestCloseDrainsWriter(t *testing.T) {
 // message beside an ack queued for the other direction's edge, over every
 // carrier, and checks delivery is exact and in order.
 func TestBidirectionalRoundTrip(t *testing.T) {
-	for name, tr := range transports(t) {
+	for name, tr := range transports() {
 		t.Run(name, func(t *testing.T) {
 			hd, ha := newRecordingHandler(), newRecordingHandler()
 			dialer, acceptor := batchLinkPair(t, tr, testAddr(name), nil, nil, hd, ha)
