@@ -37,7 +37,8 @@ import (
 // stdlibCalls are methods the standard library calls through an interface on
 // values the repository hands it (fmt and errors; sort and container/heap;
 // io and net.Conn). No repository code names those calls, so the name alone
-// keeps such a method of a reached type.
+// keeps such a method of a reached type. A call the repository makes through
+// an interface keeps the method only on the types that implement it.
 var stdlibCalls = []string{
 	"Error", "String", "Unwrap",
 	"Len", "Less", "Swap", "Push", "Pop",
@@ -141,13 +142,12 @@ func goList(dir string) ([]*pkg, error) {
 
 // decl is one package-level declaration, or a method, of a non-test file.
 type decl struct {
-	pkg    string
-	name   string // Name, or Type.Method
-	pos    token.Position
-	recv   string   // a method's receiver type, as a key
-	uses   []string // keys of the repository objects its declaration names
-	iface  []string // methods it calls through an interface
-	method string   // a method's own name
+	pkg   string
+	name  string // Name, or Type.Method
+	pos   token.Position
+	uses  []string      // keys of the repository objects its declaration names
+	iface []*types.Func // the interface methods it calls
+	typ   *types.Named  // a type declaration's type
 }
 
 type checker struct {
@@ -396,14 +396,15 @@ func (c *checker) record(p *pkg, f *ast.File, info *types.Info) {
 			if ptr, ok := recv.(*types.Pointer); ok {
 				recv = ptr.Elem()
 			}
-			named := recv.(*types.Named)
-			d.recv, d.method = c.key(named.Obj()), d.name
-			d.name = named.Obj().Name() + "." + d.name
+			d.name = recv.(*types.Named).Obj().Name() + "." + d.name
 		case *ast.GenDecl:
 			for _, spec := range dl.Specs {
 				switch s := spec.(type) {
 				case *ast.TypeSpec:
-					add(s.Name, s)
+					d := add(s.Name, s)
+					if !info.Defs[s.Name].(*types.TypeName).IsAlias() {
+						d.typ = info.Defs[s.Name].Type().(*types.Named)
+					}
 					if !p.main {
 						c.recordFields(p, s, info)
 					}
@@ -420,9 +421,9 @@ func (c *checker) record(p *pkg, f *ast.File, info *types.Info) {
 	}
 }
 
-// uses lists the repository objects node names and the methods it calls
-// through an interface.
-func (c *checker) uses(node ast.Node, info *types.Info) (keys, iface []string) {
+// uses lists the repository objects node names and the interface methods
+// it calls.
+func (c *checker) uses(node ast.Node, info *types.Info) (keys []string, iface []*types.Func) {
 	ast.Inspect(node, func(n ast.Node) bool {
 		id, ok := n.(*ast.Ident)
 		if !ok {
@@ -431,7 +432,7 @@ func (c *checker) uses(node ast.Node, info *types.Info) (keys, iface []string) {
 		obj := info.Uses[id]
 		if fn, ok := obj.(*types.Func); ok {
 			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
-				iface = append(iface, fn.Name())
+				iface = append(iface, fn)
 				return true
 			}
 		}
@@ -444,21 +445,33 @@ func (c *checker) uses(node ast.Node, info *types.Info) (keys, iface []string) {
 }
 
 // reach walks from the roots: a declaration reaches what it names, a method
-// is reached when it is selected, or when its type is reached and a reached
-// declaration (or the standard library) calls its name through an interface.
+// is reached when it is selected, or when a reached type implements an
+// interface that a reached declaration calls it through — its own method or
+// one promoted from a type it embeds — or has a method the standard library
+// calls by name.
 func (c *checker) reach() map[string]bool {
-	byRecv := map[string][]string{}
-	for k, d := range c.decls {
-		if d.recv != "" {
-			byRecv[d.recv] = append(byRecv[d.recv], k)
+	calls := map[*types.Func]bool{} // the interface methods reached code calls
+	var named []*types.Named        // the reached types
+	// method queues what a call through an interface reaches of type t:
+	// the method of that name t has, if t implements the interface (fn nil:
+	// any interface, a stdlib call by name).
+	var queue []string
+	method := func(t *types.Named, fn *types.Func, name string) {
+		var pkg *types.Package
+		if fn != nil {
+			pkg = fn.Pkg()
+			iface, _ := fn.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+			// An uninstantiated generic type has no method set to check.
+			if iface != nil && t.TypeParams().Len() == 0 && !types.Implements(types.NewPointer(t), iface) {
+				return
+			}
+		}
+		if m, _, _ := types.LookupFieldOrMethod(t, true, pkg, name); m != nil {
+			queue = append(queue, c.key(m))
 		}
 	}
-	called := map[string]bool{}
-	for _, name := range stdlibCalls {
-		called[name] = true
-	}
 	reached := map[string]bool{}
-	queue := append([]string{}, c.roots...)
+	queue = append(queue, c.roots...)
 	for len(queue) > 0 {
 		k := queue[0]
 		queue = queue[1:]
@@ -468,20 +481,22 @@ func (c *checker) reach() map[string]bool {
 		}
 		reached[k] = true
 		queue = append(queue, d.uses...)
-		for _, name := range d.iface {
-			if called[name] {
+		for _, fn := range d.iface {
+			if calls[fn] {
 				continue
 			}
-			called[name] = true
-			for mk, m := range c.decls {
-				if m.method == name && reached[m.recv] {
-					queue = append(queue, mk)
-				}
+			calls[fn] = true
+			for _, t := range named {
+				method(t, fn, fn.Name())
 			}
 		}
-		for _, mk := range byRecv[k] {
-			if called[c.decls[mk].method] {
-				queue = append(queue, mk)
+		if t := d.typ; t != nil {
+			named = append(named, t)
+			for fn := range calls {
+				method(t, fn, fn.Name())
+			}
+			for _, name := range stdlibCalls {
+				method(t, nil, name)
 			}
 		}
 	}

@@ -74,6 +74,36 @@ type Pair struct{ A, B int }
 func Use(c *Config, p Pair) int {
 	return c.Keyed + c.Assigned + c.Indexed[0] + c.Counted + c.Bound + c.TestSet + c.Unset + p.A + p.B
 }
+
+// Comm is reached, its Size is not: the program's only Size call is through
+// fs.FileInfo, which Comm does not implement.
+type Comm struct{ n int }
+
+func NewComm(n int) Comm { return Comm{n} }
+
+func (c Comm) Size() int { return c.n }
+
+// Item implements Labeled with a Label promoted from base, which alone does
+// not implement it.
+type Labeled interface {
+	Label() string
+	ID() int
+}
+
+type base struct{}
+
+func (base) Label() string { return "item" }
+
+type Item struct{ base }
+
+func (Item) ID() int { return 1 }
+
+func Labels(ls []Labeled) (s string, ids int) {
+	for _, l := range ls {
+		s, ids = s+l.Label(), ids+l.ID()
+	}
+	return s, ids
+}
 `,
 			"/ex/lib/lib_test.go": `package lib
 
@@ -113,6 +143,7 @@ func TestOther(t *testing.T) { _ = lib.OtherTestOnly() }
 import (
 	"errors"
 	"flag"
+	"os"
 
 	"ex/lib"
 )
@@ -130,6 +161,12 @@ func main() {
 	c.Counted++
 	flag.IntVar(&c.Bound, "n", 0, "")
 	_ = lib.Use(c, lib.Pair{1, 2})
+
+	_ = lib.NewComm(2)
+	if fi, err := os.Stat("."); err == nil {
+		_ = fi.Size()
+	}
+	_, _ = lib.Labels([]lib.Labeled{lib.Item{}})
 }
 `,
 		},
@@ -154,6 +191,8 @@ func TestCheckerTable(t *testing.T) {
 		{"H.Pop", false, "container/heap calls it through heap.Interface"},
 		{"wrapped.Unwrap", false, "errors.Is calls it through an interface"},
 		{"Square.Area", false, "reached code calls Area through Shape"},
+		{"Comm.Size", true, "the only Size call is through an interface Comm does not implement"},
+		{"base.Label", false, "reached code calls Label through Labeled, which Item implements with base's Label"},
 		{"OtherTestOnly", false, "another package's test uses it"},
 		{"OwnTestOnly", true, "only its own package's tests use it"},
 		{"Unused", true, "nothing uses it"},
@@ -171,7 +210,7 @@ func TestCheckerTable(t *testing.T) {
 			t.Errorf("%s: reported = %v, want %v (%s)", c.name, reported[c.name], c.reported, c.why)
 		}
 	}
-	if want := []string{"lib/lib.go:38 OwnTestOnly", "lib/lib.go:42 Unused"}; strings.Join(unreached, "\n") != strings.Join(want, "\n") {
+	if want := []string{"lib/lib.go:38 OwnTestOnly", "lib/lib.go:42 Unused", "lib/lib.go:69 Comm.Size"}; strings.Join(unreached, "\n") != strings.Join(want, "\n") {
 		t.Errorf("unreached =\n\t%s\nwant\n\t%s", strings.Join(unreached, "\n\t"), strings.Join(want, "\n\t"))
 	}
 	if want := []string{"lib/lib.go:53 Config.TestSet", "lib/lib.go:54 Config.Unset"}; strings.Join(unset, "\n") != strings.Join(want, "\n") {

@@ -800,7 +800,9 @@ func (w *coldWorker) run(ctx context.Context) error {
 			})
 			lns[m.Epoch].Close()
 			if err == nil {
-				res, err = pr.Run(m.Spec.BaseIter, m.Spec.Iterations)
+				if err = pr.Run(m.Spec.BaseIter, m.Spec.Iterations); err == nil {
+					res = pr.Checkpoint()
+				}
 			}
 			if err != nil {
 				send(Fail{Epoch: m.Epoch, Msg: err.Error()})

@@ -279,13 +279,13 @@ func (w *Worker) deploy(ctx context.Context, t Task) *deployment {
 		defer pr.Close(false)
 		next := Continue{Epoch: t.Epoch, BaseIter: t.Spec.BaseIter, Iterations: t.Spec.Iterations}
 		for {
-			res, err := pr.Run(next.BaseIter, next.Iterations)
-			if err != nil {
+			if err := pr.Run(next.BaseIter, next.Iterations); err != nil {
 				if dctx.Err() == nil {
 					fail(next.Epoch, err.Error())
 				}
 				return
 			}
+			res := pr.Checkpoint()
 			done := Done{
 				Epoch: next.Epoch, Tails: res.Tails,
 				Firings: map[string]uint32{}, ProcNS: res.ProcNS,

@@ -55,6 +55,10 @@ type peFilter struct {
 	// the adaptive gate's verdict.
 	spare     []float64
 	resampled bool
+	// rs's scratch, one entry per PE: the offspring quotas, their
+	// remainders, and this PE's row of the migration plan.
+	quota, plan []int
+	fracs       []float64
 }
 
 // filterGraph is FilterSystem's graph for one (particles, PEs) shape, with
@@ -115,6 +119,9 @@ func newDistributed(model Model, nParticles, pes int, seed uint64) (*Distributed
 			sums:      make([]float64, pes),
 			weighted:  make([]float64, pes),
 			sumSqs:    make([]float64, pes),
+			quota:     make([]int, pes),
+			plan:      make([]int, pes),
+			fracs:     make([]float64, pes),
 		}
 		for i := range pf.particles {
 			pf.particles[i] = model.P.A0 * (1 + 0.05*pf.rng.NormFloat64())
@@ -150,12 +157,12 @@ func (d *Distributed) SetResampleThreshold(frac float64) {
 // Resamplings returns how many distributed resampling rounds have run.
 func (d *Distributed) Resamplings() int64 { return d.resamplings }
 
-// quotas computes, identically on every PE, the per-PE offspring counts
-// from the partial weight sums using the largest-remainder method: counts
-// are proportional to partial sums and total exactly N.
-func quotas(partialSums []float64, total int) []int {
+// quotas computes into out, identically on every PE, the per-PE offspring
+// counts from the partial weight sums using the largest-remainder method:
+// counts are proportional to partial sums and total exactly N. fracs is
+// scratch; both have an entry per PE.
+func quotas(out []int, fracs, partialSums []float64, total int) {
 	n := len(partialSums)
-	out := make([]int, n)
 	var sum float64
 	for _, s := range partialSums {
 		sum += s
@@ -167,9 +174,8 @@ func quotas(partialSums []float64, total int) []int {
 				out[i]++
 			}
 		}
-		return out
+		return
 	}
-	fracs := make([]float64, n)
 	assigned := 0
 	for i, s := range partialSums {
 		exact := float64(total) * s / sum
@@ -191,40 +197,35 @@ func quotas(partialSums []float64, total int) []int {
 		fracs[best] = -1
 		assigned++
 	}
-	return out
 }
 
-// migrationPlan decides, identically on every PE, how many particles flow
-// from each surplus PE to each deficit PE: greedy in PE order.
-func migrationPlan(quota []int, perPE int) map[[2]int]int {
-	plan := map[[2]int]int{}
-	type entry struct{ pe, amount int }
-	var surplus, deficit []entry
-	for p, q := range quota {
-		switch {
-		case q > perPE:
-			surplus = append(surplus, entry{p, q - perPE})
-		case q < perPE:
-			deficit = append(deficit, entry{p, perPE - q})
+// migrationRow writes into row[q] how many particles PE p sends to PE q.
+// The plan is decided identically on every PE: each surplus PE's excess
+// fills the deficit PEs greedily, both in PE order. A PE reads only its
+// own row, so that is all it computes.
+func migrationRow(row, quota []int, perPE, p int) {
+	clear(row)
+	s, d := -1, -1 // the surplus and deficit PE being paired
+	have, need := 0, 0
+	for {
+		for have == 0 {
+			if s++; s == len(quota) {
+				return
+			}
+			have = max(quota[s]-perPE, 0)
 		}
+		for need == 0 {
+			if d++; d == len(quota) {
+				return
+			}
+			need = max(perPE-quota[d], 0)
+		}
+		k := min(have, need)
+		if s == p {
+			row[d] = k
+		}
+		have, need = have-k, need-k
 	}
-	si, di := 0, 0
-	for si < len(surplus) && di < len(deficit) {
-		k := surplus[si].amount
-		if deficit[di].amount < k {
-			k = deficit[di].amount
-		}
-		plan[[2]int{surplus[si].pe, deficit[di].pe}] += k
-		surplus[si].amount -= k
-		deficit[di].amount -= k
-		if surplus[si].amount == 0 {
-			si++
-		}
-		if deficit[di].amount == 0 {
-			di++
-		}
-	}
-	return plan
 }
 
 // kernels builds the three kernels of every PE over fg's graph, keyed by
@@ -300,14 +301,13 @@ func (d *Distributed) kernels(fg *filterGraph, obs func(iter int) float64, est f
 			// resampling and sends empty migrations.
 			pf.resampled = !d.adaptive || totalSumSq <= 0 ||
 				totalSum*totalSum/totalSumSq < d.resampleFrac*float64(d.pes*d.perPE)
-			var plan map[[2]int]int
 			if pf.resampled {
 				if p == 0 {
 					d.resamplings++ // counted once per round, on PE 0
 				}
-				quota := quotas(pf.sums, d.pes*d.perPE)
-				pf.spare = SystematicResample(pf.spare, pf.particles, pf.weights, pf.sums[p], quota[p], pf.rng)
-				plan = migrationPlan(quota, d.perPE)
+				quotas(pf.quota, pf.fracs, pf.sums, d.pes*d.perPE)
+				pf.spare = SystematicResample(pf.spare, pf.particles, pf.weights, pf.sums[p], pf.quota[p], pf.rng)
+				migrationRow(pf.plan, pf.quota, d.perPE, p)
 				for i := range pf.weights {
 					pf.weights[i] = 1
 				}
@@ -318,7 +318,7 @@ func (d *Distributed) kernels(fg *filterGraph, obs func(iter int) float64, est f
 					continue
 				}
 				msg := mig[q][:0]
-				if k := plan[[2]int{p, q}]; k > 0 {
+				if k := pf.plan[q]; pf.resampled && k > 0 {
 					for _, a := range pf.spare[exportFrom : exportFrom+k] {
 						msg = binary.LittleEndian.AppendUint64(msg, math.Float64bits(a))
 					}
@@ -365,7 +365,7 @@ func (d *Distributed) kernels(fg *filterGraph, obs func(iter int) float64, est f
 // global weighted mean every PE computes from the exchanged partial sums.
 func (d *Distributed) Step(observation float64) (float64, error) {
 	d.y = observation
-	if _, err := d.run.Run(d.steps, 1); err != nil {
+	if err := d.run.Run(d.steps, 1); err != nil {
 		return 0, err
 	}
 	d.steps++

@@ -2,6 +2,7 @@ package particle
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -99,8 +100,15 @@ func TestRMSE(t *testing.T) {
 	}
 }
 
+// quotasOf is quotas into fresh slices.
+func quotasOf(partialSums []float64, total int) []int {
+	out := make([]int, len(partialSums))
+	quotas(out, make([]float64, len(partialSums)), partialSums, total)
+	return out
+}
+
 func TestQuotasProportionalAndExact(t *testing.T) {
-	q := quotas([]float64{3, 1}, 100)
+	q := quotasOf([]float64{3, 1}, 100)
 	if q[0]+q[1] != 100 {
 		t.Fatalf("quota sum %d", q[0]+q[1])
 	}
@@ -111,7 +119,7 @@ func TestQuotasProportionalAndExact(t *testing.T) {
 
 func TestQuotasLargestRemainder(t *testing.T) {
 	// 1/3 each of 100: two PEs get 33, one (lowest index on tie) gets 34.
-	q := quotas([]float64{1, 1, 1}, 100)
+	q := quotasOf([]float64{1, 1, 1}, 100)
 	total := 0
 	for _, v := range q {
 		total += v
@@ -125,7 +133,7 @@ func TestQuotasLargestRemainder(t *testing.T) {
 }
 
 func TestQuotasDegenerateSums(t *testing.T) {
-	q := quotas([]float64{0, 0}, 10)
+	q := quotasOf([]float64{0, 0}, 10)
 	if q[0]+q[1] != 10 {
 		t.Errorf("degenerate quotas %v", q)
 	}
@@ -140,7 +148,7 @@ func TestQuotasSumProperty(t *testing.T) {
 		for i := range sums {
 			sums[i] = rng.Float64()
 		}
-		q := quotas(sums, tot)
+		q := quotasOf(sums, tot)
 		got := 0
 		for _, v := range q {
 			if v < 0 {
@@ -156,21 +164,27 @@ func TestQuotasSumProperty(t *testing.T) {
 }
 
 func TestMigrationPlanBalances(t *testing.T) {
-	plan := migrationPlan([]int{7, 3}, 5)
-	if plan[[2]int{0, 1}] != 2 {
-		t.Errorf("plan = %v, want 2 from PE0 to PE1", plan)
+	// plan is every PE's row: plan[p][q] particles flow from PE p to PE q.
+	plan := func(quota []int, perPE int) [][]int {
+		rows := make([][]int, len(quota))
+		for p := range rows {
+			rows[p] = make([]int, len(quota))
+			for q := range rows[p] {
+				rows[p][q] = -1 // written over, not added to
+			}
+			migrationRow(rows[p], quota, perPE, p)
+		}
+		return rows
 	}
-	// balanced quota: empty plan
-	if len(migrationPlan([]int{5, 5}, 5)) != 0 {
-		t.Error("balanced quotas should need no migration")
+	if got := plan([]int{7, 3}, 5); !reflect.DeepEqual(got, [][]int{{0, 2}, {0, 0}}) {
+		t.Errorf("plan = %v, want 2 from PE0 to PE1", got)
 	}
-	// three-way
-	plan3 := migrationPlan([]int{9, 2, 4}, 5)
-	moved := 0
-	for _, k := range plan3 {
-		moved += k
+	if got := plan([]int{5, 5}, 5); !reflect.DeepEqual(got, [][]int{{0, 0}, {0, 0}}) {
+		t.Errorf("balanced quotas plan %v, want no migration", got)
 	}
-	if moved != 4 {
-		t.Errorf("plan3 = %v moves %d, want 4", plan3, moved)
+	// Greedy in PE order: PE0's surplus of 4 fills PE1's deficit of 3, then
+	// 1 of PE2's; PE3's surplus of 2 fills the rest of PE2's.
+	if got := plan([]int{9, 2, 2, 7}, 5); !reflect.DeepEqual(got, [][]int{{0, 3, 1, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 2, 0}}) {
+		t.Errorf("four-way plan = %v", got)
 	}
 }

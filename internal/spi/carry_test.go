@@ -1,7 +1,9 @@
 package spi
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -31,27 +33,37 @@ func carryGraph(d int, dynamic bool) (*dataflow.Graph, *sched.Mapping) {
 	return g, m
 }
 
-// carryKernels: P emits 1 + iter%5 bytes drawn from the iteration (static
-// tokens are padded on the wire), C folds the iteration and every byte it
-// reads into *digest.
+// carryKernels: P emits carryToken(iter) (static tokens are padded on the
+// wire), C folds the iteration and every byte it reads into *digest
+// (carryFold).
 func carryKernels(digest *uint64) map[dataflow.ActorID]Kernel {
 	return map[dataflow.ActorID]Kernel{
 		0: func(iter int, _ map[dataflow.EdgeID][]byte) (map[dataflow.EdgeID][]byte, error) {
-			out := make([]byte, 1+iter%5)
-			for i := range out {
-				out[i] = byte(iter*7 + i + 1)
-			}
-			return map[dataflow.EdgeID][]byte{0: out}, nil
+			return map[dataflow.EdgeID][]byte{0: carryToken(iter)}, nil
 		},
 		1: func(iter int, in map[dataflow.EdgeID][]byte) (map[dataflow.EdgeID][]byte, error) {
-			*digest = (*digest ^ uint64(iter)) * 1099511628211
-			for _, v := range in[0] {
-				*digest = (*digest ^ uint64(v)) * 1099511628211
-			}
-			*digest += uint64(len(in[0]))
+			carryFold(digest, iter, in[0])
 			return nil, nil
 		},
 	}
+}
+
+// carryToken is P's output at iter: 1 + iter%5 bytes drawn from the
+// iteration.
+func carryToken(iter int) []byte {
+	out := make([]byte, 1+iter%5)
+	for i := range out {
+		out[i] = byte(iter*7 + i + 1)
+	}
+	return out
+}
+
+func carryFold(digest *uint64, iter int, tok []byte) {
+	*digest = (*digest ^ uint64(iter)) * 1099511628211
+	for _, v := range tok {
+		*digest = (*digest ^ uint64(v)) * 1099511628211
+	}
+	*digest += uint64(len(tok))
 }
 
 // carryOverLoopback runs the carry graph as two loopback nodes, P's and C's,
@@ -201,15 +213,105 @@ func TestCarryPartialRunEndsDeployment(t *testing.T) {
 	}
 	defer pr.Close(false)
 	for _, r := range [][2]int{{0, 8}, {8, 3}} {
-		if _, err := pr.Run(r[0], r[1]); err != nil {
+		if err := pr.Run(r[0], r[1]); err != nil {
 			t.Fatalf("Run(%d, %d): %v", r[0], r[1], err)
 		}
 	}
 	if got != want {
 		t.Errorf("digest %#x after 11 iterations, scalar run %#x", got, want)
 	}
-	_, err = pr.Run(11, 4)
+	err = pr.Run(11, 4)
 	if err == nil || !strings.Contains(err.Error(), "8..10") || !strings.Contains(err.Error(), "4-iteration block") {
 		t.Errorf("Run after a partial range: %v, want a refusal naming 8..10 and the 4-iteration block", err)
+	}
+}
+
+// localCarryGraph is carryGraph with P and C on one processor, P first:
+// the edge is a local queue, which holds d + B tokens when C gathers.
+func localCarryGraph(d int, dynamic bool) (*dataflow.Graph, *sched.Mapping) {
+	g, m := carryGraph(d, dynamic)
+	m.NumProcs, m.Proc, m.Order = 1, []sched.Processor{0, 0}, [][]dataflow.ActorID{{0, 1}}
+	return g, m
+}
+
+// localCarryOracle is, without the executor, what C folds in n ≥ d
+// iterations of the local carry graph — at iteration i, the empty delay
+// token while i < d, else P's token of i − d, padded when static — and the
+// d tokens queued at the end.
+func localCarryOracle(n, d int, dynamic bool) (uint64, [][]byte) {
+	tok := func(iter int) []byte {
+		b := carryToken(iter)
+		if !dynamic {
+			b = append(b, make([]byte, 5-len(b))...)
+		}
+		return b
+	}
+	var digest uint64
+	for iter := range n {
+		var in []byte
+		if iter >= d {
+			in = tok(iter - d)
+		}
+		carryFold(&digest, iter, in)
+	}
+	var queued [][]byte
+	for iter := n - d; iter < n; iter++ {
+		queued = append(queued, tok(iter))
+	}
+	return digest, queued
+}
+
+// TestCarryLocalQueue: a same-processor edge whose queue holds more than
+// one block (delay d > B, d mod B ≠ 0) stays FIFO. The consumer reads the
+// oracle's bytes in a static run at B = 1 and at B = 4, and in a standing
+// deployment over one Run and over consecutive ones, and the checkpoint
+// holds the oracle's last d tokens. A gather whose tokens alias queue slots
+// that the shift or a later emit overwrites reads later tokens in their
+// place, or queues one buffer twice.
+func TestCarryLocalQueue(t *testing.T) {
+	const n = 24
+	for _, block := range []int{1, 4} {
+		for _, d := range []int{6, 9} {
+			for _, dynamic := range []bool{false, true} {
+				t.Run(fmt.Sprintf("B%d/d%d/dynamic=%v", block, d, dynamic), func(t *testing.T) {
+					g, m := localCarryGraph(d, dynamic)
+					want, wantQueued := localCarryOracle(n, d, dynamic)
+					var got uint64
+					if _, err := ExecuteBlocked(g, m, carryKernels(&got), n, VecOptions{Block: block}); err != nil {
+						t.Fatal(err)
+					}
+					if got != want {
+						t.Errorf("static run: digest %#x, oracle %#x", got, want)
+					}
+					spec, err := BuildPartition(g, m, nil, 1, 0, block, false)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, ranges := range [][]int{{n}, {8, 4, 12}} {
+						var got uint64
+						byID := carryKernels(&got)
+						pr, err := OpenPartition(spec, map[string]Kernel{"P": byID[0], "C": byID[1]}, DistOptions{})
+						if err != nil {
+							t.Fatal(err)
+						}
+						base := 0
+						for _, r := range ranges {
+							if err := pr.Run(base, r); err != nil {
+								t.Fatalf("Run(%d, %d): %v", base, r, err)
+							}
+							base += r
+						}
+						queued := pr.Checkpoint().Tails[0]
+						pr.Close(true)
+						if got != want {
+							t.Errorf("standing runs %v: digest %#x, oracle %#x", ranges, got, want)
+						}
+						if !slices.EqualFunc(queued, wantQueued, bytes.Equal) {
+							t.Errorf("standing runs %v: checkpoint %v, oracle %v", ranges, queued, wantQueued)
+						}
+					}
+				})
+			}
+		}
 	}
 }

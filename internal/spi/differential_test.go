@@ -305,7 +305,7 @@ func (c diffCase) partitioned(block int) (map[string]uint64, error) {
 				return
 			}
 			for _, r := range ranges {
-				if _, errs[w] = pr.Run(r[0], r[1]); errs[w] != nil {
+				if errs[w] = pr.Run(r[0], r[1]); errs[w] != nil {
 					break
 				}
 			}

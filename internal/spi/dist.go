@@ -474,8 +474,8 @@ func ExecutePartition(spec *PartitionSpec, kernels map[string]Kernel, opts DistO
 
 	iterations := spec.Iterations
 	wd := &watchdog{env: env, stall: opts.StallTimeout, ctx: opts.Context, o: opts.Obs, iterations: iterations}
-	procErrs, wdErr := wd.run(spec.BaseIter)
-	runErr := watchVerdict(collapseErrs(procErrs), wdErr)
+	procErr, wdErr := wd.run(spec.BaseIter)
+	runErr := watchVerdict(procErr, wdErr)
 	// Degraded runs close gracefully: surviving peers already received FINs
 	// for the starved edges, and a GOODBYE lets them finish their own
 	// drains normally.
@@ -490,7 +490,8 @@ func ExecutePartition(spec *PartitionSpec, kernels map[string]Kernel, opts DistO
 		var starved []string
 		firings := map[string]int{}
 		var cause error
-		for i, perr := range procErrs {
+		for i := range env.procs {
+			perr := env.procs[i].err
 			if perr == nil {
 				continue
 			}

@@ -93,14 +93,16 @@ type execEnv struct {
 	provider   LinkProvider
 	stopResume func()
 	fails      peerFails
+	wg         sync.WaitGroup // run's wait for the processors it fires on goroutines
 }
 
-// procPlan is one hosted processor: its actors in schedule order and the
-// kernel input maps its firings reuse.
+// procPlan is one hosted processor: its actors in schedule order, the
+// kernel input maps its firings reuse and the outcome of its last run.
 type procPlan struct {
 	proc   int
 	actors []actorSlot
 	in     map[dataflow.EdgeID][]byte
+	err    error
 	// busy is the kernel time of the last run in nanoseconds (timed
 	// environments only); localTransfers counts same-processor hand-offs.
 	busy           int64
@@ -151,8 +153,8 @@ type edgeSlot struct {
 	// preload holds the delay messages the producing side replays at open.
 	preload [][]byte
 
-	// Consumer side: the tokens of the block being fired (a window of queue,
-	// or views into the received message) and held, that message's buffer,
+	// Consumer side: the tokens of the block being fired (the queue's first
+	// n, or views into the received message) and held, that message's buffer,
 	// kept until the firing's outputs are out.
 	toks [][]byte
 	held *[]byte
@@ -260,38 +262,36 @@ func (env *execEnv) checkKernels() (err error) {
 
 // run fires iterations base..base+n-1 on every hosted processor, the last
 // on the calling goroutine and every other on one of its own (so a
-// one-processor node starts none), and returns the per-processor outcomes
-// (parallel to env.procs). A failing processor releases its peers: in
-// fail-fast mode by closing every runtime edge, in degraded mode by starving
-// only the edges incident to its own actors.
-func (env *execEnv) run(base, n int) []error {
+// one-processor node starts none), leaves each processor's outcome in its
+// err and returns the root cause (collapse). A failing processor releases
+// its peers: in fail-fast mode by closing every runtime edge, in degraded
+// mode by starving only the edges incident to its own actors.
+func (env *execEnv) run(base, n int) error {
 	env.eachActor(func(_ *procPlan, a *actorSlot) { a.fired.Store(0) })
-	errs := make([]error, len(env.procs))
 	last := len(env.procs) - 1 // lowerPartition refuses a spec without processors
-	var wg sync.WaitGroup
-	wg.Add(last)
+	env.wg.Add(last)
 	for i := range last {
 		go func() {
-			defer wg.Done()
-			errs[i] = env.fireProc(&env.procs[i], base, n)
+			defer env.wg.Done()
+			env.fireProc(&env.procs[i], base, n)
 		}()
 	}
-	errs[last] = env.fireProc(&env.procs[last], base, n)
-	wg.Wait()
-	return errs
+	env.fireProc(&env.procs[last], base, n)
+	env.wg.Wait()
+	return env.collapse()
 }
 
-// fireProc fires one processor and, should it fail, releases its peers.
-func (env *execEnv) fireProc(p *procPlan, base, n int) error {
+// fireProc fires one processor into p.err and, should it fail, releases
+// its peers.
+func (env *execEnv) fireProc(p *procPlan, base, n int) {
 	var msgs msgCache // the buffers this processor's sends take and its receives give back
-	err := env.fire(p, &msgs, base, n)
+	p.err = env.fire(p, &msgs, base, n)
 	msgs.spill(0)
-	if err != nil && env.degrade {
+	if p.err != nil && env.degrade {
 		env.starve(p)
-	} else if err != nil {
+	} else if p.err != nil {
 		env.rt.CloseAll()
 	}
-	return err
 }
 
 // starve propagates one processor's death along exactly its own edges:
@@ -318,22 +318,19 @@ func (env *execEnv) starve(p *procPlan) {
 	}
 }
 
-// collapseErrs reduces per-processor outcomes to one error, preferring the
+// collapse reduces the processors' outcomes to one error, preferring the
 // root cause: a processor that died on its own kernel or bound violation,
 // not the peers unblocked with ErrClosed as a consequence.
-func collapseErrs(errs []error) error {
+func (env *execEnv) collapse() error {
 	var closedErr error
-	for _, err := range errs {
-		if err == nil {
-			continue
+	for pi := range env.procs {
+		switch err := env.procs[pi].err; {
+		case err == nil:
+		case !errors.Is(err, ErrClosed):
+			return err
+		case closedErr == nil:
+			closedErr = err
 		}
-		if errors.Is(err, ErrClosed) {
-			if closedErr == nil {
-				closedErr = err
-			}
-			continue
-		}
-		return err
 	}
 	return closedErr
 }
@@ -428,7 +425,7 @@ func (env *execEnv) fireActor(p *procPlan, msgs *msgCache, a *actorSlot, iter, n
 }
 
 // gather collects into s.toks[:n] the n tokens the next block firing
-// consumes: a window of the local queue, or views into one received
+// consumes: the local queue's first n, or views into one received
 // message — a slab split into its tokens, or a scalar run's one token —
 // whose pooled buffer the slot holds until fireActor's flush is done: a
 // kernel may return an input as an output, so the buffer must outlive the
@@ -439,8 +436,12 @@ func (s *edgeSlot) gather(p *procPlan, n int) error {
 		if len(s.queue) < n {
 			return fmt.Errorf("local underflow: block needs %d tokens, %d queued (the schedule order or the delay does not cover the block)", n, len(s.queue))
 		}
+		// The block's tokens are copied into toks' own backing and the rest
+		// shifted down: the queue keeps one array, and toks aliases no slot
+		// emit may overwrite before the next gather hands its buffers to spare.
 		s.spare = append(s.spare, s.toks...) // the last firing is done with them
-		s.toks, s.queue = s.queue[:n:n], s.queue[n:]
+		s.toks = append(s.toks[:0], s.queue[:n]...)
+		s.queue = s.queue[:copy(s.queue, s.queue[n:])]
 		p.localTransfers += int64(n)
 		return nil
 	}

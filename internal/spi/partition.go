@@ -23,11 +23,10 @@ import (
 // keeps, so any number of deployments may lower one spec concurrently.
 //
 // A spec additionally carries resumption state: BaseIter offsets the
-// iteration numbers the kernels see, Preload holds the in-flight tokens
-// of every delayed edge at the epoch boundary, and State holds per-actor
-// checkpoint blobs. A standing deployment (OpenPartition) returns the
-// matching Tails/State from every Run, which is what makes live migration a
-// checkpoint-and-replay of pure data.
+// iteration numbers the kernels see, and Preload holds the in-flight tokens
+// of every delayed edge at the epoch boundary — what a standing
+// deployment's Checkpoint reports after a Run, which makes live migration
+// a checkpoint-and-replay of pure data.
 
 // PartEdge is one dataflow edge as a partition sees it: the planned SPI
 // configuration plus locality. Locality is decided by the processor-level
@@ -116,8 +115,8 @@ type PartitionSpec struct {
 	Preload map[uint16][][]byte
 }
 
-// PartResult reports one epoch of partition execution: Tails are the
-// checkpoint at its end, Firings and ProcNS cover the epoch alone.
+// PartResult reports one epoch of partition execution (Checkpoint): Tails
+// are the checkpoint at its end, Firings and ProcNS cover the epoch alone.
 type PartResult struct {
 	// Tails holds, per delayed edge produced here, the in-flight
 	// payloads at the epoch end — the next epoch's Preload.
@@ -342,40 +341,39 @@ func OpenPartition(spec *PartitionSpec, kernels map[string]Kernel, opts DistOpti
 	return pr, nil
 }
 
-// Run fires iterations baseIter..baseIter+n-1 on the standing environment
-// and returns the checkpoint at their end. A deployment runs one range at
-// a time, each starting where the last one ended; in a blocked deployment
-// only the last range may end inside a block (n not a multiple of B), and
-// every later Run is refused. The run is fail-fast: a dead peer, a kernel
-// error, or a cancelled context fails it, after which the deployment can
-// only be closed — the coordinator re-places and re-executes the range, and
+// Run fires iterations baseIter..baseIter+n-1 on the standing environment,
+// and builds no result (Checkpoint does). A deployment runs one range at a
+// time, each starting where the last one ended; in a blocked deployment only
+// the last range may end inside a block (n not a multiple of B), and every
+// later Run is refused. The run is fail-fast: a dead peer, a kernel error,
+// or a cancelled context fails it, after which the deployment can only be
+// closed — the coordinator re-places and re-executes the range, and
 // determinism makes that bit-identical.
-func (pr *PartitionRun) Run(baseIter, n int) (*PartResult, error) {
+func (pr *PartitionRun) Run(baseIter, n int) error {
 	if baseIter < 0 || n <= 0 {
-		return nil, fmt.Errorf("spi: partition run of %d iterations from %d", n, baseIter)
+		return fmt.Errorf("spi: partition run of %d iterations from %d", n, baseIter)
 	}
 	if pr.ended != nil {
-		return nil, pr.ended
+		return pr.ended
 	}
 	env := pr.env
 	if n%env.block != 0 {
 		pr.ended = fmt.Errorf("spi: partition run %d..%d ended inside a %d-iteration block: the deployment runs no further range", baseIter, baseIter+n-1, env.block)
 	}
-	runErr := collapseErrs(env.run(baseIter, n))
+	err := env.run(baseIter, n)
 	if ctx := pr.opts.Context; ctx != nil && ctx.Err() != nil {
-		runErr = ctx.Err()
+		err = ctx.Err()
 	}
-	if runErr != nil {
-		return nil, env.rooted(runErr)
-	}
+	return env.rooted(err)
+}
 
-	res := &PartResult{
-		Tails:   map[uint16][][]byte{},
-		Firings: map[string]int{},
-		ProcNS:  make([]int64, len(env.procs)),
-	}
+// Checkpoint reports the last successful Run: the in-flight tokens at its
+// end, copied, and its firings and kernel time.
+func (pr *PartitionRun) Checkpoint() *PartResult {
+	env := pr.env
+	res := &PartResult{Tails: map[uint16][][]byte{}, Firings: map[string]int{}}
 	for pi := range env.procs {
-		res.ProcNS[pi] = env.procs[pi].busy
+		res.ProcNS = append(res.ProcNS, env.procs[pi].busy)
 	}
 	env.eachActor(func(_ *procPlan, a *actorSlot) { res.Firings[a.name] = int(a.fired.Load()) })
 	for i := range pr.spec.Edges {
@@ -388,7 +386,7 @@ func (pr *PartitionRun) Run(baseIter, n int) (*PartResult, error) {
 			res.Tails[e.ID] = clonePayloads(s.queue)
 		}
 	}
-	return res, nil
+	return res
 }
 
 // Traffic sums the SPI traffic of the deployment's edges so far.

@@ -138,9 +138,13 @@ func coldEpoch(spec *PartitionSpec, kernels map[string]Kernel, opts DistOptions)
 	if err != nil {
 		return nil, err
 	}
-	res, err := pr.Run(spec.BaseIter, spec.Iterations)
-	pr.Close(err == nil)
-	return res, err
+	if err := pr.Run(spec.BaseIter, spec.Iterations); err != nil {
+		pr.Close(false)
+		return nil, err
+	}
+	res := pr.Checkpoint()
+	pr.Close(true)
+	return res, nil
 }
 
 // runPartitionedEpochs drives the full coordinator loop in miniature:
@@ -532,10 +536,11 @@ func TestOpenPartitionNamesNoRange(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open from a spec without a range: %v", err)
 	}
-	res, err := pr.Run(0, 5)
+	err = pr.Run(0, 5)
+	res := pr.Checkpoint()
 	pr.Close(err == nil)
 	if err != nil || res.Firings["A"] != 5 {
-		t.Fatalf("Run(0, 5) = %+v, %v; want 5 firings per actor", res, err)
+		t.Fatalf("Run(0, 5): %v, checkpoint %+v; want 5 firings per actor", err, res)
 	}
 	want, _ := partReference(t, 5)
 	checkPartDigests(t, sinks.snapshot(), want, nil, nil)

@@ -282,6 +282,15 @@ type epochCheckpoint struct {
 	Firings map[string]int
 }
 
+// runAndCheckpoint is one epoch of a standing deployment and the
+// checkpoint a coordinator would ask for at its end.
+func runAndCheckpoint(pr *PartitionRun, base, n int) (*PartResult, error) {
+	if err := pr.Run(base, n); err != nil {
+		return nil, err
+	}
+	return pr.Checkpoint(), nil
+}
+
 // runPartEpochs executes partGraph at the given blocking factor over the
 // workers of a placement in epochs, either as one standing deployment
 // (OpenPartition once, Run per epoch) or as a cold deployment per epoch
@@ -350,7 +359,7 @@ func runPartEpochs(t *testing.T, iterations, epochLen, block int, workerOf []int
 						return
 					}
 					if runs[w], errs[w] = OpenPartition(specs[w], kernels[w], opts[w]); errs[w] == nil {
-						results[w], errs[w] = runs[w].Run(base, n)
+						results[w], errs[w] = runAndCheckpoint(runs[w], base, n)
 					}
 				}(w)
 			}
@@ -359,7 +368,7 @@ func runPartEpochs(t *testing.T, iterations, epochLen, block int, workerOf []int
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
-					results[w], errs[w] = runs[w].Run(base, n)
+					results[w], errs[w] = runAndCheckpoint(runs[w], base, n)
 				}(w)
 			}
 		}

@@ -82,10 +82,10 @@ type watchdog struct {
 	stopCtx  func() bool
 }
 
-// run is env.run under the watchdog: the per-processor outcomes plus the
+// run is env.run under the watchdog: the run's own outcome plus the
 // verdict — a *StallError, the context error, or nil if the run finished
 // (or failed) on its own.
-func (wd *watchdog) run(base int) ([]error, error) {
+func (wd *watchdog) run(base int) (runErr, verdict error) {
 	if wd.stall <= 0 && (wd.ctx == nil || wd.ctx.Done() == nil) {
 		return wd.env.run(base, wd.iterations), nil
 	}
@@ -99,8 +99,8 @@ func (wd *watchdog) run(base int) ([]error, error) {
 		wd.stopCtx = context.AfterFunc(wd.ctx, wd.cancel)
 	}
 	wd.mu.Unlock()
-	errs := wd.env.run(base, wd.iterations)
-	return errs, wd.disarm()
+	runErr = wd.env.run(base, wd.iterations)
+	return runErr, wd.disarm()
 }
 
 // check is one stall poll.
